@@ -8,7 +8,7 @@ import (
 
 	"shufflejoin/internal/array"
 	"shufflejoin/internal/cluster"
-	"shufflejoin/internal/exec"
+	"shufflejoin/internal/pipeline"
 )
 
 func TestParseFigure5Query(t *testing.T) {
@@ -200,7 +200,7 @@ func TestRunExpressionQuery(t *testing.T) {
 	c.Load(b, cluster.RoundRobin)
 
 	rep, err := Run(c, `SELECT A.v1 - B.v1, A.v2 - B.v2 FROM A, B
-		WHERE A.i = B.i AND A.j = B.j;`, exec.Options{})
+		WHERE A.i = B.i AND A.j = B.j;`, pipeline.Options{})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -240,7 +240,7 @@ func TestRunDivisionQuery(t *testing.T) {
 	c.Load(mk("Band2"), cluster.RoundRobin)
 	rep, err := Run(c, `SELECT (Band2.reflectance - Band1.reflectance)
 		/ (Band2.reflectance + Band1.reflectance)
-		FROM Band1, Band2 WHERE Band1.x = Band2.x`, exec.Options{})
+		FROM Band1, Band2 WHERE Band1.x = Band2.x`, pipeline.Options{})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -271,7 +271,7 @@ func TestRunUnorderedOutput(t *testing.T) {
 	c := cluster.MustNew(2)
 	c.Load(mkA, cluster.RoundRobin)
 	c.Load(mkB, cluster.RoundRobin)
-	rep, err := Run(c, "SELECT i, j INTO T<i:int, j:int>[] FROM a JOIN b ON a.v = b.w", exec.Options{})
+	rep, err := Run(c, "SELECT i, j INTO T<i:int, j:int>[] FROM a JOIN b ON a.v = b.w", pipeline.Options{})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

@@ -6,12 +6,12 @@ import (
 	"testing"
 
 	"shufflejoin/internal/array"
-	"shufflejoin/internal/exec"
+	"shufflejoin/internal/pipeline"
 )
 
 func TestExplainViaAQL(t *testing.T) {
 	c := filterCluster(t)
-	ex, err := Explain(c, "SELECT A.v FROM A, B WHERE A.i = B.i", exec.Options{})
+	ex, err := Explain(c, "SELECT A.v FROM A, B WHERE A.i = B.i", pipeline.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +24,7 @@ func TestExplainViaAQL(t *testing.T) {
 	}
 	// Filters apply before explaining: a filter that empties one side
 	// changes the statistics but must not error.
-	ex2, err := Explain(c, "SELECT A.v FROM A, B WHERE A.i = B.i AND A.flag = 99", exec.Options{})
+	ex2, err := Explain(c, "SELECT A.v FROM A, B WHERE A.i = B.i AND A.flag = 99", pipeline.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,13 +32,13 @@ func TestExplainViaAQL(t *testing.T) {
 		t.Error("empty side should still enumerate plans")
 	}
 	// Errors propagate.
-	if _, err := Explain(c, "garbage", exec.Options{}); err == nil {
+	if _, err := Explain(c, "garbage", pipeline.Options{}); err == nil {
 		t.Error("parse error should propagate")
 	}
-	if _, err := Explain(c, threeWayQuery, exec.Options{}); err == nil {
+	if _, err := Explain(c, threeWayQuery, pipeline.Options{}); err == nil {
 		t.Error("multi-way explain should be rejected")
 	}
-	if _, err := Explain(c, "SELECT A.v FROM A, Gone WHERE A.i = Gone.i", exec.Options{}); err == nil {
+	if _, err := Explain(c, "SELECT A.v FROM A, Gone WHERE A.i = Gone.i", pipeline.Options{}); err == nil {
 		t.Error("unknown array should fail")
 	}
 }
@@ -46,7 +46,7 @@ func TestExplainViaAQL(t *testing.T) {
 func TestExpressionNegationAndLiterals(t *testing.T) {
 	c := filterCluster(t)
 	rep, err := Run(c, `SELECT -A.v + 1.5 AS adj, 2 * A.v AS dbl
-		FROM A, B WHERE A.i = B.i AND A.i <= 3`, exec.Options{})
+		FROM A, B WHERE A.i = B.i AND A.i <= 3`, pipeline.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,14 +40,13 @@ func (b *Batch) Reshape(ndims int, types []array.ScalarType, capacity int) {
 }
 
 // pool recycles batches across queries and concurrent producers. It is
-// a sharded par.Pool, not a sync.Pool and not a per-RunSet free list:
-// per-RunSet lists serialized all of a query's mapper workers on one
-// mutex and threw the grown storage away at query end, while a
-// sync.Pool is drained by the collector under exactly the allocation
-// pressure (concurrent query output assembly) the pool exists to
-// absorb. Capacity follows Pool semantics: a bounded per-shard free
+// a process-wide par.Pool, not a sync.Pool and not a per-RunSet free
+// list: per-RunSet lists threw the grown storage away at query end,
+// while a sync.Pool is drained by the collector under exactly the
+// allocation pressure (concurrent query output assembly) the pool
+// exists to absorb. Capacity follows Pool semantics: a bounded free
 // list, excess Puts dropped.
-var pool = par.NewPool[*Batch](128)
+var pool = par.NewPool[*Batch](1024)
 
 // Get returns an empty batch shaped for the given layout: a recycled
 // one (Reshape'd, retaining grown storage from any prior query) when

@@ -65,24 +65,20 @@ func BenchmarkSortTuples(b *testing.B) {
 	}
 }
 
-// BenchmarkScratchPoolsConcurrent is the pool-sharding gate for this
-// package: the tuple-slice and hash-index scratch pools must hold
-// steady-state 0 allocs/op with 16 concurrent compare workers — the
-// multi-query serving shape — now that both are process-shared sharded
-// pools instead of sync.Pools.
+// BenchmarkScratchPoolsConcurrent is the pool gate for this package:
+// the hash-index scratch pool must hold steady-state 0 allocs/op with
+// concurrent compare workers — the multi-query serving shape — as a
+// process-shared par.Pool instead of a sync.Pool.
 func BenchmarkScratchPoolsConcurrent(b *testing.B) {
-	src := benchTuples(512, false, 9)
+	const n = 512
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			ts := GetTuples()
-			ts = append(ts, src...)
-			idx := getHashIndex(len(ts))
-			for i := range ts {
+			idx := getHashIndex(n)
+			for i := 0; i < n; i++ {
 				idx.insert(i, uint64(i)*0x9e3779b97f4a7c15)
 			}
 			putHashIndex(idx)
-			PutTuples(ts)
 		}
 	})
 }

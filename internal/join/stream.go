@@ -2,10 +2,10 @@
 // algorithms as join.go, operating on pull-based tuple streams instead
 // of fully materialized []Tuple sides. Every streaming variant is
 // emit-order and statistics bit-identical to its materializing
-// reference — the differential tests in stream_test.go and the pipeline
-// equivalence suite pin that — which is what lets the engine switch the
-// default data plane to streaming while keeping the materializing path
-// as the reference for differential testing.
+// reference (Run and the algorithms in join.go) — the differential
+// tests in stream_test.go and the pipeline's reference-executor test
+// pin that. The engine runs only the streaming variants; the
+// materializing ones stay as that reference.
 package join
 
 import (
@@ -140,7 +140,7 @@ func HashJoinStream(left, right TupleStream, emit EmitFunc) Stats {
 
 // MergeJoinStream is the merge join over streams. Reassembled join
 // units arrive as concatenations of sorted slices, so — exactly like
-// the engine's materializing compare path — both sides are materialized
+// the reference executor — both sides are materialized
 // and sorted with SortTuples before the cursor walk; sort.Slice is
 // deterministic for a given input order, so tie order matches the
 // reference bit for bit.
@@ -201,11 +201,10 @@ type hashIndex struct {
 	hashes []uint64
 }
 
-// hashIndexPool is sharded (par.Pool) rather than a sync.Pool: under
-// 16-way concurrent serving every query's every unit hits this pool, and
-// sync.Pool both drains under GC pressure (re-paying the index's slab
-// allocations) and funnels through per-P locking on the slow path.
-var hashIndexPool = par.NewPool[*hashIndex](64)
+// hashIndexPool is a par.Pool rather than a sync.Pool: under concurrent
+// serving every query's every unit hits this pool, and sync.Pool drains
+// under GC pressure, re-paying the index's slab allocations.
+var hashIndexPool = par.NewPool[*hashIndex](512)
 
 // getHashIndex returns a cleared index sized for n build tuples.
 func getHashIndex(n int) *hashIndex {
@@ -246,26 +245,3 @@ func (ix *hashIndex) insert(i int, h uint64) {
 }
 
 func (ix *hashIndex) first(h uint64) int32 { return ix.slots[h&ix.mask] }
-
-// tuplePool recycles []Tuple scratch buffers for the compare hot path:
-// unit assembly and pre-merge sorts previously allocated a fresh slice
-// per join unit. Only the backing array is reused — tuple contents are
-// fully overwritten by the next user. The typed par.Pool stores the
-// slice header by value, so Put does not box it into an interface (an
-// allocation per call under sync.Pool), and the retained buffers
-// survive GC cycles between queries.
-var tuplePool = par.NewPool[[]Tuple](64)
-
-// GetTuples returns an empty pooled tuple slice to append into.
-func GetTuples() []Tuple {
-	if ts, ok := tuplePool.Get(); ok {
-		return ts[:0]
-	}
-	return make([]Tuple, 0, 256)
-}
-
-// PutTuples recycles a slice obtained from GetTuples (or any scratch
-// slice whose contents are dead). The caller must not use ts afterward.
-func PutTuples(ts []Tuple) {
-	tuplePool.Put(ts[:0])
-}

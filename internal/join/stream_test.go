@@ -124,16 +124,3 @@ func TestSliceStreamWindows(t *testing.T) {
 		t.Errorf("Len = %d, want 10", s.Len())
 	}
 }
-
-// TestTuplePoolRoundTrip sanity-checks the scratch pool contract.
-func TestTuplePoolRoundTrip(t *testing.T) {
-	ts := GetTuples()
-	if len(ts) != 0 {
-		t.Fatalf("pooled slice has %d stale tuples", len(ts))
-	}
-	ts = append(ts, Tuple{Key: []array.Value{array.IntValue(1)}})
-	PutTuples(ts)
-	if ts2 := GetTuples(); len(ts2) != 0 {
-		t.Fatalf("recycled slice not truncated: %d", len(ts2))
-	}
-}

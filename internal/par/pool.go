@@ -1,14 +1,10 @@
 package par
 
-import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
-// Pool is a bounded, sharded free list for hot-path scratch objects,
-// shared across concurrent queries. It differs from sync.Pool in two
-// ways that matter under sustained multi-query load:
+// Pool is a bounded LIFO free list for hot-path scratch objects, shared
+// across concurrent queries. It differs from sync.Pool in two ways that
+// matter under sustained multi-query load:
 //
 //   - retention: sync.Pool is drained by the garbage collector, so a
 //     serving workload that allocates (output arrays, reports) sees its
@@ -20,82 +16,54 @@ import (
 //     (e.g. slice headers) are pooled without a boxing allocation per
 //     Put.
 //
-// The free list is sharded to roughly one shard per CPU with a
-// round-robin shard pick, so 16-way concurrent Get/Put traffic does not
-// serialize on one mutex. Each shard holds at most perShard items;
-// excess Puts are dropped for the collector, which bounds the pool's
-// footprint. The zero Pool is not usable; construct with NewPool.
+// One mutex guards the list: the critical section is a slice push or
+// pop, and a Get always finds what the last Put left, at every
+// GOMAXPROCS. Puts beyond the capacity are dropped for the collector,
+// which bounds the pool's footprint. The zero Pool is not usable;
+// construct with NewPool.
 type Pool[T any] struct {
-	shards []poolShard[T]
-	mask   uint32
-	ctr    atomic.Uint32
-}
-
-type poolShard[T any] struct {
 	mu    sync.Mutex
 	items []T
 	cap   int
-	// Pad each shard past a cache line so neighboring shard locks do
-	// not false-share.
-	_ [24]byte
 }
 
-// NewPool returns a pool whose shards each retain up to perShard items
-// (<= 0 selects 32). The shard count is the smallest power of two
-// covering the machine's CPUs.
-func NewPool[T any](perShard int) *Pool[T] {
-	if perShard <= 0 {
-		perShard = 32
+// NewPool returns a pool that retains up to capacity items (<= 0
+// selects 256).
+func NewPool[T any](capacity int) *Pool[T] {
+	if capacity <= 0 {
+		capacity = 256
 	}
-	n := 1
-	for n < runtime.GOMAXPROCS(0) {
-		n <<= 1
-	}
-	p := &Pool[T]{shards: make([]poolShard[T], n), mask: uint32(n - 1)}
-	for i := range p.shards {
-		p.shards[i].cap = perShard
-	}
-	return p
+	return &Pool[T]{cap: capacity}
 }
 
-// Get pops an item from one shard, reporting whether one was available.
-// On false the caller allocates; the zero T returned alongside is
-// meaningless.
-func (p *Pool[T]) Get() (T, bool) {
-	s := &p.shards[p.ctr.Add(1)&p.mask]
-	s.mu.Lock()
-	if n := len(s.items); n > 0 {
-		v := s.items[n-1]
+// Get pops the most recently pooled item, reporting whether one was
+// available. On false the caller allocates; the zero T returned
+// alongside is meaningless.
+func (p *Pool[T]) Get() (v T, ok bool) {
+	p.mu.Lock()
+	if n := len(p.items); n > 0 {
+		v, ok = p.items[n-1], true
 		var zero T
-		s.items[n-1] = zero // release the reference to the collector
-		s.items = s.items[:n-1]
-		s.mu.Unlock()
-		return v, true
+		p.items[n-1] = zero // release the reference to the collector
+		p.items = p.items[:n-1]
 	}
-	s.mu.Unlock()
-	var zero T
-	return zero, false
+	p.mu.Unlock()
+	return v, ok
 }
 
-// Put offers an item back to one shard; a full shard drops it. The
-// caller must not use v afterward.
+// Put offers an item back; a full pool drops it. The caller must not
+// use v afterward.
 func (p *Pool[T]) Put(v T) {
-	s := &p.shards[p.ctr.Add(1)&p.mask]
-	s.mu.Lock()
-	if len(s.items) < s.cap {
-		s.items = append(s.items, v)
+	p.mu.Lock()
+	if len(p.items) < p.cap {
+		p.items = append(p.items, v)
 	}
-	s.mu.Unlock()
+	p.mu.Unlock()
 }
 
-// Len reports the pooled items across all shards (for tests).
+// Len reports the pooled items (for tests).
 func (p *Pool[T]) Len() int {
-	n := 0
-	for i := range p.shards {
-		s := &p.shards[i]
-		s.mu.Lock()
-		n += len(s.items)
-		s.mu.Unlock()
-	}
-	return n
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.items)
 }

@@ -70,41 +70,35 @@ func TestContextIgnoredWhenDone(t *testing.T) {
 
 // TestGatedEquivalence is the scheduler's determinism boundary: a query
 // executed through a sched.Ticket gate (shared sim pool, compare slots,
-// memory reservation) produces bit-identical results to an ungated run,
-// in both overlap modes.
+// memory reservation) produces bit-identical results to an ungated run.
 func TestGatedEquivalence(t *testing.T) {
 	a := buildArray("A<v:int>[i=1,300,30]", 5, 150, 30)
 	b := buildArray("B<w:int>[j=1,300,30]", 6, 160, 30)
 	pred := join.Predicate{{Left: join.Term{Name: "v"}, Right: join.Term{Name: "w"}}}
 
 	s := sched.New(sched.Config{MaxQueries: 2, AlignSlots: 1, CompareSlots: 1, PoolBytes: 1 << 30})
-	for _, barrier := range []bool{false, true} {
-		t.Run(fmt.Sprintf("barrier=%v", barrier), func(t *testing.T) {
-			run := func(gate pipeline.Gate) *pipeline.Report {
-				c := newCluster(t, 4, a.Clone(), b.Clone())
-				rep, err := pipeline.Run(c, "A", "B", pred, nil, pipeline.Options{
-					Ctx:     context.Background(),
-					Gate:    gate,
-					Barrier: barrier,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return rep
-			}
-			plain := run(nil)
-			tk, err := s.Admit(context.Background(), sched.Interactive, 0, "gated")
-			if err != nil {
-				t.Fatal(err)
-			}
-			gated := run(tk)
-			tk.Done()
-			reportsEquivalent(t, "gated-vs-plain", gated, plain)
-			snap := s.Snapshot()
-			if snap.AlignSlotsFree != 1 || snap.CompareSlotsFree != 1 {
-				t.Fatalf("slots leaked: %+v", snap)
-			}
+	run := func(gate pipeline.Gate) *pipeline.Report {
+		c := newCluster(t, 4, a.Clone(), b.Clone())
+		rep, err := pipeline.Run(c, "A", "B", pred, nil, pipeline.Options{
+			Ctx:  context.Background(),
+			Gate: gate,
 		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	plain := run(nil)
+	tk, err := s.Admit(context.Background(), sched.Interactive, 0, "gated")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gated := run(tk)
+	tk.Done()
+	reportsEquivalent(t, "gated-vs-plain", gated, plain)
+	snap := s.Snapshot()
+	if snap.AlignSlotsFree != 1 || snap.CompareSlotsFree != 1 {
+		t.Fatalf("slots leaked: %+v", snap)
 	}
 }
 

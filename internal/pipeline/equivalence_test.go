@@ -1,9 +1,7 @@
 package pipeline_test
 
 import (
-	"fmt"
 	"math/rand"
-	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -56,106 +54,8 @@ func cellsOf(a *array.Array) []cell {
 	return out
 }
 
-// TestOverlapMatchesBarrier is the pipeline's central equivalence
-// guarantee: the default overlapped execution (unit comparison dispatched
-// as slices land during the shuffle) produces bit-for-bit identical
-// results — output cells, modeled times, skew diagnostics, join stats,
-// and trace fingerprints — to the barrier reference path, for every join
-// algorithm at every Parallelism setting.
-func TestOverlapMatchesBarrier(t *testing.T) {
-	a := buildArray("A<v:int>[i=1,300,30]", 5, 150, 30)
-	b := buildArray("B<w:int>[j=1,300,30]", 6, 160, 30)
-	attrPred := join.Predicate{{Left: join.Term{Name: "v"}, Right: join.Term{Name: "w"}}}
-	dimPred := join.Predicate{{Left: join.Term{Name: "i"}, Right: join.Term{Name: "j"}}}
-
-	cases := []struct {
-		name string
-		pred join.Predicate
-		out  *array.Schema
-	}{
-		{"attr-join-dim-output", attrPred, array.MustParseSchema("T<i:int, j:int>[v=0,29,6]")},
-		{"dim-join-default-output", dimPred, nil},
-		{"attr-join-row-output", attrPred, array.MustParseSchema("T<i:int, j:int>[]")},
-	}
-
-	run := func(t *testing.T, pred join.Predicate, out *array.Schema, algo join.Algorithm, par int, barrier bool) (*pipeline.Report, string) {
-		t.Helper()
-		c := newCluster(t, 4, a.Clone(), b.Clone())
-		tr := obs.New("equivalence")
-		rep, err := pipeline.Run(c, "A", "B", pred, out, pipeline.Options{
-			ForceAlgo:   &algo,
-			Logical:     logical.PlanOptions{Selectivity: 0.5},
-			Parallelism: par,
-			Barrier:     barrier,
-			Trace:       tr,
-		})
-		if err != nil {
-			t.Fatalf("Run(algo=%v par=%d barrier=%v): %v", algo, par, barrier, err)
-		}
-		return rep, tr.Fingerprint()
-	}
-
-	for _, tc := range cases {
-		algos := []join.Algorithm{join.Hash, join.Merge, join.NestedLoop}
-		if tc.out == nil {
-			// The dim:dim plan space does not enumerate every algorithm;
-			// exercise the planner's own choice instead of forcing one.
-			algos = algos[:0]
-			for _, al := range []join.Algorithm{join.Merge} {
-				algos = append(algos, al)
-			}
-		}
-		for _, algo := range algos {
-			for _, par := range []int{1, 4, 0} {
-				name := fmt.Sprintf("%s/%v/par=%d", tc.name, algo, par)
-				t.Run(name, func(t *testing.T) {
-					want, wantFP := run(t, tc.pred, tc.out, algo, par, true)
-					got, gotFP := run(t, tc.pred, tc.out, algo, par, false)
-
-					if got.Matches != want.Matches {
-						t.Errorf("Matches = %d, want %d", got.Matches, want.Matches)
-					}
-					if got.CellsMoved != want.CellsMoved {
-						t.Errorf("CellsMoved = %d, want %d", got.CellsMoved, want.CellsMoved)
-					}
-					if got.ClampedCells != want.ClampedCells {
-						t.Errorf("ClampedCells = %d, want %d", got.ClampedCells, want.ClampedCells)
-					}
-					if got.JoinStats != want.JoinStats {
-						t.Errorf("JoinStats = %+v, want %+v", got.JoinStats, want.JoinStats)
-					}
-					if got.AlignTime != want.AlignTime {
-						t.Errorf("AlignTime = %v, want %v (must be bit-identical)", got.AlignTime, want.AlignTime)
-					}
-					if got.CompareTime != want.CompareTime {
-						t.Errorf("CompareTime = %v, want %v (must be bit-identical)", got.CompareTime, want.CompareTime)
-					}
-					if !reflect.DeepEqual(got.NodeCompareTime, want.NodeCompareTime) {
-						t.Errorf("NodeCompareTime = %v, want %v", got.NodeCompareTime, want.NodeCompareTime)
-					}
-					if got.Skew != want.Skew || got.StragglerNode != want.StragglerNode {
-						t.Errorf("Skew/Straggler = %v/%d, want %v/%d", got.Skew, got.StragglerNode, want.Skew, want.StragglerNode)
-					}
-					if got.LockWaitSeconds != want.LockWaitSeconds {
-						t.Errorf("LockWaitSeconds = %v, want %v", got.LockWaitSeconds, want.LockWaitSeconds)
-					}
-					if got.Selectivity != want.Selectivity {
-						t.Errorf("Selectivity = %v, want %v", got.Selectivity, want.Selectivity)
-					}
-					if !reflect.DeepEqual(cellsOf(got.Output), cellsOf(want.Output)) {
-						t.Errorf("output cells differ between overlapped and barrier execution")
-					}
-					if gotFP != wantFP {
-						t.Errorf("trace fingerprints differ:\n--- overlap ---\n%s\n--- barrier ---\n%s", gotFP, wantFP)
-					}
-				})
-			}
-		}
-	}
-}
-
-// TestOverlapDeterministicAcrossParallelism locks the overlapped path's
-// own determinism contract: identical fingerprints at Parallelism 1, 4,
+// TestOverlapDeterministicAcrossParallelism locks the overlapped
+// execution's determinism contract: identical fingerprints at Parallelism 1, 4,
 // and 0 (one worker per CPU).
 func TestOverlapDeterministicAcrossParallelism(t *testing.T) {
 	a := buildArray("A<v:int>[i=1,300,30]", 11, 170, 25)

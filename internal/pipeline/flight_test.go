@@ -187,6 +187,30 @@ func TestPostmortemOnStrictBudget(t *testing.T) {
 	}
 }
 
+// TestPostmortemOnStrictBounds: a strict-bounds rejection is classified
+// by its ErrBounds sentinel (not its message text) and ships a bundle
+// named for the strict-bounds reason.
+func TestPostmortemOnStrictBounds(t *testing.T) {
+	c, out, pred, _ := clampSetup(t)
+	dir := t.TempDir()
+	fr := flight.New(1024)
+	_, err := pipeline.Run(c, "A", "B", pred, out, pipeline.Options{
+		StrictBounds: true,
+		Flight:       fr,
+		Postmortem:   &flight.Postmortem{Dir: dir, Flight: fr},
+	})
+	if !errors.Is(err, pipeline.ErrBounds) {
+		t.Fatalf("err = %v, want pipeline.ErrBounds", err)
+	}
+	bundles := bundleDirs(t, dir)
+	if len(bundles) != 1 {
+		t.Fatalf("bundles = %v, want exactly one", bundles)
+	}
+	if meta := readMeta(t, bundles[0]); meta["reason"] != "strict-bounds" {
+		t.Errorf("reason = %v, want strict-bounds", meta["reason"])
+	}
+}
+
 // panicStage is a pipeline stage that always panics, standing in for an
 // engine bug.
 type panicStage struct{}

@@ -24,59 +24,38 @@ type Options struct {
 	// Logical tunes the logical plan enumeration (selectivity estimate,
 	// hash bucket count). Nodes is filled in from the cluster.
 	Logical logical.PlanOptions
-	// Params are the cost-model constants m, b, p, t; zero value uses
-	// DefaultParams.
-	Params physical.CostParams
 	// Scheduling selects the shuffle scheduler (default: greedy locks).
 	Scheduling simnet.Scheduling
 	// ForceAlgo restricts the logical planner to one join algorithm,
 	// used by experiments that compare algorithms directly.
 	ForceAlgo *join.Algorithm
-	// TargetCellsPerChunk tunes join-dimension inference.
-	TargetCellsPerChunk int64
 	// Parallelism is the worker count for the execution hot paths (slice
 	// mapping and join-unit cell comparison): 0 means one worker per CPU
 	// (the default — parallel execution is on unless disabled), 1 forces
 	// sequential execution, and n > 1 uses n workers. Output, join stats,
 	// and modeled times are bit-for-bit identical at every setting.
 	Parallelism int
-	// Barrier disables the default overlapped execution — in which a join
-	// unit's comparison is dispatched the moment its last inbound slice
-	// lands in the simulated shuffle — and instead runs the pre-pipeline
-	// reference path: a global alignment barrier followed by per-node
-	// comparison. Output, modeled times, and trace fingerprints are
-	// bit-for-bit identical in both modes at every Parallelism setting;
-	// the knob exists for the equivalence test and for ablations.
-	Barrier bool
-	// Materialize switches the data plane back to the materializing
-	// reference path: full per-cell tuple slice sets (shuffle.MapSideN)
-	// and whole-unit Assemble copies, as the pre-streaming engine ran.
-	// The default (false) is the pull-based columnar batch-streaming
-	// path, whose results — output cells, join statistics, modeled
-	// times — are bit-for-bit identical; the knob exists for the
-	// differential tests and the memory benchmarks, the same way simnet
-	// keeps its reference simulator.
-	Materialize bool
-	// BatchSize is the row capacity of the streaming path's columnar
-	// batches (and thus the granularity of its memory accounting and
-	// pull windows); 0 uses shuffle.DefaultBatchRows.
+	// BatchSize is the row capacity of the data plane's columnar batches
+	// (and thus the granularity of its memory accounting and pull
+	// windows); 0 uses shuffle.DefaultBatchRows. Results are identical at
+	// every size, which the differential tests sweep.
 	BatchSize int
 	// MemoryBudget caps the bytes of mapped batch storage the query may
 	// hold in flight (8 bytes per stored coordinate and value; string
 	// contents live in the per-query intern dictionary). 0 means
 	// unlimited. By default overflow is counted, not fatal:
 	// Report.MemoryOverflowBytes records how far the peak exceeded the
-	// budget, mirroring the ClampedCells pattern. Ignored on the
-	// materializing path.
+	// budget, mirroring the ClampedCells pattern.
 	MemoryBudget int64
 	// StrictMemory makes a MemoryBudget violation fail the query (with
 	// an error wrapping batch.ErrBudget) instead of merely counting the
 	// overflow — the memory analogue of StrictBounds.
 	StrictMemory bool
-	// StrictBounds makes the Assemble stage fail when an output cell's
-	// coordinates fall outside the destination's dimension ranges instead
-	// of silently clamping them (clamped cells can collide and overwrite
-	// each other). Clamps are counted in Report.ClampedCells either way.
+	// StrictBounds makes the Assemble stage fail (with an error wrapping
+	// ErrBounds) when an output cell's coordinates fall outside the
+	// destination's dimension ranges instead of silently clamping them
+	// (clamped cells can collide and overwrite each other). Clamps are
+	// counted in Report.ClampedCells either way.
 	StrictBounds bool
 	// ExtraCarryLeft/ExtraCarryRight name additional source attributes to
 	// carry through the shuffle (columns referenced only by SELECT
@@ -208,15 +187,16 @@ func (o *Options) ctx() context.Context {
 // workers resolves the Parallelism knob to an effective worker count.
 func (o *Options) workers() int { return par.Workers(o.Parallelism) }
 
+// params are the cost-model constants m, b, p, t every stage prices
+// with (and Redistribute shuffles and sorts by).
+var params = physical.DefaultParams()
+
 // normalize fills the planning defaults stages rely on. It must run
 // before any cache-signature computation so that explicit and defaulted
 // options sign identically.
 func (o *Options) normalize() {
 	if o.Planner == nil {
 		o.Planner = physical.MinBandwidthPlanner{}
-	}
-	if o.Params == (physical.CostParams{}) {
-		o.Params = physical.DefaultParams()
 	}
 }
 
@@ -351,8 +331,7 @@ type Report struct {
 	// and value). Because batch bytes only accumulate while slice
 	// mapping runs and only drain as comparison retires join units, the
 	// peak equals the total mapped bytes and is deterministic at every
-	// Parallelism setting and in both overlap modes. Zero on the
-	// materializing path (SliceMap stage).
+	// Parallelism setting (SliceMap stage).
 	PeakBatchBytes int64
 	// InternedStrings is the number of distinct string values the
 	// query's intern dictionary holds after slice mapping; zero when no
@@ -360,8 +339,7 @@ type Report struct {
 	InternedStrings int64
 	// MemoryOverflowBytes is how far PeakBatchBytes exceeded
 	// Options.MemoryBudget — the counted-mode analogue of ClampedCells.
-	// Zero when within budget, unbudgeted, or materializing (SliceMap
-	// stage).
+	// Zero when within budget or unbudgeted (SliceMap stage).
 	MemoryOverflowBytes int64
 
 	// ClampedCells counts output cells whose coordinates fell outside the

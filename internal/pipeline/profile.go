@@ -108,10 +108,10 @@ type Profile struct {
 	CellsMoved   int64 `json:"cells_moved"`
 	ClampedCells int64 `json:"clamped_cells,omitempty"`
 
-	// Memory: the streaming data plane's per-query bound. PeakBatchBytes
-	// is the high-water mark of mapped batch storage (deterministic; 0
-	// on the materializing reference path), InternedStrings the distinct
-	// strings in the query's intern dictionary, and MemoryOverflowBytes
+	// Memory: the data plane's per-query bound. PeakBatchBytes is the
+	// high-water mark of mapped batch storage (deterministic),
+	// InternedStrings the distinct strings in the query's intern
+	// dictionary, and MemoryOverflowBytes
 	// how far the peak exceeded Options.MemoryBudget (counted mode).
 	PeakBatchBytes      int64 `json:"peak_batch_bytes"`
 	InternedStrings     int64 `json:"interned_strings,omitempty"`
@@ -310,8 +310,7 @@ func (p *Profile) String() string {
 // Fingerprint renders every deterministic field of the profile in a
 // canonical text form, with wall-clock quantities masked and simulated
 // seconds printed exactly (%.17g). Two profiles of the same query are
-// required to fingerprint identically at every Parallelism setting and
-// in both overlapped and barrier execution modes.
+// required to fingerprint identically at every Parallelism setting.
 func (p *Profile) Fingerprint() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "query=%q plan=%q algo=%s planner=%q source=%s regret=%.17g cache=%s sel=%.17g units=%d\n",

@@ -12,7 +12,7 @@ import (
 	"shufflejoin/internal/plancache"
 )
 
-func profiledRun(t *testing.T, par int, barrier bool) *pipeline.Report {
+func profiledRun(t *testing.T, par int) *pipeline.Report {
 	t.Helper()
 	a := buildArray("A<v:int>[i=1,300,30]", 31, 160, 30)
 	b := buildArray("B<w:int>[j=1,300,30]", 32, 150, 30)
@@ -22,12 +22,11 @@ func profiledRun(t *testing.T, par int, barrier bool) *pipeline.Report {
 	rep, err := pipeline.Run(c, "A", "B", pred, out, pipeline.Options{
 		Logical:     logical.PlanOptions{Selectivity: 0.5},
 		Parallelism: par,
-		Barrier:     barrier,
 		Profile:     true,
 		QueryLabel:  "A join B on v=w",
 	})
 	if err != nil {
-		t.Fatalf("par=%d barrier=%v: %v", par, barrier, err)
+		t.Fatalf("par=%d: %v", par, err)
 	}
 	return rep
 }
@@ -37,7 +36,7 @@ func profiledRun(t *testing.T, par int, barrier bool) *pipeline.Report {
 // point — to the profile's makespan and to the engine's reported
 // align+compare modeled times.
 func TestProfileStageSimsSumToMakespan(t *testing.T) {
-	rep := profiledRun(t, 0, false)
+	rep := profiledRun(t, 0)
 	p := rep.Profile
 	if p == nil {
 		t.Fatal("Options.Profile set but Report.Profile is nil")
@@ -89,22 +88,19 @@ func TestProfileStageSimsSumToMakespan(t *testing.T) {
 
 // TestProfileDeterministicAcrossParallelism is the acceptance bar: the
 // profile (wall-clock fields masked) is bit-identical at Parallelism 1,
-// 4, and 0, and across overlapped vs. barrier execution.
+// 4, and 0.
 func TestProfileDeterministicAcrossParallelism(t *testing.T) {
 	var base string
-	for i, cfg := range []struct {
-		par     int
-		barrier bool
-	}{{1, false}, {4, false}, {0, false}, {0, true}} {
-		rep := profiledRun(t, cfg.par, cfg.barrier)
+	for i, par := range []int{1, 4, 0} {
+		rep := profiledRun(t, par)
 		fp := rep.Profile.Fingerprint()
 		if i == 0 {
 			base = fp
 			continue
 		}
 		if fp != base {
-			t.Errorf("profile fingerprint at par=%d barrier=%v diverges:\n--- base ---\n%s\n--- got ---\n%s",
-				cfg.par, cfg.barrier, base, fp)
+			t.Errorf("profile fingerprint at par=%d diverges:\n--- base ---\n%s\n--- got ---\n%s",
+				par, base, fp)
 		}
 	}
 }
@@ -113,7 +109,7 @@ func TestProfileDeterministicAcrossParallelism(t *testing.T) {
 // renderer mentions every section, and the JSON round-trips through a
 // stable encoding.
 func TestProfileRenderAndJSON(t *testing.T) {
-	rep := profiledRun(t, 0, false)
+	rep := profiledRun(t, 0)
 	p := rep.Profile
 	s := p.String()
 	for _, want := range []string{"EXPLAIN ANALYZE", "A join B on v=w", "stages", "shuffle:", "nodes", "candidates", "logical-plan", "align", "compare"} {

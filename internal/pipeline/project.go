@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -9,6 +10,27 @@ import (
 	"shufflejoin/internal/logical"
 )
 
+// ErrBounds is wrapped by every strict-bounds rejection — an output cell
+// in Assemble or a redistributed cell in Redistribute whose value falls
+// outside the dimension it is bound for. Match it with errors.Is.
+var ErrBounds = errors.New("outside declared range (StrictBounds)")
+
+// clampDim is the engine's one clamp-or-reject rule: a value outside d's
+// declared range moves onto the nearest boundary, or, under strict
+// bounds, is rejected with an error wrapping ErrBounds.
+func clampDim(v int64, d array.Dimension, strict bool) (int64, error) {
+	switch {
+	case v >= d.Start && v <= d.End:
+		return v, nil
+	case strict:
+		return v, fmt.Errorf("value %d for dimension %s=[%d,%d] %w", v, d.Name, d.Start, d.End, ErrBounds)
+	case v < d.Start:
+		return d.Start, nil
+	default:
+		return d.End, nil
+	}
+}
+
 // putClamped stores an output cell, clamping coordinates into the
 // destination's dimension ranges (join keys can exceed a destination
 // declared smaller than the data). It reports whether any coordinate was
@@ -16,17 +38,13 @@ import (
 func putClamped(a *array.Array, coords []int64, attrs []array.Value, strict bool) (bool, error) {
 	clamped := false
 	for i, d := range a.Schema.Dims {
-		if coords[i] < d.Start || coords[i] > d.End {
-			if strict {
-				return false, fmt.Errorf("pipeline: output cell %v outside destination dimension %s=[%d,%d] (StrictBounds)",
-					coords, d.Name, d.Start, d.End)
-			}
+		v, err := clampDim(coords[i], d, strict)
+		if err != nil {
+			return false, fmt.Errorf("pipeline: output cell %v: %w", coords, err)
+		}
+		if v != coords[i] {
 			clamped = true
-			if coords[i] < d.Start {
-				coords[i] = d.Start
-			} else {
-				coords[i] = d.End
-			}
+			coords[i] = v
 		}
 	}
 	return clamped, a.Put(coords, attrs)
@@ -50,30 +68,18 @@ type projector struct {
 	attrSrc  []fieldSrc
 	rowDim   bool
 	nextRow  int64
-	rowStep  int64
 	carryPos [2]map[int]int // original attr index -> tuple.Attrs position
 	attrFn   func(l, r *join.Tuple) []array.Value
 }
 
-// forNode returns a node-local copy whose synthetic row coordinates are
-// node, node+k, node+2k, … — disjoint across nodes. The barrier compare
-// path numbers rows this way directly.
-func (p *projector) forNode(node, k int) *projector {
-	c := *p
-	c.nextRow = int64(node)
-	c.rowStep = int64(k)
-	return &c
-}
-
 // forUnit returns a unit-local copy that numbers synthetic rows 0, 1, 2, …
-// The overlapped compare path projects each join unit independently (units
-// finish in shuffle-completion order), then renumbers rows to the
-// destination node's stride-k sequence when unit results are folded in
-// deterministic order — reproducing forNode's numbering bit for bit.
+// Each join unit is projected independently (units finish in
+// shuffle-completion order); fold renumbers the rows to the destination
+// node's stride-k sequence (node, node+k, node+2k, … — disjoint across
+// nodes) when unit results are merged in deterministic order.
 func (p *projector) forUnit() *projector {
 	c := *p
 	c.nextRow = 0
-	c.rowStep = 1
 	return &c
 }
 
@@ -167,7 +173,7 @@ func (p *projector) project(l, r *join.Tuple) ([]int64, []array.Value) {
 	var coords []int64
 	if p.rowDim {
 		coords = []int64{p.nextRow}
-		p.nextRow += p.rowStep
+		p.nextRow++
 	} else {
 		coords = make([]int64, len(p.dimSrc))
 		for i, src := range p.dimSrc {

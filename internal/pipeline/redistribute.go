@@ -1,13 +1,13 @@
-package exec
+package pipeline
 
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"shufflejoin/internal/afl"
 	"shufflejoin/internal/array"
 	"shufflejoin/internal/cluster"
-	"shufflejoin/internal/physical"
 	"shufflejoin/internal/simnet"
 )
 
@@ -24,12 +24,12 @@ type RedistributeReport struct {
 
 // RedistributeOptions tunes a distributed redimension.
 type RedistributeOptions struct {
-	Params     physical.CostParams
 	Scheduling simnet.Scheduling
-	// StrictBounds fails the redistribution when a source cell's value for
-	// a target dimension falls outside that dimension's declared range,
-	// instead of silently clamping it onto the boundary (clamped cells
-	// collapse into the edge chunks, skewing placement and sort costs).
+	// StrictBounds fails the redistribution (with an error wrapping
+	// ErrBounds) when a source cell's value for a target dimension falls
+	// outside that dimension's declared range, instead of silently
+	// clamping it onto the boundary (clamped cells collapse into the edge
+	// chunks, skewing placement and sort costs).
 	StrictBounds bool
 }
 
@@ -38,11 +38,10 @@ type RedistributeOptions struct {
 // chunk grid, ships each cell to the node owning its destination chunk
 // (dealt round-robin over the grid), and the receivers sort their new
 // chunks. It returns the reorganized distributed array, registered in the
-// catalog under the target schema's name, with the timing report.
+// catalog under the target schema's name, with the timing report. It is
+// not a join pipeline — no stages, no QueryContext — but shares the
+// engine's cost constants, simulator, and bounds rule.
 func Redistribute(c *cluster.Cluster, d *cluster.Distributed, target *array.Schema, opt RedistributeOptions) (*cluster.Distributed, *RedistributeReport, error) {
-	if opt.Params == (physical.CostParams{}) {
-		opt.Params = physical.DefaultParams()
-	}
 	if err := target.Validate(); err != nil {
 		return nil, nil, err
 	}
@@ -54,8 +53,9 @@ func Redistribute(c *cluster.Cluster, d *cluster.Distributed, target *array.Sche
 	}
 
 	// Destination ownership: deal target chunks round-robin in C-order.
-	destNode := make(map[array.ChunkKey]int, len(out.Chunks))
-	for i, key := range out.SortedKeys() {
+	outKeys := out.SortedKeys()
+	destNode := make(map[array.ChunkKey]int, len(outKeys))
+	for i, key := range outKeys {
 		destNode[key] = i % c.K
 	}
 
@@ -93,7 +93,7 @@ func Redistribute(c *cluster.Cluster, d *cluster.Distributed, target *array.Sche
 	}
 	var transfers []simnet.Transfer
 	var moved int64
-	for _, key := range out.SortedKeys() { // deterministic order
+	for _, key := range outKeys {
 		for f, n := range counts[key] {
 			if f.from == f.to {
 				continue
@@ -103,11 +103,22 @@ func Redistribute(c *cluster.Cluster, d *cluster.Distributed, target *array.Sche
 		}
 	}
 	// Deterministic transfer order: map iteration above varies; sort.
-	sortTransfers(transfers)
+	// Transfers that tie on the whole key are identical, so the sort
+	// need not be stable.
+	sort.Slice(transfers, func(i, j int) bool {
+		a, b := transfers[i], transfers[j]
+		if a.From != b.From {
+			return a.From < b.From
+		}
+		if a.To != b.To {
+			return a.To < b.To
+		}
+		return a.Cells > b.Cells
+	})
 
 	align, err := simnet.Simulate(simnet.Config{
 		Nodes:       c.K,
-		PerCellTime: opt.Params.Transfer,
+		PerCellTime: params.Transfer,
 		Scheduling:  opt.Scheduling,
 	}, transfers)
 	if err != nil {
@@ -115,12 +126,14 @@ func Redistribute(c *cluster.Cluster, d *cluster.Distributed, target *array.Sche
 	}
 
 	// Per-node sort cost of the received chunks: n·log2(n) per chunk at
-	// the merge per-cell rate (Table 1's in-chunk sort).
+	// the merge per-cell rate (Table 1's in-chunk sort). Summed in chunk
+	// C-order, not map order, so the float total is bit-identical run to
+	// run.
 	sortTime := make([]float64, c.K)
-	for key, ch := range out.Chunks {
-		n := float64(ch.Len())
+	for _, key := range outKeys {
+		n := float64(out.Chunks[key].Len())
 		if n > 1 {
-			sortTime[destNode[key]] += opt.Params.Merge * n * log2(n)
+			sortTime[destNode[key]] += params.Merge * n * math.Log2(n)
 		}
 	}
 	var maxSort float64
@@ -166,7 +179,7 @@ func targetMapper(src, target *array.Schema, strict bool) (func(coords []int64, 
 			refs[i] = ref{isDim: false, idx: j}
 			continue
 		}
-		return nil, fmt.Errorf("exec: target dimension %q not in source %s", d.Name, src.Name)
+		return nil, fmt.Errorf("pipeline: target dimension %q not in source %s", d.Name, src.Name)
 	}
 	dims := target.Dims
 	return func(coords []int64, attrs []array.Value) (array.ChunkKey, error) {
@@ -178,41 +191,12 @@ func targetMapper(src, target *array.Schema, strict bool) (func(coords []int64, 
 			} else {
 				v = attrs[r.idx].AsInt()
 			}
-			if v < dims[i].Start || v > dims[i].End {
-				if strict {
-					return "", fmt.Errorf("exec: cell value %d outside target dimension %s=[%d,%d] (StrictBounds)",
-						v, dims[i].Name, dims[i].Start, dims[i].End)
-				}
-				if v < dims[i].Start {
-					v = dims[i].Start
-				} else {
-					v = dims[i].End
-				}
+			v, err := clampDim(v, dims[i], strict)
+			if err != nil {
+				return "", fmt.Errorf("pipeline: redistributed cell %v: %w", coords, err)
 			}
 			idx[i] = dims[i].ChunkIndex(v)
 		}
 		return array.MakeChunkKey(idx), nil
 	}, nil
-}
-
-func sortTransfers(ts []simnet.Transfer) {
-	for i := 1; i < len(ts); i++ {
-		for j := i; j > 0 && lessTransfer(ts[j], ts[j-1]); j-- {
-			ts[j], ts[j-1] = ts[j-1], ts[j]
-		}
-	}
-}
-
-func lessTransfer(a, b simnet.Transfer) bool {
-	if a.From != b.From {
-		return a.From < b.From
-	}
-	if a.To != b.To {
-		return a.To < b.To
-	}
-	return a.Cells > b.Cells
-}
-
-func log2(x float64) float64 {
-	return math.Log2(x)
 }

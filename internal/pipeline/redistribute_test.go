@@ -1,11 +1,14 @@
-package exec
+package pipeline_test
 
 import (
+	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
 	"shufflejoin/internal/array"
 	"shufflejoin/internal/cluster"
+	"shufflejoin/internal/pipeline"
 )
 
 func TestRedistributeDimensionSwap(t *testing.T) {
@@ -20,7 +23,7 @@ func TestRedistributeDimensionSwap(t *testing.T) {
 	d := c.Load(b, cluster.RoundRobin)
 
 	target := array.MustParseSchema("B2<v1:int>[i=1,60,10, j=1,60,10]")
-	out, rep, err := Redistribute(c, d, target, RedistributeOptions{})
+	out, rep, err := pipeline.Redistribute(c, d, target, pipeline.RedistributeOptions{})
 	if err != nil {
 		t.Fatalf("Redistribute: %v", err)
 	}
@@ -65,7 +68,7 @@ func TestRedistributeNoMoveWhenAligned(t *testing.T) {
 	a := buildArray("A<v:int>[i=1,100,10]", 21, 80, 50)
 	c := cluster.MustNew(1)
 	d := c.Load(a, cluster.RoundRobin)
-	out, rep, err := Redistribute(c, d, array.MustParseSchema("A2<v:int>[i=1,100,10]"), RedistributeOptions{})
+	out, rep, err := pipeline.Redistribute(c, d, array.MustParseSchema("A2<v:int>[i=1,100,10]"), pipeline.RedistributeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,11 +84,11 @@ func TestRedistributeErrors(t *testing.T) {
 	a := buildArray("A<v:int>[i=1,100,10]", 22, 50, 50)
 	c := cluster.MustNew(2)
 	d := c.Load(a, cluster.RoundRobin)
-	if _, _, err := Redistribute(c, d, array.MustParseSchema("T<v:int>[zzz=1,10,5]"), RedistributeOptions{}); err == nil {
+	if _, _, err := pipeline.Redistribute(c, d, array.MustParseSchema("T<v:int>[zzz=1,10,5]"), pipeline.RedistributeOptions{}); err == nil {
 		t.Error("unknown target dimension should fail")
 	}
 	bad := &array.Schema{Name: "X"}
-	if _, _, err := Redistribute(c, d, bad, RedistributeOptions{}); err == nil {
+	if _, _, err := pipeline.Redistribute(c, d, bad, pipeline.RedistributeOptions{}); err == nil {
 		t.Error("invalid target schema should fail")
 	}
 }
@@ -100,7 +103,7 @@ func TestRedistributeMismatchedChunkInterval(t *testing.T) {
 	for _, interval := range []int64{0, -5} {
 		target := array.MustParseSchema("T<v:int>[i=1,100,10]")
 		target.Dims[0].ChunkInterval = interval
-		_, _, err := Redistribute(c, d, target, RedistributeOptions{})
+		_, _, err := pipeline.Redistribute(c, d, target, pipeline.RedistributeOptions{})
 		if err == nil {
 			t.Errorf("chunk interval %d: want validation error, got nil", interval)
 		} else if !strings.Contains(err.Error(), "chunk interval") {
@@ -116,7 +119,7 @@ func TestRedistributeEmptyDistribution(t *testing.T) {
 	empty := array.MustNew(array.MustParseSchema("A<v:int>[i=1,100,10]"))
 	c := cluster.MustNew(3)
 	d := c.Load(empty, cluster.RoundRobin)
-	out, rep, err := Redistribute(c, d, array.MustParseSchema("A2<v:int>[i=1,100,20]"), RedistributeOptions{})
+	out, rep, err := pipeline.Redistribute(c, d, array.MustParseSchema("A2<v:int>[i=1,100,20]"), pipeline.RedistributeOptions{})
 	if err != nil {
 		t.Fatalf("Redistribute(empty): %v", err)
 	}
@@ -148,7 +151,7 @@ func TestRedistributeStrictBounds(t *testing.T) {
 
 	c := cluster.MustNew(2)
 	d := c.Load(a, cluster.RoundRobin)
-	out, _, err := Redistribute(c, d, target, RedistributeOptions{})
+	out, _, err := pipeline.Redistribute(c, d, target, pipeline.RedistributeOptions{})
 	if err != nil {
 		t.Fatalf("clamping mode: %v", err)
 	}
@@ -158,9 +161,9 @@ func TestRedistributeStrictBounds(t *testing.T) {
 
 	c2 := cluster.MustNew(2)
 	d2 := c2.Load(a.Clone(), cluster.RoundRobin)
-	_, _, err = Redistribute(c2, d2, target, RedistributeOptions{StrictBounds: true})
-	if err == nil {
-		t.Fatal("StrictBounds: want error for out-of-range value, got nil")
+	_, _, err = pipeline.Redistribute(c2, d2, target, pipeline.RedistributeOptions{StrictBounds: true})
+	if !errors.Is(err, pipeline.ErrBounds) {
+		t.Fatalf("StrictBounds: err = %v, want pipeline.ErrBounds for out-of-range value", err)
 	}
 	for _, frag := range []string{"StrictBounds", "500", "v=[1,50]"} {
 		if !strings.Contains(err.Error(), frag) {
@@ -173,18 +176,51 @@ func TestRedistributeStrictBounds(t *testing.T) {
 	inRange := buildArray("A<v:int>[i=1,40,8]", 24, 30, 49)
 	c3 := cluster.MustNew(2)
 	d3 := c3.Load(inRange, cluster.RoundRobin)
-	strictOut, strictRep, err := Redistribute(c3, d3, array.MustParseSchema("T2<i:int>[v=0,50,10]"), RedistributeOptions{StrictBounds: true})
+	strictOut, strictRep, err := pipeline.Redistribute(c3, d3, array.MustParseSchema("T2<i:int>[v=0,50,10]"), pipeline.RedistributeOptions{StrictBounds: true})
 	if err != nil {
 		t.Fatalf("StrictBounds with in-range data: %v", err)
 	}
 	c4 := cluster.MustNew(2)
 	d4 := c4.Load(inRange.Clone(), cluster.RoundRobin)
-	laxOut, laxRep, err := Redistribute(c4, d4, array.MustParseSchema("T2<i:int>[v=0,50,10]"), RedistributeOptions{})
+	laxOut, laxRep, err := pipeline.Redistribute(c4, d4, array.MustParseSchema("T2<i:int>[v=0,50,10]"), pipeline.RedistributeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if strictOut.Array.CellCount() != laxOut.Array.CellCount() || strictRep.CellsMoved != laxRep.CellsMoved {
 		t.Errorf("StrictBounds changed behavior on in-range data: %d/%d cells, %d/%d moved",
 			strictOut.Array.CellCount(), laxOut.Array.CellCount(), strictRep.CellsMoved, laxRep.CellsMoved)
+	}
+}
+
+// TestRedistributeDeterministic: the report — including the float sum of
+// per-node sort time, once accumulated in map order — is bit-identical
+// run to run on one input.
+func TestRedistributeDeterministic(t *testing.T) {
+	// Many target chunks of uneven size per node, so a different
+	// summation order would show in SortTime's last bits.
+	src := array.MustNew(array.MustParseSchema("A<v:int>[i=1,4000,100]"))
+	for i := int64(1); i <= 4000; i++ {
+		src.MustPut([]int64{i}, []array.Value{array.IntValue(i * i % 997)})
+	}
+	src.SortAll()
+	target := array.MustParseSchema("T<i:int>[v=0,996,3]")
+
+	var want *pipeline.RedistributeReport
+	for run := 0; run < 8; run++ {
+		c := cluster.MustNew(4)
+		d := c.Load(src.Clone(), cluster.RoundRobin)
+		_, rep, err := pipeline.Redistribute(c, d, target, pipeline.RedistributeOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.SortTime <= 0 || rep.CellsMoved == 0 {
+			t.Fatalf("fixture does no work: %+v", rep)
+		}
+		if want == nil {
+			want = rep
+		} else if !reflect.DeepEqual(rep, want) {
+			t.Fatalf("run %d: report differs from run 0:\n got sort=%b total=%b moved=%d\nwant sort=%b total=%b moved=%d",
+				run, rep.SortTime, rep.TotalTime, rep.CellsMoved, want.SortTime, want.TotalTime, want.CellsMoved)
+		}
 	}
 }

@@ -1,7 +1,7 @@
-package exec
+package pipeline_test
 
 import (
-	"math/rand"
+	"errors"
 	"reflect"
 	"testing"
 	"time"
@@ -11,27 +11,9 @@ import (
 	"shufflejoin/internal/join"
 	"shufflejoin/internal/logical"
 	"shufflejoin/internal/physical"
+	"shufflejoin/internal/pipeline"
 	"shufflejoin/internal/simnet"
 )
-
-// buildArray fills a 1-D array with n cells at random coordinates with
-// attribute v drawn from a small domain.
-func buildArray(schema string, seed int64, n int, domain int64) *array.Array {
-	s := array.MustParseSchema(schema)
-	a := array.MustNew(s)
-	rng := rand.New(rand.NewSource(seed))
-	used := make(map[int64]bool)
-	for len(used) < n {
-		c := rng.Int63n(s.Dims[0].Extent()) + s.Dims[0].Start
-		if used[c] {
-			continue
-		}
-		used[c] = true
-		a.MustPut([]int64{c}, []array.Value{array.IntValue(rng.Int63n(domain))})
-	}
-	a.SortAll()
-	return a
-}
 
 // bruteMatches counts matches of an equi-join directly from the arrays.
 func bruteMatches(l, r *array.Array, lKey, rKey func(coords []int64, attrs []array.Value) int64) int64 {
@@ -49,15 +31,6 @@ func bruteMatches(l, r *array.Array, lKey, rKey func(coords []int64, attrs []arr
 	return n
 }
 
-func newCluster(t *testing.T, k int, arrays ...*array.Array) *cluster.Cluster {
-	t.Helper()
-	c := cluster.MustNew(k)
-	for _, a := range arrays {
-		c.Load(a, cluster.RoundRobin)
-	}
-	return c
-}
-
 func dimOf(c []int64, _ []array.Value) int64  { return c[0] }
 func attrOf(_ []int64, a []array.Value) int64 { return a[0].AsInt() }
 
@@ -66,7 +39,7 @@ func TestDDMergeJoinCorrect(t *testing.T) {
 	b := buildArray("B<w:int>[i=1,200,20]", 2, 130, 100)
 	c := newCluster(t, 4, a, b)
 	pred := join.Predicate{{Left: join.Term{Name: "i"}, Right: join.Term{Name: "i"}}}
-	rep, err := Run(c, "A", "B", pred, nil, Options{})
+	rep, err := pipeline.Run(c, "A", "B", pred, nil, pipeline.Options{})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -89,7 +62,7 @@ func TestAAHashJoinCorrect(t *testing.T) {
 	c := newCluster(t, 4, a, b)
 	pred := join.Predicate{{Left: join.Term{Name: "v"}, Right: join.Term{Name: "w"}}}
 	algo := join.Hash
-	rep, err := Run(c, "A", "B", pred, out, Options{
+	rep, err := pipeline.Run(c, "A", "B", pred, out, pipeline.Options{
 		ForceAlgo: &algo,
 		Logical:   logical.PlanOptions{Selectivity: 0.5},
 	})
@@ -111,7 +84,7 @@ func TestAllAlgorithmsSameMatches(t *testing.T) {
 	for _, algo := range []join.Algorithm{join.Hash, join.Merge, join.NestedLoop} {
 		algo := algo
 		c := newCluster(t, 3, a.Clone(), b.Clone())
-		rep, err := Run(c, "A", "B", pred, out, Options{ForceAlgo: &algo})
+		rep, err := pipeline.Run(c, "A", "B", pred, out, pipeline.Options{ForceAlgo: &algo})
 		if err != nil {
 			t.Fatalf("%v: %v", algo, err)
 		}
@@ -135,7 +108,7 @@ func TestAllPlannersSameOutput(t *testing.T) {
 	var ref []array.StoredCell
 	for _, pl := range planners {
 		c := newCluster(t, 4, a.Clone(), b.Clone())
-		rep, err := Run(c, "A", "B", pred, nil, Options{Planner: pl})
+		rep, err := pipeline.Run(c, "A", "B", pred, nil, pipeline.Options{Planner: pl})
 		if err != nil {
 			t.Fatalf("%s: %v", pl.Name(), err)
 		}
@@ -170,7 +143,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 		algo := algo
 		run := func(parallelism int) outcome {
 			c := newCluster(t, 4, a.Clone(), b.Clone())
-			rep, err := Run(c, "A", "B", pred, nil, Options{Parallelism: parallelism, ForceAlgo: &algo})
+			rep, err := pipeline.Run(c, "A", "B", pred, nil, pipeline.Options{Parallelism: parallelism, ForceAlgo: &algo})
 			if err != nil {
 				t.Fatalf("%v parallelism=%d: %v", algo, parallelism, err)
 			}
@@ -221,7 +194,7 @@ func clampSetup(t *testing.T) (c *cluster.Cluster, out *array.Schema, pred join.
 
 func TestClampedCellsCounted(t *testing.T) {
 	c, out, pred, want := clampSetup(t)
-	rep, err := Run(c, "A", "B", pred, out, Options{})
+	rep, err := pipeline.Run(c, "A", "B", pred, out, pipeline.Options{})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -232,8 +205,9 @@ func TestClampedCellsCounted(t *testing.T) {
 
 func TestStrictBoundsRejectsClamp(t *testing.T) {
 	c, out, pred, _ := clampSetup(t)
-	if _, err := Run(c, "A", "B", pred, out, Options{StrictBounds: true}); err == nil {
-		t.Error("StrictBounds should fail on out-of-range output cells")
+	_, err := pipeline.Run(c, "A", "B", pred, out, pipeline.Options{StrictBounds: true})
+	if !errors.Is(err, pipeline.ErrBounds) {
+		t.Errorf("StrictBounds on out-of-range output cells: err = %v, want pipeline.ErrBounds", err)
 	}
 }
 
@@ -243,7 +217,7 @@ func TestStrictBoundsAcceptsInRange(t *testing.T) {
 	out := array.MustParseSchema("T<i:int, j:int>[v=0,39,8]") // covers the domain
 	pred := join.Predicate{{Left: join.Term{Name: "v"}, Right: join.Term{Name: "w"}}}
 	c := newCluster(t, 4, a, b)
-	rep, err := Run(c, "A", "B", pred, out, Options{StrictBounds: true})
+	rep, err := pipeline.Run(c, "A", "B", pred, out, pipeline.Options{StrictBounds: true})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -260,7 +234,7 @@ func TestUnorderedDestinationRowDim(t *testing.T) {
 		{Name: "i", Type: array.TypeInt64}, {Name: "j", Type: array.TypeInt64}}}
 	pred := join.Predicate{{Left: join.Term{Name: "v"}, Right: join.Term{Name: "w"}}}
 	c := newCluster(t, 2, a, b)
-	rep, err := Run(c, "A", "B", pred, out, Options{})
+	rep, err := pipeline.Run(c, "A", "B", pred, out, pipeline.Options{})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -285,7 +259,7 @@ func TestPredicateNamedOutputDimension(t *testing.T) {
 	out := array.MustParseSchema("C<i:int, j:int>[v=0,19,5]")
 	pred := join.Predicate{{Left: join.Term{Name: "v"}, Right: join.Term{Name: "w"}}}
 	c := newCluster(t, 2, a, b)
-	rep, err := Run(c, "A", "B", pred, out, Options{})
+	rep, err := pipeline.Run(c, "A", "B", pred, out, pipeline.Options{})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -313,7 +287,7 @@ func TestReportTimingsPopulated(t *testing.T) {
 	b := buildArray("B<w:int>[i=1,400,40]", 16, 300, 50)
 	pred := join.Predicate{{Left: join.Term{Name: "i"}, Right: join.Term{Name: "i"}}}
 	c := newCluster(t, 4, a, b)
-	rep, err := Run(c, "A", "B", pred, nil, Options{})
+	rep, err := pipeline.Run(c, "A", "B", pred, nil, pipeline.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +313,7 @@ func TestSchedulingAblation(t *testing.T) {
 	pred := join.Predicate{{Left: join.Term{Name: "i"}, Right: join.Term{Name: "i"}}}
 	run := func(s simnet.Scheduling) float64 {
 		c := newCluster(t, 4, a.Clone(), b.Clone())
-		rep, err := Run(c, "A", "B", pred, nil, Options{
+		rep, err := pipeline.Run(c, "A", "B", pred, nil, pipeline.Options{
 			Scheduling: s,
 			Planner:    physical.BaselinePlanner{}, // forces movement
 		})
@@ -358,7 +332,7 @@ func TestSchedulingAblation(t *testing.T) {
 func TestRunUnknownArray(t *testing.T) {
 	c := cluster.MustNew(2)
 	pred := join.Predicate{{Left: join.Term{Name: "i"}, Right: join.Term{Name: "i"}}}
-	if _, err := Run(c, "nope", "nada", pred, nil, Options{}); err == nil {
+	if _, err := pipeline.Run(c, "nope", "nada", pred, nil, pipeline.Options{}); err == nil {
 		t.Error("unknown arrays should error")
 	}
 }
@@ -375,12 +349,12 @@ func TestForceAlgoUnavailable(t *testing.T) {
 	pred := join.Predicate{{Left: join.Term{Name: "v"}, Right: join.Term{Name: "w"}}}
 	algo := join.Merge
 	out := &array.Schema{Name: "T", Attrs: []array.Attribute{{Name: "i", Type: array.TypeInt64}}}
-	if _, err := Run(c, "A", "B", pred, out, Options{ForceAlgo: &algo}); err == nil {
+	if _, err := pipeline.Run(c, "A", "B", pred, out, pipeline.Options{ForceAlgo: &algo}); err == nil {
 		t.Error("forcing merge with string keys should error")
 	}
 	// Hash works.
 	algoH := join.Hash
-	rep, err := Run(c, "A", "B", pred, out, Options{ForceAlgo: &algoH})
+	rep, err := pipeline.Run(c, "A", "B", pred, out, pipeline.Options{ForceAlgo: &algoH})
 	if err != nil {
 		t.Fatalf("hash on strings: %v", err)
 	}
@@ -401,7 +375,7 @@ func TestStringJoinCorrectness(t *testing.T) {
 	c := newCluster(t, 3, a, b)
 	pred := join.Predicate{{Left: join.Term{Name: "v"}, Right: join.Term{Name: "w"}}}
 	out := &array.Schema{Name: "T", Attrs: []array.Attribute{{Name: "i", Type: array.TypeInt64}}}
-	rep, err := Run(c, "A", "B", pred, out, Options{})
+	rep, err := pipeline.Run(c, "A", "B", pred, out, pipeline.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,7 +401,7 @@ func TestEmptyInputs(t *testing.T) {
 	b := buildArray("B<w:int>[i=1,100,10]", 41, 50, 10)
 	c := newCluster(t, 3, a, b)
 	pred := join.Predicate{{Left: join.Term{Name: "i"}, Right: join.Term{Name: "i"}}}
-	rep, err := Run(c, "A", "B", pred, nil, Options{})
+	rep, err := pipeline.Run(c, "A", "B", pred, nil, pipeline.Options{})
 	if err != nil {
 		t.Fatalf("empty left: %v", err)
 	}
@@ -438,7 +412,7 @@ func TestEmptyInputs(t *testing.T) {
 	c2 := newCluster(t, 2,
 		array.MustNew(array.MustParseSchema("A<v:int>[i=1,100,10]")),
 		array.MustNew(array.MustParseSchema("B<w:int>[i=1,100,10]")))
-	rep2, err := Run(c2, "A", "B", pred, nil, Options{})
+	rep2, err := pipeline.Run(c2, "A", "B", pred, nil, pipeline.Options{})
 	if err != nil {
 		t.Fatalf("both empty: %v", err)
 	}
@@ -463,7 +437,7 @@ func TestDuplicateCoordinates(t *testing.T) {
 	for _, algo := range []join.Algorithm{join.Hash, join.Merge, join.NestedLoop} {
 		algo := algo
 		c := newCluster(t, 2, a.Clone(), b.Clone())
-		rep, err := Run(c, "A", "B", pred, nil, Options{ForceAlgo: &algo})
+		rep, err := pipeline.Run(c, "A", "B", pred, nil, pipeline.Options{ForceAlgo: &algo})
 		if err != nil {
 			t.Fatalf("%v: %v", algo, err)
 		}

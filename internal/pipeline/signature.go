@@ -38,10 +38,8 @@ func planSignature(qc *QueryContext) plancache.Signature {
 	if qc.Out != nil {
 		fmt.Fprintf(&b, "|out:%s", qc.Out)
 	}
-	fmt.Fprintf(&b, "|planner:%s|params:%v", opt.Planner.Name(), opt.Params)
-	fmt.Fprintf(&b, "|sel:%g|hb:%d|tgt:%d|carryL:%v|carryR:%v",
-		opt.Logical.Selectivity, opt.Logical.HashBuckets, opt.TargetCellsPerChunk,
-		opt.ExtraCarryLeft, opt.ExtraCarryRight)
+	fmt.Fprintf(&b, "|planner:%s|sel:%g|hb:%d|carryL:%v|carryR:%v", opt.Planner.Name(),
+		opt.Logical.Selectivity, opt.Logical.HashBuckets, opt.ExtraCarryLeft, opt.ExtraCarryRight)
 	if opt.ForceAlgo != nil {
 		fmt.Fprintf(&b, "|force:%v", *opt.ForceAlgo)
 	}

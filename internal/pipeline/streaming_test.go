@@ -14,48 +14,64 @@ import (
 	"shufflejoin/internal/pipeline"
 )
 
-// TestStreamingMatchesMaterialized is the data-plane differential test:
-// the default streaming execution is bit-identical to the materializing
-// reference path — output cells, join statistics, modeled times, and
-// per-node diagnostics — for every algorithm, batch size, parallelism,
-// and compare mode. (Trace fingerprints are intentionally NOT compared
-// across data planes: the streaming plane registers memory gauges the
-// reference plane does not have.)
-func TestStreamingMatchesMaterialized(t *testing.T) {
+// TestStreamingMatchesReference is the pipeline's differential test: the
+// engine — streaming data plane, overlapped execution — is bit-identical
+// to the test-only reference executor (reference_test.go: materialized
+// tuples, global alignment barrier, whole-unit compare in node and
+// assignment order) in output cells, join statistics, modeled times, and
+// per-node skew diagnostics, for every output shape and algorithm at
+// every batch size and Parallelism setting. (Trace fingerprints are not
+// compared: the reference records no spans.)
+func TestStreamingMatchesReference(t *testing.T) {
 	a := buildArray("A<v:int>[i=1,300,30]", 5, 150, 30)
 	b := buildArray("B<w:int>[j=1,300,30]", 6, 160, 30)
-	pred := join.Predicate{{Left: join.Term{Name: "v"}, Right: join.Term{Name: "w"}}}
-	out := array.MustParseSchema("T<i:int, j:int>[v=0,29,6]")
+	attrPred := join.Predicate{{Left: join.Term{Name: "v"}, Right: join.Term{Name: "w"}}}
+	dimPred := join.Predicate{{Left: join.Term{Name: "i"}, Right: join.Term{Name: "j"}}}
+	allAlgos := []join.Algorithm{join.Hash, join.Merge, join.NestedLoop}
 
-	run := func(t *testing.T, algo join.Algorithm, par, batchSize int, barrier, materialize bool) *pipeline.Report {
-		t.Helper()
-		c := newCluster(t, 4, a.Clone(), b.Clone())
-		rep, err := pipeline.Run(c, "A", "B", pred, out, pipeline.Options{
-			ForceAlgo:   &algo,
-			Logical:     logical.PlanOptions{Selectivity: 0.5},
-			Parallelism: par,
-			Barrier:     barrier,
-			BatchSize:   batchSize,
-			Materialize: materialize,
-		})
-		if err != nil {
-			t.Fatalf("Run(algo=%v par=%d batch=%d barrier=%v mat=%v): %v",
-				algo, par, batchSize, barrier, materialize, err)
-		}
-		return rep
+	cases := []struct {
+		name  string
+		pred  join.Predicate
+		out   *array.Schema
+		algos []join.Algorithm
+	}{
+		{"attr-join-dim-output", attrPred, array.MustParseSchema("T<i:int, j:int>[v=0,29,6]"), allAlgos},
+		// The dim:dim plan space does not enumerate every algorithm.
+		{"dim-join-default-output", dimPred, nil, []join.Algorithm{join.Merge}},
+		// Synthetic row coordinates: fold's renumbering against the
+		// reference's direct stride-K numbering.
+		{"attr-join-row-output", attrPred, array.MustParseSchema("T<i:int, j:int>[]"), allAlgos},
 	}
 
-	for _, algo := range []join.Algorithm{join.Hash, join.Merge, join.NestedLoop} {
-		// One reference run per algorithm; every streaming configuration
-		// must reproduce it exactly.
-		want := run(t, algo, 1, 0, true, true)
-		wantCells := cellsOf(want.Output)
-		for _, batchSize := range []int{1, 7, 1024} {
-			for _, par := range []int{1, 4, 0} {
-				for _, barrier := range []bool{false, true} {
-					name := fmt.Sprintf("%v/batch=%d/par=%d/barrier=%v", algo, batchSize, par, barrier)
+	for _, tc := range cases {
+		for _, algo := range tc.algos {
+			algo := algo
+			opts := func(par, batchSize int) pipeline.Options {
+				return pipeline.Options{
+					ForceAlgo:   &algo,
+					Logical:     logical.PlanOptions{Selectivity: 0.5},
+					Parallelism: par,
+					BatchSize:   batchSize,
+				}
+			}
+			// One reference run per shape and algorithm; every engine
+			// configuration must reproduce it exactly.
+			want, err := pipeline.RunReference(newCluster(t, 4, a.Clone(), b.Clone()), "A", "B", tc.pred, tc.out, opts(1, 0))
+			if err != nil {
+				t.Fatalf("RunReference(%s, %v): %v", tc.name, algo, err)
+			}
+			if want.Matches == 0 {
+				t.Fatalf("%s/%v: reference found no matches; fixture broken", tc.name, algo)
+			}
+			wantCells := cellsOf(want.Output)
+			for _, batchSize := range []int{1, 7, 1024} {
+				for _, par := range []int{1, 4, 0} {
+					name := fmt.Sprintf("%s/%v/batch=%d/par=%d", tc.name, algo, batchSize, par)
 					t.Run(name, func(t *testing.T) {
-						got := run(t, algo, par, batchSize, barrier, false)
+						got, err := pipeline.Run(newCluster(t, 4, a.Clone(), b.Clone()), "A", "B", tc.pred, tc.out, opts(par, batchSize))
+						if err != nil {
+							t.Fatalf("Run: %v", err)
+						}
 						if got.Matches != want.Matches {
 							t.Errorf("Matches = %d, want %d", got.Matches, want.Matches)
 						}
@@ -69,22 +85,31 @@ func TestStreamingMatchesMaterialized(t *testing.T) {
 							t.Errorf("ClampedCells = %d, want %d", got.ClampedCells, want.ClampedCells)
 						}
 						if got.AlignTime != want.AlignTime {
-							t.Errorf("AlignTime = %v, want %v", got.AlignTime, want.AlignTime)
+							t.Errorf("AlignTime = %v, want %v (must be bit-identical)", got.AlignTime, want.AlignTime)
 						}
 						if got.CompareTime != want.CompareTime {
-							t.Errorf("CompareTime = %v, want %v", got.CompareTime, want.CompareTime)
+							t.Errorf("CompareTime = %v, want %v (must be bit-identical)", got.CompareTime, want.CompareTime)
 						}
 						if !reflect.DeepEqual(got.NodeCompareTime, want.NodeCompareTime) {
 							t.Errorf("NodeCompareTime = %v, want %v", got.NodeCompareTime, want.NodeCompareTime)
 						}
+						if got.Skew != want.Skew || got.StragglerNode != want.StragglerNode {
+							t.Errorf("Skew/Straggler = %v/%d, want %v/%d", got.Skew, got.StragglerNode, want.Skew, want.StragglerNode)
+						}
+						if got.LockWaitSeconds != want.LockWaitSeconds {
+							t.Errorf("LockWaitSeconds = %v, want %v", got.LockWaitSeconds, want.LockWaitSeconds)
+						}
+						if got.Selectivity != want.Selectivity {
+							t.Errorf("Selectivity = %v, want %v", got.Selectivity, want.Selectivity)
+						}
+						if !reflect.DeepEqual(got.Align.Timeline, want.Align.Timeline) {
+							t.Errorf("shuffle timelines differ between the engine and the reference")
+						}
 						if !reflect.DeepEqual(cellsOf(got.Output), wantCells) {
-							t.Errorf("output cells differ between streaming and materialized execution")
+							t.Errorf("output cells differ between the engine and the reference")
 						}
 						if got.PeakBatchBytes <= 0 {
-							t.Errorf("streaming run reports PeakBatchBytes = %d, want > 0", got.PeakBatchBytes)
-						}
-						if want.PeakBatchBytes != 0 {
-							t.Errorf("materialized run reports PeakBatchBytes = %d, want 0", want.PeakBatchBytes)
+							t.Errorf("PeakBatchBytes = %d, want > 0", got.PeakBatchBytes)
 						}
 					})
 				}
@@ -94,9 +119,9 @@ func TestStreamingMatchesMaterialized(t *testing.T) {
 }
 
 // TestStreamingPeakDeterministic pins the memory gauge itself: the
-// reported peak is bit-identical across parallelism and compare modes
-// (batch charges happen at SliceMap, releases strictly after — the peak
-// is the total mapped footprint regardless of execution interleaving).
+// reported peak is bit-identical across parallelism (batch charges
+// happen at SliceMap, releases strictly after — the peak is the total
+// mapped footprint regardless of execution interleaving).
 func TestStreamingPeakDeterministic(t *testing.T) {
 	a := buildArray("A<v:int>[i=1,200,20]", 7, 120, 25)
 	b := buildArray("B<w:int>[j=1,200,20]", 8, 110, 25)
@@ -104,24 +129,20 @@ func TestStreamingPeakDeterministic(t *testing.T) {
 
 	var wantPeak int64 = -1
 	for _, par := range []int{1, 4, 0} {
-		for _, barrier := range []bool{false, true} {
-			c := newCluster(t, 3, a.Clone(), b.Clone())
-			rep, err := pipeline.Run(c, "A", "B", pred, nil, pipeline.Options{
-				Logical:     logical.PlanOptions{Selectivity: 0.5},
-				Parallelism: par,
-				Barrier:     barrier,
-				BatchSize:   16,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if wantPeak < 0 {
-				wantPeak = rep.PeakBatchBytes
-			}
-			if rep.PeakBatchBytes != wantPeak {
-				t.Errorf("par=%d barrier=%v: PeakBatchBytes = %d, want %d",
-					par, barrier, rep.PeakBatchBytes, wantPeak)
-			}
+		c := newCluster(t, 3, a.Clone(), b.Clone())
+		rep, err := pipeline.Run(c, "A", "B", pred, nil, pipeline.Options{
+			Logical:     logical.PlanOptions{Selectivity: 0.5},
+			Parallelism: par,
+			BatchSize:   16,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wantPeak < 0 {
+			wantPeak = rep.PeakBatchBytes
+		}
+		if rep.PeakBatchBytes != wantPeak {
+			t.Errorf("par=%d: PeakBatchBytes = %d, want %d", par, rep.PeakBatchBytes, wantPeak)
 		}
 	}
 	if wantPeak <= 0 {

@@ -178,15 +178,7 @@ func (ss *SliceSet) TotalCells() int64 {
 // Local cells (those already on dest) come first, then remote slices in
 // node order, mirroring arrival order in the executor.
 func (ss *SliceSet) Assemble(u, dest int) []join.Tuple {
-	return ss.AppendUnit(nil, u, dest)
-}
-
-// AppendUnit appends unit u's slices into dst in Assemble's arrival
-// order and returns the extended slice. It exists so the compare hot
-// path can assemble into pooled scratch (join.GetTuples) instead of a
-// fresh allocation per unit.
-func (ss *SliceSet) AppendUnit(dst []join.Tuple, u, dest int) []join.Tuple {
-	dst = append(dst, ss.cells[u][dest]...)
+	dst := append([]join.Tuple(nil), ss.cells[u][dest]...)
 	for node := 0; node < ss.Nodes; node++ {
 		if node == dest {
 			continue
@@ -205,12 +197,13 @@ func MapSide(d *cluster.Distributed, k int, spec *UnitSpec, m *SideMapper) (*Sli
 // MapSideN runs the slice function over one distributed array: every node
 // maps its local cells to (unit, slice) independently of the others —
 // fully materializing every mapped cell as a join.Tuple. It is the
-// materializing reference path kept for differential testing and
-// ablation (pipeline Options.Materialize); the default data plane is
+// reference the differential tests compare the engine's data plane —
 // the batch-streaming MapSideStream, which produces bit-identical
-// tuples without the per-cell materialization. The per-row ch.Cell
-// calls here (one coords + one attrs allocation per cell) are the cost
-// the streaming path removes.
+// tuples without the per-cell materialization — against (here and, via
+// the test-only reference executor, in internal/pipeline), and what the
+// Table 1 operator validation times. The per-row ch.Cell calls here
+// (one coords + one attrs allocation per cell) are the cost the
+// streaming path removes.
 //
 // Each node maps independently of the others — exactly what a real
 // cluster does node-locally — so the per-node map runs are spread over a

@@ -103,12 +103,10 @@ func (rs *RunSet) TotalCells() int64 {
 }
 
 // getBatch returns a cleared batch shaped for this side's layout. The
-// process-wide sharded batch pool replaced the per-RunSet mutex-guarded
-// free list: under concurrent serving the old list serialized every
-// mapper worker of a query on one lock and discarded grown storage at
-// query end, while the shared pool recycles batches across queries
-// (batch.Reshape revives retained column storage) with a per-CPU shard
-// pick instead of a global lock.
+// process-wide batch pool replaced the per-RunSet free list, which
+// discarded grown storage at query end: the shared pool recycles
+// batches across queries (batch.Reshape revives retained column
+// storage).
 func (rs *RunSet) getBatch() *batch.Batch {
 	return batch.Get(rs.lay.ndims, rs.lay.types, rs.batchRows)
 }
@@ -315,10 +313,9 @@ type TupleReader struct {
 }
 
 // readerPool recycles TupleReaders (arenas and all) across units,
-// queries, and RunSets — a sharded pool for the same reason as the
-// batch pool: the per-RunSet free list serialized concurrent compare
-// workers on the set's mutex and dropped the grown arenas at query end.
-var readerPool = par.NewPool[*TupleReader](64)
+// queries, and RunSets — process-wide for the same reason as the batch
+// pool: a per-RunSet free list dropped the grown arenas at query end.
+var readerPool = par.NewPool[*TupleReader](512)
 
 // Reader returns a pooled reader over unit u as assembled at node dest.
 func (rs *RunSet) Reader(u, dest int) *TupleReader {

@@ -3,8 +3,8 @@ package simnet
 import "shufflejoin/internal/flight"
 
 // This file is the indexed event-driven scheduler behind Simulate. It
-// replaces the original O(T·N·Q) dispatch loop (kept as simulateReference
-// for differential testing) with four index structures:
+// replaces the original O(T·N·Q) dispatch loop (kept test-only, in
+// reference_test.go, for differential testing) with four index structures:
 //
 //   - per-sender ring queues, grouped by destination: each sender's pending
 //     transfers live in one flat entries array, contiguous per (sender,

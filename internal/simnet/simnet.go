@@ -19,8 +19,9 @@
 // min-heap of per-sender candidate dispatches keyed by (start, input
 // position), and per-destination waiter buckets so a lock release
 // re-evaluates only the senders blocked on it. The original rescan-
-// everything loop is retained as simulateReference and the two are held
-// bit-for-bit equivalent by differential and fuzz tests.
+// everything loop survives only as the tests' reference
+// (reference_test.go); differential and fuzz tests hold the two
+// bit-for-bit equivalent.
 package simnet
 
 import (

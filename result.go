@@ -62,10 +62,9 @@ type Result struct {
 	// into errors instead (Assemble stage).
 	ClampedCells int64
 	// PeakBatchBytes is the high-water mark of mapped batch storage on the
-	// streaming data plane — the query's working-set bound, deterministic
-	// across Parallelism settings. Zero when the query ran on the
-	// materializing reference path (WithMaterializedExecution). Multi-way
-	// queries report the largest per-step peak (SliceMap stage).
+	// data plane — the query's working-set bound, deterministic across
+	// Parallelism settings. Multi-way queries report the largest per-step
+	// peak (SliceMap stage).
 	PeakBatchBytes int64
 	// InternedStrings is the number of distinct strings in the query's
 	// dictionary; string cells carry 4-byte codes through the shuffle

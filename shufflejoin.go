@@ -34,7 +34,6 @@ import (
 	"shufflejoin/internal/aql"
 	"shufflejoin/internal/array"
 	"shufflejoin/internal/cluster"
-	"shufflejoin/internal/exec"
 	"shufflejoin/internal/flight"
 	"shufflejoin/internal/logical"
 	"shufflejoin/internal/obs"
@@ -259,10 +258,8 @@ type queryConfig struct {
 	scheduling   simnet.Scheduling
 	parallelism  int // 0 = one worker per CPU, 1 = sequential, n = n workers
 	strictBounds bool
-	batchSize    int   // streaming batch capacity in rows (0 = default)
 	memBudget    int64 // per-query batch-memory budget in bytes (0 = unlimited)
 	strictMemory bool  // budget overflow fails the query instead of counting
-	materialize  bool  // run the materializing reference data plane
 	forceAlgo    string
 	trace        *obs.Trace
 	cache        *plancache.Cache
@@ -449,36 +446,12 @@ func WithParallelism(n int) QueryOption {
 	}
 }
 
-// WithSequentialCompare disables goroutine parallelism during planning and
-// cell comparison (output is identical either way). Equivalent to
-// WithParallelism(1).
-func WithSequentialCompare() QueryOption {
-	return func(c *queryConfig) error {
-		c.parallelism = 1
-		return nil
-	}
-}
-
 // WithStrictBounds makes a query fail when an output cell's coordinates
 // fall outside the destination's declared dimension ranges, instead of
 // silently clamping the cell onto the boundary.
 func WithStrictBounds() QueryOption {
 	return func(c *queryConfig) error {
 		c.strictBounds = true
-		return nil
-	}
-}
-
-// WithBatchSize sets the streaming data plane's batch capacity in rows
-// (cells per columnar batch). The default is 1024. Results are identical
-// at every batch size; smaller batches lower the per-unit working set at
-// the price of more per-batch bookkeeping.
-func WithBatchSize(rows int) QueryOption {
-	return func(c *queryConfig) error {
-		if rows < 0 {
-			return fmt.Errorf("shufflejoin: batch size must be >= 0, got %d", rows)
-		}
-		c.batchSize = rows
 		return nil
 	}
 }
@@ -504,17 +477,6 @@ func WithMemoryBudget(bytes int64) QueryOption {
 func WithStrictMemory() QueryOption {
 	return func(c *queryConfig) error {
 		c.strictMemory = true
-		return nil
-	}
-}
-
-// WithMaterializedExecution runs the query on the materializing reference
-// data plane — every slice fully expanded to tuples before comparison —
-// instead of the default streaming batch iterators. Outputs are identical;
-// the option exists for differential testing and A/B memory measurements.
-func WithMaterializedExecution() QueryOption {
-	return func(c *queryConfig) error {
-		c.materialize = true
 		return nil
 	}
 }
@@ -562,10 +524,8 @@ func (db *DB) Query(q string, opts ...QueryOption) (*Result, error) {
 		Scheduling:   cfg.scheduling,
 		Parallelism:  cfg.parallelism,
 		StrictBounds: cfg.strictBounds,
-		BatchSize:    cfg.batchSize,
 		MemoryBudget: cfg.memBudget,
 		StrictMemory: cfg.strictMemory,
-		Materialize:  cfg.materialize,
 		Logical:      logical.PlanOptions{Selectivity: cfg.selectivity},
 		Trace:        cfg.trace,
 		Cache:        cfg.cache,
@@ -693,7 +653,7 @@ func (ar *Array) Redimension(schemaLiteral string) (*Array, *ReorgReport, error)
 		ar.db.mu.Unlock()
 		return nil, nil, err
 	}
-	out, rep, err := exec.Redistribute(ar.db.cluster, d, target, exec.RedistributeOptions{})
+	out, rep, err := pipeline.Redistribute(ar.db.cluster, d, target, pipeline.RedistributeOptions{})
 	ar.db.mu.Unlock()
 	if err != nil {
 		return nil, nil, err

@@ -1,6 +1,8 @@
 package shufflejoin
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -135,8 +137,45 @@ func TestSchedulingAndSequentialOptions(t *testing.T) {
 		}
 		return res.Matches
 	}
-	if run(WithFIFOShuffle()) != run(WithSequentialCompare()) {
+	if run(WithFIFOShuffle()) != run(WithParallelism(1)) {
 		t.Error("options changed query semantics")
+	}
+}
+
+// TestRemovedOptionsStillReachable pins what the three facade options
+// deleted with the materialized data plane did, against the result
+// fingerprint commit a05f911 produced with them on this query:
+// WithSequentialCompare() was WithParallelism(1), and WithBatchSize(7)
+// and WithMaterializedExecution() returned what the default returns
+// (the latter with PeakBatchBytes zeroed, the one behaviour that went
+// with it).
+func TestRemovedOptionsStillReachable(t *testing.T) {
+	const want = "9b5b26887bc63fdde61a1314c167be123d0e0ccc1e4a150604446e1ec28348a7"
+	for _, tc := range []struct {
+		name string
+		opts []QueryOption
+	}{
+		{"default", nil},
+		{"sequential", []QueryOption{WithParallelism(1)}},
+		{"four-workers", []QueryOption{WithParallelism(4)}},
+	} {
+		db, _ := Open(4)
+		a, _ := db.CreateArray("A<v:int>[i=1,120,10]")
+		b, _ := db.CreateArray("B<w:int>[j=1,120,10]")
+		for i := int64(1); i <= 120; i++ {
+			_ = a.Insert([]int64{i}, i%17)
+			_ = b.Insert([]int64{i}, i%13)
+		}
+		res, err := db.Query("SELECT i, j INTO T<i:int, j:int>[] FROM A JOIN B ON A.v = B.w", tc.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Matches != 850 || res.CellsMoved != 180 {
+			t.Errorf("%s: matches=%d moved=%d, want 850 and 180", tc.name, res.Matches, res.CellsMoved)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(serveFingerprint(res)))); got != want {
+			t.Errorf("%s: result fingerprint %s, want %s", tc.name, got, want)
+		}
 	}
 }
 

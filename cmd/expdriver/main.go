@@ -16,6 +16,9 @@
 // violates the acceptance criteria (kept greedy ratio <= 1.10, cache
 // hit <= 5% of the cold full plan).
 //
+// An unknown -exp or -scale value exits with status 2 and lists the valid
+// names.
+//
 // "full" scale uses the paper's decision-space parameters (1024 join
 // units, 4-node default cluster, 2–12 node scale-out) with cell counts
 // scaled to run on one machine; "small" runs everything in a few seconds.
@@ -45,10 +48,12 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"strconv"
+	"slices"
 	"strings"
 	"time"
 
@@ -56,30 +61,52 @@ import (
 	"shufflejoin/internal/flight"
 	"shufflejoin/internal/obs"
 	"shufflejoin/internal/obshttp"
-	"shufflejoin/internal/servebench"
 )
 
+// experiments lists the -exp names in run order; "beyond" is opt-in and
+// excluded from "all".
+var experiments = []string{"fig5", "fig6", "table1", "table2", "fig7", "fig8", "fig9", "adversarial", "fig10", "planquality", "beyond"}
+
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main with its inputs and outputs as parameters; it returns the
+// process exit status (0 ok, 1 an experiment failed, 2 bad usage).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("expdriver", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		exp         = flag.String("exp", "all", "experiment to run (all, fig5, fig6, table1, table2, fig7, fig8, fig9, adversarial, fig10, planquality, beyond, serve; beyond and serve are opt-in and excluded from all)")
-		scale       = flag.String("scale", "full", "experiment scale: small or full")
-		seed        = flag.Int64("seed", 1, "deterministic seed")
-		budget      = flag.Duration("budget", 0, "ILP solver time budget (default 2s full, 200ms small)")
-		maxExplored = flag.Int64("maxexplored", 0, "deterministic ILP node budget: cap branch-and-bound at N explored nodes (forces sequential ILP search so truncated plans reproduce exactly; wall-clock budget stays as a safety cap)")
-		par         = flag.Int("par", 0, "planner parallelism: workers for Tabu neighborhood evaluation and the ILP search (<= 1 sequential; results identical either way)")
-		calibrate   = flag.Bool("calibrate", false, "measure the cost-model parameters m, b, p on this machine instead of using defaults")
-		traceFile   = flag.String("trace", "", "write the pipeline spans of every executed query as Chrome trace-event JSON to this file (load in Perfetto)")
-		metrics     = flag.Bool("metrics", false, "print the accumulated query metric registry as JSON")
-		jsonFile    = flag.String("json", "", "planquality/serve: write the experiment's rows (and summary) as JSON to this file")
-		gate        = flag.Bool("gate", false, "planquality/serve: exit non-zero when the run violates the experiment's acceptance criteria")
-		serveConc   = flag.String("serve-conc", "", "serve: comma-separated closed-loop concurrency levels (default 1,4,16)")
-		serveN      = flag.Int("serve-queries", 0, "serve: queries replayed per concurrency level (default 2000 full, 300 small)")
-		obsAddr     = flag.String("obs-addr", "", "serve live telemetry on this address (/metrics, /debug/queries, /debug/inflight, /debug/flight, /debug/anomalies, /debug/status); e.g. :8080 or :0")
-		slowMs      = flag.Float64("slow-ms", 0, "mark queries at or above this wall time (ms) as slow in /debug/queries (with -postmortem-dir, also the slow-query bundle threshold)")
-		obsHold     = flag.Duration("obs-hold", 0, "keep the telemetry endpoint up this long after the experiments finish")
-		pmDir       = flag.String("postmortem-dir", "", "capture diagnostic bundles (flight events, profile, goroutine stacks) into this directory when an experiment query panics, fails a strict check, or breaches -slow-ms")
+		exp         = fs.String("exp", "all", "experiment to run: all, "+strings.Join(experiments, ", ")+" (beyond is opt-in and excluded from all)")
+		scale       = fs.String("scale", "full", "experiment scale: small or full")
+		seed        = fs.Int64("seed", 1, "deterministic seed")
+		budget      = fs.Duration("budget", 0, "ILP solver time budget (default 2s full, 200ms small)")
+		maxExplored = fs.Int64("maxexplored", 0, "deterministic ILP node budget: cap branch-and-bound at N explored nodes (forces sequential ILP search so truncated plans reproduce exactly; wall-clock budget stays as a safety cap)")
+		par         = fs.Int("par", 0, "planner parallelism: workers for Tabu neighborhood evaluation and the ILP search (<= 1 sequential; results identical either way)")
+		calibrate   = fs.Bool("calibrate", false, "measure the cost-model parameters m, b, p on this machine instead of using defaults")
+		traceFile   = fs.String("trace", "", "write the pipeline spans of every executed query as Chrome trace-event JSON to this file (load in Perfetto)")
+		metrics     = fs.Bool("metrics", false, "print the accumulated query metric registry as JSON")
+		jsonFile    = fs.String("json", "", "planquality: write the experiment's rows and summary as JSON to this file")
+		gate        = fs.Bool("gate", false, "planquality: exit non-zero when the run violates the experiment's acceptance criteria")
+		obsAddr     = fs.String("obs-addr", "", "serve live telemetry on this address (/metrics, /debug/queries, /debug/inflight, /debug/flight, /debug/anomalies, /debug/status); e.g. :8080 or :0")
+		slowMs      = fs.Float64("slow-ms", 0, "mark queries at or above this wall time (ms) as slow in /debug/queries (with -postmortem-dir, also the slow-query bundle threshold)")
+		obsHold     = fs.Duration("obs-hold", 0, "keep the telemetry endpoint up this long after the experiments finish")
+		pmDir       = fs.String("postmortem-dir", "", "capture diagnostic bundles (flight events, profile, goroutine stacks) into this directory when an experiment query panics, fails a strict check, or breaches -slow-ms")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if *exp != "all" && !slices.Contains(experiments, *exp) {
+		fmt.Fprintf(stderr, "unknown experiment %q (valid: all, %s)\n", *exp, strings.Join(experiments, ", "))
+		return 2
+	}
+	if *scale != "small" && *scale != "full" {
+		fmt.Fprintf(stderr, "unknown scale %q (valid: small, full)\n", *scale)
+		return 2
+	}
 
 	if *pmDir != "" {
 		flight.SetDefaultPostmortem(&flight.Postmortem{
@@ -108,11 +135,11 @@ func main() {
 		})
 		addr, err := hub.Serve(*obsAddr)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "obs: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "obs: %v\n", err)
+			return 1
 		}
 		defer hub.Close()
-		fmt.Printf("telemetry on http://%s/metrics (also /debug/queries, /debug/inflight)\n", addr)
+		fmt.Fprintf(stdout, "telemetry on http://%s/metrics (also /debug/queries, /debug/inflight)\n", addr)
 	}
 
 	cfg := bench.Config{Seed: *seed, ILPMaxExplored: *maxExplored, Workers: *par}
@@ -122,8 +149,7 @@ func main() {
 		rcfg.Hooks = hub
 		lcfg.Hooks = hub
 	}
-	switch *scale {
-	case "small":
+	if *scale == "small" { // "full" is the library defaults: 1024 units, 4M cells/side, 2s budget
 		cfg.Units = 256
 		cfg.CellsPerSide = 1 << 20
 		cfg.ILPBudget = 200 * time.Millisecond
@@ -131,11 +157,6 @@ func main() {
 		rcfg.MODISCells = 60_000
 		rcfg.ILPBudget = 200 * time.Millisecond
 		lcfg.CellsPerSide = 10_000
-	case "full":
-		// Library defaults: 1024 units, 4M cells/side, 2s budget.
-	default:
-		fmt.Fprintf(os.Stderr, "unknown scale %q\n", *scale)
-		os.Exit(2)
 	}
 	if *budget != 0 {
 		cfg.ILPBudget = *budget
@@ -143,113 +164,99 @@ func main() {
 	}
 	if *calibrate {
 		cfg.Params = bench.Calibrate(0, *seed)
-		fmt.Printf("calibrated cost parameters: m=%.3gs b=%.3gs p=%.3gs t=%.3gs per cell\n\n",
+		fmt.Fprintf(stdout, "calibrated cost parameters: m=%.3gs b=%.3gs p=%.3gs t=%.3gs per cell\n\n",
 			cfg.Params.Merge, cfg.Params.Build, cfg.Params.Probe, cfg.Params.Transfer)
 	}
 
-	run := func(name string, f func() error) {
-		if *exp != "all" && *exp != name {
+	failed := false
+	do := func(name string, f func() error) {
+		if failed || (*exp != "all" && *exp != name) {
 			return
 		}
 		if err := f(); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "%s: %v\n", name, err)
+			failed = true
 		}
 	}
 
-	var logicalRows []bench.LogicalMeasurement
-	logicalOnce := func() error {
-		if logicalRows != nil {
-			return nil
+	// renderPhys prints one modeled physical-planner sweep.
+	renderPhys := func(title, axis string, group func(bench.PhysMeasurement) string, rows []bench.PhysMeasurement, err error) error {
+		if err != nil {
+			return err
 		}
+		bench.RenderPhys(stdout, title, axis, rows, group)
+		return nil
+	}
+	renderLogical := func() error {
 		rows, err := bench.RunLogical(lcfg)
 		if err != nil {
 			return err
 		}
-		logicalRows = rows
-		return nil
-	}
-	renderLogical := func() error {
-		if err := logicalOnce(); err != nil {
-			return err
-		}
-		fit, err := bench.Fig5Fit(logicalRows)
+		fit, err := bench.Fig5Fit(rows)
 		if err != nil {
 			return err
 		}
-		bench.RenderLogical(os.Stdout, logicalRows, fit)
-		fmt.Printf("minimum-cost plan is also fastest: %v\n\n", bench.MinCostIsFastest(logicalRows))
+		bench.RenderLogical(stdout, rows, fit)
+		fmt.Fprintf(stdout, "minimum-cost plan is also fastest: %v\n\n", bench.MinCostIsFastest(rows))
 		return nil
 	}
 
-	run("fig5", renderLogical)
-	if *exp == "fig6" { // fig5 and fig6 share one run and renderer
-		run("fig6", renderLogical)
+	do("fig5", renderLogical)
+	if *exp == "fig6" { // fig5 and fig6 share one run and renderer; "all" runs it once
+		do("fig6", renderLogical)
 	}
-	run("table1", func() error {
+	do("table1", func() error {
 		rows, fits, err := bench.Table1Operators(nil, *seed)
 		if err != nil {
 			return err
 		}
-		bench.RenderTable1(os.Stdout, rows, fits)
+		bench.RenderTable1(stdout, rows, fits)
 		return nil
 	})
-	run("table2", func() error {
+	do("table2", func() error {
 		rows, fit, err := bench.Table2(cfg)
 		if err != nil {
 			return err
 		}
-		bench.RenderTable2(os.Stdout, rows, fit)
+		bench.RenderTable2(stdout, rows, fit)
 		return nil
 	})
-	run("fig7", func() error {
+	do("fig7", func() error {
 		rows, err := bench.Fig7(cfg)
-		if err != nil {
-			return err
-		}
-		bench.RenderPhys(os.Stdout, "Figure 7: merge join under skew", "skew", rows, bench.GroupByAlpha)
-		return nil
+		return renderPhys("Figure 7: merge join under skew", "skew", bench.GroupByAlpha, rows, err)
 	})
-	run("fig8", func() error {
+	do("fig8", func() error {
 		rows, err := bench.Fig8(cfg)
-		if err != nil {
-			return err
-		}
-		bench.RenderPhys(os.Stdout, "Figure 8: hash join under skew", "skew", rows, bench.GroupByAlpha)
-		return nil
+		return renderPhys("Figure 8: hash join under skew", "skew", bench.GroupByAlpha, rows, err)
 	})
-	run("fig9", func() error {
+	do("fig9", func() error {
 		rows, err := bench.Fig9(rcfg)
 		if err != nil {
 			return err
 		}
-		bench.RenderReal(os.Stdout, "Figure 9: merge join on real-world analogue (beneficial skew)", rows)
-		fmt.Printf("end-to-end speedup over baseline: %.2fx (paper ~2.5x)\n", bench.Speedup(rows))
-		fmt.Printf("data alignment reduction:        %.2fx (paper ~20x)\n\n", bench.AlignReduction(rows))
+		bench.RenderReal(stdout, "Figure 9: merge join on real-world analogue (beneficial skew)", rows)
+		fmt.Fprintf(stdout, "end-to-end speedup over baseline: %.2fx (paper ~2.5x)\n", bench.Speedup(rows))
+		fmt.Fprintf(stdout, "data alignment reduction:        %.2fx (paper ~20x)\n\n", bench.AlignReduction(rows))
 		return nil
 	})
-	run("adversarial", func() error {
+	do("adversarial", func() error {
 		rows, err := bench.Adversarial(rcfg)
 		if err != nil {
 			return err
 		}
-		bench.RenderReal(os.Stdout, "Section 6.3.2: adversarial skew (two matched bands, NDVI join)", rows)
+		bench.RenderReal(stdout, "Section 6.3.2: adversarial skew (two matched bands, NDVI join)", rows)
 		return nil
 	})
-	run("fig10", func() error {
+	do("fig10", func() error {
 		rows, err := bench.Fig10(cfg, nil)
-		if err != nil {
-			return err
-		}
-		bench.RenderPhys(os.Stdout, "Figure 10: scale-out of merge join (skew a=1.0)", "nodes", rows, bench.GroupByNodes)
-		return nil
+		return renderPhys("Figure 10: scale-out of merge join (skew a=1.0)", "nodes", bench.GroupByNodes, rows, err)
 	})
-	run("planquality", func() error {
+	do("planquality", func() error {
 		rows, err := bench.PlanQuality(cfg, nil)
 		if err != nil {
 			return err
 		}
-		bench.RenderPlanQuality(os.Stdout, rows)
+		bench.RenderPlanQuality(stdout, rows)
 		if *jsonFile != "" {
 			payload := struct {
 				Experiment string                   `json:"experiment"`
@@ -263,107 +270,61 @@ func main() {
 			if err := os.WriteFile(*jsonFile, append(data, '\n'), 0o644); err != nil {
 				return err
 			}
-			fmt.Printf("plan-quality JSON written to %s\n\n", *jsonFile)
+			fmt.Fprintf(stdout, "plan-quality JSON written to %s\n\n", *jsonFile)
 		}
 		if *gate {
 			if err := bench.PlanQualityGate(rows); err != nil {
 				return err
 			}
-			fmt.Printf("plan-quality gate passed: kept ratios <= %.2f, cache hits <= %.0f%% of cold plans\n\n",
+			fmt.Fprintf(stdout, "plan-quality gate passed: kept ratios <= %.2f, cache hits <= %.0f%% of cold plans\n\n",
 				bench.MakespanRatioLimit, bench.CacheHitBudgetFrac*100)
 		}
 		return nil
 	})
-	if *exp == "serve" { // opt-in only: not part of -exp all
-		scfg := servebench.Config{Seed: *seed, Queries: *serveN}
-		if *scale == "small" {
-			if scfg.Queries == 0 {
-				scfg.Queries = 300
-			}
-			scfg.InteractiveCells = 800
-			scfg.ScanCells = 6000
-		}
-		if *serveConc != "" {
-			for _, part := range strings.Split(*serveConc, ",") {
-				n, err := strconv.Atoi(strings.TrimSpace(part))
-				if err != nil || n < 1 {
-					fmt.Fprintf(os.Stderr, "serve: bad -serve-conc %q\n", *serveConc)
-					os.Exit(2)
-				}
-				scfg.Levels = append(scfg.Levels, n)
-			}
-		}
-		rows, err := servebench.Run(scfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "serve: %v\n", err)
-			os.Exit(1)
-		}
-		servebench.Render(os.Stdout, rows)
-		if *jsonFile != "" {
-			payload := struct {
-				Experiment string           `json:"experiment"`
-				Rows       []servebench.Row `json:"rows"`
-			}{"serve", rows}
-			data, err := json.MarshalIndent(payload, "", "  ")
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "serve: %v\n", err)
-				os.Exit(1)
-			}
-			if err := os.WriteFile(*jsonFile, append(data, '\n'), 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "serve: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("serve JSON written to %s\n\n", *jsonFile)
-		}
-		if *gate {
-			if err := servebench.Gate(rows); err != nil {
-				fmt.Fprintf(os.Stderr, "serve: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("serve gate passed: 4-way throughput criterion met (%.0fx serial on >= 4 CPUs), interactive p99 within %.0fx serial (floor %.0fms)\n\n",
-				servebench.SpeedupMin, servebench.P99FactorLimit, servebench.P99FloorMs)
-		}
-	}
 	if *exp == "beyond" { // opt-in only: not part of -exp all
-		bcfg := cfg
-		if *scale == "full" {
-			bcfg.Units = 0 // let Beyond pick its doubled-unit default
-		}
-		rows, err := bench.Beyond(bcfg, nil)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "beyond: %v\n", err)
-			os.Exit(1)
-		}
-		bench.RenderPhys(os.Stdout, "Beyond-paper scale-out: merge join, 16-64 nodes (skew a=1.0)", "nodes", rows, bench.GroupByNodes)
+		do("beyond", func() error {
+			bcfg := cfg
+			if *scale == "full" {
+				bcfg.Units = 0 // let Beyond pick its doubled-unit default
+			}
+			rows, err := bench.Beyond(bcfg, nil)
+			return renderPhys("Beyond-paper scale-out: merge join, 16-64 nodes (skew a=1.0)", "nodes", bench.GroupByNodes, rows, err)
+		})
+	}
+	if failed {
+		return 1
 	}
 
 	if *traceFile != "" {
-		f, err := os.Create(*traceFile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "trace: %v\n", err)
-			os.Exit(1)
+		if err := writeTrace(tr, *traceFile); err != nil {
+			fmt.Fprintf(stderr, "trace: %v\n", err)
+			return 1
 		}
-		if err := tr.WriteChrome(f); err != nil {
-			f.Close()
-			fmt.Fprintf(os.Stderr, "trace: %v\n", err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "trace: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("\nChrome trace written to %s (open in ui.perfetto.dev)\n", *traceFile)
+		fmt.Fprintf(stdout, "\nChrome trace written to %s (open in ui.perfetto.dev)\n", *traceFile)
 	}
 	if *metrics {
-		fmt.Println("\nmetrics:")
-		if err := tr.Metrics().WriteJSON(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "metrics: %v\n", err)
-			os.Exit(1)
+		fmt.Fprintln(stdout, "\nmetrics:")
+		if err := tr.Metrics().WriteJSON(stdout); err != nil {
+			fmt.Fprintf(stderr, "metrics: %v\n", err)
+			return 1
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 	if hub != nil && *obsHold > 0 {
-		fmt.Printf("holding telemetry endpoint for %s\n", *obsHold)
+		fmt.Fprintf(stdout, "holding telemetry endpoint for %s\n", *obsHold)
 		time.Sleep(*obsHold)
 	}
+	return 0
+}
+
+func writeTrace(tr *obs.Trace, path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := tr.WriteChrome(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -328,14 +328,7 @@ func reorganizer(a *array.Array, target *array.Schema) (*array.Array, func([]int
 			} else {
 				v = attrs[s.idx].AsInt()
 			}
-			d := t.Dims[i]
-			if v < d.Start {
-				v = d.Start
-			}
-			if v > d.End {
-				v = d.End
-			}
-			nc[i] = v
+			nc[i], _ = t.Dims[i].Clamp(v, false) // lenient: never errors
 		}
 		na := make([]array.Value, len(attrSrc))
 		for i, s := range attrSrc {

@@ -1,9 +1,11 @@
 package array
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -450,5 +452,24 @@ func TestZeroDimChunkLen(t *testing.T) {
 	empty := &Chunk{NDims: 0}
 	if empty.Len() != 0 {
 		t.Error("empty zero-dim chunk should have Len 0")
+	}
+}
+
+func TestDimensionClamp(t *testing.T) {
+	d := Dimension{Name: "v", Start: 1, End: 50, ChunkInterval: 10}
+	for _, tc := range []struct {
+		v, lenient int64
+		inRange    bool
+	}{{1, 1, true}, {50, 50, true}, {27, 27, true}, {0, 1, false}, {-9, 1, false}, {51, 50, false}, {500, 50, false}} {
+		if got, err := d.Clamp(tc.v, false); err != nil || got != tc.lenient {
+			t.Errorf("Clamp(%d, lenient) = %d, %v; want %d, nil", tc.v, got, err, tc.lenient)
+		}
+		got, err := d.Clamp(tc.v, true)
+		if tc.inRange && (err != nil || got != tc.v) {
+			t.Errorf("Clamp(%d, strict) = %d, %v; want the value unchanged", tc.v, got, err)
+		}
+		if !tc.inRange && (!errors.Is(err, ErrBounds) || !strings.Contains(err.Error(), "v=[1,50]")) {
+			t.Errorf("Clamp(%d, strict) err = %v; want ErrBounds naming v=[1,50]", tc.v, err)
+		}
 	}
 }

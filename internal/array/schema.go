@@ -1,9 +1,15 @@
 package array
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 )
+
+// ErrBounds is wrapped by every strict-bounds rejection: a value bound for
+// a dimension whose declared range does not contain it. Match it with
+// errors.Is.
+var ErrBounds = errors.New("outside declared range (StrictBounds)")
 
 // Dimension describes one named dimension of an array schema: a contiguous
 // range of integer coordinate values [Start, End] divided into logical
@@ -32,6 +38,22 @@ func (d Dimension) ChunkIndex(coord int64) int64 {
 // Contains reports whether coord lies inside the dimension range.
 func (d Dimension) Contains(coord int64) bool {
 	return coord >= d.Start && coord <= d.End
+}
+
+// Clamp is the engine's one clamp-or-reject rule: a value outside the
+// dimension's declared range moves onto the nearest boundary, or, under
+// strict bounds, is rejected with an error wrapping ErrBounds.
+func (d Dimension) Clamp(v int64, strict bool) (int64, error) {
+	switch {
+	case d.Contains(v):
+		return v, nil
+	case strict:
+		return v, fmt.Errorf("value %d for dimension %s=[%d,%d] %w", v, d.Name, d.Start, d.End, ErrBounds)
+	case v < d.Start:
+		return d.Start, nil
+	default:
+		return d.End, nil
+	}
 }
 
 // Validate checks the dimension for internal consistency.

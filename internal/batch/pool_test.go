@@ -1,6 +1,7 @@
 package batch
 
 import (
+	"runtime"
 	"testing"
 
 	"shufflejoin/internal/array"
@@ -97,8 +98,8 @@ func TestPoolRecycles(t *testing.T) {
 }
 
 // BenchmarkBatchPoolConcurrent is the batch pool's gate: steady-state
-// batch Get/fill/Put must stay at 0 allocs/op under concurrency, at
-// every -cpu setting (CI runs 1, 2 and 8).
+// batch Get/fill/Put must stay at 0 allocs/op under concurrency, on
+// every core count (TestBatchPoolZeroAllocs enforces it).
 func BenchmarkBatchPoolConcurrent(b *testing.B) {
 	types := []array.ScalarType{array.TypeInt64, array.TypeInt64}
 	in := NewIntern()
@@ -130,4 +131,21 @@ func BenchmarkBatchPoolConcurrent(b *testing.B) {
 			Put(bt)
 		}
 	})
+}
+
+// TestBatchPoolZeroAllocs is the gate on BenchmarkBatchPoolConcurrent: the
+// benchmark body, called not copied, must read 0 allocs/op on every core
+// count.
+func TestBatchPoolZeroAllocs(t *testing.T) {
+	for _, procs := range []int{1, 2, 8} {
+		prev := runtime.GOMAXPROCS(procs)
+		res := testing.Benchmark(BenchmarkBatchPoolConcurrent)
+		runtime.GOMAXPROCS(prev)
+		if res.N == 0 {
+			t.Fatalf("GOMAXPROCS=%d: BenchmarkBatchPoolConcurrent did not complete", procs)
+		}
+		if a := res.AllocsPerOp(); a != 0 {
+			t.Errorf("GOMAXPROCS=%d: BenchmarkBatchPoolConcurrent = %d allocs/op, want 0", procs, a)
+		}
+	}
 }

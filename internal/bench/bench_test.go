@@ -472,7 +472,7 @@ func TestPlanQualityShapes(t *testing.T) {
 			t.Errorf("a=%.1f %s: greedy planning %vus not well under full %vus", r.Alpha, r.Algo, r.GreedyPlanMicros, r.FullPlanMicros)
 		}
 	}
-	// The acceptance criteria the CI gate enforces must hold at test scale.
+	// The acceptance criteria (also `expdriver -exp planquality -gate`).
 	if err := PlanQualityGate(rows); err != nil {
 		t.Error(err)
 	}

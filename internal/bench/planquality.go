@@ -123,7 +123,7 @@ func timedHitMiss(e *plancache.Entry, pr *physical.Problem) (hitMicros, missMicr
 // with the greedy fast path and the full ILP planner, simulate both
 // assignments, and time a plan-cache hit against the cold plans. The
 // resulting ratios are the evidence behind plancache.DefaultEpsilon and
-// the CI plan-quality gate.
+// PlanQualityGate.
 func PlanQuality(cfg Config, alphas []float64) ([]PlanQualityRow, error) {
 	cfg = cfg.withDefaults()
 	if len(alphas) == 0 {
@@ -187,7 +187,7 @@ func PlanQuality(cfg Config, alphas []float64) ([]PlanQualityRow, error) {
 	return out, nil
 }
 
-// PlanQualitySummary condenses a sweep into the numbers the CI gate and
+// PlanQualitySummary condenses a sweep into the numbers the gate and
 // EXPERIMENTS.md quote.
 type PlanQualitySummary struct {
 	// MaxRatioKept is the worst greedy-vs-full makespan ratio among

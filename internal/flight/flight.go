@@ -12,7 +12,7 @@
 // The recorder is designed to be left on in production:
 //
 //   - Record is wait-free and allocation-free in steady state (a few
-//     atomic stores plus one monotonic clock read; CI gates 0
+//     atomic stores plus one monotonic clock read; a test gates 0
 //     allocs/op), so recording never perturbs the engine's bit-for-bit
 //     determinism guarantees — events are telemetry, never inputs.
 //   - Writers never block readers and readers never block writers: each

@@ -2,6 +2,7 @@ package join
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"shufflejoin/internal/array"
@@ -69,6 +70,7 @@ func BenchmarkSortTuples(b *testing.B) {
 // the hash-index scratch pool must hold steady-state 0 allocs/op with
 // concurrent compare workers — the multi-query serving shape — as a
 // process-shared par.Pool instead of a sync.Pool.
+// TestScratchPoolsZeroAllocs enforces it.
 func BenchmarkScratchPoolsConcurrent(b *testing.B) {
 	const n = 512
 	b.ReportAllocs()
@@ -81,4 +83,21 @@ func BenchmarkScratchPoolsConcurrent(b *testing.B) {
 			putHashIndex(idx)
 		}
 	})
+}
+
+// TestScratchPoolsZeroAllocs is the gate on BenchmarkScratchPoolsConcurrent: the
+// benchmark body, called not copied, must read 0 allocs/op on every core
+// count.
+func TestScratchPoolsZeroAllocs(t *testing.T) {
+	for _, procs := range []int{1, 2, 8} {
+		prev := runtime.GOMAXPROCS(procs)
+		res := testing.Benchmark(BenchmarkScratchPoolsConcurrent)
+		runtime.GOMAXPROCS(prev)
+		if res.N == 0 {
+			t.Fatalf("GOMAXPROCS=%d: BenchmarkScratchPoolsConcurrent did not complete", procs)
+		}
+		if a := res.AllocsPerOp(); a != 0 {
+			t.Errorf("GOMAXPROCS=%d: BenchmarkScratchPoolsConcurrent = %d allocs/op, want 0", procs, a)
+		}
+	}
 }

@@ -109,8 +109,8 @@ func TestPoolConcurrent(t *testing.T) {
 
 // BenchmarkPoolContended measures Get/Put round-trips under full
 // parallelism — the shape of concurrent query serving hitting the
-// shared scratch pools. Run it at -cpu 1,2,8: every setting must stay
-// at 0 allocs/op.
+// shared scratch pools. Every core count must stay at 0 allocs/op;
+// TestPoolContendedZeroAllocs enforces it.
 func BenchmarkPoolContended(b *testing.B) {
 	p := NewPool[[]byte](512)
 	for i := 0; i < 256; i++ {
@@ -124,6 +124,20 @@ func BenchmarkPoolContended(b *testing.B) {
 				v = make([]byte, 0, 1024)
 			}
 			p.Put(v)
+		}
+	})
+}
+
+// TestPoolContendedZeroAllocs gates BenchmarkPoolContended's body, called
+// not copied, at 0 allocs/op on every core count.
+func TestPoolContendedZeroAllocs(t *testing.T) {
+	atProcs(t, func(t *testing.T) {
+		res := testing.Benchmark(BenchmarkPoolContended)
+		if res.N == 0 {
+			t.Fatal("BenchmarkPoolContended did not complete")
+		}
+		if a := res.AllocsPerOp(); a != 0 {
+			t.Errorf("BenchmarkPoolContended = %d allocs/op, want 0", a)
 		}
 	})
 }

@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -13,23 +12,7 @@ import (
 // ErrBounds is wrapped by every strict-bounds rejection — an output cell
 // in Assemble or a redistributed cell in Redistribute whose value falls
 // outside the dimension it is bound for. Match it with errors.Is.
-var ErrBounds = errors.New("outside declared range (StrictBounds)")
-
-// clampDim is the engine's one clamp-or-reject rule: a value outside d's
-// declared range moves onto the nearest boundary, or, under strict
-// bounds, is rejected with an error wrapping ErrBounds.
-func clampDim(v int64, d array.Dimension, strict bool) (int64, error) {
-	switch {
-	case v >= d.Start && v <= d.End:
-		return v, nil
-	case strict:
-		return v, fmt.Errorf("value %d for dimension %s=[%d,%d] %w", v, d.Name, d.Start, d.End, ErrBounds)
-	case v < d.Start:
-		return d.Start, nil
-	default:
-		return d.End, nil
-	}
-}
+var ErrBounds = array.ErrBounds
 
 // putClamped stores an output cell, clamping coordinates into the
 // destination's dimension ranges (join keys can exceed a destination
@@ -38,7 +21,7 @@ func clampDim(v int64, d array.Dimension, strict bool) (int64, error) {
 func putClamped(a *array.Array, coords []int64, attrs []array.Value, strict bool) (bool, error) {
 	clamped := false
 	for i, d := range a.Schema.Dims {
-		v, err := clampDim(coords[i], d, strict)
+		v, err := d.Clamp(coords[i], strict)
 		if err != nil {
 			return false, fmt.Errorf("pipeline: output cell %v: %w", coords, err)
 		}

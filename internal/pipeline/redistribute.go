@@ -5,7 +5,6 @@ import (
 	"math"
 	"sort"
 
-	"shufflejoin/internal/afl"
 	"shufflejoin/internal/array"
 	"shufflejoin/internal/cluster"
 	"shufflejoin/internal/simnet"
@@ -46,59 +45,75 @@ func Redistribute(c *cluster.Cluster, d *cluster.Distributed, target *array.Sche
 		return nil, nil, err
 	}
 
-	// The actual reorganization (single logical array; ownership below).
-	out, err := afl.Redimension(d.Array, target)
+	// One walk over the source, in chunk C-order and in-chunk row order,
+	// reorganizes every cell into the target array and counts how many
+	// cells each source node contributes to each destination chunk (one
+	// slice per source node per chunk, as in the shuffle join's data
+	// alignment).
+	src := d.Array.Schema
+	t := target.Clone()
+	if t.Name == "" {
+		t.Name = src.Name
+	}
+	out, err := array.New(t)
 	if err != nil {
 		return nil, nil, err
 	}
+	dimSrc := make([]fieldSrc, len(t.Dims))
+	for i, dim := range t.Dims {
+		if dimSrc[i], err = sourceField(src, dim.Name); err != nil {
+			return nil, nil, err
+		}
+	}
+	attrSrc := make([]fieldSrc, len(t.Attrs))
+	for i, at := range t.Attrs {
+		if attrSrc[i], err = sourceField(src, at.Name); err != nil {
+			return nil, nil, err
+		}
+	}
+	type flow struct {
+		dest array.ChunkKey
+		from int
+	}
+	counts := make(map[flow]int64)
+	// Put copies the cell, so one pair of buffers serves every row.
+	nc, na := make([]int64, len(dimSrc)), make([]array.Value, len(attrSrc))
+	for _, key := range d.Array.SortedKeys() {
+		ch, from := d.Array.Chunks[key], d.Placement[key]
+		field := func(f fieldSrc, row int) array.Value {
+			if f.isDim {
+				return array.IntValue(ch.Coords[f.idx][row])
+			}
+			return ch.Cols[f.idx].Value(row)
+		}
+		for row := 0; row < ch.Len(); row++ {
+			for i, f := range dimSrc {
+				if nc[i], err = t.Dims[i].Clamp(field(f, row).AsInt(), opt.StrictBounds); err != nil {
+					return nil, nil, fmt.Errorf("pipeline: redistributed cell %v: %w", ch.CoordsAt(row, nil), err)
+				}
+			}
+			for i, f := range attrSrc {
+				na[i] = field(f, row)
+			}
+			if err := out.Put(nc, na); err != nil {
+				return nil, nil, err
+			}
+			counts[flow{array.ChunkKeyOf(t, nc), from}]++
+		}
+	}
+	out.SortAll()
 
 	// Destination ownership: deal target chunks round-robin in C-order.
 	outKeys := out.SortedKeys()
-	destNode := make(map[array.ChunkKey]int, len(outKeys))
+	destNode := make(cluster.Placement, len(outKeys))
 	for i, key := range outKeys {
 		destNode[key] = i % c.K
 	}
-
-	// Transfer accounting: walk the source cells again, mapping each to
-	// its destination chunk and aggregating (sourceNode -> destNode) cell
-	// counts per destination chunk (one slice per source node per chunk,
-	// as in the shuffle join's data alignment).
-	type flow struct{ from, to int }
-	counts := make(map[array.ChunkKey]map[flow]int64)
-	mapper, err := targetMapper(d.Array.Schema, target, opt.StrictBounds)
-	if err != nil {
-		return nil, nil, err
-	}
-	for key, ch := range d.Array.Chunks {
-		from := d.Placement[key]
-		for row := 0; row < ch.Len(); row++ {
-			coords, attrs := ch.Cell(row)
-			destKey, err := mapper(coords, attrs)
-			if err != nil {
-				return nil, nil, err
-			}
-			to, ok := destNode[destKey]
-			if !ok {
-				// Destination chunk empty in out (cannot happen: the cell
-				// itself occupies it), but guard anyway.
-				to = from
-			}
-			m := counts[destKey]
-			if m == nil {
-				m = make(map[flow]int64)
-				counts[destKey] = m
-			}
-			m[flow{from, to}]++
-		}
-	}
 	var transfers []simnet.Transfer
 	var moved int64
-	for _, key := range outKeys {
-		for f, n := range counts[key] {
-			if f.from == f.to {
-				continue
-			}
-			transfers = append(transfers, simnet.Transfer{From: f.from, To: f.to, Cells: n})
+	for f, n := range counts {
+		if to := destNode[f.dest]; to != f.from {
+			transfers = append(transfers, simnet.Transfer{From: f.from, To: to, Cells: n})
 			moved += n
 		}
 	}
@@ -143,11 +158,7 @@ func Redistribute(c *cluster.Cluster, d *cluster.Distributed, target *array.Sche
 		}
 	}
 
-	placement := make(cluster.Placement, len(out.Chunks))
-	for key := range out.Chunks {
-		placement[key] = destNode[key]
-	}
-	dist, err := c.LoadExplicit(out, placement)
+	dist, err := c.LoadExplicit(out, destNode)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -161,42 +172,14 @@ func Redistribute(c *cluster.Cluster, d *cluster.Distributed, target *array.Sche
 	return dist, rep, nil
 }
 
-// targetMapper resolves how a source cell maps into the target chunk grid.
-// Out-of-range values are clamped onto the boundary, or rejected when
-// strict is set.
-func targetMapper(src, target *array.Schema, strict bool) (func(coords []int64, attrs []array.Value) (array.ChunkKey, error), error) {
-	type ref struct {
-		isDim bool
-		idx   int
+// sourceField resolves a target field to the source dimension or
+// attribute it takes its value from.
+func sourceField(src *array.Schema, name string) (fieldSrc, error) {
+	if i := src.DimIndex(name); i >= 0 {
+		return fieldSrc{isDim: true, idx: i}, nil
 	}
-	refs := make([]ref, len(target.Dims))
-	for i, d := range target.Dims {
-		if j := src.DimIndex(d.Name); j >= 0 {
-			refs[i] = ref{isDim: true, idx: j}
-			continue
-		}
-		if j := src.AttrIndex(d.Name); j >= 0 {
-			refs[i] = ref{isDim: false, idx: j}
-			continue
-		}
-		return nil, fmt.Errorf("pipeline: target dimension %q not in source %s", d.Name, src.Name)
+	if i := src.AttrIndex(name); i >= 0 {
+		return fieldSrc{idx: i}, nil
 	}
-	dims := target.Dims
-	return func(coords []int64, attrs []array.Value) (array.ChunkKey, error) {
-		idx := make([]int64, len(refs))
-		for i, r := range refs {
-			var v int64
-			if r.isDim {
-				v = coords[r.idx]
-			} else {
-				v = attrs[r.idx].AsInt()
-			}
-			v, err := clampDim(v, dims[i], strict)
-			if err != nil {
-				return "", fmt.Errorf("pipeline: redistributed cell %v: %w", coords, err)
-			}
-			idx[i] = dims[i].ChunkIndex(v)
-		}
-		return array.MakeChunkKey(idx), nil
-	}, nil
+	return fieldSrc{}, fmt.Errorf("pipeline: target field %q not in source %s", name, src.Name)
 }

@@ -2,6 +2,7 @@ package shuffle
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"shufflejoin/internal/array"
@@ -35,9 +36,9 @@ func benchSide(name string, n int64, k int, units int) (*cluster.Distributed, *U
 // BenchmarkStreamingSteadyState measures the recurring cost of the
 // streaming compare path — pooled readers decoding batch runs into
 // reusable arenas, pooled hash index, windowed probing — with the
-// one-time map cost excluded. The hard requirement (enforced by the
-// memory-bench CI job) is 0 allocs/op: after the first warmup pass every
-// reader, arena, and index comes from a pool.
+// one-time map cost excluded. The hard requirement (enforced by
+// TestStreamingSteadyStateZeroAllocs) is 0 allocs/op: after the first
+// warmup pass every reader, arena, and index comes from a pool.
 func BenchmarkStreamingSteadyState(b *testing.B) {
 	const k, units = 4, 16
 	dl, spec, m := benchSide("L", 1<<14, k, units)
@@ -76,4 +77,21 @@ func BenchmarkStreamingSteadyState(b *testing.B) {
 		runAll()
 	}
 	b.ReportMetric(float64(cells)/float64(b.N), "cells/op")
+}
+
+// TestStreamingSteadyStateZeroAllocs is the gate on BenchmarkStreamingSteadyState: the
+// benchmark body, called not copied, must read 0 allocs/op on every core
+// count.
+func TestStreamingSteadyStateZeroAllocs(t *testing.T) {
+	for _, procs := range []int{1, 2, 8} {
+		prev := runtime.GOMAXPROCS(procs)
+		res := testing.Benchmark(BenchmarkStreamingSteadyState)
+		runtime.GOMAXPROCS(prev)
+		if res.N == 0 {
+			t.Fatalf("GOMAXPROCS=%d: BenchmarkStreamingSteadyState did not complete", procs)
+		}
+		if a := res.AllocsPerOp(); a != 0 {
+			t.Errorf("GOMAXPROCS=%d: BenchmarkStreamingSteadyState = %d allocs/op, want 0", procs, a)
+		}
+	}
 }

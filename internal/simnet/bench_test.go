@@ -3,6 +3,7 @@ package simnet
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -94,11 +95,9 @@ func guardMakespan(b *testing.B, name string, cfg Config, trs []Transfer) {
 
 // BenchmarkSimulateFullScale exercises the indexed event-driven scheduler
 // at the transfer counts a `-scale full` expdriver run produces, plus the
-// beyond-paper 64-node case. The CI simnet-bench job records these numbers
-// (with allocs) next to BenchmarkSimulateReferenceFullScale's in
-// BENCH_simnet.json so the speedup and any regression are tracked in the
-// artifact. Each sub-benchmark first asserts its makespan matches the
-// reference path's.
+// beyond-paper 64-node case; BenchmarkSimulateReferenceFullScale is its
+// old-vs-new twin. Each sub-benchmark first asserts its makespan matches
+// the reference path's.
 func BenchmarkSimulateFullScale(b *testing.B) {
 	for _, c := range fullScaleCases() {
 		trs := benchTransfers(c.n, c.k)
@@ -144,7 +143,8 @@ func BenchmarkSimulateReferenceFullScale(b *testing.B) {
 
 // BenchmarkSimReuseSteadyState measures the zero-allocation contract: a
 // reused Sim instance replaying the paper-scale greedy workload must not
-// allocate once its buffers reach the workload's high-water mark.
+// allocate once its buffers reach the workload's high-water mark
+// (TestSimReuseZeroAllocs enforces it).
 func BenchmarkSimReuseSteadyState(b *testing.B) {
 	trs := benchTransfers(1024*11, 12)
 	cfg := Config{Nodes: 12, PerCellTime: 1e-6}
@@ -157,6 +157,23 @@ func BenchmarkSimReuseSteadyState(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := sim.Simulate(cfg, trs); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestSimReuseZeroAllocs is the gate on BenchmarkSimReuseSteadyState: the
+// benchmark body, called not copied, must read 0 allocs/op on every core
+// count.
+func TestSimReuseZeroAllocs(t *testing.T) {
+	for _, procs := range []int{1, 2, 8} {
+		prev := runtime.GOMAXPROCS(procs)
+		res := testing.Benchmark(BenchmarkSimReuseSteadyState)
+		runtime.GOMAXPROCS(prev)
+		if res.N == 0 {
+			t.Fatalf("GOMAXPROCS=%d: BenchmarkSimReuseSteadyState did not complete", procs)
+		}
+		if a := res.AllocsPerOp(); a != 0 {
+			t.Errorf("GOMAXPROCS=%d: BenchmarkSimReuseSteadyState = %d allocs/op, want 0", procs, a)
 		}
 	}
 }

@@ -77,7 +77,7 @@ func ReadArray(r io.Reader) (*array.Array, error) {
 	if got := binary.BigEndian.Uint32(sum); got != want {
 		return nil, fmt.Errorf("storage: checksum mismatch: file %08x, computed %08x", got, want)
 	}
-	br := bufio.NewReader(bytes.NewReader(payload))
+	br := bytes.NewReader(payload)
 
 	head := make([]byte, len(magic))
 	if _, err := io.ReadFull(br, head); err != nil {
@@ -180,16 +180,15 @@ func writeChunk(w *bufio.Writer, ch *array.Chunk) error {
 	return nil
 }
 
-func readChunk(r *bufio.Reader, schema *array.Schema) (*array.Chunk, error) {
+func readChunk(r *bytes.Reader, schema *array.Schema) (*array.Chunk, error) {
 	key, err := readString(r)
 	if err != nil {
 		return nil, err
 	}
-	n64, err := binary.ReadUvarint(r)
+	n, err := readCount(r)
 	if err != nil {
 		return nil, err
 	}
-	n := int(n64)
 	sorted, err := binary.ReadUvarint(r)
 	if err != nil {
 		return nil, err
@@ -198,29 +197,24 @@ func readChunk(r *bufio.Reader, schema *array.Schema) (*array.Chunk, error) {
 	if err != nil {
 		return nil, err
 	}
-	nDims := int(nDims64)
-	if nDims != len(schema.Dims) {
-		return nil, fmt.Errorf("chunk has %d dims, schema %d", nDims, len(schema.Dims))
+	nDims := len(schema.Dims)
+	if nDims64 != uint64(nDims) {
+		return nil, fmt.Errorf("chunk has %d dims, schema %d", nDims64, nDims)
 	}
 	ch := &array.Chunk{Key: array.ChunkKey(key), NDims: nDims, Sorted: sorted == 1}
 	ch.Coords = make([][]int64, nDims)
-	for d := 0; d < nDims; d++ {
-		ch.Coords[d] = make([]int64, n)
-		for i := 0; i < n; i++ {
-			v, err := binary.ReadVarint(r)
-			if err != nil {
-				return nil, err
-			}
-			ch.Coords[d][i] = v
+	for d := range ch.Coords {
+		if ch.Coords[d], err = readInts(r, n); err != nil {
+			return nil, err
 		}
 	}
 	nCols64, err := binary.ReadUvarint(r)
 	if err != nil {
 		return nil, err
 	}
-	nCols := int(nCols64)
-	if nCols != len(schema.Attrs) {
-		return nil, fmt.Errorf("chunk has %d columns, schema %d", nCols, len(schema.Attrs))
+	nCols := len(schema.Attrs)
+	if nCols64 != uint64(nCols) {
+		return nil, fmt.Errorf("chunk has %d columns, schema %d", nCols64, nCols)
 	}
 	ch.Cols = make([]array.Column, nCols)
 	for i := 0; i < nCols; i++ {
@@ -235,15 +229,13 @@ func readChunk(r *bufio.Reader, schema *array.Schema) (*array.Chunk, error) {
 		col := array.NewColumn(t)
 		switch t {
 		case array.TypeInt64:
-			col.Ints = make([]int64, n)
-			for j := 0; j < n; j++ {
-				v, err := binary.ReadVarint(r)
-				if err != nil {
-					return nil, err
-				}
-				col.Ints[j] = v
+			if col.Ints, err = readInts(r, n); err != nil {
+				return nil, err
 			}
 		case array.TypeFloat64:
+			if err := checkRoom(r, n, 8); err != nil {
+				return nil, err
+			}
 			col.Fs = make([]float64, n)
 			var buf [8]byte
 			for j := 0; j < n; j++ {
@@ -253,6 +245,9 @@ func readChunk(r *bufio.Reader, schema *array.Schema) (*array.Chunk, error) {
 				col.Fs[j] = math.Float64frombits(binary.BigEndian.Uint64(buf[:]))
 			}
 		case array.TypeString:
+			if err := checkRoom(r, n, 1); err != nil { // each has a length prefix
+				return nil, err
+			}
 			col.Strs = make([]string, n)
 			for j := 0; j < n; j++ {
 				s, err := readString(r)
@@ -291,19 +286,56 @@ func writeString(w *bufio.Writer, s string) error {
 	return err
 }
 
-func readString(r *bufio.Reader) (string, error) {
-	n, err := binary.ReadUvarint(r)
+func readString(r *bytes.Reader) (string, error) {
+	n, err := readCount(r)
 	if err != nil {
 		return "", err
-	}
-	if n > 1<<30 {
-		return "", fmt.Errorf("string length %d too large", n)
 	}
 	buf := make([]byte, n)
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return "", err
 	}
 	return string(buf), nil
+}
+
+// readCount reads the uvarint count of elements that follow and rejects
+// one the unread payload cannot hold at a byte per element. A count is
+// untrusted input (the checksum only proves the file is what its writer
+// wrote) and it sizes the allocations that follow.
+func readCount(r *bytes.Reader) (int, error) {
+	n, err := binary.ReadUvarint(r)
+	if err != nil {
+		return 0, err
+	}
+	if n > uint64(r.Len()) {
+		return 0, fmt.Errorf("count %d exceeds the %d bytes left", n, r.Len())
+	}
+	return int(n), nil
+}
+
+// readInts reads a column of n varints, having checked that n fit.
+func readInts(r *bytes.Reader, n int) ([]int64, error) {
+	if err := checkRoom(r, n, 1); err != nil {
+		return nil, err
+	}
+	vals := make([]int64, n)
+	for i := range vals {
+		v, err := binary.ReadVarint(r)
+		if err != nil {
+			return nil, err
+		}
+		vals[i] = v
+	}
+	return vals, nil
+}
+
+// checkRoom reports an error unless n more elements of at least width
+// bytes each fit in the unread payload.
+func checkRoom(r *bytes.Reader, n, width int) error {
+	if n > r.Len()/width {
+		return fmt.Errorf("%d elements of at least %d bytes exceed the %d bytes left", n, width, r.Len())
+	}
+	return nil
 }
 
 // Store persists arrays as files in a directory, one ".sjar" file per

@@ -2,8 +2,12 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -91,6 +95,58 @@ func TestTruncatedFile(t *testing.T) {
 	_ = WriteArray(&buf, a)
 	if _, err := ReadArray(bytes.NewReader(buf.Bytes()[:buf.Len()/2])); err == nil {
 		t.Error("half a file should error")
+	}
+}
+
+// sealed appends the trailing CRC-32 a reader expects, so a crafted payload
+// gets past the checksum and into the decoder.
+func sealed(payload []byte) []byte {
+	return binary.BigEndian.AppendUint32(payload[:len(payload):len(payload)], crc32.ChecksumIEEE(payload))
+}
+
+// TestCraftedCounts: a checksum-valid file whose chunk claims far more
+// cells than the payload could hold must fail to decode — not panic in
+// make (1<<62 cells) or allocate gigabytes (1<<33) for a few dozen bytes.
+func TestCraftedCounts(t *testing.T) {
+	for _, cells := range []uint64{1 << 33, 1 << 62, 1<<64 - 1} {
+		p := []byte(magic)
+		p = binary.AppendUvarint(p, formatVersion)
+		schema := "A<v:int>[i=1,10,5]"
+		p = binary.AppendUvarint(p, uint64(len(schema)))
+		p = append(p, schema...)
+		p = binary.AppendUvarint(p, 1) // one chunk
+		p = binary.AppendUvarint(p, 1) // its key "0"
+		p = append(p, '0')
+		p = binary.AppendUvarint(p, cells)
+		p = binary.AppendUvarint(p, 1) // sorted
+		p = binary.AppendUvarint(p, 1) // one dimension, then nothing
+
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadArray(bytes.NewReader(sealed(p)))
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "bytes left") {
+			t.Errorf("%d cells in a %d-byte payload: err = %v, want a count-exceeds-payload error", cells, len(p), err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<16 {
+			t.Errorf("%d cells: decoding a %d-byte payload allocated %d bytes", cells, len(p), grew)
+		}
+	}
+}
+
+// TestTruncatedMidColumn cuts a valid payload at every tenth byte and
+// re-seals it: each prefix must decode to an error, whichever count or
+// column the cut lands in.
+func TestTruncatedMidColumn(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteArray(&buf, randomArray(4)); err != nil {
+		t.Fatal(err)
+	}
+	payload := buf.Bytes()[:buf.Len()-4]
+	for cut := len(magic); cut < len(payload); cut += 10 {
+		if _, err := ReadArray(bytes.NewReader(sealed(payload[:cut]))); err == nil {
+			t.Fatalf("payload cut at byte %d of %d decoded without error", cut, len(payload))
+		}
 	}
 }
 

@@ -144,7 +144,8 @@ type ServeJob struct {
 	// Class is the scheduling class ("interactive", "scan", or "" for
 	// interactive).
 	Class string
-	// Options are extra per-query options (planner, cache, trace, ...).
+	// Options are extra per-query options (planner, cache, trace,
+	// WithQueryTimeout, ...).
 	Options []QueryOption
 }
 
@@ -157,11 +158,6 @@ type ServeOptions struct {
 	// Scheduler is the admission scheduler the workload runs through;
 	// nil creates a default-configured one.
 	Scheduler *Scheduler
-	// Timeout bounds each query (0 = none).
-	Timeout time.Duration
-	// MaxErrors aborts the run after this many failed queries (0 = never
-	// abort; failures are only counted).
-	MaxErrors int
 }
 
 // LatencySummary is a latency distribution digest in a ServeReport.
@@ -237,16 +233,10 @@ func (db *DB) Serve(jobs []ServeJob, opt ServeOptions) (*ServeReport, error) {
 				if i >= len(jobs) {
 					return
 				}
-				if opt.MaxErrors > 0 && failed.Load() >= int64(opt.MaxErrors) {
-					return
-				}
 				job := &jobs[i]
-				qopts := make([]QueryOption, 0, len(job.Options)+3)
+				qopts := make([]QueryOption, 0, len(job.Options)+2)
 				qopts = append(qopts, job.Options...)
 				qopts = append(qopts, WithScheduler(s), WithQueryClass(job.Class))
-				if opt.Timeout > 0 {
-					qopts = append(qopts, WithQueryTimeout(opt.Timeout))
-				}
 				t0 := time.Now()
 				_, err := db.Query(job.Query, qopts...)
 				d := time.Since(t0)

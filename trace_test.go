@@ -289,7 +289,7 @@ func BenchmarkQueryTraced(b *testing.B)   { benchQuery(b, true) }
 
 // TestTraceOverheadBudget asserts the <2% overhead budget for the disabled
 // path. Wall-clock comparisons are too noisy for ordinary CI runners, so the
-// check only runs when OBS_OVERHEAD_CHECK=1 (the dedicated CI bench job sets
+// check only runs when OBS_OVERHEAD_CHECK=1 (a step of CI's test job sets
 // it); the budget there is relaxed to 2% + noise floor via medians.
 func TestTraceOverheadBudget(t *testing.T) {
 	if os.Getenv("OBS_OVERHEAD_CHECK") != "1" {

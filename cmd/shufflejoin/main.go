@@ -12,8 +12,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -23,51 +25,72 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main with its inputs and outputs as parameters; it returns the
+// process exit status (0 ok, 1 the query or its I/O failed, 2 bad usage).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("shufflejoin", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		nodes   = flag.Int("nodes", 4, "cluster size")
-		dataDir = flag.String("data", "data", "directory of .sjar array files")
-		planner = flag.String("planner", "mbh", "physical planner: baseline, mbh, tabu, ilp, coarse")
-		budget  = flag.Duration("budget", 2*time.Second, "ILP solver time budget")
-		algo    = flag.String("algo", "", "force join algorithm: hash, merge, nestedloop")
-		sel     = flag.Float64("sel", 0, "optimizer selectivity estimate (output = sel*(nA+nB))")
-		sample  = flag.Int("sample", 10, "output cells to print")
-		fifo    = flag.Bool("fifo", false, "use naive FIFO shuffle scheduling instead of greedy locks")
-		par     = flag.Int("par", 0, "planning/execution workers: 0 = one per CPU, 1 = sequential (results identical at every setting)")
-		strict  = flag.Bool("strict", false, "fail on output cells outside the destination's dimension ranges instead of clamping")
-		explain = flag.Bool("explain", false, "print the optimizer's candidate plans instead of executing")
-		trace   = flag.String("trace", "", "write the query trace as Chrome trace-event JSON to this file (load in Perfetto) and print the trace summary")
-		metrics = flag.Bool("metrics", false, "print the query's metric registry as JSON")
-		analyze = flag.Bool("analyze", false, "print the query's EXPLAIN ANALYZE profile (per-stage timings, plan provenance, per-node skew)")
-		obsAddr = flag.String("obs-addr", "", "serve live telemetry on this address (/metrics, /debug/queries, /debug/inflight, /debug/flight, /debug/anomalies, /debug/status); e.g. :8080 or :0")
-		slowMs  = flag.Float64("slow-ms", 0, "mark queries at or above this wall time (ms) as slow in /debug/queries (with -postmortem-dir, also the slow-query bundle threshold)")
-		obsHold = flag.Duration("obs-hold", 0, "keep the telemetry endpoint up this long after the query finishes")
-		pmDir   = flag.String("postmortem-dir", "", "capture a diagnostic bundle (flight events, profile, metrics, goroutine stacks) into this directory when the query panics, fails a strict check, or breaches -slow-ms")
+		nodes   = fs.Int("nodes", 4, "cluster size")
+		dataDir = fs.String("data", "data", "directory of .sjar array files")
+		planner = fs.String("planner", "mbh", "physical planner: baseline, mbh, tabu, ilp, coarse")
+		budget  = fs.Duration("budget", 2*time.Second, "ILP solver time budget")
+		algo    = fs.String("algo", "", "force join algorithm: hash, merge, nestedloop")
+		sel     = fs.Float64("sel", 0, "optimizer selectivity estimate (output = sel*(nA+nB))")
+		sample  = fs.Int("sample", 10, "output cells to print")
+		fifo    = fs.Bool("fifo", false, "use naive FIFO shuffle scheduling instead of greedy locks")
+		par     = fs.Int("par", 0, "planning/execution workers: 0 = one per CPU, 1 = sequential (results identical at every setting)")
+		strict  = fs.Bool("strict", false, "fail on output cells outside the destination's dimension ranges instead of clamping")
+		explain = fs.Bool("explain", false, "print the optimizer's candidate plans instead of executing")
+		trace   = fs.String("trace", "", "write the query trace as Chrome trace-event JSON to this file (load in Perfetto) and print the trace summary")
+		metrics = fs.Bool("metrics", false, "print the query's metric registry as JSON")
+		analyze = fs.Bool("analyze", false, "print the query's EXPLAIN ANALYZE profile (per-stage timings, plan provenance, per-node skew)")
+		obsAddr = fs.String("obs-addr", "", "serve live telemetry on this address (/metrics, /debug/queries, /debug/inflight, /debug/flight, /debug/anomalies, /debug/status); e.g. :8080 or :0")
+		slowMs  = fs.Float64("slow-ms", 0, "mark queries at or above this wall time (ms) as slow in /debug/queries (with -postmortem-dir, also the slow-query bundle threshold)")
+		obsHold = fs.Duration("obs-hold", 0, "keep the telemetry endpoint up this long after the query finishes")
+		pmDir   = fs.String("postmortem-dir", "", "capture a diagnostic bundle (flight events, profile, metrics, goroutine stacks) into this directory when the query panics, fails a strict check, or breaches -slow-ms")
 	)
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: shufflejoin [flags] \"SELECT ... FROM A, B WHERE ...\"")
-		flag.PrintDefaults()
-		os.Exit(2)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
-	query := flag.Arg(0)
+	if fs.NArg() != 1 {
+		fmt.Fprintln(stderr, "usage: shufflejoin [flags] \"SELECT ... FROM A, B WHERE ...\"")
+		fs.PrintDefaults()
+		return 2
+	}
+	query := fs.Arg(0)
+	if _, err := shufflejoin.PlannerByName(*planner, *budget); err != nil {
+		fmt.Fprintln(stderr, "shufflejoin:", err)
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "shufflejoin:", err)
+		return 1
+	}
 
 	db, err := shufflejoin.Open(*nodes)
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
 	files, err := filepath.Glob(filepath.Join(*dataDir, "*.sjar"))
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
 	if len(files) == 0 {
-		fail(fmt.Errorf("no .sjar files in %s (generate some with cmd/datagen)", *dataDir))
+		return fail(fmt.Errorf("no .sjar files in %s (generate some with cmd/datagen)", *dataDir))
 	}
 	for _, f := range files {
 		ar, err := db.LoadFile(f)
 		if err != nil {
-			fail(fmt.Errorf("loading %s: %w", f, err))
+			return fail(fmt.Errorf("loading %s: %w", f, err))
 		}
-		fmt.Printf("loaded %s (%d cells, %d chunks)\n", ar.Schema(), ar.CellCount(), ar.ChunkCount())
+		fmt.Fprintf(stdout, "loaded %s (%d cells, %d chunks)\n", ar.Schema(), ar.CellCount(), ar.ChunkCount())
 	}
 
 	opts := []shufflejoin.QueryOption{shufflejoin.WithPlanner(*planner, *budget)}
@@ -84,13 +107,10 @@ func main() {
 		opts = append(opts, shufflejoin.WithParallelism(*par))
 	}
 	if *strict {
-		opts = append(opts, shufflejoin.WithStrictBounds())
+		opts = append(opts, shufflejoin.WithStrict())
 	}
 	if *trace != "" || *metrics || *obsAddr != "" {
 		opts = append(opts, shufflejoin.WithTrace())
-	}
-	if *analyze {
-		opts = append(opts, shufflejoin.WithProfile())
 	}
 	if *pmDir != "" {
 		opts = append(opts, shufflejoin.WithPostmortem(&shufflejoin.Postmortem{
@@ -113,89 +133,87 @@ func main() {
 		})
 		addr, err := hub.Serve(*obsAddr)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
 		defer hub.Close()
-		fmt.Printf("telemetry on http://%s/metrics (also /debug/queries, /debug/inflight)\n", addr)
+		fmt.Fprintf(stdout, "telemetry on http://%s/metrics (also /debug/queries, /debug/inflight)\n", addr)
 		opts = append(opts, shufflejoin.WithQueryLog(hub))
 	}
 
 	if *explain {
 		ex, err := db.Explain(query, opts...)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
-		fmt.Printf("\nestimated selectivity: %.4g\n", ex.Selectivity)
-		fmt.Printf("%-55s %-12s %-14s %9s %14s\n", "plan", "algorithm", "units", "#units", "modeled cost")
+		fmt.Fprintf(stdout, "\nestimated selectivity: %.4g\n", ex.Selectivity)
+		fmt.Fprintf(stdout, "%-55s %-12s %-14s %9s %14s\n", "plan", "algorithm", "units", "#units", "modeled cost")
 		for _, p := range ex.Plans {
-			fmt.Printf("%-55s %-12s %-14s %9d %14.4g\n", p.Plan, p.Algorithm, p.Units, p.NumUnits, p.Cost)
+			fmt.Fprintf(stdout, "%-55s %-12s %-14s %9d %14.4g\n", p.Plan, p.Algorithm, p.Units, p.NumUnits, p.Cost)
 		}
-		return
+		return 0
 	}
 
 	res, err := db.Query(query, opts...)
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
 
-	fmt.Printf("\nlogical plan:   %s\n", res.Plan)
-	fmt.Printf("join algorithm: %s\n", res.Algorithm)
-	fmt.Printf("planner:        %s\n", res.Planner)
-	fmt.Printf("matches:        %d\n", res.Matches)
-	fmt.Printf("cells moved:    %d\n", res.CellsMoved)
+	fmt.Fprintf(stdout, "\nlogical plan:   %s\n", res.Plan)
+	fmt.Fprintf(stdout, "join algorithm: %s\n", res.Algorithm)
+	fmt.Fprintf(stdout, "planner:        %s\n", res.Planner)
+	fmt.Fprintf(stdout, "matches:        %d\n", res.Matches)
+	fmt.Fprintf(stdout, "cells moved:    %d\n", res.CellsMoved)
 	if res.ClampedCells > 0 {
-		fmt.Printf("WARNING: %d output cells clamped onto the destination boundary (rerun with -strict to fail instead)\n", res.ClampedCells)
+		fmt.Fprintf(stdout, "WARNING: %d output cells clamped onto the destination boundary (rerun with -strict to fail instead)\n", res.ClampedCells)
 	}
-	fmt.Printf("query plan:     %8.3fs\n", res.PlanSeconds)
-	fmt.Printf("data align:     %8.3fs (simulated)\n", res.AlignSeconds)
-	fmt.Printf("cell compare:   %8.3fs (simulated)\n", res.CompareSeconds)
-	fmt.Printf("total:          %8.3fs\n", res.TotalSeconds)
+	fmt.Fprintf(stdout, "query plan:     %8.3fs\n", res.PlanSeconds)
+	fmt.Fprintf(stdout, "data align:     %8.3fs (simulated)\n", res.AlignSeconds)
+	fmt.Fprintf(stdout, "cell compare:   %8.3fs (simulated)\n", res.CompareSeconds)
+	fmt.Fprintf(stdout, "total:          %8.3fs\n", res.TotalSeconds)
 
 	if *trace != "" {
-		fmt.Printf("\n%s", res.TraceSummary())
+		fmt.Fprintf(stdout, "\n%s", res.TraceSummary())
 		f, err := os.Create(*trace)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
 		if err := res.ChromeTrace(f); err != nil {
 			f.Close()
-			fail(err)
+			return fail(err)
 		}
 		if err := f.Close(); err != nil {
-			fail(err)
+			return fail(err)
 		}
-		fmt.Printf("\nChrome trace written to %s (open in ui.perfetto.dev)\n", *trace)
+		fmt.Fprintf(stdout, "\nChrome trace written to %s (open in ui.perfetto.dev)\n", *trace)
 	}
 	if *metrics {
-		fmt.Println("\nmetrics:")
-		if err := res.MetricsJSON(os.Stdout); err != nil {
-			fail(err)
+		fmt.Fprintln(stdout, "\nmetrics:")
+		if err := res.MetricsJSON(stdout); err != nil {
+			return fail(err)
 		}
 	}
-	if *analyze && res.Profile != nil {
-		fmt.Printf("\n%s", res.Profile)
+	if *analyze {
+		if p := res.Profile(); p != nil { // nil for a multi-way query
+			fmt.Fprintf(stdout, "\n%s", p)
+		}
 	}
 	if hub != nil && *obsHold > 0 {
-		fmt.Printf("holding telemetry endpoint for %s\n", *obsHold)
+		fmt.Fprintf(stdout, "holding telemetry endpoint for %s\n", *obsHold)
 		time.Sleep(*obsHold)
 	}
 
 	if *sample > 0 {
-		fmt.Printf("\noutput sample (%s):\n", res.OutputSchema)
+		fmt.Fprintf(stdout, "\noutput sample (%s):\n", res.OutputSchema)
 		n := 0
 		res.Scan(func(c shufflejoin.Cell) bool {
 			parts := make([]string, len(c.Values))
 			for i, v := range c.Values {
 				parts[i] = fmt.Sprint(v)
 			}
-			fmt.Printf("  %v -> (%s)\n", c.Coords, strings.Join(parts, ", "))
+			fmt.Fprintf(stdout, "  %v -> (%s)\n", c.Coords, strings.Join(parts, ", "))
 			n++
 			return n < *sample
 		})
 	}
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "shufflejoin:", err)
-	os.Exit(1)
+	return 0
 }

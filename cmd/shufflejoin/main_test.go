@@ -1,0 +1,90 @@
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"shufflejoin/internal/storage"
+	"shufflejoin/internal/workload"
+)
+
+// pairDir writes datagen's "-kind pair" inputs (A<v>[i], B<w>[j]) into a
+// fresh directory.
+func pairDir(t *testing.T) string {
+	t.Helper()
+	dir := t.TempDir()
+	store, err := storage.NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b, err := workload.SelectivityPair(2000, 2000, 8, 0.2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Save(a); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Save(b); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+func TestRunExitStatus(t *testing.T) {
+	data := pairDir(t)
+	traceFile := filepath.Join(t.TempDir(), "trace.json")
+	const (
+		join = "SELECT i, j INTO T<i:int, j:int>[] FROM A JOIN B ON A.v = B.w"
+		// The destination's v range is far narrower than the join keys.
+		clamping = "SELECT i, j INTO T<i:int, j:int>[v=0,9,5] FROM A JOIN B ON A.v = B.w"
+	)
+	tests := []struct {
+		name       string
+		args       []string
+		want       int
+		wantStderr string // substring
+		wantStdout string // substring
+	}{
+		{"no query", []string{"-data", data}, 2, "usage: shufflejoin", ""},
+		{"unknown planner", []string{"-data", data, "-planner", "nosuch", join}, 2, `unknown planner "nosuch"`, ""},
+		{"removed flag", []string{"-profile", join}, 2, "flag provided but not defined", ""},
+		{"no data", []string{"-data", t.TempDir(), join}, 1, "no .sjar files", ""},
+		{"plain", []string{"-data", data, "-sample", "0", join}, 0, "", "matches:"},
+		{"analyze", []string{"-data", data, "-sample", "0", "-analyze", join}, 0, "", "EXPLAIN ANALYZE"},
+		{"trace", []string{"-data", data, "-sample", "0", "-trace", traceFile, join}, 0, "", "Chrome trace written"},
+		{"clamped", []string{"-data", data, "-sample", "0", clamping}, 0, "", "WARNING:"},
+		{"strict", []string{"-data", data, "-sample", "0", "-strict", clamping}, 1, "StrictBounds", ""},
+	}
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			if got := run(tc.args, &stdout, &stderr); got != tc.want {
+				t.Errorf("exit status = %d, want %d (stderr: %s)", got, tc.want, stderr.String())
+			}
+			if !strings.Contains(stderr.String(), tc.wantStderr) {
+				t.Errorf("stderr = %q, want it to contain %q", stderr.String(), tc.wantStderr)
+			}
+			if !strings.Contains(stdout.String(), tc.wantStdout) {
+				t.Errorf("stdout = %q, want it to contain %q", stdout.String(), tc.wantStdout)
+			}
+			if tc.want == 2 && stdout.Len() != 0 {
+				t.Errorf("usage error wrote to stdout: %q", stdout.String())
+			}
+		})
+	}
+
+	raw, err := os.ReadFile(traceFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []json.RawMessage `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil || len(doc.TraceEvents) == 0 {
+		t.Errorf("-trace wrote %d traceEvents (err %v)", len(doc.TraceEvents), err)
+	}
+}

@@ -44,7 +44,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"shufflejoin/internal/obs"
 	"shufflejoin/internal/par"
 )
 
@@ -80,9 +79,6 @@ type Options struct {
 	// <= 1 searches sequentially. Every value explores the same nodes and
 	// returns the same solution (see the package determinism notes).
 	Workers int
-	// Span, when non-nil, receives the solver's observability attributes
-	// (tasks, nodes explored/pruned, seed objective). Nil-safe.
-	Span *obs.Span
 }
 
 // Solution is the solver's answer.
@@ -240,23 +236,7 @@ func SolveOpts(p *Problem, opts Options) (Solution, error) {
 		SeedObjective: ctx.seedObj,
 		Elapsed:       time.Since(start),
 	}
-	if sp := opts.Span; sp != nil {
-		sp.SetInt("ilp.tasks", int64(sol.Tasks))
-		sp.SetInt("ilp.nodes_explored", sol.Nodes)
-		sp.SetInt("ilp.nodes_pruned", sol.Pruned)
-		sp.SetNum("ilp.seed_cost", sol.SeedObjective)
-		sp.SetNum("ilp.objective", sol.Objective)
-		sp.SetInt("ilp.optimal", boolInt(sol.Optimal))
-		sp.SetNum("ilp.solve_wall_seconds", sol.Elapsed.Seconds())
-	}
 	return sol, nil
-}
-
-func boolInt(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // taskTarget is the size the task decomposition aims for. It is a

@@ -91,11 +91,7 @@ func (t *Trace) WriteChrome(w io.Writer) error {
 				Ts: s.SimStart * 1e6, Dur: &dur, Args: args,
 			})
 		default:
-			end := s.wallEnd
-			if end < s.wallStart {
-				end = s.wallStart
-			}
-			dur := (end - s.wallStart) * 1e6
+			dur := (s.wallEnd - s.wallStart) * 1e6
 			events = append(events, chromeEvent{
 				Name: s.Name, Ph: "X", Pid: 0, Tid: tidMain,
 				Ts: s.wallStart * 1e6, Dur: &dur, Args: args,

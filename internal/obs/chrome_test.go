@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
+	"time"
 )
 
 // buildSampleTrace assembles the span shapes the executor produces: a wall
@@ -11,9 +12,8 @@ import (
 // per-node compare spans.
 func buildSampleTrace() *Trace {
 	tr := New("query")
-	p := tr.Root().Child("plan.logical")
+	p := tr.Root().Child("plan.logical", time.Now(), 0.25)
 	p.SetStr("plan", "mergeJoin(A, B)")
-	p.End()
 
 	al := tr.Root().SimChild("align", 0, 2.0)
 	for i, x := range []struct {

@@ -9,9 +9,10 @@
 // produces the identical span tree and metric values. Three rules make
 // that hold:
 //
-//  1. Spans and metrics are only recorded from sequential orchestration
-//     code — after a parallel section's per-worker results have been
-//     merged in deterministic order — never from inside worker goroutines.
+//  1. Spans and metrics are only recorded from sequential code over
+//     deterministic inputs: the engine builds a query's whole capture in
+//     one function, from the query's finished report (pipeline's
+//     foldTrace), never from inside worker goroutines.
 //  2. Simulated times (SimStart/SimEnd) come from the deterministic
 //     discrete-event simulator and the analytical cost model, so they are
 //     bit-for-bit reproducible. Wall-clock durations are inherently not;
@@ -26,8 +27,8 @@
 // A nil *Trace (and every *Span, *Counter, *Gauge, *Histogram reached
 // through it) is a valid disabled instance: every method no-ops, so call
 // sites need no "if tracing" branches and the disabled layer costs only a
-// nil check per call. The overhead budget is enforced by
-// TestTraceOverheadBudget at the repository root.
+// nil check per call. TestTraceOverheadBudget at the repository root
+// bounds what enabling it costs.
 package obs
 
 import (
@@ -54,67 +55,6 @@ type Trace struct {
 	epoch time.Time
 	root  *Span
 	reg   *Registry
-	sinks []SpanSink
-}
-
-// SpanSink is a streaming consumer of retired spans. The pipeline engine
-// delivers each span exactly once, from sequential orchestration code, the
-// moment the span ends — long before the whole query (and therefore the
-// whole span tree) completes. Delivery order is deterministic: it is the
-// order in which stages retire their spans, which the determinism contract
-// (see the package comment) fixes across Parallelism settings.
-//
-// SpanRetired is called with the trace mutex released, so a sink may read
-// the span's exported fields and call back into the trace. The span's
-// Children slice may still grow after delivery only for container spans
-// that are re-ended; the engine never does that.
-type SpanSink interface {
-	SpanRetired(s *Span)
-}
-
-// AddSink registers a streaming consumer for retired spans. No-op on a
-// disabled trace. Sinks added after spans have already retired only see
-// subsequent retirements; the in-memory tree (Root) always has the full
-// history.
-func (t *Trace) AddSink(sink SpanSink) {
-	if t == nil || sink == nil {
-		return
-	}
-	t.mu.Lock()
-	t.sinks = append(t.sinks, sink)
-	t.mu.Unlock()
-}
-
-// CollectSink is the trivial SpanSink: it appends every retired span to an
-// in-memory list in delivery order. It is safe for use from tests that
-// probe incremental delivery concurrently with a running query.
-type CollectSink struct {
-	mu    sync.Mutex
-	spans []*Span
-}
-
-// SpanRetired implements SpanSink.
-func (c *CollectSink) SpanRetired(s *Span) {
-	c.mu.Lock()
-	c.spans = append(c.spans, s)
-	c.mu.Unlock()
-}
-
-// Spans returns a snapshot of the spans delivered so far, in delivery
-// order.
-func (c *CollectSink) Spans() []*Span {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]*Span, len(c.spans))
-	copy(out, c.spans)
-	return out
-}
-
-// Len returns the number of spans delivered so far.
-func (c *CollectSink) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.spans)
 }
 
 // New returns an enabled trace whose root span carries the given name.
@@ -144,9 +84,6 @@ func (t *Trace) Metrics() *Registry {
 	return t.reg
 }
 
-// since returns seconds elapsed since the trace epoch.
-func (t *Trace) since() float64 { return time.Since(t.epoch).Seconds() }
-
 // Span is one timed region. Planning spans are wall-clock (wallStart /
 // wallEnd, seconds since the trace epoch); simulator spans set Sim and
 // carry simulated-cluster seconds in SimStart/SimEnd. Node is the
@@ -165,71 +102,35 @@ type Span struct {
 	SimStart, SimEnd float64
 
 	wallStart, wallEnd float64
-	retired            bool
 
 	Attrs    []Attr
 	Children []*Span
 }
 
-// Child starts a wall-clock child span.
-func (s *Span) Child(name string) *Span {
+// Child adds a wall-clock child span that began at start and ran for the
+// given number of seconds.
+func (s *Span) Child(name string, start time.Time, seconds float64) *Span {
 	if s == nil {
 		return nil
 	}
-	c := &Span{trace: s.trace, Name: name, Node: -1, wallStart: s.trace.since()}
-	s.trace.mu.Lock()
-	s.Children = append(s.Children, c)
-	s.trace.mu.Unlock()
-	return c
+	at := start.Sub(s.trace.epoch).Seconds()
+	return s.add(&Span{Name: name, wallStart: at, wallEnd: at + seconds})
 }
 
 // SimChild adds a child span measured in simulated seconds.
 func (s *Span) SimChild(name string, start, end float64) *Span {
-	c := s.Child(name)
-	if c == nil {
+	if s == nil {
 		return nil
 	}
-	c.Sim, c.SimStart, c.SimEnd = true, start, end
-	return c
+	return s.add(&Span{Name: name, Sim: true, SimStart: start, SimEnd: end})
 }
 
-// End closes the span and retires it to every registered SpanSink. For
-// wall-clock spans it also records the end timestamp; simulated spans keep
-// their SimStart/SimEnd and End only retires them. A span retires at most
-// once — re-ending a wall-clock span updates its end time but is not
-// re-delivered.
-func (s *Span) End() {
-	if s == nil {
-		return
-	}
+func (s *Span) add(c *Span) *Span {
+	c.trace, c.Node = s.trace, -1
 	s.trace.mu.Lock()
-	if !s.Sim {
-		s.wallEnd = s.trace.since()
-	}
-	first := !s.retired
-	s.retired = true
-	var sinks []SpanSink
-	if first {
-		sinks = s.trace.sinks
-	}
+	s.Children = append(s.Children, c)
 	s.trace.mu.Unlock()
-	for _, sink := range sinks {
-		sink.SpanRetired(s)
-	}
-}
-
-// WallSeconds returns the span's wall duration so far (0 for nil or
-// simulated spans).
-func (s *Span) WallSeconds() float64 {
-	if s == nil || s.Sim {
-		return 0
-	}
-	s.trace.mu.Lock()
-	defer s.trace.mu.Unlock()
-	if s.wallEnd == 0 {
-		return 0
-	}
-	return s.wallEnd - s.wallStart
+	return c
 }
 
 // SetNode tags the span with a simulated node id.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestNilTraceIsNoOp(t *testing.T) {
@@ -11,13 +12,12 @@ func TestNilTraceIsNoOp(t *testing.T) {
 	if tr.Enabled() {
 		t.Fatal("nil trace reports enabled")
 	}
-	sp := tr.Root().Child("plan")
+	sp := tr.Root().Child("plan", time.Now(), 1)
 	sp.SetNum("cost", 1)
 	sp.SetStr("planner", "mbh")
 	sp.SetInt("units", 4)
 	sp.SetNode(2)
-	sp.SimChild("align", 0, 1).End()
-	sp.End()
+	sp.SimChild("align", 0, 1).SetNode(0)
 	if got := tr.Fingerprint(); got != "" {
 		t.Fatalf("nil fingerprint = %q", got)
 	}
@@ -40,10 +40,9 @@ func TestNilTraceIsNoOp(t *testing.T) {
 func TestFingerprintMasksWallTime(t *testing.T) {
 	build := func() string {
 		tr := New("query")
-		p := tr.Root().Child("plan")
-		p.SetNum("plan_wall_seconds", tr.since()) // differs run to run
+		p := tr.Root().Child("plan", time.Now(), 0)
+		p.SetNum("plan_wall_seconds", time.Since(tr.epoch).Seconds()) // differs run to run
 		p.SetNum("cost", 42)
-		p.End()
 		a := tr.Root().SimChild("align", 0, 1.5)
 		a.SetNode(1)
 		tr.Metrics().Counter("align.transfers").Add(3)

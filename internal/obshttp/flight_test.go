@@ -142,6 +142,7 @@ func syntheticFinish(hub *obshttp.Hub, label string, compare []float64, recv []i
 	p := pipeline.NewProgress(label)
 	hub.QueryStarted(p)
 	rep := &pipeline.Report{
+		Query:           label,
 		NodeCompareTime: compare,
 		UnitCells:       unitCells,
 		StragglerNode:   -1,
@@ -284,7 +285,9 @@ func TestQueriesLimitParam(t *testing.T) {
 	var p struct {
 		Total   uint64 `json:"total"`
 		Queries []struct {
-			Query string `json:"query"`
+			Profile struct {
+				Query string `json:"query"`
+			} `json:"profile"`
 		} `json:"queries"`
 	}
 	if err := json.Unmarshal([]byte(body), &p); err != nil {
@@ -293,7 +296,7 @@ func TestQueriesLimitParam(t *testing.T) {
 	if p.Total != 5 || len(p.Queries) != 2 {
 		t.Fatalf("total %d, returned %d, want 5/2", p.Total, len(p.Queries))
 	}
-	if p.Queries[0].Query != "q-4" || p.Queries[1].Query != "q-3" {
+	if p.Queries[0].Profile.Query != "q-4" || p.Queries[1].Profile.Query != "q-3" {
 		t.Errorf("limited queries = %+v, want newest first", p.Queries)
 	}
 }

@@ -15,7 +15,7 @@
 // The Hub at the center implements pipeline.QueryHooks: attach it to a
 // query's Options.Hooks (the facade's WithQueryLog does this) and every
 // execution registers its live Progress tracker on start and folds its
-// profiled Report into the query log on finish — where the anomaly
+// Report's profile into the query log on finish — where the anomaly
 // detector also observes it, annotating the entry (and its profile)
 // with any straggler, hot-receiver, or hot-unit conditions it raises.
 // The Hub is safe for concurrent queries and concurrent HTTP reads; it
@@ -142,7 +142,7 @@ func (h *Hub) QueryStarted(p *pipeline.Progress) {
 }
 
 // QueryFinished implements pipeline.QueryHooks: the query leaves
-// /debug/inflight and its profiled report is appended to the query log.
+// /debug/inflight and its profile is appended to the query log.
 func (h *Hub) QueryFinished(p *pipeline.Progress, rep *pipeline.Report, err error) {
 	h.mu.Lock()
 	id := h.inflight[p]
@@ -152,7 +152,6 @@ func (h *Hub) QueryFinished(p *pipeline.Progress, rep *pipeline.Report, err erro
 	snap := p.Snapshot()
 	e := Entry{
 		Seq:         id,
-		Query:       snap.Query,
 		Start:       snap.Start,
 		WallSeconds: snap.ElapsedSeconds,
 		Slow:        h.cfg.SlowQuery > 0 && snap.ElapsedSeconds >= h.cfg.SlowQuery.Seconds(),
@@ -161,20 +160,7 @@ func (h *Hub) QueryFinished(p *pipeline.Progress, rep *pipeline.Report, err erro
 		e.Error = err.Error()
 	}
 	if rep != nil {
-		e.PlanSeconds = rep.PlanTime
-		e.AlignSeconds = rep.AlignTime
-		e.CompareSeconds = rep.CompareTime
-		e.ModeledSeconds = rep.Total
-		e.Matches = rep.Matches
-		e.CellsMoved = rep.CellsMoved
-		e.Planner = rep.Physical.Planner
-		e.Algorithm = rep.Logical.Algo.String()
-		e.PlanSource = rep.PlanSource
-		e.PlanRegret = rep.PlanRegret
-		e.Skew = rep.Skew
-		e.StragglerNode = rep.StragglerNode
-		e.LockWaitSeconds = rep.LockWaitSeconds
-		e.Profile = rep.Profile
+		e.Profile = rep.Profile()
 		if err == nil {
 			// Fold the finished query into the online anomaly detector
 			// and surface what it raised: on the log entry, on the
@@ -183,9 +169,7 @@ func (h *Hub) QueryFinished(p *pipeline.Progress, rep *pipeline.Report, err erro
 			for _, a := range h.det.Observe(snap.Query, rep.NodeCompareTime, rep.Align.CellsRecv, rep.UnitCells) {
 				e.Anomalies = append(e.Anomalies, a.String())
 			}
-			if rep.Profile != nil {
-				rep.Profile.Anomalies = e.Anomalies
-			}
+			e.Profile.Anomalies = e.Anomalies
 			h.engine.Counter("engine_anomaly_total").Add(int64(len(e.Anomalies)))
 			flagged, straggler := h.det.Flagged()
 			h.engine.Gauge("engine_anomaly_flagged_nodes").Set(float64(flagged))
@@ -195,29 +179,17 @@ func (h *Hub) QueryFinished(p *pipeline.Progress, rep *pipeline.Report, err erro
 	h.log.add(e)
 }
 
-// Entry is one finished query in the /debug/queries log.
+// Entry is one finished query in the /debug/queries log: the query's
+// profile (label, plan, timings, totals, skew) plus what only the hub
+// knows about it.
 type Entry struct {
-	Seq             uint64            `json:"seq"`
-	Query           string            `json:"query,omitempty"`
-	Start           time.Time         `json:"start"`
-	WallSeconds     float64           `json:"wall_seconds"`
-	PlanSeconds     float64           `json:"plan_seconds"`
-	AlignSeconds    float64           `json:"align_seconds"`
-	CompareSeconds  float64           `json:"compare_seconds"`
-	ModeledSeconds  float64           `json:"modeled_seconds"`
-	Matches         int64             `json:"matches"`
-	CellsMoved      int64             `json:"cells_moved"`
-	Planner         string            `json:"planner,omitempty"`
-	Algorithm       string            `json:"algorithm,omitempty"`
-	PlanSource      string            `json:"plan_source,omitempty"`
-	PlanRegret      float64           `json:"plan_regret,omitempty"`
-	Skew            float64           `json:"skew"`
-	StragglerNode   int               `json:"straggler_node"`
-	LockWaitSeconds float64           `json:"lock_wait_seconds"`
-	Slow            bool              `json:"slow"`
-	Error           string            `json:"error,omitempty"`
-	Anomalies       []string          `json:"anomalies,omitempty"`
-	Profile         *pipeline.Profile `json:"profile,omitempty"`
+	Seq         uint64            `json:"seq"`
+	Start       time.Time         `json:"start"`
+	WallSeconds float64           `json:"wall_seconds"`
+	Slow        bool              `json:"slow"`
+	Error       string            `json:"error,omitempty"`
+	Anomalies   []string          `json:"anomalies,omitempty"`
+	Profile     *pipeline.Profile `json:"profile,omitempty"`
 }
 
 // QueryLog is a fixed-capacity ring buffer of finished queries.

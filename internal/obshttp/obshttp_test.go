@@ -121,19 +121,20 @@ func TestHubEndToEnd(t *testing.T) {
 	if qp.Total != 1 || len(qp.Queries) != 1 {
 		t.Fatalf("query log total=%d len=%d, want 1/1", qp.Total, len(qp.Queries))
 	}
-	e := qp.Queries[0]
-	if e.Query != "A join B on v=w" {
-		t.Errorf("logged query label %q", e.Query)
+	p := qp.Queries[0].Profile
+	if p == nil {
+		t.Fatal("log entry carries no profile")
 	}
-	if e.Matches != rep.Matches {
-		t.Errorf("logged matches %d, report %d", e.Matches, rep.Matches)
+	if p.Query != "A join B on v=w" {
+		t.Errorf("logged query label %q", p.Query)
 	}
-	if e.Profile == nil {
-		t.Error("log entry carries no profile (hooks must imply Profile)")
-	} else if len(e.Profile.Stages) != 6 {
-		t.Errorf("logged profile has %d stages, want 6", len(e.Profile.Stages))
+	if p.Matches != rep.Matches {
+		t.Errorf("logged matches %d, report %d", p.Matches, rep.Matches)
 	}
-	if e.PlanSource == "" {
+	if len(p.Stages) != 6 {
+		t.Errorf("logged profile has %d stages, want 6", len(p.Stages))
+	}
+	if p.PlanSource == "" {
 		t.Error("log entry missing plan source")
 	}
 
@@ -197,7 +198,7 @@ func TestQueryLogRingEviction(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		p := pipeline.NewProgress(fmt.Sprintf("q%d", i))
 		hooks.QueryStarted(p)
-		hooks.QueryFinished(p, nil, nil)
+		hooks.QueryFinished(p, &pipeline.Report{Query: p.Label}, nil)
 	}
 	entries := hub.Log().Entries()
 	if len(entries) != 3 {
@@ -206,7 +207,7 @@ func TestQueryLogRingEviction(t *testing.T) {
 	if got := hub.Log().Total(); got != 5 {
 		t.Errorf("total %d, want 5", got)
 	}
-	labels := []string{entries[0].Query, entries[1].Query, entries[2].Query}
+	labels := []string{entries[0].Profile.Query, entries[1].Profile.Query, entries[2].Profile.Query}
 	if labels[0] != "q2" || labels[1] != "q3" || labels[2] != "q4" {
 		t.Errorf("retained entries %v, want [q2 q3 q4] oldest first", labels)
 	}

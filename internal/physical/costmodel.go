@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"shufflejoin/internal/join"
-	"shufflejoin/internal/obs"
 )
 
 // CostParams are the empirically derived per-cell cost parameters of
@@ -58,10 +57,6 @@ type Problem struct {
 	LeftTotal  []int64   // per-unit left-side cells (hash join build/probe split)
 	RightTotal []int64
 	Comp       []float64 // C_i
-
-	// Span, when non-nil, receives per-planner observability attributes
-	// (search counters, seed cost). All planners tolerate nil.
-	Span *obs.Span
 }
 
 // NewProblem derives the per-unit aggregates and algorithm-specific unit

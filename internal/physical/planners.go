@@ -214,19 +214,13 @@ func (t TabuPlanner) Plan(pr *Problem) (Result, error) {
 			break
 		}
 	}
-	res := Result{
+	return Result{
 		Planner:    t.Name(),
 		Assignment: a,
 		Model:      pr.Evaluate(a),
 		PlanTime:   time.Since(start),
 		Search:     stats,
-	}
-	if sp := pr.Span; sp != nil {
-		sp.SetInt("tabu.rounds", int64(stats.TabuRounds))
-		sp.SetInt("tabu.moves", int64(stats.TabuMoves))
-		sp.SetInt("tabu.whatifs", stats.TabuWhatIfs)
-	}
-	return res, nil
+	}, nil
 }
 
 // tabuMove is one candidate reassignment with its what-if plan cost.
@@ -433,7 +427,7 @@ func (p ILPPlanner) Plan(pr *Problem) (Result, error) {
 		Sizes:    pr.Sizes,
 		Comp:     pr.Comp,
 		Transfer: pr.Params.Transfer,
-	}, solverOptions(pr, p.Budget, p.MaxExplored, p.Workers))
+	}, solverOptions(p.Budget, p.MaxExplored, p.Workers))
 	if err != nil {
 		return Result{}, err
 	}
@@ -451,11 +445,11 @@ func (p ILPPlanner) Plan(pr *Problem) (Result, error) {
 // solverOptions applies the planners' shared budget defaulting: with
 // neither a wall-clock nor a node budget set, fall back to the historical
 // 5-second wall-clock cap.
-func solverOptions(pr *Problem, budget time.Duration, maxExplored int64, workers int) ilp.Options {
+func solverOptions(budget time.Duration, maxExplored int64, workers int) ilp.Options {
 	if budget <= 0 && maxExplored <= 0 {
 		budget = 5 * time.Second
 	}
-	return ilp.Options{Budget: budget, MaxExplored: maxExplored, Workers: workers, Span: pr.Span}
+	return ilp.Options{Budget: budget, MaxExplored: maxExplored, Workers: workers}
 }
 
 // ilpStats maps the solver's deterministic counters into SearchStats.
@@ -508,7 +502,7 @@ func (p CoarseILPPlanner) Plan(pr *Problem) (Result, error) {
 		coarse.Sizes = append(coarse.Sizes, row)
 		coarse.Comp = append(coarse.Comp, comp)
 	}
-	sol, err := ilp.SolveOpts(coarse, solverOptions(pr, p.Budget, p.MaxExplored, p.Workers))
+	sol, err := ilp.SolveOpts(coarse, solverOptions(p.Budget, p.MaxExplored, p.Workers))
 	if err != nil {
 		return Result{}, err
 	}

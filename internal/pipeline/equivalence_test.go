@@ -2,8 +2,6 @@ package pipeline_test
 
 import (
 	"math/rand"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"shufflejoin/internal/array"
@@ -79,73 +77,5 @@ func TestOverlapDeterministicAcrossParallelism(t *testing.T) {
 		} else if fp != base {
 			t.Fatalf("fingerprint at par=%d differs from par=1", par)
 		}
-	}
-}
-
-// streamProbe records each retired span's name together with whether the
-// query had already completed at delivery time.
-type streamProbe struct {
-	mu    sync.Mutex
-	done  *atomic.Bool
-	names []string
-	late  []string // spans delivered after query completion
-}
-
-func (p *streamProbe) SpanRetired(s *obs.Span) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.names = append(p.names, s.Name)
-	if p.done.Load() {
-		p.late = append(p.late, s.Name)
-	}
-}
-
-// TestSpansStreamDuringQuery verifies the SpanSink contract end to end:
-// stage spans are delivered incrementally while the query is still
-// executing, not materialized afterwards.
-func TestSpansStreamDuringQuery(t *testing.T) {
-	a := buildArray("A<v:int>[i=1,200,20]", 21, 120, 40)
-	b := buildArray("B<w:int>[j=1,200,20]", 22, 110, 40)
-	out := array.MustParseSchema("T<i:int, j:int>[v=0,39,8]")
-	pred := join.Predicate{{Left: join.Term{Name: "v"}, Right: join.Term{Name: "w"}}}
-	c := newCluster(t, 4, a, b)
-
-	var done atomic.Bool
-	probe := &streamProbe{done: &done}
-	tr := obs.New("stream")
-	tr.AddSink(probe)
-	if _, err := pipeline.Run(c, "A", "B", pred, out, pipeline.Options{
-		Logical: logical.PlanOptions{Selectivity: 0.5},
-		Trace:   tr,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	done.Store(true)
-
-	if len(probe.late) != 0 {
-		t.Errorf("%d spans delivered only after the query completed: %v", len(probe.late), probe.late)
-	}
-	seen := make(map[string]bool)
-	for _, n := range probe.names {
-		seen[n] = true
-	}
-	for _, stage := range []string{"plan.logical", "map.slices", "plan.physical", "align", "compare"} {
-		if !seen[stage] {
-			t.Errorf("stage span %q never retired to the sink (got %v)", stage, probe.names)
-		}
-	}
-	// The align span must retire before the compare span: the sink sees
-	// the pipeline's progress in stage order, mid-query.
-	alignAt, compareAt := -1, -1
-	for i, n := range probe.names {
-		if n == "align" && alignAt == -1 {
-			alignAt = i
-		}
-		if n == "compare" && compareAt == -1 {
-			compareAt = i
-		}
-	}
-	if alignAt == -1 || compareAt == -1 || alignAt > compareAt {
-		t.Errorf("align span (idx %d) should retire before compare span (idx %d)", alignAt, compareAt)
 	}
 }

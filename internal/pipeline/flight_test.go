@@ -36,7 +36,6 @@ func TestFlightRecordingEquivalence(t *testing.T) {
 			Logical:     logical.PlanOptions{Selectivity: 0.5},
 			Parallelism: par,
 			Trace:       tr,
-			Profile:     true,
 			Flight:      fr,
 			FlightOff:   off,
 		})
@@ -55,9 +54,9 @@ func TestFlightRecordingEquivalence(t *testing.T) {
 			if gotFP != wantFP {
 				t.Errorf("trace fingerprints differ between recorded and unrecorded runs")
 			}
-			if got.Profile.Fingerprint() != want.Profile.Fingerprint() {
+			if got.Profile().Fingerprint() != want.Profile().Fingerprint() {
 				t.Errorf("profile fingerprints differ:\n--- recorded ---\n%s\n--- unrecorded ---\n%s",
-					got.Profile.Fingerprint(), want.Profile.Fingerprint())
+					got.Profile().Fingerprint(), want.Profile().Fingerprint())
 			}
 			if got.Matches != want.Matches || got.AlignTime != want.AlignTime || got.CompareTime != want.CompareTime {
 				t.Errorf("recorded run diverged: matches %d/%d align %v/%v compare %v/%v",
@@ -150,7 +149,7 @@ func TestPostmortemOnStrictBudget(t *testing.T) {
 	_, err := pipeline.Run(c, "A", "B", pred, nil, pipeline.Options{
 		Logical:      logical.PlanOptions{Selectivity: 0.5},
 		MemoryBudget: 256,
-		StrictMemory: true,
+		Strict:       true,
 		Flight:       fr,
 		Postmortem:   pm,
 	})
@@ -167,7 +166,7 @@ func TestPostmortemOnStrictBudget(t *testing.T) {
 	if meta["reason"] != "strict-budget" {
 		t.Errorf("reason = %v", meta["reason"])
 	}
-	for _, f := range []string{"flight.json", "failure.json", "report.json", "goroutines.txt", "heap.pprof"} {
+	for _, f := range []string{"flight.json", "failure.json", "profile.json", "progress.json", "goroutines.txt", "heap.pprof"} {
 		if _, err := os.Stat(filepath.Join(bundle, f)); err != nil {
 			t.Errorf("bundle missing %s: %v", f, err)
 		}
@@ -195,9 +194,9 @@ func TestPostmortemOnStrictBounds(t *testing.T) {
 	dir := t.TempDir()
 	fr := flight.New(1024)
 	_, err := pipeline.Run(c, "A", "B", pred, out, pipeline.Options{
-		StrictBounds: true,
-		Flight:       fr,
-		Postmortem:   &flight.Postmortem{Dir: dir, Flight: fr},
+		Strict:     true,
+		Flight:     fr,
+		Postmortem: &flight.Postmortem{Dir: dir, Flight: fr},
 	})
 	if !errors.Is(err, pipeline.ErrBounds) {
 		t.Fatalf("err = %v, want pipeline.ErrBounds", err)
@@ -284,7 +283,8 @@ func TestPostmortemOnPanic(t *testing.T) {
 }
 
 // TestPostmortemOnSlowQuery: a query breaching the sink's SlowQuery
-// threshold ships a bundle even though it succeeded.
+// threshold ships a bundle even though it succeeded, and the bundle's
+// profile section alone rebuilds the live profile.
 func TestPostmortemOnSlowQuery(t *testing.T) {
 	a := buildArray("A<v:int>[i=1,100,20]", 51, 40, 15)
 	b := buildArray("B<w:int>[j=1,100,20]", 52, 40, 15)
@@ -293,11 +293,13 @@ func TestPostmortemOnSlowQuery(t *testing.T) {
 	dir := t.TempDir()
 	pm := &flight.Postmortem{Dir: dir, Flight: flight.New(256), SlowQuery: time.Nanosecond}
 
-	if _, err := pipeline.Run(c, "A", "B", pred, nil, pipeline.Options{
+	rep, err := pipeline.Run(c, "A", "B", pred, nil, pipeline.Options{
 		Logical:    logical.PlanOptions{Selectivity: 0.5},
 		Flight:     pm.Flight,
 		Postmortem: pm,
-	}); err != nil {
+		QueryLabel: "slow A join B",
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	bundles := bundleDirs(t, dir)
@@ -308,9 +310,16 @@ func TestPostmortemOnSlowQuery(t *testing.T) {
 	if meta["reason"] != "slow-query" {
 		t.Errorf("reason = %v", meta["reason"])
 	}
-	// A successful slow query has a full profile to dump.
-	if _, err := os.Stat(filepath.Join(bundles[0], "profile.json")); err != nil {
-		t.Errorf("bundle missing profile.json: %v", err)
+	raw, err := os.ReadFile(filepath.Join(bundles[0], "profile.json"))
+	if err != nil {
+		t.Fatalf("bundle has no profile section: %v", err)
+	}
+	var offline pipeline.Profile
+	if err := json.Unmarshal(raw, &offline); err != nil {
+		t.Fatalf("profile.json: %v", err)
+	}
+	if got, want := offline.Fingerprint(), rep.Profile().Fingerprint(); got != want {
+		t.Errorf("profile rebuilt from the bundle diverges:\n--- bundle ---\n%s\n--- live ---\n%s", got, want)
 	}
 }
 
@@ -323,7 +332,6 @@ func TestProfileHotUnits(t *testing.T) {
 	c := newCluster(t, 3, a, b)
 	rep, err := pipeline.Run(c, "A", "B", pred, nil, pipeline.Options{
 		Logical: logical.PlanOptions{Selectivity: 0.5},
-		Profile: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -332,7 +340,7 @@ func TestProfileHotUnits(t *testing.T) {
 		t.Fatal("Report.UnitCells not populated")
 	}
 	want := flight.HotUnits(rep.UnitCells, 0, 0, 0)
-	if !reflect.DeepEqual(rep.Profile.HotUnits, want) {
-		t.Errorf("Profile.HotUnits = %+v, want %+v", rep.Profile.HotUnits, want)
+	if !reflect.DeepEqual(rep.Profile().HotUnits, want) {
+		t.Errorf("Profile.HotUnits = %+v, want %+v", rep.Profile().HotUnits, want)
 	}
 }

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"context"
 	"fmt"
+	"sync"
 	"time"
 
 	"shufflejoin/internal/array"
@@ -47,16 +48,15 @@ type Options struct {
 	// Report.MemoryOverflowBytes records how far the peak exceeded the
 	// budget, mirroring the ClampedCells pattern.
 	MemoryBudget int64
-	// StrictMemory makes a MemoryBudget violation fail the query (with
-	// an error wrapping batch.ErrBudget) instead of merely counting the
-	// overflow — the memory analogue of StrictBounds.
-	StrictMemory bool
-	// StrictBounds makes the Assemble stage fail (with an error wrapping
-	// ErrBounds) when an output cell's coordinates fall outside the
-	// destination's dimension ranges instead of silently clamping them
-	// (clamped cells can collide and overwrite each other). Clamps are
-	// counted in Report.ClampedCells either way.
-	StrictBounds bool
+	// Strict is the overflow policy: what the query does when data does
+	// not fit what was declared for it. Off, both overflows are counted
+	// (Report.ClampedCells, Report.MemoryOverflowBytes). On, an output
+	// cell outside the destination's dimension ranges fails Assemble with
+	// an error wrapping ErrBounds instead of being clamped onto the
+	// boundary (clamped cells can collide and overwrite each other), and a
+	// MemoryBudget violation fails SliceMap with an error wrapping
+	// batch.ErrBudget.
+	Strict bool
 	// ExtraCarryLeft/ExtraCarryRight name additional source attributes to
 	// carry through the shuffle (columns referenced only by SELECT
 	// expressions).
@@ -70,11 +70,10 @@ type Options struct {
 	ProjectFactory func(js *logical.JoinSchema) (func(l, r *join.Tuple) []array.Value, error)
 	// Trace, when non-nil, receives hierarchical spans (planning, align,
 	// per-transfer, per-node compare) and skew/congestion metrics for the
-	// run. Spans and metrics are recorded only from the orchestration
-	// goroutine as stages retire, so the capture is bit-for-bit identical
-	// at every Parallelism setting, and a registered obs.SpanSink sees
-	// spans incrementally while the query is still executing. Nil
-	// disables tracing at the cost of a nil check per call.
+	// run. Execute folds them out of the finished Report in one place
+	// (foldTrace), so the capture is bit-for-bit identical at every
+	// Parallelism setting; the live view of a running query is
+	// Hooks/Progress and the flight recorder. Nil disables tracing.
 	Trace *obs.Trace
 	// Cache, when non-nil, short-circuits planning for repeated queries:
 	// before planning, the query's signature (schema shape, chunk grid,
@@ -91,16 +90,10 @@ type Options struct {
 	// falling back to Planner when the greedy plan's predicted regret
 	// against the analytic lower bound exceeds the policy's ε.
 	PlanPolicy *plancache.Policy
-	// Profile makes Execute assemble an EXPLAIN ANALYZE Profile into
-	// Report.Profile after the last stage: per-stage timings, plan
-	// provenance and candidate costs, shuffle totals, and per-node skew
-	// diagnostics. Hooks imply Profile.
-	Profile bool
 	// Hooks, when non-nil, observes the query's lifecycle: QueryStarted
 	// receives a live Progress tracker before the first stage, and
-	// QueryFinished the final Report (profiled — Hooks imply Profile)
-	// after the last. The obshttp Hub implements this to serve
-	// /debug/inflight and the /debug/queries log.
+	// QueryFinished the final Report after the last. The obshttp Hub
+	// implements this to serve /debug/inflight and the /debug/queries log.
 	Hooks QueryHooks
 	// QueryLabel identifies the query in profiles, progress trackers, and
 	// query logs (typically the AQL text or an experiment label).
@@ -243,8 +236,15 @@ func Accessor(js *logical.JoinSchema, arrayName, field string) (func(l, r *join.
 // phase durations (seconds), and the materialized output. Each field's
 // comment names the pipeline stage that populates it.
 type Report struct {
+	// Query is the caller's label for the query, Options.QueryLabel
+	// (Execute).
+	Query string
 	// Logical is the chosen logical plan (LogicalPlan stage).
 	Logical logical.Plan
+	// Candidates is every plan the logical planner considered, cheapest
+	// first: the full enumeration, or the single plan of a greedy or
+	// cached query (LogicalPlan stage).
+	Candidates []logical.Plan
 	// Physical is the join-unit-to-node assignment and its modeled cost
 	// breakdown (PhysicalPlan stage).
 	Physical physical.Result
@@ -272,17 +272,13 @@ type Report struct {
 	// cache was attached (LogicalPlan/PhysicalPlan stages).
 	CacheOutcome string
 
-	// Stages is the per-stage timing log, in execution order: wall
-	// seconds (nondeterministic) and the simulated seconds each stage
-	// contributed to the modeled makespan (deterministic; the align and
-	// compare stages' entries sum to AlignTime + CompareTime). Populated
-	// by Execute for every query.
+	// Stages is the stage log, in execution order: wall seconds
+	// (nondeterministic) and the simulated seconds each stage contributed
+	// to the modeled makespan (deterministic; the align and compare
+	// stages' entries sum to AlignTime + CompareTime). Execute opens an
+	// entry when a stage starts and closes it when the stage returns, for
+	// every query.
 	Stages []StageTiming
-
-	// Profile is the query's EXPLAIN ANALYZE digest, assembled after the
-	// last stage when Options.Profile (or Options.Hooks) is set; nil
-	// otherwise (Execute).
-	Profile *Profile
 
 	// Modeled phase durations in seconds, mirroring the paper's figures:
 	// PlanTime is real planning wall-time (PhysicalPlan stage); AlignTime
@@ -309,6 +305,10 @@ type Report struct {
 	// NodeCompareTime is each node's modeled comparison seconds under the
 	// physical plan; CompareTime is its maximum (Compare stage).
 	NodeCompareTime []float64
+	// Nodes is each node's share of the plan: the join units and input
+	// cells assigned to it (PhysicalPlan stage) and the output cells it
+	// emitted (Compare stage).
+	Nodes []NodeLoad
 	// UnitCells is the per-join-unit cell total (both sides) the physical
 	// planner assigned work by — the raw material of hot-unit skew
 	// diagnostics (PhysicalPlan stage).
@@ -346,12 +346,22 @@ type Report struct {
 	// destination's dimension ranges and were clamped onto the boundary.
 	// Clamped cells can collide with real cells and overwrite them, so a
 	// nonzero count is a data-fidelity warning (or an error under
-	// Options.StrictBounds) (Assemble stage).
+	// Options.Strict) (Assemble stage).
 	ClampedCells int64
 	// Output is the materialized, sorted destination array (Assemble
 	// stage).
 	Output *array.Array
-	// WallTime is the real elapsed time of the whole pipeline (Assemble
-	// stage).
+	// WallTime is the real elapsed time of the whole pipeline, set on
+	// every exit — success, error or panic (Execute).
 	WallTime time.Duration
+
+	profile     *Profile // memoised by Profile
+	profileOnce sync.Once
+}
+
+// NodeLoad is one node's row of Report.Nodes.
+type NodeLoad struct {
+	Units         int
+	AssignedCells int64
+	OutputCells   int64
 }

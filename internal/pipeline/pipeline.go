@@ -4,9 +4,11 @@
 //
 //	LogicalPlan → SliceMap → PhysicalPlan → Align → Compare → Assemble
 //
-// — threading one QueryContext that carries the cluster, the options, the
-// observability trace, and every intermediate product from stage to
-// stage. The AQL runner, the public facade, and both CLIs all execute
+// — threading one QueryContext that carries the cluster, the options, and
+// every intermediate product from stage to stage. Stages write one record
+// of what happened, the Report; every telemetry view (spans and metrics,
+// the EXPLAIN ANALYZE profile, the query log, postmortem bundles) is a
+// fold of it. The AQL runner, the public facade, and both CLIs all execute
 // through Run / RunDistributed here. There is one data plane (bounded
 // columnar batch runs, pulled through pooled readers) and one execution
 // order (overlapped, below); Execute takes the stage list, and that seam
@@ -54,8 +56,6 @@ import (
 	"shufflejoin/internal/flight"
 	"shufflejoin/internal/join"
 	"shufflejoin/internal/logical"
-	"shufflejoin/internal/obs"
-	"shufflejoin/internal/physical"
 	"shufflejoin/internal/plancache"
 	"shufflejoin/internal/shuffle"
 	"shufflejoin/internal/simnet"
@@ -63,10 +63,10 @@ import (
 
 // Stage is one phase of query execution. Stages run strictly in order on
 // the orchestration goroutine; a stage reads its inputs from the
-// QueryContext and writes its products back into it (and into
-// QueryContext.Report). A stage may use worker goroutines internally but
-// must merge their results deterministically before returning, and must
-// record spans and metrics only from the orchestration goroutine.
+// QueryContext and writes its products back into it, and what it has to
+// report into QueryContext.Report. A stage may use worker goroutines
+// internally but must merge their results deterministically before
+// returning.
 type Stage interface {
 	Name() string
 	Run(qc *QueryContext) error
@@ -79,9 +79,7 @@ func DefaultStages() []Stage {
 
 // QueryContext is the shared state one query threads through its stages:
 // the immutable query inputs (cluster, sources, predicate, destination,
-// options) plus each stage's products. The observability trace rides in
-// Opt.Trace; stages retire spans into it as they finish, so a registered
-// obs.SpanSink sees the query's progress incrementally.
+// options) plus each stage's products.
 type QueryContext struct {
 	Cluster     *cluster.Cluster
 	Left, Right *cluster.Distributed
@@ -90,7 +88,6 @@ type QueryContext struct {
 	Opt         *Options
 	Report      *Report
 
-	wallStart   time.Time
 	explainOnly bool            // LogicalPlan stage: enumerate but do not select
 	ctx         context.Context // resolved Opt.Ctx; checked between stages and per unit
 
@@ -101,6 +98,13 @@ type QueryContext struct {
 	fr  *flight.Recorder
 	qid uint32
 
+	// Stage-log state (beginStage/endStage): the live tracker Options.Hooks
+	// is handed, which also holds the query's start time, and the open
+	// stage's baselines.
+	prog                       Progress
+	stageStart                 time.Time
+	alignBefore, compareBefore float64
+
 	// Plan-cache state (LogicalPlan stage, only when Opt.Cache is set).
 	sig      plancache.Signature // this query's cache signature
 	cached   *plancache.Entry    // hit awaiting revalidation in PhysicalPlan
@@ -110,12 +114,10 @@ type QueryContext struct {
 	compareSlot bool // holding the gate's compare slot
 
 	// Stage products, in the order they are produced.
-	plans     []logical.Plan    // LogicalPlan: every valid plan, cheapest first
-	plan      *logical.Plan     // LogicalPlan: the chosen plan
+	plan      *logical.Plan     // &Report.Logical: the chosen plan, once LogicalPlan has run
 	spec      *shuffle.UnitSpec // SliceMap: join-unit geometry
 	rsl, rsr  *shuffle.RunSet   // SliceMap: per-side batch runs
 	budget    *batch.Budget     // SliceMap: per-query memory accountant
-	prob      *physical.Problem // PhysicalPlan: cost-model problem instance
 	nodeUnits [][]int           // PhysicalPlan: units assigned to each node
 	transfers []simnet.Transfer // Align: the shuffle's network transfers
 	outArr    *array.Array      // Align: destination array (built pre-shuffle)
@@ -128,16 +130,18 @@ type QueryContext struct {
 // copied; stages normalize it in place.
 func NewQueryContext(c *cluster.Cluster, dl, dr *cluster.Distributed, pred join.Predicate, out *array.Schema, opt Options) *QueryContext {
 	o := opt
+	rep := &Report{Query: o.QueryLabel}
 	return &QueryContext{
-		Cluster:   c,
-		Left:      dl,
-		Right:     dr,
-		Pred:      pred,
-		Out:       out,
-		Opt:       &o,
-		Report:    &Report{},
-		wallStart: time.Now(),
-		ctx:       o.ctx(),
+		Cluster: c,
+		Left:    dl,
+		Right:   dr,
+		Pred:    pred,
+		Out:     out,
+		Opt:     &o,
+		Report:  rep,
+		ctx:     o.ctx(),
+		plan:    &rep.Logical,
+		prog:    Progress{Label: rep.Query, Start: time.Now(), rep: rep},
 	}
 }
 
@@ -150,34 +154,26 @@ func (qc *QueryContext) releaseCompareSlot() {
 	}
 }
 
-// Execute runs the stages in order, stopping at the first error. Around
-// the stages it maintains the query's observability surface: per-stage
-// timings into Report.Stages (wall seconds plus the deterministic
-// simulated seconds each stage added to the modeled makespan), a live
-// Progress tracker delivered to Options.Hooks, and — when profiling is
-// enabled — the EXPLAIN ANALYZE Profile assembled into Report.Profile
-// after the last stage.
+// Execute runs the stages in order, stopping at the first error. The
+// stage log (beginStage/endStage) brackets each stage; when the last one
+// has returned, publish folds the Report into every telemetry view.
 func Execute(qc *QueryContext, stages []Stage) error {
-	opt := qc.Opt
+	opt, rep := qc.Opt, qc.Report
 	qc.fr = opt.flightRecorder()
 	qc.qid = qc.fr.NextQID()
-	pm := opt.postmortem()
-	var prog *Progress
 	if opt.Hooks != nil {
-		prog = newProgress(opt.QueryLabel)
-		opt.Hooks.QueryStarted(prog)
+		opt.Hooks.QueryStarted(&qc.prog)
 	}
-	qc.fr.Record(flight.EvQueryStart, qc.qid, qc.fr.Label(opt.QueryLabel), 0, 0, 0)
-	var stageName string
+	qc.fr.Record(flight.EvQueryStart, qc.qid, qc.fr.Label(rep.Query), 0, 0, 0)
 	defer func() {
 		if r := recover(); r != nil {
 			// A panicking stage still ships its own investigation: dump
 			// the flight trail and whatever the query had produced, then
 			// let the panic continue to the caller.
-			qc.fr.Record(flight.EvPostmortem, qc.qid, qc.fr.Label("panic"), 0, 0, 0)
-			capturePostmortem(pm, "panic", qc, prog, map[string]any{
+			rep.WallTime = time.Since(qc.prog.Start)
+			qc.capturePostmortem("panic", map[string]any{
 				"panic": fmt.Sprint(r),
-				"stage": stageName,
+				"stage": rep.lastStage(),
 				"stack": string(debug.Stack()),
 			})
 			panic(r)
@@ -187,27 +183,13 @@ func Execute(qc *QueryContext, stages []Stage) error {
 	for _, st := range stages {
 		// Honor cancellation at every stage boundary (including before
 		// the first stage, so a pre-canceled query never plans).
-		if err := qc.ctx.Err(); err != nil {
-			execErr = err
+		if execErr = qc.ctx.Err(); execErr != nil {
 			break
 		}
-		start := time.Now()
-		stageName = st.Name()
-		prog.stageStarted(stageName)
-		qc.fr.Record(flight.EvStageStart, qc.qid, qc.fr.Label(stageName), 0, 0, 0)
-		alignBefore, compareBefore := qc.Report.AlignTime, qc.Report.CompareTime
-		err := st.Run(qc)
-		wall := time.Since(start)
-		sim := (qc.Report.AlignTime - alignBefore) + (qc.Report.CompareTime - compareBefore)
-		qc.Report.Stages = append(qc.Report.Stages, StageTiming{
-			Stage:       stageName,
-			WallSeconds: wall.Seconds(),
-			SimSeconds:  sim,
-		})
-		qc.fr.Record(flight.EvStageFinish, qc.qid, qc.fr.Label(stageName), int64(wall), flight.F(sim), 0)
-		prog.stageFinished(wall)
-		if err != nil {
-			execErr = err
+		qc.beginStage(st.Name())
+		execErr = st.Run(qc)
+		qc.endStage(execErr)
+		if execErr != nil {
 			break
 		}
 	}
@@ -219,29 +201,22 @@ func Execute(qc *QueryContext, stages []Stage) error {
 		qc.releaseCompareSlot()
 	}
 	qc.planning.Finish()
-	if execErr == nil && (opt.Profile || opt.Hooks != nil) {
-		qc.Report.Profile = buildProfile(qc)
-	}
-	if tr := opt.Trace; tr.Enabled() {
-		reg := tr.Metrics()
-		reg.Counter("pipeline.query_count").Add(1)
-		if execErr != nil {
-			reg.Counter("pipeline.query_errors").Add(1)
-		} else {
-			// Align+compare, not Report.Total: Total folds in real
-			// planning wall-time, and the histogram must stay
-			// bit-identical at every Parallelism setting (trace
-			// fingerprints hash it exactly).
-			reg.Histogram("pipeline.modeled_seconds", obs.PowersOf2Buckets(1, 12)).Observe(qc.Report.AlignTime + qc.Report.CompareTime)
-		}
-	}
-	wall := time.Since(qc.wallStart)
+	rep.WallTime = time.Since(qc.prog.Start)
+	qc.publish(execErr)
+	return execErr
+}
+
+// publish is the one place a finished query's Report becomes telemetry:
+// the span tree and metrics, the closing flight events, a postmortem
+// bundle when the outcome calls for one, and the hooks' QueryFinished.
+func (qc *QueryContext) publish(execErr error) {
+	opt, rep := qc.Opt, qc.Report
+	foldTrace(opt.Trace, rep, qc.prog.Start, execErr != nil)
 	if execErr != nil {
-		qc.fr.Record(flight.EvQueryError, qc.qid, qc.fr.Label(stageName), qc.fr.Label(execErr.Error()), 0, 0)
-		canceled := errors.Is(execErr, context.Canceled) || errors.Is(execErr, context.DeadlineExceeded)
-		if !canceled {
-			// Cancellation and timeouts are the caller's decision, not an
-			// engine failure — no diagnostic bundle for those.
+		qc.fr.Record(flight.EvQueryError, qc.qid, qc.fr.Label(rep.lastStage()), qc.fr.Label(execErr.Error()), 0, 0)
+		// Cancellation and timeouts are the caller's decision, not an
+		// engine failure — no diagnostic bundle for those.
+		if !errors.Is(execErr, context.Canceled) && !errors.Is(execErr, context.DeadlineExceeded) {
 			reason := "query-error"
 			switch {
 			case errors.Is(execErr, batch.ErrBudget):
@@ -249,90 +224,50 @@ func Execute(qc *QueryContext, stages []Stage) error {
 			case errors.Is(execErr, ErrBounds):
 				reason = "strict-bounds"
 			}
-			qc.fr.Record(flight.EvPostmortem, qc.qid, qc.fr.Label(reason), 0, 0, 0)
-			capturePostmortem(pm, reason, qc, prog, map[string]any{
+			qc.capturePostmortem(reason, map[string]any{
 				"error": execErr.Error(),
-				"stage": stageName,
+				"stage": rep.lastStage(),
 			})
 		}
 	} else {
-		qc.fr.Record(flight.EvQueryFinish, qc.qid, qc.Report.Matches,
-			flight.F(qc.Report.AlignTime+qc.Report.CompareTime), int64(wall), 0)
-		if pm != nil && pm.SlowQuery > 0 && wall >= pm.SlowQuery {
-			qc.fr.Record(flight.EvPostmortem, qc.qid, qc.fr.Label("slow-query"), 0, 0, 0)
-			capturePostmortem(pm, "slow-query", qc, prog, map[string]any{
-				"wall":      wall.String(),
+		qc.fr.Record(flight.EvQueryFinish, qc.qid, rep.Matches,
+			flight.F(rep.AlignTime+rep.CompareTime), int64(rep.WallTime), 0)
+		if pm := opt.postmortem(); pm != nil && pm.SlowQuery > 0 && rep.WallTime >= pm.SlowQuery {
+			qc.capturePostmortem("slow-query", map[string]any{
+				"wall":      rep.WallTime.String(),
 				"threshold": pm.SlowQuery.String(),
 			})
 		}
 	}
-	if prog != nil {
-		prog.finish(execErr != nil)
-		opt.Hooks.QueryFinished(prog, qc.Report, execErr)
+	if opt.Hooks != nil {
+		qc.prog.finish(execErr != nil)
+		opt.Hooks.QueryFinished(&qc.prog, rep, execErr)
 	}
-	return execErr
 }
 
-// capturePostmortem assembles a bundle's evidence sections from the
-// query's current state and writes it through pm. Capture errors are
-// swallowed: a failing diagnostic dump must never mask the query's own
-// outcome (and the bundle cap makes over-capture routine, not
-// exceptional).
-func capturePostmortem(pm *flight.Postmortem, reason string, qc *QueryContext, prog *Progress, failure map[string]any) {
+// lastStage names the stage the query was in when it stopped.
+func (rep *Report) lastStage() string {
+	if n := len(rep.Stages); n > 0 {
+		return rep.Stages[n-1].Stage
+	}
+	return ""
+}
+
+// capturePostmortem marks the flight trail and writes a bundle of the
+// query's current state through the configured sink, if there is one.
+// Capture errors are swallowed: a failing diagnostic dump must never mask
+// the query's own outcome (and the bundle cap makes over-capture routine,
+// not exceptional).
+func (qc *QueryContext) capturePostmortem(reason string, failure map[string]any) {
+	qc.fr.Record(flight.EvPostmortem, qc.qid, qc.fr.Label(reason), 0, 0, 0)
+	pm := qc.Opt.postmortem()
 	if pm == nil {
 		return
 	}
-	sections := []flight.Section{
-		{Name: "failure", Value: failure},
-		{Name: "report", Value: reportDigest(qc.Report)},
-	}
-	if qc.Report.Profile != nil {
-		sections = append(sections, flight.Section{Name: "profile", Value: qc.Report.Profile})
-	} else if prof := buildProfileSafe(qc); prof != nil {
-		sections = append(sections, flight.Section{Name: "profile", Value: prof})
-	}
-	if prog != nil {
-		sections = append(sections, flight.Section{Name: "progress", Value: prog.Snapshot()})
-	}
-	pm.Capture(reason, sections...)
-}
-
-// buildProfileSafe assembles the EXPLAIN ANALYZE profile for a bundle
-// even when the query died mid-pipeline, shielding the dump from
-// secondary panics over half-built stage products.
-func buildProfileSafe(qc *QueryContext) (p *Profile) {
-	defer func() { recover() }()
-	return buildProfile(qc)
-}
-
-// reportDigest is the bundle's report section: the Report minus its
-// materialized output array (which can be arbitrarily large and is not
-// diagnostic evidence).
-func reportDigest(rep *Report) map[string]any {
-	if rep == nil {
-		return nil
-	}
-	return map[string]any{
-		"plan_source":           rep.PlanSource,
-		"cache_outcome":         rep.CacheOutcome,
-		"selectivity":           rep.Selectivity,
-		"stages":                rep.Stages,
-		"plan_seconds":          rep.PlanTime,
-		"align_seconds":         rep.AlignTime,
-		"compare_seconds":       rep.CompareTime,
-		"total_seconds":         rep.Total,
-		"matches":               rep.Matches,
-		"cells_moved":           rep.CellsMoved,
-		"node_compare_seconds":  rep.NodeCompareTime,
-		"unit_cells":            rep.UnitCells,
-		"skew":                  rep.Skew,
-		"straggler_node":        rep.StragglerNode,
-		"lock_wait_seconds":     rep.LockWaitSeconds,
-		"peak_batch_bytes":      rep.PeakBatchBytes,
-		"memory_overflow_bytes": rep.MemoryOverflowBytes,
-		"clamped_cells":         rep.ClampedCells,
-		"wall":                  rep.WallTime.String(),
-	}
+	pm.Capture(reason,
+		flight.Section{Name: "failure", Value: failure},
+		flight.Section{Name: "profile", Value: qc.Report.Profile()},
+		flight.Section{Name: "progress", Value: qc.prog.Snapshot()})
 }
 
 // Run executes τ = left ⋈ right over the cluster through the full
@@ -377,8 +312,8 @@ func Explain(c *cluster.Cluster, dl, dr *cluster.Distributed, pred join.Predicat
 	}
 	return &Explanation{
 		Selectivity: qc.Report.Selectivity,
-		Units:       qc.plans[0].Units.String(),
-		NumUnits:    qc.plans[0].NumUnits,
-		Plans:       qc.plans,
+		Units:       qc.Report.Candidates[0].Units.String(),
+		NumUnits:    qc.Report.Candidates[0].NumUnits,
+		Plans:       qc.Report.Candidates,
 	}, nil
 }

@@ -2,11 +2,10 @@
 // structured, serializable digest of one query's run — per-stage wall and
 // simulated timings, plan provenance (source, regret, cache outcome,
 // candidate costs), shuffle transfer totals, and per-node work/skew
-// diagnostics — assembled by Execute from the same deterministic Report
-// the observability spans are derived from. Everything except wall-clock
-// fields is bit-for-bit identical at every Parallelism setting;
-// Fingerprint masks the wall-clock fields so tests can assert exactly
-// that.
+// diagnostics — a pure function of the Report (Report.Profile), like the
+// observability spans (foldTrace). Everything except wall-clock fields is
+// bit-for-bit identical at every Parallelism setting; Fingerprint masks
+// the wall-clock fields so tests can assert exactly that.
 
 package pipeline
 
@@ -19,13 +18,16 @@ import (
 	"shufflejoin/internal/flight"
 )
 
-// StageTiming is one pipeline stage's timing in Report.Stages and
-// Profile.Stages. WallSeconds is real elapsed time (nondeterministic);
-// SimSeconds is the simulated-cluster seconds the stage contributed to
-// the query's modeled makespan (deterministic; nonzero only for the
-// align and compare stages).
+// StageTiming is one pipeline stage's entry in the stage log:
+// Report.Stages, Profile.Stages and ProgressSnapshot.Stages. Done is set
+// once the stage has returned without error, so a running stage and the
+// stage a query failed in both read false. WallSeconds is real elapsed
+// time (nondeterministic); SimSeconds is the simulated-cluster seconds
+// the stage contributed to the query's modeled makespan (deterministic;
+// nonzero only for the align and compare stages).
 type StageTiming struct {
 	Stage       string  `json:"stage"`
+	Done        bool    `json:"done"`
 	WallSeconds float64 `json:"wall_seconds"`
 	SimSeconds  float64 `json:"sim_seconds"`
 }
@@ -136,15 +138,18 @@ type Profile struct {
 	Anomalies []string `json:"anomalies,omitempty"`
 }
 
-// buildProfile assembles the query's Profile from the finished
-// QueryContext. Called by Execute after the last stage, on the
-// orchestration goroutine, only when every stage succeeded.
-func buildProfile(qc *QueryContext) *Profile {
-	rep := qc.Report
+// Profile returns the query's EXPLAIN ANALYZE digest. It reads nothing
+// but the Report, so a failed query's report profiles as far as the query
+// got. The result is built on the first call and shared by later ones;
+// call it once the query has finished.
+func (rep *Report) Profile() *Profile {
+	rep.profileOnce.Do(func() { rep.profile = buildProfile(rep) })
+	return rep.profile
+}
+
+func buildProfile(rep *Report) *Profile {
 	p := &Profile{
-		Query:               qc.Opt.QueryLabel,
-		Plan:                rep.Logical.Describe(),
-		Algorithm:           rep.Logical.Algo.String(),
+		Query:               rep.Query,
 		Planner:             rep.Physical.Planner,
 		PlanSource:          rep.PlanSource,
 		PlanRegret:          rep.PlanRegret,
@@ -173,10 +178,14 @@ func buildProfile(qc *QueryContext) *Profile {
 			MakespanSeconds: rep.Align.Makespan,
 		},
 	}
+	if rep.Logical.JS != nil { // unset until LogicalPlan has chosen
+		p.Plan = rep.Logical.Describe()
+		p.Algorithm = rep.Logical.Algo.String()
+	}
 	for _, st := range rep.Stages {
 		p.MakespanSeconds += st.SimSeconds
 	}
-	for _, lp := range qc.plans {
+	for _, lp := range rep.Candidates {
 		p.Candidates = append(p.Candidates, PlanCandidate{
 			Plan:        lp.Describe(),
 			Algorithm:   lp.Algo.String(),
@@ -188,20 +197,8 @@ func buildProfile(qc *QueryContext) *Profile {
 			Chosen:      lp.Describe() == p.Plan && lp.Algo == rep.Logical.Algo,
 		})
 	}
-	k := qc.Cluster.K
-	for node := 0; node < k; node++ {
-		np := NodeProfile{Node: node}
-		if node < len(qc.nodeUnits) {
-			np.Units = len(qc.nodeUnits[node])
-			if qc.prob != nil {
-				for _, u := range qc.nodeUnits[node] {
-					np.AssignedCells += qc.prob.UnitTotal[u]
-				}
-			}
-		}
-		if node < len(qc.nodes) {
-			np.OutputCells = int64(len(qc.nodes[node].cells))
-		}
+	for node, nl := range rep.Nodes {
+		np := NodeProfile{Node: node, Units: nl.Units, AssignedCells: nl.AssignedCells, OutputCells: nl.OutputCells}
 		if node < len(rep.NodeCompareTime) {
 			np.CompareSeconds = rep.NodeCompareTime[node]
 		}

@@ -2,6 +2,7 @@ package pipeline_test
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -22,7 +23,6 @@ func profiledRun(t *testing.T, par int) *pipeline.Report {
 	rep, err := pipeline.Run(c, "A", "B", pred, out, pipeline.Options{
 		Logical:     logical.PlanOptions{Selectivity: 0.5},
 		Parallelism: par,
-		Profile:     true,
 		QueryLabel:  "A join B on v=w",
 	})
 	if err != nil {
@@ -37,10 +37,7 @@ func profiledRun(t *testing.T, par int) *pipeline.Report {
 // align+compare modeled times.
 func TestProfileStageSimsSumToMakespan(t *testing.T) {
 	rep := profiledRun(t, 0)
-	p := rep.Profile
-	if p == nil {
-		t.Fatal("Options.Profile set but Report.Profile is nil")
-	}
+	p := rep.Profile()
 	var sum float64
 	for _, st := range p.Stages {
 		sum += st.SimSeconds
@@ -86,6 +83,41 @@ func TestProfileStageSimsSumToMakespan(t *testing.T) {
 	}
 }
 
+// TestStageWallsSumToWallTime is the wall-clock side of the accounting
+// identity: the stage log covers the query, so on a query big enough for
+// the bookkeeping between stages not to matter (50k cells) the per-stage
+// wall seconds sum to at least 98% of the Report's WallTime. A pause that
+// lands between two stages (GC, a descheduled goroutine) only ever widens
+// the gap, so one run in five meeting the bound shows the log has no hole.
+func TestStageWallsSumToWallTime(t *testing.T) {
+	a := buildArray("A<v:int>[i=1,40000,2000]", 91, 25000, 20000)
+	b := buildArray("B<w:int>[j=1,40000,2000]", 92, 25000, 20000)
+	pred := join.Predicate{{Left: join.Term{Name: "v"}, Right: join.Term{Name: "w"}}}
+	var last string
+	for attempt := 0; attempt < 5; attempt++ {
+		c := newCluster(t, 4, a.Clone(), b.Clone())
+		rep, err := pipeline.Run(c, "A", "B", pred, nil, pipeline.Options{
+			Logical: logical.PlanOptions{Selectivity: 0.5},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sum float64
+		for _, st := range rep.Stages {
+			sum += st.WallSeconds
+		}
+		wall := rep.WallTime.Seconds()
+		if sum > wall {
+			t.Fatalf("stage walls sum to %.6fs, more than the %.6fs query: %+v", sum, wall, rep.Stages)
+		}
+		if sum >= 0.98*wall {
+			return
+		}
+		last = fmt.Sprintf("%.6fs of %.6fs (%.1f%%): %+v", sum, wall, 100*sum/wall, rep.Stages)
+	}
+	t.Errorf("stage walls never reached 98%% of the query's wall time; last run %s", last)
+}
+
 // TestProfileDeterministicAcrossParallelism is the acceptance bar: the
 // profile (wall-clock fields masked) is bit-identical at Parallelism 1,
 // 4, and 0.
@@ -93,7 +125,7 @@ func TestProfileDeterministicAcrossParallelism(t *testing.T) {
 	var base string
 	for i, par := range []int{1, 4, 0} {
 		rep := profiledRun(t, par)
-		fp := rep.Profile.Fingerprint()
+		fp := rep.Profile().Fingerprint()
 		if i == 0 {
 			base = fp
 			continue
@@ -110,7 +142,7 @@ func TestProfileDeterministicAcrossParallelism(t *testing.T) {
 // stable encoding.
 func TestProfileRenderAndJSON(t *testing.T) {
 	rep := profiledRun(t, 0)
-	p := rep.Profile
+	p := rep.Profile()
 	s := p.String()
 	for _, want := range []string{"EXPLAIN ANALYZE", "A join B on v=w", "stages", "shuffle:", "nodes", "candidates", "logical-plan", "align", "compare"} {
 		if !strings.Contains(s, want) {
@@ -146,23 +178,22 @@ func TestProfileCacheOutcome(t *testing.T) {
 	opts := pipeline.Options{
 		Logical: logical.PlanOptions{Selectivity: 0.5},
 		Cache:   cache,
-		Profile: true,
 	}
 	rep1, err := pipeline.Run(c, "A", "B", pred, out, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep1.Profile.CacheOutcome != "miss" {
-		t.Errorf("first run cache outcome = %q, want miss", rep1.Profile.CacheOutcome)
+	if rep1.Profile().CacheOutcome != "miss" {
+		t.Errorf("first run cache outcome = %q, want miss", rep1.Profile().CacheOutcome)
 	}
 	rep2, err := pipeline.Run(c, "A", "B", pred, out, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep2.Profile.CacheOutcome != "hit" {
-		t.Errorf("second run cache outcome = %q, want hit", rep2.Profile.CacheOutcome)
+	if rep2.Profile().CacheOutcome != "hit" {
+		t.Errorf("second run cache outcome = %q, want hit", rep2.Profile().CacheOutcome)
 	}
-	if rep2.Profile.PlanSource != pipeline.PlanSourceCached {
-		t.Errorf("second run plan source = %q, want %q", rep2.Profile.PlanSource, pipeline.PlanSourceCached)
+	if rep2.Profile().PlanSource != pipeline.PlanSourceCached {
+		t.Errorf("second run plan source = %q, want %q", rep2.Profile().PlanSource, pipeline.PlanSourceCached)
 	}
 }

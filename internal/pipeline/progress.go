@@ -3,15 +3,16 @@ package pipeline
 import (
 	"sync"
 	"time"
+
+	"shufflejoin/internal/flight"
 )
 
 // QueryHooks observes the lifecycle of queries executed through the
 // pipeline. Set on Options.Hooks, a hooks implementation receives each
 // query's live Progress tracker when execution starts and the finished
-// Report (with its Profile — hooks imply profiling) when it ends. The
-// obshttp Hub implements this interface to back /debug/inflight and the
-// /debug/queries log; custom schedulers can implement it to meter
-// admission.
+// Report when it ends. The obshttp Hub implements this interface to back
+// /debug/inflight and the /debug/queries log; custom schedulers can
+// implement it to meter admission.
 //
 // Both methods are called from the query's orchestration goroutine, so a
 // hooks implementation shared across concurrent queries must be
@@ -21,16 +22,14 @@ type QueryHooks interface {
 	// stage runs. The tracker is live: Snapshot may be called from any
 	// goroutine while the query executes.
 	QueryStarted(p *Progress)
-	// QueryFinished delivers the final report (nil Profile on error) after
-	// the last stage — or the failing stage — returns.
+	// QueryFinished delivers the final report — as far as the query got,
+	// on error — after the last stage or the failing one returns.
 	QueryFinished(p *Progress, rep *Report, err error)
 }
 
-// Progress tracks one in-flight query's position in the six-stage
-// pipeline. The orchestration goroutine appends a StageProgress as each
-// stage starts and closes it when the stage returns; Snapshot can be read
-// concurrently from HTTP handlers or schedulers. A nil *Progress is a
-// valid disabled instance.
+// Progress is the live, concurrently readable view of one in-flight
+// query's stage log: Snapshot, from an HTTP handler or a scheduler,
+// copies the Report.Stages the orchestration goroutine is appending to.
 type Progress struct {
 	// Label identifies the query (the AQL text or an experiment label);
 	// set from Options.QueryLabel.
@@ -38,70 +37,59 @@ type Progress struct {
 	// Start is when execution began (wall clock).
 	Start time.Time
 
-	mu     sync.Mutex
-	stages []StageProgress
+	mu     sync.Mutex // held by the stage log while it writes rep.Stages
+	rep    *Report    // nil for a tracker made by NewProgress
 	done   bool
 	failed bool
-}
-
-// StageProgress is one stage's entry in a Progress (and in
-// ProgressSnapshot.Stages): the stage name, whether it has finished, and
-// its wall duration once done. Wall durations are nondeterministic.
-type StageProgress struct {
-	Stage       string  `json:"stage"`
-	Done        bool    `json:"done"`
-	WallSeconds float64 `json:"wall_seconds"`
 }
 
 // ProgressSnapshot is a point-in-time copy of a Progress, safe to retain
 // and serialize.
 type ProgressSnapshot struct {
-	Query          string          `json:"query"`
-	Start          time.Time       `json:"start"`
-	ElapsedSeconds float64         `json:"elapsed_seconds"`
-	Done           bool            `json:"done"`
-	Failed         bool            `json:"failed"`
-	CurrentStage   string          `json:"current_stage,omitempty"`
-	Stages         []StageProgress `json:"stages"`
+	Query          string        `json:"query"`
+	Start          time.Time     `json:"start"`
+	ElapsedSeconds float64       `json:"elapsed_seconds"`
+	Done           bool          `json:"done"`
+	Failed         bool          `json:"failed"`
+	CurrentStage   string        `json:"current_stage,omitempty"`
+	Stages         []StageTiming `json:"stages"`
 }
 
-// NewProgress returns a live tracker for a query labeled label, started
-// now. Execute creates one per hooked query; exported so hook
-// implementations (and their tests) can drive the interface directly.
+// NewProgress returns a tracker with no stages for a query labeled
+// label, started now: what a hooks implementation's tests drive the
+// interface with. A query's own tracker also follows its stage log.
 func NewProgress(label string) *Progress {
 	return &Progress{Label: label, Start: time.Now()}
 }
 
-func newProgress(label string) *Progress { return NewProgress(label) }
-
-// stageStarted opens a new stage entry.
-func (p *Progress) stageStarted(name string) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	p.stages = append(p.stages, StageProgress{Stage: name})
-	p.mu.Unlock()
+// beginStage and endStage are the stage log: the one pair of calls
+// Execute makes around every stage. Between them they append the stage's
+// StageTiming to Report.Stages — under the Progress lock, for Snapshot's
+// sake — and record the two flight events.
+func (qc *QueryContext) beginStage(name string) {
+	rep := qc.Report
+	qc.stageStart = time.Now()
+	qc.alignBefore, qc.compareBefore = rep.AlignTime, rep.CompareTime
+	qc.prog.mu.Lock()
+	rep.Stages = append(rep.Stages, StageTiming{Stage: name})
+	qc.prog.mu.Unlock()
+	qc.fr.Record(flight.EvStageStart, qc.qid, qc.fr.Label(name), 0, 0, 0)
 }
 
-// stageFinished closes the most recently started stage.
-func (p *Progress) stageFinished(wall time.Duration) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	if n := len(p.stages); n > 0 {
-		p.stages[n-1].Done = true
-		p.stages[n-1].WallSeconds = wall.Seconds()
-	}
-	p.mu.Unlock()
+func (qc *QueryContext) endStage(err error) {
+	rep := qc.Report
+	wall := time.Since(qc.stageStart)
+	st := &rep.Stages[len(rep.Stages)-1]
+	qc.prog.mu.Lock()
+	st.WallSeconds = wall.Seconds()
+	st.SimSeconds = (rep.AlignTime - qc.alignBefore) + (rep.CompareTime - qc.compareBefore)
+	st.Done = err == nil
+	qc.prog.mu.Unlock()
+	qc.fr.Record(flight.EvStageFinish, qc.qid, qc.fr.Label(st.Stage), int64(wall), flight.F(st.SimSeconds), 0)
 }
 
 // finish marks the query complete.
 func (p *Progress) finish(failed bool) {
-	if p == nil {
-		return
-	}
 	p.mu.Lock()
 	p.done = true
 	p.failed = failed
@@ -110,9 +98,6 @@ func (p *Progress) finish(failed bool) {
 
 // Snapshot returns a consistent copy of the tracker's current state.
 func (p *Progress) Snapshot() ProgressSnapshot {
-	if p == nil {
-		return ProgressSnapshot{}
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	s := ProgressSnapshot{
@@ -121,15 +106,12 @@ func (p *Progress) Snapshot() ProgressSnapshot {
 		ElapsedSeconds: time.Since(p.Start).Seconds(),
 		Done:           p.done,
 		Failed:         p.failed,
-		Stages:         append([]StageProgress(nil), p.stages...),
 	}
-	if !p.done {
-		for i := len(p.stages) - 1; i >= 0; i-- {
-			if !p.stages[i].Done {
-				s.CurrentStage = p.stages[i].Stage
-				break
-			}
-		}
+	if p.rep != nil {
+		s.Stages = append(s.Stages, p.rep.Stages...)
+	}
+	if n := len(s.Stages); n > 0 && !p.done && !s.Stages[n-1].Done {
+		s.CurrentStage = s.Stages[n-1].Stage
 	}
 	return s
 }

@@ -160,11 +160,12 @@ func (r refCompare) Run(qc *QueryContext) error {
 		addPostJoinTime(no, qc.plan)
 		rep.JoinStats.Add(no.stats)
 		rep.NodeCompareTime[node] = no.time
+		rep.Nodes[node].OutputCells = int64(len(no.cells))
 		if no.time > rep.CompareTime {
 			rep.CompareTime = no.time
 		}
 	}
 	rep.Matches = rep.JoinStats.Matches
-	rep.Skew, rep.StragglerNode = skewOf(rep.NodeCompareTime)
+	rep.Skew, rep.StragglerNode = SkewOf(rep.NodeCompareTime)
 	return nil
 }

@@ -205,7 +205,7 @@ func TestClampedCellsCounted(t *testing.T) {
 
 func TestStrictBoundsRejectsClamp(t *testing.T) {
 	c, out, pred, _ := clampSetup(t)
-	_, err := pipeline.Run(c, "A", "B", pred, out, pipeline.Options{StrictBounds: true})
+	_, err := pipeline.Run(c, "A", "B", pred, out, pipeline.Options{Strict: true})
 	if !errors.Is(err, pipeline.ErrBounds) {
 		t.Errorf("StrictBounds on out-of-range output cells: err = %v, want pipeline.ErrBounds", err)
 	}
@@ -217,7 +217,7 @@ func TestStrictBoundsAcceptsInRange(t *testing.T) {
 	out := array.MustParseSchema("T<i:int, j:int>[v=0,39,8]") // covers the domain
 	pred := join.Predicate{{Left: join.Term{Name: "v"}, Right: join.Term{Name: "w"}}}
 	c := newCluster(t, 4, a, b)
-	rep, err := pipeline.Run(c, "A", "B", pred, out, pipeline.Options{StrictBounds: true})
+	rep, err := pipeline.Run(c, "A", "B", pred, out, pipeline.Options{Strict: true})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

@@ -11,7 +11,6 @@ import (
 	"shufflejoin/internal/flight"
 	"shufflejoin/internal/join"
 	"shufflejoin/internal/logical"
-	"shufflejoin/internal/obs"
 	"shufflejoin/internal/physical"
 	"shufflejoin/internal/plancache"
 	"shufflejoin/internal/shuffle"
@@ -45,21 +44,15 @@ func (LogicalPlan) Run(qc *QueryContext) error {
 			// Hit (direct or suppressed): replay the stored logical plan;
 			// the physical stage revalidates the assignment against fresh
 			// slice statistics.
-			opt.Trace.Metrics().Counter("plancache.hit").Add(1)
-			if outcome == "suppressed" {
-				opt.Trace.Metrics().Counter("plancache.suppressed").Add(1)
-			}
 			qc.fr.Record(flight.EvPlanCache, qc.qid, qc.fr.Label(outcome), 0, 0, 0)
-			lp := e.Logical
-			qc.plan, qc.cached = &lp, e
-			qc.plans = []logical.Plan{lp}
-			qc.Report.Logical = lp
+			qc.cached = e
+			qc.Report.Candidates = []logical.Plan{e.Logical}
+			qc.Report.Logical = e.Logical
 			qc.Report.Selectivity = e.Selectivity
 			qc.Report.PlanSource = PlanSourceCached
 			qc.Report.CacheOutcome = outcome
 			return nil
 		}
-		opt.Trace.Metrics().Counter("plancache.miss").Add(1)
 		qc.fr.Record(flight.EvPlanCache, qc.qid, qc.fr.Label("miss"), 0, 0, 0)
 		qc.Report.CacheOutcome = "miss"
 	}
@@ -96,7 +89,6 @@ func (LogicalPlan) Run(qc *QueryContext) error {
 		// (histogram-based power-law estimation; see internal/cardinality).
 		lopt.Selectivity = EstimateSelectivity(c, src, sa.Cells, sb.Cells)
 	}
-	sp := opt.Trace.Root().Child("plan.logical")
 	if opt.PlanPolicy != nil && opt.ForceAlgo == nil && !qc.explainOnly {
 		// Greedy fast path: constant-size candidate set instead of the
 		// full Algorithm-1 sweep (see logical.GreedyChoose). ForceAlgo
@@ -105,13 +97,8 @@ func (LogicalPlan) Run(qc *QueryContext) error {
 		if err != nil {
 			return err
 		}
-		sp.SetNum("selectivity", lopt.Selectivity)
-		sp.SetStr("best", lp.Describe())
-		sp.SetStr("mode", "greedy")
-		sp.End()
-		qc.plans = []logical.Plan{lp}
+		qc.Report.Candidates = []logical.Plan{lp}
 		qc.Report.Selectivity = lopt.Selectivity
-		qc.plan = &qc.plans[0]
 		qc.Report.Logical = lp
 		qc.Report.PlanSource = PlanSourceGreedy
 		return nil
@@ -120,13 +107,7 @@ func (LogicalPlan) Run(qc *QueryContext) error {
 	if err != nil {
 		return err
 	}
-	sp.SetInt("candidates", int64(len(plans)))
-	sp.SetNum("selectivity", lopt.Selectivity)
-	sp.SetStr("best", plans[0].Describe())
-	sp.End()
-	opt.Trace.Metrics().Counter("plan.candidates").Add(int64(len(plans)))
-
-	qc.plans = plans
+	qc.Report.Candidates = plans
 	qc.Report.Selectivity = lopt.Selectivity
 	if qc.explainOnly {
 		return nil
@@ -144,7 +125,6 @@ func (LogicalPlan) Run(qc *QueryContext) error {
 			return fmt.Errorf("pipeline: no valid plan with algorithm %v", *opt.ForceAlgo)
 		}
 	}
-	qc.plan = &lp
 	qc.Report.Logical = lp
 	qc.Report.PlanSource = PlanSourceFull
 	return nil
@@ -161,9 +141,8 @@ func (SliceMap) Name() string { return "slice-map" }
 func (SliceMap) Run(qc *QueryContext) error {
 	c, opt := qc.Cluster, qc.Opt
 	workers := opt.workers()
-	ms := opt.Trace.Root().Child("map.slices")
 	spec, lm, rm := logical.UnitSpecFor(qc.plan)
-	qc.budget = batch.NewBudget(opt.MemoryBudget, opt.StrictMemory)
+	qc.budget = batch.NewBudget(opt.MemoryBudget, opt.Strict)
 	// Attach before the budget is shared with mapper workers so
 	// charge/credit events carry the query id from the first batch.
 	qc.budget.SetFlight(qc.fr, qc.qid)
@@ -182,20 +161,12 @@ func (SliceMap) Run(qc *QueryContext) error {
 	}
 	qc.rsl, qc.rsr = rsl, rsr
 	// The budget only rises during mapping and only falls as compare
-	// retires units, so the peak is already final here — record it
-	// and surface the gauges (deterministic, so trace fingerprints
-	// stay pinned across Parallelism).
+	// retires units, so the peak is already final here (and
+	// deterministic across Parallelism).
 	rep := qc.Report
 	rep.PeakBatchBytes = qc.budget.Peak()
 	rep.InternedStrings = int64(cfg.Intern.Count())
 	rep.MemoryOverflowBytes = qc.budget.OverflowBytes()
-	reg := opt.Trace.Metrics()
-	reg.Gauge("pipeline.peak_batch_bytes").Set(float64(rep.PeakBatchBytes))
-	reg.Gauge("pipeline.interned_strings").Set(float64(rep.InternedStrings))
-	ms.SetInt("peak_batch_bytes", rep.PeakBatchBytes)
-	ms.SetInt("interned_strings", rep.InternedStrings)
-	ms.SetInt("units", int64(spec.NumUnits))
-	ms.End()
 	qc.spec = spec
 	return nil
 }
@@ -207,15 +178,11 @@ type PhysicalPlan struct{}
 func (PhysicalPlan) Name() string { return "physical-plan" }
 
 func (PhysicalPlan) Run(qc *QueryContext) error {
-	c, opt := qc.Cluster, qc.Opt
-	tr := opt.Trace
-	reg := tr.Metrics()
+	c := qc.Cluster
 	pr, err := physical.NewProblem(c.K, modelAlgo(qc.plan.Algo), qc.rsl.Sizes(), qc.rsr.Sizes(), params)
 	if err != nil {
 		return err
 	}
-	ps := tr.Root().Child("plan.physical")
-	pr.Span = ps
 	pres, err := planAssignment(qc, pr)
 	if err != nil {
 		return err
@@ -224,28 +191,14 @@ func (PhysicalPlan) Run(qc *QueryContext) error {
 	rep.Physical = pres
 	rep.PlanTime = pres.PlanTime.Seconds()
 	rep.CellsMoved = pr.CellsMoved(pres.Assignment)
-	ps.SetStr("planner", pres.Planner)
-	ps.SetNum("model_cost", pres.Model.Total)
-	ps.SetInt("cells_moved", rep.CellsMoved)
-	ps.End()
-	if tr.Enabled() {
-		reg.Counter("units.count").Add(int64(pr.N))
-		cellsHist := reg.Histogram("units.cells", obs.PowersOf2Buckets(2, 16))
-		for u := 0; u < pr.N; u++ {
-			cellsHist.Observe(float64(pr.UnitTotal[u]))
-		}
-		reg.Counter("plan.ilp.nodes_explored").Add(pres.Search.ILPNodes)
-		reg.Counter("plan.ilp.nodes_pruned").Add(pres.Search.ILPPruned)
-		reg.Counter("plan.tabu.rounds").Add(int64(pres.Search.TabuRounds))
-		reg.Counter("plan.tabu.moves").Add(int64(pres.Search.TabuMoves))
-		reg.Counter("plan.tabu.whatifs").Add(pres.Search.TabuWhatIfs)
-	}
 	rep.UnitCells = append([]int64(nil), pr.UnitTotal...)
-	qc.prob = pr
+	rep.Nodes = make([]NodeLoad, c.K)
 	qc.nodeUnits = make([][]int, c.K)
 	for u := 0; u < qc.spec.NumUnits; u++ {
 		dest := pres.Assignment[u]
 		qc.nodeUnits[dest] = append(qc.nodeUnits[dest], u)
+		rep.Nodes[dest].Units++
+		rep.Nodes[dest].AssignedCells += pr.UnitTotal[u]
 	}
 	return nil
 }
@@ -278,7 +231,6 @@ func planAssignment(qc *QueryContext, pr *physical.Problem) (physical.Result, er
 		// and replan the physical half. The cached logical plan is kept —
 		// the logical choice depends only on signature inputs.
 		opt.Cache.RecordReject(qc.sig)
-		opt.Trace.Metrics().Counter("plancache.revalidate_reject").Add(1)
 		qc.fr.Record(flight.EvPlanCache, qc.qid, qc.fr.Label("revalidate-reject"), 0, 0, 0)
 		rep.CacheOutcome = "revalidate-reject"
 		qc.cached = nil
@@ -361,8 +313,6 @@ func (qc *QueryContext) releaseSim(sim *simnet.Sim) {
 
 func (Align) Run(qc *QueryContext) error {
 	c, opt := qc.Cluster, qc.Opt
-	tr := opt.Trace
-	reg := tr.Metrics()
 	rep := qc.Report
 
 	// The destination array and the output projector are built before the
@@ -430,29 +380,6 @@ func (Align) Run(qc *QueryContext) error {
 	rep.Align = align
 	rep.AlignTime = align.Makespan
 	rep.LockWaitSeconds = align.LockWaitTime
-	if tr.Enabled() {
-		as := tr.Root().SimChild("align", 0, align.Makespan)
-		as.SetInt("transfers", int64(len(align.Timeline)))
-		as.SetInt("lock_waits", int64(align.LockWaits))
-		as.SetInt("skipped_sends", int64(align.SkippedSends))
-		as.SetNum("lock_wait_seconds", align.LockWaitTime)
-		for _, ev := range align.Timeline {
-			x := as.SimChild("xfer", ev.Start, ev.End)
-			x.SetNum("transfer", 1)
-			x.SetInt("from", int64(ev.From))
-			x.SetInt("to", int64(ev.To))
-			x.SetInt("unit", int64(ev.Tag))
-			x.SetInt("cells", ev.Cells)
-			x.End()
-		}
-		as.End()
-		reg.Counter("align.transfers").Add(int64(len(align.Timeline)))
-		reg.Counter("align.cells_moved").Add(rep.CellsMoved)
-		reg.Counter("align.lock_waits").Add(int64(align.LockWaits))
-		reg.Counter("align.skipped_sends").Add(int64(align.SkippedSends))
-		reg.Gauge("align.lock_wait_seconds").Add(align.LockWaitTime)
-		reg.Gauge("align.makespan_seconds").Add(align.Makespan)
-	}
 	return nil
 }
 
@@ -460,16 +387,12 @@ func (Align) Run(qc *QueryContext) error {
 // dispatched during Align; this stage waits for it and folds the per-unit
 // slots into per-node outputs. The per-node merge — join stats, modeled
 // seconds, skew — happens in ascending node order on the orchestration
-// goroutine, so the Report and the trace are identical at every
-// Parallelism setting.
+// goroutine, so the Report is identical at every Parallelism setting.
 type Compare struct{}
 
 func (Compare) Name() string { return "compare" }
 
 func (Compare) Run(qc *QueryContext) error {
-	opt := qc.Opt
-	tr := opt.Trace
-	reg := tr.Metrics()
 	rep := qc.Report
 	k := qc.Cluster.K
 
@@ -487,44 +410,14 @@ func (Compare) Run(qc *QueryContext) error {
 		}
 		rep.JoinStats.Add(no.stats)
 		rep.NodeCompareTime[node] = no.time
+		rep.Nodes[node].OutputCells = int64(len(no.cells))
 		if no.time > rep.CompareTime {
 			rep.CompareTime = no.time
 		}
 	}
 	rep.Matches = rep.JoinStats.Matches
-	rep.Skew, rep.StragglerNode = skewOf(rep.NodeCompareTime)
+	rep.Skew, rep.StragglerNode = SkewOf(rep.NodeCompareTime)
 	qc.fr.Record(flight.EvCompareDone, qc.qid, int64(rep.StragglerNode), flight.F(rep.Skew), flight.F(rep.CompareTime), 0)
-
-	if tr.Enabled() {
-		align := rep.Align
-		cs := tr.Root().SimChild("compare", align.Makespan, align.Makespan+rep.CompareTime)
-		cs.SetNum("skew", rep.Skew)
-		cs.SetInt("straggler_node", int64(rep.StragglerNode))
-		for node := 0; node < k; node++ {
-			ns := cs.SimChild("compare.node", align.Makespan, align.Makespan+rep.NodeCompareTime[node])
-			ns.SetNode(node)
-			ns.SetInt("units", int64(len(qc.nodeUnits[node])))
-			ns.SetInt("output_cells", int64(len(qc.nodes[node].cells)))
-			ns.End()
-		}
-		cs.End()
-		reg.Gauge("compare.skew").Set(rep.Skew)
-		reg.Gauge("compare.straggler_node").Set(float64(rep.StragglerNode))
-		reg.Counter("compare.matches").Add(rep.Matches)
-		for node := 0; node < k; node++ {
-			pfx := fmt.Sprintf("node%02d.", node)
-			var assigned int64
-			for _, u := range qc.nodeUnits[node] {
-				assigned += qc.prob.UnitTotal[u]
-			}
-			reg.Counter(pfx + "assigned_cells").Add(assigned)
-			reg.Gauge(pfx + "send_seconds").Add(align.SendBusy[node])
-			reg.Gauge(pfx + "recv_seconds").Add(align.RecvBusy[node])
-			reg.Gauge(pfx + "lock_wait_seconds").Add(align.RecvLockWait[node])
-			reg.Gauge(pfx + "compare_seconds").Add(rep.NodeCompareTime[node])
-		}
-		reg.Counter("exec.steps").Add(1)
-	}
 	return nil
 }
 
@@ -540,7 +433,7 @@ func (Assemble) Run(qc *QueryContext) error {
 	rep := qc.Report
 	for node := range qc.nodes {
 		for _, cell := range qc.nodes[node].cells {
-			clamped, err := putClamped(qc.outArr, cell.Coords, cell.Attrs, qc.Opt.StrictBounds)
+			clamped, err := putClamped(qc.outArr, cell.Coords, cell.Attrs, qc.Opt.Strict)
 			if err != nil {
 				return err
 			}
@@ -549,19 +442,15 @@ func (Assemble) Run(qc *QueryContext) error {
 			}
 		}
 	}
-	if tr := qc.Opt.Trace; tr.Enabled() {
-		tr.Metrics().Counter("compare.clamped_cells").Add(rep.ClampedCells)
-	}
 	qc.outArr.SortAll()
 	rep.Output = qc.outArr
 	rep.Total = rep.PlanTime + rep.AlignTime + rep.CompareTime
-	rep.WallTime = time.Since(qc.wallStart)
 	return nil
 }
 
-// skewOf returns the straggler ratio (max/mean) of per-node modeled
+// SkewOf returns the straggler ratio (max/mean) of per-node modeled
 // compare times and the argmax node, or (0, -1) when no node has work.
-func skewOf(times []float64) (float64, int) {
+func SkewOf(times []float64) (float64, int) {
 	var sum, max float64
 	straggler := -1
 	for node, t := range times {

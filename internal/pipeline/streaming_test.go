@@ -186,7 +186,7 @@ func TestMemoryBudgetStrict(t *testing.T) {
 	_, err := pipeline.Run(c, "A", "B", pred, nil, pipeline.Options{
 		Logical:      logical.PlanOptions{Selectivity: 0.5},
 		MemoryBudget: 256,
-		StrictMemory: true,
+		Strict:       true,
 	})
 	if !errors.Is(err, batch.ErrBudget) {
 		t.Fatalf("err = %v, want batch.ErrBudget", err)

@@ -64,22 +64,9 @@ func (db *DB) NewObsHub(cfg ObsConfig) *ObsHub {
 	})
 }
 
-// WithProfile makes the query assemble an EXPLAIN ANALYZE profile into
-// Result.Profile: per-stage timings, plan provenance and candidate
-// costs, shuffle totals, and per-node skew diagnostics. Profiling adds
-// no simulated cost and does not perturb the query's determinism
-// guarantees.
-func WithProfile() QueryOption {
-	return func(c *queryConfig) error {
-		c.profile = true
-		return nil
-	}
-}
-
 // WithQueryLog routes the query through a telemetry hub: it becomes
 // visible on the hub's /debug/inflight while running and lands in the
-// /debug/queries log — profiled — when it finishes. Attaching a hub
-// implies WithProfile.
+// /debug/queries log, with its profile, when it finishes.
 func WithQueryLog(hub *ObsHub) QueryOption {
 	return func(c *queryConfig) error {
 		if hub == nil {
@@ -172,20 +159,21 @@ func (db *DB) Postmortem(dir string) (string, error) {
 	return pm.Capture("on-demand")
 }
 
-// ExplainAnalyze executes the query with profiling enabled and returns
-// its EXPLAIN ANALYZE profile — the executed counterpart of Explain:
-// actual per-stage timings, the plan that ran and every candidate it
-// beat, shuffle totals, and per-node skew.
+// ExplainAnalyze executes the query and returns its EXPLAIN ANALYZE
+// profile (Result.Profile) — the executed counterpart of Explain: actual
+// per-stage timings, the plan that ran and every candidate it beat,
+// shuffle totals, and per-node skew.
 //
 //	p, _ := db.ExplainAnalyze("SELECT A.v, B.w FROM A, B WHERE A.i = B.i")
 //	fmt.Println(p)
 func (db *DB) ExplainAnalyze(q string, opts ...QueryOption) (*Profile, error) {
-	res, err := db.Query(q, append(opts, WithProfile())...)
+	res, err := db.Query(q, opts...)
 	if err != nil {
 		return nil, err
 	}
-	if res.Profile == nil {
+	p := res.Profile()
+	if p == nil {
 		return nil, fmt.Errorf("shufflejoin: no profile for %q (multi-way queries are not profiled per-plan; inspect Result fields instead)", q)
 	}
-	return res.Profile, nil
+	return p, nil
 }

@@ -16,7 +16,7 @@ const obsQ = "SELECT A.v, B.w FROM A, B WHERE A.i = B.i"
 func TestWithFlightRecorderFacade(t *testing.T) {
 	db := obsDB(t)
 	fr := NewFlightRecorder(512)
-	res, err := db.Query(obsQ, WithFlightRecorder(fr), WithProfile())
+	res, err := db.Query(obsQ, WithFlightRecorder(fr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,14 +31,14 @@ func TestWithFlightRecorderFacade(t *testing.T) {
 	// Recording is telemetry only: the same query without a recorder
 	// produces an identical result and profile fingerprint.
 	db2 := obsDB(t)
-	off, err := db2.Query(obsQ, WithoutFlightRecorder(), WithProfile())
+	off, err := db2.Query(obsQ, WithoutFlightRecorder())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if off.Matches != res.Matches {
 		t.Errorf("recorded run diverges: matches %d vs %d", res.Matches, off.Matches)
 	}
-	if got, want := res.Profile.Fingerprint(), off.Profile.Fingerprint(); got != want {
+	if got, want := res.Profile().Fingerprint(), off.Profile().Fingerprint(); got != want {
 		t.Errorf("recorded profile fingerprint diverges:\n--- recorded ---\n%s\n--- off ---\n%s", got, want)
 	}
 
@@ -57,7 +57,7 @@ func TestWithPostmortemFacade(t *testing.T) {
 	_, err := db.Query(obsQ,
 		WithFlightRecorder(pm.Flight),
 		WithPostmortem(pm),
-		WithMemoryBudget(256), WithStrictMemory())
+		WithMemoryBudget(256), WithStrict())
 	if err == nil {
 		t.Fatal("strict 256-byte budget did not fail the query")
 	}

@@ -84,9 +84,6 @@ func TestQueryLogEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Profile == nil {
-		t.Fatal("WithQueryLog did not imply profiling")
-	}
 
 	get := func(path string) string {
 		resp, err := http.Get(srv.URL + path)
@@ -116,9 +113,7 @@ func TestQueryLogEndpoints(t *testing.T) {
 	var qp struct {
 		Total   uint64 `json:"total"`
 		Queries []struct {
-			Query   string          `json:"query"`
-			Matches int64           `json:"matches"`
-			Profile json.RawMessage `json:"profile"`
+			Profile *Profile `json:"profile"`
 		} `json:"queries"`
 	}
 	if err := json.Unmarshal([]byte(get("/debug/queries")), &qp); err != nil {
@@ -127,14 +122,18 @@ func TestQueryLogEndpoints(t *testing.T) {
 	if qp.Total != 1 || len(qp.Queries) != 1 {
 		t.Fatalf("query log total=%d len=%d, want 1/1", qp.Total, len(qp.Queries))
 	}
-	if !strings.Contains(qp.Queries[0].Query, "SELECT") {
-		t.Errorf("log entry label %q does not carry the AQL text", qp.Queries[0].Query)
+	logged := qp.Queries[0].Profile
+	if logged == nil {
+		t.Fatal("log entry has no profile")
 	}
-	if qp.Queries[0].Matches != res.Matches {
-		t.Errorf("logged matches %d, result %d", qp.Queries[0].Matches, res.Matches)
+	if !strings.Contains(logged.Query, "SELECT") {
+		t.Errorf("log entry label %q does not carry the AQL text", logged.Query)
 	}
-	if len(qp.Queries[0].Profile) == 0 || string(qp.Queries[0].Profile) == "null" {
-		t.Error("log entry has no profile")
+	if logged.Matches != res.Matches {
+		t.Errorf("logged matches %d, result %d", logged.Matches, res.Matches)
+	}
+	if got, want := logged.Fingerprint(), res.Profile().Fingerprint(); got != want {
+		t.Errorf("logged profile is not the result's:\n--- logged ---\n%s\n--- result ---\n%s", got, want)
 	}
 
 	var ip struct {

@@ -58,7 +58,7 @@ type Result struct {
 	CellsMoved int64
 	// ClampedCells counts output cells whose coordinates fell outside the
 	// destination's dimension ranges and were clamped onto the boundary.
-	// Non-zero values signal a lossy store; WithStrictBounds turns them
+	// Non-zero values signal a lossy store; WithStrict turns them
 	// into errors instead (Assemble stage).
 	ClampedCells int64
 	// PeakBatchBytes is the high-water mark of mapped batch storage on the
@@ -72,7 +72,7 @@ type Result struct {
 	InternedStrings int64
 	// MemoryOverflowBytes is how far PeakBatchBytes exceeded the budget
 	// set with WithMemoryBudget — zero when no budget was set or the query
-	// fit. WithStrictMemory turns overflow into an error instead (SliceMap
+	// fit. WithStrict turns overflow into an error instead (SliceMap
 	// stage; summed across multi-way steps).
 	MemoryOverflowBytes int64
 
@@ -106,11 +106,6 @@ type Result struct {
 	// (empty for two-way joins).
 	JoinOrder []string
 
-	// Profile is the query's EXPLAIN ANALYZE digest, populated when the
-	// query ran with WithProfile or WithQueryLog (nil otherwise, and nil
-	// for multi-way queries). See DB.ExplainAnalyze.
-	Profile *Profile
-
 	// Per-node diagnostics backing TraceSummary (node order; summed across
 	// steps for multi-way queries).
 	nodeCompare  []float64
@@ -120,6 +115,18 @@ type Result struct {
 
 	trace  *obs.Trace
 	output *array.Array
+	report *pipeline.Report // nil for multi-way queries
+}
+
+// Profile returns the query's EXPLAIN ANALYZE digest: per-stage timings,
+// plan provenance and candidate costs, shuffle totals, and per-node skew
+// diagnostics, derived from the query's report on first use. It is nil
+// for multi-way queries, which are not profiled per plan.
+func (r *Result) Profile() *Profile {
+	if r.report == nil {
+		return nil
+	}
+	return r.report.Profile()
 }
 
 func newResult(rep *pipeline.Report) *Result {
@@ -147,8 +154,8 @@ func newResult(rep *pipeline.Report) *Result {
 		nodeSend:            rep.Align.SendBusy,
 		nodeRecv:            rep.Align.RecvBusy,
 		nodeLockWait:        rep.Align.RecvLockWait,
-		Profile:             rep.Profile,
 		output:              rep.Output,
+		report:              rep,
 	}
 }
 
@@ -192,25 +199,8 @@ func newMultiResult(res *aql.MultiResult) *Result {
 			r.nodeLockWait[n] += step.Align.RecvLockWait[n]
 		}
 	}
-	r.Skew, r.StragglerNode = skewOf(r.nodeCompare)
+	r.Skew, r.StragglerNode = pipeline.SkewOf(r.nodeCompare)
 	return r
-}
-
-// skewOf returns the straggler ratio (max/mean) of per-node compare times
-// and the argmax node, or (0, -1) when no node has work.
-func skewOf(times []float64) (float64, int) {
-	var sum, max float64
-	straggler := -1
-	for node, t := range times {
-		sum += t
-		if straggler == -1 || t > max {
-			max, straggler = t, node
-		}
-	}
-	if sum == 0 {
-		return 0, -1
-	}
-	return max / (sum / float64(len(times))), straggler
 }
 
 // Cell is one output cell: coordinates and attribute values (int64,

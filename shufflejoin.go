@@ -253,26 +253,24 @@ func (db *DB) LoadFile(path string) (*Array, error) {
 
 // queryConfig collects per-query options.
 type queryConfig struct {
-	planner      physical.Planner
-	selectivity  float64
-	scheduling   simnet.Scheduling
-	parallelism  int // 0 = one worker per CPU, 1 = sequential, n = n workers
-	strictBounds bool
-	memBudget    int64 // per-query batch-memory budget in bytes (0 = unlimited)
-	strictMemory bool  // budget overflow fails the query instead of counting
-	forceAlgo    string
-	trace        *obs.Trace
-	cache        *plancache.Cache
-	policy       *plancache.Policy
-	profile      bool
-	hooks        pipeline.QueryHooks
-	flight       *flight.Recorder
-	flightOff    bool
-	postmortem   *flight.Postmortem
-	ctx          context.Context // nil = Background
-	timeout      time.Duration   // 0 = none
-	class        sched.Class
-	sched        *sched.Scheduler
+	planner     physical.Planner
+	selectivity float64
+	scheduling  simnet.Scheduling
+	parallelism int   // 0 = one worker per CPU, 1 = sequential, n = n workers
+	strict      bool  // overflow (bounds, memory budget) fails the query instead of counting
+	memBudget   int64 // per-query batch-memory budget in bytes (0 = unlimited)
+	forceAlgo   string
+	trace       *obs.Trace
+	cache       *plancache.Cache
+	policy      *plancache.Policy
+	hooks       pipeline.QueryHooks
+	flight      *flight.Recorder
+	flightOff   bool
+	postmortem  *flight.Postmortem
+	ctx         context.Context // nil = Background
+	timeout     time.Duration   // 0 = none
+	class       sched.Class
+	sched       *sched.Scheduler
 }
 
 // QueryOption customizes one Query call.
@@ -446,12 +444,15 @@ func WithParallelism(n int) QueryOption {
 	}
 }
 
-// WithStrictBounds makes a query fail when an output cell's coordinates
-// fall outside the destination's declared dimension ranges, instead of
-// silently clamping the cell onto the boundary.
-func WithStrictBounds() QueryOption {
+// WithStrict makes overflow fatal instead of counted: the query fails
+// (wrapping pipeline.ErrBounds) when an output cell's coordinates fall
+// outside the destination's declared dimension ranges, instead of
+// clamping the cell onto the boundary, and fails (wrapping batch.ErrBudget)
+// the moment its mapped batch storage would exceed the WithMemoryBudget
+// limit.
+func WithStrict() QueryOption {
 	return func(c *queryConfig) error {
-		c.strictBounds = true
+		c.strict = true
 		return nil
 	}
 }
@@ -460,23 +461,13 @@ func WithStrictBounds() QueryOption {
 // number of bytes. By default overflow is counted, not fatal: the query
 // still completes and Result.MemoryOverflowBytes reports how far the
 // peak exceeded the budget (mirroring the ClampedCells convention).
-// Combine with WithStrictMemory to fail the query instead.
+// Combine with WithStrict to fail the query instead.
 func WithMemoryBudget(bytes int64) QueryOption {
 	return func(c *queryConfig) error {
 		if bytes < 0 {
 			return fmt.Errorf("shufflejoin: memory budget must be >= 0, got %d", bytes)
 		}
 		c.memBudget = bytes
-		return nil
-	}
-}
-
-// WithStrictMemory makes a query fail with batch.ErrBudget the moment its
-// mapped batch storage would exceed the WithMemoryBudget limit, instead of
-// counting the overflow (the StrictBounds analogue for memory).
-func WithStrictMemory() QueryOption {
-	return func(c *queryConfig) error {
-		c.strictMemory = true
 		return nil
 	}
 }
@@ -523,14 +514,12 @@ func (db *DB) Query(q string, opts ...QueryOption) (*Result, error) {
 		Planner:      plannerWithWorkers(cfg.planner, cfg.parallelism),
 		Scheduling:   cfg.scheduling,
 		Parallelism:  cfg.parallelism,
-		StrictBounds: cfg.strictBounds,
+		Strict:       cfg.strict,
 		MemoryBudget: cfg.memBudget,
-		StrictMemory: cfg.strictMemory,
 		Logical:      logical.PlanOptions{Selectivity: cfg.selectivity},
 		Trace:        cfg.trace,
 		Cache:        cfg.cache,
 		PlanPolicy:   cfg.policy,
-		Profile:      cfg.profile,
 		Hooks:        cfg.hooks,
 		QueryLabel:   q,
 		Flight:       cfg.flight,

@@ -6,33 +6,11 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 	"time"
-
-	"shufflejoin/internal/obs"
 )
-
-// nilSpanSink defeats dead-code elimination in timeNilObsOps.
-var nilSpanSink *obs.Span
-
-// timeNilObsOps measures n disabled-path observability operations — span
-// creation, attribute sets, enabled checks — against a nil trace, mixed the
-// way the executor mixes them.
-func timeNilObsOps(n int) float64 {
-	var tr *obs.Trace
-	start := time.Now()
-	for i := 0; i < n; i++ {
-		if tr.Enabled() {
-			tr.Metrics().Counter("never").Add(1)
-		}
-		sp := tr.Root().Child("x")
-		sp.SetInt("k", int64(i))
-		sp.End()
-		nilSpanSink = sp
-	}
-	return time.Since(start).Seconds()
-}
 
 // traceDB builds a skewed two-array workload large enough that planning,
 // alignment, and comparison all do real work.
@@ -287,10 +265,12 @@ func benchQuery(b *testing.B, traced bool) {
 func BenchmarkQueryUntraced(b *testing.B) { benchQuery(b, false) }
 func BenchmarkQueryTraced(b *testing.B)   { benchQuery(b, true) }
 
-// TestTraceOverheadBudget asserts the <2% overhead budget for the disabled
-// path. Wall-clock comparisons are too noisy for ordinary CI runners, so the
-// check only runs when OBS_OVERHEAD_CHECK=1 (a step of CI's test job sets
-// it); the budget there is relaxed to 2% + noise floor via medians.
+// TestTraceOverheadBudget is the regression tripwire for tracing's cost.
+// An untraced query pays one nil check (foldTrace returns at once); a
+// traced one builds a few hundred spans and counter updates from its
+// finished Report, which must stay in the noise. Wall-clock comparisons
+// are too noisy for ordinary CI runners, so the check only runs when
+// OBS_OVERHEAD_CHECK=1 (a step of CI's test job sets it).
 func TestTraceOverheadBudget(t *testing.T) {
 	if os.Getenv("OBS_OVERHEAD_CHECK") != "1" {
 		t.Skip("set OBS_OVERHEAD_CHECK=1 to run the overhead budget check")
@@ -312,35 +292,13 @@ func TestTraceOverheadBudget(t *testing.T) {
 			}
 			times = append(times, time.Since(start).Seconds())
 		}
-		// Insertion sort: 9 elements.
-		for i := 1; i < len(times); i++ {
-			for j := i; j > 0 && times[j] < times[j-1]; j-- {
-				times[j], times[j-1] = times[j-1], times[j]
-			}
-		}
+		sort.Float64s(times)
 		return times[len(times)/2]
 	}
 	off := median(WithPlanner("mbh"))
 	on := median(WithPlanner("mbh"), WithTrace())
 	t.Logf("untraced median %.4fs, traced median %.4fs, enabled overhead %+.2f%%",
 		off, on, (on/off-1)*100)
-
-	// The <2% budget is for the *disabled* path: the nil-receiver no-ops the
-	// instrumentation leaves behind in an untraced query. The per-event span
-	// loops sit behind tr.Enabled() guards, so an untraced query executes
-	// only the unguarded call sites — a few dozen. Measure the unit cost of
-	// 10k mixed nil ops (hundreds of times the real count) and compare
-	// against the untraced query's median wall time.
-	const nilOps = 10_000
-	nilCost := timeNilObsOps(nilOps)
-	t.Logf("%d nil obs ops cost %.6fs (%.2f%% of untraced query)",
-		nilOps, nilCost, nilCost/off*100)
-	if nilCost > 0.02*off {
-		t.Errorf("disabled-path overhead %.2f%% of query time exceeds the 2%% budget",
-			nilCost/off*100)
-	}
-	// Regression tripwire for the enabled path: tracing is a few hundred span
-	// and counter updates per query, which must stay in the noise.
 	if on > off*1.10 {
 		t.Errorf("enabled tracing overhead %.1f%% exceeds 10%% ceiling", (on/off-1)*100)
 	}

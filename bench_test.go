@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"shufflejoin/internal/afl"
 	"shufflejoin/internal/array"
 	"shufflejoin/internal/bench"
 	"shufflejoin/internal/join"
@@ -360,17 +359,19 @@ func BenchmarkAblationSortPlacement(b *testing.B) {
 	}
 	b.Run("sort-before-redim", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := afl.Redimension(src, target); err != nil {
+			out, err := array.Reorganize(src, target, false, nil)
+			if err != nil {
 				b.Fatal(err)
 			}
+			out.SortAll()
 		}
 	})
 	b.Run("sort-after-rechunk", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := afl.Rechunk(src, target); err != nil {
+			if _, err := array.Reorganize(src, target, false, nil); err != nil {
 				b.Fatal(err)
 			}
-			afl.Sort(smallOut)
+			smallOut.Clone().SortAll()
 		}
 	})
 }

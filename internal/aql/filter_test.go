@@ -1,6 +1,7 @@
 package aql
 
 import (
+	"strings"
 	"testing"
 
 	"shufflejoin/internal/array"
@@ -128,6 +129,188 @@ func TestMultiWayWithFilter(t *testing.T) {
 	// clicks -> 160.
 	if res.Matches != 160 {
 		t.Errorf("Matches = %d, want 160", res.Matches)
+	}
+}
+
+// figure1 builds the paper's Figure 1 array.
+func figure1() *array.Array {
+	a := array.MustNew(array.MustParseSchema("A<v1:int, v2:float>[i=1,6,3, j=1,6,3]"))
+	cells := []struct {
+		i, j int64
+		v1   int64
+		v2   float64
+	}{
+		{1, 2, 5, 3.0}, {1, 3, 1, 4.7},
+		{2, 1, 1, 0.2}, {2, 2, 7, 1.3},
+		{3, 1, 1, 0.9}, {3, 2, 0, 0.4}, {3, 3, 0, 7.5},
+		{4, 1, 6, 1.4}, {4, 2, 3, 6.9},
+		{5, 1, 3, 0.8}, {5, 2, 3, 1.4}, {5, 3, 6, 9.1},
+		{6, 1, 9, 2.7}, {6, 2, 5, 7.9}, {6, 3, 5, 8.7},
+	}
+	for _, c := range cells {
+		a.MustPut([]int64{c.i, c.j}, []array.Value{array.IntValue(c.v1), array.FloatValue(c.v2)})
+	}
+	a.SortAll()
+	return a
+}
+
+// cond is the literal filter "name op val" on an unqualified column.
+func cond(name, op string, val array.Value) Filter {
+	return Filter{Col: ColRef{Name: name}, Op: op, Val: val}
+}
+
+func TestFilterPaperExample(t *testing.T) {
+	// filter(A, v1 > 5): the Section 2.2 example query.
+	out, err := filterArray(figure1(), cond("v1", ">", array.IntValue(5)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// v1 > 5: cells (2,2)=7, (4,1)=6, (5,3)=6, (6,1)=9.
+	if out.CellCount() != 4 {
+		t.Errorf("filter kept %d cells, want 4", out.CellCount())
+	}
+	out.Scan(func(_ []int64, attrs []array.Value) bool {
+		if attrs[0].AsInt() <= 5 {
+			t.Errorf("cell with v1=%v survived the filter", attrs[0])
+		}
+		return true
+	})
+}
+
+func TestFilterOnDimension(t *testing.T) {
+	out, err := filterArray(figure1(), cond("i", "<=", array.IntValue(2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.CellCount() != 4 {
+		t.Errorf("got %d cells, want 4", out.CellCount())
+	}
+}
+
+func TestFilterOperators(t *testing.T) {
+	a := figure1()
+	cases := []struct {
+		f    Filter
+		want int64
+	}{
+		{cond("v1", "=", array.IntValue(1)), 3},
+		{cond("v1", "!=", array.IntValue(1)), 12},
+		{cond("v1", "<", array.IntValue(1)), 2},
+		{cond("v1", ">=", array.IntValue(9)), 1},
+		{cond("v2", ">", array.FloatValue(7.0)), 4},
+	}
+	for _, tc := range cases {
+		out, err := filterArray(a, tc.f)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.f, err)
+		}
+		if out.CellCount() != tc.want {
+			t.Errorf("%s: %d cells, want %d", tc.f, out.CellCount(), tc.want)
+		}
+	}
+}
+
+func TestProjectVerticalPartition(t *testing.T) {
+	a := figure1()
+	out, err := projectArray(a, []string{"v2"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Schema.Attrs) != 1 || out.Schema.Attrs[0].Name != "v2" {
+		t.Errorf("projected schema = %v", out.Schema)
+	}
+	if out.CellCount() != a.CellCount() {
+		t.Errorf("project changed cell count")
+	}
+	if _, err := projectArray(a, []string{"nope"}); err == nil {
+		t.Error("unknown attribute should fail")
+	}
+}
+
+func TestFilterErrors(t *testing.T) {
+	cases := []struct {
+		name string
+		f    Filter
+		want string
+	}{
+		{"unknown field", cond("nope", ">", array.IntValue(1)), `"nope"`},
+		{"unknown operator", cond("v1", "~", array.IntValue(1)), `"~"`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			out, err := filterArray(figure1(), tc.f)
+			if err == nil {
+				t.Fatalf("%s kept %d cells, want an error", tc.f, out.CellCount())
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("err = %v, want it to mention %s", err, tc.want)
+			}
+		})
+	}
+}
+
+func TestFilterOperatorAliases(t *testing.T) {
+	a := figure1()
+	for alias, op := range map[string]string{"==": "=", "<>": "!="} {
+		got, err := filterArray(a, cond("v1", alias, array.IntValue(1)))
+		if err != nil {
+			t.Fatalf("%s: %v", alias, err)
+		}
+		want, err := filterArray(a, cond("v1", op, array.IntValue(1)))
+		if err != nil {
+			t.Fatalf("%s: %v", op, err)
+		}
+		if got.CellCount() != want.CellCount() {
+			t.Errorf("v1 %s 1 kept %d cells, v1 %s 1 kept %d", alias, got.CellCount(), op, want.CellCount())
+		}
+	}
+}
+
+func TestFilterDimensionWindow(t *testing.T) {
+	// The window i in [2,4], j in [1,2] as four dimension filters, the way
+	// a query's range predicates are pushed down one at a time.
+	out := figure1()
+	for _, f := range []Filter{
+		cond("i", ">=", array.IntValue(2)), cond("i", "<=", array.IntValue(4)),
+		cond("j", ">=", array.IntValue(1)), cond("j", "<=", array.IntValue(2)),
+	} {
+		var err error
+		if out, err = filterArray(out, f); err != nil {
+			t.Fatalf("%s: %v", f, err)
+		}
+	}
+	// Occupied cells (2,1)(2,2)(3,1)(3,2)(4,1)(4,2).
+	if out.CellCount() != 6 {
+		t.Errorf("window kept %d cells, want 6", out.CellCount())
+	}
+	out.Scan(func(coords []int64, _ []array.Value) bool {
+		if coords[0] < 2 || coords[0] > 4 || coords[1] < 1 || coords[1] > 2 {
+			t.Errorf("cell %v outside window", coords)
+		}
+		return true
+	})
+}
+
+func TestProjectReordersAttributes(t *testing.T) {
+	a := figure1()
+	out, err := projectArray(a, []string{"v2", "v1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := []string{out.Schema.Attrs[0].Name, out.Schema.Attrs[1].Name}; got[0] != "v2" || got[1] != "v1" {
+		t.Fatalf("projected attributes = %v, want [v2 v1]", got)
+	}
+	a.Scan(func(coords []int64, attrs []array.Value) bool {
+		got, ok := out.Get(coords)
+		if !ok || got[0].AsFloat() != attrs[1].AsFloat() || got[1].AsInt() != attrs[0].AsInt() {
+			t.Errorf("cell %v = %v, %v; want [%v %v]", coords, got, ok, attrs[1], attrs[0])
+		}
+		return true
+	})
+	for _, ch := range out.Chunks {
+		if !ch.IsSortedCOrder() {
+			t.Error("projected chunk not sorted")
+		}
 	}
 }
 

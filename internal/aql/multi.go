@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"shufflejoin/internal/afl"
 	"shufflejoin/internal/array"
 	"shufflejoin/internal/cluster"
 	"shufflejoin/internal/join"
@@ -38,9 +37,9 @@ type MultiPlanStep struct {
 }
 
 // ExplainMulti previews the greedy join order for a multi-way query. It
-// simulates the ordering loop using cardinality estimates only; no join
-// executes and no intermediate materializes (intermediate statistics are
-// approximated by the estimated output size on the union schema).
+// runs the executor loop itself, so the previewed order is exactly the
+// one RunMulti takes; intermediates are query-local, so the catalog is
+// untouched.
 func ExplainMulti(c *cluster.Cluster, query string, opt pipeline.Options) (*MultiPlan, error) {
 	q, err := Parse(query)
 	if err != nil {
@@ -49,18 +48,7 @@ func ExplainMulti(c *cluster.Cluster, query string, opt pipeline.Options) (*Mult
 	if len(q.From) < 3 {
 		return nil, fmt.Errorf("aql: ExplainMulti needs three or more arrays")
 	}
-	// Reuse the executor loop but stop after recording the order: run the
-	// real loop on clones so planning-by-doing stays exact, then report.
-	cc := cluster.MustNew(c.K)
-	for _, name := range q.From {
-		d, err := c.Catalog.Lookup(name)
-		if err != nil {
-			return nil, err
-		}
-		dd := cluster.DistributeExplicit(d.Array, d.Placement)
-		cc.Catalog.Register(dd)
-	}
-	res, err := runMultiParsed(cc, q, opt)
+	res, err := runMultiParsed(c, q, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -81,7 +69,9 @@ func ExplainMulti(c *cluster.Cluster, query string, opt pipeline.Options) (*Mult
 // the paper lists as future work (Section 8). At each step the pair of
 // remaining relations connected by a predicate with the smallest estimated
 // output (plus input sizes) is joined with the two-phase shuffle join; the
-// intermediate is registered and the process repeats.
+// intermediate is dealt round-robin over the cluster and the process
+// repeats. Intermediates live only in the query: RunMulti reads the
+// catalog and never writes it.
 //
 // The SELECT list must be * or bare column names (projection applies to
 // the final intermediate); INTO is not supported for multi-way queries.
@@ -190,11 +180,11 @@ func runMultiParsed(c *cluster.Cluster, q *Query, opt pipeline.Options) (*MultiR
 		res.AlignSeconds += rep.AlignTime
 		res.CompareSeconds += rep.CompareTime
 
-		// Register the intermediate and rewrite bookkeeping.
+		// Distribute the intermediate and rewrite bookkeeping.
 		tmpID++
 		tmpName := fmt.Sprintf("_join%d", tmpID)
 		rep.Output.Schema.Name = tmpName
-		dt := c.Load(rep.Output, cluster.RoundRobin)
+		dt := cluster.Distribute(rep.Output, c.K, cluster.RoundRobin)
 		delete(live, best.a)
 		delete(live, best.b)
 		live[tmpName] = dt
@@ -230,7 +220,7 @@ func runMultiParsed(c *cluster.Cluster, q *Query, opt pipeline.Options) (*MultiR
 		for i, item := range q.Select {
 			fields[i] = item.Expr.(ColRef).Name
 		}
-		projected, err := afl.Project(res.Output, fields)
+		projected, err := projectArray(res.Output, fields)
 		if err != nil {
 			return nil, err
 		}
@@ -239,6 +229,33 @@ func runMultiParsed(c *cluster.Cluster, q *Query, opt pipeline.Options) (*MultiR
 	res.Matches = res.Output.CellCount()
 	res.TotalSeconds = res.PlanSeconds + res.AlignSeconds + res.CompareSeconds
 	return res, nil
+}
+
+// projectArray keeps only the named attributes (dimensions are untouched:
+// arrays are vertically partitioned, so this models reading a column
+// subset) in a sorted copy.
+func projectArray(a *array.Array, fields []string) (*array.Array, error) {
+	s := &array.Schema{Name: a.Schema.Name, Dims: append([]array.Dimension(nil), a.Schema.Dims...)}
+	var idx []int
+	for _, f := range fields {
+		i := a.Schema.AttrIndex(f)
+		if i < 0 {
+			return nil, fmt.Errorf("aql: project references unknown attribute %q", f)
+		}
+		s.Attrs = append(s.Attrs, a.Schema.Attrs[i])
+		idx = append(idx, i)
+	}
+	out := array.MustNew(s)
+	a.Scan(func(coords []int64, attrs []array.Value) bool {
+		sub := make([]array.Value, len(idx))
+		for i, ai := range idx {
+			sub[i] = attrs[ai]
+		}
+		out.MustPut(coords, sub)
+		return true
+	})
+	out.SortAll()
+	return out, nil
 }
 
 // keysOf lists a live-map's names for error messages.
@@ -304,7 +321,7 @@ func pairCost(c *cluster.Cluster, da, db *cluster.Distributed, pred join.Predica
 		return 0, err
 	}
 	nA, nB := da.Array.CellCount(), db.Array.CellCount()
-	sel := pipeline.EstimateSelectivity(c, src, nA, nB)
+	sel := pipeline.EstimateSelectivity(c, da, db, src)
 	return float64(nA) + float64(nB) + sel*float64(nA+nB), nil
 }
 

@@ -1,6 +1,7 @@
 package aql
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -40,9 +41,14 @@ const threeWayQuery = `SELECT *
 
 func TestRunMultiThreeWay(t *testing.T) {
 	c := threeWayCluster(t)
+	names := c.Catalog.Names()
 	res, err := RunMulti(c, threeWayQuery, pipeline.Options{})
 	if err != nil {
 		t.Fatalf("RunMulti: %v", err)
+	}
+	// Intermediates are query-local: the catalog is untouched.
+	if got := c.Catalog.Names(); !reflect.DeepEqual(got, names) {
+		t.Errorf("catalog after RunMulti = %v, want %v", got, names)
 	}
 	if len(res.Steps) != 2 {
 		t.Fatalf("steps = %d, want 2", len(res.Steps))
@@ -121,6 +127,56 @@ func TestRunMultiMatchesTwoStepManual(t *testing.T) {
 	}
 	if auto.Matches != step2.Matches {
 		t.Errorf("multi-join %d matches, manual pipeline %d", auto.Matches, step2.Matches)
+	}
+}
+
+// TestRunMultiIntermediateStatistics: a query-local intermediate gives
+// planning the attribute statistics a catalog entry would, so a step
+// keyed on its attribute estimates and models exactly like the same join
+// run by hand over the registered intermediate.
+func TestRunMultiIntermediateStatistics(t *testing.T) {
+	load := func() *cluster.Cluster {
+		c := cluster.MustNew(3)
+		a := array.MustNew(array.MustParseSchema("PA<x:int>[i=1,300,30]"))
+		for i := int64(1); i <= 300; i++ {
+			a.MustPut([]int64{i}, []array.Value{array.IntValue(i * i % 17)})
+		}
+		b := array.MustNew(array.MustParseSchema("PB<y:int, z:int>[j=1,60,10]"))
+		for j := int64(1); j <= 60; j++ {
+			b.MustPut([]int64{j}, []array.Value{array.IntValue(j % 9), array.IntValue(j % 5)})
+		}
+		pc := array.MustNew(array.MustParseSchema("PC<w:int>[k=1,20,5]"))
+		for k := int64(1); k <= 20; k++ {
+			pc.MustPut([]int64{k}, []array.Value{array.IntValue(k % 5)})
+		}
+		for _, arr := range []*array.Array{a, b, pc} {
+			arr.SortAll()
+			c.Load(arr, cluster.RoundRobin)
+		}
+		return c
+	}
+	auto, err := RunMulti(load(), "SELECT * FROM PA, PB, PC WHERE PA.x = PB.y AND PB.z = PC.w", pipeline.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"PC ⋈ PB", "PA ⋈ _join1"}; !reflect.DeepEqual(auto.Order, want) {
+		t.Fatalf("Order = %v, want %v", auto.Order, want)
+	}
+	c := load()
+	step1, err := Run(c, "SELECT * FROM PC, PB WHERE PC.w = PB.z", pipeline.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	step1.Output.Schema.Name = "_join1"
+	c.Load(step1.Output, cluster.RoundRobin)
+	step2, err := Run(c, "SELECT * FROM PA, _join1 WHERE PA.x = _join1.y", pipeline.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := auto.Steps[1]
+	if got.Selectivity != step2.Selectivity || got.CompareTime != step2.CompareTime || got.Matches != step2.Matches {
+		t.Errorf("k-way step: sel %g compare %g matches %d; by hand: sel %g compare %g matches %d",
+			got.Selectivity, got.CompareTime, got.Matches, step2.Selectivity, step2.CompareTime, step2.Matches)
 	}
 }
 

@@ -3,7 +3,7 @@ package aql
 import (
 	"fmt"
 
-	"shufflejoin/internal/afl"
+	"shufflejoin/internal/array"
 	"shufflejoin/internal/cluster"
 	"shufflejoin/internal/pipeline"
 )
@@ -76,7 +76,7 @@ func pushdownFilters(q *Query, dl, dr *cluster.Distributed) (*cluster.Distribute
 }
 
 func applyFilter(d *cluster.Distributed, f Filter) (*cluster.Distributed, error) {
-	out, err := afl.Filter(d.Array, &afl.Condition{Attr: f.Col.Name, Op: f.Op, Val: f.Val})
+	out, err := filterArray(d.Array, f)
 	if err != nil {
 		return nil, err
 	}
@@ -87,6 +87,59 @@ func applyFilter(d *cluster.Distributed, f Filter) (*cluster.Distributed, error)
 		p[key] = d.Placement[key]
 	}
 	return cluster.DistributeExplicit(out, p), nil
+}
+
+// filterArray returns the cells of a satisfying the filter (on a dimension
+// or an attribute) in a sorted copy with the same schema.
+func filterArray(a *array.Array, f Filter) (*array.Array, error) {
+	di := a.Schema.DimIndex(f.Col.Name)
+	ai := a.Schema.AttrIndex(f.Col.Name)
+	if di < 0 && ai < 0 {
+		return nil, fmt.Errorf("aql: filter references unknown field %q", f.Col.Name)
+	}
+	out := array.MustNew(a.Schema.Clone())
+	var err error
+	a.Scan(func(coords []int64, attrs []array.Value) bool {
+		var v array.Value
+		if di >= 0 {
+			v = array.IntValue(coords[di])
+		} else {
+			v = attrs[ai]
+		}
+		ok, cmpErr := compare(v, f.Op, f.Val)
+		if cmpErr != nil {
+			err = cmpErr
+			return false
+		}
+		if ok {
+			out.MustPut(coords, attrs)
+		}
+		return true
+	})
+	if err != nil {
+		return nil, err
+	}
+	out.SortAll()
+	return out, nil
+}
+
+func compare(v array.Value, op string, lit array.Value) (bool, error) {
+	c := v.Compare(lit)
+	switch op {
+	case "=", "==":
+		return c == 0, nil
+	case "!=", "<>":
+		return c != 0, nil
+	case ">":
+		return c > 0, nil
+	case ">=":
+		return c >= 0, nil
+	case "<":
+		return c < 0, nil
+	case "<=":
+		return c <= 0, nil
+	}
+	return false, fmt.Errorf("aql: unknown comparison %q", op)
 }
 
 // Explain parses and compiles a two-way query, then returns the

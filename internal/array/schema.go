@@ -56,6 +56,82 @@ func (d Dimension) Clamp(v int64, strict bool) (int64, error) {
 	}
 }
 
+// Reorganize is the engine's one schema-reorganization walk, Table 1's
+// rechunk: it maps every cell of src, in chunk C-order and in-chunk row
+// order, into the target schema, where each target dimension or attribute
+// takes the value of the source field of the same name (so attributes may
+// become dimensions and back). Target coordinates go through Clamp. The
+// returned array's chunks are unsorted; redim is Reorganize + SortAll.
+// each, when non-nil, sees every cell's source chunk and target
+// coordinates, which are valid only during the call.
+func Reorganize(src *Array, target *Schema, strict bool, each func(src ChunkKey, dst []int64)) (*Array, error) {
+	t := target.Clone()
+	if t.Name == "" {
+		t.Name = src.Schema.Name
+	}
+	out, err := New(t)
+	if err != nil {
+		return nil, err
+	}
+	dimSrc := make([]sourceField, len(t.Dims))
+	for i, d := range t.Dims {
+		if dimSrc[i], err = src.Schema.sourceOf(d.Name); err != nil {
+			return nil, err
+		}
+	}
+	attrSrc := make([]sourceField, len(t.Attrs))
+	for i, at := range t.Attrs {
+		if attrSrc[i], err = src.Schema.sourceOf(at.Name); err != nil {
+			return nil, err
+		}
+	}
+	// Put copies the cell, so one pair of buffers serves every row.
+	nc, na := make([]int64, len(dimSrc)), make([]Value, len(attrSrc))
+	for _, key := range src.SortedKeys() {
+		ch := src.Chunks[key]
+		field := func(f sourceField, row int) Value {
+			if f.isDim {
+				return IntValue(ch.Coords[f.idx][row])
+			}
+			return ch.Cols[f.idx].Value(row)
+		}
+		for row := 0; row < ch.Len(); row++ {
+			for i, f := range dimSrc {
+				if nc[i], err = t.Dims[i].Clamp(field(f, row).AsInt(), strict); err != nil {
+					return nil, fmt.Errorf("array: reorganized cell %v: %w", ch.CoordsAt(row, nil), err)
+				}
+			}
+			for i, f := range attrSrc {
+				na[i] = field(f, row)
+			}
+			if err := out.Put(nc, na); err != nil {
+				return nil, err
+			}
+			if each != nil {
+				each(key, nc)
+			}
+		}
+	}
+	return out, nil
+}
+
+// sourceField locates the source dimension or attribute a reorganized
+// field takes its value from.
+type sourceField struct {
+	isDim bool
+	idx   int
+}
+
+func (s *Schema) sourceOf(name string) (sourceField, error) {
+	if i := s.DimIndex(name); i >= 0 {
+		return sourceField{isDim: true, idx: i}, nil
+	}
+	if i := s.AttrIndex(name); i >= 0 {
+		return sourceField{idx: i}, nil
+	}
+	return sourceField{}, fmt.Errorf("array: target field %q not in source %s", name, s.Name)
+}
+
 // Validate checks the dimension for internal consistency.
 func (d Dimension) Validate() error {
 	if d.Name == "" {

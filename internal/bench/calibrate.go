@@ -10,11 +10,12 @@ import (
 )
 
 // Calibrate derives the cost model's compute parameters (m, b, p of
-// Section 5.1) empirically from this machine's real join implementations,
-// the way the paper derives them from the database's performance. The
-// network parameter t cannot be measured on a single machine; it is set to
-// keep the paper's regime — network transfer as the scarcest resource —
-// at the measured compute speed (t = 20·m).
+// Section 5.1) empirically from this machine, timing the streaming joins
+// the engine runs (join.RunStream), the way the paper derives them from
+// the database's performance. The network parameter t cannot be measured
+// on a single machine; it is set to keep the paper's regime — network
+// transfer as the scarcest resource — at the measured compute speed
+// (t = 20·m).
 func Calibrate(cells int, seed int64) physical.CostParams {
 	if cells <= 0 {
 		cells = 200_000
@@ -34,30 +35,30 @@ func Calibrate(cells int, seed int64) physical.CostParams {
 		return ts
 	}
 
-	// m: merge cursor steps per second over sorted sides.
-	left, right := mk(cells, true), mk(cells, true)
-	start := time.Now()
-	mst, _ := join.MergeJoin(left, right, nil)
-	m := time.Since(start).Seconds() / float64(mst.MergeSteps+mst.Matches+1)
-
-	// b and p: separate the build and probe phases of a hash join. Build
-	// cost comes from building alone; probe cost from a probe-heavy join
-	// (tiny build side) after subtracting the build share.
-	unsortedL, unsortedR := mk(cells, false), mk(cells, false)
-	start = time.Now()
-	join.HashJoinBuildSide(unsortedL, nil, nil)
-	b := time.Since(start).Seconds() / float64(cells)
-
-	start = time.Now()
-	st := join.HashJoinBuildSide(unsortedL[:1024], unsortedR, nil)
-	probeTime := time.Since(start).Seconds() - b*1024
-	if probeTime < 0 {
-		probeTime = 0
+	run := func(alg join.Algorithm, l, r []join.Tuple) (float64, join.Stats) {
+		start := time.Now()
+		// RunStream fails only on an unknown algorithm.
+		st, _ := join.RunStream(alg, &join.SliceStream{Tuples: l}, &join.SliceStream{Tuples: r}, nil)
+		return time.Since(start).Seconds(), st
 	}
-	p := probeTime / float64(st.ProbeOps+1)
+
+	// m: merge cursor steps per second over sorted sides.
+	mt, mst := run(join.Merge, mk(cells, true), mk(cells, true))
+	m := mt / float64(mst.MergeSteps+mst.Matches+1)
+
+	// b and p: the engine's hash join always builds on the smaller side,
+	// so build cost cannot be timed alone. Two joins, N×N and 1024×N,
+	// give two equations t = b·builds + p·probes in the two unknowns.
+	unsortedL, unsortedR := mk(cells, false), mk(cells, false)
+	t1, s1 := run(join.Hash, unsortedL, unsortedR)
+	t2, s2 := run(join.Hash, unsortedL[:1024], unsortedR)
+	det := float64(s1.BuildOps*s2.ProbeOps - s2.BuildOps*s1.ProbeOps)
+	b := (t1*float64(s2.ProbeOps) - t2*float64(s1.ProbeOps)) / det
+	p := (t2*float64(s1.BuildOps) - t1*float64(s2.BuildOps)) / det
 
 	// Guard rails: keep the paper's orderings (b > p, m between them)
-	// even on noisy machines.
+	// even on noisy machines, where the two-equation solve can go
+	// non-positive.
 	if p <= 0 {
 		p = m / 2
 	}

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"time"
 
-	"shufflejoin/internal/afl"
 	"shufflejoin/internal/array"
 	"shufflejoin/internal/cluster"
 	"shufflejoin/internal/join"
@@ -63,9 +62,14 @@ func Table1Operators(sizes []int64, seed int64) ([]OpMeasurement, map[string]sta
 			return nil
 		}
 
+		// redim and rechunk are the engine's one reorganization walk
+		// (the walk Redistribute runs), with and without the chunk sort.
 		var err error
 		err = measure("redim", nf+logTerm, func() error {
-			_, e := afl.Redimension(src, target)
+			out, e := array.Reorganize(src, target, false, nil)
+			if e == nil {
+				out.SortAll()
+			}
 			return e
 		})
 		if err != nil {
@@ -74,26 +78,33 @@ func Table1Operators(sizes []int64, seed int64) ([]OpMeasurement, map[string]sta
 		var rechunked *array.Array
 		err = measure("rechunk", nf, func() error {
 			var e error
-			rechunked, e = afl.Rechunk(src, target)
+			rechunked, e = array.Reorganize(src, target, false, nil)
 			return e
 		})
 		if err != nil {
 			return nil, nil, err
 		}
 		err = measure("sort", logTerm, func() error {
-			afl.Sort(rechunked)
+			rechunked.Clone().SortAll()
 			return nil
 		})
 		if err != nil {
 			return nil, nil, err
 		}
-		// hash: the slice mapping that builds hash-bucket join units.
+		// hash: the engine's streaming slice mapping into hash-bucket join
+		// units, its batch runs released as comparison would release them.
 		d := cluster.Distribute(src, 1, cluster.RoundRobin)
 		spec := &shuffle.UnitSpec{Kind: shuffle.HashUnits, NumUnits: chunks}
 		mapper := &shuffle.SideMapper{KeyRefs: []join.Ref{{IsDim: false, Index: 0, Name: "v"}}}
 		err = measure("hash", nf, func() error {
-			_, e := shuffle.MapSide(d, 1, spec, mapper)
-			return e
+			rs, e := shuffle.MapSideStream(d, 1, spec, mapper, 1, shuffle.StreamConfig{})
+			if e != nil {
+				return e
+			}
+			for u := 0; u < spec.NumUnits; u++ {
+				rs.ReleaseUnit(u)
+			}
+			return nil
 		})
 		if err != nil {
 			return nil, nil, err

@@ -19,8 +19,8 @@ import (
 // — and combines pairs under independence. The logical planner only needs
 // to know whether the output exceeds its inputs (Section 4), so coarse
 // estimates suffice.
-func EstimateSelectivity(c *cluster.Cluster, src *logical.ResolvedSources, nA, nB int64) float64 {
-	return estimateSelectivity(catalogHistogram(c), src, nA, nB)
+func EstimateSelectivity(c *cluster.Cluster, left, right *cluster.Distributed, src *logical.ResolvedSources) float64 {
+	return estimateSelectivity(catalogHistogram(c, left, right), src, left.Array.CellCount(), right.Array.CellCount())
 }
 
 // estimateSelectivity is EstimateSelectivity with an injectable histogram

@@ -23,7 +23,6 @@ type RedistributeReport struct {
 
 // RedistributeOptions tunes a distributed redimension.
 type RedistributeOptions struct {
-	Scheduling simnet.Scheduling
 	// StrictBounds fails the redistribution (with an error wrapping
 	// ErrBounds) when a source cell's value for a target dimension falls
 	// outside that dimension's declared range, instead of silently
@@ -41,65 +40,26 @@ type RedistributeOptions struct {
 // not a join pipeline — no stages, no QueryContext — but shares the
 // engine's cost constants, simulator, and bounds rule.
 func Redistribute(c *cluster.Cluster, d *cluster.Distributed, target *array.Schema, opt RedistributeOptions) (*cluster.Distributed, *RedistributeReport, error) {
-	if err := target.Validate(); err != nil {
-		return nil, nil, err
-	}
-
-	// One walk over the source, in chunk C-order and in-chunk row order,
-	// reorganizes every cell into the target array and counts how many
-	// cells each source node contributes to each destination chunk (one
-	// slice per source node per chunk, as in the shuffle join's data
-	// alignment).
-	src := d.Array.Schema
-	t := target.Clone()
-	if t.Name == "" {
-		t.Name = src.Name
-	}
-	out, err := array.New(t)
-	if err != nil {
-		return nil, nil, err
-	}
-	dimSrc := make([]fieldSrc, len(t.Dims))
-	for i, dim := range t.Dims {
-		if dimSrc[i], err = sourceField(src, dim.Name); err != nil {
-			return nil, nil, err
-		}
-	}
-	attrSrc := make([]fieldSrc, len(t.Attrs))
-	for i, at := range t.Attrs {
-		if attrSrc[i], err = sourceField(src, at.Name); err != nil {
-			return nil, nil, err
-		}
-	}
+	// The one reorganization walk, counting how many cells each source
+	// node contributes to each destination chunk (one slice per source
+	// node per chunk, as in the shuffle join's data alignment). The walk
+	// visits a chunk's rows together, so the source node is looked up
+	// once per chunk.
 	type flow struct {
 		dest array.ChunkKey
 		from int
 	}
 	counts := make(map[flow]int64)
-	// Put copies the cell, so one pair of buffers serves every row.
-	nc, na := make([]int64, len(dimSrc)), make([]array.Value, len(attrSrc))
-	for _, key := range d.Array.SortedKeys() {
-		ch, from := d.Array.Chunks[key], d.Placement[key]
-		field := func(f fieldSrc, row int) array.Value {
-			if f.isDim {
-				return array.IntValue(ch.Coords[f.idx][row])
-			}
-			return ch.Cols[f.idx].Value(row)
+	var srcKey array.ChunkKey
+	from := -1
+	out, err := array.Reorganize(d.Array, target, opt.StrictBounds, func(key array.ChunkKey, dst []int64) {
+		if from < 0 || key != srcKey {
+			srcKey, from = key, d.Placement[key]
 		}
-		for row := 0; row < ch.Len(); row++ {
-			for i, f := range dimSrc {
-				if nc[i], err = t.Dims[i].Clamp(field(f, row).AsInt(), opt.StrictBounds); err != nil {
-					return nil, nil, fmt.Errorf("pipeline: redistributed cell %v: %w", ch.CoordsAt(row, nil), err)
-				}
-			}
-			for i, f := range attrSrc {
-				na[i] = field(f, row)
-			}
-			if err := out.Put(nc, na); err != nil {
-				return nil, nil, err
-			}
-			counts[flow{array.ChunkKeyOf(t, nc), from}]++
-		}
+		counts[flow{array.ChunkKeyOf(target, dst), from}]++
+	})
+	if err != nil {
+		return nil, nil, fmt.Errorf("pipeline: redistribute: %w", err)
 	}
 	out.SortAll()
 
@@ -134,7 +94,6 @@ func Redistribute(c *cluster.Cluster, d *cluster.Distributed, target *array.Sche
 	align, err := simnet.Simulate(simnet.Config{
 		Nodes:       c.K,
 		PerCellTime: params.Transfer,
-		Scheduling:  opt.Scheduling,
 	}, transfers)
 	if err != nil {
 		return nil, nil, err
@@ -170,16 +129,4 @@ func Redistribute(c *cluster.Cluster, d *cluster.Distributed, target *array.Sche
 		CellsMoved: moved,
 	}
 	return dist, rep, nil
-}
-
-// sourceField resolves a target field to the source dimension or
-// attribute it takes its value from.
-func sourceField(src *array.Schema, name string) (fieldSrc, error) {
-	if i := src.DimIndex(name); i >= 0 {
-		return fieldSrc{isDim: true, idx: i}, nil
-	}
-	if i := src.AttrIndex(name); i >= 0 {
-		return fieldSrc{idx: i}, nil
-	}
-	return fieldSrc{}, fmt.Errorf("pipeline: target field %q not in source %s", name, src.Name)
 }

@@ -72,7 +72,7 @@ func (LogicalPlan) Run(qc *QueryContext) error {
 		target = logical.DefaultTargetCellsPerChunk
 	}
 	js, err := logical.InferJoinSchema(src, logical.InferOptions{
-		AttrHistogram:       catalogHistogram(c),
+		AttrHistogram:       catalogHistogram(c, qc.Left, qc.Right),
 		TargetCellsPerChunk: target,
 		ExtraCarryLeft:      opt.ExtraCarryLeft,
 		ExtraCarryRight:     opt.ExtraCarryRight,
@@ -87,7 +87,7 @@ func (LogicalPlan) Run(qc *QueryContext) error {
 	if lopt.Selectivity <= 0 {
 		// No caller estimate: derive one from catalog statistics
 		// (histogram-based power-law estimation; see internal/cardinality).
-		lopt.Selectivity = EstimateSelectivity(c, src, sa.Cells, sb.Cells)
+		lopt.Selectivity = EstimateSelectivity(c, qc.Left, qc.Right, src)
 	}
 	if opt.PlanPolicy != nil && opt.ForceAlgo == nil && !qc.explainOnly {
 		// Greedy fast path: constant-size candidate set instead of the
@@ -493,14 +493,23 @@ func unitModelTime(algo join.Algorithm, nl, nr int) float64 {
 }
 
 // catalogHistogram serves attribute histograms from the catalog — the
-// statistics the paper's engine keeps there. Histograms are built lazily
-// and cached per Distributed (see cluster.AttrHistogram), so repeated
-// queries over the same array do not rescan its cells.
-func catalogHistogram(c *cluster.Cluster) func(arrayName, attrName string) *stats.Histogram {
+// statistics the paper's engine keeps there — and, for an operand the
+// catalog does not hold (a k-way join's query-local intermediate), from
+// the operand itself. Histograms are built lazily and cached per
+// Distributed (see cluster.AttrHistogram), so repeated queries over the
+// same array do not rescan its cells.
+func catalogHistogram(c *cluster.Cluster, left, right *cluster.Distributed) func(arrayName, attrName string) *stats.Histogram {
 	return func(arrayName, attrName string) *stats.Histogram {
 		d, err := c.Catalog.Lookup(arrayName)
 		if err != nil {
-			return nil
+			switch arrayName {
+			case left.Array.Schema.Name:
+				d = left
+			case right.Array.Schema.Name:
+				d = right
+			default:
+				return nil
+			}
 		}
 		return d.AttrHistogram(attrName)
 	}

@@ -80,9 +80,11 @@ func TestConcurrentQueriesBitIdentical(t *testing.T) {
 	}
 	buildTestPair(t, db, "CA", "CB", 600)
 	buildTestPair(t, db, "CC", "CD", 1400)
+	loadMultiWay(db)
 	queries := []string{
 		"SELECT CA.v, CB.w FROM CA, CB WHERE CA.i = CB.i",
 		"SELECT CC.v, CD.w FROM CC, CD WHERE CC.i = CD.i",
+		multiWayQuery, // k-way joins share the read lock too
 	}
 
 	// Serial references, no scheduler attached.

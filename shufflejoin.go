@@ -48,9 +48,9 @@ import (
 )
 
 // DB is a simulated shared-nothing array database cluster. A DB is safe
-// for concurrent Query calls: two-way queries only read the shared
-// catalog and run fully in parallel, while catalog mutations (sealing
-// pending arrays, multi-way joins registering intermediates,
+// for concurrent Query calls: queries only read the shared catalog (a
+// multi-way join's intermediates are local to the query) and run fully
+// in parallel, while catalog mutations (sealing pending arrays,
 // Redimension) serialize behind a write lock.
 type DB struct {
 	cluster  *cluster.Cluster
@@ -58,8 +58,7 @@ type DB struct {
 	metrics  *obs.Registry
 
 	// mu guards the catalog and the pending-array map: read-held for the
-	// duration of a two-way query, write-held by sealing, multi-way
-	// queries, and redimension.
+	// duration of a query, write-held by sealing and redimension.
 	mu      sync.RWMutex
 	pending map[string]*Array
 }
@@ -562,11 +561,11 @@ func (db *DB) Query(q string, opts ...QueryOption) (*Result, error) {
 	var res *Result
 	if len(parsed.From) > 2 {
 		// Multi-way join: greedy join ordering (the paper's Section 8
-		// future work, implemented in internal/aql). Registers
-		// intermediates in the catalog, so it holds the write lock.
-		db.mu.Lock()
+		// future work, implemented in internal/aql). Its intermediates
+		// are query-local, so it only reads the catalog.
+		db.mu.RLock()
 		mres, err := aql.RunMulti(db.cluster, q, eo)
-		db.mu.Unlock()
+		db.mu.RUnlock()
 		if err != nil {
 			return nil, err
 		}

@@ -267,8 +267,15 @@ func TestCreateArrayErrors(t *testing.T) {
 	}
 }
 
-func TestMultiWayQuery(t *testing.T) {
+// multiWayDB loads Readings → Sensors → Sites, a 3-way chain, into a new
+// DB.
+func multiWayDB() *DB {
 	db, _ := Open(3)
+	loadMultiWay(db)
+	return db
+}
+
+func loadMultiWay(db *DB) {
 	sensors, _ := db.CreateArray("Sensors<site:int>[sid=1,40,10]")
 	readings, _ := db.CreateArray("Readings<sensor:int, value:float>[t=1,200,25]")
 	sites, _ := db.CreateArray("Sites<code:int, elevation:int>[s=1,8,4]")
@@ -281,8 +288,14 @@ func TestMultiWayQuery(t *testing.T) {
 	for s := int64(1); s <= 8; s++ {
 		_ = sites.Insert([]int64{s}, s%8, s*100)
 	}
-	res, err := db.Query(`SELECT * FROM Readings, Sensors, Sites
-		WHERE Readings.sensor = Sensors.sid AND Sensors.site = Sites.code`)
+}
+
+const multiWayQuery = `SELECT * FROM Readings, Sensors, Sites
+	WHERE Readings.sensor = Sensors.sid AND Sensors.site = Sites.code`
+
+func TestMultiWayQuery(t *testing.T) {
+	db := multiWayDB()
+	res, err := db.Query(multiWayQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,6 +308,75 @@ func TestMultiWayQuery(t *testing.T) {
 	// Every reading has one sensor, every sensor one site -> 200 rows.
 	if res.Matches != 200 {
 		t.Errorf("Matches = %d, want 200", res.Matches)
+	}
+}
+
+// TestMultiWayIntermediatesAreQueryLocal: a k-way join's intermediates
+// never reach the catalog, so they are not queryable afterwards.
+func TestMultiWayIntermediatesAreQueryLocal(t *testing.T) {
+	db := multiWayDB()
+	if _, err := db.Query(multiWayQuery); err != nil {
+		t.Fatal(err)
+	}
+	_, err := db.Query("SELECT * FROM _join1, Readings WHERE _join1.sid = Readings.sensor")
+	if err == nil || !strings.Contains(err.Error(), "not in catalog") {
+		t.Errorf("query over a k-way intermediate: err = %v, want \"not in catalog\"", err)
+	}
+}
+
+func TestQueryUnknownArray(t *testing.T) {
+	db := multiWayDB()
+	for _, q := range []string{
+		"SELECT * FROM Readings, Missing WHERE Readings.sensor = Missing.sid",
+		"SELECT * FROM Readings, Sensors, Missing WHERE Readings.sensor = Sensors.sid AND Sensors.site = Missing.code",
+	} {
+		_, err := db.Query(q)
+		if err == nil || !strings.Contains(err.Error(), `"Missing" not in catalog`) {
+			t.Errorf("%s: err = %v, want \"Missing\" not in catalog", q, err)
+		}
+	}
+}
+
+// TestMergePaperWorkflow is §2.3.1's D:D merge of Figure 1's A with B,
+// whose attribute i must become a dimension first, as one AQL query.
+func TestMergePaperWorkflow(t *testing.T) {
+	db, _ := Open(2)
+	a, _ := db.CreateArray("A<v1:int, v2:float>[i=1,6,3, j=1,6,3]")
+	for _, c := range []struct {
+		i, j, v1 int64
+		v2       float64
+	}{
+		{1, 2, 5, 3.0}, {1, 3, 1, 4.7},
+		{2, 1, 1, 0.2}, {2, 2, 7, 1.3},
+		{3, 1, 1, 0.9}, {3, 2, 0, 0.4}, {3, 3, 0, 7.5},
+		{4, 1, 6, 1.4}, {4, 2, 3, 6.9},
+		{5, 1, 3, 0.8}, {5, 2, 3, 1.4}, {5, 3, 6, 9.1},
+		{6, 1, 9, 2.7}, {6, 2, 5, 7.9}, {6, 3, 5, 8.7},
+	} {
+		if err := a.Insert([]int64{c.i, c.j}, c.v1, c.v2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Occupy positions matching three of A's occupied cells once i is a
+	// dimension: (i=1,j=2), (i=3,j=1), (i=6,j=3).
+	b, _ := db.CreateArray("B<w1:int, w2:float, i:int>[j=1,6,3]")
+	_ = b.Insert([]int64{2}, 100, 1.0, 1)
+	_ = b.Insert([]int64{1}, 200, 2.0, 3)
+	_ = b.Insert([]int64{3}, 300, 3.0, 6)
+	res, err := db.Query(`SELECT A.v1, A.v2, B.w1, B.w2
+		INTO T<v1:int, v2:float, w1:int, w2:float>[i=1,6,3, j=1,6,3]
+		FROM A, B WHERE A.i = B.i AND A.j = B.j`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A attrs then B attrs.
+	want := []Cell{
+		{Coords: []int64{1, 2}, Values: []any{int64(5), 3.0, int64(100), 1.0}},
+		{Coords: []int64{3, 1}, Values: []any{int64(1), 0.9, int64(200), 2.0}},
+		{Coords: []int64{6, 3}, Values: []any{int64(5), 8.7, int64(300), 3.0}},
+	}
+	if got := res.Cells(); !reflect.DeepEqual(got, want) {
+		t.Errorf("merged cells = %v, want %v", got, want)
 	}
 }
 

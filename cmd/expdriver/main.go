@@ -8,8 +8,8 @@
 //	          [-trace FILE] [-metrics] [-json FILE] [-gate]
 //	          [-obs-addr ADDR] [-slow-ms N] [-obs-hold DUR] [-postmortem-dir DIR]
 //
-// "planquality" is the greedy-vs-ILP calibration sweep behind the plan
-// cache's regret policy: per Zipf skew level and join algorithm it
+// "planquality" is the greedy-vs-ILP calibration sweep behind the greedy
+// planner's regret threshold: per Zipf skew level and join algorithm it
 // reports planning wall-times (greedy fast path, full ILP, plan-cache
 // hit) and the makespan ratio of the two assignments. -json writes the
 // rows plus summary as JSON; -gate exits non-zero when the sweep

@@ -12,30 +12,39 @@ import (
 // cluster's catalog. Literal WHERE conjuncts (column OP literal) push down
 // as selections on their source arrays before the join.
 func Run(c *cluster.Cluster, query string, opt pipeline.Options) (*pipeline.Report, error) {
-	q, err := Parse(query)
-	if err != nil {
-		return nil, err
-	}
-	if len(q.From) > 2 {
-		return nil, fmt.Errorf("aql: query joins %d arrays; use RunMulti", len(q.From))
-	}
-	dl, err := c.Catalog.Lookup(q.Left)
-	if err != nil {
-		return nil, err
-	}
-	dr, err := c.Catalog.Lookup(q.Right)
-	if err != nil {
-		return nil, err
-	}
-	dl, dr, err = pushdownFilters(q, dl, dr)
-	if err != nil {
-		return nil, err
-	}
-	comp, err := Compile(q, dl.Array.Schema, dr.Array.Schema)
+	dl, dr, comp, err := twoWay(c, query, func(n int) error {
+		return fmt.Errorf("aql: query joins %d arrays; use RunMulti", n)
+	})
 	if err != nil {
 		return nil, err
 	}
 	return pipeline.RunDistributed(c, dl, dr, comp.Pred, comp.Out, comp.ExecOptions(opt))
+}
+
+// twoWay is the prologue Run and Explain share: parse the query, look up
+// its two operands, push its literal filters down onto them, and compile
+// it. A query over more than two arrays fails with tooMany's error.
+func twoWay(c *cluster.Cluster, query string, tooMany func(n int) error) (dl, dr *cluster.Distributed, comp *Compiled, err error) {
+	q, err := Parse(query)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if len(q.From) > 2 {
+		return nil, nil, nil, tooMany(len(q.From))
+	}
+	if dl, err = c.Catalog.Lookup(q.Left); err != nil {
+		return nil, nil, nil, err
+	}
+	if dr, err = c.Catalog.Lookup(q.Right); err != nil {
+		return nil, nil, nil, err
+	}
+	if dl, dr, err = pushdownFilters(q, dl, dr); err != nil {
+		return nil, nil, nil, err
+	}
+	if comp, err = Compile(q, dl.Array.Schema, dr.Array.Schema); err != nil {
+		return nil, nil, nil, err
+	}
+	return dl, dr, comp, nil
 }
 
 // pushdownFilters applies each literal filter to its source array,
@@ -145,26 +154,9 @@ func compare(v array.Value, op string, lit array.Value) (bool, error) {
 // Explain parses and compiles a two-way query, then returns the
 // optimizer's plan enumeration without executing.
 func Explain(c *cluster.Cluster, query string, opt pipeline.Options) (*pipeline.Explanation, error) {
-	q, err := Parse(query)
-	if err != nil {
-		return nil, err
-	}
-	if len(q.From) > 2 {
-		return nil, fmt.Errorf("aql: EXPLAIN supports two-way joins")
-	}
-	dl, err := c.Catalog.Lookup(q.Left)
-	if err != nil {
-		return nil, err
-	}
-	dr, err := c.Catalog.Lookup(q.Right)
-	if err != nil {
-		return nil, err
-	}
-	dl, dr, err = pushdownFilters(q, dl, dr)
-	if err != nil {
-		return nil, err
-	}
-	comp, err := Compile(q, dl.Array.Schema, dr.Array.Schema)
+	dl, dr, comp, err := twoWay(c, query, func(int) error {
+		return fmt.Errorf("aql: EXPLAIN supports two-way joins")
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -115,41 +115,17 @@ func runModeled(cfg Config, algo join.Algorithm, left, right [][]int64, name str
 		return PhysMeasurement{}, err
 	}
 
-	var transfers []simnet.Transfer
-	for u := 0; u < pr.N; u++ {
-		dest := res.Assignment[u]
-		for j := 0; j < cfg.Nodes; j++ {
-			if j != dest && pr.Sizes[u][j] > 0 {
-				transfers = append(transfers, simnet.Transfer{From: j, To: dest, Cells: pr.Sizes[u][j], Tag: u})
-			}
-		}
-	}
-	align, err := sim.Simulate(simnet.Config{
-		Nodes:       cfg.Nodes,
-		PerCellTime: cfg.Params.Transfer,
-		Scheduling:  cfg.Scheduling,
-	}, transfers)
+	alignSec, compSec, err := modeledPhases(cfg, pr, res.Assignment, sim)
 	if err != nil {
 		return PhysMeasurement{}, err
-	}
-
-	comp := make([]float64, cfg.Nodes)
-	for u := 0; u < pr.N; u++ {
-		comp[res.Assignment[u]] += pr.Comp[u]
-	}
-	var maxComp float64
-	for _, c := range comp {
-		if c > maxComp {
-			maxComp = c
-		}
 	}
 
 	m := PhysMeasurement{
 		Nodes:      cfg.Nodes,
 		Planner:    name,
 		PlanSec:    res.PlanTime.Seconds(),
-		AlignSec:   align.Makespan,
-		CompSec:    maxComp,
+		AlignSec:   alignSec,
+		CompSec:    compSec,
 		ModelCost:  res.Model.Total,
 		CellsMoved: pr.CellsMoved(res.Assignment),
 		Optimal:    res.Optimal,

@@ -14,9 +14,9 @@ import (
 
 // MakespanRatioLimit is the plan-quality acceptance bound: at every swept
 // skew level, the greedy fast path's modeled makespan must be within 10%
-// of the full ILP planner's — or the regret policy must have recorded an
-// explicit fallback for that configuration, in which case the query
-// would have run the full planner anyway.
+// of the full ILP planner's — or the greedy planner's regret rule must
+// have fallen back for that configuration, in which case the query would
+// have run the full planner anyway.
 const MakespanRatioLimit = 1.10
 
 // CacheHitBudgetFrac is the plan-cache acceptance bound: a cache hit
@@ -25,7 +25,7 @@ const MakespanRatioLimit = 1.10
 const CacheHitBudgetFrac = 0.05
 
 // PlanQualityRow is one configuration of the greedy-vs-ILP calibration
-// sweep behind the regret policy's default ε: per skew level and join
+// sweep behind the greedy planner's default ε: per skew level and join
 // algorithm, the planning wall-times of the greedy fast path, the full
 // ILP planner, and a plan-cache hit, plus the modeled makespans their
 // assignments achieve in the shuffle simulation.
@@ -48,9 +48,9 @@ type PlanQualityRow struct {
 	MakespanRatio float64 `json:"makespan_ratio"`
 
 	// Regret is the greedy assignment's predicted regret against the
-	// analytic cost lower bound — the quantity the planning policy
-	// thresholds. FellBack records whether the default policy (ε =
-	// plancache.DefaultEpsilon) would have rejected the greedy plan and
+	// analytic cost lower bound — the quantity physical.GreedyPlanner
+	// thresholds. FellBack records whether the default ε
+	// (physical.DefaultEpsilon) would have rejected the greedy plan and
 	// run the full planner instead.
 	Regret   float64 `json:"regret"`
 	FellBack bool    `json:"fell_back"`
@@ -122,7 +122,7 @@ func timedHitMiss(e *plancache.Entry, pr *physical.Problem) (hitMicros, missMicr
 // skew level and both join algorithms, plan the same slice statistics
 // with the greedy fast path and the full ILP planner, simulate both
 // assignments, and time a plan-cache hit against the cold plans. The
-// resulting ratios are the evidence behind plancache.DefaultEpsilon and
+// resulting ratios are the evidence behind physical.DefaultEpsilon and
 // PlanQualityGate.
 func PlanQuality(cfg Config, alphas []float64) ([]PlanQualityRow, error) {
 	cfg = cfg.withDefaults()
@@ -173,9 +173,9 @@ func PlanQuality(cfg Config, alphas []float64) ([]PlanQualityRow, error) {
 				CacheMissMicros:   missMicros,
 				GreedyMakespanSec: gAlign + gComp,
 				FullMakespanSec:   fAlign + fComp,
-				Regret:            plancache.PredictedRegret(pr, gres.Model.Total),
+				Regret:            gres.Regret,
 			}
-			row.FellBack = row.Regret > plancache.DefaultEpsilon
+			row.FellBack = row.Regret > physical.DefaultEpsilon
 			if row.FullMakespanSec > 0 {
 				row.MakespanRatio = row.GreedyMakespanSec / row.FullMakespanSec
 			} else {
@@ -191,10 +191,10 @@ func PlanQuality(cfg Config, alphas []float64) ([]PlanQualityRow, error) {
 // EXPERIMENTS.md quote.
 type PlanQualitySummary struct {
 	// MaxRatioKept is the worst greedy-vs-full makespan ratio among
-	// configurations the regret policy keeps (no fallback).
+	// configurations the greedy planner keeps (no fallback).
 	MaxRatioKept float64 `json:"max_makespan_ratio_kept"`
 	// Fallbacks counts configurations where the predicted regret
-	// exceeded plancache.DefaultEpsilon.
+	// exceeded physical.DefaultEpsilon.
 	Fallbacks int `json:"fallbacks"`
 	// WorstHitFrac is the largest cache-hit cost as a fraction of the
 	// cold full planning it replaces.

@@ -173,91 +173,6 @@ func Enumerate(js *JoinSchema, sa, sb ArrayStats, opt PlanOptions) ([]Plan, erro
 	return plans, nil
 }
 
-// Choose returns the minimum-cost plan.
-func Choose(js *JoinSchema, sa, sb ArrayStats, opt PlanOptions) (Plan, error) {
-	plans, err := Enumerate(js, sa, sb, opt)
-	if err != nil {
-		return Plan{}, err
-	}
-	return plans[0], nil
-}
-
-// GreedyChoose is the fast-path logical planner. Instead of sweeping every
-// (α, β, algo, out) combination of Algorithm 1, it assembles a
-// constant-size candidate set greedily: per join algorithm, each side gets
-// the cheapest aligner that can feed it (free scan when the input already
-// conforms; otherwise rechunk for order-insensitive algorithms and redim
-// for merge), plus the hash-bucket plan, and each candidate takes its
-// cheapest valid output step. The caller-supplied selectivity estimate
-// prices the output step exactly as in the full enumeration, so highly
-// selective joins still steer toward plans with cheap output alignment.
-//
-// For the Table-1 cost model this candidate set dominates the full sweep —
-// any plan outside it only swaps an aligner for a strictly costlier one
-// with identical validity — so GreedyChoose returns a plan with the same
-// cost as Choose while examining ~4 candidates instead of 144. Equal-cost
-// ties may resolve differently. If no candidate validates (degenerate
-// schemas), it falls back to the full enumeration.
-func GreedyChoose(js *JoinSchema, sa, sb ArrayStats, opt PlanOptions) (Plan, error) {
-	if opt.Selectivity <= 0 {
-		opt.Selectivity = 1
-	}
-	if opt.Nodes <= 0 {
-		opt.Nodes = 1
-	}
-	if opt.HashBuckets <= 0 {
-		if n := js.NumChunkUnits(); n > 0 {
-			opt.HashBuckets = n
-		} else {
-			opt.HashBuckets = 1024
-		}
-	}
-
-	// Cheapest aligner per side: scan when the stored array conforms to J,
-	// else the op the algorithm's ordering contract demands.
-	side := func(conforms bool, ordered bool) AlignOp {
-		if conforms {
-			return OpScan
-		}
-		if ordered {
-			return OpRedim // merge needs sorted chunks; redim sorts
-		}
-		return OpRechunk
-	}
-	type combo struct {
-		a, b AlignOp
-		algo join.Algorithm
-	}
-	candidates := []combo{
-		{side(js.LeftConforms(), false), side(js.RightConforms(), false), join.Hash},
-		{side(js.LeftConforms(), true), side(js.RightConforms(), true), join.Merge},
-		{OpHash, OpHash, join.Hash},
-		{side(js.LeftConforms(), false), side(js.RightConforms(), false), join.NestedLoop},
-	}
-
-	best, found := Plan{}, false
-	for _, c := range candidates {
-		// Cheapest valid output step for this combo: validity depends only
-		// on the algorithm's orderedness and the unit kind, and costs are
-		// monotone OutScan ≤ OutSort ≤ OutRedim.
-		for _, out := range []OutOp{OutScan, OutSort, OutRedim} {
-			p := Plan{Alpha: c.a, Beta: c.b, Algo: c.algo, Out: out, JS: js}
-			if !validate(&p) {
-				continue
-			}
-			costPlan(&p, sa, sb, opt)
-			if !found || p.Cost < best.Cost {
-				best, found = p, true
-			}
-			break
-		}
-	}
-	if !found {
-		return Choose(js, sa, sb, opt)
-	}
-	return best, nil
-}
-
 // validate implements the plan validator of Algorithm 1. It also assigns
 // the plan's join-unit kind.
 func validate(p *Plan) bool {

@@ -368,16 +368,16 @@ func TestScanRequiresConformance(t *testing.T) {
 func TestKNodesDividesCost(t *testing.T) {
 	js := infer(t, ddSources(t))
 	sa := ArrayStats{1 << 20, 1024}
-	p1, err := Choose(js, sa, sa, PlanOptions{Nodes: 1})
+	p1, err := Enumerate(js, sa, sa, PlanOptions{Nodes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p4, err := Choose(js, sa, sa, PlanOptions{Nodes: 4})
+	p4, err := Enumerate(js, sa, sa, PlanOptions{Nodes: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(p4.Cost-p1.Cost/4) > 1e-6*p1.Cost {
-		t.Errorf("4-node cost %v, want %v/4", p4.Cost, p1.Cost)
+	if math.Abs(p4[0].Cost-p1[0].Cost/4) > 1e-6*p1[0].Cost {
+		t.Errorf("4-node cost %v, want %v/4", p4[0].Cost, p1[0].Cost)
 	}
 }
 
@@ -417,11 +417,11 @@ func TestUnitSpecForHashPlan(t *testing.T) {
 
 func TestUnitSpecForMergePlan(t *testing.T) {
 	js := infer(t, ddSources(t))
-	p, err := Choose(js, ArrayStats{1000, 16}, ArrayStats{1000, 16}, PlanOptions{})
+	plans, err := Enumerate(js, ArrayStats{1000, 16}, ArrayStats{1000, 16}, PlanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec, l, _ := UnitSpecFor(&p)
+	spec, l, _ := UnitSpecFor(&plans[0])
 	if spec.Kind != shuffle.ChunkUnits || len(spec.JoinDims) != 2 {
 		t.Errorf("spec = %+v", spec)
 	}
@@ -490,61 +490,5 @@ func TestEnumerateZeroCells(t *testing.T) {
 				t.Fatalf("negative cost for %s", p.Describe())
 			}
 		}
-	}
-}
-
-func TestGreedyChooseMatchesFullCost(t *testing.T) {
-	// Across both paper join shapes, every selectivity regime, and several
-	// cluster sizes the greedy candidate set must land on a plan with the
-	// full enumeration's minimum cost: anything it skips is strictly
-	// dominated under the Table-1 model.
-	cases := []struct {
-		name string
-		js   *JoinSchema
-		sa   ArrayStats
-		sb   ArrayStats
-	}{
-		{"fig5-AA", infer(t, fig5Sources(t)), ArrayStats{128 << 20, 32}, ArrayStats{128 << 20, 32}},
-		{"DD", infer(t, ddSources(t)), ArrayStats{1 << 20, 1024}, ArrayStats{1 << 20, 1024}},
-	}
-	for _, tc := range cases {
-		for _, sel := range []float64{0.001, 0.01, 0.1, 1, 10, 100} {
-			for _, nodes := range []int{1, 4, 16} {
-				opt := PlanOptions{Selectivity: sel, Nodes: nodes}
-				full, err := Choose(tc.js, tc.sa, tc.sb, opt)
-				if err != nil {
-					t.Fatalf("%s sel=%v k=%d: Choose: %v", tc.name, sel, nodes, err)
-				}
-				greedy, err := GreedyChoose(tc.js, tc.sa, tc.sb, opt)
-				if err != nil {
-					t.Fatalf("%s sel=%v k=%d: GreedyChoose: %v", tc.name, sel, nodes, err)
-				}
-				if math.Abs(greedy.Cost-full.Cost) > 1e-9*math.Max(1, full.Cost) {
-					t.Errorf("%s sel=%v k=%d: greedy %s (%.6g) vs full %s (%.6g)",
-						tc.name, sel, nodes, greedy.Describe(), greedy.Cost,
-						full.Describe(), full.Cost)
-				}
-			}
-		}
-	}
-}
-
-func TestGreedyChoosePlanIsValid(t *testing.T) {
-	js := infer(t, fig5Sources(t))
-	p, err := GreedyChoose(js, ArrayStats{1 << 20, 32}, ArrayStats{1 << 20, 32}, PlanOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The chosen plan must round-trip through the validator unchanged and
-	// carry a unit spec (NumUnits > 0) so the pipeline can slice on it.
-	check := p
-	if !validate(&check) {
-		t.Fatalf("greedy plan %s does not validate", p.Describe())
-	}
-	if p.NumUnits <= 0 {
-		t.Errorf("NumUnits = %d, want > 0", p.NumUnits)
-	}
-	if p.Units != check.Units {
-		t.Errorf("Units = %v, validator says %v", p.Units, check.Units)
 	}
 }

@@ -200,8 +200,7 @@ func (pr *Problem) accumulate(a Assignment, send, recv []int64, comp []float64) 
 // Each relaxation bounds its phase for every feasible assignment, so the
 // sum bounds the total. The bound is exact on uniform data (everything
 // balances) and stays tight under skew, where the max-terms dominate —
-// which is what makes it usable as the denominator in the plan policy's
-// predicted-regret test.
+// which is what makes it usable as the denominator of PredictedRegret.
 func LowerBound(pr *Problem) float64 {
 	var compSum, compMax float64
 	var movedSum, movedMax int64
@@ -259,6 +258,7 @@ type Result struct {
 	PlanTime   time.Duration
 	Optimal    bool        // ILP solvers: search space exhausted within budget
 	Search     SearchStats // deterministic search counters
+	Regret     float64     // GreedyPlanner: the greedy plan's PredictedRegret
 }
 
 // Planner produces a join-unit-to-node assignment for a problem.

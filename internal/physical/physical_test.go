@@ -538,3 +538,66 @@ func TestGreedyPlannerDeterministicAcrossWorkers(t *testing.T) {
 		t.Errorf("greedy cost differs: %v vs %v", seq.Model, par8.Model)
 	}
 }
+
+func TestGreedyKeepsPlanWhenRegretSmall(t *testing.T) {
+	// Uniform data: greedy is at the lower bound, regret ~0, no fallback.
+	k, n := 4, 32
+	left := make([][]int64, n)
+	right := make([][]int64, n)
+	for i := 0; i < n; i++ {
+		l := make([]int64, k)
+		r := make([]int64, k)
+		l[i%k], r[i%k] = 100, 100
+		left[i], right[i] = l, r
+	}
+	pr, err := NewProblem(k, join.Merge, left, right, DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := GreedyPlanner{Fallback: ILPPlanner{Budget: time.Second}}.Plan(pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Planner != "Greedy" {
+		t.Errorf("uniform data fell back: Planner = %q (regret %v)", res.Planner, res.Regret)
+	}
+	if res.Regret > 1e-9 {
+		t.Errorf("regret = %v on uniform data, want ~0", res.Regret)
+	}
+}
+
+func TestGreedyFallsBackOnHighRegret(t *testing.T) {
+	pr := randProblem(rand.New(rand.NewSource(7)), 48, 4, join.Hash)
+	// An absurdly strict ε forces the fallback path regardless of the
+	// greedy plan's real quality.
+	res, err := GreedyPlanner{Epsilon: 1e-12, Fallback: TabuPlanner{}}.Plan(pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	greedy, _ := GreedyPlanner{}.Plan(pr)
+	if greedy.Regret <= 1e-12 {
+		t.Fatalf("fixture's greedy plan has no regret (%v)", greedy.Regret)
+	}
+	if res.Regret != PredictedRegret(pr, greedy.Model.Total) {
+		t.Errorf("Result.Regret = %v, want the greedy plan's", res.Regret)
+	}
+	tabu, _ := TabuPlanner{}.Plan(pr)
+	if tabu.Model.Total <= greedy.Model.Total && res.Planner != "Tabu" {
+		t.Errorf("high regret and a cheaper fallback, but Planner = %q", res.Planner)
+	}
+	// The result never models worse than the pure greedy plan.
+	if res.Model.Total > greedy.Model.Total+1e-9 {
+		t.Errorf("result %v worse than greedy %v", res.Model.Total, greedy.Model.Total)
+	}
+}
+
+func TestGreedyNilFallbackKeepsGreedy(t *testing.T) {
+	pr := randProblem(rand.New(rand.NewSource(3)), 16, 4, join.Hash)
+	res, err := GreedyPlanner{Epsilon: 1e-12}.Plan(pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Planner != "Greedy" {
+		t.Errorf("nil fallback: %+v", res)
+	}
+}

@@ -1,6 +1,7 @@
 package physical
 
 import (
+	"fmt"
 	"time"
 
 	"shufflejoin/internal/ilp"
@@ -111,19 +112,30 @@ func argmax(row []int64) int {
 	return best
 }
 
+// DefaultEpsilon is GreedyPlanner's regret threshold, calibrated against
+// the Zipf α sweep (expdriver -exp planquality): the greedy plan's
+// makespan stays within 10% of the full planner's at every swept skew
+// level, so predicted regret beyond that signals a problem shape one
+// rebalancing sweep cannot balance and the fallback planner should see.
+const DefaultEpsilon = 0.10
+
 // GreedyPlanner is the fast-path physical planner: the center-of-gravity
-// seed (minimum bandwidth, Equation 9) polished by a bounded number of
-// Tabu rebalancing sweeps — one by default — and no ILP search. Planning
-// cost is O(N·K) for the seed plus the capped sweeps, microseconds at
-// paper scale, while the polish pass removes the worst comparison
-// hot-spots the pure bandwidth heuristic leaves on skewed data. The
-// regret-based plan policy (internal/plancache) decides per query whether
-// this path's predicted gap to the lower bound is small enough to skip
-// the full planner.
+// seed (minimum bandwidth, Equation 9) polished by one Tabu rebalancing
+// sweep, and no ILP search. Planning cost is O(N·K) for the seed plus the
+// sweep, microseconds at paper scale, while the sweep removes the worst
+// comparison hot-spots the pure bandwidth heuristic leaves on skewed data.
+//
+// The greedy plan is kept unless its predicted regret (PredictedRegret)
+// exceeds Epsilon; then Fallback plans too and the cheaper of the two
+// plans wins, so falling back only ever errs toward quality. Result.Regret
+// is the greedy plan's predicted regret either way.
 type GreedyPlanner struct {
-	// Polish is the number of Tabu rebalancing sweeps after the seed;
-	// <= 0 means 1.
-	Polish int
+	// Epsilon is the largest acceptable predicted regret; <= 0 selects
+	// DefaultEpsilon.
+	Epsilon float64
+	// Fallback is the full planner run when the regret exceeds Epsilon.
+	// Nil never falls back.
+	Fallback Planner
 	// Workers shards the what-if evaluation as in TabuPlanner; the result
 	// is identical at every setting.
 	Workers int
@@ -134,16 +146,50 @@ func (GreedyPlanner) Name() string { return "Greedy" }
 
 // Plan implements Planner.
 func (g GreedyPlanner) Plan(pr *Problem) (Result, error) {
-	rounds := g.Polish
-	if rounds <= 0 {
-		rounds = 1
-	}
-	res, err := TabuPlanner{MaxRounds: rounds, Workers: g.Workers}.Plan(pr)
+	res, err := TabuPlanner{MaxRounds: 1, Workers: g.Workers}.Plan(pr)
 	if err != nil {
 		return Result{}, err
 	}
-	res.Planner = GreedyPlanner{}.Name()
-	return res, nil
+	res.Planner = g.Name()
+	res.Regret = PredictedRegret(pr, res.Model.Total)
+	eps := g.Epsilon
+	if eps <= 0 {
+		eps = DefaultEpsilon
+	}
+	if res.Regret <= eps || g.Fallback == nil {
+		return res, nil
+	}
+	full, err := g.Fallback.Plan(pr)
+	if err != nil {
+		return Result{}, fmt.Errorf("physical: greedy fallback: %w", err)
+	}
+	// The fallback is a search under a budget, not an oracle: it must never
+	// make a query worse than the greedy plan it replaced.
+	if full.Model.Total > res.Model.Total {
+		return res, nil
+	}
+	full.Regret = res.Regret
+	return full, nil
+}
+
+// PredictedRegret is the greedy planner's quality signal: how far a
+// plan's modeled makespan sits above the problem's analytic lower bound,
+// as a fraction (0 = provably optimal). The true regret against the full
+// planner is unobservable without running it; the lower bound
+// over-approximates it, so thresholding the prediction only ever errs
+// toward running the fallback.
+func PredictedRegret(pr *Problem, total float64) float64 {
+	lb := LowerBound(pr)
+	if lb <= 0 {
+		if total <= 0 {
+			return 0
+		}
+		return total
+	}
+	if r := total/lb - 1; r > 0 {
+		return r
+	}
+	return 0 // clamp float rounding when the plan sits exactly on the bound
 }
 
 // TabuPlanner implements Algorithm 2: start from the minimum-bandwidth

@@ -88,6 +88,88 @@ func TestFlightRecordingEquivalence(t *testing.T) {
 	}
 }
 
+// alignEvents runs one recorded query and returns its Report and the
+// events the align stage left, from align-done up to and including the
+// stage's stage-finish.
+func alignEvents(t *testing.T, nodes int) (*pipeline.Report, []flight.Event) {
+	t.Helper()
+	a := buildArray("A<v:int>[i=1,300,30]", 21, 150, 25)
+	b := buildArray("B<w:int>[j=1,300,30]", 22, 140, 25)
+	pred := join.Predicate{{Left: join.Term{Name: "v"}, Right: join.Term{Name: "w"}}}
+	fr := flight.New(4096)
+	rep, err := pipeline.Run(newCluster(t, nodes, a, b), "A", "B", pred, nil, pipeline.Options{
+		Logical: logical.PlanOptions{Selectivity: 0.5},
+		Flight:  fr,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs := fr.Snapshot(0)
+	for i, e := range evs {
+		if e.Type != flight.EvAlignDone {
+			continue
+		}
+		for j := i; j < len(evs); j++ {
+			if evs[j].Type == flight.EvStageFinish {
+				if stage := fr.LabelName(evs[j].Args[0]); stage != "align" {
+					t.Fatalf("align-done landed in stage %q", stage)
+				}
+				return rep, evs[i : j+1]
+			}
+		}
+	}
+	t.Fatalf("no align-done event in %+v", evs)
+	return nil, nil
+}
+
+// TestAlignFlightEvents checks that the align stage leaves its telemetry
+// trail — an align-done event always, plus a hot-receiver event naming
+// the most lock-contended destination when senders stalled — restating
+// the Report's shuffle result, just before the stage's stage-finish.
+func TestAlignFlightEvents(t *testing.T) {
+	rep, evs := alignEvents(t, 4)
+	got := rep.Align
+	if got.LockWaitTime <= 0 {
+		t.Fatalf("fixture produced no lock contention: %+v", got)
+	}
+	if len(evs) != 3 {
+		t.Fatalf("events = %+v, want align-done + hot-receiver + stage-finish", evs)
+	}
+	align, hot := evs[0], evs[1]
+	if align.QID == 0 || hot.QID != align.QID {
+		t.Fatalf("query ids: align-done %d, hot-receiver %d", align.QID, hot.QID)
+	}
+	if align.Args[0] != int64(len(got.Timeline)) || flight.Float(align.Args[1]) != got.Makespan ||
+		align.Args[2] != int64(got.LockWaits) || flight.Float(align.Args[3]) != got.LockWaitTime {
+		t.Errorf("align-done args = %v", align.Args)
+	}
+	want := 0
+	for j, w := range got.RecvLockWait {
+		if w > got.RecvLockWait[want] {
+			want = j
+		}
+	}
+	if hot.Type != flight.EvHotReceiver || hot.Args[0] != int64(want) {
+		t.Fatalf("hot-receiver event = %+v, want node %d", hot, want)
+	}
+	if flight.Float(hot.Args[1]) != got.RecvLockWait[want] || hot.Args[2] != got.CellsRecv[want] {
+		t.Errorf("hot-receiver args = %v", hot.Args)
+	}
+}
+
+// TestAlignFlightNoContentionNoHotReceiver: on two nodes each receiver
+// has one sender, so no sender ever waits on a lock and only the
+// align-done event is recorded.
+func TestAlignFlightNoContentionNoHotReceiver(t *testing.T) {
+	rep, evs := alignEvents(t, 2)
+	if rep.Align.LockWaitTime != 0 {
+		t.Fatalf("fixture produced lock contention: %+v", rep.Align)
+	}
+	if len(evs) != 2 || evs[1].Type != flight.EvStageFinish {
+		t.Fatalf("events = %+v, want a single align-done", evs)
+	}
+}
+
 // TestFlightDefaultRecorderOn: with no flight options at all, queries
 // record into the process-wide flight.Default ring — the recorder is on
 // by default.

@@ -84,12 +84,6 @@ type Options struct {
 	// plan normally and store the outcome. The cache is safe to share
 	// across concurrent queries. Explain never consults it.
 	Cache *plancache.Cache
-	// PlanPolicy, when non-nil, enables the greedy planner fast path:
-	// logical.GreedyChoose for the logical plan (unless ForceAlgo pins
-	// the algorithm) and physical.GreedyPlanner for the assignment,
-	// falling back to Planner when the greedy plan's predicted regret
-	// against the analytic lower bound exceeds the policy's ε.
-	PlanPolicy *plancache.Policy
 	// Hooks, when non-nil, observes the query's lifecycle: QueryStarted
 	// receives a live Progress tracker before the first stage, and
 	// QueryFinished the final Report after the last. The obshttp Hub
@@ -242,8 +236,8 @@ type Report struct {
 	// Logical is the chosen logical plan (LogicalPlan stage).
 	Logical logical.Plan
 	// Candidates is every plan the logical planner considered, cheapest
-	// first: the full enumeration, or the single plan of a greedy or
-	// cached query (LogicalPlan stage).
+	// first: the full enumeration, or the single replayed plan of a cached
+	// query (LogicalPlan stage).
 	Candidates []logical.Plan
 	// Physical is the join-unit-to-node assignment and its modeled cost
 	// breakdown (PhysicalPlan stage).
@@ -254,14 +248,14 @@ type Report struct {
 	// caller supplied none (LogicalPlan stage).
 	Selectivity float64
 
-	// PlanSource records how this query's plans were obtained: "cached"
-	// (signature hit, revalidated), "greedy" (fast-path planners), or
-	// "full" (complete enumeration and configured physical planner —
-	// including greedy-path queries whose predicted regret forced the
-	// fallback) (PhysicalPlan stage; LogicalPlan stage on cache hits).
+	// PlanSource records where the physical assignment came from:
+	// "cached" (signature hit, revalidated), "greedy"
+	// (physical.GreedyPlanner kept its own plan), or "full" (any other
+	// planner, including the greedy planner's fallback) (PhysicalPlan
+	// stage).
 	PlanSource string
 	// PlanRegret is the greedy plan's predicted regret against the
-	// analytic lower bound, when the greedy fast path ran; zero
+	// analytic lower bound when physical.GreedyPlanner planned; zero
 	// otherwise (PhysicalPlan stage).
 	PlanRegret float64
 	// CacheOutcome records the plan cache's verdict for this query:

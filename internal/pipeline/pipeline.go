@@ -88,13 +88,12 @@ type QueryContext struct {
 	Opt         *Options
 	Report      *Report
 
-	explainOnly bool            // LogicalPlan stage: enumerate but do not select
-	ctx         context.Context // resolved Opt.Ctx; checked between stages and per unit
+	ctx context.Context // resolved Opt.Ctx; checked between stages and per unit
 
 	// Flight-recorder attachment (Execute; nil when recording is off).
-	// Events are telemetry only: stages record decisions into fr but
-	// never read it back, so recorded and unrecorded runs are
-	// bit-for-bit identical.
+	// Events are telemetry only: the stage log records them from the
+	// Report and nothing reads them back, so recorded and unrecorded runs
+	// are bit-for-bit identical.
 	fr  *flight.Recorder
 	qid uint32
 
@@ -104,6 +103,7 @@ type QueryContext struct {
 	prog                       Progress
 	stageStart                 time.Time
 	alignBefore, compareBefore float64
+	cacheBefore                string
 
 	// Plan-cache state (LogicalPlan stage, only when Opt.Cache is set).
 	sig      plancache.Signature // this query's cache signature
@@ -303,10 +303,11 @@ type Explanation struct {
 }
 
 // Explain runs only the LogicalPlan stage: it enumerates and costs the
-// logical plans for a join without executing it.
+// logical plans for a join without executing it. It neither consults the
+// plan cache nor pins an algorithm, so it always lists every valid plan.
 func Explain(c *cluster.Cluster, dl, dr *cluster.Distributed, pred join.Predicate, out *array.Schema, opt Options) (*Explanation, error) {
+	opt.Cache, opt.ForceAlgo = nil, nil
 	qc := NewQueryContext(c, dl, dr, pred, out, opt)
-	qc.explainOnly = true
 	if err := (LogicalPlan{}).Run(qc); err != nil {
 		return nil, err
 	}

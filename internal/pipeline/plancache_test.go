@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"time"
 
 	"shufflejoin/internal/array"
 	"shufflejoin/internal/cluster"
@@ -152,33 +153,58 @@ func TestPlanCacheMissOnSkewDrift(t *testing.T) {
 // to: skew profile, node count, predicate, options — and what it must
 // not (a bit-identical re-ingest).
 func TestPlanCacheSignatureSensitivity(t *testing.T) {
-	mk := func(alpha float64, seed int64) *array.Array {
-		return zipfArray("A<v:int>[i=1,400,25]", seed, 200, alpha)
-	}
-	sig := func(k int, alpha float64, opt pipeline.Options) plancache.Signature {
-		la, lb := mk(alpha, 3), mk(alpha, 4)
-		lb.Schema.Name = "B"
-		c := cluster.MustNew(k)
-		dl := c.Load(la, cluster.RoundRobin)
-		dr := c.Load(lb, cluster.RoundRobin)
-		return pipeline.PlanSignature(c, dl, dr,
-			join.Predicate{{Left: join.Term{Name: "v"}, Right: join.Term{Name: "v"}}}, nil, opt)
-	}
-	base := sig(4, 1.0, pipeline.Options{})
-	if again := sig(4, 1.0, pipeline.Options{}); again != base {
+	base := signatureOf(4, 1.0, pipeline.Options{})
+	if again := signatureOf(4, 1.0, pipeline.Options{}); again != base {
 		t.Error("bit-identical re-ingest changed the signature")
 	}
-	if sig(8, 1.0, pipeline.Options{}) == base {
+	if signatureOf(8, 1.0, pipeline.Options{}) == base {
 		t.Error("node count not in the signature")
 	}
-	if sig(4, 0.0, pipeline.Options{}) == base {
+	if signatureOf(4, 0.0, pipeline.Options{}) == base {
 		t.Error("skew profile not in the signature")
 	}
-	if sig(4, 1.0, pipeline.Options{Planner: physical.TabuPlanner{}}) == base {
+	if signatureOf(4, 1.0, pipeline.Options{Planner: physical.TabuPlanner{}}) == base {
 		t.Error("planner choice not in the signature")
 	}
-	if sig(4, 1.0, pipeline.Options{Logical: logical.PlanOptions{Selectivity: 0.5}}) == base {
+	if signatureOf(4, 1.0, pipeline.Options{Logical: logical.PlanOptions{Selectivity: 0.5}}) == base {
 		t.Error("caller selectivity not in the signature")
+	}
+}
+
+// signatureOf is the plan-cache signature of a self-join-shaped query
+// over two Zipf(alpha) arrays loaded round-robin on k nodes.
+func signatureOf(k int, alpha float64, opt pipeline.Options) plancache.Signature {
+	mk := func(seed int64) *array.Array {
+		return zipfArray("A<v:int>[i=1,400,25]", seed, 200, alpha)
+	}
+	la, lb := mk(3), mk(4)
+	lb.Schema.Name = "B"
+	c := cluster.MustNew(k)
+	dl := c.Load(la, cluster.RoundRobin)
+	dr := c.Load(lb, cluster.RoundRobin)
+	return pipeline.PlanSignature(c, dl, dr,
+		join.Predicate{{Left: join.Term{Name: "v"}, Right: join.Term{Name: "v"}}}, nil, opt)
+}
+
+// TestPlanCacheSignatureKeysPlannerSettings: every planner setting that
+// can change the assignment splits the cache, and the worker count,
+// which never does, does not.
+func TestPlanCacheSignatureKeysPlannerSettings(t *testing.T) {
+	withPlanner := func(p physical.Planner) plancache.Signature {
+		return signatureOf(4, 1.0, pipeline.Options{Planner: p})
+	}
+	if withPlanner(physical.ILPPlanner{Budget: time.Millisecond}) == withPlanner(physical.ILPPlanner{Budget: 5 * time.Second}) {
+		t.Error("ILP budget not in the signature")
+	}
+	if withPlanner(physical.GreedyPlanner{Epsilon: 0.1}) == withPlanner(physical.GreedyPlanner{Epsilon: 0.2}) {
+		t.Error("greedy epsilon not in the signature")
+	}
+	if withPlanner(physical.GreedyPlanner{Fallback: physical.TabuPlanner{}}) == withPlanner(physical.GreedyPlanner{Fallback: physical.TabuPlanner{MaxRounds: 2}}) {
+		t.Error("greedy fallback settings not in the signature")
+	}
+	// Workers never changes a plan, so it must not split the cache.
+	if withPlanner(physical.TabuPlanner{Workers: 1}) != withPlanner(physical.TabuPlanner{Workers: 8}) {
+		t.Error("Tabu worker count split the signature")
 	}
 }
 
@@ -244,9 +270,11 @@ func TestPlanCacheRevalidateReject(t *testing.T) {
 }
 
 // TestGreedyPolicyMatchesFullPlanning: the greedy fast path must return
-// the same query answer as full planning. Output coordinates here are
-// genuine data (dimension values and unique attribute keys), so the
-// comparison is assignment-independent and bit-for-bit.
+// the same query answer and the same logical plan as full planning: the
+// greedy planner is a physical planner, so logical planning enumerates
+// every plan either way. Output coordinates here are genuine data
+// (dimension values and unique attribute keys), so the comparison is
+// assignment-independent and bit-for-bit.
 func TestGreedyPolicyMatchesFullPlanning(t *testing.T) {
 	a := zipfArray("A<v:int>[i=1,400,25]", 3, 200, 1.0)
 	b := zipfArray("B<w:int>[j=1,400,25]", 4, 180, 1.0)
@@ -263,11 +291,10 @@ func TestGreedyPolicyMatchesFullPlanning(t *testing.T) {
 	for _, tc := range cases {
 		for _, par := range []int{1, 4, 0} {
 			t.Run(fmt.Sprintf("%s/par=%d", tc.name, par), func(t *testing.T) {
-				run := func(policy *plancache.Policy) *pipeline.Report {
+				run := func(planner physical.Planner) *pipeline.Report {
 					c := newCluster(t, 4, a.Clone(), b.Clone())
 					rep, err := pipeline.Run(c, "A", "B", tc.pred, tc.out, pipeline.Options{
-						Planner:     physical.TabuPlanner{},
-						PlanPolicy:  policy,
+						Planner:     planner,
 						Parallelism: par,
 					})
 					if err != nil {
@@ -275,13 +302,19 @@ func TestGreedyPolicyMatchesFullPlanning(t *testing.T) {
 					}
 					return rep
 				}
-				full := run(nil)
+				full := run(physical.TabuPlanner{})
 				if full.PlanSource != pipeline.PlanSourceFull {
 					t.Fatalf("full PlanSource = %q", full.PlanSource)
 				}
-				fast := run(&plancache.Policy{})
+				fast := run(physical.GreedyPlanner{Fallback: physical.TabuPlanner{}})
 				if fast.PlanSource != pipeline.PlanSourceGreedy && fast.PlanSource != pipeline.PlanSourceFull {
 					t.Fatalf("fast PlanSource = %q", fast.PlanSource)
+				}
+				if got, want := fast.Logical.Describe(), full.Logical.Describe(); got != want || fast.Logical.Cost != full.Logical.Cost {
+					t.Errorf("logical plan = %s (%v), want %s (%v)", got, fast.Logical.Cost, want, full.Logical.Cost)
+				}
+				if !reflect.DeepEqual(fast.Profile().Candidates, full.Profile().Candidates) {
+					t.Errorf("candidates = %+v, want the full enumeration %+v", fast.Profile().Candidates, full.Profile().Candidates)
 				}
 				if fast.Matches != full.Matches {
 					t.Errorf("Matches = %d, want %d", fast.Matches, full.Matches)
@@ -306,7 +339,7 @@ func TestGreedyPolicyDeterministicAcrossParallelism(t *testing.T) {
 	for _, par := range []int{1, 4, 0} {
 		c := newCluster(t, 4, a.Clone(), b.Clone())
 		rep, err := pipeline.Run(c, "A", "B", attrPredVW(), nil, pipeline.Options{
-			PlanPolicy:  &plancache.Policy{},
+			Planner:     physical.GreedyPlanner{Fallback: physical.MinBandwidthPlanner{}},
 			Parallelism: par,
 		})
 		if err != nil {
@@ -324,8 +357,9 @@ func TestGreedyPolicyDeterministicAcrossParallelism(t *testing.T) {
 	}
 }
 
-// TestPlanCacheWithPolicyCachesGreedyPlans: cache and policy compose —
-// the first query plans greedily, the second replays it from the cache.
+// TestPlanCacheWithPolicyCachesGreedyPlans: cache and greedy planner
+// compose — the first query plans greedily, the second replays it from
+// the cache.
 func TestPlanCacheWithPolicyCachesGreedyPlans(t *testing.T) {
 	a := zipfArray("A<v:int>[i=1,400,25]", 3, 200, 1.0)
 	b := zipfArray("B<w:int>[j=1,400,25]", 4, 180, 1.0)
@@ -333,8 +367,8 @@ func TestPlanCacheWithPolicyCachesGreedyPlans(t *testing.T) {
 	run := func() *pipeline.Report {
 		c := newCluster(t, 4, a.Clone(), b.Clone())
 		rep, err := pipeline.Run(c, "A", "B", attrPredVW(), nil, pipeline.Options{
-			Cache:      cache,
-			PlanPolicy: &plancache.Policy{},
+			Cache:   cache,
+			Planner: physical.GreedyPlanner{Fallback: physical.MinBandwidthPlanner{}},
 		})
 		if err != nil {
 			t.Fatal(err)

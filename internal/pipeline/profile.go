@@ -34,8 +34,8 @@ type StageTiming struct {
 
 // PlanCandidate is one logical plan the optimizer considered, with its
 // modeled cost breakdown (abstract per-cell units). Chosen marks the
-// plan that executed. Greedy and cached queries carry a single
-// candidate; full enumeration lists every valid plan, cheapest first.
+// plan that executed. A cached query carries its single replayed plan;
+// every other query lists every valid plan, cheapest first.
 type PlanCandidate struct {
 	Plan        string  `json:"plan"`
 	Algorithm   string  `json:"algorithm"`

@@ -7,6 +7,7 @@ import (
 	"shufflejoin/internal/array"
 	"shufflejoin/internal/cluster"
 	"shufflejoin/internal/join"
+	"shufflejoin/internal/physical"
 	"shufflejoin/internal/plancache"
 )
 
@@ -38,15 +39,37 @@ func planSignature(qc *QueryContext) plancache.Signature {
 	if qc.Out != nil {
 		fmt.Fprintf(&b, "|out:%s", qc.Out)
 	}
-	fmt.Fprintf(&b, "|planner:%s|sel:%g|hb:%d|carryL:%v|carryR:%v", opt.Planner.Name(),
+	fmt.Fprintf(&b, "|planner:%s|sel:%g|hb:%d|carryL:%v|carryR:%v", plannerKey(opt.Planner),
 		opt.Logical.Selectivity, opt.Logical.HashBuckets, opt.ExtraCarryLeft, opt.ExtraCarryRight)
 	if opt.ForceAlgo != nil {
 		fmt.Fprintf(&b, "|force:%v", *opt.ForceAlgo)
 	}
-	if opt.PlanPolicy != nil {
-		fmt.Fprintf(&b, "|eps:%g|polish:%d", opt.PlanPolicy.Epsilon, opt.PlanPolicy.Polish)
-	}
 	return plancache.Signature(b.String())
+}
+
+// plannerKey renders a planner's name and every setting that can change
+// the assignment it returns. Workers is left out: every planner returns
+// the same plan at every worker count, and the facade derives it from
+// the query's parallelism.
+func plannerKey(p physical.Planner) string {
+	switch t := p.(type) {
+	case physical.GreedyPlanner:
+		fallback := "none"
+		if t.Fallback != nil {
+			fallback = plannerKey(t.Fallback)
+		}
+		return fmt.Sprintf("%s{Epsilon:%g Fallback:%s}", t.Name(), t.Epsilon, fallback)
+	case physical.TabuPlanner:
+		t.Workers = 0
+		p = t
+	case physical.ILPPlanner:
+		t.Workers = 0
+		p = t
+	case physical.CoarseILPPlanner:
+		t.Workers = 0
+		p = t
+	}
+	return fmt.Sprintf("%s%+v", p.Name(), p)
 }
 
 // PlanSignature returns the cache signature RunDistributed would compute

@@ -8,7 +8,6 @@ import (
 	"shufflejoin/internal/array"
 	"shufflejoin/internal/batch"
 	"shufflejoin/internal/cluster"
-	"shufflejoin/internal/flight"
 	"shufflejoin/internal/join"
 	"shufflejoin/internal/logical"
 	"shufflejoin/internal/physical"
@@ -29,7 +28,7 @@ func (LogicalPlan) Name() string { return "logical-plan" }
 func (LogicalPlan) Run(qc *QueryContext) error {
 	c, opt := qc.Cluster, qc.Opt
 	opt.normalize()
-	if opt.Cache != nil && !qc.explainOnly {
+	if opt.Cache != nil {
 		qc.sig = planSignature(qc)
 		// Singleflight lookup: concurrent misses on the same signature
 		// wait for the first query's plan instead of all planning. On a
@@ -40,21 +39,17 @@ func (LogicalPlan) Run(qc *QueryContext) error {
 			return err
 		}
 		qc.planning = planning
+		qc.Report.CacheOutcome = outcome
 		if e != nil {
 			// Hit (direct or suppressed): replay the stored logical plan;
 			// the physical stage revalidates the assignment against fresh
 			// slice statistics.
-			qc.fr.Record(flight.EvPlanCache, qc.qid, qc.fr.Label(outcome), 0, 0, 0)
 			qc.cached = e
 			qc.Report.Candidates = []logical.Plan{e.Logical}
 			qc.Report.Logical = e.Logical
 			qc.Report.Selectivity = e.Selectivity
-			qc.Report.PlanSource = PlanSourceCached
-			qc.Report.CacheOutcome = outcome
 			return nil
 		}
-		qc.fr.Record(flight.EvPlanCache, qc.qid, qc.fr.Label("miss"), 0, 0, 0)
-		qc.Report.CacheOutcome = "miss"
 	}
 	src, err := logical.ResolveSources(qc.Left.Array.Schema, qc.Right.Array.Schema, qc.Out, qc.Pred)
 	if err != nil {
@@ -89,29 +84,12 @@ func (LogicalPlan) Run(qc *QueryContext) error {
 		// (histogram-based power-law estimation; see internal/cardinality).
 		lopt.Selectivity = EstimateSelectivity(c, qc.Left, qc.Right, src)
 	}
-	if opt.PlanPolicy != nil && opt.ForceAlgo == nil && !qc.explainOnly {
-		// Greedy fast path: constant-size candidate set instead of the
-		// full Algorithm-1 sweep (see logical.GreedyChoose). ForceAlgo
-		// needs the full enumeration to honor the algorithm pin.
-		lp, err := logical.GreedyChoose(js, sa, sb, lopt)
-		if err != nil {
-			return err
-		}
-		qc.Report.Candidates = []logical.Plan{lp}
-		qc.Report.Selectivity = lopt.Selectivity
-		qc.Report.Logical = lp
-		qc.Report.PlanSource = PlanSourceGreedy
-		return nil
-	}
 	plans, err := logical.Enumerate(js, sa, sb, lopt)
 	if err != nil {
 		return err
 	}
 	qc.Report.Candidates = plans
 	qc.Report.Selectivity = lopt.Selectivity
-	if qc.explainOnly {
-		return nil
-	}
 	lp := plans[0]
 	if opt.ForceAlgo != nil {
 		found := false
@@ -126,7 +104,6 @@ func (LogicalPlan) Run(qc *QueryContext) error {
 		}
 	}
 	qc.Report.Logical = lp
-	qc.Report.PlanSource = PlanSourceFull
 	return nil
 }
 
@@ -189,6 +166,7 @@ func (PhysicalPlan) Run(qc *QueryContext) error {
 	}
 	rep := qc.Report
 	rep.Physical = pres
+	rep.PlanSource, rep.PlanRegret = planSource(qc, pres), pres.Regret
 	rep.PlanTime = pres.PlanTime.Seconds()
 	rep.CellsMoved = pr.CellsMoved(pres.Assignment)
 	rep.UnitCells = append([]int64(nil), pr.UnitTotal...)
@@ -206,22 +184,33 @@ func (PhysicalPlan) Run(qc *QueryContext) error {
 // PlanSource values recorded in Report.PlanSource.
 const (
 	PlanSourceCached = "cached" // signature hit, assignment revalidated
-	PlanSourceGreedy = "greedy" // fast-path planners, regret within ε
-	PlanSourceFull   = "full"   // full enumeration / configured planner
+	PlanSourceGreedy = "greedy" // physical.GreedyPlanner kept its plan
+	PlanSourceFull   = "full"   // any other planner
 )
 
-// planAssignment produces the physical assignment for the query by the
-// cheapest admissible route: a revalidated cache hit, the greedy fast
-// path under the regret policy, or the configured full planner. Fresh
-// outcomes are stored back into the cache under the query's signature.
+// planSource names where an assignment came from: a revalidated cache
+// entry, the greedy planner, or full planning.
+func planSource(qc *QueryContext, pres physical.Result) string {
+	switch {
+	case qc.cached != nil:
+		return PlanSourceCached
+	case pres.Planner == physical.GreedyPlanner{}.Name():
+		return PlanSourceGreedy
+	}
+	return PlanSourceFull
+}
+
+// planAssignment produces the physical assignment for the query: a
+// revalidated cache hit, else the configured planner's plan, which is
+// stored back into the cache under the query's signature.
 func planAssignment(qc *QueryContext, pr *physical.Problem) (physical.Result, error) {
 	opt, rep := qc.Opt, qc.Report
-	if qc.cached != nil {
+	if e := qc.cached; e != nil {
 		start := time.Now()
-		if bd, ok := plancache.Revalidate(qc.cached, pr, 0); ok {
+		if bd, ok := plancache.Revalidate(e, pr, 0); ok {
 			return physical.Result{
-				Planner:    "Cached/" + qc.cached.Source,
-				Assignment: qc.cached.Assignment,
+				Planner:    "Cached/" + e.Source,
+				Assignment: e.Assignment,
 				Model:      bd,
 				PlanTime:   time.Since(start),
 			}, nil
@@ -231,34 +220,12 @@ func planAssignment(qc *QueryContext, pr *physical.Problem) (physical.Result, er
 		// and replan the physical half. The cached logical plan is kept —
 		// the logical choice depends only on signature inputs.
 		opt.Cache.RecordReject(qc.sig)
-		qc.fr.Record(flight.EvPlanCache, qc.qid, qc.fr.Label("revalidate-reject"), 0, 0, 0)
 		rep.CacheOutcome = "revalidate-reject"
 		qc.cached = nil
-		rep.PlanSource = PlanSourceGreedy
-		if opt.PlanPolicy == nil {
-			rep.PlanSource = PlanSourceFull
-		}
 	}
-
-	var pres physical.Result
-	if opt.PlanPolicy != nil {
-		d, err := opt.PlanPolicy.PlanPhysical(pr, opt.Planner)
-		if err != nil {
-			return physical.Result{}, err
-		}
-		pres = d.Result
-		rep.PlanRegret = d.Regret
-		if d.FellBack {
-			// Regret policy overrode the fast path; the query paid for
-			// (and benefits from) full planning.
-			rep.PlanSource = PlanSourceFull
-		}
-	} else {
-		var err error
-		pres, err = opt.Planner.Plan(pr)
-		if err != nil {
-			return physical.Result{}, err
-		}
+	pres, err := opt.Planner.Plan(pr)
+	if err != nil {
+		return physical.Result{}, err
 	}
 	if opt.Cache != nil && qc.sig != "" {
 		opt.Cache.Store(qc.sig, &plancache.Entry{
@@ -266,7 +233,7 @@ func planAssignment(qc *QueryContext, pr *physical.Problem) (physical.Result, er
 			Selectivity: rep.Selectivity,
 			Assignment:  pres.Assignment,
 			Model:       pres.Model,
-			Source:      rep.PlanSource,
+			Source:      planSource(qc, pres),
 		})
 		// The entry is visible; wake singleflight waiters now so their
 		// suppressed hits overlap this query's remaining stages.
@@ -357,8 +324,6 @@ func (Align) Run(qc *QueryContext) error {
 		Nodes:       c.K,
 		PerCellTime: params.Transfer,
 		Scheduling:  opt.Scheduling,
-		Flight:      qc.fr,
-		FlightQID:   qc.qid,
 		OnComplete:  runner.landed,
 	}
 	sim, err := qc.acquireSim()
@@ -417,7 +382,6 @@ func (Compare) Run(qc *QueryContext) error {
 	}
 	rep.Matches = rep.JoinStats.Matches
 	rep.Skew, rep.StragglerNode = SkewOf(rep.NodeCompareTime)
-	qc.fr.Record(flight.EvCompareDone, qc.qid, int64(rep.StragglerNode), flight.F(rep.Skew), flight.F(rep.CompareTime), 0)
 	return nil
 }
 

@@ -39,12 +39,6 @@ func foldTrace(tr *obs.Trace, rep *Report, start time.Time, failed bool) {
 				reg.Counter("plancache.miss").Add(1)
 			}
 			sp := root.Child("plan.logical", at, st.WallSeconds)
-			if rep.PlanSource == PlanSourceGreedy {
-				sp.SetNum("selectivity", rep.Selectivity)
-				sp.SetStr("best", rep.Candidates[0].Describe())
-				sp.SetStr("mode", "greedy")
-				continue
-			}
 			sp.SetInt("candidates", int64(len(rep.Candidates)))
 			sp.SetNum("selectivity", rep.Selectivity)
 			sp.SetStr("best", rep.Candidates[0].Describe())

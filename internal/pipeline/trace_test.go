@@ -83,30 +83,47 @@ func TestFailedQueryKeepsTraceAndWall(t *testing.T) {
 
 // TestStagesDoNotImportObs keeps telemetry a fold of the Report: the
 // stages, the compare runner, the projector and the planners beneath
-// them must not be able to write a span or a metric.
+// them must not be able to write a span or a metric; the stages must not
+// record flight events either, since the stage log records those from
+// the Report; and the network simulator, which the stages drive, stays a
+// leaf that imports nothing of the engine.
 func TestStagesDoNotImportObs(t *testing.T) {
-	files := []string{"stages.go", "overlap.go", "project.go"}
-	for _, dir := range []string{"../physical", "../ilp"} {
+	stages := []string{"stages.go", "overlap.go", "project.go"}
+	forbid := func(files []string, bad func(path string) bool) {
+		t.Helper()
+		for _, f := range files {
+			if strings.HasSuffix(f, "_test.go") {
+				continue
+			}
+			parsed, err := parser.ParseFile(token.NewFileSet(), f, nil, parser.ImportsOnly)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, imp := range parsed.Imports {
+				if path, _ := strconv.Unquote(imp.Path.Value); bad(path) {
+					t.Errorf("%s imports %s", f, path)
+				}
+			}
+		}
+	}
+	is := func(want string) func(string) bool { return func(path string) bool { return path == want } }
+	forbid(append(stages, goFiles(t, "../physical", "../ilp")...), is("shufflejoin/internal/obs"))
+	forbid(stages, is("shufflejoin/internal/flight"))
+	forbid(goFiles(t, "../simnet"), func(path string) bool { return strings.HasPrefix(path, "shufflejoin/internal/") })
+}
+
+// goFiles lists the Go files of the given package directories.
+func goFiles(t *testing.T, dirs ...string) []string {
+	t.Helper()
+	var files []string
+	for _, dir := range dirs {
 		pkg, err := filepath.Glob(filepath.Join(dir, "*.go"))
 		if err != nil || len(pkg) == 0 {
 			t.Fatalf("no Go files in %s (err %v)", dir, err)
 		}
 		files = append(files, pkg...)
 	}
-	for _, f := range files {
-		if strings.HasSuffix(f, "_test.go") {
-			continue
-		}
-		parsed, err := parser.ParseFile(token.NewFileSet(), f, nil, parser.ImportsOnly)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, imp := range parsed.Imports {
-			if path, _ := strconv.Unquote(imp.Path.Value); path == "shufflejoin/internal/obs" {
-				t.Errorf("%s imports %s", f, path)
-			}
-		}
-	}
+	return files
 }
 
 // pollingHooks snapshots a query's Progress from another goroutine for as

@@ -1,31 +1,21 @@
 // Package plancache makes planning a per-connection cost instead of a
-// per-query cost. It provides the two halves of the fast path:
-//
-//   - a signature-keyed cache of finished plans. The key fingerprints
-//     everything the planners consume — schema shape, chunk grid,
-//     skew-histogram fingerprint (internal/stats), node count, and the
-//     planner-relevant options — so a plan is only ever reused for the
-//     planning problem it was computed for. Per Skew Strikes Back
-//     (PAPERS.md), a cached plan is only as good as the skew statistics
-//     it was computed against: re-ingesting the same schema under a
-//     different skew profile changes the histogram fingerprint and
-//     misses by construction. Hits are still revalidated by re-costing
-//     the cached assignment against the current slice statistics, with
-//     a drift threshold guarding against fingerprint collisions and
-//     manually seeded entries.
-//
-//   - a regret-based policy choosing between the greedy planner pair
-//     (logical.GreedyChoose + physical.GreedyPlanner: center-of-gravity
-//     seed, one bounded Tabu polish sweep, no ILP) and the configured
-//     full planner. The greedy plan is always computed first — it costs
-//     microseconds — and kept unless its predicted regret against the
-//     problem's analytic lower bound (physical.LowerBound) exceeds ε,
-//     in which case the full planner runs and the fallback is recorded.
+// per-query cost: a signature-keyed cache of finished plans. The key
+// fingerprints everything the planners consume — schema shape, chunk
+// grid, skew-histogram fingerprint (internal/stats), node count, and
+// every planner setting that can change the plan — so a plan is only
+// ever reused for the planning problem it was computed for. Per Skew
+// Strikes Back (PAPERS.md), a cached plan is only as good as the skew
+// statistics it was computed against: re-ingesting the same schema under
+// a different skew profile changes the histogram fingerprint and misses
+// by construction. Hits are still revalidated by re-costing the cached
+// assignment against the current slice statistics, with a drift
+// threshold guarding against fingerprint collisions and manually seeded
+// entries. Which planner runs on a miss is not the cache's concern; the
+// greedy fast path is physical.GreedyPlanner.
 package plancache
 
 import (
 	"context"
-	"fmt"
 	"sync"
 
 	"shufflejoin/internal/logical"
@@ -247,86 +237,4 @@ func Revalidate(e *Entry, pr *physical.Problem, maxDrift float64) (physical.Brea
 		return bd, bd.Total <= 0
 	}
 	return bd, bd.Total <= (1+maxDrift)*e.Model.Total
-}
-
-// DefaultEpsilon is the regret policy's acceptance threshold, calibrated
-// against the Zipf α sweep (expdriver -exp planquality): the greedy
-// planner's makespan stays within 10% of the full planner's at every
-// swept skew level, so predicted regret beyond that signals a problem
-// shape the polish pass cannot balance and the full planner should see.
-const DefaultEpsilon = 0.10
-
-// Policy is the data-driven greedy/full decision.
-type Policy struct {
-	// Epsilon is the largest acceptable predicted regret; <= 0 selects
-	// DefaultEpsilon.
-	Epsilon float64
-	// Polish and Workers configure the greedy planner's bounded Tabu
-	// polish pass (see physical.GreedyPlanner).
-	Polish  int
-	Workers int
-}
-
-func (p Policy) epsilon() float64 {
-	if p.Epsilon <= 0 {
-		return DefaultEpsilon
-	}
-	return p.Epsilon
-}
-
-// PredictedRegret is the policy's quality signal: how far a plan's
-// modeled makespan sits above the problem's analytic lower bound,
-// as a fraction (0 = provably optimal). The true regret against the
-// full planner is unobservable without running it; the lower bound
-// over-approximates it, so filtering on the prediction only ever errs
-// toward running the full planner.
-func PredictedRegret(pr *physical.Problem, total float64) float64 {
-	lb := physical.LowerBound(pr)
-	if lb <= 0 {
-		if total <= 0 {
-			return 0
-		}
-		return total
-	}
-	if r := total/lb - 1; r > 0 {
-		return r
-	}
-	return 0 // clamp float rounding when the plan sits exactly on the bound
-}
-
-// Decision reports how the policy planned one query.
-type Decision struct {
-	Result physical.Result
-	Regret float64 // predicted regret of the greedy plan
-	// FellBack is true when predicted regret exceeded ε and Result came
-	// from the full planner instead.
-	FellBack bool
-}
-
-// PlanPhysical runs the greedy fast path and, when its predicted regret
-// exceeds the policy's ε, falls back to the supplied full planner.
-func (p Policy) PlanPhysical(pr *physical.Problem, full physical.Planner) (Decision, error) {
-	greedy, err := physical.GreedyPlanner{Polish: p.Polish, Workers: p.Workers}.Plan(pr)
-	if err != nil {
-		return Decision{}, err
-	}
-	d := Decision{Result: greedy, Regret: PredictedRegret(pr, greedy.Model.Total)}
-	if d.Regret <= p.epsilon() {
-		return d, nil
-	}
-	if full == nil {
-		return d, nil
-	}
-	res, err := full.Plan(pr)
-	if err != nil {
-		return Decision{}, fmt.Errorf("plancache: regret fallback: %w", err)
-	}
-	// Keep whichever plan models cheaper: the full planner is a search
-	// under a budget, not an oracle, and must never make a query worse
-	// than the fast path it replaced.
-	if res.Model.Total <= greedy.Model.Total {
-		d.Result = res
-		d.FellBack = true
-	}
-	return d, nil
 }

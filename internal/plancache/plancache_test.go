@@ -3,7 +3,6 @@ package plancache
 import (
 	"math/rand"
 	"testing"
-	"time"
 
 	"shufflejoin/internal/join"
 	"shufflejoin/internal/physical"
@@ -111,67 +110,5 @@ func TestRevalidateRejectsDriftAndShapeMismatch(t *testing.T) {
 	}
 	if _, ok := Revalidate(nil, pr, 0); ok {
 		t.Error("nil entry accepted")
-	}
-}
-
-func TestPolicyKeepsGreedyWhenRegretSmall(t *testing.T) {
-	// Uniform data: greedy is at the lower bound, regret ~0, no fallback.
-	k, n := 4, 32
-	left := make([][]int64, n)
-	right := make([][]int64, n)
-	for i := 0; i < n; i++ {
-		l := make([]int64, k)
-		r := make([]int64, k)
-		l[i%k], r[i%k] = 100, 100
-		left[i], right[i] = l, r
-	}
-	pr, err := physical.NewProblem(k, join.Merge, left, right, physical.DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := Policy{}.PlanPhysical(pr, physical.ILPPlanner{Budget: time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.FellBack {
-		t.Errorf("uniform data fell back to ILP (regret %v)", d.Regret)
-	}
-	if d.Result.Planner != "Greedy" {
-		t.Errorf("Planner = %q", d.Result.Planner)
-	}
-	if d.Regret > 1e-9 {
-		t.Errorf("regret = %v on uniform data, want ~0", d.Regret)
-	}
-}
-
-func TestPolicyFallsBackOnHighRegret(t *testing.T) {
-	pr := testProblem(t, 7, 48, 4)
-	// An absurdly strict ε forces the fallback path regardless of the
-	// greedy plan's real quality.
-	d, err := Policy{Epsilon: 1e-12}.PlanPhysical(pr, physical.TabuPlanner{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	greedy, _ := physical.GreedyPlanner{}.Plan(pr)
-	if d.Regret != PredictedRegret(pr, greedy.Model.Total) {
-		t.Errorf("Decision.Regret = %v, want the greedy plan's", d.Regret)
-	}
-	if d.Regret > 1e-12 && !d.FellBack && d.Result.Model.Total > greedy.Model.Total {
-		t.Error("high regret, no fallback, and a worse plan")
-	}
-	// The decision never models worse than the pure greedy plan.
-	if d.Result.Model.Total > greedy.Model.Total+1e-9 {
-		t.Errorf("policy result %v worse than greedy %v", d.Result.Model.Total, greedy.Model.Total)
-	}
-}
-
-func TestPolicyNilFullPlannerKeepsGreedy(t *testing.T) {
-	pr := testProblem(t, 3, 16, 4)
-	d, err := Policy{Epsilon: 1e-12}.PlanPhysical(pr, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.FellBack || d.Result.Planner != "Greedy" {
-		t.Errorf("nil full planner: %+v", d)
 	}
 }

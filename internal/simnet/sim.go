@@ -1,7 +1,5 @@
 package simnet
 
-import "shufflejoin/internal/flight"
-
 // This file is the indexed event-driven scheduler behind Simulate. It
 // replaces the original O(T·N·Q) dispatch loop (kept test-only, in
 // reference_test.go, for differential testing) with four index structures:
@@ -145,36 +143,7 @@ func (s *Sim) Simulate(cfg Config, transfers []Transfer) (Result, error) {
 			}
 		}
 	}
-	s.recordFlight(cfg)
 	return s.res, nil
-}
-
-// recordFlight leaves the alignment phase's trail in the flight
-// recorder: one align-done event per simulation and, when senders
-// stalled on a receiver's write lock, one hot-receiver event naming the
-// most contended destination. Telemetry only — s.res is never touched.
-func (s *Sim) recordFlight(cfg Config) {
-	fr := cfg.Flight
-	if fr == nil {
-		return
-	}
-	fr.Record(flight.EvAlignDone, cfg.FlightQID,
-		int64(len(s.res.Timeline)), flight.F(s.res.Makespan),
-		int64(s.res.LockWaits), flight.F(s.res.LockWaitTime))
-	if s.res.LockWaitTime > 0 {
-		hot, wait := 0, 0.0
-		for j, w := range s.res.RecvLockWait {
-			if w > wait {
-				hot, wait = j, w
-			}
-		}
-		var cells int64
-		if hot < len(s.res.CellsRecv) {
-			cells = s.res.CellsRecv[hot]
-		}
-		fr.Record(flight.EvHotReceiver, cfg.FlightQID,
-			int64(hot), flight.F(wait), cells, 0)
-	}
 }
 
 // reset sizes and zeroes every per-node buffer for a run on n nodes.

@@ -24,11 +24,7 @@
 // bit-for-bit equivalent.
 package simnet
 
-import (
-	"fmt"
-
-	"shufflejoin/internal/flight"
-)
+import "fmt"
 
 // Transfer is one slice movement: Cells cells from node From to node To.
 // Tag carries caller context (e.g. a join unit id) through to the timeline.
@@ -72,12 +68,6 @@ type Config struct {
 	// without a global alignment barrier and without losing determinism.
 	// The callback must not mutate the transfers slice.
 	OnComplete func(Event)
-	// Flight, when non-nil, receives an align-done event (and a
-	// hot-receiver event when lock contention was observed) after each
-	// simulation, stamped with FlightQID. Pure telemetry: recording never
-	// alters the simulated timeline or the Result.
-	Flight    *flight.Recorder
-	FlightQID uint32
 }
 
 // Event records one completed transfer in the simulated timeline.

@@ -39,15 +39,15 @@ type Result struct {
 	// Planner names the physical planner that assigned join units
 	// (PhysicalPlan stage).
 	Planner string
-	// PlanSource records how the plans were obtained: "cached" (plan-cache
-	// hit, revalidated against current statistics), "greedy" (the
-	// WithGreedyPlanning fast path), or "full" (complete enumeration and
-	// the configured physical planner — including greedy-path queries
-	// whose predicted regret forced the fallback). Empty for multi-way
-	// queries (LogicalPlan/PhysicalPlan stages).
+	// PlanSource records where the physical assignment came from:
+	// "cached" (plan-cache hit, revalidated against current statistics),
+	// "greedy" (the WithGreedyPlanning planner kept its own plan; Planner
+	// is then "Greedy"), or "full" (any other planner, including the one
+	// a greedy query fell back to). Empty for multi-way queries
+	// (PhysicalPlan stage).
 	PlanSource string
 	// PlanRegret is the greedy plan's predicted regret against the
-	// analytic cost lower bound when the greedy fast path ran; zero
+	// analytic cost lower bound when WithGreedyPlanning planned; zero
 	// otherwise (PhysicalPlan stage).
 	PlanRegret float64
 	// Matches is the number of matched cell pairs (= output cells)

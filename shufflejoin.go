@@ -261,7 +261,7 @@ type queryConfig struct {
 	forceAlgo   string
 	trace       *obs.Trace
 	cache       *plancache.Cache
-	policy      *plancache.Policy
+	greedyEps   float64 // > 0: plan with physical.GreedyPlanner, falling back to planner
 	hooks       pipeline.QueryHooks
 	flight      *flight.Recorder
 	flightOff   bool
@@ -300,6 +300,14 @@ func WithPlanner(name string, budget ...time.Duration) QueryOption {
 func plannerWithWorkers(p physical.Planner, parallelism int) physical.Planner {
 	w := par.Workers(parallelism)
 	switch t := p.(type) {
+	case physical.GreedyPlanner:
+		if t.Workers == 0 {
+			t.Workers = w
+		}
+		if t.Fallback != nil {
+			t.Fallback = plannerWithWorkers(t.Fallback, parallelism)
+		}
+		return t
 	case physical.TabuPlanner:
 		if t.Workers == 0 {
 			t.Workers = w
@@ -371,26 +379,24 @@ func WithPlanCache(pc *PlanCache) QueryOption {
 	}
 }
 
-// WithGreedyPlanning enables the microsecond-class greedy planner fast
-// path: the logical plan comes from a dominated candidate set instead of
-// the full enumeration, and the physical assignment from
-// center-of-gravity seeding with one bounded polish pass instead of the
+// WithGreedyPlanning plans the physical assignment with the
+// microsecond-class greedy planner (physical.GreedyPlanner:
+// center-of-gravity seeding with one rebalancing sweep) instead of the
 // configured planner. When the greedy assignment's predicted regret
-// against the analytic cost lower bound exceeds epsilon, the query falls
-// back to full planning and keeps the cheaper plan (Result.PlanSource
-// reports which path won). The optional epsilon overrides the default
-// regret threshold (0.10, calibrated by the planquality experiment's
-// Zipf sweep); it must be positive.
+// against the analytic cost lower bound exceeds epsilon, the configured
+// planner runs as the fallback and the cheaper plan is kept
+// (Result.PlanSource reports which won). The optional epsilon overrides
+// the default regret threshold (0.10, calibrated by the planquality
+// experiment's Zipf sweep); it must be positive.
 func WithGreedyPlanning(epsilon ...float64) QueryOption {
 	return func(c *queryConfig) error {
-		eps := plancache.DefaultEpsilon
+		c.greedyEps = physical.DefaultEpsilon
 		if len(epsilon) > 0 {
-			eps = epsilon[0]
-			if eps <= 0 {
-				return fmt.Errorf("shufflejoin: greedy-planning epsilon must be positive, got %g", eps)
+			c.greedyEps = epsilon[0]
+			if c.greedyEps <= 0 {
+				return fmt.Errorf("shufflejoin: greedy-planning epsilon must be positive, got %g", c.greedyEps)
 			}
 		}
-		c.policy = &plancache.Policy{Epsilon: eps}
 		return nil
 	}
 }
@@ -508,9 +514,13 @@ func (db *DB) Query(q string, opts ...QueryOption) (*Result, error) {
 		defer cancel()
 	}
 
+	planner := cfg.planner
+	if cfg.greedyEps > 0 {
+		planner = physical.GreedyPlanner{Epsilon: cfg.greedyEps, Fallback: planner}
+	}
 	eo := pipeline.Options{
 		Ctx:          ctx,
-		Planner:      plannerWithWorkers(cfg.planner, cfg.parallelism),
+		Planner:      plannerWithWorkers(planner, cfg.parallelism),
 		Scheduling:   cfg.scheduling,
 		Parallelism:  cfg.parallelism,
 		Strict:       cfg.strict,
@@ -518,15 +528,11 @@ func (db *DB) Query(q string, opts ...QueryOption) (*Result, error) {
 		Logical:      logical.PlanOptions{Selectivity: cfg.selectivity},
 		Trace:        cfg.trace,
 		Cache:        cfg.cache,
-		PlanPolicy:   cfg.policy,
 		Hooks:        cfg.hooks,
 		QueryLabel:   q,
 		Flight:       cfg.flight,
 		FlightOff:    cfg.flightOff,
 		Postmortem:   cfg.postmortem,
-	}
-	if cfg.policy != nil {
-		cfg.policy.Workers = par.Workers(cfg.parallelism)
 	}
 	if cfg.forceAlgo != "" {
 		a, err := algoByName(cfg.forceAlgo)

@@ -539,3 +539,51 @@ func TestPlanCacheAndGreedyOptions(t *testing.T) {
 		t.Error("non-positive epsilon should error")
 	}
 }
+
+// TestPlanSourceNamesGreedyPlanner: PlanSource is "greedy" exactly when
+// the greedy planner produced the assignment, with or without a pinned
+// algorithm and whether or not the greedy plan fell back to the
+// configured planner.
+func TestPlanSourceNamesGreedyPlanner(t *testing.T) {
+	db, _ := Open(3)
+	a, _ := db.CreateArray("A<v:int>[i=1,120,10]")
+	b, _ := db.CreateArray("B<w:int>[i=1,120,10]")
+	for i := int64(1); i <= 120; i++ {
+		_ = a.Insert([]int64{i}, i)
+		_ = b.Insert([]int64{i}, i)
+	}
+	q := "SELECT A.v, B.w FROM A, B WHERE A.i = B.i"
+	ref, err := db.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		opts []QueryOption
+	}{
+		{"greedy", []QueryOption{WithGreedyPlanning()}},
+		{"greedy+hash", []QueryOption{WithGreedyPlanning(), WithAlgorithm("hash")}},
+		{"merge+greedy", []QueryOption{WithAlgorithm("merge"), WithGreedyPlanning()}},
+		{"greedy-fallback-tabu", []QueryOption{WithGreedyPlanning(1e-12), WithPlanner("tabu")}},
+		{"hash", []QueryOption{WithAlgorithm("hash")}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := db.Query(q, tc.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if (res.PlanSource == "greedy") != (res.Planner == "Greedy") {
+				t.Errorf("%s: PlanSource = %q from the %s planner", res.Plan, res.PlanSource, res.Planner)
+			}
+			if res.PlanSource != "greedy" && res.PlanSource != "full" {
+				t.Errorf("PlanSource = %q", res.PlanSource)
+			}
+			if res.PlanSource == "greedy" && res.PlanRegret < 0 {
+				t.Errorf("PlanRegret = %g, want >= 0", res.PlanRegret)
+			}
+			if res.Matches != ref.Matches || !reflect.DeepEqual(res.Cells(), ref.Cells()) {
+				t.Error("planner choice changed query output")
+			}
+		})
+	}
+}

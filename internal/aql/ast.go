@@ -42,9 +42,20 @@ type NumLit struct {
 // String implements Expr.
 func (n NumLit) String() string {
 	if n.IsInt {
-		return strconv.FormatInt(int64(n.Val), 10)
+		return strconv.FormatFloat(n.Val, 'f', -1, 64)
 	}
-	return strconv.FormatFloat(n.Val, 'g', -1, 64)
+	return floatLit(n.Val)
+}
+
+// floatLit renders a float as an AQL number token: positional notation
+// with a decimal point, so it lexes as one token and parses back as a
+// float.
+func floatLit(f float64) string {
+	s := strconv.FormatFloat(f, 'f', -1, 64)
+	if !strings.Contains(s, ".") {
+		s += ".0"
+	}
+	return s
 }
 
 func (n NumLit) columns(dst []ColRef) []ColRef { return dst }
@@ -97,7 +108,14 @@ type Filter struct {
 }
 
 func (f Filter) String() string {
-	return fmt.Sprintf("%s %s %s", f.Col, f.Op, f.Val)
+	lit := f.Val.String()
+	switch f.Val.Kind {
+	case array.TypeString:
+		lit = "'" + lit + "'"
+	case array.TypeFloat64:
+		lit = floatLit(f.Val.F)
+	}
+	return fmt.Sprintf("%s %s %s", f.Col, f.Op, lit)
 }
 
 // Query is a parsed AQL join query. From lists the source arrays; Left
@@ -116,7 +134,8 @@ type Query struct {
 	Raw     string
 }
 
-// String reassembles a canonical form of the query.
+// String reassembles a canonical form of the query, which parses back to
+// the same query.
 func (q *Query) String() string {
 	var b strings.Builder
 	b.WriteString("SELECT ")
@@ -136,6 +155,9 @@ func (q *Query) String() string {
 	if q.Into != nil {
 		b.WriteString(" INTO " + q.Into.String())
 	}
-	fmt.Fprintf(&b, " FROM %s JOIN %s ON %s", q.Left, q.Right, q.Pred)
+	fmt.Fprintf(&b, " FROM %s ON %s", strings.Join(q.From, " JOIN "), q.Pred)
+	for _, f := range q.Filters {
+		b.WriteString(" AND " + f.String())
+	}
 	return b.String()
 }

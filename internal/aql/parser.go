@@ -228,8 +228,10 @@ func (p *parser) parseConjunct(q *Query, pred *join.Predicate, filters *[]Filter
 		}
 		lt := join.Term{Array: lCol.Array, Name: lCol.Name}
 		rt := join.Term{Array: rCol.Array, Name: rCol.Name}
-		// Orient: the pair's left term must belong to the left array.
-		if lt.Array == q.Right || rt.Array == q.Left {
+		// Orient: the pair's left term must belong to the left array. A
+		// pair the swap would not settle (both terms on one array) stays
+		// as written, so reparsing String() keeps every orientation.
+		if (lt.Array == q.Right || rt.Array == q.Left) && rt.Array != q.Right && lt.Array != q.Left {
 			lt, rt = rt, lt
 		}
 		*pred = append(*pred, join.PredPair{Left: lt, Right: rt})

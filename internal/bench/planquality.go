@@ -103,7 +103,7 @@ func timedHitMiss(e *plancache.Entry, pr *physical.Problem) (hitMicros, missMicr
 		if !ok {
 			return 0, 0, fmt.Errorf("bench: plan-cache lookup missed its own entry")
 		}
-		if _, ok := plancache.Revalidate(ent, pr, 0); !ok {
+		if _, ok := plancache.Revalidate(ent, pr); !ok {
 			return 0, 0, fmt.Errorf("bench: revalidation rejected an unchanged problem")
 		}
 	}

@@ -6,37 +6,20 @@ import (
 	"time"
 )
 
-// DetectorConfig tunes the online anomaly detector. The zero value
-// selects the defaults noted per field.
-type DetectorConfig struct {
-	// Alpha is the EWMA smoothing factor applied to each node's
-	// per-query compare seconds and received cells (default 0.3).
-	Alpha float64
-	// Factor flags a node when its EWMA exceeds Factor times the mean of
-	// the other nodes' EWMAs (default 2.0).
-	Factor float64
-	// Warmup is how many queries must be observed before any node is
-	// flagged — EWMAs are meaningless on the first few samples
-	// (default 3).
-	Warmup int
-	// History bounds the retained anomaly ring (default 64).
-	History int
-}
-
-func (c *DetectorConfig) defaults() {
-	if c.Alpha <= 0 || c.Alpha > 1 {
-		c.Alpha = 0.3
-	}
-	if c.Factor <= 1 {
-		c.Factor = 2.0
-	}
-	if c.Warmup <= 0 {
-		c.Warmup = 3
-	}
-	if c.History <= 0 {
-		c.History = 64
-	}
-}
+// The online anomaly detector's tuning.
+const (
+	// detectorAlpha is the EWMA smoothing factor applied to each node's
+	// per-query compare seconds and received cells.
+	detectorAlpha = 0.3
+	// detectorFactor flags a node when its EWMA exceeds this many times
+	// the mean of the other nodes' EWMAs.
+	detectorFactor = 2.0
+	// detectorWarmup is how many queries must be observed before any node
+	// is flagged — EWMAs are meaningless on the first few samples.
+	detectorWarmup = 3
+	// detectorHistory bounds the retained anomaly ring.
+	detectorHistory = 64
+)
 
 // Anomaly is one detected runtime condition: a straggler node, a hot
 // receiver, or a hot join unit.
@@ -97,13 +80,12 @@ type DetectorSnapshot struct {
 
 // Detector watches finished queries and flags skew anomalies online: it
 // maintains per-node EWMAs of modeled compare seconds and received
-// cells, raises a rising-edge anomaly when a node's EWMA crosses Factor
-// times its peers' mean (and clears the flag when it recedes), and
-// reports per-query hot join units. Anomalies are retained in a bounded
+// cells, raises a rising-edge anomaly when a node's EWMA crosses
+// detectorFactor times its peers' mean (and clears the flag when it
+// recedes), and reports per-query hot join units. Anomalies are retained in a bounded
 // ring for /debug/anomalies and, when a Recorder is attached, recorded
 // as EvAnomaly flight events. Safe for concurrent use.
 type Detector struct {
-	cfg DetectorConfig
 	rec *Recorder // optional: anomalies double as flight events
 
 	mu      sync.Mutex
@@ -122,11 +104,10 @@ type nodeState struct {
 	hotSince       int64
 }
 
-// NewDetector returns a detector with the given configuration,
-// recording its anomalies into rec (which may be nil).
-func NewDetector(cfg DetectorConfig, rec *Recorder) *Detector {
-	cfg.defaults()
-	return &Detector{cfg: cfg, rec: rec}
+// NewDetector returns a detector recording its anomalies into rec
+// (which may be nil).
+func NewDetector(rec *Recorder) *Detector {
+	return &Detector{rec: rec}
 }
 
 // Observe folds one finished query into the detector: compareSeconds
@@ -148,7 +129,7 @@ func (d *Detector) Observe(query string, compareSeconds []float64, recvCells []i
 	for len(d.nodes) < k {
 		d.nodes = append(d.nodes, nodeState{})
 	}
-	a := d.cfg.Alpha
+	const a = detectorAlpha
 	for n := range d.nodes {
 		var cs, rc float64
 		if n < len(compareSeconds) {
@@ -167,7 +148,7 @@ func (d *Detector) Observe(query string, compareSeconds []float64, recvCells []i
 	}
 
 	var raised []Anomaly
-	if d.queries >= int64(d.cfg.Warmup) && len(d.nodes) > 1 {
+	if d.queries >= detectorWarmup && len(d.nodes) > 1 {
 		raised = append(raised, d.flagNodes(query, "straggler-compare",
 			func(st *nodeState) float64 { return st.compareEWMA },
 			func(st *nodeState) *int64 { return &st.stragglerSince })...)
@@ -175,7 +156,7 @@ func (d *Detector) Observe(query string, compareSeconds []float64, recvCells []i
 			func(st *nodeState) float64 { return st.recvEWMA },
 			func(st *nodeState) *int64 { return &st.hotSince })...)
 	}
-	for _, hu := range HotUnits(unitCells, 0, 0, 0) {
+	for _, hu := range HotUnits(unitCells) {
 		an := Anomaly{
 			Time:  time.Now(),
 			Kind:  "hot-unit",
@@ -201,7 +182,7 @@ func (d *Detector) flagNodes(query, kind string, value func(*nodeState) float64,
 		st := &d.nodes[i]
 		v := value(st)
 		peers := (sum - v) / float64(len(d.nodes)-1)
-		flagged := peers > 0 && v > d.cfg.Factor*peers
+		flagged := peers > 0 && v > detectorFactor*peers
 		s := since(st)
 		switch {
 		case flagged && *s == 0:
@@ -222,11 +203,11 @@ func (d *Detector) flagNodes(query, kind string, value func(*nodeState) float64,
 func (d *Detector) push(a Anomaly) Anomaly {
 	d.total++
 	a.Seq = d.total
-	if len(d.ring) < d.cfg.History {
+	if len(d.ring) < detectorHistory {
 		d.ring = append(d.ring, a)
 	} else {
 		d.ring[d.next] = a
-		d.next = (d.next + 1) % d.cfg.History
+		d.next = (d.next + 1) % detectorHistory
 	}
 	node := int64(a.Node)
 	if a.Node < 0 {
@@ -247,10 +228,10 @@ func (d *Detector) Snapshot() DetectorSnapshot {
 	snap := DetectorSnapshot{
 		Queries:  d.queries,
 		Total:    d.total,
-		Warmup:   d.cfg.Warmup,
-		Factor:   d.cfg.Factor,
-		Alpha:    d.cfg.Alpha,
-		Capacity: d.cfg.History,
+		Warmup:   detectorWarmup,
+		Factor:   detectorFactor,
+		Alpha:    detectorAlpha,
+		Capacity: detectorHistory,
 	}
 	for i := range d.nodes {
 		st := &d.nodes[i]
@@ -303,29 +284,19 @@ type HotUnit struct {
 	Mean  float64 `json:"mean_cells"`
 }
 
-// Hot-unit defaults: a unit is hot when it holds at least factor times
-// the mean unit cells (and at least minCells); at most max units are
+// A unit is hot when it holds more than hotUnitFactor times the mean
+// unit cells and at least hotUnitMinCells; at most maxHotUnits units are
 // reported, largest first.
 const (
-	DefaultHotUnitFactor   = 4.0
-	DefaultHotUnitMinCells = 256
-	DefaultMaxHotUnits     = 4
+	hotUnitFactor   = 4.0
+	hotUnitMinCells = 256
+	maxHotUnits     = 4
 )
 
 // HotUnits scans per-unit cell totals for units that dominate the mean.
-// Zero factor/minCells/max select the defaults. The result is ordered
-// largest first and is fully deterministic, so callers may fold it into
-// fingerprinted profiles.
-func HotUnits(unitCells []int64, factor float64, minCells int64, max int) []HotUnit {
-	if factor <= 0 {
-		factor = DefaultHotUnitFactor
-	}
-	if minCells <= 0 {
-		minCells = DefaultHotUnitMinCells
-	}
-	if max <= 0 {
-		max = DefaultMaxHotUnits
-	}
+// The result is ordered largest first and is fully deterministic, so
+// callers may fold it into fingerprinted profiles.
+func HotUnits(unitCells []int64) []HotUnit {
 	if len(unitCells) == 0 {
 		return nil
 	}
@@ -336,7 +307,7 @@ func HotUnits(unitCells []int64, factor float64, minCells int64, max int) []HotU
 	mean := float64(total) / float64(len(unitCells))
 	var hot []HotUnit
 	for u, c := range unitCells {
-		if c >= minCells && float64(c) > factor*mean {
+		if c >= hotUnitMinCells && float64(c) > hotUnitFactor*mean {
 			hot = append(hot, HotUnit{Unit: u, Cells: c, Mean: mean})
 		}
 	}
@@ -347,8 +318,8 @@ func HotUnits(unitCells []int64, factor float64, minCells int64, max int) []HotU
 			hot[j], hot[j-1] = hot[j-1], hot[j]
 		}
 	}
-	if len(hot) > max {
-		hot = hot[:max]
+	if len(hot) > maxHotUnits {
+		hot = hot[:maxHotUnits]
 	}
 	return hot
 }

@@ -16,7 +16,7 @@ func feed(d *Detector, n int, compare []float64, recv []int64) []Anomaly {
 
 func TestDetectorFlagsStraggler(t *testing.T) {
 	rec := New(64)
-	d := NewDetector(DetectorConfig{}, rec)
+	d := NewDetector(rec)
 	compare := []float64{1, 1, 10, 1}
 
 	// Before warmup nothing is flagged.
@@ -67,7 +67,7 @@ func TestDetectorFlagsStraggler(t *testing.T) {
 }
 
 func TestDetectorFlagsHotReceiver(t *testing.T) {
-	d := NewDetector(DetectorConfig{Warmup: 2}, nil)
+	d := NewDetector(nil)
 	recv := []int64{100, 5000, 100, 100}
 	got := feed(d, 3, nil, recv)
 	var hot *Anomaly
@@ -82,7 +82,7 @@ func TestDetectorFlagsHotReceiver(t *testing.T) {
 }
 
 func TestDetectorHotUnits(t *testing.T) {
-	d := NewDetector(DetectorConfig{}, nil)
+	d := NewDetector(nil)
 	units := []int64{10, 10, 9000, 10, 10, 10, 10, 10}
 	got := d.Observe("q", nil, nil, units)
 	if len(got) != 1 || got[0].Kind != "hot-unit" || got[0].Unit != 2 {
@@ -94,10 +94,11 @@ func TestDetectorHotUnits(t *testing.T) {
 }
 
 func TestDetectorRingBound(t *testing.T) {
-	d := NewDetector(DetectorConfig{History: 4}, nil)
+	d := NewDetector(nil)
 	// Each query has a different hot unit position, raising one anomaly
 	// per call.
-	for i := 0; i < 10; i++ {
+	const n = detectorHistory + 6
+	for i := 0; i < n; i++ {
 		units := make([]int64, 8)
 		for j := range units {
 			units[j] = 10
@@ -106,11 +107,11 @@ func TestDetectorRingBound(t *testing.T) {
 		d.Observe("q", nil, nil, units)
 	}
 	snap := d.Snapshot()
-	if snap.Total != 10 || len(snap.Recent) != 4 {
-		t.Fatalf("total=%d recent=%d, want 10/4", snap.Total, len(snap.Recent))
+	if snap.Total != n || len(snap.Recent) != detectorHistory {
+		t.Fatalf("total=%d recent=%d, want %d/%d", snap.Total, len(snap.Recent), n, detectorHistory)
 	}
 	// Newest first.
-	if snap.Recent[0].Seq != 10 || snap.Recent[3].Seq != 7 {
+	if snap.Recent[0].Seq != n || snap.Recent[detectorHistory-1].Seq != n-detectorHistory+1 {
 		t.Errorf("ring order: %+v", snap.Recent)
 	}
 }
@@ -130,11 +131,11 @@ func TestNilDetector(t *testing.T) {
 
 func TestHotUnits(t *testing.T) {
 	// Uniform: nothing hot.
-	if got := HotUnits([]int64{500, 500, 500, 500}, 0, 0, 0); len(got) != 0 {
+	if got := HotUnits([]int64{500, 500, 500, 500}); len(got) != 0 {
 		t.Errorf("uniform units flagged: %+v", got)
 	}
 	// Below the absolute floor: a dominant but tiny unit stays quiet.
-	if got := HotUnits([]int64{1, 1, 100, 1}, 0, 0, 0); len(got) != 0 {
+	if got := HotUnits([]int64{1, 1, 100, 1}); len(got) != 0 {
 		t.Errorf("tiny units flagged: %+v", got)
 	}
 	// Two dominant units, largest first.
@@ -143,20 +144,21 @@ func TestHotUnits(t *testing.T) {
 		cells[i] = 10
 	}
 	cells[1], cells[3] = 20000, 40000
-	got := HotUnits(cells, 0, 0, 0)
+	got := HotUnits(cells)
 	if len(got) != 2 || got[0].Unit != 3 || got[1].Unit != 1 {
 		t.Fatalf("hot units = %+v", got)
 	}
 	if got[0].Cells != 40000 || got[0].Mean != got[1].Mean {
 		t.Errorf("hot unit fields = %+v", got)
 	}
-	// Cap respected: three qualify, two reported, largest first.
+	// Cap respected: five qualify, maxHotUnits reported, largest first.
 	many := make([]int64, 64)
-	many[5], many[9], many[20] = 100002, 100001, 100000
-	if got := HotUnits(many, 0, 0, 2); len(got) != 2 || got[0].Unit != 5 || got[1].Unit != 9 {
+	many[5], many[9], many[20], many[33], many[40] = 100004, 100003, 100002, 100001, 100000
+	got = HotUnits(many)
+	if len(got) != maxHotUnits || got[0].Unit != 5 || got[1].Unit != 9 || got[maxHotUnits-1].Unit != 33 {
 		t.Errorf("capped hot units = %+v", got)
 	}
-	if HotUnits(nil, 0, 0, 0) != nil {
+	if HotUnits(nil) != nil {
 		t.Error("nil units should yield nil")
 	}
 }

@@ -30,9 +30,11 @@
 package flight
 
 import (
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 )
 
 // DefaultCapacity is the ring capacity of the package Default recorder.
@@ -45,6 +47,11 @@ var Default = New(DefaultCapacity)
 // maxLabels bounds the label intern table; once full, new labels map to
 // id 0 (rendered as "") instead of growing without bound.
 const maxLabels = 4096
+
+// maxLabelBytes bounds each label. Labels carry whole query texts and
+// error messages, and the table keeps them for the recorder's lifetime,
+// so Label cuts longer strings at a rune boundary before interning.
+const maxLabelBytes = 256
 
 // slot is one ring entry. ver follows the seqlock protocol on the slot's
 // sequence number s: 2s+1 while the writer of sequence s is filling the
@@ -180,13 +187,21 @@ func (r *Recorder) NextQID() uint32 {
 	return r.qid.Add(1)
 }
 
-// Label interns a string and returns its id for use as an event
-// argument. Interning an already-known label is allocation-free; the
-// table is bounded, and once full (or for the empty string, or on a nil
-// recorder) Label returns 0, which renders as "".
+// Label interns a string, cut to its first maxLabelBytes bytes, and
+// returns its id for use as an event argument; strings that agree on that
+// prefix share an id. Interning an already-known label is
+// allocation-free; the table is bounded, and once full (or for the empty
+// string, or on a nil recorder) Label returns 0, which renders as "".
 func (r *Recorder) Label(s string) int64 {
 	if r == nil || s == "" {
 		return 0
+	}
+	if len(s) > maxLabelBytes {
+		n := maxLabelBytes
+		for n > maxLabelBytes-utf8.UTFMax && !utf8.RuneStart(s[n]) {
+			n--
+		}
+		s = s[:n]
 	}
 	r.labelMu.RLock()
 	id, ok := r.labelIDs[s]
@@ -202,6 +217,8 @@ func (r *Recorder) Label(s string) int64 {
 	if len(r.labelNames) >= maxLabels {
 		return 0
 	}
+	// Own the bytes: a cut label must not pin its caller's longer string.
+	s = strings.Clone(s)
 	id = int64(len(r.labelNames))
 	r.labelNames = append(r.labelNames, s)
 	r.labelIDs[s] = id

@@ -3,8 +3,10 @@ package flight
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"sync"
 	"testing"
+	"unicode/utf8"
 )
 
 func TestRecordSnapshot(t *testing.T) {
@@ -98,6 +100,28 @@ func TestLabels(t *testing.T) {
 	}
 	if r.Label("align") != a {
 		t.Error("existing labels must survive table overflow")
+	}
+}
+
+// TestLabelsCapped pins the per-label byte cap: two 1 MiB labels that
+// share a long prefix intern to one id, the stored name stays within
+// maxLabelBytes, and the cut never splits a multi-byte rune.
+func TestLabelsCapped(t *testing.T) {
+	r := New(16)
+	// "é" is two bytes; an odd-length ASCII lead puts a rune across the cap.
+	prefix := "x" + strings.Repeat("é", maxLabelBytes)
+	a := r.Label(prefix + strings.Repeat("a", 1<<20))
+	b := r.Label(prefix + strings.Repeat("b", 1<<20))
+	if a == 0 || a != b {
+		t.Fatalf("labels with a common %d-byte prefix got ids %d and %d, want one nonzero id", maxLabelBytes, a, b)
+	}
+	name := r.LabelName(a)
+	if len(name) > maxLabelBytes || len(name) < maxLabelBytes-utf8.UTFMax || !utf8.ValidString(name) || !strings.HasPrefix(prefix, name) {
+		t.Fatalf("stored label is %d bytes (valid UTF-8: %v), want a rune-aligned prefix within %d bytes",
+			len(name), utf8.ValidString(name), maxLabelBytes)
+	}
+	if r.Label(name) != a {
+		t.Error("the stored prefix should intern to the same id")
 	}
 }
 

@@ -68,14 +68,11 @@ type Config struct {
 	// Flight is the recorder served on /debug/flight; nil uses the
 	// process-wide flight.Default ring.
 	Flight *flight.Recorder
-	// Detector overrides the anomaly detector's tuning; the zero value
-	// selects the flight package defaults.
-	Detector flight.DetectorConfig
 	// Status identifies the process on /debug/status.
 	Status StatusInfo
 	// Sched, when non-nil, annotates /debug/inflight and /debug/status
 	// with the query scheduler's admission state (queue depths per class,
-	// memory-pool usage, free stage slots).
+	// memory-pool usage).
 	Sched *sched.Scheduler
 }
 
@@ -117,7 +114,7 @@ func NewHub(cfg Config) *Hub {
 		cfg:      cfg,
 		log:      newQueryLog(cfg.QueryLogCapacity),
 		rec:      rec,
-		det:      flight.NewDetector(cfg.Detector, rec),
+		det:      flight.NewDetector(rec),
 		start:    time.Now(),
 		engine:   obs.NewRegistry(),
 		inflight: make(map[*pipeline.Progress]uint64),

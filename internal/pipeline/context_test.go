@@ -69,14 +69,14 @@ func TestContextIgnoredWhenDone(t *testing.T) {
 }
 
 // TestGatedEquivalence is the scheduler's determinism boundary: a query
-// executed through a sched.Ticket gate (shared sim pool, compare slots,
-// memory reservation) produces bit-identical results to an ungated run.
+// executed under a sched.Ticket produces bit-identical results to an
+// ungated run.
 func TestGatedEquivalence(t *testing.T) {
 	a := buildArray("A<v:int>[i=1,300,30]", 5, 150, 30)
 	b := buildArray("B<w:int>[j=1,300,30]", 6, 160, 30)
 	pred := join.Predicate{{Left: join.Term{Name: "v"}, Right: join.Term{Name: "w"}}}
 
-	s := sched.New(sched.Config{MaxQueries: 2, AlignSlots: 1, CompareSlots: 1, PoolBytes: 1 << 30})
+	s := sched.New(sched.Config{MaxQueries: 2, PoolBytes: 1 << 30})
 	run := func(gate pipeline.Gate) *pipeline.Report {
 		c := newCluster(t, 4, a.Clone(), b.Clone())
 		rep, err := pipeline.Run(c, "A", "B", pred, nil, pipeline.Options{
@@ -96,9 +96,51 @@ func TestGatedEquivalence(t *testing.T) {
 	gated := run(tk)
 	tk.Done()
 	reportsEquivalent(t, "gated-vs-plain", gated, plain)
-	snap := s.Snapshot()
-	if snap.AlignSlotsFree != 1 || snap.CompareSlotsFree != 1 {
-		t.Fatalf("slots leaked: %+v", snap)
+	if gated.MemoryOverflowBytes != 0 {
+		t.Fatalf("a %d-byte grant overflowed by %d bytes", tk.MemoryBytes(), gated.MemoryOverflowBytes)
+	}
+	if snap := s.Snapshot(); snap.Inflight != 0 || snap.MemReservedBytes != 0 {
+		t.Fatalf("grant leaked: %+v", snap)
+	}
+}
+
+// TestGateGrantBudgetsQuery pins where an unbudgeted gated query's memory
+// budget comes from: the admission grant. A grant below the query's peak
+// is counted as overflow exactly like an explicit MemoryBudget of the same
+// size, and the output does not change.
+func TestGateGrantBudgetsQuery(t *testing.T) {
+	a := buildArray("A<v:int>[i=1,300,30]", 5, 150, 30)
+	b := buildArray("B<w:int>[j=1,300,30]", 6, 160, 30)
+	pred := join.Predicate{{Left: join.Term{Name: "v"}, Right: join.Term{Name: "w"}}}
+	run := func(opt pipeline.Options) *pipeline.Report {
+		c := newCluster(t, 4, a.Clone(), b.Clone())
+		rep, err := pipeline.Run(c, "A", "B", pred, nil, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+
+	s := sched.New(sched.Config{MaxQueries: 1, PoolBytes: 256})
+	tk, err := s.Admit(context.Background(), sched.Scan, 0, "gated")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tk.Done()
+	plain := run(pipeline.Options{})
+	gated := run(pipeline.Options{Gate: tk})
+	reportsEquivalent(t, "gated-vs-plain", gated, plain)
+	grant := tk.MemoryBytes()
+	if grant != 256 || gated.PeakBatchBytes <= grant {
+		t.Fatalf("fixture: grant %d, peak %d; want a 256-byte grant below the peak", grant, gated.PeakBatchBytes)
+	}
+	if want := gated.PeakBatchBytes - grant; gated.MemoryOverflowBytes != want {
+		t.Fatalf("MemoryOverflowBytes = %d, want peak %d - grant %d = %d",
+			gated.MemoryOverflowBytes, gated.PeakBatchBytes, grant, want)
+	}
+	// An explicit budget wins over the grant.
+	if own := run(pipeline.Options{Gate: tk, MemoryBudget: 1 << 30}); own.MemoryOverflowBytes != 0 {
+		t.Fatalf("explicit 1 GiB budget overflowed by %d bytes", own.MemoryOverflowBytes)
 	}
 }
 

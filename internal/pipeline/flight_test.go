@@ -90,7 +90,9 @@ func TestFlightRecordingEquivalence(t *testing.T) {
 
 // alignEvents runs one recorded query and returns its Report and the
 // events the align stage left, from align-done up to and including the
-// stage's stage-finish.
+// stage's stage-finish. Budget credits are skipped: compare workers
+// overlap Align and retire units concurrently, so their credits can land
+// anywhere in that window.
 func alignEvents(t *testing.T, nodes int) (*pipeline.Report, []flight.Event) {
 	t.Helper()
 	a := buildArray("A<v:int>[i=1,300,30]", 21, 150, 25)
@@ -109,12 +111,17 @@ func alignEvents(t *testing.T, nodes int) (*pipeline.Report, []flight.Event) {
 		if e.Type != flight.EvAlignDone {
 			continue
 		}
-		for j := i; j < len(evs); j++ {
-			if evs[j].Type == flight.EvStageFinish {
-				if stage := fr.LabelName(evs[j].Args[0]); stage != "align" {
+		var out []flight.Event
+		for _, e := range evs[i:] {
+			if e.Type == flight.EvBudgetCredit {
+				continue
+			}
+			out = append(out, e)
+			if e.Type == flight.EvStageFinish {
+				if stage := fr.LabelName(e.Args[0]); stage != "align" {
 					t.Fatalf("align-done landed in stage %q", stage)
 				}
-				return rep, evs[i : j+1]
+				return rep, out
 			}
 		}
 	}
@@ -421,7 +428,7 @@ func TestProfileHotUnits(t *testing.T) {
 	if len(rep.UnitCells) == 0 {
 		t.Fatal("Report.UnitCells not populated")
 	}
-	want := flight.HotUnits(rep.UnitCells, 0, 0, 0)
+	want := flight.HotUnits(rep.UnitCells)
 	if !reflect.DeepEqual(rep.Profile().HotUnits, want) {
 		t.Errorf("Profile.HotUnits = %+v, want %+v", rep.Profile().HotUnits, want)
 	}

@@ -44,7 +44,8 @@ type Options struct {
 	// MemoryBudget caps the bytes of mapped batch storage the query may
 	// hold in flight (8 bytes per stored coordinate and value; string
 	// contents live in the per-query intern dictionary). 0 means
-	// unlimited. By default overflow is counted, not fatal:
+	// unlimited, unless a Gate grants a reservation. By default overflow
+	// is counted, not fatal:
 	// Report.MemoryOverflowBytes records how far the peak exceeded the
 	// budget, mirroring the ClampedCells pattern.
 	MemoryBudget int64
@@ -115,32 +116,17 @@ type Options struct {
 	// context.DeadlineExceeded (wrapped, errors.Is-matchable). Nil means
 	// context.Background() — no cancellation.
 	Ctx context.Context
-	// Gate, when non-nil, is the query's handle on scheduler-shared
-	// stage resources: the Align stage borrows its simnet.Sim from the
-	// gate's capped pool instead of the process sync.Pool, and the
-	// Compare machinery holds a compare slot for the duration of
-	// comparison work. Gating changes only when stages run, never what
-	// they compute — outputs, modeled times, and profile fingerprints
-	// are bit-identical with and without a gate. A sched.Ticket
-	// satisfies this interface.
+	// Gate, when non-nil, is the query's admission grant. SliceMap runs
+	// an unbudgeted query (MemoryBudget 0) under the grant's memory
+	// reservation. A sched.Ticket satisfies this interface.
 	Gate Gate
 }
 
-// Gate meters a query's access to scheduler-shared stage resources.
-// Implementations must be safe for concurrent use; sched.Ticket is the
-// canonical one. All methods may block until a resource frees or ctx
-// is done.
+// Gate is a query's admission grant from a scheduler.
 type Gate interface {
-	// AcquireSim borrows a reusable shuffle simulator from the shared
-	// capped pool for the Align stage.
-	AcquireSim(ctx context.Context) (*simnet.Sim, error)
-	// ReleaseSim returns a borrowed simulator.
-	ReleaseSim(*simnet.Sim)
-	// AcquireCompare takes a compare-work slot; the pipeline holds it
-	// from compare dispatch until the Compare stage folds its results.
-	AcquireCompare(ctx context.Context) error
-	// ReleaseCompare returns a compare-work slot.
-	ReleaseCompare()
+	// MemoryBytes is the batch-memory reservation admission carved for
+	// the query (0 when the scheduler has no memory pool).
+	MemoryBytes() int64
 }
 
 // flightRecorder resolves the query's flight recorder: FlightOff wins,
@@ -331,8 +317,9 @@ type Report struct {
 	// query's intern dictionary holds after slice mapping; zero when no
 	// string attributes flowed (SliceMap stage).
 	InternedStrings int64
-	// MemoryOverflowBytes is how far PeakBatchBytes exceeded
-	// Options.MemoryBudget — the counted-mode analogue of ClampedCells.
+	// MemoryOverflowBytes is how far PeakBatchBytes exceeded the memory
+	// budget (Options.MemoryBudget, or the Gate's grant) — the
+	// counted-mode analogue of ClampedCells.
 	// Zero when within budget or unbudgeted (SliceMap stage).
 	MemoryOverflowBytes int64
 

@@ -110,9 +110,6 @@ type QueryContext struct {
 	cached   *plancache.Entry    // hit awaiting revalidation in PhysicalPlan
 	planning *plancache.Planning // singleflight token; Finished after Store or on error
 
-	// Gate state (Align/Compare stages, only when Opt.Gate is set).
-	compareSlot bool // holding the gate's compare slot
-
 	// Stage products, in the order they are produced.
 	plan      *logical.Plan     // &Report.Logical: the chosen plan, once LogicalPlan has run
 	spec      *shuffle.UnitSpec // SliceMap: join-unit geometry
@@ -142,15 +139,6 @@ func NewQueryContext(c *cluster.Cluster, dl, dr *cluster.Distributed, pred join.
 		ctx:     o.ctx(),
 		plan:    &rep.Logical,
 		prog:    Progress{Label: rep.Query, Start: time.Now(), rep: rep},
-	}
-}
-
-// releaseCompareSlot returns the gate's compare slot if this query holds
-// one; safe to call repeatedly.
-func (qc *QueryContext) releaseCompareSlot() {
-	if qc.compareSlot {
-		qc.compareSlot = false
-		qc.Opt.Gate.ReleaseCompare()
 	}
 }
 
@@ -193,13 +181,9 @@ func Execute(qc *QueryContext, stages []Stage) error {
 			break
 		}
 	}
-	// Error exits can leave gate or singleflight state held mid-stage;
-	// release both so neither a compare slot nor concurrent planners for
-	// this signature stay blocked. Both are no-ops on the success path
-	// (stages release the slot and Finish after Store themselves).
-	if opt.Gate != nil {
-		qc.releaseCompareSlot()
-	}
+	// Error exits can leave the singleflight token held mid-stage; retire
+	// it so concurrent planners for this signature do not stay blocked. A
+	// no-op on the success path (PhysicalPlan Finishes after Store).
 	qc.planning.Finish()
 	rep.WallTime = time.Since(qc.prog.Start)
 	qc.publish(execErr)

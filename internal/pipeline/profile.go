@@ -114,7 +114,7 @@ type Profile struct {
 	// high-water mark of mapped batch storage (deterministic),
 	// InternedStrings the distinct strings in the query's intern
 	// dictionary, and MemoryOverflowBytes
-	// how far the peak exceeded Options.MemoryBudget (counted mode).
+	// how far the peak exceeded the memory budget (counted mode).
 	PeakBatchBytes      int64 `json:"peak_batch_bytes"`
 	InternedStrings     int64 `json:"interned_strings,omitempty"`
 	MemoryOverflowBytes int64 `json:"memory_overflow_bytes,omitempty"`
@@ -168,7 +168,7 @@ func buildProfile(rep *Report) *Profile {
 		MemoryOverflowBytes: rep.MemoryOverflowBytes,
 		Skew:                rep.Skew,
 		StragglerNode:       rep.StragglerNode,
-		HotUnits:            flight.HotUnits(rep.UnitCells, 0, 0, 0),
+		HotUnits:            flight.HotUnits(rep.UnitCells),
 		Shuffle: ShuffleProfile{
 			Transfers:       len(rep.Align.Timeline),
 			CellsMoved:      rep.CellsMoved,

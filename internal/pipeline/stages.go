@@ -110,7 +110,8 @@ func (LogicalPlan) Run(qc *QueryContext) error {
 // SliceMap is the Section 3.3 stage: each node maps its resident cells of
 // both sides into join-unit slices (in parallel across nodes). The slices
 // are bounded columnar batch runs (shuffle.MapSideStream) with a shared
-// per-query intern dictionary and memory budget.
+// per-query intern dictionary and memory budget: Options.MemoryBudget, or
+// the Gate's reservation when that is zero.
 type SliceMap struct{}
 
 func (SliceMap) Name() string { return "slice-map" }
@@ -119,7 +120,11 @@ func (SliceMap) Run(qc *QueryContext) error {
 	c, opt := qc.Cluster, qc.Opt
 	workers := opt.workers()
 	spec, lm, rm := logical.UnitSpecFor(qc.plan)
-	qc.budget = batch.NewBudget(opt.MemoryBudget, opt.Strict)
+	limit := opt.MemoryBudget
+	if limit == 0 && opt.Gate != nil {
+		limit = opt.Gate.MemoryBytes()
+	}
+	qc.budget = batch.NewBudget(limit, opt.Strict)
 	// Attach before the budget is shared with mapper workers so
 	// charge/credit events carry the query id from the first batch.
 	qc.budget.SetFlight(qc.fr, qc.qid)
@@ -207,7 +212,7 @@ func planAssignment(qc *QueryContext, pr *physical.Problem) (physical.Result, er
 	opt, rep := qc.Opt, qc.Report
 	if e := qc.cached; e != nil {
 		start := time.Now()
-		if bd, ok := plancache.Revalidate(e, pr, 0); ok {
+		if bd, ok := plancache.Revalidate(e, pr); ok {
 			return physical.Result{
 				Planner:    "Cached/" + e.Source,
 				Assignment: e.Assignment,
@@ -259,25 +264,6 @@ func (Align) Name() string { return "align" }
 // Report retains.
 var simPool = sync.Pool{New: func() any { return new(simnet.Sim) }}
 
-// acquireSim borrows the Align stage's simulator: from the query's gate
-// (the scheduler's capped shared pool, which may block until an
-// instance frees) or, ungated, from the process-wide simPool.
-func (qc *QueryContext) acquireSim() (*simnet.Sim, error) {
-	if g := qc.Opt.Gate; g != nil {
-		return g.AcquireSim(qc.ctx)
-	}
-	return simPool.Get().(*simnet.Sim), nil
-}
-
-// releaseSim returns a simulator to wherever acquireSim got it.
-func (qc *QueryContext) releaseSim(sim *simnet.Sim) {
-	if g := qc.Opt.Gate; g != nil {
-		g.ReleaseSim(sim)
-		return
-	}
-	simPool.Put(sim)
-}
-
 func (Align) Run(qc *QueryContext) error {
 	c, opt := qc.Cluster, qc.Opt
 	rep := qc.Report
@@ -311,14 +297,6 @@ func (Align) Run(qc *QueryContext) error {
 		}
 	}
 
-	// The compare slot must be held before the runner exists: the
-	// constructor dispatches local-only units immediately.
-	if g := opt.Gate; g != nil {
-		if err := g.AcquireCompare(qc.ctx); err != nil {
-			return err
-		}
-		qc.compareSlot = true
-	}
 	runner := newCompareRunner(qc)
 	cfg := simnet.Config{
 		Nodes:       c.K,
@@ -326,22 +304,17 @@ func (Align) Run(qc *QueryContext) error {
 		Scheduling:  opt.Scheduling,
 		OnComplete:  runner.landed,
 	}
-	sim, err := qc.acquireSim()
-	if err != nil {
-		runner.wait()
-		return err
-	}
+	sim := simPool.Get().(*simnet.Sim)
 	align, err := sim.Simulate(cfg, qc.transfers)
+	// The Result aliases the pooled instance's buffers and the Report
+	// outlives this query, so detach it before releasing the simulator.
+	align = align.Clone()
+	simPool.Put(sim)
 	if err != nil {
-		qc.releaseSim(sim)
 		runner.wait()
 		return err
 	}
 	qc.runner = runner
-	// The Result aliases the pooled instance's buffers and the Report
-	// outlives this query, so detach it before releasing the simulator.
-	align = align.Clone()
-	qc.releaseSim(sim)
 	rep.Align = align
 	rep.AlignTime = align.Makespan
 	rep.LockWaitSeconds = align.LockWaitTime
@@ -363,9 +336,6 @@ func (Compare) Run(qc *QueryContext) error {
 
 	qc.runner.wait()
 	qc.nodes = qc.runner.fold()
-	// Comparison work is over; free the gate's compare slot before the
-	// (possibly long) merge and assemble tail.
-	qc.releaseCompareSlot()
 
 	rep.NodeCompareTime = make([]float64, k)
 	for node := 0; node < k; node++ {

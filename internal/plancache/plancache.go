@@ -212,23 +212,19 @@ func (c *Cache) Len() int {
 	return len(c.entries)
 }
 
-// DefaultMaxDrift is the revalidation threshold: a cached assignment
+// MaxDrift is the revalidation threshold: a cached assignment
 // whose re-costed makespan exceeds its stored makespan by more than this
 // fraction is rejected. When the signature machinery works, a hit's
 // statistics are identical and measured drift is exactly zero; any
 // nonzero drift means the entry no longer describes the data.
-const DefaultMaxDrift = 0.05
+const MaxDrift = 0.05
 
 // Revalidate re-costs a cached assignment against the current planning
 // problem — the cheap O(N·K) hit-path check. It returns the fresh cost
 // breakdown and whether the entry is still usable: the assignment must
 // be shape-valid for the problem, and its re-costed total must stay
-// within maxDrift (<= 0 selects DefaultMaxDrift) of the total it was
-// stored with.
-func Revalidate(e *Entry, pr *physical.Problem, maxDrift float64) (physical.Breakdown, bool) {
-	if maxDrift <= 0 {
-		maxDrift = DefaultMaxDrift
-	}
+// within MaxDrift of the total it was stored with.
+func Revalidate(e *Entry, pr *physical.Problem) (physical.Breakdown, bool) {
 	if e == nil || !pr.Valid(e.Assignment) {
 		return physical.Breakdown{}, false
 	}
@@ -236,5 +232,5 @@ func Revalidate(e *Entry, pr *physical.Problem, maxDrift float64) (physical.Brea
 	if e.Model.Total <= 0 {
 		return bd, bd.Total <= 0
 	}
-	return bd, bd.Total <= (1+maxDrift)*e.Model.Total
+	return bd, bd.Total <= (1+MaxDrift)*e.Model.Total
 }

@@ -77,7 +77,7 @@ func TestRevalidateAcceptsUnchangedProblem(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := &Entry{Assignment: res.Assignment, Model: res.Model}
-	bd, ok := Revalidate(e, pr, 0)
+	bd, ok := Revalidate(e, pr)
 	if !ok {
 		t.Fatal("unchanged problem rejected")
 	}
@@ -95,20 +95,20 @@ func TestRevalidateRejectsDriftAndShapeMismatch(t *testing.T) {
 	// A stale entry whose stored cost pretends to be far cheaper than
 	// the assignment's true cost on the current data: drift past 5%.
 	stale := &Entry{Assignment: res.Assignment, Model: physical.Breakdown{Total: res.Model.Total / 10}}
-	if _, ok := Revalidate(stale, pr, 0); ok {
+	if _, ok := Revalidate(stale, pr); ok {
 		t.Error("10x drift accepted")
 	}
 	// Wrong shape: assignment for another unit count.
 	short := &Entry{Assignment: res.Assignment[:8], Model: res.Model}
-	if _, ok := Revalidate(short, pr, 0); ok {
+	if _, ok := Revalidate(short, pr); ok {
 		t.Error("truncated assignment accepted")
 	}
 	// Node out of range for a smaller cluster.
 	pr2 := testProblem(t, 1, 32, 2)
-	if _, ok := Revalidate(&Entry{Assignment: res.Assignment, Model: res.Model}, pr2, 0); ok {
+	if _, ok := Revalidate(&Entry{Assignment: res.Assignment, Model: res.Model}, pr2); ok {
 		t.Error("assignment naming node 3 accepted on a 2-node problem")
 	}
-	if _, ok := Revalidate(nil, pr, 0); ok {
+	if _, ok := Revalidate(nil, pr); ok {
 		t.Error("nil entry accepted")
 	}
 }

@@ -1,24 +1,18 @@
 // Package sched is the engine's multi-query admission layer: it decides
-// which of N concurrently submitted queries may enter the pipeline's
-// stage machinery, and meters their access to the shared execution
-// resources once admitted. One Scheduler owns
+// which of N concurrently submitted queries may enter the pipeline, and
+// when. One Scheduler owns two resources and one ordering rule:
 //
-//   - query admission: at most MaxQueries queries execute at once;
-//     excess submissions queue (per class, FIFO) instead of piling
-//     goroutines onto the stage hot paths.
+//   - query slots: at most MaxQueries queries execute at once; excess
+//     submissions queue (per class, FIFO) instead of piling goroutines
+//     onto the stage hot paths.
 //   - a shared memory pool: each admitted query reserves its
 //     batch-memory budget out of one process-wide cap at admission
 //     time, and a query whose reservation does not fit waits in the
 //     queue rather than failing — reservation happens before any stage
 //     runs, so queries never deadlock holding partial allocations.
-//   - stage-level slots: a capped pool of reusable simnet.Sim
-//     instances bounds concurrent Align work, and a compare semaphore
-//     bounds concurrent cell-comparison work, so P admitted queries
-//     cannot oversubscribe the per-query Parallelism worker budget.
 //   - fairness: admission grants are weighted-fair-queued between the
-//     interactive and scan classes by per-class virtual time, with a
-//     starvation bound forcing a waiting class through after too many
-//     consecutive grants to the other.
+//     interactive and scan classes (three interactive grants per scan
+//     grant while both wait) by self-clocked per-class virtual time.
 //
 // Admission is control-plane only: it decides *when* a query starts,
 // never *what* it computes. A query's outputs, modeled times, and
@@ -38,7 +32,6 @@ import (
 
 	"shufflejoin/internal/flight"
 	"shufflejoin/internal/obs"
-	"shufflejoin/internal/simnet"
 )
 
 // Class is a query's scheduling class.
@@ -46,7 +39,7 @@ type Class uint8
 
 const (
 	// Interactive is the latency-sensitive class (point lookups, small
-	// selective joins); it carries the higher default WFQ weight.
+	// selective joins); it carries the higher WFQ weight.
 	Interactive Class = iota
 	// Scan is the throughput class (large analytic scans) that may
 	// saturate the pool without starving interactive work.
@@ -81,27 +74,13 @@ type Config struct {
 	// MaxQueries is the number of queries admitted concurrently
 	// (default: one per CPU). Submissions beyond it queue.
 	MaxQueries int
-	// AlignSlots caps concurrent Align stages — it is the size of the
-	// shared simulator pool (default: MaxQueries).
-	AlignSlots int
-	// CompareSlots caps concurrent Compare stages (default: MaxQueries).
-	CompareSlots int
 	// PoolBytes is the process-wide batch-memory cap per-query budgets
-	// are carved from; 0 disables memory admission entirely.
+	// are carved from; 0 disables memory admission entirely. A query
+	// that declares no budget of its own reserves PoolBytes /
+	// MaxQueries. A declared budget larger than PoolBytes is clamped to
+	// PoolBytes so it can ever be admitted; the query's own Budget
+	// still counts overflow.
 	PoolBytes int64
-	// PerQueryBytes is the reservation for a query that declares no
-	// budget of its own (default: PoolBytes / MaxQueries). A declared
-	// budget larger than PoolBytes is clamped to PoolBytes so it can
-	// ever be admitted; the query's own Budget still counts overflow.
-	PerQueryBytes int64
-	// InteractiveWeight and ScanWeight are the WFQ weights (defaults
-	// 3 and 1: three interactive grants per scan grant under
-	// contention).
-	InteractiveWeight int
-	ScanWeight        int
-	// StarvationBound forces a waiting class through after this many
-	// consecutive grants to the other class (default 8).
-	StarvationBound int
 	// Registry, when non-nil, receives the scheduler's gauges,
 	// counters, and admission-wait histograms (sched.* names).
 	Registry *obs.Registry
@@ -116,25 +95,27 @@ var waitBuckets = []float64{
 	0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100,
 }
 
-// Scheduler admits queries and meters their stage-level resource use.
-// Construct with New; safe for concurrent use.
+// cost is each class's virtual-time charge per grant: the inverse of the
+// WFQ weights 3 (interactive) and 1 (scan), scaled to integers so that
+// virtual-time comparisons are exact.
+var cost = [numClasses]int64{Interactive: 1, Scan: 3}
+
+// Scheduler admits queries. Construct with New; safe for concurrent use.
 type Scheduler struct {
 	cfg Config
 	fr  *flight.Recorder
 
-	sims chan *simnet.Sim // capped shared simulator pool (align slots)
-	cmp  chan struct{}    // compare-stage semaphore
-
-	mu        sync.Mutex
-	queues    [numClasses][]*waiter
-	inflight  int
-	memUsed   int64
-	vtime     [numClasses]float64 // WFQ per-class virtual finish times
-	lastClass Class
-	consec    int // consecutive grants to lastClass
-	admitted  [numClasses]int64
-	rejected  [numClasses]int64
-	granted   uint64 // total grants, for deterministic ticket ids
+	mu       sync.Mutex
+	queues   [numClasses][]*waiter
+	inflight int
+	memUsed  int64
+	// vtime[c] is the virtual finish time of class c's latest grant, and
+	// vlast that of the latest grant of either class (self-clocked fair
+	// queueing: vlast is the scheduler's virtual "now").
+	vtime    [numClasses]int64
+	vlast    int64
+	admitted [numClasses]int64
+	rejected [numClasses]int64
 
 	// Metrics are optional; every handle below may be nil.
 	mDepth    [numClasses]*obs.Gauge
@@ -160,35 +141,9 @@ func New(cfg Config) *Scheduler {
 	if cfg.MaxQueries <= 0 {
 		cfg.MaxQueries = runtime.GOMAXPROCS(0)
 	}
-	if cfg.AlignSlots <= 0 {
-		cfg.AlignSlots = cfg.MaxQueries
-	}
-	if cfg.CompareSlots <= 0 {
-		cfg.CompareSlots = cfg.MaxQueries
-	}
-	if cfg.PerQueryBytes <= 0 && cfg.PoolBytes > 0 {
-		cfg.PerQueryBytes = cfg.PoolBytes / int64(cfg.MaxQueries)
-	}
-	if cfg.InteractiveWeight <= 0 {
-		cfg.InteractiveWeight = 3
-	}
-	if cfg.ScanWeight <= 0 {
-		cfg.ScanWeight = 1
-	}
-	if cfg.StarvationBound <= 0 {
-		cfg.StarvationBound = 8
-	}
 	s := &Scheduler{cfg: cfg, fr: cfg.Flight}
 	if s.fr == nil {
 		s.fr = flight.Default
-	}
-	s.sims = make(chan *simnet.Sim, cfg.AlignSlots)
-	for i := 0; i < cfg.AlignSlots; i++ {
-		s.sims <- new(simnet.Sim)
-	}
-	s.cmp = make(chan struct{}, cfg.CompareSlots)
-	for i := 0; i < cfg.CompareSlots; i++ {
-		s.cmp <- struct{}{}
 	}
 	if reg := cfg.Registry; reg != nil {
 		for c := Class(0); c < numClasses; c++ {
@@ -203,39 +158,28 @@ func New(cfg Config) *Scheduler {
 	return s
 }
 
-// weight returns the configured WFQ weight of a class.
-func (s *Scheduler) weight(c Class) float64 {
-	if c == Scan {
-		return float64(s.cfg.ScanWeight)
-	}
-	return float64(s.cfg.InteractiveWeight)
-}
-
 // reserveBytes resolves a query's memory reservation: its own declared
-// budget (clamped to the pool) or the per-query default. Zero when the
-// scheduler runs without a memory pool.
+// budget (clamped to the pool) or an equal share of the pool. Zero when
+// the scheduler runs without a memory pool.
 func (s *Scheduler) reserveBytes(declared int64) int64 {
 	if s.cfg.PoolBytes <= 0 {
 		return 0
 	}
-	b := declared
-	if b <= 0 {
-		b = s.cfg.PerQueryBytes
+	if declared <= 0 {
+		return s.cfg.PoolBytes / int64(s.cfg.MaxQueries)
 	}
-	if b > s.cfg.PoolBytes {
-		b = s.cfg.PoolBytes
-	}
-	return b
+	return min(declared, s.cfg.PoolBytes)
 }
 
 // Admit blocks until the query is granted a slot (and, when a memory
 // pool is configured, its reservation fits) or ctx is done. declared is
 // the query's own memory budget in bytes (0 = none; the scheduler then
-// reserves its per-query default). label annotates flight events.
+// reserves an equal share of its pool). label names the query to the
+// caller's logs; admission does not read it.
 //
-// The returned Ticket is the query's resource handle: it satisfies the
-// pipeline's Gate interface for stage-level slot acquisition and must
-// be released with Done when the query finishes (success or failure).
+// The returned Ticket is the query's admission grant: it satisfies the
+// pipeline's Gate interface, and must be released with Done when the
+// query finishes (success or failure).
 func (s *Scheduler) Admit(ctx context.Context, class Class, declared int64, label string) (*Ticket, error) {
 	if class >= numClasses {
 		class = Interactive
@@ -246,6 +190,11 @@ func (s *Scheduler) Admit(ctx context.Context, class Class, declared int64, labe
 	bytes := s.reserveBytes(declared)
 
 	s.mu.Lock()
+	if len(s.queues[class]) == 0 {
+		// The class was idle: its virtual time restarts at the
+		// scheduler's virtual now, so idling earns no credit.
+		s.vtime[class] = max(s.vtime[class], s.vlast)
+	}
 	// Fast path: nothing queued ahead and the resources fit.
 	if s.queues[Interactive] == nil && s.queues[Scan] == nil && s.fitsLocked(bytes) {
 		t := s.grantLocked(class, bytes, 0)
@@ -316,9 +265,11 @@ func (s *Scheduler) setDepthLocked(c Class) {
 }
 
 // pickClassLocked chooses which non-empty class queue the next grant
-// goes to: weighted fair queueing over per-class virtual time, with the
-// starvation bound overriding the WFQ choice when one class has
-// monopolized too many consecutive grants.
+// goes to: the class whose next grant would finish first in virtual
+// time, interactive on ties. While both classes wait this grants
+// interactive, interactive, interactive, scan, ... — never more than
+// three grants in a row to one class, so no separate starvation bound
+// is needed.
 func (s *Scheduler) pickClassLocked() (Class, bool) {
 	ni, ns := len(s.queues[Interactive]) > 0, len(s.queues[Scan]) > 0
 	switch {
@@ -329,47 +280,29 @@ func (s *Scheduler) pickClassLocked() (Class, bool) {
 	case ns && !ni:
 		return Scan, true
 	}
-	// Both wait: virtual-time WFQ. An idle class must not hoard credit,
-	// so each candidate's virtual start is floored at the current
-	// virtual "now" (the smaller of the two finish times).
-	vnow := s.vtime[Interactive]
-	if s.vtime[Scan] < vnow {
-		vnow = s.vtime[Scan]
+	if s.vtime[Scan]+cost[Scan] < s.vtime[Interactive]+cost[Interactive] {
+		return Scan, true
 	}
-	finish := func(c Class) float64 {
-		v := s.vtime[c]
-		if v < vnow {
-			v = vnow
-		}
-		return v + 1/s.weight(c)
-	}
-	pick := Interactive
-	if finish(Scan) < finish(Interactive) {
-		pick = Scan
-	}
-	if s.consec >= s.cfg.StarvationBound && s.lastClass == pick {
-		pick = 1 - pick
-	}
-	return pick, true
+	return Interactive, true
 }
 
 // grantNextLocked drains the queues while resources last, in WFQ order.
 // When the WFQ-chosen class's head does not fit the memory pool, the
-// other class's head may still fit and is admitted instead (bounded
-// head-of-line bypass); when neither fits, admission waits for a
-// release.
+// other class's head may still fit and is admitted instead (head-of-line
+// bypass); when neither fits, admission waits for a release.
 func (s *Scheduler) grantNextLocked() {
 	for s.inflight < s.cfg.MaxQueries {
 		c, ok := s.pickClassLocked()
 		if !ok {
 			return
 		}
+		bypass := false
 		if !s.fitsLocked(s.queues[c][0].bytes) {
 			o := 1 - c
 			if len(s.queues[o]) == 0 || !s.fitsLocked(s.queues[o][0].bytes) {
 				return
 			}
-			c = o
+			c, bypass = o, true
 		}
 		w := s.queues[c][0]
 		s.queues[c] = s.queues[c][1:]
@@ -379,6 +312,11 @@ func (s *Scheduler) grantNextLocked() {
 		s.setDepthLocked(c)
 		w.ticket = s.grantLocked(c, w.bytes, time.Since(w.since))
 		close(w.ready)
+		if bypass {
+			// The bypassed class waits on memory, not on its share: like an
+			// idle class, it earns no credit while the other is admitted.
+			s.vtime[1-c] = max(s.vtime[1-c], s.vlast)
+		}
 	}
 }
 
@@ -387,21 +325,9 @@ func (s *Scheduler) grantNextLocked() {
 func (s *Scheduler) grantLocked(c Class, bytes int64, waited time.Duration) *Ticket {
 	s.inflight++
 	s.memUsed += bytes
-	vnow := s.vtime[Interactive]
-	if s.vtime[Scan] < vnow {
-		vnow = s.vtime[Scan]
-	}
-	if s.vtime[c] < vnow {
-		s.vtime[c] = vnow
-	}
-	s.vtime[c] += 1 / s.weight(c)
-	if c == s.lastClass {
-		s.consec++
-	} else {
-		s.lastClass, s.consec = c, 1
-	}
+	s.vtime[c] += cost[c]
+	s.vlast = s.vtime[c]
 	s.admitted[c]++
-	s.granted++
 	if s.mAdmit[c] != nil {
 		s.mAdmit[c].Add(1)
 	}
@@ -434,10 +360,9 @@ func (s *Scheduler) release(t *Ticket) {
 	s.mu.Unlock()
 }
 
-// Ticket is one admitted query's handle on the scheduler's shared
-// resources. It implements the pipeline's Gate interface (stage-level
-// simulator and compare-slot acquisition) and must be released exactly
-// once with Done; Done is idempotent.
+// Ticket is one admitted query's grant: its query slot and memory
+// reservation. It implements the pipeline's Gate interface and must be
+// released with Done; Done is idempotent.
 type Ticket struct {
 	s     *Scheduler
 	class Class
@@ -451,48 +376,6 @@ func (t *Ticket) Class() Class { return t.class }
 // MemoryBytes returns the batch-memory reservation carved for this
 // query out of the scheduler's pool (0 when no pool is configured).
 func (t *Ticket) MemoryBytes() int64 { return t.bytes }
-
-// AcquireSim borrows a simulator from the scheduler's capped shared
-// pool, blocking while all AlignSlots instances are in use.
-func (t *Ticket) AcquireSim(ctx context.Context) (*simnet.Sim, error) {
-	select {
-	case sim := <-t.s.sims:
-		return sim, nil
-	default:
-	}
-	select {
-	case sim := <-t.s.sims:
-		return sim, nil
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-}
-
-// ReleaseSim returns a borrowed simulator to the shared pool.
-func (t *Ticket) ReleaseSim(sim *simnet.Sim) {
-	if sim != nil {
-		t.s.sims <- sim
-	}
-}
-
-// AcquireCompare takes a compare-stage slot, blocking while all
-// CompareSlots are in use.
-func (t *Ticket) AcquireCompare(ctx context.Context) error {
-	select {
-	case <-t.s.cmp:
-		return nil
-	default:
-	}
-	select {
-	case <-t.s.cmp:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// ReleaseCompare returns a compare-stage slot.
-func (t *Ticket) ReleaseCompare() { t.s.cmp <- struct{}{} }
 
 // Done releases the query's admission slot and memory reservation and
 // admits the next queued query. Idempotent.
@@ -518,16 +401,13 @@ type Snapshot struct {
 	Scan             ClassCounts `json:"scan"`
 	MemReservedBytes int64       `json:"mem_reserved_bytes"`
 	MemPoolBytes     int64       `json:"mem_pool_bytes"`
-	AlignSlotsFree   int         `json:"align_slots_free"`
-	AlignSlots       int         `json:"align_slots"`
-	CompareSlotsFree int         `json:"compare_slots_free"`
-	CompareSlots     int         `json:"compare_slots"`
 }
 
 // Snapshot returns the scheduler's current admission state.
 func (s *Scheduler) Snapshot() Snapshot {
 	s.mu.Lock()
-	snap := Snapshot{
+	defer s.mu.Unlock()
+	return Snapshot{
 		MaxQueries: s.cfg.MaxQueries,
 		Inflight:   s.inflight,
 		Interactive: ClassCounts{
@@ -542,11 +422,5 @@ func (s *Scheduler) Snapshot() Snapshot {
 		},
 		MemReservedBytes: s.memUsed,
 		MemPoolBytes:     s.cfg.PoolBytes,
-		AlignSlots:       s.cfg.AlignSlots,
-		CompareSlots:     s.cfg.CompareSlots,
 	}
-	s.mu.Unlock()
-	snap.AlignSlotsFree = len(s.sims)
-	snap.CompareSlotsFree = len(s.cmp)
-	return snap
 }

@@ -119,47 +119,35 @@ func TestDefaultReservation(t *testing.T) {
 	tk.Done()
 }
 
-// TestWeightedFairness pins the WFQ grant ratio: with both classes
-// backlogged at weights 3:1, interactive receives three grants per scan
-// grant (up to rounding over the run).
-func TestWeightedFairness(t *testing.T) {
-	s := New(Config{
-		MaxQueries:        1,
-		InteractiveWeight: 3,
-		ScanWeight:        1,
-		StarvationBound:   1000, // isolate pure WFQ behavior
-		Flight:            flight.New(64),
-	})
+// drainOrder queues perClass[c] waiters of each class behind hold, waits
+// until every one is queued, releases hold, and returns the classes in
+// grant order. With MaxQueries 1 every grantee reports its class before
+// releasing its slot, so the channel order is the grant order.
+func drainOrder(t *testing.T, s *Scheduler, hold *Ticket, perClass [numClasses]int) []Class {
+	t.Helper()
 	ctx := context.Background()
-	hold, err := s.Admit(ctx, Interactive, 0, "hold")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const perClass = 20
-	order := make(chan Class, 2*perClass)
+	n := perClass[Interactive] + perClass[Scan]
+	order := make(chan Class, n)
 	var wg sync.WaitGroup
-	enqueue := func(c Class) {
-		defer wg.Done()
-		tk, err := s.Admit(ctx, c, 0, "w")
-		if err != nil {
-			t.Error(err)
-			return
+	wg.Add(n)
+	for c := Class(0); c < numClasses; c++ {
+		for i := 0; i < perClass[c]; i++ {
+			go func(c Class) {
+				defer wg.Done()
+				tk, err := s.Admit(ctx, c, 0, "w")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				order <- c
+				tk.Done()
+			}(c)
 		}
-		order <- c
-		tk.Done()
 	}
-	wg.Add(2 * perClass)
-	for i := 0; i < perClass; i++ {
-		go enqueue(Interactive)
-		go enqueue(Scan)
-	}
-	// Let every waiter enqueue before the single slot starts draining,
-	// so the WFQ choice sees both classes backlogged throughout.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		snap := s.Snapshot()
-		if snap.Interactive.Queued == perClass && snap.Scan.Queued == perClass {
+		if snap.Interactive.Queued == perClass[Interactive] && snap.Scan.Queued == perClass[Scan] {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -170,87 +158,125 @@ func TestWeightedFairness(t *testing.T) {
 	hold.Done()
 	wg.Wait()
 	close(order)
-
-	// Count the interactive:scan ratio over the first grants while both
-	// classes were still backlogged (first 24 grants ≈ 18i + 6s).
-	granted := make([]Class, 0, 2*perClass)
+	granted := make([]Class, 0, n)
 	for c := range order {
 		granted = append(granted, c)
 	}
+	return granted
+}
+
+// maxRun is the longest run of consecutive grants to one class.
+func maxRun(granted []Class) int {
+	best, run := 0, 0
+	for i, c := range granted {
+		if i > 0 && c == granted[i-1] {
+			run++
+		} else {
+			run = 1
+		}
+		best = max(best, run)
+	}
+	return best
+}
+
+// TestWeightedFairness pins the WFQ grant order: with both classes
+// backlogged, interactive receives three grants per scan grant, and no
+// class ever gets more than three grants in a row — the reason the
+// scheduler needs no starvation bound.
+func TestWeightedFairness(t *testing.T) {
+	s := New(Config{MaxQueries: 1, Flight: flight.New(64)})
+	hold, err := s.Admit(context.Background(), Interactive, 0, "hold")
+	if err != nil {
+		t.Fatal(err)
+	}
+	granted := drainOrder(t, s, hold, [numClasses]int{20, 20})
+
+	// The first 24 grants are made while both classes are backlogged.
 	ni := 0
-	window := granted[:24]
-	for _, c := range window {
+	for _, c := range granted[:24] {
 		if c == Interactive {
 			ni++
 		}
 	}
-	if ni < 16 || ni > 20 {
-		t.Fatalf("interactive grants in first %d = %d, want ~18 (3:1 weights); order=%v", len(window), ni, granted)
+	if ni != 18 || maxRun(granted[:24]) > 3 {
+		t.Fatalf("first 24 grants: %d interactive, longest run %d; want 18 (3:1 weights) and <= 3; order=%v",
+			ni, maxRun(granted[:24]), granted)
 	}
 }
 
-// TestStarvationBound pins that a backlogged scan query is granted
-// within StarvationBound consecutive interactive grants.
-func TestStarvationBound(t *testing.T) {
-	s := New(Config{
-		MaxQueries:        1,
-		InteractiveWeight: 1 << 20, // WFQ alone would starve scan for ages
-		ScanWeight:        1,
-		StarvationBound:   3,
-		Flight:            flight.New(64),
-	})
-	ctx := context.Background()
-	hold, err := s.Admit(ctx, Interactive, 0, "hold")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	order := make(chan Class, 32)
-	var wg sync.WaitGroup
-	enqueue := func(c Class) {
-		defer wg.Done()
-		tk, err := s.Admit(ctx, c, 0, "w")
+// TestIdleClassHoardsNoCredit pins that a class earns no virtual-time
+// credit while it has nothing queued, or while its head waits on memory:
+// once both classes are backlogged again, grants follow the 3:1 share
+// from that point instead of paying the idle class back in a burst.
+func TestIdleClassHoardsNoCredit(t *testing.T) {
+	t.Run("idle", func(t *testing.T) {
+		s := New(Config{MaxQueries: 1, Flight: flight.New(256)})
+		ctx := context.Background()
+		for i := 0; i < 30; i++ {
+			tk, err := s.Admit(ctx, Interactive, 0, "alone")
+			if err != nil {
+				t.Fatal(err)
+			}
+			tk.Done()
+		}
+		hold, err := s.Admit(ctx, Interactive, 0, "hold")
 		if err != nil {
-			t.Error(err)
-			return
+			t.Fatal(err)
 		}
-		order <- c
-		tk.Done()
-	}
-	wg.Add(11)
-	for i := 0; i < 10; i++ {
-		go enqueue(Interactive)
-	}
-	go enqueue(Scan)
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		snap := s.Snapshot()
-		if snap.Interactive.Queued == 10 && snap.Scan.Queued == 1 {
-			break
+		granted := drainOrder(t, s, hold, [numClasses]int{8, 8})
+		ni := 0
+		for _, c := range granted[:8] {
+			if c == Interactive {
+				ni++
+			}
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("waiters failed to enqueue: %+v", s.Snapshot())
+		if ni < 5 || maxRun(granted[:8]) > 3 {
+			t.Fatalf("first 8 grants after 30 interactive-only grants: %d interactive, longest run %d; want >= 5 and <= 3; order=%v",
+				ni, maxRun(granted[:8]), granted)
 		}
-		time.Sleep(time.Millisecond)
-	}
-	hold.Done()
-	wg.Wait()
-	close(order)
-
-	pos := -1
-	i := 0
-	for c := range order {
-		if c == Scan {
-			pos = i
-			break
+	})
+	t.Run("memory-blocked", func(t *testing.T) {
+		// A 900-byte scan cannot fit beside the 200-byte holder, so
+		// interactive queries are admitted past it; once the holder
+		// leaves, the scan is due its share, not a refund.
+		s := New(Config{MaxQueries: 2, PoolBytes: 1000, Flight: flight.New(256)})
+		ctx := context.Background()
+		big, err := s.Admit(ctx, Scan, 200, "big")
+		if err != nil {
+			t.Fatal(err)
 		}
-		i++
-	}
-	// hold was interactive, so scan must land within the first
-	// StarvationBound grants of the drain.
-	if pos < 0 || pos > 3 {
-		t.Fatalf("scan granted at position %d, want <= 3 (starvation bound)", pos)
-	}
+		blocked := make(chan *Ticket)
+		go func() {
+			tk, err := s.Admit(ctx, Scan, 900, "blocked")
+			if err != nil {
+				t.Error(err)
+			}
+			blocked <- tk
+		}()
+		for s.Snapshot().Scan.Queued != 1 {
+			time.Sleep(time.Millisecond)
+		}
+		for i := 0; i < 12; i++ {
+			tk, err := s.Admit(ctx, Interactive, 100, "past")
+			if err != nil {
+				t.Fatal(err)
+			}
+			tk.Done()
+		}
+		// While it waited on memory the scan earned no credit: its next
+		// grant would finish no earlier than the interactive class's.
+		s.mu.Lock()
+		scanNext, interNext := s.vtime[Scan]+cost[Scan], s.vtime[Interactive]+cost[Interactive]
+		s.mu.Unlock()
+		if scanNext < interNext {
+			t.Fatalf("blocked scan hoarded credit: next finish %d, interactive's %d", scanNext, interNext)
+		}
+		big.Done()
+		(<-blocked).Done()
+		if snap := s.Snapshot(); snap.Scan.Admitted != 2 || snap.Interactive.Admitted != 12 || snap.Inflight != 0 {
+			t.Fatalf("after bypass: %+v", snap)
+		}
+	})
 }
 
 // TestCancelWhileQueued pins that a queued admission honors context
@@ -325,67 +351,6 @@ func TestPreCanceledContext(t *testing.T) {
 	if _, err := s.Admit(ctx, Scan, 0, "q"); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-}
-
-// TestSimPoolCapped pins that AcquireSim blocks at AlignSlots
-// outstanding simulators and that instances are reused.
-func TestSimPoolCapped(t *testing.T) {
-	s := New(Config{MaxQueries: 4, AlignSlots: 2, Flight: flight.New(64)})
-	ctx := context.Background()
-	tk, err := s.Admit(ctx, Interactive, 0, "q")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s1, err := tk.AcquireSim(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := tk.AcquireSim(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tctx, cancel := context.WithTimeout(ctx, 30*time.Millisecond)
-	defer cancel()
-	if _, err := tk.AcquireSim(tctx); err != context.DeadlineExceeded {
-		t.Fatalf("third AcquireSim: err = %v, want DeadlineExceeded", err)
-	}
-	tk.ReleaseSim(s1)
-	s3, err := tk.AcquireSim(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s3 != s1 {
-		t.Fatal("released simulator not reused")
-	}
-	tk.ReleaseSim(s2)
-	tk.ReleaseSim(s3)
-	if free := s.Snapshot().AlignSlotsFree; free != 2 {
-		t.Fatalf("align slots free = %d, want 2", free)
-	}
-	tk.Done()
-}
-
-// TestCompareSlots pins the compare semaphore bound.
-func TestCompareSlots(t *testing.T) {
-	s := New(Config{MaxQueries: 4, CompareSlots: 1, Flight: flight.New(64)})
-	ctx := context.Background()
-	tk, err := s.Admit(ctx, Interactive, 0, "q")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tk.AcquireCompare(ctx); err != nil {
-		t.Fatal(err)
-	}
-	tctx, cancel := context.WithTimeout(ctx, 30*time.Millisecond)
-	defer cancel()
-	if err := tk.AcquireCompare(tctx); err != context.DeadlineExceeded {
-		t.Fatalf("second AcquireCompare: err = %v, want DeadlineExceeded", err)
-	}
-	tk.ReleaseCompare()
-	if free := s.Snapshot().CompareSlotsFree; free != 1 {
-		t.Fatalf("compare slots free = %d, want 1", free)
-	}
-	tk.Done()
 }
 
 // TestDoneIdempotent pins that double-Done releases once.
@@ -488,10 +453,6 @@ func TestConcurrentChurn(t *testing.T) {
 				if err != nil {
 					t.Error(err)
 					return
-				}
-				sim, err := tk.AcquireSim(ctx)
-				if err == nil {
-					tk.ReleaseSim(sim)
 				}
 				tk.Done()
 				completed.Add(1)

@@ -114,44 +114,42 @@ func checkEquivalence(t *testing.T, label string, sim *Sim, cfg Config, trs []Tr
 }
 
 // TestSimulateMatchesReference differentially checks the indexed scheduler
-// against the original loop across both scheduling policies, latency on
-// and off, degenerate cost parameters, and zero-cell/local transfers. One
+// against the original loop across both scheduling policies, degenerate
+// cost parameters, and zero-cell/local transfers. One
 // Sim instance is reused across every case (including shrinking and
 // growing node counts) to exercise the buffer-reuse path.
 func TestSimulateMatchesReference(t *testing.T) {
 	sim := &Sim{}
 	for _, sched := range []Scheduling{GreedyLocks, FIFONoSkip} {
-		for _, latency := range []float64{0, 0.75} {
-			for _, perCell := range []float64{0, 0.01} {
-				for _, nodes := range []int{1, 2, 3, 6, 13} {
-					for _, count := range []int{0, 1, 7, 300} {
-						rng := rand.New(rand.NewSource(int64(nodes*1000 + count)))
-						trs := make([]Transfer, count)
-						for i := range trs {
-							trs[i] = Transfer{
-								From:  rng.Intn(nodes),
-								To:    rng.Intn(nodes),
-								Cells: rng.Int63n(40), // zero-cell transfers included
-								Tag:   i,
-							}
+		for _, perCell := range []float64{0, 0.01} {
+			for _, nodes := range []int{1, 2, 3, 6, 13} {
+				for _, count := range []int{0, 1, 7, 300} {
+					rng := rand.New(rand.NewSource(int64(nodes*1000 + count)))
+					trs := make([]Transfer, count)
+					for i := range trs {
+						trs[i] = Transfer{
+							From:  rng.Intn(nodes),
+							To:    rng.Intn(nodes),
+							Cells: rng.Int63n(40), // zero-cell transfers included
+							Tag:   i,
 						}
-						label := benchLabel(sched, latency, perCell, nodes, count)
-						cfg := Config{Nodes: nodes, PerCellTime: perCell, Latency: latency, Scheduling: sched}
-						checkEquivalence(t, label, sim, cfg, trs)
 					}
+					label := benchLabel(sched, perCell, nodes, count)
+					cfg := Config{Nodes: nodes, PerCellTime: perCell, Scheduling: sched}
+					checkEquivalence(t, label, sim, cfg, trs)
 				}
 			}
 		}
 	}
 }
 
-func benchLabel(s Scheduling, latency, perCell float64, nodes, count int) string {
+func benchLabel(s Scheduling, perCell float64, nodes, count int) string {
 	name := "greedy"
 	if s == FIFONoSkip {
 		name = "fifo"
 	}
 	return name + "/" +
-		"lat=" + fmtF(latency) + "/t=" + fmtF(perCell) +
+		"t=" + fmtF(perCell) +
 		"/k=" + itoa(nodes) + "/n=" + itoa(count)
 }
 
@@ -188,7 +186,7 @@ func TestSimulateFullScaleEquivalence(t *testing.T) {
 		trs := benchTransfers(1024*(k-1), k)
 		for _, sched := range []Scheduling{GreedyLocks, FIFONoSkip} {
 			cfg := Config{Nodes: k, PerCellTime: 1e-6, Scheduling: sched}
-			checkEquivalence(t, benchLabel(sched, 0, 1e-6, k, len(trs)), sim, cfg, trs)
+			checkEquivalence(t, benchLabel(sched, 1e-6, k, len(trs)), sim, cfg, trs)
 		}
 	}
 }
@@ -211,37 +209,22 @@ func TestResultClone(t *testing.T) {
 	sameResult(t, "clone", keep, want)
 }
 
-// TestZeroCellLatency pins the zero-cell transfer semantics: with zero
-// latency an empty remote slice is free and invisible, with positive
-// latency it pays the per-transfer setup time and holds the receiver lock
-// like any other transfer.
-func TestZeroCellLatency(t *testing.T) {
+// TestZeroCellTransfersDropped pins the zero-cell transfer semantics: an
+// empty remote slice carries nothing, so it is free and invisible — no
+// Timeline event, no OnComplete call, no receiver lock.
+func TestZeroCellTransfersDropped(t *testing.T) {
 	zero := []Transfer{
 		{From: 0, To: 2, Cells: 0, Tag: 0},
 		{From: 1, To: 2, Cells: 10, Tag: 1},
 	}
-	free, err := Simulate(Config{Nodes: 3, PerCellTime: 1}, zero)
+	calls := 0
+	res, err := Simulate(Config{Nodes: 3, PerCellTime: 1, OnComplete: func(Event) { calls++ }}, zero)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(free.Timeline) != 1 || free.Makespan != 10 {
-		t.Errorf("latency 0: zero-cell transfer should be dropped; timeline %d events, makespan %v",
-			len(free.Timeline), free.Makespan)
-	}
-	charged, err := Simulate(Config{Nodes: 3, PerCellTime: 1, Latency: 5}, zero)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Both transfers serialize on receiver 2: setup-only [0,5), then 5+10.
-	if len(charged.Timeline) != 2 {
-		t.Fatalf("latency > 0: zero-cell transfer should be simulated; timeline %+v", charged.Timeline)
-	}
-	if charged.Makespan != 20 {
-		t.Errorf("latency > 0: makespan = %v, want 20 (5 setup + 5+10 serialized)", charged.Makespan)
-	}
-	if charged.SendBusy[0] != 5 || charged.CellsSent[0] != 0 {
-		t.Errorf("zero-cell sender: busy %v cells %d, want 5 and 0",
-			charged.SendBusy[0], charged.CellsSent[0])
+	if len(res.Timeline) != 1 || calls != 1 || res.Makespan != 10 || res.SendBusy[0] != 0 {
+		t.Errorf("zero-cell transfer should be dropped; timeline %d events, %d callbacks, makespan %v, sender busy %v",
+			len(res.Timeline), calls, res.Makespan, res.SendBusy[0])
 	}
 }
 

@@ -7,14 +7,13 @@ import "testing"
 // []Transfer) workload, and the two paths must agree exactly on the
 // Result — makespan, per-node busy/cells vectors, lock-wait attribution,
 // skip/poll counters, Timeline — and on the OnComplete invocation order.
-// The corpus seeds cover both scheduling policies, latency on/off, hot
-// receivers, zero-cell transfers, and degenerate cost parameters; `go test
+// The corpus seeds cover both scheduling policies, hot receivers, zero-cell transfers, and degenerate cost parameters; `go test
 // -fuzz FuzzSimulateEquivalence ./internal/simnet` explores further.
 func FuzzSimulateEquivalence(f *testing.F) {
 	f.Add([]byte{0x00})
 	f.Add([]byte{0x03, 0x01, 0x12, 0x05, 0x21, 0x00})       // greedy, hot receiver
 	f.Add([]byte{0x13, 0x01, 0x12, 0x05, 0x21, 0x00})       // fifo, same workload
-	f.Add([]byte{0x47, 0x01, 0x23, 0x00, 0x31, 0x07})       // latency on, zero-cell transfer
+	f.Add([]byte{0x47, 0x01, 0x23, 0x00, 0x31, 0x07})       // zero-cell transfer
 	f.Add([]byte{0x63, 0xff, 0x01, 0x02, 0x10, 0x20, 0x21}) // zero per-cell time
 	f.Add([]byte{0x2c, 0x55, 0xaa, 0x31, 0x13, 0x07, 0x70, 0x0e, 0x41, 0x09, 0x20})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -22,7 +21,7 @@ func FuzzSimulateEquivalence(f *testing.F) {
 			return
 		}
 		// Byte 0: low nibble-1 node count (1..8 via %8+1), bit 4 policy,
-		// bit 5 latency, bit 6 zero per-cell time.
+		// bit 6 zero per-cell time (bit 5 is unused).
 		h := data[0]
 		cfg := Config{
 			Nodes:       int(h&0x0f)%8 + 1,
@@ -30,9 +29,6 @@ func FuzzSimulateEquivalence(f *testing.F) {
 		}
 		if h&0x10 != 0 {
 			cfg.Scheduling = FIFONoSkip
-		}
-		if h&0x20 != 0 {
-			cfg.Latency = 1.5
 		}
 		if h&0x40 != 0 {
 			cfg.PerCellTime = 0

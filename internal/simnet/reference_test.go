@@ -3,7 +3,7 @@ package simnet
 import "sort"
 
 // simulateReference is the original O(T·N·Q) dispatch loop, kept verbatim
-// (plus the zero-cell latency rule) as the semantic reference for the
+// (plus the zero-cell rule) as the semantic reference for the
 // indexed scheduler in sim.go: every dispatch rescans all sender queues
 // for the globally earliest feasible (sender, transfer) start, splices the
 // dispatched transfer out of its queue, and stable-sorts the Timeline at
@@ -28,8 +28,8 @@ func simulateReference(cfg Config, transfers []Transfer) (Result, error) {
 	queues := make([][]queued, cfg.Nodes)
 	remaining := 0
 	for n, tr := range transfers {
-		if tr.From == tr.To || (tr.Cells == 0 && cfg.Latency == 0) {
-			continue // local, or empty with no setup cost: no network work
+		if tr.From == tr.To || tr.Cells == 0 {
+			continue // local or empty: no network work
 		}
 		queues[tr.From] = append(queues[tr.From], queued{Transfer: tr, seq: n})
 		remaining++
@@ -66,7 +66,7 @@ func simulateReference(cfg Config, transfers []Transfer) (Result, error) {
 		if bestIdx > 0 {
 			res.SkippedSends++
 		}
-		dur := cfg.Latency + float64(tr.Cells)*cfg.PerCellTime
+		dur := float64(tr.Cells) * cfg.PerCellTime
 		end := bestStart + dur
 		senderFree[bestSender] = end
 		recvFree[tr.To] = end

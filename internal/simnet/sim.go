@@ -52,7 +52,6 @@ type Sim struct {
 
 	// Scheduling inputs, copied out of the Config for the duration of a run.
 	sched   Scheduling
-	latency float64
 	perCell float64
 
 	entries []entry       // all simulated transfers, grouped (sender, dest), seq-ascending
@@ -132,7 +131,7 @@ func (s *Sim) Simulate(cfg Config, transfers []Transfer) (Result, error) {
 	if err := cfg.Validate(transfers); err != nil {
 		return Result{}, err
 	}
-	s.sched, s.latency, s.perCell = cfg.Scheduling, cfg.Latency, cfg.PerCellTime
+	s.sched, s.perCell = cfg.Scheduling, cfg.PerCellTime
 	s.reset(cfg.Nodes)
 	s.build(transfers)
 	s.run(cfg.OnComplete)
@@ -181,11 +180,10 @@ func (s *Sim) reset(n int) {
 	r.Makespan, r.LockWaits, r.SkippedSends, r.LockWaitTime = 0, 0, 0, 0
 }
 
-// simulated reports whether a transfer occupies the network: local slices
-// never do, and empty slices only when a positive latency charges their
-// connection setup.
+// simulated reports whether a transfer occupies the network: local and
+// empty slices never do.
 func (s *Sim) simulated(tr Transfer) bool {
-	return tr.From != tr.To && (tr.Cells > 0 || s.latency > 0)
+	return tr.From != tr.To && tr.Cells > 0
 }
 
 // build groups the simulated transfers by (sender, destination) into the
@@ -291,7 +289,7 @@ func (s *Sim) run(onComplete func(Event)) {
 		if e.seq > c.minSeq {
 			res.SkippedSends++
 		}
-		dur := s.latency + float64(tr.Cells)*s.perCell
+		dur := float64(tr.Cells) * s.perCell
 		end := c.start + dur
 		s.senderFree[f] = end
 		s.recvFree[tr.To] = end

@@ -50,15 +50,7 @@ const (
 type Config struct {
 	Nodes       int
 	PerCellTime float64 // seconds to transmit one cell (cost parameter t)
-	// Latency is a fixed per-transfer setup time (connection + first-byte
-	// delay). Zero matches the paper's pure-bandwidth model; a positive
-	// value penalizes plans that fragment data into many tiny slices. With
-	// a positive Latency even a zero-cell remote transfer is simulated —
-	// it occupies its sender and its receiver's write lock for the setup
-	// time; with Latency zero, zero-cell transfers cost nothing and are
-	// dropped like local ones.
-	Latency    float64
-	Scheduling Scheduling
+	Scheduling  Scheduling
 	// OnComplete, when non-nil, is invoked synchronously from the event
 	// loop once per dispatched transfer, in dispatch order. Dispatch order
 	// is deterministic (ties broken by input position) and start times are
@@ -118,9 +110,6 @@ func (c Config) Validate(transfers []Transfer) error {
 	if c.PerCellTime < 0 {
 		return fmt.Errorf("simnet: negative per-cell time %v", c.PerCellTime)
 	}
-	if c.Latency < 0 {
-		return fmt.Errorf("simnet: negative latency %v", c.Latency)
-	}
 	for _, tr := range transfers {
 		if tr.From < 0 || tr.From >= c.Nodes || tr.To < 0 || tr.To >= c.Nodes {
 			return fmt.Errorf("simnet: transfer %+v outside node range [0,%d)", tr, c.Nodes)
@@ -136,8 +125,7 @@ func (c Config) Validate(transfers []Transfer) error {
 // returns the timing result. Transfers between a node and itself complete
 // instantly (local slices are never shipped) and appear neither in the
 // Timeline nor in OnComplete callbacks; the same applies to zero-cell
-// transfers unless a positive Config.Latency charges their connection
-// setup. The simulation is fully deterministic: ties are broken by the
+// transfers, which carry nothing. The simulation is fully deterministic: ties are broken by the
 // transfer's position in the input.
 //
 // Simulate allocates a fresh Result on every call. Callers running many

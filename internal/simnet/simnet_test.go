@@ -244,33 +244,3 @@ func TestNoOverlapInvariant(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestLatencyPerTransfer(t *testing.T) {
-	cfg := Config{Nodes: 3, PerCellTime: 1, Latency: 5}
-	res := mustSim(t, cfg, []Transfer{
-		{From: 0, To: 2, Cells: 10},
-		{From: 1, To: 2, Cells: 10},
-	})
-	// Serialized on receiver 2: (5+10) + (5+10).
-	if res.Makespan != 30 {
-		t.Errorf("Makespan = %v, want 30", res.Makespan)
-	}
-	if _, err := Simulate(Config{Nodes: 2, PerCellTime: 1, Latency: -1}, nil); err == nil {
-		t.Error("negative latency should be rejected")
-	}
-}
-
-func TestLatencyPenalizesFragmentation(t *testing.T) {
-	// The same cells in one transfer vs ten: latency makes fragmentation
-	// strictly worse.
-	cfg := Config{Nodes: 2, PerCellTime: 1, Latency: 2}
-	one := mustSim(t, cfg, []Transfer{{From: 0, To: 1, Cells: 100}})
-	var many []Transfer
-	for i := 0; i < 10; i++ {
-		many = append(many, Transfer{From: 0, To: 1, Cells: 10})
-	}
-	ten := mustSim(t, cfg, many)
-	if ten.Makespan <= one.Makespan {
-		t.Errorf("fragmented %v should exceed single %v", ten.Makespan, one.Makespan)
-	}
-}

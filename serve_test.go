@@ -97,12 +97,7 @@ func TestConcurrentQueriesBitIdentical(t *testing.T) {
 		want[i] = serveFingerprint(res)
 	}
 
-	s := db.NewScheduler(SchedulerConfig{
-		MaxQueries:      4,
-		AlignSlots:      2,
-		CompareSlots:    2,
-		MemoryPoolBytes: 64 << 20,
-	})
+	s := db.NewScheduler(SchedulerConfig{MaxQueries: 4, MemoryPoolBytes: 64 << 20})
 	cache := NewPlanCache()
 	classes := []string{"interactive", "scan"}
 
@@ -149,57 +144,6 @@ func TestConcurrentQueriesBitIdentical(t *testing.T) {
 	if snap.MemReservedBytes != 0 {
 		t.Errorf("memory pool not drained: %d bytes still reserved", snap.MemReservedBytes)
 	}
-	if snap.AlignSlotsFree != snap.AlignSlots || snap.CompareSlotsFree != snap.CompareSlots {
-		t.Errorf("stage slots leaked: %+v", snap)
-	}
-}
-
-// TestServeClosedLoop smoke-tests DB.Serve: a mixed workload completes,
-// reports per-class latency, and leaves the scheduler drained.
-func TestServeClosedLoop(t *testing.T) {
-	db, err := Open(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buildTestPair(t, db, "SVA", "SVB", 500)
-	q := "SELECT SVA.v, SVB.w FROM SVA, SVB WHERE SVA.i = SVB.i"
-
-	jobs := make([]ServeJob, 40)
-	for i := range jobs {
-		class := "interactive"
-		if i%4 == 0 {
-			class = "scan"
-		}
-		jobs[i] = ServeJob{Query: q, Class: class}
-	}
-	s := db.NewScheduler(SchedulerConfig{MaxQueries: 4, MemoryPoolBytes: 32 << 20})
-	rep, err := db.Serve(jobs, ServeOptions{Concurrency: 8, Scheduler: s})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Completed != int64(len(jobs)) || rep.Failed != 0 {
-		t.Fatalf("completed %d / failed %d of %d jobs: %v", rep.Completed, rep.Failed, len(jobs), rep.Errors)
-	}
-	if rep.QPS <= 0 || rep.Wall <= 0 {
-		t.Errorf("no throughput reported: qps=%f wall=%v", rep.QPS, rep.Wall)
-	}
-	if rep.Latency.Count != int64(len(jobs)) || rep.Latency.P50 <= 0 || rep.Latency.P99 < rep.Latency.P50 {
-		t.Errorf("latency summary inconsistent: %+v", rep.Latency)
-	}
-	ic, sc := rep.PerClass["interactive"], rep.PerClass["scan"]
-	if ic.Count != 30 || sc.Count != 10 {
-		t.Errorf("per-class counts = %d interactive / %d scan, want 30/10", ic.Count, sc.Count)
-	}
-	if rep.Scheduler.Inflight != 0 || rep.Scheduler.MemReservedBytes != 0 {
-		t.Errorf("scheduler not drained after Serve: %+v", rep.Scheduler)
-	}
-
-	if _, err := db.Serve(nil, ServeOptions{}); err == nil {
-		t.Error("Serve with no jobs should fail")
-	}
-	if _, err := db.Serve([]ServeJob{{Query: q, Class: "bogus"}}, ServeOptions{Scheduler: s}); err == nil {
-		t.Error("Serve with a bad class should fail up front")
-	}
 }
 
 // barrierHooks holds every query at the top of pipeline.Execute — past
@@ -229,17 +173,18 @@ func (h *barrierHooks) QueryStarted(*pipeline.Progress) {
 func (h *barrierHooks) QueryFinished(*pipeline.Progress, *pipeline.Report, error) {}
 
 // TestServeRunsQueriesConcurrently pins what a throughput ratio only
-// suggests: with MaxQueries 4 and 4 closed-loop clients, four queries are
-// inside Execute at the same moment. A Serve or scheduler that serialized
-// them would leave the first query waiting at the barrier until it times
-// out. Deterministic on any core count — no throughput is timed.
+// suggests: with MaxQueries 4 and 4 client goroutines, four queries are
+// inside Execute at the same moment. A scheduler that serialized them
+// would leave the first query waiting at the barrier until it times out.
+// Deterministic on any core count — no throughput is timed.
 //
-// The test first takes all four slots itself and frees them once the four
-// jobs are queued for admission. That lines the jobs up past DB.sealAll,
-// which takes the catalog write lock on every Query and so would park job 2
-// behind job 1's read lock for as long as job 1 sits at the barrier
-// (ROADMAP open item 7). Once sealAll stays off the write lock when nothing
-// is pending, delete the pre-fill: the test must pass without it.
+// The test first takes every slot itself and frees them once the four
+// queries are queued for admission. That lines the queries up past
+// DB.sealAll, which takes the catalog write lock on every Query and so
+// would park query 2 behind query 1's read lock for as long as query 1
+// sits at the barrier (ROADMAP open item 7). Once sealAll stays off the
+// write lock when nothing is pending, delete the pre-fill: the test must
+// pass without it.
 func TestServeRunsQueriesConcurrently(t *testing.T) {
 	db, err := Open(2)
 	if err != nil {
@@ -251,14 +196,7 @@ func TestServeRunsQueriesConcurrently(t *testing.T) {
 	h := &barrierHooks{parties: parties, release: make(chan struct{}), sched: s}
 	withBarrier := func(c *queryConfig) error { c.hooks = h; return nil }
 
-	jobs := make([]ServeJob, parties)
-	for i := range jobs {
-		jobs[i] = ServeJob{
-			Query:   "SELECT PA.v, PB.w FROM PA, PB WHERE PA.i = PB.i",
-			Options: []QueryOption{withBarrier},
-		}
-	}
-	held := make([]*sched.Ticket, parties)
+	held := make([]*sched.Ticket, s.Snapshot().MaxQueries)
 	for i := range held {
 		if held[i], err = s.Admit(context.Background(), sched.Interactive, 0, "hold"); err != nil {
 			t.Fatal(err)
@@ -272,21 +210,26 @@ func TestServeRunsQueriesConcurrently(t *testing.T) {
 			tk.Done()
 		}
 	}()
-	rep, err := db.Serve(jobs, ServeOptions{Concurrency: parties, Scheduler: s})
-	if err != nil {
-		t.Fatal(err)
+	errs := make(chan error, parties)
+	for i := 0; i < parties; i++ {
+		go func() {
+			_, err := db.Query("SELECT PA.v, PB.w FROM PA, PB WHERE PA.i = PB.i", WithScheduler(s), withBarrier)
+			errs <- err
+		}()
+	}
+	for i := 0; i < parties; i++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
 	}
 	if h.timedOut.Load() {
-		t.Fatalf("only %d of %d queries reached Execute together within 5s", h.arrived.Load(), parties)
+		t.Fatalf("the %d queries did not all reach Execute together within 5s", parties)
 	}
 	if got := h.inflight.Load(); got != parties {
 		t.Errorf("scheduler counted %d queries in flight at the barrier, want %d", got, parties)
 	}
-	if rep.Failed != 0 || rep.Completed != int64(len(jobs)) {
-		t.Errorf("completed %d / failed %d of %d jobs: %v", rep.Completed, rep.Failed, len(jobs), rep.Errors)
-	}
-	if snap := rep.Scheduler; snap.Inflight != 0 || snap.Interactive.Queued != 0 || snap.MemReservedBytes != 0 {
-		t.Errorf("scheduler not drained after Serve: %+v", snap)
+	if snap := s.Snapshot(); snap.Inflight != 0 || snap.Interactive.Queued != 0 || snap.MemReservedBytes != 0 {
+		t.Errorf("scheduler not drained: %+v", snap)
 	}
 }
 

@@ -547,9 +547,9 @@ func (db *DB) Query(q string, opts ...QueryOption) (*Result, error) {
 	}
 
 	// Admission: block until the scheduler grants a query slot and a
-	// memory reservation, then execute with the ticket gating the Align
-	// and Compare stages. The DB lock is NOT held while waiting — an
-	// admission queue must never block catalog readers.
+	// memory reservation, which budgets the query unless it set its own.
+	// The DB lock is NOT held while waiting — an admission queue must
+	// never block catalog readers.
 	if cfg.sched != nil {
 		ticket, err := cfg.sched.Admit(ctx, cfg.class, cfg.memBudget, q)
 		if err != nil {
@@ -557,11 +557,6 @@ func (db *DB) Query(q string, opts ...QueryOption) (*Result, error) {
 		}
 		defer ticket.Done()
 		eo.Gate = ticket
-		if eo.MemoryBudget == 0 {
-			// No explicit budget: run under the per-query carve from the
-			// scheduler's shared pool (0 when no pool is configured).
-			eo.MemoryBudget = ticket.MemoryBytes()
-		}
 	}
 
 	var res *Result

@@ -30,13 +30,13 @@
 // -trace writes every pipeline query the selected experiments execute
 // (fig5/fig6, fig9, adversarial) into one Chrome trace-event JSON file,
 // loadable in Perfetto; -metrics prints the accumulated metric registry
-// as JSON. Both match the cmd/shufflejoin flags of the same names.
+// as JSON. Both match the cmd/shufflejoin flags of the same names, and
+// both are rendered from the queries' finished Reports.
 //
 // -obs-addr serves live telemetry over HTTP while the experiments run:
 // /metrics (Prometheus text format), /debug/queries (profiled query
 // log; -slow-ms sets the slow-query threshold), /debug/inflight
-// (per-stage progress), /debug/flight (the engine flight recorder),
-// /debug/anomalies (the online skew-anomaly detector), and
+// (per-stage progress), /debug/flight (the engine flight recorder), and
 // /debug/status. -obs-hold keeps the endpoint up after the last
 // experiment so scrapers can collect the final state.
 //
@@ -61,6 +61,7 @@ import (
 	"shufflejoin/internal/flight"
 	"shufflejoin/internal/obs"
 	"shufflejoin/internal/obshttp"
+	"shufflejoin/internal/pipeline"
 )
 
 // experiments lists the -exp names in run order; "beyond" is opt-in and
@@ -88,7 +89,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		metrics     = fs.Bool("metrics", false, "print the accumulated query metric registry as JSON")
 		jsonFile    = fs.String("json", "", "planquality: write the experiment's rows and summary as JSON to this file")
 		gate        = fs.Bool("gate", false, "planquality: exit non-zero when the run violates the experiment's acceptance criteria")
-		obsAddr     = fs.String("obs-addr", "", "serve live telemetry on this address (/metrics, /debug/queries, /debug/inflight, /debug/flight, /debug/anomalies, /debug/status); e.g. :8080 or :0")
+		obsAddr     = fs.String("obs-addr", "", "serve live telemetry on this address (/metrics, /debug/queries, /debug/inflight, /debug/flight, /debug/status); e.g. :8080 or :0")
 		slowMs      = fs.Float64("slow-ms", 0, "mark queries at or above this wall time (ms) as slow in /debug/queries (with -postmortem-dir, also the slow-query bundle threshold)")
 		obsHold     = fs.Duration("obs-hold", 0, "keep the telemetry endpoint up this long after the experiments finish")
 		pmDir       = fs.String("postmortem-dir", "", "capture diagnostic bundles (flight events, profile, goroutine stacks) into this directory when an experiment query panics, fails a strict check, or breaches -slow-ms")
@@ -115,14 +116,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		})
 	}
 
-	var tr *obs.Trace
+	var col *collector
 	if *traceFile != "" || *metrics || *obsAddr != "" {
-		tr = obs.New("expdriver")
+		col = &collector{reg: obs.NewRegistry(), keep: *traceFile != ""}
 	}
 	var hub *obshttp.Hub
 	if *obsAddr != "" {
 		hub = obshttp.NewHub(obshttp.Config{
-			Registry:  tr.Metrics(),
+			Registry:  col.reg,
 			SlowQuery: time.Duration(*slowMs * float64(time.Millisecond)),
 			Status: obshttp.StatusInfo{
 				Component: "expdriver",
@@ -139,15 +140,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 		defer hub.Close()
+		col.hub = hub
 		fmt.Fprintf(stdout, "telemetry on http://%s/metrics (also /debug/queries, /debug/inflight)\n", addr)
 	}
 
 	cfg := bench.Config{Seed: *seed, ILPMaxExplored: *maxExplored, Workers: *par}
-	rcfg := bench.RealConfig{Seed: *seed, ILPMaxExplored: *maxExplored, Workers: *par, Trace: tr}
-	lcfg := bench.LogicalConfig{Seed: *seed, Trace: tr}
-	if hub != nil {
-		rcfg.Hooks = hub
-		lcfg.Hooks = hub
+	rcfg := bench.RealConfig{Seed: *seed, ILPMaxExplored: *maxExplored, Workers: *par}
+	lcfg := bench.LogicalConfig{Seed: *seed}
+	if col != nil {
+		rcfg.Hooks = col
+		lcfg.Hooks = col
 	}
 	if *scale == "small" { // "full" is the library defaults: 1024 units, 4M cells/side, 2s budget
 		cfg.Units = 256
@@ -296,7 +298,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *traceFile != "" {
-		if err := writeTrace(tr, *traceFile); err != nil {
+		if err := writeTrace(col.reps, *traceFile); err != nil {
 			fmt.Fprintf(stderr, "trace: %v\n", err)
 			return 1
 		}
@@ -304,7 +306,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *metrics {
 		fmt.Fprintln(stdout, "\nmetrics:")
-		if err := tr.Metrics().WriteJSON(stdout); err != nil {
+		if err := col.reg.WriteJSON(stdout); err != nil {
 			fmt.Fprintf(stderr, "metrics: %v\n", err)
 			return 1
 		}
@@ -317,12 +319,42 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-func writeTrace(tr *obs.Trace, path string) error {
+// collector is the driver's query hook: it folds each finished query's
+// Report into the registry behind -metrics and /metrics, keeps the
+// Reports (without their Output) for -trace, and forwards to the hub
+// when one is set. The experiments run their queries one at a time, so
+// only the registry, which the hub also reads, needs its lock.
+type collector struct {
+	reg  *obs.Registry
+	keep bool
+	hub  *obshttp.Hub
+	reps []*pipeline.Report
+}
+
+func (c *collector) QueryStarted(p *pipeline.Progress) {
+	if c.hub != nil {
+		c.hub.QueryStarted(p)
+	}
+}
+
+func (c *collector) QueryFinished(p *pipeline.Progress, rep *pipeline.Report, err error) {
+	pipeline.FoldMetrics(c.reg, rep, err != nil)
+	if c.keep {
+		kept := *rep
+		kept.Output = nil
+		c.reps = append(c.reps, &kept)
+	}
+	if c.hub != nil {
+		c.hub.QueryFinished(p, rep, err)
+	}
+}
+
+func writeTrace(reps []*pipeline.Report, path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := tr.WriteChrome(f); err != nil {
+	if err := pipeline.WriteChrome(f, "expdriver", reps...); err != nil {
 		f.Close()
 		return err
 	}

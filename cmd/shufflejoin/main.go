@@ -48,7 +48,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		trace   = fs.String("trace", "", "write the query trace as Chrome trace-event JSON to this file (load in Perfetto) and print the trace summary")
 		metrics = fs.Bool("metrics", false, "print the query's metric registry as JSON")
 		analyze = fs.Bool("analyze", false, "print the query's EXPLAIN ANALYZE profile (per-stage timings, plan provenance, per-node skew)")
-		obsAddr = fs.String("obs-addr", "", "serve live telemetry on this address (/metrics, /debug/queries, /debug/inflight, /debug/flight, /debug/anomalies, /debug/status); e.g. :8080 or :0")
+		obsAddr = fs.String("obs-addr", "", "serve live telemetry on this address (/metrics, /debug/queries, /debug/inflight, /debug/flight, /debug/status); e.g. :8080 or :0")
 		slowMs  = fs.Float64("slow-ms", 0, "mark queries at or above this wall time (ms) as slow in /debug/queries (with -postmortem-dir, also the slow-query bundle threshold)")
 		obsHold = fs.Duration("obs-hold", 0, "keep the telemetry endpoint up this long after the query finishes")
 		pmDir   = fs.String("postmortem-dir", "", "capture a diagnostic bundle (flight events, profile, metrics, goroutine stacks) into this directory when the query panics, fails a strict check, or breaches -slow-ms")
@@ -108,9 +108,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *strict {
 		opts = append(opts, shufflejoin.WithStrict())
-	}
-	if *trace != "" || *metrics || *obsAddr != "" {
-		opts = append(opts, shufflejoin.WithTrace())
 	}
 	if *pmDir != "" {
 		opts = append(opts, shufflejoin.WithPostmortem(&shufflejoin.Postmortem{

@@ -9,7 +9,6 @@ import (
 	"shufflejoin/internal/cluster"
 	"shufflejoin/internal/join"
 	"shufflejoin/internal/logical"
-	"shufflejoin/internal/obs"
 	"shufflejoin/internal/pipeline"
 	"shufflejoin/internal/stats"
 	"shufflejoin/internal/workload"
@@ -23,12 +22,9 @@ type LogicalConfig struct {
 	Chunks        int64 // stored chunks per array (paper: 32)
 	Selectivities []float64
 	Seed          int64
-	// Trace, when set, receives every query's pipeline spans and metrics
-	// (all queries share the one trace; counters accumulate across them).
-	Trace *obs.Trace
-	// Hooks, when set, observes every query the experiment executes (the
-	// obshttp Hub: /debug/inflight while running, the /debug/queries log
-	// when finished).
+	// Hooks, when set, observes every query the experiment executes:
+	// expdriver's collector, which folds the finished Reports into its
+	// metrics, keeps them for -trace and feeds the obshttp Hub.
 	Hooks pipeline.QueryHooks
 }
 
@@ -94,7 +90,6 @@ func RunLogical(cfg LogicalConfig) ([]LogicalMeasurement, error) {
 			rep, err := pipeline.Run(c, "A", "B", pred, outSchema, pipeline.Options{
 				ForceAlgo:  &algo,
 				Logical:    logical.PlanOptions{Selectivity: sel},
-				Trace:      cfg.Trace,
 				Hooks:      cfg.Hooks,
 				QueryLabel: fmt.Sprintf("logical A ⋈ B [sel=%g, %s]", sel, algo),
 			})

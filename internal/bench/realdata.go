@@ -9,7 +9,6 @@ import (
 	"shufflejoin/internal/array"
 	"shufflejoin/internal/cluster"
 	"shufflejoin/internal/join"
-	"shufflejoin/internal/obs"
 	"shufflejoin/internal/pipeline"
 	"shufflejoin/internal/workload"
 )
@@ -26,12 +25,9 @@ type RealConfig struct {
 	ILPMaxExplored int64 // deterministic node budget (see Config)
 	Workers        int   // planner parallelism (see Config)
 	CoarseBins     int
-	// Trace, when set, receives every query's pipeline spans and metrics
-	// (all queries share the one trace; counters accumulate across them).
-	Trace *obs.Trace
-	// Hooks, when set, observes every query the experiment executes (the
-	// obshttp Hub: /debug/inflight while running, the /debug/queries log
-	// when finished).
+	// Hooks, when set, observes every query the experiment executes:
+	// expdriver's collector, which folds the finished Reports into its
+	// metrics, keeps them for -trace and feeds the obshttp Hub.
 	Hooks pipeline.QueryHooks
 }
 
@@ -156,7 +152,6 @@ func runReal(cfg RealConfig, left, right *array.Array, pred join.Predicate, out 
 		rep, err := pipeline.Run(c, left.Schema.Name, right.Schema.Name, pred, out, pipeline.Options{
 			Planner:    planners[name],
 			ForceAlgo:  &algo,
-			Trace:      cfg.Trace,
 			Hooks:      cfg.Hooks,
 			QueryLabel: fmt.Sprintf("real %s ⋈ %s [%s planner]", left.Schema.Name, right.Schema.Name, name),
 		})

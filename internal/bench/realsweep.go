@@ -6,7 +6,6 @@ import (
 
 	"shufflejoin/internal/cluster"
 	"shufflejoin/internal/join"
-	"shufflejoin/internal/obs"
 	"shufflejoin/internal/pipeline"
 	"shufflejoin/internal/workload"
 )
@@ -22,12 +21,9 @@ type RealSweepConfig struct {
 	CellsPerSide int64 // default 200k
 	Alphas       []float64
 	Seed         int64
-	// Trace, when set, receives every query's pipeline spans and metrics
-	// (all queries share the one trace; counters accumulate across them).
-	Trace *obs.Trace
-	// Hooks, when set, observes every query the experiment executes (the
-	// obshttp Hub: /debug/inflight while running, the /debug/queries log
-	// when finished).
+	// Hooks, when set, observes every query the experiment executes:
+	// expdriver's collector, which folds the finished Reports into its
+	// metrics, keeps them for -trace and feeds the obshttp Hub.
 	Hooks pipeline.QueryHooks
 }
 
@@ -86,7 +82,6 @@ func RealSkewSweep(cfg RealSweepConfig) ([]PhysMeasurement, error) {
 			rep, err := pipeline.Run(c, "A", "B", pred, nil, pipeline.Options{
 				Planner:    planners[name],
 				ForceAlgo:  &algo,
-				Trace:      cfg.Trace,
 				Hooks:      cfg.Hooks,
 				QueryLabel: fmt.Sprintf("skew sweep α=%g [%s planner]", alpha, name),
 			})

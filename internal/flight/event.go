@@ -28,11 +28,12 @@ const (
 	EvAlignDone           // i:transfers f:makespan_seconds i:lock_waits f:lock_wait_seconds
 	EvHotReceiver         // i:node f:lock_wait_seconds i:recv_cells
 	EvCompareDone         // i:straggler_node f:skew f:compare_seconds
-	EvAnomaly             // l:kind i:node f:value f:baseline
 	EvPostmortem          // l:reason
 	EvSchedQueue          // l:class i:depth i:mem_used
 	EvSchedAdmit          // l:class i:wait_ns i:inflight
 	EvSchedReject         // l:class i:wait_ns l:reason
+
+	numTypes // one past the last event type; sizes the schema table
 )
 
 // argKind types one event argument for decoding.
@@ -66,7 +67,7 @@ func args(pairs ...any) (out [4]struct {
 }
 
 // schemas is the decode table, indexed by Type.
-var schemas = [...]eventSchema{
+var schemas = [numTypes]eventSchema{
 	EvNone:           {name: "none"},
 	EvQueryStart:     {name: "query-start", args: args("query", argLabel)},
 	EvQueryFinish:    {name: "query-finish", args: args("matches", argInt, "modeled_seconds", argFloat, "wall_ns", argInt)},
@@ -80,7 +81,6 @@ var schemas = [...]eventSchema{
 	EvAlignDone:      {name: "align-done", args: args("transfers", argInt, "makespan_seconds", argFloat, "lock_waits", argInt, "lock_wait_seconds", argFloat)},
 	EvHotReceiver:    {name: "hot-receiver", args: args("node", argInt, "lock_wait_seconds", argFloat, "recv_cells", argInt)},
 	EvCompareDone:    {name: "compare-done", args: args("straggler_node", argInt, "skew", argFloat, "compare_seconds", argFloat)},
-	EvAnomaly:        {name: "anomaly", args: args("kind", argLabel, "node", argInt, "value", argFloat, "baseline", argFloat)},
 	EvPostmortem:     {name: "postmortem", args: args("reason", argLabel)},
 	EvSchedQueue:     {name: "sched-queue", args: args("class", argLabel, "depth", argInt, "mem_used", argInt)},
 	EvSchedAdmit:     {name: "sched-admit", args: args("class", argLabel, "wait_ns", argInt, "inflight", argInt)},

@@ -24,7 +24,7 @@
 //     intern table).
 //
 // A nil *Recorder is a valid disabled instance (every method no-ops),
-// following the engine's nil-Trace/nil-Budget convention. The package
+// following the engine's nil-Registry/nil-Budget convention. The package
 // default Default (capacity 8192) is what the pipeline records into
 // unless a query overrides it. See DESIGN.md §12.
 package flight

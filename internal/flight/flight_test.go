@@ -205,7 +205,7 @@ func TestDecodeAndWriteJSON(t *testing.T) {
 	q := r.NextQID()
 	r.Record(EvQueryStart, q, r.Label("q1"), 0, 0, 0)
 	r.Record(EvAlignDone, q, 12, F(0.25), 3, F(0.01))
-	r.Record(EvAnomaly, 0, r.Label("straggler-compare"), 2, F(9.0), F(1.0))
+	r.Record(EvSchedReject, 0, r.Label("scan"), 1500, r.Label("deadline"), 0)
 
 	d := r.Decode(r.Snapshot(0)[1])
 	if d.Type != "align-done" {
@@ -232,15 +232,15 @@ func TestDecodeAndWriteJSON(t *testing.T) {
 	if payload.Capacity != 32 || len(payload.Events) != 3 {
 		t.Fatalf("payload = %+v", payload)
 	}
-	if payload.Events[2].Type != "anomaly" || payload.Events[2].Args["kind"] != "straggler-compare" {
-		t.Errorf("anomaly event = %+v", payload.Events[2])
+	if ev := payload.Events[2]; ev.Type != "sched-reject" || ev.Args["class"] != "scan" || ev.Args["reason"] != "deadline" {
+		t.Errorf("sched-reject event = %+v", ev)
 	}
 }
 
 func TestEventTypeNames(t *testing.T) {
 	// Every declared type must have a decode schema (guards against
 	// adding a type and forgetting the table entry).
-	for ty := EvQueryStart; ty <= EvPostmortem; ty++ {
+	for ty := EvQueryStart; ty < numTypes; ty++ {
 		if ty.String() == "unknown" || ty.String() == "" {
 			t.Errorf("event type %d has no schema name", ty)
 		}

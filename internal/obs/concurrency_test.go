@@ -74,12 +74,16 @@ func TestRegistryConcurrentUse(t *testing.T) {
 		t.Errorf("gauge g = %g, want last-writer value in [0,%d)", g, goroutines)
 	}
 
-	// Two quiesced fingerprints must agree — Snapshot and the fingerprint
-	// walk see the same settled state.
+	// Two quiesced exports must agree: consecutive renders see the same
+	// settled state.
 	var f1, f2 strings.Builder
-	r.writeFingerprint(&f1)
-	r.writeFingerprint(&f2)
+	if err := r.WriteJSON(&f1); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.WriteJSON(&f2); err != nil {
+		t.Fatal(err)
+	}
 	if f1.String() != f2.String() {
-		t.Error("fingerprint not stable across consecutive renders")
+		t.Error("JSON export not stable across consecutive renders")
 	}
 }

@@ -1,3 +1,24 @@
+// Package obs is the zero-dependency metrics layer of the shuffle join
+// engine: an ordered registry of counters, gauges and histograms, with
+// Prometheus text, JSON and table writers.
+//
+// # Determinism
+//
+// A registry the engine fills from a finished query's Report
+// (pipeline.FoldMetrics) holds bit-identical values at every Parallelism
+// setting. Two rules make that hold:
+//
+//  1. Metrics are only written from sequential code over deterministic
+//     inputs: the fold reads the query's finished Report, never anything
+//     inside worker goroutines, and skips the Report's wall-clock fields.
+//  2. The registry preserves first-registration order, and all float
+//     accumulation happens in a deterministic sequence (node order, step
+//     order), so sums are bit-for-bit identical across runs.
+//
+// # Nil safety
+//
+// A nil *Registry (and every *Counter, *Gauge, *Histogram reached
+// through it) is a valid disabled instance: every method no-ops.
 package obs
 
 import (
@@ -6,7 +27,6 @@ import (
 	"io"
 	"math"
 	"sort"
-	"strings"
 	"sync"
 )
 
@@ -15,7 +35,7 @@ import (
 // metric whose methods no-op.
 //
 // Snapshot order and export order follow first registration, so a query
-// traced twice produces byte-identical exports.
+// folded twice produces byte-identical exports.
 type Registry struct {
 	mu    sync.Mutex
 	order []string
@@ -57,6 +77,21 @@ func (r *Registry) get(name string, kind metricKind) *metric {
 	return m
 }
 
+// lookup returns the named metric, registering it on first use (a
+// histogram with the given bucket bounds). Taking the lock here keeps
+// the accessors below small enough to inline, so the handles they return
+// need not reach the heap.
+func (r *Registry) lookup(name string, kind metricKind, buckets []float64) *metric {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	m := r.get(name, kind)
+	if kind == kindHistogram && m.buckets == nil {
+		m.buckets = append([]float64(nil), buckets...)
+		m.hist = make([]int64, len(buckets)+1)
+	}
+	return m
+}
+
 // Counter is a monotone int64 metric.
 type Counter struct {
 	r *Registry
@@ -68,9 +103,7 @@ func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return &Counter{r: r, m: r.get(name, kindCounter)}
+	return &Counter{r: r, m: r.lookup(name, kindCounter, nil)}
 }
 
 // Add increments the counter.
@@ -95,9 +128,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return &Gauge{r: r, m: r.get(name, kindGauge)}
+	return &Gauge{r: r, m: r.lookup(name, kindGauge, nil)}
 }
 
 // Set overwrites the gauge value.
@@ -135,14 +166,7 @@ func (r *Registry) Histogram(name string, buckets []float64) *Histogram {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	m := r.get(name, kindHistogram)
-	if m.buckets == nil {
-		m.buckets = append([]float64(nil), buckets...)
-		m.hist = make([]int64, len(buckets)+1)
-	}
-	return &Histogram{r: r, m: m}
+	return &Histogram{r: r, m: r.lookup(name, kindHistogram, buckets)}
 }
 
 // Observe records one value.
@@ -389,27 +413,6 @@ func (r *Registry) WriteTable(w io.Writer) {
 					m.min, m.max, m.quantile(0.50), m.quantile(0.95), m.quantile(0.99))
 			}
 			fmt.Fprintln(w)
-		}
-	}
-}
-
-// writeFingerprint appends every metric value exactly; caller holds no
-// lock (Fingerprint holds the trace lock, not the registry's).
-func (r *Registry) writeFingerprint(b *strings.Builder) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, name := range r.order {
-		m := r.m[name]
-		switch m.kind {
-		case kindCounter:
-			fmt.Fprintf(b, "%s=%d\n", name, m.count)
-		case kindGauge:
-			fmt.Fprintf(b, "%s=%.17g\n", name, m.gauge)
-		case kindHistogram:
-			fmt.Fprintf(b, "%s n=%d sum=%.17g buckets=%v\n", name, m.n, m.sum, m.hist)
 		}
 	}
 }

@@ -137,89 +137,11 @@ func runQueryFlight(t *testing.T, hub *obshttp.Hub, fr *flight.Recorder, label s
 }
 
 // syntheticFinish pushes one synthetic finished query through the hub's
-// QueryFinished hook — the planted-skew harness for the anomaly tests.
-func syntheticFinish(hub *obshttp.Hub, label string, compare []float64, recv []int64, unitCells []int64) {
+// QueryFinished hook.
+func syntheticFinish(hub *obshttp.Hub, label string) {
 	p := pipeline.NewProgress(label)
 	hub.QueryStarted(p)
-	rep := &pipeline.Report{
-		Query:           label,
-		NodeCompareTime: compare,
-		UnitCells:       unitCells,
-		StragglerNode:   -1,
-	}
-	rep.Align.CellsRecv = recv
-	hub.QueryFinished(p, rep, nil)
-}
-
-// TestAnomalyDetectionPlantedStraggler plants a persistent straggler in
-// synthetic query reports and watches the hub surface it everywhere it
-// promises: /debug/anomalies, the query-log entry annotations, and the
-// engine gauges on /metrics.
-func TestAnomalyDetectionPlantedStraggler(t *testing.T) {
-	reg := obs.NewRegistry()
-	hub := obshttp.NewHub(obshttp.Config{Registry: reg, Flight: flight.New(128)})
-	srv := httptest.NewServer(hub.Handler())
-	defer srv.Close()
-
-	// Before warmup the gauge reads -1 (no straggler).
-	_, body, _ := get(t, srv, "/metrics")
-	if !strings.Contains(body, "engine_anomaly_straggler_node -1") {
-		t.Errorf("initial straggler gauge missing:\n%s", body)
-	}
-
-	// Node 2 is 10x slower than its peers, every query.
-	for i := 0; i < 4; i++ {
-		syntheticFinish(hub, fmt.Sprintf("planted-%d", i), []float64{1, 1, 10, 1}, nil, nil)
-	}
-
-	code, body, ct := get(t, srv, "/debug/anomalies")
-	if code != 200 || !strings.Contains(ct, "application/json") {
-		t.Fatalf("status = %d, content-type = %q", code, ct)
-	}
-	var snap flight.DetectorSnapshot
-	if err := json.Unmarshal([]byte(body), &snap); err != nil {
-		t.Fatalf("anomalies payload: %v", err)
-	}
-	if snap.Flagged != 1 || snap.Total == 0 {
-		t.Fatalf("snapshot = flagged %d, total %d", snap.Flagged, snap.Total)
-	}
-	if len(snap.Nodes) < 3 || snap.Nodes[2].StragglerSince == 0 {
-		t.Errorf("node 2 not flagged: %+v", snap.Nodes)
-	}
-	if len(snap.Recent) == 0 || snap.Recent[0].Kind != "straggler-compare" || snap.Recent[0].Node != 2 {
-		t.Errorf("recent anomalies = %+v", snap.Recent)
-	}
-
-	// The Prometheus gauge names the straggler.
-	_, body, _ = get(t, srv, "/metrics")
-	if !strings.Contains(body, "engine_anomaly_straggler_node 2") {
-		t.Errorf("straggler gauge not exported:\n%s", body)
-	}
-	if !strings.Contains(body, "engine_anomaly_flagged_nodes 1") {
-		t.Errorf("flagged-nodes gauge not exported:\n%s", body)
-	}
-	if !strings.Contains(body, "engine_anomaly_total") {
-		t.Errorf("anomaly counter not exported:\n%s", body)
-	}
-
-	// The query-log entry that crossed the warmup carries the annotation.
-	var annotated bool
-	for _, e := range hub.Log().Entries() {
-		for _, a := range e.Anomalies {
-			if strings.Contains(a, "node 2") {
-				annotated = true
-			}
-		}
-	}
-	if !annotated {
-		t.Error("no query-log entry carries the straggler annotation")
-	}
-
-	// The flight ring carries the anomaly events too.
-	code, body, _ = get(t, srv, "/debug/flight")
-	if code != 200 || !strings.Contains(body, `"anomaly"`) {
-		t.Errorf("no anomaly events on /debug/flight (status %d)", code)
-	}
+	hub.QueryFinished(p, &pipeline.Report{Query: label, StragglerNode: -1}, nil)
 }
 
 // TestQueryParamHardening: malformed query parameters are a 400, not a
@@ -243,7 +165,6 @@ func TestQueryParamHardening(t *testing.T) {
 		{"/debug/queries", 200},
 		{"/debug/flight?limit=banana", 400},
 		{"/debug/flight", 200},
-		{"/debug/anomalies", 200},
 		{"/debug/status", 200},
 	} {
 		code, _, ct := get(t, srv, tc.path)
@@ -276,7 +197,7 @@ func TestQueriesLimitParam(t *testing.T) {
 	reg := obs.NewRegistry()
 	hub := obshttp.NewHub(obshttp.Config{Registry: reg})
 	for i := 0; i < 5; i++ {
-		syntheticFinish(hub, fmt.Sprintf("q-%d", i), nil, nil, nil)
+		syntheticFinish(hub, fmt.Sprintf("q-%d", i))
 	}
 	srv := httptest.NewServer(hub.Handler())
 	defer srv.Close()
@@ -298,5 +219,66 @@ func TestQueriesLimitParam(t *testing.T) {
 	}
 	if p.Queries[0].Profile.Query != "q-4" || p.Queries[1].Profile.Query != "q-3" {
 		t.Errorf("limited queries = %+v, want newest first", p.Queries)
+	}
+}
+
+// TestPlantedStragglerInQueryLog plants a straggler (node 2 compares 10x
+// longer than its peers) and a hot join unit in synthetic reports. Each
+// /debug/queries entry names them from its own report, and an entry does
+// not change with the queries that came before it.
+func TestPlantedStragglerInQueryLog(t *testing.T) {
+	hub := obshttp.NewHub(obshttp.Config{Registry: obs.NewRegistry()})
+	srv := httptest.NewServer(hub.Handler())
+	defer srv.Close()
+
+	const queries = 4
+	for i := 0; i < queries; i++ {
+		label := fmt.Sprintf("planted-%d", i)
+		rep := &pipeline.Report{
+			Query:           label,
+			NodeCompareTime: []float64{1, 1, 10, 1},
+			UnitCells:       []int64{10, 10, 9000, 10, 10, 10, 10, 10},
+		}
+		rep.Skew, rep.StragglerNode = pipeline.SkewOf(rep.NodeCompareTime)
+		p := pipeline.NewProgress(label)
+		hub.QueryStarted(p)
+		hub.QueryFinished(p, rep, nil)
+	}
+
+	code, body, _ := get(t, srv, "/debug/queries")
+	if code != 200 {
+		t.Fatalf("/debug/queries status %d", code)
+	}
+	var qp struct {
+		Queries []obshttp.Entry `json:"queries"`
+	}
+	if err := json.Unmarshal([]byte(body), &qp); err != nil {
+		t.Fatalf("/debug/queries JSON: %v\n%s", err, body)
+	}
+	if len(qp.Queries) != queries {
+		t.Fatalf("query log holds %d entries, want %d", len(qp.Queries), queries)
+	}
+	var first string
+	for _, e := range qp.Queries {
+		p := e.Profile
+		if p == nil {
+			t.Fatalf("entry %d carries no profile", e.Seq)
+		}
+		if p.StragglerNode != 2 || p.Skew != 10/3.25 {
+			t.Errorf("%s: straggler %d skew %v, want node 2 skew %v", p.Query, p.StragglerNode, p.Skew, 10/3.25)
+		}
+		if len(p.HotUnits) != 1 || p.HotUnits[0].Unit != 2 || p.HotUnits[0].Cells != 9000 {
+			t.Errorf("%s: hot units %+v, want unit 2 with 9000 cells", p.Query, p.HotUnits)
+		}
+		s := p.String()
+		if !strings.Contains(s, "straggler node 2") {
+			t.Errorf("%s: rendering does not name the straggler:\n%s", p.Query, s)
+		}
+		s = strings.Replace(s, p.Query, "", 1)
+		if first == "" {
+			first = s
+		} else if s != first {
+			t.Errorf("%s renders differently from the first planted query:\n--- first ---\n%s\n--- got ---\n%s", p.Query, first, s)
+		}
 	}
 }

@@ -2,25 +2,22 @@
 // surface over the observability layer that serves
 //
 //	/metrics          — the metrics registry in Prometheus text format,
-//	                    followed by the hub's own engine metrics
-//	                    (anomaly gauges, uptime)
+//	                    followed by the hub's own uptime gauge
 //	/debug/queries    — a ring-buffer query log with EXPLAIN ANALYZE
 //	                    profiles and a configurable slow-query threshold
 //	/debug/inflight   — per-stage progress of currently running queries
 //	/debug/flight     — recent flight-recorder events, decoded to JSON
-//	/debug/anomalies  — the online skew-anomaly detector's state
 //	/debug/status     — build/runtime identification and engine config
 //	/debug/pprof/...  — the standard net/http/pprof profiles
 //
 // The Hub at the center implements pipeline.QueryHooks: attach it to a
 // query's Options.Hooks (the facade's WithQueryLog does this) and every
-// execution registers its live Progress tracker on start and folds its
-// Report's profile into the query log on finish — where the anomaly
-// detector also observes it, annotating the entry (and its profile)
-// with any straggler, hot-receiver, or hot-unit conditions it raises.
-// The Hub is safe for concurrent queries and concurrent HTTP reads; it
-// never blocks the orchestration goroutine beyond a mutex-guarded ring
-// append and the detector's EWMA fold.
+// execution registers its live Progress tracker on start and appends its
+// Report's profile to the query log on finish. Each profile states its
+// own query's skew, straggler node and hot units; the hub adds no
+// cross-query verdicts. The Hub is safe for concurrent queries and
+// concurrent HTTP reads; it never blocks the orchestration goroutine
+// beyond a mutex-guarded ring append.
 package obshttp
 
 import (
@@ -55,8 +52,8 @@ type StatusInfo struct {
 // Config parameterizes a Hub.
 type Config struct {
 	// Registry backs /metrics. Typically the DB's cumulative registry or
-	// an experiment driver's shared trace registry. A nil registry serves
-	// an empty exposition.
+	// an experiment driver's shared metrics registry. A nil registry
+	// serves an empty exposition.
 	Registry *obs.Registry
 	// QueryLogCapacity bounds the /debug/queries ring buffer; once full,
 	// the oldest entry is evicted. Defaults to 128.
@@ -83,13 +80,10 @@ type Hub struct {
 	cfg   Config
 	log   *QueryLog
 	rec   *flight.Recorder
-	det   *flight.Detector
 	start time.Time
-	// engine holds the hub's own operational metrics (anomaly gauges,
-	// uptime). It is deliberately separate from cfg.Registry: per-query
-	// trace registries are fingerprinted bit-for-bit across Parallelism
-	// settings, and anomaly state is history-dependent, so it must never
-	// leak into them. /metrics serves both.
+	// engine holds the hub's own operational metrics (uptime), kept out
+	// of cfg.Registry, which holds only what queries folded into it.
+	// /metrics serves both.
 	engine *obs.Registry
 
 	mu       sync.Mutex
@@ -114,20 +108,15 @@ func NewHub(cfg Config) *Hub {
 		cfg:      cfg,
 		log:      newQueryLog(cfg.QueryLogCapacity),
 		rec:      rec,
-		det:      flight.NewDetector(rec),
 		start:    time.Now(),
 		engine:   obs.NewRegistry(),
 		inflight: make(map[*pipeline.Progress]uint64),
 	}
-	h.engine.Gauge("engine_anomaly_straggler_node").Set(-1)
 	return h
 }
 
 // Log returns the hub's query log.
 func (h *Hub) Log() *QueryLog { return h.log }
-
-// Detector returns the hub's anomaly detector.
-func (h *Hub) Detector() *flight.Detector { return h.det }
 
 // QueryStarted implements pipeline.QueryHooks: the query's Progress
 // tracker becomes visible on /debug/inflight.
@@ -158,20 +147,6 @@ func (h *Hub) QueryFinished(p *pipeline.Progress, rep *pipeline.Report, err erro
 	}
 	if rep != nil {
 		e.Profile = rep.Profile()
-		if err == nil {
-			// Fold the finished query into the online anomaly detector
-			// and surface what it raised: on the log entry, on the
-			// profile (an annotation outside the fingerprint), and as
-			// engine gauges a Prometheus scraper can alert on.
-			for _, a := range h.det.Observe(snap.Query, rep.NodeCompareTime, rep.Align.CellsRecv, rep.UnitCells) {
-				e.Anomalies = append(e.Anomalies, a.String())
-			}
-			e.Profile.Anomalies = e.Anomalies
-			h.engine.Counter("engine_anomaly_total").Add(int64(len(e.Anomalies)))
-			flagged, straggler := h.det.Flagged()
-			h.engine.Gauge("engine_anomaly_flagged_nodes").Set(float64(flagged))
-			h.engine.Gauge("engine_anomaly_straggler_node").Set(float64(straggler))
-		}
 	}
 	h.log.add(e)
 }
@@ -185,7 +160,6 @@ type Entry struct {
 	WallSeconds float64           `json:"wall_seconds"`
 	Slow        bool              `json:"slow"`
 	Error       string            `json:"error,omitempty"`
-	Anomalies   []string          `json:"anomalies,omitempty"`
 	Profile     *pipeline.Profile `json:"profile,omitempty"`
 }
 
@@ -258,7 +232,6 @@ func (h *Hub) Handler() http.Handler {
 	mux.HandleFunc("/debug/queries", h.handleQueries)
 	mux.HandleFunc("/debug/inflight", h.handleInflight)
 	mux.HandleFunc("/debug/flight", h.handleFlight)
-	mux.HandleFunc("/debug/anomalies", h.handleAnomalies)
 	mux.HandleFunc("/debug/status", h.handleStatus)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -384,12 +357,6 @@ func (h *Hub) handleFlight(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	h.rec.WriteJSON(w, limit) //nolint:errcheck // headers already sent
-}
-
-// handleAnomalies serves the online skew-anomaly detector's state:
-// per-node EWMAs and flags, and the recent anomalies newest first.
-func (h *Hub) handleAnomalies(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, h.det.Snapshot())
 }
 
 // statusPayload is the /debug/status response shape.

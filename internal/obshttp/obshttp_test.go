@@ -38,7 +38,7 @@ func buildArray(schema string, seed int64, n int, domain int64) *array.Array {
 }
 
 // runQuery executes one join with the hub attached as query hooks,
-// recording trace metrics into reg.
+// folding its metrics into reg.
 func runQuery(t *testing.T, hub *obshttp.Hub, reg *obs.Registry, label string) *pipeline.Report {
 	t.Helper()
 	a := buildArray("A<v:int>[i=1,300,30]", 31, 160, 30)
@@ -53,14 +53,12 @@ func runQuery(t *testing.T, hub *obshttp.Hub, reg *obs.Registry, label string) *
 		Hooks:      hub,
 		QueryLabel: label,
 	}
-	if reg != nil {
-		tr := obs.New("test")
-		opt.Trace = tr
-		defer reg.AddFrom(tr.Metrics())
-	}
 	rep, err := pipeline.Run(c, "A", "B", pred, out, opt)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if reg != nil {
+		pipeline.FoldMetrics(reg, rep, false)
 	}
 	return rep
 }

@@ -8,7 +8,6 @@ import (
 	"shufflejoin/internal/cluster"
 	"shufflejoin/internal/join"
 	"shufflejoin/internal/logical"
-	"shufflejoin/internal/obs"
 	"shufflejoin/internal/pipeline"
 )
 
@@ -63,15 +62,14 @@ func TestOverlapDeterministicAcrossParallelism(t *testing.T) {
 	var base string
 	for i, par := range []int{1, 4, 0} {
 		c := newCluster(t, 4, a.Clone(), b.Clone())
-		tr := obs.New("determinism")
-		if _, err := pipeline.Run(c, "A", "B", pred, out, pipeline.Options{
+		rep, err := pipeline.Run(c, "A", "B", pred, out, pipeline.Options{
 			Logical:     logical.PlanOptions{Selectivity: 0.5},
 			Parallelism: par,
-			Trace:       tr,
-		}); err != nil {
+		})
+		if err != nil {
 			t.Fatalf("par=%d: %v", par, err)
 		}
-		fp := tr.Fingerprint()
+		fp := rendered(t, rep)
 		if i == 0 {
 			base = fp
 		} else if fp != base {

@@ -15,7 +15,6 @@ import (
 	"shufflejoin/internal/flight"
 	"shufflejoin/internal/join"
 	"shufflejoin/internal/logical"
-	"shufflejoin/internal/obs"
 	"shufflejoin/internal/pipeline"
 )
 
@@ -31,18 +30,16 @@ func TestFlightRecordingEquivalence(t *testing.T) {
 	run := func(t *testing.T, par int, fr *flight.Recorder, off bool) (*pipeline.Report, string) {
 		t.Helper()
 		c := newCluster(t, 4, a.Clone(), b.Clone())
-		tr := obs.New("flight-equiv")
 		rep, err := pipeline.Run(c, "A", "B", pred, nil, pipeline.Options{
 			Logical:     logical.PlanOptions{Selectivity: 0.5},
 			Parallelism: par,
-			Trace:       tr,
 			Flight:      fr,
 			FlightOff:   off,
 		})
 		if err != nil {
 			t.Fatalf("Run(par=%d): %v", par, err)
 		}
-		return rep, tr.Fingerprint()
+		return rep, rendered(t, rep)
 	}
 
 	for _, par := range []int{1, 4, 0} {
@@ -52,7 +49,7 @@ func TestFlightRecordingEquivalence(t *testing.T) {
 			got, gotFP := run(t, par, fr, false)   // recording on
 
 			if gotFP != wantFP {
-				t.Errorf("trace fingerprints differ between recorded and unrecorded runs")
+				t.Errorf("rendered metrics and trace differ between recorded and unrecorded runs")
 			}
 			if got.Profile().Fingerprint() != want.Profile().Fingerprint() {
 				t.Errorf("profile fingerprints differ:\n--- recorded ---\n%s\n--- unrecorded ---\n%s",

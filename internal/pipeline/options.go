@@ -3,14 +3,12 @@ package pipeline
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"shufflejoin/internal/array"
 	"shufflejoin/internal/flight"
 	"shufflejoin/internal/join"
 	"shufflejoin/internal/logical"
-	"shufflejoin/internal/obs"
 	"shufflejoin/internal/par"
 	"shufflejoin/internal/physical"
 	"shufflejoin/internal/plancache"
@@ -69,13 +67,6 @@ type Options struct {
 	// The returned function must be safe for concurrent use unless
 	// Parallelism is 1.
 	ProjectFactory func(js *logical.JoinSchema) (func(l, r *join.Tuple) []array.Value, error)
-	// Trace, when non-nil, receives hierarchical spans (planning, align,
-	// per-transfer, per-node compare) and skew/congestion metrics for the
-	// run. Execute folds them out of the finished Report in one place
-	// (foldTrace), so the capture is bit-for-bit identical at every
-	// Parallelism setting; the live view of a running query is
-	// Hooks/Progress and the flight recorder. Nil disables tracing.
-	Trace *obs.Trace
 	// Cache, when non-nil, short-circuits planning for repeated queries:
 	// before planning, the query's signature (schema shape, chunk grid,
 	// skew-histogram fingerprint, node count, planning options) is looked
@@ -332,12 +323,13 @@ type Report struct {
 	// Output is the materialized, sorted destination array (Assemble
 	// stage).
 	Output *array.Array
+	// Start is when the query began, the origin the Chrome trace places
+	// wall-clock stage spans from; like WallTime it is outside every
+	// fingerprint (Execute).
+	Start time.Time
 	// WallTime is the real elapsed time of the whole pipeline, set on
 	// every exit — success, error or panic (Execute).
 	WallTime time.Duration
-
-	profile     *Profile // memoised by Profile
-	profileOnce sync.Once
 }
 
 // NodeLoad is one node's row of Report.Nodes.

@@ -6,14 +6,14 @@
 //
 // — threading one QueryContext that carries the cluster, the options, and
 // every intermediate product from stage to stage. Stages write one record
-// of what happened, the Report; every telemetry view (spans and metrics,
-// the EXPLAIN ANALYZE profile, the query log, postmortem bundles) is a
-// fold of it. The AQL runner, the public facade, and both CLIs all execute
-// through Run / RunDistributed here. There is one data plane (bounded
-// columnar batch runs, pulled through pooled readers) and one execution
-// order (overlapped, below); Execute takes the stage list, and that seam
-// is where the tests substitute their barrier-order, whole-unit
-// reference executor (reference_test.go).
+// of what happened, the Report; every telemetry view (metrics, the Chrome
+// trace, the EXPLAIN ANALYZE profile, the query log, postmortem bundles)
+// is rendered from it. The AQL runner, the public facade, and both CLIs
+// all execute through Run / RunDistributed here. There is one data plane
+// (bounded columnar batch runs, pulled through pooled readers) and one
+// execution order (overlapped, below); Execute takes the stage list, and
+// that seam is where the tests substitute their barrier-order,
+// whole-unit reference executor (reference_test.go).
 //
 // # Overlapped execution
 //
@@ -28,10 +28,10 @@
 //
 // Overlap is a wall-clock optimization only; the modeled timeline is
 // unchanged (compare time is still stacked after the align makespan, as
-// in the paper's cost model). Output cells, modeled times, and trace
-// fingerprints are bit-for-bit identical at every Parallelism setting —
-// and output cells, join statistics, and modeled times match the tests'
-// barrier-order reference — because
+// in the paper's cost model). Output cells, modeled times, and the
+// rendered metrics and trace are bit-for-bit identical at every
+// Parallelism setting — and output cells, join statistics, and modeled
+// times match the tests' barrier-order reference — because
 //
 //  1. transfer completion order is deterministic in the discrete-event
 //     loop,
@@ -144,11 +144,12 @@ func NewQueryContext(c *cluster.Cluster, dl, dr *cluster.Distributed, pred join.
 
 // Execute runs the stages in order, stopping at the first error. The
 // stage log (beginStage/endStage) brackets each stage; when the last one
-// has returned, publish folds the Report into every telemetry view.
+// has returned, publish hands the Report to the query's telemetry sinks.
 func Execute(qc *QueryContext, stages []Stage) error {
 	opt, rep := qc.Opt, qc.Report
 	qc.fr = opt.flightRecorder()
 	qc.qid = qc.fr.NextQID()
+	rep.Start = qc.prog.Start
 	if opt.Hooks != nil {
 		opt.Hooks.QueryStarted(&qc.prog)
 	}
@@ -190,12 +191,12 @@ func Execute(qc *QueryContext, stages []Stage) error {
 	return execErr
 }
 
-// publish is the one place a finished query's Report becomes telemetry:
-// the span tree and metrics, the closing flight events, a postmortem
-// bundle when the outcome calls for one, and the hooks' QueryFinished.
+// publish is the one place a finished query's Report leaves Execute: the
+// closing flight events, a postmortem bundle when the outcome calls for
+// one, and the hooks' QueryFinished. Metrics and traces are rendered from
+// the Report later, by whoever asks (FoldMetrics, WriteChrome).
 func (qc *QueryContext) publish(execErr error) {
 	opt, rep := qc.Opt, qc.Report
-	foldTrace(opt.Trace, rep, qc.prog.Start, execErr != nil)
 	if execErr != nil {
 		qc.fr.Record(flight.EvQueryError, qc.qid, qc.fr.Label(rep.lastStage()), qc.fr.Label(execErr.Error()), 0, 0)
 		// Cancellation and timeouts are the caller's decision, not an

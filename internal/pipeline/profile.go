@@ -3,7 +3,7 @@
 // simulated timings, plan provenance (source, regret, cache outcome,
 // candidate costs), shuffle transfer totals, and per-node work/skew
 // diagnostics — a pure function of the Report (Report.Profile), like the
-// observability spans (foldTrace). Everything except wall-clock fields is
+// metrics fold and the Chrome trace (FoldMetrics, WriteChrome). Everything except wall-clock fields is
 // bit-for-bit identical at every Parallelism setting; Fingerprint masks
 // the wall-clock fields so tests can assert exactly that.
 
@@ -130,22 +130,13 @@ type Profile struct {
 
 	Shuffle ShuffleProfile `json:"shuffle"`
 	Nodes   []NodeProfile  `json:"nodes"`
-
-	// Anomalies is the online detector's annotations for this query
-	// (straggler/hot-receiver rising edges, hot units), attached by the
-	// observability hub after the fact. Cross-query EWMA state is
-	// history-dependent, so this field is EXCLUDED from Fingerprint.
-	Anomalies []string `json:"anomalies,omitempty"`
 }
 
-// Profile returns the query's EXPLAIN ANALYZE digest. It reads nothing
+// Profile renders the query's EXPLAIN ANALYZE digest. It reads nothing
 // but the Report, so a failed query's report profiles as far as the query
-// got. The result is built on the first call and shared by later ones;
-// call it once the query has finished.
-func (rep *Report) Profile() *Profile {
-	rep.profileOnce.Do(func() { rep.profile = buildProfile(rep) })
-	return rep.profile
-}
+// got. Each call builds a new Profile; call it once the query has
+// finished.
+func (rep *Report) Profile() *Profile { return buildProfile(rep) }
 
 func buildProfile(rep *Report) *Profile {
 	p := &Profile{
@@ -272,9 +263,6 @@ func (p *Profile) String() string {
 			fmt.Fprintf(&b, " unit %d (%d cells, %.1fx mean)", hu.Unit, hu.Cells, float64(hu.Cells)/hu.Mean)
 		}
 		b.WriteString("\n")
-	}
-	for _, a := range p.Anomalies {
-		fmt.Fprintf(&b, "├─ anomaly: %s\n", a)
 	}
 	if p.StragglerNode >= 0 {
 		fmt.Fprintf(&b, "├─ nodes (compare skew %.3f · straggler node %d)\n", p.Skew, p.StragglerNode)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"shufflejoin/internal/array"
 	"shufflejoin/internal/join"
@@ -195,5 +196,36 @@ func TestProfileCacheOutcome(t *testing.T) {
 	}
 	if rep2.Profile().PlanSource != pipeline.PlanSourceCached {
 		t.Errorf("second run plan source = %q, want %q", rep2.Profile().PlanSource, pipeline.PlanSourceCached)
+	}
+}
+
+// TestProfileFingerprintMasksWallTime pins which Report fields the
+// fingerprint reads: moving every wall-clock field (the query's Start,
+// its wall time, planning time and each stage's wall seconds) leaves it
+// unchanged, while moving one stage's modeled seconds changes it.
+func TestProfileFingerprintMasksWallTime(t *testing.T) {
+	rep := profiledRun(t, 0)
+	base := rep.Profile().Fingerprint()
+	if !strings.Contains(base, "wall=[masked]") {
+		t.Fatalf("stage wall times not masked:\n%s", base)
+	}
+
+	wall := *rep
+	wall.Start = rep.Start.Add(time.Hour)
+	wall.WallTime += time.Second
+	wall.PlanTime += 1.5
+	wall.Stages = append([]pipeline.StageTiming(nil), rep.Stages...)
+	for i := range wall.Stages {
+		wall.Stages[i].WallSeconds += 0.25
+	}
+	if got := wall.Profile().Fingerprint(); got != base {
+		t.Errorf("fingerprint moved with wall time:\n--- base ---\n%s\n--- got ---\n%s", base, got)
+	}
+
+	sim := *rep
+	sim.Stages = append([]pipeline.StageTiming(nil), rep.Stages...)
+	sim.Stages[len(sim.Stages)-1].SimSeconds += 1
+	if got := sim.Profile().Fingerprint(); got == base {
+		t.Error("fingerprint ignores a stage's modeled seconds")
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"shufflejoin/internal/batch"
 	"shufflejoin/internal/join"
 	"shufflejoin/internal/logical"
-	"shufflejoin/internal/obs"
 	"shufflejoin/internal/pipeline"
 )
 
@@ -193,8 +192,8 @@ func TestMemoryBudgetStrict(t *testing.T) {
 	}
 }
 
-// TestStreamingFingerprintsPinned: within the streaming plane, trace
-// fingerprints (which now cover the memory gauges) stay bit-identical
+// TestStreamingFingerprintsPinned: within the streaming plane, the
+// rendered metrics and trace (which cover the memory gauges) stay bit-identical
 // across parallelism — the same guarantee the engine makes for every
 // other metric.
 func TestStreamingFingerprintsPinned(t *testing.T) {
@@ -204,16 +203,14 @@ func TestStreamingFingerprintsPinned(t *testing.T) {
 	var want string
 	for i, par := range []int{1, 4, 0} {
 		c := newCluster(t, 3, a.Clone(), b.Clone())
-		tr := obs.New("streaming")
-		_, err := pipeline.Run(c, "A", "B", pred, nil, pipeline.Options{
+		rep, err := pipeline.Run(c, "A", "B", pred, nil, pipeline.Options{
 			Logical:     logical.PlanOptions{Selectivity: 0.5},
 			Parallelism: par,
-			Trace:       tr,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		fp := tr.Fingerprint()
+		fp := rendered(t, rep)
 		if i == 0 {
 			want = fp
 		} else if fp != want {

@@ -1,6 +1,8 @@
 package pipeline_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"go/parser"
 	"go/token"
@@ -9,11 +11,14 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"shufflejoin/internal/join"
 	"shufflejoin/internal/logical"
 	"shufflejoin/internal/obs"
 	"shufflejoin/internal/pipeline"
+	"shufflejoin/internal/plancache"
+	"shufflejoin/internal/simnet"
 )
 
 // failingCompare runs the real Compare stage (so the dispatched units are
@@ -27,9 +32,9 @@ func (f failingCompare) Run(qc *pipeline.QueryContext) error {
 	return errors.New("injected compare failure")
 }
 
-// TestFailedQueryKeepsTraceAndWall: the trace is folded from the Report
-// on error exits too, so a query that fails in Compare still shows every
-// stage it completed — and its Report says how long it ran.
+// TestFailedQueryKeepsTraceAndWall: the trace and metrics render from
+// the Report on error exits too, so a query that fails in Compare still
+// shows every stage it completed — and its Report says how long it ran.
 func TestFailedQueryKeepsTraceAndWall(t *testing.T) {
 	a := buildArray("A<v:int>[i=1,200,20]", 81, 120, 25)
 	b := buildArray("B<w:int>[j=1,200,20]", 82, 110, 25)
@@ -43,10 +48,8 @@ func TestFailedQueryKeepsTraceAndWall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := obs.New("failed")
 	qc := pipeline.NewQueryContext(c, dl, dr, pred, nil, pipeline.Options{
 		Logical: logical.PlanOptions{Selectivity: 0.5},
-		Trace:   tr,
 	})
 	stages := pipeline.DefaultStages()
 	stages[4] = failingCompare{}
@@ -54,14 +57,31 @@ func TestFailedQueryKeepsTraceAndWall(t *testing.T) {
 		t.Fatal("injected compare failure did not fail the query")
 	}
 
+	var chrome bytes.Buffer
+	if err := pipeline.WriteChrome(&chrome, "failed", qc.Report); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name, Ph string
+			Pid      int
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(chrome.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
 	var names []string
-	for _, sp := range tr.Root().Children {
-		names = append(names, sp.Name)
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph == "X" && ev.Pid == 0 {
+			names = append(names, ev.Name)
+		}
 	}
-	if got, want := strings.Join(names, " "), "plan.logical map.slices plan.physical align"; got != want {
-		t.Errorf("failed query's spans = %q, want %q", got, want)
+	if got, want := strings.Join(names, " "), "failed plan.logical map.slices plan.physical align"; got != want {
+		t.Errorf("failed query's coordinator spans = %q, want %q", got, want)
 	}
-	snap := tr.Metrics().Snapshot()
+	reg := obs.NewRegistry()
+	pipeline.FoldMetrics(reg, qc.Report, true)
+	snap := reg.Snapshot()
 	if snap["pipeline.query_errors"] != 1 || snap["align.transfers"] == 0 {
 		t.Errorf("failed query's metrics = %v", snap)
 	}
@@ -70,8 +90,8 @@ func TestFailedQueryKeepsTraceAndWall(t *testing.T) {
 	}
 
 	rep := qc.Report
-	if rep.WallTime <= 0 {
-		t.Errorf("failed query's WallTime = %v", rep.WallTime)
+	if rep.WallTime <= 0 || rep.Start.IsZero() {
+		t.Errorf("failed query's WallTime = %v, Start = %v", rep.WallTime, rep.Start)
 	}
 	if n := len(rep.Stages); n != 5 || rep.Stages[n-1].Done || !rep.Stages[n-2].Done {
 		t.Errorf("stage log = %+v, want five entries with only the last not done", rep.Stages)
@@ -81,9 +101,9 @@ func TestFailedQueryKeepsTraceAndWall(t *testing.T) {
 	}
 }
 
-// TestStagesDoNotImportObs keeps telemetry a fold of the Report: the
+// TestStagesDoNotImportObs keeps telemetry a render of the Report: the
 // stages, the compare runner, the projector and the planners beneath
-// them must not be able to write a span or a metric; the stages must not
+// them must not be able to write a metric; the stages must not
 // record flight events either, since the stage log records those from
 // the Report; and the network simulator, which the stages drive, stays a
 // leaf that imports nothing of the engine.
@@ -197,5 +217,154 @@ func TestProgressFollowsStageLog(t *testing.T) {
 		if st != rep.Stages[i] {
 			t.Errorf("final snapshot stage %d = %+v, report has %+v", i, st, rep.Stages[i])
 		}
+	}
+}
+
+// rendered is a query's metrics JSON and Chrome trace rendered from a
+// copy of its Report with the wall-clock fields zeroed: the bytes the
+// determinism tests compare.
+func rendered(t *testing.T, rep *pipeline.Report) string {
+	t.Helper()
+	cp := *rep
+	cp.Start, cp.PlanTime = time.Time{}, 0
+	cp.Stages = append([]pipeline.StageTiming(nil), rep.Stages...)
+	for i := range cp.Stages {
+		cp.Stages[i].WallSeconds = 0
+	}
+	reg := obs.NewRegistry()
+	pipeline.FoldMetrics(reg, &cp, false)
+	var b bytes.Buffer
+	if err := reg.WriteJSON(&b); err != nil {
+		t.Fatal(err)
+	}
+	if err := pipeline.WriteChrome(&b, "query", &cp); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
+// TestChromeTraceSchema validates the export against the trace-event
+// format — required keys, known phase types, paired flow events, and
+// per-node process metadata, the contract Perfetto needs to load it —
+// on a Report with two transfers and three nodes.
+func TestChromeTraceSchema(t *testing.T) {
+	rep := &pipeline.Report{
+		Stages: []pipeline.StageTiming{
+			{Stage: pipeline.Align{}.Name(), Done: true},
+			{Stage: pipeline.Compare{}.Name(), Done: true},
+		},
+		CompareTime:     1.5,
+		NodeCompareTime: []float64{0, 1, 2},
+		Nodes:           make([]pipeline.NodeLoad, 3),
+	}
+	rep.Align.Makespan = 2
+	for i, x := range []struct {
+		from, to int
+		start    float64
+	}{{0, 1, 0}, {2, 1, 0.5}} {
+		rep.Align.Timeline = append(rep.Align.Timeline, simnet.Event{
+			Transfer: simnet.Transfer{From: x.from, To: x.to, Cells: 100, Tag: i},
+			Start:    x.start, End: x.start + 0.5,
+		})
+	}
+	var buf bytes.Buffer
+	if err := pipeline.WriteChrome(&buf, "query", rep); err != nil {
+		t.Fatalf("WriteChrome: %v", err)
+	}
+	var file struct {
+		TraceEvents     []map[string]any `json:"traceEvents"`
+		DisplayTimeUnit string           `json:"displayTimeUnit"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &file); err != nil {
+		t.Fatalf("export is not valid JSON: %v\n%s", err, buf.String())
+	}
+	if file.DisplayTimeUnit != "ms" {
+		t.Errorf("displayTimeUnit = %q", file.DisplayTimeUnit)
+	}
+
+	flowStarts := map[float64]bool{}
+	flowEnds := map[float64]bool{}
+	processNames := map[float64]string{}
+	valid := map[string]bool{"X": true, "M": true, "s": true, "f": true}
+	for i, ev := range file.TraceEvents {
+		for _, key := range []string{"name", "ph", "pid", "tid", "ts"} {
+			if _, ok := ev[key]; !ok {
+				t.Fatalf("event %d missing %q: %v", i, key, ev)
+			}
+		}
+		ph := ev["ph"].(string)
+		if !valid[ph] {
+			t.Fatalf("event %d has unknown phase %q", i, ph)
+		}
+		switch ph {
+		case "X":
+			if dur, ok := ev["dur"].(float64); !ok || dur < 0 {
+				t.Fatalf("complete event %d lacks non-negative dur: %v", i, ev)
+			}
+		case "s":
+			flowStarts[ev["id"].(float64)] = true
+		case "f":
+			flowEnds[ev["id"].(float64)] = true
+			if ev["bp"] != "e" {
+				t.Fatalf("flow end %d must bind to enclosing slice (bp=e): %v", i, ev)
+			}
+		case "M":
+			if ev["name"] == "process_name" {
+				args := ev["args"].(map[string]any)
+				processNames[ev["pid"].(float64)] = args["name"].(string)
+			}
+		}
+	}
+
+	if len(flowStarts) != 2 || len(flowEnds) != 2 {
+		t.Fatalf("want 2 transfer flows, got %d starts / %d ends", len(flowStarts), len(flowEnds))
+	}
+	for id := range flowStarts {
+		if !flowEnds[id] {
+			t.Fatalf("flow %v has no end event", id)
+		}
+	}
+	// One process per simulated node plus the wall-clock coordinator.
+	if processNames[0] == "" {
+		t.Error("pid 0 (coordinator) has no process_name metadata")
+	}
+	for _, pid := range []float64{1, 2, 3} {
+		if processNames[pid] == "" {
+			t.Errorf("pid %v (simulated node) has no process_name metadata", pid)
+		}
+	}
+}
+
+// foldAllocsCeiling bounds the allocations of folding one query's
+// metrics into a warm registry: what the facade's always-on recordQuery
+// adds to every query: the per-node metric names, six allocations for
+// each of four nodes.
+const foldAllocsCeiling = 24 + raceAllocs
+
+// TestFoldMetricsAllocs is the gate on that cost, measured on a query
+// shaped like the serve_mix benchmark's: four nodes, a dimension join,
+// its plan replayed from the plan cache.
+func TestFoldMetricsAllocs(t *testing.T) {
+	a := buildArray("A<v:int>[i=1,4000,250]", 91, 1200, 50)
+	b := buildArray("B<w:int>[i=1,4000,250]", 92, 1100, 50)
+	pred := join.Predicate{{Left: join.Term{Name: "i"}, Right: join.Term{Name: "i"}}}
+	c := newCluster(t, 4, a, b)
+	cache := plancache.New()
+	var rep *pipeline.Report
+	for i := 0; i < 2; i++ {
+		var err error
+		if rep, err = pipeline.Run(c, "A", "B", pred, nil, pipeline.Options{Cache: cache, Parallelism: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rep.CacheOutcome != "hit" || len(rep.Nodes) != 4 {
+		t.Fatalf("cache outcome %q with %d nodes, want a hit on 4", rep.CacheOutcome, len(rep.Nodes))
+	}
+	reg := obs.NewRegistry()
+	pipeline.FoldMetrics(reg, rep, false) // register every metric once
+	allocs := testing.AllocsPerRun(100, func() { pipeline.FoldMetrics(reg, rep, false) })
+	t.Logf("FoldMetrics: %.0f allocs into a warm registry", allocs)
+	if allocs > foldAllocsCeiling {
+		t.Errorf("FoldMetrics allocates %.0f times per query, ceiling %d", allocs, foldAllocsCeiling)
 	}
 }

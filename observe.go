@@ -36,9 +36,9 @@ type ObsConfig struct {
 	// SlowQuery marks log entries at or above the threshold as slow;
 	// zero disables slow marking.
 	SlowQuery time.Duration
-	// Flight is the flight recorder the hub dumps on /debug/flight and
-	// feeds into its anomaly detector; nil uses the process-wide default
-	// ring (the one queries record into unless overridden).
+	// Flight is the flight recorder the hub dumps on /debug/flight; nil
+	// uses the process-wide default ring (the one queries record into
+	// unless overridden).
 	Flight *FlightRecorder
 	// Status annotates /debug/status with deployment identification
 	// (component name plus free-form details).
@@ -51,8 +51,8 @@ type ObsConfig struct {
 
 // NewObsHub creates a telemetry hub backed by the database's cumulative
 // metrics registry. Queries run with WithQueryLog(hub) appear in the
-// hub's query log and in-flight view; /metrics additionally reflects
-// every query's folded trace metrics (see MetricsSnapshot).
+// hub's query log and in-flight view; /metrics serves the registry, into
+// which every query folds its per-query metrics (see MetricsSnapshot).
 func (db *DB) NewObsHub(cfg ObsConfig) *ObsHub {
 	return obshttp.NewHub(obshttp.Config{
 		Registry:         db.metrics,
@@ -80,7 +80,7 @@ func WithQueryLog(hub *ObsHub) QueryOption {
 // FlightRecorder is the engine's always-on flight recorder: a lock-free
 // fixed-capacity ring of compact structured events (query lifecycle,
 // stage boundaries, plan-cache outcomes, memory-budget traffic, shuffle
-// congestion, anomalies) recorded from every layer of the engine at zero
+// congestion, admission) recorded from every layer of the engine at zero
 // allocations per event. Every query records into the process-wide
 // default ring unless WithFlightRecorder pins another one or
 // WithoutFlightRecorder opts out. Recording is telemetry only — it never

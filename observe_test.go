@@ -7,6 +7,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"shufflejoin/internal/pipeline"
 )
 
 // obsDB builds a small two-array database for the observability tests.
@@ -80,7 +82,7 @@ func TestQueryLogEndpoints(t *testing.T) {
 	defer srv.Close()
 
 	res, err := db.Query("SELECT A.v, B.w FROM A, B WHERE A.i = B.i",
-		WithQueryLog(hub), WithTrace())
+		WithQueryLog(hub))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,8 +104,8 @@ func TestQueryLogEndpoints(t *testing.T) {
 	}
 
 	metrics := get("/metrics")
-	// The DB registry always counts queries; the WithTrace registry folds
-	// in histogram metrics that exercise the bucket exposition.
+	// The DB registry counts queries and folds each query's metrics,
+	// whose histograms exercise the bucket exposition.
 	for _, want := range []string{"query_count 1", "_bucket{le="} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("/metrics missing %q:\n%s", want, metrics)
@@ -165,5 +167,75 @@ func TestProfileDeterministicViaFacade(t *testing.T) {
 		} else if fp != base {
 			t.Errorf("profile fingerprint at par=%d diverges:\n--- base ---\n%s\n--- got ---\n%s", par, base, fp)
 		}
+	}
+}
+
+// hotUnitDB builds a dimension join whose first chunk holds most of
+// both arrays' cells: one hot join unit, and a straggler node.
+func hotUnitDB(t *testing.T) *DB {
+	t.Helper()
+	db, err := Open(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, _ := db.CreateArray("A<v:int>[i=1,4000,250]")
+	b, _ := db.CreateArray("B<w:int>[i=1,4000,250]")
+	for i := int64(1); i <= 4000; i++ {
+		if i <= 250 || i%50 == 0 {
+			if err := a.Insert([]int64{i}, i%10); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.Insert([]int64{i}, i%7); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return db
+}
+
+// TestProfileUnchangedByQueryLog: a hub logs a query's profile without
+// writing into it. After four queries through WithQueryLog, the last
+// one's Result.Profile() renders the same JSON and String() as the same
+// query run with no hub (wall-clock fields zeroed on both sides).
+func TestProfileUnchangedByQueryLog(t *testing.T) {
+	const q = "SELECT A.v, B.w FROM A, B WHERE A.i = B.i"
+	render := func(p *Profile) (string, string) {
+		cp := *p
+		cp.PlanSeconds, cp.TotalSeconds, cp.WallSeconds = 0, 0, 0
+		cp.Stages = append([]pipeline.StageTiming(nil), p.Stages...)
+		for i := range cp.Stages {
+			cp.Stages[i].WallSeconds = 0
+		}
+		var js strings.Builder
+		if err := cp.WriteJSON(&js); err != nil {
+			t.Fatal(err)
+		}
+		return js.String(), cp.String()
+	}
+
+	db := hotUnitDB(t)
+	hub := db.NewObsHub(ObsConfig{})
+	var logged *Result
+	for i := 0; i < 4; i++ {
+		res, err := db.Query(q, WithQueryLog(hub), WithParallelism(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		logged = res
+	}
+	if len(logged.Profile().HotUnits) == 0 {
+		t.Fatal("workload has no hot unit")
+	}
+	plain, err := hotUnitDB(t).Query(q, WithParallelism(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotJSON, gotText := render(logged.Profile())
+	wantJSON, wantText := render(plain.Profile())
+	if gotJSON != wantJSON {
+		t.Errorf("profile JSON after the query log differs:\n--- logged ---\n%s\n--- no hub ---\n%s", gotJSON, wantJSON)
+	}
+	if gotText != wantText {
+		t.Errorf("profile String() after the query log differs:\n--- logged ---\n%s\n--- no hub ---\n%s", gotText, wantText)
 	}
 }

@@ -113,20 +113,22 @@ type Result struct {
 	nodeRecv     []float64
 	nodeLockWait []float64
 
-	trace  *obs.Trace
 	output *array.Array
-	report *pipeline.Report // nil for multi-way queries
+	// reports are what every telemetry view renders from: the query's
+	// Report, or one per multi-way step with its Output dropped so the
+	// Result does not hold the intermediates alive.
+	reports []*pipeline.Report
 }
 
 // Profile returns the query's EXPLAIN ANALYZE digest: per-stage timings,
 // plan provenance and candidate costs, shuffle totals, and per-node skew
-// diagnostics, derived from the query's report on first use. It is nil
+// diagnostics, rendered from the query's Report on each call. It is nil
 // for multi-way queries, which are not profiled per plan.
 func (r *Result) Profile() *Profile {
-	if r.report == nil {
+	if len(r.JoinOrder) > 0 {
 		return nil
 	}
-	return r.report.Profile()
+	return r.reports[0].Profile()
 }
 
 func newResult(rep *pipeline.Report) *Result {
@@ -155,7 +157,7 @@ func newResult(rep *pipeline.Report) *Result {
 		nodeRecv:            rep.Align.RecvBusy,
 		nodeLockWait:        rep.Align.RecvLockWait,
 		output:              rep.Output,
-		report:              rep,
+		reports:             []*pipeline.Report{rep},
 	}
 }
 
@@ -172,8 +174,10 @@ func newMultiResult(res *aql.MultiResult) *Result {
 		OutputSchema:   res.Output.Schema.String(),
 		JoinOrder:      res.Order,
 		output:         res.Output,
+		reports:        res.Steps,
 	}
 	for _, step := range res.Steps {
+		step.Output = nil
 		r.CellsMoved += step.CellsMoved
 		r.ClampedCells += step.ClampedCells
 		r.LockWaitSeconds += step.LockWaitSeconds
@@ -262,8 +266,7 @@ func (r *Result) String() string {
 // TraceSummary renders the query's phase breakdown and skew/congestion
 // diagnostics as a human-readable table: per-phase modeled times, the
 // comparison-skew straggler, and per-node link activity including receiver
-// lock-wait. When the query ran with WithTrace, the metric registry is
-// appended. Works on untraced results too (from the always-on diagnostics).
+// lock-wait, followed by the query's metrics (MetricsJSON) as a table.
 func (r *Result) TraceSummary() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "query: %s [%s planner, %s join]\n", r.Plan, r.Planner, r.Algorithm)
@@ -290,36 +293,33 @@ func (r *Result) TraceSummary() string {
 				n, r.nodeCompare[n], r.nodeSend[n], r.nodeRecv[n], r.nodeLockWait[n], marker)
 		}
 	}
-	if r.trace != nil {
-		fmt.Fprintf(&b, "\nmetrics\n")
-		r.trace.Metrics().WriteTable(&b)
-	}
+	fmt.Fprintf(&b, "\nmetrics\n")
+	r.metrics().WriteTable(&b)
 	return b.String()
 }
 
 // ChromeTrace writes the query's trace in Chrome trace-event JSON, loadable
 // in Perfetto (ui.perfetto.dev) or chrome://tracing: one process per
 // simulated node, transfers drawn as flow arrows between sender and
-// receiver threads. The query must have run with WithTrace.
+// receiver threads. It is rendered from the query's Report on each call;
+// a multi-way query renders its steps in order.
 func (r *Result) ChromeTrace(w io.Writer) error {
-	if r.trace == nil {
-		return fmt.Errorf("shufflejoin: query ran without tracing; pass WithTrace()")
-	}
-	return r.trace.WriteChrome(w)
+	return pipeline.WriteChrome(w, "query", r.reports...)
 }
 
-// MetricsJSON writes the query's metric registry as a JSON array in
-// registration order. The query must have run with WithTrace.
-func (r *Result) MetricsJSON(w io.Writer) error {
-	if r.trace == nil {
-		return fmt.Errorf("shufflejoin: query ran without tracing; pass WithTrace()")
-	}
-	return r.trace.Metrics().WriteJSON(w)
-}
+// MetricsJSON writes the query's metrics as a JSON array in registration
+// order: the per-query fold (pipeline.FoldMetrics) of its Report, or of
+// each multi-way step in turn, rendered on each call.
+func (r *Result) MetricsJSON(w io.Writer) error { return r.metrics().WriteJSON(w) }
 
-// traceFingerprint canonicalizes the span tree and metrics with wall-clock
-// quantities masked; used by determinism tests.
-func (r *Result) traceFingerprint() string { return r.trace.Fingerprint() }
+// metrics folds the query's Reports into a fresh registry.
+func (r *Result) metrics() *obs.Registry {
+	reg := obs.NewRegistry()
+	for _, rep := range r.reports {
+		pipeline.FoldMetrics(reg, rep, false)
+	}
+	return reg
+}
 
 // PlanInfo is one candidate logical plan in an Explain result.
 type PlanInfo struct {

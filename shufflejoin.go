@@ -81,10 +81,12 @@ func Open(nodes int) (*DB, error) {
 
 // MetricsSnapshot returns the database's cumulative query metrics as an
 // expvar-style flat map (counters and gauges by name; histograms as
-// name.count/.sum/.min/.max). query.count, query.matches,
-// query.cells_moved, and query.total_seconds accumulate for every query;
-// queries run with WithTrace additionally fold their full per-query
-// registry (alignment, skew, and per-node diagnostics) into the totals.
+// name.count/.sum/.min/.max). Every query adds to query.count,
+// query.matches, query.cells_moved, and query.total_seconds, and folds
+// its per-query metrics (alignment, skew, and per-node diagnostics; see
+// Result.MetricsJSON) into the same registry: counters and
+// additive gauges accumulate, and set gauges such as compare.skew hold
+// the last query's value.
 func (db *DB) MetricsSnapshot() map[string]float64 { return db.metrics.Snapshot() }
 
 // recordQuery folds one finished query into the DB's cumulative metrics.
@@ -93,8 +95,8 @@ func (db *DB) recordQuery(r *Result) {
 	db.metrics.Counter("query.matches").Add(r.Matches)
 	db.metrics.Counter("query.cells_moved").Add(r.CellsMoved)
 	db.metrics.Gauge("query.total_seconds").Add(r.TotalSeconds)
-	if r.trace != nil {
-		db.metrics.AddFrom(r.trace.Metrics())
+	for _, rep := range r.reports {
+		pipeline.FoldMetrics(db.metrics, rep, false)
 	}
 }
 
@@ -259,7 +261,6 @@ type queryConfig struct {
 	strict      bool  // overflow (bounds, memory budget) fails the query instead of counting
 	memBudget   int64 // per-query batch-memory budget in bytes (0 = unlimited)
 	forceAlgo   string
-	trace       *obs.Trace
 	cache       *plancache.Cache
 	greedyEps   float64 // > 0: plan with physical.GreedyPlanner, falling back to planner
 	hooks       pipeline.QueryHooks
@@ -477,19 +478,6 @@ func WithMemoryBudget(bytes int64) QueryOption {
 	}
 }
 
-// WithTrace enables tracing and metrics capture for the query: the Result
-// then supports TraceSummary (human-readable skew/congestion breakdown),
-// ChromeTrace (Perfetto-loadable trace-event JSON), and MetricsJSON, and
-// the query's metrics fold into DB.MetricsSnapshot. The captured span tree
-// and metric values are bit-for-bit identical at every Parallelism setting
-// (wall-clock durations are recorded but excluded from that guarantee).
-func WithTrace() QueryOption {
-	return func(c *queryConfig) error {
-		c.trace = obs.New("query")
-		return nil
-	}
-}
-
 // Query plans and executes an AQL join query, e.g.
 //
 //	SELECT A.v, B.w INTO T<v:int, w:int>[] FROM A JOIN B ON A.v = B.w
@@ -526,7 +514,6 @@ func (db *DB) Query(q string, opts ...QueryOption) (*Result, error) {
 		Strict:       cfg.strict,
 		MemoryBudget: cfg.memBudget,
 		Logical:      logical.PlanOptions{Selectivity: cfg.selectivity},
-		Trace:        cfg.trace,
 		Cache:        cfg.cache,
 		Hooks:        cfg.hooks,
 		QueryLabel:   q,
@@ -580,7 +567,6 @@ func (db *DB) Query(q string, opts ...QueryOption) (*Result, error) {
 		}
 		res = newResult(rep)
 	}
-	res.trace = cfg.trace
 	db.recordQuery(res)
 	return res, nil
 }

@@ -149,8 +149,8 @@ func (a *Array) Scan(fn func(coords []int64, attrs []Value) bool) {
 // Cells materializes every stored cell (coords, attrs) in deterministic
 // order. It is a thin collect-all wrapper over the pull-based Scanner —
 // full materialization is legitimate only for tests, small arrays, and
-// exhaustive operators; streaming consumers should use NewScanner (or
-// batch.ArraySource) instead.
+// exhaustive operators; streaming consumers should use NewScanner
+// instead.
 func (a *Array) Cells() []StoredCell {
 	out := make([]StoredCell, 0, a.CellCount())
 	sc := a.NewScanner(0)

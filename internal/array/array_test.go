@@ -39,9 +39,6 @@ func TestParseSchemaFigure1(t *testing.T) {
 	if got := s.TotalChunks(); got != 4 {
 		t.Errorf("TotalChunks = %d, want 4", got)
 	}
-	if got := s.LogicalCells(); got != 36 {
-		t.Errorf("LogicalCells = %d, want 36", got)
-	}
 }
 
 func TestParseSchemaRoundTrip(t *testing.T) {
@@ -363,26 +360,8 @@ func TestStoredBytes(t *testing.T) {
 	}
 }
 
-func TestSameShape(t *testing.T) {
-	a := MustParseSchema("A<v:int>[i=1,100,10]")
-	b := MustParseSchema("B<w:int>[j=1,100,10]")
-	c := MustParseSchema("C<w:int>[j=1,100,20]")
-	if !a.SameShape(b) {
-		t.Error("A and B share a shape (names may differ)")
-	}
-	if a.SameShapeAligned(b) {
-		t.Error("A and B differ in dimension names")
-	}
-	if a.SameShape(c) {
-		t.Error("A and C differ in chunk interval")
-	}
-}
-
 func TestSchemaAccessors(t *testing.T) {
 	s := figure1Schema(t)
-	if s.NumDims() != 2 {
-		t.Errorf("NumDims = %d", s.NumDims())
-	}
 	if s.DimIndex("j") != 1 || s.DimIndex("zzz") != -1 {
 		t.Error("DimIndex wrong")
 	}
@@ -391,9 +370,6 @@ func TestSchemaAccessors(t *testing.T) {
 	}
 	if !s.HasDim("i") || s.HasDim("v1") || !s.HasAttr("v1") || s.HasAttr("i") {
 		t.Error("HasDim/HasAttr wrong")
-	}
-	if s.CellsPerChunk() != 9 {
-		t.Errorf("CellsPerChunk = %d, want 9", s.CellsPerChunk())
 	}
 	r := s.Rename("Z")
 	if r.Name != "Z" || s.Name != "A" {

@@ -197,9 +197,6 @@ func (s *Schema) Validate() error {
 	return nil
 }
 
-// NumDims returns the dimensionality of the schema.
-func (s *Schema) NumDims() int { return len(s.Dims) }
-
 // DimIndex returns the position of the named dimension, or -1.
 func (s *Schema) DimIndex(name string) int {
 	for i, d := range s.Dims {
@@ -234,60 +231,6 @@ func (s *Schema) TotalChunks() int64 {
 		n *= d.ChunkCount()
 	}
 	return n
-}
-
-// LogicalCells returns the number of logical cell positions (product of
-// dimension extents). This is the dense capacity, not the occupied count.
-func (s *Schema) LogicalCells() int64 {
-	n := int64(1)
-	for _, d := range s.Dims {
-		n *= d.Extent()
-	}
-	return n
-}
-
-// CellsPerChunk returns the number of logical cells covered by one chunk
-// (product of chunk intervals, clipped to extents).
-func (s *Schema) CellsPerChunk() int64 {
-	n := int64(1)
-	for _, d := range s.Dims {
-		ci := d.ChunkInterval
-		if e := d.Extent(); ci > e {
-			ci = e
-		}
-		n *= ci
-	}
-	return n
-}
-
-// SameShape reports whether two schemas have identical dimension lists:
-// same names in the same order, same ranges and chunk intervals. Merge join
-// requires its operands to share a shape (Section 2.3.1 of the paper).
-func (s *Schema) SameShape(o *Schema) bool {
-	if len(s.Dims) != len(o.Dims) {
-		return false
-	}
-	for i, d := range s.Dims {
-		od := o.Dims[i]
-		if d.Start != od.Start || d.End != od.End || d.ChunkInterval != od.ChunkInterval {
-			return false
-		}
-	}
-	return true
-}
-
-// SameShapeAligned is like SameShape but also requires matching dimension
-// names.
-func (s *Schema) SameShapeAligned(o *Schema) bool {
-	if !s.SameShape(o) {
-		return false
-	}
-	for i, d := range s.Dims {
-		if d.Name != o.Dims[i].Name {
-			return false
-		}
-	}
-	return true
 }
 
 // Clone returns a deep copy of the schema.

@@ -13,10 +13,9 @@
 // producers, which is what makes the steady-state streaming path
 // allocation-free.
 //
-// The companion types — Intern (the shared dictionary), Budget (the
-// per-query memory accountant with counted and strict overflow modes),
-// and CellIterator (the pull contract) — complete the package. See
-// DESIGN.md §11.
+// The companion types — Intern (the shared dictionary) and Budget (the
+// per-query memory accountant with counted and strict overflow modes)
+// — complete the package. See DESIGN.md §11.
 package batch
 
 import "shufflejoin/internal/array"
@@ -116,9 +115,6 @@ func (b *Batch) Len() int {
 	return 0
 }
 
-// Cap returns the row capacity the batch was created with.
-func (b *Batch) Cap() int { return b.capacity }
-
 // Full reports whether the batch has reached capacity.
 func (b *Batch) Full() bool { return b.Len() >= b.capacity }
 
@@ -134,70 +130,8 @@ func (b *Batch) Reset() {
 
 // Bytes returns the accounted memory of the stored cells: a flat 8
 // bytes per coordinate and per value (string codes are charged 8 like
-// every other value; the strings themselves are owned and accounted by
-// the Intern table). This is the quantity Budget tracks.
+// every other value; the strings themselves are owned by the Intern
+// table). This is the quantity Budget tracks.
 func (b *Batch) Bytes() int64 {
 	return int64(b.Len()) * 8 * int64(len(b.Coords)+len(b.Cols))
-}
-
-// AppendCell appends one cell: coords (one per dimension) and vals (one
-// per value column, kinds matching the column types). The caller must
-// not exceed capacity.
-func (b *Batch) AppendCell(coords []int64, vals []array.Value, in *Intern) {
-	for d := range b.Coords {
-		b.Coords[d] = append(b.Coords[d], coords[d])
-	}
-	for i := range b.Cols {
-		b.Cols[i].Append(vals[i], in)
-	}
-}
-
-// CellIterator is the pull contract of the streaming data plane: Next
-// resets b and fills it with up to Cap cells, returning false when the
-// source is exhausted (b is left empty). Implementations yield cells in
-// a deterministic order; callers own b and may recycle it between
-// calls.
-type CellIterator interface {
-	Next(b *Batch) bool
-}
-
-// ArraySource adapts an array to the CellIterator contract, yielding
-// cells in the array's deterministic scan order (chunk-key C-order,
-// in-chunk row order) — the streaming replacement for array.Cells().
-type ArraySource struct {
-	sc     *array.Scanner
-	blk    array.CellBlock
-	off    int // consumed rows of blk
-	intern *Intern
-}
-
-// NewArraySource returns an iterator over a's cells. in receives any
-// string attribute values; it must be non-nil when the schema has
-// string attributes.
-func NewArraySource(a *array.Array, in *Intern) *ArraySource {
-	return &ArraySource{sc: a.NewScanner(0), intern: in}
-}
-
-// Next implements CellIterator.
-func (s *ArraySource) Next(b *Batch) bool {
-	b.Reset()
-	for !b.Full() {
-		if s.off >= s.blk.Len() {
-			blk, ok := s.sc.Next()
-			if !ok {
-				break
-			}
-			s.blk, s.off = blk, 0
-		}
-		ch := s.blk.Chunk
-		row := s.blk.From + s.off
-		for d := range b.Coords {
-			b.Coords[d] = append(b.Coords[d], ch.Coords[d][row])
-		}
-		for i := range b.Cols {
-			b.Cols[i].Append(ch.Cols[i].Value(row), s.intern)
-		}
-		s.off++
-	}
-	return b.Len() > 0
 }

@@ -118,14 +118,6 @@ func (b *Budget) Peak() int64 {
 	return b.peak.Load()
 }
 
-// Limit returns the configured byte limit (0 = unlimited).
-func (b *Budget) Limit() int64 {
-	if b == nil {
-		return 0
-	}
-	return b.limit
-}
-
 // OverflowBytes returns how far the peak exceeded the limit — the
 // counted-mode analogue of ClampedCells. Zero when within budget or
 // unlimited.

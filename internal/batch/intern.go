@@ -10,13 +10,12 @@ import "sync"
 //
 // Concurrent producers may assign different codes to the same string
 // set depending on interleaving — codes are private to one query and
-// never compared across tables — but the decoded strings, the distinct
-// count, and the accounted bytes are deterministic.
+// never compared across tables — but the decoded strings and the
+// distinct count are deterministic.
 type Intern struct {
-	mu    sync.RWMutex
-	ids   map[string]uint32
-	strs  []string
-	bytes int64
+	mu   sync.RWMutex
+	ids  map[string]uint32
+	strs []string
 }
 
 // NewIntern returns an empty dictionary.
@@ -40,8 +39,6 @@ func (in *Intern) ID(s string) uint32 {
 	id = uint32(len(in.strs))
 	in.strs = append(in.strs, s)
 	in.ids[s] = id
-	// String content plus the 16-byte header the dictionary retains.
-	in.bytes += int64(len(s)) + 16
 	return id
 }
 
@@ -59,12 +56,4 @@ func (in *Intern) Count() int {
 	n := len(in.strs)
 	in.mu.RUnlock()
 	return n
-}
-
-// Bytes returns the accounted size of the dictionary's string storage.
-func (in *Intern) Bytes() int64 {
-	in.mu.RLock()
-	b := in.bytes
-	in.mu.RUnlock()
-	return b
 }

@@ -19,8 +19,8 @@ func TestReshape(t *testing.T) {
 
 	// Reshape to a wider layout with different column types.
 	b.Reshape(3, []array.ScalarType{ft, it, it}, 16)
-	if b.Len() != 0 || b.Cap() != 16 {
-		t.Fatalf("after Reshape: Len=%d Cap=%d, want 0/16", b.Len(), b.Cap())
+	if b.Len() != 0 || b.capacity != 16 {
+		t.Fatalf("after Reshape: Len=%d capacity=%d, want 0/16", b.Len(), b.capacity)
 	}
 	if len(b.Coords) != 3 || len(b.Cols) != 3 {
 		t.Fatalf("shape = %d dims / %d cols, want 3/3", len(b.Coords), len(b.Cols))
@@ -90,8 +90,8 @@ func TestPoolRecycles(t *testing.T) {
 	b.AppendCell([]int64{1}, []array.Value{array.IntValue(1)}, in)
 	Put(b)
 	got := Get(2, []array.ScalarType{array.TypeInt64, array.TypeFloat64}, 8)
-	if got.Len() != 0 || len(got.Coords) != 2 || got.Cap() != 8 {
-		t.Fatalf("recycled batch: Len=%d dims=%d Cap=%d", got.Len(), len(got.Coords), got.Cap())
+	if got.Len() != 0 || len(got.Coords) != 2 || got.capacity != 8 {
+		t.Fatalf("recycled batch: Len=%d dims=%d capacity=%d", got.Len(), len(got.Coords), got.capacity)
 	}
 	Put(got)
 	Put(nil) // must be a no-op

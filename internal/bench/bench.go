@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"sort"
 	"strings"
 	"time"
 
@@ -273,48 +272,3 @@ func GroupByAlpha(m PhysMeasurement) string { return fmt.Sprintf("a=%.1f", m.Alp
 
 // GroupByNodes groups scale-out measurements.
 func GroupByNodes(m PhysMeasurement) string { return fmt.Sprintf("k=%d", m.Nodes) }
-
-// BestPlannerPerGroup returns, per group, the planner with the lowest
-// total, used by shape assertions in tests and EXPERIMENTS.md.
-func BestPlannerPerGroup(rows []PhysMeasurement, group func(PhysMeasurement) string) map[string]string {
-	best := make(map[string]PhysMeasurement)
-	for _, m := range rows {
-		g := group(m)
-		if cur, ok := best[g]; !ok || m.TotalSec < cur.TotalSec {
-			best[g] = m
-		}
-	}
-	out := make(map[string]string, len(best))
-	for g, m := range best {
-		out[g] = m.Planner
-	}
-	return out
-}
-
-// Select filters measurements.
-func Select(rows []PhysMeasurement, pred func(PhysMeasurement) bool) []PhysMeasurement {
-	var out []PhysMeasurement
-	for _, m := range rows {
-		if pred(m) {
-			out = append(out, m)
-		}
-	}
-	return out
-}
-
-// SortRows orders rows by (alpha, nodes, planner order).
-func SortRows(rows []PhysMeasurement) {
-	rank := make(map[string]int, len(PlannerNames))
-	for i, n := range PlannerNames {
-		rank[n] = i
-	}
-	sort.SliceStable(rows, func(i, j int) bool {
-		if rows[i].Alpha != rows[j].Alpha {
-			return rows[i].Alpha < rows[j].Alpha
-		}
-		if rows[i].Nodes != rows[j].Nodes {
-			return rows[i].Nodes < rows[j].Nodes
-		}
-		return rank[rows[i].Planner] < rank[rows[j].Planner]
-	})
-}

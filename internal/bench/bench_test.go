@@ -2,12 +2,47 @@ package bench
 
 import (
 	"bytes"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"shufflejoin/internal/join"
 )
+
+// BestPlannerPerGroup returns, per group, the planner with the lowest
+// total.
+func BestPlannerPerGroup(rows []PhysMeasurement, group func(PhysMeasurement) string) map[string]string {
+	best := make(map[string]PhysMeasurement)
+	for _, m := range rows {
+		g := group(m)
+		if cur, ok := best[g]; !ok || m.TotalSec < cur.TotalSec {
+			best[g] = m
+		}
+	}
+	out := make(map[string]string, len(best))
+	for g, m := range best {
+		out[g] = m.Planner
+	}
+	return out
+}
+
+// SortRows orders rows by (alpha, nodes, planner order).
+func SortRows(rows []PhysMeasurement) {
+	rank := make(map[string]int, len(PlannerNames))
+	for i, n := range PlannerNames {
+		rank[n] = i
+	}
+	sort.SliceStable(rows, func(i, j int) bool {
+		if rows[i].Alpha != rows[j].Alpha {
+			return rows[i].Alpha < rows[j].Alpha
+		}
+		if rows[i].Nodes != rows[j].Nodes {
+			return rows[i].Nodes < rows[j].Nodes
+		}
+		return rank[rows[i].Planner] < rank[rows[j].Planner]
+	})
+}
 
 // smallCfg keeps test runs fast while preserving the experiments' shapes.
 func smallCfg() Config {
@@ -360,32 +395,6 @@ func TestCalibrateOrderings(t *testing.T) {
 	// Sanity: parameters are nanosecond-scale per cell on any machine.
 	if p.Merge > 1e-5 {
 		t.Errorf("merge per-cell cost %v implausibly high", p.Merge)
-	}
-}
-
-func TestRealSkewSweepEndToEnd(t *testing.T) {
-	rows, err := RealSkewSweep(RealSweepConfig{
-		Grid:         8,
-		CellsPerSide: 40_000,
-		Alphas:       []float64{0, 1.5},
-		Seed:         1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2*len(PlannerNames) {
-		t.Fatalf("%d rows", len(rows))
-	}
-	// The modeled Figure 7 conclusion must survive real execution: under
-	// skew the skew-aware MBH beats the baseline on alignment.
-	m := byPlanner(rows, 1.5)
-	if m["MBH"].AlignSec >= m["B"].AlignSec {
-		t.Errorf("real execution: MBH align %v not below baseline %v",
-			m["MBH"].AlignSec, m["B"].AlignSec)
-	}
-	if m["MBH"].CellsMoved >= m["B"].CellsMoved {
-		t.Errorf("real execution: MBH moved %d cells, baseline %d",
-			m["MBH"].CellsMoved, m["B"].CellsMoved)
 	}
 }
 

@@ -142,7 +142,6 @@ func Fig5FitAdjusted(rows []LogicalMeasurement, writeWeight float64) (stats.Powe
 // minimum modeled cost also had the shortest measured duration — the
 // paper's headline Figure 5 finding.
 func MinCostIsFastest(rows []LogicalMeasurement) map[float64]bool {
-	type best struct{ cost, dur float64 }
 	byCost := map[float64]LogicalMeasurement{}
 	byDur := map[float64]LogicalMeasurement{}
 	for _, m := range rows {

@@ -2,11 +2,9 @@
 // planner. The paper defers output cardinality estimation to
 // generalizations of power-law spatial selectivity estimation (Faloutsos
 // et al., SIGMOD Record 2000, the paper's [16]); this package provides
-// that generalization for array joins:
-//
-//   - histogram-based estimation for attribute joins, with a power-law
-//     (self-similarity) correction for skewed value distributions, and
-//   - occupancy-overlap estimation for dimension joins.
+// that generalization for array joins: histogram-based estimation for
+// attribute joins, with a power-law (self-similarity) correction for
+// skewed value distributions.
 //
 // The logical planner only needs to know whether the output exceeds the
 // inputs to place sorts well (Section 4), so coarse estimates suffice.
@@ -17,21 +15,6 @@ import (
 
 	"shufflejoin/internal/stats"
 )
-
-// EquiJoinFromCounts computes the exact match count from per-value
-// frequency maps: Σ_v a(v)·b(v). Used as the reference in tests and when
-// exact statistics are available.
-func EquiJoinFromCounts(a, b map[int64]int64) int64 {
-	// Iterate the smaller map.
-	if len(b) < len(a) {
-		a, b = b, a
-	}
-	var n int64
-	for v, ca := range a {
-		n += ca * b[v]
-	}
-	return n
-}
 
 // EquiJoinFromHistograms estimates Σ_v a(v)·b(v) from two equi-width
 // histograms over the key domain. Within each aligned bucket the estimate
@@ -165,20 +148,6 @@ func SkewCorrection(h *stats.Histogram) float64 {
 	}
 	// Cap: correction is a heuristic; runaway fits must not dominate.
 	return math.Min(corr, 64)
-}
-
-// DDOverlap estimates the output of a dimension-to-dimension equi-join on
-// a key space of the given size: under independent placement, each pair of
-// cells collides with probability 1/keySpace, so matches ≈ nA·nB/keySpace.
-// A keySpace of zero or less returns the conservative min(nA, nB).
-func DDOverlap(nA, nB, keySpace int64) float64 {
-	if keySpace <= 0 {
-		if nA < nB {
-			return float64(nA)
-		}
-		return float64(nB)
-	}
-	return float64(nA) * float64(nB) / float64(keySpace)
 }
 
 // Selectivity converts an output estimate into the paper's selectivity

@@ -9,6 +9,21 @@ import (
 	"shufflejoin/internal/stats"
 )
 
+// EquiJoinFromCounts computes the exact match count from per-value
+// frequency maps: Σ_v a(v)·b(v). The reference the histogram estimates are
+// checked against.
+func EquiJoinFromCounts(a, b map[int64]int64) int64 {
+	// Iterate the smaller map.
+	if len(b) < len(a) {
+		a, b = b, a
+	}
+	var n int64
+	for v, ca := range a {
+		n += ca * b[v]
+	}
+	return n
+}
+
 // histOf builds a histogram and a frequency map from the given values.
 func histOf(values []int64, buckets int) (*stats.Histogram, map[int64]int64) {
 	lo, hi := values[0], values[0]
@@ -143,15 +158,6 @@ func TestResampleConservesMassProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestDDOverlap(t *testing.T) {
-	if got := DDOverlap(1000, 1000, 10_000); got != 100 {
-		t.Errorf("DDOverlap = %v, want 100", got)
-	}
-	if got := DDOverlap(5, 9, 0); got != 5 {
-		t.Errorf("degenerate DDOverlap = %v, want min side", got)
 	}
 }
 

@@ -8,7 +8,6 @@ package cluster
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 
 	"shufflejoin/internal/array"
@@ -29,35 +28,29 @@ type Placement map[array.ChunkKey]NodeID
 // Array; nodes address their local partition through the placement.
 //
 // A Distributed is treated as immutable once queried (the facade seals
-// arrays before loading them): derived statistics — the per-node chunk
-// index, the data fingerprint, and attribute histograms — are computed
-// once on first use and cached for the array's lifetime.
+// arrays before loading them): derived statistics — the data fingerprint
+// and attribute histograms — are computed once on first use and cached
+// for the array's lifetime.
 type Distributed struct {
 	Array     *array.Array
 	Placement Placement
 
-	statsOnce sync.Once
-	perNode   [][]array.ChunkKey // node -> local chunk keys, C-order
-	fprint    uint64             // digest of grid, per-chunk cells, placement
-	skewHist  *stats.Histogram   // per-chunk cell-count distribution
+	fprintOnce sync.Once
+	fprint     uint64 // digest of grid, per-chunk cells, placement
 
 	histMu    sync.Mutex
 	attrHists map[string]*stats.Histogram
 }
 
-// buildStats derives the per-node chunk index, the per-chunk skew
-// histogram, and the data fingerprint in one pass over the sorted keys.
-// It runs exactly once per Distributed.
-func (d *Distributed) buildStats() {
-	d.statsOnce.Do(func() {
-		nodes := 0
-		for _, n := range d.Placement {
-			if n+1 > nodes {
-				nodes = n + 1
-			}
-		}
-		d.perNode = make([][]array.ChunkKey, nodes)
-
+// DataFingerprint digests everything physical planning depends on about
+// the stored data: the schema string, the chunk grid (sorted keys), each
+// chunk's cell count, the chunk-to-node placement, and the fingerprint of
+// the per-chunk cell-count histogram (the skew profile). Two Distributed
+// values with equal fingerprints present the same planning problem; a
+// re-ingest under a different skew profile changes per-chunk cell counts
+// and therefore the fingerprint. Computed once and cached.
+func (d *Distributed) DataFingerprint() uint64 {
+	d.fprintOnce.Do(func() {
 		var minCells, maxCells float64
 		first := true
 		keys := d.Array.SortedKeys()
@@ -96,50 +89,15 @@ func (d *Distributed) buildStats() {
 		mixStr(d.Array.Schema.String())
 		mix(uint64(len(keys)))
 		for i, k := range keys {
-			node, ok := d.Placement[k]
-			if ok && node >= 0 && node < nodes {
-				d.perNode[node] = append(d.perNode[node], k)
-			}
 			h.Add(sizes[i])
 			mixStr(string(k))
 			mix(uint64(sizes[i]))
-			mix(uint64(node))
+			mix(uint64(d.Placement[k]))
 		}
-		d.skewHist = h
 		mix(h.Fingerprint())
 		d.fprint = f
 	})
-}
-
-// LocalChunks returns the chunk keys hosted by the given node, in
-// deterministic (C-order) sequence. The per-node index is built once per
-// Distributed (first call) instead of rescanning every sorted key per
-// call; the returned slice is shared and must not be modified.
-func (d *Distributed) LocalChunks(node NodeID) []array.ChunkKey {
-	d.buildStats()
-	if node < 0 || node >= len(d.perNode) {
-		return nil
-	}
-	return d.perNode[node]
-}
-
-// DataFingerprint digests everything physical planning depends on about
-// the stored data: the schema string, the chunk grid (sorted keys), each
-// chunk's cell count, the chunk-to-node placement, and the chunk-size
-// skew histogram's fingerprint. Two Distributed values with equal
-// fingerprints present the same planning problem; a re-ingest under a
-// different skew profile changes per-chunk cell counts and therefore the
-// fingerprint. Computed once and cached.
-func (d *Distributed) DataFingerprint() uint64 {
-	d.buildStats()
 	return d.fprint
-}
-
-// SkewHistogram returns the distribution of per-chunk cell counts — the
-// skew profile of the stored data (computed once, shared; do not modify).
-func (d *Distributed) SkewHistogram() *stats.Histogram {
-	d.buildStats()
-	return d.skewHist
 }
 
 // AttrHistogram returns a 64-bucket equi-width histogram of the named
@@ -184,15 +142,6 @@ func (d *Distributed) AttrHistogram(attrName string) *stats.Histogram {
 	}
 	d.attrHists[attrName] = h
 	return h
-}
-
-// CellsOnNode returns the number of cells of the array hosted by each node.
-func (d *Distributed) CellsOnNode(k int) []int64 {
-	counts := make([]int64, k)
-	for key, ch := range d.Array.Chunks {
-		counts[d.Placement[key]] += int64(ch.Len())
-	}
-	return counts
 }
 
 // Validate checks that the placement covers exactly the stored chunks and
@@ -279,16 +228,6 @@ func (c *Catalog) Lookup(name string) (*Distributed, error) {
 		return nil, fmt.Errorf("cluster: array %q not in catalog", name)
 	}
 	return d, nil
-}
-
-// Names lists the registered array names in sorted order.
-func (c *Catalog) Names() []string {
-	names := make([]string, 0, len(c.arrays))
-	for n := range c.arrays {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Cluster is a simulated shared-nothing cluster: K nodes plus the catalog.

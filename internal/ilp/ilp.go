@@ -59,13 +59,12 @@ type Problem struct {
 	Transfer float64
 }
 
-// Options configures one Solve run.
+// Options configures one SolveOpts run.
 type Options struct {
 	// Budget is the wall-clock cap. When zero and MaxExplored is also
-	// zero, the budget is treated as already expired (legacy Solve(p, 0)
-	// behaviour): the deterministic greedy seed is returned as the
-	// incumbent. When zero with MaxExplored set, only the node budget
-	// applies.
+	// zero, the budget is treated as already expired: the deterministic
+	// greedy seed is returned as the incumbent. When zero with
+	// MaxExplored set, only the node budget applies.
 	Budget time.Duration
 	// MaxExplored caps the number of branch-and-bound nodes explored.
 	// Unlike Budget it is machine- and load-independent: the cap is split
@@ -122,11 +121,6 @@ func (p *Problem) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Solve runs branch and bound under the given wall-clock budget.
-func Solve(p *Problem, budget time.Duration) (Solution, error) {
-	return SolveOpts(p, Options{Budget: budget})
 }
 
 // SolveOpts runs branch and bound under the given options.

@@ -11,7 +11,7 @@ import (
 
 func solve(t *testing.T, p *Problem, budget time.Duration) Solution {
 	t.Helper()
-	sol, err := Solve(p, budget)
+	sol, err := SolveOpts(p, Options{Budget: budget})
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -151,7 +151,7 @@ func TestSolveMatchesBruteForce(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		p := randomProblem(rng, rng.Intn(5)+2, rng.Intn(2)+2)
-		sol, err := Solve(p, 5*time.Second)
+		sol, err := SolveOpts(p, Options{Budget: 5 * time.Second})
 		if err != nil || !sol.Optimal {
 			return false
 		}
@@ -169,7 +169,7 @@ func TestSolveObjectiveConsistent(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		p := randomProblem(rng, rng.Intn(10)+2, rng.Intn(3)+2)
-		sol, err := Solve(p, time.Second)
+		sol, err := SolveOpts(p, Options{Budget: time.Second})
 		if err != nil {
 			return false
 		}
@@ -186,7 +186,7 @@ func TestSolveAnytimeUnderTightBudget(t *testing.T) {
 	// experiments rely on.
 	rng := rand.New(rand.NewSource(42))
 	p := randomProblem(rng, 200, 6)
-	sol, err := Solve(p, time.Millisecond)
+	sol, err := SolveOpts(p, Options{Budget: time.Millisecond})
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -203,11 +203,11 @@ func TestSolveAnytimeUnderTightBudget(t *testing.T) {
 func TestLargerBudgetNeverWorse(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	p := randomProblem(rng, 60, 4)
-	short, err := Solve(p, 2*time.Millisecond)
+	short, err := SolveOpts(p, Options{Budget: 2 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	long, err := Solve(p, 2*time.Second)
+	long, err := SolveOpts(p, Options{Budget: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +363,7 @@ func TestValidateRejectsBadInstances(t *testing.T) {
 		{K: 2, Sizes: [][]int64{{1}}, Comp: []float64{1}},
 	}
 	for i, p := range bad {
-		if _, err := Solve(p, time.Second); err == nil {
+		if _, err := SolveOpts(p, Options{Budget: time.Second}); err == nil {
 			t.Errorf("instance %d should be rejected", i)
 		}
 	}

@@ -63,32 +63,6 @@ func Resolve(s *array.Schema, t Term) (Ref, error) {
 	return Ref{}, fmt.Errorf("join: %s has no dimension or attribute %q", s.Name, t.Name)
 }
 
-// PredClass is the taxonomy of Section 2.2: whether the predicate compares
-// dimensions with dimensions, attributes with attributes, or a mixture.
-type PredClass int
-
-const (
-	// ClassDD — every pair matches dimension to dimension (merge-join
-	// eligible without reorganization when shapes align).
-	ClassDD PredClass = iota
-	// ClassAA — every pair matches attribute to attribute.
-	ClassAA
-	// ClassMixed — at least one pair compares an attribute with a
-	// dimension (A:D / D:A), or the pairs are of differing classes.
-	ClassMixed
-)
-
-func (c PredClass) String() string {
-	switch c {
-	case ClassDD:
-		return "D:D"
-	case ClassAA:
-		return "A:A"
-	default:
-		return "A:D"
-	}
-}
-
 // ResolvedPredicate binds every pair of a predicate to its schemas.
 type ResolvedPredicate struct {
 	Pred        Predicate
@@ -114,28 +88,6 @@ func ResolvePredicate(l, r *array.Schema, p Predicate) (*ResolvedPredicate, erro
 		rp.Right = append(rp.Right, rr)
 	}
 	return rp, nil
-}
-
-// Class returns the predicate taxonomy class.
-func (rp *ResolvedPredicate) Class() PredClass {
-	allDD, allAA := true, true
-	for i := range rp.Left {
-		l, r := rp.Left[i].IsDim, rp.Right[i].IsDim
-		if !(l && r) {
-			allDD = false
-		}
-		if l || r {
-			allAA = false
-		}
-	}
-	switch {
-	case allDD:
-		return ClassDD
-	case allAA:
-		return ClassAA
-	default:
-		return ClassMixed
-	}
 }
 
 // KeyOf extracts the comparison key of a cell for one side of the join:

@@ -41,7 +41,9 @@ func TestResolveTerm(t *testing.T) {
 	}
 }
 
-func TestResolvePredicateAndClass(t *testing.T) {
+// TestResolvePredicate binds each pair of the Section 2.2 classes (D:D,
+// A:A, A:D and a mixture) to the dimension or attribute it names.
+func TestResolvePredicate(t *testing.T) {
 	a, b := schemaAB(t)
 	dd := Predicate{{Left: Term{Name: "i"}, Right: Term{Name: "x"}}}
 	aa := Predicate{{Left: Term{Name: "v"}, Right: Term{Name: "w"}}}
@@ -49,21 +51,27 @@ func TestResolvePredicateAndClass(t *testing.T) {
 	mixed := Predicate{dd[0], aa[0]}
 
 	cases := []struct {
-		pred Predicate
-		want PredClass
+		pred        Predicate
+		left, right []bool // IsDim per pair
 	}{
-		{dd, ClassDD},
-		{aa, ClassAA},
-		{ad, ClassMixed},
-		{mixed, ClassMixed},
+		{dd, []bool{true}, []bool{true}},
+		{aa, []bool{false}, []bool{false}},
+		{ad, []bool{true}, []bool{false}},
+		{mixed, []bool{true, false}, []bool{true, false}},
 	}
 	for _, c := range cases {
 		rp, err := ResolvePredicate(a, b, c.pred)
 		if err != nil {
 			t.Fatalf("ResolvePredicate(%v): %v", c.pred, err)
 		}
-		if got := rp.Class(); got != c.want {
-			t.Errorf("Class(%v) = %v, want %v", c.pred, got, c.want)
+		if len(rp.Left) != len(c.pred) || len(rp.Right) != len(c.pred) {
+			t.Fatalf("ResolvePredicate(%v): %d/%d refs for %d pairs", c.pred, len(rp.Left), len(rp.Right), len(c.pred))
+		}
+		for i := range c.pred {
+			if rp.Left[i].IsDim != c.left[i] || rp.Right[i].IsDim != c.right[i] {
+				t.Errorf("ResolvePredicate(%v) pair %d: IsDim %v/%v, want %v/%v",
+					c.pred, i, rp.Left[i].IsDim, rp.Right[i].IsDim, c.left[i], c.right[i])
+			}
 		}
 	}
 	if _, err := ResolvePredicate(a, b, nil); err == nil {
@@ -82,11 +90,6 @@ func TestPredicateStrings(t *testing.T) {
 	want := "A.i = x AND v = B.w"
 	if got := p.String(); got != want {
 		t.Errorf("String = %q, want %q", got, want)
-	}
-	for _, c := range []PredClass{ClassDD, ClassAA, ClassMixed} {
-		if c.String() == "" {
-			t.Errorf("empty string for class %d", int(c))
-		}
 	}
 }
 

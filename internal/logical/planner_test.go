@@ -52,12 +52,20 @@ func infer(t *testing.T, src *ResolvedSources) *JoinSchema {
 	return js
 }
 
+// TestPredicateClasses pins the fixtures: fig5 joins attributes with
+// attributes (A:A), dd dimensions with dimensions (D:D).
 func TestPredicateClasses(t *testing.T) {
-	if got := fig5Sources(t).Resolved.Class(); got != join.ClassAA {
-		t.Errorf("fig5 class = %v, want A:A", got)
-	}
-	if got := ddSources(t).Resolved.Class(); got != join.ClassDD {
-		t.Errorf("dd class = %v, want D:D", got)
+	for _, c := range []struct {
+		name  string
+		src   *ResolvedSources
+		isDim bool
+	}{{"fig5", fig5Sources(t), false}, {"dd", ddSources(t), true}} {
+		rp := c.src.Resolved
+		for i := range rp.Left {
+			if rp.Left[i].IsDim != c.isDim || rp.Right[i].IsDim != c.isDim {
+				t.Errorf("%s pair %d: IsDim %v/%v, want %v", c.name, i, rp.Left[i].IsDim, rp.Right[i].IsDim, c.isDim)
+			}
+		}
 	}
 }
 

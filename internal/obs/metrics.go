@@ -189,32 +189,13 @@ func (h *Histogram) Observe(v float64) {
 	h.r.mu.Unlock()
 }
 
-// Quantile estimates the q-quantile (0 <= q <= 1) of the observed
+// quantile estimates the q-quantile (0 <= q <= 1) of the observed
 // distribution from the fixed buckets, interpolating linearly within the
 // bucket the quantile falls in (the histogram_quantile convention). The
 // first bucket's lower edge and the +Inf bucket's upper edge are taken
 // from the observed min and max, so single-bucket histograms and tail
 // quantiles stay within the observed range. Returns NaN when nothing has
-// been observed.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return math.NaN()
-	}
-	h.r.mu.Lock()
-	defer h.r.mu.Unlock()
-	return h.m.quantile(q)
-}
-
-// P50 is Quantile(0.50), the median estimate.
-func (h *Histogram) P50() float64 { return h.Quantile(0.50) }
-
-// P95 is Quantile(0.95).
-func (h *Histogram) P95() float64 { return h.Quantile(0.95) }
-
-// P99 is Quantile(0.99).
-func (h *Histogram) P99() float64 { return h.Quantile(0.99) }
-
-// quantile is Quantile with the registry lock held.
+// been observed. The caller holds the registry lock.
 func (m *metric) quantile(q float64) float64 {
 	if m.n == 0 {
 		return math.NaN()
@@ -288,53 +269,6 @@ func (r *Registry) Snapshot() map[string]float64 {
 		}
 	}
 	return out
-}
-
-// AddFrom accumulates another registry's counters, gauges, and histograms
-// into this one (counters and gauges add; histograms merge bucket-wise
-// when the bucket layouts match). Used for per-DB cumulative metrics.
-func (r *Registry) AddFrom(other *Registry) {
-	if r == nil || other == nil {
-		return
-	}
-	other.mu.Lock()
-	names := append([]string(nil), other.order...)
-	src := make(map[string]metric, len(names))
-	for _, n := range names {
-		src[n] = *other.m[n]
-	}
-	other.mu.Unlock()
-
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, name := range names {
-		s := src[name]
-		d := r.get(name, s.kind)
-		switch s.kind {
-		case kindCounter:
-			d.count += s.count
-		case kindGauge:
-			d.gauge += s.gauge
-		case kindHistogram:
-			if d.buckets == nil {
-				d.buckets = append([]float64(nil), s.buckets...)
-				d.hist = make([]int64, len(s.buckets)+1)
-			}
-			if len(d.hist) == len(s.hist) {
-				for i, c := range s.hist {
-					d.hist[i] += c
-				}
-				d.n += s.n
-				d.sum += s.sum
-				if s.min < d.min {
-					d.min = s.min
-				}
-				if s.max > d.max {
-					d.max = s.max
-				}
-			}
-		}
-	}
 }
 
 // jsonMetric is the export form of one metric.

@@ -9,12 +9,8 @@ import (
 func TestQuantileEmpty(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("h", []float64{1, 10, 100})
-	if !math.IsNaN(h.Quantile(0.5)) {
-		t.Fatalf("empty histogram quantile = %g, want NaN", h.Quantile(0.5))
-	}
-	var nilH *Histogram
-	if !math.IsNaN(nilH.Quantile(0.5)) {
-		t.Fatalf("nil histogram quantile should be NaN")
+	if !math.IsNaN(h.m.quantile(0.5)) {
+		t.Fatalf("empty histogram quantile = %g, want NaN", h.m.quantile(0.5))
 	}
 }
 
@@ -23,7 +19,7 @@ func TestQuantileSingleValue(t *testing.T) {
 	h := r.Histogram("h", []float64{1, 10, 100})
 	h.Observe(7)
 	for _, q := range []float64{0, 0.5, 0.95, 0.99, 1} {
-		if got := h.Quantile(q); got != 7 {
+		if got := h.m.quantile(q); got != 7 {
 			t.Fatalf("Quantile(%g) = %g, want 7 (single observation)", q, got)
 		}
 	}
@@ -43,13 +39,10 @@ func TestQuantileUniform(t *testing.T) {
 		{0.99, 99, 2},
 	}
 	for _, c := range cases {
-		got := h.Quantile(c.q)
+		got := h.m.quantile(c.q)
 		if math.Abs(got-c.want) > c.tol {
 			t.Errorf("Quantile(%g) = %g, want %g +/- %g", c.q, got, c.want, c.tol)
 		}
-	}
-	if p50, m := h.P50(), h.Quantile(0.50); p50 != m {
-		t.Errorf("P50()=%g != Quantile(0.5)=%g", p50, m)
 	}
 }
 
@@ -61,13 +54,13 @@ func TestQuantileInfBucketClampedToMax(t *testing.T) {
 	h.Observe(1000)
 	h.Observe(2000)
 	h.Observe(3000)
-	if got := h.Quantile(0.99); got < 1000 || got > 3000 {
+	if got := h.m.quantile(0.99); got < 1000 || got > 3000 {
 		t.Fatalf("Quantile(0.99) = %g, want within observed [1000,3000]", got)
 	}
-	if got := h.Quantile(1); got != 3000 {
+	if got := h.m.quantile(1); got != 3000 {
 		t.Fatalf("Quantile(1) = %g, want observed max 3000", got)
 	}
-	if got := h.Quantile(0); got != 1000 {
+	if got := h.m.quantile(0); got != 1000 {
 		t.Fatalf("Quantile(0) = %g, want observed min 1000", got)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"shufflejoin/internal/cluster"
 	"shufflejoin/internal/flight"
@@ -139,7 +140,7 @@ func runQueryFlight(t *testing.T, hub *obshttp.Hub, fr *flight.Recorder, label s
 // syntheticFinish pushes one synthetic finished query through the hub's
 // QueryFinished hook.
 func syntheticFinish(hub *obshttp.Hub, label string) {
-	p := pipeline.NewProgress(label)
+	p := &pipeline.Progress{Label: label, Start: time.Now()}
 	hub.QueryStarted(p)
 	hub.QueryFinished(p, &pipeline.Report{Query: label, StragglerNode: -1}, nil)
 }
@@ -240,7 +241,7 @@ func TestPlantedStragglerInQueryLog(t *testing.T) {
 			UnitCells:       []int64{10, 10, 9000, 10, 10, 10, 10, 10},
 		}
 		rep.Skew, rep.StragglerNode = pipeline.SkewOf(rep.NodeCompareTime)
-		p := pipeline.NewProgress(label)
+		p := &pipeline.Progress{Label: label, Start: time.Now()}
 		hub.QueryStarted(p)
 		hub.QueryFinished(p, rep, nil)
 	}

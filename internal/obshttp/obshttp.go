@@ -202,14 +202,6 @@ func (l *QueryLog) Entries() []Entry {
 	return out
 }
 
-// Len returns the number of retained entries; Total the number ever
-// logged (retained + evicted); Slow the number marked slow.
-func (l *QueryLog) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.entries)
-}
-
 // Total returns the number of queries ever logged.
 func (l *QueryLog) Total() uint64 {
 	l.mu.Lock()

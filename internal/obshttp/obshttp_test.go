@@ -160,7 +160,7 @@ func TestInflightVisibleMidQuery(t *testing.T) {
 
 	// Drive the hooks by hand: a query that started but has not finished.
 	var hooks pipeline.QueryHooks = hub
-	prog := pipeline.NewProgress("slow query")
+	prog := &pipeline.Progress{Label: "slow query", Start: time.Now()}
 	hooks.QueryStarted(prog)
 
 	_, body, _ := get(t, srv, "/debug/inflight")
@@ -194,7 +194,7 @@ func TestQueryLogRingEviction(t *testing.T) {
 	hub := obshttp.NewHub(obshttp.Config{QueryLogCapacity: 3})
 	var hooks pipeline.QueryHooks = hub
 	for i := 0; i < 5; i++ {
-		p := pipeline.NewProgress(fmt.Sprintf("q%d", i))
+		p := &pipeline.Progress{Label: fmt.Sprintf("q%d", i), Start: time.Now()}
 		hooks.QueryStarted(p)
 		hooks.QueryFinished(p, &pipeline.Report{Query: p.Label}, nil)
 	}
@@ -216,7 +216,7 @@ func TestQueryLogRingEviction(t *testing.T) {
 func TestSlowQueryMarking(t *testing.T) {
 	hub := obshttp.NewHub(obshttp.Config{SlowQuery: time.Nanosecond})
 	var hooks pipeline.QueryHooks = hub
-	p := pipeline.NewProgress("crawler")
+	p := &pipeline.Progress{Label: "crawler", Start: time.Now()}
 	hooks.QueryStarted(p)
 	time.Sleep(time.Millisecond)
 	hooks.QueryFinished(p, nil, nil)

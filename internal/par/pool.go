@@ -60,10 +60,3 @@ func (p *Pool[T]) Put(v T) {
 	}
 	p.mu.Unlock()
 }
-
-// Len reports the pooled items (for tests).
-func (p *Pool[T]) Len() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.items)
-}

@@ -7,6 +7,13 @@ import (
 	"testing"
 )
 
+// Len reports the pooled items.
+func (p *Pool[T]) Len() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.items)
+}
+
 // atProcs runs fn as a subtest at GOMAXPROCS 1, 2 and 8: pool behaviour
 // must not depend on the core count (a shard pick keyed to it once made
 // Put→Get miss on every power-of-two machine).

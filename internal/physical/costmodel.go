@@ -157,25 +157,6 @@ func (pr *Problem) Evaluate(a Assignment) Breakdown {
 	return bd
 }
 
-// NodeCosts returns the per-node cost used by the Tabu search: each node's
-// own alignment plus comparison time (the model of Equations 5–7 evaluated
-// for a single j rather than as a max).
-func (pr *Problem) NodeCosts(a Assignment) []float64 {
-	send := make([]int64, pr.K)
-	recv := make([]int64, pr.K)
-	comp := make([]float64, pr.K)
-	pr.accumulate(a, send, recv, comp)
-	out := make([]float64, pr.K)
-	for j := 0; j < pr.K; j++ {
-		move := send[j]
-		if recv[j] > move {
-			move = recv[j]
-		}
-		out[j] = float64(move)*pr.Params.Transfer + comp[j]
-	}
-	return out
-}
-
 func (pr *Problem) accumulate(a Assignment, send, recv []int64, comp []float64) {
 	for i := 0; i < pr.N; i++ {
 		dest := a[i]

@@ -410,7 +410,7 @@ func TestNodeCostsSumConsistentWithEvaluate(t *testing.T) {
 	pr := randProblem(rng, 20, 4, join.Merge)
 	a := CenterOfGravity(pr)
 	bd := pr.Evaluate(a)
-	costs := pr.NodeCosts(a)
+	costs := newEvaluator(pr, a).nodeCosts()
 	var maxNode float64
 	for _, c := range costs {
 		if c > maxNode {

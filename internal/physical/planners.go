@@ -437,7 +437,9 @@ func (ev *evaluator) total() float64 {
 	return float64(move)*ev.pr.Params.Transfer + maxComp
 }
 
-// nodeCosts mirrors Problem.NodeCosts from the accumulators.
+// nodeCosts returns the per-node cost the Tabu search rebalances: each
+// node's own alignment plus comparison time (the model of Equations 5–7
+// evaluated for a single j rather than as a max).
 func (ev *evaluator) nodeCosts() []float64 {
 	out := make([]float64, ev.pr.K)
 	for j := 0; j < ev.pr.K; j++ {

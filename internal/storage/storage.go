@@ -16,7 +16,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
+	"strconv"
 	"strings"
 
 	"shufflejoin/internal/array"
@@ -114,6 +114,9 @@ func ReadArray(r io.Reader) (*array.Array, error) {
 		if err != nil {
 			return nil, fmt.Errorf("storage: chunk %d: %w", c, err)
 		}
+		if _, dup := a.Chunks[ch.Key]; dup {
+			return nil, fmt.Errorf("storage: chunk %d: key %q repeats", c, ch.Key)
+		}
 		a.Chunks[ch.Key] = ch
 	}
 	return a, nil
@@ -183,6 +186,9 @@ func writeChunk(w *bufio.Writer, ch *array.Chunk) error {
 func readChunk(r *bytes.Reader, schema *array.Schema) (*array.Chunk, error) {
 	key, err := readString(r)
 	if err != nil {
+		return nil, err
+	}
+	if err := checkChunkKey(key, schema.Dims); err != nil {
 		return nil, err
 	}
 	n, err := readCount(r)
@@ -262,6 +268,24 @@ func readChunk(r *bytes.Reader, schema *array.Schema) (*array.Chunk, error) {
 		ch.Cols[i] = col
 	}
 	return ch, nil
+}
+
+// checkChunkKey reports an error unless key names a chunk of the grid
+// dims define, in the form array.MakeChunkKey writes: Array.SortedKeys
+// and the grid arithmetic parse keys back and rely on both.
+func checkChunkKey(key string, dims []array.Dimension) error {
+	rest := key
+	var buf [20]byte
+	for d, dim := range dims {
+		part, tail, more := strings.Cut(rest, ",")
+		v, err := strconv.ParseInt(part, 10, 64)
+		if more != (d < len(dims)-1) || err != nil || string(strconv.AppendInt(buf[:0], v, 10)) != part ||
+			v < 0 || v >= dim.ChunkCount() {
+			return fmt.Errorf("chunk key %q is not a chunk position of %d dimensions", key, len(dims))
+		}
+		rest = tail
+	}
+	return nil
 }
 
 func writeUvarint(w *bufio.Writer, v uint64) error {
@@ -367,30 +391,4 @@ func (s *Store) Save(a *array.Array) error {
 		return err
 	}
 	return f.Sync()
-}
-
-// Load reads the named array.
-func (s *Store) Load(name string) (*array.Array, error) {
-	f, err := os.Open(s.path(name))
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadArray(f)
-}
-
-// List returns the stored array names, sorted.
-func (s *Store) List() ([]string, error) {
-	entries, err := os.ReadDir(s.Dir)
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), ".sjar") {
-			names = append(names, strings.TrimSuffix(e.Name(), ".sjar"))
-		}
-	}
-	sort.Strings(names)
-	return names, nil
 }

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"strings"
@@ -150,6 +152,47 @@ func TestTruncatedMidColumn(t *testing.T) {
 	}
 }
 
+// TestChunkKeyChecked: a checksum-valid file whose chunk key is not a
+// position of the schema's chunk grid, or repeats, fails to decode. Keys
+// of the wrong arity used to decode and then panic the chunk ordering.
+func TestChunkKeyChecked(t *testing.T) {
+	chunk := func(p []byte, key string) []byte {
+		p = binary.AppendUvarint(p, uint64(len(key)))
+		p = append(p, key...)
+		p = binary.AppendUvarint(p, 1) // one cell
+		p = binary.AppendUvarint(p, 1) // sorted
+		p = binary.AppendUvarint(p, 2) // two dimensions
+		p = binary.AppendVarint(p, 1)
+		p = binary.AppendVarint(p, 1)
+		p = binary.AppendUvarint(p, 1) // one column
+		p = binary.AppendUvarint(p, uint64(array.TypeInt64))
+		return binary.AppendVarint(p, 7)
+	}
+	file := func(keys ...string) []byte {
+		p := []byte(magic)
+		p = binary.AppendUvarint(p, formatVersion)
+		schema := "A<v:int>[i=1,10,5, j=1,10,5]"
+		p = binary.AppendUvarint(p, uint64(len(schema)))
+		p = append(p, schema...)
+		p = binary.AppendUvarint(p, uint64(len(keys)))
+		for _, k := range keys {
+			p = chunk(p, k)
+		}
+		return sealed(p)
+	}
+	if _, err := ReadArray(bytes.NewReader(file("0,0", "1,1"))); err != nil {
+		t.Fatalf("well-formed keys: %v", err)
+	}
+	for _, keys := range [][]string{
+		{"0"}, {"0,0,0"}, {"0,0", "1"}, {""}, {"0,"}, {"+1,0"}, {"01,0"}, {"0, 1"},
+		{"2,0"}, {"0,-1"}, {"x,0"}, {"0,0", "0,0"},
+	} {
+		if _, err := ReadArray(bytes.NewReader(file(keys...))); err == nil {
+			t.Errorf("chunk keys %q decoded without error", keys)
+		}
+	}
+}
+
 func TestBadMagic(t *testing.T) {
 	raw := append([]byte("NOPE"), make([]byte, 16)...)
 	if _, err := ReadArray(bytes.NewReader(raw)); err == nil {
@@ -172,35 +215,31 @@ func TestEmptyArray(t *testing.T) {
 	}
 }
 
-func TestStoreSaveLoadList(t *testing.T) {
+// TestStoreSaveReadArray: Store.Save writes a file ReadArray decodes back
+// to the same array, under the "<name>.sjar" name the CLI loads.
+func TestStoreSaveReadArray(t *testing.T) {
 	dir := t.TempDir()
 	s, err := NewStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	a := randomArray(4)
-	if err := s.Save(a); err != nil {
-		t.Fatalf("Save: %v", err)
-	}
 	ships := workload.AISLike("Ships", workload.GeoConfig{Cells: 2000, Seed: 5})
-	if err := s.Save(ships); err != nil {
-		t.Fatal(err)
-	}
-	names, err := s.List()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(names, []string{"A", "Ships"}) {
-		t.Errorf("List = %v", names)
-	}
-	got, err := s.Load("A")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.CellCount() != a.CellCount() {
-		t.Errorf("loaded %d cells, want %d", got.CellCount(), a.CellCount())
-	}
-	if _, err := s.Load("Missing"); err == nil {
-		t.Error("loading a missing array should error")
+	for _, want := range []*array.Array{a, ships} {
+		if err := s.Save(want); err != nil {
+			t.Fatalf("Save %s: %v", want.Schema.Name, err)
+		}
+		f, err := os.Open(filepath.Join(dir, want.Schema.Name+".sjar"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReadArray(f)
+		f.Close()
+		if err != nil {
+			t.Fatalf("ReadArray %s: %v", want.Schema.Name, err)
+		}
+		if got.Schema.String() != want.Schema.String() || !reflect.DeepEqual(got.Cells(), want.Cells()) {
+			t.Errorf("%s differs after Save and ReadArray", want.Schema.Name)
+		}
 	}
 }

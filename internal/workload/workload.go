@@ -332,17 +332,6 @@ func clamp(v, lo, hi int64) int64 {
 	return v
 }
 
-// ChunkConcentration reports the fraction of an array's cells held by its
-// largest `frac` fraction of stored chunks — the statistic the paper uses
-// to characterize AIS (85% in 5%) and MODIS (10% in 5%).
-func ChunkConcentration(a *array.Array, frac float64) float64 {
-	sizes := make([]float64, 0, len(a.Chunks))
-	for _, ch := range a.Chunks {
-		sizes = append(sizes, float64(ch.Len()))
-	}
-	return stats.ConcentrationTopFraction(sizes, frac)
-}
-
 // Grid2D generates the Section 6.2 style 2-D array
 // name<v1:int, v2:int>[i=1,n,ci, j=1,n,ci] with per-chunk cell counts
 // following the given sizes (one entry per chunk in row-major chunk

@@ -3,6 +3,8 @@ package workload
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -165,6 +167,28 @@ func TestSelectivityPairShapes(t *testing.T) {
 	}
 }
 
+// ChunkConcentration reports the fraction of an array's cells held by its
+// largest `frac` fraction of stored chunks (at least one) — the statistic
+// the paper uses to characterize AIS (85% in 5%) and MODIS (10% in 5%).
+func ChunkConcentration(a *array.Array, frac float64) float64 {
+	sizes := make([]int, 0, len(a.Chunks))
+	total := 0
+	for _, ch := range a.Chunks {
+		sizes = append(sizes, ch.Len())
+		total += ch.Len()
+	}
+	if total == 0 {
+		return 0
+	}
+	sort.Sort(sort.Reverse(sort.IntSlice(sizes)))
+	k := max(1, int(math.Ceil(frac*float64(len(sizes)))))
+	top := 0
+	for _, n := range sizes[:k] {
+		top += n
+	}
+	return float64(top) / float64(total)
+}
+
 func TestAISConcentration(t *testing.T) {
 	a := AISLike("AIS", GeoConfig{Cells: 200_000, Seed: 11})
 	c := ChunkConcentration(a, 0.05)
@@ -189,7 +213,7 @@ func TestMODISSlightSkew(t *testing.T) {
 func TestGeoSchemasAligned(t *testing.T) {
 	ais := AISLike("AIS", GeoConfig{Cells: 1000, Seed: 1})
 	modis := MODISLike("MODIS", GeoConfig{Cells: 1000, Seed: 2})
-	if !ais.Schema.SameShapeAligned(modis.Schema) {
+	if !reflect.DeepEqual(ais.Schema.Dims, modis.Schema.Dims) {
 		t.Error("AIS and MODIS schemas must share a shape for the merge join")
 	}
 	// 4-degree chunking: lon 90 chunks, lat 45 chunks.
@@ -252,7 +276,7 @@ func TestGrid2DChunkSizes(t *testing.T) {
 
 func TestMODISPairMatchedChunks(t *testing.T) {
 	b1, b2 := MODISPair("Band1", "Band2", GeoConfig{Cells: 50_000, Seed: 3}, 0.015)
-	if !b1.Schema.SameShapeAligned(b2.Schema) {
+	if !reflect.DeepEqual(b1.Schema.Dims, b2.Schema.Dims) {
 		t.Fatal("bands must share a shape")
 	}
 	// Dropout within a tolerance band.

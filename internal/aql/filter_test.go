@@ -331,7 +331,7 @@ func TestFilterPreservesPlacement(t *testing.T) {
 	}
 	for key, node := range fl.Placement {
 		if dl.Placement[key] != node {
-			t.Fatalf("chunk %s moved from node %d to %d", key, dl.Placement[key], node)
+			t.Fatalf("chunk %d moved from node %d to %d", key, dl.Placement[key], node)
 		}
 	}
 }

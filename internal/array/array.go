@@ -2,7 +2,7 @@ package array
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Array is a sparse multidimensional array: a schema plus the set of its
@@ -120,15 +120,15 @@ func (a *Array) SortAll() {
 }
 
 // SortedKeys returns the stored chunk keys in C-order of their chunk
-// indices, giving a deterministic traversal of array space.
+// indices, giving a deterministic traversal of array space. It sorts on
+// every call: Chunks is written directly (storage, Clone), so a cached
+// order could go stale.
 func (a *Array) SortedKeys() []ChunkKey {
 	keys := make([]ChunkKey, 0, len(a.Chunks))
 	for k := range a.Chunks {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		return CompareCoords(keys[i].Indices(), keys[j].Indices()) < 0
-	})
+	slices.Sort(keys)
 	return keys
 }
 

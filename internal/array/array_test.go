@@ -2,6 +2,8 @@ package array
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -109,11 +111,22 @@ func TestSchemaNoDims(t *testing.T) {
 	}
 }
 
+// TestChunkKeyRoundTrip: a key decodes to the chunk indices it was built
+// from, and its text form is the indices in decimal, comma-separated,
+// parsing back to the same key.
 func TestChunkKeyRoundTrip(t *testing.T) {
-	f := func(a, b, c int16) bool {
-		idx := []int64{int64(a), int64(b), int64(c)}
-		got := MakeChunkKey(idx).Indices()
-		return reflect.DeepEqual(got, idx)
+	s := MustParseSchema("R<v:int>[i=-40000,40000,7, j=0,65535,1, k=5,9,2]")
+	f := func(a, b, c uint16) bool {
+		idx := []int64{int64(a) % s.Dims[0].ChunkCount(), int64(b) % s.Dims[1].ChunkCount(), int64(c) % s.Dims[2].ChunkCount()}
+		coords := make([]int64, 3)
+		for d, dim := range s.Dims {
+			coords[d] = dim.Start + idx[d]*dim.ChunkInterval
+		}
+		key := ChunkKeyOf(s, coords)
+		text := string(s.AppendKey(nil, key))
+		back, err := s.ParseKey(text)
+		return reflect.DeepEqual(s.KeyIndices(key, nil), idx) &&
+			text == fmt.Sprintf("%d,%d,%d", idx[0], idx[1], idx[2]) && err == nil && back == key
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -125,16 +138,18 @@ func TestChunkKeyOfFigure1(t *testing.T) {
 	cases := []struct {
 		coords []int64
 		want   ChunkKey
+		text   string
 	}{
-		{[]int64{1, 1}, "0,0"},
-		{[]int64{3, 3}, "0,0"},
-		{[]int64{4, 1}, "1,0"},
-		{[]int64{1, 4}, "0,1"},
-		{[]int64{6, 6}, "1,1"},
+		{[]int64{1, 1}, 0, "0,0"},
+		{[]int64{3, 3}, 0, "0,0"},
+		{[]int64{4, 1}, 2, "1,0"},
+		{[]int64{1, 4}, 1, "0,1"},
+		{[]int64{6, 6}, 3, "1,1"},
 	}
 	for _, c := range cases {
-		if got := ChunkKeyOf(s, c.coords); got != c.want {
-			t.Errorf("ChunkKeyOf(%v) = %q, want %q", c.coords, got, c.want)
+		got := ChunkKeyOf(s, c.coords)
+		if got != c.want || string(s.AppendKey(nil, got)) != c.text {
+			t.Errorf("ChunkKeyOf(%v) = %d (%s), want %d (%s)", c.coords, got, s.AppendKey(nil, got), c.want, c.text)
 		}
 	}
 }
@@ -173,7 +188,7 @@ func TestChunkSortFigure1Layout(t *testing.T) {
 	for _, p := range puts {
 		a.MustPut([]int64{p.i, p.j}, []Value{IntValue(p.v1), FloatValue(p.v2)})
 	}
-	ch := a.Chunks["0,0"]
+	ch := a.Chunks[0]
 	if ch == nil {
 		t.Fatal("chunk 0,0 missing")
 	}
@@ -192,7 +207,7 @@ func TestChunkSortFigure1Layout(t *testing.T) {
 func TestChunkSortPropertyCOrder(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
-		ch := NewChunk("0,0", 2, []ScalarType{TypeInt64})
+		ch := NewChunk(0, 2, []ScalarType{TypeInt64})
 		count := int(n%64) + 2
 		for k := 0; k < count; k++ {
 			ch.AppendCell([]int64{rng.Int63n(10), rng.Int63n(10)}, []Value{IntValue(int64(k))})
@@ -209,7 +224,7 @@ func TestChunkSortKeepsCellsIntact(t *testing.T) {
 	// Sorting must permute whole cells: attribute values travel with their
 	// coordinates.
 	rng := rand.New(rand.NewSource(7))
-	ch := NewChunk("0", 1, []ScalarType{TypeInt64, TypeFloat64, TypeString})
+	ch := NewChunk(0, 1, []ScalarType{TypeInt64, TypeFloat64, TypeString})
 	type rec struct {
 		c int64
 		v int64
@@ -352,7 +367,7 @@ func TestValueCompareTotalOrder(t *testing.T) {
 }
 
 func TestStoredBytes(t *testing.T) {
-	ch := NewChunk("0", 1, []ScalarType{TypeInt64, TypeString})
+	ch := NewChunk(0, 1, []ScalarType{TypeInt64, TypeString})
 	ch.AppendCell([]int64{1}, []Value{IntValue(10), StringValue("abc")})
 	// 8 (coord) + 8 (int) + 3+4 (string)
 	if got := ch.StoredBytes(); got != 23 {
@@ -404,14 +419,86 @@ func TestMustPutPanics(t *testing.T) {
 	a.MustPut([]int64{99, 99}, []Value{IntValue(1), FloatValue(1)})
 }
 
-func TestChunkKeyIndicesEmpty(t *testing.T) {
-	if got := ChunkKey("").Indices(); got != nil {
-		t.Errorf("empty key indices = %v", got)
+// TestParseKeyRejects: ParseKey accepts only the text AppendKey writes
+// for a position of the grid.
+func TestParseKeyRejects(t *testing.T) {
+	s := figure1Schema(t)
+	if k, err := s.ParseKey("1,1"); err != nil || k != 3 {
+		t.Fatalf(`ParseKey("1,1") = %d, %v; want 3`, k, err)
+	}
+	for _, text := range []string{"", "0", "0,0,0", "0,", ",0", "+1,0", "01,0", "0, 1", "2,0", "0,-1", "x,0",
+		"0,99999999999999999999"} {
+		if k, err := s.ParseKey(text); err == nil {
+			t.Errorf("ParseKey(%q) = %d, want an error", text, k)
+		}
+	}
+}
+
+// TestSortedKeysCOrder: SortedKeys is the C-order of the chunk indices,
+// also where an index has more than one digit (text order would put
+// "10" before "2").
+func TestSortedKeysCOrder(t *testing.T) {
+	a := MustNew(MustParseSchema("S<v:int>[i=0,119,10, j=0,29,3]"))
+	rng := rand.New(rand.NewSource(3))
+	for n := 0; n < 400; n++ {
+		a.MustPut([]int64{rng.Int63n(120), rng.Int63n(30)}, []Value{IntValue(1)})
+	}
+	keys := a.SortedKeys()
+	if len(keys) != len(a.Chunks) {
+		t.Fatalf("SortedKeys has %d keys, array stores %d chunks", len(keys), len(a.Chunks))
+	}
+	var prev, cur []int64
+	for i, k := range keys {
+		cur = a.Schema.KeyIndices(k, cur)
+		if i > 0 && CompareCoords(prev, cur) >= 0 {
+			t.Fatalf("key %d (%s) does not follow %v in C-order", i, a.Schema.AppendKey(nil, k), prev)
+		}
+		prev = append(prev[:0], cur...)
+	}
+}
+
+// TestGridOverflowRejected: a schema whose chunk positions do not fit an
+// int64 is an error — through ParseSchema and through New — while the
+// synthetic row dimension of unordered join outputs (2^42 positions) and a
+// grid of exactly 2^62 positions are accepted.
+func TestGridOverflowRejected(t *testing.T) {
+	for _, src := range []string{
+		"O<v:int>[i=0,4294967295,1, j=0,2147483647,1]",           // 2^32 · 2^31 = 2^63
+		"O<v:int>[i=0,3037000499,1, j=0,3037000499,1, k=0,1,1]",  // 3037000500² > 2^63 − 1
+		"O<v:int>[i=-9223372036854775808,9223372036854775807,1]", // extent 2^64
+		"O<v:int>[i=-1,9223372036854775807,4611686018427387904]", // extent 2^63
+	} {
+		if _, err := ParseSchema(src); err == nil {
+			t.Errorf("ParseSchema(%q) accepted an overflowing grid", src)
+		}
+	}
+	big := &Schema{Name: "O", Dims: []Dimension{
+		{Name: "i", Start: 0, End: 1<<32 - 1, ChunkInterval: 1},
+		{Name: "j", Start: 0, End: 1<<31 - 1, ChunkInterval: 1},
+	}}
+	if _, err := New(big); err == nil || !strings.Contains(err.Error(), "chunk positions") {
+		t.Errorf("New accepted a 2^63-position grid: %v", err)
+	}
+
+	row := &Schema{Name: "T", Dims: []Dimension{{Name: "row_", Start: 0, End: math.MaxInt64 / 2, ChunkInterval: 1 << 20}}}
+	if _, err := New(row); err != nil {
+		t.Fatalf("New rejected the synthetic row dimension: %v", err)
+	}
+	if got := row.TotalChunks(); got != 1<<42 {
+		t.Errorf("row dimension TotalChunks = %d, want 2^42", got)
+	}
+	edge, err := ParseSchema("E<v:int>[i=0,2147483647,1, j=0,2147483647,1]") // 2^62
+	if err != nil {
+		t.Fatalf("ParseSchema rejected a 2^62-position grid: %v", err)
+	}
+	last := ChunkKeyOf(edge, []int64{1<<31 - 1, 1<<31 - 1})
+	if last != 1<<62-1 || string(edge.AppendKey(nil, last)) != "2147483647,2147483647" {
+		t.Errorf("last key of the 2^62 grid = %d (%s)", last, edge.AppendKey(nil, last))
 	}
 }
 
 func TestAppendCellPadsMissingAttrs(t *testing.T) {
-	ch := NewChunk("0", 1, []ScalarType{TypeInt64, TypeFloat64})
+	ch := NewChunk(0, 1, []ScalarType{TypeInt64, TypeFloat64})
 	ch.AppendCell([]int64{1}, []Value{IntValue(5)}) // second attr missing
 	_, attrs := ch.Cell(0)
 	if attrs[1].Kind != TypeFloat64 || attrs[1].F != 0 {

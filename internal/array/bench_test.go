@@ -2,6 +2,7 @@ package array
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -34,7 +35,7 @@ func BenchmarkChunkSort(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		ch := NewChunk("0,0", 2, []ScalarType{TypeInt64})
+		ch := NewChunk(0, 2, []ScalarType{TypeInt64})
 		for k := 0; k < 50_000; k++ {
 			ch.AppendCell([]int64{rng.Int63n(1000), rng.Int63n(1000)}, []Value{IntValue(int64(k))})
 		}
@@ -60,5 +61,97 @@ func BenchmarkValueHashKey(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = vals[i%3].HashKey()
+	}
+}
+
+var (
+	keySink  ChunkKey
+	keysSink []ChunkKey
+)
+
+// BenchmarkChunkKeyOf measures the key of a 3-D cell: per-dimension
+// arithmetic only, 0 allocs/op (TestChunkKeyAllocGates enforces it).
+func BenchmarkChunkKeyOf(b *testing.B) {
+	s := MustParseSchema("K<v:int>[i=1,1000,10, j=-500,500,7, k=0,99,4]")
+	rng := rand.New(rand.NewSource(4))
+	coords := make([][]int64, 64)
+	for n := range coords {
+		coords[n] = []int64{1 + rng.Int63n(1000), -500 + rng.Int63n(1001), rng.Int63n(100)}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		keySink += ChunkKeyOf(s, coords[i&63])
+	}
+}
+
+// BenchmarkPutExistingChunk measures Array.Put into a chunk that already
+// exists, in C-order so the sortedness check runs on every cell. The
+// chunk is emptied (capacity kept) every 1024 cells to bound memory.
+// 0 allocs/op (TestChunkKeyAllocGates enforces it).
+func BenchmarkPutExistingChunk(b *testing.B) {
+	a := MustNew(MustParseSchema("P<v:int, x:float>[i=1,64,64, j=1,64,64]"))
+	a.MustPut([]int64{1, 1}, []Value{IntValue(0), FloatValue(0)})
+	ch := a.Chunks[0]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n := int64(i & 1023)
+		if n == 0 {
+			for d := range ch.Coords {
+				ch.Coords[d] = ch.Coords[d][:0]
+			}
+			ch.Cols[0].Ints, ch.Cols[1].Fs = ch.Cols[0].Ints[:0], ch.Cols[1].Fs[:0]
+		}
+		if err := a.Put([]int64{1 + n/32, 1 + n%32}, []Value{IntValue(n), FloatValue(float64(n))}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if len(a.Chunks) != 1 || !ch.Sorted {
+		b.Fatal("Put left the one sorted chunk")
+	}
+}
+
+// BenchmarkSortedKeys measures SortedKeys over a 32×32 grid of stored
+// chunks, merge_skew's shape: one allocation, the result
+// (TestChunkKeyAllocGates enforces it).
+func BenchmarkSortedKeys(b *testing.B) {
+	a := MustNew(MustParseSchema("G<v:int>[i=1,1024,32, j=1,1024,32]"))
+	for i := int64(1); i <= 1024; i += 32 {
+		for j := int64(1); j <= 1024; j += 32 {
+			a.MustPut([]int64{i, j}, []Value{IntValue(i * j)})
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		keysSink = a.SortedKeys()
+	}
+}
+
+// TestChunkKeyAllocGates gates the chunk-key benchmark bodies, called not
+// copied, on every core count: ChunkKeyOf and Put into an existing chunk
+// allocate nothing, SortedKeys only its result.
+func TestChunkKeyAllocGates(t *testing.T) {
+	for _, g := range []struct {
+		name  string
+		bench func(*testing.B)
+		max   int64
+	}{
+		{"BenchmarkChunkKeyOf", BenchmarkChunkKeyOf, 0},
+		{"BenchmarkPutExistingChunk", BenchmarkPutExistingChunk, 0},
+		{"BenchmarkSortedKeys", BenchmarkSortedKeys, 1},
+	} {
+		for _, procs := range []int{1, 2, 8} {
+			prev := runtime.GOMAXPROCS(procs)
+			res := testing.Benchmark(g.bench)
+			runtime.GOMAXPROCS(prev)
+			if res.N == 0 {
+				t.Fatalf("GOMAXPROCS=%d: %s did not complete", procs, g.name)
+			}
+			if a := res.AllocsPerOp(); a > g.max {
+				t.Errorf("GOMAXPROCS=%d: %s = %d allocs/op, want at most %d", procs, g.name, a, g.max)
+			}
+		}
 	}
 }

@@ -2,50 +2,95 @@ package array
 
 import (
 	"fmt"
+	"math"
 	"sort"
+	"strconv"
 	"strings"
 )
 
-// ChunkKey identifies a logical chunk position in array space: one chunk
-// index per dimension, in dimension order. Keys are comparable and have a
-// canonical string encoding so they may be used as map keys.
-type ChunkKey string
-
-// MakeChunkKey encodes per-dimension chunk indices into a ChunkKey.
-func MakeChunkKey(idx []int64) ChunkKey {
-	var b strings.Builder
-	for i, v := range idx {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%d", v)
-	}
-	return ChunkKey(b.String())
-}
-
-// Indices decodes the per-dimension chunk indices of the key.
-func (k ChunkKey) Indices() []int64 {
-	if k == "" {
-		return nil
-	}
-	parts := strings.Split(string(k), ",")
-	out := make([]int64, len(parts))
-	for i, p := range parts {
-		var v int64
-		fmt.Sscanf(p, "%d", &v)
-		out[i] = v
-	}
-	return out
-}
+// ChunkKey identifies a logical chunk position in array space: the
+// C-order linear index of the chunk on its schema's grid,
+// Σ_d idx_d · Π_{e>d} ChunkCount_e. Keys of one schema order as their
+// chunk indices do in C-order, so sorting keys is sorting integers. A key
+// means nothing without its schema: Schema.KeyIndices decodes it, and
+// Schema.AppendKey renders the text form ("3,17") that leaves the process.
+type ChunkKey int64
 
 // ChunkKeyOf returns the key of the chunk containing the given coordinates
 // under schema s. Coordinates must be in range (checked by Array.Put).
 func ChunkKeyOf(s *Schema, coords []int64) ChunkKey {
-	idx := make([]int64, len(s.Dims))
+	var k int64
 	for i, d := range s.Dims {
-		idx[i] = d.ChunkIndex(coords[i])
+		k = k*d.ChunkCount() + d.ChunkIndex(coords[i])
 	}
-	return MakeChunkKey(idx)
+	return ChunkKey(k)
+}
+
+// KeyIndices fills dst with the per-dimension chunk indices of key k and
+// returns it; dst is reallocated only when it is too small.
+func (s *Schema) KeyIndices(k ChunkKey, dst []int64) []int64 {
+	if cap(dst) < len(s.Dims) {
+		dst = make([]int64, len(s.Dims))
+	}
+	dst = dst[:len(s.Dims)]
+	rest := int64(k)
+	for d := len(s.Dims) - 1; d >= 0; d-- {
+		n := s.Dims[d].ChunkCount()
+		dst[d] = rest % n
+		rest /= n
+	}
+	return dst
+}
+
+// AppendKey appends the text form of key k to b: its chunk indices in
+// decimal, comma-separated. The text form is the key's only external
+// encoding — storage files, the data fingerprint, hash placement and
+// messages all use it.
+func (s *Schema) AppendKey(b []byte, k ChunkKey) []byte {
+	var buf [8]int64 // stack room for up to eight dimensions
+	for d, idx := range s.KeyIndices(k, buf[:0]) {
+		if d > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, idx, 10)
+	}
+	return b
+}
+
+// ParseKey parses the text form of a chunk key, accepting only what
+// AppendKey writes for a position of the grid: one decimal index per
+// dimension, without sign or leading zeros, below the dimension's chunk
+// count.
+func (s *Schema) ParseKey(text string) (ChunkKey, error) {
+	var k int64
+	rest := text
+	for d, dim := range s.Dims {
+		part, tail, more := strings.Cut(rest, ",")
+		v, ok := parseIndex(part)
+		if more != (d < len(s.Dims)-1) || !ok || v >= dim.ChunkCount() {
+			return 0, fmt.Errorf("array: chunk key %q is not a chunk position of %d dimensions", text, len(s.Dims))
+		}
+		k = k*dim.ChunkCount() + v
+		rest = tail
+	}
+	return ChunkKey(k), nil
+}
+
+// parseIndex parses a canonical non-negative decimal: digits only, no
+// leading zero unless it is "0", no overflow.
+func parseIndex(s string) (int64, bool) {
+	if s == "" || len(s) > 1 && s[0] == '0' {
+		return 0, false
+	}
+	var v int64
+	for i := 0; i < len(s); i++ {
+		c := int64(s[i]) - '0'
+		if c < 0 || c > 9 || v > (math.MaxInt64-c)/10 {
+			return 0, false
+		}
+		v = v*10 + c
+	}
+	return v, true
 }
 
 // CompareCoords orders two coordinate vectors in C-order: the first
@@ -165,14 +210,13 @@ func (ch *Chunk) Len() int {
 // AppendCell adds a cell. The chunk is marked unsorted unless the new cell
 // extends the existing C-order.
 func (ch *Chunk) AppendCell(coords []int64, attrs []Value) {
-	n := ch.Len()
-	if ch.Sorted && n > 0 {
-		last := make([]int64, ch.NDims)
+	if n := ch.Len(); ch.Sorted && n > 0 {
+		// C-order against the last row, read in place.
 		for d := 0; d < ch.NDims; d++ {
-			last[d] = ch.Coords[d][n-1]
-		}
-		if CompareCoords(last, coords) > 0 {
-			ch.Sorted = false
+			if last := ch.Coords[d][n-1]; last != coords[d] {
+				ch.Sorted = last < coords[d]
+				break
+			}
 		}
 	}
 	for d := 0; d < ch.NDims; d++ {

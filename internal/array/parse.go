@@ -67,6 +67,9 @@ func (p *schemaParser) parse() (*Schema, error) {
 		if err := p.expect(']'); err != nil {
 			return nil, err
 		}
+		if err := checkGrid(s.Name, dims); err != nil {
+			return nil, err
+		}
 	}
 	p.skipSpace()
 	if p.peek() == ';' {

@@ -3,6 +3,8 @@ package array
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 	"strings"
 )
 
@@ -26,8 +28,7 @@ func (d Dimension) Extent() int64 { return d.End - d.Start + 1 }
 
 // ChunkCount returns the number of logical chunks along the dimension.
 func (d Dimension) ChunkCount() int64 {
-	e := d.Extent()
-	return (e + d.ChunkInterval - 1) / d.ChunkInterval
+	return (d.Extent()-1)/d.ChunkInterval + 1
 }
 
 // ChunkIndex returns the zero-based index of the chunk containing coord.
@@ -140,6 +141,9 @@ func (d Dimension) Validate() error {
 	if d.End < d.Start {
 		return fmt.Errorf("array: dimension %s has End %d < Start %d", d.Name, d.End, d.Start)
 	}
+	if d.Extent() <= 0 {
+		return fmt.Errorf("array: dimension %s range [%d,%d] has more than %d positions", d.Name, d.Start, d.End, int64(math.MaxInt64))
+	}
 	if d.ChunkInterval <= 0 {
 		return fmt.Errorf("array: dimension %s has non-positive chunk interval %d", d.Name, d.ChunkInterval)
 	}
@@ -170,7 +174,8 @@ type Schema struct {
 }
 
 // Validate checks the schema: at least one dimension, unique names across
-// dimensions and attributes, and valid dimension ranges.
+// dimensions and attributes, valid dimension ranges, and a chunk grid
+// whose positions a ChunkKey can number.
 func (s *Schema) Validate() error {
 	if len(s.Dims) == 0 {
 		return fmt.Errorf("array: schema %s has no dimensions", s.Name)
@@ -184,6 +189,9 @@ func (s *Schema) Validate() error {
 			return fmt.Errorf("array: schema %s repeats name %q", s.Name, d.Name)
 		}
 		seen[d.Name] = true
+	}
+	if err := checkGrid(s.Name, s.Dims); err != nil {
+		return err
 	}
 	for _, a := range s.Attrs {
 		if a.Name == "" {
@@ -223,8 +231,24 @@ func (s *Schema) HasDim(name string) bool { return s.DimIndex(name) >= 0 }
 // HasAttr reports whether the schema has an attribute with the given name.
 func (s *Schema) HasAttr(name string) bool { return s.AttrIndex(name) >= 0 }
 
+// checkGrid reports an error when the number of chunk positions of the
+// grid valid dims define, the product of their chunk counts, overflows an
+// int64, so that every ChunkKey of the grid and TotalChunks fit.
+func checkGrid(name string, dims []Dimension) error {
+	n := uint64(1)
+	for _, d := range dims {
+		hi, lo := bits.Mul64(n, uint64(d.ChunkCount()))
+		if hi != 0 || lo > math.MaxInt64 {
+			return fmt.Errorf("array: schema %s has more than %d chunk positions", name, int64(math.MaxInt64))
+		}
+		n = lo
+	}
+	return nil
+}
+
 // TotalChunks returns the number of logical chunk positions of the array
-// space (the product of per-dimension chunk counts).
+// space (the product of per-dimension chunk counts). Validate guarantees
+// it fits.
 func (s *Schema) TotalChunks() int64 {
 	n := int64(1)
 	for _, d := range s.Dims {

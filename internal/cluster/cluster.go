@@ -28,76 +28,96 @@ type Placement map[array.ChunkKey]NodeID
 // Array; nodes address their local partition through the placement.
 //
 // A Distributed is treated as immutable once queried (the facade seals
-// arrays before loading them): derived statistics — the data fingerprint
-// and attribute histograms — are computed once on first use and cached
-// for the array's lifetime.
+// arrays before loading them): derived data — the per-node chunk order,
+// the data fingerprint and attribute histograms — is computed once on
+// first use and cached for the array's lifetime.
 type Distributed struct {
 	Array     *array.Array
 	Placement Placement
 
-	fprintOnce sync.Once
-	fprint     uint64 // digest of grid, per-chunk cells, placement
+	indexOnce sync.Once
+	local     [][]array.ChunkKey // node -> its chunk keys, C-order
+	fprint    uint64             // digest of grid, per-chunk cells, placement
 
 	histMu    sync.Mutex
 	attrHists map[string]*stats.Histogram
 }
 
-// DataFingerprint digests everything physical planning depends on about
-// the stored data: the schema string, the chunk grid (sorted keys), each
-// chunk's cell count, the chunk-to-node placement, and the fingerprint of
-// the per-chunk cell-count histogram (the skew profile). Two Distributed
-// values with equal fingerprints present the same planning problem; a
-// re-ingest under a different skew profile changes per-chunk cell counts
-// and therefore the fingerprint. Computed once and cached.
-func (d *Distributed) DataFingerprint() uint64 {
-	d.fprintOnce.Do(func() {
-		var minCells, maxCells float64
-		first := true
-		keys := d.Array.SortedKeys()
-		sizes := make([]float64, 0, len(keys))
-		for _, k := range keys {
-			cells := float64(d.Array.Chunks[k].Len())
-			sizes = append(sizes, cells)
-			if first || cells < minCells {
-				minCells = cells
-			}
-			if first || cells > maxCells {
-				maxCells = cells
-			}
-			first = false
-		}
-		if first {
-			minCells, maxCells = 0, 0
-		}
-		h := stats.NewHistogram(minCells, maxCells, 64)
+// LocalChunks returns the keys of the chunks the given node hosts, in
+// C-order: each node's share of one global C-order walk of the array,
+// which is the order the slice mappers visit a node's chunks in. Built
+// once with DataFingerprint; the slice is shared and must not be
+// modified.
+func (d *Distributed) LocalChunks(node NodeID) []array.ChunkKey {
+	d.indexOnce.Do(d.index)
+	if node < 0 || node >= len(d.local) {
+		return nil
+	}
+	return d.local[node]
+}
 
-		const prime64 = 1099511628211
-		f := uint64(14695981039346656037)
-		mix := func(v uint64) {
-			for i := 0; i < 8; i++ {
-				f ^= v & 0xff
-				f *= prime64
-				v >>= 8
-			}
-		}
-		mixStr := func(s string) {
-			for i := 0; i < len(s); i++ {
-				f ^= uint64(s[i])
-				f *= prime64
-			}
-		}
-		mixStr(d.Array.Schema.String())
-		mix(uint64(len(keys)))
-		for i, k := range keys {
-			h.Add(sizes[i])
-			mixStr(string(k))
-			mix(uint64(sizes[i]))
-			mix(uint64(d.Placement[k]))
-		}
-		mix(h.Fingerprint())
-		d.fprint = f
-	})
+// DataFingerprint digests everything physical planning depends on about
+// the stored data: the schema string, the chunk grid (sorted keys, in
+// their text form), each chunk's cell count, the chunk-to-node placement,
+// and the fingerprint of the per-chunk cell-count histogram (the skew
+// profile). Two Distributed values with equal fingerprints present the
+// same planning problem; a re-ingest under a different skew profile
+// changes per-chunk cell counts and therefore the fingerprint. Computed
+// once and cached.
+func (d *Distributed) DataFingerprint() uint64 {
+	d.indexOnce.Do(d.index)
 	return d.fprint
+}
+
+// index makes the one C-order pass over the stored chunks that builds the
+// per-node key lists and the data fingerprint.
+func (d *Distributed) index() {
+	keys := d.Array.SortedKeys()
+	var minCells, maxCells float64
+	sizes := make([]float64, len(keys))
+	for i, k := range keys {
+		node := d.Placement[k]
+		for node >= len(d.local) {
+			d.local = append(d.local, nil)
+		}
+		d.local[node] = append(d.local[node], k)
+		cells := float64(d.Array.Chunks[k].Len())
+		sizes[i] = cells
+		if i == 0 || cells < minCells {
+			minCells = cells
+		}
+		if i == 0 || cells > maxCells {
+			maxCells = cells
+		}
+	}
+
+	h := stats.NewHistogram(minCells, maxCells, 64)
+	const prime64 = 1099511628211
+	f := uint64(14695981039346656037)
+	mix := func(v uint64) {
+		for i := 0; i < 8; i++ {
+			f ^= v & 0xff
+			f *= prime64
+			v >>= 8
+		}
+	}
+	mixBytes := func(b []byte) {
+		for _, c := range b {
+			f ^= uint64(c)
+			f *= prime64
+		}
+	}
+	mixBytes([]byte(d.Array.Schema.String()))
+	mix(uint64(len(keys)))
+	var text [64]byte
+	for i, k := range keys {
+		h.Add(sizes[i])
+		mixBytes(d.Array.Schema.AppendKey(text[:0], k))
+		mix(uint64(sizes[i]))
+		mix(uint64(d.Placement[k]))
+	}
+	mix(h.Fingerprint())
+	d.fprint = f
 }
 
 // AttrHistogram returns a 64-bucket equi-width histogram of the named
@@ -153,10 +173,11 @@ func (d *Distributed) Validate(k int) error {
 	}
 	for key, node := range d.Placement {
 		if _, ok := d.Array.Chunks[key]; !ok {
-			return fmt.Errorf("cluster: placement names unknown chunk %s", key)
+			return fmt.Errorf("cluster: placement names unknown chunk %s", d.Array.Schema.AppendKey(nil, key))
 		}
 		if node < 0 || node >= k {
-			return fmt.Errorf("cluster: chunk %s placed on node %d outside [0,%d)", key, node, k)
+			return fmt.Errorf("cluster: chunk %s placed on node %d outside [0,%d)",
+				d.Array.Schema.AppendKey(nil, key), node, k)
 		}
 	}
 	return nil
@@ -180,8 +201,9 @@ func Distribute(a *array.Array, k int, policy PlacementPolicy) *Distributed {
 	keys := a.SortedKeys()
 	switch policy {
 	case HashChunks:
+		var text [64]byte
 		for _, key := range keys {
-			p[key] = int(hashString(string(key)) % uint64(k))
+			p[key] = int(hashBytes(a.Schema.AppendKey(text[:0], key)) % uint64(k))
 		}
 	default:
 		for i, key := range keys {
@@ -196,10 +218,11 @@ func DistributeExplicit(a *array.Array, p Placement) *Distributed {
 	return &Distributed{Array: a, Placement: p}
 }
 
-func hashString(s string) uint64 {
+// hashBytes is FNV-1a over a key's text form.
+func hashBytes(b []byte) uint64 {
 	var h uint64 = 14695981039346656037
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
+	for _, c := range b {
+		h ^= uint64(c)
 		h *= 1099511628211
 	}
 	return h

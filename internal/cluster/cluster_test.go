@@ -1,6 +1,10 @@
 package cluster
 
 import (
+	"runtime"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"shufflejoin/internal/array"
@@ -43,7 +47,7 @@ func TestDistributeHashDeterministic(t *testing.T) {
 	d2 := Distribute(a, 4, HashChunks)
 	for k, n := range d1.Placement {
 		if d2.Placement[k] != n {
-			t.Fatalf("hash placement not deterministic for %s", k)
+			t.Fatalf("hash placement not deterministic for %d", k)
 		}
 	}
 }
@@ -62,9 +66,9 @@ func TestPlacementCoversEveryChunkOnce(t *testing.T) {
 			for key := range a.Chunks {
 				node, ok := d.Placement[key]
 				if !ok {
-					t.Errorf("policy %v k=%d: chunk %s unplaced", policy, k, key)
+					t.Errorf("policy %v k=%d: chunk %d unplaced", policy, k, key)
 				} else if node < 0 || node >= k {
-					t.Errorf("policy %v k=%d: chunk %s on node %d", policy, k, key, node)
+					t.Errorf("policy %v k=%d: chunk %d on node %d", policy, k, key, node)
 				}
 			}
 		}
@@ -122,7 +126,7 @@ func TestLoadExplicitValidates(t *testing.T) {
 	}
 	for key, node := range d.Placement {
 		if node != 1 {
-			t.Errorf("chunk %s on node %d, want the explicit node 1", key, node)
+			t.Errorf("chunk %d on node %d, want the explicit node 1", key, node)
 		}
 	}
 	bad := make(Placement)
@@ -185,5 +189,106 @@ func TestAttrHistogramCachedAndCorrect(t *testing.T) {
 	}
 	if d.AttrHistogram("nope") != nil {
 		t.Error("unknown attribute should have no histogram")
+	}
+}
+
+// pinArray is a fixed sparse 2-D array on a 12×5 chunk grid: multi-digit
+// chunk indices, a negative dimension start, and an empty chunk (1,2).
+func pinArray() *array.Array {
+	a := array.MustNew(array.MustParseSchema("P<v:int>[i=1,48,4, j=-3,16,4]"))
+	for i := int64(1); i <= 48; i++ {
+		for j := int64(-3); j <= 16; j++ {
+			if (i*7+j*3)%4 == 0 || (i >= 5 && i <= 8 && j >= 5 && j <= 8) {
+				continue
+			}
+			a.MustPut([]int64{i, j}, []array.Value{array.IntValue(i * j)})
+		}
+	}
+	return a
+}
+
+// TestPlacementAndFingerprintPinned: the data fingerprint under both
+// policies and the hash placement of a fixed array are the values the
+// engine produced when chunk keys were stored as their text form. Both
+// digest the text form, so plan signatures and placements survive the
+// change of key representation.
+func TestPlacementAndFingerprintPinned(t *testing.T) {
+	a := pinArray()
+	rr := Distribute(a, 4, RoundRobin)
+	hc := Distribute(a, 4, HashChunks)
+	if len(a.Chunks) != 59 {
+		t.Fatalf("pin array stores %d chunks, want 59", len(a.Chunks))
+	}
+	if got := rr.DataFingerprint(); got != 0xd0ba498a4da4d12d {
+		t.Errorf("round-robin DataFingerprint = %#x, want 0xd0ba498a4da4d12d", got)
+	}
+	if got := hc.DataFingerprint(); got != 0x2104b20d1c503fe6 {
+		t.Errorf("hash DataFingerprint = %#x, want 0x2104b20d1c503fe6", got)
+	}
+	const want = "0,0:3 0,1:0 0,2:1 0,3:2 0,4:3 1,0:0 1,1:3 1,3:1 1,4:0 2,0:1 2,1:2 2,2:3 2,3:0 2,4:1 " +
+		"3,0:2 3,1:1 3,2:0 3,3:3 3,4:2 4,0:3 4,1:0 4,2:1 4,3:2 4,4:3 5,0:0 5,1:3 5,2:2 5,3:1 5,4:0 " +
+		"6,0:1 6,1:2 6,2:3 6,3:0 6,4:1 7,0:2 7,1:1 7,2:0 7,3:3 7,4:2 8,0:3 8,1:0 8,2:1 8,3:2 8,4:3 " +
+		"9,0:0 9,1:3 9,2:2 9,3:1 9,4:0 10,0:0 10,1:3 10,2:2 10,3:1 10,4:0 11,0:3 11,1:0 11,2:1 11,3:2 11,4:3"
+	var got []string
+	for _, k := range a.SortedKeys() {
+		got = append(got, string(a.Schema.AppendKey(nil, k))+":"+strconv.Itoa(hc.Placement[k]))
+	}
+	if g := strings.Join(got, " "); g != want {
+		t.Errorf("hash placement changed:\n got %s\nwant %s", g, want)
+	}
+}
+
+// TestLocalChunks: under both policies each node's list holds exactly the
+// chunks placed on it, in C-order, and together they cover the array.
+func TestLocalChunks(t *testing.T) {
+	a := pinArray()
+	for _, policy := range []PlacementPolicy{RoundRobin, HashChunks} {
+		d := Distribute(a, 3, policy)
+		var want [3][]array.ChunkKey
+		for _, k := range a.SortedKeys() {
+			want[d.Placement[k]] = append(want[d.Placement[k]], k)
+		}
+		for node := range want {
+			if got := d.LocalChunks(node); !slices.Equal(got, want[node]) {
+				t.Errorf("policy %v node %d: LocalChunks = %v, want %v", policy, node, got, want[node])
+			}
+		}
+		if d.LocalChunks(3) != nil || d.LocalChunks(-1) != nil {
+			t.Errorf("policy %v: a node outside the placement has chunks", policy)
+		}
+	}
+}
+
+var localSink int
+
+// BenchmarkLocalChunks measures a repeated read of a sealed array's
+// per-node chunk lists, as each query's slice map makes: 0 allocs/op
+// (TestLocalChunksZeroAllocs enforces it).
+func BenchmarkLocalChunks(b *testing.B) {
+	d := Distribute(pinArray(), 4, HashChunks)
+	d.LocalChunks(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for node := 0; node < 4; node++ {
+			localSink += len(d.LocalChunks(node))
+		}
+	}
+}
+
+// TestLocalChunksZeroAllocs is the gate on BenchmarkLocalChunks: the
+// benchmark body, called not copied, must read 0 allocs/op on every core
+// count.
+func TestLocalChunksZeroAllocs(t *testing.T) {
+	for _, procs := range []int{1, 2, 8} {
+		prev := runtime.GOMAXPROCS(procs)
+		res := testing.Benchmark(BenchmarkLocalChunks)
+		runtime.GOMAXPROCS(prev)
+		if res.N == 0 {
+			t.Fatalf("GOMAXPROCS=%d: BenchmarkLocalChunks did not complete", procs)
+		}
+		if a := res.AllocsPerOp(); a != 0 {
+			t.Errorf("GOMAXPROCS=%d: BenchmarkLocalChunks = %d allocs/op, want 0", procs, a)
+		}
 	}
 }

@@ -231,17 +231,12 @@ func MapSideN(d *cluster.Distributed, k int, spec *UnitSpec, m *SideMapper, work
 		}
 	}
 
-	// Each node's chunks, in the global chunk-key order — the order the
-	// sequential path visits them, preserved per node under parallelism.
-	perNode := make([][]array.ChunkKey, k)
-	for _, key := range d.Array.SortedKeys() {
-		node := d.Placement[key]
-		perNode[node] = append(perNode[node], key)
-	}
-
 	errs := make([]error, k)
 	par.ForEach(k, workers, func(node int) {
-		for _, key := range perNode[node] {
+		// The node's chunks in C-order, cached on the sealed array: the
+		// order a sequential walk visits them, preserved per node under
+		// parallelism.
+		for _, key := range d.LocalChunks(node) {
 			ch := d.Array.Chunks[key]
 			for row := 0; row < ch.Len(); row++ {
 				coords, attrs := ch.Cell(row)

@@ -3,6 +3,7 @@ package shuffle
 import (
 	"math/rand"
 	"reflect"
+	"strconv"
 	"testing"
 	"testing/quick"
 
@@ -114,7 +115,11 @@ func TestSizesMatchPlacement(t *testing.T) {
 	sizes := ss.Sizes()
 	// With matching chunking, unit u's cells all live where chunk u lives.
 	for u := 0; u < 10; u++ {
-		owner := d.Placement[array.MakeChunkKey([]int64{int64(u)})]
+		key, err := d.Array.Schema.ParseKey(strconv.Itoa(u))
+		if err != nil {
+			t.Fatal(err)
+		}
+		owner := d.Placement[key]
 		for node := 0; node < 4; node++ {
 			want := int64(0)
 			if node == owner {

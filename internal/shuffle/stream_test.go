@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"shufflejoin/internal/array"
@@ -207,5 +208,82 @@ func TestMapSideStreamStrictBudget(t *testing.T) {
 	_, err := MapSideStream(d, k, tc.spec, tc.m, 1, StreamConfig{BatchRows: 4, Budget: bud})
 	if !errors.Is(err, batch.ErrBudget) {
 		t.Fatalf("err = %v, want batch.ErrBudget", err)
+	}
+}
+
+// TestMapSideStreamConcurrentCallers: concurrent slice maps of one
+// Distributed, the first of which builds its cached per-node chunk order
+// while the others wait on it, all see the placement a fresh sort of the
+// array's keys gives — under both placement policies — and decode the
+// same tuples as the reference mapper on a second, unshared Distributed.
+// Run under -race it also checks that the cached order is published
+// safely.
+func TestMapSideStreamConcurrentCallers(t *testing.T) {
+	const k, callers = 3, 6
+	a := array.MustNew(array.MustParseSchema("G<v:int, tag:string>[i=1,40,5, j=1,40,5]"))
+	rng := rand.New(rand.NewSource(5))
+	for n := 0; n < 900; n++ {
+		a.MustPut([]int64{1 + rng.Int63n(40), 1 + rng.Int63n(40)},
+			[]array.Value{array.IntValue(rng.Int63n(50)), array.StringValue(fmt.Sprint(rng.Intn(9)))})
+	}
+	a.SortAll()
+	iRef := join.Ref{IsDim: true, Index: 0, Name: "i"}
+	vRef := join.Ref{IsDim: false, Index: 0, Name: "v"}
+	mappers := []struct {
+		spec *UnitSpec
+		m    *SideMapper
+	}{
+		{&UnitSpec{Kind: ChunkUnits, JoinDims: []array.Dimension{a.Schema.Dims[0]}},
+			&SideMapper{KeyRefs: []join.Ref{iRef}, DimRefs: []join.Ref{iRef}, CarryAll: true}},
+		{&UnitSpec{Kind: HashUnits, NumUnits: 8}, &SideMapper{KeyRefs: []join.Ref{vRef}, Carry: []int{1}}},
+	}
+	for _, policy := range []cluster.PlacementPolicy{cluster.RoundRobin, cluster.HashChunks} {
+		for mi, mp := range mappers {
+			if err := mp.spec.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			d := cluster.Distribute(a, k, policy)
+			want := make([][]int64, mp.spec.NumUnits)
+			for u := range want {
+				want[u] = make([]int64, k)
+			}
+			for _, key := range a.SortedKeys() {
+				ch := a.Chunks[key]
+				for row := 0; row < ch.Len(); row++ {
+					want[unitOfRow(mp.spec, mp.m, ch, row)][d.Placement[key]]++
+				}
+			}
+			ref, err := MapSideN(cluster.DistributeExplicit(a, d.Placement), k, mp.spec, mp.m, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			for c := 0; c < callers; c++ {
+				wg.Add(1)
+				go func(c int) {
+					defer wg.Done()
+					rs, err := MapSideStream(d, k, mp.spec, mp.m, 1+c%3, StreamConfig{BatchRows: 16})
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if !reflect.DeepEqual(rs.Sizes(), want) {
+						t.Errorf("policy %v mapper %d caller %d: Sizes %v, want %v", policy, mi, c, rs.Sizes(), want)
+						return
+					}
+					for u := 0; u < mp.spec.NumUnits; u++ {
+						for dest := 0; dest < k; dest++ {
+							rd := rs.Reader(u, dest)
+							got, exp := rd.Materialize(), ref.Assemble(u, dest)
+							if (len(got) > 0 || len(exp) > 0) && !reflect.DeepEqual(got, exp) {
+								t.Errorf("policy %v mapper %d caller %d: unit %d dest %d tuples differ", policy, mi, c, u, dest)
+							}
+							rd.Close()
+						}
+					}
+				}(c)
+			}
+			wg.Wait()
+		}
 	}
 }

@@ -16,8 +16,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
 
 	"shufflejoin/internal/array"
 )
@@ -47,9 +45,11 @@ func WriteArray(w io.Writer, a *array.Array) error {
 	if err := writeUvarint(bw, uint64(len(keys))); err != nil {
 		return err
 	}
+	var text []byte // each key's text form, the one the file holds
 	for _, key := range keys {
-		if err := writeChunk(bw, a.Chunks[key]); err != nil {
-			return fmt.Errorf("storage: chunk %s: %w", key, err)
+		text = a.Schema.AppendKey(text[:0], key)
+		if err := writeChunk(bw, text, a.Chunks[key]); err != nil {
+			return fmt.Errorf("storage: chunk %s: %w", text, err)
 		}
 	}
 	if err := bw.Flush(); err != nil {
@@ -115,15 +115,18 @@ func ReadArray(r io.Reader) (*array.Array, error) {
 			return nil, fmt.Errorf("storage: chunk %d: %w", c, err)
 		}
 		if _, dup := a.Chunks[ch.Key]; dup {
-			return nil, fmt.Errorf("storage: chunk %d: key %q repeats", c, ch.Key)
+			return nil, fmt.Errorf("storage: chunk %d: key %q repeats", c, schema.AppendKey(nil, ch.Key))
 		}
 		a.Chunks[ch.Key] = ch
 	}
 	return a, nil
 }
 
-func writeChunk(w *bufio.Writer, ch *array.Chunk) error {
-	if err := writeString(w, string(ch.Key)); err != nil {
+func writeChunk(w *bufio.Writer, key []byte, ch *array.Chunk) error {
+	if err := writeUvarint(w, uint64(len(key))); err != nil {
+		return err
+	}
+	if _, err := w.Write(key); err != nil {
 		return err
 	}
 	n := ch.Len()
@@ -184,11 +187,12 @@ func writeChunk(w *bufio.Writer, ch *array.Chunk) error {
 }
 
 func readChunk(r *bytes.Reader, schema *array.Schema) (*array.Chunk, error) {
-	key, err := readString(r)
+	text, err := readString(r)
 	if err != nil {
 		return nil, err
 	}
-	if err := checkChunkKey(key, schema.Dims); err != nil {
+	key, err := schema.ParseKey(text)
+	if err != nil {
 		return nil, err
 	}
 	n, err := readCount(r)
@@ -207,11 +211,19 @@ func readChunk(r *bytes.Reader, schema *array.Schema) (*array.Chunk, error) {
 	if nDims64 != uint64(nDims) {
 		return nil, fmt.Errorf("chunk has %d dims, schema %d", nDims64, nDims)
 	}
-	ch := &array.Chunk{Key: array.ChunkKey(key), NDims: nDims, Sorted: sorted == 1}
+	ch := &array.Chunk{Key: key, NDims: nDims, Sorted: sorted == 1}
 	ch.Coords = make([][]int64, nDims)
-	for d := range ch.Coords {
+	var idx [8]int64 // stack room for up to eight dimensions
+	home := schema.KeyIndices(key, idx[:0])
+	for d, dim := range schema.Dims {
 		if ch.Coords[d], err = readInts(r, n); err != nil {
 			return nil, err
+		}
+		// Every cell lies in the chunk its key names.
+		for _, v := range ch.Coords[d] {
+			if !dim.Contains(v) || dim.ChunkIndex(v) != home[d] {
+				return nil, fmt.Errorf("cell coordinate %s=%d is outside chunk %s", dim.Name, v, text)
+			}
 		}
 	}
 	nCols64, err := binary.ReadUvarint(r)
@@ -268,24 +280,6 @@ func readChunk(r *bytes.Reader, schema *array.Schema) (*array.Chunk, error) {
 		ch.Cols[i] = col
 	}
 	return ch, nil
-}
-
-// checkChunkKey reports an error unless key names a chunk of the grid
-// dims define, in the form array.MakeChunkKey writes: Array.SortedKeys
-// and the grid arithmetic parse keys back and rely on both.
-func checkChunkKey(key string, dims []array.Dimension) error {
-	rest := key
-	var buf [20]byte
-	for d, dim := range dims {
-		part, tail, more := strings.Cut(rest, ",")
-		v, err := strconv.ParseInt(part, 10, 64)
-		if more != (d < len(dims)-1) || err != nil || string(strconv.AppendInt(buf[:0], v, 10)) != part ||
-			v < 0 || v >= dim.ChunkCount() {
-			return fmt.Errorf("chunk key %q is not a chunk position of %d dimensions", key, len(dims))
-		}
-		rest = tail
-	}
-	return nil
 }
 
 func writeUvarint(w *bufio.Writer, v uint64) error {

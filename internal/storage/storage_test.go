@@ -51,7 +51,7 @@ func TestRoundTrip(t *testing.T) {
 	}
 	for key, ch := range a.Chunks {
 		if got.Chunks[key] == nil || got.Chunks[key].Sorted != ch.Sorted {
-			t.Errorf("chunk %s sorted flag lost", key)
+			t.Errorf("chunk %d sorted flag lost", key)
 		}
 	}
 }
@@ -153,42 +153,60 @@ func TestTruncatedMidColumn(t *testing.T) {
 }
 
 // TestChunkKeyChecked: a checksum-valid file whose chunk key is not a
-// position of the schema's chunk grid, or repeats, fails to decode. Keys
-// of the wrong arity used to decode and then panic the chunk ordering.
+// position of the schema's chunk grid, or repeats, fails to decode, and
+// so does one with a cell outside the dimension ranges or outside the
+// chunk its key names. Keys of the wrong arity used to decode and then
+// panic the chunk ordering.
 func TestChunkKeyChecked(t *testing.T) {
-	chunk := func(p []byte, key string) []byte {
-		p = binary.AppendUvarint(p, uint64(len(key)))
-		p = append(p, key...)
-		p = binary.AppendUvarint(p, 1) // one cell
-		p = binary.AppendUvarint(p, 1) // sorted
-		p = binary.AppendUvarint(p, 2) // two dimensions
-		p = binary.AppendVarint(p, 1)
-		p = binary.AppendVarint(p, 1)
-		p = binary.AppendUvarint(p, 1) // one column
-		p = binary.AppendUvarint(p, uint64(array.TypeInt64))
-		return binary.AppendVarint(p, 7)
+	type chunk struct {
+		key  string
+		i, j int64 // the chunk's one cell
 	}
-	file := func(keys ...string) []byte {
+	file := func(chunks ...chunk) []byte {
 		p := []byte(magic)
 		p = binary.AppendUvarint(p, formatVersion)
 		schema := "A<v:int>[i=1,10,5, j=1,10,5]"
 		p = binary.AppendUvarint(p, uint64(len(schema)))
 		p = append(p, schema...)
-		p = binary.AppendUvarint(p, uint64(len(keys)))
-		for _, k := range keys {
-			p = chunk(p, k)
+		p = binary.AppendUvarint(p, uint64(len(chunks)))
+		for _, c := range chunks {
+			p = binary.AppendUvarint(p, uint64(len(c.key)))
+			p = append(p, c.key...)
+			p = binary.AppendUvarint(p, 1) // one cell
+			p = binary.AppendUvarint(p, 1) // sorted
+			p = binary.AppendUvarint(p, 2) // two dimensions
+			p = binary.AppendVarint(p, c.i)
+			p = binary.AppendVarint(p, c.j)
+			p = binary.AppendUvarint(p, 1) // one column
+			p = binary.AppendUvarint(p, uint64(array.TypeInt64))
+			p = binary.AppendVarint(p, 7)
 		}
 		return sealed(p)
 	}
-	if _, err := ReadArray(bytes.NewReader(file("0,0", "1,1"))); err != nil {
+	if _, err := ReadArray(bytes.NewReader(file(chunk{"0,0", 1, 1}, chunk{"1,1", 6, 10}))); err != nil {
 		t.Fatalf("well-formed keys: %v", err)
 	}
 	for _, keys := range [][]string{
 		{"0"}, {"0,0,0"}, {"0,0", "1"}, {""}, {"0,"}, {"+1,0"}, {"01,0"}, {"0, 1"},
 		{"2,0"}, {"0,-1"}, {"x,0"}, {"0,0", "0,0"},
 	} {
-		if _, err := ReadArray(bytes.NewReader(file(keys...))); err == nil {
+		var chunks []chunk
+		for _, k := range keys {
+			chunks = append(chunks, chunk{k, 1, 1})
+		}
+		if _, err := ReadArray(bytes.NewReader(file(chunks...))); err == nil {
 			t.Errorf("chunk keys %q decoded without error", keys)
+		}
+	}
+	for _, c := range []chunk{
+		{"0,0", 6, 1},  // in chunk 1,0
+		{"0,0", 1, 6},  // in chunk 0,1
+		{"1,1", 6, 11}, // j past the dimension's end
+		{"0,0", 0, 1},  // i before the dimension's start
+		{"1,0", 11, 1}, // i past the end, in what would be chunk 2
+	} {
+		if _, err := ReadArray(bytes.NewReader(file(c))); err == nil || !strings.Contains(err.Error(), "outside chunk") {
+			t.Errorf("cell (%d,%d) under key %q decoded: %v", c.i, c.j, c.key, err)
 		}
 	}
 }
@@ -241,5 +259,78 @@ func TestStoreSaveReadArray(t *testing.T) {
 		if got.Schema.String() != want.Schema.String() || !reflect.DeepEqual(got.Cells(), want.Cells()) {
 			t.Errorf("%s differs after Save and ReadArray", want.Schema.Name)
 		}
+	}
+}
+
+// compatArray builds the array a committed compat file holds: n cells at
+// seeded random positions, so some chunks stay empty, with every chunk of
+// an even cell count sorted, so both sorted flags occur.
+func compatArray(schema string, n int) *array.Array {
+	a := array.MustNew(array.MustParseSchema(schema))
+	rng := rand.New(rand.NewSource(int64(n)))
+	coords := make([]int64, len(a.Schema.Dims))
+	for c := 0; c < n; c++ {
+		for d, dim := range a.Schema.Dims {
+			coords[d] = dim.Start + rng.Int63n(dim.Extent())
+		}
+		a.MustPut(coords, []array.Value{
+			array.IntValue(rng.Int63n(1000) - 500),
+			array.FloatValue(rng.NormFloat64()),
+			array.StringValue(string(rune('a' + rng.Intn(26)))),
+		})
+	}
+	for _, ch := range a.Chunks {
+		if ch.Len()%2 == 0 {
+			ch.Sort()
+		}
+	}
+	return a
+}
+
+// TestCompatFiles: the committed 2-D and 3-D files were written when chunk
+// keys were held as their text form. Each reads back and re-writes to the
+// same bytes, and the array it was written from, rebuilt, writes them too.
+func TestCompatFiles(t *testing.T) {
+	for _, c := range []struct {
+		file, schema  string
+		cells, chunks int
+	}{
+		{"compat_2d.sjar", "C2<v:int, x:float, s:string>[i=-5,60,4, j=0,30,7]", 100, 59},
+		{"compat_3d.sjar", "C3<v:int, x:float, s:string>[p=1,9,3, q=-4,4,2, r=0,99,25]", 60, 39},
+	} {
+		want, err := os.ReadFile(filepath.Join("testdata", c.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := ReadArray(bytes.NewReader(want))
+		if err != nil {
+			t.Fatalf("%s: %v", c.file, err)
+		}
+		if a.CellCount() != int64(c.cells) || a.ChunkCount() != c.chunks {
+			t.Errorf("%s: %d cells in %d chunks, want %d in %d", c.file, a.CellCount(), a.ChunkCount(), c.cells, c.chunks)
+		}
+		for name, src := range map[string]*array.Array{"re-written": a, "rebuilt": compatArray(c.schema, c.cells)} {
+			var got bytes.Buffer
+			if err := WriteArray(&got, src); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want) {
+				t.Errorf("%s: %s array writes %d bytes that differ from the file's %d", c.file, name, got.Len(), len(want))
+			}
+		}
+	}
+}
+
+// TestReadArrayRejectsGridOverflow: a file whose schema has more chunk
+// positions than an int64 holds fails to decode.
+func TestReadArrayRejectsGridOverflow(t *testing.T) {
+	p := []byte(magic)
+	p = binary.AppendUvarint(p, formatVersion)
+	schema := "O<v:int>[i=0,4294967295,1, j=0,2147483647,1]"
+	p = binary.AppendUvarint(p, uint64(len(schema)))
+	p = append(p, schema...)
+	p = binary.AppendUvarint(p, 0) // no chunks
+	if _, err := ReadArray(bytes.NewReader(sealed(p))); err == nil || !strings.Contains(err.Error(), "chunk positions") {
+		t.Errorf("ReadArray of a 2^63-position grid: %v, want a chunk-positions error", err)
 	}
 }

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -254,16 +255,20 @@ func TestGrid2DChunkSizes(t *testing.T) {
 	}
 	// Chunk (0,0) must hold exactly sizes[0] cells, etc.
 	for u, want := range sizes {
-		key := array.MakeChunkKey([]int64{int64(u / 4), int64(u % 4)})
+		text := fmt.Sprintf("%d,%d", u/4, u%4)
+		key, err := a.Schema.ParseKey(text)
+		if err != nil {
+			t.Fatal(err)
+		}
 		ch := a.Chunks[key]
 		if ch == nil {
 			if want != 0 {
-				t.Fatalf("chunk %s missing", key)
+				t.Fatalf("chunk %s missing", text)
 			}
 			continue
 		}
 		if int64(ch.Len()) != want {
-			t.Errorf("chunk %s has %d cells, want %d", key, ch.Len(), want)
+			t.Errorf("chunk %s has %d cells, want %d", text, ch.Len(), want)
 		}
 	}
 	if _, err := Grid2D("G", 401, 100, sizes, 5); err == nil {

@@ -7,8 +7,10 @@ package cluster
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"shufflejoin/internal/array"
 	"shufflejoin/internal/stats"
@@ -229,24 +231,32 @@ func hashBytes(b []byte) uint64 {
 }
 
 // Catalog is the centralized system catalog hosted by the coordinator:
-// array schemas and distributions, keyed by array name.
+// array schemas and distributions, keyed by array name. A published name
+// map is never changed, so readers take no lock.
 type Catalog struct {
-	arrays map[string]*Distributed
+	mu     sync.Mutex // serialises writers
+	arrays atomic.Pointer[map[string]*Distributed]
 }
 
 // NewCatalog returns an empty catalog.
 func NewCatalog() *Catalog {
-	return &Catalog{arrays: make(map[string]*Distributed)}
+	c := &Catalog{}
+	c.arrays.Store(&map[string]*Distributed{})
+	return c
 }
 
-// Register records a distributed array. Re-registering a name replaces it.
+// Register publishes a copy of the name map with d. Re-registering a name replaces it.
 func (c *Catalog) Register(d *Distributed) {
-	c.arrays[d.Array.Schema.Name] = d
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	next := maps.Clone(*c.arrays.Load())
+	next[d.Array.Schema.Name] = d
+	c.arrays.Store(&next)
 }
 
 // Lookup finds a distributed array by name.
 func (c *Catalog) Lookup(name string) (*Distributed, error) {
-	d, ok := c.arrays[name]
+	d, ok := (*c.arrays.Load())[name]
 	if !ok {
 		return nil, fmt.Errorf("cluster: array %q not in catalog", name)
 	}
@@ -265,6 +275,14 @@ func New(k int) (*Cluster, error) {
 		return nil, fmt.Errorf("cluster: need at least 1 node, got %d", k)
 	}
 	return &Cluster{K: k, Catalog: NewCatalog()}, nil
+}
+
+// Snapshot returns a cluster pinned to the catalog's current name map:
+// arrays registered on c afterwards stay invisible to it.
+func (c *Cluster) Snapshot() *Cluster {
+	pinned := &Catalog{}
+	pinned.arrays.Store(c.Catalog.arrays.Load())
+	return &Cluster{K: c.K, Catalog: pinned}
 }
 
 // MustNew is New but panics on error.

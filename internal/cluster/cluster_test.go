@@ -113,6 +113,35 @@ func TestCatalogRegisterLookup(t *testing.T) {
 	}
 }
 
+// TestSnapshotPinsVersion pins the catalog's versioning: a snapshot keeps
+// resolving names as they stood when it was taken, while registrations
+// after it, a replacement of a name it holds included, reach only the
+// live catalog.
+func TestSnapshotPinsVersion(t *testing.T) {
+	c := MustNew(2)
+	old := c.Load(gridArray(t, 8, 4), RoundRobin)
+	snap := c.Snapshot()
+	replaced := c.Load(gridArray(t, 8, 2), RoundRobin)
+	other := array.MustNew(array.MustParseSchema("H<v:int>[i=1,4,2]"))
+	c.Load(other, RoundRobin)
+
+	if d, err := snap.Catalog.Lookup("G"); err != nil || d != old {
+		t.Errorf("snapshot resolves G to %p (err %v), want the version it pinned %p", d, err, old)
+	}
+	if _, err := snap.Catalog.Lookup("H"); err == nil {
+		t.Error("an array registered after the snapshot is visible through it")
+	}
+	if d, _ := c.Catalog.Lookup("G"); d != replaced {
+		t.Error("the live catalog does not hold G's replacement")
+	}
+	if _, err := c.Catalog.Lookup("H"); err != nil {
+		t.Errorf("live Lookup(H): %v", err)
+	}
+	if snap.K != c.K {
+		t.Errorf("snapshot K = %d, want %d", snap.K, c.K)
+	}
+}
+
 func TestLoadExplicitValidates(t *testing.T) {
 	c := MustNew(2)
 	a := gridArray(t, 8, 4)

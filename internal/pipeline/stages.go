@@ -426,12 +426,14 @@ func unitModelTime(algo join.Algorithm, nl, nr int) float64 {
 	}
 }
 
-// catalogHistogram serves attribute histograms from the catalog — the
+// catalogHistogram serves attribute histograms from c's catalog — the
 // statistics the paper's engine keeps there — and, for an operand the
 // catalog does not hold (a k-way join's query-local intermediate), from
-// the operand itself. Histograms are built lazily and cached per
-// Distributed (see cluster.AttrHistogram), so repeated queries over the
-// same array do not rescan its cells.
+// the operand itself. It resolves by name, so c must be the query's
+// cluster.Snapshot, lest an array republished under an operand's name
+// mid-query change its estimates. Histograms are built lazily and cached
+// per Distributed (see cluster.AttrHistogram), so repeated queries over
+// the same array do not rescan its cells.
 func catalogHistogram(c *cluster.Cluster, left, right *cluster.Distributed) func(arrayName, attrName string) *stats.Histogram {
 	return func(arrayName, attrName string) *stats.Histogram {
 		d, err := c.Catalog.Lookup(arrayName)

@@ -143,10 +143,10 @@ func pinnedRenders(t *testing.T, par int) map[string]render {
 	// A failed query returns no Result, so it runs on the pipeline, whose
 	// Report holds everything up to the stage that failed.
 	db = traceDB(t)
-	db.sealAll()
-	dl, _ := db.cluster.Catalog.Lookup("A")
-	dr, _ := db.cluster.Catalog.Lookup("B")
-	qc := pipeline.NewQueryContext(db.cluster, dl, dr,
+	cl := db.snapshot([]string{"A", "B"})
+	dl, _ := cl.Catalog.Lookup("A")
+	dr, _ := cl.Catalog.Lookup("B")
+	qc := pipeline.NewQueryContext(cl, dl, dr,
 		join.Predicate{{Left: join.Term{Name: "v"}, Right: join.Term{Name: "w"}}}, nil,
 		pipeline.Options{Parallelism: par, Strict: true, MemoryBudget: 4096, QueryLabel: "strict-budget"})
 	if err := pipeline.Execute(qc, pipeline.DefaultStages()); !errors.Is(err, batch.ErrBudget) {

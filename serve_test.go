@@ -10,8 +10,9 @@ import (
 	"testing"
 	"time"
 
+	"shufflejoin/internal/array"
+	"shufflejoin/internal/cluster"
 	"shufflejoin/internal/pipeline"
-	"shufflejoin/internal/sched"
 )
 
 // buildTestPair creates one joinable array pair with unique coordinates
@@ -70,9 +71,10 @@ func serveFingerprint(r *Result) string {
 // test: one DB driven by 16 goroutines through a contended scheduler
 // (fewer slots than clients, a small memory pool, mixed classes, a
 // shared plan cache) must produce results bit-identical to the same
-// queries run serially without any scheduler. Run under -race this also
-// sweeps the engine's shared state (catalog, pools, cache, metrics) for
-// data races.
+// queries run serially without any scheduler, while one writer keeps
+// creating, sealing, redimensioning and saving arrays the queries do not
+// read. Run under -race this also sweeps the engine's shared state
+// (catalog versions, pools, cache, metrics) for data races.
 func TestConcurrentQueriesBitIdentical(t *testing.T) {
 	db, err := Open(4)
 	if err != nil {
@@ -84,18 +86,22 @@ func TestConcurrentQueriesBitIdentical(t *testing.T) {
 	queries := []string{
 		"SELECT CA.v, CB.w FROM CA, CB WHERE CA.i = CB.i",
 		"SELECT CC.v, CD.w FROM CC, CD WHERE CC.i = CD.i",
-		multiWayQuery, // k-way joins share the read lock too
+		multiWayQuery, // k-way joins read one catalog version too
 	}
 
 	// Serial references, no scheduler attached.
 	want := make([]string, len(queries))
+	var saved *Result
 	for i, q := range queries {
 		res, err := db.Query(q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want[i] = serveFingerprint(res)
+		saved = res
 	}
+	stop, churned := make(chan struct{}), make(chan error, 1)
+	go func() { churned <- churnCatalog(db, saved, stop) }()
 
 	s := db.NewScheduler(SchedulerConfig{MaxQueries: 4, MemoryPoolBytes: 64 << 20})
 	cache := NewPlanCache()
@@ -129,6 +135,10 @@ func TestConcurrentQueriesBitIdentical(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+	close(stop)
+	if err := <-churned; err != nil {
+		t.Errorf("writer: %v", err)
+	}
 	close(errs)
 	for err := range errs {
 		t.Error(err)
@@ -143,6 +153,36 @@ func TestConcurrentQueriesBitIdentical(t *testing.T) {
 	}
 	if snap.MemReservedBytes != 0 {
 		t.Errorf("memory pool not drained: %d bytes still reserved", snap.MemReservedBytes)
+	}
+}
+
+// churnCatalog is a catalog writer: until stop closes, it creates, fills
+// and seals an array, redimensions it, and saves a query's output, all
+// under names no query reads, so every one of them publishes a new
+// catalog version while queries run.
+func churnCatalog(db *DB, saved *Result, stop <-chan struct{}) error {
+	for n := int64(0); ; n++ {
+		select {
+		case <-stop:
+			return nil
+		default:
+		}
+		ar, err := db.CreateArray(fmt.Sprintf("W%d<v:int>[i=1,64,8]", n%4))
+		if err != nil {
+			return err
+		}
+		for i := int64(1); i <= 64; i += 3 {
+			if err := ar.Insert([]int64{i}, i*n); err != nil {
+				return err
+			}
+		}
+		ar.Seal()
+		if _, _, err := ar.Redimension(fmt.Sprintf("R%d<v:int>[i=1,64,16]", n%4)); err != nil {
+			return err
+		}
+		if _, err := saved.SaveAs(db, "Saved"); err != nil {
+			return err
+		}
 	}
 }
 
@@ -177,14 +217,6 @@ func (h *barrierHooks) QueryFinished(*pipeline.Progress, *pipeline.Report, error
 // inside Execute at the same moment. A scheduler that serialized them
 // would leave the first query waiting at the barrier until it times out.
 // Deterministic on any core count — no throughput is timed.
-//
-// The test first takes every slot itself and frees them once the four
-// queries are queued for admission. That lines the queries up past
-// DB.sealAll, which takes the catalog write lock on every Query and so
-// would park query 2 behind query 1's read lock for as long as query 1
-// sits at the barrier (ROADMAP open item 7). Once sealAll stays off the
-// write lock when nothing is pending, delete the pre-fill: the test must
-// pass without it.
 func TestServeRunsQueriesConcurrently(t *testing.T) {
 	db, err := Open(2)
 	if err != nil {
@@ -196,20 +228,6 @@ func TestServeRunsQueriesConcurrently(t *testing.T) {
 	h := &barrierHooks{parties: parties, release: make(chan struct{}), sched: s}
 	withBarrier := func(c *queryConfig) error { c.hooks = h; return nil }
 
-	held := make([]*sched.Ticket, s.Snapshot().MaxQueries)
-	for i := range held {
-		if held[i], err = s.Admit(context.Background(), sched.Interactive, 0, "hold"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	go func() {
-		for deadline := time.Now().Add(5 * time.Second); s.Snapshot().Interactive.Queued < parties && time.Now().Before(deadline); {
-			time.Sleep(time.Millisecond)
-		}
-		for _, tk := range held {
-			tk.Done()
-		}
-	}()
 	errs := make(chan error, parties)
 	for i := 0; i < parties; i++ {
 		go func() {
@@ -230,6 +248,143 @@ func TestServeRunsQueriesConcurrently(t *testing.T) {
 	}
 	if snap := s.Snapshot(); snap.Inflight != 0 || snap.Interactive.Queued != 0 || snap.MemReservedBytes != 0 {
 		t.Errorf("scheduler not drained: %+v", snap)
+	}
+}
+
+// parkHooks holds a query at the top of pipeline.Execute, past its
+// catalog snapshot: it closes parked on arrival and waits for release.
+type parkHooks struct{ parked, release chan struct{} }
+
+func (h parkHooks) QueryStarted(*pipeline.Progress) {
+	close(h.parked)
+	<-h.release
+}
+
+func (parkHooks) QueryFinished(*pipeline.Progress, *pipeline.Report, error) {}
+
+// TestWritersDoNotWaitForAQuery parks a query inside Execute and runs two
+// writers meanwhile: SaveAs republishes the left operand's name with
+// values of a far wider range, and Redimension reorganizes the right
+// operand. Neither may wait for the query. Released, the query must
+// return exactly its serial result: every name it resolves, the attribute
+// histograms that size its inferred join dimension included, resolves in
+// the catalog version it pinned.
+func TestWritersDoNotWaitForAQuery(t *testing.T) {
+	db, err := Open(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wa, _ := db.CreateArray("WA<v:int>[i=1,400,50]")
+	wb, _ := db.CreateArray("WB<w:int>[j=1,400,50]")
+	wide, _ := db.CreateArray("Wide<v:int>[i=1,400,50]")
+	for i := int64(1); i <= 400; i++ {
+		for _, err := range []error{wa.Insert([]int64{i}, i%97), wb.Insert([]int64{i}, i%89), wide.Insert([]int64{i}, i*1000)} {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	const q = "SELECT WA.v, WB.w FROM WA, WB WHERE WA.v = WB.w"
+	serial, err := db.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replacement, err := db.Query("SELECT Wide.v FROM Wide, WB WHERE Wide.i = WB.j")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	h := parkHooks{parked: make(chan struct{}), release: make(chan struct{})}
+	parked := make(chan *Result, 1)
+	go func() {
+		res, err := db.Query(q, func(c *queryConfig) error { c.hooks = h; return nil })
+		if err != nil {
+			t.Error(err)
+		}
+		parked <- res
+	}()
+	<-h.parked
+
+	var writers sync.WaitGroup
+	writers.Add(2)
+	go func() {
+		defer writers.Done()
+		if _, err := replacement.SaveAs(db, "WA"); err != nil {
+			t.Error(err)
+		}
+	}()
+	go func() {
+		defer writers.Done()
+		if _, _, err := wb.Redimension("WBr<w:int>[j=1,400,100]"); err != nil {
+			t.Error(err)
+		}
+	}()
+	written := make(chan struct{})
+	go func() { writers.Wait(); close(written) }()
+	select {
+	case <-written:
+	case <-time.After(5 * time.Second):
+		t.Error("writers waited for the parked query")
+	}
+	close(h.release)
+	<-written
+	res := <-parked
+	if res == nil {
+		t.FailNow()
+	}
+	if got, want := serveFingerprint(res), serveFingerprint(serial); got != want {
+		t.Errorf("query diverges from its serial run once writers republished its operands:\n got: %.300s\nwant: %.300s", got, want)
+	}
+}
+
+// TestQueryDoesNotWaitForRedistribute holds a Redimension inside its data
+// movement and issues a query over other arrays meanwhile: the query must
+// return while the Redimension is still held.
+func TestQueryDoesNotWaitForRedistribute(t *testing.T) {
+	db, err := Open(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buildTestPair(t, db, "QA", "QB", 200)
+	rc, _ := db.CreateArray("RC<v:int>[i=1,400,50]")
+	for i := int64(1); i <= 400; i += 2 {
+		if err := rc.Insert([]int64{i}, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	entered, release := make(chan struct{}), make(chan struct{})
+	real := redistribute
+	defer func() { redistribute = real }()
+	redistribute = func(c *cluster.Cluster, d *cluster.Distributed, target *array.Schema, opt pipeline.RedistributeOptions) (*cluster.Distributed, *pipeline.RedistributeReport, error) {
+		close(entered)
+		<-release
+		return real(c, d, target, opt)
+	}
+	redimensioned := make(chan error, 1)
+	go func() {
+		_, _, err := rc.Redimension("RCr<v:int>[i=1,400,100]")
+		redimensioned <- err
+	}()
+	<-entered
+
+	queried := make(chan error, 1)
+	go func() {
+		_, err := db.Query("SELECT QA.v, QB.w FROM QA, QB WHERE QA.i = QB.i")
+		queried <- err
+	}()
+	select {
+	case err := <-queried:
+		if err != nil {
+			t.Error(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("the query waited for a Redimension held in Redistribute")
+		defer func() { <-queried }()
+	}
+	close(release)
+	if err := <-redimensioned; err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -47,20 +47,16 @@ import (
 	"shufflejoin/internal/workload"
 )
 
-// DB is a simulated shared-nothing array database cluster. A DB is safe
-// for concurrent Query calls: queries only read the shared catalog (a
-// multi-way join's intermediates are local to the query) and run fully
-// in parallel, while catalog mutations (sealing pending arrays,
-// Redimension) serialize behind a write lock.
+// DB is a simulated shared-nothing array database cluster, safe for
+// concurrent use with no DB lock. Writers (sealing, Redimension, SaveAs)
+// publish new catalog versions; each query reads the one version it
+// pinned at its start (multi-way intermediates stay query-local), so no
+// query waits for a writer and no writer waits for a query.
 type DB struct {
 	cluster  *cluster.Cluster
 	defaults queryConfig
 	metrics  *obs.Registry
-
-	// mu guards the catalog and the pending-array map: read-held for the
-	// duration of a query, write-held by sealing and redimension.
-	mu      sync.RWMutex
-	pending map[string]*Array
+	pending  sync.Map // name -> *Array created but not yet sealed
 }
 
 // Open creates a database spread over the given number of nodes.
@@ -71,7 +67,6 @@ func Open(nodes int) (*DB, error) {
 	}
 	return &DB{
 		cluster: c,
-		pending: make(map[string]*Array),
 		defaults: queryConfig{
 			planner: physical.MinBandwidthPlanner{},
 		},
@@ -105,10 +100,11 @@ func (db *DB) Nodes() int { return db.cluster.K }
 
 // Array is a handle to an array being built or already loaded.
 type Array struct {
-	db     *DB
-	inner  *array.Array
-	loaded bool
-	policy cluster.PlacementPolicy
+	db       *DB
+	inner    *array.Array
+	loaded   bool
+	policy   cluster.PlacementPolicy
+	sealOnce sync.Once
 }
 
 // CreateArray declares a new array from a schema literal in the paper's
@@ -128,9 +124,7 @@ func (db *DB) CreateArray(schemaLiteral string) (*Array, error) {
 		return nil, err
 	}
 	ar := &Array{db: db, inner: a}
-	db.mu.Lock()
-	db.pending[s.Name] = ar
-	db.mu.Unlock()
+	db.pending.Store(s.Name, ar)
 	return ar, nil
 }
 
@@ -147,7 +141,8 @@ func (ar *Array) CellCount() int64 { return ar.inner.CellCount() }
 func (ar *Array) ChunkCount() int { return ar.inner.ChunkCount() }
 
 // Insert stores one cell: coordinates (one per dimension) and attribute
-// values (int64/int/float64/string, one per attribute).
+// values (int64/int/float64/string, one per attribute). It must not run
+// concurrently with sealing the array: Seal, or a query that names it.
 func (ar *Array) Insert(coords []int64, values ...any) error {
 	if ar.loaded {
 		return fmt.Errorf("shufflejoin: %s is sealed; arrays are immutable once queried", ar.Name())
@@ -175,31 +170,29 @@ func (ar *Array) Insert(coords []int64, values ...any) error {
 func (ar *Array) DistributeByHash() { ar.policy = cluster.HashChunks }
 
 // Seal sorts, distributes, and registers the array, making it queryable.
-// Queries seal pending arrays automatically.
+// Queries seal the pending arrays they name automatically.
 func (ar *Array) Seal() {
-	ar.db.mu.Lock()
-	ar.sealLocked()
-	ar.db.mu.Unlock()
+	ar.sealOnce.Do(func() {
+		if ar.loaded {
+			return
+		}
+		ar.inner.SortAll()
+		ar.db.cluster.Load(ar.inner, ar.policy)
+		ar.loaded = true
+		ar.db.pending.CompareAndDelete(ar.Name(), ar)
+	})
 }
 
-// sealLocked is Seal with the DB's write lock already held.
-func (ar *Array) sealLocked() {
-	if ar.loaded {
-		return
+// snapshot seals the query's pending operands, leaving alone arrays another
+// goroutine may still be filling, and returns the cluster pinned to the
+// catalog version that holds them: the one version the query reads.
+func (db *DB) snapshot(operands []string) *cluster.Cluster {
+	for _, name := range operands {
+		if ar, ok := db.pending.Load(name); ok {
+			ar.(*Array).Seal()
+		}
 	}
-	ar.inner.SortAll()
-	ar.db.cluster.Load(ar.inner, ar.policy)
-	ar.loaded = true
-	delete(ar.db.pending, ar.Name())
-}
-
-// sealAll seals every pending array.
-func (db *DB) sealAll() {
-	db.mu.Lock()
-	for _, ar := range db.pending {
-		ar.sealLocked()
-	}
-	db.mu.Unlock()
+	return db.cluster.Snapshot()
 }
 
 // LoadShipTracks generates and loads an AIS-like ship-tracking array
@@ -482,7 +475,7 @@ func WithMemoryBudget(bytes int64) QueryOption {
 //
 //	SELECT A.v, B.w INTO T<v:int, w:int>[] FROM A JOIN B ON A.v = B.w
 //
-// Pending arrays are sealed (distributed and registered) first.
+// The pending arrays it names are sealed (distributed and registered) first.
 func (db *DB) Query(q string, opts ...QueryOption) (*Result, error) {
 	cfg := db.defaults
 	for _, opt := range opts {
@@ -490,7 +483,6 @@ func (db *DB) Query(q string, opts ...QueryOption) (*Result, error) {
 			return nil, err
 		}
 	}
-	db.sealAll()
 
 	ctx := cfg.ctx
 	if ctx == nil {
@@ -532,11 +524,10 @@ func (db *DB) Query(q string, opts ...QueryOption) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	c := db.snapshot(parsed.From)
 
 	// Admission: block until the scheduler grants a query slot and a
 	// memory reservation, which budgets the query unless it set its own.
-	// The DB lock is NOT held while waiting — an admission queue must
-	// never block catalog readers.
 	if cfg.sched != nil {
 		ticket, err := cfg.sched.Admit(ctx, cfg.class, cfg.memBudget, q)
 		if err != nil {
@@ -551,17 +542,13 @@ func (db *DB) Query(q string, opts ...QueryOption) (*Result, error) {
 		// Multi-way join: greedy join ordering (the paper's Section 8
 		// future work, implemented in internal/aql). Its intermediates
 		// are query-local, so it only reads the catalog.
-		db.mu.RLock()
-		mres, err := aql.RunMulti(db.cluster, q, eo)
-		db.mu.RUnlock()
+		mres, err := aql.RunMulti(c, q, eo)
 		if err != nil {
 			return nil, err
 		}
 		res = newMultiResult(mres)
 	} else {
-		db.mu.RLock()
-		rep, err := aql.Run(db.cluster, q, eo)
-		db.mu.RUnlock()
+		rep, err := aql.Run(c, q, eo)
 		if err != nil {
 			return nil, err
 		}
@@ -580,14 +567,15 @@ func (db *DB) Explain(q string, opts ...QueryOption) (*Explanation, error) {
 			return nil, err
 		}
 	}
-	db.sealAll()
+	parsed, err := aql.Parse(q)
+	if err != nil {
+		return nil, err
+	}
 	eo := pipeline.Options{
 		Planner: cfg.planner,
 		Logical: logical.PlanOptions{Selectivity: cfg.selectivity},
 	}
-	db.mu.RLock()
-	ex, err := aql.Explain(db.cluster, q, eo)
-	db.mu.RUnlock()
+	ex, err := aql.Explain(db.snapshot(parsed.From), q, eo)
 	if err != nil {
 		return nil, err
 	}
@@ -612,7 +600,8 @@ func (db *DB) Explain(q string, opts ...QueryOption) (*Explanation, error) {
 // intervals — and registers the result under the new schema's name. It
 // returns the new array handle plus the simulated reorganization cost
 // (the redistribution network time and chunk re-sorting the paper's
-// Section 2.3.1 describes).
+// Section 2.3.1 describes). It holds no lock while it moves data, and it
+// publishes the result only once it is complete.
 func (ar *Array) Redimension(schemaLiteral string) (*Array, *ReorgReport, error) {
 	ar.Seal()
 	target, err := array.ParseSchema(schemaLiteral)
@@ -622,14 +611,11 @@ func (ar *Array) Redimension(schemaLiteral string) (*Array, *ReorgReport, error)
 	if target.Name == "" {
 		return nil, nil, fmt.Errorf("shufflejoin: redimension target needs a name")
 	}
-	ar.db.mu.Lock()
 	d, err := ar.db.cluster.Catalog.Lookup(ar.Name())
 	if err != nil {
-		ar.db.mu.Unlock()
 		return nil, nil, err
 	}
-	out, rep, err := pipeline.Redistribute(ar.db.cluster, d, target, pipeline.RedistributeOptions{})
-	ar.db.mu.Unlock()
+	out, rep, err := redistribute(ar.db.cluster, d, target, pipeline.RedistributeOptions{})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -640,6 +626,9 @@ func (ar *Array) Redimension(schemaLiteral string) (*Array, *ReorgReport, error)
 		CellsMoved:   rep.CellsMoved,
 	}, nil
 }
+
+// redistribute is Redimension's data movement; tests swap it to hold one.
+var redistribute = pipeline.Redistribute
 
 // ReorgReport is the cost of a distributed redimension.
 type ReorgReport struct {
@@ -659,10 +648,11 @@ type JoinOrderStep struct {
 // would use for a query over three or more arrays, without materializing
 // results in the database.
 func (db *DB) ExplainJoinOrder(q string) ([]JoinOrderStep, error) {
-	db.sealAll()
-	db.mu.RLock()
-	plan, err := aql.ExplainMulti(db.cluster, q, pipeline.Options{})
-	db.mu.RUnlock()
+	parsed, err := aql.Parse(q)
+	if err != nil {
+		return nil, err
+	}
+	plan, err := aql.ExplainMulti(db.snapshot(parsed.From), q, pipeline.Options{})
 	if err != nil {
 		return nil, err
 	}

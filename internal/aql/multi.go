@@ -14,8 +14,11 @@ import (
 // MultiResult is the outcome of a multi-way join: the per-step shuffle
 // join reports in execution order and the final output array.
 type MultiResult struct {
-	Steps  []*pipeline.Report
-	Order  []string // human-readable join order, e.g. "B ⋈ C", "(B ⋈ C) ⋈ A"
+	Steps []*pipeline.Report
+	Order []string // human-readable join order, e.g. "B ⋈ C", "_join1 ⋈ A"
+	// Costs is each step's estimated cost, the pairCost that chose its
+	// pair: input cells plus estimated output cells.
+	Costs  []float64
 	Output *array.Array
 	// Aggregate phase durations across steps (steps run one after
 	// another, as a query pipeline would).
@@ -30,7 +33,8 @@ type MultiPlan struct {
 	Steps []MultiPlanStep
 }
 
-// MultiPlanStep is one planned pairwise join.
+// MultiPlanStep is one planned pairwise join and the estimated cost that
+// chose it (MultiResult.Costs).
 type MultiPlanStep struct {
 	Left, Right   string
 	EstimatedCost float64
@@ -53,12 +57,12 @@ func ExplainMulti(c *cluster.Cluster, query string, opt pipeline.Options) (*Mult
 		return nil, err
 	}
 	plan := &MultiPlan{}
-	for i, step := range res.Steps {
-		parts := strings.SplitN(res.Order[i], " ⋈ ", 2)
+	for i, order := range res.Order {
+		parts := strings.SplitN(order, " ⋈ ", 2)
 		plan.Steps = append(plan.Steps, MultiPlanStep{
 			Left:          parts[0],
 			Right:         parts[1],
-			EstimatedCost: float64(step.Matches),
+			EstimatedCost: res.Costs[i],
 		})
 	}
 	return plan, nil
@@ -176,6 +180,7 @@ func runMultiParsed(c *cluster.Cluster, q *Query, opt pipeline.Options) (*MultiR
 		}
 		res.Steps = append(res.Steps, rep)
 		res.Order = append(res.Order, fmt.Sprintf("%s ⋈ %s", best.a, best.b))
+		res.Costs = append(res.Costs, best.cost)
 		res.PlanSeconds += rep.PlanTime
 		res.AlignSeconds += rep.AlignTime
 		res.CompareSeconds += rep.CompareTime

@@ -7,6 +7,7 @@ import (
 
 	"shufflejoin/internal/array"
 	"shufflejoin/internal/cluster"
+	"shufflejoin/internal/join"
 	"shufflejoin/internal/pipeline"
 )
 
@@ -218,6 +219,55 @@ func TestParseThreeWayFrom(t *testing.T) {
 	}
 	if len(q.From) != 3 {
 		t.Errorf("From = %v", q.From)
+	}
+}
+
+// TestExplainMultiEstimateIsPairCost: each previewed step reports the
+// estimate that chose it, pairCost over the step's two inputs — the
+// catalog arrays, or the intermediate an earlier step dealt round-robin
+// — not the step's actual match count.
+func TestExplainMultiEstimateIsPairCost(t *testing.T) {
+	c := threeWayCluster(t)
+	plan, err := ExplainMulti(c, threeWayQuery, pipeline.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunMulti(c, threeWayQuery, pipeline.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.Steps) != 2 || len(res.Steps) != 2 {
+		t.Fatalf("steps = %+v, want 2", plan.Steps)
+	}
+	live := map[string]*cluster.Distributed{}
+	for _, name := range []string{"Clicks", "Users", "Regions"} {
+		d, err := c.Catalog.Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		live[name] = d
+	}
+	live["_join1"] = cluster.Distribute(res.Steps[0].Output, c.K, cluster.RoundRobin)
+	// The join column each array contributes at each step.
+	cols := []map[string]string{
+		{"Users": "region", "Regions": "rid"},
+		{"Clicks": "who", "_join1": "uid"},
+	}
+	for i, s := range plan.Steps {
+		pred := join.Predicate{{
+			Left:  join.Term{Array: s.Left, Name: cols[i][s.Left]},
+			Right: join.Term{Array: s.Right, Name: cols[i][s.Right]},
+		}}
+		want, err := pairCost(c, live[s.Left], live[s.Right], pred)
+		if err != nil {
+			t.Fatalf("step %d %+v: %v", i, s, err)
+		}
+		if s.EstimatedCost != want {
+			t.Errorf("step %d %s ⋈ %s: estimate %v, want pairCost %v", i, s.Left, s.Right, s.EstimatedCost, want)
+		}
+		if s.EstimatedCost == float64(res.Steps[i].Matches) {
+			t.Errorf("step %d estimate %v equals its match count", i, s.EstimatedCost)
+		}
 	}
 }
 

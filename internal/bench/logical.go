@@ -8,7 +8,6 @@ import (
 	"shufflejoin/internal/array"
 	"shufflejoin/internal/cluster"
 	"shufflejoin/internal/join"
-	"shufflejoin/internal/logical"
 	"shufflejoin/internal/pipeline"
 	"shufflejoin/internal/stats"
 	"shufflejoin/internal/workload"
@@ -88,10 +87,10 @@ func RunLogical(cfg LogicalConfig) ([]LogicalMeasurement, error) {
 			c.Load(b.Clone(), cluster.RoundRobin)
 			start := time.Now()
 			rep, err := pipeline.Run(c, "A", "B", pred, outSchema, pipeline.Options{
-				ForceAlgo:  &algo,
-				Logical:    logical.PlanOptions{Selectivity: sel},
-				Hooks:      cfg.Hooks,
-				QueryLabel: fmt.Sprintf("logical A ⋈ B [sel=%g, %s]", sel, algo),
+				ForceAlgo:   &algo,
+				Selectivity: sel,
+				Hooks:       cfg.Hooks,
+				QueryLabel:  fmt.Sprintf("logical A ⋈ B [sel=%g, %s]", sel, algo),
 			})
 			if err != nil {
 				return nil, fmt.Errorf("bench: sel=%v algo=%v: %w", sel, algo, err)

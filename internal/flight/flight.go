@@ -24,9 +24,9 @@
 //     intern table).
 //
 // A nil *Recorder is a valid disabled instance (every method no-ops),
-// following the engine's nil-Registry/nil-Budget convention. The package
-// default Default (capacity 8192) is what the pipeline records into
-// unless a query overrides it. See DESIGN.md §12.
+// following the engine's nil-Registry/nil-Budget convention. Every layer
+// records into, and every debug surface serves, the one process-wide
+// ring Default (capacity 8192). See DESIGN.md §12.
 package flight
 
 import (
@@ -40,8 +40,10 @@ import (
 // DefaultCapacity is the ring capacity of the package Default recorder.
 const DefaultCapacity = 8192
 
-// Default is the process-wide recorder the engine writes into when no
-// per-query recorder is configured. It is never nil.
+// Default is the process-wide recorder: queries, the scheduler and the
+// memory budgets record into it, and /debug/flight and postmortem
+// bundles dump it. The engine never reassigns it; a test may swap in nil
+// to run a query unrecorded.
 var Default = New(DefaultCapacity)
 
 // maxLabels bounds the label intern table; once full, new labels map to

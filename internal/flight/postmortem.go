@@ -18,7 +18,7 @@ import (
 // engine captures a directory of evidence —
 //
 //	meta.json      reason, capture time, Go runtime identification
-//	flight.json    the last Events flight-recorder entries
+//	flight.json    the last Events entries of the Default ring
 //	<section>.json every caller-supplied section (profile, progress,
 //	               report digest, panic value + stack, ...)
 //	metrics.prom   a metrics snapshot, when a Metrics writer is attached
@@ -32,9 +32,6 @@ type Postmortem struct {
 	// Dir is the directory bundles are created under (one subdirectory
 	// per capture). Created on first use.
 	Dir string
-	// Flight is the recorder whose recent events are dumped; nil uses
-	// the package Default.
-	Flight *Recorder
 	// Events bounds the flight events per bundle (default 1024).
 	Events int
 	// MaxBundles caps captures over the Postmortem's lifetime; once
@@ -108,7 +105,7 @@ func (pm *Postmortem) Capture(reason string, sections ...Section) (string, error
 		"gomaxprocs":   runtime.GOMAXPROCS(0),
 		"goroutines":   runtime.NumGoroutine(),
 		"sections":     sectionNames(sections),
-		"flight_stats": pm.recorder().Stats(),
+		"flight_stats": Default.Stats(),
 	}))
 
 	keep("flight.json", writeFile(filepath.Join(dir, "flight.json"), func(w io.Writer) error {
@@ -116,7 +113,7 @@ func (pm *Postmortem) Capture(reason string, sections ...Section) (string, error
 		if n <= 0 {
 			n = 1024
 		}
-		return pm.recorder().WriteJSON(w, n)
+		return Default.WriteJSON(w, n)
 	}))
 
 	for _, s := range sections {
@@ -142,14 +139,6 @@ func (pm *Postmortem) Capture(reason string, sections ...Section) (string, error
 		return dir, fmt.Errorf("flight: postmortem bundle %s incomplete: %v", dir, errs)
 	}
 	return dir, nil
-}
-
-// recorder resolves the bundle's flight recorder.
-func (pm *Postmortem) recorder() *Recorder {
-	if pm.Flight != nil {
-		return pm.Flight
-	}
-	return Default
 }
 
 func sectionNames(sections []Section) []string {

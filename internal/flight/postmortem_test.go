@@ -22,14 +22,14 @@ func readJSON(t *testing.T, path string, v any) {
 }
 
 func TestPostmortemCapture(t *testing.T) {
-	rec := New(64)
+	rec := Default
+	mark := rec.Stats().Recorded
 	q := rec.NextQID()
 	rec.Record(EvQueryStart, q, rec.Label("SELECT fail"), 0, 0, 0)
 	rec.Record(EvBudgetOverflow, q, 9000, 4096, 0, 0)
 
 	pm := &Postmortem{
-		Dir:    t.TempDir(),
-		Flight: rec,
+		Dir: t.TempDir(),
 		Metrics: func(w io.Writer) error {
 			_, err := io.WriteString(w, "engine_up 1\n")
 			return err
@@ -59,14 +59,23 @@ func TestPostmortemCapture(t *testing.T) {
 		t.Errorf("meta sections = %v (nil-valued sections must be dropped)", meta.Sections)
 	}
 
+	// flight.json dumps the Default ring; the two events recorded above
+	// are its newest.
 	var fl struct {
 		Events []struct {
+			Seq  uint64 `json:"seq"`
 			Type string `json:"type"`
 		} `json:"events"`
 	}
 	readJSON(t, filepath.Join(dir, "flight.json"), &fl)
-	if len(fl.Events) != 2 || fl.Events[1].Type != "budget-overflow" {
-		t.Fatalf("flight.json events = %+v", fl.Events)
+	var ours []string
+	for _, e := range fl.Events {
+		if e.Seq >= mark {
+			ours = append(ours, e.Type)
+		}
+	}
+	if len(ours) != 2 || ours[0] != "query-start" || ours[1] != "budget-overflow" {
+		t.Fatalf("flight.json events from seq %d = %v", mark, ours)
 	}
 
 	var repSec map[string]any
@@ -91,7 +100,7 @@ func TestPostmortemCapture(t *testing.T) {
 }
 
 func TestPostmortemBundleCap(t *testing.T) {
-	pm := &Postmortem{Dir: t.TempDir(), Flight: New(16), MaxBundles: 2}
+	pm := &Postmortem{Dir: t.TempDir(), MaxBundles: 2}
 	for i := 0; i < 2; i++ {
 		if _, err := pm.Capture("loop"); err != nil {
 			t.Fatalf("capture %d: %v", i, err)
@@ -133,7 +142,7 @@ func TestDefaultPostmortem(t *testing.T) {
 	defer SetDefaultPostmortem(old)
 
 	dir := t.TempDir()
-	SetDefaultPostmortem(&Postmortem{Dir: dir, Flight: New(16)})
+	SetDefaultPostmortem(&Postmortem{Dir: dir})
 	pm := DefaultPostmortem()
 	if pm == nil || pm.Dir != dir {
 		t.Fatalf("default postmortem = %+v", pm)

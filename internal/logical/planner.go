@@ -86,9 +86,6 @@ type PlanOptions struct {
 	// Nodes extends the single-node cost model to k nodes by dividing
 	// parallelizable costs by k (Section 4). Zero means 1.
 	Nodes int
-	// HashBuckets is the join-unit count for hash-bucket plans. Zero picks
-	// the join schema's chunk-grid size, falling back to 1024.
-	HashBuckets int
 }
 
 // Plan is one candidate logical plan: an alignment operator per input, a
@@ -137,13 +134,6 @@ func Enumerate(js *JoinSchema, sa, sb ArrayStats, opt PlanOptions) ([]Plan, erro
 	}
 	if opt.Nodes <= 0 {
 		opt.Nodes = 1
-	}
-	if opt.HashBuckets <= 0 {
-		if n := js.NumChunkUnits(); n > 0 {
-			opt.HashBuckets = n
-		} else {
-			opt.HashBuckets = 1024
-		}
 	}
 
 	aligns := []AlignOp{OpScan, OpRedim, OpRechunk, OpHash}
@@ -262,10 +252,11 @@ func costPlan(p *Plan, sa, sb ArrayStats, opt PlanOptions) {
 	}
 
 	p.Cost = p.AlignCost + p.CompareCost + p.OutCost
-	if p.Units == shuffle.HashUnits {
-		p.NumUnits = opt.HashBuckets
-	} else {
-		p.NumUnits = p.JS.NumChunkUnits()
+	// A hash-bucket plan uses one bucket per join-schema chunk, or 1024
+	// when the join schema has no dimensions.
+	p.NumUnits = p.JS.NumChunkUnits()
+	if p.Units == shuffle.HashUnits && p.NumUnits <= 0 {
+		p.NumUnits = 1024
 	}
 }
 

@@ -406,13 +406,13 @@ func TestEnumerateSortedByCost(t *testing.T) {
 func TestUnitSpecForHashPlan(t *testing.T) {
 	js := infer(t, fig5Sources(t))
 	sa, sb := fig5Stats()
-	plans, _ := Enumerate(js, sa, sb, PlanOptions{Selectivity: 0.01, HashBuckets: 64})
+	plans, _ := Enumerate(js, sa, sb, PlanOptions{Selectivity: 0.01})
 	hash := findPlan(plans, OpHash, OpHash, join.Hash, OutRedim)
 	if hash == nil {
 		t.Fatal("bucket hash plan not enumerated")
 	}
 	spec, l, r := UnitSpecFor(hash)
-	if spec.Kind != shuffle.HashUnits || spec.NumUnits != 64 {
+	if buckets := js.NumChunkUnits(); buckets <= 0 || spec.Kind != shuffle.HashUnits || spec.NumUnits != buckets {
 		t.Errorf("spec = %+v", spec)
 	}
 	if len(l.KeyRefs) != 1 || l.KeyRefs[0].Name != "v" {

@@ -8,10 +8,7 @@ import (
 	"testing"
 	"time"
 
-	"shufflejoin/internal/cluster"
 	"shufflejoin/internal/flight"
-	"shufflejoin/internal/join"
-	"shufflejoin/internal/logical"
 	"shufflejoin/internal/obs"
 	"shufflejoin/internal/obshttp"
 	"shufflejoin/internal/pipeline"
@@ -61,12 +58,12 @@ func TestStatusEndpoint(t *testing.T) {
 }
 
 func TestFlightEndpoint(t *testing.T) {
-	fr := flight.New(256)
 	reg := obs.NewRegistry()
-	hub := obshttp.NewHub(obshttp.Config{Registry: reg, Flight: fr})
+	hub := obshttp.NewHub(obshttp.Config{Registry: reg})
 
-	// Record through the pipeline into the hub's recorder.
-	runQueryFlight(t, hub, fr, "flight-q")
+	// The query records into flight.Default, the ring the hub serves.
+	mark := flight.Default.Stats().Recorded
+	runQuery(t, hub, reg, "flight-q")
 
 	srv := httptest.NewServer(hub.Handler())
 	defer srv.Close()
@@ -78,6 +75,7 @@ func TestFlightEndpoint(t *testing.T) {
 	var p struct {
 		Capacity int `json:"capacity"`
 		Events   []struct {
+			Seq  uint64         `json:"seq"`
 			Type string         `json:"type"`
 			Args map[string]any `json:"args"`
 		} `json:"events"`
@@ -85,12 +83,14 @@ func TestFlightEndpoint(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &p); err != nil {
 		t.Fatalf("flight payload: %v", err)
 	}
-	if p.Capacity != 256 || len(p.Events) == 0 {
+	if p.Capacity != flight.DefaultCapacity || len(p.Events) == 0 {
 		t.Fatalf("payload = capacity %d, %d events", p.Capacity, len(p.Events))
 	}
 	types := map[string]bool{}
 	for _, e := range p.Events {
-		types[e.Type] = true
+		if e.Seq >= mark {
+			types[e.Type] = true
+		}
 	}
 	for _, want := range []string{"query-start", "stage-start", "align-done", "compare-done", "query-finish"} {
 		if !types[want] {
@@ -114,26 +114,6 @@ func TestFlightEndpoint(t *testing.T) {
 	}
 	if code, _, _ := get(t, srv, "/debug/flight?limit=-3"); code != 400 {
 		t.Errorf("negative limit status = %d, want 400", code)
-	}
-}
-
-// runQueryFlight is runQuery with the query's flight recorder pinned to
-// the hub's ring.
-func runQueryFlight(t *testing.T, hub *obshttp.Hub, fr *flight.Recorder, label string) {
-	t.Helper()
-	a := buildArray("A<v:int>[i=1,100,20]", 71, 40, 15)
-	b := buildArray("B<w:int>[j=1,100,20]", 72, 40, 15)
-	pred := join.Predicate{{Left: join.Term{Name: "v"}, Right: join.Term{Name: "w"}}}
-	c := cluster.MustNew(2)
-	c.Load(a, cluster.RoundRobin)
-	c.Load(b, cluster.RoundRobin)
-	if _, err := pipeline.Run(c, "A", "B", pred, nil, pipeline.Options{
-		Logical:    logical.PlanOptions{Selectivity: 0.5},
-		Hooks:      hub,
-		QueryLabel: label,
-		Flight:     fr,
-	}); err != nil {
-		t.Fatal(err)
 	}
 }
 

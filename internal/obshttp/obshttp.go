@@ -62,9 +62,6 @@ type Config struct {
 	// threshold as slow (Entry.Slow, and the slow_queries counter in the
 	// /debug/queries header). Zero disables slow marking.
 	SlowQuery time.Duration
-	// Flight is the recorder served on /debug/flight; nil uses the
-	// process-wide flight.Default ring.
-	Flight *flight.Recorder
 	// Status identifies the process on /debug/status.
 	Status StatusInfo
 	// Sched, when non-nil, annotates /debug/inflight and /debug/status
@@ -79,7 +76,6 @@ type Config struct {
 type Hub struct {
 	cfg   Config
 	log   *QueryLog
-	rec   *flight.Recorder
 	start time.Time
 	// engine holds the hub's own operational metrics (uptime), kept out
 	// of cfg.Registry, which holds only what queries folded into it.
@@ -100,14 +96,9 @@ func NewHub(cfg Config) *Hub {
 	if cfg.QueryLogCapacity <= 0 {
 		cfg.QueryLogCapacity = 128
 	}
-	rec := cfg.Flight
-	if rec == nil {
-		rec = flight.Default
-	}
 	h := &Hub{
 		cfg:      cfg,
 		log:      newQueryLog(cfg.QueryLogCapacity),
-		rec:      rec,
 		start:    time.Now(),
 		engine:   obs.NewRegistry(),
 		inflight: make(map[*pipeline.Progress]uint64),
@@ -348,7 +339,7 @@ func (h *Hub) handleFlight(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	h.rec.WriteJSON(w, limit) //nolint:errcheck // headers already sent
+	flight.Default.WriteJSON(w, limit) //nolint:errcheck // headers already sent
 }
 
 // statusPayload is the /debug/status response shape.
@@ -388,7 +379,7 @@ func (h *Hub) handleStatus(w http.ResponseWriter, _ *http.Request) {
 		QueriesTotal:  h.log.Total(),
 		QueriesSlow:   h.log.Slow(),
 		Inflight:      inflight,
-		Flight:        h.rec.Stats(),
+		Flight:        flight.Default.Stats(),
 	}
 	if h.cfg.Sched != nil {
 		snap := h.cfg.Sched.Snapshot()

@@ -14,7 +14,6 @@ import (
 	"shufflejoin/internal/array"
 	"shufflejoin/internal/cluster"
 	"shufflejoin/internal/join"
-	"shufflejoin/internal/logical"
 	"shufflejoin/internal/obs"
 	"shufflejoin/internal/obshttp"
 	"shufflejoin/internal/pipeline"
@@ -49,9 +48,9 @@ func runQuery(t *testing.T, hub *obshttp.Hub, reg *obs.Registry, label string) *
 	c.Load(a, cluster.RoundRobin)
 	c.Load(b, cluster.RoundRobin)
 	opt := pipeline.Options{
-		Logical:    logical.PlanOptions{Selectivity: 0.5},
-		Hooks:      hub,
-		QueryLabel: label,
+		Selectivity: 0.5,
+		Hooks:       hub,
+		QueryLabel:  label,
 	}
 	rep, err := pipeline.Run(c, "A", "B", pred, out, opt)
 	if err != nil {

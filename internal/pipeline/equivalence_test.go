@@ -7,7 +7,6 @@ import (
 	"shufflejoin/internal/array"
 	"shufflejoin/internal/cluster"
 	"shufflejoin/internal/join"
-	"shufflejoin/internal/logical"
 	"shufflejoin/internal/pipeline"
 )
 
@@ -63,7 +62,7 @@ func TestOverlapDeterministicAcrossParallelism(t *testing.T) {
 	for i, par := range []int{1, 4, 0} {
 		c := newCluster(t, 4, a.Clone(), b.Clone())
 		rep, err := pipeline.Run(c, "A", "B", pred, out, pipeline.Options{
-			Logical:     logical.PlanOptions{Selectivity: 0.5},
+			Selectivity: 0.5,
 			Parallelism: par,
 		})
 		if err != nil {

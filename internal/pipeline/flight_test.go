@@ -14,41 +14,70 @@ import (
 	"shufflejoin/internal/batch"
 	"shufflejoin/internal/flight"
 	"shufflejoin/internal/join"
-	"shufflejoin/internal/logical"
 	"shufflejoin/internal/pipeline"
 )
+
+// eventsSince returns the events flight.Default recorded from sequence
+// number mark on, the one query's trail when mark was taken just before
+// it (tests run one at a time).
+func eventsSince(mark uint64) []flight.Event {
+	var out []flight.Event
+	for _, e := range flight.Default.Snapshot(0) {
+		if e.Seq >= mark {
+			out = append(out, e)
+		}
+	}
+	return out
+}
 
 // TestFlightRecordingEquivalence is the flight recorder's determinism
 // contract: a recorded run is bit-for-bit identical to an unrecorded
 // one — output cells, modeled times, trace and profile fingerprints —
-// at every Parallelism setting. Events are telemetry, never inputs.
+// at every Parallelism setting. Events are telemetry, never inputs. The
+// unrecorded runs swap flight.Default for nil.
 func TestFlightRecordingEquivalence(t *testing.T) {
 	a := buildArray("A<v:int>[i=1,300,30]", 21, 150, 25)
 	b := buildArray("B<w:int>[j=1,300,30]", 22, 140, 25)
 	pred := join.Predicate{{Left: join.Term{Name: "v"}, Right: join.Term{Name: "w"}}}
+	pars := []int{1, 4, 0}
 
-	run := func(t *testing.T, par int, fr *flight.Recorder, off bool) (*pipeline.Report, string) {
+	type run struct {
+		rep *pipeline.Report
+		fp  string
+	}
+	exec := func(t *testing.T, par int) run {
 		t.Helper()
 		c := newCluster(t, 4, a.Clone(), b.Clone())
 		rep, err := pipeline.Run(c, "A", "B", pred, nil, pipeline.Options{
-			Logical:     logical.PlanOptions{Selectivity: 0.5},
+			Selectivity: 0.5,
 			Parallelism: par,
-			Flight:      fr,
-			FlightOff:   off,
 		})
 		if err != nil {
 			t.Fatalf("Run(par=%d): %v", par, err)
 		}
-		return rep, rendered(t, rep)
+		return run{rep, rendered(t, rep)}
 	}
 
-	for _, par := range []int{1, 4, 0} {
-		t.Run(fmt.Sprintf("par=%d", par), func(t *testing.T) {
-			fr := flight.New(4096)
-			want, wantFP := run(t, par, nil, true) // recording off
-			got, gotFP := run(t, par, fr, false)   // recording on
+	unrecorded := map[int]run{}
+	t.Run("unrecorded", func(t *testing.T) {
+		saved := flight.Default
+		flight.Default = nil
+		t.Cleanup(func() { flight.Default = saved })
+		for _, par := range pars {
+			unrecorded[par] = exec(t, par)
+		}
+	})
+	if len(unrecorded) != len(pars) {
+		t.FailNow()
+	}
 
-			if gotFP != wantFP {
+	for _, par := range pars {
+		t.Run(fmt.Sprintf("par=%d", par), func(t *testing.T) {
+			mark := flight.Default.Stats().Recorded
+			g := exec(t, par)
+			got, want := g.rep, unrecorded[par].rep
+
+			if g.fp != unrecorded[par].fp {
 				t.Errorf("rendered metrics and trace differ between recorded and unrecorded runs")
 			}
 			if got.Profile().Fingerprint() != want.Profile().Fingerprint() {
@@ -66,7 +95,7 @@ func TestFlightRecordingEquivalence(t *testing.T) {
 			// The recorded run actually left a trail, and the query's
 			// lifecycle events bracket it in order.
 			counts := map[flight.Type]int{}
-			for _, e := range fr.Snapshot(0) {
+			for _, e := range eventsSince(mark) {
 				counts[e.Type]++
 			}
 			if counts[flight.EvQueryStart] != 1 || counts[flight.EvQueryFinish] != 1 {
@@ -95,15 +124,14 @@ func alignEvents(t *testing.T, nodes int) (*pipeline.Report, []flight.Event) {
 	a := buildArray("A<v:int>[i=1,300,30]", 21, 150, 25)
 	b := buildArray("B<w:int>[j=1,300,30]", 22, 140, 25)
 	pred := join.Predicate{{Left: join.Term{Name: "v"}, Right: join.Term{Name: "w"}}}
-	fr := flight.New(4096)
+	mark := flight.Default.Stats().Recorded
 	rep, err := pipeline.Run(newCluster(t, nodes, a, b), "A", "B", pred, nil, pipeline.Options{
-		Logical: logical.PlanOptions{Selectivity: 0.5},
-		Flight:  fr,
+		Selectivity: 0.5,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	evs := fr.Snapshot(0)
+	evs := eventsSince(mark)
 	for i, e := range evs {
 		if e.Type != flight.EvAlignDone {
 			continue
@@ -115,7 +143,7 @@ func alignEvents(t *testing.T, nodes int) (*pipeline.Report, []flight.Event) {
 			}
 			out = append(out, e)
 			if e.Type == flight.EvStageFinish {
-				if stage := fr.LabelName(e.Args[0]); stage != "align" {
+				if stage := flight.Default.LabelName(e.Args[0]); stage != "align" {
 					t.Fatalf("align-done landed in stage %q", stage)
 				}
 				return rep, out
@@ -184,7 +212,7 @@ func TestFlightDefaultRecorderOn(t *testing.T) {
 	c := newCluster(t, 2, a, b)
 	before := flight.Default.Stats().Recorded
 	if _, err := pipeline.Run(c, "A", "B", pred, nil, pipeline.Options{
-		Logical: logical.PlanOptions{Selectivity: 0.5},
+		Selectivity: 0.5,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -229,15 +257,12 @@ func TestPostmortemOnStrictBudget(t *testing.T) {
 	pred := join.Predicate{{Left: join.Term{Name: "v"}, Right: join.Term{Name: "w"}}}
 	c := newCluster(t, 3, a, b)
 	dir := t.TempDir()
-	fr := flight.New(1024)
-	pm := &flight.Postmortem{Dir: dir, Flight: fr}
 
 	_, err := pipeline.Run(c, "A", "B", pred, nil, pipeline.Options{
-		Logical:      logical.PlanOptions{Selectivity: 0.5},
+		Selectivity:  0.5,
 		MemoryBudget: 256,
 		Strict:       true,
-		Flight:       fr,
-		Postmortem:   pm,
+		Postmortem:   &flight.Postmortem{Dir: dir},
 	})
 	if !errors.Is(err, batch.ErrBudget) {
 		t.Fatalf("err = %v, want batch.ErrBudget", err)
@@ -278,11 +303,9 @@ func TestPostmortemOnStrictBudget(t *testing.T) {
 func TestPostmortemOnStrictBounds(t *testing.T) {
 	c, out, pred, _ := clampSetup(t)
 	dir := t.TempDir()
-	fr := flight.New(1024)
 	_, err := pipeline.Run(c, "A", "B", pred, out, pipeline.Options{
 		Strict:     true,
-		Flight:     fr,
-		Postmortem: &flight.Postmortem{Dir: dir, Flight: fr},
+		Postmortem: &flight.Postmortem{Dir: dir},
 	})
 	if !errors.Is(err, pipeline.ErrBounds) {
 		t.Fatalf("err = %v, want pipeline.ErrBounds", err)
@@ -311,8 +334,7 @@ func TestPostmortemOnPanic(t *testing.T) {
 	pred := join.Predicate{{Left: join.Term{Name: "v"}, Right: join.Term{Name: "w"}}}
 	c := newCluster(t, 2, a, b)
 	dir := t.TempDir()
-	fr := flight.New(256)
-	pm := &flight.Postmortem{Dir: dir, Flight: fr}
+	pm := &flight.Postmortem{Dir: dir}
 
 	dl, err := c.Catalog.Lookup("A")
 	if err != nil {
@@ -323,10 +345,10 @@ func TestPostmortemOnPanic(t *testing.T) {
 		t.Fatal(err)
 	}
 	qc := pipeline.NewQueryContext(c, dl, dr, pred, nil, pipeline.Options{
-		Logical:    logical.PlanOptions{Selectivity: 0.5},
-		Flight:     fr,
-		Postmortem: pm,
+		Selectivity: 0.5,
+		Postmortem:  pm,
 	})
+	mark := flight.Default.Stats().Recorded
 
 	func() {
 		defer func() {
@@ -358,8 +380,8 @@ func TestPostmortemOnPanic(t *testing.T) {
 	}
 	// The postmortem flight event marks the trail.
 	var marked bool
-	for _, e := range fr.Snapshot(0) {
-		if e.Type == flight.EvPostmortem && fr.LabelName(e.Args[0]) == "panic" {
+	for _, e := range eventsSince(mark) {
+		if e.Type == flight.EvPostmortem && flight.Default.LabelName(e.Args[0]) == "panic" {
 			marked = true
 		}
 	}
@@ -377,13 +399,12 @@ func TestPostmortemOnSlowQuery(t *testing.T) {
 	pred := join.Predicate{{Left: join.Term{Name: "v"}, Right: join.Term{Name: "w"}}}
 	c := newCluster(t, 2, a, b)
 	dir := t.TempDir()
-	pm := &flight.Postmortem{Dir: dir, Flight: flight.New(256), SlowQuery: time.Nanosecond}
+	pm := &flight.Postmortem{Dir: dir, SlowQuery: time.Nanosecond}
 
 	rep, err := pipeline.Run(c, "A", "B", pred, nil, pipeline.Options{
-		Logical:    logical.PlanOptions{Selectivity: 0.5},
-		Flight:     pm.Flight,
-		Postmortem: pm,
-		QueryLabel: "slow A join B",
+		Selectivity: 0.5,
+		Postmortem:  pm,
+		QueryLabel:  "slow A join B",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -417,7 +438,7 @@ func TestProfileHotUnits(t *testing.T) {
 	pred := join.Predicate{{Left: join.Term{Name: "v"}, Right: join.Term{Name: "w"}}}
 	c := newCluster(t, 3, a, b)
 	rep, err := pipeline.Run(c, "A", "B", pred, nil, pipeline.Options{
-		Logical: logical.PlanOptions{Selectivity: 0.5},
+		Selectivity: 0.5,
 	})
 	if err != nil {
 		t.Fatal(err)

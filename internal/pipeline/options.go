@@ -20,9 +20,10 @@ type Options struct {
 	// Planner assigns join units to nodes; defaults to the Minimum
 	// Bandwidth Heuristic.
 	Planner physical.Planner
-	// Logical tunes the logical plan enumeration (selectivity estimate,
-	// hash bucket count). Nodes is filled in from the cluster.
-	Logical logical.PlanOptions
+	// Selectivity is the caller's output-cardinality estimate for the
+	// logical planner (logical.PlanOptions.Selectivity). Zero derives one
+	// from catalog statistics.
+	Selectivity float64
 	// Scheduling selects the shuffle scheduler (default: greedy locks).
 	Scheduling simnet.Scheduling
 	// ForceAlgo restricts the logical planner to one join algorithm,
@@ -34,11 +35,6 @@ type Options struct {
 	// sequential execution, and n > 1 uses n workers. Output, join stats,
 	// and modeled times are bit-for-bit identical at every setting.
 	Parallelism int
-	// BatchSize is the row capacity of the data plane's columnar batches
-	// (and thus the granularity of its memory accounting and pull
-	// windows); 0 uses shuffle.DefaultBatchRows. Results are identical at
-	// every size, which the differential tests sweep.
-	BatchSize int
 	// MemoryBudget caps the bytes of mapped batch storage the query may
 	// hold in flight (8 bytes per stored coordinate and value; string
 	// contents live in the per-query intern dictionary). 0 means
@@ -84,14 +80,6 @@ type Options struct {
 	// QueryLabel identifies the query in profiles, progress trackers, and
 	// query logs (typically the AQL text or an experiment label).
 	QueryLabel string
-	// Flight overrides the flight recorder the query's events are
-	// recorded into. The recorder is ON by default: a nil Flight uses the
-	// process-wide flight.Default ring. Recording is telemetry only — it
-	// never feeds back into planning, execution, traces, or fingerprints
-	// — and costs zero allocations per event in steady state.
-	Flight *flight.Recorder
-	// FlightOff disables flight recording for this query entirely.
-	FlightOff bool
 	// Postmortem overrides the diagnostic-bundle sink. When a query
 	// panics, fails a strict budget/bounds check, errors, or breaches the
 	// sink's SlowQuery threshold, Execute captures a bundle (recent
@@ -118,18 +106,6 @@ type Gate interface {
 	// MemoryBytes is the batch-memory reservation admission carved for
 	// the query (0 when the scheduler has no memory pool).
 	MemoryBytes() int64
-}
-
-// flightRecorder resolves the query's flight recorder: FlightOff wins,
-// then the explicit override, then the process default ring.
-func (o *Options) flightRecorder() *flight.Recorder {
-	if o.FlightOff {
-		return nil
-	}
-	if o.Flight != nil {
-		return o.Flight
-	}
-	return flight.Default
 }
 
 // postmortem resolves the query's diagnostic-bundle sink (may be nil).

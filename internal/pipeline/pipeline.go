@@ -90,12 +90,19 @@ type QueryContext struct {
 
 	ctx context.Context // resolved Opt.Ctx; checked between stages and per unit
 
-	// Flight-recorder attachment (Execute; nil when recording is off).
-	// Events are telemetry only: the stage log records them from the
-	// Report and nothing reads them back, so recorded and unrecorded runs
-	// are bit-for-bit identical.
+	// Flight-recorder attachment (Execute): flight.Default, read once so
+	// every event of the query lands in the same ring. Events are
+	// telemetry only: the stage log records them from the Report and
+	// nothing reads them back, so recorded and unrecorded runs are
+	// bit-for-bit identical.
 	fr  *flight.Recorder
 	qid uint32
+
+	// batchRows is the row capacity of the data plane's columnar batches
+	// (SliceMap). Queries leave it 0, which uses shuffle.DefaultBatchRows;
+	// results are identical at every size, which the differential tests
+	// sweep by setting it.
+	batchRows int
 
 	// Stage-log state (beginStage/endStage): the live tracker Options.Hooks
 	// is handed, which also holds the query's start time, and the open
@@ -142,12 +149,13 @@ func NewQueryContext(c *cluster.Cluster, dl, dr *cluster.Distributed, pred join.
 	}
 }
 
-// Execute runs the stages in order, stopping at the first error. The
-// stage log (beginStage/endStage) brackets each stage; when the last one
-// has returned, publish hands the Report to the query's telemetry sinks.
+// Execute runs the stages in order, stopping at the first error. It
+// records the query's flight events into flight.Default. The stage log
+// (beginStage/endStage) brackets each stage; when the last one has
+// returned, publish hands the Report to the query's telemetry sinks.
 func Execute(qc *QueryContext, stages []Stage) error {
 	opt, rep := qc.Opt, qc.Report
-	qc.fr = opt.flightRecorder()
+	qc.fr = flight.Default
 	qc.qid = qc.fr.NextQID()
 	rep.Start = qc.prog.Start
 	if opt.Hooks != nil {

@@ -10,7 +10,6 @@ import (
 	"shufflejoin/internal/array"
 	"shufflejoin/internal/cluster"
 	"shufflejoin/internal/join"
-	"shufflejoin/internal/logical"
 	"shufflejoin/internal/physical"
 	"shufflejoin/internal/pipeline"
 	"shufflejoin/internal/plancache"
@@ -166,7 +165,7 @@ func TestPlanCacheSignatureSensitivity(t *testing.T) {
 	if signatureOf(4, 1.0, pipeline.Options{Planner: physical.TabuPlanner{}}) == base {
 		t.Error("planner choice not in the signature")
 	}
-	if signatureOf(4, 1.0, pipeline.Options{Logical: logical.PlanOptions{Selectivity: 0.5}}) == base {
+	if signatureOf(4, 1.0, pipeline.Options{Selectivity: 0.5}) == base {
 		t.Error("caller selectivity not in the signature")
 	}
 }

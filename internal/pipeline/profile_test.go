@@ -9,7 +9,6 @@ import (
 
 	"shufflejoin/internal/array"
 	"shufflejoin/internal/join"
-	"shufflejoin/internal/logical"
 	"shufflejoin/internal/pipeline"
 	"shufflejoin/internal/plancache"
 )
@@ -22,7 +21,7 @@ func profiledRun(t *testing.T, par int) *pipeline.Report {
 	pred := join.Predicate{{Left: join.Term{Name: "v"}, Right: join.Term{Name: "w"}}}
 	c := newCluster(t, 4, a, b)
 	rep, err := pipeline.Run(c, "A", "B", pred, out, pipeline.Options{
-		Logical:     logical.PlanOptions{Selectivity: 0.5},
+		Selectivity: 0.5,
 		Parallelism: par,
 		QueryLabel:  "A join B on v=w",
 	})
@@ -98,7 +97,7 @@ func TestStageWallsSumToWallTime(t *testing.T) {
 	for attempt := 0; attempt < 5; attempt++ {
 		c := newCluster(t, 4, a.Clone(), b.Clone())
 		rep, err := pipeline.Run(c, "A", "B", pred, nil, pipeline.Options{
-			Logical: logical.PlanOptions{Selectivity: 0.5},
+			Selectivity: 0.5,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -177,8 +176,8 @@ func TestProfileCacheOutcome(t *testing.T) {
 	c := newCluster(t, 4, a, b)
 	cache := plancache.New()
 	opts := pipeline.Options{
-		Logical: logical.PlanOptions{Selectivity: 0.5},
-		Cache:   cache,
+		Selectivity: 0.5,
+		Cache:       cache,
 	}
 	rep1, err := pipeline.Run(c, "A", "B", pred, out, opts)
 	if err != nil {

@@ -61,7 +61,7 @@ func TestCallerSelectivityWins(t *testing.T) {
 	c := newCluster(t, 2, a, b)
 	pred := join.Predicate{{Left: join.Term{Name: "i"}, Right: join.Term{Name: "i"}}}
 	rep, err := pipeline.Run(c, "A", "B", pred, nil, pipeline.Options{
-		Logical: logicalPlanOpts(7.5),
+		Selectivity: 7.5,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -130,12 +130,6 @@ func TestADJoinAllAlgorithms(t *testing.T) {
 	if want <= 0 {
 		t.Error("expected matches in A:D join")
 	}
-}
-
-// logicalPlanOpts builds PlanOptions with the given selectivity.
-func logicalPlanOpts(sel float64) (o logical.PlanOptions) {
-	o.Selectivity = sel
-	return o
 }
 
 func TestAccessorResolution(t *testing.T) {

@@ -9,7 +9,6 @@ import (
 	"shufflejoin/internal/array"
 	"shufflejoin/internal/cluster"
 	"shufflejoin/internal/join"
-	"shufflejoin/internal/logical"
 	"shufflejoin/internal/physical"
 	"shufflejoin/internal/pipeline"
 	"shufflejoin/internal/simnet"
@@ -63,8 +62,8 @@ func TestAAHashJoinCorrect(t *testing.T) {
 	pred := join.Predicate{{Left: join.Term{Name: "v"}, Right: join.Term{Name: "w"}}}
 	algo := join.Hash
 	rep, err := pipeline.Run(c, "A", "B", pred, out, pipeline.Options{
-		ForceAlgo: &algo,
-		Logical:   logical.PlanOptions{Selectivity: 0.5},
+		ForceAlgo:   &algo,
+		Selectivity: 0.5,
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)

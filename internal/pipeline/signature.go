@@ -36,8 +36,8 @@ func planSignature(qc *QueryContext) plancache.Signature {
 	if qc.Out != nil {
 		fmt.Fprintf(&b, "|out:%s", qc.Out)
 	}
-	fmt.Fprintf(&b, "|planner:%s|sel:%g|hb:%d|carryL:%v|carryR:%v", plannerKey(opt.Planner),
-		opt.Logical.Selectivity, opt.Logical.HashBuckets, opt.ExtraCarryLeft, opt.ExtraCarryRight)
+	fmt.Fprintf(&b, "|planner:%s|sel:%g|carryL:%v|carryR:%v", plannerKey(opt.Planner),
+		opt.Selectivity, opt.ExtraCarryLeft, opt.ExtraCarryRight)
 	if opt.ForceAlgo != nil {
 		fmt.Fprintf(&b, "|force:%v", *opt.ForceAlgo)
 	}

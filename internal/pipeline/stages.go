@@ -75,8 +75,7 @@ func (LogicalPlan) Run(qc *QueryContext) error {
 	if err != nil {
 		return err
 	}
-	lopt := opt.Logical
-	lopt.Nodes = c.K
+	lopt := logical.PlanOptions{Selectivity: opt.Selectivity, Nodes: c.K}
 	sa := logical.ArrayStats{Cells: qc.Left.Array.CellCount(), Chunks: int64(qc.Left.Array.ChunkCount())}
 	sb := logical.ArrayStats{Cells: qc.Right.Array.CellCount(), Chunks: int64(qc.Right.Array.ChunkCount())}
 	if lopt.Selectivity <= 0 {
@@ -129,7 +128,7 @@ func (SliceMap) Run(qc *QueryContext) error {
 	// charge/credit events carry the query id from the first batch.
 	qc.budget.SetFlight(qc.fr, qc.qid)
 	cfg := shuffle.StreamConfig{
-		BatchRows: opt.BatchSize,
+		BatchRows: qc.batchRows,
 		Intern:    batch.NewIntern(),
 		Budget:    qc.budget,
 	}

@@ -9,7 +9,6 @@ import (
 	"shufflejoin/internal/array"
 	"shufflejoin/internal/batch"
 	"shufflejoin/internal/join"
-	"shufflejoin/internal/logical"
 	"shufflejoin/internal/pipeline"
 )
 
@@ -45,17 +44,16 @@ func TestStreamingMatchesReference(t *testing.T) {
 	for _, tc := range cases {
 		for _, algo := range tc.algos {
 			algo := algo
-			opts := func(par, batchSize int) pipeline.Options {
+			opts := func(par int) pipeline.Options {
 				return pipeline.Options{
 					ForceAlgo:   &algo,
-					Logical:     logical.PlanOptions{Selectivity: 0.5},
+					Selectivity: 0.5,
 					Parallelism: par,
-					BatchSize:   batchSize,
 				}
 			}
 			// One reference run per shape and algorithm; every engine
 			// configuration must reproduce it exactly.
-			want, err := pipeline.RunReference(newCluster(t, 4, a.Clone(), b.Clone()), "A", "B", tc.pred, tc.out, opts(1, 0))
+			want, err := pipeline.RunReference(newCluster(t, 4, a.Clone(), b.Clone()), "A", "B", tc.pred, tc.out, opts(1))
 			if err != nil {
 				t.Fatalf("RunReference(%s, %v): %v", tc.name, algo, err)
 			}
@@ -67,7 +65,7 @@ func TestStreamingMatchesReference(t *testing.T) {
 				for _, par := range []int{1, 4, 0} {
 					name := fmt.Sprintf("%s/%v/batch=%d/par=%d", tc.name, algo, batchSize, par)
 					t.Run(name, func(t *testing.T) {
-						got, err := pipeline.Run(newCluster(t, 4, a.Clone(), b.Clone()), "A", "B", tc.pred, tc.out, opts(par, batchSize))
+						got, err := pipeline.RunBatchRows(newCluster(t, 4, a.Clone(), b.Clone()), "A", "B", tc.pred, tc.out, opts(par), batchSize)
 						if err != nil {
 							t.Fatalf("Run: %v", err)
 						}
@@ -129,11 +127,10 @@ func TestStreamingPeakDeterministic(t *testing.T) {
 	var wantPeak int64 = -1
 	for _, par := range []int{1, 4, 0} {
 		c := newCluster(t, 3, a.Clone(), b.Clone())
-		rep, err := pipeline.Run(c, "A", "B", pred, nil, pipeline.Options{
-			Logical:     logical.PlanOptions{Selectivity: 0.5},
+		rep, err := pipeline.RunBatchRows(c, "A", "B", pred, nil, pipeline.Options{
+			Selectivity: 0.5,
 			Parallelism: par,
-			BatchSize:   16,
-		})
+		}, 16)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,7 +155,7 @@ func TestMemoryBudgetCounted(t *testing.T) {
 	pred := join.Predicate{{Left: join.Term{Name: "v"}, Right: join.Term{Name: "w"}}}
 	c := newCluster(t, 3, a, b)
 	rep, err := pipeline.Run(c, "A", "B", pred, nil, pipeline.Options{
-		Logical:      logical.PlanOptions{Selectivity: 0.5},
+		Selectivity:  0.5,
 		MemoryBudget: 256,
 	})
 	if err != nil {
@@ -183,7 +180,7 @@ func TestMemoryBudgetStrict(t *testing.T) {
 	pred := join.Predicate{{Left: join.Term{Name: "v"}, Right: join.Term{Name: "w"}}}
 	c := newCluster(t, 3, a, b)
 	_, err := pipeline.Run(c, "A", "B", pred, nil, pipeline.Options{
-		Logical:      logical.PlanOptions{Selectivity: 0.5},
+		Selectivity:  0.5,
 		MemoryBudget: 256,
 		Strict:       true,
 	})
@@ -204,7 +201,7 @@ func TestStreamingFingerprintsPinned(t *testing.T) {
 	for i, par := range []int{1, 4, 0} {
 		c := newCluster(t, 3, a.Clone(), b.Clone())
 		rep, err := pipeline.Run(c, "A", "B", pred, nil, pipeline.Options{
-			Logical:     logical.PlanOptions{Selectivity: 0.5},
+			Selectivity: 0.5,
 			Parallelism: par,
 		})
 		if err != nil {

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"shufflejoin/internal/join"
-	"shufflejoin/internal/logical"
 	"shufflejoin/internal/obs"
 	"shufflejoin/internal/pipeline"
 	"shufflejoin/internal/plancache"
@@ -49,7 +48,7 @@ func TestFailedQueryKeepsTraceAndWall(t *testing.T) {
 		t.Fatal(err)
 	}
 	qc := pipeline.NewQueryContext(c, dl, dr, pred, nil, pipeline.Options{
-		Logical: logical.PlanOptions{Selectivity: 0.5},
+		Selectivity: 0.5,
 	})
 	stages := pipeline.DefaultStages()
 	stages[4] = failingCompare{}
@@ -189,9 +188,9 @@ func TestProgressFollowsStageLog(t *testing.T) {
 	c := newCluster(t, 4, a, b)
 	h := &pollingHooks{stop: make(chan struct{}), done: make(chan struct{})}
 	rep, err := pipeline.Run(c, "A", "B", pred, nil, pipeline.Options{
-		Logical:    logical.PlanOptions{Selectivity: 0.5},
-		Hooks:      h,
-		QueryLabel: "polled",
+		Selectivity: 0.5,
+		Hooks:       h,
+		QueryLabel:  "polled",
 	})
 	if err != nil {
 		t.Fatal(err)

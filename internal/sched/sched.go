@@ -84,9 +84,6 @@ type Config struct {
 	// Registry, when non-nil, receives the scheduler's gauges,
 	// counters, and admission-wait histograms (sched.* names).
 	Registry *obs.Registry
-	// Flight overrides the recorder admission events are recorded into;
-	// nil uses the process-wide flight.Default ring.
-	Flight *flight.Recorder
 }
 
 // waitBuckets spans admission waits from 100µs to ~100s.
@@ -103,7 +100,6 @@ var cost = [numClasses]int64{Interactive: 1, Scan: 3}
 // Scheduler admits queries. Construct with New; safe for concurrent use.
 type Scheduler struct {
 	cfg Config
-	fr  *flight.Recorder
 
 	mu       sync.Mutex
 	queues   [numClasses][]*waiter
@@ -141,10 +137,7 @@ func New(cfg Config) *Scheduler {
 	if cfg.MaxQueries <= 0 {
 		cfg.MaxQueries = runtime.GOMAXPROCS(0)
 	}
-	s := &Scheduler{cfg: cfg, fr: cfg.Flight}
-	if s.fr == nil {
-		s.fr = flight.Default
-	}
+	s := &Scheduler{cfg: cfg}
 	if reg := cfg.Registry; reg != nil {
 		for c := Class(0); c < numClasses; c++ {
 			s.mDepth[c] = reg.Gauge("sched.queue_depth." + c.String())
@@ -205,7 +198,7 @@ func (s *Scheduler) Admit(ctx context.Context, class Class, declared int64, labe
 	s.queues[class] = append(s.queues[class], w)
 	depth := len(s.queues[class])
 	s.setDepthLocked(class)
-	s.fr.Record(flight.EvSchedQueue, 0, s.fr.Label(class.String()), int64(depth), s.memUsed, 0)
+	flight.Default.Record(flight.EvSchedQueue, 0, flight.Default.Label(class.String()), int64(depth), s.memUsed, 0)
 	// A slot may have freed between the fast-path check and the
 	// enqueue of a same-class predecessor; try to drain immediately.
 	s.grantNextLocked()
@@ -241,7 +234,7 @@ func (s *Scheduler) Admit(ctx context.Context, class Class, declared int64, labe
 		s.mReject[class].Add(1)
 	}
 	wait := time.Since(w.since)
-	s.fr.Record(flight.EvSchedReject, 0, s.fr.Label(class.String()), int64(wait), s.fr.Label("context"), 0)
+	flight.Default.Record(flight.EvSchedReject, 0, flight.Default.Label(class.String()), int64(wait), flight.Default.Label("context"), 0)
 	// Removing a head-of-line waiter may unblock a smaller one behind it.
 	s.grantNextLocked()
 	s.mu.Unlock()
@@ -340,7 +333,7 @@ func (s *Scheduler) grantLocked(c Class, bytes int64, waited time.Duration) *Tic
 	if s.mMem != nil {
 		s.mMem.Set(float64(s.memUsed))
 	}
-	s.fr.Record(flight.EvSchedAdmit, 0, s.fr.Label(c.String()), int64(waited), int64(s.inflight), 0)
+	flight.Default.Record(flight.EvSchedAdmit, 0, flight.Default.Label(c.String()), int64(waited), int64(s.inflight), 0)
 	return &Ticket{s: s, class: c, bytes: bytes}
 }
 

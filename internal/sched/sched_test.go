@@ -14,7 +14,7 @@ import (
 // TestAdmissionCap pins that at most MaxQueries tickets are outstanding
 // at once and that released slots admit queued work.
 func TestAdmissionCap(t *testing.T) {
-	s := New(Config{MaxQueries: 2, Flight: flight.New(64)})
+	s := New(Config{MaxQueries: 2})
 	ctx := context.Background()
 
 	t1, err := s.Admit(ctx, Interactive, 0, "q1")
@@ -57,7 +57,7 @@ func TestAdmissionCap(t *testing.T) {
 // TestMemoryQueuing pins that a query whose reservation does not fit the
 // pool queues (not fails) and runs once memory frees.
 func TestMemoryQueuing(t *testing.T) {
-	s := New(Config{MaxQueries: 8, PoolBytes: 1000, Flight: flight.New(64)})
+	s := New(Config{MaxQueries: 8, PoolBytes: 1000})
 	ctx := context.Background()
 
 	big, err := s.Admit(ctx, Scan, 800, "big")
@@ -95,7 +95,7 @@ func TestMemoryQueuing(t *testing.T) {
 // TestReservationClamp pins that a declared budget larger than the pool
 // is clamped so the query can ever be admitted.
 func TestReservationClamp(t *testing.T) {
-	s := New(Config{MaxQueries: 2, PoolBytes: 1000, Flight: flight.New(64)})
+	s := New(Config{MaxQueries: 2, PoolBytes: 1000})
 	tk, err := s.Admit(context.Background(), Scan, 1<<40, "huge")
 	if err != nil {
 		t.Fatal(err)
@@ -108,7 +108,7 @@ func TestReservationClamp(t *testing.T) {
 
 // TestDefaultReservation pins the PoolBytes/MaxQueries default carve.
 func TestDefaultReservation(t *testing.T) {
-	s := New(Config{MaxQueries: 4, PoolBytes: 1000, Flight: flight.New(64)})
+	s := New(Config{MaxQueries: 4, PoolBytes: 1000})
 	tk, err := s.Admit(context.Background(), Interactive, 0, "q")
 	if err != nil {
 		t.Fatal(err)
@@ -184,7 +184,7 @@ func maxRun(granted []Class) int {
 // class ever gets more than three grants in a row — the reason the
 // scheduler needs no starvation bound.
 func TestWeightedFairness(t *testing.T) {
-	s := New(Config{MaxQueries: 1, Flight: flight.New(64)})
+	s := New(Config{MaxQueries: 1})
 	hold, err := s.Admit(context.Background(), Interactive, 0, "hold")
 	if err != nil {
 		t.Fatal(err)
@@ -210,7 +210,7 @@ func TestWeightedFairness(t *testing.T) {
 // from that point instead of paying the idle class back in a burst.
 func TestIdleClassHoardsNoCredit(t *testing.T) {
 	t.Run("idle", func(t *testing.T) {
-		s := New(Config{MaxQueries: 1, Flight: flight.New(256)})
+		s := New(Config{MaxQueries: 1})
 		ctx := context.Background()
 		for i := 0; i < 30; i++ {
 			tk, err := s.Admit(ctx, Interactive, 0, "alone")
@@ -239,7 +239,7 @@ func TestIdleClassHoardsNoCredit(t *testing.T) {
 		// A 900-byte scan cannot fit beside the 200-byte holder, so
 		// interactive queries are admitted past it; once the holder
 		// leaves, the scan is due its share, not a refund.
-		s := New(Config{MaxQueries: 2, PoolBytes: 1000, Flight: flight.New(256)})
+		s := New(Config{MaxQueries: 2, PoolBytes: 1000})
 		ctx := context.Background()
 		big, err := s.Admit(ctx, Scan, 200, "big")
 		if err != nil {
@@ -283,7 +283,7 @@ func TestIdleClassHoardsNoCredit(t *testing.T) {
 // cancellation, is removed from the queue, and does not leak resources
 // even when the cancellation races an in-flight grant.
 func TestCancelWhileQueued(t *testing.T) {
-	s := New(Config{MaxQueries: 1, Flight: flight.New(64)})
+	s := New(Config{MaxQueries: 1})
 	bg := context.Background()
 	hold, err := s.Admit(bg, Interactive, 0, "hold")
 	if err != nil {
@@ -345,7 +345,7 @@ func TestCancelWhileQueued(t *testing.T) {
 // TestPreCanceledContext pins that Admit fails fast on an already-done
 // context without touching the queues.
 func TestPreCanceledContext(t *testing.T) {
-	s := New(Config{MaxQueries: 1, Flight: flight.New(64)})
+	s := New(Config{MaxQueries: 1})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := s.Admit(ctx, Scan, 0, "q"); err != context.Canceled {
@@ -355,7 +355,7 @@ func TestPreCanceledContext(t *testing.T) {
 
 // TestDoneIdempotent pins that double-Done releases once.
 func TestDoneIdempotent(t *testing.T) {
-	s := New(Config{MaxQueries: 2, PoolBytes: 100, Flight: flight.New(64)})
+	s := New(Config{MaxQueries: 2, PoolBytes: 100})
 	tk, err := s.Admit(context.Background(), Interactive, 50, "q")
 	if err != nil {
 		t.Fatal(err)
@@ -372,8 +372,9 @@ func TestDoneIdempotent(t *testing.T) {
 // surfaces of admission.
 func TestMetricsAndFlight(t *testing.T) {
 	reg := obs.NewRegistry()
-	fr := flight.New(128)
-	s := New(Config{MaxQueries: 1, Registry: reg, Flight: fr})
+	s := New(Config{MaxQueries: 1, Registry: reg})
+	fr := flight.Default
+	mark := fr.Stats().Recorded
 	ctx := context.Background()
 	t1, err := s.Admit(ctx, Interactive, 0, "a")
 	if err != nil {
@@ -404,6 +405,9 @@ func TestMetricsAndFlight(t *testing.T) {
 
 	var sawQueue, sawAdmit bool
 	for _, e := range fr.Snapshot(0) {
+		if e.Seq < mark {
+			continue
+		}
 		switch e.Type {
 		case flight.EvSchedQueue:
 			sawQueue = true
@@ -436,7 +440,7 @@ func TestParseClass(t *testing.T) {
 // the race detector and pins conservation: admitted == completed, no
 // slot or memory leak.
 func TestConcurrentChurn(t *testing.T) {
-	s := New(Config{MaxQueries: 4, PoolBytes: 1 << 20, Flight: flight.New(256)})
+	s := New(Config{MaxQueries: 4, PoolBytes: 1 << 20})
 	ctx := context.Background()
 	var completed atomic.Int64
 	var wg sync.WaitGroup

@@ -24,6 +24,8 @@ type Profile = pipeline.Profile
 //	/metrics         — cumulative metrics, Prometheus text format
 //	/debug/queries   — ring-buffer query log with profiles
 //	/debug/inflight  — per-stage progress of running queries
+//	/debug/flight    — recent events of the process-wide flight ring,
+//	                   which every query records into
 //
 // Create one with DB.NewObsHub, attach it to queries with WithQueryLog,
 // and expose it with Serve (or mount Handler on an existing mux).
@@ -36,16 +38,12 @@ type ObsConfig struct {
 	// SlowQuery marks log entries at or above the threshold as slow;
 	// zero disables slow marking.
 	SlowQuery time.Duration
-	// Flight is the flight recorder the hub dumps on /debug/flight; nil
-	// uses the process-wide default ring (the one queries record into
-	// unless overridden).
-	Flight *FlightRecorder
 	// Status annotates /debug/status with deployment identification
 	// (component name plus free-form details).
 	Status StatusInfo
 	// Scheduler, when non-nil, annotates /debug/inflight and
 	// /debug/status with the query scheduler's live admission state
-	// (queue depths per class, memory-pool usage, free stage slots).
+	// (queue depths per class, memory-pool usage).
 	Scheduler *Scheduler
 }
 
@@ -58,7 +56,6 @@ func (db *DB) NewObsHub(cfg ObsConfig) *ObsHub {
 		Registry:         db.metrics,
 		QueryLogCapacity: cfg.QueryLogCapacity,
 		SlowQuery:        cfg.SlowQuery,
-		Flight:           cfg.Flight,
 		Status:           cfg.Status,
 		Sched:            cfg.Scheduler,
 	})
@@ -77,20 +74,6 @@ func WithQueryLog(hub *ObsHub) QueryOption {
 	}
 }
 
-// FlightRecorder is the engine's always-on flight recorder: a lock-free
-// fixed-capacity ring of compact structured events (query lifecycle,
-// stage boundaries, plan-cache outcomes, memory-budget traffic, shuffle
-// congestion, admission) recorded from every layer of the engine at zero
-// allocations per event. Every query records into the process-wide
-// default ring unless WithFlightRecorder pins another one or
-// WithoutFlightRecorder opts out. Recording is telemetry only — it never
-// feeds back into planning or execution, and recorded runs are
-// bit-for-bit identical to unrecorded ones.
-type FlightRecorder = flight.Recorder
-
-// FlightStats is a recorder's capacity / recorded-event counters.
-type FlightStats = flight.Stats
-
 // Postmortem is a diagnostic-bundle sink: when a query panics, fails a
 // strict budget/bounds check, errors, or breaches the sink's SlowQuery
 // threshold, the engine writes a directory of evidence (recent flight
@@ -103,34 +86,6 @@ type Postmortem = flight.Postmortem
 
 // StatusInfo is the deployment identification served on /debug/status.
 type StatusInfo = obshttp.StatusInfo
-
-// NewFlightRecorder creates a standalone flight recorder ring holding up
-// to capacity events (rounded up to a power of two; <= 0 uses the
-// default capacity). Use it to isolate one query's events from the
-// process-wide ring.
-func NewFlightRecorder(capacity int) *FlightRecorder { return flight.New(capacity) }
-
-// WithFlightRecorder records the query's flight events into fr instead
-// of the process-wide default ring.
-func WithFlightRecorder(fr *FlightRecorder) QueryOption {
-	return func(c *queryConfig) error {
-		if fr == nil {
-			return fmt.Errorf("shufflejoin: WithFlightRecorder needs a non-nil recorder (use NewFlightRecorder)")
-		}
-		c.flight = fr
-		return nil
-	}
-}
-
-// WithoutFlightRecorder disables flight recording for the query. The
-// recorder is otherwise always on; the knob exists for overhead
-// measurements and equivalence tests.
-func WithoutFlightRecorder() QueryOption {
-	return func(c *queryConfig) error {
-		c.flightOff = true
-		return nil
-	}
-}
 
 // WithPostmortem attaches a diagnostic-bundle sink to the query: a
 // panic, strict budget/bounds failure, query error, or (when

@@ -1,6 +1,7 @@
 package shufflejoin
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -9,54 +10,72 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"shufflejoin/internal/flight"
 )
 
 const obsQ = "SELECT A.v, B.w FROM A, B WHERE A.i = B.i"
 
-func TestWithFlightRecorderFacade(t *testing.T) {
+// flightTrail decodes a flight JSON dump (a bundle's flight.json or a
+// /debug/flight body) and returns the events from sequence number mark
+// on.
+func flightTrail(t *testing.T, data []byte, mark uint64) []flight.DecodedEvent {
+	t.Helper()
+	var dump struct {
+		Events []flight.DecodedEvent `json:"events"`
+	}
+	if err := json.Unmarshal(data, &dump); err != nil {
+		t.Fatalf("flight dump: %v", err)
+	}
+	var out []flight.DecodedEvent
+	for _, e := range dump.Events {
+		if e.Seq >= mark {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// hasEvent reports whether evs holds an event of type typ whose query
+// argument, when it has one, is q.
+func hasEvent(evs []flight.DecodedEvent, typ, q string) bool {
+	for _, e := range evs {
+		if e.Type != typ {
+			continue
+		}
+		if got, ok := e.Args["query"]; ok && got != q {
+			continue
+		}
+		return true
+	}
+	return false
+}
+
+// TestQueryRecordsIntoDefaultRing: a query with no telemetry options
+// records its lifecycle into the process-wide ring.
+func TestQueryRecordsIntoDefaultRing(t *testing.T) {
 	db := obsDB(t)
-	fr := NewFlightRecorder(512)
-	res, err := db.Query(obsQ, WithFlightRecorder(fr))
-	if err != nil {
+	mark := flight.Default.Stats().Recorded
+	if _, err := db.Query(obsQ); err != nil {
 		t.Fatal(err)
 	}
-	st := fr.Stats()
-	if st.Recorded == 0 {
-		t.Fatal("query recorded no flight events into the pinned recorder")
-	}
-	if st.Capacity != 512 {
-		t.Errorf("capacity = %d, want 512", st.Capacity)
-	}
-
-	// Recording is telemetry only: the same query without a recorder
-	// produces an identical result and profile fingerprint.
-	db2 := obsDB(t)
-	off, err := db2.Query(obsQ, WithoutFlightRecorder())
-	if err != nil {
+	var buf bytes.Buffer
+	if err := flight.Default.WriteJSON(&buf, 0); err != nil {
 		t.Fatal(err)
 	}
-	if off.Matches != res.Matches {
-		t.Errorf("recorded run diverges: matches %d vs %d", res.Matches, off.Matches)
-	}
-	if got, want := res.Profile().Fingerprint(), off.Profile().Fingerprint(); got != want {
-		t.Errorf("recorded profile fingerprint diverges:\n--- recorded ---\n%s\n--- off ---\n%s", got, want)
-	}
-
-	if err := func() error {
-		_, err := db.Query(obsQ, WithFlightRecorder(nil))
-		return err
-	}(); err == nil {
-		t.Error("WithFlightRecorder(nil) accepted")
+	evs := flightTrail(t, buf.Bytes(), mark)
+	for _, typ := range []string{"query-start", "stage-start", "align-done", "query-finish"} {
+		if !hasEvent(evs, typ, obsQ) {
+			t.Errorf("flight.Default holds no %s for the query", typ)
+		}
 	}
 }
 
 func TestWithPostmortemFacade(t *testing.T) {
 	db := obsDB(t)
 	dir := t.TempDir()
-	pm := &Postmortem{Dir: dir, Flight: NewFlightRecorder(256)}
 	_, err := db.Query(obsQ,
-		WithFlightRecorder(pm.Flight),
-		WithPostmortem(pm),
+		WithPostmortem(&Postmortem{Dir: dir}),
 		WithMemoryBudget(256), WithStrict())
 	if err == nil {
 		t.Fatal("strict 256-byte budget did not fail the query")
@@ -115,16 +134,14 @@ func TestDBPostmortemOnDemand(t *testing.T) {
 	}
 }
 
-// TestObsHubFlightStatus: the facade hub serves the new debug surfaces
-// with the recorder the query wrote into.
+// TestObsHubFlightStatus: the facade hub serves the debug surfaces, and
+// /debug/flight the ring the query wrote into.
 func TestObsHubFlightStatus(t *testing.T) {
 	db := obsDB(t)
-	fr := NewFlightRecorder(512)
 	hub := db.NewObsHub(ObsConfig{
-		Flight: fr,
 		Status: StatusInfo{Component: "facade-test", Details: map[string]string{"env": "ci"}},
 	})
-	if _, err := db.Query(obsQ, WithQueryLog(hub), WithFlightRecorder(fr)); err != nil {
+	if _, err := db.Query(obsQ, WithQueryLog(hub)); err != nil {
 		t.Fatal(err)
 	}
 	srv := httptest.NewServer(hub.Handler())
@@ -159,5 +176,45 @@ func TestObsHubFlightStatus(t *testing.T) {
 		if !strings.Contains(fl, want) {
 			t.Errorf("/debug/flight missing %s", want)
 		}
+	}
+}
+
+// TestFailedQueryTrailInBundleAndHub: with no recorder configured
+// anywhere, a strict-budget failure's trail is in one ring, so its
+// bundle's flight.json and the hub's /debug/flight both hold the query's
+// query-start.
+func TestFailedQueryTrailInBundleAndHub(t *testing.T) {
+	db := obsDB(t)
+	hub := db.NewObsHub(ObsConfig{})
+	dir := t.TempDir()
+	mark := flight.Default.Stats().Recorded
+	_, err := db.Query(obsQ, WithQueryLog(hub), WithPostmortem(&Postmortem{Dir: dir}),
+		WithMemoryBudget(256), WithStrict())
+	if err == nil {
+		t.Fatal("strict 256-byte budget did not fail the query")
+	}
+
+	bundles, globErr := filepath.Glob(filepath.Join(dir, "pm-*"))
+	if globErr != nil || len(bundles) != 1 {
+		t.Fatalf("bundles = %v (err %v), want exactly 1", bundles, globErr)
+	}
+	data, err := os.ReadFile(filepath.Join(bundles[0], "flight.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if evs := flightTrail(t, data, mark); !hasEvent(evs, "query-start", obsQ) || !hasEvent(evs, "budget-overflow", "") {
+		t.Errorf("bundle flight.json lacks the query's query-start or budget-overflow: %+v", evs)
+	}
+
+	srv := httptest.NewServer(hub.Handler())
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/debug/flight")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	if evs := flightTrail(t, body, mark); !hasEvent(evs, "query-start", obsQ) || !hasEvent(evs, "query-error", "") {
+		t.Errorf("/debug/flight lacks the query's query-start or query-error: %+v", evs)
 	}
 }

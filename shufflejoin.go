@@ -35,7 +35,6 @@ import (
 	"shufflejoin/internal/array"
 	"shufflejoin/internal/cluster"
 	"shufflejoin/internal/flight"
-	"shufflejoin/internal/logical"
 	"shufflejoin/internal/obs"
 	"shufflejoin/internal/par"
 	"shufflejoin/internal/physical"
@@ -257,8 +256,6 @@ type queryConfig struct {
 	cache       *plancache.Cache
 	greedyEps   float64 // > 0: plan with physical.GreedyPlanner, falling back to planner
 	hooks       pipeline.QueryHooks
-	flight      *flight.Recorder
-	flightOff   bool
 	postmortem  *flight.Postmortem
 	ctx         context.Context // nil = Background
 	timeout     time.Duration   // 0 = none
@@ -505,12 +502,10 @@ func (db *DB) Query(q string, opts ...QueryOption) (*Result, error) {
 		Parallelism:  cfg.parallelism,
 		Strict:       cfg.strict,
 		MemoryBudget: cfg.memBudget,
-		Logical:      logical.PlanOptions{Selectivity: cfg.selectivity},
+		Selectivity:  cfg.selectivity,
 		Cache:        cfg.cache,
 		Hooks:        cfg.hooks,
 		QueryLabel:   q,
-		Flight:       cfg.flight,
-		FlightOff:    cfg.flightOff,
 		Postmortem:   cfg.postmortem,
 	}
 	if cfg.forceAlgo != "" {
@@ -572,8 +567,8 @@ func (db *DB) Explain(q string, opts ...QueryOption) (*Explanation, error) {
 		return nil, err
 	}
 	eo := pipeline.Options{
-		Planner: cfg.planner,
-		Logical: logical.PlanOptions{Selectivity: cfg.selectivity},
+		Planner:     cfg.planner,
+		Selectivity: cfg.selectivity,
 	}
 	ex, err := aql.Explain(db.snapshot(parsed.From), q, eo)
 	if err != nil {
@@ -639,6 +634,8 @@ type ReorgReport struct {
 }
 
 // JoinOrderStep is one planned step of a multi-way join preview.
+// EstimatedCells is the estimate that chose the step: both inputs' cells
+// plus the estimated output cells.
 type JoinOrderStep struct {
 	Left, Right    string
 	EstimatedCells float64

@@ -410,7 +410,8 @@ func TestNodeCostsSumConsistentWithEvaluate(t *testing.T) {
 	pr := randProblem(rng, 20, 4, join.Merge)
 	a := CenterOfGravity(pr)
 	bd := pr.Evaluate(a)
-	costs := newEvaluator(pr, a).nodeCosts()
+	costs := make([]float64, pr.K)
+	newEvaluator(pr, a).nodeCosts(costs)
 	var maxNode float64
 	for _, c := range costs {
 		if c > maxNode {

@@ -199,12 +199,13 @@ func PredictedRegret(pr *Problem, total float64) float64 {
 // plans, keeping the search polynomial and loop-free).
 //
 // Moves are selected best-improvement: every candidate (unit, node) move
-// off the overloaded node is costed with an O(k) what-if, and the winner
-// is chosen by the deterministic (cost, unit, node) tie-break. The
-// neighborhood evaluation is sharded over Workers goroutines; because the
-// winning move depends only on the candidate costs — not on evaluation
-// order — the search trajectory, final assignment, and cost are bit-for-bit
-// identical at every Workers setting.
+// off the overloaded node is costed with an O(1) what-if read from the
+// evaluator's top-3 caches, and the winner is chosen by the deterministic
+// (cost, unit, node) tie-break. The neighborhood evaluation is sharded
+// over Workers goroutines; the caches are only read during the scan, and
+// because the winning move depends only on the candidate costs — not on
+// evaluation order — the search trajectory, final assignment, and cost are
+// bit-for-bit identical at every Workers setting.
 type TabuPlanner struct {
 	// MaxRounds caps the outer rebalancing loop as a safety net; zero
 	// means no cap beyond the tabu list's natural exhaustion.
@@ -234,14 +235,15 @@ func (t TabuPlanner) Plan(pr *Problem) (Result, error) {
 	}
 
 	ev := newEvaluator(pr, a)
-	var stats SearchStats
-	for {
+	var (
+		stats SearchStats
+		buf   tabuBuffers
+	)
+	costs := make([]float64, pr.K)
+	for t.MaxRounds <= 0 || stats.TabuRounds < t.MaxRounds {
 		stats.TabuRounds++
-		if t.MaxRounds > 0 && stats.TabuRounds > t.MaxRounds {
-			break
-		}
 		changed := false
-		costs := ev.nodeCosts()
+		ev.nodeCosts(costs)
 		mean := 0.0
 		for _, c := range costs {
 			mean += c
@@ -251,9 +253,9 @@ func (t TabuPlanner) Plan(pr *Problem) (Result, error) {
 			if costs[n] <= mean {
 				continue
 			}
-			if t.rebalanceNode(pr, a, n, tabu, ev, &stats) {
+			if t.rebalanceNode(pr, a, n, tabu, ev, &stats, &buf) {
 				changed = true
-				costs = ev.nodeCosts()
+				ev.nodeCosts(costs)
 			}
 		}
 		if !changed {
@@ -287,16 +289,22 @@ func (m tabuMove) better(o tabuMove) bool {
 	return m.node < o.node
 }
 
+// tabuBuffers are the candidate and per-worker winner slices one Plan
+// reuses across every rebalanceNode call, so no move regrows them.
+type tabuBuffers struct {
+	cands, winners []tabuMove
+}
+
 // rebalanceNode repeatedly applies the best cost-improving move of a unit
 // off node n to any non-tabu node (the what-if analysis of Algorithm 2)
-// until none improves. Each what-if is an O(k) read-only evaluation, so
-// the candidate neighborhood shards freely across workers; the applied
-// move is the deterministic minimum over all candidates.
-func (t TabuPlanner) rebalanceNode(pr *Problem, a Assignment, n int, tabu []bool, ev *evaluator, stats *SearchStats) bool {
-	workers := t.Workers
+// until none improves. Each what-if is an O(1) read of the evaluator's
+// top-3 caches, which nothing writes during the scan, so the candidate
+// neighborhood shards freely across workers; the applied move is the
+// deterministic minimum over all candidates.
+func (t TabuPlanner) rebalanceNode(pr *Problem, a Assignment, n int, tabu []bool, ev *evaluator, stats *SearchStats, buf *tabuBuffers) bool {
 	improved := false
 	for {
-		var cands []tabuMove
+		cands := buf.cands[:0]
 		for i := 0; i < pr.N; i++ {
 			if a[i] != n {
 				continue
@@ -308,32 +316,35 @@ func (t TabuPlanner) rebalanceNode(pr *Problem, a Assignment, n int, tabu []bool
 				cands = append(cands, tabuMove{unit: i, node: j})
 			}
 		}
+		buf.cands = cands
 		if len(cands) == 0 {
 			return improved
 		}
 		stats.TabuWhatIfs += int64(len(cands))
-		cur := ev.total()
-		none := tabuMove{cost: cur, unit: -1}
+		none := tabuMove{cost: ev.total(), unit: -1}
 		// Spawning goroutines only pays off on real neighborhoods.
-		w := workers
+		w := t.Workers
 		if w < 1 || len(cands) < 256 {
 			w = 1
 		}
-		winners := make([]tabuMove, w)
+		if cap(buf.winners) < w {
+			buf.winners = make([]tabuMove, w)
+		}
+		winners := buf.winners[:w]
 		for i := range winners {
 			winners[i] = none
 		}
-		par.ForChunks(len(cands), len(winners), func(lo, hi, wid int) {
-			best := none
-			for c := lo; c < hi; c++ {
-				cand := cands[c]
-				cand.cost = ev.whatIf(cand.unit, n, cand.node)
-				if cand.cost < cur && cand.better(best) {
-					best = cand
-				}
-			}
-			winners[wid] = best
-		})
+		if w == 1 {
+			// Inline, so the sequential scan allocates no closure.
+			winners[0] = ev.bestMove(cands, n, none)
+		} else {
+			// The closure captures copies it never reassigns, so the
+			// buffers themselves stay off the heap.
+			cs, ws := cands, winners
+			par.ForChunks(len(cs), w, func(lo, hi, wid int) {
+				ws[wid] = ev.bestMove(cs[lo:hi], n, none)
+			})
+		}
 		win := none
 		for _, m := range winners {
 			if m.unit >= 0 && m.better(win) {
@@ -351,13 +362,69 @@ func (t TabuPlanner) rebalanceNode(pr *Problem, a Assignment, n int, tabu []bool
 	}
 }
 
+// bestMove costs each candidate move of a unit off node from and returns
+// the best by the (cost, unit, node) tie-break among those cheaper than
+// none, the current plan's cost; none itself when no candidate is.
+func (ev *evaluator) bestMove(cands []tabuMove, from int, none tabuMove) tabuMove {
+	best := none
+	for _, cand := range cands {
+		cand.cost = ev.whatIf(cand.unit, from, cand.node)
+		if cand.cost < none.cost && cand.better(best) {
+			best = cand
+		}
+	}
+	return best
+}
+
+// top3 holds the three largest (value, node) pairs of a per-node
+// quantity, largest first; node -1 marks an empty slot (K < 3).
+type top3[T int64 | float64] [3]struct {
+	v    T
+	node int
+}
+
+func (t *top3[T]) reset() {
+	for p := range t {
+		t[p].node = -1
+	}
+}
+
+// add offers node's value; ties keep the earlier node ahead.
+func (t *top3[T]) add(v T, node int) {
+	for p := range t {
+		if t[p].node < 0 || v > t[p].v {
+			copy(t[p+1:], t[p:len(t)-1])
+			t[p].v, t[p].node = v, node
+			return
+		}
+	}
+}
+
+// without returns the largest value held by a node other than a and b,
+// or 0 when no such node exists. Two nodes are excluded at most, so the
+// third slot always answers once K >= 3.
+func (t *top3[T]) without(a, b int) T {
+	for _, e := range t {
+		if e.node >= 0 && e.node != a && e.node != b {
+			return e.v
+		}
+	}
+	return 0
+}
+
 // evaluator maintains per-node send/receive/comparison accumulators for a
-// live assignment so single-unit moves cost O(k) to evaluate.
+// live assignment, plus top-3 caches of each node's max(send, recv) and
+// comp, so a single-unit move's what-if costs O(1): the move changes only
+// its two nodes, and the largest unchanged value is the first cached entry
+// on neither. Only move writes the caches (an O(k) rebuild), so concurrent
+// what-ifs read them freely.
 type evaluator struct {
-	pr   *Problem
-	send []int64 // cells node j must transmit
-	recv []int64 // cells node j must receive
-	comp []float64
+	pr      *Problem
+	send    []int64 // cells node j must transmit
+	recv    []int64 // cells node j must receive
+	comp    []float64
+	topMove top3[int64] // max(send_j, recv_j)
+	topComp top3[float64]
 }
 
 func newEvaluator(pr *Problem, a Assignment) *evaluator {
@@ -368,14 +435,27 @@ func newEvaluator(pr *Problem, a Assignment) *evaluator {
 		comp: make([]float64, pr.K),
 	}
 	pr.accumulate(a, ev.send, ev.recv, ev.comp)
+	ev.rebuildTops()
 	return ev
+}
+
+// rebuildTops recomputes both top-3 caches from the accumulators.
+func (ev *evaluator) rebuildTops() {
+	ev.topMove.reset()
+	ev.topComp.reset()
+	for j := range ev.send {
+		ev.topMove.add(max(ev.send[j], ev.recv[j]), j)
+		ev.topComp.add(ev.comp[j], j)
+	}
 }
 
 // whatIf returns the Equation-8 plan cost after hypothetically moving
 // unit i from node from to node to, without mutating the evaluator — the
 // read-only form of move+total that concurrent neighborhood evaluation
-// requires. The arithmetic mirrors move/total exactly, so a what-if cost
-// equals the total that applying the move would produce, bit for bit.
+// requires. The arithmetic mirrors move/total exactly: both maxima start
+// from 0, and a max of finite values is the same in any order, so a
+// what-if cost equals the total that applying the move would produce, bit
+// for bit.
 func (ev *evaluator) whatIf(i, from, to int) float64 {
 	pr := ev.pr
 	sendFrom := ev.send[from] + pr.Sizes[i][from]
@@ -384,25 +464,8 @@ func (ev *evaluator) whatIf(i, from, to int) float64 {
 	recvTo := ev.recv[to] + (pr.UnitTotal[i] - pr.Sizes[i][to])
 	compFrom := ev.comp[from] - pr.Comp[i]
 	compTo := ev.comp[to] + pr.Comp[i]
-	var move int64
-	var maxComp float64
-	for j := 0; j < pr.K; j++ {
-		s, r, c := ev.send[j], ev.recv[j], ev.comp[j]
-		if j == from {
-			s, r, c = sendFrom, recvFrom, compFrom
-		} else if j == to {
-			s, r, c = sendTo, recvTo, compTo
-		}
-		if s > move {
-			move = s
-		}
-		if r > move {
-			move = r
-		}
-		if c > maxComp {
-			maxComp = c
-		}
-	}
+	move := max(0, ev.topMove.without(from, to), sendFrom, recvFrom, sendTo, recvTo)
+	maxComp := max(0, ev.topComp.without(from, to), compFrom, compTo)
 	return float64(move)*pr.Params.Transfer + maxComp
 }
 
@@ -417,6 +480,7 @@ func (ev *evaluator) move(i, from, to int) {
 	ev.recv[to] += pr.UnitTotal[i] - pr.Sizes[i][to]
 	ev.comp[from] -= pr.Comp[i]
 	ev.comp[to] += pr.Comp[i]
+	ev.rebuildTops()
 }
 
 // total computes the Equation-8 plan cost from the accumulators.
@@ -437,11 +501,10 @@ func (ev *evaluator) total() float64 {
 	return float64(move)*ev.pr.Params.Transfer + maxComp
 }
 
-// nodeCosts returns the per-node cost the Tabu search rebalances: each
-// node's own alignment plus comparison time (the model of Equations 5–7
-// evaluated for a single j rather than as a max).
-func (ev *evaluator) nodeCosts() []float64 {
-	out := make([]float64, ev.pr.K)
+// nodeCosts fills out (length k) with the per-node cost the Tabu search
+// rebalances: each node's own alignment plus comparison time (the model
+// of Equations 5–7 evaluated for a single j rather than as a max).
+func (ev *evaluator) nodeCosts(out []float64) {
 	for j := 0; j < ev.pr.K; j++ {
 		move := ev.send[j]
 		if ev.recv[j] > move {
@@ -449,7 +512,6 @@ func (ev *evaluator) nodeCosts() []float64 {
 		}
 		out[j] = float64(move)*ev.pr.Params.Transfer + ev.comp[j]
 	}
-	return out
 }
 
 // ILPPlanner seeks the optimal assignment with the branch-and-bound solver

@@ -16,6 +16,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"shufflejoin/internal/array"
 )
@@ -304,16 +305,24 @@ func writeString(w *bufio.Writer, s string) error {
 	return err
 }
 
+// readString reads a length-prefixed string into one allocation: the
+// builder's, which String hands over without the copy string([]byte)
+// would make.
 func readString(r *bytes.Reader) (string, error) {
 	n, err := readCount(r)
 	if err != nil {
 		return "", err
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return "", err
+	var b strings.Builder
+	b.Grow(n)
+	for ; n > 0; n-- {
+		c, err := r.ReadByte()
+		if err != nil {
+			return "", err
+		}
+		b.WriteByte(c)
 	}
-	return string(buf), nil
+	return b.String(), nil
 }
 
 // readCount reads the uvarint count of elements that follow and rejects

@@ -321,6 +321,43 @@ func TestCompatFiles(t *testing.T) {
 	}
 }
 
+// strSink keeps a read string alive, as a decoded array does.
+var strSink string
+
+// TestReadStringAllocatesOnce: a string read from a file costs one
+// allocation, its own bytes. compat_2d.sjar reads 160 strings: the schema
+// literal, 59 chunk keys and 100 one-byte cells. A []byte-then-copy
+// decode reads a one-byte string in one allocation too, but the other 60
+// at two apiece, so the ceiling sits halfway between the two decodes,
+// leaving room for Go versions to differ in map and schema allocations.
+func TestReadStringAllocatesOnce(t *testing.T) {
+	enc := binary.AppendUvarint(nil, 12)
+	enc = append(enc, "chunk(3, 14)"...)
+	r := bytes.NewReader(enc)
+	if n := testing.AllocsPerRun(100, func() {
+		r.Reset(enc)
+		var err error
+		if strSink, err = readString(r); err != nil || strSink != "chunk(3, 14)" {
+			t.Fatalf("readString = %q, %v", strSink, err)
+		}
+	}); n != 1 {
+		t.Errorf("readString = %v allocs, want 1", n)
+	}
+
+	raw, err := os.ReadFile(filepath.Join("testdata", "compat_2d.sjar"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const maxAllocs = 747 // measured 717 with Go 1.24; two per string is 777
+	if n := testing.AllocsPerRun(20, func() {
+		if _, err := ReadArray(bytes.NewReader(raw)); err != nil {
+			t.Fatal(err)
+		}
+	}); n > maxAllocs {
+		t.Errorf("ReadArray(compat_2d.sjar) = %v allocs, want at most %d", n, maxAllocs)
+	}
+}
+
 // TestReadArrayRejectsGridOverflow: a file whose schema has more chunk
 // positions than an int64 holds fails to decode.
 func TestReadArrayRejectsGridOverflow(t *testing.T) {

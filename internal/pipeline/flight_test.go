@@ -390,6 +390,71 @@ func TestPostmortemOnPanic(t *testing.T) {
 	}
 }
 
+// countingHooks counts the lifecycle calls a query makes and keeps what
+// QueryFinished was handed.
+type countingHooks struct {
+	started, finished int
+	err               error
+	final             pipeline.ProgressSnapshot
+}
+
+func (h *countingHooks) QueryStarted(*pipeline.Progress) { h.started++ }
+
+func (h *countingHooks) QueryFinished(p *pipeline.Progress, _ *pipeline.Report, err error) {
+	h.finished++
+	h.err = err
+	h.final = p.Snapshot()
+}
+
+// TestPanicFinishesQuery: a panicking stage still ends its query through
+// the hooks and the flight trail, so live views such as /debug/inflight
+// drop it, before the panic continues to the caller.
+func TestPanicFinishesQuery(t *testing.T) {
+	a := buildArray("A<v:int>[i=1,100,20]", 41, 40, 15)
+	b := buildArray("B<w:int>[j=1,100,20]", 42, 40, 15)
+	pred := join.Predicate{{Left: join.Term{Name: "v"}, Right: join.Term{Name: "w"}}}
+	c := newCluster(t, 2, a, b)
+	dl, err := c.Catalog.Lookup("A")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dr, err := c.Catalog.Lookup("B")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hooks := &countingHooks{}
+	qc := pipeline.NewQueryContext(c, dl, dr, pred, nil, pipeline.Options{Selectivity: 0.5, Hooks: hooks})
+	mark := flight.Default.Stats().Recorded
+
+	func() {
+		defer func() {
+			if r := recover(); r != "injected failure" {
+				t.Errorf("recovered %v, want the stage's panic value", r)
+			}
+		}()
+		pipeline.Execute(qc, []pipeline.Stage{pipeline.LogicalPlan{}, panicStage{}})
+	}()
+
+	if hooks.started != 1 || hooks.finished != 1 {
+		t.Fatalf("hooks: %d started, %d finished, want 1 and 1", hooks.started, hooks.finished)
+	}
+	if hooks.err == nil || !strings.Contains(hooks.err.Error(), "injected failure") {
+		t.Errorf("QueryFinished err = %v, want the panic", hooks.err)
+	}
+	if !hooks.final.Done || !hooks.final.Failed {
+		t.Errorf("final progress = %+v, want done and failed", hooks.final)
+	}
+	var queryError bool
+	for _, e := range eventsSince(mark) {
+		if e.Type == flight.EvQueryError && flight.Default.LabelName(e.Args[0]) == "panic-stage" {
+			queryError = true
+		}
+	}
+	if !queryError {
+		t.Error("no query-error flight event names the panicking stage")
+	}
+}
+
 // TestPostmortemOnSlowQuery: a query breaching the sink's SlowQuery
 // threshold ships a bundle even though it succeeded, and the bundle's
 // profile section alone rebuilds the live profile.

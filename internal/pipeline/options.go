@@ -212,11 +212,9 @@ type Report struct {
 	// otherwise (PhysicalPlan stage).
 	PlanRegret float64
 	// CacheOutcome records the plan cache's verdict for this query:
-	// "hit", "suppressed" (a hit obtained by waiting on a concurrent
-	// planner for the same signature — the singleflight path), "miss",
-	// or "revalidate-reject" (a signature hit whose stored assignment
-	// failed revalidation against fresh statistics). Empty when no
-	// cache was attached (LogicalPlan/PhysicalPlan stages).
+	// "hit", "miss", or "revalidate-reject" (a signature hit whose stored
+	// assignment failed revalidation against fresh statistics). Empty
+	// when no cache was attached (LogicalPlan/PhysicalPlan stages).
 	CacheOutcome string
 
 	// Stages is the stage log, in execution order: wall seconds

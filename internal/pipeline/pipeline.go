@@ -113,9 +113,8 @@ type QueryContext struct {
 	cacheBefore                string
 
 	// Plan-cache state (LogicalPlan stage, only when Opt.Cache is set).
-	sig      plancache.Signature // this query's cache signature
-	cached   *plancache.Entry    // hit awaiting revalidation in PhysicalPlan
-	planning *plancache.Planning // singleflight token; Finished after Store or on error
+	sig    plancache.Signature // this query's cache signature
+	cached *plancache.Entry    // hit awaiting revalidation in PhysicalPlan
 
 	// Stage products, in the order they are produced.
 	plan      *logical.Plan     // &Report.Logical: the chosen plan, once LogicalPlan has run
@@ -152,7 +151,8 @@ func NewQueryContext(c *cluster.Cluster, dl, dr *cluster.Distributed, pred join.
 // Execute runs the stages in order, stopping at the first error. It
 // records the query's flight events into flight.Default. The stage log
 // (beginStage/endStage) brackets each stage; when the last one has
-// returned, publish hands the Report to the query's telemetry sinks.
+// returned, or a stage has panicked, publish hands the Report to the
+// query's telemetry sinks. A panic then continues to the caller.
 func Execute(qc *QueryContext, stages []Stage) error {
 	opt, rep := qc.Opt, qc.Report
 	qc.fr = flight.Default
@@ -164,15 +164,11 @@ func Execute(qc *QueryContext, stages []Stage) error {
 	qc.fr.Record(flight.EvQueryStart, qc.qid, qc.fr.Label(rep.Query), 0, 0, 0)
 	defer func() {
 		if r := recover(); r != nil {
-			// A panicking stage still ships its own investigation: dump
-			// the flight trail and whatever the query had produced, then
-			// let the panic continue to the caller.
+			// A panicking stage ends its query as a failing one does. The
+			// stack is taken here, where the panicking frames are still
+			// on it.
 			rep.WallTime = time.Since(qc.prog.Start)
-			qc.capturePostmortem("panic", map[string]any{
-				"panic": fmt.Sprint(r),
-				"stage": rep.lastStage(),
-				"stack": string(debug.Stack()),
-			})
+			qc.publish(&stagePanic{value: r, stack: debug.Stack()})
 			panic(r)
 		}
 	}()
@@ -190,14 +186,19 @@ func Execute(qc *QueryContext, stages []Stage) error {
 			break
 		}
 	}
-	// Error exits can leave the singleflight token held mid-stage; retire
-	// it so concurrent planners for this signature do not stay blocked. A
-	// no-op on the success path (PhysicalPlan Finishes after Store).
-	qc.planning.Finish()
 	rep.WallTime = time.Since(qc.prog.Start)
 	qc.publish(execErr)
 	return execErr
 }
+
+// stagePanic is the error a panicking stage ends its query with. Its
+// postmortem bundle keeps the panic value and stack.
+type stagePanic struct {
+	value any
+	stack []byte
+}
+
+func (p *stagePanic) Error() string { return fmt.Sprintf("pipeline: panic: %v", p.value) }
 
 // publish is the one place a finished query's Report leaves Execute: the
 // closing flight events, a postmortem bundle when the outcome calls for
@@ -207,9 +208,19 @@ func (qc *QueryContext) publish(execErr error) {
 	opt, rep := qc.Opt, qc.Report
 	if execErr != nil {
 		qc.fr.Record(flight.EvQueryError, qc.qid, qc.fr.Label(rep.lastStage()), qc.fr.Label(execErr.Error()), 0, 0)
-		// Cancellation and timeouts are the caller's decision, not an
-		// engine failure — no diagnostic bundle for those.
-		if !errors.Is(execErr, context.Canceled) && !errors.Is(execErr, context.DeadlineExceeded) {
+		var sp *stagePanic
+		switch {
+		case errors.As(execErr, &sp):
+			// A panicking stage still ships its own investigation.
+			qc.capturePostmortem("panic", map[string]any{
+				"panic": fmt.Sprint(sp.value),
+				"stage": rep.lastStage(),
+				"stack": string(sp.stack),
+			})
+		case errors.Is(execErr, context.Canceled), errors.Is(execErr, context.DeadlineExceeded):
+			// Cancellation and timeouts are the caller's decision, not an
+			// engine failure — no diagnostic bundle for those.
+		default:
 			reason := "query-error"
 			switch {
 			case errors.Is(execErr, batch.ErrBudget):

@@ -30,20 +30,12 @@ func (LogicalPlan) Run(qc *QueryContext) error {
 	opt.normalize()
 	if opt.Cache != nil {
 		qc.sig = planSignature(qc)
-		// Singleflight lookup: concurrent misses on the same signature
-		// wait for the first query's plan instead of all planning. On a
-		// miss the returned Planning token is retired after Store (or by
-		// Execute's cleanup if the query dies first) so waiters wake.
-		e, outcome, planning, err := opt.Cache.BeginLookup(qc.ctx, qc.sig)
-		if err != nil {
-			return err
-		}
-		qc.planning = planning
-		qc.Report.CacheOutcome = outcome
-		if e != nil {
-			// Hit (direct or suppressed): replay the stored logical plan;
-			// the physical stage revalidates the assignment against fresh
-			// slice statistics.
+		// A miss plans below, and PhysicalPlan Stores the outcome.
+		qc.Report.CacheOutcome = "miss"
+		if e, ok := opt.Cache.Lookup(qc.sig); ok {
+			// Hit: replay the stored logical plan; the physical stage
+			// revalidates the assignment against fresh slice statistics.
+			qc.Report.CacheOutcome = "hit"
 			qc.cached = e
 			qc.Report.Candidates = []logical.Plan{e.Logical}
 			qc.Report.Logical = e.Logical
@@ -239,9 +231,6 @@ func planAssignment(qc *QueryContext, pr *physical.Problem) (physical.Result, er
 			Model:       pres.Model,
 			Source:      planSource(qc, pres),
 		})
-		// The entry is visible; wake singleflight waiters now so their
-		// suppressed hits overlap this query's remaining stages.
-		qc.planning.Finish()
 	}
 	return pres, nil
 }

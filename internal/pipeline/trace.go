@@ -28,12 +28,9 @@ func FoldMetrics(reg *obs.Registry, rep *Report, failed bool) {
 		switch st.Stage {
 		case LogicalPlan{}.Name():
 			switch rep.CacheOutcome {
-			case "hit", "suppressed", "revalidate-reject":
+			case "hit", "revalidate-reject":
 				// The plan was replayed from the cache, not made.
 				reg.Counter("plancache.hit").Add(1)
-				if rep.CacheOutcome == "suppressed" {
-					reg.Counter("plancache.suppressed").Add(1)
-				}
 				continue
 			case "miss":
 				reg.Counter("plancache.miss").Add(1)
@@ -172,7 +169,7 @@ func WriteChrome(w io.Writer, name string, reps ...*Report) error {
 			switch st.Stage {
 			case LogicalPlan{}.Name():
 				switch rep.CacheOutcome {
-				case "hit", "suppressed", "revalidate-reject":
+				case "hit", "revalidate-reject":
 					continue // the plan was replayed from the cache, not made
 				}
 				wall("plan.logical", map[string]any{

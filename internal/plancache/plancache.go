@@ -15,7 +15,6 @@
 package plancache
 
 import (
-	"context"
 	"sync"
 
 	"shufflejoin/internal/logical"
@@ -45,35 +44,25 @@ type Entry struct {
 // Stats are the cache's monotone counters, mirrored into internal/obs by
 // the pipeline integration.
 type Stats struct {
-	Hits       int64 // signature present
-	Misses     int64 // signature absent
-	Rejects    int64 // hit whose revalidation failed (drift past threshold)
-	Suppressed int64 // duplicate planning runs avoided by singleflight waits
+	Hits    int64 // signature present
+	Misses  int64 // signature absent
+	Rejects int64 // hit whose revalidation failed (drift past threshold)
 }
 
 // Cache is a concurrency-safe plan cache. The zero value is not usable;
 // call New. A nil *Cache is tolerated by every method and behaves as an
 // always-miss cache, so callers can thread an optional cache without
-// branching.
+// branching. Concurrent misses on one signature each plan, as uncached
+// queries would, and the last Store wins.
 type Cache struct {
-	mu       sync.Mutex
-	entries  map[Signature]*Entry
-	inflight map[Signature]*planCall
-	stats    Stats
-}
-
-// planCall is one in-progress planning run other queries with the same
-// signature wait on instead of planning themselves.
-type planCall struct {
-	done chan struct{}
+	mu      sync.Mutex
+	entries map[Signature]*Entry
+	stats   Stats
 }
 
 // New returns an empty plan cache.
 func New() *Cache {
-	return &Cache{
-		entries:  make(map[Signature]*Entry),
-		inflight: make(map[Signature]*planCall),
-	}
+	return &Cache{entries: make(map[Signature]*Entry)}
 }
 
 // Lookup returns the entry stored under sig, counting a hit or a miss.
@@ -91,83 +80,6 @@ func (c *Cache) Lookup(sig Signature) (*Entry, bool) {
 		c.stats.Misses++
 	}
 	return e, ok
-}
-
-// Planning is a singleflight token held by the one query planning a
-// signature. Finish must be called exactly once when the plan has been
-// Stored (or planning failed/was abandoned); it is idempotent and
-// nil-safe, so callers may defer it unconditionally.
-type Planning struct {
-	c    *Cache
-	sig  Signature
-	call *planCall
-	once sync.Once
-}
-
-// Finish ends the planning run: the signature's waiters wake and
-// re-check the cache. If the planner Stored its entry first, they all
-// hit; if it errored out, one waiter claims a fresh Planning token and
-// becomes the new planner.
-func (p *Planning) Finish() {
-	if p == nil {
-		return
-	}
-	p.once.Do(func() {
-		p.c.mu.Lock()
-		if p.c.inflight[p.sig] == p.call {
-			delete(p.c.inflight, p.sig)
-		}
-		p.c.mu.Unlock()
-		close(p.call.done)
-	})
-}
-
-// BeginLookup is Lookup with singleflight duplicate suppression for
-// concurrent misses: K queries missing on the same signature plan once
-// and share the entry, instead of all K planning and racing to Store.
-//
-// The outcome string is "hit" (entry present), "suppressed" (entry
-// present, obtained by waiting on a concurrent planner — counted in
-// Stats.Suppressed), or "miss" (this query must plan; the returned
-// Planning token is non-nil and must be Finished after Store, or on
-// error, so waiters wake). ctx bounds the wait; on cancellation the
-// error is returned with no entry and no token.
-func (c *Cache) BeginLookup(ctx context.Context, sig Signature) (*Entry, string, *Planning, error) {
-	if c == nil {
-		return nil, "miss", nil, nil
-	}
-	waited := false
-	for {
-		c.mu.Lock()
-		if e, ok := c.entries[sig]; ok {
-			c.stats.Hits++
-			outcome := "hit"
-			if waited {
-				c.stats.Suppressed++
-				outcome = "suppressed"
-			}
-			c.mu.Unlock()
-			return e, outcome, nil, nil
-		}
-		call, ok := c.inflight[sig]
-		if !ok {
-			call = &planCall{done: make(chan struct{})}
-			if c.inflight == nil {
-				c.inflight = make(map[Signature]*planCall)
-			}
-			c.inflight[sig] = call
-			c.stats.Misses++
-			c.mu.Unlock()
-			return nil, "miss", &Planning{c: c, sig: sig, call: call}, nil
-		}
-		c.mu.Unlock()
-		select {
-		case <-call.done:
-			waited = true
-		case <-ctx.Done():
-			return nil, "", nil, ctx.Err()
-		}
-	}
 }
 
 // Store records a planning outcome under sig, replacing any prior entry.
@@ -200,16 +112,6 @@ func (c *Cache) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.stats
-}
-
-// Len returns the number of cached plans.
-func (c *Cache) Len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
 }
 
 // MaxDrift is the revalidation threshold: a cached assignment

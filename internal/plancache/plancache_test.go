@@ -2,6 +2,7 @@ package plancache
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"shufflejoin/internal/join"
@@ -53,19 +54,60 @@ func TestCacheHitMissCounters(t *testing.T) {
 	if _, ok := c.Lookup("a"); ok {
 		t.Error("rejected entry not evicted")
 	}
-	if c.Len() != 0 {
-		t.Errorf("Len = %d after eviction", c.Len())
+}
+
+// TestConcurrentMissesLastStoreWins pins the miss contract: concurrent
+// misses on one signature neither block nor lose a count, each Stores its
+// own plan, and the signature then holds whichever Store came last.
+func TestConcurrentMissesLastStoreWins(t *testing.T) {
+	c := New()
+	const K = 8
+	stored := make([]*Entry, K)
+	var wg sync.WaitGroup
+	for i := 0; i < K; i++ {
+		stored[i] = &Entry{Source: "full"}
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if _, ok := c.Lookup("sig"); !ok {
+				c.Store("sig", stored[i])
+			}
+		}(i)
+	}
+	wg.Wait()
+	s := c.Stats()
+	if s.Hits+s.Misses != K || s.Misses < 1 {
+		t.Fatalf("Stats = %+v, want %d lookups with at least one miss", s, K)
+	}
+	e, ok := c.Lookup("sig")
+	if !ok {
+		t.Fatal("no entry after concurrent stores")
+	}
+	var found bool
+	for _, want := range stored {
+		found = found || e == want
+	}
+	if !found {
+		t.Fatal("entry is none of the stored plans")
+	}
+
+	last := &Entry{Source: "greedy"}
+	c.Store("sig", last)
+	if e, ok := c.Lookup("sig"); !ok || e != last {
+		t.Fatalf("Lookup after a later Store = %p, %v, want %p", e, ok, last)
 	}
 }
 
+// TestNilCacheIsAlwaysMiss pins the nil-cache tolerance contract: every
+// method is safe on a nil *Cache, which never hits and counts nothing.
 func TestNilCacheIsAlwaysMiss(t *testing.T) {
 	var c *Cache
 	c.Store("a", &Entry{})
-	if _, ok := c.Lookup("a"); ok {
-		t.Fatal("nil cache returned a hit")
+	if e, ok := c.Lookup("a"); ok || e != nil {
+		t.Fatalf("nil cache Lookup = %v, %v, want a miss", e, ok)
 	}
 	c.RecordReject("a")
-	if c.Stats() != (Stats{}) || c.Len() != 0 {
+	if c.Stats() != (Stats{}) {
 		t.Error("nil cache should have zero stats")
 	}
 }

@@ -106,8 +106,8 @@ func TestReferencesStayReferences(t *testing.T) {
 // that only tests call, each with the reason it stays. Name matching
 // passes a few more that only tests, or only the facade's type aliases,
 // use, because the engine selects a field or method of the same name:
-// array.Array.Cells and Get, shuffle.SliceSet.Sizes, plancache.Cache.Len,
-// and pipeline.Profile.WriteJSON and Fingerprint (public as
+// array.Array.Cells and Get, shuffle.SliceSet.Sizes, and
+// pipeline.Profile.WriteJSON and Fingerprint (public as
 // shufflejoin.Profile). They cannot be listed here.
 var testOnlyExports = map[string]string{
 	"join.Run":                    "differential reference the streaming joins are checked against",

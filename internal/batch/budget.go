@@ -25,10 +25,9 @@ var ErrBudget = errors.New("batch: query memory budget exceeded")
 // (batches are acquired as they seal) and monotonically non-increasing
 // while comparison retires join units (ReleaseUnit), so the peak equals
 // the total mapped bytes regardless of worker interleaving — Peak and
-// OverflowBytes are deterministic at every Parallelism setting and in
-// both overlapped and barrier modes. A nil *Budget is a valid no-op
-// accountant; Limit 0 means unlimited (counted mode never overflows,
-// strict mode never fails).
+// OverflowBytes are deterministic at every Parallelism setting. A nil
+// *Budget is a valid no-op accountant; Limit 0 means unlimited (counted
+// mode never overflows, strict mode never fails).
 type Budget struct {
 	limit  int64
 	strict bool

@@ -50,10 +50,10 @@ func cellsOf(a *array.Array) []cell {
 	return out
 }
 
-// TestOverlapDeterministicAcrossParallelism locks the overlapped
-// execution's determinism contract: identical fingerprints at Parallelism 1, 4,
-// and 0 (one worker per CPU).
-func TestOverlapDeterministicAcrossParallelism(t *testing.T) {
+// TestCompareDeterministicAcrossParallelism locks the Compare stage's
+// determinism contract: identical fingerprints at Parallelism 1, 4, and 0
+// (one worker per CPU).
+func TestCompareDeterministicAcrossParallelism(t *testing.T) {
 	a := buildArray("A<v:int>[i=1,300,30]", 11, 170, 25)
 	b := buildArray("B<w:int>[j=1,300,30]", 12, 150, 25)
 	out := array.MustParseSchema("T<i:int, j:int>[v=0,24,5]")

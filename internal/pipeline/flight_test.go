@@ -116,9 +116,7 @@ func TestFlightRecordingEquivalence(t *testing.T) {
 
 // alignEvents runs one recorded query and returns its Report and the
 // events the align stage left, from align-done up to and including the
-// stage's stage-finish. Budget credits are skipped: compare workers
-// overlap Align and retire units concurrently, so their credits can land
-// anywhere in that window.
+// stage's stage-finish.
 func alignEvents(t *testing.T, nodes int) (*pipeline.Report, []flight.Event) {
 	t.Helper()
 	a := buildArray("A<v:int>[i=1,300,30]", 21, 150, 25)
@@ -138,9 +136,6 @@ func alignEvents(t *testing.T, nodes int) (*pipeline.Report, []flight.Event) {
 		}
 		var out []flight.Event
 		for _, e := range evs[i:] {
-			if e.Type == flight.EvBudgetCredit {
-				continue
-			}
 			out = append(out, e)
 			if e.Type == flight.EvStageFinish {
 				if stage := flight.Default.LabelName(e.Args[0]); stage != "align" {

@@ -89,8 +89,8 @@ type Options struct {
 	// was installed — so postmortems are off unless configured.
 	Postmortem *flight.Postmortem
 	// Ctx, when non-nil, threads cancellation and deadlines through the
-	// query: Execute checks it between stages, and the compare runner
-	// checks it per join-unit dispatch, so a canceled query stops within
+	// query: Execute checks it between stages, and the Compare stage
+	// checks it before each join unit, so a canceled query stops within
 	// one stage/unit boundary and its error reports context.Canceled or
 	// context.DeadlineExceeded (wrapped, errors.Is-matchable). Nil means
 	// context.Background() — no cancellation.

@@ -11,32 +11,22 @@
 // is rendered from it. The AQL runner, the public facade, and both CLIs
 // all execute through Run / RunDistributed here. There is one data plane
 // (bounded columnar batch runs, pulled through pooled readers) and one
-// execution order (overlapped, below); Execute takes the stage list, and
-// that seam is where the tests substitute their barrier-order,
-// whole-unit reference executor (reference_test.go).
+// execution order (Align, then Compare, below); Execute takes the stage
+// list, and that seam is where the tests substitute their
+// materialized-tuple, whole-unit reference executor (reference_test.go).
 //
-// # Overlapped execution
+// # Align, then Compare
 //
-// The engine overlaps data alignment with cell comparison at join-unit
-// granularity: the Align stage subscribes to the network simulator's
-// per-transfer completion events (simnet.Config.OnComplete) and
-// dispatches a unit's comparison the moment its last inbound slice lands
-// — the paper's per-receiver write-lock model makes that point well
-// defined — instead of waiting for a global alignment barrier. Units
-// whose slices are already local are dispatched before the simulation
-// even starts.
+// The stages run strictly in order, so each stage's wall time is its own,
+// as in the paper's cost model (§3.4: planning + data alignment + cell
+// comparison). Align simulates the whole shuffle; only then does Compare
+// run the join units, on up to Parallelism workers. Output cells, modeled
+// times, and the rendered metrics and trace are bit-for-bit identical at
+// every Parallelism setting — and output cells, join statistics, and
+// modeled times match the tests' reference — because
 //
-// Overlap is a wall-clock optimization only; the modeled timeline is
-// unchanged (compare time is still stacked after the align makespan, as
-// in the paper's cost model). Output cells, modeled times, and the
-// rendered metrics and trace are bit-for-bit identical at every
-// Parallelism setting — and output cells, join statistics, and modeled
-// times match the tests' barrier-order reference — because
-//
-//  1. transfer completion order is deterministic in the discrete-event
-//     loop,
-//  2. each unit's results land in a pre-allocated per-unit slot, and
-//  3. all merging — cells, join stats, modeled seconds, synthetic row
+//  1. each unit's results land in a pre-allocated per-unit slot, and
+//  2. all merging — cells, join stats, modeled seconds, synthetic row
 //     numbering — happens on the orchestration goroutine in a fixed
 //     order: node ascending, unit assignment order, emit order.
 //
@@ -58,7 +48,6 @@ import (
 	"shufflejoin/internal/logical"
 	"shufflejoin/internal/plancache"
 	"shufflejoin/internal/shuffle"
-	"shufflejoin/internal/simnet"
 )
 
 // Stage is one phase of query execution. Stages run strictly in order on
@@ -122,10 +111,8 @@ type QueryContext struct {
 	rsl, rsr  *shuffle.RunSet   // SliceMap: per-side batch runs
 	budget    *batch.Budget     // SliceMap: per-query memory accountant
 	nodeUnits [][]int           // PhysicalPlan: units assigned to each node
-	transfers []simnet.Transfer // Align: the shuffle's network transfers
-	outArr    *array.Array      // Align: destination array (built pre-shuffle)
-	proj      *projector        // Align: output-cell projector
-	runner    *compareRunner    // Align: overlapped per-unit compare dispatcher
+	outArr    *array.Array      // Compare: destination array
+	proj      *projector        // Compare: output-cell projector
 	nodes     []nodeOut         // Compare: merged per-node compare products
 }
 

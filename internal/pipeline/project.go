@@ -56,8 +56,8 @@ type projector struct {
 }
 
 // forUnit returns a unit-local copy that numbers synthetic rows 0, 1, 2, …
-// Each join unit is projected independently (units finish in
-// shuffle-completion order); fold renumbers the rows to the destination
+// Each join unit is projected independently (workers run units in any
+// order); fold renumbers the rows to the destination
 // node's stride-k sequence (node, node+k, node+2k, … — disjoint across
 // nodes) when unit results are merged in deterministic order.
 func (p *projector) forUnit() *projector {

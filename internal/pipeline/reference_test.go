@@ -13,15 +13,16 @@ import (
 )
 
 // This file is the pipeline-level differential reference: the executor
-// the engine ran before the streaming data plane and overlapped
-// execution replaced it, kept test-only. It materializes every mapped
-// cell as a join.Tuple (shuffle.MapSideN), waits for the whole alignment
-// simulation, then compares node by node, unit by unit in assignment
-// order, assembling each unit whole (SliceSet.Assemble → SortTuples for
-// merge → join.Run) and numbering synthetic rows node, node+K, node+2K, …
+// the engine ran before the streaming data plane replaced it, kept
+// test-only. It materializes every mapped cell as a join.Tuple
+// (shuffle.MapSideN), simulates the whole alignment, then compares on
+// one goroutine node by node, unit by unit in assignment order,
+// assembling each unit whole (SliceSet.Assemble → SortTuples for merge →
+// join.Run) and numbering synthetic rows node, node+K, node+2K, …
 // directly. It shares no data-plane or ordering code with the production
-// stages — only the cost formulas, the projector, and the planners —
-// and plugs in through the seam Execute already has: the stage list.
+// stages — only the cost formulas, the output array and projector, and
+// the planners — and plugs in through the seam Execute already has: the
+// stage list.
 
 // RunReference is Run through ReferenceStages.
 func RunReference(c *cluster.Cluster, leftName, rightName string, pred join.Predicate, out *array.Schema, opt Options) (*Report, error) {
@@ -87,36 +88,23 @@ type refAlign struct{ *reference }
 func (refAlign) Name() string { return Align{}.Name() }
 
 func (r refAlign) Run(qc *QueryContext) error {
-	opt, rep := qc.Opt, qc.Report
-	var err error
-	if qc.outArr, err = newOutputArray(qc.plan.JS); err != nil {
-		return err
-	}
-	var attrFn func(l, r *join.Tuple) []array.Value
-	if opt.ProjectFactory != nil {
-		if attrFn, err = opt.ProjectFactory(qc.plan.JS); err != nil {
-			return err
-		}
-	}
-	if qc.proj, err = newProjector(qc.plan.JS, attrFn); err != nil {
-		return err
-	}
+	rep := qc.Report
+	var transfers []simnet.Transfer
 	for u := 0; u < qc.spec.NumUnits; u++ {
 		dest := rep.Physical.Assignment[u]
 		for node := 0; node < qc.Cluster.K; node++ {
 			cells := int64(len(r.ssl.Slice(u, node)) + len(r.ssr.Slice(u, node)))
 			if node != dest && cells > 0 {
-				qc.transfers = append(qc.transfers, simnet.Transfer{From: node, To: dest, Cells: cells, Tag: u})
+				transfers = append(transfers, simnet.Transfer{From: node, To: dest, Cells: cells, Tag: u})
 			}
 		}
 	}
-	// The global barrier: the whole shuffle is simulated before any
-	// unit is compared.
+	var err error
 	rep.Align, err = simnet.Simulate(simnet.Config{
 		Nodes:       qc.Cluster.K,
 		PerCellTime: params.Transfer,
-		Scheduling:  opt.Scheduling,
-	}, qc.transfers)
+		Scheduling:  qc.Opt.Scheduling,
+	}, transfers)
 	rep.AlignTime = rep.Align.Makespan
 	rep.LockWaitSeconds = rep.Align.LockWaitTime
 	return err
@@ -128,6 +116,9 @@ func (refCompare) Name() string { return Compare{}.Name() }
 
 func (r refCompare) Run(qc *QueryContext) error {
 	k, rep, algo := qc.Cluster.K, qc.Report, qc.plan.Algo
+	if err := qc.buildOutput(); err != nil {
+		return err
+	}
 	qc.nodes = make([]nodeOut, k)
 	rep.NodeCompareTime = make([]float64, k)
 	for node := 0; node < k; node++ {

@@ -5,11 +5,11 @@ import (
 	"sync"
 	"time"
 
-	"shufflejoin/internal/array"
 	"shufflejoin/internal/batch"
 	"shufflejoin/internal/cluster"
 	"shufflejoin/internal/join"
 	"shufflejoin/internal/logical"
+	"shufflejoin/internal/par"
 	"shufflejoin/internal/physical"
 	"shufflejoin/internal/plancache"
 	"shufflejoin/internal/shuffle"
@@ -237,10 +237,8 @@ func planAssignment(qc *QueryContext, pr *physical.Problem) (physical.Result, er
 
 // Align is the Section 3.4 data alignment stage: it derives the shuffle's
 // network transfers from the physical assignment and plays them through
-// the lock-scheduled discrete-event simulator. It also creates the
-// compare runner and dispatches each join unit's comparison the moment
-// the unit's last inbound slice lands (local-only units start before the
-// simulation does).
+// the lock-scheduled discrete-event simulator. No unit is compared until
+// the whole shuffle has been simulated.
 type Align struct{}
 
 func (Align) Name() string { return "align" }
@@ -253,67 +251,44 @@ func (Align) Name() string { return "align" }
 var simPool = sync.Pool{New: func() any { return new(simnet.Sim) }}
 
 func (Align) Run(qc *QueryContext) error {
-	c, opt := qc.Cluster, qc.Opt
-	rep := qc.Report
-
-	// The destination array and the output projector are built before the
-	// shuffle so matches can be projected as units land.
-	outArr, err := newOutputArray(qc.plan.JS)
-	if err != nil {
-		return err
-	}
-	var attrFn func(l, r *join.Tuple) []array.Value
-	if opt.ProjectFactory != nil {
-		attrFn, err = opt.ProjectFactory(qc.plan.JS)
-		if err != nil {
-			return err
-		}
-	}
-	proj, err := newProjector(qc.plan.JS, attrFn)
-	if err != nil {
-		return err
-	}
-	qc.outArr, qc.proj = outArr, proj
-
+	c, rep := qc.Cluster, qc.Report
+	var transfers []simnet.Transfer
 	for u := 0; u < qc.spec.NumUnits; u++ {
 		dest := rep.Physical.Assignment[u]
 		for node := 0; node < c.K; node++ {
 			cells := qc.rsl.Count(u, node) + qc.rsr.Count(u, node)
 			if node != dest && cells > 0 {
-				qc.transfers = append(qc.transfers, simnet.Transfer{From: node, To: dest, Cells: cells, Tag: u})
+				transfers = append(transfers, simnet.Transfer{From: node, To: dest, Cells: cells, Tag: u})
 			}
 		}
 	}
-
-	runner := newCompareRunner(qc)
 	cfg := simnet.Config{
 		Nodes:       c.K,
 		PerCellTime: params.Transfer,
-		Scheduling:  opt.Scheduling,
-		OnComplete:  runner.landed,
+		Scheduling:  qc.Opt.Scheduling,
 	}
 	sim := simPool.Get().(*simnet.Sim)
-	align, err := sim.Simulate(cfg, qc.transfers)
+	align, err := sim.Simulate(cfg, transfers)
 	// The Result aliases the pooled instance's buffers and the Report
 	// outlives this query, so detach it before releasing the simulator.
 	align = align.Clone()
 	simPool.Put(sim)
 	if err != nil {
-		runner.wait()
 		return err
 	}
-	qc.runner = runner
 	rep.Align = align
 	rep.AlignTime = align.Makespan
 	rep.LockWaitSeconds = align.LockWaitTime
 	return nil
 }
 
-// Compare is the Section 3.4 cell comparison stage. The per-unit work was
-// dispatched during Align; this stage waits for it and folds the per-unit
-// slots into per-node outputs. The per-node merge — join stats, modeled
-// seconds, skew — happens in ascending node order on the orchestration
-// goroutine, so the Report is identical at every Parallelism setting.
+// Compare is the Section 3.4 cell comparison stage. It builds the
+// destination array and the output projector, runs every join unit on up
+// to Parallelism workers, each unit into its own pre-allocated slot, and
+// folds the slots into per-node outputs. The per-node merge — cells, join
+// stats, modeled seconds, skew — happens in ascending node order on the
+// orchestration goroutine, so the Report is identical at every
+// Parallelism setting.
 type Compare struct{}
 
 func (Compare) Name() string { return "compare" }
@@ -321,9 +296,12 @@ func (Compare) Name() string { return "compare" }
 func (Compare) Run(qc *QueryContext) error {
 	rep := qc.Report
 	k := qc.Cluster.K
-
-	qc.runner.wait()
-	qc.nodes = qc.runner.fold()
+	if err := qc.buildOutput(); err != nil {
+		return err
+	}
+	results := make([]nodeOut, qc.spec.NumUnits)
+	par.ForEach(len(results), qc.Opt.workers(), func(u int) { qc.runUnit(u, &results[u]) })
+	qc.nodes = qc.fold(results)
 
 	rep.NodeCompareTime = make([]float64, k)
 	for node := 0; node < k; node++ {

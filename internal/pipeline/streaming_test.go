@@ -13,10 +13,10 @@ import (
 )
 
 // TestStreamingMatchesReference is the pipeline's differential test: the
-// engine — streaming data plane, overlapped execution — is bit-identical
-// to the test-only reference executor (reference_test.go: materialized
-// tuples, global alignment barrier, whole-unit compare in node and
-// assignment order) in output cells, join statistics, modeled times, and
+// engine — streaming data plane, units compared on parallel workers and
+// folded — is bit-identical to the test-only reference executor
+// (reference_test.go: materialized tuples, whole-unit compare on one
+// goroutine in node and assignment order) in output cells, join statistics, modeled times, and
 // per-node skew diagnostics, for every output shape and algorithm at
 // every batch size and Parallelism setting. (Trace fingerprints are not
 // compared: the reference records no spans.)

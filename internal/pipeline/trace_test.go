@@ -4,24 +4,28 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"go/parser"
 	"go/token"
 	"path/filepath"
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"shufflejoin/internal/array"
 	"shufflejoin/internal/join"
+	"shufflejoin/internal/logical"
 	"shufflejoin/internal/obs"
 	"shufflejoin/internal/pipeline"
 	"shufflejoin/internal/plancache"
 	"shufflejoin/internal/simnet"
 )
 
-// failingCompare runs the real Compare stage (so the dispatched units are
-// waited for) and then fails under its name.
+// failingCompare runs the real Compare stage (so the Report holds its
+// results) and then fails under its name.
 type failingCompare struct{ pipeline.Compare }
 
 func (f failingCompare) Run(qc *pipeline.QueryContext) error {
@@ -101,13 +105,13 @@ func TestFailedQueryKeepsTraceAndWall(t *testing.T) {
 }
 
 // TestStagesDoNotImportObs keeps telemetry a render of the Report: the
-// stages, the compare runner, the projector and the planners beneath
+// stages, the per-unit compare, the projector and the planners beneath
 // them must not be able to write a metric; the stages must not
 // record flight events either, since the stage log records those from
 // the Report; and the network simulator, which the stages drive, stays a
 // leaf that imports nothing of the engine.
 func TestStagesDoNotImportObs(t *testing.T) {
-	stages := []string{"stages.go", "overlap.go", "project.go"}
+	stages := []string{"stages.go", "compare.go", "project.go"}
 	forbid := func(files []string, bad func(path string) bool) {
 		t.Helper()
 		for _, f := range files {
@@ -216,6 +220,62 @@ func TestProgressFollowsStageLog(t *testing.T) {
 		if st != rep.Stages[i] {
 			t.Errorf("final snapshot stage %d = %+v, report has %+v", i, st, rep.Stages[i])
 		}
+	}
+}
+
+// progressHooks keeps the query's live Progress tracker.
+type progressHooks struct{ p *pipeline.Progress }
+
+func (h *progressHooks) QueryStarted(p *pipeline.Progress) { h.p = p }
+
+func (*progressHooks) QueryFinished(*pipeline.Progress, *pipeline.Report, error) {}
+
+// TestMatchesProjectedInCompareStage pins the stage attribution of cell
+// comparison: every match is projected while the stage log's open stage
+// is compare, so the compare stage's wall time holds all of the
+// comparison and the align stage's none of it, at every Parallelism.
+func TestMatchesProjectedInCompareStage(t *testing.T) {
+	a := buildArray("A<v:int>[i=1,300,30]", 21, 150, 25)
+	b := buildArray("B<w:int>[j=1,300,30]", 22, 140, 25)
+	pred := join.Predicate{{Left: join.Term{Name: "v"}, Right: join.Term{Name: "w"}}}
+	for _, par := range []int{1, 4} {
+		t.Run(fmt.Sprintf("par=%d", par), func(t *testing.T) {
+			h := &progressHooks{}
+			var mu sync.Mutex
+			seen := map[string]int{}
+			rep, err := pipeline.Run(newCluster(t, 4, a.Clone(), b.Clone()), "A", "B", pred, nil, pipeline.Options{
+				Selectivity: 0.5,
+				Parallelism: par,
+				Hooks:       h,
+				ProjectFactory: func(js *logical.JoinSchema) (func(l, r *join.Tuple) []array.Value, error) {
+					var accs []func(l, r *join.Tuple) array.Value
+					for _, at := range js.Pred.Out.Attrs {
+						acc, err := pipeline.Accessor(js, "", at.Name)
+						if err != nil {
+							return nil, err
+						}
+						accs = append(accs, acc)
+					}
+					return func(l, r *join.Tuple) []array.Value {
+						stage := h.p.Snapshot().CurrentStage
+						mu.Lock()
+						seen[stage]++
+						mu.Unlock()
+						attrs := make([]array.Value, len(accs))
+						for i, acc := range accs {
+							attrs[i] = acc(l, r)
+						}
+						return attrs
+					}, nil
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Matches == 0 || len(seen) != 1 || seen["compare"] != int(rep.Matches) {
+				t.Errorf("%d matches projected per stage %v, want all in compare", rep.Matches, seen)
+			}
+		})
 	}
 }
 

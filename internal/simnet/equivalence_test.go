@@ -74,43 +74,24 @@ func sameResult(t *testing.T, label string, got, want Result) {
 
 // checkEquivalence runs one workload through the indexed scheduler (both
 // the package entry point and a caller-supplied reused Sim) and the
-// reference loop, requiring identical Results and identical OnComplete
-// sequences.
+// reference loop, requiring identical Results, the Timeline (which
+// Simulate keeps in dispatch order) included.
 func checkEquivalence(t *testing.T, label string, sim *Sim, cfg Config, trs []Transfer) {
 	t.Helper()
-	var refEvents, newEvents, simEvents []Event
-	refCfg := cfg
-	refCfg.OnComplete = func(ev Event) { refEvents = append(refEvents, ev) }
-	want, err := simulateReference(refCfg, trs)
+	want, err := simulateReference(cfg, trs)
 	if err != nil {
 		t.Fatalf("%s: reference: %v", label, err)
 	}
-	newCfg := cfg
-	newCfg.OnComplete = func(ev Event) { newEvents = append(newEvents, ev) }
-	got, err := Simulate(newCfg, trs)
+	got, err := Simulate(cfg, trs)
 	if err != nil {
 		t.Fatalf("%s: Simulate: %v", label, err)
 	}
 	sameResult(t, label, got, want)
-	simCfg := cfg
-	simCfg.OnComplete = func(ev Event) { simEvents = append(simEvents, ev) }
-	reused, err := sim.Simulate(simCfg, trs)
+	reused, err := sim.Simulate(cfg, trs)
 	if err != nil {
 		t.Fatalf("%s: reused Sim: %v", label, err)
 	}
 	sameResult(t, label+"/reused", reused, want)
-	if len(newEvents) != len(refEvents) || len(simEvents) != len(refEvents) {
-		t.Fatalf("%s: OnComplete fired %d/%d times, want %d",
-			label, len(newEvents), len(simEvents), len(refEvents))
-	}
-	for i := range refEvents {
-		if newEvents[i] != refEvents[i] {
-			t.Errorf("%s: OnComplete[%d] = %+v, want %+v", label, i, newEvents[i], refEvents[i])
-		}
-		if simEvents[i] != refEvents[i] {
-			t.Errorf("%s: reused OnComplete[%d] = %+v, want %+v", label, i, simEvents[i], refEvents[i])
-		}
-	}
 }
 
 // TestSimulateMatchesReference differentially checks the indexed scheduler
@@ -211,20 +192,19 @@ func TestResultClone(t *testing.T) {
 
 // TestZeroCellTransfersDropped pins the zero-cell transfer semantics: an
 // empty remote slice carries nothing, so it is free and invisible — no
-// Timeline event, no OnComplete call, no receiver lock.
+// Timeline event, no receiver lock.
 func TestZeroCellTransfersDropped(t *testing.T) {
 	zero := []Transfer{
 		{From: 0, To: 2, Cells: 0, Tag: 0},
 		{From: 1, To: 2, Cells: 10, Tag: 1},
 	}
-	calls := 0
-	res, err := Simulate(Config{Nodes: 3, PerCellTime: 1, OnComplete: func(Event) { calls++ }}, zero)
+	res, err := Simulate(Config{Nodes: 3, PerCellTime: 1}, zero)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Timeline) != 1 || calls != 1 || res.Makespan != 10 || res.SendBusy[0] != 0 {
-		t.Errorf("zero-cell transfer should be dropped; timeline %d events, %d callbacks, makespan %v, sender busy %v",
-			len(res.Timeline), calls, res.Makespan, res.SendBusy[0])
+	if len(res.Timeline) != 1 || res.Makespan != 10 || res.SendBusy[0] != 0 {
+		t.Errorf("zero-cell transfer should be dropped; timeline %d events, makespan %v, sender busy %v",
+			len(res.Timeline), res.Makespan, res.SendBusy[0])
 	}
 }
 

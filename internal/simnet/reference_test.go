@@ -9,7 +9,7 @@ import "sort"
 // dispatched transfer out of its queue, and stable-sorts the Timeline at
 // the end. The differential tests (equivalence_test.go, fuzz_test.go) and
 // the full-scale benchmark guard require Simulate to reproduce its Result
-// and OnComplete order bit for bit.
+// bit for bit.
 func simulateReference(cfg Config, transfers []Transfer) (Result, error) {
 	if err := cfg.Validate(transfers); err != nil {
 		return Result{}, err
@@ -77,11 +77,7 @@ func simulateReference(cfg Config, transfers []Transfer) (Result, error) {
 		if end > res.Makespan {
 			res.Makespan = end
 		}
-		ev := Event{Transfer: tr, Start: bestStart, End: end}
-		res.Timeline = append(res.Timeline, ev)
-		if cfg.OnComplete != nil {
-			cfg.OnComplete(ev)
-		}
+		res.Timeline = append(res.Timeline, Event{Transfer: tr, Start: bestStart, End: end})
 		// Remove the dispatched transfer, preserving order.
 		queues[bestSender] = append(queues[bestSender][:bestIdx], queues[bestSender][bestIdx+1:]...)
 		remaining--

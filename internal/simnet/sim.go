@@ -134,7 +134,7 @@ func (s *Sim) Simulate(cfg Config, transfers []Transfer) (Result, error) {
 	s.sched, s.perCell = cfg.Scheduling, cfg.PerCellTime
 	s.reset(cfg.Nodes)
 	s.build(transfers)
-	s.run(cfg.OnComplete)
+	s.run()
 	if debugCheckTimeline {
 		for i := 1; i < len(s.res.Timeline); i++ {
 			if s.res.Timeline[i].Start < s.res.Timeline[i-1].Start {
@@ -255,7 +255,7 @@ func (s *Sim) build(transfers []Transfer) {
 // run is the event loop: pop the globally earliest feasible dispatch from
 // the candidate heap, commit it, and re-evaluate only the senders whose
 // candidate targeted the dispatched destination.
-func (s *Sim) run(onComplete func(Event)) {
+func (s *Sim) run() {
 	for f := 0; f < s.nodes; f++ {
 		st := &s.senders[f]
 		st.dirty = false // senders may be reused from a previous run
@@ -300,11 +300,7 @@ func (s *Sim) run(onComplete func(Event)) {
 		if end > res.Makespan {
 			res.Makespan = end
 		}
-		ev := Event{Transfer: tr, Start: c.start, End: end}
-		res.Timeline = append(res.Timeline, ev)
-		if onComplete != nil {
-			onComplete(ev)
-		}
+		res.Timeline = append(res.Timeline, Event{Transfer: tr, Start: c.start, End: end})
 		g.head++
 		if g.head < g.end {
 			g.headSeq = s.entries[g.head].seq

@@ -51,15 +51,6 @@ type Config struct {
 	Nodes       int
 	PerCellTime float64 // seconds to transmit one cell (cost parameter t)
 	Scheduling  Scheduling
-	// OnComplete, when non-nil, is invoked synchronously from the event
-	// loop once per dispatched transfer, in dispatch order. Dispatch order
-	// is deterministic (ties broken by input position) and start times are
-	// non-decreasing, so a consumer sees transfers "complete" in the same
-	// order on every run — this is what lets the pipeline engine start a
-	// join unit's cell comparison the moment its last inbound slice lands,
-	// without a global alignment barrier and without losing determinism.
-	// The callback must not mutate the transfers slice.
-	OnComplete func(Event)
 }
 
 // Event records one completed transfer in the simulated timeline.
@@ -123,10 +114,10 @@ func (c Config) Validate(transfers []Transfer) error {
 
 // Simulate runs the data alignment phase for the given transfers and
 // returns the timing result. Transfers between a node and itself complete
-// instantly (local slices are never shipped) and appear neither in the
-// Timeline nor in OnComplete callbacks; the same applies to zero-cell
-// transfers, which carry nothing. The simulation is fully deterministic: ties are broken by the
-// transfer's position in the input.
+// instantly (local slices are never shipped) and do not appear in the
+// Timeline; neither do zero-cell transfers, which carry nothing. The
+// simulation is fully deterministic: ties are broken by the transfer's
+// position in the input.
 //
 // Simulate allocates a fresh Result on every call. Callers running many
 // simulations back to back (the pipeline's alignment stage, the bench

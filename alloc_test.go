@@ -1,0 +1,110 @@
+package shufflejoin
+
+import (
+	"math/rand"
+	"runtime"
+	"runtime/debug"
+	"testing"
+)
+
+// allocShapes are the queries TestQueryAllocCeilings holds to a ceiling:
+// hash_hot's shape (an AQL hash join on an attribute, 1% of cells on four
+// hot keys, output on a synthetic row dimension) and serve_mix's (a join
+// on the shared dimension, output keeping it). Each builds its database.
+var allocShapes = []struct {
+	name  string
+	query string
+	load  func(t *testing.T, db *DB)
+	// ceiling is the most allocations one query may make on average: the
+	// highest count measured (Go 1.24: 1,725 and 441) plus 2 %.
+	ceiling uint64
+}{
+	{"hash_hot", "SELECT A.i, B.i INTO T<ai:int, bi:int>[] FROM A JOIN B ON A.v = B.w", loadHashHot, 1760},
+	{"serve_mix", "SELECT IA.v, IB.w FROM IA, IB WHERE IA.i = IB.i", loadServePair, 450},
+}
+
+// loadHashHot inserts two 8,000-cell arrays whose values fall on a key
+// range a little wider than the array, with 1% of each side's cells on
+// four hot keys.
+func loadHashHot(t *testing.T, db *DB) {
+	const cells = 8_000
+	for s, lit := range []string{"A<v:int>[i=1,8000,250]", "B<w:int>[i=1,8000,250]"} {
+		a, err := db.CreateArray(lit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(int64(40 + s)))
+		for i := int64(1); i <= cells; i++ {
+			key := 4 + rng.Int63n(cells*5/4)
+			if i%100 == 0 {
+				key = i / 100 % 4
+			}
+			if err := a.Insert([]int64{i}, key); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// loadServePair inserts two 1,000-cell arrays over 8 chunks of one
+// dimension, each side filling every chunk from its start, to different
+// depths.
+func loadServePair(t *testing.T, db *DB) {
+	for s, lit := range []string{"IA<v:int>[i=1,2000,250]", "IB<w:int>[i=1,2000,250]"} {
+		a, err := db.CreateArray(lit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(int64(50 + s)))
+		for c := int64(0); c < 8; c++ {
+			for j := int64(0); j < 100+rng.Int63n(50); j++ {
+				if err := a.Insert([]int64{c*250 + j + 1}, rng.Int63n(1000)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+}
+
+// TestQueryAllocCeilings holds whole queries, from AQL text to the output
+// array, to an allocation ceiling: a query's matches go into output
+// columns without an allocation per match. Each shape runs a fixed number
+// of times after a warm-up at Parallelism 1, and allocations are counted
+// with runtime.ReadMemStats across the runs.
+func TestQueryAllocCeilings(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const runs = 10
+	for _, sh := range allocShapes {
+		db, err := Open(4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sh.load(t, db)
+		var matches int64
+		query := func() {
+			res, err := db.Query(sh.query, WithParallelism(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			matches = res.Matches
+		}
+		query() // seals the inputs and fills the pools
+		// No collection empties a sync.Pool mid-count, so every run counts
+		// the same steady state.
+		gc := debug.SetGCPercent(-1)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			query()
+		}
+		runtime.ReadMemStats(&after)
+		debug.SetGCPercent(gc)
+		allocs := (after.Mallocs - before.Mallocs) / runs
+		t.Logf("%s: %d matches, %d allocs/query, ceiling %d", sh.name, matches, allocs, sh.ceiling)
+		if allocs > sh.ceiling {
+			t.Errorf("%s: %d allocs/query, want at most %d", sh.name, allocs, sh.ceiling)
+		}
+	}
+}

@@ -19,9 +19,9 @@ type Compiled struct {
 	// ExtraCarryLeft/Right name attribute columns referenced by SELECT
 	// expressions, per side.
 	ExtraCarryLeft, ExtraCarryRight []string
-	// ProjectFactory builds the attribute projector once the join schema
-	// is known; nil for SELECT *.
-	ProjectFactory func(js *logical.JoinSchema) (func(l, r *join.Tuple) []array.Value, error)
+	// ProjectFactory builds the attribute evaluator once the join schema
+	// is known (see pipeline.Options.ProjectFactory); nil for SELECT *.
+	ProjectFactory func(js *logical.JoinSchema) (func(dst []array.Value, l, r *join.Tuple), error)
 }
 
 // Compile resolves a parsed query against the source schemas.
@@ -88,10 +88,10 @@ func Compile(q *Query, left, right *array.Schema) (*Compiled, error) {
 	}
 
 	// Projection factory: compile each expression to an evaluator over
-	// matched tuple pairs.
+	// matched tuple pairs, writing into the caller's value slots.
 	items := q.Select
 	outAttrs := c.Out.Attrs
-	c.ProjectFactory = func(js *logical.JoinSchema) (func(l, r *join.Tuple) []array.Value, error) {
+	c.ProjectFactory = func(js *logical.JoinSchema) (func(dst []array.Value, l, r *join.Tuple), error) {
 		evals := make([]evalFunc, len(items))
 		for i, item := range items {
 			ev, err := compileExpr(item.Expr, js)
@@ -100,16 +100,14 @@ func Compile(q *Query, left, right *array.Schema) (*Compiled, error) {
 			}
 			evals[i] = ev
 		}
-		return func(l, r *join.Tuple) []array.Value {
-			out := make([]array.Value, len(evals))
+		return func(dst []array.Value, l, r *join.Tuple) {
 			for i, ev := range evals {
 				v := ev(l, r)
 				if outAttrs[i].Type == array.TypeInt64 && v.Kind == array.TypeFloat64 {
 					v = array.IntValue(v.AsInt())
 				}
-				out[i] = v
+				dst[i] = v
 			}
-			return out
 		}, nil
 	}
 	return c, nil

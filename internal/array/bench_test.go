@@ -32,19 +32,6 @@ func BenchmarkArrayPut(b *testing.B) {
 	}
 }
 
-func BenchmarkChunkSort(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		ch := NewChunk(0, 2, []ScalarType{TypeInt64})
-		for k := 0; k < 50_000; k++ {
-			ch.AppendCell([]int64{rng.Int63n(1000), rng.Int63n(1000)}, []Value{IntValue(int64(k))})
-		}
-		b.StartTimer()
-		ch.Sort()
-	}
-}
-
 func BenchmarkArrayScan(b *testing.B) {
 	a := benchArray(b, 200_000)
 	b.ResetTimer()
@@ -133,6 +120,56 @@ func sortedKeysLoop() func(n int) error {
 	}
 }
 
+// sortRunsChunk is hash_hot's output shape: a 1-D row-numbered chunk
+// written by four nodes, each an ascending run of every fourth row
+// number, with two integer attributes.
+func sortRunsChunk(n int) *Chunk {
+	ch := NewChunk(0, 1, []ScalarType{TypeInt64, TypeInt64})
+	for node := int64(0); node < 4; node++ {
+		for row := node; row < int64(n); row += 4 {
+			ch.AppendCell([]int64{row}, []Value{IntValue(row * 7), IntValue(row * 11)})
+		}
+	}
+	return ch
+}
+
+// sortRandomChunk is a 2-D chunk of n cells at random coordinates, with
+// duplicates, and one integer attribute.
+func sortRandomChunk(n int) *Chunk {
+	rng := rand.New(rand.NewSource(2))
+	ch := NewChunk(0, 2, []ScalarType{TypeInt64})
+	for k := 0; k < n; k++ {
+		ch.AppendCell([]int64{rng.Int63n(1000), rng.Int63n(1000)}, []Value{IntValue(int64(k))})
+	}
+	return ch
+}
+
+// sortLoop sorts a copy of the unsorted chunk tmpl per iteration with
+// sortFn, restoring the copy's columns in place first; the restore is
+// part of the measured loop. A warm-up sort fills Sort's pool.
+func sortLoop(tmpl *Chunk, sortFn func(*Chunk)) func() func(n int) error {
+	return func() func(n int) error {
+		ch := tmpl.Clone()
+		sortFn(ch)
+		return func(n int) error {
+			for i := 0; i < n; i++ {
+				for d := range ch.Coords {
+					copy(ch.Coords[d], tmpl.Coords[d])
+				}
+				for c := range ch.Cols {
+					copy(ch.Cols[c].Ints, tmpl.Cols[c].Ints)
+				}
+				ch.Sorted = false
+				sortFn(ch)
+			}
+			if !ch.IsSortedCOrder() {
+				return errors.New("Sort left the chunk out of C-order")
+			}
+			return nil
+		}
+	}
+}
+
 // runLoop benchmarks a gated loop, reporting its allocations.
 func runLoop(b *testing.B, setup func() func(n int) error) {
 	loop := setup()
@@ -154,11 +191,28 @@ func BenchmarkPutExistingChunk(b *testing.B) { runLoop(b, putExistingChunkLoop) 
 // (TestChunkKeyAllocGates enforces it).
 func BenchmarkSortedKeys(b *testing.B) { runLoop(b, sortedKeysLoop) }
 
-// TestChunkKeyAllocGates gates the chunk-key benchmark loops, called not
-// copied, on every core count: ChunkKeyOf and Put into an existing chunk
-// allocate nothing, SortedKeys only its result. Each loop runs a fixed
-// number of iterations, and allocations are counted as testing.Benchmark
-// counts them: heap mallocs across the loop, divided by the iterations.
+// BenchmarkChunkSort sorts hash_hot's output shape (328 k rows in four
+// interleaved ascending runs, which Sort merges) and a random 2-D chunk
+// of 20 k rows (which it sorts by permutation), each also through the
+// stable sort it replaced.
+func BenchmarkChunkSort(b *testing.B) {
+	shapes := []struct {
+		name string
+		ch   *Chunk
+	}{{"runs4_328k", sortRunsChunk(328_000)}, {"random2d_20k", sortRandomChunk(20_000)}}
+	for _, sh := range shapes {
+		b.Run(sh.name+"/Sort", func(b *testing.B) { runLoop(b, sortLoop(sh.ch, (*Chunk).Sort)) })
+		b.Run(sh.name+"/stable", func(b *testing.B) { runLoop(b, sortLoop(sh.ch, stableSort)) })
+	}
+}
+
+// TestChunkKeyAllocGates gates the chunk-key and chunk-sort benchmark
+// loops, called not copied, on every core count: ChunkKeyOf, Put into an
+// existing chunk and a steady-state Sort (merging runs or sorting a
+// permutation) allocate nothing, SortedKeys only its result. Each loop
+// runs a fixed number of iterations, and allocations are counted as
+// testing.Benchmark counts them: heap mallocs across the loop, divided by
+// the iterations.
 func TestChunkKeyAllocGates(t *testing.T) {
 	for _, g := range []struct {
 		name  string
@@ -169,6 +223,8 @@ func TestChunkKeyAllocGates(t *testing.T) {
 		{"ChunkKeyOf", chunkKeyOfLoop, 200_000, 0},
 		{"PutExistingChunk", putExistingChunkLoop, 100_000, 0},
 		{"SortedKeys", sortedKeysLoop, 500, 1},
+		{"ChunkSort/runs", sortLoop(sortRunsChunk(20_000), (*Chunk).Sort), 50, 0},
+		{"ChunkSort/random", sortLoop(sortRandomChunk(5_000), (*Chunk).Sort), 50, 0},
 	} {
 		for _, procs := range []int{1, 2, 8} {
 			prev := runtime.GOMAXPROCS(procs)

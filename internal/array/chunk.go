@@ -3,7 +3,7 @@ package array
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -172,18 +172,6 @@ func (c *Column) Value(row int) Value {
 	return Value{}
 }
 
-// swap exchanges two rows of the column.
-func (c *Column) swap(i, j int) {
-	switch c.Type {
-	case TypeInt64:
-		c.Ints[i], c.Ints[j] = c.Ints[j], c.Ints[i]
-	case TypeFloat64:
-		c.Fs[i], c.Fs[j] = c.Fs[j], c.Fs[i]
-	case TypeString:
-		c.Strs[i], c.Strs[j] = c.Strs[j], c.Strs[i]
-	}
-}
-
 // NewChunk returns an empty chunk at the given position for a schema with
 // nDims dimensions and the given attribute types.
 func NewChunk(key ChunkKey, nDims int, attrTypes []ScalarType) *Chunk {
@@ -231,6 +219,88 @@ func (ch *Chunk) AppendCell(coords []int64, attrs []Value) {
 	}
 }
 
+// AppendColumns appends cells of src column by column: the rows listed in
+// rows, in that order, or every row of src when rows is nil. src has the
+// chunk's shape: as many coordinate columns, and attribute columns of the
+// same types. Sorted ends as it would after appending the same cells one
+// by one through AppendCell, including the check of the first new cell
+// against the chunk's last.
+func (ch *Chunk) AppendColumns(src *Chunk, rows []int32) {
+	from := ch.Len()
+	for d := range ch.Coords {
+		ch.Coords[d] = gather(ch.Coords[d], src.Coords[d], rows)
+	}
+	for i := range ch.Cols {
+		c, s := &ch.Cols[i], &src.Cols[i]
+		switch c.Type {
+		case TypeInt64:
+			c.Ints = gather(c.Ints, s.Ints, rows)
+		case TypeFloat64:
+			c.Fs = gather(c.Fs, s.Fs, rows)
+		case TypeString:
+			c.Strs = gather(c.Strs, s.Strs, rows)
+		}
+	}
+	if ch.Sorted {
+		ch.Sorted = ch.ascendingFrom(max(from, 1))
+	}
+}
+
+// Grow reserves room in every column for n more cells.
+func (ch *Chunk) Grow(n int) {
+	for d := range ch.Coords {
+		ch.Coords[d] = slices.Grow(ch.Coords[d], n)
+	}
+	for i := range ch.Cols {
+		switch c := &ch.Cols[i]; c.Type {
+		case TypeInt64:
+			c.Ints = slices.Grow(c.Ints, n)
+		case TypeFloat64:
+			c.Fs = slices.Grow(c.Fs, n)
+		case TypeString:
+			c.Strs = slices.Grow(c.Strs, n)
+		}
+	}
+}
+
+// gather appends src[rows[0]], src[rows[1]], … to dst, or all of src when
+// rows is nil.
+func gather[T any](dst, src []T, rows []int32) []T {
+	if rows == nil {
+		return append(dst, src...)
+	}
+	n := len(dst)
+	dst = slices.Grow(dst, len(rows))[:n+len(rows)]
+	for i, r := range rows {
+		dst[n+i] = src[r]
+	}
+	return dst
+}
+
+// ascendingFrom reports whether every row from `from` on extends the
+// C-order of the row before it.
+func (ch *Chunk) ascendingFrom(from int) bool {
+	for row, n := from, ch.Len(); row < n; row++ {
+		if ch.compareRows(row-1, row) > 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// compareRows orders rows i and j in C-order on their coordinates.
+func (ch *Chunk) compareRows(i, j int) int {
+	for _, c := range ch.Coords {
+		if a, b := c[i], c[j]; a != b {
+			if a < b {
+				return -1
+			}
+			return 1
+		}
+	}
+	return 0
+}
+
 // Cell materializes the cell at a row (coordinates plus attribute values).
 func (ch *Chunk) Cell(row int) ([]int64, []Value) {
 	coords := make([]int64, ch.NDims)
@@ -256,21 +326,8 @@ func (ch *Chunk) CoordsAt(row int, dst []int64) []int64 {
 	return dst
 }
 
-// Sort sorts the chunk's cells into C-order on the coordinates. It is the
-// in-chunk sort invoked by the redimension operator; cost O(n log n) per
-// chunk (Table 1).
-func (ch *Chunk) Sort() {
-	if ch.Sorted || ch.NDims == 0 {
-		ch.Sorted = true
-		return
-	}
-	s := &chunkSorter{ch: ch}
-	sort.Stable(s)
-	ch.Sorted = true
-}
-
-// IsSortedCOrder verifies C-order by scanning (used by tests and the merge
-// join validator).
+// IsSortedCOrder verifies C-order by scanning; the tests of several
+// packages check the sort invariant with it.
 func (ch *Chunk) IsSortedCOrder() bool {
 	n := ch.Len()
 	prev := make([]int64, ch.NDims)
@@ -321,28 +378,4 @@ func (ch *Chunk) Clone() *Chunk {
 		c.Cols[i].Strs = append([]string(nil), src.Strs...)
 	}
 	return c
-}
-
-type chunkSorter struct {
-	ch *Chunk
-	a  []int64
-	b  []int64
-}
-
-func (s *chunkSorter) Len() int { return s.ch.Len() }
-
-func (s *chunkSorter) Less(i, j int) bool {
-	s.a = s.ch.CoordsAt(i, s.a)
-	s.b = s.ch.CoordsAt(j, s.b)
-	return CompareCoords(s.a, s.b) < 0
-}
-
-func (s *chunkSorter) Swap(i, j int) {
-	ch := s.ch
-	for d := 0; d < ch.NDims; d++ {
-		ch.Coords[d][i], ch.Coords[d][j] = ch.Coords[d][j], ch.Coords[d][i]
-	}
-	for c := range ch.Cols {
-		ch.Cols[c].swap(i, j)
-	}
 }

@@ -8,15 +8,26 @@ import (
 	"shufflejoin/internal/logical"
 )
 
-// nodeOut is one node's merged comparison products: the cells it emitted
-// (in deterministic order), its join statistics, and its modeled compare
-// seconds. The Compare stage hands Assemble a []nodeOut indexed by node —
-// as does the tests' reference executor, which is what makes their
-// outputs directly comparable. Before fold, the Compare stage uses the
-// same type for each join unit's slot, whose synthetic row coordinates
-// are unit-local (0, 1, 2, …).
+// unitOut is one join unit's slot, written only by the worker that runs
+// the unit: its output columns (nil when it matched nothing), join
+// statistics, and modeled compare seconds. Synthetic row coordinates in
+// it are unit-local (0, 1, 2, …) until fold renumbers them.
+type unitOut struct {
+	cols  *outCols
+	stats join.Stats
+	time  float64
+	err   error
+}
+
+// nodeOut is one node's merged comparison products: the output columns
+// of its units that matched, in assignment order (cells in emit order
+// within each; none is empty), its cell count, join statistics, and
+// modeled compare seconds. The Compare stage hands Assemble a []nodeOut
+// indexed by node — as does the tests' reference executor, which is what
+// makes their outputs directly comparable.
 type nodeOut struct {
-	cells []array.StoredCell
+	parts []*outCols
+	cells int64
 	stats join.Stats
 	time  float64
 	err   error
@@ -29,7 +40,7 @@ func (qc *QueryContext) buildOutput() error {
 	if err != nil {
 		return err
 	}
-	var attrFn func(l, r *join.Tuple) []array.Value
+	var attrFn func(dst []array.Value, l, r *join.Tuple)
 	if qc.Opt.ProjectFactory != nil {
 		if attrFn, err = qc.Opt.ProjectFactory(qc.plan.JS); err != nil {
 			return err
@@ -45,9 +56,10 @@ func (qc *QueryContext) buildOutput() error {
 
 // runUnit assembles and joins unit u on its destination node through a
 // pull-chain of pooled TupleReaders, writing into res, the unit's own
-// slot. The projector copies every emitted value, so the unit's batches
-// are recycled the moment the join returns.
-func (qc *QueryContext) runUnit(u int, res *nodeOut) {
+// slot. The projector copies every emitted value into the slot's output
+// columns, so the unit's batches are recycled the moment the join
+// returns.
+func (qc *QueryContext) runUnit(u int, res *unitOut) {
 	// Per-unit cancellation point: a canceled query skips its remaining
 	// units (fold surfaces the context error from the first skipped
 	// slot) instead of comparing to completion.
@@ -56,10 +68,11 @@ func (qc *QueryContext) runUnit(u int, res *nodeOut) {
 		return
 	}
 	dest := qc.Report.Physical.Assignment[u]
-	uproj := qc.proj.forUnit()
 	emit := func(l, r *join.Tuple) {
-		coords, attrs := uproj.project(l, r)
-		res.cells = append(res.cells, array.StoredCell{Coords: coords, Attrs: attrs})
+		if res.cols == nil {
+			res.cols = newOutCols(qc.outArr.Schema)
+		}
+		qc.proj.project(res.cols, l, r)
 	}
 	lrd := qc.rsl.Reader(u, dest)
 	rrd := qc.rsr.Reader(u, dest)
@@ -80,11 +93,12 @@ func (qc *QueryContext) runUnit(u int, res *nodeOut) {
 }
 
 // fold merges per-unit slots into per-node outputs in deterministic
-// order — node ascending, units in assignment order, cells in emit order —
-// renumbering synthetic row coordinates to the node's stride-K sequence
-// and accumulating modeled seconds in that same order, so the merged
-// nodeOut values do not depend on which worker ran which unit when.
-func (qc *QueryContext) fold(results []nodeOut) []nodeOut {
+// order — node ascending, units in assignment order — writing the node's
+// stride-K synthetic row numbers (node, node+K, node+2K, …) into the row
+// column in that order and accumulating modeled seconds in that same
+// order, so the merged nodeOut values do not depend on which worker ran
+// which unit when. It copies no cells: each node keeps its units' columns.
+func (qc *QueryContext) fold(results []unitOut) []nodeOut {
 	k := qc.Cluster.K
 	nodes := make([]nodeOut, k)
 	for node := 0; node < k; node++ {
@@ -96,13 +110,17 @@ func (qc *QueryContext) fold(results []nodeOut) []nodeOut {
 				no.err = res.err
 				break
 			}
-			if qc.proj.rowDim {
-				for i := range res.cells {
-					res.cells[i].Coords[0] = row
-					row += int64(k)
+			if c := res.cols; c != nil {
+				if qc.proj.rowDim {
+					rows := c.Coords[0]
+					for i := range rows {
+						rows[i] = row
+						row += int64(k)
+					}
 				}
+				no.parts = append(no.parts, c)
+				no.cells += int64(c.Len())
 			}
-			no.cells = append(no.cells, res.cells...)
 			no.stats.Add(res.stats)
 			no.time += res.time
 		}
@@ -115,8 +133,8 @@ func (qc *QueryContext) fold(results []nodeOut) []nodeOut {
 // or redimensioning the node's output cells when the plan calls for it
 // (OutSort / OutRedim).
 func addPostJoinTime(no *nodeOut, lp *logical.Plan) {
-	if lp.Out != logical.OutScan && len(no.cells) > 0 {
-		n := float64(len(no.cells))
+	if lp.Out != logical.OutScan && no.cells > 0 {
+		n := float64(no.cells)
 		no.time += params.Merge * n * math.Log2(math.Max(n, 2))
 		if lp.Out == logical.OutRedim {
 			no.time += params.Merge * n

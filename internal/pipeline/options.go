@@ -56,13 +56,16 @@ type Options struct {
 	// carry through the shuffle (columns referenced only by SELECT
 	// expressions).
 	ExtraCarryLeft, ExtraCarryRight []string
-	// ProjectFactory, when non-nil, builds a projector that computes the
+	// ProjectFactory, when non-nil, builds an evaluator that computes the
 	// output attribute values of each match instead of name-based field
 	// mapping (SELECT expression evaluation). The factory runs after the
 	// join schema is inferred; build per-field accessors with Accessor.
-	// The returned function must be safe for concurrent use unless
-	// Parallelism is 1.
-	ProjectFactory func(js *logical.JoinSchema) (func(l, r *join.Tuple) []array.Value, error)
+	// The evaluator writes match (l, r)'s value of output attribute i into
+	// dst[i], for every attribute of the destination; dst is owned by the
+	// caller, which reuses it for the next match, so the evaluator must
+	// not retain it. The evaluator must be safe for concurrent use (each
+	// worker passes its own dst) unless Parallelism is 1.
+	ProjectFactory func(js *logical.JoinSchema) (func(dst []array.Value, l, r *join.Tuple), error)
 	// Cache, when non-nil, short-circuits planning for repeated queries:
 	// before planning, the query's signature (schema shape, chunk grid,
 	// skew-histogram fingerprint, node count, planning options) is looked

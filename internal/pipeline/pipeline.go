@@ -30,6 +30,16 @@
 //     numbering — happens on the orchestration goroutine in a fixed
 //     order: node ascending, unit assignment order, emit order.
 //
+// # Output columns
+//
+// Matches go straight into typed output columns: each unit's slot makes
+// coordinate and attribute columns shaped like an array.Chunk at its
+// first match, and the projector appends every match to them.
+// fold writes synthetic row numbers into them in place and keeps each
+// node's slots in assignment order; Assemble clamps them column by
+// column, buckets their rows by destination chunk, and appends each
+// bucket with one Chunk.AppendColumns. No match allocates on the way.
+//
 // See DESIGN.md §7 for the full determinism argument.
 package pipeline
 

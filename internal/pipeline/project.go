@@ -3,6 +3,7 @@ package pipeline
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"shufflejoin/internal/array"
 	"shufflejoin/internal/join"
@@ -13,25 +14,6 @@ import (
 // in Assemble or a redistributed cell in Redistribute whose value falls
 // outside the dimension it is bound for. Match it with errors.Is.
 var ErrBounds = array.ErrBounds
-
-// putClamped stores an output cell, clamping coordinates into the
-// destination's dimension ranges (join keys can exceed a destination
-// declared smaller than the data). It reports whether any coordinate was
-// clamped; under strict bounds an out-of-range cell is an error instead.
-func putClamped(a *array.Array, coords []int64, attrs []array.Value, strict bool) (bool, error) {
-	clamped := false
-	for i, d := range a.Schema.Dims {
-		v, err := d.Clamp(coords[i], strict)
-		if err != nil {
-			return false, fmt.Errorf("pipeline: output cell %v: %w", coords, err)
-		}
-		if v != coords[i] {
-			clamped = true
-			coords[i] = v
-		}
-	}
-	return clamped, a.Put(coords, attrs)
-}
 
 // newOutputArray materializes the destination schema. A destination with
 // no dimensions (unordered output, e.g. INTO T<i:int,j:int>[]) gets a
@@ -44,26 +26,15 @@ func newOutputArray(js *logical.JoinSchema) (*array.Array, error) {
 	return array.New(out)
 }
 
-// projector maps a matched tuple pair to an output cell.
+// projector maps a matched tuple pair to an output cell, appended to a
+// unit's output columns.
 type projector struct {
 	js       *logical.JoinSchema
 	dimSrc   []fieldSrc
 	attrSrc  []fieldSrc
 	rowDim   bool
-	nextRow  int64
 	carryPos [2]map[int]int // original attr index -> tuple.Attrs position
-	attrFn   func(l, r *join.Tuple) []array.Value
-}
-
-// forUnit returns a unit-local copy that numbers synthetic rows 0, 1, 2, …
-// Each join unit is projected independently (workers run units in any
-// order); fold renumbers the rows to the destination
-// node's stride-k sequence (node, node+k, node+2k, … — disjoint across
-// nodes) when unit results are merged in deterministic order.
-func (p *projector) forUnit() *projector {
-	c := *p
-	c.nextRow = 0
-	return &c
+	attrFn   func(dst []array.Value, l, r *join.Tuple)
 }
 
 // fieldSrc locates one output field's value in a matched pair.
@@ -73,7 +44,7 @@ type fieldSrc struct {
 	idx   int // coords index, or position within tuple.Attrs
 }
 
-func newProjector(js *logical.JoinSchema, attrFn func(l, r *join.Tuple) []array.Value) (*projector, error) {
+func newProjector(js *logical.JoinSchema, attrFn func(dst []array.Value, l, r *join.Tuple)) (*projector, error) {
 	p := &projector{js: js, attrFn: attrFn}
 	p.carryPos[0] = carryPositions(js.LeftCarry)
 	p.carryPos[1] = carryPositions(js.RightCarry)
@@ -142,33 +113,251 @@ func (p *projector) resolveField(name string) (fieldSrc, error) {
 		name, src.Left.Name, src.Right.Name)
 }
 
-func (p *projector) project(l, r *join.Tuple) ([]int64, []array.Value) {
-	pick := func(src fieldSrc) array.Value {
-		t := l
-		if src.side == 1 {
-			t = r
-		}
-		if src.isDim {
-			return array.IntValue(t.Coords[src.idx])
-		}
-		return t.Attrs[src.idx]
+// value reads the field from the matched pair.
+func (src fieldSrc) value(l, r *join.Tuple) array.Value {
+	t := l
+	if src.side == 1 {
+		t = r
 	}
-	var coords []int64
+	if src.isDim {
+		return array.IntValue(t.Coords[src.idx])
+	}
+	return t.Attrs[src.idx]
+}
+
+// project appends the output cell of a matched pair to a unit's columns.
+// A synthetic row coordinate is the unit-local row number (0, 1, 2, …);
+// fold renumbers it to the destination node's stride-K sequence (node,
+// node+K, node+2K, … — disjoint across nodes) when it merges the units in
+// deterministic order.
+func (p *projector) project(c *outCols, l, r *join.Tuple) {
+	if n := c.Len(); n == c.room {
+		// Double every column at once: appends grow a large slice by a
+		// quarter at a time, copying it over and over.
+		c.Grow(max(n, 64))
+		c.room = n + max(n, 64)
+	}
 	if p.rowDim {
-		coords = []int64{p.nextRow}
-		p.nextRow++
+		c.Coords[0] = append(c.Coords[0], int64(len(c.Coords[0])))
 	} else {
-		coords = make([]int64, len(p.dimSrc))
 		for i, src := range p.dimSrc {
-			coords[i] = pick(src).AsInt()
+			c.Coords[i] = append(c.Coords[i], src.value(l, r).AsInt())
 		}
 	}
 	if p.attrFn != nil {
-		return coords, p.attrFn(l, r)
+		p.attrFn(c.vals, l, r)
+		for i, v := range c.vals {
+			c.Cols[i].Append(v)
+		}
+		return
 	}
-	attrs := make([]array.Value, len(p.attrSrc))
 	for i, src := range p.attrSrc {
-		attrs[i] = pick(src)
+		c.Cols[i].Append(src.value(l, r))
 	}
-	return coords, attrs
+}
+
+// outCols is one join unit's output: the coordinate and attribute columns
+// of its cells, shaped like the destination's chunks, and the values the
+// attribute evaluator fills per match. A unit makes its own at its first
+// match, so a unit that emits nothing allocates nothing. They are not
+// pooled: a unit's columns live until Assemble, so a pool would hand the
+// next query's units capacities in whatever order its workers ask, and
+// the bytes a query allocates would vary from run to run.
+type outCols struct {
+	array.Chunk
+	room int // rows every column has capacity for
+	vals []array.Value
+}
+
+// newOutCols returns empty columns shaped for schema s; the first match
+// gives them their capacity.
+func newOutCols(s *array.Schema) *outCols {
+	c := &outCols{vals: make([]array.Value, len(s.Attrs))}
+	c.NDims = len(s.Dims)
+	c.Coords = make([][]int64, len(s.Dims))
+	c.Cols = make([]array.Column, len(s.Attrs))
+	for i, a := range s.Attrs {
+		c.Cols[i].Type = a.Type
+	}
+	return c
+}
+
+// clamp applies Dimension.Clamp to every coordinate of the columns,
+// column by column, and returns how many cells had a coordinate clamped.
+// Under strict bounds the first out-of-range cell, in row order, is an
+// error naming it.
+func (c *outCols) clamp(dims []array.Dimension, strict bool) (int64, error) {
+	n := c.Len()
+	first := n // the first row with a coordinate out of range
+	for d, dim := range dims {
+		for row, v := range c.Coords[d][:first] {
+			if !dim.Contains(v) {
+				first = row
+				break
+			}
+		}
+	}
+	if first == n {
+		return 0, nil
+	}
+	if strict {
+		for d, dim := range dims {
+			if _, err := dim.Clamp(c.Coords[d][first], true); err != nil {
+				return 0, fmt.Errorf("pipeline: output cell %v: %w", c.CoordsAt(first, nil), err)
+			}
+		}
+	}
+	var clamped int64
+	for row := first; row < n; row++ {
+		moved := false
+		for d, dim := range dims {
+			if v := c.Coords[d][row]; !dim.Contains(v) {
+				c.Coords[d][row], _ = dim.Clamp(v, false)
+				moved = true
+			}
+		}
+		if moved {
+			clamped++
+		}
+	}
+	return clamped, nil
+}
+
+// chunkRouter appends output columns to the destination's chunks. It
+// buckets the rows of each part by chunk key, stably, so every chunk
+// receives its rows in emit order, and appends each bucket with one
+// Chunk.AppendColumns. Counting every part's rows first lets it size each
+// chunk once. Its buffers are reused from part to part.
+type chunkRouter struct {
+	out    *array.Array
+	types  []array.ScalarType     // attribute types, for new chunks
+	sizes  map[array.ChunkKey]int // rows bound for each chunk
+	keys   []array.ChunkKey       // per row: its chunk
+	bucket []int32                // per row: its bucket
+	rows   []int32                // row numbers grouped by bucket
+	pos    []int32                // per bucket: its row count, then its place in rows
+	bkeys  []array.ChunkKey       // per bucket: its chunk
+	ids    map[array.ChunkKey]int32
+}
+
+// keysOf returns the chunk key of every row of part, in r's buffer.
+func (r *chunkRouter) keysOf(part *outCols) []array.ChunkKey {
+	n := part.Len()
+	keys := slices.Grow(r.keys[:0], n)[:n]
+	r.keys = keys
+	clear(keys)
+	for d, dim := range r.out.Schema.Dims {
+		count := array.ChunkKey(dim.ChunkCount())
+		for i, v := range part.Coords[d] {
+			keys[i] = keys[i]*count + array.ChunkKey(dim.ChunkIndex(v))
+		}
+	}
+	return keys
+}
+
+// oneChunk reports whether every row of part falls in one chunk, and
+// which, from each coordinate column's range alone.
+func (r *chunkRouter) oneChunk(part *outCols) (array.ChunkKey, bool) {
+	var key array.ChunkKey
+	for d, dim := range r.out.Schema.Dims {
+		col := part.Coords[d]
+		lo, hi := slices.Min(col), slices.Max(col)
+		idx := dim.ChunkIndex(lo)
+		if dim.ChunkIndex(hi) != idx {
+			return 0, false
+		}
+		key = key*array.ChunkKey(dim.ChunkCount()) + array.ChunkKey(idx)
+	}
+	return key, true
+}
+
+// count adds the rows of part to the sizes of the chunks they fall in.
+func (r *chunkRouter) count(part *outCols) {
+	if r.sizes == nil {
+		r.sizes = make(map[array.ChunkKey]int)
+	}
+	if key, ok := r.oneChunk(part); ok {
+		r.sizes[key] += part.Len()
+		return
+	}
+	keys := r.keysOf(part)
+	for i := 0; i < len(keys); {
+		j := i + 1
+		for j < len(keys) && keys[j] == keys[i] {
+			j++
+		}
+		r.sizes[keys[i]] += j - i
+		i = j
+	}
+}
+
+// reserve creates every counted chunk with room for its rows.
+func (r *chunkRouter) reserve() {
+	for key, n := range r.sizes {
+		r.chunk(key).Grow(n)
+	}
+}
+
+// route appends every row of part to the chunk its coordinates fall in.
+func (r *chunkRouter) route(part *outCols) {
+	if key, ok := r.oneChunk(part); ok {
+		r.chunk(key).AppendColumns(&part.Chunk, nil)
+		return
+	}
+	keys := r.keysOf(part)
+	n := len(keys)
+	// Counting sort of the rows by bucket, buckets numbered in order of
+	// first appearance: pos[b] counts bucket b's rows, then, summed,
+	// holds where the next of them goes.
+	if r.ids == nil {
+		r.ids = make(map[array.ChunkKey]int32)
+	}
+	clear(r.ids)
+	r.bkeys, r.pos = r.bkeys[:0], r.pos[:0]
+	bucket := slices.Grow(r.bucket[:0], n)[:n]
+	r.bucket = bucket
+	for i, k := range keys {
+		b, ok := r.ids[k]
+		if !ok {
+			b = int32(len(r.bkeys))
+			r.ids[k] = b
+			r.bkeys = append(r.bkeys, k)
+			r.pos = append(r.pos, 0)
+		}
+		bucket[i] = b
+		r.pos[b]++
+	}
+	var at int32
+	for b, cnt := range r.pos {
+		r.pos[b] = at
+		at += cnt
+	}
+	rows := slices.Grow(r.rows[:0], n)[:n]
+	r.rows = rows
+	for i, b := range bucket {
+		rows[r.pos[b]] = int32(i)
+		r.pos[b]++
+	}
+	start := int32(0)
+	for b, k := range r.bkeys {
+		end := r.pos[b] // bucket b's rows are placed: pos[b] is its end
+		r.chunk(k).AppendColumns(&part.Chunk, rows[start:end])
+		start = end
+	}
+}
+
+// chunk returns the destination chunk at key, creating it when absent.
+func (r *chunkRouter) chunk(key array.ChunkKey) *array.Chunk {
+	ch, ok := r.out.Chunks[key]
+	if !ok {
+		if r.types == nil {
+			r.types = make([]array.ScalarType, len(r.out.Schema.Attrs))
+			for i, a := range r.out.Schema.Attrs {
+				r.types[i] = a.Type
+			}
+		}
+		ch = array.NewChunk(key, len(r.out.Schema.Dims), r.types)
+		r.out.Chunks[key] = ch
+	}
+	return ch
 }

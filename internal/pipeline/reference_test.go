@@ -20,9 +20,9 @@ import (
 // assembling each unit whole (SliceSet.Assemble → SortTuples for merge →
 // join.Run) and numbering synthetic rows node, node+K, node+2K, …
 // directly. It shares no data-plane or ordering code with the production
-// stages — only the cost formulas, the output array and projector, and
-// the planners — and plugs in through the seam Execute already has: the
-// stage list.
+// stages — only the cost formulas, the output array, projector and
+// output columns, Assemble, and the planners — and plugs in through the
+// seam Execute already has: the stage list.
 
 // RunReference is Run through ReferenceStages.
 func RunReference(c *cluster.Cluster, leftName, rightName string, pred join.Predicate, out *array.Schema, opt Options) (*Report, error) {
@@ -123,15 +123,14 @@ func (r refCompare) Run(qc *QueryContext) error {
 	rep.NodeCompareTime = make([]float64, k)
 	for node := 0; node < k; node++ {
 		no := &qc.nodes[node]
-		nproj := qc.proj.forUnit()
+		cols := newOutCols(qc.outArr.Schema)
 		row := int64(node)
 		emit := func(lt, rt *join.Tuple) {
-			coords, attrs := nproj.project(lt, rt)
-			if nproj.rowDim {
-				coords[0] = row
+			qc.proj.project(cols, lt, rt)
+			if qc.proj.rowDim {
+				cols.Coords[0][cols.Len()-1] = row
 				row += int64(k)
 			}
-			no.cells = append(no.cells, array.StoredCell{Coords: coords, Attrs: attrs})
 		}
 		for _, u := range qc.nodeUnits[node] {
 			left, right := r.ssl.Assemble(u, node), r.ssr.Assemble(u, node)
@@ -148,10 +147,13 @@ func (r refCompare) Run(qc *QueryContext) error {
 			no.stats.Add(st)
 			no.time += unitModelTime(algo, len(left), len(right))
 		}
+		if no.cells = int64(cols.Len()); no.cells > 0 {
+			no.parts = []*outCols{cols}
+		}
 		addPostJoinTime(no, qc.plan)
 		rep.JoinStats.Add(no.stats)
 		rep.NodeCompareTime[node] = no.time
-		rep.Nodes[node].OutputCells = int64(len(no.cells))
+		rep.Nodes[node].OutputCells = no.cells
 		if no.time > rep.CompareTime {
 			rep.CompareTime = no.time
 		}

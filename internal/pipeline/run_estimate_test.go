@@ -142,14 +142,14 @@ func TestAccessorResolution(t *testing.T) {
 	dr, _ := c.Catalog.Lookup("B")
 	var js *logical.JoinSchema
 	opt := pipeline.Options{
-		ProjectFactory: func(j *logical.JoinSchema) (func(l, r *join.Tuple) []array.Value, error) {
+		ProjectFactory: func(j *logical.JoinSchema) (func(dst []array.Value, l, r *join.Tuple), error) {
 			js = j
 			acc, err := pipeline.Accessor(j, "A", "i")
 			if err != nil {
 				return nil, err
 			}
-			return func(l, r *join.Tuple) []array.Value {
-				return []array.Value{acc(l, r)}
+			return func(dst []array.Value, l, r *join.Tuple) {
+				dst[0] = acc(l, r)
 			}, nil
 		},
 	}
@@ -188,7 +188,7 @@ func TestAccessorNotCarried(t *testing.T) {
 		Attrs: []array.Attribute{{Name: "x", Type: array.TypeInt64}},
 	}
 	opt := pipeline.Options{
-		ProjectFactory: func(j *logical.JoinSchema) (func(l, r *join.Tuple) []array.Value, error) {
+		ProjectFactory: func(j *logical.JoinSchema) (func(dst []array.Value, l, r *join.Tuple), error) {
 			// B.w is not referenced by τ or the predicate and was not
 			// declared as an extra carry: the accessor must refuse.
 			if _, err := pipeline.Accessor(j, "B", "w"); err == nil {
@@ -196,12 +196,12 @@ func TestAccessorNotCarried(t *testing.T) {
 			}
 			acc, err := pipeline.Accessor(j, "A", "v") // v not carried either
 			if err == nil {
-				return func(l, r *join.Tuple) []array.Value {
-					return []array.Value{acc(l, r)}
+				return func(dst []array.Value, l, r *join.Tuple) {
+					dst[0] = acc(l, r)
 				}, nil
 			}
-			return func(l, r *join.Tuple) []array.Value {
-				return []array.Value{array.IntValue(0)}
+			return func(dst []array.Value, l, r *join.Tuple) {
+				dst[0] = array.IntValue(0)
 			}, nil
 		},
 	}

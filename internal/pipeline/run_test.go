@@ -210,6 +210,28 @@ func TestStrictBoundsRejectsClamp(t *testing.T) {
 	}
 }
 
+// TestStrictBoundsNamesFirstCell: the strict-bounds error names the first
+// out-of-range output cell in node order, then unit assignment order,
+// then emit order — whichever of its coordinates is out of range — at
+// every Parallelism.
+func TestStrictBoundsNamesFirstCell(t *testing.T) {
+	c, out, pred, _ := clampSetup(t)
+	// In two dimensions a cell may be out of range in either, or both.
+	out2 := array.MustParseSchema("T<j:int>[v=0,19,5, i=1,150,30]")
+	for _, o := range []*array.Schema{out, out2} {
+		want, err := pipeline.FirstOutOfRange(c, "A", "B", pred, o, pipeline.Options{})
+		if err != nil || want == "" {
+			t.Fatalf("%s: no out-of-range cell (%v)", o, err)
+		}
+		for _, par := range []int{1, 4} {
+			_, err := pipeline.Run(c, "A", "B", pred, o, pipeline.Options{Strict: true, Parallelism: par})
+			if err == nil || err.Error() != want {
+				t.Errorf("%s, Parallelism %d: err = %v, want %s", o, par, err, want)
+			}
+		}
+	}
+}
+
 func TestStrictBoundsAcceptsInRange(t *testing.T) {
 	a := buildArray("A<v:int>[i=1,300,30]", 3, 200, 40)
 	b := buildArray("B<w:int>[j=1,300,30]", 4, 180, 40)

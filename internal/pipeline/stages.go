@@ -299,7 +299,7 @@ func (Compare) Run(qc *QueryContext) error {
 	if err := qc.buildOutput(); err != nil {
 		return err
 	}
-	results := make([]nodeOut, qc.spec.NumUnits)
+	results := make([]unitOut, qc.spec.NumUnits)
 	par.ForEach(len(results), qc.Opt.workers(), func(u int) { qc.runUnit(u, &results[u]) })
 	qc.nodes = qc.fold(results)
 
@@ -311,7 +311,7 @@ func (Compare) Run(qc *QueryContext) error {
 		}
 		rep.JoinStats.Add(no.stats)
 		rep.NodeCompareTime[node] = no.time
-		rep.Nodes[node].OutputCells = int64(len(no.cells))
+		rep.Nodes[node].OutputCells = no.cells
 		if no.time > rep.CompareTime {
 			rep.CompareTime = no.time
 		}
@@ -321,29 +321,38 @@ func (Compare) Run(qc *QueryContext) error {
 	return nil
 }
 
-// Assemble is the final stage: it writes every node's output cells into
-// the destination array in deterministic order (node ascending, emit
-// order), clamping or rejecting out-of-range coordinates, then sorts the
-// destination and closes out the report's totals.
+// Assemble is the final stage: it writes every node's output columns into
+// the destination array in deterministic order (node ascending, units in
+// assignment order, emit order), clamping or rejecting out-of-range
+// coordinates column by column, sizing every chunk for the rows bound
+// for it, and appending each unit's rows to their chunks one column at a
+// time; then it sorts the destination and closes out the report's totals.
 type Assemble struct{}
 
 func (Assemble) Name() string { return "assemble" }
 
 func (Assemble) Run(qc *QueryContext) error {
-	rep := qc.Report
+	rep, out := qc.Report, qc.outArr
+	r := chunkRouter{out: out}
 	for node := range qc.nodes {
-		for _, cell := range qc.nodes[node].cells {
-			clamped, err := putClamped(qc.outArr, cell.Coords, cell.Attrs, qc.Opt.Strict)
+		for _, part := range qc.nodes[node].parts {
+			clamped, err := part.clamp(out.Schema.Dims, qc.Opt.Strict)
 			if err != nil {
 				return err
 			}
-			if clamped {
-				rep.ClampedCells++
-			}
+			rep.ClampedCells += clamped
+			r.count(part)
 		}
 	}
-	qc.outArr.SortAll()
-	rep.Output = qc.outArr
+	r.reserve()
+	for node := range qc.nodes {
+		for _, part := range qc.nodes[node].parts {
+			r.route(part)
+		}
+		qc.nodes[node].parts = nil
+	}
+	out.SortAll()
+	rep.Output = out
 	rep.Total = rep.PlanTime + rep.AlignTime + rep.CompareTime
 	return nil
 }

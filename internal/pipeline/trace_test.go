@@ -247,7 +247,7 @@ func TestMatchesProjectedInCompareStage(t *testing.T) {
 				Selectivity: 0.5,
 				Parallelism: par,
 				Hooks:       h,
-				ProjectFactory: func(js *logical.JoinSchema) (func(l, r *join.Tuple) []array.Value, error) {
+				ProjectFactory: func(js *logical.JoinSchema) (func(dst []array.Value, l, r *join.Tuple), error) {
 					var accs []func(l, r *join.Tuple) array.Value
 					for _, at := range js.Pred.Out.Attrs {
 						acc, err := pipeline.Accessor(js, "", at.Name)
@@ -256,16 +256,14 @@ func TestMatchesProjectedInCompareStage(t *testing.T) {
 						}
 						accs = append(accs, acc)
 					}
-					return func(l, r *join.Tuple) []array.Value {
+					return func(dst []array.Value, l, r *join.Tuple) {
 						stage := h.p.Snapshot().CurrentStage
 						mu.Lock()
 						seen[stage]++
 						mu.Unlock()
-						attrs := make([]array.Value, len(accs))
 						for i, acc := range accs {
-							attrs[i] = acc(l, r)
+							dst[i] = acc(l, r)
 						}
-						return attrs
 					}, nil
 				},
 			})

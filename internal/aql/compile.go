@@ -2,7 +2,6 @@ package aql
 
 import (
 	"fmt"
-	"math"
 
 	"shufflejoin/internal/array"
 	"shufflejoin/internal/join"
@@ -19,9 +18,10 @@ type Compiled struct {
 	// ExtraCarryLeft/Right name attribute columns referenced by SELECT
 	// expressions, per side.
 	ExtraCarryLeft, ExtraCarryRight []string
-	// ProjectFactory builds the attribute evaluator once the join schema
-	// is known (see pipeline.Options.ProjectFactory); nil for SELECT *.
-	ProjectFactory func(js *logical.JoinSchema) (func(dst []array.Value, l, r *join.Tuple), error)
+	// Select is the SELECT list lowered for the executor, one expression
+	// per destination attribute (see pipeline.Options.Select); nil for
+	// SELECT *.
+	Select []pipeline.Expr
 }
 
 // Compile resolves a parsed query against the source schemas.
@@ -87,28 +87,12 @@ func Compile(q *Query, left, right *array.Schema) (*Compiled, error) {
 		c.Out = out
 	}
 
-	// Projection factory: compile each expression to an evaluator over
-	// matched tuple pairs, writing into the caller's value slots.
-	items := q.Select
-	outAttrs := c.Out.Attrs
-	c.ProjectFactory = func(js *logical.JoinSchema) (func(dst []array.Value, l, r *join.Tuple), error) {
-		evals := make([]evalFunc, len(items))
-		for i, item := range items {
-			ev, err := compileExpr(item.Expr, js)
-			if err != nil {
-				return nil, err
-			}
-			evals[i] = ev
+	for _, item := range q.Select {
+		e, err := lower(item.Expr)
+		if err != nil {
+			return nil, err
 		}
-		return func(dst []array.Value, l, r *join.Tuple) {
-			for i, ev := range evals {
-				v := ev(l, r)
-				if outAttrs[i].Type == array.TypeInt64 && v.Kind == array.TypeFloat64 {
-					v = array.IntValue(v.AsInt())
-				}
-				dst[i] = v
-			}
-		}, nil
+		c.Select = append(c.Select, e)
 	}
 	return c, nil
 }
@@ -117,7 +101,7 @@ func Compile(q *Query, left, right *array.Schema) (*Compiled, error) {
 func (c *Compiled) ExecOptions(base pipeline.Options) pipeline.Options {
 	base.ExtraCarryLeft = append(base.ExtraCarryLeft, c.ExtraCarryLeft...)
 	base.ExtraCarryRight = append(base.ExtraCarryRight, c.ExtraCarryRight...)
-	base.ProjectFactory = c.ProjectFactory
+	base.Select = c.Select
 	return base
 }
 
@@ -180,76 +164,33 @@ func exprType(e Expr, left, right *array.Schema) array.ScalarType {
 	return array.TypeFloat64
 }
 
-type evalFunc func(l, r *join.Tuple) array.Value
-
-// compileExpr lowers an expression to an evaluator bound to the join
-// schema's carried columns.
-func compileExpr(e Expr, js *logical.JoinSchema) (evalFunc, error) {
+// lower translates an expression to the executor's projection spec.
+func lower(e Expr) (pipeline.Expr, error) {
 	switch x := e.(type) {
 	case ColRef:
-		acc, err := pipeline.Accessor(js, x.Array, x.Name)
-		if err != nil {
-			return nil, err
-		}
-		return evalFunc(acc), nil
+		return pipeline.Expr{Op: pipeline.OpCol, Array: x.Array, Field: x.Name}, nil
 	case NumLit:
-		var v array.Value
+		lit := array.FloatValue(x.Val)
 		if x.IsInt {
-			v = array.IntValue(int64(x.Val))
-		} else {
-			v = array.FloatValue(x.Val)
+			lit = array.IntValue(int64(x.Val))
 		}
-		return func(l, r *join.Tuple) array.Value { return v }, nil
+		return pipeline.Expr{Op: pipeline.OpLit, Lit: lit}, nil
 	case NegExpr:
-		inner, err := compileExpr(x.E, js)
+		l, err := lower(x.E)
 		if err != nil {
-			return nil, err
+			return pipeline.Expr{}, err
 		}
-		return func(l, r *join.Tuple) array.Value {
-			v := inner(l, r)
-			if v.Kind == array.TypeInt64 {
-				return array.IntValue(-v.Int)
-			}
-			return array.FloatValue(-v.AsFloat())
-		}, nil
+		return pipeline.Expr{Op: pipeline.OpNeg, L: &l}, nil
 	case BinExpr:
-		lf, err := compileExpr(x.L, js)
+		l, err := lower(x.L)
 		if err != nil {
-			return nil, err
+			return pipeline.Expr{}, err
 		}
-		rf, err := compileExpr(x.R, js)
+		r, err := lower(x.R)
 		if err != nil {
-			return nil, err
+			return pipeline.Expr{}, err
 		}
-		op := x.Op
-		return func(l, r *join.Tuple) array.Value {
-			a, b := lf(l, r), rf(l, r)
-			bothInt := a.Kind == array.TypeInt64 && b.Kind == array.TypeInt64
-			switch op {
-			case '+':
-				if bothInt {
-					return array.IntValue(a.Int + b.Int)
-				}
-				return array.FloatValue(a.AsFloat() + b.AsFloat())
-			case '-':
-				if bothInt {
-					return array.IntValue(a.Int - b.Int)
-				}
-				return array.FloatValue(a.AsFloat() - b.AsFloat())
-			case '*':
-				if bothInt {
-					return array.IntValue(a.Int * b.Int)
-				}
-				return array.FloatValue(a.AsFloat() * b.AsFloat())
-			case '/':
-				d := b.AsFloat()
-				if d == 0 {
-					return array.FloatValue(math.NaN())
-				}
-				return array.FloatValue(a.AsFloat() / d)
-			}
-			return array.Value{}
-		}, nil
+		return pipeline.Expr{Op: x.Op, L: &l, R: &r}, nil
 	}
-	return nil, fmt.Errorf("aql: unsupported expression %T", e)
+	return pipeline.Expr{}, fmt.Errorf("aql: unsupported expression %T", e)
 }

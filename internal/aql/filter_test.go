@@ -1,6 +1,7 @@
 package aql
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -332,6 +333,39 @@ func TestFilterPreservesPlacement(t *testing.T) {
 	for key, node := range fl.Placement {
 		if dl.Placement[key] != node {
 			t.Fatalf("chunk %d moved from node %d to %d", key, dl.Placement[key], node)
+		}
+	}
+}
+
+// TestFilterBigIntsExact: an int filter literal beyond 2^53 selects the
+// cells equal to it, not every cell a float64 rounds to the same value.
+func TestFilterBigIntsExact(t *testing.T) {
+	a := array.MustNew(array.MustParseSchema("A<v:int>[i=1,4,4]"))
+	vals := []int64{1 << 53, 1<<53 + 1, 1<<53 + 2, 1 << 62}
+	for i, v := range vals {
+		a.MustPut([]int64{int64(i + 1)}, []array.Value{array.IntValue(v)})
+	}
+	for _, tc := range []struct {
+		op   string
+		lit  int64
+		want []int64
+	}{
+		{"=", 1<<53 + 1, []int64{1<<53 + 1}},
+		{"<", 1<<53 + 1, []int64{1 << 53}},
+		{">=", 1<<53 + 2, []int64{1<<53 + 2, 1 << 62}},
+		{"!=", 1<<62 + 1, vals},
+	} {
+		out, err := filterArray(a, Filter{Col: ColRef{Name: "v"}, Op: tc.op, Val: array.IntValue(tc.lit)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []int64
+		out.Scan(func(_ []int64, attrs []array.Value) bool {
+			got = append(got, attrs[0].Int)
+			return true
+		})
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("v %s %d selected %v, want %v", tc.op, tc.lit, got, tc.want)
 		}
 	}
 }

@@ -173,7 +173,7 @@ func runMultiParsed(c *cluster.Cluster, q *Query, opt pipeline.Options) (*MultiR
 		da, db := live[best.a], live[best.b]
 		pred := predsBetween(pending, best.a, best.b)
 		stepOpt := opt
-		stepOpt.ProjectFactory = nil // intermediates keep natural schemas
+		stepOpt.Select = nil // intermediates keep natural schemas
 		rep, err := pipeline.RunDistributed(c, da, db, pred, nil, stepOpt)
 		if err != nil {
 			return nil, fmt.Errorf("aql: joining %s with %s: %w", best.a, best.b, err)

@@ -366,6 +366,41 @@ func TestValueCompareTotalOrder(t *testing.T) {
 	}
 }
 
+// TestValueCompareBigIntsExact: two int64s are ordered exactly, also
+// where a float64 rounds them to one value; an int against a float is
+// still compared as floats.
+func TestValueCompareBigIntsExact(t *testing.T) {
+	for _, base := range []int64{1 << 53, 1 << 62, -1 << 62, math.MaxInt64 - 1} {
+		a, b := IntValue(base), IntValue(base+1)
+		if a.Compare(b) != -1 || b.Compare(a) != 1 || a.Compare(a) != 0 {
+			t.Errorf("Compare(%d, %d) = %d, reverse %d", base, base+1, a.Compare(b), b.Compare(a))
+		}
+	}
+	if got := IntValue(1<<53 + 1).Compare(FloatValue(1 << 53)); got != 0 {
+		t.Errorf("Compare(2^53+1, 2^53 as a float) = %d, want 0 (the float rule)", got)
+	}
+}
+
+// TestHashKeyIsTypedHash: HashKey is HashInt, HashFloat or HashString of
+// the value, which the columnar join kernels call on typed columns.
+func TestHashKeyIsTypedHash(t *testing.T) {
+	for _, x := range []int64{0, -7, 1 << 53, math.MinInt64} {
+		if IntValue(x).HashKey() != HashInt(x) {
+			t.Errorf("HashKey(%d) != HashInt", x)
+		}
+	}
+	for _, f := range []float64{0, 2.5, -3, math.NaN(), math.Inf(1), 1e300} {
+		if FloatValue(f).HashKey() != HashFloat(f) {
+			t.Errorf("HashKey(%v) != HashFloat", f)
+		}
+	}
+	for _, s := range []string{"", "a", "héllo"} {
+		if StringValue(s).HashKey() != HashString(s) {
+			t.Errorf("HashKey(%q) != HashString", s)
+		}
+	}
+}
+
 func TestStoredBytes(t *testing.T) {
 	ch := NewChunk(0, 1, []ScalarType{TypeInt64, TypeString})
 	ch.AppendCell([]int64{1}, []Value{IntValue(10), StringValue("abc")})

@@ -12,6 +12,7 @@
 package array
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"strconv"
@@ -129,6 +130,10 @@ func (v Value) Compare(o Value) int {
 		return 1
 	case os:
 		return -1
+	case v.Kind == TypeInt64 && o.Kind == TypeInt64:
+		// Exact: two int64s a float64 cannot tell apart (beyond 2^53)
+		// are still different keys.
+		return cmp.Compare(v.Int, o.Int)
 	}
 	a, b := v.AsFloat(), o.AsFloat()
 	switch {
@@ -177,25 +182,41 @@ func (v Value) AsInt() int64 {
 }
 
 // HashKey returns a canonical comparable key for use in join hash maps:
-// numerically equal int and float values share a key.
+// numerically equal int and float values share a key. It is HashInt,
+// HashFloat or HashString by kind, which the columnar join kernels call
+// on typed columns directly.
 func (v Value) HashKey() uint64 {
 	switch v.Kind {
 	case TypeInt64:
-		return mix64(uint64(v.Int))
+		return HashInt(v.Int)
 	case TypeFloat64:
-		if v.F == math.Trunc(v.F) && v.F >= math.MinInt64 && v.F <= math.MaxInt64 {
-			return mix64(uint64(int64(v.F)))
-		}
-		return mix64(math.Float64bits(v.F))
+		return HashFloat(v.F)
 	case TypeString:
-		var h uint64 = 14695981039346656037 // FNV-1a
-		for i := 0; i < len(v.Str); i++ {
-			h ^= uint64(v.Str[i])
-			h *= 1099511628211
-		}
-		return h
+		return HashString(v.Str)
 	}
 	return 0
+}
+
+// HashInt is HashKey of an int64 value.
+func HashInt(x int64) uint64 { return mix64(uint64(x)) }
+
+// HashFloat is HashKey of a float64 value: an integral float hashes as
+// the int64 it equals.
+func HashFloat(f float64) uint64 {
+	if f == math.Trunc(f) && f >= math.MinInt64 && f <= math.MaxInt64 {
+		return mix64(uint64(int64(f)))
+	}
+	return mix64(math.Float64bits(f))
+}
+
+// HashString is HashKey of a string value (FNV-1a).
+func HashString(s string) uint64 {
+	var h uint64 = 14695981039346656037
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= 1099511628211
+	}
+	return h
 }
 
 // mix64 is a 64-bit finalizer (splitmix64) giving well-spread hash values.

@@ -135,3 +135,20 @@ func (b *Batch) Reset() {
 func (b *Batch) Bytes() int64 {
 	return int64(b.Len()) * 8 * int64(len(b.Coords)+len(b.Cols))
 }
+
+// Flat returns one column of a run of batches as a single slice: the
+// batch's own storage when the run is one batch, else every batch's
+// column copied in run order into *buf, which keeps its capacity for
+// the next call. col selects the column, e.g. a coordinate or a Col's
+// typed storage.
+func Flat[T any](run []*Batch, col func(*Batch) []T, buf *[]T) []T {
+	if len(run) == 1 {
+		return col(run[0])
+	}
+	out := (*buf)[:0]
+	for _, b := range run {
+		out = append(out, col(b)...)
+	}
+	*buf = out
+	return out
+}

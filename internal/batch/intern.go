@@ -57,3 +57,13 @@ func (in *Intern) Count() int {
 	in.mu.RUnlock()
 	return n
 }
+
+// Strs returns the dictionary as it stands: Strs()[id] is Str(id) for
+// every code issued so far. The slice is shared, not copied; codes
+// issued later are not in it.
+func (in *Intern) Strs() []string {
+	in.mu.RLock()
+	s := in.strs
+	in.mu.RUnlock()
+	return s
+}

@@ -5,13 +5,15 @@ import (
 	"time"
 
 	"shufflejoin/internal/array"
+	"shufflejoin/internal/batch"
 	"shufflejoin/internal/join"
 	"shufflejoin/internal/physical"
 )
 
 // Calibrate derives the cost model's compute parameters (m, b, p of
-// Section 5.1) empirically from this machine, timing the streaming joins
-// the engine runs (join.RunStream), the way the paper derives them from
+// Section 5.1) empirically from this machine, timing the columnar join
+// kernels the engine runs (join.RunColumns over one-batch sides, match
+// lists included), the way the paper derives them from
 // the database's performance. The network parameter t cannot be measured
 // on a single machine; it is set to keep the paper's regime — network
 // transfer as the scarcest resource — at the measured compute speed
@@ -21,24 +23,30 @@ func Calibrate(cells int, seed int64) physical.CostParams {
 		cells = 200_000
 	}
 	rng := rand.New(rand.NewSource(seed))
-	mk := func(n int, sorted bool) []join.Tuple {
-		ts := make([]join.Tuple, n)
-		for i := range ts {
-			var k int64
+	mk := func(n int, sorted bool) []*batch.Batch {
+		b := batch.New(0, []array.ScalarType{array.TypeInt64}, n)
+		keys := make([]int64, n)
+		for i := range keys {
 			if sorted {
-				k = int64(i * 2) // distinct, ordered, ~50% match rate
+				keys[i] = int64(i * 2) // distinct, ordered, ~50% match rate
 			} else {
-				k = rng.Int63n(int64(n) * 2)
+				keys[i] = rng.Int63n(int64(n) * 2)
 			}
-			ts[i] = join.Tuple{Key: []array.Value{array.IntValue(k)}}
 		}
-		return ts
+		b.Cols[0].Ints = keys
+		return []*batch.Batch{b}
+	}
+	prefix := func(side []*batch.Batch, n int) []*batch.Batch {
+		b := batch.New(0, []array.ScalarType{array.TypeInt64}, n)
+		b.Cols[0].Ints = side[0].Cols[0].Ints[:n]
+		return []*batch.Batch{b}
 	}
 
-	run := func(alg join.Algorithm, l, r []join.Tuple) (float64, join.Stats) {
+	var matches join.Matches
+	run := func(alg join.Algorithm, l, r []*batch.Batch) (float64, join.Stats) {
 		start := time.Now()
-		// RunStream fails only on an unknown algorithm.
-		st, _ := join.RunStream(alg, &join.SliceStream{Tuples: l}, &join.SliceStream{Tuples: r}, nil)
+		// RunColumns fails only on an unknown algorithm.
+		st, _ := join.RunColumns(alg, l, r, 1, nil, &matches)
 		return time.Since(start).Seconds(), st
 	}
 
@@ -51,7 +59,7 @@ func Calibrate(cells int, seed int64) physical.CostParams {
 	// give two equations t = b·builds + p·probes in the two unknowns.
 	unsortedL, unsortedR := mk(cells, false), mk(cells, false)
 	t1, s1 := run(join.Hash, unsortedL, unsortedR)
-	t2, s2 := run(join.Hash, unsortedL[:1024], unsortedR)
+	t2, s2 := run(join.Hash, prefix(unsortedL, 1024), unsortedR)
 	det := float64(s1.BuildOps*s2.ProbeOps - s2.BuildOps*s1.ProbeOps)
 	b := (t1*float64(s2.ProbeOps) - t2*float64(s1.ProbeOps)) / det
 	p := (t2*float64(s1.BuildOps) - t1*float64(s2.BuildOps)) / det

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"shufflejoin/internal/array"
+	"shufflejoin/internal/batch"
 )
 
 func benchTuples(n int, sorted bool, seed int64) []Tuple {
@@ -63,6 +64,38 @@ func BenchmarkSortTuples(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		copy(buf, src)
 		SortTuples(buf)
+	}
+}
+
+// benchRun is benchTuples' keys as a one-batch run of an int64 key
+// column, the layout the columnar kernels read.
+func benchRun(ts []Tuple) []*batch.Batch {
+	b := batch.New(0, []array.ScalarType{array.TypeInt64}, len(ts))
+	for i := range ts {
+		b.Cols[0].Ints = append(b.Cols[0].Ints, ts[i].Key[0].Int)
+	}
+	return []*batch.Batch{b}
+}
+
+// BenchmarkColumnarJoin times the engine's kernels on the sides the
+// Tuple benchmarks above use, match lists included.
+func BenchmarkColumnarJoin(b *testing.B) {
+	for _, bc := range []struct {
+		alg    Algorithm
+		n      int
+		sorted bool
+	}{{Hash, 100_000, false}, {Merge, 100_000, true}, {NestedLoop, 2_000, false}} {
+		left, right := benchRun(benchTuples(bc.n, bc.sorted, 1)), benchRun(benchTuples(bc.n, bc.sorted, 2))
+		b.Run(bc.alg.String(), func(b *testing.B) {
+			var m Matches
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := RunColumns(bc.alg, left, right, 1, nil, &m); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(2*bc.n), "cells")
+		})
 	}
 }
 

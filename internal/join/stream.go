@@ -4,8 +4,10 @@
 // emit-order and statistics bit-identical to its materializing
 // reference (Run and the algorithms in join.go) — the differential
 // tests in stream_test.go and the pipeline's reference-executor test
-// pin that. The engine runs only the streaming variants; the
-// materializing ones stay as that reference.
+// pin that. The engine runs neither: it runs the columnar kernels
+// (columnar.go), which FuzzColumnarJoin holds to RunStream. RunStream
+// stays outside the tests for the benchmark's compare replay, which
+// times it.
 package join
 
 import (
@@ -34,40 +36,6 @@ type TupleStream interface {
 	Len() int
 	Next() ([]Tuple, bool)
 	Materialize() []Tuple
-}
-
-// SliceStream adapts an in-memory []Tuple to TupleStream, yielding
-// windows of at most Window tuples (0 = everything in one window).
-// Used by differential tests and as the bridge from materialized
-// slices.
-type SliceStream struct {
-	Tuples []Tuple
-	Window int
-	pos    int
-}
-
-// Len implements TupleStream.
-func (s *SliceStream) Len() int { return len(s.Tuples) }
-
-// Next implements TupleStream.
-func (s *SliceStream) Next() ([]Tuple, bool) {
-	if s.pos >= len(s.Tuples) {
-		return nil, false
-	}
-	w := s.Window
-	if w <= 0 || s.pos+w > len(s.Tuples) {
-		w = len(s.Tuples) - s.pos
-	}
-	out := s.Tuples[s.pos : s.pos+w]
-	s.pos += w
-	return out, true
-}
-
-// Materialize implements TupleStream.
-func (s *SliceStream) Materialize() []Tuple {
-	out := s.Tuples[s.pos:]
-	s.pos = len(s.Tuples)
-	return out
 }
 
 // RunStream executes the chosen algorithm over one join unit's streamed

@@ -124,3 +124,37 @@ func TestSliceStreamWindows(t *testing.T) {
 		t.Errorf("Len = %d, want 10", s.Len())
 	}
 }
+
+// SliceStream adapts an in-memory []Tuple to TupleStream, yielding
+// windows of at most Window tuples (0 = everything in one window).
+// Used by differential tests and as the bridge from materialized
+// slices.
+type SliceStream struct {
+	Tuples []Tuple
+	Window int
+	pos    int
+}
+
+// Len implements TupleStream.
+func (s *SliceStream) Len() int { return len(s.Tuples) }
+
+// Next implements TupleStream.
+func (s *SliceStream) Next() ([]Tuple, bool) {
+	if s.pos >= len(s.Tuples) {
+		return nil, false
+	}
+	w := s.Window
+	if w <= 0 || s.pos+w > len(s.Tuples) {
+		w = len(s.Tuples) - s.pos
+	}
+	out := s.Tuples[s.pos : s.pos+w]
+	s.pos += w
+	return out, true
+}
+
+// Materialize implements TupleStream.
+func (s *SliceStream) Materialize() []Tuple {
+	out := s.Tuples[s.pos:]
+	s.pos = len(s.Tuples)
+	return out
+}

@@ -3,7 +3,6 @@ package pipeline
 import (
 	"math"
 
-	"shufflejoin/internal/array"
 	"shufflejoin/internal/join"
 	"shufflejoin/internal/logical"
 )
@@ -33,20 +32,14 @@ type nodeOut struct {
 	err   error
 }
 
-// buildOutput creates the destination array and the output projector,
-// with Options.ProjectFactory's attribute function when one is set.
+// buildOutput creates the destination array and compiles the output
+// projection, from Options.Select when it is set.
 func (qc *QueryContext) buildOutput() error {
 	outArr, err := newOutputArray(qc.plan.JS)
 	if err != nil {
 		return err
 	}
-	var attrFn func(dst []array.Value, l, r *join.Tuple)
-	if qc.Opt.ProjectFactory != nil {
-		if attrFn, err = qc.Opt.ProjectFactory(qc.plan.JS); err != nil {
-			return err
-		}
-	}
-	proj, err := newProjector(qc.plan.JS, attrFn)
+	proj, err := newProjector(qc.plan.JS, qc.Opt.Select)
 	if err != nil {
 		return err
 	}
@@ -54,11 +47,10 @@ func (qc *QueryContext) buildOutput() error {
 	return nil
 }
 
-// runUnit assembles and joins unit u on its destination node through a
-// pull-chain of pooled TupleReaders, writing into res, the unit's own
-// slot. The projector copies every emitted value into the slot's output
-// columns, so the unit's batches are recycled the moment the join
-// returns.
+// runUnit joins unit u on its destination node, writing into res, the
+// unit's own slot. The kernel reads both sides' batch runs in place and
+// lists the matches; the projector gathers them into the slot's output
+// columns, so the unit's batches are recycled as soon as it returns.
 func (qc *QueryContext) runUnit(u int, res *unitOut) {
 	// Per-unit cancellation point: a canceled query skips its remaining
 	// units (fold surfaces the context error from the first skipped
@@ -68,18 +60,16 @@ func (qc *QueryContext) runUnit(u int, res *unitOut) {
 		return
 	}
 	dest := qc.Report.Physical.Assignment[u]
-	emit := func(l, r *join.Tuple) {
-		if res.cols == nil {
-			res.cols = newOutCols(qc.outArr.Schema)
-		}
-		qc.proj.project(res.cols, l, r)
+	nl, nr := qc.rsl.UnitTotal(u), qc.rsr.UnitTotal(u)
+	s := getUnitScratch()
+	s.runs[0] = qc.rsl.Run(u, dest, s.runs[0])
+	s.runs[1] = qc.rsr.Run(u, dest, s.runs[1])
+	nkey := len(qc.plan.JS.Pred.Resolved.Left)
+	st, err := join.RunColumns(qc.plan.Algo, s.runs[0], s.runs[1], nkey, qc.intern, &s.m)
+	if err == nil && len(s.m.L) > 0 {
+		res.cols = qc.proj.project(qc.outArr.Schema, s, qc.intern.Strs())
 	}
-	lrd := qc.rsl.Reader(u, dest)
-	rrd := qc.rsr.Reader(u, dest)
-	nl, nr := lrd.Len(), rrd.Len()
-	st, err := join.RunStream(qc.plan.Algo, lrd, rrd, emit)
-	lrd.Close()
-	rrd.Close()
+	s.release(max(nl, nr))
 	// The unit is fully consumed: recycle its batches and return
 	// their bytes to the query budget.
 	qc.rsl.ReleaseUnit(u)
@@ -89,7 +79,7 @@ func (qc *QueryContext) runUnit(u int, res *unitOut) {
 		return
 	}
 	res.stats = st
-	res.time = unitModelTime(qc.plan.Algo, nl, nr)
+	res.time = unitModelTime(qc.plan.Algo, int(nl), int(nr))
 }
 
 // fold merges per-unit slots into per-node outputs in deterministic

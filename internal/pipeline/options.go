@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"shufflejoin/internal/array"
@@ -53,19 +52,13 @@ type Options struct {
 	// batch.ErrBudget.
 	Strict bool
 	// ExtraCarryLeft/ExtraCarryRight name additional source attributes to
-	// carry through the shuffle (columns referenced only by SELECT
-	// expressions).
+	// carry through the shuffle (columns referenced only by Select).
 	ExtraCarryLeft, ExtraCarryRight []string
-	// ProjectFactory, when non-nil, builds an evaluator that computes the
-	// output attribute values of each match instead of name-based field
-	// mapping (SELECT expression evaluation). The factory runs after the
-	// join schema is inferred; build per-field accessors with Accessor.
-	// The evaluator writes match (l, r)'s value of output attribute i into
-	// dst[i], for every attribute of the destination; dst is owned by the
-	// caller, which reuses it for the next match, so the evaluator must
-	// not retain it. The evaluator must be safe for concurrent use (each
-	// worker passes its own dst) unless Parallelism is 1.
-	ProjectFactory func(js *logical.JoinSchema) (func(dst []array.Value, l, r *join.Tuple), error)
+	// Select, when non-nil, computes the destination's attributes, one
+	// Expr per attribute in order, instead of mapping them by name: an
+	// AQL SELECT list (aql.Compile builds it). Column references must
+	// name a dimension or a carried attribute (see ExtraCarryLeft).
+	Select []Expr
 	// Cache, when non-nil, short-circuits planning for repeated queries:
 	// before planning, the query's signature (schema shape, chunk grid,
 	// skew-histogram fingerprint, node count, planning options) is looked
@@ -143,44 +136,33 @@ func (o *Options) normalize() {
 	}
 }
 
-// Accessor resolves a source field of the join into an extractor over
-// matched tuple pairs: dimensions read coordinates, attributes read carried
-// values. arrayName may be empty to search both sides (left first).
-func Accessor(js *logical.JoinSchema, arrayName, field string) (func(l, r *join.Tuple) array.Value, error) {
-	src := js.Pred
-	carry := [2]map[int]int{carryPositions(js.LeftCarry), carryPositions(js.RightCarry)}
-	schemas := [2]*array.Schema{src.Left, src.Right}
-	for side, s := range schemas {
-		if arrayName != "" && arrayName != s.Name {
-			continue
-		}
-		if i := s.DimIndex(field); i >= 0 {
-			side, i := side, i
-			return func(l, r *join.Tuple) array.Value {
-				t := l
-				if side == 1 {
-					t = r
-				}
-				return array.IntValue(t.Coords[i])
-			}, nil
-		}
-		if i := s.AttrIndex(field); i >= 0 {
-			pos, ok := carry[side][i]
-			if !ok {
-				return nil, fmt.Errorf("pipeline: attribute %s.%s is not carried through the shuffle", s.Name, field)
-			}
-			side, pos := side, pos
-			return func(l, r *join.Tuple) array.Value {
-				t := l
-				if side == 1 {
-					t = r
-				}
-				return t.Attrs[pos]
-			}, nil
-		}
-	}
-	return nil, fmt.Errorf("pipeline: no field %s.%s in join sources", arrayName, field)
+// Expr is one output attribute of Options.Select: a source column, a
+// numeric literal, or arithmetic on other Exprs. It is evaluated with
+// AQL's rules, a whole join unit at a time: int op int is an int
+// (wrapping on overflow), any float operand makes a float, '/' is always
+// a float and a zero divisor gives NaN, a string column in arithmetic
+// is the float it parses to (NaN if none), and a float bound for an int
+// attribute truncates. Any other value converts as Column.Append does.
+type Expr struct {
+	// Op is OpCol, OpLit, OpNeg, or one of '+', '-', '*', '/' (L Op R).
+	Op byte
+	// Array and Field name the source column of OpCol: a dimension or
+	// carried attribute of that source, or of either source, left
+	// first, when Array is empty.
+	Array, Field string
+	// Lit is OpLit's number, an int64 or a float64 Value.
+	Lit array.Value
+	// L is the operand of OpNeg and the left operand of arithmetic; R
+	// is the right one.
+	L, R *Expr
 }
+
+// Expr operators besides the arithmetic '+', '-', '*' and '/'.
+const (
+	OpCol byte = 0   // the source column Array.Field
+	OpLit byte = '#' // the literal Lit
+	OpNeg byte = '~' // -L
+)
 
 // Report is the outcome of one shuffle join: the chosen plans, the modeled
 // phase durations (seconds), and the materialized output. Each field's

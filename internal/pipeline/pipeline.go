@@ -30,15 +30,20 @@
 //     numbering — happens on the orchestration goroutine in a fixed
 //     order: node ascending, unit assignment order, emit order.
 //
-// # Output columns
+// # Compare on columns, project by gather
 //
-// Matches go straight into typed output columns: each unit's slot makes
-// coordinate and attribute columns shaped like an array.Chunk at its
-// first match, and the projector appends every match to them.
-// fold writes synthetic row numbers into them in place and keeps each
-// node's slots in assignment order; Assemble clamps them column by
-// column, buckets their rows by destination chunk, and appends each
-// bucket with one Chunk.AppendColumns. No match allocates on the way.
+// A unit's two sides are its runs of columnar batches, read in place.
+// The join kernel (join.RunColumns) compares their typed key columns
+// and lists the matches as (left row, right row) pairs; no cell becomes
+// a tuple and no match calls back. The projector, compiled once per
+// query from the destination's field names or Options.Select, then
+// fills the unit's typed output columns, shaped like an array.Chunk and
+// sized for its matches, a column at a time: a source column by typed
+// gather, a SELECT expression evaluated over gathered columns. fold
+// writes synthetic row numbers into them in place and keeps each node's
+// slots in assignment order; Assemble clamps them column by column,
+// buckets their rows by destination chunk, and appends each bucket with
+// one Chunk.AppendColumns. No match allocates on the way.
 //
 // See DESIGN.md §7 for the full determinism argument.
 package pipeline
@@ -119,6 +124,7 @@ type QueryContext struct {
 	plan      *logical.Plan     // &Report.Logical: the chosen plan, once LogicalPlan has run
 	spec      *shuffle.UnitSpec // SliceMap: join-unit geometry
 	rsl, rsr  *shuffle.RunSet   // SliceMap: per-side batch runs
+	intern    *batch.Intern     // SliceMap: both sides' string dictionary
 	budget    *batch.Budget     // SliceMap: per-query memory accountant
 	nodeUnits [][]int           // PhysicalPlan: units assigned to each node
 	outArr    *array.Array      // Compare: destination array

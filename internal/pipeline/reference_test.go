@@ -20,8 +20,8 @@ import (
 // assembling each unit whole (SliceSet.Assemble → SortTuples for merge →
 // join.Run) and numbering synthetic rows node, node+K, node+2K, …
 // directly. It shares no data-plane or ordering code with the production
-// stages — only the cost formulas, the output array, projector and
-// output columns, Assemble, and the planners — and plugs in through the
+// stages — only the cost formulas, the output array, the projector's
+// field resolution, Assemble, and the planners — and plugs in through the
 // seam Execute already has: the stage list.
 
 // RunReference is Run through ReferenceStages.
@@ -121,15 +121,31 @@ func (r refCompare) Run(qc *QueryContext) error {
 	}
 	qc.nodes = make([]nodeOut, k)
 	rep.NodeCompareTime = make([]float64, k)
+	for _, e := range qc.proj.attrs {
+		if e.op != OpCol {
+			return fmt.Errorf("reference: output expressions are checked in internal/aql, not here")
+		}
+	}
 	for node := 0; node < k; node++ {
 		no := &qc.nodes[node]
-		cols := newOutCols(qc.outArr.Schema)
+		cols := &outCols{}
+		cols.NDims = len(qc.outArr.Schema.Dims)
+		cols.Coords = make([][]int64, cols.NDims)
+		cols.Cols = make([]array.Column, len(qc.proj.types))
+		for i, typ := range qc.proj.types {
+			cols.Cols[i].Type = typ
+		}
 		row := int64(node)
 		emit := func(lt, rt *join.Tuple) {
-			qc.proj.project(cols, lt, rt)
 			if qc.proj.rowDim {
-				cols.Coords[0][cols.Len()-1] = row
+				cols.Coords[0] = append(cols.Coords[0], row)
 				row += int64(k)
+			}
+			for d, src := range qc.proj.dims {
+				cols.Coords[d] = append(cols.Coords[d], tupleValue(src, lt, rt).AsInt())
+			}
+			for i, e := range qc.proj.attrs {
+				cols.Cols[i].Append(tupleValue(e.src, lt, rt))
 			}
 		}
 		for _, u := range qc.nodeUnits[node] {
@@ -161,4 +177,18 @@ func (r refCompare) Run(qc *QueryContext) error {
 	rep.Matches = rep.JoinStats.Matches
 	rep.Skew, rep.StragglerNode = SkewOf(rep.NodeCompareTime)
 	return nil
+}
+
+// tupleValue reads a projector source from a matched tuple pair: a
+// coordinate, or a carried attribute, which batch column idx holds after
+// the len(Key) key columns.
+func tupleValue(src source, l, r *join.Tuple) array.Value {
+	t := l
+	if src.side == 1 {
+		t = r
+	}
+	if src.isDim {
+		return array.IntValue(t.Coords[src.idx])
+	}
+	return t.Attrs[src.idx-len(t.Key)]
 }

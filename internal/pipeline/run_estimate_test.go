@@ -1,11 +1,11 @@
 package pipeline_test
 
 import (
+	"strings"
 	"testing"
 
 	"shufflejoin/internal/array"
 	"shufflejoin/internal/join"
-	"shufflejoin/internal/logical"
 	"shufflejoin/internal/pipeline"
 )
 
@@ -132,7 +132,10 @@ func TestADJoinAllAlgorithms(t *testing.T) {
 	}
 }
 
-func TestAccessorResolution(t *testing.T) {
+// TestSelectResolution: Options.Select column references resolve to a
+// dimension or carried attribute of the named source, or of either when
+// unqualified, and fail the query otherwise.
+func TestSelectResolution(t *testing.T) {
 	a := buildArray("A<v:int>[i=1,50,10]", 51, 30, 10)
 	b := buildArray("B<w:int>[j=1,50,10]", 52, 30, 10)
 	c := newCluster(t, 2, a, b)
@@ -140,44 +143,40 @@ func TestAccessorResolution(t *testing.T) {
 	out := array.MustParseSchema("T<i:int>[v=0,9,5]")
 	dl, _ := c.Catalog.Lookup("A")
 	dr, _ := c.Catalog.Lookup("B")
-	var js *logical.JoinSchema
-	opt := pipeline.Options{
-		ProjectFactory: func(j *logical.JoinSchema) (func(dst []array.Value, l, r *join.Tuple), error) {
-			js = j
-			acc, err := pipeline.Accessor(j, "A", "i")
-			if err != nil {
-				return nil, err
-			}
-			return func(dst []array.Value, l, r *join.Tuple) {
-				dst[0] = acc(l, r)
-			}, nil
-		},
+	run := func(arr, field string) (*pipeline.Report, error) {
+		return pipeline.RunDistributed(c, dl, dr, pred, out, pipeline.Options{
+			Select: []pipeline.Expr{{Op: pipeline.OpCol, Array: arr, Field: field}},
+		})
 	}
-	rep, err := pipeline.RunDistributed(c, dl, dr, pred, out, opt)
+	rep, err := run("A", "i")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Matches == 0 {
 		t.Fatal("no matches")
 	}
-	// Accessor error paths.
-	if _, err := pipeline.Accessor(js, "A", "missing"); err == nil {
-		t.Error("unknown field should fail")
+	rep.Output.Scan(func(coords []int64, attrs []array.Value) bool {
+		if _, ok := a.Get([]int64{attrs[0].Int}); !ok {
+			t.Fatalf("output cell %v: A.i = %d is not a cell of A", coords, attrs[0].Int)
+		}
+		return true
+	})
+	for _, bad := range [][2]string{{"A", "missing"}, {"Z", "v"}} {
+		if _, err := run(bad[0], bad[1]); err == nil {
+			t.Errorf("select %s.%s should fail", bad[0], bad[1])
+		}
 	}
-	if _, err := pipeline.Accessor(js, "Z", "v"); err == nil {
-		t.Error("unknown array should fail")
-	}
-	// Dimension accessor on the right side, unqualified attribute search.
-	if _, err := pipeline.Accessor(js, "B", "j"); err != nil {
-		t.Errorf("right dim accessor: %v", err)
-	}
-	if _, err := pipeline.Accessor(js, "", "w"); err != nil {
-		t.Errorf("unqualified attr accessor: %v", err)
+	// A dimension on the right side, and an unqualified attribute.
+	for _, good := range [][2]string{{"B", "j"}, {"", "w"}} {
+		if _, err := run(good[0], good[1]); err != nil {
+			t.Errorf("select %s.%s: %v", good[0], good[1], err)
+		}
 	}
 }
 
-func TestAccessorNotCarried(t *testing.T) {
-	// An attribute not in the carry set cannot be accessed post-shuffle.
+// TestSelectNotCarried: an attribute not in the carry set cannot be
+// selected post-shuffle.
+func TestSelectNotCarried(t *testing.T) {
 	a := buildArray("A<v:int>[i=1,50,10]", 53, 30, 10)
 	b := buildArray("B<w:int>[i=1,50,10]", 54, 30, 10)
 	c := newCluster(t, 2, a, b)
@@ -187,27 +186,21 @@ func TestAccessorNotCarried(t *testing.T) {
 		Dims:  []array.Dimension{{Name: "i", Start: 1, End: 50, ChunkInterval: 10}},
 		Attrs: []array.Attribute{{Name: "x", Type: array.TypeInt64}},
 	}
-	opt := pipeline.Options{
-		ProjectFactory: func(j *logical.JoinSchema) (func(dst []array.Value, l, r *join.Tuple), error) {
-			// B.w is not referenced by τ or the predicate and was not
-			// declared as an extra carry: the accessor must refuse.
-			if _, err := pipeline.Accessor(j, "B", "w"); err == nil {
-				t.Error("uncarried attribute should fail")
-			}
-			acc, err := pipeline.Accessor(j, "A", "v") // v not carried either
-			if err == nil {
-				return func(dst []array.Value, l, r *join.Tuple) {
-					dst[0] = acc(l, r)
-				}, nil
-			}
-			return func(dst []array.Value, l, r *join.Tuple) {
-				dst[0] = array.IntValue(0)
-			}, nil
-		},
-	}
 	dl, _ := c.Catalog.Lookup("A")
 	dr, _ := c.Catalog.Lookup("B")
-	if _, err := pipeline.RunDistributed(c, dl, dr, pred, out, opt); err != nil {
+	// B.w is not referenced by τ or the predicate and was not declared
+	// as an extra carry.
+	_, err := pipeline.RunDistributed(c, dl, dr, pred, out, pipeline.Options{
+		Select: []pipeline.Expr{{Op: pipeline.OpCol, Array: "B", Field: "w"}},
+	})
+	if err == nil || !strings.Contains(err.Error(), "not carried") {
+		t.Errorf("err = %v, want an uncarried-attribute error", err)
+	}
+	// Declared as an extra carry, it is.
+	if _, err := pipeline.RunDistributed(c, dl, dr, pred, out, pipeline.Options{
+		Select:          []pipeline.Expr{{Op: pipeline.OpCol, Array: "B", Field: "w"}},
+		ExtraCarryRight: []string{"w"},
+	}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -3,6 +3,7 @@ package pipeline_test
 import (
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -52,6 +53,37 @@ func TestDDMergeJoinCorrect(t *testing.T) {
 	if got := rep.Output.CellCount(); got != want {
 		t.Errorf("output cells = %d, want %d", got, want)
 	}
+}
+
+// TestDDMergeJoinBigCoordinates: a D:D merge join on a dimension that
+// spans 2^62, where a float64 cannot tell neighbouring coordinates apart,
+// pairs exactly the cells the brute-force oracle pairs, each with its
+// own partner's values.
+func TestDDMergeJoinBigCoordinates(t *testing.T) {
+	const lit = "<v:int>[i=4611686018427385856,4611686018427389951,256]" // 2^62 - 2048 to 2^62 + 2047
+	a := buildArray("A"+lit, 7, 1500, 100)
+	b := buildArray("B"+strings.Replace(lit, "v:", "w:", 1), 8, 1500, 100)
+	c := newCluster(t, 4, a, b)
+	pred := join.Predicate{{Left: join.Term{Name: "i"}, Right: join.Term{Name: "i"}}}
+	rep, err := pipeline.Run(c, "A", "B", pred, nil, pipeline.Options{})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if rep.Logical.Algo != join.Merge {
+		t.Errorf("D:D plan chose %v, want merge", rep.Logical.Algo)
+	}
+	want := bruteMatches(a, b, dimOf, dimOf)
+	if rep.Matches != want || rep.Output.CellCount() != want {
+		t.Errorf("Matches = %d, output cells = %d, want %d", rep.Matches, rep.Output.CellCount(), want)
+	}
+	rep.Output.Scan(func(coords []int64, attrs []array.Value) bool {
+		av, okA := a.Get(coords)
+		bv, okB := b.Get(coords)
+		if !okA || !okB || attrs[0] != av[0] || attrs[1] != bv[0] {
+			t.Fatalf("output cell %v = %v, want A's and B's values there", coords, attrs)
+		}
+		return true
+	})
 }
 
 func TestAAHashJoinCorrect(t *testing.T) {

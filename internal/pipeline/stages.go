@@ -132,7 +132,7 @@ func (SliceMap) Run(qc *QueryContext) error {
 	if err != nil {
 		return err
 	}
-	qc.rsl, qc.rsr = rsl, rsr
+	qc.rsl, qc.rsr, qc.intern = rsl, rsr, cfg.Intern
 	// The budget only rises during mapping and only falls as compare
 	// retires units, so the peak is already final here (and
 	// deterministic across Parallelism).

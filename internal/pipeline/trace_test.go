@@ -11,13 +11,10 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
-	"shufflejoin/internal/array"
 	"shufflejoin/internal/join"
-	"shufflejoin/internal/logical"
 	"shufflejoin/internal/obs"
 	"shufflejoin/internal/pipeline"
 	"shufflejoin/internal/plancache"
@@ -230,48 +227,48 @@ func (h *progressHooks) QueryStarted(p *pipeline.Progress) { h.p = p }
 
 func (*progressHooks) QueryFinished(*pipeline.Progress, *pipeline.Report, error) {}
 
+// outputProbe runs a stage, then records the output cells the Report
+// holds by then.
+type outputProbe struct {
+	pipeline.Stage
+	cells map[string]int64
+}
+
+func (p outputProbe) Run(qc *pipeline.QueryContext) error {
+	err := p.Stage.Run(qc)
+	for _, n := range qc.Report.Nodes {
+		p.cells[p.Name()] += n.OutputCells
+	}
+	return err
+}
+
 // TestMatchesProjectedInCompareStage pins the stage attribution of cell
-// comparison: every match is projected while the stage log's open stage
-// is compare, so the compare stage's wall time holds all of the
-// comparison and the align stage's none of it, at every Parallelism.
+// comparison: no stage before compare has projected a match, and every
+// match is in output columns when compare returns, so the compare
+// stage's wall time holds all of the comparison and the align stage's
+// none of it, at every Parallelism.
 func TestMatchesProjectedInCompareStage(t *testing.T) {
 	a := buildArray("A<v:int>[i=1,300,30]", 21, 150, 25)
 	b := buildArray("B<w:int>[j=1,300,30]", 22, 140, 25)
 	pred := join.Predicate{{Left: join.Term{Name: "v"}, Right: join.Term{Name: "w"}}}
 	for _, par := range []int{1, 4} {
 		t.Run(fmt.Sprintf("par=%d", par), func(t *testing.T) {
-			h := &progressHooks{}
-			var mu sync.Mutex
-			seen := map[string]int{}
-			rep, err := pipeline.Run(newCluster(t, 4, a.Clone(), b.Clone()), "A", "B", pred, nil, pipeline.Options{
-				Selectivity: 0.5,
-				Parallelism: par,
-				Hooks:       h,
-				ProjectFactory: func(js *logical.JoinSchema) (func(dst []array.Value, l, r *join.Tuple), error) {
-					var accs []func(l, r *join.Tuple) array.Value
-					for _, at := range js.Pred.Out.Attrs {
-						acc, err := pipeline.Accessor(js, "", at.Name)
-						if err != nil {
-							return nil, err
-						}
-						accs = append(accs, acc)
-					}
-					return func(dst []array.Value, l, r *join.Tuple) {
-						stage := h.p.Snapshot().CurrentStage
-						mu.Lock()
-						seen[stage]++
-						mu.Unlock()
-						for i, acc := range accs {
-							dst[i] = acc(l, r)
-						}
-					}, nil
-				},
-			})
-			if err != nil {
+			c := newCluster(t, 4, a.Clone(), b.Clone())
+			dl, _ := c.Catalog.Lookup("A")
+			dr, _ := c.Catalog.Lookup("B")
+			qc := pipeline.NewQueryContext(c, dl, dr, pred, nil, pipeline.Options{Selectivity: 0.5, Parallelism: par})
+			cells := map[string]int64{}
+			stages := pipeline.DefaultStages()
+			for i, st := range stages {
+				stages[i] = outputProbe{st, cells}
+			}
+			if err := pipeline.Execute(qc, stages); err != nil {
 				t.Fatal(err)
 			}
-			if rep.Matches == 0 || len(seen) != 1 || seen["compare"] != int(rep.Matches) {
-				t.Errorf("%d matches projected per stage %v, want all in compare", rep.Matches, seen)
+			rep := qc.Report
+			if rep.Matches == 0 || cells["align"] != 0 || cells["compare"] != rep.Matches {
+				t.Errorf("%d matches; output cells after align %d, after compare %d, want 0 and all",
+					rep.Matches, cells["align"], cells["compare"])
 			}
 		})
 	}

@@ -2,12 +2,14 @@
 // of MapSideN. Instead of materializing every mapped cell as a
 // join.Tuple (three slice headers plus per-cell allocations), the
 // streaming path appends cells into fixed-capacity columnar batches —
-// one bounded run of batches per (unit, node) slice — and comparison
-// pulls tuples back out through pooled TupleReaders one window at a
-// time. Decoded tuples are bit-identical to what MapSideN produces for
-// the same side (same unit function, same key extraction, same carry
-// projection), which the differential tests in stream_test.go and the
-// pipeline equivalence suite pin.
+// one bounded run of batches per (unit, node) slice. Comparison reads a
+// unit's runs in place (RunSet.Run) with the columnar join kernels.
+// The pooled TupleReaders decode the same runs back into tuples that
+// are bit-identical to what MapSideN produces for the same side (same
+// unit function, same key extraction, same carry projection), which the
+// differential tests in stream_test.go and the pipeline equivalence
+// suite pin; they are references, which only tests and the benchmark's
+// compare replay read.
 package shuffle
 
 import (
@@ -88,6 +90,20 @@ func (rs *RunSet) UnitTotal(u int) int64 {
 		n += c
 	}
 	return n
+}
+
+// Run appends unit u's batches, as assembled at node dest, to buf and
+// returns it: the destination's local run first, then the other nodes'
+// runs in node order, Assemble's order. The batches stay the RunSet's;
+// they are valid until ReleaseUnit(u).
+func (rs *RunSet) Run(u, dest int, buf []*batch.Batch) []*batch.Batch {
+	buf = append(buf, rs.runs[u*rs.Nodes+dest]...)
+	for node := 0; node < rs.Nodes; node++ {
+		if node != dest {
+			buf = append(buf, rs.runs[u*rs.Nodes+node]...)
+		}
+	}
+	return buf
 }
 
 // getBatch returns a cleared batch shaped for this side's layout. The
@@ -276,18 +292,16 @@ func MapSideStream(d *cluster.Distributed, k int, spec *UnitSpec, m *SideMapper,
 }
 
 // TupleReader replays one join unit's tuples for one side as a
-// join.TupleStream, decoding batches into reader-owned scratch arenas —
-// the pull chain's only working memory, bounded by the batch size for
-// windowed consumption (Next) or the unit size for build-side
-// materialization. Readers are pooled per RunSet: Close returns the
-// reader (arenas and all) for reuse, which is what makes the
-// steady-state compare path allocation-free.
+// join.TupleStream, decoding batches into reader-owned scratch arenas,
+// bounded by the batch size for windowed consumption (Next) or the unit
+// size for build-side materialization. Readers are pooled: Close
+// returns the reader (arenas and all) for reuse. It is the reference
+// the columnar compare path is checked against, not the engine's path.
 type TupleReader struct {
-	rs      *RunSet
-	u, dest int
-	total   int
-	vi      int // visit pointer over nodes in Assemble order
-	seq     int // batch index within the current node's run
+	rs    *RunSet
+	total int
+	run   []*batch.Batch // the unit's batches, RunSet.Run's order
+	next  int            // the next batch of run to decode
 
 	ts     []join.Tuple
 	keys   []array.Value
@@ -307,43 +321,29 @@ func (rs *RunSet) Reader(u, dest int) *TupleReader {
 		r = &TupleReader{}
 	}
 	r.rs = rs
-	r.u, r.dest = u, dest
 	r.total = int(rs.UnitTotal(u))
-	r.vi, r.seq = 0, 0
+	r.run, r.next = rs.Run(u, dest, r.run[:0]), 0
 	return r
 }
 
-// Close recycles the reader. The RunSet reference is dropped so a
-// pooled reader never pins a finished query's slice map.
+// Close recycles the reader. The RunSet and batch references are
+// dropped so a pooled reader never pins a finished query's slice map.
 func (r *TupleReader) Close() {
 	r.rs = nil
+	clear(r.run)
 	readerPool.Put(r)
 }
 
 // Len implements join.TupleStream: the unit side's total tuple count.
 func (r *TupleReader) Len() int { return r.total }
 
-// advance returns the next non-empty batch in Assemble order
-// (destination first, then remaining nodes ascending), or nil.
+// advance returns the unit's next batch in Assemble order, or nil.
 func (r *TupleReader) advance() *batch.Batch {
-	for r.vi < r.rs.Nodes {
-		node := r.dest
-		if r.vi > 0 {
-			node = r.vi - 1
-			if node >= r.dest {
-				node++
-			}
-		}
-		run := r.rs.runs[r.u*r.rs.Nodes+node]
-		if r.seq < len(run) {
-			bt := run[r.seq]
-			r.seq++
-			return bt
-		}
-		r.vi++
-		r.seq = 0
+	if r.next == len(r.run) {
+		return nil
 	}
-	return nil
+	r.next++
+	return r.run[r.next-1]
 }
 
 // grow ensures the scratch arenas can hold rows decoded tuples.

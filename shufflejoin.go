@@ -28,6 +28,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"slices"
 	"sync"
 	"time"
 
@@ -104,6 +105,7 @@ type Array struct {
 	loaded   bool
 	policy   cluster.PlacementPolicy
 	sealOnce sync.Once
+	attrs    []array.Value // Insert's scratch: the cell's values, copied into the chunk by Put
 }
 
 // CreateArray declares a new array from a schema literal in the paper's
@@ -141,12 +143,14 @@ func (ar *Array) ChunkCount() int { return ar.inner.ChunkCount() }
 
 // Insert stores one cell: coordinates (one per dimension) and attribute
 // values (int64/int/float64/string, one per attribute). It must not run
-// concurrently with sealing the array: Seal, or a query that names it.
+// concurrently with another Insert into the same array, or with sealing
+// it: Seal, or a query that names it.
 func (ar *Array) Insert(coords []int64, values ...any) error {
 	if ar.loaded {
 		return fmt.Errorf("shufflejoin: %s is sealed; arrays are immutable once queried", ar.Name())
 	}
-	attrs := make([]array.Value, len(values))
+	attrs := slices.Grow(ar.attrs[:0], len(values))[:len(values)]
+	ar.attrs = attrs
 	for i, v := range values {
 		switch x := v.(type) {
 		case int:

@@ -75,16 +75,27 @@ func parseSources(t *testing.T) (*token.FileSet, []sourceFile) {
 	return sources.fset, sources.files
 }
 
-// TestReferencesStayReferences: the []Tuple joins and the materializing
-// slice map are the references the streaming engine is compared against
-// (join/stream_test.go, shuffle/stream_test.go, pipeline/reference_test.go).
-// No non-test code outside their own packages uses them, so everything
-// the module runs — queries, experiments, calibration — has one
-// implementation of each operator.
+// TestReferencesStayReferences: the Tuple joins, the tuple reader and
+// the materializing slice map are the references the engine is compared
+// against (join/columnar_test.go, join/stream_test.go,
+// shuffle/stream_test.go, pipeline/reference_test.go). No non-test code
+// outside their own packages uses them — the frozen benchmark's replay
+// aside — so everything the module runs — queries, experiments,
+// calibration — has one implementation of each operator. A "T.M" entry
+// is method M of type T, matched by name on any value that is not a
+// package.
 func TestReferencesStayReferences(t *testing.T) {
 	refs := map[string]map[string]bool{
-		"shufflejoin/internal/join":    {"Run": true, "HashJoin": true, "NestedLoopJoin": true, "HashJoinBuildSide": true},
-		"shufflejoin/internal/shuffle": {"MapSide": true, "MapSideN": true},
+		"shufflejoin/internal/join":    {"Run": true, "RunStream": true, "HashJoin": true, "NestedLoopJoin": true, "HashJoinBuildSide": true},
+		"shufflejoin/internal/shuffle": {"MapSide": true, "MapSideN": true, "RunSet.Reader": true},
+	}
+	methods := map[string]string{} // method name -> its "T.M" entry's package
+	for p, names := range refs {
+		for ref := range names {
+			if _, m, ok := strings.Cut(ref, "."); ok {
+				methods[m] = p
+			}
+		}
 	}
 	fset, files := parseSources(t)
 	for _, sf := range files {
@@ -92,10 +103,20 @@ func TestReferencesStayReferences(t *testing.T) {
 			continue
 		}
 		ast.Inspect(sf.f, func(n ast.Node) bool {
-			if sel, ok := n.(*ast.SelectorExpr); ok {
-				if x, ok := sel.X.(*ast.Ident); ok && refs[sf.imports[x.Name]][sel.Sel.Name] {
-					t.Errorf("%s uses the reference %s.%s", fset.Position(sel.Pos()), x.Name, sel.Sel.Name)
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if x, ok := sel.X.(*ast.Ident); ok {
+				if p, ok := sf.imports[x.Name]; ok {
+					if refs[p][sel.Sel.Name] {
+						t.Errorf("%s uses the reference %s.%s", fset.Position(sel.Pos()), x.Name, sel.Sel.Name)
+					}
+					return true
 				}
+			}
+			if p, ok := methods[sel.Sel.Name]; ok {
+				t.Errorf("%s uses the reference method %s of %s", fset.Position(sel.Pos()), sel.Sel.Name, p)
 			}
 			return true
 		})

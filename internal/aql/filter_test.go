@@ -1,7 +1,10 @@
 package aql
 
 import (
+	"fmt"
+	"math/rand"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -366,6 +369,126 @@ func TestFilterBigIntsExact(t *testing.T) {
 		})
 		if !slices.Equal(got, tc.want) {
 			t.Errorf("v %s %d selected %v, want %v", tc.op, tc.lit, got, tc.want)
+		}
+	}
+}
+
+// filterByCell and projectByCell are the cell-by-cell filterArray and
+// projectArray the per-chunk copies replaced, kept as their oracles.
+func filterByCell(a *array.Array, f Filter) (*array.Array, error) {
+	di, ai := a.Schema.DimIndex(f.Col.Name), a.Schema.AttrIndex(f.Col.Name)
+	out := array.MustNew(a.Schema.Clone())
+	var err error
+	a.Scan(func(coords []int64, attrs []array.Value) bool {
+		v := array.IntValue(coords[max(di, 0)])
+		if di < 0 {
+			v = attrs[ai]
+		}
+		ok, cmpErr := compare(v, f.Op, f.Val)
+		if cmpErr != nil {
+			err = cmpErr
+			return false
+		}
+		if ok {
+			out.MustPut(coords, attrs)
+		}
+		return true
+	})
+	if err != nil {
+		return nil, err
+	}
+	out.SortAll()
+	return out, nil
+}
+
+func projectByCell(a *array.Array, fields []string) *array.Array {
+	s := &array.Schema{Name: a.Schema.Name, Dims: append([]array.Dimension(nil), a.Schema.Dims...)}
+	var idx []int
+	for _, f := range fields {
+		i := a.Schema.AttrIndex(f)
+		s.Attrs = append(s.Attrs, a.Schema.Attrs[i])
+		idx = append(idx, i)
+	}
+	out := array.MustNew(s)
+	a.Scan(func(coords []int64, attrs []array.Value) bool {
+		sub := make([]array.Value, len(idx))
+		for i, ai := range idx {
+			sub[i] = attrs[ai]
+		}
+		out.MustPut(coords, sub)
+		return true
+	})
+	out.SortAll()
+	return out
+}
+
+// unsortedMixed is U<n:int, f:float, s:string>[i=1,60,8, j=1,9,4] with
+// cells put in random order, duplicate positions among them, so its
+// chunks are unsorted and a stable sort keeps the duplicates' order.
+func unsortedMixed() *array.Array {
+	a := array.MustNew(array.MustParseSchema("U<n:int, f:float, s:string>[i=1,60,8, j=1,9,4]"))
+	rng := rand.New(rand.NewSource(9))
+	for c := 0; c < 800; c++ {
+		a.MustPut([]int64{rng.Int63n(60) + 1, rng.Int63n(9) + 1}, []array.Value{
+			array.IntValue(rng.Int63n(50)), array.FloatValue(rng.Float64() * 10), array.StringValue(strconv.Itoa(c % 13))})
+	}
+	return a
+}
+
+// sameArray reports how got differs from want: schema, chunk keys, and
+// each chunk's rows, values and Sorted flag.
+func sameArray(got, want *array.Array) error {
+	if got.Schema.String() != want.Schema.String() {
+		return fmt.Errorf("schema %s, want %s", got.Schema, want.Schema)
+	}
+	if g, w := got.SortedKeys(), want.SortedKeys(); !slices.Equal(g, w) {
+		return fmt.Errorf("chunk keys %v, want %v", g, w)
+	}
+	for key, w := range want.Chunks {
+		g := got.Chunks[key]
+		if g.Sorted != w.Sorted || g.Len() != w.Len() {
+			return fmt.Errorf("chunk %v: sorted %v with %d rows, want %v with %d", key, g.Sorted, g.Len(), w.Sorted, w.Len())
+		}
+		for row := 0; row < w.Len(); row++ {
+			gc, ga := g.Cell(row)
+			wc, wa := w.Cell(row)
+			if !slices.Equal(gc, wc) || !slices.Equal(ga, wa) {
+				return fmt.Errorf("chunk %v row %d: %v %v, want %v %v", key, row, gc, ga, wc, wa)
+			}
+		}
+	}
+	return nil
+}
+
+func TestFilterAndProjectMatchPerCell(t *testing.T) {
+	a := unsortedMixed()
+	for _, f := range []Filter{
+		cond("n", "<", array.IntValue(20)),
+		cond("f", ">=", array.FloatValue(4.5)),
+		cond("s", "=", array.StringValue("7")),
+		cond("j", "!=", array.IntValue(3)),
+		cond("i", ">", array.IntValue(1000)),
+		cond("n", "~", array.IntValue(1)),
+	} {
+		got, err := filterArray(a, f)
+		want, wantErr := filterByCell(a, f)
+		if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+			t.Fatalf("filter %v: error %v, per-cell %v", f, err, wantErr)
+		}
+		if err != nil {
+			continue
+		}
+		if err := sameArray(got, want); err != nil {
+			t.Errorf("filter %v: %v", f, err)
+		}
+	}
+	for _, fields := range [][]string{{"s", "n"}, {"f"}, {"n", "f", "s"}} {
+		got, err := projectArray(a, fields)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sameArray(got, projectByCell(a, fields)); err != nil {
+			t.Errorf("project %v: %v", fields, err)
 		}
 	}
 }

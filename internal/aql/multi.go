@@ -238,7 +238,8 @@ func runMultiParsed(c *cluster.Cluster, q *Query, opt pipeline.Options) (*MultiR
 
 // projectArray keeps only the named attributes (dimensions are untouched:
 // arrays are vertically partitioned, so this models reading a column
-// subset) in a sorted copy.
+// subset) in a sorted copy: each chunk's coordinates and kept columns,
+// copied whole.
 func projectArray(a *array.Array, fields []string) (*array.Array, error) {
 	s := &array.Schema{Name: a.Schema.Name, Dims: append([]array.Dimension(nil), a.Schema.Dims...)}
 	var idx []int
@@ -251,14 +252,16 @@ func projectArray(a *array.Array, fields []string) (*array.Array, error) {
 		idx = append(idx, i)
 	}
 	out := array.MustNew(s)
-	a.Scan(func(coords []int64, attrs []array.Value) bool {
-		sub := make([]array.Value, len(idx))
-		for i, ai := range idx {
-			sub[i] = attrs[ai]
+	for key, ch := range a.Chunks {
+		if ch.Len() == 0 {
+			continue
 		}
-		out.MustPut(coords, sub)
-		return true
-	})
+		kept := &array.Chunk{NDims: ch.NDims, Coords: ch.Coords, Cols: make([]array.Column, len(idx))}
+		for i, ai := range idx {
+			kept.Cols[i] = ch.Cols[ai]
+		}
+		out.Chunk(key).AppendColumns(kept, nil)
+	}
 	out.SortAll()
 	return out, nil
 }

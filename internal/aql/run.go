@@ -99,7 +99,8 @@ func applyFilter(d *cluster.Distributed, f Filter) (*cluster.Distributed, error)
 }
 
 // filterArray returns the cells of a satisfying the filter (on a dimension
-// or an attribute) in a sorted copy with the same schema.
+// or an attribute) in a sorted copy with the same schema: each chunk's
+// passing rows, selected in row order and appended column by column.
 func filterArray(a *array.Array, f Filter) (*array.Array, error) {
 	di := a.Schema.DimIndex(f.Col.Name)
 	ai := a.Schema.AttrIndex(f.Col.Name)
@@ -107,26 +108,28 @@ func filterArray(a *array.Array, f Filter) (*array.Array, error) {
 		return nil, fmt.Errorf("aql: filter references unknown field %q", f.Col.Name)
 	}
 	out := array.MustNew(a.Schema.Clone())
-	var err error
-	a.Scan(func(coords []int64, attrs []array.Value) bool {
-		var v array.Value
-		if di >= 0 {
-			v = array.IntValue(coords[di])
-		} else {
-			v = attrs[ai]
+	var rows []int32
+	for _, key := range a.SortedKeys() {
+		ch := a.Chunks[key]
+		rows = rows[:0]
+		for row := range ch.Len() {
+			var v array.Value
+			if di >= 0 {
+				v = array.IntValue(ch.Coords[di][row])
+			} else {
+				v = ch.Cols[ai].Value(row)
+			}
+			ok, err := compare(v, f.Op, f.Val)
+			if err != nil {
+				return nil, err
+			}
+			if ok {
+				rows = append(rows, int32(row))
+			}
 		}
-		ok, cmpErr := compare(v, f.Op, f.Val)
-		if cmpErr != nil {
-			err = cmpErr
-			return false
+		if len(rows) > 0 {
+			out.Chunk(key).AppendColumns(ch, rows)
 		}
-		if ok {
-			out.MustPut(coords, attrs)
-		}
-		return true
-	})
-	if err != nil {
-		return nil, err
 	}
 	out.SortAll()
 	return out, nil

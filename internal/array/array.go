@@ -30,13 +30,19 @@ func MustNew(s *Schema) *Array {
 	return a
 }
 
-// attrTypes returns the schema attribute types, used to create chunks.
-func (a *Array) attrTypes() []ScalarType {
-	ts := make([]ScalarType, len(a.Schema.Attrs))
-	for i, at := range a.Schema.Attrs {
-		ts[i] = at.Type
+// Chunk returns the stored chunk at key, creating it empty, with the
+// schema's dimensions and attribute types, when absent.
+func (a *Array) Chunk(key ChunkKey) *Chunk {
+	ch, ok := a.Chunks[key]
+	if !ok {
+		ch = &Chunk{Key: key, NDims: len(a.Schema.Dims), Sorted: true,
+			Coords: make([][]int64, len(a.Schema.Dims)), Cols: make([]Column, len(a.Schema.Attrs))}
+		for i, at := range a.Schema.Attrs {
+			ch.Cols[i].Type = at.Type
+		}
+		a.Chunks[key] = ch
 	}
-	return ts
+	return ch
 }
 
 // Put stores a cell at the given coordinates. Coordinates are validated
@@ -54,13 +60,7 @@ func (a *Array) Put(coords []int64, attrs []Value) error {
 				a.Schema.Name, d.Name, coords[i], d.Start, d.End)
 		}
 	}
-	key := ChunkKeyOf(a.Schema, coords)
-	ch, ok := a.Chunks[key]
-	if !ok {
-		ch = NewChunk(key, len(a.Schema.Dims), a.attrTypes())
-		a.Chunks[key] = ch
-	}
-	ch.AppendCell(coords, attrs)
+	a.Chunk(ChunkKeyOf(a.Schema, coords)).AppendCell(coords, attrs)
 	return nil
 }
 
@@ -159,16 +159,8 @@ func (a *Array) Cells() []StoredCell {
 		if !ok {
 			return out
 		}
-		ch := blk.Chunk
 		for row := blk.From; row < blk.To; row++ {
-			coords := make([]int64, ch.NDims)
-			for d := 0; d < ch.NDims; d++ {
-				coords[d] = ch.Coords[d][row]
-			}
-			attrs := make([]Value, len(ch.Cols))
-			for i := range ch.Cols {
-				attrs[i] = ch.Cols[i].Value(row)
-			}
+			coords, attrs := blk.Chunk.Cell(row)
 			out = append(out, StoredCell{Coords: coords, Attrs: attrs})
 		}
 	}

@@ -571,3 +571,15 @@ func TestDimensionClamp(t *testing.T) {
 		}
 	}
 }
+
+// NewChunk returns an empty chunk at the given position for a schema with
+// nDims dimensions and the given attribute types.
+func NewChunk(key ChunkKey, nDims int, attrTypes []ScalarType) *Chunk {
+	ch := &Chunk{Key: key, NDims: nDims, Sorted: true}
+	ch.Coords = make([][]int64, nDims)
+	ch.Cols = make([]Column, len(attrTypes))
+	for i, t := range attrTypes {
+		ch.Cols[i] = NewColumn(t)
+	}
+	return ch
+}

@@ -2,6 +2,7 @@ package array
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -241,5 +242,75 @@ func TestChunkKeyAllocGates(t *testing.T) {
 				t.Errorf("GOMAXPROCS=%d: %s = %d allocs/op, want at most %d", procs, g.name, a, g.max)
 			}
 		}
+	}
+}
+
+// ingestShaped is ingest_redim's redimension at n cells: the source
+// S<ship, speed>[t, x], 2,048 ships each reporting about n/2,048 times
+// from x positions around a home port drawn from a Zipf law, its chunks
+// sorted as a sealed array's are, and the target R<speed, x>[ship, t].
+func ingestShaped(n int) (*Array, *Schema) {
+	const ships, shipChunk, timeChunk, posChunk, ports = 2048, 128, 64, 256, 64
+	steps := max(n/64, timeChunk)
+	src := MustNew(MustParseSchema(fmt.Sprintf("S<ship:int, speed:int>[t=1,%d,%d, x=1,%d,%d]",
+		steps, timeChunk, ports*posChunk, posChunk)))
+	rng := rand.New(rand.NewSource(12))
+	portOf := rand.NewZipf(rand.New(rand.NewSource(12)), 1.2, 1, ports-1)
+	used := make(map[[2]int64]bool, n)
+	for ship := 0; ship < ships; ship++ {
+		home := int64(portOf.Uint64())
+		reports := n / ships
+		if ship < n%ships {
+			reports++
+		}
+		for j := 0; j < reports; j++ {
+			t := int64((float64(j)+rng.Float64())*float64(steps)/float64(reports)) + 1
+			x := home*posChunk + rng.Int63n(posChunk) + 1
+			for used[[2]int64{t, x}] {
+				x = home*posChunk + rng.Int63n(posChunk) + 1
+			}
+			used[[2]int64{t, x}] = true
+			src.MustPut([]int64{t, x}, []Value{IntValue(int64(ship)), IntValue(rng.Int63n(30))})
+		}
+	}
+	src.SortAll()
+	target := MustParseSchema(fmt.Sprintf("R<speed:int, x:int>[ship=0,%d,%d, t=1,%d,%d]", ships-1, shipChunk, steps, timeChunk))
+	return src, target
+}
+
+// BenchmarkReorganize times Reorganize at ingest_redim's shape (100 k
+// cells) with the per-pair flow counts Redistribute takes.
+func BenchmarkReorganize(b *testing.B) {
+	src, target := ingestShaped(100_000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Reorganize(src, target, false, func(ChunkKey, ChunkKey, int) {}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestReorganizeAllocs holds Reorganize at ingest_redim's shape to its
+// allocation count, counted with runtime.ReadMemStats over a fixed number
+// of calls: a few for all the parts together and seven per target chunk
+// (the chunk and its columns), none per cell. The ceiling is the 2,861
+// measured on Go 1.24 at GOMAXPROCS 1, 2 and 8, plus 2 %.
+func TestReorganizeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const calls, ceiling = 5, 2918
+	src, target := ingestShaped(100_000)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		if _, err := Reorganize(src, target, false, func(ChunkKey, ChunkKey, int) {}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if got := (after.Mallocs - before.Mallocs) / calls; got > ceiling {
+		t.Errorf("Reorganize at ingest_redim's shape made %d allocations a call, want at most %d", got, ceiling)
 	}
 }

@@ -2,7 +2,12 @@ package array
 
 import (
 	"errors"
+	"fmt"
+	"maps"
+	"math"
 	"math/rand"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -178,49 +183,205 @@ func TestReorganizeClampsWhenNotStrict(t *testing.T) {
 	}
 }
 
-func TestReorganizeEachSeesEveryCell(t *testing.T) {
+func TestReorganizeFlowsCountEveryPair(t *testing.T) {
 	a := MustNew(MustParseSchema("A<v:int>[i=1,100,10]"))
 	rng := rand.New(rand.NewSource(2))
 	for n := 0; n < 200; n++ {
 		a.MustPut([]int64{rng.Int63n(100) + 1}, []Value{IntValue(rng.Int63n(100))})
 	}
 	target := MustParseSchema("<i:int>[v=0,99,25]")
-	perChunk := map[ChunkKey]int{}
+	type pair struct{ from, to ChunkKey }
+	flows := map[pair]int{}
 	var order []ChunkKey
-	out, err := Reorganize(a, target, false, func(src ChunkKey, dst []int64) {
-		if len(order) == 0 || order[len(order)-1] != src {
-			order = append(order, src)
+	out, err := Reorganize(a, target, false, func(from, to ChunkKey, cells int) {
+		if len(order) == 0 || order[len(order)-1] != from {
+			order = append(order, from)
 		}
-		perChunk[src]++
-		if _, ok := a.Chunks[src]; !ok {
-			t.Errorf("callback saw source chunk %v that a does not hold", src)
+		if _, dup := flows[pair{from, to}]; dup {
+			t.Errorf("pair %v -> %v reported twice", from, to)
 		}
-		if len(dst) != 1 || !target.Dims[0].Contains(dst[0]) {
-			t.Errorf("callback saw target coordinates %v outside %v", dst, target.Dims[0])
+		if cells <= 0 {
+			t.Errorf("pair %v -> %v reported with %d cells", from, to, cells)
 		}
+		flows[pair{from, to}] = cells
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want []ChunkKey
-	for _, key := range a.SortedKeys() {
-		if n := a.Chunks[key].Len(); n > 0 {
-			want = append(want, key)
-			if perChunk[key] != n {
-				t.Errorf("chunk %v: callback saw %d cells, chunk holds %d", key, perChunk[key], n)
+	sent, received := map[ChunkKey]int{}, map[ChunkKey]int{}
+	for p, n := range flows {
+		sent[p.from] += n
+		received[p.to] += n
+	}
+	for key, ch := range a.Chunks {
+		if sent[key] != ch.Len() {
+			t.Errorf("source chunk %v: pairs count %d cells, chunk holds %d", key, sent[key], ch.Len())
+		}
+	}
+	for key, ch := range out.Chunks {
+		if received[key] != ch.Len() {
+			t.Errorf("target chunk %v: pairs count %d cells, chunk holds %d", key, received[key], ch.Len())
+		}
+	}
+	if len(received) != len(out.Chunks) {
+		t.Errorf("pairs reach %d target chunks, output has %d", len(received), len(out.Chunks))
+	}
+	if want := a.SortedKeys(); !slices.Equal(order, want) {
+		t.Errorf("pairs visit source chunks %v, want SortedKeys order %v", order, want)
+	}
+}
+
+// reorganizeByCell is the per-cell walk Reorganize replaced, kept as its
+// oracle: every cell is boxed into Values, clamped alone and Put, and the
+// cells each source chunk sends to each target chunk are counted one at a
+// time.
+func reorganizeByCell(src *Array, target *Schema, strict bool) (*Array, map[[2]ChunkKey]int, error) {
+	t := target.Clone()
+	if t.Name == "" {
+		t.Name = src.Schema.Name
+	}
+	out, err := New(t)
+	if err != nil {
+		return nil, nil, err
+	}
+	dimSrc := make([]sourceField, len(t.Dims))
+	for i, d := range t.Dims {
+		if dimSrc[i], err = src.Schema.sourceOf(d.Name); err != nil {
+			return nil, nil, err
+		}
+	}
+	attrSrc := make([]sourceField, len(t.Attrs))
+	for i, at := range t.Attrs {
+		if attrSrc[i], err = src.Schema.sourceOf(at.Name); err != nil {
+			return nil, nil, err
+		}
+	}
+	flows := map[[2]ChunkKey]int{}
+	nc, na := make([]int64, len(dimSrc)), make([]Value, len(attrSrc))
+	for _, key := range src.SortedKeys() {
+		ch := src.Chunks[key]
+		field := func(f sourceField, row int) Value {
+			if f.isDim {
+				return IntValue(ch.Coords[f.idx][row])
+			}
+			return ch.Cols[f.idx].Value(row)
+		}
+		for row := 0; row < ch.Len(); row++ {
+			for i, f := range dimSrc {
+				if nc[i], err = t.Dims[i].Clamp(field(f, row).AsInt(), strict); err != nil {
+					return nil, nil, fmt.Errorf("array: reorganized cell %v: %w", ch.CoordsAt(row, nil), err)
+				}
+			}
+			for i, f := range attrSrc {
+				na[i] = field(f, row)
+			}
+			if err := out.Put(nc, na); err != nil {
+				return nil, nil, err
+			}
+			flows[[2]ChunkKey{key, ChunkKeyOf(t, nc)}]++
+		}
+	}
+	return out, flows, nil
+}
+
+// mixedSource is S<n:int, f:float, s:string>[i=1,300,32, j=1,40,8]:
+// floats with fractions and out of every target's range, strings that
+// parse as ints and some that do not, and one empty stored chunk.
+func mixedSource() *Array {
+	a := MustNew(MustParseSchema("S<n:int, f:float, s:string>[i=1,300,32, j=1,40,8]"))
+	rng := rand.New(rand.NewSource(5))
+	for c := 0; c < 2000; c++ {
+		s := strconv.Itoa(rng.Intn(130) - 15)
+		if rng.Intn(10) == 0 {
+			s = "x" + s
+		}
+		a.MustPut([]int64{rng.Int63n(300) + 1, rng.Int63n(40) + 1},
+			[]Value{IntValue(rng.Int63n(100)), FloatValue(rng.Float64()*140 - 20), StringValue(s)})
+	}
+	empty := ChunkKeyOf(a.Schema, []int64{300, 40})
+	delete(a.Chunks, empty)
+	a.Chunk(empty)
+	return a
+}
+
+// sameChunks reports how got differs from want chunk by chunk: keys,
+// row order, values bit for bit, and Sorted.
+func sameChunks(got, want *Array) error {
+	if g, w := got.SortedKeys(), want.SortedKeys(); !slices.Equal(g, w) {
+		return fmt.Errorf("chunk keys %v, want %v", g, w)
+	}
+	for key, w := range want.Chunks {
+		g := got.Chunks[key]
+		if g.Key != w.Key || g.NDims != w.NDims || g.Sorted != w.Sorted || g.Len() != w.Len() {
+			return fmt.Errorf("chunk %v: key %v, %d dims, sorted %v, %d rows; want %v, %d, %v, %d",
+				key, g.Key, g.NDims, g.Sorted, g.Len(), w.Key, w.NDims, w.Sorted, w.Len())
+		}
+		for d := range w.Coords {
+			if !slices.Equal(g.Coords[d], w.Coords[d]) {
+				return fmt.Errorf("chunk %v: dimension %d is %v, want %v", key, d, g.Coords[d], w.Coords[d])
+			}
+		}
+		for i := range w.Cols {
+			gc, wc := &g.Cols[i], &w.Cols[i]
+			same := gc.Type == wc.Type && gc.Len() == wc.Len()
+			for row := 0; same && row < wc.Len(); row++ {
+				gv, wv := gc.Value(row), wc.Value(row)
+				same = gv.Kind == wv.Kind && gv.Int == wv.Int && gv.Str == wv.Str &&
+					math.Float64bits(gv.F) == math.Float64bits(wv.F)
+			}
+			if !same {
+				return fmt.Errorf("chunk %v: attribute %d differs", key, i)
 			}
 		}
 	}
-	if len(order) != len(want) {
-		t.Fatalf("callback visited %d source chunks, want %d", len(order), len(want))
+	return nil
+}
+
+func TestReorganizeMatchesPerCellOracle(t *testing.T) {
+	cases := []struct {
+		name   string
+		src    *Array
+		target string
+		strict bool
+	}{
+		{"int attribute to dimension, clamped", tenCells(), "<w:int>[v=1,20,5]", false},
+		{"float attribute to dimension, clamped", mixedSource(), "<n:int, s:string>[f=0,99,10, i=1,300,50]", false},
+		{"string attribute to dimension, converting attributes", mixedSource(), "<f:int, n:float, i:string>[s=0,99,25, j=1,40,8]", false},
+		{"dimension to float attribute", mixedSource(), "<j:float>[n=0,99,7, i=1,300,100]", false},
+		{"strict, in range", mixedSource(), "<j:float, f:float>[n=0,99,7, i=1,300,100]", true},
+		{"strict, out of range", mixedSource(), "<n:int>[f=0,99,10, i=1,300,50]", true},
+		{"strict, second dimension out of range", mixedSource(), "<f:float>[n=0,99,10, i=1,250,50]", true},
+		{"no cells", MustNew(MustParseSchema("E<v:int>[i=1,10,5]")), "<i:int>[v=0,9,5]", true},
 	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Errorf("visit %d: chunk %v, want %v (SortedKeys order)", i, order[i], want[i])
-		}
-	}
-	if out.CellCount() != a.CellCount() {
-		t.Errorf("reorganized %d cells, want %d", out.CellCount(), a.CellCount())
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			target := MustParseSchema(tc.target)
+			want, wantFlows, wantErr := reorganizeByCell(tc.src, target, tc.strict)
+			gotFlows := map[[2]ChunkKey]int{}
+			got, gotErr := Reorganize(tc.src, target, tc.strict, func(from, to ChunkKey, cells int) {
+				gotFlows[[2]ChunkKey{from, to}] += cells
+			})
+			if wantErr != nil || gotErr != nil {
+				if wantErr == nil || gotErr == nil || gotErr.Error() != wantErr.Error() {
+					t.Fatalf("error %v, oracle's %v", gotErr, wantErr)
+				}
+				if !errors.Is(gotErr, ErrBounds) {
+					t.Errorf("strict rejection %v does not wrap ErrBounds", gotErr)
+				}
+				return
+			}
+			if err := sameChunks(got, want); err != nil {
+				t.Fatalf("before SortAll: %v", err)
+			}
+			if !maps.Equal(gotFlows, wantFlows) {
+				t.Errorf("flows %v, oracle's %v", gotFlows, wantFlows)
+			}
+			got.SortAll()
+			want.SortAll()
+			if err := sameChunks(got, want); err != nil {
+				t.Fatalf("after SortAll: %v", err)
+			}
+		})
 	}
 }
 

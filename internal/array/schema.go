@@ -61,11 +61,13 @@ func (d Dimension) Clamp(v int64, strict bool) (int64, error) {
 // rechunk: it maps every cell of src, in chunk C-order and in-chunk row
 // order, into the target schema, where each target dimension or attribute
 // takes the value of the source field of the same name (so attributes may
-// become dimensions and back). Target coordinates go through Clamp. The
-// returned array's chunks are unsorted; redim is Reorganize + SortAll.
-// each, when non-nil, sees every cell's source chunk and target
-// coordinates, which are valid only during the call.
-func Reorganize(src *Array, target *Schema, strict bool, each func(src ChunkKey, dst []int64)) (*Array, error) {
+// become dimensions and back). It builds one part per source chunk a
+// column at a time and writes the parts with AppendParts, so target
+// coordinates go through Clamp and each target chunk holds its cells in
+// source order. The returned array's chunks are unsorted; redim is
+// Reorganize + SortAll. flow, when not nil, sees how many cells each
+// source chunk sends to each target chunk, once per pair.
+func Reorganize(src *Array, target *Schema, strict bool, flow func(from, to ChunkKey, cells int)) (*Array, error) {
 	t := target.Clone()
 	if t.Name == "" {
 		t.Name = src.Schema.Name
@@ -86,32 +88,38 @@ func Reorganize(src *Array, target *Schema, strict bool, each func(src ChunkKey,
 			return nil, err
 		}
 	}
-	// Put copies the cell, so one pair of buffers serves every row.
-	nc, na := make([]int64, len(dimSrc)), make([]Value, len(attrSrc))
-	for _, key := range src.SortedKeys() {
-		ch := src.Chunks[key]
-		field := func(f sourceField, row int) Value {
-			if f.isDim {
-				return IntValue(ch.Coords[f.idx][row])
-			}
-			return ch.Cols[f.idx].Value(row)
+	// The parts share their storage: a few allocations for the whole
+	// walk, not a few per source chunk.
+	keys := src.SortedKeys()
+	nd, na := len(t.Dims), len(t.Attrs)
+	cells := 0
+	for _, key := range keys {
+		cells += src.Chunks[key].Len()
+	}
+	chunks, parts := make([]Chunk, len(keys)), make([]*Chunk, len(keys))
+	coords, cols := make([][]int64, len(keys)*nd), make([]Column, len(keys)*na)
+	buf := make([]int64, 0, cells*nd)
+	for p, key := range keys {
+		ch, part := src.Chunks[key], &chunks[p]
+		part.NDims, part.Coords, part.Cols = nd, coords[p*nd:(p+1)*nd], cols[p*na:(p+1)*na]
+		// Coordinates are copied, since AppendParts clamps them in
+		// place; attribute columns it only reads, so they are shared.
+		for i, f := range dimSrc {
+			from := len(buf)
+			buf = append(buf, convert(f.in(ch), TypeInt64).Ints...)
+			part.Coords[i] = buf[from:len(buf):len(buf)]
 		}
-		for row := 0; row < ch.Len(); row++ {
-			for i, f := range dimSrc {
-				if nc[i], err = t.Dims[i].Clamp(field(f, row).AsInt(), strict); err != nil {
-					return nil, fmt.Errorf("array: reorganized cell %v: %w", ch.CoordsAt(row, nil), err)
-				}
-			}
-			for i, f := range attrSrc {
-				na[i] = field(f, row)
-			}
-			if err := out.Put(nc, na); err != nil {
-				return nil, err
-			}
-			if each != nil {
-				each(key, nc)
-			}
+		for i, f := range attrSrc {
+			part.Cols[i] = convert(f.in(ch), t.Attrs[i].Type)
 		}
+		parts[p] = part
+	}
+	var perPart func(p int, to ChunkKey, cells int)
+	if flow != nil {
+		perPart = func(p int, to ChunkKey, cells int) { flow(keys[p], to, cells) }
+	}
+	if _, bad := out.AppendParts(parts, strict, perPart); bad != nil {
+		return nil, fmt.Errorf("array: reorganized cell %v: %w", src.Chunks[keys[bad.Part]].CoordsAt(bad.Row, nil), bad.Err)
 	}
 	return out, nil
 }
@@ -131,6 +139,28 @@ func (s *Schema) sourceOf(name string) (sourceField, error) {
 		return sourceField{idx: i}, nil
 	}
 	return sourceField{}, fmt.Errorf("array: target field %q not in source %s", name, s.Name)
+}
+
+// in returns the field's values in ch as a column; a dimension's is an
+// int column sharing the coordinates' storage.
+func (f sourceField) in(ch *Chunk) Column {
+	if f.isDim {
+		return Column{Type: TypeInt64, Ints: ch.Coords[f.idx]}
+	}
+	return ch.Cols[f.idx]
+}
+
+// convert returns c as a column of type typ: c itself when it has that
+// type, otherwise each value converted by Column.Append.
+func convert(c Column, typ ScalarType) Column {
+	if c.Type == typ {
+		return c
+	}
+	out := Column{Type: typ}
+	for row := range c.Len() {
+		out.Append(c.Value(row))
+	}
+	return out
 }
 
 // Validate checks the dimension for internal consistency.

@@ -140,24 +140,30 @@ func (d *Distributed) AttrHistogram(attrName string) *stats.Histogram {
 	if h, ok := d.attrHists[attrName]; ok {
 		return h
 	}
+	// The attribute column, chunk by chunk in SortedKeys order: the
+	// values and order of a cell-by-cell Scan, without its per-cell slices.
+	keys := d.Array.SortedKeys()
+	each := func(fn func(float64)) {
+		for _, key := range keys {
+			c := &d.Array.Chunks[key].Cols[ai]
+			for row := range c.Len() {
+				fn(c.Value(row).AsFloat())
+			}
+		}
+	}
 	lo, hi := math.Inf(1), math.Inf(-1)
-	d.Array.Scan(func(_ []int64, attrs []array.Value) bool {
-		v := attrs[ai].AsFloat()
+	each(func(v float64) {
 		if v < lo {
 			lo = v
 		}
 		if v > hi {
 			hi = v
 		}
-		return true
 	})
 	var h *stats.Histogram
 	if lo <= hi {
 		h = stats.NewHistogram(lo, hi, 64)
-		d.Array.Scan(func(_ []int64, attrs []array.Value) bool {
-			h.Add(attrs[ai].AsFloat())
-			return true
-		})
+		each(h.Add)
 	}
 	if d.attrHists == nil {
 		d.attrHists = make(map[string]*stats.Histogram)

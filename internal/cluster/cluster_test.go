@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"math"
+	"math/rand"
 	"runtime"
 	"slices"
 	"strconv"
@@ -8,6 +10,7 @@ import (
 	"testing"
 
 	"shufflejoin/internal/array"
+	"shufflejoin/internal/stats"
 )
 
 func gridArray(t *testing.T, n, ci int64) *array.Array {
@@ -318,6 +321,70 @@ func TestLocalChunksZeroAllocs(t *testing.T) {
 		}
 		if a := res.AllocsPerOp(); a != 0 {
 			t.Errorf("GOMAXPROCS=%d: BenchmarkLocalChunks = %d allocs/op, want 0", procs, a)
+		}
+	}
+}
+
+// scanHistogram is the cell-by-cell AttrHistogram it replaced, kept as
+// its oracle: two Array.Scan passes over boxed cells.
+func scanHistogram(a *array.Array, ai int) *stats.Histogram {
+	lo, hi := math.Inf(1), math.Inf(-1)
+	a.Scan(func(_ []int64, attrs []array.Value) bool {
+		v := attrs[ai].AsFloat()
+		if v < lo {
+			lo = v
+		}
+		if v > hi {
+			hi = v
+		}
+		return true
+	})
+	if lo > hi {
+		return nil
+	}
+	h := stats.NewHistogram(lo, hi, 64)
+	a.Scan(func(_ []int64, attrs []array.Value) bool {
+		h.Add(attrs[ai].AsFloat())
+		return true
+	})
+	return h
+}
+
+func TestAttrHistogramMatchesScan(t *testing.T) {
+	a := array.MustNew(array.MustParseSchema("H<n:int, f:float, s:string, x:string>[i=1,500,37, j=1,20,6]"))
+	rng := rand.New(rand.NewSource(3))
+	for c := 0; c < 3000; c++ {
+		f := rng.NormFloat64() * 1e3
+		switch rng.Intn(50) {
+		case 0:
+			f = math.NaN()
+		case 1:
+			f = math.Inf(1)
+		}
+		s := strconv.Itoa(rng.Intn(900) - 100)
+		if rng.Intn(8) == 0 {
+			s = "n/a"
+		}
+		a.MustPut([]int64{rng.Int63n(500) + 1, rng.Int63n(20) + 1}, []array.Value{
+			array.IntValue(rng.Int63n(1 << 40)), array.FloatValue(f), array.StringValue(s), array.StringValue("x")})
+	}
+	d := Distribute(a, 3, RoundRobin)
+	for ai, name := range []string{"n", "f", "s", "x"} {
+		want := scanHistogram(a, ai)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got := d.AttrHistogram(name)
+		runtime.ReadMemStats(&after)
+		if (got == nil) != (want == nil) || got != nil && (got.Fingerprint() != want.Fingerprint() ||
+			got.Lo != want.Lo || got.Hi != want.Hi || !slices.Equal(got.Buckets, want.Buckets) ||
+			got.Total != want.Total || got.Dropped != want.Dropped) {
+			t.Errorf("%s: histogram %+v, Scan's %+v", name, got, want)
+		}
+		// The keys, the histogram and a map entry, not a slice per cell
+		// (a string that does not parse as a number still allocates the
+		// parse error AsFloat drops).
+		if n := after.Mallocs - before.Mallocs; a.Schema.Attrs[ai].Type != array.TypeString && n > 16 {
+			t.Errorf("%s: AttrHistogram made %d allocations over %d cells", name, n, a.CellCount())
 		}
 	}
 }

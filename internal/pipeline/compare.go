@@ -3,6 +3,7 @@ package pipeline
 import (
 	"math"
 
+	"shufflejoin/internal/array"
 	"shufflejoin/internal/join"
 	"shufflejoin/internal/logical"
 )
@@ -12,20 +13,15 @@ import (
 // statistics, and modeled compare seconds. Synthetic row coordinates in
 // it are unit-local (0, 1, 2, …) until fold renumbers them.
 type unitOut struct {
-	cols  *outCols
+	cols  *array.Chunk
 	stats join.Stats
 	time  float64
 	err   error
 }
 
-// nodeOut is one node's merged comparison products: the output columns
-// of its units that matched, in assignment order (cells in emit order
-// within each; none is empty), its cell count, join statistics, and
-// modeled compare seconds. The Compare stage hands Assemble a []nodeOut
-// indexed by node — as does the tests' reference executor, which is what
-// makes their outputs directly comparable.
+// nodeOut is one node's merged comparison products: its output cell
+// count, join statistics, and modeled compare seconds.
 type nodeOut struct {
-	parts []*outCols
 	cells int64
 	stats join.Stats
 	time  float64
@@ -87,10 +83,14 @@ func (qc *QueryContext) runUnit(u int, res *unitOut) {
 // stride-K synthetic row numbers (node, node+K, node+2K, …) into the row
 // column in that order and accumulating modeled seconds in that same
 // order, so the merged nodeOut values do not depend on which worker ran
-// which unit when. It copies no cells: each node keeps its units' columns.
-func (qc *QueryContext) fold(results []unitOut) []nodeOut {
+// which unit when. It copies no cells: it lists the units' output parts
+// (cells in emit order within each; none is empty) in that same order,
+// which is the order Assemble writes them in — as does the tests'
+// reference executor, which is what makes their outputs directly
+// comparable.
+func (qc *QueryContext) fold(results []unitOut) ([]nodeOut, []*array.Chunk) {
 	k := qc.Cluster.K
-	nodes := make([]nodeOut, k)
+	nodes, parts := make([]nodeOut, k), make([]*array.Chunk, 0, len(results))
 	for node := 0; node < k; node++ {
 		no := &nodes[node]
 		row := int64(node)
@@ -108,7 +108,7 @@ func (qc *QueryContext) fold(results []unitOut) []nodeOut {
 						row += int64(k)
 					}
 				}
-				no.parts = append(no.parts, c)
+				parts = append(parts, c)
 				no.cells += int64(c.Len())
 			}
 			no.stats.Add(res.stats)
@@ -116,7 +116,7 @@ func (qc *QueryContext) fold(results []unitOut) []nodeOut {
 		}
 		addPostJoinTime(no, qc.plan)
 	}
-	return nodes
+	return nodes, parts
 }
 
 // addPostJoinTime models the per-node post-join output handling: sorting

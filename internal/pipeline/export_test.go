@@ -58,14 +58,12 @@ func FirstOutOfRange(c *cluster.Cluster, leftName, rightName string, pred join.P
 	if err := Execute(qc, stages[:len(stages)-1]); err != nil {
 		return "", err
 	}
-	for _, no := range qc.nodes {
-		for _, part := range no.parts {
-			for row := 0; row < part.Len(); row++ {
-				coords := part.CoordsAt(row, nil)
-				for d, dim := range qc.outArr.Schema.Dims {
-					if _, err := dim.Clamp(coords[d], true); err != nil {
-						return fmt.Sprintf("pipeline: output cell %v: %v", coords, err), nil
-					}
+	for _, part := range qc.parts {
+		for row := 0; row < part.Len(); row++ {
+			coords := part.CoordsAt(row, nil)
+			for d, dim := range qc.outArr.Schema.Dims {
+				if _, err := dim.Clamp(coords[d], true); err != nil {
+					return fmt.Sprintf("pipeline: output cell %v: %v", coords, err), nil
 				}
 			}
 		}

@@ -41,9 +41,10 @@
 // sized for its matches, a column at a time: a source column by typed
 // gather, a SELECT expression evaluated over gathered columns. fold
 // writes synthetic row numbers into them in place and keeps each node's
-// slots in assignment order; Assemble clamps them column by column,
-// buckets their rows by destination chunk, and appends each bucket with
-// one Chunk.AppendColumns. No match allocates on the way.
+// slots in assignment order; Assemble writes them with
+// array.Array.AppendParts, which clamps them column by column, buckets
+// their rows by destination chunk, and appends each bucket with one
+// Chunk.AppendColumns. No match allocates on the way.
 //
 // See DESIGN.md §7 for the full determinism argument.
 package pipeline
@@ -130,6 +131,7 @@ type QueryContext struct {
 	outArr    *array.Array      // Compare: destination array
 	proj      *projector        // Compare: output-cell projector
 	nodes     []nodeOut         // Compare: merged per-node compare products
+	parts     []*array.Chunk    // Compare: output parts, node ascending, units in assignment order
 }
 
 // NewQueryContext prepares a context for one join execution. opt is

@@ -346,17 +346,19 @@ func (s *unitScratch) rows(src source) []int32 {
 	return s.m.R
 }
 
-// project writes the scratch's matches into new output columns shaped
-// for the destination schema, sized for exactly the unit's matches. A
-// synthetic row coordinate is the unit-local row number (0, 1, 2, …);
-// fold renumbers it to the destination node's stride-K sequence (node,
-// node+K, node+2K, … — disjoint across nodes) when it merges the units
-// in deterministic order.
-func (p *projector) project(out *array.Schema, s *unitScratch, strs []string) *outCols {
+// project writes the scratch's matches into a new part for
+// Array.AppendParts: output columns shaped like the destination's chunks,
+// sized for exactly the unit's matches. Parts are not pooled: a unit's
+// part lives until Assemble, so a pool would hand the next query's units
+// capacities in whatever order its workers ask, and the bytes a query
+// allocates would vary from run to run. A synthetic row coordinate is the
+// unit-local row number (0, 1, 2, …); fold renumbers it to the
+// destination node's stride-K sequence (node, node+K, node+2K, … —
+// disjoint across nodes) when it merges the units in deterministic order.
+func (p *projector) project(out *array.Schema, s *unitScratch, strs []string) *array.Chunk {
 	n := len(s.m.L)
 	s.load(p, strs)
-	c := &outCols{}
-	c.NDims = len(out.Dims)
+	c := &array.Chunk{NDims: len(out.Dims)}
 	c.Coords = make([][]int64, len(out.Dims))
 	if p.rowDim {
 		rows := make([]int64, n)
@@ -536,194 +538,4 @@ func (s *unitScratch) floats(e *expr, n int) []float64 {
 		}
 	}
 	return vf
-}
-
-// outCols is one join unit's output: the coordinate and attribute columns
-// of its cells, shaped like the destination's chunks. A unit that matched
-// nothing has none. They are not pooled: a unit's columns live until
-// Assemble, so a pool would hand the next query's units capacities in
-// whatever order its workers ask, and the bytes a query allocates would
-// vary from run to run.
-type outCols struct {
-	array.Chunk
-}
-
-// clamp applies Dimension.Clamp to every coordinate of the columns,
-// column by column, and returns how many cells had a coordinate clamped.
-// Under strict bounds the first out-of-range cell, in row order, is an
-// error naming it.
-func (c *outCols) clamp(dims []array.Dimension, strict bool) (int64, error) {
-	n := c.Len()
-	first := n // the first row with a coordinate out of range
-	for d, dim := range dims {
-		for row, v := range c.Coords[d][:first] {
-			if !dim.Contains(v) {
-				first = row
-				break
-			}
-		}
-	}
-	if first == n {
-		return 0, nil
-	}
-	if strict {
-		for d, dim := range dims {
-			if _, err := dim.Clamp(c.Coords[d][first], true); err != nil {
-				return 0, fmt.Errorf("pipeline: output cell %v: %w", c.CoordsAt(first, nil), err)
-			}
-		}
-	}
-	var clamped int64
-	for row := first; row < n; row++ {
-		moved := false
-		for d, dim := range dims {
-			if v := c.Coords[d][row]; !dim.Contains(v) {
-				c.Coords[d][row], _ = dim.Clamp(v, false)
-				moved = true
-			}
-		}
-		if moved {
-			clamped++
-		}
-	}
-	return clamped, nil
-}
-
-// chunkRouter appends output columns to the destination's chunks. It
-// buckets the rows of each part by chunk key, stably, so every chunk
-// receives its rows in emit order, and appends each bucket with one
-// Chunk.AppendColumns. Counting every part's rows first lets it size each
-// chunk once. Its buffers are reused from part to part.
-type chunkRouter struct {
-	out    *array.Array
-	types  []array.ScalarType     // attribute types, for new chunks
-	sizes  map[array.ChunkKey]int // rows bound for each chunk
-	keys   []array.ChunkKey       // per row: its chunk
-	bucket []int32                // per row: its bucket
-	rows   []int32                // row numbers grouped by bucket
-	pos    []int32                // per bucket: its row count, then its place in rows
-	bkeys  []array.ChunkKey       // per bucket: its chunk
-	ids    map[array.ChunkKey]int32
-}
-
-// keysOf returns the chunk key of every row of part, in r's buffer.
-func (r *chunkRouter) keysOf(part *outCols) []array.ChunkKey {
-	n := part.Len()
-	keys := slices.Grow(r.keys[:0], n)[:n]
-	r.keys = keys
-	clear(keys)
-	for d, dim := range r.out.Schema.Dims {
-		count := array.ChunkKey(dim.ChunkCount())
-		for i, v := range part.Coords[d] {
-			keys[i] = keys[i]*count + array.ChunkKey(dim.ChunkIndex(v))
-		}
-	}
-	return keys
-}
-
-// oneChunk reports whether every row of part falls in one chunk, and
-// which, from each coordinate column's range alone.
-func (r *chunkRouter) oneChunk(part *outCols) (array.ChunkKey, bool) {
-	var key array.ChunkKey
-	for d, dim := range r.out.Schema.Dims {
-		col := part.Coords[d]
-		lo, hi := slices.Min(col), slices.Max(col)
-		idx := dim.ChunkIndex(lo)
-		if dim.ChunkIndex(hi) != idx {
-			return 0, false
-		}
-		key = key*array.ChunkKey(dim.ChunkCount()) + array.ChunkKey(idx)
-	}
-	return key, true
-}
-
-// count adds the rows of part to the sizes of the chunks they fall in.
-func (r *chunkRouter) count(part *outCols) {
-	if r.sizes == nil {
-		r.sizes = make(map[array.ChunkKey]int)
-	}
-	if key, ok := r.oneChunk(part); ok {
-		r.sizes[key] += part.Len()
-		return
-	}
-	keys := r.keysOf(part)
-	for i := 0; i < len(keys); {
-		j := i + 1
-		for j < len(keys) && keys[j] == keys[i] {
-			j++
-		}
-		r.sizes[keys[i]] += j - i
-		i = j
-	}
-}
-
-// reserve creates every counted chunk with room for its rows.
-func (r *chunkRouter) reserve() {
-	for key, n := range r.sizes {
-		r.chunk(key).Grow(n)
-	}
-}
-
-// route appends every row of part to the chunk its coordinates fall in.
-func (r *chunkRouter) route(part *outCols) {
-	if key, ok := r.oneChunk(part); ok {
-		r.chunk(key).AppendColumns(&part.Chunk, nil)
-		return
-	}
-	keys := r.keysOf(part)
-	n := len(keys)
-	// Counting sort of the rows by bucket, buckets numbered in order of
-	// first appearance: pos[b] counts bucket b's rows, then, summed,
-	// holds where the next of them goes.
-	if r.ids == nil {
-		r.ids = make(map[array.ChunkKey]int32)
-	}
-	clear(r.ids)
-	r.bkeys, r.pos = r.bkeys[:0], r.pos[:0]
-	bucket := slices.Grow(r.bucket[:0], n)[:n]
-	r.bucket = bucket
-	for i, k := range keys {
-		b, ok := r.ids[k]
-		if !ok {
-			b = int32(len(r.bkeys))
-			r.ids[k] = b
-			r.bkeys = append(r.bkeys, k)
-			r.pos = append(r.pos, 0)
-		}
-		bucket[i] = b
-		r.pos[b]++
-	}
-	var at int32
-	for b, cnt := range r.pos {
-		r.pos[b] = at
-		at += cnt
-	}
-	rows := slices.Grow(r.rows[:0], n)[:n]
-	r.rows = rows
-	for i, b := range bucket {
-		rows[r.pos[b]] = int32(i)
-		r.pos[b]++
-	}
-	start := int32(0)
-	for b, k := range r.bkeys {
-		end := r.pos[b] // bucket b's rows are placed: pos[b] is its end
-		r.chunk(k).AppendColumns(&part.Chunk, rows[start:end])
-		start = end
-	}
-}
-
-// chunk returns the destination chunk at key, creating it when absent.
-func (r *chunkRouter) chunk(key array.ChunkKey) *array.Chunk {
-	ch, ok := r.out.Chunks[key]
-	if !ok {
-		if r.types == nil {
-			r.types = make([]array.ScalarType, len(r.out.Schema.Attrs))
-			for i, a := range r.out.Schema.Attrs {
-				r.types[i] = a.Type
-			}
-		}
-		ch = array.NewChunk(key, len(r.out.Schema.Dims), r.types)
-		r.out.Chunks[key] = ch
-	}
-	return ch
 }

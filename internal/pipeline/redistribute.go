@@ -42,21 +42,15 @@ type RedistributeOptions struct {
 func Redistribute(c *cluster.Cluster, d *cluster.Distributed, target *array.Schema, opt RedistributeOptions) (*cluster.Distributed, *RedistributeReport, error) {
 	// The one reorganization walk, counting how many cells each source
 	// node contributes to each destination chunk (one slice per source
-	// node per chunk, as in the shuffle join's data alignment). The walk
-	// visits a chunk's rows together, so the source node is looked up
-	// once per chunk.
+	// node per chunk, as in the shuffle join's data alignment) from its
+	// per-pair counts.
 	type flow struct {
 		dest array.ChunkKey
 		from int
 	}
 	counts := make(map[flow]int64)
-	var srcKey array.ChunkKey
-	from := -1
-	out, err := array.Reorganize(d.Array, target, opt.StrictBounds, func(key array.ChunkKey, dst []int64) {
-		if from < 0 || key != srcKey {
-			srcKey, from = key, d.Placement[key]
-		}
-		counts[flow{array.ChunkKeyOf(target, dst), from}]++
+	out, err := array.Reorganize(d.Array, target, opt.StrictBounds, func(from, to array.ChunkKey, cells int) {
+		counts[flow{to, d.Placement[from]}] += int64(cells)
 	})
 	if err != nil {
 		return nil, nil, fmt.Errorf("pipeline: redistribute: %w", err)

@@ -128,8 +128,7 @@ func (r refCompare) Run(qc *QueryContext) error {
 	}
 	for node := 0; node < k; node++ {
 		no := &qc.nodes[node]
-		cols := &outCols{}
-		cols.NDims = len(qc.outArr.Schema.Dims)
+		cols := &array.Chunk{NDims: len(qc.outArr.Schema.Dims)}
 		cols.Coords = make([][]int64, cols.NDims)
 		cols.Cols = make([]array.Column, len(qc.proj.types))
 		for i, typ := range qc.proj.types {
@@ -164,7 +163,7 @@ func (r refCompare) Run(qc *QueryContext) error {
 			no.time += unitModelTime(algo, len(left), len(right))
 		}
 		if no.cells = int64(cols.Len()); no.cells > 0 {
-			no.parts = []*outCols{cols}
+			qc.parts = append(qc.parts, cols)
 		}
 		addPostJoinTime(no, qc.plan)
 		rep.JoinStats.Add(no.stats)

@@ -301,7 +301,7 @@ func (Compare) Run(qc *QueryContext) error {
 	}
 	results := make([]unitOut, qc.spec.NumUnits)
 	par.ForEach(len(results), qc.Opt.workers(), func(u int) { qc.runUnit(u, &results[u]) })
-	qc.nodes = qc.fold(results)
+	qc.nodes, qc.parts = qc.fold(results)
 
 	rep.NodeCompareTime = make([]float64, k)
 	for node := 0; node < k; node++ {
@@ -321,36 +321,25 @@ func (Compare) Run(qc *QueryContext) error {
 	return nil
 }
 
-// Assemble is the final stage: it writes every node's output columns into
-// the destination array in deterministic order (node ascending, units in
-// assignment order, emit order), clamping or rejecting out-of-range
-// coordinates column by column, sizing every chunk for the rows bound
-// for it, and appending each unit's rows to their chunks one column at a
-// time; then it sorts the destination and closes out the report's totals.
+// Assemble is the final stage: it writes every node's output parts into
+// the destination array with Array.AppendParts, in deterministic order
+// (node ascending, units in assignment order, emit order), which clamps
+// or rejects out-of-range coordinates column by column, sizes every chunk
+// for the rows bound for it and appends each unit's rows to their chunks
+// one column at a time; then it sorts the destination and closes out the
+// report's totals.
 type Assemble struct{}
 
 func (Assemble) Name() string { return "assemble" }
 
 func (Assemble) Run(qc *QueryContext) error {
-	rep, out := qc.Report, qc.outArr
-	r := chunkRouter{out: out}
-	for node := range qc.nodes {
-		for _, part := range qc.nodes[node].parts {
-			clamped, err := part.clamp(out.Schema.Dims, qc.Opt.Strict)
-			if err != nil {
-				return err
-			}
-			rep.ClampedCells += clamped
-			r.count(part)
-		}
+	rep, out, parts := qc.Report, qc.outArr, qc.parts
+	qc.parts = nil
+	clamped, bad := out.AppendParts(parts, qc.Opt.Strict, nil)
+	if bad != nil {
+		return fmt.Errorf("pipeline: output cell %v: %w", parts[bad.Part].CoordsAt(bad.Row, nil), bad.Err)
 	}
-	r.reserve()
-	for node := range qc.nodes {
-		for _, part := range qc.nodes[node].parts {
-			r.route(part)
-		}
-		qc.nodes[node].parts = nil
-	}
+	rep.ClampedCells += clamped
 	out.SortAll()
 	rep.Output = out
 	rep.Total = rep.PlanTime + rep.AlignTime + rep.CompareTime

@@ -196,10 +196,10 @@ func MapSide(d *cluster.Distributed, k int, spec *UnitSpec, m *SideMapper) (*Sli
 // reference the differential tests compare the engine's data plane —
 // the batch-streaming MapSideStream, which produces bit-identical
 // tuples without the per-cell materialization — against (here and, via
-// the test-only reference executor, in internal/pipeline), and what the
-// Table 1 operator validation times. The per-row ch.Cell calls here
-// (one coords + one attrs allocation per cell) are the cost the
-// streaming path removes.
+// the test-only reference executor, in internal/pipeline). The Table 1
+// operator validation times MapSideStream, not this. The per-row ch.Cell
+// calls here (one coords + one attrs allocation per cell) are the cost
+// the streaming path removes.
 //
 // Each node maps independently of the others — exactly what a real
 // cluster does node-locally — so the per-node map runs are spread over a

@@ -11,21 +11,25 @@ import (
 // hash_hot's shape (an AQL hash join on an attribute, 1% of cells on four
 // hot keys, output on a synthetic row dimension), serve_mix's (a join
 // on the shared dimension, output keeping it), merge_skew's (a merge join
-// on two shared dimensions over Zipf-dense chunks) and a SELECT list of
-// expressions over hash_hot's data. Each builds its database.
+// on two shared dimensions over Zipf-dense chunks), a SELECT list of
+// expressions over hash_hot's data, and wide_plan's (hash_hot's query on
+// 32 nodes, planned by Tabu). Each builds its database.
 var allocShapes = []struct {
 	name  string
+	nodes int
 	query string
+	opts  []QueryOption
 	load  func(t *testing.T, db *DB)
 	// ceiling is the most allocations one query may make on average: the
-	// highest count measured (Go 1.24, 2 vCPU: 1,423, 353, 1,632 and
-	// 1,387) plus 2 %.
+	// highest count of eight measurements (Go 1.24, 2 vCPU: 835, 341,
+	// 1,353, 887 and 1,098) plus 2 %.
 	ceiling uint64
 }{
-	{"hash_hot", "SELECT A.i, B.i INTO T<ai:int, bi:int>[] FROM A JOIN B ON A.v = B.w", loadHashHot, 1451},
-	{"serve_mix", "SELECT IA.v, IB.w FROM IA, IB WHERE IA.i = IB.i", loadServePair, 360},
-	{"merge_skew", "SELECT MA.v, MB.w FROM MA, MB WHERE MA.i = MB.i AND MA.j = MB.j", loadMergeSkew, 1664},
-	{"select_expr", "SELECT A.v * 2 + B.w, -A.i / B.i INTO T<x:int, y:float>[] FROM A JOIN B ON A.v = B.w", loadHashHot, 1414},
+	{"hash_hot", 4, "SELECT A.i, B.i INTO T<ai:int, bi:int>[] FROM A JOIN B ON A.v = B.w", nil, loadHashHot, 851},
+	{"serve_mix", 4, "SELECT IA.v, IB.w FROM IA, IB WHERE IA.i = IB.i", nil, loadServePair, 347},
+	{"merge_skew", 4, "SELECT MA.v, MB.w FROM MA, MB WHERE MA.i = MB.i AND MA.j = MB.j", nil, loadMergeSkew, 1380},
+	{"select_expr", 4, "SELECT A.v * 2 + B.w, -A.i / B.i INTO T<x:int, y:float>[] FROM A JOIN B ON A.v = B.w", nil, loadHashHot, 904},
+	{"wide_plan", 32, "SELECT A.i, B.i INTO T<ai:int, bi:int>[] FROM A JOIN B ON A.v = B.w", []QueryOption{WithPlanner("tabu")}, loadHashHot, 1119},
 }
 
 // loadHashHot inserts two 8,000-cell arrays whose values fall on a key
@@ -113,14 +117,15 @@ func TestQueryAllocCeilings(t *testing.T) {
 	}
 	const runs = 10
 	for _, sh := range allocShapes {
-		db, err := Open(4)
+		db, err := Open(sh.nodes)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sh.load(t, db)
+		opts := append([]QueryOption{WithParallelism(1)}, sh.opts...)
 		var matches int64
 		query := func() {
-			res, err := db.Query(sh.query, WithParallelism(1))
+			res, err := db.Query(sh.query, opts...)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -582,4 +583,47 @@ func NewChunk(key ChunkKey, nDims int, attrTypes []ScalarType) *Chunk {
 		ch.Cols[i] = NewColumn(t)
 	}
 	return ch
+}
+
+// TestAsFloatMatchesParseFloat: a string's AsFloat is ParseFloat's
+// result, or NaN when ParseFloat fails, bit for bit — whether or not
+// AsFloat calls ParseFloat — over a table of edge cases and random
+// short strings drawn from the bytes a number can start with.
+func TestAsFloatMatchesParseFloat(t *testing.T) {
+	want := func(s string) uint64 {
+		f, err := strconv.ParseFloat(s, 64)
+		if err != nil {
+			f = math.NaN()
+		}
+		return math.Float64bits(f)
+	}
+	check := func(s string) {
+		if got := math.Float64bits(StringValue(s).AsFloat()); got != want(s) {
+			t.Errorf("AsFloat(%q) = %v (bits %#x), want %v", s, math.Float64frombits(got), got, math.Float64frombits(want(s)))
+		}
+	}
+	for _, s := range []string{"", "+", "-", ".5", "Inf", "-Infinity", "+inf", "infinit", "INFINITY", "+nan", "-NaN", "nan",
+		"NAN", "nan1", "n/a", "0x1p-2", "1_0", " 1", "1e400", "-0", "+.", "x"} {
+		check(s)
+	}
+	rng := rand.New(rand.NewSource(1))
+	const alphabet = "0123456789.+-_eEpPxXiInNaAfFtTyY /"
+	for i := 0; i < 10_000; i++ {
+		b := make([]byte, rng.Intn(9))
+		for j := range b {
+			b[j] = alphabet[rng.Intn(len(alphabet))]
+		}
+		check(string(b))
+	}
+}
+
+// TestAsFloatUnparsableAllocs: a string ParseFloat is certain to reject
+// reads as NaN without an allocation.
+func TestAsFloatUnparsableAllocs(t *testing.T) {
+	for _, s := range []string{"n/a", "x", "+nan", "info", ""} {
+		v := StringValue(s)
+		if n := testing.AllocsPerRun(100, func() { v.AsFloat() }); n != 0 {
+			t.Errorf("AsFloat(%q) made %v allocations, want 0", s, n)
+		}
+	}
 }

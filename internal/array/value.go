@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"strings"
 )
 
 // ScalarType enumerates the attribute value types supported by the ADM.
@@ -154,6 +155,9 @@ func (v Value) AsFloat() float64 {
 	case TypeFloat64:
 		return v.F
 	case TypeString:
+		if !mayParseFloat(v.Str) {
+			return math.NaN()
+		}
 		f, err := strconv.ParseFloat(v.Str, 64)
 		if err != nil {
 			return math.NaN()
@@ -161,6 +165,23 @@ func (v Value) AsFloat() float64 {
 		return f
 	}
 	return math.NaN()
+}
+
+// mayParseFloat reports false when strconv.ParseFloat is certain to
+// fail on s, which spares AsFloat the error ParseFloat would allocate:
+// ParseFloat takes an optional sign, then a digit or '.', or "inf" or
+// "infinity" in any case, or, with no sign, "nan" in any case.
+func mayParseFloat(s string) bool {
+	t := strings.TrimPrefix(strings.TrimPrefix(s, "+"), "-")
+	switch {
+	case t == "":
+		return false
+	case '0' <= t[0] && t[0] <= '9' || t[0] == '.':
+		return true
+	case t == s && strings.EqualFold(t, "nan"):
+		return true
+	}
+	return strings.EqualFold(t, "inf") || strings.EqualFold(t, "infinity")
 }
 
 // AsInt converts a numeric value to int64, truncating floats. String values

@@ -1,17 +1,16 @@
-// Package batch implements the bounded columnar cell batches of the
-// streaming data plane. A Batch is a fixed-capacity window of cells in
-// the same vertically partitioned layout the chunk store uses — one
-// int64 column per dimension plus one typed column per carried value —
-// so producers append cells without materializing per-cell coordinate
-// or attribute slices, and consumers decode whole windows at once.
+// Package batch implements the columnar stores of the data plane. A
+// Batch holds cells in the same vertically partitioned layout the chunk
+// store uses — one int64 column per dimension plus one typed column per
+// carried value — so the slice map copies chunk columns into it column
+// by column, and the join kernels read whole key columns at once. A
+// join unit's side is a Run: spans of one store, read in order.
 //
 // String values are dictionary-encoded: a column of type
 // array.TypeString stores uint32 codes into a query-shared Intern
-// table, so a batch's memory footprint is a flat 8 bytes per stored
+// table, so a store's memory footprint is a flat 8 bytes per stored
 // value regardless of string content, and repeated strings are stored
-// once per query. Batches are reusable (Reset) and are pooled by their
-// producers, which is what makes the steady-state streaming path
-// allocation-free.
+// once per query. Stores are pooled (Get, Put) across queries, which is
+// what makes a warm slice map's allocations independent of its cells.
 //
 // The companion types — Intern (the shared dictionary) and Budget (the
 // per-query memory accountant with counted and strict overflow modes)
@@ -30,20 +29,6 @@ type Col struct {
 	Codes []uint32  // Type == array.TypeString: codes into the query Intern
 }
 
-// Append adds one value, interning strings through in. The value's kind
-// must match the column type (producers append straight from same-typed
-// chunk columns).
-func (c *Col) Append(v array.Value, in *Intern) {
-	switch c.Type {
-	case array.TypeInt64:
-		c.Ints = append(c.Ints, v.AsInt())
-	case array.TypeFloat64:
-		c.Fs = append(c.Fs, v.AsFloat())
-	case array.TypeString:
-		c.Codes = append(c.Codes, in.ID(v.Str))
-	}
-}
-
 // Value reconstructs the value at row i. The result is bit-identical to
 // what array.Column.Value would have produced for the same source cell:
 // the reconstructed Value kinds (and, for strings, contents) match the
@@ -60,94 +45,57 @@ func (c *Col) Value(i int, in *Intern) array.Value {
 	return array.Value{}
 }
 
-// reset truncates the column for reuse, keeping capacity.
-func (c *Col) reset() {
-	c.Ints = c.Ints[:0]
-	c.Fs = c.Fs[:0]
-	c.Codes = c.Codes[:0]
-}
-
-// Batch is a fixed-capacity columnar window of cells: Coords[d][row]
-// holds the coordinate of dimension d, Cols[c] the c-th carried value
-// column. Producers fill it to capacity, hand it downstream, and
-// recycle it via Reset once the consumer is done.
+// Batch is a columnar store of cells: Coords[d][row] holds the
+// coordinate of dimension d, Cols[c] the c-th carried value column.
+// Every column has the store's row count.
 type Batch struct {
-	Coords   [][]int64
-	Cols     []Col
-	capacity int
+	Coords [][]int64
+	Cols   []Col
 }
 
-// New returns an empty batch for ndims dimensions and the given value
-// column types, with row capacity cap (at least 1). Column storage
-// grows lazily toward the capacity as cells arrive — a slice map's many
-// partially filled tail batches (one per sparse (unit, node) run) then
-// cost only what they hold — and, once grown, is retained across Reset,
-// so pooled batches reach a steady state with no further allocation.
-func New(ndims int, types []array.ScalarType, capacity int) *Batch {
-	if capacity < 1 {
-		capacity = 1
-	}
-	b := &Batch{capacity: capacity}
-	b.Coords = make([][]int64, ndims)
-	b.Cols = make([]Col, len(types))
-	for i, t := range types {
-		b.Cols[i] = Col{Type: t}
-	}
-	return b
+// Span is the rows [Lo, Hi) of a store.
+type Span struct{ Lo, Hi int }
+
+// Run is one side of a join unit: spans of one store, read in order. A
+// run's rows number its cells across its spans in that order.
+type Run struct {
+	Store *Batch
+	Spans []Span
 }
 
-// Len returns the number of cells currently stored.
-func (b *Batch) Len() int {
-	if len(b.Coords) > 0 {
-		return len(b.Coords[0])
+// Len returns the run's cells.
+func (r Run) Len() int {
+	n := 0
+	for _, s := range r.Spans {
+		n += s.Hi - s.Lo
 	}
-	if len(b.Cols) > 0 {
-		c := &b.Cols[0]
-		switch c.Type {
-		case array.TypeInt64:
-			return len(c.Ints)
-		case array.TypeFloat64:
-			return len(c.Fs)
-		case array.TypeString:
-			return len(c.Codes)
-		}
-	}
-	return 0
+	return n
 }
 
-// Full reports whether the batch has reached capacity.
-func (b *Batch) Full() bool { return b.Len() >= b.capacity }
-
-// Reset truncates the batch for reuse, keeping all column capacity.
-func (b *Batch) Reset() {
-	for d := range b.Coords {
-		b.Coords[d] = b.Coords[d][:0]
-	}
-	for i := range b.Cols {
-		b.Cols[i].reset()
+// Add appends the rows [lo, hi) to the run, extending its last span
+// when the two are contiguous. An empty range adds nothing.
+func (r *Run) Add(lo, hi int) {
+	switch n := len(r.Spans); {
+	case lo == hi:
+	case n > 0 && r.Spans[n-1].Hi == lo:
+		r.Spans[n-1].Hi = hi
+	default:
+		r.Spans = append(r.Spans, Span{lo, hi})
 	}
 }
 
-// Bytes returns the accounted memory of the stored cells: a flat 8
-// bytes per coordinate and per value (string codes are charged 8 like
-// every other value; the strings themselves are owned by the Intern
-// table). This is the quantity Budget tracks.
-func (b *Batch) Bytes() int64 {
-	return int64(b.Len()) * 8 * int64(len(b.Coords)+len(b.Cols))
-}
-
-// Flat returns one column of a run of batches as a single slice: the
-// batch's own storage when the run is one batch, else every batch's
-// column copied in run order into *buf, which keeps its capacity for
-// the next call. col selects the column, e.g. a coordinate or a Col's
-// typed storage.
-func Flat[T any](run []*Batch, col func(*Batch) []T, buf *[]T) []T {
-	if len(run) == 1 {
-		return col(run[0])
+// Flat returns one column of a run as a single slice: the store's own
+// storage when the run is one span, else every span's rows copied in
+// run order into *buf, which keeps its capacity for the next call. col
+// selects the column, e.g. a coordinate or a Col's typed storage.
+func Flat[T any](r Run, col func(*Batch) []T, buf *[]T) []T {
+	if len(r.Spans) == 1 {
+		s := r.Spans[0]
+		return col(r.Store)[s.Lo:s.Hi:s.Hi]
 	}
 	out := (*buf)[:0]
-	for _, b := range run {
-		out = append(out, col(b)...)
+	for _, s := range r.Spans {
+		out = append(out, col(r.Store)[s.Lo:s.Hi]...)
 	}
 	*buf = out
 	return out

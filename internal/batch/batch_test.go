@@ -8,35 +8,26 @@ import (
 	"shufflejoin/internal/array"
 )
 
-// AppendCell appends one cell: coords (one per dimension) and vals (one
-// per value column, kinds matching the column types). The caller must
-// not exceed capacity. Producers append column-wise; tests build
-// batches cell by cell.
-func (b *Batch) AppendCell(coords []int64, vals []array.Value, in *Intern) {
-	for d := range b.Coords {
-		b.Coords[d] = append(b.Coords[d], coords[d])
-	}
-	for i := range b.Cols {
-		b.Cols[i].Append(vals[i], in)
-	}
-}
-
-// TestBatchRoundTrip pins the columnar round trip: values appended into
-// a batch decode back bit-identically, including exact Value kinds.
+// TestBatchRoundTrip pins the columnar round trip: values written into
+// a store decode back bit-identically, including exact Value kinds.
 func TestBatchRoundTrip(t *testing.T) {
 	types := []array.ScalarType{array.TypeInt64, array.TypeFloat64, array.TypeString}
 	in := NewIntern()
-	b := New(2, types, 8)
 	cells := [][]array.Value{
 		{array.IntValue(7), array.FloatValue(1.5), array.StringValue("port")},
 		{array.IntValue(-3), array.FloatValue(0), array.StringValue("")},
 		{array.IntValue(7), array.FloatValue(-2.25), array.StringValue("port")},
 	}
-	for i, vals := range cells {
-		b.AppendCell([]int64{int64(i), int64(-i)}, vals, in)
+	b := Get(2, types, len(cells))
+	defer Put(b)
+	if len(b.Coords[0]) != len(cells) {
+		t.Fatalf("rows = %d, want %d", len(b.Coords[0]), len(cells))
 	}
-	if b.Len() != 3 || b.Full() {
-		t.Fatalf("Len=%d Full=%v, want 3,false", b.Len(), b.Full())
+	for i, vals := range cells {
+		b.Coords[0][i], b.Coords[1][i] = int64(i), int64(-i)
+		b.Cols[0].Ints[i] = vals[0].Int
+		b.Cols[1].Fs[i] = vals[1].F
+		b.Cols[2].Codes[i] = in.ID(vals[2].Str)
 	}
 	for i, vals := range cells {
 		if b.Coords[0][i] != int64(i) || b.Coords[1][i] != int64(-i) {
@@ -48,13 +39,42 @@ func TestBatchRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	// 3 cells × (2 coords + 3 values) × 8 bytes.
-	if got := b.Bytes(); got != 3*5*8 {
-		t.Errorf("Bytes = %d, want %d", got, 3*5*8)
+}
+
+// TestRunSpans pins how a run reads a store: Add merges contiguous
+// ranges and skips empty ones, Len counts every span, and Flat returns
+// a one-span run's column in place and copies a longer run's spans in
+// run order.
+func TestRunSpans(t *testing.T) {
+	b := &Batch{Cols: []Col{{Type: array.TypeInt64, Ints: []int64{0, 1, 2, 3, 4, 5, 6, 7}}}}
+	ints := func(b *Batch) []int64 { return b.Cols[0].Ints }
+	var buf []int64
+
+	r := Run{Store: b}
+	r.Add(2, 4)
+	r.Add(4, 6) // contiguous: one span
+	r.Add(6, 6) // empty: nothing
+	if want := []Span{{2, 6}}; !reflect.DeepEqual(r.Spans, want) || r.Len() != 4 {
+		t.Fatalf("spans %v, Len %d; want %v, 4", r.Spans, r.Len(), want)
 	}
-	b.Reset()
-	if b.Len() != 0 || b.Bytes() != 0 {
-		t.Errorf("after Reset: Len=%d Bytes=%d", b.Len(), b.Bytes())
+	got := Flat(r, ints, &buf)
+	if !reflect.DeepEqual(got, []int64{2, 3, 4, 5}) || &got[0] != &b.Cols[0].Ints[2] || cap(got) != 4 {
+		t.Fatalf("one span: Flat = %v (cap %d), want the store's rows 2..5 in place", got, cap(got))
+	}
+
+	r = Run{Store: b}
+	r.Add(6, 8)
+	r.Add(0, 1)
+	r.Add(3, 5)
+	if r.Len() != 5 || len(r.Spans) != 3 {
+		t.Fatalf("spans %v, Len %d; want 3 spans of 5 rows", r.Spans, r.Len())
+	}
+	got = Flat(r, ints, &buf)
+	if !reflect.DeepEqual(got, []int64{6, 7, 0, 3, 4}) || &got[0] != &buf[0] {
+		t.Fatalf("three spans: Flat = %v, want [6 7 0 3 4] copied into the buffer", got)
+	}
+	if got := Flat(Run{Store: b}, ints, &buf); len(got) != 0 {
+		t.Fatalf("empty run: Flat = %v", got)
 	}
 }
 

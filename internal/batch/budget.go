@@ -21,13 +21,14 @@ var ErrBudget = errors.New("batch: query memory budget exceeded")
 //   - strict mode (Strict true): the Acquire that crosses the limit
 //     fails with an error wrapping ErrBudget.
 //
-// Usage is monotonically non-decreasing while slice mapping runs
-// (batches are acquired as they seal) and monotonically non-increasing
-// while comparison retires join units (ReleaseUnit), so the peak equals
-// the total mapped bytes regardless of worker interleaving — Peak and
-// OverflowBytes are deterministic at every Parallelism setting. A nil
-// *Budget is a valid no-op accountant; Limit 0 means unlimited (counted
-// mode never overflows, strict mode never fails).
+// Usage is monotonically non-decreasing while slice mapping runs (each
+// side is charged once, before its store is taken) and monotonically
+// non-increasing while comparison retires join units (ReleaseUnit), so
+// the peak equals the total mapped bytes regardless of worker
+// interleaving — Peak and OverflowBytes are deterministic at every
+// Parallelism setting. A nil *Budget is a valid no-op accountant; Limit
+// 0 means unlimited (counted mode never overflows, strict mode never
+// fails).
 type Budget struct {
 	limit  int64
 	strict bool

@@ -6,63 +6,67 @@ import (
 	"shufflejoin/internal/par"
 )
 
-// Reshape reconfigures a recycled batch for a new layout, retaining as
-// much of its grown column storage as possible: dimension and value
-// columns are revived by reslicing within their kept capacity (a column
-// that shrank away in one query and returns in the next gets its old
-// backing array back, because the header slots beyond len survive the
-// intermediate reslices), and a Col keeps all three typed backing
-// slices, so changing a column's type costs nothing. After Reshape the
-// batch is empty, shaped exactly as New(ndims, types, capacity) would
-// shape it.
-func (b *Batch) Reshape(ndims int, types []array.ScalarType, capacity int) {
-	if capacity < 1 {
-		capacity = 1
+// maxPooledRows bounds the stores the pool keeps: a store of more rows
+// is left to the collector, so one huge side does not pin its storage
+// for the life of the process. With poolStores of them, the pool holds
+// at most 2^20 rows.
+const (
+	maxPooledRows = 1 << 18
+	poolStores    = 4
+)
+
+// pool recycles stores across queries and concurrent slice maps. It is
+// a par.Pool, not a sync.Pool: a sync.Pool is drained by the collector
+// under exactly the allocation pressure (concurrent query output
+// assembly) the pool exists to absorb, and the bytes a query allocates
+// would vary from run to run.
+var pool = par.NewPool[*Batch](poolStores)
+
+// Get returns a store of exactly rows rows shaped for the layout: ndims
+// coordinate columns and one column per type. The rows' contents are
+// undefined; the caller writes every one. A recycled store reuses every
+// column it has grown, of every type, that is large enough.
+func Get(ndims int, types []array.ScalarType, rows int) *Batch {
+	b, ok := pool.Get()
+	if !ok {
+		b = new(Batch)
 	}
-	b.capacity = capacity
-	if ndims <= cap(b.Coords) {
-		b.Coords = b.Coords[:ndims]
-	} else {
-		b.Coords = append(b.Coords[:cap(b.Coords)], make([][]int64, ndims-cap(b.Coords))...)
-	}
+	b.Coords = fit(b.Coords, ndims)
 	for d := range b.Coords {
-		b.Coords[d] = b.Coords[d][:0]
+		b.Coords[d] = fit(b.Coords[d], rows)
 	}
-	if len(types) <= cap(b.Cols) {
-		b.Cols = b.Cols[:len(types)]
-	} else {
-		b.Cols = append(b.Cols[:cap(b.Cols)], make([]Col, len(types)-cap(b.Cols))...)
-	}
+	b.Cols = fit(b.Cols, len(types))
 	for i, t := range types {
-		b.Cols[i].Type = t
-		b.Cols[i].reset()
+		c := &b.Cols[i]
+		c.Type = t
+		switch t {
+		case array.TypeInt64:
+			c.Ints = fit(c.Ints, rows)
+		case array.TypeFloat64:
+			c.Fs = fit(c.Fs, rows)
+		case array.TypeString:
+			c.Codes = fit(c.Codes, rows)
+		}
 	}
+	return b
 }
 
-// pool recycles batches across queries and concurrent producers. It is
-// a process-wide par.Pool, not a sync.Pool and not a per-RunSet free
-// list: per-RunSet lists threw the grown storage away at query end,
-// while a sync.Pool is drained by the collector under exactly the
-// allocation pressure (concurrent query output assembly) the pool
-// exists to absorb. Capacity follows Pool semantics: a bounded free
-// list, excess Puts dropped.
-var pool = par.NewPool[*Batch](1024)
-
-// Get returns an empty batch shaped for the given layout: a recycled
-// one (Reshape'd, retaining grown storage from any prior query) when
-// the pool has one, else a fresh New batch.
-func Get(ndims int, types []array.ScalarType, capacity int) *Batch {
-	if b, ok := pool.Get(); ok {
-		b.Reshape(ndims, types, capacity)
-		return b
-	}
-	return New(ndims, types, capacity)
-}
-
-// Put recycles a batch for any later Get, across queries. The caller
-// must not use b afterward.
+// Put recycles a store for any later Get, unless it holds more than
+// maxPooledRows rows (a store always has a coordinate column, as every
+// array has a dimension). The caller must not use b afterward.
 func Put(b *Batch) {
-	if b != nil {
+	if b != nil && len(b.Coords) > 0 && len(b.Coords[0]) <= maxPooledRows {
 		pool.Put(b)
 	}
+}
+
+// fit returns s with length n: resliced within its capacity, which
+// keeps the columns a wider layout left past its length, or else a new
+// slice of exactly n, so a pooled store's capacity never exceeds the
+// rows of a use the pool kept.
+func fit[T any](s []T, n int) []T {
+	if n <= cap(s) {
+		return s[:n]
+	}
+	return make([]T, n)
 }

@@ -12,7 +12,7 @@ import (
 
 // Calibrate derives the cost model's compute parameters (m, b, p of
 // Section 5.1) empirically from this machine, timing the columnar join
-// kernels the engine runs (join.RunColumns over one-batch sides, match
+// kernels the engine runs (join.RunColumns over one-span sides, match
 // lists included), the way the paper derives them from
 // the database's performance. The network parameter t cannot be measured
 // on a single machine; it is set to keep the paper's regime — network
@@ -23,8 +23,7 @@ func Calibrate(cells int, seed int64) physical.CostParams {
 		cells = 200_000
 	}
 	rng := rand.New(rand.NewSource(seed))
-	mk := func(n int, sorted bool) []*batch.Batch {
-		b := batch.New(0, []array.ScalarType{array.TypeInt64}, n)
+	mk := func(n int, sorted bool) batch.Run {
 		keys := make([]int64, n)
 		for i := range keys {
 			if sorted {
@@ -33,17 +32,15 @@ func Calibrate(cells int, seed int64) physical.CostParams {
 				keys[i] = rng.Int63n(int64(n) * 2)
 			}
 		}
-		b.Cols[0].Ints = keys
-		return []*batch.Batch{b}
+		b := &batch.Batch{Cols: []batch.Col{{Type: array.TypeInt64, Ints: keys}}}
+		return batch.Run{Store: b, Spans: []batch.Span{{Lo: 0, Hi: n}}}
 	}
-	prefix := func(side []*batch.Batch, n int) []*batch.Batch {
-		b := batch.New(0, []array.ScalarType{array.TypeInt64}, n)
-		b.Cols[0].Ints = side[0].Cols[0].Ints[:n]
-		return []*batch.Batch{b}
+	prefix := func(side batch.Run, n int) batch.Run {
+		return batch.Run{Store: side.Store, Spans: []batch.Span{{Lo: 0, Hi: n}}}
 	}
 
 	var matches join.Matches
-	run := func(alg join.Algorithm, l, r []*batch.Batch) (float64, join.Stats) {
+	run := func(alg join.Algorithm, l, r batch.Run) (float64, join.Stats) {
 		start := time.Now()
 		// RunColumns fails only on an unknown algorithm.
 		st, _ := join.RunColumns(alg, l, r, 1, nil, &matches)

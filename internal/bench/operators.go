@@ -92,7 +92,7 @@ func Table1Operators(sizes []int64, seed int64) ([]OpMeasurement, map[string]sta
 			return nil, nil, err
 		}
 		// hash: the engine's streaming slice mapping into hash-bucket join
-		// units, its batch runs released as comparison would release them.
+		// units, its units released as comparison would release them.
 		d := cluster.Distribute(src, 1, cluster.RoundRobin)
 		spec := &shuffle.UnitSpec{Kind: shuffle.HashUnits, NumUnits: chunks}
 		mapper := &shuffle.SideMapper{KeyRefs: []join.Ref{{IsDim: false, Index: 0, Name: "v"}}}

@@ -125,9 +125,9 @@ func (d *Distributed) index() {
 // AttrHistogram returns a 64-bucket equi-width histogram of the named
 // attribute's values — the statistic the paper's engine keeps in its
 // catalog, used for join-dimension inference and selectivity estimation.
-// Nil for unknown attributes and for attributes with no finite values
-// (string columns have no numeric histogram either, but their AsFloat is
-// 0, so they histogram degenerately; callers filter by type). Histograms
+// Nil for unknown attributes and for attributes with no finite values.
+// A string reads as the number it parses as, and as NaN, which the
+// histogram drops, when it parses as none; callers filter by type. Histograms
 // are computed on first request and cached per attribute, so per-query
 // planning cost does not include a data scan.
 func (d *Distributed) AttrHistogram(attrName string) *stats.Histogram {

@@ -1,9 +1,9 @@
 // Columnar kernels: the three algorithms over a join unit's sides as
-// the streaming data plane holds them, runs of columnar batches. They
-// read the key columns as typed slices, resolved once per batch, and
-// write each match as a (left row, right row) pair into a match list;
-// the caller gathers output values by row. No cell is decoded into a
-// Tuple and no match calls back.
+// the streaming data plane holds them, runs of spans of a columnar
+// store. They read the key columns as typed slices, resolved once per
+// side, and write each match as a (left row, right row) pair into a
+// match list; the caller gathers output values by row. No cell is
+// decoded into a Tuple and no match calls back.
 //
 // Emit order and Stats are bit-identical to RunStream over the same
 // cells decoded to Tuples (FuzzColumnarJoin pins it): every kernel runs
@@ -25,7 +25,7 @@ import (
 
 // Matches is a join unit's match list: match i pairs row L[i] of the
 // left side with row R[i] of the right side, where a side's rows number
-// its cells across its run of batches in run order.
+// its cells across its run's spans in run order.
 type Matches struct {
 	L, R []int32
 }
@@ -36,13 +36,13 @@ func (m *Matches) add(l, r int32) {
 }
 
 // RunColumns executes the chosen algorithm over one join unit whose
-// sides are runs of columnar batches, replacing m's contents with the
-// unit's matches. The first nkey columns of every batch are the side's
+// sides are runs of a columnar store, replacing m's contents with the
+// unit's matches. The first nkey columns of each store are the side's
 // key columns, in predicate order; a string key column holds codes of
 // in, which both sides must share (in may be nil when no key column is
 // a string). Matches land in the order RunStream emits them over the
 // same cells, and the Stats are RunStream's.
-func RunColumns(alg Algorithm, left, right []*batch.Batch, nkey int, in *batch.Intern, m *Matches) (Stats, error) {
+func RunColumns(alg Algorithm, left, right batch.Run, nkey int, in *batch.Intern, m *Matches) (Stats, error) {
 	m.L, m.R = m.L[:0], m.R[:0]
 	s, ok := scratchPool.Get()
 	if !ok {
@@ -190,7 +190,7 @@ var scratchPool = par.NewPool[*scratch](512)
 // it for the life of the process.
 const maxPooledRows = 1 << 20
 
-// release drops the scratch's references into the caller's batches and
+// release drops the scratch's references into the caller's stores and
 // dictionary and returns it to the pool.
 func (s *scratch) release() {
 	big := false
@@ -205,23 +205,20 @@ func (s *scratch) release() {
 	}
 }
 
-// load resolves side s's key columns over run: a one-batch run's
-// columns are read in place, a longer run's are copied batch by batch
+// load resolves side s's key columns over run: a one-span run's
+// columns are read in place, a longer run's are copied span by span
 // into the scratch.
-func (s *scratch) load(side int, run []*batch.Batch, nkey int, strs []string) *keys {
+func (s *scratch) load(side int, run batch.Run, nkey int, strs []string) *keys {
 	k := &s.side[side]
-	k.n, k.strs = 0, strs
-	for _, b := range run {
-		k.n += b.Len()
-	}
+	k.n, k.strs = run.Len(), strs
 	for len(s.bufs[side]) < nkey {
 		s.bufs[side] = append(s.bufs[side], keyCol{})
 	}
 	k.cols = k.cols[:0]
 	for c := 0; c < nkey; c++ {
 		col, buf := keyCol{}, &s.bufs[side][c]
-		if len(run) > 0 {
-			col.typ = run[0].Cols[c].Type
+		if run.Store != nil {
+			col.typ = run.Store.Cols[c].Type
 		}
 		switch col.typ {
 		case array.TypeInt64:

@@ -47,37 +47,54 @@ func fuzzValue(rng *rand.Rand, t array.ScalarType, domain int64, big int64) arra
 	return array.StringValue(string(rune('a' + k%26)))
 }
 
-// fuzzSide builds one side of n rows: its tuples, whose Coords hold the
-// row number, and the same cells as a run of batches of the given
-// capacity, split into up to three node runs that each end in a
-// partial batch, as RunSet.Run returns them.
-func fuzzSide(rng *rand.Rand, n int, types []array.ScalarType, domain, big int64, rows int, in *batch.Intern) ([]Tuple, []*batch.Batch) {
-	ts := make([]Tuple, n)
-	var run []*batch.Batch
-	var cur *batch.Batch
-	cut := n
-	if n > 0 {
-		cut = rng.Intn(n + 1)
+// fuzzSide builds one side of n rows: the cells as a store, the store
+// cut into spans of the given size, in store order or, at random,
+// rotated as RunSet.Run returns a unit for a destination past node 0
+// (one span first, then the others in order), and the side's tuples in
+// run order, whose Coords hold the run row number.
+func fuzzSide(rng *rand.Rand, n int, types []array.ScalarType, domain, big int64, size int, in *batch.Intern) ([]Tuple, batch.Run) {
+	store := &batch.Batch{Cols: make([]batch.Col, len(types))}
+	for c, t := range types {
+		store.Cols[c].Type = t
 	}
-	for i := range ts {
-		if cur == nil || cur.Full() || i == cut {
-			cur = batch.New(1, types, rows)
-			run = append(run, cur)
-		}
-		key := make([]array.Value, len(types))
+	keys := make([][]array.Value, n)
+	for i := range keys {
+		keys[i] = make([]array.Value, len(types))
 		for c, t := range types {
-			key[c] = fuzzValue(rng, t, domain, big)
-			cur.Cols[c].Append(key[c], in)
+			v := fuzzValue(rng, t, domain, big)
+			keys[i][c] = v
+			col := &store.Cols[c]
+			switch t {
+			case array.TypeInt64:
+				col.Ints = append(col.Ints, v.Int)
+			case array.TypeFloat64:
+				col.Fs = append(col.Fs, v.F)
+			case array.TypeString:
+				col.Codes = append(col.Codes, in.ID(v.Str))
+			}
 		}
-		cur.Coords[0] = append(cur.Coords[0], int64(i))
-		ts[i] = Tuple{Key: key, Coords: []int64{int64(i)}}
 	}
-	return ts, run
+	var spans []batch.Span
+	for lo := 0; lo < n; lo += size {
+		spans = append(spans, batch.Span{Lo: lo, Hi: min(lo+size, n)})
+	}
+	if len(spans) > 1 && rng.Intn(2) == 0 {
+		j := rng.Intn(len(spans))
+		spans = append(append([]batch.Span{spans[j]}, spans[:j]...), spans[j+1:]...)
+	}
+	ts := make([]Tuple, 0, n)
+	for _, sp := range spans {
+		for r := sp.Lo; r < sp.Hi; r++ {
+			ts = append(ts, Tuple{Key: keys[r], Coords: []int64{int64(len(ts))}})
+		}
+	}
+	return ts, batch.Run{Store: store, Spans: spans}
 }
 
 // FuzzColumnarJoin is the columnar kernels' differential test: over
-// random sides — every key type pairing, duplicate rates, batch sizes 1,
-// 7 and 1024, keys near 2^53 and 2^62 — RunColumns lists exactly the
+// random sides — every key type pairing, duplicate rates, runs cut into
+// spans of 1, 7 and 1024 rows, in store or rotated order, keys near 2^53
+// and 2^62 — RunColumns lists exactly the
 // pairs, in exactly the order, and counts exactly the Stats that
 // RunStream emits over the same cells as Tuples, for all three
 // algorithms, errors included.
@@ -89,19 +106,19 @@ func FuzzColumnarJoin(f *testing.F) {
 	f.Add(int64(5), uint8(70), uint8(70), uint8(1), uint8(40), uint8(1), uint8(3))
 	f.Add(int64(6), uint8(33), uint8(9), uint8(4), uint8(2), uint8(0), uint8(4))
 	f.Add(int64(7), uint8(25), uint8(64), uint8(7), uint8(6), uint8(2), uint8(5))
-	f.Fuzz(func(t *testing.T, seed int64, nl, nr, mode, domain, rowsSel, bigSel uint8) {
+	f.Fuzz(func(t *testing.T, seed int64, nl, nr, mode, domain, sizeSel, bigSel uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		types := keyModes[int(mode)%len(keyModes)]
-		rows := []int{1, 7, 1024}[int(rowsSel)%3]
+		size := []int{1, 7, 1024}[int(sizeSel)%3]
 		big := []int64{0, 1 << 53, 1<<53 - 4, 1 << 62, -1 << 62, -1 << 53}[int(bigSel)%6]
 		dom := int64(domain) + 1
 		in := batch.NewIntern()
-		lt, lrun := fuzzSide(rng, int(nl), types[0], dom, big, rows, in)
-		rt, rrun := fuzzSide(rng, int(nr), types[1], dom, big, rows, in)
+		lt, lrun := fuzzSide(rng, int(nl), types[0], dom, big, size, in)
+		rt, rrun := fuzzSide(rng, int(nr), types[1], dom, big, size, in)
 		for _, alg := range []Algorithm{Hash, Merge, NestedLoop} {
 			var want [][2]int64
 			emit := func(l, r *Tuple) { want = append(want, [2]int64{l.Coords[0], r.Coords[0]}) }
-			wantSt, wantErr := RunStream(alg, &SliceStream{Tuples: copyTuples(lt), Window: rows}, &SliceStream{Tuples: copyTuples(rt)}, emit)
+			wantSt, wantErr := RunStream(alg, &SliceStream{Tuples: copyTuples(lt), Window: size}, &SliceStream{Tuples: copyTuples(rt)}, emit)
 			var m Matches
 			st, err := RunColumns(alg, lrun, rrun, len(types[0]), in, &m)
 			if (err != nil) != (wantErr != nil) {
@@ -129,17 +146,14 @@ func TestBigIntKeysExact(t *testing.T) {
 		left := []int64{base, base + 1, base + 2}
 		right := []int64{base + 1, base + 3}
 		lt, rt := intTuples(left...), intTuples(right...)
-		lb := batch.New(0, []array.ScalarType{array.TypeInt64}, len(left))
-		lb.Cols[0].Ints = left
-		rb := batch.New(0, []array.ScalarType{array.TypeInt64}, len(right))
-		rb.Cols[0].Ints = right
+		lb, rb := intRun(left), intRun(right)
 		for _, alg := range []Algorithm{Hash, Merge, NestedLoop} {
 			st, err := Run(alg, copyTuples(lt), copyTuples(rt), nil)
 			if err != nil || st.Matches != 1 {
 				t.Errorf("base %d, %v on Tuples: %d matches (err %v), want 1", base, alg, st.Matches, err)
 			}
 			var m Matches
-			st, err = RunColumns(alg, []*batch.Batch{lb}, []*batch.Batch{rb}, 1, nil, &m)
+			st, err = RunColumns(alg, lb, rb, 1, nil, &m)
 			if err != nil || st.Matches != 1 || len(m.L) != 1 || m.L[0] != 1 || m.R[0] != 0 {
 				t.Errorf("base %d, %v on columns: %d matches %v (err %v), want left row 1 with right row 0", base, alg, st.Matches, m, err)
 			}

@@ -44,9 +44,9 @@ func (qc *QueryContext) buildOutput() error {
 }
 
 // runUnit joins unit u on its destination node, writing into res, the
-// unit's own slot. The kernel reads both sides' batch runs in place and
-// lists the matches; the projector gathers them into the slot's output
-// columns, so the unit's batches are recycled as soon as it returns.
+// unit's own slot. The kernel reads both sides' runs in place and lists
+// the matches; the projector gathers them into the slot's output
+// columns, so the unit is released as soon as it returns.
 func (qc *QueryContext) runUnit(u int, res *unitOut) {
 	// Per-unit cancellation point: a canceled query skips its remaining
 	// units (fold surfaces the context error from the first skipped
@@ -58,16 +58,15 @@ func (qc *QueryContext) runUnit(u int, res *unitOut) {
 	dest := qc.Report.Physical.Assignment[u]
 	nl, nr := qc.rsl.UnitTotal(u), qc.rsr.UnitTotal(u)
 	s := getUnitScratch()
-	s.runs[0] = qc.rsl.Run(u, dest, s.runs[0])
-	s.runs[1] = qc.rsr.Run(u, dest, s.runs[1])
+	s.runs[0] = qc.rsl.Run(u, dest, s.runs[0].Spans[:0])
+	s.runs[1] = qc.rsr.Run(u, dest, s.runs[1].Spans[:0])
 	nkey := len(qc.plan.JS.Pred.Resolved.Left)
 	st, err := join.RunColumns(qc.plan.Algo, s.runs[0], s.runs[1], nkey, qc.intern, &s.m)
 	if err == nil && len(s.m.L) > 0 {
 		res.cols = qc.proj.project(qc.outArr.Schema, s, qc.intern.Strs())
 	}
 	s.release(max(nl, nr))
-	// The unit is fully consumed: recycle its batches and return
-	// their bytes to the query budget.
+	// The unit is fully consumed: return its bytes to the query budget.
 	qc.rsl.ReleaseUnit(u)
 	qc.rsr.ReleaseUnit(u)
 	if err != nil {

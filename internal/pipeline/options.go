@@ -258,8 +258,8 @@ type Report struct {
 
 	// PeakBatchBytes is the high-water mark of mapped batch storage the
 	// query held in flight (both sides; 8 bytes per stored coordinate
-	// and value). Because batch bytes only accumulate while slice
-	// mapping runs and only drain as comparison retires join units, the
+	// and value). Because each side is charged once while slice mapping
+	// runs and the bytes only drain as comparison retires join units, the
 	// peak equals the total mapped bytes and is deterministic at every
 	// Parallelism setting (SliceMap stage).
 	PeakBatchBytes int64

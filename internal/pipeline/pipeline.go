@@ -10,10 +10,12 @@
 // trace, the EXPLAIN ANALYZE profile, the query log, postmortem bundles)
 // is rendered from it. The AQL runner, the public facade, and both CLIs
 // all execute through Run / RunDistributed here. There is one data plane
-// (bounded columnar batch runs, pulled through pooled readers) and one
-// execution order (Align, then Compare, below); Execute takes the stage
-// list, and that seam is where the tests substitute their
-// materialized-tuple, whole-unit reference executor (reference_test.go).
+// (each side's slice map is one pooled columnar store, a counting sort of
+// its cells by join unit, whose units the join kernels read in place as
+// runs of spans) and one execution order (Align, then Compare, below);
+// Execute takes the stage list, and that seam is where the tests
+// substitute their materialized-tuple, whole-unit reference executor
+// (reference_test.go).
 //
 // # Align, then Compare
 //
@@ -32,7 +34,8 @@
 //
 // # Compare on columns, project by gather
 //
-// A unit's two sides are its runs of columnar batches, read in place.
+// A unit's two sides are runs of spans of the sides' stores, read in
+// place.
 // The join kernel (join.RunColumns) compares their typed key columns
 // and lists the matches as (left row, right row) pairs; no cell becomes
 // a tuple and no match calls back. The projector, compiled once per
@@ -103,12 +106,6 @@ type QueryContext struct {
 	fr  *flight.Recorder
 	qid uint32
 
-	// batchRows is the row capacity of the data plane's columnar batches
-	// (SliceMap). Queries leave it 0, which uses shuffle.DefaultBatchRows;
-	// results are identical at every size, which the differential tests
-	// sweep by setting it.
-	batchRows int
-
 	// Stage-log state (beginStage/endStage): the live tracker Options.Hooks
 	// is handed, which also holds the query's start time, and the open
 	// stage's baselines.
@@ -124,7 +121,7 @@ type QueryContext struct {
 	// Stage products, in the order they are produced.
 	plan      *logical.Plan     // &Report.Logical: the chosen plan, once LogicalPlan has run
 	spec      *shuffle.UnitSpec // SliceMap: join-unit geometry
-	rsl, rsr  *shuffle.RunSet   // SliceMap: per-side batch runs
+	rsl, rsr  *shuffle.RunSet   // SliceMap: per-side slice maps
 	intern    *batch.Intern     // SliceMap: both sides' string dictionary
 	budget    *batch.Budget     // SliceMap: per-query memory accountant
 	nodeUnits [][]int           // PhysicalPlan: units assigned to each node

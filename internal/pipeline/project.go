@@ -42,7 +42,7 @@ type projector struct {
 	vecs   int                // expression nodes, each with a result vector
 }
 
-// source is one value column of a unit's sides: coordinate idx, or batch
+// source is one value column of a unit's sides: coordinate idx, or store
 // column idx (the side's key columns, then its carried attributes), of
 // the left (side 0) or right (side 1) run.
 type source struct {
@@ -269,10 +269,10 @@ func (c *column) value(row int32) array.Value {
 }
 
 // unitScratch is one compare worker's reusable memory for a unit: the
-// two runs, the match list, the source columns flat across each run,
+// two sides' runs, the match list, the source columns flat across each run,
 // and each expression node's result vectors.
 type unitScratch struct {
-	runs [2][]*batch.Batch
+	runs [2]batch.Run
 	m    join.Matches
 	cols []column
 	bufs []column  // per source slot: flattening buffers
@@ -298,13 +298,12 @@ func getUnitScratch() *unitScratch {
 	return s
 }
 
-// release drops the scratch's references into the unit's batches and
+// release drops the scratch's references into the unit's stores and
 // returns it to the pool, unless the unit, of the given cells on its
 // larger side, grew it past maxPooledRows.
 func (s *unitScratch) release(cells int64) {
 	for i := range s.runs {
-		clear(s.runs[i])
-		s.runs[i] = s.runs[i][:0]
+		s.runs[i].Store = nil
 	}
 	clear(s.cols)
 	s.cols = s.cols[:0]

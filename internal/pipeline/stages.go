@@ -99,10 +99,10 @@ func (LogicalPlan) Run(qc *QueryContext) error {
 }
 
 // SliceMap is the Section 3.3 stage: each node maps its resident cells of
-// both sides into join-unit slices (in parallel across nodes). The slices
-// are bounded columnar batch runs (shuffle.MapSideStream) with a shared
-// per-query intern dictionary and memory budget: Options.MemoryBudget, or
-// the Gate's reservation when that is zero.
+// both sides into join-unit slices (in parallel across nodes). Each side
+// is one columnar store laid out unit by unit (shuffle.MapSideStream),
+// with a shared per-query intern dictionary and memory budget:
+// Options.MemoryBudget, or the Gate's reservation when that is zero.
 type SliceMap struct{}
 
 func (SliceMap) Name() string { return "slice-map" }
@@ -117,12 +117,11 @@ func (SliceMap) Run(qc *QueryContext) error {
 	}
 	qc.budget = batch.NewBudget(limit, opt.Strict)
 	// Attach before the budget is shared with mapper workers so
-	// charge/credit events carry the query id from the first batch.
+	// charge/credit events carry the query id from the first charge.
 	qc.budget.SetFlight(qc.fr, qc.qid)
 	cfg := shuffle.StreamConfig{
-		BatchRows: qc.batchRows,
-		Intern:    batch.NewIntern(),
-		Budget:    qc.budget,
+		Intern: batch.NewIntern(),
+		Budget: qc.budget,
 	}
 	rsl, err := shuffle.MapSideStream(qc.Left, c.K, spec, lm, workers, cfg)
 	if err != nil {

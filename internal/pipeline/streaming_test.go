@@ -18,7 +18,7 @@ import (
 // (reference_test.go: materialized tuples, whole-unit compare on one
 // goroutine in node and assignment order) in output cells, join statistics, modeled times, and
 // per-node skew diagnostics, for every output shape and algorithm at
-// every batch size and Parallelism setting. (Trace fingerprints are not
+// every node count and Parallelism setting. (Trace fingerprints are not
 // compared: the reference records no spans.)
 func TestStreamingMatchesReference(t *testing.T) {
 	a := buildArray("A<v:int>[i=1,300,30]", 5, 150, 30)
@@ -51,21 +51,23 @@ func TestStreamingMatchesReference(t *testing.T) {
 					Parallelism: par,
 				}
 			}
-			// One reference run per shape and algorithm; every engine
-			// configuration must reproduce it exactly.
-			want, err := pipeline.RunReference(newCluster(t, 4, a.Clone(), b.Clone()), "A", "B", tc.pred, tc.out, opts(1))
-			if err != nil {
-				t.Fatalf("RunReference(%s, %v): %v", tc.name, algo, err)
-			}
-			if want.Matches == 0 {
-				t.Fatalf("%s/%v: reference found no matches; fixture broken", tc.name, algo)
-			}
-			wantCells := cellsOf(want.Output)
-			for _, batchSize := range []int{1, 7, 1024} {
+			// One reference run per shape, algorithm and node count; every
+			// engine configuration must reproduce it exactly. On one node a
+			// unit's side is one span, read in place; on more, a unit
+			// assembled past node 0 has several, which are copied.
+			for _, k := range []int{1, 2, 4} {
+				want, err := pipeline.RunReference(newCluster(t, k, a.Clone(), b.Clone()), "A", "B", tc.pred, tc.out, opts(1))
+				if err != nil {
+					t.Fatalf("RunReference(%s, %v, k=%d): %v", tc.name, algo, k, err)
+				}
+				if want.Matches == 0 {
+					t.Fatalf("%s/%v: reference found no matches; fixture broken", tc.name, algo)
+				}
+				wantCells := cellsOf(want.Output)
 				for _, par := range []int{1, 4, 0} {
-					name := fmt.Sprintf("%s/%v/batch=%d/par=%d", tc.name, algo, batchSize, par)
+					name := fmt.Sprintf("%s/%v/k=%d/par=%d", tc.name, algo, k, par)
 					t.Run(name, func(t *testing.T) {
-						got, err := pipeline.RunBatchRows(newCluster(t, 4, a.Clone(), b.Clone()), "A", "B", tc.pred, tc.out, opts(par), batchSize)
+						got, err := pipeline.Run(newCluster(t, k, a.Clone(), b.Clone()), "A", "B", tc.pred, tc.out, opts(par))
 						if err != nil {
 							t.Fatalf("Run: %v", err)
 						}
@@ -116,9 +118,9 @@ func TestStreamingMatchesReference(t *testing.T) {
 }
 
 // TestStreamingPeakDeterministic pins the memory gauge itself: the
-// reported peak is bit-identical across parallelism (batch charges
-// happen at SliceMap, releases strictly after — the peak is the total
-// mapped footprint regardless of execution interleaving).
+// reported peak is bit-identical across parallelism (each side is
+// charged once at SliceMap, releases come strictly after — the peak is
+// the total mapped footprint regardless of execution interleaving).
 func TestStreamingPeakDeterministic(t *testing.T) {
 	a := buildArray("A<v:int>[i=1,200,20]", 7, 120, 25)
 	b := buildArray("B<w:int>[j=1,200,20]", 8, 110, 25)
@@ -127,10 +129,10 @@ func TestStreamingPeakDeterministic(t *testing.T) {
 	var wantPeak int64 = -1
 	for _, par := range []int{1, 4, 0} {
 		c := newCluster(t, 3, a.Clone(), b.Clone())
-		rep, err := pipeline.RunBatchRows(c, "A", "B", pred, nil, pipeline.Options{
+		rep, err := pipeline.Run(c, "A", "B", pred, nil, pipeline.Options{
 			Selectivity: 0.5,
 			Parallelism: par,
-		}, 16)
+		})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -36,8 +36,8 @@ func benchSide(name string, n int64, k int, units int) (*cluster.Distributed, *U
 }
 
 // steadyState maps two 16 k-cell hash-unit sides once and returns the
-// engine's recurring compare work over them: every unit's two batch runs
-// read in place (RunSet.Run) and joined by the columnar hash kernel into
+// engine's recurring compare work over them: every unit's two runs read
+// in place (RunSet.Run) and joined by the columnar hash kernel into
 // a reused match list. No ReleaseUnit: the runs persist, so every call
 // replays the same compare work, as repeated queries over a warm engine
 // do.
@@ -56,13 +56,13 @@ func steadyState(tb testing.TB) (runAll func(), cells int64) {
 	for u := 0; u < units; u++ {
 		cells += rsl.UnitTotal(u) + rsr.UnitTotal(u)
 	}
-	var lrun, rrun []*batch.Batch
+	var lrun, rrun batch.Run
 	var matches join.Matches
 	runAll = func() {
 		for u := 0; u < spec.NumUnits; u++ {
 			dest := u % k
-			lrun = rsl.Run(u, dest, lrun[:0])
-			rrun = rsr.Run(u, dest, rrun[:0])
+			lrun = rsl.Run(u, dest, lrun.Spans[:0])
+			rrun = rsr.Run(u, dest, rrun.Spans[:0])
 			if _, err := join.RunColumns(join.Hash, lrun, rrun, 1, nil, &matches); err != nil {
 				panic(err)
 			}
@@ -133,6 +133,71 @@ func TestStreamingSteadyStateZeroAllocs(t *testing.T) {
 		}
 		if injected < passes {
 			t.Errorf("GOMAXPROCS=%d: %d passes with an injected allocation each counted %d allocations, want at least %d", procs, passes, injected, passes)
+		}
+	}
+}
+
+// mapRelease returns one slice map's whole life, as a query runs it: a
+// side mapped on k nodes, then every unit released, which returns the
+// side's store to the pool. It maps on one worker: more workers add
+// only their goroutines, whose allocations the runtime makes, now and
+// then more of them, as it balances its per-core free lists.
+func mapRelease(d *cluster.Distributed, k int, spec *UnitSpec, m *SideMapper) func() {
+	return func() {
+		rs, err := MapSideStream(d, k, spec, m, 1, StreamConfig{})
+		if err != nil {
+			panic(err)
+		}
+		for u := 0; u < spec.NumUnits; u++ {
+			rs.ReleaseUnit(u)
+		}
+	}
+}
+
+// mapAllocsCeiling is the most allocations a warm mapRelease may make,
+// as measured (Go 1.24): the RunSet with its layout and offsets, the
+// count pass's scratch and the dictionary, none of them per cell.
+const mapAllocsCeiling = 12
+
+// TestMapSideStreamStorePoolAllocs is the gate on the store pool: once
+// warm, a slice map and the release of its units make the same number
+// of allocations for 4 k cells as for 32 k, and no more than
+// mapAllocsCeiling, at every core count. The counts follow
+// TestStreamingSteadyStateZeroAllocs: collector off, the least of three
+// counts, and a check that the count sees an injected allocation.
+func TestMapSideStreamStorePoolAllocs(t *testing.T) {
+	const k, units, passes = 4, 16, 10
+	ds, spec, m := benchSide("S", 1<<12, k, units)
+	dl, _, _ := benchSide("L", 1<<15, k, units)
+	small, large := mapRelease(ds, k, spec, m), mapRelease(dl, k, spec, m)
+	least := func(f func()) uint64 {
+		got := allocsPerRun(passes, f)
+		for try := 0; try < 2; try++ {
+			got = min(got, allocsPerRun(passes, f))
+		}
+		return got
+	}
+	for _, procs := range []int{1, 2, 8} {
+		prev := runtime.GOMAXPROCS(procs)
+		runtime.GC()
+		gc := debug.SetGCPercent(-1)
+		large() // grows a pooled store to the larger side
+		small()
+		gotSmall, gotLarge := least(small), least(large)
+		injected := allocsPerRun(passes, func() {
+			small()
+			allocSink = make([]byte, 64)
+		})
+		debug.SetGCPercent(gc)
+		runtime.GOMAXPROCS(prev)
+		if gotSmall != gotLarge {
+			t.Errorf("GOMAXPROCS=%d: %d maps made %d allocations at 4 k cells and %d at 32 k, want the same", procs, passes, gotSmall, gotLarge)
+		}
+		if gotLarge > passes*mapAllocsCeiling {
+			t.Errorf("GOMAXPROCS=%d: %d maps made %d allocations, want at most %d", procs, passes, gotLarge, passes*mapAllocsCeiling)
+		}
+		if injected < gotSmall+passes {
+			t.Errorf("GOMAXPROCS=%d: %d maps with an injected allocation each counted %d allocations, want at least %d", procs, passes, injected, gotSmall+passes)
 		}
 	}
 }

@@ -194,7 +194,7 @@ func MapSide(d *cluster.Distributed, k int, spec *UnitSpec, m *SideMapper) (*Sli
 // maps its local cells to (unit, slice) independently of the others —
 // fully materializing every mapped cell as a join.Tuple. It is the
 // reference the differential tests compare the engine's data plane —
-// the batch-streaming MapSideStream, which produces bit-identical
+// the columnar MapSideStream, which produces bit-identical
 // tuples without the per-cell materialization — against (here and, via
 // the test-only reference executor, in internal/pipeline). The Table 1
 // operator validation times MapSideStream, not this. The per-row ch.Cell

@@ -5,12 +5,15 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 
 	"shufflejoin/internal/array"
 	"shufflejoin/internal/batch"
 	"shufflejoin/internal/cluster"
+	"shufflejoin/internal/flight"
 	"shufflejoin/internal/join"
 )
 
@@ -75,23 +78,23 @@ func streamCases(d *cluster.Distributed) []struct {
 }
 
 // TestMapSideStreamMatchesMapSideN is the slice-mapping differential
-// test: for every mapper shape, batch size, and worker count, the
+// test: for every mapper shape, node count, and worker count, the
 // streamed RunSet reports the same slice statistics as the materializing
 // reference, and its readers decode every (unit, destination) pair to
 // the exact tuples Assemble produces — same order, same Value kinds,
-// same string contents.
+// same string contents. On one node a run is one span; on more, a unit
+// assembled past node 0 has several.
 func TestMapSideStreamMatchesMapSideN(t *testing.T) {
-	const k = 4
-	d := mixedArray(t, "A", 100, 10, k)
-	for _, tc := range streamCases(d) {
-		for _, rows := range []int{1, 7, 1024} {
+	for _, k := range []int{1, 2, 4} {
+		d := mixedArray(t, "A", 100, 10, k)
+		for _, tc := range streamCases(d) {
 			for _, workers := range []int{1, 4} {
-				t.Run(fmt.Sprintf("%s/rows=%d/workers=%d", tc.name, rows, workers), func(t *testing.T) {
+				t.Run(fmt.Sprintf("%s/k=%d/workers=%d", tc.name, k, workers), func(t *testing.T) {
 					ss, err := MapSideN(d, k, tc.spec, tc.m, workers)
 					if err != nil {
 						t.Fatal(err)
 					}
-					rs, err := MapSideStream(d, k, tc.spec, tc.m, workers, StreamConfig{BatchRows: rows})
+					rs, err := MapSideStream(d, k, tc.spec, tc.m, workers, StreamConfig{})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -123,13 +126,13 @@ func TestMapSideStreamMatchesMapSideN(t *testing.T) {
 }
 
 // TestReaderWindowsConcatenate pins the windowed pull path against
-// whole-side materialization: the concatenation of Next windows equals
-// Materialize.
+// whole-side materialization: Next yields one window per span of the
+// unit's run, and their concatenation equals Materialize.
 func TestReaderWindowsConcatenate(t *testing.T) {
 	const k = 3
 	d := mixedArray(t, "B", 90, 10, k)
-	tc := streamCases(d)[0]
-	rs, err := MapSideStream(d, k, tc.spec, tc.m, 1, StreamConfig{BatchRows: 7})
+	tc := streamCases(d)[1]
+	rs, err := MapSideStream(d, k, tc.spec, tc.m, 1, StreamConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,15 +148,19 @@ func TestReaderWindowsConcatenate(t *testing.T) {
 			}
 			whole.Close()
 
+			spans := rs.Run(u, dest, nil).Spans
 			rd := rs.Reader(u, dest)
 			var got []join.Tuple
-			for {
+			for w := 0; ; w++ {
 				win, ok := rd.Next()
 				if !ok {
+					if w != len(spans) {
+						t.Fatalf("unit %d dest %d: %d windows, want one per span, %d", u, dest, w, len(spans))
+					}
 					break
 				}
-				if len(win) > 7 {
-					t.Fatalf("window of %d tuples, want <= batch rows 7", len(win))
+				if w >= len(spans) || len(win) != spans[w].Hi-spans[w].Lo {
+					t.Fatalf("unit %d dest %d: window %d of %d tuples, spans %v", u, dest, w, len(win), spans)
 				}
 				for i := range win {
 					got = append(got, join.Tuple{
@@ -174,40 +181,82 @@ func TestReaderWindowsConcatenate(t *testing.T) {
 	}
 }
 
-// TestRunSetBudgetLifecycle: every sealed batch is charged, every
-// released unit credited; after all units retire the budget reads zero
-// and ReleaseUnit is idempotent.
+// TestRunSetBudgetLifecycle: each side is charged once, for all its
+// cells, and every released unit is credited; after all units retire
+// the budget reads zero and ReleaseUnit is idempotent.
 func TestRunSetBudgetLifecycle(t *testing.T) {
 	const k = 3
 	d := mixedArray(t, "C", 60, 10, k)
 	tc := streamCases(d)[1]
+	fr := flight.New(256)
 	bud := batch.NewBudget(0, false)
-	rs, err := MapSideStream(d, k, tc.spec, tc.m, 1, StreamConfig{BatchRows: 4, Budget: bud})
-	if err != nil {
-		t.Fatal(err)
+	bud.SetFlight(fr, 1)
+	var sets []*RunSet
+	for side := 0; side < 2; side++ {
+		rs, err := MapSideStream(d, k, tc.spec, tc.m, k, StreamConfig{Budget: bud})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sets = append(sets, rs)
 	}
-	if bud.Used() == 0 || bud.Peak() != bud.Used() {
-		t.Fatalf("after mapping: Used=%d Peak=%d, want equal and positive", bud.Used(), bud.Peak())
+	// 60 cells × (1 dimension + 1 key + 3 carried values) × 8 bytes.
+	const sideBytes = 60 * 5 * 8
+	if bud.Used() != 2*sideBytes || bud.Peak() != bud.Used() {
+		t.Fatalf("after mapping: Used=%d Peak=%d, want both %d", bud.Used(), bud.Peak(), 2*sideBytes)
 	}
-	for u := 0; u < tc.spec.NumUnits; u++ {
-		rs.ReleaseUnit(u)
-		rs.ReleaseUnit(u) // idempotent
+	charges := 0
+	for _, e := range fr.Snapshot(0) {
+		if e.Type == flight.EvBudgetCharge {
+			charges++
+			if e.Args[0] != sideBytes {
+				t.Errorf("a charge of %d bytes, want the side's %d", e.Args[0], sideBytes)
+			}
+		}
+	}
+	if charges != 2 {
+		t.Errorf("%d budget charges for two sides, want 2", charges)
+	}
+	for _, rs := range sets {
+		for u := 0; u < tc.spec.NumUnits; u++ {
+			rs.ReleaseUnit(u)
+			rs.ReleaseUnit(u) // idempotent
+		}
 	}
 	if bud.Used() != 0 {
 		t.Errorf("after releasing every unit: Used = %d, want 0", bud.Used())
 	}
 }
 
-// TestMapSideStreamStrictBudget: a strict budget fails the map with
-// ErrBudget when mapped batches exceed the limit.
+// TestMapSideStreamStrictBudget: a strict budget one byte below the
+// side's bytes fails the map with ErrBudget before any column is
+// allocated, and a budget of exactly the side's bytes maps it.
 func TestMapSideStreamStrictBudget(t *testing.T) {
-	const k = 2
-	d := mixedArray(t, "D", 40, 10, k)
+	const k, cells = 2, 4000
+	d := mixedArray(t, "D", cells, 100, k)
 	tc := streamCases(d)[0]
-	bud := batch.NewBudget(64, true) // far below 40 cells × 5 cols × 8B
-	_, err := MapSideStream(d, k, tc.spec, tc.m, 1, StreamConfig{BatchRows: 4, Budget: bud})
+	// One dimension, one key and three carried values, 8 bytes each.
+	const sideBytes = cells * 5 * 8
+	// Empty the store pool (it keeps at most 4), so a store taken would
+	// be allocated.
+	for i := 0; i < 4; i++ {
+		batch.Get(1, nil, 0)
+	}
+	gc := debug.SetGCPercent(-1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := MapSideStream(d, k, tc.spec, tc.m, 1, StreamConfig{Budget: batch.NewBudget(sideBytes-1, true)})
+	runtime.ReadMemStats(&after)
+	debug.SetGCPercent(gc)
 	if !errors.Is(err, batch.ErrBudget) {
-		t.Fatalf("err = %v, want batch.ErrBudget", err)
+		t.Fatalf("limit %d: err = %v, want batch.ErrBudget", sideBytes-1, err)
+	}
+	// The map's own scratch (a unit per row, 4 bytes) is less than one
+	// 8-byte column of the side.
+	if n := after.TotalAlloc - before.TotalAlloc; n >= cells*8 {
+		t.Errorf("the failed map allocated %d bytes, as much as a column (%d)", n, cells*8)
+	}
+	if _, err := MapSideStream(d, k, tc.spec, tc.m, 1, StreamConfig{Budget: batch.NewBudget(sideBytes, true)}); err != nil {
+		t.Fatalf("limit %d, the side's bytes: %v", sideBytes, err)
 	}
 }
 
@@ -262,7 +311,7 @@ func TestMapSideStreamConcurrentCallers(t *testing.T) {
 				wg.Add(1)
 				go func(c int) {
 					defer wg.Done()
-					rs, err := MapSideStream(d, k, mp.spec, mp.m, 1+c%3, StreamConfig{BatchRows: 16})
+					rs, err := MapSideStream(d, k, mp.spec, mp.m, 1+c%3, StreamConfig{})
 					if err != nil {
 						t.Error(err)
 						return

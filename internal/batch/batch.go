@@ -3,7 +3,8 @@
 // store uses — one int64 column per dimension plus one typed column per
 // carried value — so the slice map copies chunk columns into it column
 // by column, and the join kernels read whole key columns at once. A
-// join unit's side is a Run: spans of one store, read in order.
+// join unit's side is a Run: one contiguous range of rows of one store,
+// read in place.
 //
 // String values are dictionary-encoded: a column of type
 // array.TypeString stores uint32 codes into a query-shared Intern
@@ -51,52 +52,15 @@ func (c *Col) Value(i int, in *Intern) array.Value {
 type Batch struct {
 	Coords [][]int64
 	Cols   []Col
+	grown  int // the most rows Get has asked of it: no column holds more
 }
 
-// Span is the rows [Lo, Hi) of a store.
-type Span struct{ Lo, Hi int }
-
-// Run is one side of a join unit: spans of one store, read in order. A
-// run's rows number its cells across its spans in that order.
+// Run is one side of a join unit: the rows [Lo, Hi) of one store. A
+// run's rows number its cells from 0 at Lo.
 type Run struct {
-	Store *Batch
-	Spans []Span
+	Store  *Batch
+	Lo, Hi int
 }
 
 // Len returns the run's cells.
-func (r Run) Len() int {
-	n := 0
-	for _, s := range r.Spans {
-		n += s.Hi - s.Lo
-	}
-	return n
-}
-
-// Add appends the rows [lo, hi) to the run, extending its last span
-// when the two are contiguous. An empty range adds nothing.
-func (r *Run) Add(lo, hi int) {
-	switch n := len(r.Spans); {
-	case lo == hi:
-	case n > 0 && r.Spans[n-1].Hi == lo:
-		r.Spans[n-1].Hi = hi
-	default:
-		r.Spans = append(r.Spans, Span{lo, hi})
-	}
-}
-
-// Flat returns one column of a run as a single slice: the store's own
-// storage when the run is one span, else every span's rows copied in
-// run order into *buf, which keeps its capacity for the next call. col
-// selects the column, e.g. a coordinate or a Col's typed storage.
-func Flat[T any](r Run, col func(*Batch) []T, buf *[]T) []T {
-	if len(r.Spans) == 1 {
-		s := r.Spans[0]
-		return col(r.Store)[s.Lo:s.Hi:s.Hi]
-	}
-	out := (*buf)[:0]
-	for _, s := range r.Spans {
-		out = append(out, col(r.Store)[s.Lo:s.Hi]...)
-	}
-	*buf = out
-	return out
-}
+func (r Run) Len() int { return r.Hi - r.Lo }

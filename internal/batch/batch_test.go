@@ -41,43 +41,6 @@ func TestBatchRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRunSpans pins how a run reads a store: Add merges contiguous
-// ranges and skips empty ones, Len counts every span, and Flat returns
-// a one-span run's column in place and copies a longer run's spans in
-// run order.
-func TestRunSpans(t *testing.T) {
-	b := &Batch{Cols: []Col{{Type: array.TypeInt64, Ints: []int64{0, 1, 2, 3, 4, 5, 6, 7}}}}
-	ints := func(b *Batch) []int64 { return b.Cols[0].Ints }
-	var buf []int64
-
-	r := Run{Store: b}
-	r.Add(2, 4)
-	r.Add(4, 6) // contiguous: one span
-	r.Add(6, 6) // empty: nothing
-	if want := []Span{{2, 6}}; !reflect.DeepEqual(r.Spans, want) || r.Len() != 4 {
-		t.Fatalf("spans %v, Len %d; want %v, 4", r.Spans, r.Len(), want)
-	}
-	got := Flat(r, ints, &buf)
-	if !reflect.DeepEqual(got, []int64{2, 3, 4, 5}) || &got[0] != &b.Cols[0].Ints[2] || cap(got) != 4 {
-		t.Fatalf("one span: Flat = %v (cap %d), want the store's rows 2..5 in place", got, cap(got))
-	}
-
-	r = Run{Store: b}
-	r.Add(6, 8)
-	r.Add(0, 1)
-	r.Add(3, 5)
-	if r.Len() != 5 || len(r.Spans) != 3 {
-		t.Fatalf("spans %v, Len %d; want 3 spans of 5 rows", r.Spans, r.Len())
-	}
-	got = Flat(r, ints, &buf)
-	if !reflect.DeepEqual(got, []int64{6, 7, 0, 3, 4}) || &got[0] != &buf[0] {
-		t.Fatalf("three spans: Flat = %v, want [6 7 0 3 4] copied into the buffer", got)
-	}
-	if got := Flat(Run{Store: b}, ints, &buf); len(got) != 0 {
-		t.Fatalf("empty run: Flat = %v", got)
-	}
-}
-
 // TestInternDedup pins the dictionary: repeated strings share one code,
 // codes decode back exactly, and the distinct count grows only on first
 // sight.

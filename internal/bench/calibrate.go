@@ -33,10 +33,10 @@ func Calibrate(cells int, seed int64) physical.CostParams {
 			}
 		}
 		b := &batch.Batch{Cols: []batch.Col{{Type: array.TypeInt64, Ints: keys}}}
-		return batch.Run{Store: b, Spans: []batch.Span{{Lo: 0, Hi: n}}}
+		return batch.Run{Store: b, Hi: n}
 	}
 	prefix := func(side batch.Run, n int) batch.Run {
-		return batch.Run{Store: side.Store, Spans: []batch.Span{{Lo: 0, Hi: n}}}
+		return batch.Run{Store: side.Store, Hi: n}
 	}
 
 	var matches join.Matches

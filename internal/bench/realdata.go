@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"io"
-	"math/rand"
 	"time"
 
 	"shufflejoin/internal/array"
@@ -111,31 +110,14 @@ func Fig9(cfg RealConfig) ([]RealMeasurement, error) {
 func Adversarial(cfg RealConfig) ([]RealMeasurement, error) {
 	cfg = cfg.withDefaults()
 	band1 := workload.MODISLike("Band1", workload.GeoConfig{Cells: cfg.MODISCells, Seed: cfg.Seed + 1})
-	band2 := makeSecondBand(band1, cfg.Seed+3)
+	// ~1.5% of cells dropped (the paper: mean gap 10k cells, mean size 665k).
+	band2 := workload.SecondBand(band1, "Band2", cfg.Seed+3, 0.015)
 	pred := join.Predicate{
 		{Left: join.Term{Name: "time"}, Right: join.Term{Name: "time"}},
 		{Left: join.Term{Name: "longitude"}, Right: join.Term{Name: "longitude"}},
 		{Left: join.Term{Name: "latitude"}, Right: join.Term{Name: "latitude"}},
 	}
 	return runReal(cfg, band1, band2, pred, nil)
-}
-
-// makeSecondBand derives Band2 from Band1: the same sensor grid with new
-// readings and ~1.5% of cells dropped, so corresponding chunks differ
-// slightly in size (the paper: mean gap 10k cells vs. mean size 665k).
-func makeSecondBand(band1 *array.Array, seed int64) *array.Array {
-	rng := rand.New(rand.NewSource(seed))
-	s := band1.Schema.Rename("Band2")
-	b2 := array.MustNew(s)
-	band1.Scan(func(coords []int64, _ []array.Value) bool {
-		if rng.Float64() < 0.015 {
-			return true // dropped reading
-		}
-		b2.MustPut(coords, []array.Value{array.FloatValue(rng.Float64())})
-		return true
-	})
-	b2.SortAll()
-	return b2
 }
 
 // runReal executes the merge join with every planner over fresh clusters.

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"strconv"
 	"strings"
@@ -293,34 +294,75 @@ func TestLocalChunks(t *testing.T) {
 
 var localSink int
 
-// BenchmarkLocalChunks measures a repeated read of a sealed array's
-// per-node chunk lists, as each query's slice map makes: 0 allocs/op
-// (TestLocalChunksZeroAllocs enforces it).
-func BenchmarkLocalChunks(b *testing.B) {
+// localChunks returns a repeated read of a sealed array's per-node
+// chunk lists, as each query's slice map makes, its lists already built.
+func localChunks() func() {
 	d := Distribute(pinArray(), 4, HashChunks)
-	d.LocalChunks(0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	read := func() {
 		for node := 0; node < 4; node++ {
 			localSink += len(d.LocalChunks(node))
 		}
 	}
+	read()
+	return read
 }
 
-// TestLocalChunksZeroAllocs is the gate on BenchmarkLocalChunks: the
-// benchmark body, called not copied, must read 0 allocs/op on every core
-// count.
+// BenchmarkLocalChunks measures a repeated read of a sealed array's
+// per-node chunk lists: 0 allocs/op (TestLocalChunksZeroAllocs enforces
+// it).
+func BenchmarkLocalChunks(b *testing.B) {
+	read := localChunks()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		read()
+	}
+}
+
+// allocSink keeps the gate's injected allocation on the heap.
+var allocSink []byte
+
+// allocsPerRun counts the heap allocations of n calls of f with
+// runtime.ReadMemStats. The caller turns the collector off.
+func allocsPerRun(n int, f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestLocalChunksZeroAllocs is the gate on BenchmarkLocalChunks' body:
+// a fixed number of reads allocate nothing, at every core count. The
+// collector is off while counting, the least of three counts is held to
+// 0 (the runtime can allocate a few objects of its own during a count
+// now and then), and the same reads with one allocation injected each
+// must count at least one per read.
 func TestLocalChunksZeroAllocs(t *testing.T) {
+	const reads = 1000
+	read := localChunks()
 	for _, procs := range []int{1, 2, 8} {
 		prev := runtime.GOMAXPROCS(procs)
-		res := testing.Benchmark(BenchmarkLocalChunks)
-		runtime.GOMAXPROCS(prev)
-		if res.N == 0 {
-			t.Fatalf("GOMAXPROCS=%d: BenchmarkLocalChunks did not complete", procs)
+		runtime.GC()
+		gc := debug.SetGCPercent(-1)
+		read() // the first read on new Ps
+		got := allocsPerRun(reads, read)
+		for try := 0; try < 2 && got > 0; try++ {
+			got = min(got, allocsPerRun(reads, read))
 		}
-		if a := res.AllocsPerOp(); a != 0 {
-			t.Errorf("GOMAXPROCS=%d: BenchmarkLocalChunks = %d allocs/op, want 0", procs, a)
+		injected := allocsPerRun(reads, func() {
+			read()
+			allocSink = make([]byte, 64)
+		})
+		debug.SetGCPercent(gc)
+		runtime.GOMAXPROCS(prev)
+		if got != 0 {
+			t.Errorf("GOMAXPROCS=%d: %d reads of the chunk lists made %d allocations, want 0", procs, reads, got)
+		}
+		if injected < reads {
+			t.Errorf("GOMAXPROCS=%d: %d reads with an injected allocation each counted %d allocations, want at least %d", procs, reads, injected, reads)
 		}
 	}
 }

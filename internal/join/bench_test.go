@@ -69,13 +69,13 @@ func BenchmarkSortTuples(b *testing.B) {
 	}
 }
 
-// intRun is a one-span run over a store of one int64 key column.
+// intRun is a run over a store of one int64 key column.
 func intRun(keys []int64) batch.Run {
 	store := &batch.Batch{Cols: []batch.Col{{Type: array.TypeInt64, Ints: keys}}}
-	return batch.Run{Store: store, Spans: []batch.Span{{Lo: 0, Hi: len(keys)}}}
+	return batch.Run{Store: store, Hi: len(keys)}
 }
 
-// benchRun is benchTuples' keys as a one-span run of an int64 key
+// benchRun is benchTuples' keys as a run of an int64 key
 // column, the layout the columnar kernels read.
 func benchRun(ts []Tuple) batch.Run {
 	keys := make([]int64, len(ts))

@@ -47,22 +47,23 @@ func fuzzValue(rng *rand.Rand, t array.ScalarType, domain int64, big int64) arra
 	return array.StringValue(string(rune('a' + k%26)))
 }
 
-// fuzzSide builds one side of n rows: the cells as a store, the store
-// cut into spans of the given size, in store order or, at random,
-// rotated as RunSet.Run returns a unit for a destination past node 0
-// (one span first, then the others in order), and the side's tuples in
-// run order, whose Coords hold the run row number.
-func fuzzSide(rng *rand.Rand, n int, types []array.ScalarType, domain, big int64, size int, in *batch.Intern) ([]Tuple, batch.Run) {
+// fuzzSide builds one side of n rows: the cells as a run at a random
+// Lo > 0 inside a larger store, whose rows outside the run hold keys
+// too, and the side's tuples in run order, whose Coords hold the run
+// row number.
+func fuzzSide(rng *rand.Rand, n int, types []array.ScalarType, domain, big int64, in *batch.Intern) ([]Tuple, batch.Run) {
 	store := &batch.Batch{Cols: make([]batch.Col, len(types))}
 	for c, t := range types {
 		store.Cols[c].Type = t
 	}
-	keys := make([][]array.Value, n)
-	for i := range keys {
-		keys[i] = make([]array.Value, len(types))
+	lo := 1 + rng.Intn(8)
+	hi := lo + n
+	ts := make([]Tuple, 0, n)
+	for r := 0; r < hi+rng.Intn(8); r++ {
+		key := make([]array.Value, len(types))
 		for c, t := range types {
 			v := fuzzValue(rng, t, domain, big)
-			keys[i][c] = v
+			key[c] = v
 			col := &store.Cols[c]
 			switch t {
 			case array.TypeInt64:
@@ -73,28 +74,17 @@ func fuzzSide(rng *rand.Rand, n int, types []array.ScalarType, domain, big int64
 				col.Codes = append(col.Codes, in.ID(v.Str))
 			}
 		}
-	}
-	var spans []batch.Span
-	for lo := 0; lo < n; lo += size {
-		spans = append(spans, batch.Span{Lo: lo, Hi: min(lo+size, n)})
-	}
-	if len(spans) > 1 && rng.Intn(2) == 0 {
-		j := rng.Intn(len(spans))
-		spans = append(append([]batch.Span{spans[j]}, spans[:j]...), spans[j+1:]...)
-	}
-	ts := make([]Tuple, 0, n)
-	for _, sp := range spans {
-		for r := sp.Lo; r < sp.Hi; r++ {
-			ts = append(ts, Tuple{Key: keys[r], Coords: []int64{int64(len(ts))}})
+		if lo <= r && r < hi {
+			ts = append(ts, Tuple{Key: key, Coords: []int64{int64(len(ts))}})
 		}
 	}
-	return ts, batch.Run{Store: store, Spans: spans}
+	return ts, batch.Run{Store: store, Lo: lo, Hi: hi}
 }
 
 // FuzzColumnarJoin is the columnar kernels' differential test: over
-// random sides — every key type pairing, duplicate rates, runs cut into
-// spans of 1, 7 and 1024 rows, in store or rotated order, keys near 2^53
-// and 2^62 — RunColumns lists exactly the
+// random sides — every key type pairing, duplicate rates, runs inside
+// larger stores, the reference's left side streamed in windows of 1,
+// 7 and 1024 tuples, keys near 2^53 and 2^62 — RunColumns lists exactly the
 // pairs, in exactly the order, and counts exactly the Stats that
 // RunStream emits over the same cells as Tuples, for all three
 // algorithms, errors included.
@@ -113,8 +103,8 @@ func FuzzColumnarJoin(f *testing.F) {
 		big := []int64{0, 1 << 53, 1<<53 - 4, 1 << 62, -1 << 62, -1 << 53}[int(bigSel)%6]
 		dom := int64(domain) + 1
 		in := batch.NewIntern()
-		lt, lrun := fuzzSide(rng, int(nl), types[0], dom, big, size, in)
-		rt, rrun := fuzzSide(rng, int(nr), types[1], dom, big, size, in)
+		lt, lrun := fuzzSide(rng, int(nl), types[0], dom, big, in)
+		rt, rrun := fuzzSide(rng, int(nr), types[1], dom, big, in)
 		for _, alg := range []Algorithm{Hash, Merge, NestedLoop} {
 			var want [][2]int64
 			emit := func(l, r *Tuple) { want = append(want, [2]int64{l.Coords[0], r.Coords[0]}) }

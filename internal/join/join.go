@@ -7,6 +7,10 @@
 // The algorithms also report operation counts (hash builds, probes, cursor
 // steps, raw comparisons) that the physical planner's analytical cost model
 // calibrates against: the per-cell parameters m, b, and p of Section 5.1.
+//
+// The engine runs the columnar kernels (RunColumns) over each side read
+// in place as one range of a columnar store; the Tuple kernels here and
+// their streaming variants are the references they are held to.
 package join
 
 import (

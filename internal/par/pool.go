@@ -20,20 +20,30 @@ import "sync"
 // pop, and a Get always finds what the last Put left, at every
 // GOMAXPROCS. Puts beyond the capacity are dropped for the collector,
 // which bounds the pool's footprint. The zero Pool is not usable;
-// construct with NewPool.
+// construct with NewPool or NewSizedPool.
 type Pool[T any] struct {
-	mu    sync.Mutex
-	items []T
-	cap   int
+	mu            sync.Mutex
+	items         []T
+	cap           int
+	size          func(T) int
+	held, maxSize int // the pooled items' summed sizes, and its bound
 }
 
 // NewPool returns a pool that retains up to capacity items (<= 0
 // selects 256).
 func NewPool[T any](capacity int) *Pool[T] {
+	return NewSizedPool(capacity, 0, func(T) int { return 0 })
+}
+
+// NewSizedPool returns a pool that retains up to capacity items (<= 0
+// selects 256) whose sizes sum to at most maxSize: a Put that would
+// take the sum past it is dropped. An item's size must not change
+// while it is pooled.
+func NewSizedPool[T any](capacity, maxSize int, size func(T) int) *Pool[T] {
 	if capacity <= 0 {
 		capacity = 256
 	}
-	return &Pool[T]{cap: capacity}
+	return &Pool[T]{cap: capacity, size: size, maxSize: maxSize}
 }
 
 // Get pops the most recently pooled item, reporting whether one was
@@ -46,6 +56,7 @@ func (p *Pool[T]) Get() (v T, ok bool) {
 		var zero T
 		p.items[n-1] = zero // release the reference to the collector
 		p.items = p.items[:n-1]
+		p.held -= p.size(v)
 	}
 	p.mu.Unlock()
 	return v, ok
@@ -54,9 +65,11 @@ func (p *Pool[T]) Get() (v T, ok bool) {
 // Put offers an item back; a full pool drops it. The caller must not
 // use v afterward.
 func (p *Pool[T]) Put(v T) {
+	n := p.size(v)
 	p.mu.Lock()
-	if len(p.items) < p.cap {
+	if len(p.items) < p.cap && p.held+n <= p.maxSize {
 		p.items = append(p.items, v)
+		p.held += n
 	}
 	p.mu.Unlock()
 }

@@ -55,17 +55,15 @@ func (qc *QueryContext) runUnit(u int, res *unitOut) {
 		res.err = err
 		return
 	}
-	dest := qc.Report.Physical.Assignment[u]
 	nl, nr := qc.rsl.UnitTotal(u), qc.rsr.UnitTotal(u)
 	s := getUnitScratch()
-	s.runs[0] = qc.rsl.Run(u, dest, s.runs[0].Spans[:0])
-	s.runs[1] = qc.rsr.Run(u, dest, s.runs[1].Spans[:0])
+	s.runs[0], s.runs[1] = qc.rsl.Run(u), qc.rsr.Run(u)
 	nkey := len(qc.plan.JS.Pred.Resolved.Left)
 	st, err := join.RunColumns(qc.plan.Algo, s.runs[0], s.runs[1], nkey, qc.intern, &s.m)
 	if err == nil && len(s.m.L) > 0 {
 		res.cols = qc.proj.project(qc.outArr.Schema, s, qc.intern.Strs())
 	}
-	s.release(max(nl, nr))
+	s.release()
 	// The unit is fully consumed: return its bytes to the query budget.
 	qc.rsl.ReleaseUnit(u)
 	qc.rsr.ReleaseUnit(u)

@@ -52,9 +52,9 @@ func TestStreamingMatchesReference(t *testing.T) {
 				}
 			}
 			// One reference run per shape, algorithm and node count; every
-			// engine configuration must reproduce it exactly. On one node a
-			// unit's side is one span, read in place; on more, a unit
-			// assembled past node 0 has several, which are copied.
+			// engine configuration must reproduce it exactly. On more than
+			// one node, Align places most units' slices for a destination
+			// past node 0, the destination's slice first.
 			for _, k := range []int{1, 2, 4} {
 				want, err := pipeline.RunReference(newCluster(t, k, a.Clone(), b.Clone()), "A", "B", tc.pred, tc.out, opts(1))
 				if err != nil {
@@ -175,19 +175,27 @@ func TestMemoryBudgetCounted(t *testing.T) {
 }
 
 // TestMemoryBudgetStrict: the same undersized budget in strict mode
-// fails the query with batch.ErrBudget.
+// fails the query with batch.ErrBudget, in slice-map: the count pass
+// charges the budget before Align takes a store.
 func TestMemoryBudgetStrict(t *testing.T) {
 	a := buildArray("A<v:int>[i=1,200,20]", 9, 120, 25)
 	b := buildArray("B<w:int>[j=1,200,20]", 10, 110, 25)
 	pred := join.Predicate{{Left: join.Term{Name: "v"}, Right: join.Term{Name: "w"}}}
 	c := newCluster(t, 3, a, b)
-	_, err := pipeline.Run(c, "A", "B", pred, nil, pipeline.Options{
+	dl, _ := c.Catalog.Lookup("A")
+	dr, _ := c.Catalog.Lookup("B")
+	qc := pipeline.NewQueryContext(c, dl, dr, pred, nil, pipeline.Options{
 		Selectivity:  0.5,
 		MemoryBudget: 256,
 		Strict:       true,
 	})
+	err := pipeline.Execute(qc, pipeline.DefaultStages())
 	if !errors.Is(err, batch.ErrBudget) {
 		t.Fatalf("err = %v, want batch.ErrBudget", err)
+	}
+	stages := qc.Report.Stages
+	if last := stages[len(stages)-1]; last.Stage != (pipeline.SliceMap{}).Name() || last.Done {
+		t.Errorf("the query stopped in %q (done %v), want a failed %q", last.Stage, last.Done, (pipeline.SliceMap{}).Name())
 	}
 }
 

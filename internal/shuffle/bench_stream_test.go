@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"shufflejoin/internal/array"
-	"shufflejoin/internal/batch"
 	"shufflejoin/internal/cluster"
 	"shufflejoin/internal/join"
 )
@@ -35,35 +34,37 @@ func benchSide(name string, n int64, k int, units int) (*cluster.Distributed, *U
 	return d, spec, m
 }
 
-// steadyState maps two 16 k-cell hash-unit sides once and returns the
-// engine's recurring compare work over them: every unit's two runs read
-// in place (RunSet.Run) and joined by the columnar hash kernel into
-// a reused match list. No ReleaseUnit: the runs persist, so every call
-// replays the same compare work, as repeated queries over a warm engine
-// do.
+// steadyState maps two 16 k-cell hash-unit sides once, placing unit u
+// for node u mod k, and returns the engine's recurring compare work
+// over them: every unit's two runs read in place (RunSet.Run) and
+// joined by the columnar hash kernel into a reused match list. No
+// ReleaseUnit: the runs persist, so every call replays the same compare
+// work, as repeated queries over a warm engine do.
 func steadyState(tb testing.TB) (runAll func(), cells int64) {
 	const k, units = 4, 16
 	dl, spec, m := benchSide("L", 1<<14, k, units)
 	dr, _, _ := benchSide("R", 1<<14, k, units)
-	rsl, err := MapSideStream(dl, k, spec, m, 0, StreamConfig{})
-	if err != nil {
-		tb.Fatal(err)
+	home := make([]int, units)
+	for u := range home {
+		home[u] = u % k
 	}
-	rsr, err := MapSideStream(dr, k, spec, m, 0, StreamConfig{})
-	if err != nil {
-		tb.Fatal(err)
+	var sides [2]*RunSet
+	for i, d := range []*cluster.Distributed{dl, dr} {
+		rs, err := CountSlices(d, k, spec, m, 0, StreamConfig{})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		rs.Place(home, 0)
+		sides[i] = rs
 	}
+	rsl, rsr := sides[0], sides[1]
 	for u := 0; u < units; u++ {
 		cells += rsl.UnitTotal(u) + rsr.UnitTotal(u)
 	}
-	var lrun, rrun batch.Run
 	var matches join.Matches
 	runAll = func() {
 		for u := 0; u < spec.NumUnits; u++ {
-			dest := u % k
-			lrun = rsl.Run(u, dest, lrun.Spans[:0])
-			rrun = rsr.Run(u, dest, rrun.Spans[:0])
-			if _, err := join.RunColumns(join.Hash, lrun, rrun, 1, nil, &matches); err != nil {
+			if _, err := join.RunColumns(join.Hash, rsl.Run(u), rsr.Run(u), 1, nil, &matches); err != nil {
 				panic(err)
 			}
 		}
@@ -137,27 +138,34 @@ func TestStreamingSteadyStateZeroAllocs(t *testing.T) {
 	}
 }
 
-// mapRelease returns one slice map's whole life, as a query runs it: a
-// side mapped on k nodes, then every unit released, which returns the
-// side's store to the pool. It maps on one worker: more workers add
-// only their goroutines, whose allocations the runtime makes, now and
-// then more of them, as it balances its per-core free lists.
-func mapRelease(d *cluster.Distributed, k int, spec *UnitSpec, m *SideMapper) func() {
+// mapRelease returns slice maps' whole life, as a query runs it: each
+// side mapped on k nodes, then every unit of every side released,
+// which returns the sides' stores to the pool. It maps on one worker:
+// more workers add only their goroutines, whose allocations the runtime
+// makes, now and then more of them, as it balances its per-core free
+// lists.
+func mapRelease(k int, spec *UnitSpec, m *SideMapper, sides ...*cluster.Distributed) func() {
 	return func() {
-		rs, err := MapSideStream(d, k, spec, m, 1, StreamConfig{})
-		if err != nil {
-			panic(err)
+		sets := make([]*RunSet, 0, 2)
+		for _, d := range sides {
+			rs, err := MapSideStream(d, k, spec, m, 1, StreamConfig{})
+			if err != nil {
+				panic(err)
+			}
+			sets = append(sets, rs)
 		}
-		for u := 0; u < spec.NumUnits; u++ {
-			rs.ReleaseUnit(u)
+		for _, rs := range sets {
+			for u := 0; u < spec.NumUnits; u++ {
+				rs.ReleaseUnit(u)
+			}
 		}
 	}
 }
 
 // mapAllocsCeiling is the most allocations a warm mapRelease may make,
-// as measured (Go 1.24): the RunSet with its layout and offsets, the
-// count pass's scratch and the dictionary, none of them per cell.
-const mapAllocsCeiling = 12
+// as measured (Go 1.24): the RunSet with its layout, counts and row
+// offsets, and the dictionary, none of them per cell.
+const mapAllocsCeiling = 11
 
 // TestMapSideStreamStorePoolAllocs is the gate on the store pool: once
 // warm, a slice map and the release of its units make the same number
@@ -169,7 +177,7 @@ func TestMapSideStreamStorePoolAllocs(t *testing.T) {
 	const k, units, passes = 4, 16, 10
 	ds, spec, m := benchSide("S", 1<<12, k, units)
 	dl, _, _ := benchSide("L", 1<<15, k, units)
-	small, large := mapRelease(ds, k, spec, m), mapRelease(dl, k, spec, m)
+	small, large := mapRelease(k, spec, m, ds), mapRelease(k, spec, m, dl)
 	least := func(f func()) uint64 {
 		got := allocsPerRun(passes, f)
 		for try := 0; try < 2; try++ {
@@ -199,5 +207,41 @@ func TestMapSideStreamStorePoolAllocs(t *testing.T) {
 		if injected < gotSmall+passes {
 			t.Errorf("GOMAXPROCS=%d: %d maps with an injected allocation each counted %d allocations, want at least %d", procs, passes, injected, gotSmall+passes)
 		}
+	}
+}
+
+// TestMapSideStreamLargeSidesPooled is the gate on the pools' row
+// bound: two sides of 400 k rows each, merge_skew's shape, fit the
+// store pool and the count pass's scratch pool together, so once warm,
+// a query's two-sided map and release allocates no store and no
+// scratch: as many allocations as two 4 k-cell sides, and less than one
+// column of a side in bytes.
+func TestMapSideStreamLargeSidesPooled(t *testing.T) {
+	const k, units, passes = 4, 16, 3
+	dl, spec, m := benchSide("L", 400_000, k, units)
+	dr, _, _ := benchSide("R", 400_000, k, units)
+	ds, _, _ := benchSide("S", 1<<12, k, units)
+	large, small := mapRelease(k, spec, m, dl, dr), mapRelease(k, spec, m, ds, ds)
+	count := func(f func()) (allocs, bytes uint64) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < passes; i++ {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+	}
+	runtime.GC()
+	gc := debug.SetGCPercent(-1)
+	defer debug.SetGCPercent(gc)
+	large() // warm: each side grows a pooled store and a scratch
+	small() // and the small side builds its chunk lists
+	gotLarge, bytes := count(large)
+	gotSmall, _ := count(small)
+	if gotLarge > gotSmall {
+		t.Errorf("%d two-sided maps made %d allocations at 400 k rows a side and %d at 4 k cells", passes, gotLarge, gotSmall)
+	}
+	if bytes >= 400_000*8 {
+		t.Errorf("%d two-sided maps of 400 k rows a side allocated %d bytes, a column of a side is %d", passes, bytes, 400_000*8)
 	}
 }

@@ -43,7 +43,7 @@ func BenchmarkMapSideChunkUnits(b *testing.B) {
 }
 
 func benchMapRelease(b *testing.B, d *cluster.Distributed, spec *UnitSpec, m *SideMapper) {
-	run := mapRelease(d, 4, spec, m)
+	run := mapRelease(4, spec, m, d)
 	run()
 	b.ReportAllocs()
 	b.ResetTimer()

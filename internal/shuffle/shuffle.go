@@ -12,6 +12,11 @@
 // units (range partitioning by the join schema's chunk intervals, produced
 // by redim/rechunk/scan) and hash units (hash buckets over the predicate
 // key, produced by the hash operator).
+//
+// The engine's slice map (stream.go) is split where the paper splits
+// it: CountSlices only counts the slices (s_ij, which the physical
+// planner reads), and RunSet.Place, after planning, lays every unit's
+// side out as one range of a columnar store. MapSideN is the reference.
 package shuffle
 
 import (

@@ -82,8 +82,9 @@ func streamCases(d *cluster.Distributed) []struct {
 // streamed RunSet reports the same slice statistics as the materializing
 // reference, and its readers decode every (unit, destination) pair to
 // the exact tuples Assemble produces — same order, same Value kinds,
-// same string contents. On one node a run is one span; on more, a unit
-// assembled past node 0 has several.
+// same string contents. Then CountSlices and Place under a random
+// assignment: every unit's Run holds exactly Assemble's tuples for its
+// destination, and the readers still decode every destination's.
 func TestMapSideStreamMatchesMapSideN(t *testing.T) {
 	for _, k := range []int{1, 2, 4} {
 		d := mixedArray(t, "A", 100, 10, k)
@@ -119,15 +120,62 @@ func TestMapSideStreamMatchesMapSideN(t *testing.T) {
 							rd.Close()
 						}
 					}
+
+					placed, err := CountSlices(d, k, tc.spec, tc.m, workers, StreamConfig{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					rng := rand.New(rand.NewSource(int64(k*10 + workers)))
+					home := make([]int, tc.spec.NumUnits)
+					for u := range home {
+						home[u] = rng.Intn(k)
+					}
+					placed.Place(home, workers)
+					for u := 0; u < tc.spec.NumUnits; u++ {
+						if got, want := runTuples(placed, placed.Run(u)), ss.Assemble(u, home[u]); (len(got) > 0 || len(want) > 0) && !reflect.DeepEqual(got, want) {
+							t.Fatalf("unit %d placed for node %d: the run's tuples differ from Assemble's", u, home[u])
+						}
+						for dest := 0; dest < k; dest++ {
+							rd := placed.Reader(u, dest)
+							if got, want := rd.Materialize(), ss.Assemble(u, dest); (len(got) > 0 || len(want) > 0) && !reflect.DeepEqual(got, want) {
+								t.Fatalf("unit %d placed for node %d, read at %d: decoded tuples differ", u, home[u], dest)
+							}
+							rd.Close()
+						}
+					}
 				})
 			}
 		}
 	}
 }
 
+// runTuples decodes a run's rows of the RunSet's store as Assemble's
+// tuples: the key columns, the coordinates, then the carried values.
+func runTuples(rs *RunSet, run batch.Run) []join.Tuple {
+	var ts []join.Tuple
+	nkey := rs.lay.nkey
+	for i := run.Lo; i < run.Hi; i++ {
+		t := join.Tuple{Key: []array.Value{}, Coords: []int64{}}
+		for c := range run.Store.Cols {
+			v := run.Store.Cols[c].Value(i, rs.intern)
+			if c < nkey {
+				t.Key = append(t.Key, v)
+			} else {
+				t.Attrs = append(t.Attrs, v)
+			}
+		}
+		for d := range run.Store.Coords {
+			t.Coords = append(t.Coords, run.Store.Coords[d][i])
+		}
+		ts = append(ts, t)
+	}
+	return ts
+}
+
 // TestReaderWindowsConcatenate pins the windowed pull path against
-// whole-side materialization: Next yields one window per span of the
-// unit's run, and their concatenation equals Materialize.
+// whole-side materialization: Next yields one window per non-empty
+// slice of the unit, the destination's first and then the other nodes'
+// in node order, and their concatenation equals Materialize.
 func TestReaderWindowsConcatenate(t *testing.T) {
 	const k = 3
 	d := mixedArray(t, "B", 90, 10, k)
@@ -148,19 +196,24 @@ func TestReaderWindowsConcatenate(t *testing.T) {
 			}
 			whole.Close()
 
-			spans := rs.Run(u, dest, nil).Spans
+			var windows []int
+			for _, node := range append([]int{dest}, otherNodes(k, dest)...) {
+				if n := rs.Count(u, node); n > 0 {
+					windows = append(windows, int(n))
+				}
+			}
 			rd := rs.Reader(u, dest)
 			var got []join.Tuple
 			for w := 0; ; w++ {
 				win, ok := rd.Next()
 				if !ok {
-					if w != len(spans) {
-						t.Fatalf("unit %d dest %d: %d windows, want one per span, %d", u, dest, w, len(spans))
+					if w != len(windows) {
+						t.Fatalf("unit %d dest %d: %d windows, want one per non-empty slice, %d", u, dest, w, len(windows))
 					}
 					break
 				}
-				if w >= len(spans) || len(win) != spans[w].Hi-spans[w].Lo {
-					t.Fatalf("unit %d dest %d: window %d of %d tuples, spans %v", u, dest, w, len(win), spans)
+				if w >= len(windows) || len(win) != windows[w] {
+					t.Fatalf("unit %d dest %d: window %d of %d tuples, want slices of %v", u, dest, w, len(win), windows)
 				}
 				for i := range win {
 					got = append(got, join.Tuple{
@@ -179,6 +232,17 @@ func TestReaderWindowsConcatenate(t *testing.T) {
 			}
 		}
 	}
+}
+
+// otherNodes lists the nodes of k but dest, ascending.
+func otherNodes(k, dest int) []int {
+	var out []int
+	for node := 0; node < k; node++ {
+		if node != dest {
+			out = append(out, node)
+		}
+	}
+	return out
 }
 
 // TestRunSetBudgetLifecycle: each side is charged once, for all its

@@ -387,8 +387,15 @@ func Grid2D(name string, n, ci int64, sizes []int64, seed int64) (*array.Array, 
 func MODISPair(name1, name2 string, g GeoConfig, dropFrac float64) (*array.Array, *array.Array) {
 	g = g.withDefaults()
 	band1 := MODISLike(name1, g)
-	rng := rand.New(rand.NewSource(g.Seed + 7_654_321))
-	b2 := array.MustNew(band1.Schema.Rename(name2))
+	return band1, SecondBand(band1, name2, g.Seed+7_654_321, dropFrac)
+}
+
+// SecondBand derives a second band named name from band1: the same
+// sensor grid, new readings drawn from seed, and each cell dropped with
+// probability dropFrac, so corresponding chunks differ slightly in size.
+func SecondBand(band1 *array.Array, name string, seed int64, dropFrac float64) *array.Array {
+	rng := rand.New(rand.NewSource(seed))
+	b2 := array.MustNew(band1.Schema.Rename(name))
 	band1.Scan(func(coords []int64, _ []array.Value) bool {
 		if rng.Float64() < dropFrac {
 			return true
@@ -397,5 +404,5 @@ func MODISPair(name1, name2 string, g GeoConfig, dropFrac float64) (*array.Array
 		return true
 	})
 	b2.SortAll()
-	return band1, b2
+	return b2
 }

@@ -264,8 +264,8 @@ type Report struct {
 	// Parallelism setting (SliceMap stage).
 	PeakBatchBytes int64
 	// InternedStrings is the number of distinct string values the
-	// query's intern dictionary holds after slice mapping; zero when no
-	// string attributes flowed (SliceMap stage).
+	// query's intern dictionary holds once both sides are placed; zero
+	// when no string attributes flowed (Align stage).
 	InternedStrings int64
 	// MemoryOverflowBytes is how far PeakBatchBytes exceeded the memory
 	// budget (Options.MemoryBudget, or the Gate's grant) — the

@@ -39,7 +39,7 @@ func FoldMetrics(reg *obs.Registry, rep *Report, failed bool) {
 
 		case SliceMap{}.Name():
 			reg.Gauge("pipeline.peak_batch_bytes").Set(float64(rep.PeakBatchBytes))
-			reg.Gauge("pipeline.interned_strings").Set(float64(rep.InternedStrings))
+			reg.Gauge("pipeline.interned_strings").Set(float64(rep.InternedStrings)) // set by Align
 
 		case PhysicalPlan{}.Name():
 			search := &rep.Physical.Search

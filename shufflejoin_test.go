@@ -587,3 +587,33 @@ func TestPlanSourceNamesGreedyPlanner(t *testing.T) {
 		})
 	}
 }
+
+// TestInternedStringsCountsDistinct: Result.InternedStrings counts the
+// distinct strings the query's dictionary holds once both sides are
+// placed — the union of both sides' string keys and string carries — at
+// every Parallelism setting.
+func TestInternedStringsCountsDistinct(t *testing.T) {
+	db, _ := Open(4)
+	a, _ := db.CreateArray("A<v:string, a:string>[i=1,40,8]")
+	b, _ := db.CreateArray("B<w:string, b:string>[j=1,40,8]")
+	words := []string{"ship", "port", "sea", "dock"}
+	for i := int64(1); i <= 40; i++ {
+		_ = a.Insert([]int64{i}, words[i%4], fmt.Sprintf("a%d", i%5))
+		_ = b.Insert([]int64{i}, words[i%3], fmt.Sprintf("b%d", i%7))
+	}
+	// Keys: the four words (B's three are among them); carries: a0..a4
+	// and b0..b6.
+	const want = 4 + 5 + 7
+	for _, p := range []int{1, 2, 8} {
+		res, err := db.Query("SELECT A.a, B.b FROM A JOIN B ON A.v = B.w", WithParallelism(p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Matches == 0 {
+			t.Fatal("the string join matched nothing")
+		}
+		if res.InternedStrings != want {
+			t.Errorf("Parallelism %d: InternedStrings = %d, want %d", p, res.InternedStrings, want)
+		}
+	}
+}

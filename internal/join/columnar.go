@@ -7,9 +7,10 @@
 //
 // Emit order and Stats are bit-identical to RunStream over the same
 // cells decoded to Tuples (FuzzColumnarJoin pins it): every kernel runs
-// the loops of its Tuple counterpart, with KeyEqual, KeyCompare and
-// keyHash replaced by typed equivalents that follow Value.Equal,
-// Value.Compare and Value.HashKey on every pair of key kinds.
+// the loops of its Tuple counterpart in join.go, with KeyEqual,
+// KeyCompare and keyHash replaced by typed equivalents that follow
+// Value.Equal, Value.Compare and Value.HashKey on every pair of key
+// kinds.
 package join
 
 import (
@@ -221,9 +222,10 @@ func (s *scratch) load(side int, run batch.Run, nkey int, strs []string) *keys {
 	return k
 }
 
-// hashColumns is HashJoinStream's loops over key columns: build on the
+// hashColumns is HashJoin's loops over key columns: build on the
 // smaller side (the left on a tie), chains inserted in descending row
-// order, Comparisons counted per full-hash hit.
+// order so each lists its rows ascending, as HashJoin's buckets do, and
+// Comparisons counted per full-hash hit.
 func hashColumns(l, r *keys, m *Matches) Stats {
 	var st Stats
 	build, probe := l, r
@@ -259,7 +261,64 @@ func hashColumns(l, r *keys, m *Matches) Stats {
 	return st
 }
 
-// nestedLoopColumns is NestedLoopJoinStream's loops over key columns:
+// hashIndex is a pooled open-chaining hash table over build-side rows:
+// slots holds the head row per bucket (-1 empty), next the chain links,
+// hashes the full 64-bit key hash per row (so bucket collisions between
+// distinct hashes are skipped without a key comparison, as HashJoin's
+// map keyed by hash skips them).
+type hashIndex struct {
+	mask   uint64
+	slots  []int32
+	next   []int32
+	hashes []uint64
+}
+
+// hashIndexPool is a par.Pool rather than a sync.Pool: under concurrent
+// serving every query's every unit hits this pool, and sync.Pool drains
+// under GC pressure, re-paying the index's slab allocations.
+var hashIndexPool = par.NewPool[*hashIndex](512)
+
+// getHashIndex returns a cleared index sized for n build rows.
+func getHashIndex(n int) *hashIndex {
+	idx, ok := hashIndexPool.Get()
+	if !ok {
+		idx = new(hashIndex)
+	}
+	size := 8
+	for size < n {
+		size <<= 1
+	}
+	if cap(idx.slots) < size {
+		idx.slots = make([]int32, size)
+	} else {
+		idx.slots = idx.slots[:size]
+	}
+	for i := range idx.slots {
+		idx.slots[i] = -1
+	}
+	if cap(idx.next) < n {
+		idx.next = make([]int32, n)
+		idx.hashes = make([]uint64, n)
+	} else {
+		idx.next = idx.next[:n]
+		idx.hashes = idx.hashes[:n]
+	}
+	idx.mask = uint64(size - 1)
+	return idx
+}
+
+func putHashIndex(idx *hashIndex) { hashIndexPool.Put(idx) }
+
+func (ix *hashIndex) insert(i int, h uint64) {
+	ix.hashes[i] = h
+	b := h & ix.mask
+	ix.next[i] = ix.slots[b]
+	ix.slots[b] = int32(i)
+}
+
+func (ix *hashIndex) first(h uint64) int32 { return ix.slots[h&ix.mask] }
+
+// nestedLoopColumns is NestedLoopJoin's loops over key columns:
 // the smaller side (the left on a tie) is the inner.
 func nestedLoopColumns(l, r *keys, m *Matches) Stats {
 	var st Stats
@@ -315,7 +374,7 @@ func (ps *permSort) sorted(k *keys) ([]int32, bool) {
 	return ps.p, true
 }
 
-// mergeColumns is MergeJoinStream's loops over key columns: both sides
+// mergeColumns is RunStream's merge over key columns: both sides
 // sorted as SortTuples sorts them, then MergeJoin's cursor walk.
 func (s *scratch) mergeColumns(l, r *keys, m *Matches) (Stats, error) {
 	var st Stats

@@ -9,8 +9,9 @@
 // calibrates against: the per-cell parameters m, b, and p of Section 5.1.
 //
 // The engine runs the columnar kernels (RunColumns) over each side read
-// in place as one range of a columnar store; the Tuple kernels here and
-// their streaming variants are the references they are held to.
+// in place as one range of a columnar store. The Tuple kernels here, run
+// by Run and by RunStream (Run over materialized sides), are the one
+// reference they are held to.
 package join
 
 import (
@@ -147,6 +148,25 @@ func Run(alg Algorithm, left, right []Tuple, emit EmitFunc) (Stats, error) {
 	default:
 		return Stats{}, fmt.Errorf("join: unknown algorithm %d", alg)
 	}
+}
+
+// TupleStream is one join unit's side as a source of tuples: Materialize
+// decodes the whole side into storage the stream owns, valid until the
+// stream is closed or reused. Call it at most once.
+type TupleStream interface {
+	Materialize() []Tuple
+}
+
+// RunStream is Run over materialized sides. A join unit's side arrives
+// as a concatenation of sorted slices, so for a merge both sides are
+// sorted with SortTuples first, as the reference executor sorts them.
+func RunStream(alg Algorithm, left, right TupleStream, emit EmitFunc) (Stats, error) {
+	lt, rt := left.Materialize(), right.Materialize()
+	if alg == Merge {
+		SortTuples(lt)
+		SortTuples(rt)
+	}
+	return Run(alg, lt, rt, emit)
 }
 
 // HashJoin builds a hash map over the smaller side of the join and probes

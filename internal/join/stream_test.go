@@ -2,6 +2,7 @@ package join
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -24,8 +25,8 @@ func streamTuples(n int, seed int64) []Tuple {
 	return ts
 }
 
-// emitRecord captures one emitted pair by value, since streamed windows
-// are only valid until the next pull.
+// emitRecord captures one emitted pair by value, since a stream's
+// storage is only valid until it is reused.
 type emitRecord struct {
 	l, r Tuple
 }
@@ -45,10 +46,23 @@ func record(out *[]emitRecord) EmitFunc {
 
 func copyTuples(ts []Tuple) []Tuple { return append([]Tuple(nil), ts...) }
 
-// TestRunStreamMatchesRun is the algorithm-level differential test: for
-// every algorithm, side-size ordering, and window size, the streaming
-// variant's emit order and statistics are bit-identical to the
-// materializing reference.
+// sortedRuns cuts ts into consecutive slices of window tuples and sorts
+// each with SortTuples, the shape a join unit's side arrives in (one
+// sorted slice per node). A window of 1 leaves ts as it is; a window at
+// least len(ts) sorts the whole side.
+func sortedRuns(ts []Tuple, window int) []Tuple {
+	for lo := 0; lo < len(ts); lo += window {
+		SortTuples(ts[lo:min(lo+window, len(ts))])
+	}
+	return ts
+}
+
+// TestRunStreamMatchesRun pins RunStream's contract: for every
+// algorithm, side-size ordering, and length of the sorted slices a side
+// is made of, it emits and counts exactly what Run does over the same
+// sides, sorted with SortTuples first for a merge; and a NaN key, which
+// leaves a sorted side failing TuplesSorted, still fails the merge as
+// Run's does.
 func TestRunStreamMatchesRun(t *testing.T) {
 	sides := []struct {
 		name   string
@@ -64,11 +78,12 @@ func TestRunStreamMatchesRun(t *testing.T) {
 			for _, window := range []int{1, 3, 1000} {
 				name := fmt.Sprintf("%v/%s/window=%d", alg, sz.name, window)
 				t.Run(name, func(t *testing.T) {
-					left := streamTuples(sz.nl, int64(sz.nl)+1)
-					right := streamTuples(sz.nr, int64(sz.nr)+2)
+					left := sortedRuns(streamTuples(sz.nl, int64(sz.nl)+1), window)
+					right := sortedRuns(streamTuples(sz.nr, int64(sz.nr)+2), window)
+					if window < sz.nl && TuplesSorted(left) {
+						t.Fatal("fixture: the left side is already sorted")
+					}
 
-					// Reference: the engine's materializing compare path —
-					// merge sorts both sides first, the others run as-is.
 					refL, refR := copyTuples(left), copyTuples(right)
 					if alg == Merge {
 						SortTuples(refL)
@@ -82,13 +97,12 @@ func TestRunStreamMatchesRun(t *testing.T) {
 
 					var gotEmits []emitRecord
 					gotStats, err := RunStream(alg,
-						&SliceStream{Tuples: copyTuples(left), Window: window},
-						&SliceStream{Tuples: copyTuples(right), Window: window},
+						&SliceStream{Tuples: copyTuples(left)},
+						&SliceStream{Tuples: copyTuples(right)},
 						record(&gotEmits))
 					if err != nil {
 						t.Fatal(err)
 					}
-
 					if gotStats != wantStats {
 						t.Errorf("Stats = %+v, want %+v", gotStats, wantStats)
 					}
@@ -99,62 +113,30 @@ func TestRunStreamMatchesRun(t *testing.T) {
 			}
 		}
 	}
+	t.Run("merge/nan-key", func(t *testing.T) {
+		left := streamTuples(40, 3)
+		for i := 0; i < len(left); i += 5 {
+			left[i].Key = []array.Value{array.FloatValue(math.NaN())}
+		}
+		right := streamTuples(40, 4)
+		sl, sr := copyTuples(left), copyTuples(right)
+		SortTuples(sl)
+		SortTuples(sr)
+		_, want := Run(Merge, sl, sr, nil)
+		if want == nil {
+			t.Fatal("fixture: Run sorted a NaN key into order")
+		}
+		_, err := RunStream(Merge, &SliceStream{Tuples: copyTuples(left)}, &SliceStream{Tuples: copyTuples(right)}, nil)
+		if err == nil || err.Error() != want.Error() {
+			t.Fatalf("err = %v, want Run's %v", err, want)
+		}
+	})
 }
 
-// TestSliceStreamWindows pins the test adapter itself: windows partition
-// the slice in order.
-func TestSliceStreamWindows(t *testing.T) {
-	ts := streamTuples(10, 1)
-	s := &SliceStream{Tuples: ts, Window: 4}
-	var got []Tuple
-	for {
-		w, ok := s.Next()
-		if !ok {
-			break
-		}
-		if len(w) > 4 {
-			t.Fatalf("window of %d tuples, want <= 4", len(w))
-		}
-		got = append(got, w...)
-	}
-	if !reflect.DeepEqual(got, ts) {
-		t.Error("windows do not reassemble the slice")
-	}
-	if s.Len() != 10 {
-		t.Errorf("Len = %d, want 10", s.Len())
-	}
-}
-
-// SliceStream adapts an in-memory []Tuple to TupleStream, yielding
-// windows of at most Window tuples (0 = everything in one window).
-// Used by differential tests and as the bridge from materialized
-// slices.
+// SliceStream adapts an in-memory []Tuple to TupleStream.
 type SliceStream struct {
 	Tuples []Tuple
-	Window int
-	pos    int
-}
-
-// Len implements TupleStream.
-func (s *SliceStream) Len() int { return len(s.Tuples) }
-
-// Next implements TupleStream.
-func (s *SliceStream) Next() ([]Tuple, bool) {
-	if s.pos >= len(s.Tuples) {
-		return nil, false
-	}
-	w := s.Window
-	if w <= 0 || s.pos+w > len(s.Tuples) {
-		w = len(s.Tuples) - s.pos
-	}
-	out := s.Tuples[s.pos : s.pos+w]
-	s.pos += w
-	return out, true
 }
 
 // Materialize implements TupleStream.
-func (s *SliceStream) Materialize() []Tuple {
-	out := s.Tuples[s.pos:]
-	s.pos = len(s.Tuples)
-	return out
-}
+func (s *SliceStream) Materialize() []Tuple { return s.Tuples }

@@ -5,9 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"shufflejoin/internal/flight"
 	"shufflejoin/internal/join"
 	"shufflejoin/internal/pipeline"
 	"shufflejoin/internal/plancache"
@@ -282,5 +284,103 @@ func TestPanicDoesNotWedgePlanCache(t *testing.T) {
 	}
 	if rep.CacheOutcome != "miss" {
 		t.Fatalf("follow-up CacheOutcome = %q, want miss (the panicking query stored nothing)", rep.CacheOutcome)
+	}
+}
+
+// countdownCtx is a context that is never done until armed; once armed,
+// Err reports context.Canceled from its (left+1)-th call on.
+type countdownCtx struct {
+	context.Context
+	armed atomic.Bool
+	left  atomic.Int64
+}
+
+func (c *countdownCtx) Err() error {
+	if c.armed.Load() && c.left.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// armStage arms its query's countdownCtx to let the next calls to Err
+// pass and cancel the rest.
+type armStage struct {
+	ctx   *countdownCtx
+	calls int64
+}
+
+func (armStage) Name() string { return "arm-cancel" }
+
+func (s armStage) Run(*pipeline.QueryContext) error {
+	s.ctx.left.Store(s.calls)
+	s.ctx.armed.Store(true)
+	return nil
+}
+
+// TestCanceledQueryReleasesMemory: a query canceled after Align, before
+// Compare has retired every unit, returns every byte it charged to its
+// memory budget, and its flight trail credits what it charged. The
+// stage inserted before Compare arms the context: with no call let
+// through, Execute's check before Compare cancels the query between
+// Align and Compare; with 3, that check and the first two units pass
+// (Parallelism 1) and the third unit's check cancels it mid-Compare.
+func TestCanceledQueryReleasesMemory(t *testing.T) {
+	a := buildArray("A<v:int>[i=1,4000,400]", 5, 3000, 300)
+	b := buildArray("B<w:int>[j=1,4000,400]", 6, 3200, 300)
+	pred := join.Predicate{{Left: join.Term{Name: "v"}, Right: join.Term{Name: "w"}}}
+	for _, tc := range []struct {
+		name  string
+		calls int64
+	}{
+		{"between-align-and-compare", 0},
+		{"mid-compare", 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newCluster(t, 4, a.Clone(), b.Clone())
+			dl, _ := c.Catalog.Lookup("A")
+			dr, _ := c.Catalog.Lookup("B")
+			ctx := &countdownCtx{Context: context.Background()}
+			qc := pipeline.NewQueryContext(c, dl, dr, pred, nil, pipeline.Options{
+				Ctx:         ctx,
+				Selectivity: 0.5,
+				Parallelism: 1,
+			})
+			st := pipeline.DefaultStages()
+			stages := append(append(append([]pipeline.Stage{}, st[:4]...), armStage{ctx, tc.calls}), st[4:]...)
+			mark := flight.Default.Stats().Recorded
+			if err := pipeline.Execute(qc, stages); !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+			if last := qc.Report.Stages[len(qc.Report.Stages)-1].Stage; (tc.calls > 0) != (last == (pipeline.Compare{}).Name()) {
+				t.Fatalf("the query stopped after %q", last)
+			}
+			if n := len(qc.Report.Physical.Assignment); n <= 2 {
+				t.Fatalf("fixture: %d join units, want more than the 2 that run", n)
+			}
+			if used := qc.BudgetUsed(); used != 0 {
+				t.Errorf("%d bytes still charged to the budget", used)
+			}
+			evs := eventsSince(mark)
+			var qid uint32
+			for _, e := range evs {
+				if e.Type == flight.EvQueryStart {
+					qid = e.QID
+					break
+				}
+			}
+			var charged, credited int64
+			for _, e := range evs {
+				switch {
+				case e.QID != qid:
+				case e.Type == flight.EvBudgetCharge:
+					charged += e.Args[0]
+				case e.Type == flight.EvBudgetCredit:
+					credited += e.Args[0]
+				}
+			}
+			if charged == 0 || credited != charged {
+				t.Errorf("flight trail: %d bytes charged, %d credited", charged, credited)
+			}
+		})
 	}
 }

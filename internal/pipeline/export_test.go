@@ -50,3 +50,7 @@ func FirstOutOfRange(c *cluster.Cluster, leftName, rightName string, pred join.P
 	}
 	return "", nil
 }
+
+// BudgetUsed returns the bytes the query's memory budget still has
+// charged.
+func (qc *QueryContext) BudgetUsed() int64 { return qc.budget.Used() }

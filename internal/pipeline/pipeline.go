@@ -153,7 +153,8 @@ func NewQueryContext(c *cluster.Cluster, dl, dr *cluster.Distributed, pred join.
 // records the query's flight events into flight.Default. The stage log
 // (beginStage/endStage) brackets each stage; when the last one has
 // returned, or a stage has panicked, publish hands the Report to the
-// query's telemetry sinks. A panic then continues to the caller.
+// query's telemetry sinks. A panic then continues to the caller. A query
+// that stops early first returns both sides' memory (release).
 func Execute(qc *QueryContext, stages []Stage) error {
 	opt, rep := qc.Opt, qc.Report
 	qc.fr = flight.Default
@@ -169,6 +170,7 @@ func Execute(qc *QueryContext, stages []Stage) error {
 			// stack is taken here, where the panicking frames are still
 			// on it.
 			rep.WallTime = time.Since(qc.prog.Start)
+			qc.release()
 			qc.publish(&stagePanic{value: r, stack: debug.Stack()})
 			panic(r)
 		}
@@ -188,8 +190,20 @@ func Execute(qc *QueryContext, stages []Stage) error {
 		}
 	}
 	rep.WallTime = time.Since(qc.prog.Start)
+	if execErr != nil {
+		qc.release()
+	}
 	qc.publish(execErr)
 	return execErr
+}
+
+// release credits every unit Compare has not retired and returns both
+// sides' pooled memory, for a query that stopped before Compare finished
+// (canceled, failed or panicked). Compare's workers have all returned by
+// then, so nothing still reads a store.
+func (qc *QueryContext) release() {
+	qc.rsl.Release()
+	qc.rsr.Release()
 }
 
 // stagePanic is the error a panicking stage ends its query with. Its

@@ -15,7 +15,7 @@ import (
 // This file is the pipeline-level differential reference: the executor
 // the engine ran before the streaming data plane replaced it, kept
 // test-only. It materializes every mapped cell as a join.Tuple
-// (shuffle.MapSideN), simulates the whole alignment, then compares on
+// (shuffle.MapSide), simulates the whole alignment, then compares on
 // one goroutine node by node, unit by unit in assignment order,
 // assembling each unit whole (SliceSet.Assemble → SortTuples for merge →
 // join.Run) and numbering synthetic rows node, node+K, node+2K, …
@@ -67,14 +67,14 @@ func (r refSliceMap) Run(qc *QueryContext) error {
 	}
 	spec, lm, rm := logical.UnitSpecFor(qc.plan)
 	var err error
-	if r.ssl, err = shuffle.MapSideN(qc.Left, qc.Cluster.K, spec, lm, 1); err != nil {
+	if r.ssl, err = shuffle.MapSide(qc.Left, qc.Cluster.K, spec, lm); err != nil {
 		return err
 	}
-	if r.ssr, err = shuffle.MapSideN(qc.Right, qc.Cluster.K, spec, rm, 1); err != nil {
+	if r.ssr, err = shuffle.MapSide(qc.Right, qc.Cluster.K, spec, rm); err != nil {
 		return err
 	}
 	if !reflect.DeepEqual(r.ssl.Sizes(), qc.rsl.Sizes()) || !reflect.DeepEqual(r.ssr.Sizes(), qc.rsr.Sizes()) {
-		return fmt.Errorf("reference: MapSideStream and MapSideN disagree on slice statistics")
+		return fmt.Errorf("reference: CountSlices and MapSide disagree on slice statistics")
 	}
 	for u := 0; u < spec.NumUnits; u++ {
 		qc.rsl.ReleaseUnit(u)

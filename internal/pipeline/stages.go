@@ -122,15 +122,16 @@ func (SliceMap) Run(qc *QueryContext) error {
 		Intern: batch.NewIntern(),
 		Budget: qc.budget,
 	}
-	rsl, err := shuffle.CountSlices(qc.Left, c.K, spec, lm, workers, cfg)
-	if err != nil {
+	// Each side is kept as soon as it is mapped, so a failure mapping the
+	// right side still returns the left's memory (Execute's release).
+	var err error
+	if qc.rsl, err = shuffle.CountSlices(qc.Left, c.K, spec, lm, workers, cfg); err != nil {
 		return err
 	}
-	rsr, err := shuffle.CountSlices(qc.Right, c.K, spec, rm, workers, cfg)
-	if err != nil {
+	if qc.rsr, err = shuffle.CountSlices(qc.Right, c.K, spec, rm, workers, cfg); err != nil {
 		return err
 	}
-	qc.rsl, qc.rsr, qc.intern = rsl, rsr, cfg.Intern
+	qc.intern = cfg.Intern
 	// The budget only rises during mapping and only falls as compare
 	// retires units, so the peak is already final here (and
 	// deterministic across Parallelism).

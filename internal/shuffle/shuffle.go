@@ -16,7 +16,8 @@
 // The engine's slice map (stream.go) is split where the paper splits
 // it: CountSlices only counts the slices (s_ij, which the physical
 // planner reads), and RunSet.Place, after planning, lays every unit's
-// side out as one range of a columnar store. MapSideN is the reference.
+// side out as one range of a columnar store. MapSide, which materializes
+// every mapped cell as a join.Tuple, is the reference.
 package shuffle
 
 import (
@@ -25,7 +26,6 @@ import (
 	"shufflejoin/internal/array"
 	"shufflejoin/internal/cluster"
 	"shufflejoin/internal/join"
-	"shufflejoin/internal/par"
 )
 
 // UnitKind distinguishes chunk-shaped join units from hash buckets.
@@ -99,7 +99,7 @@ type SideMapper struct {
 }
 
 // unitOfCell computes the join unit id of a single cell.
-func unitOfCell(spec *UnitSpec, m *SideMapper, coords []int64, attrs []array.Value) (int, error) {
+func unitOfCell(spec *UnitSpec, m *SideMapper, coords []int64, attrs []array.Value) int {
 	if spec.Kind == HashUnits {
 		key := join.KeyOf(m.KeyRefs, coords, attrs)
 		var h uint64 = 1469598103934665603
@@ -107,7 +107,7 @@ func unitOfCell(spec *UnitSpec, m *SideMapper, coords []int64, attrs []array.Val
 			h ^= key[i].HashKey()
 			h *= 1099511628211
 		}
-		return int(h % uint64(spec.NumUnits)), nil
+		return int(h % uint64(spec.NumUnits))
 	}
 	unit := 0
 	for i, d := range spec.JoinDims {
@@ -126,7 +126,7 @@ func unitOfCell(spec *UnitSpec, m *SideMapper, coords []int64, attrs []array.Val
 		}
 		unit = unit*int(d.ChunkCount()) + int(d.ChunkIndex(v))
 	}
-	return unit, nil
+	return unit
 }
 
 // SliceSet holds the mapped slices of one side: for every (unit, node)
@@ -189,32 +189,15 @@ func (ss *SliceSet) Assemble(u, dest int) []join.Tuple {
 	return dst
 }
 
-// MapSide runs the slice function over one distributed array
-// sequentially. It is MapSideN with one worker.
+// MapSide runs the slice function over one distributed array, node by
+// node, each node's chunks in C-order, materializing every mapped cell
+// as a join.Tuple that carries the comparison key plus only the
+// attributes the mapper says to carry (vertical partitioning: the join
+// moves only the necessary columns). It is the reference the engine's
+// columnar slice map (CountSlices, then RunSet.Place) is checked
+// against, here and through the test-only reference executor in
+// internal/pipeline; nothing else runs it.
 func MapSide(d *cluster.Distributed, k int, spec *UnitSpec, m *SideMapper) (*SliceSet, error) {
-	return MapSideN(d, k, spec, m, 1)
-}
-
-// MapSideN runs the slice function over one distributed array: every node
-// maps its local cells to (unit, slice) independently of the others —
-// fully materializing every mapped cell as a join.Tuple. It is the
-// reference the differential tests compare the engine's data plane —
-// the columnar MapSideStream, which produces bit-identical
-// tuples without the per-cell materialization — against (here and, via
-// the test-only reference executor, in internal/pipeline). The Table 1
-// operator validation times MapSideStream, not this. The per-row ch.Cell
-// calls here (one coords + one attrs allocation per cell) are the cost
-// the streaming path removes.
-//
-// Each node maps independently of the others — exactly what a real
-// cluster does node-locally — so the per-node map runs are spread over a
-// pool of `workers` goroutines (<= 1 means sequential).
-// A node's cells are always processed in chunk-key order by a single
-// worker, and distinct nodes write distinct (unit, node) slice slots, so
-// the resulting SliceSet is identical at every worker count. Tuples carry
-// the comparison key plus only the attributes the mapper says to carry
-// (vertical partitioning: the join moves only the necessary columns).
-func MapSideN(d *cluster.Distributed, k int, spec *UnitSpec, m *SideMapper, workers int) (*SliceSet, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -236,20 +219,12 @@ func MapSideN(d *cluster.Distributed, k int, spec *UnitSpec, m *SideMapper, work
 		}
 	}
 
-	errs := make([]error, k)
-	par.ForEach(k, workers, func(node int) {
-		// The node's chunks in C-order, cached on the sealed array: the
-		// order a sequential walk visits them, preserved per node under
-		// parallelism.
+	for node := 0; node < k; node++ {
 		for _, key := range d.LocalChunks(node) {
 			ch := d.Array.Chunks[key]
 			for row := 0; row < ch.Len(); row++ {
 				coords, attrs := ch.Cell(row)
-				u, err := unitOfCell(spec, m, coords, attrs)
-				if err != nil {
-					errs[node] = err
-					return
-				}
+				u := unitOfCell(spec, m, coords, attrs)
 				t := join.Tuple{
 					Key:    join.KeyOf(m.KeyRefs, coords, attrs),
 					Coords: coords,
@@ -262,11 +237,6 @@ func MapSideN(d *cluster.Distributed, k int, spec *UnitSpec, m *SideMapper, work
 				}
 				ss.cells[u][node] = append(ss.cells[u][node], t)
 			}
-		}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
 		}
 	}
 	return ss, nil

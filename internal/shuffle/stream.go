@@ -1,4 +1,4 @@
-// Streaming slice mapping: the columnar counterpart of MapSideN.
+// Streaming slice mapping: the columnar counterpart of MapSide.
 // Instead of materializing every mapped cell as a join.Tuple (three
 // slice headers plus per-cell allocations), the slice map is a counting
 // sort of each side's cells into one columnar store, split where the
@@ -8,7 +8,7 @@
 // Assemble's order for its destination. Comparison reads that range in
 // place (RunSet.Run) with the columnar join kernels. The pooled
 // TupleReaders decode a unit's slices back into tuples that are
-// bit-identical to what MapSideN produces for the same side (same unit
+// bit-identical to what MapSide produces for the same side (same unit
 // function, same key extraction, same carry projection), for any
 // destination, which the differential tests in stream_test.go and the
 // pipeline equivalence suite pin; they are references, which only tests
@@ -129,6 +129,24 @@ func (rs *RunSet) ReleaseUnit(u int) {
 	}
 }
 
+// Release returns what the side still holds when its query stops
+// early: it credits every unit not yet released, which sends a placed
+// store back to the pool, and, before Place, returns the count pass's
+// per-row scratch. Call it once no worker reads the side; a nil RunSet
+// holds nothing.
+func (rs *RunSet) Release() {
+	if rs == nil {
+		return
+	}
+	for u := range rs.released {
+		rs.ReleaseUnit(u)
+	}
+	if rs.units != nil {
+		unitsPool.Put(rs.units)
+		rs.units = nil
+	}
+}
+
 // refValue reads the value a predicate term selects from a chunk row,
 // without materializing the cell — bit-identical to what join.KeyOf
 // sees on the materializing path.
@@ -170,10 +188,10 @@ func unitOfRow(spec *UnitSpec, m *SideMapper, ch *array.Chunk, row int) int {
 	return unit
 }
 
-// MapSideStream is the streaming MapSideN: CountSlices, then Place
+// MapSideStream is the streaming MapSide: CountSlices, then Place
 // with node 0 as every unit's first node, which is node order. Per-node
 // chunk order, unit assignment, key extraction, and carry projection
-// are identical to MapSideN, so a RunSet decodes to exactly the
+// are identical to MapSide, so a RunSet decodes to exactly the
 // SliceSet the materializing path would have built.
 func MapSideStream(d *cluster.Distributed, k int, spec *UnitSpec, m *SideMapper, workers int, cfg StreamConfig) (*RunSet, error) {
 	rs, err := CountSlices(d, k, spec, m, workers, cfg)
@@ -358,14 +376,13 @@ func (rs *RunSet) scatterCol(dst *batch.Col, src *array.Column, rows []int32) {
 }
 
 // TupleReader replays one join unit's tuples for one side as a
-// join.TupleStream in Assemble's order, decoding into reader-owned
-// arenas one slice per window (Next) or the whole side (Materialize).
-// Readers are pooled (Close). It is the reference the columnar compare
-// path is checked against, not the engine's path.
+// join.TupleStream in Assemble's order, decoding the whole side into
+// reader-owned arenas (Materialize). Readers are pooled (Close). It is
+// the reference the columnar compare path is checked against, not the
+// engine's path.
 type TupleReader struct {
 	rs      *RunSet
 	u, dest int
-	next    int // the next of the unit's slices to decode, destination's first
 
 	ts     []join.Tuple
 	keys   []array.Value
@@ -385,7 +402,7 @@ func (rs *RunSet) Reader(u, dest int) *TupleReader {
 	if !ok {
 		r = &TupleReader{}
 	}
-	r.rs, r.u, r.dest, r.next = rs, u, dest, 0
+	r.rs, r.u, r.dest = rs, u, dest
 	return r
 }
 
@@ -395,9 +412,6 @@ func (r *TupleReader) Close() {
 	r.rs = nil
 	readerPool.Put(r)
 }
-
-// Len implements join.TupleStream: the unit side's total tuple count.
-func (r *TupleReader) Len() int { return int(r.rs.UnitTotal(r.u)) }
 
 // sliceAt returns the store rows of the i-th of the unit's slices in
 // Assemble's order.
@@ -459,28 +473,13 @@ func (r *TupleReader) decode(lo, hi, off int) {
 	}
 }
 
-// Next implements join.TupleStream: the next non-empty slice, decoded,
-// valid until the next call.
-func (r *TupleReader) Next() ([]join.Tuple, bool) {
-	for r.next < r.rs.Nodes {
-		lo, hi := r.sliceAt(r.next)
-		r.next++
-		if lo < hi {
-			r.grow(hi - lo)
-			r.decode(lo, hi, 0)
-			return r.ts[:hi-lo], true
-		}
-	}
-	return nil, false
-}
-
 // Materialize implements join.TupleStream: the whole side decoded into
 // reader-owned arenas, valid until Close.
 func (r *TupleReader) Materialize() []join.Tuple {
-	r.grow(r.Len())
+	r.grow(int(r.rs.UnitTotal(r.u)))
 	off := 0
-	for ; r.next < r.rs.Nodes; r.next++ {
-		lo, hi := r.sliceAt(r.next)
+	for i := 0; i < r.rs.Nodes; i++ {
+		lo, hi := r.sliceAt(i)
 		r.decode(lo, hi, off)
 		off += hi - lo
 	}

@@ -77,7 +77,7 @@ func streamCases(d *cluster.Distributed) []struct {
 	}
 }
 
-// TestMapSideStreamMatchesMapSideN is the slice-mapping differential
+// TestMapSideStreamMatchesMapSide is the slice-mapping differential
 // test: for every mapper shape, node count, and worker count, the
 // streamed RunSet reports the same slice statistics as the materializing
 // reference, and its readers decode every (unit, destination) pair to
@@ -85,13 +85,13 @@ func streamCases(d *cluster.Distributed) []struct {
 // same string contents. Then CountSlices and Place under a random
 // assignment: every unit's Run holds exactly Assemble's tuples for its
 // destination, and the readers still decode every destination's.
-func TestMapSideStreamMatchesMapSideN(t *testing.T) {
+func TestMapSideStreamMatchesMapSide(t *testing.T) {
 	for _, k := range []int{1, 2, 4} {
 		d := mixedArray(t, "A", 100, 10, k)
 		for _, tc := range streamCases(d) {
 			for _, workers := range []int{1, 4} {
 				t.Run(fmt.Sprintf("%s/k=%d/workers=%d", tc.name, k, workers), func(t *testing.T) {
-					ss, err := MapSideN(d, k, tc.spec, tc.m, workers)
+					ss, err := MapSide(d, k, tc.spec, tc.m)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -170,79 +170,6 @@ func runTuples(rs *RunSet, run batch.Run) []join.Tuple {
 		ts = append(ts, t)
 	}
 	return ts
-}
-
-// TestReaderWindowsConcatenate pins the windowed pull path against
-// whole-side materialization: Next yields one window per non-empty
-// slice of the unit, the destination's first and then the other nodes'
-// in node order, and their concatenation equals Materialize.
-func TestReaderWindowsConcatenate(t *testing.T) {
-	const k = 3
-	d := mixedArray(t, "B", 90, 10, k)
-	tc := streamCases(d)[1]
-	rs, err := MapSideStream(d, k, tc.spec, tc.m, 1, StreamConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for u := 0; u < tc.spec.NumUnits; u++ {
-		for dest := 0; dest < k; dest++ {
-			whole := rs.Reader(u, dest)
-			want := append([]join.Tuple(nil), whole.Materialize()...)
-			// Deep-copy: window arenas are reused across Next calls.
-			for i := range want {
-				want[i].Key = append([]array.Value(nil), want[i].Key...)
-				want[i].Coords = append([]int64(nil), want[i].Coords...)
-				want[i].Attrs = append([]array.Value(nil), want[i].Attrs...)
-			}
-			whole.Close()
-
-			var windows []int
-			for _, node := range append([]int{dest}, otherNodes(k, dest)...) {
-				if n := rs.Count(u, node); n > 0 {
-					windows = append(windows, int(n))
-				}
-			}
-			rd := rs.Reader(u, dest)
-			var got []join.Tuple
-			for w := 0; ; w++ {
-				win, ok := rd.Next()
-				if !ok {
-					if w != len(windows) {
-						t.Fatalf("unit %d dest %d: %d windows, want one per non-empty slice, %d", u, dest, w, len(windows))
-					}
-					break
-				}
-				if w >= len(windows) || len(win) != windows[w] {
-					t.Fatalf("unit %d dest %d: window %d of %d tuples, want slices of %v", u, dest, w, len(win), windows)
-				}
-				for i := range win {
-					got = append(got, join.Tuple{
-						Key:    append([]array.Value(nil), win[i].Key...),
-						Coords: append([]int64(nil), win[i].Coords...),
-						Attrs:  append([]array.Value(nil), win[i].Attrs...),
-					})
-				}
-			}
-			rd.Close()
-			if len(got) != len(want) {
-				t.Fatalf("unit %d dest %d: %d windowed tuples, want %d", u, dest, len(got), len(want))
-			}
-			if len(want) > 0 && !reflect.DeepEqual(got, want) {
-				t.Fatalf("unit %d dest %d: windowed tuples differ from Materialize", u, dest)
-			}
-		}
-	}
-}
-
-// otherNodes lists the nodes of k but dest, ascending.
-func otherNodes(k, dest int) []int {
-	var out []int
-	for node := 0; node < k; node++ {
-		if node != dest {
-			out = append(out, node)
-		}
-	}
-	return out
 }
 
 // TestRunSetBudgetLifecycle: each side is charged once, for all its
@@ -366,7 +293,7 @@ func TestMapSideStreamConcurrentCallers(t *testing.T) {
 					want[unitOfRow(mp.spec, mp.m, ch, row)][d.Placement[key]]++
 				}
 			}
-			ref, err := MapSideN(cluster.DistributeExplicit(a, d.Placement), k, mp.spec, mp.m, 1)
+			ref, err := MapSide(cluster.DistributeExplicit(a, d.Placement), k, mp.spec, mp.m)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -68,7 +68,7 @@ type Result struct {
 	PeakBatchBytes int64
 	// InternedStrings is the number of distinct strings in the query's
 	// dictionary; string cells carry 4-byte codes through the shuffle
-	// instead of copies (SliceMap stage; summed across multi-way steps).
+	// instead of copies (Align stage; summed across multi-way steps).
 	InternedStrings int64
 	// MemoryOverflowBytes is how far PeakBatchBytes exceeded the budget
 	// set with WithMemoryBudget — zero when no budget was set or the query

@@ -87,7 +87,7 @@ func parseSources(t *testing.T) (*token.FileSet, []sourceFile) {
 func TestReferencesStayReferences(t *testing.T) {
 	refs := map[string]map[string]bool{
 		"shufflejoin/internal/join":    {"Run": true, "RunStream": true, "HashJoin": true, "NestedLoopJoin": true, "HashJoinBuildSide": true},
-		"shufflejoin/internal/shuffle": {"MapSide": true, "MapSideN": true, "RunSet.Reader": true},
+		"shufflejoin/internal/shuffle": {"MapSide": true, "RunSet.Reader": true},
 	}
 	methods := map[string]string{} // method name -> its "T.M" entry's package
 	for p, names := range refs {
@@ -131,8 +131,7 @@ func TestReferencesStayReferences(t *testing.T) {
 // pipeline.Profile.WriteJSON and Fingerprint (public as
 // shufflejoin.Profile). They cannot be listed here.
 var testOnlyExports = map[string]string{
-	"join.Run":                    "differential reference the streaming joins are checked against",
-	"join.HashJoinBuildSide":      "differential reference for the streaming hash join's build-side choice",
+	"join.HashJoinBuildSide":      "build-side ablation: the cost of building on the larger side",
 	"shuffle.MapSide":             "differential reference the streaming slice map is checked against",
 	"shuffle.SliceSet.Slice":      "read side of the reference slice map (MapSide)",
 	"shuffle.SliceSet.TotalCells": "read side of the reference slice map (MapSide)",

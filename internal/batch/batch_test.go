@@ -96,7 +96,7 @@ func TestBudgetCounted(t *testing.T) {
 }
 
 // TestBudgetStrict: in strict mode the acquire that crosses the limit
-// fails with ErrBudget.
+// fails with ErrBudget and credits its own charge; the peak keeps it.
 func TestBudgetStrict(t *testing.T) {
 	b := NewBudget(100, true)
 	if err := b.Acquire(100); err != nil {
@@ -105,6 +105,9 @@ func TestBudgetStrict(t *testing.T) {
 	err := b.Acquire(1)
 	if !errors.Is(err, ErrBudget) {
 		t.Fatalf("Acquire over the limit = %v, want ErrBudget", err)
+	}
+	if b.Used() != 100 || b.Peak() != 101 {
+		t.Errorf("after the failed Acquire: Used=%d Peak=%d, want 100,101", b.Used(), b.Peak())
 	}
 }
 

@@ -62,8 +62,8 @@ func (b *Budget) SetFlight(fr *flight.Recorder, qid uint32) {
 }
 
 // Acquire charges n bytes. In strict mode it fails when the charge
-// pushes usage past the limit (the bytes stay charged; the query is
-// aborting anyway).
+// pushes usage past the limit, and credits the charge back (a credit
+// event), as the caller holds nothing to release; Peak keeps it.
 func (b *Budget) Acquire(n int64) error {
 	if b == nil {
 		return nil
@@ -82,6 +82,7 @@ func (b *Budget) Acquire(n int64) error {
 		b.fr.Record(flight.EvBudgetOverflow, b.qid, u, b.limit, n, boolArg(b.strict))
 	}
 	if b.strict && b.limit > 0 && u > b.limit {
+		b.Release(n)
 		return fmt.Errorf("%w: %d bytes in flight, limit %d", ErrBudget, u, b.limit)
 	}
 	return nil

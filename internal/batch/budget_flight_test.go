@@ -75,7 +75,10 @@ func TestBudgetWithoutFlight(t *testing.T) {
 	if err := b.Acquire(10); !errors.Is(err, ErrBudget) {
 		t.Fatalf("err = %v", err)
 	}
-	b.Release(15)
+	b.Release(5) // the failed charge credited itself
+	if b.Used() != 0 {
+		t.Fatalf("Used = %d after releasing what was charged, want 0", b.Used())
+	}
 	var nilB *Budget
 	nilB.SetFlight(flight.New(16), 1) // must not panic
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -85,24 +86,45 @@ func benchRun(ts []Tuple) batch.Run {
 	return intRun(keys)
 }
 
+// cellRun is a run of n distinct cells of a 256×256 chunk in C-order,
+// keyed by both coordinates: the side of one of merge_skew's join
+// units.
+func cellRun(n int, seed int64) batch.Run {
+	rng := rand.New(rand.NewSource(seed))
+	cells := rng.Perm(256 * 256)[:n]
+	slices.Sort(cells)
+	i, j := make([]int64, n), make([]int64, n)
+	for r, c := range cells {
+		i[r], j[r] = int64(c/256), int64(c%256)
+	}
+	store := &batch.Batch{Cols: []batch.Col{{Type: array.TypeInt64, Ints: i}, {Type: array.TypeInt64, Ints: j}}}
+	return batch.Run{Store: store, Hi: n}
+}
+
 // BenchmarkColumnarJoin times the engine's kernels on the sides the
-// Tuple benchmarks above use, match lists included.
+// Tuple benchmarks above use, match lists included, and the merge
+// kernel on merge_skew's unit shape, whose sides ascend.
 func BenchmarkColumnarJoin(b *testing.B) {
 	for _, bc := range []struct {
-		alg    Algorithm
-		n      int
-		sorted bool
-	}{{Hash, 100_000, false}, {Merge, 100_000, true}, {NestedLoop, 2_000, false}} {
-		left, right := benchRun(benchTuples(bc.n, bc.sorted, 1)), benchRun(benchTuples(bc.n, bc.sorted, 2))
-		b.Run(bc.alg.String(), func(b *testing.B) {
+		name        string
+		alg         Algorithm
+		nkey        int
+		left, right batch.Run
+	}{
+		{"hash", Hash, 1, benchRun(benchTuples(100_000, false, 1)), benchRun(benchTuples(100_000, false, 2))},
+		{"merge", Merge, 1, benchRun(benchTuples(100_000, true, 1)), benchRun(benchTuples(100_000, true, 2))},
+		{"nestedloop", NestedLoop, 1, benchRun(benchTuples(2_000, false, 1)), benchRun(benchTuples(2_000, false, 2))},
+		{"merge/ascending", Merge, 2, cellRun(400, 1), cellRun(400, 2)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
 			var m Matches
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := RunColumns(bc.alg, left, right, 1, nil, &m); err != nil {
+				if _, err := RunColumns(bc.alg, bc.left, bc.right, bc.nkey, nil, &m); err != nil {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(float64(2*bc.n), "cells")
+			b.ReportMetric(float64(bc.left.Len()+bc.right.Len()), "cells")
 		})
 	}
 }

@@ -16,6 +16,8 @@ package join
 import (
 	"cmp"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -111,6 +113,11 @@ func (k *keys) hash(i int) uint64 {
 	return h
 }
 
+// nan reports whether a float key column of k holds a NaN.
+func (k *keys) nan() bool {
+	return slices.ContainsFunc(k.cols, func(c keyCol) bool { return slices.ContainsFunc(c.fs, math.IsNaN) })
+}
+
 // equal is KeyEqual of row i of a and row j of b: Value.Equal on every
 // key column. Equal strings have equal codes, since both sides intern
 // into one dictionary.
@@ -173,6 +180,29 @@ func compare(a *keys, i int, b *keys, j int) int {
 		}
 	}
 	return 0
+}
+
+// order is compare, or an equivalent for the key columns at hand.
+type order func(a *keys, i int, b *keys, j int) int
+
+// compareInts is compare when every key column of both sides is int64.
+func compareInts(a *keys, i int, b *keys, j int) int {
+	for c := range a.cols {
+		if x, y := a.cols[c].ints[i], b.cols[c].ints[j]; x != y {
+			return cmp.Compare(x, y)
+		}
+	}
+	return 0
+}
+
+// orderOf returns compareInts when every key column of l and r is
+// int64, and compare otherwise.
+func orderOf(l, r *keys) order {
+	notInt := func(c keyCol) bool { return c.typ != array.TypeInt64 }
+	if slices.ContainsFunc(l.cols, notInt) || slices.ContainsFunc(r.cols, notInt) {
+		return compare
+	}
+	return compareInts
 }
 
 // scratch is one kernel call's reusable memory: per side, the key
@@ -349,25 +379,33 @@ func nestedLoopColumns(l, r *keys, m *Matches) Stats {
 // the same less, so rows with equal keys end where SortTuples puts
 // their tuples (slices.SortFunc is a different sort, and need not).
 type permSort struct {
-	k *keys
-	p []int32
+	k   *keys
+	cmp order
+	p   []int32
 }
 
 func (s *permSort) Len() int           { return len(s.p) }
-func (s *permSort) Less(i, j int) bool { return compare(s.k, int(s.p[i]), s.k, int(s.p[j])) < 0 }
+func (s *permSort) Less(i, j int) bool { return s.cmp(s.k, int(s.p[i]), s.k, int(s.p[j])) < 0 }
 func (s *permSort) Swap(i, j int)      { s.p[i], s.p[j] = s.p[j], s.p[i] }
 
-// sorted returns side k's rows in key order, and whether that order
-// passes TuplesSorted's check (a NaN key can leave it failing).
-func (ps *permSort) sorted(k *keys) ([]int32, bool) {
-	ps.k = k
+// sorted returns side k's rows in key order under cmp, and whether that
+// order passes TuplesSorted's check (a NaN key can leave it failing).
+// Strictly ascending keys have one order, their own: no sort, no check.
+// A tie, ±0 or a NaN (equal to all: a later column fakes an ascent) sorts.
+func (ps *permSort) sorted(k *keys, cmp order) ([]int32, bool) {
+	ps.k, ps.cmp = k, cmp
 	ps.p = ps.p[:0]
+	ascending := !k.nan()
 	for i := 0; i < k.n; i++ {
 		ps.p = append(ps.p, int32(i))
+		ascending = ascending && (i == 0 || cmp(k, i-1, k, i) < 0)
+	}
+	if ascending {
+		return ps.p, true
 	}
 	sort.Sort(ps)
 	for i := 1; i < len(ps.p); i++ {
-		if compare(k, int(ps.p[i-1]), k, int(ps.p[i])) > 0 {
+		if cmp(k, int(ps.p[i-1]), k, int(ps.p[i])) > 0 {
 			return ps.p, false
 		}
 	}
@@ -378,8 +416,9 @@ func (ps *permSort) sorted(k *keys) ([]int32, bool) {
 // sorted as SortTuples sorts them, then MergeJoin's cursor walk.
 func (s *scratch) mergeColumns(l, r *keys, m *Matches) (Stats, error) {
 	var st Stats
-	lp, lok := s.perm[0].sorted(l)
-	rp, rok := s.perm[1].sorted(r)
+	cmpf := orderOf(l, r)
+	lp, lok := s.perm[0].sorted(l, cmpf)
+	rp, rok := s.perm[1].sorted(r, cmpf)
 	s.perm[0].k, s.perm[1].k = nil, nil
 	if !lok || !rok {
 		return st, fmt.Errorf("join: merge join requires sorted inputs")
@@ -387,7 +426,7 @@ func (s *scratch) mergeColumns(l, r *keys, m *Matches) (Stats, error) {
 	i, j := 0, 0
 	for i < len(lp) && j < len(rp) {
 		st.MergeSteps++
-		c := compare(l, int(lp[i]), r, int(rp[j]))
+		c := cmpf(l, int(lp[i]), r, int(rp[j]))
 		switch {
 		case c < 0:
 			i++
@@ -395,11 +434,11 @@ func (s *scratch) mergeColumns(l, r *keys, m *Matches) (Stats, error) {
 			j++
 		default:
 			iEnd := i + 1
-			for iEnd < len(lp) && compare(l, int(lp[iEnd]), l, int(lp[i])) == 0 {
+			for iEnd < len(lp) && cmpf(l, int(lp[iEnd]), l, int(lp[i])) == 0 {
 				iEnd++
 			}
 			jEnd := j + 1
-			for jEnd < len(rp) && compare(r, int(rp[jEnd]), r, int(rp[j])) == 0 {
+			for jEnd < len(rp) && cmpf(r, int(rp[jEnd]), r, int(rp[j])) == 0 {
 				jEnd++
 			}
 			for a := i; a < iEnd; a++ {

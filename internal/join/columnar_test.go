@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"shufflejoin/internal/array"
@@ -50,8 +51,10 @@ func fuzzValue(rng *rand.Rand, t array.ScalarType, domain int64, big int64) arra
 // fuzzSide builds one side of n rows: the cells as a run at a random
 // Lo > 0 inside a larger store, whose rows outside the run hold keys
 // too, and the side's tuples in run order, whose Coords hold the run
-// row number.
-func fuzzSide(rng *rand.Rand, n int, types []array.ScalarType, domain, big int64, in *batch.Intern) ([]Tuple, batch.Run) {
+// row number. An ascending side is then sorted and its repeated keys
+// dropped, shortening the run, so that its keys ascend strictly unless
+// a NaN's ties upset the sort.
+func fuzzSide(rng *rand.Rand, n int, types []array.ScalarType, domain, big int64, in *batch.Intern, ascending bool) ([]Tuple, batch.Run) {
 	store := &batch.Batch{Cols: make([]batch.Col, len(types))}
 	for c, t := range types {
 		store.Cols[c].Type = t
@@ -78,6 +81,25 @@ func fuzzSide(rng *rand.Rand, n int, types []array.ScalarType, domain, big int64
 			ts = append(ts, Tuple{Key: key, Coords: []int64{int64(len(ts))}})
 		}
 	}
+	if ascending {
+		SortTuples(ts)
+		ts = slices.CompactFunc(ts, func(a, b Tuple) bool { return KeyCompare(&a, &b) == 0 })
+		for i := range ts {
+			ts[i].Coords[0] = int64(i)
+			for c, v := range ts[i].Key {
+				col := &store.Cols[c]
+				switch v.Kind {
+				case array.TypeInt64:
+					col.Ints[lo+i] = v.Int
+				case array.TypeFloat64:
+					col.Fs[lo+i] = v.F
+				case array.TypeString:
+					col.Codes[lo+i] = in.ID(v.Str)
+				}
+			}
+		}
+		hi = lo + len(ts)
+	}
 	return ts, batch.Run{Store: store, Lo: lo, Hi: hi}
 }
 
@@ -88,45 +110,131 @@ func fuzzSide(rng *rand.Rand, n int, types []array.ScalarType, domain, big int64
 // RunStream emits over the same cells as Tuples, for all three
 // algorithms, errors included. RunStream is Run, whose hash join is a
 // Go map of build rows by key hash: it shares no code with the kernel's
-// hash index. The sixth argument is unused; the committed corpus
-// carries it.
+// hash index. The sixth argument, mod 4, says which sides are
+// ascending (fuzzSide): none, the left, the right or both, so the merge
+// kernel's path for a side that needs no sort is reached too.
 func FuzzColumnarJoin(f *testing.F) {
-	f.Add(int64(1), uint8(40), uint8(60), uint8(0), uint8(8), uint8(2), uint8(0))
-	f.Add(int64(2), uint8(90), uint8(30), uint8(3), uint8(3), uint8(1), uint8(1))
+	f.Add(int64(1), uint8(40), uint8(60), uint8(0), uint8(8), uint8(0), uint8(0))
+	f.Add(int64(2), uint8(90), uint8(30), uint8(3), uint8(3), uint8(0), uint8(1))
 	f.Add(int64(3), uint8(50), uint8(50), uint8(2), uint8(1), uint8(0), uint8(2))
-	f.Add(int64(4), uint8(0), uint8(20), uint8(6), uint8(5), uint8(2), uint8(0))
-	f.Add(int64(5), uint8(70), uint8(70), uint8(1), uint8(40), uint8(1), uint8(3))
+	f.Add(int64(4), uint8(0), uint8(20), uint8(6), uint8(5), uint8(0), uint8(0))
+	f.Add(int64(5), uint8(70), uint8(70), uint8(1), uint8(40), uint8(0), uint8(3))
 	f.Add(int64(6), uint8(33), uint8(9), uint8(4), uint8(2), uint8(0), uint8(4))
-	f.Add(int64(7), uint8(25), uint8(64), uint8(7), uint8(6), uint8(2), uint8(5))
-	f.Fuzz(func(t *testing.T, seed int64, nl, nr, mode, domain, _, bigSel uint8) {
+	f.Add(int64(7), uint8(25), uint8(64), uint8(7), uint8(6), uint8(0), uint8(5))
+	f.Add(int64(8), uint8(60), uint8(80), uint8(0), uint8(200), uint8(3), uint8(0))
+	f.Add(int64(9), uint8(40), uint8(40), uint8(6), uint8(100), uint8(1), uint8(1))
+	f.Add(int64(10), uint8(90), uint8(50), uint8(1), uint8(120), uint8(2), uint8(0))
+	f.Add(int64(11), uint8(30), uint8(70), uint8(2), uint8(25), uint8(3), uint8(2))
+	f.Fuzz(func(t *testing.T, seed int64, nl, nr, mode, domain, ascending, bigSel uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		types := keyModes[int(mode)%len(keyModes)]
 		big := []int64{0, 1 << 53, 1<<53 - 4, 1 << 62, -1 << 62, -1 << 53}[int(bigSel)%6]
 		dom := int64(domain) + 1
 		in := batch.NewIntern()
-		lt, lrun := fuzzSide(rng, int(nl), types[0], dom, big, in)
-		rt, rrun := fuzzSide(rng, int(nr), types[1], dom, big, in)
-		for _, alg := range []Algorithm{Hash, Merge, NestedLoop} {
-			var want [][2]int64
-			emit := func(l, r *Tuple) { want = append(want, [2]int64{l.Coords[0], r.Coords[0]}) }
-			wantSt, wantErr := RunStream(alg, &SliceStream{Tuples: copyTuples(lt)}, &SliceStream{Tuples: copyTuples(rt)}, emit)
-			var m Matches
-			st, err := RunColumns(alg, lrun, rrun, len(types[0]), in, &m)
-			if (err != nil) != (wantErr != nil) {
-				t.Fatalf("%v: err = %v, want %v", alg, err, wantErr)
-			}
-			if st != wantSt {
-				t.Fatalf("%v: Stats = %+v, want %+v", alg, st, wantSt)
-			}
-			var got [][2]int64
-			for i := range m.L {
-				got = append(got, [2]int64{int64(m.L[i]), int64(m.R[i])})
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%v: %d pairs differ from RunStream's %d", alg, len(got), len(want))
+		lt, lrun := fuzzSide(rng, int(nl), types[0], dom, big, in, ascending%4&1 != 0)
+		rt, rrun := fuzzSide(rng, int(nr), types[1], dom, big, in, ascending%4&2 != 0)
+		checkColumns(t, lt, rt, lrun, rrun, len(types[0]), in)
+	})
+}
+
+// checkColumns holds RunColumns on the runs to RunStream on the same
+// cells as tuples, whose Coords hold their run row numbers: the same
+// pairs in the same order, the same Stats, and an error from both or
+// neither, for all three algorithms.
+func checkColumns(t *testing.T, lt, rt []Tuple, lrun, rrun batch.Run, nkey int, in *batch.Intern) {
+	t.Helper()
+	for _, alg := range []Algorithm{Hash, Merge, NestedLoop} {
+		var want [][2]int64
+		emit := func(l, r *Tuple) { want = append(want, [2]int64{l.Coords[0], r.Coords[0]}) }
+		wantSt, wantErr := RunStream(alg, &SliceStream{Tuples: copyTuples(lt)}, &SliceStream{Tuples: copyTuples(rt)}, emit)
+		var m Matches
+		st, err := RunColumns(alg, lrun, rrun, nkey, in, &m)
+		if (err != nil) != (wantErr != nil) {
+			t.Fatalf("%v: err = %v, want %v", alg, err, wantErr)
+		}
+		if st != wantSt {
+			t.Fatalf("%v: Stats = %+v, want %+v", alg, st, wantSt)
+		}
+		var got [][2]int64
+		for i := range m.L {
+			got = append(got, [2]int64{int64(m.L[i]), int64(m.R[i])})
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%v: %d pairs differ from RunStream's %d", alg, len(got), len(want))
+		}
+	}
+}
+
+// keyRun builds a side from its keys, row by row, one value per key
+// column: the tuples, whose Coords hold their row numbers, and the run
+// over a store of the same cells.
+func keyRun(in *batch.Intern, rows ...[]array.Value) ([]Tuple, batch.Run) {
+	store := &batch.Batch{Cols: make([]batch.Col, len(rows[0]))}
+	ts := make([]Tuple, len(rows))
+	for i, key := range rows {
+		ts[i] = Tuple{Key: key, Coords: []int64{int64(i)}}
+		for c, v := range key {
+			col := &store.Cols[c]
+			col.Type = v.Kind
+			switch v.Kind {
+			case array.TypeInt64:
+				col.Ints = append(col.Ints, v.Int)
+			case array.TypeFloat64:
+				col.Fs = append(col.Fs, v.F)
+			case array.TypeString:
+				col.Codes = append(col.Codes, in.ID(v.Str))
 			}
 		}
-	})
+	}
+	return ts, batch.Run{Store: store, Hi: len(rows)}
+}
+
+// TestMergeAscendingMatchesRunStream holds the kernels to RunStream on
+// sides the merge kernel takes as they are, strictly ascending, and on
+// sides one step from that, which it must sort: a tie, a zero of each
+// sign, and NaN keys, whose sort RunStream's check refuses.
+func TestMergeAscendingMatchesRunStream(t *testing.T) {
+	i, f, s := array.IntValue, array.FloatValue, array.StringValue
+	keys := func(vs ...array.Value) [][]array.Value {
+		rows := make([][]array.Value, len(vs))
+		for r, v := range vs {
+			rows[r] = []array.Value{v}
+		}
+		return rows
+	}
+	// A descending side with a NaN among it that SortTuples leaves out
+	// of order, so RunStream fails.
+	var nan []array.Value
+	for r := 14; r >= 1; r-- {
+		nan = append(nan, f(float64(r)))
+	}
+	nan[6] = f(math.NaN())
+	for _, tc := range []struct {
+		name        string
+		left, right [][]array.Value
+		fails       bool
+	}{
+		{"int", keys(i(1), i(3), i(5), i(7)), keys(i(2), i(3), i(4), i(7), i(9)), false},
+		{"float", keys(f(-2.5), f(0.5), f(1), f(3)), keys(f(0.5), f(2), f(3)), false},
+		{"string", keys(s("a"), s("c"), s("e")), keys(s("b"), s("c"), s("e"), s("f")), false},
+		{"int-pairs", [][]array.Value{{i(1), i(1)}, {i(1), i(3)}, {i(2), i(0)}, {i(4), i(2)}},
+			[][]array.Value{{i(1), i(3)}, {i(2), i(0)}, {i(2), i(1)}, {i(4), i(2)}}, false},
+		{"one-tie", keys(i(1), i(2), i(2), i(3)), keys(i(2), i(3), i(4)), false},
+		{"signed-zeros", keys(f(-1), f(math.Copysign(0, -1)), f(0), f(1)), keys(f(0), f(1)), false},
+		{"nan-ascending", keys(f(1), f(2), f(math.NaN()), f(4)), keys(f(2), f(4)), false},
+		{"nan-fails", keys(nan...), keys(f(2), f(4)), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			in := batch.NewIntern()
+			lt, lrun := keyRun(in, tc.left...)
+			rt, rrun := keyRun(in, tc.right...)
+			checkColumns(t, lt, rt, lrun, rrun, len(tc.left[0]), in)
+			var m Matches
+			if _, err := RunColumns(Merge, lrun, rrun, len(tc.left[0]), in, &m); (err != nil) != tc.fails {
+				t.Errorf("merge: err = %v, want an error: %v", err, tc.fails)
+			}
+		})
+	}
 }
 
 // TestBigIntKeysExact: int64 keys that float64 rounds together — 2^53

@@ -360,25 +360,7 @@ func TestCanceledQueryReleasesMemory(t *testing.T) {
 			if used := qc.BudgetUsed(); used != 0 {
 				t.Errorf("%d bytes still charged to the budget", used)
 			}
-			evs := eventsSince(mark)
-			var qid uint32
-			for _, e := range evs {
-				if e.Type == flight.EvQueryStart {
-					qid = e.QID
-					break
-				}
-			}
-			var charged, credited int64
-			for _, e := range evs {
-				switch {
-				case e.QID != qid:
-				case e.Type == flight.EvBudgetCharge:
-					charged += e.Args[0]
-				case e.Type == flight.EvBudgetCredit:
-					credited += e.Args[0]
-				}
-			}
-			if charged == 0 || credited != charged {
+			if charged, credited := budgetTrail(mark); charged == 0 || credited != charged {
 				t.Errorf("flight trail: %d bytes charged, %d credited", charged, credited)
 			}
 		})

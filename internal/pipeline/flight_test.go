@@ -30,6 +30,29 @@ func eventsSince(mark uint64) []flight.Event {
 	return out
 }
 
+// budgetTrail sums the budget charges and credits the flight trail
+// holds for the first query that started at or after mark.
+func budgetTrail(mark uint64) (charged, credited int64) {
+	evs := eventsSince(mark)
+	var qid uint32
+	for _, e := range evs {
+		if e.Type == flight.EvQueryStart {
+			qid = e.QID
+			break
+		}
+	}
+	for _, e := range evs {
+		switch {
+		case e.QID != qid:
+		case e.Type == flight.EvBudgetCharge:
+			charged += e.Args[0]
+		case e.Type == flight.EvBudgetCredit:
+			credited += e.Args[0]
+		}
+	}
+	return charged, credited
+}
+
 // TestFlightRecordingEquivalence is the flight recorder's determinism
 // contract: a recorded run is bit-for-bit identical to an unrecorded
 // one — output cells, modeled times, trace and profile fingerprints —

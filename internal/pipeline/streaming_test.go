@@ -8,6 +8,7 @@ import (
 
 	"shufflejoin/internal/array"
 	"shufflejoin/internal/batch"
+	"shufflejoin/internal/flight"
 	"shufflejoin/internal/join"
 	"shufflejoin/internal/pipeline"
 )
@@ -181,21 +182,32 @@ func TestMemoryBudgetStrict(t *testing.T) {
 	a := buildArray("A<v:int>[i=1,200,20]", 9, 120, 25)
 	b := buildArray("B<w:int>[j=1,200,20]", 10, 110, 25)
 	pred := join.Predicate{{Left: join.Term{Name: "v"}, Right: join.Term{Name: "w"}}}
-	c := newCluster(t, 3, a, b)
-	dl, _ := c.Catalog.Lookup("A")
-	dr, _ := c.Catalog.Lookup("B")
-	qc := pipeline.NewQueryContext(c, dl, dr, pred, nil, pipeline.Options{
-		Selectivity:  0.5,
-		MemoryBudget: 256,
-		Strict:       true,
-	})
-	err := pipeline.Execute(qc, pipeline.DefaultStages())
-	if !errors.Is(err, batch.ErrBudget) {
-		t.Fatalf("err = %v, want batch.ErrBudget", err)
-	}
-	stages := qc.Report.Stages
-	if last := stages[len(stages)-1]; last.Stage != (pipeline.SliceMap{}).Name() || last.Done {
-		t.Errorf("the query stopped in %q (done %v), want a failed %q", last.Stage, last.Done, (pipeline.SliceMap{}).Name())
+	// At 256 bytes the left side's charge fails; at 3,000 the left side
+	// fits and the right side's fails.
+	for _, limit := range []int64{256, 3000} {
+		c := newCluster(t, 3, a.Clone(), b.Clone())
+		dl, _ := c.Catalog.Lookup("A")
+		dr, _ := c.Catalog.Lookup("B")
+		qc := pipeline.NewQueryContext(c, dl, dr, pred, nil, pipeline.Options{
+			Selectivity:  0.5,
+			MemoryBudget: limit,
+			Strict:       true,
+		})
+		mark := flight.Default.Stats().Recorded
+		err := pipeline.Execute(qc, pipeline.DefaultStages())
+		if !errors.Is(err, batch.ErrBudget) {
+			t.Fatalf("limit %d: err = %v, want batch.ErrBudget", limit, err)
+		}
+		stages := qc.Report.Stages
+		if last := stages[len(stages)-1]; last.Stage != (pipeline.SliceMap{}).Name() || last.Done {
+			t.Errorf("limit %d: the query stopped in %q (done %v), want a failed %q", limit, last.Stage, last.Done, (pipeline.SliceMap{}).Name())
+		}
+		if used := qc.BudgetUsed(); used != 0 {
+			t.Errorf("limit %d: %d bytes still charged to the budget", limit, used)
+		}
+		if charged, credited := budgetTrail(mark); charged == 0 || credited != charged {
+			t.Errorf("limit %d: flight trail: %d bytes charged, %d credited", limit, charged, credited)
+		}
 	}
 }
 

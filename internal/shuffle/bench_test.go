@@ -32,14 +32,23 @@ func BenchmarkMapSideHashUnits(b *testing.B) {
 	benchMapRelease(b, d, spec, m)
 }
 
-// BenchmarkMapSideChunkUnits is BenchmarkMapSideHashUnits over 64 chunk
-// units of the array's own dimension.
+// BenchmarkMapSideChunkUnits is BenchmarkMapSideHashUnits over chunk
+// units of the array's own dimension: 64 on the array's grid, where the
+// count pass takes every chunk whole, and 67 on a grid that splits
+// every chunk, which it maps row by row.
 func BenchmarkMapSideChunkUnits(b *testing.B) {
 	d := benchDistributed(b, 200_000)
 	ref := join.Ref{IsDim: true, Index: 0, Name: "i"}
-	spec := &UnitSpec{Kind: ChunkUnits, JoinDims: []array.Dimension{{Name: "i", Start: 1, End: 200_000, ChunkInterval: 3125}}}
 	m := &SideMapper{KeyRefs: []join.Ref{ref}, DimRefs: []join.Ref{ref}, CarryAll: true}
-	benchMapRelease(b, d, spec, m)
+	for _, bc := range []struct {
+		name     string
+		interval int64
+	}{{"aligned", 3125}, {"split", 3000}} {
+		b.Run(bc.name, func(b *testing.B) {
+			spec := &UnitSpec{Kind: ChunkUnits, JoinDims: []array.Dimension{{Name: "i", Start: 1, End: 200_000, ChunkInterval: bc.interval}}}
+			benchMapRelease(b, d, spec, m)
+		})
+	}
 }
 
 func benchMapRelease(b *testing.B, d *cluster.Distributed, spec *UnitSpec, m *SideMapper) {

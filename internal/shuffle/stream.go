@@ -188,6 +188,35 @@ func unitOfRow(spec *UnitSpec, m *SideMapper, ch *array.Chunk, row int) int {
 	return unit
 }
 
+// chunkUnit reports whether every row of the chunk at key falls in one
+// chunk unit, and which, from the chunk's box alone: the units of its
+// low and high corner on each join dimension, clamped as unitOfRow
+// clamps. Only chunk units whose DimRefs are all dimensions have one.
+func chunkUnit(spec *UnitSpec, m *SideMapper, s *array.Schema, key array.ChunkKey) (int, bool) {
+	if spec.Kind != ChunkUnits {
+		return 0, false
+	}
+	var buf [8]int64 // stack room for up to eight dimensions
+	idx := s.KeyIndices(key, buf[:0])
+	unit := 0
+	for i, d := range spec.JoinDims {
+		ref := m.DimRefs[i]
+		if !ref.IsDim {
+			return 0, false
+		}
+		sd := s.Dims[ref.Index]
+		lo := sd.Start + idx[ref.Index]*sd.ChunkInterval
+		hi := lo + min(sd.ChunkInterval-1, sd.End-lo)
+		lo, hi = min(max(lo, d.Start), d.End), min(max(hi, d.Start), d.End)
+		c := d.ChunkIndex(lo)
+		if d.ChunkIndex(hi) != c {
+			return 0, false
+		}
+		unit = unit*int(d.ChunkCount()) + int(c)
+	}
+	return unit, true
+}
+
 // MapSideStream is the streaming MapSide: CountSlices, then Place
 // with node 0 as every unit's first node, which is node order. Per-node
 // chunk order, unit assignment, key extraction, and carry projection
@@ -203,10 +232,11 @@ func MapSideStream(d *cluster.Distributed, k int, spec *UnitSpec, m *SideMapper,
 }
 
 // CountSlices is the count pass of the slice map (§3.3), in parallel
-// across nodes: it computes each local row's unit once, keeps it for
+// across nodes: it computes each local row's unit once (a chunk of one
+// unit u, chunkUnit, at once, as -1-u in its first row), keeps it for
 // Place, counts every (unit, node) slice, and charges the side's bytes
-// to cfg.Budget in one Acquire. It takes no store, so under a strict
-// budget a side that does not fit fails (batch.ErrBudget) first.
+// to cfg.Budget in one Acquire. It takes no store, so a side that does
+// not fit a strict budget fails (batch.ErrBudget) first.
 func CountSlices(d *cluster.Distributed, k int, spec *UnitSpec, m *SideMapper, workers int, cfg StreamConfig) (*RunSet, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -277,6 +307,12 @@ func CountSlices(d *cluster.Distributed, k int, spec *UnitSpec, m *SideMapper, w
 		i, cnt := rs.first[node], rs.cnt[node*nu:(node+1)*nu]
 		for _, key := range d.LocalChunks(node) {
 			ch := d.Array.Chunks[key]
+			if u, ok := chunkUnit(spec, m, schema, key); ok && ch.Len() > 0 {
+				units[i] = int32(-1 - u)
+				cnt[u] += ch.Len()
+				i += ch.Len()
+				continue
+			}
 			for row := 0; row < ch.Len(); row++ {
 				u := unitOfRow(spec, m, ch, row)
 				units[i] = int32(u)
@@ -302,9 +338,10 @@ func CountSlices(d *cluster.Distributed, k int, spec *UnitSpec, m *SideMapper, w
 // Place is the data alignment of the side's cells (§3.4): it takes the
 // side's store from the pool and lays every unit u out in the order
 // Assemble reads it at node home[u] (nil: node 0), that node's slice
-// first, then the others ascending, scattering each chunk column by
-// column in parallel across nodes. Nodes write disjoint rows, so the
-// layout is the same at every worker count. Call it once.
+// first, then the others ascending, scattering (or, for a chunk of one
+// unit, copying) each chunk column by column in parallel across nodes.
+// Nodes write disjoint rows, so the layout is the same at every worker
+// count. Call it once.
 func (rs *RunSet) Place(home []int, workers int) {
 	k, nu := rs.Nodes, rs.Spec.NumUnits
 	for u := 0; u < nu; u++ {
@@ -327,20 +364,25 @@ func (rs *RunSet) Place(home []int, workers int) {
 		i, pos := rs.first[node], rs.end[node*nu:(node+1)*nu]
 		for _, key := range rs.d.LocalChunks(node) {
 			ch := rs.d.Array.Chunks[key]
-			rows := units[i : i+ch.Len()]
+			rows, to := units[i:i+ch.Len()], 0
 			i += ch.Len()
+			if len(rows) > 0 && rows[0] < 0 {
+				u := -1 - int(rows[0])
+				rows, to = nil, pos[u]
+				pos[u] += ch.Len()
+			}
 			for r, u := range rows {
 				rows[r] = int32(pos[u])
 				pos[u]++
 			}
 			for dd, src := range ch.Coords {
-				scatter(rs.store.Coords[dd], src, rows)
+				scatter(rs.store.Coords[dd], src, rows, to)
 			}
 			for c, ref := range rs.lay.cols {
 				if ref.IsDim {
-					scatter(rs.store.Cols[c].Ints, ch.Coords[ref.Index], rows)
+					scatter(rs.store.Cols[c].Ints, ch.Coords[ref.Index], rows, to)
 				} else {
-					rs.scatterCol(&rs.store.Cols[c], &ch.Cols[ref.Index], rows)
+					rs.scatterCol(&rs.store.Cols[c], &ch.Cols[ref.Index], rows, to)
 				}
 			}
 		}
@@ -353,24 +395,32 @@ func (rs *RunSet) Place(home []int, workers int) {
 // bounded as the store pool is.
 var unitsPool = batch.NewRowPool(func(s []int32) int { return cap(s) })
 
-// scatter copies src[r] to dst[rows[r]] for every r.
-func scatter[T any](dst, src []T, rows []int32) {
-	for r, to := range rows {
-		dst[to] = src[r]
+// scatter copies src[r] to dst[rows[r]] for every r (rows nil: to dst[to:]).
+func scatter[T any](dst, src []T, rows []int32, to int) {
+	if rows == nil {
+		copy(dst[to:], src)
+		return
+	}
+	for r, at := range rows {
+		dst[at] = src[r]
 	}
 }
 
-// scatterCol copies a chunk column into a store column of the same
-// type, interning strings.
-func (rs *RunSet) scatterCol(dst *batch.Col, src *array.Column, rows []int32) {
+// scatterCol is scatter from a chunk column into a store column of the
+// same type, interning strings row by row.
+func (rs *RunSet) scatterCol(dst *batch.Col, src *array.Column, rows []int32, to int) {
 	switch src.Type {
 	case array.TypeInt64:
-		scatter(dst.Ints, src.Ints, rows)
+		scatter(dst.Ints, src.Ints, rows, to)
 	case array.TypeFloat64:
-		scatter(dst.Fs, src.Fs, rows)
+		scatter(dst.Fs, src.Fs, rows, to)
 	case array.TypeString:
-		for r, to := range rows {
-			dst.Codes[to] = rs.intern.ID(src.Strs[r])
+		for r, s := range src.Strs {
+			at := to + r
+			if rows != nil {
+				at = int(rows[r])
+			}
+			dst.Codes[at] = rs.intern.ID(s)
 		}
 	}
 }

@@ -38,42 +38,116 @@ func mixedArray(t *testing.T, name string, n, ci int64, k int) *cluster.Distribu
 	return cluster.Distribute(a, k, cluster.RoundRobin)
 }
 
+// gridArray builds G<v:int, tag:string, f:float>[i=1,40,5, j=1,30,6]
+// with 600 of its cells occupied, the attributes drawn as mixedArray
+// draws them, distributed round-robin over k nodes.
+func gridArray(t *testing.T, k int) *cluster.Distributed {
+	t.Helper()
+	a := array.MustNew(array.MustParseSchema("G<v:int, tag:string, f:float>[i=1,40,5, j=1,30,6]"))
+	rng := rand.New(rand.NewSource(40))
+	tags := []string{"port", "open-sea", "anchorage"}
+	for _, c := range rng.Perm(40 * 30)[:600] {
+		a.MustPut([]int64{int64(c/30 + 1), int64(c%30 + 1)}, []array.Value{
+			array.IntValue(int64(c % 13)),
+			array.StringValue(tags[rng.Intn(len(tags))]),
+			array.FloatValue(rng.Float64()),
+		})
+	}
+	return cluster.Distribute(a, k, cluster.RoundRobin)
+}
+
+// streamCase is one mapper shape. whole says which of the side's chunks
+// the count pass takes whole (chunkUnit): "all", "some" or "none".
+type streamCase struct {
+	name  string
+	spec  *UnitSpec
+	m     *SideMapper
+	whole string
+}
+
 // streamCases enumerates the mapper shapes the engine actually uses:
 // chunk units keyed by a dimension, and hash units keyed by an
-// attribute (including a string key).
-func streamCases(d *cluster.Distributed) []struct {
-	name string
-	spec *UnitSpec
-	m    *SideMapper
-} {
+// attribute (including a string key). Then chunk units on grids other
+// than the side's own first dimension's, for both count paths: a
+// coarser interval, an interval and a start that split chunks, a
+// narrower range that clamps chunk boxes, a unit dimension taken from
+// an attribute, and, on a 2-D side, both dimensions in reverse order.
+func streamCases(d *cluster.Distributed) []streamCase {
 	dimRef := join.Ref{IsDim: true, Index: 0, Name: "i"}
 	intRef := join.Ref{IsDim: false, Index: 0, Name: "v"}
 	strRef := join.Ref{IsDim: false, Index: 1, Name: "tag"}
-	return []struct {
-		name string
-		spec *UnitSpec
-		m    *SideMapper
-	}{
-		{
-			"chunk-units-dim-key",
-			&UnitSpec{Kind: ChunkUnits, JoinDims: []array.Dimension{d.Array.Schema.Dims[0]}},
-			&SideMapper{KeyRefs: []join.Ref{dimRef}, DimRefs: []join.Ref{dimRef}, CarryAll: true},
-		},
-		{
-			"hash-units-int-key",
-			&UnitSpec{Kind: HashUnits, NumUnits: 8},
-			&SideMapper{KeyRefs: []join.Ref{intRef}, CarryAll: true},
-		},
-		{
-			"hash-units-string-key",
-			&UnitSpec{Kind: HashUnits, NumUnits: 8},
-			&SideMapper{KeyRefs: []join.Ref{strRef}, Carry: []int{0, 2}},
-		},
-		{
-			"hash-units-no-carry",
-			&UnitSpec{Kind: HashUnits, NumUnits: 4},
-			&SideMapper{KeyRefs: []join.Ref{intRef}},
-		},
+	dims := d.Array.Schema.Dims
+	grid := func(start, end, interval int64) []array.Dimension {
+		return []array.Dimension{{Name: "i", Start: start, End: end, ChunkInterval: interval}}
+	}
+	byDim := &SideMapper{KeyRefs: []join.Ref{dimRef}, DimRefs: []join.Ref{dimRef}, CarryAll: true}
+	i, ci := dims[0], dims[0].ChunkInterval
+	cases := []streamCase{
+		{"chunk-units-dim-key", &UnitSpec{Kind: ChunkUnits, JoinDims: []array.Dimension{i}}, byDim, "all"},
+		{"hash-units-int-key", &UnitSpec{Kind: HashUnits, NumUnits: 8},
+			&SideMapper{KeyRefs: []join.Ref{intRef}, CarryAll: true}, "none"},
+		{"hash-units-string-key", &UnitSpec{Kind: HashUnits, NumUnits: 8},
+			&SideMapper{KeyRefs: []join.Ref{strRef}, Carry: []int{0, 2}}, "none"},
+		{"hash-units-no-carry", &UnitSpec{Kind: HashUnits, NumUnits: 4},
+			&SideMapper{KeyRefs: []join.Ref{intRef}}, "none"},
+		{"chunk-units-coarser", &UnitSpec{Kind: ChunkUnits, JoinDims: grid(i.Start, i.End, 2*ci)}, byDim, "all"},
+		{"chunk-units-split-interval", &UnitSpec{Kind: ChunkUnits, JoinDims: grid(i.Start, i.End, ci*3/2)}, byDim, "some"},
+		{"chunk-units-split-start", &UnitSpec{Kind: ChunkUnits, JoinDims: grid(i.Start-ci/2, i.End, 2*ci)}, byDim, "some"},
+		{"chunk-units-narrower", &UnitSpec{Kind: ChunkUnits, JoinDims: grid(i.Start+2*ci, i.End-2*ci, ci)}, byDim, "all"},
+		{"chunk-units-attr-dim", &UnitSpec{Kind: ChunkUnits, JoinDims: []array.Dimension{{Name: "v", Start: 0, End: 12, ChunkInterval: 4}}},
+			&SideMapper{KeyRefs: []join.Ref{intRef}, DimRefs: []join.Ref{intRef}, CarryAll: true}, "none"},
+	}
+	if len(dims) == 2 {
+		jRef := join.Ref{IsDim: true, Index: 1, Name: "j"}
+		j := dims[1]
+		cases = append(cases, streamCase{"chunk-units-2d-reversed",
+			&UnitSpec{Kind: ChunkUnits, JoinDims: []array.Dimension{
+				{Name: "j", Start: j.Start, End: j.End, ChunkInterval: 2 * j.ChunkInterval},
+				{Name: "i", Start: i.Start, End: i.End, ChunkInterval: 2 * ci},
+			}},
+			&SideMapper{KeyRefs: []join.Ref{jRef, dimRef}, DimRefs: []join.Ref{jRef, dimRef}, CarryAll: true}, "all"})
+	}
+	for _, tc := range cases {
+		if err := tc.spec.Validate(); err != nil {
+			panic(err)
+		}
+	}
+	return cases
+}
+
+// TestChunkUnitMatchesRows: for every chunk the count pass would take
+// whole, every row's unitOfRow is the chunk's unit, and each mapper
+// shape takes whole the chunks it should.
+func TestChunkUnitMatchesRows(t *testing.T) {
+	for _, d := range []*cluster.Distributed{mixedArray(t, "A", 100, 10, 2), gridArray(t, 2)} {
+		s := d.Array.Schema
+		for _, tc := range streamCases(d) {
+			whole, mixed := 0, 0
+			for _, key := range d.Array.SortedKeys() {
+				ch := d.Array.Chunks[key]
+				u, ok := chunkUnit(tc.spec, tc.m, s, key)
+				if !ok {
+					mixed++
+					continue
+				}
+				whole++
+				for row := 0; row < ch.Len(); row++ {
+					if got := unitOfRow(tc.spec, tc.m, ch, row); got != u {
+						t.Fatalf("%s %s: chunk %d is unit %d whole, but row %d is in unit %d", s.Name, tc.name, key, u, row, got)
+					}
+				}
+			}
+			got := "some"
+			switch {
+			case mixed == 0:
+				got = "all"
+			case whole == 0:
+				got = "none"
+			}
+			if got != tc.whole {
+				t.Errorf("%s %s: %d chunks whole and %d mixed, want %s whole", s.Name, tc.name, whole, mixed, tc.whole)
+			}
+		}
 	}
 }
 
@@ -87,63 +161,68 @@ func streamCases(d *cluster.Distributed) []struct {
 // destination, and the readers still decode every destination's.
 func TestMapSideStreamMatchesMapSide(t *testing.T) {
 	for _, k := range []int{1, 2, 4} {
-		d := mixedArray(t, "A", 100, 10, k)
-		for _, tc := range streamCases(d) {
-			for _, workers := range []int{1, 4} {
-				t.Run(fmt.Sprintf("%s/k=%d/workers=%d", tc.name, k, workers), func(t *testing.T) {
-					ss, err := MapSide(d, k, tc.spec, tc.m)
-					if err != nil {
-						t.Fatal(err)
+		for _, d := range []*cluster.Distributed{mixedArray(t, "A", 100, 10, k), gridArray(t, k)} {
+			for _, tc := range streamCases(d) {
+				for _, workers := range []int{1, 4} {
+					name := tc.name
+					if len(d.Array.Schema.Dims) == 2 {
+						name = "2d/" + name
 					}
-					rs, err := MapSideStream(d, k, tc.spec, tc.m, workers, StreamConfig{})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(rs.Sizes(), ss.Sizes()) {
-						t.Fatalf("Sizes differ:\nstream %v\nref    %v", rs.Sizes(), ss.Sizes())
-					}
-					for u := 0; u < tc.spec.NumUnits; u++ {
-						if rs.UnitTotal(u) != ss.UnitTotal(u) {
-							t.Fatalf("UnitTotal(%d) = %d, want %d", u, rs.UnitTotal(u), ss.UnitTotal(u))
+					t.Run(fmt.Sprintf("%s/k=%d/workers=%d", name, k, workers), func(t *testing.T) {
+						ss, err := MapSide(d, k, tc.spec, tc.m)
+						if err != nil {
+							t.Fatal(err)
 						}
-						for dest := 0; dest < k; dest++ {
-							want := ss.Assemble(u, dest)
-							rd := rs.Reader(u, dest)
-							got := rd.Materialize()
-							if len(got) == 0 && len(want) == 0 {
+						rs, err := MapSideStream(d, k, tc.spec, tc.m, workers, StreamConfig{})
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !reflect.DeepEqual(rs.Sizes(), ss.Sizes()) {
+							t.Fatalf("Sizes differ:\nstream %v\nref    %v", rs.Sizes(), ss.Sizes())
+						}
+						for u := 0; u < tc.spec.NumUnits; u++ {
+							if rs.UnitTotal(u) != ss.UnitTotal(u) {
+								t.Fatalf("UnitTotal(%d) = %d, want %d", u, rs.UnitTotal(u), ss.UnitTotal(u))
+							}
+							for dest := 0; dest < k; dest++ {
+								want := ss.Assemble(u, dest)
+								rd := rs.Reader(u, dest)
+								got := rd.Materialize()
+								if len(got) == 0 && len(want) == 0 {
+									rd.Close()
+									continue
+								}
+								if !reflect.DeepEqual(got, want) {
+									t.Fatalf("unit %d dest %d: decoded tuples differ", u, dest)
+								}
 								rd.Close()
-								continue
 							}
-							if !reflect.DeepEqual(got, want) {
-								t.Fatalf("unit %d dest %d: decoded tuples differ", u, dest)
-							}
-							rd.Close()
 						}
-					}
 
-					placed, err := CountSlices(d, k, tc.spec, tc.m, workers, StreamConfig{})
-					if err != nil {
-						t.Fatal(err)
-					}
-					rng := rand.New(rand.NewSource(int64(k*10 + workers)))
-					home := make([]int, tc.spec.NumUnits)
-					for u := range home {
-						home[u] = rng.Intn(k)
-					}
-					placed.Place(home, workers)
-					for u := 0; u < tc.spec.NumUnits; u++ {
-						if got, want := runTuples(placed, placed.Run(u)), ss.Assemble(u, home[u]); (len(got) > 0 || len(want) > 0) && !reflect.DeepEqual(got, want) {
-							t.Fatalf("unit %d placed for node %d: the run's tuples differ from Assemble's", u, home[u])
+						placed, err := CountSlices(d, k, tc.spec, tc.m, workers, StreamConfig{})
+						if err != nil {
+							t.Fatal(err)
 						}
-						for dest := 0; dest < k; dest++ {
-							rd := placed.Reader(u, dest)
-							if got, want := rd.Materialize(), ss.Assemble(u, dest); (len(got) > 0 || len(want) > 0) && !reflect.DeepEqual(got, want) {
-								t.Fatalf("unit %d placed for node %d, read at %d: decoded tuples differ", u, home[u], dest)
+						rng := rand.New(rand.NewSource(int64(k*10 + workers)))
+						home := make([]int, tc.spec.NumUnits)
+						for u := range home {
+							home[u] = rng.Intn(k)
+						}
+						placed.Place(home, workers)
+						for u := 0; u < tc.spec.NumUnits; u++ {
+							if got, want := runTuples(placed, placed.Run(u)), ss.Assemble(u, home[u]); (len(got) > 0 || len(want) > 0) && !reflect.DeepEqual(got, want) {
+								t.Fatalf("unit %d placed for node %d: the run's tuples differ from Assemble's", u, home[u])
 							}
-							rd.Close()
+							for dest := 0; dest < k; dest++ {
+								rd := placed.Reader(u, dest)
+								if got, want := rd.Materialize(), ss.Assemble(u, dest); (len(got) > 0 || len(want) > 0) && !reflect.DeepEqual(got, want) {
+									t.Fatalf("unit %d placed for node %d, read at %d: decoded tuples differ", u, home[u], dest)
+								}
+								rd.Close()
+							}
 						}
-					}
-				})
+					})
+				}
 			}
 		}
 	}

@@ -101,21 +101,31 @@ func cellRun(n int, seed int64) batch.Run {
 	return batch.Run{Store: store, Hi: n}
 }
 
-// BenchmarkColumnarJoin times the engine's kernels on the sides the
-// Tuple benchmarks above use, match lists included, and the merge
-// kernel on merge_skew's unit shape, whose sides ascend.
-func BenchmarkColumnarJoin(b *testing.B) {
-	for _, bc := range []struct {
-		name        string
-		alg         Algorithm
-		nkey        int
-		left, right batch.Run
-	}{
+// columnarCase is one kernel over one pair of sides.
+type columnarCase struct {
+	name        string
+	alg         Algorithm
+	nkey        int
+	left, right batch.Run
+}
+
+// columnarCases are BenchmarkColumnarJoin's: the kernels on the sides
+// the Tuple benchmarks above use, and the merge kernel on merge_skew's
+// unit shape. Both merge cases' keys strictly ascend, so they take the
+// typed walk (mergeInts), one key and two.
+func columnarCases() []columnarCase {
+	return []columnarCase{
 		{"hash", Hash, 1, benchRun(benchTuples(100_000, false, 1)), benchRun(benchTuples(100_000, false, 2))},
 		{"merge", Merge, 1, benchRun(benchTuples(100_000, true, 1)), benchRun(benchTuples(100_000, true, 2))},
 		{"nestedloop", NestedLoop, 1, benchRun(benchTuples(2_000, false, 1)), benchRun(benchTuples(2_000, false, 2))},
 		{"merge/ascending", Merge, 2, cellRun(400, 1), cellRun(400, 2)},
-	} {
+	}
+}
+
+// BenchmarkColumnarJoin times the engine's kernels, match lists
+// included (columnarCases).
+func BenchmarkColumnarJoin(b *testing.B) {
+	for _, bc := range columnarCases() {
 		b.Run(bc.name, func(b *testing.B) {
 			var m Matches
 			b.ReportAllocs()
@@ -126,6 +136,52 @@ func BenchmarkColumnarJoin(b *testing.B) {
 			}
 			b.ReportMetric(float64(bc.left.Len()+bc.right.Len()), "cells")
 		})
+	}
+}
+
+// TestColumnarMergeZeroAllocs gates BenchmarkColumnarJoin's merge
+// bodies: once the match list has grown and the scratch is pooled, a
+// fixed number of merges allocate nothing, the least of three counts
+// with the collector off, and the count sees an injected allocation
+// per merge.
+func TestColumnarMergeZeroAllocs(t *testing.T) {
+	const runs = 20
+	for _, bc := range columnarCases() {
+		if bc.alg != Merge {
+			continue
+		}
+		var m Matches
+		merge := func() {
+			if _, err := RunColumns(Merge, bc.left, bc.right, bc.nkey, nil, &m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		count := func(f func()) uint64 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				f()
+			}
+			runtime.ReadMemStats(&after)
+			return after.Mallocs - before.Mallocs
+		}
+		merge()
+		gc := debug.SetGCPercent(-1)
+		got := count(merge)
+		for try := 0; try < 2 && got > 0; try++ {
+			got = min(got, count(merge))
+		}
+		injected := count(func() {
+			merge()
+			allocSink.Store(new([64]byte))
+		})
+		debug.SetGCPercent(gc)
+		if got != 0 {
+			t.Errorf("%s: %d merges made %d allocations, want 0", bc.name, runs, got)
+		}
+		if injected < runs {
+			t.Errorf("%s: %d merges with an injected allocation each counted %d allocations", bc.name, runs, injected)
+		}
 	}
 }
 

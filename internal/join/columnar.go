@@ -413,8 +413,13 @@ func (ps *permSort) sorted(k *keys, cmp order) ([]int32, bool) {
 }
 
 // mergeColumns is RunStream's merge over key columns: both sides
-// sorted as SortTuples sorts them, then MergeJoin's cursor walk.
+// sorted as SortTuples sorts them, then MergeJoin's cursor walk. Sides
+// of one or two int64 key columns whose keys strictly ascend take
+// mergeInts, which needs neither.
 func (s *scratch) mergeColumns(l, r *keys, m *Matches) (Stats, error) {
+	if st, ok := mergeInts(l, r, m); ok {
+		return st, nil
+	}
 	var st Stats
 	cmpf := orderOf(l, r)
 	lp, lok := s.perm[0].sorted(l, cmpf)
@@ -452,4 +457,57 @@ func (s *scratch) mergeColumns(l, r *keys, m *Matches) (Stats, error) {
 		}
 	}
 	return st, nil
+}
+
+// mergeInts is mergeColumns on typed key columns, for sides whose keys
+// are one or two int64 columns and strictly ascend, and reports whether
+// the sides are such. Strictly ascending keys are their own sort order,
+// and MergeJoin's walk over them finds each key at most once per side,
+// so a match advances both cursors and counts one merge step more. One
+// column is walked as a pair of itself.
+func mergeInts(l, r *keys, m *Matches) (Stats, bool) {
+	notInt := func(c keyCol) bool { return c.typ != array.TypeInt64 }
+	if len(l.cols) == 0 || len(l.cols) > 2 || slices.ContainsFunc(l.cols, notInt) || slices.ContainsFunc(r.cols, notInt) {
+		return Stats{}, false
+	}
+	last := len(l.cols) - 1
+	a0, a1, b0, b1 := l.cols[0].ints, l.cols[last].ints, r.cols[0].ints, r.cols[last].ints
+	if !ascending(a0, a1) || !ascending(b0, b1) {
+		return Stats{}, false
+	}
+	return merge(a0, a1, b0, b1, m), true
+}
+
+// ascending reports whether the pairs (k0[i], k1[i]) strictly ascend.
+func ascending(k0, k1 []int64) bool {
+	k1 = k1[:len(k0)]
+	for i := 1; i < len(k0); i++ {
+		if k0[i-1] > k0[i] || k0[i-1] == k0[i] && k1[i-1] >= k1[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// merge is MergeJoin's walk over the strictly ascending pairs (a0, a1)
+// and (b0, b1).
+func merge(a0, a1, b0, b1 []int64, m *Matches) Stats {
+	var st Stats
+	a1, b1 = a1[:len(a0)], b1[:len(b0)]
+	i, j := 0, 0
+	for i < len(a0) && j < len(b0) {
+		st.MergeSteps++
+		switch x, y := a0[i], b0[j]; {
+		case x < y || x == y && a1[i] < b1[j]:
+			i++
+		case x > y || a1[i] > b1[j]:
+			j++
+		default:
+			st.Matches++
+			st.MergeSteps++
+			m.add(int32(i), int32(j))
+			i, j = i+1, j+1
+		}
+	}
+	return st
 }

@@ -1,10 +1,15 @@
 package join
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"shufflejoin/internal/array"
@@ -12,7 +17,10 @@ import (
 )
 
 // keyModes are the key column types FuzzColumnarJoin draws, left side
-// then right side, one entry per key column.
+// then right side, one entry per key column. The mode is the fuzz
+// argument mod len(keyModes): a new mode goes at the end, and the count
+// keeps every named corpus file on the mode it was written for
+// (TestFuzzCorpusModes).
 var keyModes = [][2][]array.ScalarType{
 	{{array.TypeInt64}, {array.TypeInt64}},
 	{{array.TypeFloat64}, {array.TypeFloat64}},
@@ -22,6 +30,10 @@ var keyModes = [][2][]array.ScalarType{
 	{{array.TypeInt64}, {array.TypeString}},
 	{{array.TypeInt64, array.TypeString}, {array.TypeFloat64, array.TypeString}},
 	{{array.TypeString, array.TypeFloat64}, {array.TypeString, array.TypeFloat64}},
+	{{array.TypeInt64, array.TypeInt64}, {array.TypeInt64, array.TypeInt64}},
+	{{array.TypeInt64, array.TypeInt64, array.TypeInt64}, {array.TypeInt64, array.TypeInt64, array.TypeInt64}},
+	{{array.TypeInt64, array.TypeInt64}, {array.TypeInt64, array.TypeFloat64}},
+	{{array.TypeFloat64, array.TypeInt64}, {array.TypeInt64, array.TypeInt64}},
 }
 
 // fuzzValue draws one key value of type t from a domain of the given
@@ -53,8 +65,9 @@ func fuzzValue(rng *rand.Rand, t array.ScalarType, domain int64, big int64) arra
 // too, and the side's tuples in run order, whose Coords hold the run
 // row number. An ascending side is then sorted and its repeated keys
 // dropped, shortening the run, so that its keys ascend strictly unless
-// a NaN's ties upset the sort.
-func fuzzSide(rng *rand.Rand, n int, types []array.ScalarType, domain, big int64, in *batch.Intern, ascending bool) ([]Tuple, batch.Run) {
+// a NaN's ties upset the sort; with lastDown its last two rows then
+// swap, so that it ascends except at its last row.
+func fuzzSide(rng *rand.Rand, n int, types []array.ScalarType, domain, big int64, in *batch.Intern, ascending, lastDown bool) ([]Tuple, batch.Run) {
 	store := &batch.Batch{Cols: make([]batch.Col, len(types))}
 	for c, t := range types {
 		store.Cols[c].Type = t
@@ -84,6 +97,9 @@ func fuzzSide(rng *rand.Rand, n int, types []array.ScalarType, domain, big int64
 	if ascending {
 		SortTuples(ts)
 		ts = slices.CompactFunc(ts, func(a, b Tuple) bool { return KeyCompare(&a, &b) == 0 })
+		if n := len(ts); lastDown && n >= 2 {
+			ts[n-2].Key, ts[n-1].Key = ts[n-1].Key, ts[n-2].Key
+		}
 		for i := range ts {
 			ts[i].Coords[0] = int64(i)
 			for c, v := range ts[i].Key {
@@ -112,7 +128,8 @@ func fuzzSide(rng *rand.Rand, n int, types []array.ScalarType, domain, big int64
 // Go map of build rows by key hash: it shares no code with the kernel's
 // hash index. The sixth argument, mod 4, says which sides are
 // ascending (fuzzSide): none, the left, the right or both, so the merge
-// kernel's path for a side that needs no sort is reached too.
+// kernel's path for a side that needs no sort is reached too; bit 4
+// (16) of it makes each ascending side descend at its last row.
 func FuzzColumnarJoin(f *testing.F) {
 	f.Add(int64(1), uint8(40), uint8(60), uint8(0), uint8(8), uint8(0), uint8(0))
 	f.Add(int64(2), uint8(90), uint8(30), uint8(3), uint8(3), uint8(0), uint8(1))
@@ -125,16 +142,62 @@ func FuzzColumnarJoin(f *testing.F) {
 	f.Add(int64(9), uint8(40), uint8(40), uint8(6), uint8(100), uint8(1), uint8(1))
 	f.Add(int64(10), uint8(90), uint8(50), uint8(1), uint8(120), uint8(2), uint8(0))
 	f.Add(int64(11), uint8(30), uint8(70), uint8(2), uint8(25), uint8(3), uint8(2))
+	// Ascending int64 keys of widths 1, 2 and 3 near ±2^62, the typed
+	// merge's shapes and the first width past them; sides that ascend
+	// except at the last row; an empty side.
+	f.Add(int64(12), uint8(60), uint8(80), uint8(0), uint8(200), uint8(3), uint8(3))
+	f.Add(int64(13), uint8(70), uint8(90), uint8(8), uint8(12), uint8(3), uint8(4))
+	f.Add(int64(14), uint8(50), uint8(70), uint8(9), uint8(5), uint8(3), uint8(3))
+	f.Add(int64(15), uint8(60), uint8(80), uint8(0), uint8(200), uint8(17), uint8(3))
+	f.Add(int64(16), uint8(70), uint8(90), uint8(8), uint8(12), uint8(19), uint8(4))
+	f.Add(int64(17), uint8(0), uint8(60), uint8(8), uint8(12), uint8(3), uint8(3))
 	f.Fuzz(func(t *testing.T, seed int64, nl, nr, mode, domain, ascending, bigSel uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		types := keyModes[int(mode)%len(keyModes)]
 		big := []int64{0, 1 << 53, 1<<53 - 4, 1 << 62, -1 << 62, -1 << 53}[int(bigSel)%6]
 		dom := int64(domain) + 1
 		in := batch.NewIntern()
-		lt, lrun := fuzzSide(rng, int(nl), types[0], dom, big, in, ascending%4&1 != 0)
-		rt, rrun := fuzzSide(rng, int(nr), types[1], dom, big, in, ascending%4&2 != 0)
+		lastDown := ascending&16 != 0
+		lt, lrun := fuzzSide(rng, int(nl), types[0], dom, big, in, ascending%4&1 != 0, lastDown)
+		rt, rrun := fuzzSide(rng, int(nr), types[1], dom, big, in, ascending%4&2 != 0, lastDown)
 		checkColumns(t, lt, rt, lrun, rrun, len(types[0]), in)
 	})
+}
+
+// TestFuzzCorpusModes: each named corpus file of FuzzColumnarJoin
+// still draws the key types it was written for under the current
+// len(keyModes).
+func TestFuzzCorpusModes(t *testing.T) {
+	i, f, s := array.TypeInt64, array.TypeFloat64, array.TypeString
+	for name, want := range map[string][2][]array.ScalarType{
+		"ascending_float_string_keys_nan_first":    {{i, s}, {f, s}},
+		"float_int_keys_near_2_62_one_row_batches": {{f}, {i}},
+		"float_keys_nan_and_minus_zero":            {{f}, {f}},
+	} {
+		data, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzColumnarJoin", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The file's fifth line is the fourth argument, the mode: uint8(n)
+		// or byte('c').
+		arg := strings.Split(string(data), "\n")[4]
+		var mode uint64
+		if v, ok := strings.CutPrefix(arg, "uint8("); ok {
+			mode, err = strconv.ParseUint(strings.TrimSuffix(v, ")"), 10, 8)
+		} else if v, ok := strings.CutPrefix(arg, "byte('"); ok {
+			var r rune
+			r, _, _, err = strconv.UnquoteChar(strings.TrimSuffix(v, "')"), '\'')
+			mode = uint64(r)
+		} else {
+			err = fmt.Errorf("not a uint8 argument: %q", arg)
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := keyModes[mode%uint64(len(keyModes))]; !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: mode %d draws %v, want %v", name, mode, got, want)
+		}
+	}
 }
 
 // checkColumns holds RunColumns on the runs to RunStream on the same

@@ -34,6 +34,27 @@ func benchSide(name string, n int64, k int, units int) (*cluster.Distributed, *U
 	return d, spec, m
 }
 
+// ddSide builds a D:D side of merge_skew's shape: name<v:int>[i=1,256,
+// 32, j=1,256,32] with n cells at distinct positions dealt evenly to its
+// 64 chunks, distributed round-robin over k nodes, mapped into chunk
+// units on its own grid keyed by both dimensions, so every chunk is one
+// unit and its side is borrowed.
+func ddSide(name string, n, k int) (*cluster.Distributed, *UnitSpec, *SideMapper) {
+	s := array.MustParseSchema(name + "<v:int>[i=1,256,32, j=1,256,32]")
+	a := array.MustNew(s)
+	rng := rand.New(rand.NewSource(int64(n)))
+	for c := 0; c < 64; c++ {
+		for _, p := range rng.Perm(32 * 32)[:n/64] {
+			a.MustPut([]int64{int64(c/8*32 + p/32 + 1), int64(c%8*32 + p%32 + 1)}, []array.Value{array.IntValue(rng.Int63n(1000))})
+		}
+	}
+	a.SortAll()
+	iRef, jRef := join.Ref{IsDim: true, Index: 0, Name: "i"}, join.Ref{IsDim: true, Index: 1, Name: "j"}
+	spec := &UnitSpec{Kind: ChunkUnits, JoinDims: s.Dims}
+	m := &SideMapper{KeyRefs: []join.Ref{iRef, jRef}, DimRefs: []join.Ref{iRef, jRef}, CarryAll: true}
+	return cluster.Distribute(a, k, cluster.RoundRobin), spec, m
+}
+
 // steadyState maps two 16 k-cell hash-unit sides once, placing unit u
 // for node u mod k, and returns the engine's recurring compare work
 // over them: every unit's two runs read in place (RunSet.Run) and
@@ -170,14 +191,43 @@ const mapAllocsCeiling = 11
 // TestMapSideStreamStorePoolAllocs is the gate on the store pool: once
 // warm, a slice map and the release of its units make the same number
 // of allocations for 4 k cells as for 32 k, and no more than
-// mapAllocsCeiling, at every core count. The counts follow
-// TestStreamingSteadyStateZeroAllocs: collector off, the least of three
-// counts, and a check that the count sees an injected allocation.
+// mapAllocsCeiling, at every core count (checkMapAllocs).
 func TestMapSideStreamStorePoolAllocs(t *testing.T) {
-	const k, units, passes = 4, 16, 10
+	const k, units = 4, 16
 	ds, spec, m := benchSide("S", 1<<12, k, units)
 	dl, _, _ := benchSide("L", 1<<15, k, units)
-	small, large := mapRelease(k, spec, m, ds), mapRelease(k, spec, m, dl)
+	checkMapAllocs(t, mapRelease(k, spec, m, ds), mapRelease(k, spec, m, dl))
+}
+
+// TestMapSideStreamViewsPoolAllocs is the same gate on a D:D side whose
+// units are its chunks, all borrowed: once warm, the views' headers
+// come from their pool, so 4 k cells and 32 k over the same 64 chunks
+// make the same allocations, no more than mapAllocsCeiling.
+func TestMapSideStreamViewsPoolAllocs(t *testing.T) {
+	const k = 4
+	ds, spec, m := ddSide("S", 1<<12, k)
+	dl, _, _ := ddSide("L", 1<<15, k)
+	rs, err := MapSideStream(dl, k, spec, m, 1, StreamConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for u := 0; u < spec.NumUnits; u++ {
+		if !rs.borrowed(u) {
+			t.Fatalf("fixture: unit %d of the D:D side is not borrowed", u)
+		}
+	}
+	rs.Release()
+	checkMapAllocs(t, mapRelease(k, spec, m, ds), mapRelease(k, spec, m, dl))
+}
+
+// checkMapAllocs holds a warm small and large map-and-release to the
+// same allocation count, at most mapAllocsCeiling each. The counts
+// follow TestStreamingSteadyStateZeroAllocs: collector off, the least
+// of three counts, and a check that the count sees an injected
+// allocation.
+func checkMapAllocs(t *testing.T, small, large func()) {
+	t.Helper()
+	const passes = 10
 	least := func(f func()) uint64 {
 		got := allocsPerRun(passes, f)
 		for try := 0; try < 2; try++ {
@@ -199,7 +249,7 @@ func TestMapSideStreamStorePoolAllocs(t *testing.T) {
 		debug.SetGCPercent(gc)
 		runtime.GOMAXPROCS(prev)
 		if gotSmall != gotLarge {
-			t.Errorf("GOMAXPROCS=%d: %d maps made %d allocations at 4 k cells and %d at 32 k, want the same", procs, passes, gotSmall, gotLarge)
+			t.Errorf("GOMAXPROCS=%d: %d maps made %d allocations at the small side and %d at the large, want the same", procs, passes, gotSmall, gotLarge)
 		}
 		if gotLarge > passes*mapAllocsCeiling {
 			t.Errorf("GOMAXPROCS=%d: %d maps made %d allocations, want at most %d", procs, passes, gotLarge, passes*mapAllocsCeiling)

@@ -34,8 +34,8 @@ func BenchmarkMapSideHashUnits(b *testing.B) {
 
 // BenchmarkMapSideChunkUnits is BenchmarkMapSideHashUnits over chunk
 // units of the array's own dimension: 64 on the array's grid, where the
-// count pass takes every chunk whole, and 67 on a grid that splits
-// every chunk, which it maps row by row.
+// count pass takes every chunk whole and Place borrows it, and 67 on a
+// grid that splits every chunk, which is mapped row by row and copied.
 func BenchmarkMapSideChunkUnits(b *testing.B) {
 	d := benchDistributed(b, 200_000)
 	ref := join.Ref{IsDim: true, Index: 0, Name: "i"}
@@ -49,6 +49,15 @@ func BenchmarkMapSideChunkUnits(b *testing.B) {
 			benchMapRelease(b, d, spec, m)
 		})
 	}
+}
+
+// BenchmarkMapSideDD is BenchmarkMapSideHashUnits over a D:D side of
+// merge_skew's shape (ddSide): 32 k cells in 64 chunks of two
+// dimensions, each chunk one unit, every unit borrowed.
+// TestMapSideStreamViewsPoolAllocs gates its allocations.
+func BenchmarkMapSideDD(b *testing.B) {
+	d, spec, m := ddSide("D", 1<<15, 4)
+	benchMapRelease(b, d, spec, m)
 }
 
 func benchMapRelease(b *testing.B, d *cluster.Distributed, spec *UnitSpec, m *SideMapper) {

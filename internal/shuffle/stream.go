@@ -5,8 +5,11 @@
 // paper splits it: slice mapping only counts (CountSlices), and data
 // alignment, once the physical plan has placed every unit, scatters the
 // cells (Place) so each unit's side is one range of the store, in
-// Assemble's order for its destination. Comparison reads that range in
-// place (RunSet.Run) with the columnar join kernels. The pooled
+// Assemble's order for its destination. A unit whose side is one whole
+// chunk is not copied but borrowed: its side is a read-only view of
+// the sealed chunk's own columns, which the query's catalog snapshot
+// keeps alive, charged to the budget as a copy would be. Comparison
+// reads either in place (RunSet.Run) with the columnar join kernels. The pooled
 // TupleReaders decode a unit's slices back into tuples that are
 // bit-identical to what MapSide produces for the same side (same unit
 // function, same key extraction, same carry projection), for any
@@ -18,6 +21,7 @@ package shuffle
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 
 	"shufflejoin/internal/array"
@@ -71,14 +75,80 @@ type RunSet struct {
 	budget *batch.Budget
 
 	cnt   []int   // [node*NumUnits+u]: the cells of unit u on node
-	end   []int   // like cnt: Place's write cursors, then each slice's end row
-	lo    []int   // [u]: unit u's first row, then the store's rows
+	end   []int   // like cnt: Place's write cursors, then each slice's end row in Run(u)
+	lo    []int   // [u]: unit u's first row, then the side's rows
 	first []int   // [node]: node's first row in units
 	units []int32 // the unit of every local row, node by node, until Place
 
-	store    *batch.Batch
-	released []bool // [u]: ReleaseUnit has credited the unit
+	store    *batch.Batch // the copied units' rows
+	views    *views       // the borrowed units' stores; nil if none
+	released []bool       // [u]: ReleaseUnit has credited the unit
 	live     atomic.Int64
+}
+
+// views is Place's scratch for a side with borrowed units. heads[u] is
+// borrowed unit u's store: a header over the sealed chunk that holds
+// the unit's whole side, whose value columns are cols[u*nc:(u+1)*nc].
+// at[u] is a copied unit's first row in the RunSet's store, which holds
+// only the copied units (a side without views has unit u at lo[u]).
+// Views are pooled, so a warm query allocates none.
+type views struct {
+	heads []batch.Batch
+	cols  []batch.Col
+	at    []int
+}
+
+// viewsPool recycles views across queries, bounded as the store pool
+// is, with a unit counted as a row.
+var viewsPool = batch.NewRowPool(func(v *views) int { return cap(v.heads) })
+
+// getViews returns cleared views for nu units of nc value columns.
+func getViews(nu, nc int) *views {
+	v, ok := viewsPool.Get()
+	if !ok {
+		v = new(views)
+	}
+	v.heads = slices.Grow(v.heads[:0], nu)[:nu]
+	v.cols = slices.Grow(v.cols[:0], nu*nc)[:nu*nc]
+	v.at = slices.Grow(v.at[:0], nu)[:nu]
+	return v
+}
+
+// put clears the headers, which reference the chunks, and pools the
+// views.
+func (v *views) put() {
+	clear(v.heads)
+	clear(v.cols)
+	viewsPool.Put(v)
+}
+
+// borrowed reports whether unit u's store is a view (Place).
+func (rs *RunSet) borrowed(u int) bool {
+	return rs.views != nil && rs.views.heads[u].Coords != nil
+}
+
+// borrow makes unit u's store a read-only view of the chunk: the
+// chunk's coordinate columns, a dimension key column aliasing its
+// coordinate column, and every other value column aliasing the chunk's
+// attribute column. The layout has no string column.
+func (rs *RunSet) borrow(u int, ch *array.Chunk) {
+	nc := len(rs.lay.cols)
+	if rs.views == nil {
+		rs.views = getViews(rs.Spec.NumUnits, nc)
+	}
+	cols := rs.views.cols[u*nc : (u+1)*nc : (u+1)*nc]
+	for c, ref := range rs.lay.cols {
+		cols[c].Type = rs.lay.types[c]
+		switch {
+		case ref.IsDim:
+			cols[c].Ints = ch.Coords[ref.Index]
+		case cols[c].Type == array.TypeInt64:
+			cols[c].Ints = ch.Cols[ref.Index].Ints
+		default:
+			cols[c].Fs = ch.Cols[ref.Index].Fs
+		}
+	}
+	rs.views.heads[u] = batch.Batch{Coords: ch.Coords, Cols: cols}
 }
 
 // Count returns the cells of unit u mapped on the given node.
@@ -106,15 +176,23 @@ func (rs *RunSet) UnitTotal(u int) int64 {
 
 // Run returns unit u's side as Place laid it out: the rows of its first
 // node's slice, then the other nodes' in node order. The store stays
-// the RunSet's; it is valid until ReleaseUnit(u).
+// the RunSet's, or, for a borrowed unit, is a view of a sealed chunk;
+// either is read-only and valid until ReleaseUnit(u).
 func (rs *RunSet) Run(u int) batch.Run {
-	return batch.Run{Store: rs.store, Lo: rs.lo[u], Hi: rs.lo[u+1]}
+	switch {
+	case rs.views == nil:
+		return batch.Run{Store: rs.store, Lo: rs.lo[u], Hi: rs.lo[u+1]}
+	case rs.borrowed(u):
+		return batch.Run{Store: &rs.views.heads[u], Hi: int(rs.UnitTotal(u))}
+	}
+	at := rs.views.at[u]
+	return batch.Run{Store: rs.store, Lo: at, Hi: at + int(rs.UnitTotal(u))}
 }
 
-// ReleaseUnit credits unit u's bytes back to the budget. Called once a
-// unit's comparison has fully consumed it; a second call for the same
-// unit does nothing. When the side's last unit is released, its store
-// goes back to the pool.
+// ReleaseUnit credits unit u's bytes back to the budget, borrowed or
+// copied alike. Called once a unit's comparison has fully consumed it;
+// a second call for the same unit does nothing. When the side's last
+// unit is released, its store and its views go back to their pools.
 func (rs *RunSet) ReleaseUnit(u int) {
 	if rs.released[u] {
 		return
@@ -126,13 +204,17 @@ func (rs *RunSet) ReleaseUnit(u int) {
 	if rs.live.Add(-1) == 0 {
 		batch.Put(rs.store)
 		rs.store = nil
+		if rs.views != nil {
+			rs.views.put()
+			rs.views = nil
+		}
 	}
 }
 
 // Release returns what the side still holds when its query stops
 // early: it credits every unit not yet released, which sends a placed
-// store back to the pool, and, before Place, returns the count pass's
-// per-row scratch. Call it once no worker reads the side; a nil RunSet
+// store and its views back to their pools, and, before Place, returns
+// the count pass's per-row scratch. Call it once no worker reads the side; a nil RunSet
 // holds nothing.
 func (rs *RunSet) Release() {
 	if rs == nil {
@@ -335,22 +417,28 @@ func CountSlices(d *cluster.Distributed, k int, spec *UnitSpec, m *SideMapper, w
 	return rs, nil
 }
 
-// Place is the data alignment of the side's cells (§3.4): it takes the
-// side's store from the pool and lays every unit u out in the order
-// Assemble reads it at node home[u] (nil: node 0), that node's slice
-// first, then the others ascending, scattering (or, for a chunk of one
-// unit, copying) each chunk column by column in parallel across nodes.
-// Nodes write disjoint rows, so the layout is the same at every worker
-// count. Call it once.
+// Place is the data alignment of the side's cells (§3.4): it lays
+// every unit u out in the order Assemble reads it at node home[u] (nil:
+// node 0), that node's slice first, then the others ascending. A unit
+// whose whole side is one chunk the count pass took whole is borrowed,
+// when the layout has no string column: its store is a view of that
+// chunk's own columns, charged to the budget like a copy but not
+// copied. The other units share one store taken from the pool, sized
+// to their rows, into which each chunk is scattered (or, when it is
+// one unit, copied) column by column in parallel across nodes. Nodes
+// write disjoint rows, so the layout is the same at every worker count.
+// Call it once.
 func (rs *RunSet) Place(home []int, workers int) {
 	k, nu := rs.Nodes, rs.Spec.NumUnits
+	units := rs.units
+	at, copied := rs.borrowWhole()
 	for u := 0; u < nu; u++ {
 		h := 0
 		if home != nil {
 			h = home[u]
 		}
-		rs.end[h*nu+u] = rs.lo[u]
-		row := rs.lo[u] + rs.cnt[h*nu+u]
+		rs.end[h*nu+u] = at[u]
+		row := at[u] + rs.cnt[h*nu+u]
 		for node := 0; node < k; node++ {
 			if node != h {
 				rs.end[node*nu+u] = row
@@ -358,8 +446,7 @@ func (rs *RunSet) Place(home []int, workers int) {
 			}
 		}
 	}
-	rs.store = batch.Get(rs.lay.ndims, rs.lay.types, rs.lo[nu])
-	units := rs.units
+	rs.store = batch.Get(rs.lay.ndims, rs.lay.types, copied)
 	par.ForEach(k, workers, func(node int) {
 		i, pos := rs.first[node], rs.end[node*nu:(node+1)*nu]
 		for _, key := range rs.d.LocalChunks(node) {
@@ -370,6 +457,9 @@ func (rs *RunSet) Place(home []int, workers int) {
 				u := -1 - int(rows[0])
 				rows, to = nil, pos[u]
 				pos[u] += ch.Len()
+				if rs.borrowed(u) {
+					continue
+				}
 			}
 			for r, u := range rows {
 				rows[r] = int32(pos[u])
@@ -389,6 +479,40 @@ func (rs *RunSet) Place(home []int, workers int) {
 	})
 	rs.units = nil
 	unitsPool.Put(units)
+}
+
+// borrowWhole borrows every unit whose side is one chunk the count
+// pass took whole (one node, one chunk, the unit's total equal to the
+// chunk's Len), unless the layout has a string column. It returns each
+// unit's first row in its Run's store, and the rows the store needs
+// for the units it copies.
+func (rs *RunSet) borrowWhole() (at []int, copied int) {
+	nu := rs.Spec.NumUnits
+	if !slices.Contains(rs.lay.types, array.TypeString) {
+		for node := 0; node < rs.Nodes; node++ {
+			i := rs.first[node]
+			for _, key := range rs.d.LocalChunks(node) {
+				ch := rs.d.Array.Chunks[key]
+				if n := ch.Len(); n > 0 && rs.units[i] < 0 {
+					if u := -1 - int(rs.units[i]); rs.UnitTotal(u) == int64(n) {
+						rs.borrow(u, ch)
+					}
+				}
+				i += ch.Len()
+			}
+		}
+	}
+	if rs.views == nil {
+		return rs.lo, rs.lo[nu]
+	}
+	at = rs.views.at
+	for u := 0; u < nu; u++ {
+		if !rs.borrowed(u) {
+			at[u] = copied
+			copied += int(rs.UnitTotal(u))
+		}
+	}
+	return at, copied
 }
 
 // unitsPool recycles the count pass's per-row scratch across queries,
@@ -463,8 +587,8 @@ func (r *TupleReader) Close() {
 	readerPool.Put(r)
 }
 
-// sliceAt returns the store rows of the i-th of the unit's slices in
-// Assemble's order.
+// sliceAt returns the rows, in the unit's Run store, of the i-th of
+// its slices in Assemble's order.
 func (r *TupleReader) sliceAt(i int) (lo, hi int) {
 	node := i
 	switch {
@@ -500,7 +624,7 @@ func (r *TupleReader) grow(rows int) {
 func (r *TupleReader) decode(lo, hi, off int) {
 	lay := &r.rs.lay
 	in := r.rs.intern
-	bt := r.rs.store
+	bt := r.rs.Run(r.u).Store
 	nkey, nd, nattr := lay.nkey, lay.ndims, len(lay.cols)-lay.nkey
 	for i := lo; i < hi; i++ {
 		o := off + i - lo

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"testing"
 
@@ -22,36 +23,72 @@ import (
 // tests cover dictionary encoding — distributed round-robin over k
 // nodes.
 func mixedArray(t *testing.T, name string, n, ci int64, k int) *cluster.Distributed {
+	return lineSide(t, name+"<v:int, tag:string, f:float>", n, ci, k)
+}
+
+// numArray is mixedArray without the string attribute, so every chunk
+// a unit takes whole is borrowed.
+func numArray(t *testing.T, name string, n, ci int64, k int) *cluster.Distributed {
+	return lineSide(t, name+"<v:int, f:float>", n, ci, k)
+}
+
+// lineSide builds name<attrs>[i=1,n,ci] with every coordinate occupied
+// (cellValues), distributed round-robin over k nodes.
+func lineSide(t *testing.T, nameAttrs string, n, ci int64, k int) *cluster.Distributed {
 	t.Helper()
-	s := array.MustParseSchema(name + "<v:int, tag:string, f:float>[i=1,100,10]")
+	s := array.MustParseSchema(nameAttrs + "[i=1,100,10]")
 	s.Dims[0].End, s.Dims[0].ChunkInterval = n, ci
 	a := array.MustNew(s)
 	rng := rand.New(rand.NewSource(n))
-	tags := []string{"port", "open-sea", "anchorage"}
 	for i := int64(1); i <= n; i++ {
-		a.MustPut([]int64{i}, []array.Value{
-			array.IntValue(i % 13),
-			array.StringValue(tags[rng.Intn(len(tags))]),
-			array.FloatValue(rng.Float64()),
-		})
+		a.MustPut([]int64{i}, cellValues(s, i, rng))
 	}
 	return cluster.Distribute(a, k, cluster.RoundRobin)
+}
+
+// cellValues draws the attributes of the cell numbered c: an int is c
+// mod 13, a string one of three tags, a float uniform in [0, 1).
+func cellValues(s *array.Schema, c int64, rng *rand.Rand) []array.Value {
+	tags := []string{"port", "open-sea", "anchorage"}
+	vals := make([]array.Value, len(s.Attrs))
+	for i, at := range s.Attrs {
+		switch at.Type {
+		case array.TypeInt64:
+			vals[i] = array.IntValue(c % 13)
+		case array.TypeString:
+			vals[i] = array.StringValue(tags[rng.Intn(len(tags))])
+		case array.TypeFloat64:
+			vals[i] = array.FloatValue(rng.Float64())
+		}
+	}
+	return vals
 }
 
 // gridArray builds G<v:int, tag:string, f:float>[i=1,40,5, j=1,30,6]
 // with 600 of its cells occupied, the attributes drawn as mixedArray
 // draws them, distributed round-robin over k nodes.
 func gridArray(t *testing.T, k int) *cluster.Distributed {
+	return gridSide(t, "G<v:int, tag:string, f:float>", k)
+}
+
+// numGrid is gridArray without the string attribute.
+func numGrid(t *testing.T, k int) *cluster.Distributed {
+	return gridSide(t, "NG<v:int, f:float>", k)
+}
+
+// stringFree reports whether d carries no string attribute, so that
+// Place borrows its whole-chunk units.
+func stringFree(d *cluster.Distributed) bool {
+	return !slices.ContainsFunc(d.Array.Schema.Attrs, func(a array.Attribute) bool { return a.Type == array.TypeString })
+}
+
+func gridSide(t *testing.T, nameAttrs string, k int) *cluster.Distributed {
 	t.Helper()
-	a := array.MustNew(array.MustParseSchema("G<v:int, tag:string, f:float>[i=1,40,5, j=1,30,6]"))
+	s := array.MustParseSchema(nameAttrs + "[i=1,40,5, j=1,30,6]")
+	a := array.MustNew(s)
 	rng := rand.New(rand.NewSource(40))
-	tags := []string{"port", "open-sea", "anchorage"}
 	for _, c := range rng.Perm(40 * 30)[:600] {
-		a.MustPut([]int64{int64(c/30 + 1), int64(c%30 + 1)}, []array.Value{
-			array.IntValue(int64(c % 13)),
-			array.StringValue(tags[rng.Intn(len(tags))]),
-			array.FloatValue(rng.Float64()),
-		})
+		a.MustPut([]int64{int64(c/30 + 1), int64(c%30 + 1)}, cellValues(s, int64(c), rng))
 	}
 	return cluster.Distribute(a, k, cluster.RoundRobin)
 }
@@ -161,12 +198,20 @@ func TestChunkUnitMatchesRows(t *testing.T) {
 // destination, and the readers still decode every destination's.
 func TestMapSideStreamMatchesMapSide(t *testing.T) {
 	for _, k := range []int{1, 2, 4} {
-		for _, d := range []*cluster.Distributed{mixedArray(t, "A", 100, 10, k), gridArray(t, k)} {
+		sides := []*cluster.Distributed{mixedArray(t, "A", 100, 10, k), gridArray(t, k), numArray(t, "N", 100, 10, k), numGrid(t, k)}
+		for _, d := range sides {
 			for _, tc := range streamCases(d) {
-				for _, workers := range []int{1, 4} {
+				numeric := stringFree(d)
+				if numeric && tc.spec.Kind != ChunkUnits {
+					continue // the hash cases name the string attribute
+				}
+				for _, workers := range []int{1, 4, 8} {
 					name := tc.name
 					if len(d.Array.Schema.Dims) == 2 {
 						name = "2d/" + name
+					}
+					if numeric {
+						name = "borrowed/" + name
 					}
 					t.Run(fmt.Sprintf("%s/k=%d/workers=%d", name, k, workers), func(t *testing.T) {
 						ss, err := MapSide(d, k, tc.spec, tc.m)
@@ -225,6 +270,82 @@ func TestMapSideStreamMatchesMapSide(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestPlaceBorrowsWholeChunkUnits: Place borrows exactly the units
+// whose side is one chunk the count pass took whole, when the side
+// carries no string: such a unit's Run is the chunk's own columns, rows
+// 0 to its length, and the store holds only the other units' rows.
+// Releasing the units drops every view.
+func TestPlaceBorrowsWholeChunkUnits(t *testing.T) {
+	borrowed := 0
+	for _, k := range []int{1, 2, 4} {
+		sides := []*cluster.Distributed{mixedArray(t, "A", 100, 10, k), gridArray(t, k), numArray(t, "N", 100, 10, k), numGrid(t, k)}
+		for _, d := range sides {
+			numeric := stringFree(d)
+			for _, tc := range streamCases(d) {
+				if tc.spec.Kind != ChunkUnits {
+					continue
+				}
+				name := fmt.Sprintf("%s/%s/k=%d", d.Array.Schema.Name, tc.name, k)
+				// The chunks holding each unit's cells, and whether the
+				// count pass takes the first of them whole.
+				holders := make([][]*array.Chunk, tc.spec.NumUnits)
+				whole := make([]bool, tc.spec.NumUnits)
+				for key, ch := range d.Array.Chunks {
+					if u, ok := chunkUnit(tc.spec, tc.m, d.Array.Schema, key); ok && ch.Len() > 0 {
+						holders[u] = append(holders[u], ch)
+						whole[u] = len(holders[u]) == 1
+						continue
+					}
+					seen := make(map[int]bool)
+					for row := 0; row < ch.Len(); row++ {
+						if u := unitOfRow(tc.spec, tc.m, ch, row); !seen[u] {
+							seen[u] = true
+							holders[u] = append(holders[u], ch)
+							whole[u] = false
+						}
+					}
+				}
+				rs, err := CountSlices(d, k, tc.spec, tc.m, 8, StreamConfig{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				home := make([]int, tc.spec.NumUnits)
+				for u := range home {
+					home[u] = u % k
+				}
+				rs.Place(home, 8)
+				copied := 0
+				for u := 0; u < tc.spec.NumUnits; u++ {
+					run := rs.Run(u)
+					want := numeric && len(holders[u]) == 1 && whole[u]
+					if rs.borrowed(u) != want {
+						t.Fatalf("%s: unit %d borrowed %v, want %v", name, u, rs.borrowed(u), want)
+					}
+					if !want {
+						copied += run.Len()
+						continue
+					}
+					borrowed++
+					ch := holders[u][0]
+					if run.Lo != 0 || run.Hi != ch.Len() || &run.Store.Coords[0][0] != &ch.Coords[0][0] || &run.Store.Cols[0].Ints[0] != &ch.Coords[tc.m.KeyRefs[0].Index][0] {
+						t.Fatalf("%s: unit %d's run [%d, %d) is not its chunk's %d rows in place", name, u, run.Lo, run.Hi, ch.Len())
+					}
+				}
+				if n := len(rs.store.Coords[0]); n != copied {
+					t.Errorf("%s: the store holds %d rows, want the %d copied", name, n, copied)
+				}
+				rs.Release()
+				if rs.views != nil || rs.store != nil {
+					t.Errorf("%s: the released side still holds its views or store", name)
+				}
+			}
+		}
+	}
+	if borrowed == 0 {
+		t.Error("no unit was borrowed: the fixtures lost their whole-chunk units")
 	}
 }
 

@@ -125,7 +125,7 @@ func TestChunkKeyRoundTrip(t *testing.T) {
 		}
 		key := ChunkKeyOf(s, coords)
 		text := string(s.AppendKey(nil, key))
-		back, err := s.ParseKey(text)
+		back, err := s.ParseKey([]byte(text))
 		return reflect.DeepEqual(s.KeyIndices(key, nil), idx) &&
 			text == fmt.Sprintf("%d,%d,%d", idx[0], idx[1], idx[2]) && err == nil && back == key
 	}
@@ -459,12 +459,12 @@ func TestMustPutPanics(t *testing.T) {
 // for a position of the grid.
 func TestParseKeyRejects(t *testing.T) {
 	s := figure1Schema(t)
-	if k, err := s.ParseKey("1,1"); err != nil || k != 3 {
+	if k, err := s.ParseKey([]byte("1,1")); err != nil || k != 3 {
 		t.Fatalf(`ParseKey("1,1") = %d, %v; want 3`, k, err)
 	}
 	for _, text := range []string{"", "0", "0,0,0", "0,", ",0", "+1,0", "01,0", "0, 1", "2,0", "0,-1", "x,0",
 		"0,99999999999999999999"} {
-		if k, err := s.ParseKey(text); err == nil {
+		if k, err := s.ParseKey([]byte(text)); err == nil {
 			t.Errorf("ParseKey(%q) = %d, want an error", text, k)
 		}
 	}

@@ -121,13 +121,14 @@ func sortedKeysLoop() func(n int) error {
 	}
 }
 
-// sortRunsChunk is hash_hot's output shape: a 1-D row-numbered chunk
-// written by four nodes, each an ascending run of every fourth row
-// number, with two integer attributes.
-func sortRunsChunk(n int) *Chunk {
+// sortRunsChunk is a join's output shape: a 1-D row-numbered chunk
+// written by the given number of nodes, each an ascending run of every
+// nodes-th row number, with two integer attributes. hash_hot has four
+// nodes, whose runs Sort merges; wide_plan has 32, which it radix sorts.
+func sortRunsChunk(n, nodes int) *Chunk {
 	ch := NewChunk(0, 1, []ScalarType{TypeInt64, TypeInt64})
-	for node := int64(0); node < 4; node++ {
-		for row := node; row < int64(n); row += 4 {
+	for node := 0; node < nodes; node++ {
+		for row := int64(node); row < int64(n); row += int64(nodes) {
 			ch.AppendCell([]int64{row}, []Value{IntValue(row * 7), IntValue(row * 11)})
 		}
 	}
@@ -145,26 +146,49 @@ func sortRandomChunk(n int) *Chunk {
 	return ch
 }
 
-// sortLoop sorts a copy of the unsorted chunk tmpl per iteration with
-// sortFn, restoring the copy's columns in place first; the restore is
-// part of the measured loop. A warm-up sort fills Sort's pool.
-func sortLoop(tmpl *Chunk, sortFn func(*Chunk)) func() func(n int) error {
+// sortIngestChunks are the chunks of ingest_redim's redimension target
+// at n cells, as Reorganize leaves them: unsorted, each with many runs.
+func sortIngestChunks(n int) []*Chunk {
+	src, target := ingestShaped(n)
+	out, err := Reorganize(src, target, false, func(ChunkKey, ChunkKey, int) {})
+	if err != nil {
+		panic(err)
+	}
+	chunks := make([]*Chunk, 0, len(out.Chunks))
+	for _, key := range out.SortedKeys() {
+		chunks = append(chunks, out.Chunks[key])
+	}
+	return chunks
+}
+
+// sortLoop sorts copies of the unsorted integer chunks tmpls per
+// iteration with sortFn, restoring the copies' columns in place first;
+// the restore is part of the measured loop. A warm-up sort fills Sort's
+// pool.
+func sortLoop(sortFn func(*Chunk), tmpls ...*Chunk) func() func(n int) error {
 	return func() func(n int) error {
-		ch := tmpl.Clone()
-		sortFn(ch)
+		chunks := make([]*Chunk, len(tmpls))
+		for i, tmpl := range tmpls {
+			chunks[i] = tmpl.Clone()
+			sortFn(chunks[i])
+		}
 		return func(n int) error {
 			for i := 0; i < n; i++ {
-				for d := range ch.Coords {
-					copy(ch.Coords[d], tmpl.Coords[d])
+				for c, ch := range chunks {
+					for d := range ch.Coords {
+						copy(ch.Coords[d], tmpls[c].Coords[d])
+					}
+					for a := range ch.Cols {
+						copy(ch.Cols[a].Ints, tmpls[c].Cols[a].Ints)
+					}
+					ch.Sorted = false
+					sortFn(ch)
 				}
-				for c := range ch.Cols {
-					copy(ch.Cols[c].Ints, tmpl.Cols[c].Ints)
-				}
-				ch.Sorted = false
-				sortFn(ch)
 			}
-			if !ch.IsSortedCOrder() {
-				return errors.New("Sort left the chunk out of C-order")
+			for _, ch := range chunks {
+				if !ch.ascendingFrom(1) {
+					return errors.New("Sort left a chunk out of C-order")
+				}
 			}
 			return nil
 		}
@@ -193,24 +217,31 @@ func BenchmarkPutExistingChunk(b *testing.B) { runLoop(b, putExistingChunkLoop) 
 func BenchmarkSortedKeys(b *testing.B) { runLoop(b, sortedKeysLoop) }
 
 // BenchmarkChunkSort sorts hash_hot's output shape (328 k rows in four
-// interleaved ascending runs, which Sort merges) and a random 2-D chunk
-// of 20 k rows (which it sorts by permutation), each also through the
-// stable sort it replaced.
+// interleaved ascending runs, which Sort merges), wide_plan's (the same
+// rows in 32 runs), a random 2-D chunk of 20 k rows and the chunks of
+// ingest_redim's redimension target (which it radix sorts), each also
+// through the stable sort it replaced.
 func BenchmarkChunkSort(b *testing.B) {
 	shapes := []struct {
-		name string
-		ch   *Chunk
-	}{{"runs4_328k", sortRunsChunk(328_000)}, {"random2d_20k", sortRandomChunk(20_000)}}
+		name   string
+		chunks []*Chunk
+	}{
+		{"runs4_328k", []*Chunk{sortRunsChunk(328_000, 4)}},
+		{"runs32_328k", []*Chunk{sortRunsChunk(328_000, 32)}},
+		{"random2d_20k", []*Chunk{sortRandomChunk(20_000)}},
+		{"ingest_100k", sortIngestChunks(100_000)},
+	}
 	for _, sh := range shapes {
-		b.Run(sh.name+"/Sort", func(b *testing.B) { runLoop(b, sortLoop(sh.ch, (*Chunk).Sort)) })
-		b.Run(sh.name+"/stable", func(b *testing.B) { runLoop(b, sortLoop(sh.ch, stableSort)) })
+		b.Run(sh.name+"/Sort", func(b *testing.B) { runLoop(b, sortLoop((*Chunk).Sort, sh.chunks...)) })
+		b.Run(sh.name+"/stable", func(b *testing.B) { runLoop(b, sortLoop(stableSort, sh.chunks...)) })
 	}
 }
 
 // TestChunkKeyAllocGates gates the chunk-key and chunk-sort benchmark
 // loops, called not copied, on every core count: ChunkKeyOf, Put into an
-// existing chunk and a steady-state Sort (merging runs or sorting a
-// permutation) allocate nothing, SortedKeys only its result. Each loop
+// existing chunk and a steady-state Sort (merging 4 runs, or radix
+// sorting 32 runs, a random chunk or ingest_redim's target chunks)
+// allocate nothing, SortedKeys only its result. Each loop
 // runs a fixed number of iterations, and allocations are counted as
 // testing.Benchmark counts them: heap mallocs across the loop, divided by
 // the iterations.
@@ -224,8 +255,10 @@ func TestChunkKeyAllocGates(t *testing.T) {
 		{"ChunkKeyOf", chunkKeyOfLoop, 200_000, 0},
 		{"PutExistingChunk", putExistingChunkLoop, 100_000, 0},
 		{"SortedKeys", sortedKeysLoop, 500, 1},
-		{"ChunkSort/runs", sortLoop(sortRunsChunk(20_000), (*Chunk).Sort), 50, 0},
-		{"ChunkSort/random", sortLoop(sortRandomChunk(5_000), (*Chunk).Sort), 50, 0},
+		{"ChunkSort/runs", sortLoop((*Chunk).Sort, sortRunsChunk(20_000, 4)), 50, 0},
+		{"ChunkSort/runs32", sortLoop((*Chunk).Sort, sortRunsChunk(20_000, 32)), 50, 0},
+		{"ChunkSort/random", sortLoop((*Chunk).Sort, sortRandomChunk(5_000)), 50, 0},
+		{"ChunkSort/ingest", sortLoop((*Chunk).Sort, sortIngestChunks(20_000)...), 10, 0},
 	} {
 		for _, procs := range []int{1, 2, 8} {
 			prev := runtime.GOMAXPROCS(procs)

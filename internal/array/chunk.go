@@ -1,11 +1,11 @@
 package array
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"slices"
 	"strconv"
-	"strings"
 )
 
 // ChunkKey identifies a logical chunk position in array space: the
@@ -61,11 +61,11 @@ func (s *Schema) AppendKey(b []byte, k ChunkKey) []byte {
 // AppendKey writes for a position of the grid: one decimal index per
 // dimension, without sign or leading zeros, below the dimension's chunk
 // count.
-func (s *Schema) ParseKey(text string) (ChunkKey, error) {
+func (s *Schema) ParseKey(text []byte) (ChunkKey, error) {
 	var k int64
 	rest := text
 	for d, dim := range s.Dims {
-		part, tail, more := strings.Cut(rest, ",")
+		part, tail, more := bytes.Cut(rest, []byte{','})
 		v, ok := parseIndex(part)
 		if more != (d < len(s.Dims)-1) || !ok || v >= dim.ChunkCount() {
 			return 0, fmt.Errorf("array: chunk key %q is not a chunk position of %d dimensions", text, len(s.Dims))
@@ -78,8 +78,8 @@ func (s *Schema) ParseKey(text string) (ChunkKey, error) {
 
 // parseIndex parses a canonical non-negative decimal: digits only, no
 // leading zero unless it is "0", no overflow.
-func parseIndex(s string) (int64, bool) {
-	if s == "" || len(s) > 1 && s[0] == '0' {
+func parseIndex(s []byte) (int64, bool) {
+	if len(s) == 0 || len(s) > 1 && s[0] == '0' {
 		return 0, false
 	}
 	var v int64

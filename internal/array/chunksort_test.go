@@ -2,6 +2,7 @@ package array
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -87,16 +88,35 @@ func appendTestCell(ch *Chunk, coords []int64, id int) {
 	ch.AppendCell(coords, []Value{IntValue(int64(id)), FloatValue(float64(id) / 2), StringValue(fmt.Sprint("c", id))})
 }
 
+// extremeCoords are coordinates at and next to the ends of int64 and
+// zero: a dimension that holds both ends needs a whole 64-bit key word.
+var extremeCoords = []int64{math.MinInt64, math.MinInt64 + 1, -1, 0, 1, math.MaxInt64 - 1, math.MaxInt64}
+
 // sortCase builds an unsorted chunk of one shape: nd dimensions, n cells.
 func sortCase(shape string, nd, n int, rng *rand.Rand) *Chunk {
 	ch := NewChunk(0, nd, testAttrTypes)
 	coords := make([]int64, nd)
 	span := int64(1 + n/4) // small enough for duplicate coordinates
 	switch shape {
-	case "random":
+	case "random", "negative", "wide", "extremes", "equal":
 		for i := 0; i < n; i++ {
 			for d := range coords {
-				coords[d] = rng.Int63n(span)
+				switch shape {
+				case "random":
+					coords[d] = rng.Int63n(span)
+				case "negative":
+					coords[d] = rng.Int63n(2*span) - span
+				case "wide": // 40 bits: two dimensions do not share a word
+					coords[d] = rng.Int63n(1+span) << 38
+				case "extremes":
+					if k := rng.Intn(len(extremeCoords) + 1); k < len(extremeCoords) {
+						coords[d] = extremeCoords[k]
+					} else {
+						coords[d] = rng.Int63() - rng.Int63()
+					}
+				case "equal":
+					coords[d] = -3
+				}
 			}
 			appendTestCell(ch, coords, i)
 		}
@@ -139,12 +159,15 @@ func sortCase(shape string, nd, n int, rng *rand.Rand) *Chunk {
 }
 
 // TestChunkSortMatchesStable: Sort leaves every chunk shape exactly as the
-// stable sort does, cell for cell, whether it merges runs or sorts a
-// permutation.
+// stable sort does, cell for cell, whether it merges runs or radix sorts:
+// negative coordinates, coordinates at the ends of int64 (a key of more
+// than one word), up to nine dimensions, all-equal coordinates, and up to
+// 40 runs.
 func TestChunkSortMatchesStable(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	shapes := []string{"random", "sorted", "reversed", "runs=2", "runs=4", "runs=8", "runs=9", "runs=40"}
-	for _, nd := range []int{0, 1, 3} {
+	shapes := []string{"random", "negative", "wide", "extremes", "equal", "sorted", "reversed",
+		"runs=2", "runs=4", "runs=8", "runs=9", "runs=32", "runs=40"}
+	for _, nd := range []int{0, 1, 2, 3, 8, 9} {
 		for _, shape := range shapes {
 			for _, n := range []int{0, 1, 2, 3, 17, 100, 1000, 5000} {
 				ch := sortCase(shape, nd, n, rng)
@@ -157,6 +180,66 @@ func TestChunkSortMatchesStable(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzChunkSort holds Sort to the stable sort on chunks of 0–4
+// dimensions whose coordinates are drawn by seed: each dimension from a
+// range of its own, a fuzzed base and span moved by the draw, and in
+// about half the dimensions a quarter of the coordinates replaced by an
+// end of int64 or its neighbour. Up to runs ascending runs are sorted
+// first and appended in turn, so the run merge is fuzzed too.
+func FuzzChunkSort(f *testing.F) {
+	f.Add(uint8(2), int64(0), uint64(100), int64(1), uint16(500), uint8(0))
+	f.Add(uint8(3), int64(-50), uint64(1)<<40, int64(2), uint16(2000), uint8(0))
+	f.Add(uint8(2), int64(math.MinInt64), uint64(math.MaxUint64), int64(3), uint16(1000), uint8(0))
+	f.Add(uint8(1), int64(math.MaxInt64), uint64(3), int64(4), uint16(300), uint8(5))
+	f.Add(uint8(4), int64(7), uint64(9), int64(5), uint16(900), uint8(12))
+	f.Add(uint8(0), int64(0), uint64(0), int64(6), uint16(10), uint8(0))
+	f.Fuzz(func(t *testing.T, nd uint8, base int64, span uint64, seed int64, n uint16, runs uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		dims := int(nd % 5)
+		lo, spans, extreme := make([]int64, dims), make([]uint64, dims), make([]bool, dims)
+		for d := range lo {
+			lo[d] = base + rng.Int63n(1001) - 500
+			spans[d] = span >> rng.Intn(64)
+			extreme[d] = rng.Intn(2) == 0
+		}
+		cells := func(ch *Chunk, m int, id *int) {
+			coords := make([]int64, dims)
+			for i := 0; i < m; i++ {
+				for d := range coords {
+					switch {
+					case extreme[d] && rng.Intn(4) == 0:
+						coords[d] = extremeCoords[rng.Intn(len(extremeCoords))]
+					case spans[d] == 0:
+						coords[d] = lo[d]
+					default: // wraps past an end of int64 like the key's offsets
+						coords[d] = int64(uint64(lo[d]) + rng.Uint64()%spans[d])
+					}
+				}
+				appendTestCell(ch, coords, *id)
+				*id++
+			}
+		}
+		size, k := int(n%3000), int(runs%41)
+		ch, id := NewChunk(0, dims, testAttrTypes), 0
+		if k == 0 {
+			cells(ch, size, &id)
+		}
+		for r := 0; r < k; r++ {
+			run := NewChunk(0, dims, testAttrTypes)
+			cells(run, size/k, &id)
+			stableSort(run)
+			ch.AppendColumns(run, nil)
+		}
+		ch.Sorted = false
+		want := ch.Clone()
+		stableSort(want)
+		ch.Sort()
+		if diff := sameChunk(ch, want); diff != "" {
+			t.Fatalf("%d dims, %d cells, %d runs: %s", dims, ch.Len(), k, diff)
+		}
+	})
 }
 
 // TestAppendColumnsMatchesAppendCell: any sequence of column appends, of

@@ -103,7 +103,7 @@ func FuzzChunkKey(f *testing.F) {
 			if text != strings.Join(parts, ",") {
 				t.Fatalf("%s: text of key %d = %q, want %q", s, key, text, strings.Join(parts, ","))
 			}
-			if back, err := s.ParseKey(text); err != nil || back != key {
+			if back, err := s.ParseKey([]byte(text)); err != nil || back != key {
 				t.Fatalf("%s: ParseKey(%q) = %d, %v; want %d", s, text, back, err, key)
 			}
 		}

@@ -51,10 +51,10 @@ func NewBudget(limit int64, strict bool) *Budget {
 	return &Budget{limit: limit, strict: strict}
 }
 
-// SetFlight attaches a flight recorder so every charge/credit (and the
-// overflow crossing, if any) leaves an event trail. Must be called
-// before the budget is shared with workers; events are pure telemetry
-// and never alter accounting.
+// SetFlight attaches a flight recorder so every charge and recorded
+// credit (and the overflow crossing, if any) leaves an event trail.
+// Must be called before the budget is shared with workers; events are
+// pure telemetry and never alter accounting.
 func (b *Budget) SetFlight(fr *flight.Recorder, qid uint32) {
 	if b != nil {
 		b.fr, b.qid = fr, qid
@@ -88,11 +88,28 @@ func (b *Budget) Acquire(n int64) error {
 	return nil
 }
 
-// Release returns n bytes to the budget.
+// Release returns n bytes to the budget and records the credit.
 func (b *Budget) Release(n int64) {
+	b.Return(n)
+	b.RecordCredit(n)
+}
+
+// Return returns n bytes to the budget without recording a credit. A
+// holder that gives its charge back in parts (a RunSet, join unit by
+// join unit) returns each part as it goes, so Used falls as they
+// retire, and records their sum once with RecordCredit: one event per
+// charge, however many parts, keeps the flight ring's history.
+func (b *Budget) Return(n int64) {
 	if b != nil {
-		u := b.used.Add(-n)
-		b.fr.Record(flight.EvBudgetCredit, b.qid, n, u, b.limit, 0)
+		b.used.Add(-n)
+	}
+}
+
+// RecordCredit records one credit of n bytes already given back through
+// Return.
+func (b *Budget) RecordCredit(n int64) {
+	if b != nil {
+		b.fr.Record(flight.EvBudgetCredit, b.qid, n, b.used.Load(), b.limit, 0)
 	}
 }
 

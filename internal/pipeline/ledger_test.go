@@ -136,6 +136,65 @@ func TestLedgerClosedOnEveryExit(t *testing.T) {
 	}
 }
 
+// TestLongQueryKeepsItsStart: a D:D merge query of more join units than
+// the flight ring has slots for half of (72 × 72 one-cell chunks a side,
+// 5,184 units) still finds its query-start in flight.Default when it
+// finishes or is canceled between Align and Compare, and Ledger.Check
+// passes: a side records one budget-credit event, not one per unit.
+func TestLongQueryKeepsItsStart(t *testing.T) {
+	const n = 72
+	grid := func(name, attr string) *array.Array {
+		a := array.MustNew(array.MustParseSchema(fmt.Sprintf("%s<%s:int>[i=1,%d,1, j=1,%d,1]", name, attr, n, n)))
+		for i := int64(1); i <= n; i++ {
+			for j := int64(1); j <= n; j++ {
+				a.MustPut([]int64{i, j}, []array.Value{array.IntValue(i * j % 7)})
+			}
+		}
+		return a
+	}
+	a, b := grid("A", "v"), grid("B", "w")
+	merge := join.Merge
+	for _, calls := range []int64{-1, 0} {
+		t.Run(fmt.Sprintf("armed=%d", calls), func(t *testing.T) {
+			c := newCluster(t, 4, a.Clone(), b.Clone())
+			dl, _ := c.Catalog.Lookup("A")
+			dr, _ := c.Catalog.Lookup("B")
+			ctx := &countdownCtx{Context: context.Background()}
+			opt := pipeline.Options{ForceAlgo: &merge, Parallelism: 2}
+			// The same query, run to completion first, warms the pools.
+			if _, err := pipeline.RunDistributed(c, dl, dr, ddPred, nil, opt); err != nil {
+				t.Fatal(err)
+			}
+			opt.Ctx = ctx
+			qc := pipeline.NewQueryContext(c, dl, dr, ddPred, nil, opt)
+			var bl, br int
+			probe := probeStage{func(qc *pipeline.QueryContext) {
+				bl, br = qc.BorrowedUnits()
+				if calls >= 0 {
+					armStage{ctx, calls}.Run(qc)
+				}
+			}}
+			st := pipeline.DefaultStages()
+			stages := append(append(append([]pipeline.Stage{}, st[:4]...), probe), st[4:]...)
+			ledger := pipeline.OpenLedger()
+			err := pipeline.Execute(qc, stages)
+			want := error(nil)
+			if calls >= 0 {
+				want = context.Canceled
+			}
+			if !errors.Is(err, want) {
+				t.Fatalf("err = %v, want %v", err, want)
+			}
+			if bl < 5000 || br < 5000 {
+				t.Fatalf("%d left and %d right units borrowed, want every one of %d", bl, br, n*n)
+			}
+			if err := ledger.Check(qc); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+}
+
 // chunkColumns deep-copies every chunk's coordinate and attribute
 // columns, by chunk key.
 func chunkColumns(a *array.Array) map[array.ChunkKey]*array.Chunk {

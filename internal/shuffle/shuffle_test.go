@@ -114,7 +114,7 @@ func TestSizesMatchPlacement(t *testing.T) {
 	sizes := ss.Sizes()
 	// With matching chunking, unit u's cells all live where chunk u lives.
 	for u := 0; u < 10; u++ {
-		key, err := d.Array.Schema.ParseKey(strconv.Itoa(u))
+		key, err := d.Array.Schema.ParseKey([]byte(strconv.Itoa(u)))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -37,7 +37,8 @@ type StreamConfig struct {
 	// when nil.
 	Intern *batch.Intern
 	// Budget, when non-nil, is charged for each side's store before it
-	// is taken and credited unit by unit on ReleaseUnit — per-query
+	// is taken and credited unit by unit on ReleaseUnit, with one
+	// credit event per side when its last unit is released — per-query
 	// memory accounting with counted or strict overflow (see
 	// batch.Budget). Typically shared by both sides of the join.
 	Budget *batch.Budget
@@ -192,16 +193,16 @@ func (rs *RunSet) Run(u int) batch.Run {
 // ReleaseUnit credits unit u's bytes back to the budget, borrowed or
 // copied alike. Called once a unit's comparison has fully consumed it;
 // a second call for the same unit does nothing. When the side's last
-// unit is released, its store and its views go back to their pools.
+// unit is released, the side's one credit event, of all its bytes, is
+// recorded, and its store and its views go back to their pools.
 func (rs *RunSet) ReleaseUnit(u int) {
 	if rs.released[u] {
 		return
 	}
 	rs.released[u] = true
-	if n := rs.UnitTotal(u); n > 0 {
-		rs.budget.Release(n * rs.lay.rowBytes())
-	}
+	rs.budget.Return(rs.UnitTotal(u) * rs.lay.rowBytes())
 	if rs.live.Add(-1) == 0 {
+		rs.budget.RecordCredit(int64(rs.lo[rs.Spec.NumUnits]) * rs.lay.rowBytes())
 		batch.Put(rs.store)
 		rs.store = nil
 		if rs.views != nil {
@@ -212,9 +213,10 @@ func (rs *RunSet) ReleaseUnit(u int) {
 }
 
 // Release returns what the side still holds when its query stops
-// early: it credits every unit not yet released, which sends a placed
-// store and its views back to their pools, and, before Place, returns
-// the count pass's per-row scratch. Call it once no worker reads the side; a nil RunSet
+// early: it credits every unit not yet released, which records the
+// side's credit event and sends a placed store and its views back to
+// their pools, and, before Place, returns the count pass's per-row
+// scratch. Call it once no worker reads the side; a nil RunSet
 // holds nothing.
 func (rs *RunSet) Release() {
 	if rs == nil {

@@ -373,8 +373,11 @@ func runTuples(rs *RunSet, run batch.Run) []join.Tuple {
 }
 
 // TestRunSetBudgetLifecycle: each side is charged once, for all its
-// cells, and every released unit is credited; after all units retire
-// the budget reads zero and ReleaseUnit is idempotent.
+// cells, and every released unit is credited, so Used falls as units
+// retire; after all units retire the budget reads zero and ReleaseUnit
+// is idempotent. Each side records one credit event, of all its bytes,
+// whether its last unit retires through ReleaseUnit or through Release
+// when the query stops early.
 func TestRunSetBudgetLifecycle(t *testing.T) {
 	const k = 3
 	d := mixedArray(t, "C", 60, 10, k)
@@ -407,14 +410,30 @@ func TestRunSetBudgetLifecycle(t *testing.T) {
 	if charges != 2 {
 		t.Errorf("%d budget charges for two sides, want 2", charges)
 	}
-	for _, rs := range sets {
-		for u := 0; u < tc.spec.NumUnits; u++ {
-			rs.ReleaseUnit(u)
-			rs.ReleaseUnit(u) // idempotent
+	for u := 0; u < tc.spec.NumUnits; u++ {
+		before := bud.Used()
+		sets[0].ReleaseUnit(u)
+		sets[0].ReleaseUnit(u) // idempotent
+		if want := before - sets[0].UnitTotal(u)*5*8; bud.Used() != want {
+			t.Errorf("after releasing unit %d: Used = %d, want %d", u, bud.Used(), want)
 		}
 	}
+	sets[1].ReleaseUnit(0)
+	sets[1].Release() // the query stopped early
 	if bud.Used() != 0 {
 		t.Errorf("after releasing every unit: Used = %d, want 0", bud.Used())
+	}
+	credits := 0
+	for _, e := range fr.Snapshot(0) {
+		if e.Type == flight.EvBudgetCredit {
+			credits++
+			if e.Args[0] != sideBytes {
+				t.Errorf("a credit of %d bytes, want the side's %d", e.Args[0], sideBytes)
+			}
+		}
+	}
+	if credits != 2 {
+		t.Errorf("%d budget credits for two sides, want 2", credits)
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"shufflejoin/internal/array"
@@ -110,8 +111,12 @@ func ReadArray(r io.Reader) (*array.Array, error) {
 	if err != nil {
 		return nil, err
 	}
+	var text []byte // each chunk's key text in turn
 	for c := uint64(0); c < nChunks; c++ {
-		ch, err := readChunk(br, schema)
+		var ch *array.Chunk
+		if text, err = readBytes(br, text); err == nil {
+			ch, err = readChunk(br, schema, text)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("storage: chunk %d: %w", c, err)
 		}
@@ -187,11 +192,8 @@ func writeChunk(w *bufio.Writer, key []byte, ch *array.Chunk) error {
 	return nil
 }
 
-func readChunk(r *bytes.Reader, schema *array.Schema) (*array.Chunk, error) {
-	text, err := readString(r)
-	if err != nil {
-		return nil, err
-	}
+// readChunk reads the chunk whose key text has been read.
+func readChunk(r *bytes.Reader, schema *array.Schema, text []byte) (*array.Chunk, error) {
 	key, err := schema.ParseKey(text)
 	if err != nil {
 		return nil, err
@@ -223,7 +225,7 @@ func readChunk(r *bytes.Reader, schema *array.Schema) (*array.Chunk, error) {
 		// Every cell lies in the chunk its key names.
 		for _, v := range ch.Coords[d] {
 			if !dim.Contains(v) || dim.ChunkIndex(v) != home[d] {
-				return nil, fmt.Errorf("cell coordinate %s=%d is outside chunk %s", dim.Name, v, text)
+				return nil, fmt.Errorf("cell coordinate %s=%d is outside chunk %s", dim.Name, v, schema.AppendKey(nil, key))
 			}
 		}
 	}
@@ -323,6 +325,19 @@ func readString(r *bytes.Reader) (string, error) {
 		b.WriteByte(c)
 	}
 	return b.String(), nil
+}
+
+// readBytes reads a length-prefixed string into buf, which it returns,
+// grown if it had to be: a reader that reuses buf allocates nothing for
+// strings it only parses.
+func readBytes(r *bytes.Reader, buf []byte) ([]byte, error) {
+	n, err := readCount(r)
+	if err != nil {
+		return buf, err
+	}
+	buf = slices.Grow(buf[:0], n)[:n]
+	_, err = io.ReadFull(r, buf)
+	return buf, err
 }
 
 // readCount reads the uvarint count of elements that follow and rejects

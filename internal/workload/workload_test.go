@@ -256,7 +256,7 @@ func TestGrid2DChunkSizes(t *testing.T) {
 	// Chunk (0,0) must hold exactly sizes[0] cells, etc.
 	for u, want := range sizes {
 		text := fmt.Sprintf("%d,%d", u/4, u%4)
-		key, err := a.Schema.ParseKey(text)
+		key, err := a.Schema.ParseKey([]byte(text))
 		if err != nil {
 			t.Fatal(err)
 		}

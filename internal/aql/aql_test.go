@@ -3,6 +3,7 @@ package aql
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -43,8 +44,7 @@ func TestParseMergeJoinQuery(t *testing.T) {
 	if len(q.Pred) != 2 {
 		t.Fatalf("Pred = %v", q.Pred)
 	}
-	b, ok := q.Select[0].Expr.(BinExpr)
-	if !ok || b.Op != '-' {
+	if q.Select[0].Expr.Op != '-' {
 		t.Errorf("Select[0] = %#v", q.Select[0].Expr)
 	}
 }
@@ -65,8 +65,7 @@ func TestParseNDVIQuery(t *testing.T) {
 	if len(q.Select) != 1 {
 		t.Fatalf("Select = %v", q.Select)
 	}
-	div, ok := q.Select[0].Expr.(BinExpr)
-	if !ok || div.Op != '/' {
+	if q.Select[0].Expr.Op != '/' {
 		t.Errorf("top expr = %#v", q.Select[0].Expr)
 	}
 }
@@ -124,13 +123,19 @@ func TestQueryStringRoundTrips(t *testing.T) {
 }
 
 func TestCompileInfersOutputSchema(t *testing.T) {
-	left := array.MustParseSchema("A<v1:int, v2:float>[i=1,100,10]")
-	right := array.MustParseSchema("B<v1:int, v2:float>[i=1,100,10]")
-	q, err := Parse("SELECT A.v1 - B.v1, A.v2 / B.v2 FROM A, B WHERE A.i = B.i")
+	left := array.MustNew(array.MustParseSchema("A<v1:int, v2:float, v3:int>[i=1,100,10]"))
+	right := array.MustNew(array.MustParseSchema("B<v1:int, v2:float, v3:int>[i=1,100,10]"))
+	for i := int64(1); i <= 20; i++ {
+		vals := []array.Value{array.IntValue(i), array.FloatValue(float64(i)), array.IntValue(i)}
+		left.MustPut([]int64{i}, vals)
+		right.MustPut([]int64{i}, vals)
+	}
+	query := "SELECT A.v1 - B.v1, A.v2 / B.v2 FROM A, B WHERE A.i = B.i"
+	q, err := Parse(query)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := Compile(q, left, right)
+	c, err := Compile(q, left.Schema, right.Schema)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,9 +151,18 @@ func TestCompileInfersOutputSchema(t *testing.T) {
 	if len(c.Out.Dims) == 0 {
 		t.Error("D:D default output should keep the dimension space")
 	}
-	// v1 and v2 are carried on both sides for the expressions.
-	if len(c.ExtraCarryLeft) != 2 || len(c.ExtraCarryRight) != 2 {
-		t.Errorf("carries = %v / %v", c.ExtraCarryLeft, c.ExtraCarryRight)
+	// v1 and v2 are carried on both sides for the expressions, v3 on
+	// neither.
+	cl := cluster.MustNew(2)
+	cl.Load(left, cluster.RoundRobin)
+	cl.Load(right, cluster.RoundRobin)
+	rep, err := Run(cl, query, pipeline.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	js := rep.Logical.JS
+	if want := []int{0, 1}; !slices.Equal(js.LeftCarry, want) || !slices.Equal(js.RightCarry, want) {
+		t.Errorf("carries = %v / %v, want %v on both sides", js.LeftCarry, js.RightCarry, want)
 	}
 }
 
@@ -279,4 +293,79 @@ func TestRunUnorderedOutput(t *testing.T) {
 	if rep.Matches != 6 {
 		t.Errorf("Matches = %d, want 6", rep.Matches)
 	}
+}
+
+// numberPair loads A<v:int, s:string>[i=1,4,2], every s "2.5", and
+// B<w:int>[i=1,4,2] on two nodes.
+func numberPair(t *testing.T) *cluster.Cluster {
+	t.Helper()
+	a := array.MustNew(array.MustParseSchema("A<v:int, s:string>[i=1,4,2]"))
+	b := array.MustNew(array.MustParseSchema("B<w:int>[i=1,4,2]"))
+	for i := int64(1); i <= 4; i++ {
+		a.MustPut([]int64{i}, []array.Value{array.IntValue(10 * i), array.StringValue("2.5")})
+		b.MustPut([]int64{i}, []array.Value{array.IntValue(i)})
+	}
+	c := cluster.MustNew(2)
+	c.Load(a, cluster.RoundRobin)
+	c.Load(b, cluster.RoundRobin)
+	return c
+}
+
+// TestSelectIntLiteralExact: an integer literal in a SELECT list is
+// the int64 it spells, not the nearest float64 (2^53 + 1 is not one).
+func TestSelectIntLiteralExact(t *testing.T) {
+	rep, err := Run(numberPair(t), "SELECT A.v + 9007199254740993 FROM A, B WHERE A.i = B.i", pipeline.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Matches != 4 {
+		t.Fatalf("Matches = %d, want 4", rep.Matches)
+	}
+	rep.Output.Scan(func(coords []int64, attrs []array.Value) bool {
+		if want := 10*coords[0] + 9007199254740993; attrs[0].Kind != array.TypeInt64 || attrs[0].Int != want {
+			t.Errorf("cell %v = %v, want the int %d", coords, attrs[0], want)
+		}
+		return true
+	})
+}
+
+// TestSelectBadNumber: a number token SELECT cannot read exactly — an
+// integer past int64, a suffix on a float — fails as it does in WHERE.
+func TestSelectBadNumber(t *testing.T) {
+	c := numberPair(t)
+	for _, lit := range []string{"99999999999999999999", "1.5k"} {
+		for _, query := range []string{
+			"SELECT A.v + " + lit + " FROM A, B WHERE A.i = B.i",
+			"SELECT A.v FROM A, B WHERE A.i = B.i AND A.v < " + lit,
+		} {
+			want := `bad number "` + lit + `"`
+			if _, err := Run(c, query, pipeline.Options{}); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: err = %v, want %s", query, err, want)
+			}
+		}
+	}
+}
+
+// TestSelectStringArithmetic: a string column in arithmetic is the
+// float it parses to, so "2.5" + 1 is the float 3.5 and -"2.5" the
+// float -2.5, in float attributes.
+func TestSelectStringArithmetic(t *testing.T) {
+	rep, err := Run(numberPair(t), "SELECT A.s + 1, -A.s FROM A, B WHERE A.i = B.i", pipeline.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, a := range rep.Output.Schema.Attrs {
+		if a.Type != array.TypeFloat64 {
+			t.Errorf("attribute %d is %v, want float", i, a.Type)
+		}
+	}
+	if rep.Matches != 4 {
+		t.Fatalf("Matches = %d, want 4", rep.Matches)
+	}
+	rep.Output.Scan(func(coords []int64, attrs []array.Value) bool {
+		if !attrs[0].Equal(array.FloatValue(3.5)) || !attrs[1].Equal(array.FloatValue(-2.5)) {
+			t.Errorf("cell %v = %v, want [3.5 -2.5]", coords, attrs)
+		}
+		return true
+	})
 }

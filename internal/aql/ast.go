@@ -7,44 +7,24 @@ import (
 
 	"shufflejoin/internal/array"
 	"shufflejoin/internal/join"
+	"shufflejoin/internal/pipeline"
 )
 
-// Expr is a projection expression node.
-type Expr interface {
-	String() string
-	// columns appends every column reference in the expression.
-	columns(dst []ColRef) []ColRef
-}
-
-// ColRef names a source column (dimension or attribute), optionally
-// qualified with its array name.
-type ColRef struct {
-	Array string
-	Name  string
-}
-
-// String implements Expr.
-func (c ColRef) String() string {
-	if c.Array == "" {
-		return c.Name
+// exprString renders a SELECT expression as AQL text that parses back
+// to the same tree: arithmetic parenthesized, floats by floatLit.
+func exprString(e *pipeline.Expr) string {
+	switch e.Op {
+	case pipeline.OpCol:
+		return join.Term{Array: e.Array, Name: e.Field}.String()
+	case pipeline.OpLit:
+		if e.Lit.Kind == array.TypeFloat64 {
+			return floatLit(e.Lit.F)
+		}
+		return e.Lit.String()
+	case pipeline.OpNeg:
+		return "-" + exprString(e.L)
 	}
-	return c.Array + "." + c.Name
-}
-
-func (c ColRef) columns(dst []ColRef) []ColRef { return append(dst, c) }
-
-// NumLit is a numeric literal.
-type NumLit struct {
-	Val   float64
-	IsInt bool
-}
-
-// String implements Expr.
-func (n NumLit) String() string {
-	if n.IsInt {
-		return strconv.FormatFloat(n.Val, 'f', -1, 64)
-	}
-	return floatLit(n.Val)
+	return fmt.Sprintf("(%s %c %s)", exprString(e.L), e.Op, exprString(e.R))
 }
 
 // floatLit renders a float as an AQL number token: positional notation
@@ -58,32 +38,9 @@ func floatLit(f float64) string {
 	return s
 }
 
-func (n NumLit) columns(dst []ColRef) []ColRef { return dst }
-
-// BinExpr is a binary arithmetic expression.
-type BinExpr struct {
-	Op   byte // + - * /
-	L, R Expr
-}
-
-// String implements Expr.
-func (b BinExpr) String() string {
-	return fmt.Sprintf("(%s %c %s)", b.L, b.Op, b.R)
-}
-
-func (b BinExpr) columns(dst []ColRef) []ColRef { return b.R.columns(b.L.columns(dst)) }
-
-// NegExpr is unary minus.
-type NegExpr struct{ E Expr }
-
-// String implements Expr.
-func (n NegExpr) String() string { return "-" + n.E.String() }
-
-func (n NegExpr) columns(dst []ColRef) []ColRef { return n.E.columns(dst) }
-
 // SelectItem is one projection: an expression with an optional alias.
 type SelectItem struct {
-	Expr  Expr
+	Expr  pipeline.Expr
 	Alias string
 }
 
@@ -93,8 +50,8 @@ func (s SelectItem) Name(pos int) string {
 	if s.Alias != "" {
 		return s.Alias
 	}
-	if c, ok := s.Expr.(ColRef); ok {
-		return c.Name
+	if s.Expr.Op == pipeline.OpCol {
+		return s.Expr.Field
 	}
 	return fmt.Sprintf("expr_%d", pos)
 }
@@ -102,7 +59,7 @@ func (s SelectItem) Name(pos int) string {
 // Filter is a non-join WHERE conjunct: column OP literal, applied to its
 // source array before the join (selection pushdown).
 type Filter struct {
-	Col ColRef
+	Col join.Term
 	Op  string // = != < <= > >=
 	Val array.Value
 }
@@ -146,7 +103,7 @@ func (q *Query) String() string {
 			if i > 0 {
 				b.WriteString(", ")
 			}
-			b.WriteString(s.Expr.String())
+			b.WriteString(exprString(&s.Expr))
 			if s.Alias != "" {
 				b.WriteString(" AS " + s.Alias)
 			}

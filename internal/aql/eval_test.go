@@ -26,24 +26,19 @@ type evalFunc func(l, r *join.Tuple) array.Value
 type accessorFunc func(arrayName, field string) (func(l, r *join.Tuple) array.Value, error)
 
 // compileExpr lowers an expression to an evaluator over matched tuples.
-func compileExpr(e Expr, acc accessorFunc) (evalFunc, error) {
-	switch x := e.(type) {
-	case ColRef:
-		f, err := acc(x.Array, x.Name)
+func compileExpr(e *pipeline.Expr, acc accessorFunc) (evalFunc, error) {
+	switch e.Op {
+	case pipeline.OpCol:
+		f, err := acc(e.Array, e.Field)
 		if err != nil {
 			return nil, err
 		}
 		return evalFunc(f), nil
-	case NumLit:
-		var v array.Value
-		if x.IsInt {
-			v = array.IntValue(int64(x.Val))
-		} else {
-			v = array.FloatValue(x.Val)
-		}
+	case pipeline.OpLit:
+		v := e.Lit
 		return func(l, r *join.Tuple) array.Value { return v }, nil
-	case NegExpr:
-		inner, err := compileExpr(x.E, acc)
+	case pipeline.OpNeg:
+		inner, err := compileExpr(e.L, acc)
 		if err != nil {
 			return nil, err
 		}
@@ -54,46 +49,44 @@ func compileExpr(e Expr, acc accessorFunc) (evalFunc, error) {
 			}
 			return array.FloatValue(-v.AsFloat())
 		}, nil
-	case BinExpr:
-		lf, err := compileExpr(x.L, acc)
-		if err != nil {
-			return nil, err
-		}
-		rf, err := compileExpr(x.R, acc)
-		if err != nil {
-			return nil, err
-		}
-		op := x.Op
-		return func(l, r *join.Tuple) array.Value {
-			a, b := lf(l, r), rf(l, r)
-			bothInt := a.Kind == array.TypeInt64 && b.Kind == array.TypeInt64
-			switch op {
-			case '+':
-				if bothInt {
-					return array.IntValue(a.Int + b.Int)
-				}
-				return array.FloatValue(a.AsFloat() + b.AsFloat())
-			case '-':
-				if bothInt {
-					return array.IntValue(a.Int - b.Int)
-				}
-				return array.FloatValue(a.AsFloat() - b.AsFloat())
-			case '*':
-				if bothInt {
-					return array.IntValue(a.Int * b.Int)
-				}
-				return array.FloatValue(a.AsFloat() * b.AsFloat())
-			case '/':
-				d := b.AsFloat()
-				if d == 0 {
-					return array.FloatValue(math.NaN())
-				}
-				return array.FloatValue(a.AsFloat() / d)
-			}
-			return array.Value{}
-		}, nil
 	}
-	return nil, fmt.Errorf("aql: unsupported expression %T", e)
+	lf, err := compileExpr(e.L, acc)
+	if err != nil {
+		return nil, err
+	}
+	rf, err := compileExpr(e.R, acc)
+	if err != nil {
+		return nil, err
+	}
+	op := e.Op
+	return func(l, r *join.Tuple) array.Value {
+		a, b := lf(l, r), rf(l, r)
+		bothInt := a.Kind == array.TypeInt64 && b.Kind == array.TypeInt64
+		switch op {
+		case '+':
+			if bothInt {
+				return array.IntValue(a.Int + b.Int)
+			}
+			return array.FloatValue(a.AsFloat() + b.AsFloat())
+		case '-':
+			if bothInt {
+				return array.IntValue(a.Int - b.Int)
+			}
+			return array.FloatValue(a.AsFloat() - b.AsFloat())
+		case '*':
+			if bothInt {
+				return array.IntValue(a.Int * b.Int)
+			}
+			return array.FloatValue(a.AsFloat() * b.AsFloat())
+		case '/':
+			d := b.AsFloat()
+			if d == 0 {
+				return array.FloatValue(math.NaN())
+			}
+			return array.FloatValue(a.AsFloat() / d)
+		}
+		return array.Value{}
+	}, nil
 }
 
 // tupleAccessor resolves columns over tuples that carry every attribute
@@ -138,7 +131,7 @@ func evaluatorRows(t *testing.T, a, b *array.Array, query string) []string {
 	acc := tupleAccessor(a.Schema, b.Schema)
 	var evals []evalFunc
 	for _, item := range q.Select {
-		ev, err := compileExpr(item.Expr, acc)
+		ev, err := compileExpr(&item.Expr, acc)
 		if err != nil {
 			t.Fatal(err)
 		}

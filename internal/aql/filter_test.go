@@ -10,6 +10,7 @@ import (
 
 	"shufflejoin/internal/array"
 	"shufflejoin/internal/cluster"
+	"shufflejoin/internal/join"
 	"shufflejoin/internal/pipeline"
 )
 
@@ -160,7 +161,7 @@ func figure1() *array.Array {
 
 // cond is the literal filter "name op val" on an unqualified column.
 func cond(name, op string, val array.Value) Filter {
-	return Filter{Col: ColRef{Name: name}, Op: op, Val: val}
+	return Filter{Col: join.Term{Name: name}, Op: op, Val: val}
 }
 
 func TestFilterPaperExample(t *testing.T) {
@@ -358,7 +359,7 @@ func TestFilterBigIntsExact(t *testing.T) {
 		{">=", 1<<53 + 2, []int64{1<<53 + 2, 1 << 62}},
 		{"!=", 1<<62 + 1, vals},
 	} {
-		out, err := filterArray(a, Filter{Col: ColRef{Name: "v"}, Op: tc.op, Val: array.IntValue(tc.lit)})
+		out, err := filterArray(a, Filter{Col: join.Term{Name: "v"}, Op: tc.op, Val: array.IntValue(tc.lit)})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -45,6 +45,9 @@ func FuzzParse(f *testing.F) {
 		"SELECT 99999999999999999999 FROM A, B WHERE A.i = B.i",
 		"SELECT 2.0 FROM A, B WHERE A.i = B.i",
 		"SELECT 100000000000000000000000.5 FROM A, B WHERE A.i = B.i",
+		// SELECT literals the WHERE reader rejects or must keep exact.
+		"SELECT A.v + 9007199254740993 FROM A, B WHERE A.i = B.i",
+		"SELECT A.v + 1.5k FROM A, B WHERE A.i = B.i",
 	} {
 		f.Add(src)
 	}

@@ -11,8 +11,8 @@
 //	  AND Band1.latitude = Band2.latitude;
 //
 // Parsed queries compile against a cluster catalog into the predicate,
-// destination schema, carry lists, and projection function the shuffle join
-// executor consumes.
+// destination schema and SELECT expressions (pipeline.Expr) the shuffle
+// join executor consumes.
 package aql
 
 import (

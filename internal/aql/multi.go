@@ -95,8 +95,8 @@ func runMultiParsed(c *cluster.Cluster, q *Query, opt pipeline.Options) (*MultiR
 		return nil, fmt.Errorf("aql: INTO is not supported for multi-way joins")
 	}
 	for _, item := range q.Select {
-		if _, ok := item.Expr.(ColRef); !ok {
-			return nil, fmt.Errorf("aql: multi-way SELECT supports * or bare columns, not %s", item.Expr)
+		if item.Expr.Op != pipeline.OpCol {
+			return nil, fmt.Errorf("aql: multi-way SELECT supports * or bare columns, not %s", exprString(&item.Expr))
 		}
 	}
 
@@ -223,7 +223,7 @@ func runMultiParsed(c *cluster.Cluster, q *Query, opt pipeline.Options) (*MultiR
 	if !q.Star {
 		fields := make([]string, len(q.Select))
 		for i, item := range q.Select {
-			fields[i] = item.Expr.(ColRef).Name
+			fields[i] = item.Expr.Field
 		}
 		projected, err := projectArray(res.Output, fields)
 		if err != nil {

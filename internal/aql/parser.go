@@ -7,6 +7,7 @@ import (
 
 	"shufflejoin/internal/array"
 	"shufflejoin/internal/join"
+	"shufflejoin/internal/pipeline"
 )
 
 // Parse parses an AQL join query of the supported subset:
@@ -137,7 +138,7 @@ func (p *parser) parseSelectItem() (SelectItem, error) {
 	if err != nil {
 		return SelectItem{}, err
 	}
-	item := SelectItem{Expr: e}
+	item := SelectItem{Expr: *e}
 	if keywordIs(p.cur(), "AS") {
 		p.pos++
 		alias, err := p.parseIdent()
@@ -226,8 +227,7 @@ func (p *parser) parseConjunct(q *Query, pred *join.Predicate, filters *[]Filter
 		if op != "=" {
 			return fmt.Errorf("join predicates must be equalities, got %s %s %s", lCol, op, rCol)
 		}
-		lt := join.Term{Array: lCol.Array, Name: lCol.Name}
-		rt := join.Term{Array: rCol.Array, Name: rCol.Name}
+		lt, rt := *lCol, *rCol
 		// Orient: the pair's left term must belong to the left array. A
 		// pair the swap would not settle (both terms on one array) stays
 		// as written, so reparsing String() keeps every orientation.
@@ -246,24 +246,14 @@ func (p *parser) parseConjunct(q *Query, pred *join.Predicate, filters *[]Filter
 }
 
 // parseOperand reads a column reference or a literal.
-func (p *parser) parseOperand() (*ColRef, *array.Value, error) {
+func (p *parser) parseOperand() (*join.Term, *array.Value, error) {
 	t := p.cur()
 	switch {
 	case t.kind == tokNumber:
-		p.pos++
-		if strings.Contains(t.text, ".") {
-			f, err := strconv.ParseFloat(t.text, 64)
-			if err != nil {
-				return nil, nil, fmt.Errorf("bad number %q at offset %d", t.text, t.pos)
-			}
-			v := array.FloatValue(f)
-			return nil, &v, nil
-		}
-		n, err := strconv.ParseInt(expandSuffix(t.text), 10, 64)
+		v, err := p.parseNumber()
 		if err != nil {
-			return nil, nil, fmt.Errorf("bad number %q at offset %d", t.text, t.pos)
+			return nil, nil, err
 		}
-		v := array.IntValue(n)
 		return nil, &v, nil
 	case t.kind == tokString:
 		p.pos++
@@ -277,6 +267,25 @@ func (p *parser) parseOperand() (*ColRef, *array.Value, error) {
 		return &c, nil, nil
 	}
 	return nil, nil, fmt.Errorf("expected column or literal at offset %d, found %q", t.pos, t.text)
+}
+
+// parseNumber reads a number token, the one reader of WHERE and SELECT
+// literals: with a decimal point a float64, which takes no magnitude
+// suffix; otherwise the exact int64 after the suffix is expanded.
+func (p *parser) parseNumber() (array.Value, error) {
+	t := p.next()
+	if strings.Contains(t.text, ".") {
+		f, err := strconv.ParseFloat(t.text, 64)
+		if err != nil {
+			return array.Value{}, fmt.Errorf("bad number %q at offset %d", t.text, t.pos)
+		}
+		return array.FloatValue(f), nil
+	}
+	n, err := strconv.ParseInt(expandSuffix(t.text), 10, 64)
+	if err != nil {
+		return array.Value{}, fmt.Errorf("bad number %q at offset %d", t.text, t.pos)
+	}
+	return array.IntValue(n), nil
 }
 
 // parseComparison assembles a comparison operator from symbol tokens.
@@ -310,67 +319,64 @@ func flipComparison(op string) string {
 	return op // = and != are symmetric
 }
 
-func (p *parser) parseColRef() (ColRef, error) {
+func (p *parser) parseColRef() (join.Term, error) {
 	name, err := p.parseIdent()
 	if err != nil {
-		return ColRef{}, err
+		return join.Term{}, err
 	}
 	if p.symbolIs(".") {
 		p.pos++
 		field, err := p.parseIdent()
 		if err != nil {
-			return ColRef{}, err
+			return join.Term{}, err
 		}
-		return ColRef{Array: name, Name: field}, nil
+		return join.Term{Array: name, Name: field}, nil
 	}
-	return ColRef{Name: name}, nil
+	return join.Term{Name: name}, nil
 }
 
 // Expression grammar: expr := term {(+|-) term}; term := factor {(*|/)
 // factor}; factor := number | colref | (expr) | -factor.
-func (p *parser) parseExpr() (Expr, error) {
-	e, err := p.parseTerm()
+func (p *parser) parseExpr() (*pipeline.Expr, error) {
+	return p.parseBinary(p.parseTerm, "+", "-")
+}
+
+func (p *parser) parseTerm() (*pipeline.Expr, error) {
+	return p.parseBinary(p.parseFactor, "*", "/")
+}
+
+// parseBinary parses operand {(op1|op2) operand}, left-associative.
+func (p *parser) parseBinary(operand func() (*pipeline.Expr, error), op1, op2 string) (*pipeline.Expr, error) {
+	e, err := operand()
 	if err != nil {
 		return nil, err
 	}
-	for p.symbolIs("+") || p.symbolIs("-") {
+	for p.symbolIs(op1) || p.symbolIs(op2) {
 		op := p.next().text[0]
-		r, err := p.parseTerm()
+		r, err := operand()
 		if err != nil {
 			return nil, err
 		}
-		e = BinExpr{Op: op, L: e, R: r}
+		e = &pipeline.Expr{Op: op, L: e, R: r}
 	}
 	return e, nil
 }
 
-func (p *parser) parseTerm() (Expr, error) {
-	e, err := p.parseFactor()
-	if err != nil {
-		return nil, err
-	}
-	for p.symbolIs("*") || p.symbolIs("/") {
-		op := p.next().text[0]
-		r, err := p.parseFactor()
-		if err != nil {
-			return nil, err
-		}
-		e = BinExpr{Op: op, L: e, R: r}
-	}
-	return e, nil
-}
-
-func (p *parser) parseFactor() (Expr, error) {
+func (p *parser) parseFactor() (*pipeline.Expr, error) {
 	t := p.cur()
 	switch {
 	case t.kind == tokNumber:
-		p.pos++
-		isInt := !strings.Contains(t.text, ".")
-		v, err := strconv.ParseFloat(expandSuffix(t.text), 64)
+		lit, err := p.parseNumber()
 		if err != nil {
-			return nil, fmt.Errorf("bad number %q at offset %d", t.text, t.pos)
+			return nil, err
 		}
-		return NumLit{Val: v, IsInt: isInt}, nil
+		return &pipeline.Expr{Op: pipeline.OpLit, Lit: lit}, nil
+	case t.kind == tokIdent && !isKeyword(t):
+		col, err := p.parseColRef()
+		if err != nil {
+			return nil, err
+		}
+		return &pipeline.Expr{Op: pipeline.OpCol, Array: col.Array, Field: col.Name}, nil
 	case t.kind == tokSymbol && t.text == "(":
 		p.pos++
 		e, err := p.parseExpr()
@@ -387,9 +393,7 @@ func (p *parser) parseFactor() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return NegExpr{E: e}, nil
-	case t.kind == tokIdent && !isKeyword(t):
-		return p.parseColRef()
+		return &pipeline.Expr{Op: pipeline.OpNeg, L: e}, nil
 	}
 	return nil, fmt.Errorf("unexpected token %q at offset %d", t.text, t.pos)
 }

@@ -37,7 +37,6 @@
 package ilp
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -100,12 +99,6 @@ type Solution struct {
 	SeedObjective float64
 	Elapsed       time.Duration
 }
-
-// ErrNoBudget is returned when no complete assignment could be
-// constructed. Since the greedy seed always completes before the search
-// starts, it is unreachable today; it remains exported for callers that
-// still check it.
-var ErrNoBudget = errors.New("ilp: budget expired before any solution")
 
 // Validate checks the instance.
 func (p *Problem) Validate() error {
@@ -206,19 +199,13 @@ func SolveOpts(p *Problem, opts Options) (Solution, error) {
 	})
 
 	// Merge the per-worker incumbents with the canonical (objective, lex)
-	// order — independent of which worker drained which task.
-	var best []int
-	bestObj := 0.0
-	for _, w := range results {
-		if w == nil || w.best == nil {
-			continue
-		}
-		if best == nil || w.bestObj < bestObj || (w.bestObj == bestObj && lexLess(w.best, best)) {
+	// order — independent of which worker drained which task. There is
+	// at least one task, so one worker, and each starts from the seed.
+	best, bestObj := results[0].best, results[0].bestObj
+	for _, w := range results[1:] {
+		if w.bestObj < bestObj || (w.bestObj == bestObj && lexLess(w.best, best)) {
 			best, bestObj = w.best, w.bestObj
 		}
-	}
-	if best == nil {
-		return Solution{}, ErrNoBudget
 	}
 	sol := Solution{
 		Assignment:    append([]int(nil), best...),

@@ -20,7 +20,8 @@ import (
 func PlanSignature(c *cluster.Cluster, dl, dr *cluster.Distributed, pred join.Predicate, out *array.Schema, opt Options) plancache.Signature {
 	qc := NewQueryContext(c, dl, dr, pred, out, opt)
 	qc.Opt.normalize()
-	return planSignature(qc)
+	carry, _ := selectCarry(dl.Array.Schema, dr.Array.Schema, opt.Select)
+	return planSignature(qc, carry)
 }
 
 // FirstOutOfRange runs the query's stages up to Compare and returns the
@@ -54,10 +55,6 @@ func FirstOutOfRange(c *cluster.Cluster, leftName, rightName string, pred join.P
 	}
 	return "", nil
 }
-
-// BudgetUsed returns the bytes the query's memory budget still has
-// charged.
-func (qc *QueryContext) BudgetUsed() int64 { return qc.budget.Used() }
 
 // BorrowedUnits returns how many join units' sides, left and right,
 // are views of a chunk of their operand rather than runs of a store:

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -30,27 +31,11 @@ func eventsSince(mark uint64) []flight.Event {
 	return out
 }
 
-// budgetTrail sums the budget charges and credits the flight trail
-// holds for the first query that started at or after mark.
-func budgetTrail(mark uint64) (charged, credited int64) {
-	evs := eventsSince(mark)
-	var qid uint32
-	for _, e := range evs {
-		if e.Type == flight.EvQueryStart {
-			qid = e.QID
-			break
-		}
-	}
-	for _, e := range evs {
-		switch {
-		case e.QID != qid:
-		case e.Type == flight.EvBudgetCharge:
-			charged += e.Args[0]
-		case e.Type == flight.EvBudgetCredit:
-			credited += e.Args[0]
-		}
-	}
-	return charged, credited
+// chargedSince reports whether flight.Default recorded a budget charge
+// from sequence number mark on: a ledger that closes because nothing
+// was charged shows nothing.
+func chargedSince(mark uint64) bool {
+	return slices.ContainsFunc(eventsSince(mark), func(e flight.Event) bool { return e.Type == flight.EvBudgetCharge })
 }
 
 // TestFlightRecordingEquivalence is the flight recorder's determinism

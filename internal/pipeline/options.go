@@ -51,13 +51,11 @@ type Options struct {
 	// MemoryBudget violation fails SliceMap with an error wrapping
 	// batch.ErrBudget.
 	Strict bool
-	// ExtraCarryLeft/ExtraCarryRight name additional source attributes to
-	// carry through the shuffle (columns referenced only by Select).
-	ExtraCarryLeft, ExtraCarryRight []string
 	// Select, when non-nil, computes the destination's attributes, one
 	// Expr per attribute in order, instead of mapping them by name: an
-	// AQL SELECT list (aql.Compile builds it). Column references must
-	// name a dimension or a carried attribute (see ExtraCarryLeft).
+	// AQL SELECT list (aql.Parse builds it). LogicalPlan checks every
+	// column it names and carries every attribute it reads through the
+	// shuffle.
 	Select []Expr
 	// Cache, when non-nil, short-circuits planning for repeated queries:
 	// before planning, the query's signature (schema shape, chunk grid,
@@ -135,34 +133,6 @@ func (o *Options) normalize() {
 		o.Planner = physical.MinBandwidthPlanner{}
 	}
 }
-
-// Expr is one output attribute of Options.Select: a source column, a
-// numeric literal, or arithmetic on other Exprs. It is evaluated with
-// AQL's rules, a whole join unit at a time: int op int is an int
-// (wrapping on overflow), any float operand makes a float, '/' is always
-// a float and a zero divisor gives NaN, a string column in arithmetic
-// is the float it parses to (NaN if none), and a float bound for an int
-// attribute truncates. Any other value converts as Column.Append does.
-type Expr struct {
-	// Op is OpCol, OpLit, OpNeg, or one of '+', '-', '*', '/' (L Op R).
-	Op byte
-	// Array and Field name the source column of OpCol: a dimension or
-	// carried attribute of that source, or of either source, left
-	// first, when Array is empty.
-	Array, Field string
-	// Lit is OpLit's number, an int64 or a float64 Value.
-	Lit array.Value
-	// L is the operand of OpNeg and the left operand of arithmetic; R
-	// is the right one.
-	L, R *Expr
-}
-
-// Expr operators besides the arithmetic '+', '-', '*' and '/'.
-const (
-	OpCol byte = 0   // the source column Array.Field
-	OpLit byte = '#' // the literal Lit
-	OpNeg byte = '~' // -L
-)
 
 // Report is the outcome of one shuffle join: the chosen plans, the modeled
 // phase durations (seconds), and the materialized output. Each field's

@@ -85,17 +85,14 @@ func newProjector(js *logical.JoinSchema, sel []Expr) (*projector, error) {
 	}
 	for i, a := range out.Attrs {
 		var e *expr
-		var err error
 		if sel == nil {
-			var src source
-			if src, err = r.byName(a.Name); err == nil {
-				e = p.col(src)
+			src, err := r.byName(a.Name)
+			if err != nil {
+				return nil, err
 			}
+			e = p.col(src)
 		} else {
-			e, err = p.compile(&sel[i], &r)
-		}
-		if err != nil {
-			return nil, err
+			e = p.compile(&sel[i], &r)
 		}
 		p.attrs = append(p.attrs, e)
 		p.types = append(p.types, a.Type)
@@ -112,56 +109,36 @@ func (p *projector) slot(src source) source {
 
 // col is the expr reading one source column.
 func (p *projector) col(src source) *expr {
-	e := &expr{op: OpCol, src: p.slot(src), kind: src.typ, vec: p.vecs}
-	if src.typ == array.TypeString {
-		e.kind = array.TypeFloat64
-	}
+	e := &expr{op: OpCol, src: p.slot(src), kind: kind(OpCol, src.typ, 0), vec: p.vecs}
 	p.vecs++
 	return e
 }
 
 // compile lowers one Select expression, typing every node as the AQL
-// evaluator types its values.
-func (p *projector) compile(x *Expr, r *resolver) (*expr, error) {
+// evaluator types its values. LogicalPlan checked the expression and
+// carried every attribute it reads (selectCarry).
+func (p *projector) compile(x *Expr, r *resolver) *expr {
+	e := &expr{op: x.Op, lit: x.Lit}
 	switch x.Op {
 	case OpCol:
-		src, err := r.byRef(x.Array, x.Field)
-		if err != nil {
-			return nil, err
+		f, _ := x.column([2]*array.Schema{r.js.Pred.Left, r.js.Pred.Right})
+		src := source{side: f.side, isDim: true, idx: f.idx}
+		if !f.isDim {
+			src, _ = r.attr(f.side, f.idx)
 		}
-		return p.col(src), nil
+		return p.col(src)
 	case OpLit:
-		if x.Lit.Kind == array.TypeString {
-			return nil, fmt.Errorf("pipeline: select literal %q is not a number", x.Lit.Str)
-		}
-		e := &expr{op: OpLit, lit: x.Lit, kind: x.Lit.Kind, vec: p.vecs}
-		p.vecs++
-		return e, nil
-	}
-	if x.L == nil || (x.Op != OpNeg && x.R == nil) {
-		return nil, fmt.Errorf("pipeline: select expression %q lacks an operand", x.Op)
-	}
-	l, err := p.compile(x.L, r)
-	if err != nil {
-		return nil, err
-	}
-	e := &expr{op: x.Op, l: l, kind: array.TypeFloat64}
-	switch x.Op {
+		e.kind = x.Lit.Kind
 	case OpNeg:
-		e.kind = l.kind
-	case '+', '-', '*', '/':
-		if e.r, err = p.compile(x.R, r); err != nil {
-			return nil, err
-		}
-		if x.Op != '/' && l.kind == array.TypeInt64 && e.r.kind == array.TypeInt64 {
-			e.kind = array.TypeInt64
-		}
+		e.l = p.compile(x.L, r)
+		e.kind = kind(OpNeg, e.l.kind, 0)
 	default:
-		return nil, fmt.Errorf("pipeline: unknown select operator %q", x.Op)
+		e.l, e.r = p.compile(x.L, r), p.compile(x.R, r)
+		e.kind = kind(x.Op, e.l.kind, e.r.kind)
 	}
 	e.vec = p.vecs
 	p.vecs++
-	return e, nil
+	return e
 }
 
 // resolver finds the source columns of output fields in the join schema.
@@ -223,29 +200,6 @@ func (r *resolver) byName(name string) (source, error) {
 	}
 	return source{}, fmt.Errorf("pipeline: output field %q has no source in %s or %s",
 		name, src.Left.Name, src.Right.Name)
-}
-
-// byRef finds a Select column reference: a dimension or carried
-// attribute of the named source, or of either, left first, when
-// arrayName is empty.
-func (r *resolver) byRef(arrayName, field string) (source, error) {
-	schemas := [2]*array.Schema{r.js.Pred.Left, r.js.Pred.Right}
-	for side, s := range schemas {
-		if arrayName != "" && arrayName != s.Name {
-			continue
-		}
-		if i := s.DimIndex(field); i >= 0 {
-			return source{side: side, isDim: true, idx: i}, nil
-		}
-		if i := s.AttrIndex(field); i >= 0 {
-			f, ok := r.attr(side, i)
-			if !ok {
-				return source{}, fmt.Errorf("pipeline: attribute %s.%s is not carried through the shuffle", s.Name, field)
-			}
-			return f, nil
-		}
-	}
-	return source{}, fmt.Errorf("pipeline: no field %s.%s in join sources", arrayName, field)
 }
 
 // column is one source column over a side's run: the storage of its

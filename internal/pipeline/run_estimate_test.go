@@ -133,7 +133,7 @@ func TestADJoinAllAlgorithms(t *testing.T) {
 }
 
 // TestSelectResolution: Options.Select column references resolve to a
-// dimension or carried attribute of the named source, or of either when
+// dimension or attribute of the named source, or of either when
 // unqualified, and fail the query otherwise.
 func TestSelectResolution(t *testing.T) {
 	a := buildArray("A<v:int>[i=1,50,10]", 51, 30, 10)
@@ -174,9 +174,11 @@ func TestSelectResolution(t *testing.T) {
 	}
 }
 
-// TestSelectNotCarried: an attribute not in the carry set cannot be
-// selected post-shuffle.
-func TestSelectNotCarried(t *testing.T) {
+// TestSelectCarried: LogicalPlan carries every attribute a Select
+// list reads, so an attribute the destination and the predicate do not
+// name still projects; and a Select column no source has fails the
+// query in logical-plan, before a byte is charged.
+func TestSelectCarried(t *testing.T) {
 	a := buildArray("A<v:int>[i=1,50,10]", 53, 30, 10)
 	b := buildArray("B<w:int>[i=1,50,10]", 54, 30, 10)
 	c := newCluster(t, 2, a, b)
@@ -188,19 +190,33 @@ func TestSelectNotCarried(t *testing.T) {
 	}
 	dl, _ := c.Catalog.Lookup("A")
 	dr, _ := c.Catalog.Lookup("B")
-	// B.w is not referenced by τ or the predicate and was not declared
-	// as an extra carry.
-	_, err := pipeline.RunDistributed(c, dl, dr, pred, out, pipeline.Options{
+	// B.w is named by neither τ nor the predicate.
+	rep, err := pipeline.RunDistributed(c, dl, dr, pred, out, pipeline.Options{
 		Select: []pipeline.Expr{{Op: pipeline.OpCol, Array: "B", Field: "w"}},
 	})
-	if err == nil || !strings.Contains(err.Error(), "not carried") {
-		t.Errorf("err = %v, want an uncarried-attribute error", err)
-	}
-	// Declared as an extra carry, it is.
-	if _, err := pipeline.RunDistributed(c, dl, dr, pred, out, pipeline.Options{
-		Select:          []pipeline.Expr{{Op: pipeline.OpCol, Array: "B", Field: "w"}},
-		ExtraCarryRight: []string{"w"},
-	}); err != nil {
+	if err != nil {
 		t.Fatal(err)
+	}
+	if rep.Matches == 0 {
+		t.Fatal("no matches")
+	}
+	rep.Output.Scan(func(coords []int64, attrs []array.Value) bool {
+		if w, ok := b.Get(coords); !ok || !attrs[0].Equal(w[0]) {
+			t.Fatalf("output cell %v: x = %v, want B.w = %v", coords, attrs[0], w)
+		}
+		return true
+	})
+
+	opt := pipeline.Options{Select: []pipeline.Expr{{Op: pipeline.OpCol, Array: "B", Field: "nope"}}}
+	qc := pipeline.NewQueryContext(c, dl, dr, pred, out, opt)
+	ledger := pipeline.OpenLedger()
+	if err := pipeline.Execute(qc, pipeline.DefaultStages()); err == nil || !strings.Contains(err.Error(), "B.nope") {
+		t.Fatalf("err = %v, want one naming B.nope", err)
+	}
+	if st := qc.Report.Stages; len(st) == 0 || st[len(st)-1].Stage != "logical-plan" {
+		t.Errorf("stages = %+v, want them to end at logical-plan", st)
+	}
+	if err := ledger.Check(qc); err != nil {
+		t.Error(err)
 	}
 }

@@ -14,9 +14,10 @@ import (
 // skew histogram's fingerprint, so a re-ingest of the same schema under
 // a different skew profile — the Skew Strikes Back hazard — changes the
 // signature and misses by construction. The remaining fields pin the
-// planning options that select or price plans. Options must be
-// normalized before signing.
-func planSignature(qc *QueryContext) plancache.Signature {
+// planning options that select or price plans, and the attributes the
+// Select list has carried (selectCarry). Options must be normalized
+// before signing.
+func planSignature(qc *QueryContext, carry [2][]string) plancache.Signature {
 	opt := qc.Opt
 	var b strings.Builder
 	fmt.Fprintf(&b, "L:%016x|R:%016x|K:%d", qc.Left.DataFingerprint(), qc.Right.DataFingerprint(), qc.Cluster.K)
@@ -37,7 +38,7 @@ func planSignature(qc *QueryContext) plancache.Signature {
 		fmt.Fprintf(&b, "|out:%s", qc.Out)
 	}
 	fmt.Fprintf(&b, "|planner:%s|sel:%g|carryL:%v|carryR:%v", plannerKey(opt.Planner),
-		opt.Selectivity, opt.ExtraCarryLeft, opt.ExtraCarryRight)
+		opt.Selectivity, carry[0], carry[1])
 	if opt.ForceAlgo != nil {
 		fmt.Fprintf(&b, "|force:%v", *opt.ForceAlgo)
 	}

@@ -28,8 +28,12 @@ func (LogicalPlan) Name() string { return "logical-plan" }
 func (LogicalPlan) Run(qc *QueryContext) error {
 	c, opt := qc.Cluster, qc.Opt
 	opt.normalize()
+	carry, err := selectCarry(qc.Left.Array.Schema, qc.Right.Array.Schema, opt.Select)
+	if err != nil {
+		return err
+	}
 	if opt.Cache != nil {
-		qc.sig = planSignature(qc)
+		qc.sig = planSignature(qc, carry)
 		// A miss plans below, and PhysicalPlan Stores the outcome.
 		qc.Report.CacheOutcome = "miss"
 		if e, ok := opt.Cache.Lookup(qc.sig); ok {
@@ -61,8 +65,8 @@ func (LogicalPlan) Run(qc *QueryContext) error {
 	js, err := logical.InferJoinSchema(src, logical.InferOptions{
 		AttrHistogram:       catalogHistogram(c, qc.Left, qc.Right),
 		TargetCellsPerChunk: target,
-		ExtraCarryLeft:      opt.ExtraCarryLeft,
-		ExtraCarryRight:     opt.ExtraCarryRight,
+		ExtraCarryLeft:      carry[0],
+		ExtraCarryRight:     carry[1],
 	})
 	if err != nil {
 		return err

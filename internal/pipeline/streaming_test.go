@@ -177,7 +177,8 @@ func TestMemoryBudgetCounted(t *testing.T) {
 
 // TestMemoryBudgetStrict: the same undersized budget in strict mode
 // fails the query with batch.ErrBudget, in slice-map: the count pass
-// charges the budget before Align takes a store.
+// charges the budget before Align takes a store. The failed query
+// closes its ledger (pipeline.Ledger).
 func TestMemoryBudgetStrict(t *testing.T) {
 	a := buildArray("A<v:int>[i=1,200,20]", 9, 120, 25)
 	b := buildArray("B<w:int>[j=1,200,20]", 10, 110, 25)
@@ -194,6 +195,7 @@ func TestMemoryBudgetStrict(t *testing.T) {
 			Strict:       true,
 		})
 		mark := flight.Default.Stats().Recorded
+		ledger := pipeline.OpenLedger()
 		err := pipeline.Execute(qc, pipeline.DefaultStages())
 		if !errors.Is(err, batch.ErrBudget) {
 			t.Fatalf("limit %d: err = %v, want batch.ErrBudget", limit, err)
@@ -202,11 +204,11 @@ func TestMemoryBudgetStrict(t *testing.T) {
 		if last := stages[len(stages)-1]; last.Stage != (pipeline.SliceMap{}).Name() || last.Done {
 			t.Errorf("limit %d: the query stopped in %q (done %v), want a failed %q", limit, last.Stage, last.Done, (pipeline.SliceMap{}).Name())
 		}
-		if used := qc.BudgetUsed(); used != 0 {
-			t.Errorf("limit %d: %d bytes still charged to the budget", limit, used)
+		if !chargedSince(mark) {
+			t.Errorf("limit %d: the flight trail holds no budget charge", limit)
 		}
-		if charged, credited := budgetTrail(mark); charged == 0 || credited != charged {
-			t.Errorf("limit %d: flight trail: %d bytes charged, %d credited", limit, charged, credited)
+		if err := ledger.Check(qc); err != nil {
+			t.Errorf("limit %d: %v", limit, err)
 		}
 	}
 }

@@ -6,10 +6,13 @@ import (
 	"go/token"
 	"io/fs"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
+
+	"shufflejoin/internal/pipeline"
 )
 
 // sourceFile is one parsed non-test Go file of the module or of the
@@ -268,4 +271,27 @@ func recvTypeName(e ast.Expr) string {
 		e = x.X
 	}
 	return e.(*ast.Ident).Name
+}
+
+// TestKnobCensus pins the number of knobs: the fields of
+// pipeline.Options and the facade's With* options. A change that adds
+// or removes one updates the counts here and ROADMAP's census with
+// them, so the knob shows in its diff.
+func TestKnobCensus(t *testing.T) {
+	_, files := parseSources(t)
+	with := 0
+	for _, sf := range files {
+		if sf.pkg != "shufflejoin" {
+			continue
+		}
+		for _, d := range sf.f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv == nil && strings.HasPrefix(fd.Name.Name, "With") {
+				with++
+			}
+		}
+	}
+	if n := reflect.TypeOf(pipeline.Options{}).NumField(); n != 14 || with != 15 {
+		t.Errorf("pipeline.Options has %d fields and the facade %d With* options, pinned at 14 and 15: "+
+			"update the counts here and ROADMAP's census", n, with)
+	}
 }

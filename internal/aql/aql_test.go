@@ -12,6 +12,27 @@ import (
 	"shufflejoin/internal/pipeline"
 )
 
+// fromText adapts an entry point that takes a parsed query to AQL text:
+// the text is parsed first, and a parse error is returned as the entry
+// point's own.
+func fromText[R any](f func(*cluster.Cluster, *Query, pipeline.Options) (R, error)) func(*cluster.Cluster, string, pipeline.Options) (R, error) {
+	return func(c *cluster.Cluster, src string, opt pipeline.Options) (R, error) {
+		q, err := Parse(src)
+		if err != nil {
+			var zero R
+			return zero, err
+		}
+		return f(c, q, opt)
+	}
+}
+
+var (
+	runText          = fromText(Run)
+	runMultiText     = fromText(RunMulti)
+	explainText      = fromText(Explain)
+	explainMultiText = fromText(ExplainMulti)
+)
+
 func TestParseFigure5Query(t *testing.T) {
 	q, err := Parse("SELECT * INTO C<i:int, j:int>[v=1,128M,4M] FROM A, B WHERE A.v = B.w")
 	if err != nil {
@@ -156,7 +177,7 @@ func TestCompileInfersOutputSchema(t *testing.T) {
 	cl := cluster.MustNew(2)
 	cl.Load(left, cluster.RoundRobin)
 	cl.Load(right, cluster.RoundRobin)
-	rep, err := Run(cl, query, pipeline.Options{})
+	rep, err := runText(cl, query, pipeline.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +234,7 @@ func TestRunExpressionQuery(t *testing.T) {
 	c.Load(a, cluster.RoundRobin)
 	c.Load(b, cluster.RoundRobin)
 
-	rep, err := Run(c, `SELECT A.v1 - B.v1, A.v2 - B.v2 FROM A, B
+	rep, err := runText(c, `SELECT A.v1 - B.v1, A.v2 - B.v2 FROM A, B
 		WHERE A.i = B.i AND A.j = B.j;`, pipeline.Options{})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -252,7 +273,7 @@ func TestRunDivisionQuery(t *testing.T) {
 	c := cluster.MustNew(2)
 	c.Load(mk("Band1"), cluster.RoundRobin)
 	c.Load(mk("Band2"), cluster.RoundRobin)
-	rep, err := Run(c, `SELECT (Band2.reflectance - Band1.reflectance)
+	rep, err := runText(c, `SELECT (Band2.reflectance - Band1.reflectance)
 		/ (Band2.reflectance + Band1.reflectance)
 		FROM Band1, Band2 WHERE Band1.x = Band2.x`, pipeline.Options{})
 	if err != nil {
@@ -285,7 +306,7 @@ func TestRunUnorderedOutput(t *testing.T) {
 	c := cluster.MustNew(2)
 	c.Load(mkA, cluster.RoundRobin)
 	c.Load(mkB, cluster.RoundRobin)
-	rep, err := Run(c, "SELECT i, j INTO T<i:int, j:int>[] FROM a JOIN b ON a.v = b.w", pipeline.Options{})
+	rep, err := runText(c, "SELECT i, j INTO T<i:int, j:int>[] FROM a JOIN b ON a.v = b.w", pipeline.Options{})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -314,7 +335,7 @@ func numberPair(t *testing.T) *cluster.Cluster {
 // TestSelectIntLiteralExact: an integer literal in a SELECT list is
 // the int64 it spells, not the nearest float64 (2^53 + 1 is not one).
 func TestSelectIntLiteralExact(t *testing.T) {
-	rep, err := Run(numberPair(t), "SELECT A.v + 9007199254740993 FROM A, B WHERE A.i = B.i", pipeline.Options{})
+	rep, err := runText(numberPair(t), "SELECT A.v + 9007199254740993 FROM A, B WHERE A.i = B.i", pipeline.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +360,7 @@ func TestSelectBadNumber(t *testing.T) {
 			"SELECT A.v FROM A, B WHERE A.i = B.i AND A.v < " + lit,
 		} {
 			want := `bad number "` + lit + `"`
-			if _, err := Run(c, query, pipeline.Options{}); err == nil || !strings.Contains(err.Error(), want) {
+			if _, err := runText(c, query, pipeline.Options{}); err == nil || !strings.Contains(err.Error(), want) {
 				t.Errorf("%s: err = %v, want %s", query, err, want)
 			}
 		}
@@ -350,7 +371,7 @@ func TestSelectBadNumber(t *testing.T) {
 // float it parses to, so "2.5" + 1 is the float 3.5 and -"2.5" the
 // float -2.5, in float attributes.
 func TestSelectStringArithmetic(t *testing.T) {
-	rep, err := Run(numberPair(t), "SELECT A.s + 1, -A.s FROM A, B WHERE A.i = B.i", pipeline.Options{})
+	rep, err := runText(numberPair(t), "SELECT A.s + 1, -A.s FROM A, B WHERE A.i = B.i", pipeline.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

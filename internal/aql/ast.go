@@ -88,7 +88,6 @@ type Query struct {
 	Right   string // From[1]
 	Pred    join.Predicate
 	Filters []Filter
-	Raw     string
 }
 
 // String reassembles a canonical form of the query, which parses back to

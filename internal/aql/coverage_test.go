@@ -11,7 +11,7 @@ import (
 
 func TestExplainViaAQL(t *testing.T) {
 	c := filterCluster(t)
-	ex, err := Explain(c, "SELECT A.v FROM A, B WHERE A.i = B.i", pipeline.Options{})
+	ex, err := explainText(c, "SELECT A.v FROM A, B WHERE A.i = B.i", pipeline.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +24,7 @@ func TestExplainViaAQL(t *testing.T) {
 	}
 	// Filters apply before explaining: a filter that empties one side
 	// changes the statistics but must not error.
-	ex2, err := Explain(c, "SELECT A.v FROM A, B WHERE A.i = B.i AND A.flag = 99", pipeline.Options{})
+	ex2, err := explainText(c, "SELECT A.v FROM A, B WHERE A.i = B.i AND A.flag = 99", pipeline.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,20 +32,20 @@ func TestExplainViaAQL(t *testing.T) {
 		t.Error("empty side should still enumerate plans")
 	}
 	// Errors propagate.
-	if _, err := Explain(c, "garbage", pipeline.Options{}); err == nil {
+	if _, err := explainText(c, "garbage", pipeline.Options{}); err == nil {
 		t.Error("parse error should propagate")
 	}
-	if _, err := Explain(c, threeWayQuery, pipeline.Options{}); err == nil {
+	if _, err := explainText(c, threeWayQuery, pipeline.Options{}); err == nil {
 		t.Error("multi-way explain should be rejected")
 	}
-	if _, err := Explain(c, "SELECT A.v FROM A, Gone WHERE A.i = Gone.i", pipeline.Options{}); err == nil {
+	if _, err := explainText(c, "SELECT A.v FROM A, Gone WHERE A.i = Gone.i", pipeline.Options{}); err == nil {
 		t.Error("unknown array should fail")
 	}
 }
 
 func TestExpressionNegationAndLiterals(t *testing.T) {
 	c := filterCluster(t)
-	rep, err := Run(c, `SELECT -A.v + 1.5 AS adj, 2 * A.v AS dbl
+	rep, err := runText(c, `SELECT -A.v + 1.5 AS adj, 2 * A.v AS dbl
 		FROM A, B WHERE A.i = B.i AND A.i <= 3`, pipeline.Options{})
 	if err != nil {
 		t.Fatal(err)

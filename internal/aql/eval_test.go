@@ -238,7 +238,7 @@ func TestCompiledProjectionMatchesEvaluator(t *testing.T) {
 			t.Fatalf("query %d: no matches; fixture broken", qi)
 		}
 		for _, algo := range []join.Algorithm{join.Hash, join.Merge, join.NestedLoop} {
-			rep, err := Run(c, query, pipeline.Options{ForceAlgo: &algo, Parallelism: 2})
+			rep, err := runText(c, query, pipeline.Options{ForceAlgo: &algo, Parallelism: 2})
 			if err != nil {
 				t.Fatalf("query %d, %v: %v", qi, algo, err)
 			}

@@ -76,7 +76,7 @@ func TestParseFilterErrors(t *testing.T) {
 func TestRunWithFilterPushdown(t *testing.T) {
 	c := filterCluster(t)
 	// flag = i%4; i in 1..100 with flag=2: i ∈ {2,6,...,98} -> 25 rows.
-	rep, err := Run(c, "SELECT A.v FROM A, B WHERE A.i = B.i AND A.flag = 2", pipeline.Options{})
+	rep, err := runText(c, "SELECT A.v FROM A, B WHERE A.i = B.i AND A.flag = 2", pipeline.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestRunWithBothSideFilters(t *testing.T) {
 	c := filterCluster(t)
 	// A.flag != 0 keeps 75 rows; B.score > 5.0 keeps i > 50.
 	// Intersection: i in 51..100 with i%4 != 0 -> 50 - 13 = 37.
-	rep, err := Run(c, `SELECT A.v FROM A, B
+	rep, err := runText(c, `SELECT A.v FROM A, B
 		WHERE A.i = B.i AND A.flag != 0 AND B.score > 5.0`, pipeline.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +101,7 @@ func TestRunWithBothSideFilters(t *testing.T) {
 
 func TestRunFilterOnDimension(t *testing.T) {
 	c := filterCluster(t)
-	rep, err := Run(c, "SELECT A.v FROM A, B WHERE A.i = B.i AND A.i <= 10", pipeline.Options{})
+	rep, err := runText(c, "SELECT A.v FROM A, B WHERE A.i = B.i AND A.i <= 10", pipeline.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,11 +112,11 @@ func TestRunFilterOnDimension(t *testing.T) {
 
 func TestRunFilterUnknownColumn(t *testing.T) {
 	c := filterCluster(t)
-	if _, err := Run(c, "SELECT A.v FROM A, B WHERE A.i = B.i AND nope = 1", pipeline.Options{}); err == nil {
+	if _, err := runText(c, "SELECT A.v FROM A, B WHERE A.i = B.i AND nope = 1", pipeline.Options{}); err == nil {
 		t.Error("unknown filter column should error")
 	}
 	// Ambiguous unqualified column (i exists in both).
-	if _, err := Run(c, "SELECT A.v FROM A, B WHERE A.i = B.i AND i = 1", pipeline.Options{}); err == nil {
+	if _, err := runText(c, "SELECT A.v FROM A, B WHERE A.i = B.i AND i = 1", pipeline.Options{}); err == nil {
 		t.Error("ambiguous filter column should error")
 	}
 }
@@ -124,7 +124,7 @@ func TestRunFilterUnknownColumn(t *testing.T) {
 func TestMultiWayWithFilter(t *testing.T) {
 	c := threeWayCluster(t)
 	// Regions pop > 3000 keeps regions 4,5 (pop 4000, 5000) -> rid 4,0.
-	res, err := RunMulti(c, `SELECT * FROM Clicks, Users, Regions
+	res, err := runMultiText(c, `SELECT * FROM Clicks, Users, Regions
 		WHERE Clicks.who = Users.uid AND Users.region = Regions.rid
 		AND Regions.pop > 3000`, pipeline.Options{})
 	if err != nil {
@@ -326,10 +326,13 @@ func TestFilterPreservesPlacement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dr, _ := c.Catalog.Lookup("B")
-	fl, _, err := pushdownFilters(q, dl, dr)
+	ops, err := operands(c, q)
 	if err != nil {
 		t.Fatal(err)
+	}
+	fl := ops[0].d
+	if fl == dl {
+		t.Fatal("the filter did not reach A")
 	}
 	if err := fl.Validate(c.K); err != nil {
 		t.Fatalf("filtered placement invalid: %v", err)
@@ -338,6 +341,41 @@ func TestFilterPreservesPlacement(t *testing.T) {
 		if dl.Placement[key] != node {
 			t.Fatalf("chunk %d moved from node %d to %d", key, dl.Placement[key], node)
 		}
+	}
+}
+
+// TestRunSelfJoinFilters: a two-way query may name one array twice. A
+// qualified filter goes to the first operand of its name, the left, and
+// an unqualified column, found on both sides, is an error.
+func TestRunSelfJoinFilters(t *testing.T) {
+	c := filterCluster(t)
+	// Left v ≤ 10 joins v ∈ {1, 2, 3} to the 25 right cells of each flag:
+	// 75 matches. Filtering the right side instead would give 8.
+	for _, query := range []string{
+		"SELECT * FROM A, A WHERE A.v = A.flag AND A.v <= 10",
+		"SELECT * FROM A JOIN A ON A.v = A.flag AND A.v <= 10",
+	} {
+		rep, err := runText(c, query, pipeline.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", query, err)
+		}
+		if rep.Matches != 75 {
+			t.Errorf("%s: Matches = %d, want 75", query, rep.Matches)
+		}
+		if got, want := rep.Output.Schema.String(), "A_join_A<v:int, flag:int>[i=1,100,10]"; got != want {
+			t.Errorf("%s: output schema %s, want %s", query, got, want)
+		}
+	}
+	for _, query := range []string{
+		"SELECT * FROM A, A WHERE A.v = A.flag AND flag = 2",
+		"SELECT * FROM A, A WHERE A.v = A.flag AND v <= 10",
+	} {
+		if _, err := runText(c, query, pipeline.Options{}); err == nil || !strings.Contains(err.Error(), "ambiguous") {
+			t.Errorf("%s: err = %v, want an ambiguous column", query, err)
+		}
+	}
+	if _, err := runText(c, "SELECT * FROM A, A WHERE A.v = A.flag AND B.v <= 10", pipeline.Options{}); err == nil {
+		t.Error("a filter on an array not in FROM should fail")
 	}
 }
 

@@ -2,7 +2,7 @@ package aql
 
 import (
 	"fmt"
-	"strings"
+	"slices"
 
 	"shufflejoin/internal/array"
 	"shufflejoin/internal/cluster"
@@ -16,9 +16,8 @@ import (
 type MultiResult struct {
 	Steps []*pipeline.Report
 	Order []string // human-readable join order, e.g. "B ⋈ C", "_join1 ⋈ A"
-	// Costs is each step's estimated cost, the pairCost that chose its
-	// pair: input cells plus estimated output cells.
-	Costs  []float64
+	// Plan is each step's pair and the estimated cost that chose it.
+	Plan   MultiPlan
 	Output *array.Array
 	// Aggregate phase durations across steps (steps run one after
 	// another, as a query pipeline would).
@@ -34,7 +33,7 @@ type MultiPlan struct {
 }
 
 // MultiPlanStep is one planned pairwise join and the estimated cost that
-// chose it (MultiResult.Costs).
+// chose it: pairCost over the step's two inputs.
 type MultiPlanStep struct {
 	Left, Right   string
 	EstimatedCost float64
@@ -44,52 +43,29 @@ type MultiPlanStep struct {
 // runs the executor loop itself, so the previewed order is exactly the
 // one RunMulti takes; intermediates are query-local, so the catalog is
 // untouched.
-func ExplainMulti(c *cluster.Cluster, query string, opt pipeline.Options) (*MultiPlan, error) {
-	q, err := Parse(query)
+func ExplainMulti(c *cluster.Cluster, q *Query, opt pipeline.Options) (*MultiPlan, error) {
+	res, err := RunMulti(c, q, opt)
 	if err != nil {
 		return nil, err
 	}
-	if len(q.From) < 3 {
-		return nil, fmt.Errorf("aql: ExplainMulti needs three or more arrays")
-	}
-	res, err := runMultiParsed(c, q, opt)
-	if err != nil {
-		return nil, err
-	}
-	plan := &MultiPlan{}
-	for i, order := range res.Order {
-		parts := strings.SplitN(order, " ⋈ ", 2)
-		plan.Steps = append(plan.Steps, MultiPlanStep{
-			Left:          parts[0],
-			Right:         parts[1],
-			EstimatedCost: res.Costs[i],
-		})
-	}
-	return plan, nil
+	return &res.Plan, nil
 }
 
-// RunMulti executes a join over three or more arrays, choosing the join
-// order greedily by estimated intermediate size — the multi-join ordering
-// the paper lists as future work (Section 8). At each step the pair of
-// remaining relations connected by a predicate with the smallest estimated
-// output (plus input sizes) is joined with the two-phase shuffle join; the
-// intermediate is dealt round-robin over the cluster and the process
-// repeats. Intermediates live only in the query: RunMulti reads the
-// catalog and never writes it.
+// RunMulti executes a parsed join over three or more arrays, choosing the
+// join order greedily by estimated intermediate size — the multi-join
+// ordering the paper lists as future work (Section 8). At each step the
+// pair of remaining relations connected by a predicate with the smallest
+// estimated output (plus input sizes) is joined with the two-phase
+// shuffle join; the intermediate is dealt round-robin over the cluster,
+// takes the place of the earlier of its inputs in FROM order, and the
+// process repeats. Intermediates live only in the query: RunMulti reads
+// the catalog and never writes it.
 //
 // The SELECT list must be * or bare column names (projection applies to
 // the final intermediate); INTO is not supported for multi-way queries.
-func RunMulti(c *cluster.Cluster, query string, opt pipeline.Options) (*MultiResult, error) {
-	q, err := Parse(query)
-	if err != nil {
-		return nil, err
-	}
-	return runMultiParsed(c, q, opt)
-}
-
-func runMultiParsed(c *cluster.Cluster, q *Query, opt pipeline.Options) (*MultiResult, error) {
+func RunMulti(c *cluster.Cluster, q *Query, opt pipeline.Options) (*MultiResult, error) {
 	if len(q.From) < 3 {
-		return nil, fmt.Errorf("aql: RunMulti needs three or more arrays; use Run for two-way joins")
+		return nil, fmt.Errorf("aql: a k-way join needs three or more arrays; Run and Explain take two-way joins")
 	}
 	if q.Into != nil {
 		return nil, fmt.Errorf("aql: INTO is not supported for multi-way joins")
@@ -99,112 +75,92 @@ func runMultiParsed(c *cluster.Cluster, q *Query, opt pipeline.Options) (*MultiR
 			return nil, fmt.Errorf("aql: multi-way SELECT supports * or bare columns, not %s", exprString(&item.Expr))
 		}
 	}
-
-	// live maps a display name to its distributed array.
-	live := make(map[string]*cluster.Distributed, len(q.From))
-	for _, name := range q.From {
-		d, err := c.Catalog.Lookup(name)
-		if err != nil {
-			return nil, err
-		}
-		if _, dup := live[name]; dup {
+	for i, name := range q.From {
+		if slices.Contains(q.From[:i], name) {
 			return nil, fmt.Errorf("aql: array %s appears twice in FROM (self joins need aliases, which are unsupported)", name)
 		}
-		live[name] = d
 	}
-	// Selection pushdown: literal filters apply before any join.
-	for _, f := range q.Filters {
-		owner, err := ownerOf(live, join.Term{Array: f.Col.Array, Name: f.Col.Name})
-		if err != nil {
-			return nil, err
-		}
-		filtered, err := applyFilter(live[owner], f)
-		if err != nil {
-			return nil, err
-		}
-		live[owner] = filtered
+	live, err := operands(c, q)
+	if err != nil {
+		return nil, err
 	}
 
 	// Pending equalities, each tracked with its current owning arrays.
 	var pending []multiEq
 	for _, pair := range q.Pred {
 		l, r := pair.Left, pair.Right
-		var err error
-		if l.Array, err = ownerOf(live, l); err != nil {
+		li, err := ownerOf(live, l)
+		if err != nil {
 			return nil, err
 		}
-		if r.Array, err = ownerOf(live, r); err != nil {
+		ri, err := ownerOf(live, r)
+		if err != nil {
 			return nil, err
 		}
-		if l.Array == r.Array {
+		l.Array, r.Array = live[li].name, live[ri].name
+		if li == ri {
 			return nil, fmt.Errorf("aql: predicate %s = %s references a single array", l, r)
 		}
 		pending = append(pending, multiEq{l, r})
 	}
 
 	res := &MultiResult{}
-	tmpID := 0
 	for len(live) > 1 {
 		// Candidate pairs: arrays connected by at least one pending
 		// equality.
-		type cand struct {
-			a, b string
-			cost float64
-		}
-		best := cand{cost: -1}
+		best := MultiPlanStep{EstimatedCost: -1}
 		for _, e := range pending {
 			a, b := e.l.Array, e.r.Array
-			da, db := live[a], live[b]
-			if da == nil || db == nil {
-				continue
-			}
-			cost, err := pairCost(c, da, db, predsBetween(pending, a, b))
+			cost, err := pairCost(c, live[indexOf(live, a)].d, live[indexOf(live, b)].d, predsBetween(pending, a, b))
 			if err != nil {
 				return nil, err
 			}
-			if best.cost < 0 || cost < best.cost {
-				best = cand{a: a, b: b, cost: cost}
+			if best.EstimatedCost < 0 || cost < best.EstimatedCost {
+				best = MultiPlanStep{Left: a, Right: b, EstimatedCost: cost}
 			}
 		}
-		if best.cost < 0 {
-			return nil, fmt.Errorf("aql: remaining arrays %v are not connected by any predicate (cross products unsupported)", keysOf(live))
+		if best.EstimatedCost < 0 {
+			names := make([]string, len(live))
+			for i, o := range live {
+				names[i] = o.name
+			}
+			return nil, fmt.Errorf("aql: remaining arrays %v are not connected by any predicate (cross products unsupported)", names)
 		}
 
-		da, db := live[best.a], live[best.b]
-		pred := predsBetween(pending, best.a, best.b)
+		ia, ib := indexOf(live, best.Left), indexOf(live, best.Right)
+		pred := predsBetween(pending, best.Left, best.Right)
 		stepOpt := opt
 		stepOpt.Select = nil // intermediates keep natural schemas
-		rep, err := pipeline.RunDistributed(c, da, db, pred, nil, stepOpt)
+		rep, err := pipeline.RunDistributed(c, live[ia].d, live[ib].d, pred, nil, stepOpt)
 		if err != nil {
-			return nil, fmt.Errorf("aql: joining %s with %s: %w", best.a, best.b, err)
+			return nil, fmt.Errorf("aql: joining %s with %s: %w", best.Left, best.Right, err)
 		}
 		res.Steps = append(res.Steps, rep)
-		res.Order = append(res.Order, fmt.Sprintf("%s ⋈ %s", best.a, best.b))
-		res.Costs = append(res.Costs, best.cost)
+		res.Order = append(res.Order, fmt.Sprintf("%s ⋈ %s", best.Left, best.Right))
+		res.Plan.Steps = append(res.Plan.Steps, best)
 		res.PlanSeconds += rep.PlanTime
 		res.AlignSeconds += rep.AlignTime
 		res.CompareSeconds += rep.CompareTime
 
 		// Distribute the intermediate and rewrite bookkeeping.
-		tmpID++
-		tmpName := fmt.Sprintf("_join%d", tmpID)
+		tmpName := fmt.Sprintf("_join%d", len(res.Steps))
 		rep.Output.Schema.Name = tmpName
 		dt := cluster.Distribute(rep.Output, c.K, cluster.RoundRobin)
-		delete(live, best.a)
-		delete(live, best.b)
-		live[tmpName] = dt
+		ia, ib = min(ia, ib), max(ia, ib)
+		live[ia] = operand{tmpName, dt}
+		live = slices.Delete(live, ib, ib+1)
 
 		var rest []multiEq
 		for _, e := range pending {
-			if (e.l.Array == best.a || e.l.Array == best.b) && (e.r.Array == best.a || e.r.Array == best.b) {
+			if (e.l.Array == best.Left || e.l.Array == best.Right) && (e.r.Array == best.Left || e.r.Array == best.Right) {
 				continue // consumed by this step
 			}
-			if e.l.Array == best.a || e.l.Array == best.b {
+			if e.l.Array == best.Left || e.l.Array == best.Right {
 				if err := retarget(&e.l, dt, tmpName); err != nil {
 					return nil, err
 				}
 			}
-			if e.r.Array == best.a || e.r.Array == best.b {
+			if e.r.Array == best.Left || e.r.Array == best.Right {
 				if err := retarget(&e.r, dt, tmpName); err != nil {
 					return nil, err
 				}
@@ -214,12 +170,7 @@ func runMultiParsed(c *cluster.Cluster, q *Query, opt pipeline.Options) (*MultiR
 		pending = rest
 	}
 
-	for _, d := range live {
-		res.Output = d.Array
-	}
-	if res.Output == nil {
-		return nil, fmt.Errorf("aql: multi-join produced no output")
-	}
+	res.Output = live[0].d.Array
 	if !q.Star {
 		fields := make([]string, len(q.Select))
 		for i, item := range q.Select {
@@ -264,39 +215,6 @@ func projectArray(a *array.Array, fields []string) (*array.Array, error) {
 	}
 	out.SortAll()
 	return out, nil
-}
-
-// keysOf lists a live-map's names for error messages.
-func keysOf(m map[string]*cluster.Distributed) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	return out
-}
-
-// ownerOf resolves a term's owning array by qualifier or field membership.
-func ownerOf(live map[string]*cluster.Distributed, t join.Term) (string, error) {
-	if t.Array != "" {
-		if _, ok := live[t.Array]; !ok {
-			return "", fmt.Errorf("aql: predicate references %s, not in FROM", t.Array)
-		}
-		return t.Array, nil
-	}
-	owner := ""
-	for name, d := range live {
-		s := d.Array.Schema
-		if s.HasDim(t.Name) || s.HasAttr(t.Name) {
-			if owner != "" {
-				return "", fmt.Errorf("aql: unqualified column %s is ambiguous across %s and %s", t.Name, owner, name)
-			}
-			owner = name
-		}
-	}
-	if owner == "" {
-		return "", fmt.Errorf("aql: column %s not found in any FROM array", t.Name)
-	}
-	return owner, nil
 }
 
 // multiEq is one pending equality of a multi-way join, tracked with the

@@ -42,7 +42,7 @@ const threeWayQuery = `SELECT *
 
 func TestRunMultiThreeWay(t *testing.T) {
 	c := threeWayCluster(t)
-	res, err := RunMulti(c, threeWayQuery, pipeline.Options{})
+	res, err := runMultiText(c, threeWayQuery, pipeline.Options{})
 	if err != nil {
 		t.Fatalf("RunMulti: %v", err)
 	}
@@ -84,7 +84,7 @@ func TestRunMultiGreedyOrder(t *testing.T) {
 	// Regions) first: that intermediate is far smaller than anything
 	// involving Clicks.
 	c := threeWayCluster(t)
-	res, err := RunMulti(c, threeWayQuery, pipeline.Options{})
+	res, err := runMultiText(c, threeWayQuery, pipeline.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestRunMultiGreedyOrder(t *testing.T) {
 
 func TestRunMultiProjection(t *testing.T) {
 	c := threeWayCluster(t)
-	res, err := RunMulti(c, `SELECT pop, who FROM Clicks, Users, Regions
+	res, err := runMultiText(c, `SELECT pop, who FROM Clicks, Users, Regions
 		WHERE Clicks.who = Users.uid AND Users.region = Regions.rid`, pipeline.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -112,18 +112,18 @@ func TestRunMultiProjection(t *testing.T) {
 func TestRunMultiMatchesTwoStepManual(t *testing.T) {
 	// Cross-check against running the two joins by hand.
 	c := threeWayCluster(t)
-	auto, err := RunMulti(c, threeWayQuery, pipeline.Options{})
+	auto, err := runMultiText(c, threeWayQuery, pipeline.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	c2 := threeWayCluster(t)
-	step1, err := Run(c2, "SELECT * FROM Users, Regions WHERE Users.region = Regions.rid", pipeline.Options{})
+	step1, err := runText(c2, "SELECT * FROM Users, Regions WHERE Users.region = Regions.rid", pipeline.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	step1.Output.Schema.Name = "UR"
 	c2.Load(step1.Output, cluster.RoundRobin)
-	step2, err := Run(c2, "SELECT * FROM Clicks, UR WHERE Clicks.who = UR.uid", pipeline.Options{})
+	step2, err := runText(c2, "SELECT * FROM Clicks, UR WHERE Clicks.who = UR.uid", pipeline.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestRunMultiIntermediateStatistics(t *testing.T) {
 		}
 		return c
 	}
-	auto, err := RunMulti(load(), "SELECT * FROM PA, PB, PC WHERE PA.x = PB.y AND PB.z = PC.w", pipeline.Options{})
+	auto, err := runMultiText(load(), "SELECT * FROM PA, PB, PC WHERE PA.x = PB.y AND PB.z = PC.w", pipeline.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,13 +165,13 @@ func TestRunMultiIntermediateStatistics(t *testing.T) {
 		t.Fatalf("Order = %v, want %v", auto.Order, want)
 	}
 	c := load()
-	step1, err := Run(c, "SELECT * FROM PC, PB WHERE PC.w = PB.z", pipeline.Options{})
+	step1, err := runText(c, "SELECT * FROM PC, PB WHERE PC.w = PB.z", pipeline.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	step1.Output.Schema.Name = "_join1"
 	c.Load(step1.Output, cluster.RoundRobin)
-	step2, err := Run(c, "SELECT * FROM PA, _join1 WHERE PA.x = _join1.y", pipeline.Options{})
+	step2, err := runText(c, "SELECT * FROM PA, _join1 WHERE PA.x = _join1.y", pipeline.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,15 +199,43 @@ func TestRunMultiErrors(t *testing.T) {
 		"SELECT * FROM Clicks, Users, Regions WHERE Users.uid = Users.region AND Clicks.who = Users.uid",
 	}
 	for _, q := range cases {
-		if _, err := RunMulti(c, q, pipeline.Options{}); err == nil {
+		if _, err := runMultiText(c, q, pipeline.Options{}); err == nil {
 			t.Errorf("RunMulti(%q) succeeded, want error", q)
+		}
+	}
+}
+
+// TestRunMultiErrorsInFromOrder: an error that names several operands
+// names them in FROM order, the intermediate in the place of the earlier
+// of its inputs, so it reads the same on every run.
+func TestRunMultiErrorsInFromOrder(t *testing.T) {
+	c := cluster.MustNew(3)
+	for _, lit := range []string{"P<a:int>[i=1,20,5]", "Q<b:int>[i=1,20,5]", "R<c:int>[i=1,20,5]", "S<d:int>[i=1,20,5]"} {
+		a := array.MustNew(array.MustParseSchema(lit))
+		for i := int64(1); i <= 20; i++ {
+			a.MustPut([]int64{i}, []array.Value{array.IntValue(i % 3)})
+		}
+		a.SortAll()
+		c.Load(a, cluster.RoundRobin)
+	}
+	for _, tc := range []struct{ query, want string }{
+		{"SELECT * FROM P, Q, R WHERE P.i = Q.i AND Q.i = R.i AND i = 1",
+			"aql: unqualified column i is ambiguous across P and Q"},
+		{"SELECT * FROM P, Q, R, S WHERE P.i = Q.i",
+			"aql: remaining arrays [_join1 R S] are not connected by any predicate (cross products unsupported)"},
+	} {
+		for run := 0; run < 20; run++ {
+			_, err := runMultiText(c, tc.query, pipeline.Options{})
+			if err == nil || err.Error() != tc.want {
+				t.Fatalf("%s, run %d: err = %v, want %s", tc.query, run, err, tc.want)
+			}
 		}
 	}
 }
 
 func TestRunRejectsMultiWay(t *testing.T) {
 	c := threeWayCluster(t)
-	if _, err := Run(c, threeWayQuery, pipeline.Options{}); err == nil {
+	if _, err := runText(c, threeWayQuery, pipeline.Options{}); err == nil {
 		t.Error("Run should reject three-way queries")
 	}
 }
@@ -228,11 +256,11 @@ func TestParseThreeWayFrom(t *testing.T) {
 // — not the step's actual match count.
 func TestExplainMultiEstimateIsPairCost(t *testing.T) {
 	c := threeWayCluster(t)
-	plan, err := ExplainMulti(c, threeWayQuery, pipeline.Options{})
+	plan, err := explainMultiText(c, threeWayQuery, pipeline.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunMulti(c, threeWayQuery, pipeline.Options{})
+	res, err := runMultiText(c, threeWayQuery, pipeline.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +301,7 @@ func TestExplainMultiEstimateIsPairCost(t *testing.T) {
 
 func TestExplainMulti(t *testing.T) {
 	c := threeWayCluster(t)
-	plan, err := ExplainMulti(c, threeWayQuery, pipeline.Options{})
+	plan, err := explainMultiText(c, threeWayQuery, pipeline.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +318,7 @@ func TestExplainMulti(t *testing.T) {
 	if _, err := c.Catalog.Lookup("_join1"); err == nil {
 		t.Error("ExplainMulti leaked an intermediate into the catalog")
 	}
-	if _, err := ExplainMulti(c, "SELECT * FROM Users, Regions WHERE Users.region = Regions.rid", pipeline.Options{}); err == nil {
+	if _, err := explainMultiText(c, "SELECT * FROM Users, Regions WHERE Users.region = Regions.rid", pipeline.Options{}); err == nil {
 		t.Error("two-way query should be rejected")
 	}
 }

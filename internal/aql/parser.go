@@ -26,7 +26,6 @@ func Parse(src string) (*Query, error) {
 	if err != nil {
 		return nil, fmt.Errorf("aql: %w", err)
 	}
-	q.Raw = src
 	return q, nil
 }
 
@@ -222,51 +221,44 @@ func (p *parser) parseConjunct(q *Query, pred *join.Predicate, filters *[]Filter
 	if err != nil {
 		return err
 	}
-	switch {
-	case lCol != nil && rCol != nil:
+	switch lIsCol, rIsCol := lCol.Name != "", rCol.Name != ""; {
+	case lIsCol && rIsCol:
 		if op != "=" {
 			return fmt.Errorf("join predicates must be equalities, got %s %s %s", lCol, op, rCol)
 		}
-		lt, rt := *lCol, *rCol
 		// Orient: the pair's left term must belong to the left array. A
 		// pair the swap would not settle (both terms on one array) stays
 		// as written, so reparsing String() keeps every orientation.
-		if (lt.Array == q.Right || rt.Array == q.Left) && rt.Array != q.Right && lt.Array != q.Left {
-			lt, rt = rt, lt
+		if (lCol.Array == q.Right || rCol.Array == q.Left) && rCol.Array != q.Right && lCol.Array != q.Left {
+			lCol, rCol = rCol, lCol
 		}
-		*pred = append(*pred, join.PredPair{Left: lt, Right: rt})
-	case lCol != nil:
-		*filters = append(*filters, Filter{Col: *lCol, Op: op, Val: *rLit})
-	case rCol != nil:
-		*filters = append(*filters, Filter{Col: *rCol, Op: flipComparison(op), Val: *lLit})
+		*pred = append(*pred, join.PredPair{Left: lCol, Right: rCol})
+	case lIsCol:
+		*filters = append(*filters, Filter{Col: lCol, Op: op, Val: rLit})
+	case rIsCol:
+		*filters = append(*filters, Filter{Col: rCol, Op: flipComparison(op), Val: lLit})
 	default:
 		return fmt.Errorf("conjunct compares two literals")
 	}
 	return nil
 }
 
-// parseOperand reads a column reference or a literal.
-func (p *parser) parseOperand() (*join.Term, *array.Value, error) {
+// parseOperand reads a column reference or a literal: a column has a
+// name, and a literal comes back with the zero Term.
+func (p *parser) parseOperand() (join.Term, array.Value, error) {
 	t := p.cur()
 	switch {
 	case t.kind == tokNumber:
 		v, err := p.parseNumber()
-		if err != nil {
-			return nil, nil, err
-		}
-		return nil, &v, nil
+		return join.Term{}, v, err
 	case t.kind == tokString:
 		p.pos++
-		v := array.StringValue(t.text)
-		return nil, &v, nil
+		return join.Term{}, array.StringValue(t.text), nil
 	case t.kind == tokIdent && !isKeyword(t):
 		c, err := p.parseColRef()
-		if err != nil {
-			return nil, nil, err
-		}
-		return &c, nil, nil
+		return c, array.Value{}, err
 	}
-	return nil, nil, fmt.Errorf("expected column or literal at offset %d, found %q", t.pos, t.text)
+	return join.Term{}, array.Value{}, fmt.Errorf("expected column or literal at offset %d, found %q", t.pos, t.text)
 }
 
 // parseNumber reads a number token, the one reader of WHERE and SELECT

@@ -2,86 +2,103 @@ package aql
 
 import (
 	"fmt"
+	"slices"
 
 	"shufflejoin/internal/array"
 	"shufflejoin/internal/cluster"
+	"shufflejoin/internal/join"
 	"shufflejoin/internal/pipeline"
 )
 
-// Run parses, compiles, and executes an AQL join query against the
+// Run compiles and executes a parsed two-way AQL join query against the
 // cluster's catalog. Literal WHERE conjuncts (column OP literal) push down
 // as selections on their source arrays before the join.
-func Run(c *cluster.Cluster, query string, opt pipeline.Options) (*pipeline.Report, error) {
-	dl, dr, comp, err := twoWay(c, query, func(n int) error {
-		return fmt.Errorf("aql: query joins %d arrays; use RunMulti", n)
-	})
+func Run(c *cluster.Cluster, q *Query, opt pipeline.Options) (*pipeline.Report, error) {
+	dl, dr, comp, err := twoWay(c, q)
 	if err != nil {
 		return nil, err
 	}
 	return pipeline.RunDistributed(c, dl, dr, comp.Pred, comp.Out, comp.ExecOptions(opt))
 }
 
-// twoWay is the prologue Run and Explain share: parse the query, look up
-// its two operands, push its literal filters down onto them, and compile
-// it. A query over more than two arrays fails with tooMany's error.
-func twoWay(c *cluster.Cluster, query string, tooMany func(n int) error) (dl, dr *cluster.Distributed, comp *Compiled, err error) {
-	q, err := Parse(query)
+// twoWay is the prologue Run and Explain share: look up the query's two
+// operands, push its literal filters down onto them, and compile it.
+func twoWay(c *cluster.Cluster, q *Query) (dl, dr *cluster.Distributed, comp *Compiled, err error) {
+	if len(q.From) > 2 {
+		return nil, nil, nil, fmt.Errorf("aql: query joins %d arrays, not two; RunMulti and ExplainMulti take k-way joins", len(q.From))
+	}
+	ops, err := operands(c, q)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	if len(q.From) > 2 {
-		return nil, nil, nil, tooMany(len(q.From))
-	}
-	if dl, err = c.Catalog.Lookup(q.Left); err != nil {
-		return nil, nil, nil, err
-	}
-	if dr, err = c.Catalog.Lookup(q.Right); err != nil {
-		return nil, nil, nil, err
-	}
-	if dl, dr, err = pushdownFilters(q, dl, dr); err != nil {
-		return nil, nil, nil, err
-	}
+	dl, dr = ops[0].d, ops[1].d
 	if comp, err = Compile(q, dl.Array.Schema, dr.Array.Schema); err != nil {
 		return nil, nil, nil, err
 	}
 	return dl, dr, comp, nil
 }
 
-// pushdownFilters applies each literal filter to its source array,
-// preserving the surviving chunks' original placement (selection does not
-// move data between nodes).
-func pushdownFilters(q *Query, dl, dr *cluster.Distributed) (*cluster.Distributed, *cluster.Distributed, error) {
-	for _, f := range q.Filters {
-		var target **cluster.Distributed
-		switch {
-		case f.Col.Array == dl.Array.Schema.Name:
-			target = &dl
-		case f.Col.Array == dr.Array.Schema.Name:
-			target = &dr
-		case f.Col.Array == "":
-			ls, rs := dl.Array.Schema, dr.Array.Schema
-			inL := ls.HasDim(f.Col.Name) || ls.HasAttr(f.Col.Name)
-			inR := rs.HasDim(f.Col.Name) || rs.HasAttr(f.Col.Name)
-			switch {
-			case inL && inR:
-				return nil, nil, fmt.Errorf("aql: filter column %s is ambiguous", f.Col)
-			case inL:
-				target = &dl
-			case inR:
-				target = &dr
-			default:
-				return nil, nil, fmt.Errorf("aql: filter column %s not found", f.Col)
-			}
-		default:
-			return nil, nil, fmt.Errorf("aql: filter references unknown array %s", f.Col.Array)
-		}
-		filtered, err := applyFilter(*target, f)
+// operand is one FROM array of a query under its FROM name: a catalog
+// array, or in a k-way join an intermediate.
+type operand struct {
+	name string
+	d    *cluster.Distributed
+}
+
+// operands looks up the query's FROM arrays in FROM order and applies each
+// literal filter to the operand that owns its column (ownerOf), keeping
+// the surviving chunks' placement: selection does not move data between
+// nodes.
+func operands(c *cluster.Cluster, q *Query) ([]operand, error) {
+	ops := make([]operand, len(q.From))
+	for i, name := range q.From {
+		d, err := c.Catalog.Lookup(name)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		*target = filtered
+		ops[i] = operand{name, d}
 	}
-	return dl, dr, nil
+	for _, f := range q.Filters {
+		i, err := ownerOf(ops, f.Col)
+		if err != nil {
+			return nil, err
+		}
+		if ops[i].d, err = applyFilter(ops[i].d, f); err != nil {
+			return nil, err
+		}
+	}
+	return ops, nil
+}
+
+// ownerOf returns the index of the operand a column belongs to: the first
+// operand of its qualifier's name, or else the one operand holding a
+// dimension or attribute of that name.
+func ownerOf(ops []operand, t join.Term) (int, error) {
+	if t.Array != "" {
+		if i := indexOf(ops, t.Array); i >= 0 {
+			return i, nil
+		}
+		return 0, fmt.Errorf("aql: column %s references %s, not in FROM", t, t.Array)
+	}
+	owner := -1
+	for i, o := range ops {
+		s := o.d.Array.Schema
+		if s.HasDim(t.Name) || s.HasAttr(t.Name) {
+			if owner >= 0 {
+				return 0, fmt.Errorf("aql: unqualified column %s is ambiguous across %s and %s", t.Name, ops[owner].name, o.name)
+			}
+			owner = i
+		}
+	}
+	if owner < 0 {
+		return 0, fmt.Errorf("aql: column %s not found in any FROM array", t.Name)
+	}
+	return owner, nil
+}
+
+// indexOf returns the index of the first operand named name, or -1.
+func indexOf(ops []operand, name string) int {
+	return slices.IndexFunc(ops, func(o operand) bool { return o.name == name })
 }
 
 func applyFilter(d *cluster.Distributed, f Filter) (*cluster.Distributed, error) {
@@ -154,12 +171,10 @@ func compare(v array.Value, op string, lit array.Value) (bool, error) {
 	return false, fmt.Errorf("aql: unknown comparison %q", op)
 }
 
-// Explain parses and compiles a two-way query, then returns the
-// optimizer's plan enumeration without executing.
-func Explain(c *cluster.Cluster, query string, opt pipeline.Options) (*pipeline.Explanation, error) {
-	dl, dr, comp, err := twoWay(c, query, func(int) error {
-		return fmt.Errorf("aql: EXPLAIN supports two-way joins")
-	})
+// Explain compiles a parsed two-way query, then returns the optimizer's
+// plan enumeration without executing.
+func Explain(c *cluster.Cluster, q *Query, opt pipeline.Options) (*pipeline.Explanation, error) {
+	dl, dr, comp, err := twoWay(c, q)
 	if err != nil {
 		return nil, err
 	}

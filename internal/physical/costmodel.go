@@ -91,18 +91,25 @@ func NewProblem(k int, algo join.Algorithm, left, right [][]int64, params CostPa
 		}
 		pr.Sizes[i] = row
 		pr.UnitTotal[i] = pr.LeftTotal[i] + pr.RightTotal[i]
-		small, large := pr.LeftTotal[i], pr.RightTotal[i]
-		if small > large {
-			small, large = large, small
-		}
-		switch algo {
-		case join.Merge:
-			pr.Comp[i] = params.Merge * float64(pr.UnitTotal[i])
-		case join.Hash:
-			pr.Comp[i] = params.Build*float64(small) + params.Probe*float64(large)
-		}
+		pr.Comp[i] = params.Unit(algo, pr.LeftTotal[i], pr.RightTotal[i])
 	}
 	return pr, nil
+}
+
+// Unit is the per-unit comparison cost C_i of a unit with left and right
+// cells (Section 5.1): m·S_i for merge, b·t_i + p·u_i for hash with t_i
+// the smaller and u_i the larger side, and p·l·r for nested loop, which
+// probes every pair.
+func (p CostParams) Unit(algo join.Algorithm, left, right int64) float64 {
+	switch algo {
+	case join.Merge:
+		return p.Merge * float64(left+right)
+	case join.Hash:
+		small, large := min(left, right), max(left, right)
+		return p.Build*float64(small) + p.Probe*float64(large)
+	default:
+		return p.Probe * float64(left) * float64(right)
+	}
 }
 
 // Assignment maps each join unit to the node that will process it.

@@ -72,7 +72,7 @@ func (qc *QueryContext) runUnit(u int, res *unitOut) {
 		return
 	}
 	res.stats = st
-	res.time = unitModelTime(qc.plan.Algo, int(nl), int(nr))
+	res.time = params.Unit(qc.plan.Algo, nl, nr)
 }
 
 // fold merges per-unit slots into per-node outputs in deterministic

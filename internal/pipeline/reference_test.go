@@ -160,7 +160,7 @@ func (r refCompare) Run(qc *QueryContext) error {
 				return err
 			}
 			no.stats.Add(st)
-			no.time += unitModelTime(algo, len(left), len(right))
+			no.time += params.Unit(algo, int64(len(left)), int64(len(right)))
 		}
 		if no.cells = int64(cols.Len()); no.cells > 0 {
 			qc.parts = append(qc.parts, cols)

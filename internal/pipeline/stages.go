@@ -381,22 +381,6 @@ func modelAlgo(a join.Algorithm) join.Algorithm {
 	return a
 }
 
-// unitModelTime applies the Section 5.1 per-unit cost C_i.
-func unitModelTime(algo join.Algorithm, nl, nr int) float64 {
-	switch algo {
-	case join.Merge:
-		return params.Merge * float64(nl+nr)
-	case join.Hash:
-		small, large := nl, nr
-		if small > large {
-			small, large = large, small
-		}
-		return params.Build*float64(small) + params.Probe*float64(large)
-	default: // nested loop: every pair probed
-		return params.Probe * float64(nl) * float64(nr)
-	}
-}
-
 // catalogHistogram serves attribute histograms from c's catalog — the
 // statistics the paper's engine keeps there — and, for an operand the
 // catalog does not hold (a k-way join's query-local intermediate), from

@@ -541,13 +541,13 @@ func (db *DB) Query(q string, opts ...QueryOption) (*Result, error) {
 		// Multi-way join: greedy join ordering (the paper's Section 8
 		// future work, implemented in internal/aql). Its intermediates
 		// are query-local, so it only reads the catalog.
-		mres, err := aql.RunMulti(c, q, eo)
+		mres, err := aql.RunMulti(c, parsed, eo)
 		if err != nil {
 			return nil, err
 		}
 		res = newMultiResult(mres)
 	} else {
-		rep, err := aql.Run(c, q, eo)
+		rep, err := aql.Run(c, parsed, eo)
 		if err != nil {
 			return nil, err
 		}
@@ -574,7 +574,7 @@ func (db *DB) Explain(q string, opts ...QueryOption) (*Explanation, error) {
 		Planner:     cfg.planner,
 		Selectivity: cfg.selectivity,
 	}
-	ex, err := aql.Explain(db.snapshot(parsed.From), q, eo)
+	ex, err := aql.Explain(db.snapshot(parsed.From), parsed, eo)
 	if err != nil {
 		return nil, err
 	}
@@ -653,7 +653,7 @@ func (db *DB) ExplainJoinOrder(q string) ([]JoinOrderStep, error) {
 	if err != nil {
 		return nil, err
 	}
-	plan, err := aql.ExplainMulti(db.snapshot(parsed.From), q, pipeline.Options{})
+	plan, err := aql.ExplainMulti(db.snapshot(parsed.From), parsed, pipeline.Options{})
 	if err != nil {
 		return nil, err
 	}

@@ -21,16 +21,18 @@ var allocShapes = []struct {
 	opts  []QueryOption
 	load  func(t *testing.T, db *DB)
 	// ceiling is the most allocations one query may make on average: the
-	// highest count of eight measurements (Go 1.24, 2 vCPU: 796, 309,
-	// 1,308, 824 and 1,059) plus 2 %. Parsing a query a second time, 25
-	// to 47 allocations, fails the gate.
+	// highest count of eight measurements (Go 1.24, 2 vCPU: 794, 307,
+	// 1,306, 822 and 1,057) plus 2 %. Parsing a query a second time, 25
+	// to 47 allocations, fails the gate. wide_plan's count takes one of
+	// 1,023, 1,040 and 1,057 per process (24 processes), though its
+	// output is no longer sorted, so the sort's scratch is not why.
 	ceiling uint64
 }{
-	{"hash_hot", 4, "SELECT A.i, B.i INTO T<ai:int, bi:int>[] FROM A JOIN B ON A.v = B.w", nil, loadHashHot, 811},
-	{"serve_mix", 4, "SELECT IA.v, IB.w FROM IA, IB WHERE IA.i = IB.i", nil, loadServePair, 315},
-	{"merge_skew", 4, "SELECT MA.v, MB.w FROM MA, MB WHERE MA.i = MB.i AND MA.j = MB.j", nil, loadMergeSkew, 1334},
-	{"select_expr", 4, "SELECT A.v * 2 + B.w, -A.i / B.i INTO T<x:int, y:float>[] FROM A JOIN B ON A.v = B.w", nil, loadHashHot, 840},
-	{"wide_plan", 32, "SELECT A.i, B.i INTO T<ai:int, bi:int>[] FROM A JOIN B ON A.v = B.w", []QueryOption{WithPlanner("tabu")}, loadHashHot, 1080},
+	{"hash_hot", 4, "SELECT A.i, B.i INTO T<ai:int, bi:int>[] FROM A JOIN B ON A.v = B.w", nil, loadHashHot, 809},
+	{"serve_mix", 4, "SELECT IA.v, IB.w FROM IA, IB WHERE IA.i = IB.i", nil, loadServePair, 313},
+	{"merge_skew", 4, "SELECT MA.v, MB.w FROM MA, MB WHERE MA.i = MB.i AND MA.j = MB.j", nil, loadMergeSkew, 1332},
+	{"select_expr", 4, "SELECT A.v * 2 + B.w, -A.i / B.i INTO T<x:int, y:float>[] FROM A JOIN B ON A.v = B.w", nil, loadHashHot, 838},
+	{"wide_plan", 32, "SELECT A.i, B.i INTO T<ai:int, bi:int>[] FROM A JOIN B ON A.v = B.w", []QueryOption{WithPlanner("tabu")}, loadHashHot, 1078},
 }
 
 // loadHashHot inserts two 8,000-cell arrays whose values fall on a key

@@ -7,14 +7,11 @@ import (
 	"shufflejoin/internal/par"
 )
 
-// maxMergeRuns is the most ascending runs a chunk may consist of for Sort
-// to merge them rather than radix sort it. A join's output chunk has one
-// run per node that wrote into it.
-const maxMergeRuns = 8
-
 // radixBits is the widest digit of the radix sort: a pass counts into at
 // most 2^radixBits buckets, and a 64-bit key word takes at most
-// maxRadixPasses passes.
+// maxRadixPasses passes of digits that wide. A narrower digit, which a
+// small chunk takes, means more passes of fewer buckets, whose
+// histograms together still fit in maxRadixPasses << radixBits counts.
 const (
 	radixBits      = 11
 	maxRadixPasses = (64 + radixBits - 1) / radixBits
@@ -35,7 +32,7 @@ type sortScratch struct {
 	ints        []int64
 	fs          []float64
 	strs        []string
-	hist        [maxRadixPasses][1 << radixBits]int32
+	hist        [maxRadixPasses << radixBits]int32
 }
 
 // keyDim places one dimension's offsets in a packed key word: a row's
@@ -58,25 +55,17 @@ const maxPooledSortRows = 1 << 20
 // invoked by the redimension operator. Table 1 prices it at n·log n per
 // chunk, and the cost model keeps that formula, but for d dimensions the
 // code is linear in n:
-//   - one pass, O(n·d), finds the ascending runs; a chunk of one run is
-//     left as it is;
-//   - a chunk of at most maxMergeRuns runs is merged, ties going to the
-//     earlier run, in O(n · runs) row comparisons;
+//   - one pass, O(n·d), checks whether the rows already ascend; such a
+//     chunk (every chunk of a row-numbered join output) is left as it is;
 //   - any other chunk is radix sorted on packed C-order keys
 //     (radixSort), ties kept in row order: O(n·d) to build the keys and
 //     O(n) per pass, at most maxRadixPasses passes per 64-bit key word.
 //
-// Either way each column is then gathered into the new order through a
-// pooled buffer and copied back, O(n) per column. A chunk holds fewer
-// than 2^31 cells.
+// Each column is then gathered into the new order through a pooled
+// buffer and copied back, O(n) per column. A chunk holds fewer than 2^31
+// cells.
 func (ch *Chunk) Sort() {
-	if ch.Sorted || ch.NDims == 0 {
-		ch.Sorted = true
-		return
-	}
-	var bounds [maxMergeRuns + 1]int
-	runs := ch.runBounds(bounds[:0])
-	if len(runs) == 2 { // one run: already in C-order
+	if ch.Sorted || ch.NDims == 0 || ch.ascendingFrom(1) {
 		ch.Sorted = true
 		return
 	}
@@ -86,11 +75,7 @@ func (ch *Chunk) Sort() {
 		sc = new(sortScratch)
 	}
 	sc.perm = slices.Grow(sc.perm[:0], n)[:n]
-	if runs != nil {
-		ch.mergeRuns(runs, sc.perm)
-	} else {
-		ch.radixSort(sc)
-	}
+	ch.radixSort(sc)
 	perm := sc.perm
 	for d := range ch.Coords {
 		sc.ints = applyPerm(ch.Coords[d], perm, sc.ints)
@@ -149,9 +134,11 @@ func (ch *Chunk) radixSort(sc *sortScratch) {
 
 // sortWord stably reorders sc.perm on the key word packed from
 // dimensions start to end-1, used bits wide. The word is split into
-// equal digits of at most radixBits bits; one read of the keys counts
-// every digit's histogram, and a pass whose digit is the same for every
-// row is skipped. Each pass scatters keys and rows together.
+// equal digits of at most radixBits bits, and of at most as many bits as
+// the row count has, so a small chunk's passes do not each clear and sum
+// 2^radixBits buckets; one read of the keys counts every digit's
+// histogram, and a pass whose digit is the same for every row is
+// skipped. Each pass scatters keys and rows together.
 func (ch *Chunk) sortWord(sc *sortScratch, start, end int, used uint) {
 	n := len(sc.perm)
 	keys := slices.Grow(sc.keys[:0], n)[:n]
@@ -162,27 +149,26 @@ func (ch *Chunk) sortWord(sc *sortScratch, start, end int, used uint) {
 			keys[i] |= int64((uint64(c[p]) - k.min) << k.shift)
 		}
 	}
-	passes := (used + radixBits - 1) / radixBits
+	digit := min(radixBits, uint(bits.Len(uint(n))))
+	passes := (used + digit - 1) / digit
 	width := (used + passes - 1) / passes
 	mask := uint64(1)<<width - 1
-	hist := sc.hist[:passes]
-	for p := range hist {
-		clear(hist[p][:mask+1])
-	}
+	hist := sc.hist[:passes<<width]
+	clear(hist)
 	for _, k := range keys {
-		for p := range hist {
-			hist[p][uint64(k)>>(uint(p)*width)&mask]++
+		for p := uint(0); p < passes; p++ {
+			hist[p<<width|uint(uint64(k)>>(p*width)&mask)]++
 		}
 	}
 	tmp := slices.Grow(sc.ints[:0], n)[:n]
 	perm, perm2 := sc.perm, slices.Grow(sc.perm2[:0], n)[:n]
-	for p := range hist {
-		shift, count := uint(p)*width, &hist[p]
+	for p := uint(0); p < passes; p++ {
+		shift, count := p*width, hist[p<<width:(p+1)<<width]
 		if count[uint64(keys[0])>>shift&mask] == int32(n) {
 			continue
 		}
 		var at int32
-		for b, c := range count[:mask+1] {
+		for b, c := range count {
 			count[b] = at
 			at += c
 		}
@@ -197,56 +183,6 @@ func (ch *Chunk) sortWord(sc *sortScratch, start, end int, used uint) {
 	}
 	sc.keys, sc.ints = keys, tmp
 	sc.perm, sc.perm2 = perm, perm2
-}
-
-// runBounds appends to dst the start row of each maximal ascending run of
-// the chunk and then its length, or returns nil when the chunk has more
-// than maxMergeRuns runs.
-func (ch *Chunk) runBounds(dst []int) []int {
-	n := ch.Len()
-	dst = append(dst, 0)
-	for row := 1; row < n; row++ {
-		if ch.compareRows(row-1, row) > 0 {
-			if len(dst) == maxMergeRuns {
-				return nil
-			}
-			dst = append(dst, row)
-		}
-	}
-	return append(dst, n)
-}
-
-// mergeRuns fills perm with the chunk's rows in C-order by merging the
-// ascending runs that start at bounds[r] and end before bounds[r+1]. A
-// tie goes to the earlier run, which keeps the order stable.
-func (ch *Chunk) mergeRuns(bounds []int, perm []int32) {
-	k := len(bounds) - 1
-	var heads [maxMergeRuns]int
-	copy(heads[:], bounds[:k])
-	if ch.NDims == 1 {
-		c := ch.Coords[0]
-		for out := range perm {
-			best := -1
-			for r := 0; r < k; r++ {
-				if h := heads[r]; h < bounds[r+1] && (best < 0 || c[h] < c[heads[best]]) {
-					best = r
-				}
-			}
-			perm[out] = int32(heads[best])
-			heads[best]++
-		}
-		return
-	}
-	for out := range perm {
-		best := -1
-		for r := 0; r < k; r++ {
-			if h := heads[r]; h < bounds[r+1] && (best < 0 || ch.compareRows(h, heads[best]) < 0) {
-				best = r
-			}
-		}
-		perm[out] = int32(heads[best])
-		heads[best]++
-	}
 }
 
 // applyPerm rearranges s so that s[i] becomes the old s[perm[i]],

@@ -159,10 +159,10 @@ func sortCase(shape string, nd, n int, rng *rand.Rand) *Chunk {
 }
 
 // TestChunkSortMatchesStable: Sort leaves every chunk shape exactly as the
-// stable sort does, cell for cell, whether it merges runs or radix sorts:
-// negative coordinates, coordinates at the ends of int64 (a key of more
-// than one word), up to nine dimensions, all-equal coordinates, and up to
-// 40 runs.
+// stable sort does, cell for cell, whether the chunk is already one
+// ascending run or is radix sorted: negative coordinates, coordinates at
+// the ends of int64 (a key of more than one word), up to nine
+// dimensions, all-equal coordinates, and 2 to 40 ascending runs.
 func TestChunkSortMatchesStable(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	shapes := []string{"random", "negative", "wide", "extremes", "equal", "sorted", "reversed",
@@ -187,7 +187,8 @@ func TestChunkSortMatchesStable(t *testing.T) {
 // range of its own, a fuzzed base and span moved by the draw, and in
 // about half the dimensions a quarter of the coordinates replaced by an
 // end of int64 or its neighbour. Up to runs ascending runs are sorted
-// first and appended in turn, so the run merge is fuzzed too.
+// first and appended in turn, so chunks made of a few runs (the shapes
+// Seal, Redistribute and Reorganize leave) reach the radix sort too.
 func FuzzChunkSort(f *testing.F) {
 	f.Add(uint8(2), int64(0), uint64(100), int64(1), uint16(500), uint8(0))
 	f.Add(uint8(3), int64(-50), uint64(1)<<40, int64(2), uint16(2000), uint8(0))

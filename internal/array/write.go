@@ -1,6 +1,10 @@
 package array
 
-import "slices"
+import (
+	"slices"
+
+	"shufflejoin/internal/par"
+)
 
 // Rejection locates AppendParts' strict-bounds rejection: cell Row of
 // part Part has a coordinate outside its dimension's declared range. Err,
@@ -51,44 +55,79 @@ func (a *Array) AppendParts(parts []*Chunk, strict bool, flow func(part int, key
 			}
 		}
 	}
-	r := router{a: a}
+	r, ok := routerPool.Get()
+	if !ok {
+		r = new(router)
+	}
+	r.reset(a)
 	sizes := make(map[ChunkKey]int) // rows bound for each chunk
 	for p, part := range parts {
 		r.group(part)
-		for b, key := range r.bkeys {
-			sizes[key] += int(r.ends[b])
+		var end int32
+		for b := r.spans[p].bucket; b < len(r.bkeys); b++ {
+			key, n := r.bkeys[b], int(r.ends[b]-end)
+			end = r.ends[b]
+			sizes[key] += n
 			if flow != nil {
-				flow(p, key, int(r.ends[b]))
+				flow(p, key, n)
 			}
 		}
 	}
+	r.spans = append(r.spans, partSpan{bucket: len(r.bkeys)}) // one past the last part
 	for key, n := range sizes {
 		a.Chunk(key).Grow(n)
 	}
-	for _, part := range parts {
-		r.route(part)
+	for p, part := range parts {
+		r.route(p, part)
+	}
+	if max(cap(r.keys), cap(r.bucket), cap(r.rows)) <= maxPooledRouteRows {
+		r.a = nil
+		routerPool.Put(r)
 	}
 	return clamped, nil
 }
 
-// router groups a part's rows by the chunk they fall in. Its buffers are
-// reused from part to part.
+// router groups parts' rows by the chunk they fall in, once per part:
+// AppendParts sizes the chunks from the groups, then routes each part by
+// its group. routerPool recycles routers, buffers and all.
 type router struct {
 	a      *Array
-	keys   []ChunkKey // per row: its chunk
-	bucket []int32    // per row: its bucket, unless one bucket holds every row
-	rows   []int32    // row numbers grouped by bucket
-	ends   []int32    // per bucket: its row count, then its end in rows
-	bkeys  []ChunkKey // per bucket: its chunk
-	ids    map[ChunkKey]int32
+	keys   []ChunkKey         // per row of the part being grouped: its chunk
+	bucket []int32            // per row of the part being grouped: its bucket
+	ids    map[ChunkKey]int32 // the part being grouped's buckets by chunk
+	bkeys  []ChunkKey         // per bucket, the parts' in turn: its chunk
+	ends   []int32            // per bucket: its end among its part's rows
+	rows   []int32            // each part of several buckets: its rows by bucket
+	spans  []partSpan         // per part, then one past: its first bucket and row
 }
 
-// group numbers the chunks part's rows fall in as buckets, in order of
-// first appearance: bkeys[b] is bucket b's chunk, ends[b] its row count
-// and bucket[row] the row's bucket. Only a row whose key differs from the
-// row before it looks its bucket up. An empty part has no buckets.
+// partSpan locates one part's group in a router: its buckets start at
+// bkeys[bucket], and, when it has more than one, its grouped rows at
+// rows[row].
+type partSpan struct{ bucket, row int }
+
+var routerPool = par.NewPool[*router](8)
+
+// maxPooledRouteRows bounds the buffers routerPool keeps: a router grown
+// for more rows is left to the collector.
+const maxPooledRouteRows = 1 << 20
+
+// reset empties the router for a call of AppendParts on a.
+func (r *router) reset(a *Array) {
+	r.a = a
+	r.bkeys, r.ends, r.rows, r.spans = r.bkeys[:0], r.ends[:0], r.rows[:0], r.spans[:0]
+}
+
+// group appends part's buckets, the chunks its rows fall in numbered in
+// order of first appearance: bkeys[b] is bucket b's chunk and ends[b]
+// where its rows end among the part's rows, so its row count is ends[b]
+// less the previous bucket's end (or 0 for the part's first). A part of
+// more than one bucket also appends its row numbers to rows, grouped by
+// bucket and in row order within each. Only a row whose key differs from
+// the row before it looks its bucket up. An empty part has no buckets.
 func (r *router) group(part *Chunk) {
-	r.bkeys, r.ends, r.bucket = r.bkeys[:0], r.ends[:0], r.bucket[:0]
+	first := len(r.bkeys)
+	r.spans = append(r.spans, partSpan{bucket: first, row: len(r.rows)})
 	n := part.Len()
 	if n == 0 {
 		return
@@ -109,62 +148,68 @@ func (r *router) group(part *Chunk) {
 		r.ids = make(map[ChunkKey]int32)
 	}
 	clear(r.ids)
-	r.keys, r.bucket = keys, slices.Grow(r.bucket, n)[:n]
+	r.keys, r.bucket = keys, slices.Grow(r.bucket[:0], n)[:n]
 	var b int32
 	for i, k := range keys {
 		if i == 0 || k != keys[i-1] {
 			var ok bool
 			if b, ok = r.ids[k]; !ok {
-				b = int32(len(r.bkeys))
+				b = int32(len(r.bkeys) - first)
 				r.ids[k] = b
 				r.bkeys, r.ends = append(r.bkeys, k), append(r.ends, 0)
 			}
 		}
 		r.bucket[i] = b
-		r.ends[b]++
+		r.ends[first+int(b)]++
+	}
+	// Counting sort of the rows by bucket: ends[b], summed, is where
+	// bucket b's next row goes, and once every row is placed, its end.
+	ends := r.ends[first:]
+	var at int32
+	for b, c := range ends {
+		ends[b] = at
+		at += c
+	}
+	from := len(r.rows)
+	r.rows = slices.Grow(r.rows, n)[:from+n]
+	rows := r.rows[from:]
+	for i, b := range r.bucket {
+		rows[ends[b]] = int32(i)
+		ends[b]++
 	}
 }
 
-// oneChunk reports whether every row of part falls in one chunk, and
-// which, from each coordinate column's range alone.
+// oneChunk reports whether every row of part falls in the chunk of its
+// first row, and which, in one pass over each coordinate column that
+// stops at the first row outside that chunk's range.
 func (r *router) oneChunk(part *Chunk) (ChunkKey, bool) {
 	var key ChunkKey
 	for d, dim := range r.a.Schema.Dims {
 		col := part.Coords[d]
-		lo, hi := slices.Min(col), slices.Max(col)
-		idx := dim.ChunkIndex(lo)
-		if dim.ChunkIndex(hi) != idx {
-			return 0, false
+		idx := dim.ChunkIndex(col[0])
+		lo := dim.Start + idx*dim.ChunkInterval
+		for _, v := range col {
+			if uint64(v-lo) >= uint64(dim.ChunkInterval) {
+				return 0, false
+			}
 		}
 		key = key*ChunkKey(dim.ChunkCount()) + ChunkKey(idx)
 	}
 	return key, true
 }
 
-// route appends every row of part to the chunk it falls in, each
-// bucket's rows with one AppendColumns.
-func (r *router) route(part *Chunk) {
-	r.group(part)
-	if len(r.bkeys) == 1 {
-		r.a.Chunks[r.bkeys[0]].AppendColumns(part, nil)
+// route appends every row of part p, grouped already, to the chunk it
+// falls in, each bucket's rows with one AppendColumns.
+func (r *router) route(p int, part *Chunk) {
+	from, to := r.spans[p].bucket, r.spans[p+1].bucket
+	if to-from == 1 {
+		r.a.Chunks[r.bkeys[from]].AppendColumns(part, nil)
 		return
 	}
-	// Counting sort of the rows by bucket: ends[b], summed, is where
-	// bucket b's next row goes, and once every row is placed, its end.
-	var at int32
-	for b, n := range r.ends {
-		r.ends[b] = at
-		at += n
-	}
-	rows := slices.Grow(r.rows[:0], len(r.bucket))[:len(r.bucket)]
-	r.rows = rows
-	for i, b := range r.bucket {
-		rows[r.ends[b]] = int32(i)
-		r.ends[b]++
-	}
+	rows := r.rows[r.spans[p].row:]
 	var start int32
-	for b, key := range r.bkeys {
-		r.a.Chunks[key].AppendColumns(part, rows[start:r.ends[b]])
+	for b := from; b < to; b++ {
+		r.a.Chunks[r.bkeys[b]].AppendColumns(part, rows[start:r.ends[b]])
 		start = r.ends[b]
 	}
 }

@@ -76,21 +76,22 @@ func (qc *QueryContext) runUnit(u int, res *unitOut) {
 }
 
 // fold merges per-unit slots into per-node outputs in deterministic
-// order — node ascending, units in assignment order — writing the node's
-// stride-K synthetic row numbers (node, node+K, node+2K, …) into the row
-// column in that order and accumulating modeled seconds in that same
-// order, so the merged nodeOut values do not depend on which worker ran
-// which unit when. It copies no cells: it lists the units' output parts
-// (cells in emit order within each; none is empty) in that same order,
-// which is the order Assemble writes them in — as does the tests'
-// reference executor, which is what makes their outputs directly
-// comparable.
+// order — node ascending, units in assignment order — writing synthetic
+// row numbers node-major into the row column in that order (one running
+// counter: node n's rows start where node n−1's end, so a query's rows
+// are exactly 0…N−1 and every part is one ascending range) and
+// accumulating modeled seconds in that same order, so the merged nodeOut
+// values do not depend on which worker ran which unit when. It copies no
+// cells: it lists the units' output parts (cells in emit order within
+// each; none is empty) in that same order, which is the order Assemble
+// writes them in — as does the tests' reference executor, which is what
+// makes their outputs directly comparable.
 func (qc *QueryContext) fold(results []unitOut) ([]nodeOut, []*array.Chunk) {
 	k := qc.Cluster.K
 	nodes, parts := make([]nodeOut, k), make([]*array.Chunk, 0, len(results))
+	var row int64
 	for node := 0; node < k; node++ {
 		no := &nodes[node]
-		row := int64(node)
 		for _, u := range qc.nodeUnits[node] {
 			res := &results[u]
 			if res.err != nil {
@@ -102,7 +103,7 @@ func (qc *QueryContext) fold(results []unitOut) ([]nodeOut, []*array.Chunk) {
 					rows := c.Coords[0]
 					for i := range rows {
 						rows[i] = row
-						row += int64(k)
+						row++
 					}
 				}
 				parts = append(parts, c)

@@ -30,17 +30,8 @@ func PlanSignature(c *cluster.Cluster, dl, dr *cluster.Distributed, pred join.Pr
 // a coordinate outside its dimension, found cell by cell. It returns ""
 // when every cell is in range.
 func FirstOutOfRange(c *cluster.Cluster, leftName, rightName string, pred join.Predicate, out *array.Schema, opt Options) (string, error) {
-	dl, err := c.Catalog.Lookup(leftName)
+	qc, err := compared(c, leftName, rightName, pred, out, opt)
 	if err != nil {
-		return "", err
-	}
-	dr, err := c.Catalog.Lookup(rightName)
-	if err != nil {
-		return "", err
-	}
-	qc := NewQueryContext(c, dl, dr, pred, out, opt)
-	stages := DefaultStages()
-	if err := Execute(qc, stages[:len(stages)-1]); err != nil {
 		return "", err
 	}
 	for _, part := range qc.parts {
@@ -54,6 +45,36 @@ func FirstOutOfRange(c *cluster.Cluster, leftName, rightName string, pred join.P
 		}
 	}
 	return "", nil
+}
+
+// AppendedOutput runs the query's stages up to Compare, then writes the
+// parts fold listed into the destination with Array.AppendParts as
+// Assemble does, and returns the report so far, the parts in the order
+// they were written, and the destination before Assemble's SortAll.
+func AppendedOutput(c *cluster.Cluster, leftName, rightName string, pred join.Predicate, out *array.Schema, opt Options) (*Report, []*array.Chunk, *array.Array, error) {
+	qc, err := compared(c, leftName, rightName, pred, out, opt)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if _, bad := qc.outArr.AppendParts(qc.parts, opt.Strict, nil); bad != nil {
+		return nil, nil, nil, bad.Err
+	}
+	return qc.Report, qc.parts, qc.outArr, nil
+}
+
+// compared runs the query's stages up to Compare.
+func compared(c *cluster.Cluster, leftName, rightName string, pred join.Predicate, out *array.Schema, opt Options) (*QueryContext, error) {
+	dl, err := c.Catalog.Lookup(leftName)
+	if err != nil {
+		return nil, err
+	}
+	dr, err := c.Catalog.Lookup(rightName)
+	if err != nil {
+		return nil, err
+	}
+	qc := NewQueryContext(c, dl, dr, pred, out, opt)
+	stages := DefaultStages()
+	return qc, Execute(qc, stages[:len(stages)-1])
 }
 
 // BorrowedUnits returns how many join units' sides, left and right,

@@ -30,7 +30,9 @@
 //  1. each unit's results land in a pre-allocated per-unit slot, and
 //  2. all merging — cells, join stats, modeled seconds, synthetic row
 //     numbering — happens on the orchestration goroutine in a fixed
-//     order: node ascending, unit assignment order, emit order.
+//     order: node ascending, unit assignment order, emit order. Row
+//     numbers follow that order from 0, so they are node-major and
+//     dense.
 //
 // # Compare on columns, project by gather
 //
@@ -42,8 +44,9 @@
 // fills the unit's typed output columns, shaped like an array.Chunk and
 // sized for its matches, a column at a time: a source column by typed
 // gather, a SELECT expression evaluated over gathered columns. fold
-// writes synthetic row numbers into them in place and keeps each node's
-// slots in assignment order; Assemble writes them with
+// writes node-major synthetic row numbers into them in place and keeps
+// each node's slots in assignment order, so each output chunk receives
+// one ascending run and needs no sort; Assemble writes them with
 // array.Array.AppendParts, which clamps them column by column, buckets
 // their rows by destination chunk, and appends each bucket with one
 // Chunk.AppendColumns. No match allocates on the way.

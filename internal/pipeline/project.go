@@ -295,9 +295,9 @@ func (s *unitScratch) rows(src source) []int32 {
 // part lives until Assemble, so a pool would hand the next query's units
 // capacities in whatever order its workers ask, and the bytes a query
 // allocates would vary from run to run. A synthetic row coordinate is the
-// unit-local row number (0, 1, 2, …); fold renumbers it to the
-// destination node's stride-K sequence (node, node+K, node+2K, … —
-// disjoint across nodes) when it merges the units in deterministic order.
+// unit-local row number (0, 1, 2, …); fold renumbers it node-major (one
+// counter over nodes ascending and each node's units in assignment
+// order) when it merges the units in deterministic order.
 func (p *projector) project(out *array.Schema, s *unitScratch, strs []string) *array.Chunk {
 	n := len(s.m.L)
 	s.load(p, strs)

@@ -18,8 +18,8 @@ import (
 // (shuffle.MapSide), simulates the whole alignment, then compares on
 // one goroutine node by node, unit by unit in assignment order,
 // assembling each unit whole (SliceSet.Assemble → SortTuples for merge →
-// join.Run) and numbering synthetic rows node, node+K, node+2K, …
-// directly. It shares no data-plane or ordering code with the production
+// join.Run) and numbering synthetic rows node-major directly: one
+// counter from 0, node by node in ascending order. It shares no data-plane or ordering code with the production
 // stages — only the cost formulas, the output array, the projector's
 // field resolution, Assemble, and the planners — and plugs in through the
 // seam Execute already has: the stage list.
@@ -126,6 +126,7 @@ func (r refCompare) Run(qc *QueryContext) error {
 			return fmt.Errorf("reference: output expressions are checked in internal/aql, not here")
 		}
 	}
+	var row int64
 	for node := 0; node < k; node++ {
 		no := &qc.nodes[node]
 		cols := &array.Chunk{NDims: len(qc.outArr.Schema.Dims)}
@@ -134,11 +135,10 @@ func (r refCompare) Run(qc *QueryContext) error {
 		for i, typ := range qc.proj.types {
 			cols.Cols[i].Type = typ
 		}
-		row := int64(node)
 		emit := func(lt, rt *join.Tuple) {
 			if qc.proj.rowDim {
 				cols.Coords[0] = append(cols.Coords[0], row)
-				row += int64(k)
+				row++
 			}
 			for d, src := range qc.proj.dims {
 				cols.Coords[d] = append(cols.Coords[d], tupleValue(src, lt, rt).AsInt())

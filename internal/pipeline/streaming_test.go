@@ -37,8 +37,9 @@ func TestStreamingMatchesReference(t *testing.T) {
 		{"attr-join-dim-output", attrPred, array.MustParseSchema("T<i:int, j:int>[v=0,29,6]"), allAlgos},
 		// The dim:dim plan space does not enumerate every algorithm.
 		{"dim-join-default-output", dimPred, nil, []join.Algorithm{join.Merge}},
-		// Synthetic row coordinates: fold's renumbering against the
-		// reference's direct stride-K numbering.
+		// Synthetic row coordinates: fold's node-major renumbering of
+		// unit-local rows against the reference's direct node-major
+		// numbering.
 		{"attr-join-row-output", attrPred, array.MustParseSchema("T<i:int, j:int>[]"), allAlgos},
 	}
 

@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"shufflejoin"
+	"shufflejoin/internal/flight"
 )
 
 func main() {
@@ -51,7 +52,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		obsAddr = fs.String("obs-addr", "", "serve live telemetry on this address (/metrics, /debug/queries, /debug/inflight, /debug/flight, /debug/status); e.g. :8080 or :0")
 		slowMs  = fs.Float64("slow-ms", 0, "mark queries at or above this wall time (ms) as slow in /debug/queries (with -postmortem-dir, also the slow-query bundle threshold)")
 		obsHold = fs.Duration("obs-hold", 0, "keep the telemetry endpoint up this long after the query finishes")
-		pmDir   = fs.String("postmortem-dir", "", "capture a diagnostic bundle (flight events, profile, metrics, goroutine stacks) into this directory when the query panics, fails a strict check, or breaches -slow-ms")
+		pmDir   = fs.String("postmortem-dir", "", "capture a diagnostic bundle (flight events, profile, goroutine stacks) into this directory when the query panics, fails a strict check, or breaches -slow-ms")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -72,6 +73,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fail := func(err error) int {
 		fmt.Fprintln(stderr, "shufflejoin:", err)
 		return 1
+	}
+
+	if *pmDir != "" {
+		flight.SetDefaultPostmortem(&flight.Postmortem{
+			Dir:       *pmDir,
+			SlowQuery: time.Duration(*slowMs * float64(time.Millisecond)),
+		})
 	}
 
 	db, err := shufflejoin.Open(*nodes)
@@ -108,12 +116,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *strict {
 		opts = append(opts, shufflejoin.WithStrict())
-	}
-	if *pmDir != "" {
-		opts = append(opts, shufflejoin.WithPostmortem(&shufflejoin.Postmortem{
-			Dir:       *pmDir,
-			SlowQuery: time.Duration(*slowMs * float64(time.Millisecond)),
-		}))
 	}
 	var hub *shufflejoin.ObsHub
 	if *obsAddr != "" {

@@ -27,10 +27,9 @@ func fromText[R any](f func(*cluster.Cluster, *Query, pipeline.Options) (R, erro
 }
 
 var (
-	runText          = fromText(Run)
-	runMultiText     = fromText(RunMulti)
-	explainText      = fromText(Explain)
-	explainMultiText = fromText(ExplainMulti)
+	runText      = fromText(Run)
+	runMultiText = fromText(RunMulti)
+	explainText  = fromText(Explain)
 )
 
 func TestParseFigure5Query(t *testing.T) {

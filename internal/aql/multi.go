@@ -15,9 +15,9 @@ import (
 // join reports in execution order and the final output array.
 type MultiResult struct {
 	Steps []*pipeline.Report
-	Order []string // human-readable join order, e.g. "B ⋈ C", "_join1 ⋈ A"
-	// Plan is each step's pair and the estimated cost that chose it.
-	Plan   MultiPlan
+	// Plan is each step's pair and the estimated cost that chose it, in
+	// execution order.
+	Plan   []MultiPlanStep
 	Output *array.Array
 	// Aggregate phase durations across steps (steps run one after
 	// another, as a query pipeline would).
@@ -25,30 +25,11 @@ type MultiResult struct {
 	Matches                                                 int64
 }
 
-// MultiPlan describes the greedy optimizer's chosen join order without
-// executing: each step names the pair joined and its estimated cost
-// (inputs plus estimated output cells).
-type MultiPlan struct {
-	Steps []MultiPlanStep
-}
-
-// MultiPlanStep is one planned pairwise join and the estimated cost that
-// chose it: pairCost over the step's two inputs.
+// MultiPlanStep is one pairwise join of the greedy order and the
+// estimated cost that chose it: pairCost over the step's two inputs.
 type MultiPlanStep struct {
 	Left, Right   string
 	EstimatedCost float64
-}
-
-// ExplainMulti previews the greedy join order for a multi-way query. It
-// runs the executor loop itself, so the previewed order is exactly the
-// one RunMulti takes; intermediates are query-local, so the catalog is
-// untouched.
-func ExplainMulti(c *cluster.Cluster, q *Query, opt pipeline.Options) (*MultiPlan, error) {
-	res, err := RunMulti(c, q, opt)
-	if err != nil {
-		return nil, err
-	}
-	return &res.Plan, nil
 }
 
 // RunMulti executes a parsed join over three or more arrays, choosing the
@@ -61,8 +42,14 @@ func ExplainMulti(c *cluster.Cluster, q *Query, opt pipeline.Options) (*MultiPla
 // process repeats. Intermediates live only in the query: RunMulti reads
 // the catalog and never writes it.
 //
-// The SELECT list must be * or bare column names (projection applies to
-// the final intermediate); INTO is not supported for multi-way queries.
+// An intermediate holds one column per name: the left input's, or the
+// right input's when the left has none; a right predicate column is the
+// left column it equals. A query that still needs a right column the
+// intermediate lost to a same-named left one fails, naming both.
+//
+// The SELECT list must be * or bare column names, resolved like predicate
+// terms (projection applies to the final intermediate); INTO is not
+// supported for multi-way queries.
 func RunMulti(c *cluster.Cluster, q *Query, opt pipeline.Options) (*MultiResult, error) {
 	if len(q.From) < 3 {
 		return nil, fmt.Errorf("aql: a k-way join needs three or more arrays; Run and Explain take two-way joins")
@@ -84,6 +71,16 @@ func RunMulti(c *cluster.Cluster, q *Query, opt pipeline.Options) (*MultiResult,
 	if err != nil {
 		return nil, err
 	}
+	// The SELECT columns, each resolved like a predicate term and followed
+	// from its array to the intermediate that holds it.
+	sel := make([]join.Term, len(q.Select))
+	for i, item := range q.Select {
+		j, err := ownerOf(live, join.Term{Array: item.Expr.Array, Name: item.Expr.Field})
+		if err != nil {
+			return nil, err
+		}
+		sel[i] = join.Term{Array: live[j].name, Name: item.Expr.Field}
+	}
 
 	// Pending equalities, each tracked with its current owning arrays.
 	var pending []multiEq
@@ -102,6 +99,23 @@ func RunMulti(c *cluster.Cluster, q *Query, opt pipeline.Options) (*MultiResult,
 			return nil, fmt.Errorf("aql: predicate %s = %s references a single array", l, r)
 		}
 		pending = append(pending, multiEq{l, r})
+	}
+
+	// inputs holds each intermediate's inputs, so that from can name the
+	// FROM column an intermediate's column holds (for errors).
+	type inputPair struct {
+		left, right string
+		ls          *array.Schema
+	}
+	inputs := map[string]inputPair{}
+	from := func(t join.Term) join.Term {
+		for in, ok := inputs[t.Array]; ok; in, ok = inputs[t.Array] {
+			t.Array = in.right
+			if hasColumn(in.ls, t.Name) {
+				t.Array = in.left
+			}
+		}
+		return t
 	}
 
 	res := &MultiResult{}
@@ -136,8 +150,7 @@ func RunMulti(c *cluster.Cluster, q *Query, opt pipeline.Options) (*MultiResult,
 			return nil, fmt.Errorf("aql: joining %s with %s: %w", best.Left, best.Right, err)
 		}
 		res.Steps = append(res.Steps, rep)
-		res.Order = append(res.Order, fmt.Sprintf("%s ⋈ %s", best.Left, best.Right))
-		res.Plan.Steps = append(res.Plan.Steps, best)
+		res.Plan = append(res.Plan, best)
 		res.PlanSeconds += rep.PlanTime
 		res.AlignSeconds += rep.AlignTime
 		res.CompareSeconds += rep.CompareTime
@@ -146,6 +159,22 @@ func RunMulti(c *cluster.Cluster, q *Query, opt pipeline.Options) (*MultiResult,
 		tmpName := fmt.Sprintf("_join%d", len(res.Steps))
 		rep.Output.Schema.Name = tmpName
 		dt := cluster.Distribute(rep.Output, c.K, cluster.RoundRobin)
+		ls := live[ia].d.Array.Schema
+		inputs[tmpName] = inputPair{best.Left, best.Right, ls}
+		// move points a column of either input at the intermediate's
+		// column holding its value.
+		move := func(t *join.Term) error {
+			if t.Array != best.Left && t.Array != best.Right {
+				return nil
+			}
+			name, ok := stepColumn(*t, best.Right, ls, pred)
+			if !ok {
+				return fmt.Errorf("aql: %s is lost when joining %s with %s: the intermediate keeps %s, which has the same name",
+					from(*t), best.Left, best.Right, from(join.Term{Array: best.Left, Name: t.Name}))
+			}
+			*t = join.Term{Array: tmpName, Name: name}
+			return nil
+		}
 		ia, ib = min(ia, ib), max(ia, ib)
 		live[ia] = operand{tmpName, dt}
 		live = slices.Delete(live, ib, ib+1)
@@ -155,26 +184,27 @@ func RunMulti(c *cluster.Cluster, q *Query, opt pipeline.Options) (*MultiResult,
 			if (e.l.Array == best.Left || e.l.Array == best.Right) && (e.r.Array == best.Left || e.r.Array == best.Right) {
 				continue // consumed by this step
 			}
-			if e.l.Array == best.Left || e.l.Array == best.Right {
-				if err := retarget(&e.l, dt, tmpName); err != nil {
-					return nil, err
-				}
+			if err := move(&e.l); err != nil {
+				return nil, err
 			}
-			if e.r.Array == best.Left || e.r.Array == best.Right {
-				if err := retarget(&e.r, dt, tmpName); err != nil {
-					return nil, err
-				}
+			if err := move(&e.r); err != nil {
+				return nil, err
 			}
 			rest = append(rest, e)
 		}
 		pending = rest
+		for i := range sel {
+			if err := move(&sel[i]); err != nil {
+				return nil, err
+			}
+		}
 	}
 
 	res.Output = live[0].d.Array
 	if !q.Star {
-		fields := make([]string, len(q.Select))
-		for i, item := range q.Select {
-			fields[i] = item.Expr.Field
+		fields := make([]string, len(sel))
+		for i, t := range sel {
+			fields[i] = t.Name
 		}
 		projected, err := projectArray(res.Output, fields)
 		if err != nil {
@@ -251,12 +281,24 @@ func pairCost(c *cluster.Cluster, da, db *cluster.Distributed, pred join.Predica
 	return float64(nA) + float64(nB) + sel*float64(nA+nB), nil
 }
 
-// retarget points a term at the intermediate that now owns its field.
-func retarget(t *join.Term, dt *cluster.Distributed, tmpName string) error {
-	s := dt.Array.Schema
-	if !s.HasDim(t.Name) && !s.HasAttr(t.Name) {
-		return fmt.Errorf("aql: column %s was projected away by an earlier join step (name collision in intermediate schema)", t.Name)
+// stepColumn names the column of a step's intermediate that holds
+// column t of one of its inputs, following logical.DefaultOutputSchema:
+// every left column keeps its name; a right predicate column is the left
+// column it equals; any other right column keeps its name unless the left
+// input has a column of that name (ok false: the intermediate lost it).
+func stepColumn(t join.Term, right string, left *array.Schema, pred join.Predicate) (name string, ok bool) {
+	if t.Array != right {
+		return t.Name, true
 	}
-	t.Array = tmpName
-	return nil
+	for _, p := range pred {
+		if p.Right.Name == t.Name {
+			return p.Left.Name, true
+		}
+	}
+	return t.Name, !hasColumn(left, t.Name)
+}
+
+// hasColumn reports whether s has a dimension or attribute named name.
+func hasColumn(s *array.Schema, name string) bool {
+	return s.HasDim(name) || s.HasAttr(name)
 }

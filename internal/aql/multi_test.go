@@ -63,8 +63,8 @@ func TestRunMultiThreeWay(t *testing.T) {
 	if res.TotalSeconds <= 0 {
 		t.Error("no aggregate timing")
 	}
-	if len(res.Order) != 2 {
-		t.Errorf("Order = %v", res.Order)
+	if len(res.Plan) != 2 {
+		t.Errorf("Plan = %+v", res.Plan)
 	}
 	// The output must carry fields from all three sources. The join key
 	// pair (region = rid) merges, so exactly one of the two survives.
@@ -88,7 +88,7 @@ func TestRunMultiGreedyOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := res.Order[0]
+	first := res.Plan[0].Left + " ⋈ " + res.Plan[0].Right
 	if !strings.Contains(first, "Users") || !strings.Contains(first, "Regions") {
 		t.Errorf("first join = %q, want Users ⋈ Regions (smallest intermediate)", first)
 	}
@@ -161,8 +161,12 @@ func TestRunMultiIntermediateStatistics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := []string{"PC ⋈ PB", "PA ⋈ _join1"}; !reflect.DeepEqual(auto.Order, want) {
-		t.Fatalf("Order = %v, want %v", auto.Order, want)
+	var order []string
+	for _, s := range auto.Plan {
+		order = append(order, s.Left+" ⋈ "+s.Right)
+	}
+	if want := []string{"PC ⋈ PB", "PA ⋈ _join1"}; !reflect.DeepEqual(order, want) {
+		t.Fatalf("order = %v, want %v", order, want)
 	}
 	c := load()
 	step1, err := runText(c, "SELECT * FROM PC, PB WHERE PC.w = PB.z", pipeline.Options{})
@@ -221,6 +225,8 @@ func TestRunMultiErrorsInFromOrder(t *testing.T) {
 	for _, tc := range []struct{ query, want string }{
 		{"SELECT * FROM P, Q, R WHERE P.i = Q.i AND Q.i = R.i AND i = 1",
 			"aql: unqualified column i is ambiguous across P and Q"},
+		{"SELECT i FROM P, Q, R WHERE P.i = Q.i AND Q.i = R.i",
+			"aql: unqualified column i is ambiguous across P and Q"},
 		{"SELECT * FROM P, Q, R, S WHERE P.i = Q.i",
 			"aql: remaining arrays [_join1 R S] are not connected by any predicate (cross products unsupported)"},
 	} {
@@ -250,22 +256,18 @@ func TestParseThreeWayFrom(t *testing.T) {
 	}
 }
 
-// TestExplainMultiEstimateIsPairCost: each previewed step reports the
+// TestMultiPlanEstimateIsPairCost: each step of the plan reports the
 // estimate that chose it, pairCost over the step's two inputs — the
 // catalog arrays, or the intermediate an earlier step dealt round-robin
 // — not the step's actual match count.
-func TestExplainMultiEstimateIsPairCost(t *testing.T) {
+func TestMultiPlanEstimateIsPairCost(t *testing.T) {
 	c := threeWayCluster(t)
-	plan, err := explainMultiText(c, threeWayQuery, pipeline.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	res, err := runMultiText(c, threeWayQuery, pipeline.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(plan.Steps) != 2 || len(res.Steps) != 2 {
-		t.Fatalf("steps = %+v, want 2", plan.Steps)
+	if len(res.Plan) != 2 || len(res.Steps) != 2 {
+		t.Fatalf("steps = %+v, want 2", res.Plan)
 	}
 	live := map[string]*cluster.Distributed{}
 	for _, name := range []string{"Clicks", "Users", "Regions"} {
@@ -281,7 +283,7 @@ func TestExplainMultiEstimateIsPairCost(t *testing.T) {
 		{"Users": "region", "Regions": "rid"},
 		{"Clicks": "who", "_join1": "uid"},
 	}
-	for i, s := range plan.Steps {
+	for i, s := range res.Plan {
 		pred := join.Predicate{{
 			Left:  join.Term{Array: s.Left, Name: cols[i][s.Left]},
 			Right: join.Term{Array: s.Right, Name: cols[i][s.Right]},
@@ -299,26 +301,52 @@ func TestExplainMultiEstimateIsPairCost(t *testing.T) {
 	}
 }
 
-func TestExplainMulti(t *testing.T) {
-	c := threeWayCluster(t)
-	plan, err := explainMultiText(c, threeWayQuery, pipeline.Options{})
+// TestRunMultiSameNamedColumns: a step's intermediate keeps one column
+// per name, the left input's, so a query that still needs the right
+// input's column of that name fails, naming both columns, instead of
+// reading the other array's values. A same-named column the step
+// equates with the left one keeps working.
+func TestRunMultiSameNamedColumns(t *testing.T) {
+	c := cluster.MustNew(2)
+	for _, f := range []struct {
+		schema string
+		val    func(i int64) int64
+	}{
+		{"A<v:int>[i=1,4,2]", func(i int64) int64 { return 100 + i }},
+		{"B<v:int>[i=1,4,2]", func(i int64) int64 { return i }},
+		{"C<w:int>[j=1,4,2]", func(j int64) int64 { return j }},
+	} {
+		a := array.MustNew(array.MustParseSchema(f.schema))
+		for i := int64(1); i <= 4; i++ {
+			a.MustPut([]int64{i}, []array.Value{array.IntValue(f.val(i))})
+		}
+		a.SortAll()
+		c.Load(a, cluster.RoundRobin)
+	}
+	for _, q := range []string{
+		"SELECT * FROM A, B, C WHERE A.i = B.i AND B.v = C.w",
+		"SELECT B.v FROM A, B, C WHERE A.i = B.i AND A.i = C.j",
+		// A ⋈ C first: B.v is lost to _join1's v, which is A.v.
+		"SELECT B.v FROM A, B, C WHERE A.i = C.j AND A.i = B.i",
+	} {
+		_, err := runMultiText(c, q, pipeline.Options{})
+		if err == nil || !strings.Contains(err.Error(), "B.v") || !strings.Contains(err.Error(), "A.v") {
+			t.Errorf("%s: err = %v, want one naming B.v and A.v", q, err)
+		}
+	}
+
+	res, err := runMultiText(c, "SELECT A.v, C.w FROM A, B, C WHERE A.i = B.i AND B.i = C.j", pipeline.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(plan.Steps) != 2 {
-		t.Fatalf("steps = %v", plan.Steps)
+	if res.Matches != 4 {
+		t.Errorf("Matches = %d, want 4", res.Matches)
 	}
-	// Small pair first, as in TestRunMultiGreedyOrder.
-	first := plan.Steps[0]
-	pair := first.Left + " " + first.Right
-	if !strings.Contains(pair, "Users") || !strings.Contains(pair, "Regions") {
-		t.Errorf("first step = %+v", first)
-	}
-	// The preview must not register intermediates in the real catalog.
-	if _, err := c.Catalog.Lookup("_join1"); err == nil {
-		t.Error("ExplainMulti leaked an intermediate into the catalog")
-	}
-	if _, err := explainMultiText(c, "SELECT * FROM Users, Regions WHERE Users.region = Regions.rid", pipeline.Options{}); err == nil {
-		t.Error("two-way query should be rejected")
+	for _, ch := range res.Output.Chunks {
+		for row := range ch.Len() {
+			if v, w := ch.Cols[0].Value(row), ch.Cols[1].Value(row); v.AsInt() != 100+w.AsInt() {
+				t.Errorf("row (v %v, w %v): v is not A's value for w's i", v, w)
+			}
+		}
 	}
 }

@@ -25,7 +25,7 @@ func Run(c *cluster.Cluster, q *Query, opt pipeline.Options) (*pipeline.Report, 
 // operands, push its literal filters down onto them, and compile it.
 func twoWay(c *cluster.Cluster, q *Query) (dl, dr *cluster.Distributed, comp *Compiled, err error) {
 	if len(q.From) > 2 {
-		return nil, nil, nil, fmt.Errorf("aql: query joins %d arrays, not two; RunMulti and ExplainMulti take k-way joins", len(q.From))
+		return nil, nil, nil, fmt.Errorf("aql: query joins %d arrays, not two; RunMulti takes k-way joins", len(q.From))
 	}
 	ops, err := operands(c, q)
 	if err != nil {
@@ -82,8 +82,7 @@ func ownerOf(ops []operand, t join.Term) (int, error) {
 	}
 	owner := -1
 	for i, o := range ops {
-		s := o.d.Array.Schema
-		if s.HasDim(t.Name) || s.HasAttr(t.Name) {
+		if hasColumn(o.d.Array.Schema, t.Name) {
 			if owner >= 0 {
 				return 0, fmt.Errorf("aql: unqualified column %s is ambiguous across %s and %s", t.Name, ops[owner].name, o.name)
 			}

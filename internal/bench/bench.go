@@ -41,11 +41,12 @@ type Config struct {
 	// Workers parallelizes planner internals (Tabu neighborhood evaluation
 	// and the ILP task queue). <= 1 keeps planning sequential; results are
 	// identical either way.
-	Workers    int
-	CoarseBins int // default 75, as in Section 6.2
-	Params     physical.CostParams
-	Scheduling simnet.Scheduling
+	Workers int
+	Params  physical.CostParams
 }
+
+// coarseBins is the ILP-C planner's bin count, 75 as in Section 6.2.
+const coarseBins = 75
 
 func (c Config) withDefaults() Config {
 	if c.Nodes == 0 {
@@ -59,9 +60,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ILPBudget == 0 {
 		c.ILPBudget = 2 * time.Second
-	}
-	if c.CoarseBins == 0 {
-		c.CoarseBins = 75
 	}
 	if c.Params == (physical.CostParams{}) {
 		c.Params = physical.DefaultParams()
@@ -78,7 +76,7 @@ func (c Config) Planners() map[string]physical.Planner {
 	return map[string]physical.Planner{
 		"B":     physical.BaselinePlanner{},
 		"ILP":   physical.ILPPlanner{Budget: c.ILPBudget, MaxExplored: c.ILPMaxExplored, Workers: c.Workers},
-		"ILP-C": physical.CoarseILPPlanner{Budget: c.ILPBudget, Bins: c.CoarseBins, MaxExplored: c.ILPMaxExplored, Workers: c.Workers},
+		"ILP-C": physical.CoarseILPPlanner{Budget: c.ILPBudget, Bins: coarseBins, MaxExplored: c.ILPMaxExplored, Workers: c.Workers},
 		"MBH":   physical.MinBandwidthPlanner{},
 		"Tabu":  physical.TabuPlanner{Workers: c.Workers},
 	}

@@ -72,7 +72,6 @@ func modeledPhases(cfg Config, pr *physical.Problem, assign physical.Assignment,
 	align, err := sim.Simulate(simnet.Config{
 		Nodes:       cfg.Nodes,
 		PerCellTime: cfg.Params.Transfer,
-		Scheduling:  cfg.Scheduling,
 	}, transfers)
 	if err != nil {
 		return 0, 0, err

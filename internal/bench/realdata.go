@@ -16,24 +16,22 @@ import (
 // experiments: AIS-like ship tracks joined with MODIS-like satellite
 // imagery over 4°×4° geographic chunks.
 type RealConfig struct {
-	Nodes          int   // default 4, as in the paper's real-data cluster
 	AISCells       int64 // default 110k (110 GB scaled 1e-6)
 	MODISCells     int64 // default 170k (170 GB scaled 1e-6)
 	Seed           int64
 	ILPBudget      time.Duration
 	ILPMaxExplored int64 // deterministic node budget (see Config)
 	Workers        int   // planner parallelism (see Config)
-	CoarseBins     int
 	// Hooks, when set, observes every query the experiment executes:
 	// expdriver's collector, which folds the finished Reports into its
 	// metrics, keeps them for -trace and feeds the obshttp Hub.
 	Hooks pipeline.QueryHooks
 }
 
+// realNodes is the cluster size of the paper's real-data experiments.
+const realNodes = 4
+
 func (c RealConfig) withDefaults() RealConfig {
-	if c.Nodes == 0 {
-		c.Nodes = 4
-	}
 	if c.AISCells == 0 {
 		c.AISCells = 110_000
 	}
@@ -43,19 +41,15 @@ func (c RealConfig) withDefaults() RealConfig {
 	if c.ILPBudget == 0 {
 		c.ILPBudget = 2 * time.Second
 	}
-	if c.CoarseBins == 0 {
-		c.CoarseBins = 75
-	}
 	return c
 }
 
 func (c RealConfig) benchConfig() Config {
 	return Config{
-		Nodes:          c.Nodes,
+		Nodes:          realNodes,
 		ILPBudget:      c.ILPBudget,
 		ILPMaxExplored: c.ILPMaxExplored,
 		Workers:        c.Workers,
-		CoarseBins:     c.CoarseBins,
 	}.withDefaults()
 }
 
@@ -126,7 +120,7 @@ func runReal(cfg RealConfig, left, right *array.Array, pred join.Predicate, out 
 	algo := join.Merge
 	var rows []RealMeasurement
 	for _, name := range PlannerNames {
-		c := cluster.MustNew(cfg.Nodes)
+		c := cluster.MustNew(realNodes)
 		// The two arrays were loaded independently, so their chunk
 		// placements are uncorrelated (round-robin vs. hashed).
 		c.Load(left.Clone(), cluster.RoundRobin)

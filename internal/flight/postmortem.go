@@ -18,25 +18,20 @@ import (
 // engine captures a directory of evidence —
 //
 //	meta.json      reason, capture time, Go runtime identification
-//	flight.json    the last Events entries of the Default ring
+//	flight.json    the last 1024 entries of the Default ring
 //	<section>.json every caller-supplied section (profile, progress,
 //	               report digest, panic value + stack, ...)
 //	metrics.prom   a metrics snapshot, when a Metrics writer is attached
 //	goroutines.txt full goroutine stacks
 //	heap.pprof     a heap profile
 //
-// — so a failure ships its own investigation. Bundles are capped by
-// MaxBundles to keep a crash loop from filling the disk. A nil
+// — so a failure ships its own investigation. A Postmortem writes at
+// most 16 bundles, so a crash loop cannot fill the disk. A nil
 // *Postmortem captures nothing. See DESIGN.md §12.
 type Postmortem struct {
 	// Dir is the directory bundles are created under (one subdirectory
 	// per capture). Created on first use.
 	Dir string
-	// Events bounds the flight events per bundle (default 1024).
-	Events int
-	// MaxBundles caps captures over the Postmortem's lifetime; once
-	// reached, Capture becomes a no-op (default 16).
-	MaxBundles int
 	// SlowQuery, when positive, makes the pipeline capture a bundle for
 	// any query whose wall time reaches the threshold.
 	SlowQuery time.Duration
@@ -55,7 +50,12 @@ type Section struct {
 	Value any
 }
 
-// ErrBundleCap reports a capture skipped by the MaxBundles cap.
+const (
+	bundleEvents = 1024 // flight events per bundle
+	maxBundles   = 16   // captures over a Postmortem's lifetime
+)
+
+// ErrBundleCap reports a capture skipped by the bundle cap.
 var ErrBundleCap = fmt.Errorf("flight: postmortem bundle cap reached")
 
 // Capture writes one bundle and returns its directory. reason becomes
@@ -69,11 +69,7 @@ func (pm *Postmortem) Capture(reason string, sections ...Section) (string, error
 		return "", fmt.Errorf("flight: no postmortem directory configured")
 	}
 	pm.mu.Lock()
-	maxB := pm.MaxBundles
-	if maxB <= 0 {
-		maxB = 16
-	}
-	if pm.n >= maxB {
+	if pm.n >= maxBundles {
 		pm.mu.Unlock()
 		return "", ErrBundleCap
 	}
@@ -109,11 +105,7 @@ func (pm *Postmortem) Capture(reason string, sections ...Section) (string, error
 	}))
 
 	keep("flight.json", writeFile(filepath.Join(dir, "flight.json"), func(w io.Writer) error {
-		n := pm.Events
-		if n <= 0 {
-			n = 1024
-		}
-		return Default.WriteJSON(w, n)
+		return Default.WriteJSON(w, bundleEvents)
 	}))
 
 	for _, s := range sections {
@@ -206,8 +198,8 @@ var (
 
 // DefaultPostmortem returns the process-default postmortem sink: the
 // one installed with SetDefaultPostmortem, else one rooted at
-// $SHUFFLEJOIN_POSTMORTEM_DIR (resolved once), else nil. The pipeline
-// falls back to it when a query has no Postmortem of its own.
+// $SHUFFLEJOIN_POSTMORTEM_DIR (resolved once), else nil. It is the one
+// sink the pipeline captures query bundles into.
 func DefaultPostmortem() *Postmortem {
 	pmMu.Lock()
 	defer pmMu.Unlock()

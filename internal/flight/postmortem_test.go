@@ -100,8 +100,8 @@ func TestPostmortemCapture(t *testing.T) {
 }
 
 func TestPostmortemBundleCap(t *testing.T) {
-	pm := &Postmortem{Dir: t.TempDir(), MaxBundles: 2}
-	for i := 0; i < 2; i++ {
+	pm := &Postmortem{Dir: t.TempDir()}
+	for i := 0; i < maxBundles; i++ {
 		if _, err := pm.Capture("loop"); err != nil {
 			t.Fatalf("capture %d: %v", i, err)
 		}
@@ -110,8 +110,8 @@ func TestPostmortemBundleCap(t *testing.T) {
 		t.Fatalf("over-cap capture err = %v, want ErrBundleCap", err)
 	}
 	entries, _ := os.ReadDir(pm.Dir)
-	if len(entries) != 2 {
-		t.Errorf("bundle dirs = %d, want 2", len(entries))
+	if len(entries) != maxBundles {
+		t.Errorf("bundle dirs = %d, want %d", len(entries), maxBundles)
 	}
 }
 

@@ -55,9 +55,6 @@ type Config struct {
 	// an experiment driver's shared metrics registry. A nil registry
 	// serves an empty exposition.
 	Registry *obs.Registry
-	// QueryLogCapacity bounds the /debug/queries ring buffer; once full,
-	// the oldest entry is evicted. Defaults to 128.
-	QueryLogCapacity int
 	// SlowQuery marks query-log entries whose wall time reaches the
 	// threshold as slow (Entry.Slow, and the slow_queries counter in the
 	// /debug/queries header). Zero disables slow marking.
@@ -93,12 +90,9 @@ type Hub struct {
 
 // NewHub returns a Hub with the given configuration.
 func NewHub(cfg Config) *Hub {
-	if cfg.QueryLogCapacity <= 0 {
-		cfg.QueryLogCapacity = 128
-	}
 	h := &Hub{
 		cfg:      cfg,
-		log:      newQueryLog(cfg.QueryLogCapacity),
+		log:      &QueryLog{},
 		start:    time.Now(),
 		engine:   obs.NewRegistry(),
 		inflight: make(map[*pipeline.Progress]uint64),
@@ -154,18 +148,17 @@ type Entry struct {
 	Profile     *pipeline.Profile `json:"profile,omitempty"`
 }
 
+// queryLogCapacity bounds the /debug/queries ring buffer; once full,
+// the oldest entry is evicted.
+const queryLogCapacity = 128
+
 // QueryLog is a fixed-capacity ring buffer of finished queries.
 type QueryLog struct {
 	mu      sync.Mutex
-	cap     int
 	entries []Entry
 	next    int
 	total   uint64
 	slow    uint64
-}
-
-func newQueryLog(capacity int) *QueryLog {
-	return &QueryLog{cap: capacity}
 }
 
 func (l *QueryLog) add(e Entry) {
@@ -175,12 +168,12 @@ func (l *QueryLog) add(e Entry) {
 	if e.Slow {
 		l.slow++
 	}
-	if len(l.entries) < l.cap {
+	if len(l.entries) < queryLogCapacity {
 		l.entries = append(l.entries, e)
 		return
 	}
 	l.entries[l.next] = e
-	l.next = (l.next + 1) % l.cap
+	l.next = (l.next + 1) % queryLogCapacity
 }
 
 // Entries returns the retained entries, oldest first.
@@ -300,7 +293,7 @@ func (h *Hub) handleQueries(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, queriesPayload{
 		Total:       h.log.Total(),
 		SlowQueries: h.log.Slow(),
-		Capacity:    h.log.cap,
+		Capacity:    queryLogCapacity,
 		SlowMs:      h.cfg.SlowQuery.Seconds() * 1000,
 		Queries:     entries,
 	})
@@ -375,7 +368,7 @@ func (h *Hub) handleStatus(w http.ResponseWriter, _ *http.Request) {
 		Start:         h.start,
 		UptimeSeconds: time.Since(h.start).Seconds(),
 		SlowMs:        h.cfg.SlowQuery.Seconds() * 1000,
-		LogCapacity:   h.log.cap,
+		LogCapacity:   queryLogCapacity,
 		QueriesTotal:  h.log.Total(),
 		QueriesSlow:   h.log.Slow(),
 		Inflight:      inflight,

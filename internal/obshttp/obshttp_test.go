@@ -187,26 +187,28 @@ func TestInflightVisibleMidQuery(t *testing.T) {
 	}
 }
 
-// TestQueryLogRingEviction fills the log past capacity and checks that
-// the oldest entries are evicted while Total keeps counting.
+// TestQueryLogRingEviction fills the log past its capacity of 128 and
+// checks that the oldest entries are evicted while Total keeps counting.
 func TestQueryLogRingEviction(t *testing.T) {
-	hub := obshttp.NewHub(obshttp.Config{QueryLogCapacity: 3})
+	const capacity = 128
+	hub := obshttp.NewHub(obshttp.Config{})
 	var hooks pipeline.QueryHooks = hub
-	for i := 0; i < 5; i++ {
+	for i := 0; i < capacity+2; i++ {
 		p := &pipeline.Progress{Label: fmt.Sprintf("q%d", i), Start: time.Now()}
 		hooks.QueryStarted(p)
 		hooks.QueryFinished(p, &pipeline.Report{Query: p.Label}, nil)
 	}
 	entries := hub.Log().Entries()
-	if len(entries) != 3 {
-		t.Fatalf("retained %d entries, want 3", len(entries))
+	if len(entries) != capacity {
+		t.Fatalf("retained %d entries, want %d", len(entries), capacity)
 	}
-	if got := hub.Log().Total(); got != 5 {
-		t.Errorf("total %d, want 5", got)
+	if got := hub.Log().Total(); got != capacity+2 {
+		t.Errorf("total %d, want %d", got, capacity+2)
 	}
-	labels := []string{entries[0].Profile.Query, entries[1].Profile.Query, entries[2].Profile.Query}
-	if labels[0] != "q2" || labels[1] != "q3" || labels[2] != "q4" {
-		t.Errorf("retained entries %v, want [q2 q3 q4] oldest first", labels)
+	for i, e := range entries {
+		if want := fmt.Sprintf("q%d", i+2); e.Profile.Query != want {
+			t.Fatalf("entry %d is %s, want %s: oldest first, q0 and q1 evicted", i, e.Profile.Query, want)
+		}
 	}
 }
 

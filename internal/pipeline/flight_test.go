@@ -224,6 +224,16 @@ func TestFlightDefaultRecorderOn(t *testing.T) {
 	}
 }
 
+// installSink makes pm the process-wide postmortem sink until the test
+// ends, then restores the one before it (CI installs one through
+// $SHUFFLEJOIN_POSTMORTEM_DIR).
+func installSink(t *testing.T, pm *flight.Postmortem) {
+	t.Helper()
+	old := flight.DefaultPostmortem()
+	flight.SetDefaultPostmortem(pm)
+	t.Cleanup(func() { flight.SetDefaultPostmortem(old) })
+}
+
 // bundleDirs lists the bundle directories under a postmortem root.
 func bundleDirs(t *testing.T, dir string) []string {
 	t.Helper()
@@ -260,12 +270,12 @@ func TestPostmortemOnStrictBudget(t *testing.T) {
 	pred := join.Predicate{{Left: join.Term{Name: "v"}, Right: join.Term{Name: "w"}}}
 	c := newCluster(t, 3, a, b)
 	dir := t.TempDir()
+	installSink(t, &flight.Postmortem{Dir: dir})
 
 	_, err := pipeline.Run(c, "A", "B", pred, nil, pipeline.Options{
 		Selectivity:  0.5,
 		MemoryBudget: 256,
 		Strict:       true,
-		Postmortem:   &flight.Postmortem{Dir: dir},
 	})
 	if !errors.Is(err, batch.ErrBudget) {
 		t.Fatalf("err = %v, want batch.ErrBudget", err)
@@ -302,14 +312,13 @@ func TestPostmortemOnStrictBudget(t *testing.T) {
 
 // TestPostmortemOnStrictBounds: a strict-bounds rejection is classified
 // by its ErrBounds sentinel (not its message text) and ships a bundle
-// named for the strict-bounds reason.
+// named for the strict-bounds reason; with no sink installed, the same
+// failure captures nothing.
 func TestPostmortemOnStrictBounds(t *testing.T) {
 	c, out, pred, _ := clampSetup(t)
 	dir := t.TempDir()
-	_, err := pipeline.Run(c, "A", "B", pred, out, pipeline.Options{
-		Strict:     true,
-		Postmortem: &flight.Postmortem{Dir: dir},
-	})
+	installSink(t, &flight.Postmortem{Dir: dir})
+	_, err := pipeline.Run(c, "A", "B", pred, out, pipeline.Options{Strict: true})
 	if !errors.Is(err, pipeline.ErrBounds) {
 		t.Fatalf("err = %v, want pipeline.ErrBounds", err)
 	}
@@ -319,6 +328,14 @@ func TestPostmortemOnStrictBounds(t *testing.T) {
 	}
 	if meta := readMeta(t, bundles[0]); meta["reason"] != "strict-bounds" {
 		t.Errorf("reason = %v, want strict-bounds", meta["reason"])
+	}
+
+	flight.SetDefaultPostmortem(nil)
+	if _, err := pipeline.Run(c, "A", "B", pred, out, pipeline.Options{Strict: true}); !errors.Is(err, pipeline.ErrBounds) {
+		t.Fatalf("err = %v, want pipeline.ErrBounds", err)
+	}
+	if bundles := bundleDirs(t, dir); len(bundles) != 1 {
+		t.Errorf("bundles = %v after the sink was cleared, want the first one only", bundles)
 	}
 }
 
@@ -337,7 +354,7 @@ func TestPostmortemOnPanic(t *testing.T) {
 	pred := join.Predicate{{Left: join.Term{Name: "v"}, Right: join.Term{Name: "w"}}}
 	c := newCluster(t, 2, a, b)
 	dir := t.TempDir()
-	pm := &flight.Postmortem{Dir: dir}
+	installSink(t, &flight.Postmortem{Dir: dir})
 
 	dl, err := c.Catalog.Lookup("A")
 	if err != nil {
@@ -347,10 +364,7 @@ func TestPostmortemOnPanic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	qc := pipeline.NewQueryContext(c, dl, dr, pred, nil, pipeline.Options{
-		Selectivity: 0.5,
-		Postmortem:  pm,
-	})
+	qc := pipeline.NewQueryContext(c, dl, dr, pred, nil, pipeline.Options{Selectivity: 0.5})
 	mark := flight.Default.Stats().Recorded
 
 	func() {
@@ -467,11 +481,10 @@ func TestPostmortemOnSlowQuery(t *testing.T) {
 	pred := join.Predicate{{Left: join.Term{Name: "v"}, Right: join.Term{Name: "w"}}}
 	c := newCluster(t, 2, a, b)
 	dir := t.TempDir()
-	pm := &flight.Postmortem{Dir: dir, SlowQuery: time.Nanosecond}
+	installSink(t, &flight.Postmortem{Dir: dir, SlowQuery: time.Nanosecond})
 
 	rep, err := pipeline.Run(c, "A", "B", pred, nil, pipeline.Options{
 		Selectivity: 0.5,
-		Postmortem:  pm,
 		QueryLabel:  "slow A join B",
 	})
 	if err != nil {

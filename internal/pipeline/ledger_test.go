@@ -257,7 +257,7 @@ func TestBorrowedSidesStayReadOnly(t *testing.T) {
 	// every one.
 	dh, _ := c.Catalog.Lookup("H")
 	spec := &shuffle.UnitSpec{Kind: shuffle.HashUnits, NumUnits: 4}
-	m := &shuffle.SideMapper{KeyRefs: []join.Ref{{Index: 0, Name: "x"}}, CarryAll: true}
+	m := &shuffle.SideMapper{KeyRefs: []join.Ref{{Index: 0, Name: "x"}}, Carry: []int{0}}
 	var held []*shuffle.RunSet
 	for range 4 {
 		rs, err := shuffle.MapSideStream(dh, c.K, spec, m, 2, shuffle.StreamConfig{})

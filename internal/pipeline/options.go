@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"shufflejoin/internal/array"
-	"shufflejoin/internal/flight"
 	"shufflejoin/internal/join"
 	"shufflejoin/internal/logical"
 	"shufflejoin/internal/par"
@@ -74,14 +73,6 @@ type Options struct {
 	// QueryLabel identifies the query in profiles, progress trackers, and
 	// query logs (typically the AQL text or an experiment label).
 	QueryLabel string
-	// Postmortem overrides the diagnostic-bundle sink. When a query
-	// panics, fails a strict budget/bounds check, errors, or breaches the
-	// sink's SlowQuery threshold, Execute captures a bundle (recent
-	// flight events, profile, progress, runtime state) into its
-	// directory. Nil falls back to flight.DefaultPostmortem(), which is
-	// itself nil unless SHUFFLEJOIN_POSTMORTEM_DIR is set or a default
-	// was installed — so postmortems are off unless configured.
-	Postmortem *flight.Postmortem
 	// Ctx, when non-nil, threads cancellation and deadlines through the
 	// query: Execute checks it between stages, and the Compare stage
 	// checks it before each join unit, so a canceled query stops within
@@ -100,14 +91,6 @@ type Gate interface {
 	// MemoryBytes is the batch-memory reservation admission carved for
 	// the query (0 when the scheduler has no memory pool).
 	MemoryBytes() int64
-}
-
-// postmortem resolves the query's diagnostic-bundle sink (may be nil).
-func (o *Options) postmortem() *flight.Postmortem {
-	if o.Postmortem != nil {
-		return o.Postmortem
-	}
-	return flight.DefaultPostmortem()
 }
 
 // ctx resolves the query's context (Background when none was supplied).

@@ -254,7 +254,7 @@ func (qc *QueryContext) publish(execErr error) {
 	} else {
 		qc.fr.Record(flight.EvQueryFinish, qc.qid, rep.Matches,
 			flight.F(rep.AlignTime+rep.CompareTime), int64(rep.WallTime), 0)
-		if pm := opt.postmortem(); pm != nil && pm.SlowQuery > 0 && rep.WallTime >= pm.SlowQuery {
+		if pm := flight.DefaultPostmortem(); pm != nil && pm.SlowQuery > 0 && rep.WallTime >= pm.SlowQuery {
 			qc.capturePostmortem("slow-query", map[string]any{
 				"wall":      rep.WallTime.String(),
 				"threshold": pm.SlowQuery.String(),
@@ -276,13 +276,13 @@ func (rep *Report) lastStage() string {
 }
 
 // capturePostmortem marks the flight trail and writes a bundle of the
-// query's current state through the configured sink, if there is one.
-// Capture errors are swallowed: a failing diagnostic dump must never mask
-// the query's own outcome (and the bundle cap makes over-capture routine,
-// not exceptional).
+// query's current state through the process-wide sink, if one is
+// installed (flight.DefaultPostmortem). Capture errors are swallowed: a
+// failing diagnostic dump must never mask the query's own outcome (and
+// the bundle cap makes over-capture routine, not exceptional).
 func (qc *QueryContext) capturePostmortem(reason string, failure map[string]any) {
 	qc.fr.Record(flight.EvPostmortem, qc.qid, qc.fr.Label(reason), 0, 0, 0)
-	pm := qc.Opt.postmortem()
+	pm := flight.DefaultPostmortem()
 	if pm == nil {
 		return
 	}

@@ -28,8 +28,8 @@ func benchSide(name string, n int64, k int, units int) (*cluster.Distributed, *U
 	d := cluster.Distribute(a, k, cluster.RoundRobin)
 	spec := &UnitSpec{Kind: HashUnits, NumUnits: units}
 	m := &SideMapper{
-		KeyRefs:  []join.Ref{{IsDim: false, Index: 0, Name: "v"}},
-		CarryAll: true,
+		KeyRefs: []join.Ref{{IsDim: false, Index: 0, Name: "v"}},
+		Carry:   []int{0, 1},
 	}
 	return d, spec, m
 }
@@ -51,7 +51,7 @@ func ddSide(name string, n, k int) (*cluster.Distributed, *UnitSpec, *SideMapper
 	a.SortAll()
 	iRef, jRef := join.Ref{IsDim: true, Index: 0, Name: "i"}, join.Ref{IsDim: true, Index: 1, Name: "j"}
 	spec := &UnitSpec{Kind: ChunkUnits, JoinDims: s.Dims}
-	m := &SideMapper{KeyRefs: []join.Ref{iRef, jRef}, DimRefs: []join.Ref{iRef, jRef}, CarryAll: true}
+	m := &SideMapper{KeyRefs: []join.Ref{iRef, jRef}, DimRefs: []join.Ref{iRef, jRef}, Carry: []int{0}}
 	return cluster.Distribute(a, k, cluster.RoundRobin), spec, m
 }
 

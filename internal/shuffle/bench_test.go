@@ -28,7 +28,7 @@ func benchDistributed(b *testing.B, n int64) *cluster.Distributed {
 func BenchmarkMapSideHashUnits(b *testing.B) {
 	d := benchDistributed(b, 200_000)
 	spec := &UnitSpec{Kind: HashUnits, NumUnits: 256}
-	m := &SideMapper{KeyRefs: []join.Ref{{IsDim: false, Index: 0, Name: "v"}}, CarryAll: true}
+	m := &SideMapper{KeyRefs: []join.Ref{{IsDim: false, Index: 0, Name: "v"}}, Carry: []int{0}}
 	benchMapRelease(b, d, spec, m)
 }
 
@@ -39,7 +39,7 @@ func BenchmarkMapSideHashUnits(b *testing.B) {
 func BenchmarkMapSideChunkUnits(b *testing.B) {
 	d := benchDistributed(b, 200_000)
 	ref := join.Ref{IsDim: true, Index: 0, Name: "i"}
-	m := &SideMapper{KeyRefs: []join.Ref{ref}, DimRefs: []join.Ref{ref}, CarryAll: true}
+	m := &SideMapper{KeyRefs: []join.Ref{ref}, DimRefs: []join.Ref{ref}, Carry: []int{0}}
 	for _, bc := range []struct {
 		name     string
 		interval int64

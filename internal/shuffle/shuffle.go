@@ -92,10 +92,9 @@ func (u *UnitSpec) Validate() error {
 // units) the join-space coordinates from a local cell, and which attributes
 // the vertically partitioned engine must carry through the shuffle.
 type SideMapper struct {
-	KeyRefs  []join.Ref // predicate terms of this side, in predicate order
-	DimRefs  []join.Ref // ChunkUnits: per JoinDims entry, value source
-	CarryAll bool       // carry every attribute (default: only Carry)
-	Carry    []int      // attribute indices to carry when !CarryAll
+	KeyRefs []join.Ref // predicate terms of this side, in predicate order
+	DimRefs []join.Ref // ChunkUnits: per JoinDims entry, value source
+	Carry   []int      // attribute indices to carry
 }
 
 // unitOfCell computes the join unit id of a single cell.
@@ -212,12 +211,6 @@ func MapSide(d *cluster.Distributed, k int, spec *UnitSpec, m *SideMapper) (*Sli
 	}
 
 	carry := m.Carry
-	if m.CarryAll {
-		carry = make([]int, len(d.Array.Schema.Attrs))
-		for i := range carry {
-			carry[i] = i
-		}
-	}
 
 	for node := 0; node < k; node++ {
 		for _, key := range d.LocalChunks(node) {

@@ -26,7 +26,17 @@ func lineArray(t *testing.T, name string, n, ci int64, k int) *cluster.Distribut
 
 func dimMapper(s *array.Schema) *SideMapper {
 	ref := join.Ref{IsDim: true, Index: 0, Name: s.Dims[0].Name}
-	return &SideMapper{KeyRefs: []join.Ref{ref}, DimRefs: []join.Ref{ref}, CarryAll: true}
+	return &SideMapper{KeyRefs: []join.Ref{ref}, DimRefs: []join.Ref{ref}, Carry: allAttrs(s)}
+}
+
+// allAttrs lists every attribute index of s, for a mapper that carries
+// them all.
+func allAttrs(s *array.Schema) []int {
+	idx := make([]int, len(s.Attrs))
+	for i := range idx {
+		idx[i] = i
+	}
+	return idx
 }
 
 func TestChunkUnitsPartitionCells(t *testing.T) {
@@ -76,7 +86,7 @@ func TestHashUnitsConsistentAcrossSides(t *testing.T) {
 	dB := lineArray(t, "B", 150, 30, 4)
 	spec := &UnitSpec{Kind: HashUnits, NumUnits: 16}
 	attrRef := join.Ref{IsDim: false, Index: 0, Name: "v"}
-	m := &SideMapper{KeyRefs: []join.Ref{attrRef}, CarryAll: true}
+	m := &SideMapper{KeyRefs: []join.Ref{attrRef}, Carry: []int{0}}
 	ssA, err := MapSide(dA, 4, spec, m)
 	if err != nil {
 		t.Fatal(err)

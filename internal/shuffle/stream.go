@@ -332,12 +332,6 @@ func CountSlices(d *cluster.Distributed, k int, spec *UnitSpec, m *SideMapper, w
 
 	schema := d.Array.Schema
 	carry := m.Carry
-	if m.CarryAll {
-		carry = make([]int, len(schema.Attrs))
-		for i := range carry {
-			carry[i] = i
-		}
-	}
 	lay := sideLayout{ndims: len(schema.Dims), nkey: len(m.KeyRefs)}
 	lay.cols = append(make([]join.Ref, 0, len(m.KeyRefs)+len(carry)), m.KeyRefs...)
 	for _, ai := range carry {

@@ -117,12 +117,13 @@ func streamCases(d *cluster.Distributed) []streamCase {
 	grid := func(start, end, interval int64) []array.Dimension {
 		return []array.Dimension{{Name: "i", Start: start, End: end, ChunkInterval: interval}}
 	}
-	byDim := &SideMapper{KeyRefs: []join.Ref{dimRef}, DimRefs: []join.Ref{dimRef}, CarryAll: true}
+	all := allAttrs(d.Array.Schema)
+	byDim := &SideMapper{KeyRefs: []join.Ref{dimRef}, DimRefs: []join.Ref{dimRef}, Carry: all}
 	i, ci := dims[0], dims[0].ChunkInterval
 	cases := []streamCase{
 		{"chunk-units-dim-key", &UnitSpec{Kind: ChunkUnits, JoinDims: []array.Dimension{i}}, byDim, "all"},
 		{"hash-units-int-key", &UnitSpec{Kind: HashUnits, NumUnits: 8},
-			&SideMapper{KeyRefs: []join.Ref{intRef}, CarryAll: true}, "none"},
+			&SideMapper{KeyRefs: []join.Ref{intRef}, Carry: all}, "none"},
 		{"hash-units-string-key", &UnitSpec{Kind: HashUnits, NumUnits: 8},
 			&SideMapper{KeyRefs: []join.Ref{strRef}, Carry: []int{0, 2}}, "none"},
 		{"hash-units-no-carry", &UnitSpec{Kind: HashUnits, NumUnits: 4},
@@ -132,7 +133,7 @@ func streamCases(d *cluster.Distributed) []streamCase {
 		{"chunk-units-split-start", &UnitSpec{Kind: ChunkUnits, JoinDims: grid(i.Start-ci/2, i.End, 2*ci)}, byDim, "some"},
 		{"chunk-units-narrower", &UnitSpec{Kind: ChunkUnits, JoinDims: grid(i.Start+2*ci, i.End-2*ci, ci)}, byDim, "all"},
 		{"chunk-units-attr-dim", &UnitSpec{Kind: ChunkUnits, JoinDims: []array.Dimension{{Name: "v", Start: 0, End: 12, ChunkInterval: 4}}},
-			&SideMapper{KeyRefs: []join.Ref{intRef}, DimRefs: []join.Ref{intRef}, CarryAll: true}, "none"},
+			&SideMapper{KeyRefs: []join.Ref{intRef}, DimRefs: []join.Ref{intRef}, Carry: all}, "none"},
 	}
 	if len(dims) == 2 {
 		jRef := join.Ref{IsDim: true, Index: 1, Name: "j"}
@@ -142,7 +143,7 @@ func streamCases(d *cluster.Distributed) []streamCase {
 				{Name: "j", Start: j.Start, End: j.End, ChunkInterval: 2 * j.ChunkInterval},
 				{Name: "i", Start: i.Start, End: i.End, ChunkInterval: 2 * ci},
 			}},
-			&SideMapper{KeyRefs: []join.Ref{jRef, dimRef}, DimRefs: []join.Ref{jRef, dimRef}, CarryAll: true}, "all"})
+			&SideMapper{KeyRefs: []join.Ref{jRef, dimRef}, DimRefs: []join.Ref{jRef, dimRef}, Carry: all}, "all"})
 	}
 	for _, tc := range cases {
 		if err := tc.spec.Validate(); err != nil {
@@ -493,7 +494,7 @@ func TestMapSideStreamConcurrentCallers(t *testing.T) {
 		m    *SideMapper
 	}{
 		{&UnitSpec{Kind: ChunkUnits, JoinDims: []array.Dimension{a.Schema.Dims[0]}},
-			&SideMapper{KeyRefs: []join.Ref{iRef}, DimRefs: []join.Ref{iRef}, CarryAll: true}},
+			&SideMapper{KeyRefs: []join.Ref{iRef}, DimRefs: []join.Ref{iRef}, Carry: []int{0, 1}}},
 		{&UnitSpec{Kind: HashUnits, NumUnits: 8}, &SideMapper{KeyRefs: []join.Ref{vRef}, Carry: []int{1}}},
 	}
 	for _, policy := range []cluster.PlacementPolicy{cluster.RoundRobin, cluster.HashChunks} {

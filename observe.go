@@ -33,8 +33,6 @@ type ObsHub = obshttp.Hub
 
 // ObsConfig configures DB.NewObsHub.
 type ObsConfig struct {
-	// QueryLogCapacity bounds the /debug/queries ring buffer (default 128).
-	QueryLogCapacity int
 	// SlowQuery marks log entries at or above the threshold as slow;
 	// zero disables slow marking.
 	SlowQuery time.Duration
@@ -53,11 +51,10 @@ type ObsConfig struct {
 // which every query folds its per-query metrics (see MetricsSnapshot).
 func (db *DB) NewObsHub(cfg ObsConfig) *ObsHub {
 	return obshttp.NewHub(obshttp.Config{
-		Registry:         db.metrics,
-		QueryLogCapacity: cfg.QueryLogCapacity,
-		SlowQuery:        cfg.SlowQuery,
-		Status:           cfg.Status,
-		Sched:            cfg.Scheduler,
+		Registry:  db.metrics,
+		SlowQuery: cfg.SlowQuery,
+		Status:    cfg.Status,
+		Sched:     cfg.Scheduler,
 	})
 }
 
@@ -74,32 +71,8 @@ func WithQueryLog(hub *ObsHub) QueryOption {
 	}
 }
 
-// Postmortem is a diagnostic-bundle sink: when a query panics, fails a
-// strict budget/bounds check, errors, or breaches the sink's SlowQuery
-// threshold, the engine writes a directory of evidence (recent flight
-// events, the query's profile and progress, a metrics snapshot,
-// goroutine stacks, a heap profile). Attach one per query with
-// WithPostmortem, process-wide with flight.SetDefaultPostmortem or the
-// SHUFFLEJOIN_POSTMORTEM_DIR environment variable, or capture a bundle
-// on demand with DB.Postmortem.
-type Postmortem = flight.Postmortem
-
 // StatusInfo is the deployment identification served on /debug/status.
 type StatusInfo = obshttp.StatusInfo
-
-// WithPostmortem attaches a diagnostic-bundle sink to the query: a
-// panic, strict budget/bounds failure, query error, or (when
-// pm.SlowQuery is positive) slow-query breach during execution captures
-// a bundle into pm.Dir.
-func WithPostmortem(pm *Postmortem) QueryOption {
-	return func(c *queryConfig) error {
-		if pm == nil || pm.Dir == "" {
-			return fmt.Errorf("shufflejoin: WithPostmortem needs a sink with a directory")
-		}
-		c.postmortem = pm
-		return nil
-	}
-}
 
 // Postmortem captures an on-demand diagnostic bundle into dir — the
 // process-wide flight ring's recent events, the database's cumulative

@@ -71,36 +71,6 @@ func TestQueryRecordsIntoDefaultRing(t *testing.T) {
 	}
 }
 
-func TestWithPostmortemFacade(t *testing.T) {
-	db := obsDB(t)
-	dir := t.TempDir()
-	_, err := db.Query(obsQ,
-		WithPostmortem(&Postmortem{Dir: dir}),
-		WithMemoryBudget(256), WithStrict())
-	if err == nil {
-		t.Fatal("strict 256-byte budget did not fail the query")
-	}
-	bundles, globErr := filepath.Glob(filepath.Join(dir, "pm-*"))
-	if globErr != nil || len(bundles) != 1 {
-		t.Fatalf("bundles = %v (err %v), want exactly 1", bundles, globErr)
-	}
-	if !strings.HasSuffix(bundles[0], "-strict-budget") {
-		t.Errorf("bundle %q does not carry the strict-budget reason", bundles[0])
-	}
-	for _, f := range []string{"meta.json", "flight.json", "failure.json", "goroutines.txt"} {
-		if _, err := os.Stat(filepath.Join(bundles[0], f)); err != nil {
-			t.Errorf("bundle missing %s: %v", f, err)
-		}
-	}
-
-	if err := func() error {
-		_, err := db.Query(obsQ, WithPostmortem(&Postmortem{}))
-		return err
-	}(); err == nil {
-		t.Error("WithPostmortem without a directory accepted")
-	}
-}
-
 func TestDBPostmortemOnDemand(t *testing.T) {
 	db := obsDB(t)
 	if _, err := db.Query(obsQ); err != nil {
@@ -180,16 +150,18 @@ func TestObsHubFlightStatus(t *testing.T) {
 }
 
 // TestFailedQueryTrailInBundleAndHub: with no recorder configured
-// anywhere, a strict-budget failure's trail is in one ring, so its
-// bundle's flight.json and the hub's /debug/flight both hold the query's
-// query-start.
+// anywhere, a strict-budget failure's trail is in one ring, so the
+// bundle the process-wide sink captures and the hub's /debug/flight
+// both hold the query's query-start.
 func TestFailedQueryTrailInBundleAndHub(t *testing.T) {
 	db := obsDB(t)
 	hub := db.NewObsHub(ObsConfig{})
 	dir := t.TempDir()
+	old := flight.DefaultPostmortem()
+	flight.SetDefaultPostmortem(&flight.Postmortem{Dir: dir})
+	t.Cleanup(func() { flight.SetDefaultPostmortem(old) })
 	mark := flight.Default.Stats().Recorded
-	_, err := db.Query(obsQ, WithQueryLog(hub), WithPostmortem(&Postmortem{Dir: dir}),
-		WithMemoryBudget(256), WithStrict())
+	_, err := db.Query(obsQ, WithQueryLog(hub), WithMemoryBudget(256), WithStrict())
 	if err == nil {
 		t.Fatal("strict 256-byte budget did not fail the query")
 	}
@@ -197,6 +169,9 @@ func TestFailedQueryTrailInBundleAndHub(t *testing.T) {
 	bundles, globErr := filepath.Glob(filepath.Join(dir, "pm-*"))
 	if globErr != nil || len(bundles) != 1 {
 		t.Fatalf("bundles = %v (err %v), want exactly 1", bundles, globErr)
+	}
+	if !strings.HasSuffix(bundles[0], "-strict-budget") {
+		t.Errorf("bundle %q does not carry the strict-budget reason", bundles[0])
 	}
 	data, err := os.ReadFile(filepath.Join(bundles[0], "flight.json"))
 	if err != nil {

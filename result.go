@@ -162,8 +162,12 @@ func newResult(rep *pipeline.Report) *Result {
 }
 
 func newMultiResult(res *aql.MultiResult) *Result {
+	order := make([]string, len(res.Plan))
+	for i, s := range res.Plan {
+		order[i] = s.Left + " ⋈ " + s.Right
+	}
 	r := &Result{
-		Plan:           strings.Join(res.Order, " ; "),
+		Plan:           strings.Join(order, " ; "),
 		Algorithm:      "multi",
 		Matches:        res.Matches,
 		PlanSeconds:    res.PlanSeconds,
@@ -172,7 +176,7 @@ func newMultiResult(res *aql.MultiResult) *Result {
 		TotalSeconds:   res.TotalSeconds,
 		StragglerNode:  -1,
 		OutputSchema:   res.Output.Schema.String(),
-		JoinOrder:      res.Order,
+		JoinOrder:      order,
 		output:         res.Output,
 		reports:        res.Steps,
 	}

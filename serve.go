@@ -15,7 +15,6 @@ package shufflejoin
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"shufflejoin/internal/sched"
 )
@@ -86,22 +85,11 @@ func WithQueryClass(class string) QueryOption {
 	}
 }
 
-// WithQueryTimeout bounds the query's total time — admission wait
-// included — cancelling it with context.DeadlineExceeded at expiry.
-func WithQueryTimeout(d time.Duration) QueryOption {
-	return func(c *queryConfig) error {
-		if d <= 0 {
-			return fmt.Errorf("shufflejoin: query timeout must be positive, got %v", d)
-		}
-		c.timeout = d
-		return nil
-	}
-}
-
 // WithQueryContext attaches a cancellation context to the query: the
 // pipeline checks it at every stage boundary and per join unit, so a
-// cancelled query stops promptly and returns ctx's error. Composes with
-// WithQueryTimeout (the timeout nests inside ctx).
+// cancelled query stops promptly and returns ctx's error. A deadline
+// from context.WithTimeout bounds the query's total time, admission wait
+// included.
 func WithQueryContext(ctx context.Context) QueryOption {
 	return func(c *queryConfig) error {
 		if ctx == nil {

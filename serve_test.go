@@ -388,6 +388,13 @@ func TestQueryDoesNotWaitForRedistribute(t *testing.T) {
 	}
 }
 
+// withTimeout is WithQueryContext with a context that expires after d.
+func withTimeout(t *testing.T, d time.Duration) QueryOption {
+	ctx, cancel := context.WithTimeout(context.Background(), d)
+	t.Cleanup(cancel)
+	return WithQueryContext(ctx)
+}
+
 // TestQueryTimeoutAndCancel pins the per-query deadline and context
 // paths: both surface the standard context errors, and a timed-out
 // query releases its scheduler resources.
@@ -399,7 +406,7 @@ func TestQueryTimeoutAndCancel(t *testing.T) {
 	buildTestPair(t, db, "TA", "TB", 1200)
 	q := "SELECT TA.v, TB.w FROM TA, TB WHERE TA.i = TB.i"
 
-	if _, err := db.Query(q, WithQueryTimeout(time.Nanosecond)); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := db.Query(q, withTimeout(t, time.Nanosecond)); !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("timeout error = %v, want DeadlineExceeded", err)
 	}
 
@@ -410,7 +417,7 @@ func TestQueryTimeoutAndCancel(t *testing.T) {
 	}
 
 	s := db.NewScheduler(SchedulerConfig{MaxQueries: 2, MemoryPoolBytes: 8 << 20})
-	if _, err := db.Query(q, WithScheduler(s), WithQueryTimeout(time.Nanosecond)); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := db.Query(q, WithScheduler(s), withTimeout(t, time.Nanosecond)); !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("scheduled timeout error = %v, want DeadlineExceeded", err)
 	}
 	snap := s.Snapshot()
@@ -423,7 +430,7 @@ func TestQueryTimeoutAndCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	timed, err := db.Query(q, WithQueryTimeout(time.Minute), WithScheduler(s))
+	timed, err := db.Query(q, withTimeout(t, time.Minute), WithScheduler(s))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,11 +446,9 @@ func TestQueryOptionValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, opt := range map[string]QueryOption{
-		"nil scheduler":    WithScheduler(nil),
-		"bad class":        WithQueryClass("batch"),
-		"zero timeout":     WithQueryTimeout(0),
-		"negative timeout": WithQueryTimeout(-time.Second),
-		"nil context":      WithQueryContext(nil),
+		"nil scheduler": WithScheduler(nil),
+		"bad class":     WithQueryClass("batch"),
+		"nil context":   WithQueryContext(nil),
 	} {
 		if _, err := db.Query("SELECT A.v FROM A, B WHERE A.i = B.i", opt); err == nil {
 			t.Errorf("%s: expected an option error", name)

@@ -35,7 +35,6 @@ import (
 	"shufflejoin/internal/aql"
 	"shufflejoin/internal/array"
 	"shufflejoin/internal/cluster"
-	"shufflejoin/internal/flight"
 	"shufflejoin/internal/obs"
 	"shufflejoin/internal/par"
 	"shufflejoin/internal/physical"
@@ -260,9 +259,7 @@ type queryConfig struct {
 	cache       *plancache.Cache
 	greedyEps   float64 // > 0: plan with physical.GreedyPlanner, falling back to planner
 	hooks       pipeline.QueryHooks
-	postmortem  *flight.Postmortem
 	ctx         context.Context // nil = Background
-	timeout     time.Duration   // 0 = none
 	class       sched.Class
 	sched       *sched.Scheduler
 }
@@ -489,11 +486,6 @@ func (db *DB) Query(q string, opts ...QueryOption) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if cfg.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, cfg.timeout)
-		defer cancel()
-	}
 
 	planner := cfg.planner
 	if cfg.greedyEps > 0 {
@@ -510,7 +502,6 @@ func (db *DB) Query(q string, opts ...QueryOption) (*Result, error) {
 		Cache:        cfg.cache,
 		Hooks:        cfg.hooks,
 		QueryLabel:   q,
-		Postmortem:   cfg.postmortem,
 	}
 	if cfg.forceAlgo != "" {
 		a, err := algoByName(cfg.forceAlgo)
@@ -646,19 +637,21 @@ type JoinOrderStep struct {
 }
 
 // ExplainJoinOrder previews the greedy join order the multi-way optimizer
-// would use for a query over three or more arrays, without materializing
-// results in the database.
+// uses for a query over three or more arrays. The preview runs every step,
+// shuffle, compare and output included, since each step's choice depends
+// on the intermediate the one before it built; it costs as much as the
+// query, but writes nothing to the database.
 func (db *DB) ExplainJoinOrder(q string) ([]JoinOrderStep, error) {
 	parsed, err := aql.Parse(q)
 	if err != nil {
 		return nil, err
 	}
-	plan, err := aql.ExplainMulti(db.snapshot(parsed.From), parsed, pipeline.Options{})
+	res, err := aql.RunMulti(db.snapshot(parsed.From), parsed, pipeline.Options{})
 	if err != nil {
 		return nil, err
 	}
-	out := make([]JoinOrderStep, len(plan.Steps))
-	for i, s := range plan.Steps {
+	out := make([]JoinOrderStep, len(res.Plan))
+	for i, s := range res.Plan {
 		out[i] = JoinOrderStep{Left: s.Left, Right: s.Right, EstimatedCells: s.EstimatedCost}
 	}
 	return out, nil

@@ -5,13 +5,17 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 
+	"shufflejoin/internal/bench"
+	"shufflejoin/internal/flight"
 	"shufflejoin/internal/pipeline"
 )
 
@@ -274,9 +278,10 @@ func recvTypeName(e ast.Expr) string {
 }
 
 // TestKnobCensus pins the number of knobs: the fields of
-// pipeline.Options and the facade's With* options. A change that adds
-// or removes one updates the counts here and ROADMAP's census with
-// them, so the knob shows in its diff.
+// pipeline.Options, the facade's With* options and the exported fields
+// of the other configuration structs. A change that adds or removes one
+// updates the counts here and ROADMAP's census with them, so the knob
+// shows in its diff.
 func TestKnobCensus(t *testing.T) {
 	_, files := parseSources(t)
 	with := 0
@@ -290,8 +295,76 @@ func TestKnobCensus(t *testing.T) {
 			}
 		}
 	}
-	if n := reflect.TypeOf(pipeline.Options{}).NumField(); n != 14 || with != 15 {
-		t.Errorf("pipeline.Options has %d fields and the facade %d With* options, pinned at 14 and 15: "+
-			"update the counts here and ROADMAP's census", n, with)
+	exported := func(typ reflect.Type) int {
+		n := 0
+		for i := 0; i < typ.NumField(); i++ {
+			if typ.Field(i).IsExported() {
+				n++
+			}
+		}
+		return n
+	}
+	for _, c := range []struct {
+		knobs     string
+		got, want int
+	}{
+		{"pipeline.Options fields", exported(reflect.TypeFor[pipeline.Options]()), 13},
+		{"facade With* options", with, 13},
+		{"ObsConfig fields", exported(reflect.TypeFor[ObsConfig]()), 3},
+		{"SchedulerConfig fields", exported(reflect.TypeFor[SchedulerConfig]()), 2},
+		{"flight.Postmortem fields", exported(reflect.TypeFor[flight.Postmortem]()), 3},
+		{"bench.Config fields", exported(reflect.TypeFor[bench.Config]()), 8},
+		{"bench.RealConfig fields", exported(reflect.TypeFor[bench.RealConfig]()), 7},
+	} {
+		if c.got != c.want {
+			t.Errorf("%d %s, pinned at %d: update the count here and ROADMAP's census", c.got, c.knobs, c.want)
+		}
+	}
+}
+
+// TestCITestNamesExist: every Test… and Fuzz… name the CI workflow
+// mentions is a function declared in some _test.go file. A CI step that
+// selects tests by name runs nothing for a name that no longer exists,
+// and says nothing, so a rename must update the workflow too.
+func TestCITestNamesExist(t *testing.T) {
+	ci, err := os.ReadFile(".github/workflows/ci.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	funcDecl := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz)\w*)\(`)
+	declared := map[string]bool{}
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range funcDecl.FindAllSubmatch(src, -1) {
+			declared[string(m[1])] = true
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := regexp.MustCompile(`\b(?:Test|Fuzz)[A-Z]\w*`).FindAllString(string(ci), -1)
+	if len(names) == 0 {
+		t.Fatal("ci.yml names no tests")
+	}
+	for _, name := range names {
+		if !declared[name] {
+			t.Errorf("ci.yml names %s, which no _test.go file declares", name)
+		}
 	}
 }

@@ -88,3 +88,36 @@ func ExampleDB_Query_filter() {
 	fmt.Println(res.Matches)
 	// Output: 5
 }
+
+// A join over three or more arrays runs as two-way joins in a greedy
+// order: each step joins the connected pair with the smallest estimate
+// (both inputs' cells plus the estimated output cells), and the last
+// step applies the SELECT list.
+func ExampleDB_Query_multiWay() {
+	db, _ := shufflejoin.Open(3)
+	sensors, _ := db.CreateArray("Sensors<site:int>[sid=1,40,10]")
+	readings, _ := db.CreateArray("Readings<sensor:int, value:float>[t=1,200,25]")
+	sites, _ := db.CreateArray("Sites<code:int, elevation:int>[s=1,8,4]")
+	for sid := int64(1); sid <= 40; sid++ {
+		_ = sensors.Insert([]int64{sid}, sid%8)
+	}
+	for t := int64(1); t <= 200; t++ {
+		_ = readings.Insert([]int64{t}, t%40+1, float64(t)/2)
+	}
+	for s := int64(1); s <= 8; s++ {
+		_ = sites.Insert([]int64{s}, s%8, s*100)
+	}
+	res, err := db.Query(`SELECT value / elevation AS per_m FROM Readings, Sensors, Sites
+		WHERE Readings.sensor = Sensors.sid AND Sensors.site = Sites.code`)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, step := range res.JoinOrder {
+		fmt.Printf("%s ⋈ %s (estimated %.0f cells)\n", step.Left, step.Right, step.EstimatedCells)
+	}
+	fmt.Println(res.Matches, "matches into", res.OutputSchema)
+	// Output:
+	// Sites ⋈ Sensors (estimated 88 cells)
+	// Readings ⋈ _join1 (estimated 440 cells)
+	// 200 matches into _join2<per_m:float>[t=1,200,25, s=1,8,4]
+}

@@ -186,6 +186,42 @@ func TestCompileInfersOutputSchema(t *testing.T) {
 	}
 }
 
+// TestCompileRejectsRepeatedOutputNames: a SELECT list whose default
+// output schema would repeat a name, an item named like an output
+// dimension or like an earlier item, fails in Compile with an error that
+// names the item as the query wrote it, in a two-way query and in a
+// k-way query's last step alike; AS resolves it.
+func TestCompileRejectsRepeatedOutputNames(t *testing.T) {
+	const two = " FROM Clicks, Users WHERE Clicks.who = Users.uid"
+	const three = " FROM Clicks, Users, Regions WHERE Clicks.who = Users.uid AND Users.region = Regions.rid"
+	// run returns a two-way query's Report, or a k-way query's last step.
+	run := fromText(func(c *cluster.Cluster, q *Query, opt pipeline.Options) (*pipeline.Report, error) {
+		if len(q.From) == 2 {
+			return Run(c, q, opt)
+		}
+		res, err := RunMulti(c, q, opt)
+		if err != nil {
+			return nil, err
+		}
+		return res.Steps[len(res.Steps)-1], nil
+	})
+	for _, tc := range []struct{ query, want string }{
+		{"SELECT Clicks.t, Users.region" + two, "aql: SELECT item Clicks.t repeats the output name t; rename it with AS"},
+		{"SELECT region, region" + two, "aql: SELECT item region repeats the output name region; rename it with AS"},
+		{"SELECT pop, pop" + three, "aql: SELECT item pop repeats the output name pop; rename it with AS"},
+		{"SELECT who, pop AS who" + three, "aql: SELECT item pop repeats the output name who; rename it with AS"},
+	} {
+		if _, err := run(threeWayCluster(t), tc.query, pipeline.Options{}); err == nil || err.Error() != tc.want {
+			t.Errorf("%s: err = %v, want %s", tc.query, err, tc.want)
+		}
+	}
+	for _, query := range []string{"SELECT Clicks.t AS ts, Users.region" + two, "SELECT region, region AS r2" + two, "SELECT pop, pop AS p2" + three} {
+		if rep, err := run(threeWayCluster(t), query, pipeline.Options{}); err != nil || rep.Matches != 400 {
+			t.Errorf("%s: err = %v, want 400 matches", query, err)
+		}
+	}
+}
+
 func TestCompileIntoArityMismatch(t *testing.T) {
 	left := array.MustParseSchema("A<v:int>[i=1,100,10]")
 	right := array.MustParseSchema("B<w:int>[j=1,100,10]")

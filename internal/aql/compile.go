@@ -12,9 +12,8 @@ import (
 // Compiled is a query resolved against concrete source schemas, ready to
 // hand to the shuffle join executor.
 type Compiled struct {
-	Query *Query
-	Out   *array.Schema // destination τ (nil only for SELECT * with no INTO)
-	Pred  join.Predicate
+	Out  *array.Schema // destination τ (nil only for SELECT * with no INTO)
+	Pred join.Predicate
 	// Select is the SELECT list, one expression per destination
 	// attribute (see pipeline.Options.Select); nil for SELECT *.
 	Select []pipeline.Expr
@@ -22,13 +21,22 @@ type Compiled struct {
 
 // Compile resolves a parsed query against the source schemas. The
 // executor checks the SELECT list's columns and carries the attributes
-// it reads (pipeline.LogicalPlan).
+// it reads (pipeline.LogicalPlan). A default output schema may not name
+// two columns alike: a SELECT item named like an output dimension or an
+// earlier item fails, naming the item.
 func Compile(q *Query, left, right *array.Schema) (*Compiled, error) {
+	return compile(q, q.Select, left, right)
+}
+
+// compile is Compile with the SELECT list as the query's text wrote it,
+// item for item, for its errors: RunMulti's last step compiles a copy
+// whose columns name the operands that hold them.
+func compile(q *Query, written []SelectItem, left, right *array.Schema) (*Compiled, error) {
 	if q.Left != left.Name || q.Right != right.Name {
 		return nil, fmt.Errorf("aql: query joins %s and %s, given schemas %s and %s",
 			q.Left, q.Right, left.Name, right.Name)
 	}
-	c := &Compiled{Query: q, Pred: q.Pred, Out: q.Into}
+	c := &Compiled{Pred: q.Pred, Out: q.Into}
 	if q.Star {
 		return c, nil // a nil Out means Equation-3 default
 	}
@@ -55,7 +63,11 @@ func Compile(q *Query, left, right *array.Schema) (*Compiled, error) {
 		if err != nil {
 			return nil, err
 		}
-		c.Out.Attrs = append(c.Out.Attrs, array.Attribute{Name: q.Select[i].Name(i), Type: typ})
+		name := q.Select[i].Name(i)
+		if c.Out.HasDim(name) || c.Out.HasAttr(name) {
+			return nil, fmt.Errorf("aql: SELECT item %s repeats the output name %s; rename it with AS", exprString(&written[i].Expr), name)
+		}
+		c.Out.Attrs = append(c.Out.Attrs, array.Attribute{Name: name, Type: typ})
 	}
 	return c, nil
 }

@@ -132,8 +132,8 @@ func TestMultiWayWithFilter(t *testing.T) {
 	}
 	// Users with region ∈ {4, 0}: uid%5 ∈ {4,0} -> 20 users; each has 8
 	// clicks -> 160.
-	if res.Matches != 160 {
-		t.Errorf("Matches = %d, want 160", res.Matches)
+	if n := res.Output.CellCount(); n != 160 {
+		t.Errorf("%d output cells, want 160", n)
 	}
 }
 
@@ -215,23 +215,6 @@ func TestFilterOperators(t *testing.T) {
 	}
 }
 
-func TestProjectVerticalPartition(t *testing.T) {
-	a := figure1()
-	out, err := projectArray(a, []string{"v2"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Schema.Attrs) != 1 || out.Schema.Attrs[0].Name != "v2" {
-		t.Errorf("projected schema = %v", out.Schema)
-	}
-	if out.CellCount() != a.CellCount() {
-		t.Errorf("project changed cell count")
-	}
-	if _, err := projectArray(a, []string{"nope"}); err == nil {
-		t.Error("unknown attribute should fail")
-	}
-}
-
 func TestFilterErrors(t *testing.T) {
 	cases := []struct {
 		name string
@@ -294,29 +277,6 @@ func TestFilterDimensionWindow(t *testing.T) {
 		}
 		return true
 	})
-}
-
-func TestProjectReordersAttributes(t *testing.T) {
-	a := figure1()
-	out, err := projectArray(a, []string{"v2", "v1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := []string{out.Schema.Attrs[0].Name, out.Schema.Attrs[1].Name}; got[0] != "v2" || got[1] != "v1" {
-		t.Fatalf("projected attributes = %v, want [v2 v1]", got)
-	}
-	a.Scan(func(coords []int64, attrs []array.Value) bool {
-		got, ok := out.Get(coords)
-		if !ok || got[0].AsFloat() != attrs[1].AsFloat() || got[1].AsInt() != attrs[0].AsInt() {
-			t.Errorf("cell %v = %v, %v; want [%v %v]", coords, got, ok, attrs[1], attrs[0])
-		}
-		return true
-	})
-	for _, ch := range out.Chunks {
-		if !ch.IsSortedCOrder() {
-			t.Error("projected chunk not sorted")
-		}
-	}
 }
 
 func TestFilterPreservesPlacement(t *testing.T) {
@@ -412,8 +372,8 @@ func TestFilterBigIntsExact(t *testing.T) {
 	}
 }
 
-// filterByCell and projectByCell are the cell-by-cell filterArray and
-// projectArray the per-chunk copies replaced, kept as their oracles.
+// filterByCell is the cell-by-cell filterArray the per-chunk copy
+// replaced, kept as its oracle.
 func filterByCell(a *array.Array, f Filter) (*array.Array, error) {
 	di, ai := a.Schema.DimIndex(f.Col.Name), a.Schema.AttrIndex(f.Col.Name)
 	out := array.MustNew(a.Schema.Clone())
@@ -438,27 +398,6 @@ func filterByCell(a *array.Array, f Filter) (*array.Array, error) {
 	}
 	out.SortAll()
 	return out, nil
-}
-
-func projectByCell(a *array.Array, fields []string) *array.Array {
-	s := &array.Schema{Name: a.Schema.Name, Dims: append([]array.Dimension(nil), a.Schema.Dims...)}
-	var idx []int
-	for _, f := range fields {
-		i := a.Schema.AttrIndex(f)
-		s.Attrs = append(s.Attrs, a.Schema.Attrs[i])
-		idx = append(idx, i)
-	}
-	out := array.MustNew(s)
-	a.Scan(func(coords []int64, attrs []array.Value) bool {
-		sub := make([]array.Value, len(idx))
-		for i, ai := range idx {
-			sub[i] = attrs[ai]
-		}
-		out.MustPut(coords, sub)
-		return true
-	})
-	out.SortAll()
-	return out
 }
 
 // unsortedMixed is U<n:int, f:float, s:string>[i=1,60,8, j=1,9,4] with
@@ -499,7 +438,7 @@ func sameArray(got, want *array.Array) error {
 	return nil
 }
 
-func TestFilterAndProjectMatchPerCell(t *testing.T) {
+func TestFilterMatchesPerCell(t *testing.T) {
 	a := unsortedMixed()
 	for _, f := range []Filter{
 		cond("n", "<", array.IntValue(20)),
@@ -519,15 +458,6 @@ func TestFilterAndProjectMatchPerCell(t *testing.T) {
 		}
 		if err := sameArray(got, want); err != nil {
 			t.Errorf("filter %v: %v", f, err)
-		}
-	}
-	for _, fields := range [][]string{{"s", "n"}, {"f"}, {"n", "f", "s"}} {
-		got, err := projectArray(a, fields)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sameArray(got, projectByCell(a, fields)); err != nil {
-			t.Errorf("project %v: %v", fields, err)
 		}
 	}
 }

@@ -36,6 +36,12 @@ func FuzzParse(f *testing.F) {
 		"SELECT A.v FROM A, B WHERE A.i = B.i AND nope = 1",
 		`SELECT * FROM Clicks, Users, Regions
 		WHERE Clicks.user = Users.id AND Users.region = Regions.id AND Regions.name = 'west'`,
+		// multi_test.go: three-array queries with a SELECT expression, an
+		// alias and INTO, which execute.
+		`SELECT pop * 2 + who AS score, -t / pop, rid FROM Clicks, Users, Regions
+		WHERE Clicks.who = Users.uid AND Users.region = Regions.rid`,
+		"SELECT Clicks.t AS ts, pop FROM Clicks, Users, Regions WHERE Clicks.who = Users.uid AND Users.region = Regions.rid",
+		"SELECT pop - who, t INTO T<d:int, ts:int>[t=1,400,100] FROM Clicks, Users, Regions WHERE Clicks.who = Users.uid AND Users.region = Regions.rid",
 		// Inputs whose printed form used to parse differently: WHERE
 		// filters and FROM arrays past the second were dropped, a
 		// same-array pair flipped on every reparse, an integer beyond

@@ -12,17 +12,13 @@ import (
 )
 
 // MultiResult is the outcome of a multi-way join: the per-step shuffle
-// join reports in execution order and the final output array.
+// join reports in execution order and the output, the last step's.
 type MultiResult struct {
 	Steps []*pipeline.Report
 	// Plan is each step's pair and the estimated cost that chose it, in
 	// execution order.
 	Plan   []MultiPlanStep
 	Output *array.Array
-	// Aggregate phase durations across steps (steps run one after
-	// another, as a query pipeline would).
-	PlanSeconds, AlignSeconds, CompareSeconds, TotalSeconds float64
-	Matches                                                 int64
 }
 
 // MultiPlanStep is one pairwise join of the greedy order and the
@@ -47,20 +43,14 @@ type MultiPlanStep struct {
 // left column it equals. A query that still needs a right column the
 // intermediate lost to a same-named left one fails, naming both.
 //
-// The SELECT list must be * or bare column names, resolved like predicate
-// terms (projection applies to the final intermediate); INTO is not
-// supported for multi-way queries.
+// The last step compiles like a two-way query (Compile), with the
+// query's SELECT list and INTO: each SELECT column is followed, like a
+// predicate term, to the operand that holds it, and each item keeps the
+// output name the query gives it. The last step's output, named
+// _join<k-1> unless INTO names it, is the query's.
 func RunMulti(c *cluster.Cluster, q *Query, opt pipeline.Options) (*MultiResult, error) {
 	if len(q.From) < 3 {
 		return nil, fmt.Errorf("aql: a k-way join needs three or more arrays; Run and Explain take two-way joins")
-	}
-	if q.Into != nil {
-		return nil, fmt.Errorf("aql: INTO is not supported for multi-way joins")
-	}
-	for _, item := range q.Select {
-		if item.Expr.Op != pipeline.OpCol {
-			return nil, fmt.Errorf("aql: multi-way SELECT supports * or bare columns, not %s", exprString(&item.Expr))
-		}
 	}
 	for i, name := range q.From {
 		if slices.Contains(q.From[:i], name) {
@@ -71,15 +61,24 @@ func RunMulti(c *cluster.Cluster, q *Query, opt pipeline.Options) (*MultiResult,
 	if err != nil {
 		return nil, err
 	}
-	// The SELECT columns, each resolved like a predicate term and followed
-	// from its array to the intermediate that holds it.
-	sel := make([]join.Term, len(q.Select))
-	for i, item := range q.Select {
-		j, err := ownerOf(live, join.Term{Array: item.Expr.Array, Name: item.Expr.Field})
+	// A copy of the SELECT list whose columns each name the operand
+	// holding them, resolved like predicate terms.
+	sel := slices.Clone(q.Select)
+	var cols []*pipeline.Expr
+	for i := range sel {
+		sel[i].Alias = q.Select[i].Name(i)
+		cols = copyColumns(&sel[i].Expr, cols)
+	}
+	for _, x := range cols {
+		t := join.Term{Array: x.Array, Name: x.Field}
+		j, err := ownerOf(live, t)
 		if err != nil {
 			return nil, err
 		}
-		sel[i] = join.Term{Array: live[j].name, Name: item.Expr.Field}
+		if !hasColumn(live[j].d.Array.Schema, t.Name) {
+			return nil, fmt.Errorf("aql: select column %s is not a field of %s", t, live[j].name)
+		}
+		x.Array = live[j].name
 	}
 
 	// Pending equalities, each tracked with its current owning arrays.
@@ -119,7 +118,7 @@ func RunMulti(c *cluster.Cluster, q *Query, opt pipeline.Options) (*MultiResult,
 	}
 
 	res := &MultiResult{}
-	for len(live) > 1 {
+	for {
 		// Candidate pairs: arrays connected by at least one pending
 		// equality.
 		best := MultiPlanStep{EstimatedCost: -1}
@@ -142,22 +141,31 @@ func RunMulti(c *cluster.Cluster, q *Query, opt pipeline.Options) (*MultiResult,
 		}
 
 		ia, ib := indexOf(live, best.Left), indexOf(live, best.Right)
-		pred := predsBetween(pending, best.Left, best.Right)
-		stepOpt := opt
-		stepOpt.Select = nil // intermediates keep natural schemas
-		rep, err := pipeline.RunDistributed(c, live[ia].d, live[ib].d, pred, nil, stepOpt)
+		last := len(live) == 2
+		comp := &Compiled{Pred: predsBetween(pending, best.Left, best.Right)} // natural schema
+		if last {
+			step := &Query{Star: q.Star, Select: sel, Into: q.Into, From: []string{best.Left, best.Right},
+				Left: best.Left, Right: best.Right, Pred: comp.Pred}
+			if comp, err = compile(step, q.Select, live[ia].d.Array.Schema, live[ib].d.Array.Schema); err != nil {
+				return nil, err
+			}
+		}
+		rep, err := pipeline.RunDistributed(c, live[ia].d, live[ib].d, comp.Pred, comp.Out, comp.ExecOptions(opt))
 		if err != nil {
 			return nil, fmt.Errorf("aql: joining %s with %s: %w", best.Left, best.Right, err)
 		}
 		res.Steps = append(res.Steps, rep)
 		res.Plan = append(res.Plan, best)
-		res.PlanSeconds += rep.PlanTime
-		res.AlignSeconds += rep.AlignTime
-		res.CompareSeconds += rep.CompareTime
+		tmpName := fmt.Sprintf("_join%d", len(res.Steps))
+		if !last || q.Into == nil {
+			rep.Output.Schema.Name = tmpName
+		}
+		if last {
+			res.Output = rep.Output
+			return res, nil
+		}
 
 		// Distribute the intermediate and rewrite bookkeeping.
-		tmpName := fmt.Sprintf("_join%d", len(res.Steps))
-		rep.Output.Schema.Name = tmpName
 		dt := cluster.Distribute(rep.Output, c.K, cluster.RoundRobin)
 		ls := live[ia].d.Array.Schema
 		inputs[tmpName] = inputPair{best.Left, best.Right, ls}
@@ -167,7 +175,7 @@ func RunMulti(c *cluster.Cluster, q *Query, opt pipeline.Options) (*MultiResult,
 			if t.Array != best.Left && t.Array != best.Right {
 				return nil
 			}
-			name, ok := stepColumn(*t, best.Right, ls, pred)
+			name, ok := stepColumn(*t, best.Right, ls, comp.Pred)
 			if !ok {
 				return fmt.Errorf("aql: %s is lost when joining %s with %s: the intermediate keeps %s, which has the same name",
 					from(*t), best.Left, best.Right, from(join.Term{Array: best.Left, Name: t.Name}))
@@ -193,58 +201,31 @@ func RunMulti(c *cluster.Cluster, q *Query, opt pipeline.Options) (*MultiResult,
 			rest = append(rest, e)
 		}
 		pending = rest
-		for i := range sel {
-			if err := move(&sel[i]); err != nil {
+		for _, x := range cols {
+			t := join.Term{Array: x.Array, Name: x.Field}
+			if err := move(&t); err != nil {
 				return nil, err
 			}
+			x.Array, x.Field = t.Array, t.Name
 		}
 	}
-
-	res.Output = live[0].d.Array
-	if !q.Star {
-		fields := make([]string, len(sel))
-		for i, t := range sel {
-			fields[i] = t.Name
-		}
-		projected, err := projectArray(res.Output, fields)
-		if err != nil {
-			return nil, err
-		}
-		res.Output = projected
-	}
-	res.Matches = res.Output.CellCount()
-	res.TotalSeconds = res.PlanSeconds + res.AlignSeconds + res.CompareSeconds
-	return res, nil
 }
 
-// projectArray keeps only the named attributes (dimensions are untouched:
-// arrays are vertically partitioned, so this models reading a column
-// subset) in a sorted copy: each chunk's coordinates and kept columns,
-// copied whole.
-func projectArray(a *array.Array, fields []string) (*array.Array, error) {
-	s := &array.Schema{Name: a.Schema.Name, Dims: append([]array.Dimension(nil), a.Schema.Dims...)}
-	var idx []int
-	for _, f := range fields {
-		i := a.Schema.AttrIndex(f)
-		if i < 0 {
-			return nil, fmt.Errorf("aql: project references unknown attribute %q", f)
-		}
-		s.Attrs = append(s.Attrs, a.Schema.Attrs[i])
-		idx = append(idx, i)
+// copyColumns gives x's operands copies of their own, so that x's tree
+// shares no node with the one it was copied from, and appends x's
+// column nodes to cols.
+func copyColumns(x *pipeline.Expr, cols []*pipeline.Expr) []*pipeline.Expr {
+	if x.Op == pipeline.OpCol {
+		return append(cols, x)
 	}
-	out := array.MustNew(s)
-	for key, ch := range a.Chunks {
-		if ch.Len() == 0 {
-			continue
+	for _, op := range []**pipeline.Expr{&x.L, &x.R} {
+		if *op != nil {
+			c := **op
+			*op = &c
+			cols = copyColumns(&c, cols)
 		}
-		kept := &array.Chunk{NDims: ch.NDims, Coords: ch.Coords, Cols: make([]array.Column, len(idx))}
-		for i, ai := range idx {
-			kept.Cols[i] = ch.Cols[ai]
-		}
-		out.Chunk(key).AppendColumns(kept, nil)
 	}
-	out.SortAll()
-	return out, nil
+	return cols
 }
 
 // multiEq is one pending equality of a multi-way join, tracked with the

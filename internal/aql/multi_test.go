@@ -57,11 +57,16 @@ func TestRunMultiThreeWay(t *testing.T) {
 	}
 	// Every click matches exactly one user; every user matches exactly one
 	// region -> 400 final rows.
-	if res.Matches != 400 {
-		t.Errorf("Matches = %d, want 400", res.Matches)
+	if n := res.Output.CellCount(); n != 400 || res.Steps[1].Matches != 400 {
+		t.Errorf("%d output cells, %d last-step matches, want 400", n, res.Steps[1].Matches)
 	}
-	if res.TotalSeconds <= 0 {
-		t.Error("no aggregate timing")
+	if res.Output != res.Steps[1].Output || res.Output.Schema.Name != "_join2" {
+		t.Errorf("output %s is not the last step's, named _join2", res.Output.Schema)
+	}
+	for i, step := range res.Steps {
+		if step.Total <= 0 {
+			t.Errorf("step %d has no modeled time", i)
+		}
 	}
 	if len(res.Plan) != 2 {
 		t.Errorf("Plan = %+v", res.Plan)
@@ -104,32 +109,84 @@ func TestRunMultiProjection(t *testing.T) {
 	if len(res.Output.Schema.Attrs) != 2 {
 		t.Errorf("projected attrs = %v", res.Output.Schema.Attrs)
 	}
-	if res.Matches != 400 {
-		t.Errorf("Matches = %d, want 400", res.Matches)
+	if n := res.Output.CellCount(); n != 400 {
+		t.Errorf("%d output cells, want 400", n)
 	}
 }
 
+// TestRunMultiMatchesTwoStepManual: a three-way query gives, cell for
+// cell, what running its two joins by hand, in its order, gives with the
+// same SELECT list and INTO on the second join: SELECT *, SELECT
+// expressions with an alias, and INTO.
 func TestRunMultiMatchesTwoStepManual(t *testing.T) {
-	// Cross-check against running the two joins by hand.
+	for _, sel := range []string{
+		"SELECT *",
+		"SELECT pop * 2 + who AS score, -t / pop, rid",
+		"SELECT pop - who, t INTO T<d:int, ts:int>[t=1,400,100]",
+		"SELECT * INTO T<who:int, pop:int>[t=1,400,100, r=1,5,5]",
+	} {
+		auto, err := runMultiText(threeWayCluster(t), sel+` FROM Clicks, Users, Regions
+			WHERE Clicks.who = Users.uid AND Users.region = Regions.rid`, pipeline.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", sel, err)
+		}
+		c := threeWayCluster(t)
+		step1, err := runText(c, "SELECT * FROM Regions, Users WHERE Regions.rid = Users.region", pipeline.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		step1.Output.Schema.Name = "UR"
+		c.Load(step1.Output, cluster.RoundRobin)
+		step2, err := runText(c, sel+" FROM Clicks, UR WHERE Clicks.who = UR.uid", pipeline.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", sel, err)
+		}
+		if auto.Output.Schema.Name == "_join2" {
+			step2.Output.Schema.Name = "_join2"
+		}
+		if err := sameArray(auto.Output, step2.Output); err != nil {
+			t.Errorf("%s: %v", sel, err)
+		}
+		if n := auto.Output.CellCount(); n != 400 {
+			t.Errorf("%s: %d output cells, want 400", sel, n)
+		}
+	}
+}
+
+// TestRunMultiSelectNames: a k-way SELECT item is named as a two-way
+// query names it, and a source dimension may be selected.
+func TestRunMultiSelectNames(t *testing.T) {
 	c := threeWayCluster(t)
-	auto, err := runMultiText(c, threeWayQuery, pipeline.Options{})
+	for _, tc := range []struct{ sel, want string }{
+		{"SELECT pop AS p", "_join2<p:int>[t=1,400,50, r=1,5,5]"},
+		{"SELECT Clicks.t AS ts, pop", "_join2<ts:int, pop:int>[t=1,400,50, r=1,5,5]"},
+		// Users.uid is the right predicate column of the last step, which
+		// the intermediate would name who.
+		{"SELECT Users.uid", "_join2<uid:int>[t=1,400,50, r=1,5,5]"},
+	} {
+		res, err := runMultiText(c, tc.sel+` FROM Clicks, Users, Regions
+			WHERE Clicks.who = Users.uid AND Users.region = Regions.rid`, pipeline.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.sel, err)
+		}
+		if got := res.Output.Schema.String(); got != tc.want {
+			t.Errorf("%s: output %s, want %s", tc.sel, got, tc.want)
+		}
+		if n := res.Output.CellCount(); n != 400 {
+			t.Errorf("%s: %d output cells, want 400", tc.sel, n)
+		}
+	}
+	res, err := runMultiText(c, `SELECT Clicks.t AS ts, Users.uid FROM Clicks, Users, Regions
+		WHERE Clicks.who = Users.uid AND Users.region = Regions.rid`, pipeline.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2 := threeWayCluster(t)
-	step1, err := runText(c2, "SELECT * FROM Users, Regions WHERE Users.region = Regions.rid", pipeline.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	step1.Output.Schema.Name = "UR"
-	c2.Load(step1.Output, cluster.RoundRobin)
-	step2, err := runText(c2, "SELECT * FROM Clicks, UR WHERE Clicks.who = UR.uid", pipeline.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if auto.Matches != step2.Matches {
-		t.Errorf("multi-join %d matches, manual pipeline %d", auto.Matches, step2.Matches)
-	}
+	res.Output.Scan(func(coords []int64, attrs []array.Value) bool {
+		if attrs[0].AsInt() != coords[0] || attrs[1].AsInt() != coords[0]%50+1 {
+			t.Errorf("cell %v = %v, want ts = t and uid = t%%50 + 1", coords, attrs)
+		}
+		return true
+	})
 }
 
 // TestRunMultiIntermediateStatistics: a query-local intermediate gives
@@ -193,10 +250,10 @@ func TestRunMultiErrors(t *testing.T) {
 		"SELECT * FROM Users, Regions WHERE Users.region = Regions.rid",
 		// Disconnected array (no predicate touches Regions).
 		"SELECT * FROM Clicks, Users, Regions WHERE Clicks.who = Users.uid AND Clicks.t = Users.uid",
-		// Expression select.
-		"SELECT pop + 1 FROM Clicks, Users, Regions WHERE Clicks.who = Users.uid AND Users.region = Regions.rid",
-		// INTO unsupported.
-		"SELECT * INTO T<x:int>[i=1,10,5] FROM Clicks, Users, Regions WHERE Clicks.who = Users.uid AND Users.region = Regions.rid",
+		// INTO with fewer attributes than the SELECT list.
+		"SELECT pop, who INTO T<x:int>[i=1,10,5] FROM Clicks, Users, Regions WHERE Clicks.who = Users.uid AND Users.region = Regions.rid",
+		// A SELECT column its array does not have.
+		"SELECT Clicks.pop FROM Clicks, Users, Regions WHERE Clicks.who = Users.uid AND Users.region = Regions.rid",
 		// Unknown array.
 		"SELECT * FROM Clicks, Users, Ghosts WHERE Clicks.who = Users.uid AND Users.region = Ghosts.rid",
 		// Single-array predicate.
@@ -326,8 +383,6 @@ func TestRunMultiSameNamedColumns(t *testing.T) {
 	for _, q := range []string{
 		"SELECT * FROM A, B, C WHERE A.i = B.i AND B.v = C.w",
 		"SELECT B.v FROM A, B, C WHERE A.i = B.i AND A.i = C.j",
-		// A ⋈ C first: B.v is lost to _join1's v, which is A.v.
-		"SELECT B.v FROM A, B, C WHERE A.i = C.j AND A.i = B.i",
 	} {
 		_, err := runMultiText(c, q, pipeline.Options{})
 		if err == nil || !strings.Contains(err.Error(), "B.v") || !strings.Contains(err.Error(), "A.v") {
@@ -335,12 +390,25 @@ func TestRunMultiSameNamedColumns(t *testing.T) {
 		}
 	}
 
-	res, err := runMultiText(c, "SELECT A.v, C.w FROM A, B, C WHERE A.i = B.i AND B.i = C.j", pipeline.Options{})
+	// A ⋈ C first: the last step joins _join1 with B, so B.v is read from
+	// B, as a two-way query reads it.
+	res, err := runMultiText(c, "SELECT B.v FROM A, B, C WHERE A.i = C.j AND A.i = B.i", pipeline.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Matches != 4 {
-		t.Errorf("Matches = %d, want 4", res.Matches)
+	res.Output.Scan(func(coords []int64, attrs []array.Value) bool {
+		if attrs[0].AsInt() != coords[0] {
+			t.Errorf("cell %v: v = %v, want B's value %d", coords, attrs[0], coords[0])
+		}
+		return true
+	})
+
+	res, err = runMultiText(c, "SELECT A.v, C.w FROM A, B, C WHERE A.i = B.i AND B.i = C.j", pipeline.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := res.Output.CellCount(); n != 4 {
+		t.Errorf("%d output cells, want 4", n)
 	}
 	for _, ch := range res.Output.Chunks {
 		for row := range ch.Len() {

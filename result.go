@@ -5,7 +5,6 @@ import (
 	"io"
 	"strings"
 
-	"shufflejoin/internal/aql"
 	"shufflejoin/internal/array"
 	"shufflejoin/internal/join"
 	"shufflejoin/internal/obs"
@@ -102,21 +101,13 @@ type Result struct {
 	// OutputSchema is the destination schema literal.
 	OutputSchema string
 
-	// JoinOrder lists the per-step join order for multi-way queries
-	// (empty for two-way joins).
-	JoinOrder []string
-
-	// Per-node diagnostics backing TraceSummary (node order; summed across
-	// steps for multi-way queries).
-	nodeCompare  []float64
-	nodeSend     []float64
-	nodeRecv     []float64
-	nodeLockWait []float64
+	// JoinOrder lists a multi-way query's steps in execution order, each
+	// with the estimate that chose it (empty for two-way joins).
+	JoinOrder []JoinOrderStep
 
 	output *array.Array
-	// reports are what every telemetry view renders from: the query's
-	// Report, or one per multi-way step with its Output dropped so the
-	// Result does not hold the intermediates alive.
+	// reports are what every telemetry view renders from: one Report per
+	// step in execution order, a two-way query's only.
 	reports []*pipeline.Report
 }
 
@@ -131,84 +122,61 @@ func (r *Result) Profile() *Profile {
 	return r.reports[0].Profile()
 }
 
-func newResult(rep *pipeline.Report) *Result {
-	return &Result{
-		Plan:                rep.Logical.Describe(),
-		Algorithm:           rep.Logical.Algo.String(),
-		Planner:             rep.Physical.Planner,
-		PlanSource:          rep.PlanSource,
-		PlanRegret:          rep.PlanRegret,
-		Matches:             rep.Matches,
-		CellsMoved:          rep.CellsMoved,
-		ClampedCells:        rep.ClampedCells,
-		PeakBatchBytes:      rep.PeakBatchBytes,
-		InternedStrings:     rep.InternedStrings,
-		MemoryOverflowBytes: rep.MemoryOverflowBytes,
-		PlanSeconds:         rep.PlanTime,
-		AlignSeconds:        rep.AlignTime,
-		CompareSeconds:      rep.CompareTime,
-		TotalSeconds:        rep.Total,
-		Skew:                rep.Skew,
-		StragglerNode:       rep.StragglerNode,
-		LockWaitSeconds:     rep.LockWaitSeconds,
-		OutputSchema:        rep.Output.Schema.String(),
-		nodeCompare:         rep.NodeCompareTime,
-		nodeSend:            rep.Align.SendBusy,
-		nodeRecv:            rep.Align.RecvBusy,
-		nodeLockWait:        rep.Align.RecvLockWait,
-		output:              rep.Output,
-		reports:             []*pipeline.Report{rep},
-	}
-}
-
-func newMultiResult(res *aql.MultiResult) *Result {
-	order := make([]string, len(res.Plan))
-	for i, s := range res.Plan {
-		order[i] = s.Left + " ⋈ " + s.Right
-	}
+// newResult builds a query's Result from its step Reports, one for a
+// two-way query: counts and modeled times summed over the steps, the
+// largest batch peak and the last step's output. Every earlier step
+// drops its Output so the Result does not hold the intermediates alive.
+func newResult(steps []*pipeline.Report, order []JoinOrderStep) *Result {
+	last := steps[len(steps)-1]
 	r := &Result{
-		Plan:           strings.Join(order, " ; "),
-		Algorithm:      "multi",
-		Matches:        res.Matches,
-		PlanSeconds:    res.PlanSeconds,
-		AlignSeconds:   res.AlignSeconds,
-		CompareSeconds: res.CompareSeconds,
-		TotalSeconds:   res.TotalSeconds,
-		StragglerNode:  -1,
-		OutputSchema:   res.Output.Schema.String(),
-		JoinOrder:      order,
-		output:         res.Output,
-		reports:        res.Steps,
+		Planner:      steps[0].Physical.Planner,
+		Matches:      last.Matches,
+		OutputSchema: last.Output.Schema.String(),
+		JoinOrder:    order,
+		output:       last.Output,
+		reports:      steps,
 	}
-	for _, step := range res.Steps {
-		step.Output = nil
+	if len(order) == 0 {
+		r.Plan, r.Algorithm = last.Logical.Describe(), last.Logical.Algo.String()
+		r.PlanSource, r.PlanRegret = last.PlanSource, last.PlanRegret
+	} else {
+		names := make([]string, len(order))
+		for i, s := range order {
+			names[i] = s.Left + " ⋈ " + s.Right
+		}
+		r.Plan, r.Algorithm = strings.Join(names, " ; "), "multi"
+	}
+	for _, step := range steps {
 		r.CellsMoved += step.CellsMoved
 		r.ClampedCells += step.ClampedCells
-		r.LockWaitSeconds += step.LockWaitSeconds
-		if step.PeakBatchBytes > r.PeakBatchBytes {
-			r.PeakBatchBytes = step.PeakBatchBytes
-		}
+		r.PeakBatchBytes = max(r.PeakBatchBytes, step.PeakBatchBytes)
 		r.InternedStrings += step.InternedStrings
 		r.MemoryOverflowBytes += step.MemoryOverflowBytes
-		if r.Planner == "" {
-			r.Planner = step.Physical.Planner
-		}
-		if r.nodeCompare == nil {
-			k := len(step.NodeCompareTime)
-			r.nodeCompare = make([]float64, k)
-			r.nodeSend = make([]float64, k)
-			r.nodeRecv = make([]float64, k)
-			r.nodeLockWait = make([]float64, k)
-		}
-		for n := range step.NodeCompareTime {
-			r.nodeCompare[n] += step.NodeCompareTime[n]
-			r.nodeSend[n] += step.Align.SendBusy[n]
-			r.nodeRecv[n] += step.Align.RecvBusy[n]
-			r.nodeLockWait[n] += step.Align.RecvLockWait[n]
+		r.PlanSeconds += step.PlanTime
+		r.AlignSeconds += step.AlignTime
+		r.CompareSeconds += step.CompareTime
+		r.LockWaitSeconds += step.LockWaitSeconds
+	}
+	for _, step := range steps[:len(steps)-1] {
+		step.Output = nil
+	}
+	r.TotalSeconds = r.PlanSeconds + r.AlignSeconds + r.CompareSeconds
+	r.Skew, r.StragglerNode = pipeline.SkewOf(r.perNode(func(s *pipeline.Report) []float64 { return s.NodeCompareTime }))
+	return r
+}
+
+// perNode sums one per-node series (node order) over the query's steps.
+func (r *Result) perNode(series func(*pipeline.Report) []float64) []float64 {
+	if len(r.reports) == 1 {
+		return series(r.reports[0])
+	}
+	sum := make([]float64, len(series(r.reports[0])))
+	for _, rep := range r.reports {
+		for n, v := range series(rep) {
+			sum[n] += v
 		}
 	}
-	r.Skew, r.StragglerNode = pipeline.SkewOf(r.nodeCompare)
-	return r
+	return sum
 }
 
 // Cell is one output cell: coordinates and attribute values (int64,
@@ -286,15 +254,19 @@ func (r *Result) TraceSummary() string {
 		fmt.Fprintf(&b, "compare skew n/a (no compare work)\n")
 	}
 	fmt.Fprintf(&b, "lock wait    %.4fs total across receiver links\n", r.LockWaitSeconds)
-	if len(r.nodeCompare) > 0 {
+	compare := r.perNode(func(s *pipeline.Report) []float64 { return s.NodeCompareTime })
+	send := r.perNode(func(s *pipeline.Report) []float64 { return s.Align.SendBusy })
+	recv := r.perNode(func(s *pipeline.Report) []float64 { return s.Align.RecvBusy })
+	lockWait := r.perNode(func(s *pipeline.Report) []float64 { return s.Align.RecvLockWait })
+	if len(compare) > 0 {
 		fmt.Fprintf(&b, "\n%-6s %12s %12s %12s %14s\n", "node", "compare_s", "send_s", "recv_s", "lock_wait_s")
-		for n := range r.nodeCompare {
+		for n := range compare {
 			marker := ""
 			if n == r.StragglerNode {
 				marker = "  <- straggler"
 			}
 			fmt.Fprintf(&b, "%-6d %12.4f %12.4f %12.4f %14.4f%s\n",
-				n, r.nodeCompare[n], r.nodeSend[n], r.nodeRecv[n], r.nodeLockWait[n], marker)
+				n, compare[n], send[n], recv[n], lockWait[n], marker)
 		}
 	}
 	fmt.Fprintf(&b, "\nmetrics\n")

@@ -527,7 +527,8 @@ func (db *DB) Query(q string, opts ...QueryOption) (*Result, error) {
 		eo.Gate = ticket
 	}
 
-	var res *Result
+	var steps []*pipeline.Report
+	var order []JoinOrderStep
 	if len(parsed.From) > 2 {
 		// Multi-way join: greedy join ordering (the paper's Section 8
 		// future work, implemented in internal/aql). Its intermediates
@@ -536,14 +537,19 @@ func (db *DB) Query(q string, opts ...QueryOption) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		res = newMultiResult(mres)
+		steps = mres.Steps
+		order = make([]JoinOrderStep, len(mres.Plan))
+		for i, s := range mres.Plan {
+			order[i] = JoinOrderStep{Left: s.Left, Right: s.Right, EstimatedCells: s.EstimatedCost}
+		}
 	} else {
 		rep, err := aql.Run(c, parsed, eo)
 		if err != nil {
 			return nil, err
 		}
-		res = newResult(rep)
+		steps = []*pipeline.Report{rep}
 	}
+	res := newResult(steps, order)
 	db.recordQuery(res)
 	return res, nil
 }
@@ -628,31 +634,10 @@ type ReorgReport struct {
 	CellsMoved   int64
 }
 
-// JoinOrderStep is one planned step of a multi-way join preview.
+// JoinOrderStep is one step of a multi-way query's greedy join order.
 // EstimatedCells is the estimate that chose the step: both inputs' cells
 // plus the estimated output cells.
 type JoinOrderStep struct {
 	Left, Right    string
 	EstimatedCells float64
-}
-
-// ExplainJoinOrder previews the greedy join order the multi-way optimizer
-// uses for a query over three or more arrays. The preview runs every step,
-// shuffle, compare and output included, since each step's choice depends
-// on the intermediate the one before it built; it costs as much as the
-// query, but writes nothing to the database.
-func (db *DB) ExplainJoinOrder(q string) ([]JoinOrderStep, error) {
-	parsed, err := aql.Parse(q)
-	if err != nil {
-		return nil, err
-	}
-	res, err := aql.RunMulti(db.snapshot(parsed.From), parsed, pipeline.Options{})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]JoinOrderStep, len(res.Plan))
-	for i, s := range res.Plan {
-		out[i] = JoinOrderStep{Left: s.Left, Right: s.Right, EstimatedCells: s.EstimatedCost}
-	}
-	return out, nil
 }

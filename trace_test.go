@@ -222,27 +222,32 @@ func BenchmarkQuery(b *testing.B) {
 	}
 }
 
-// TestExplainJoinOrder: the previewed join order of the three-way query
-// is the order the query then executes with, step for step.
-func TestExplainJoinOrder(t *testing.T) {
-	db := threeWayDB(t)
-	steps, err := db.ExplainJoinOrder(threeWayQuery)
+// TestJoinOrderCarriesEstimates: a three-way query's JoinOrder lists
+// its steps in the order they ran, each with the estimate that chose it,
+// and a two-way query's is empty.
+func TestJoinOrderCarriesEstimates(t *testing.T) {
+	res, err := threeWayDB(t).Query(threeWayQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.Query(threeWayQuery)
+	if len(res.JoinOrder) != 2 || len(res.reports) != 2 {
+		t.Fatalf("JoinOrder = %+v over %d steps, want 2", res.JoinOrder, len(res.reports))
+	}
+	var names []string
+	for i, s := range res.JoinOrder {
+		names = append(names, s.Left+" ⋈ "+s.Right)
+		if s.EstimatedCells <= 0 || s.EstimatedCells == float64(res.reports[i].Matches) {
+			t.Errorf("step %d estimate = %v, want a positive estimate, not the %d matches", i, s.EstimatedCells, res.reports[i].Matches)
+		}
+	}
+	if got := strings.Join(names, " ; "); got != res.Plan || got != "Sites ⋈ Sensors ; Readings ⋈ _join1" {
+		t.Errorf("JoinOrder %s, Plan %s", got, res.Plan)
+	}
+	two, err := traceDB(t).Query(traceQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(steps) != 2 || len(steps) != len(res.JoinOrder) {
-		t.Fatalf("previewed %d steps %+v, executed %q", len(steps), steps, res.JoinOrder)
-	}
-	for i, s := range steps {
-		if got := s.Left + " ⋈ " + s.Right; got != res.JoinOrder[i] {
-			t.Errorf("step %d previewed %q, executed %q", i, got, res.JoinOrder[i])
-		}
-		if s.EstimatedCells <= 0 {
-			t.Errorf("step %d estimate = %v", i, s.EstimatedCells)
-		}
+	if two.JoinOrder != nil {
+		t.Errorf("two-way JoinOrder = %+v", two.JoinOrder)
 	}
 }

@@ -46,9 +46,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		par     = fs.Int("par", 0, "planning/execution workers: 0 = one per CPU, 1 = sequential (results identical at every setting)")
 		strict  = fs.Bool("strict", false, "fail on output cells outside the destination's dimension ranges instead of clamping")
 		explain = fs.Bool("explain", false, "print the optimizer's candidate plans instead of executing")
-		trace   = fs.String("trace", "", "write the query trace as Chrome trace-event JSON to this file (load in Perfetto) and print the trace summary")
-		metrics = fs.Bool("metrics", false, "print the query's metric registry as JSON")
-		analyze = fs.Bool("analyze", false, "print the query's EXPLAIN ANALYZE profile (per-stage timings, plan provenance, per-node skew)")
+		trace   = fs.String("trace", "", "write the query trace as Chrome trace-event JSON to this file (load in Perfetto)")
+		analyze = fs.Bool("analyze", false, "print the query's EXPLAIN ANALYZE profile, one per join step (per-stage timings, plan provenance, planner search, per-node skew)")
 		obsAddr = fs.String("obs-addr", "", "serve live telemetry on this address (/metrics, /debug/queries, /debug/inflight, /debug/flight, /debug/status); e.g. :8080 or :0")
 		slowMs  = fs.Float64("slow-ms", 0, "mark queries at or above this wall time (ms) as slow in /debug/queries (with -postmortem-dir, also the slow-query bundle threshold)")
 		obsHold = fs.Duration("obs-hold", 0, "keep the telemetry endpoint up this long after the query finishes")
@@ -171,7 +170,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "total:          %8.3fs\n", res.TotalSeconds)
 
 	if *trace != "" {
-		fmt.Fprintf(stdout, "\n%s", res.TraceSummary())
 		f, err := os.Create(*trace)
 		if err != nil {
 			return fail(err)
@@ -185,14 +183,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintf(stdout, "\nChrome trace written to %s (open in ui.perfetto.dev)\n", *trace)
 	}
-	if *metrics {
-		fmt.Fprintln(stdout, "\nmetrics:")
-		if err := res.MetricsJSON(stdout); err != nil {
-			return fail(err)
-		}
-	}
 	if *analyze {
-		if p := res.Profile(); p != nil { // nil for a multi-way query
+		for _, p := range res.Profiles() {
 			fmt.Fprintf(stdout, "\n%s", p)
 		}
 	}

@@ -8,12 +8,13 @@ import (
 	"strings"
 	"testing"
 
+	"shufflejoin/internal/array"
 	"shufflejoin/internal/storage"
 	"shufflejoin/internal/workload"
 )
 
 // pairDir writes datagen's "-kind pair" inputs (A<v>[i], B<w>[j]) into a
-// fresh directory.
+// fresh directory, beside C<x>[k] with x = k, which joins B on B.j = C.x.
 func pairDir(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
@@ -31,6 +32,14 @@ func pairDir(t *testing.T) string {
 	if err := store.Save(b); err != nil {
 		t.Fatal(err)
 	}
+	c := array.MustNew(array.MustParseSchema("C<x:int>[k=1,2000,250]"))
+	for k := int64(1); k <= 2000; k++ {
+		c.MustPut([]int64{k}, []array.Value{array.IntValue(k)})
+	}
+	c.SortAll()
+	if err := store.Save(c); err != nil {
+		t.Fatal(err)
+	}
 	return dir
 }
 
@@ -41,6 +50,7 @@ func TestRunExitStatus(t *testing.T) {
 		join = "SELECT i, j INTO T<i:int, j:int>[] FROM A JOIN B ON A.v = B.w"
 		// The destination's v range is far narrower than the join keys.
 		clamping = "SELECT i, j INTO T<i:int, j:int>[v=0,9,5] FROM A JOIN B ON A.v = B.w"
+		threeWay = "SELECT A.v, C.x FROM A, B, C WHERE A.v = B.w AND B.j = C.x"
 	)
 	tests := []struct {
 		name       string
@@ -48,16 +58,19 @@ func TestRunExitStatus(t *testing.T) {
 		want       int
 		wantStderr string // substring
 		wantStdout string // substring
+		profiles   int    // EXPLAIN ANALYZE blocks printed
 	}{
-		{"no query", []string{"-data", data}, 2, "usage: shufflejoin", ""},
-		{"unknown planner", []string{"-data", data, "-planner", "nosuch", join}, 2, `unknown planner "nosuch"`, ""},
-		{"removed flag", []string{"-profile", join}, 2, "flag provided but not defined", ""},
-		{"no data", []string{"-data", t.TempDir(), join}, 1, "no .sjar files", ""},
-		{"plain", []string{"-data", data, "-sample", "0", join}, 0, "", "matches:"},
-		{"analyze", []string{"-data", data, "-sample", "0", "-analyze", join}, 0, "", "EXPLAIN ANALYZE"},
-		{"trace", []string{"-data", data, "-sample", "0", "-trace", traceFile, join}, 0, "", "Chrome trace written"},
-		{"clamped", []string{"-data", data, "-sample", "0", clamping}, 0, "", "WARNING:"},
-		{"strict", []string{"-data", data, "-sample", "0", "-strict", clamping}, 1, "StrictBounds", ""},
+		{"no query", []string{"-data", data}, 2, "usage: shufflejoin", "", 0},
+		{"unknown planner", []string{"-data", data, "-planner", "nosuch", join}, 2, `unknown planner "nosuch"`, "", 0},
+		{"removed flag", []string{"-profile", join}, 2, "flag provided but not defined", "", 0},
+		{"removed metrics flag", []string{"-metrics", join}, 2, "flag provided but not defined", "", 0},
+		{"no data", []string{"-data", t.TempDir(), join}, 1, "no .sjar files", "", 0},
+		{"plain", []string{"-data", data, "-sample", "0", join}, 0, "", "matches:", 0},
+		{"analyze", []string{"-data", data, "-sample", "0", "-analyze", join}, 0, "", "EXPLAIN ANALYZE", 1},
+		{"analyze three-way", []string{"-data", data, "-sample", "0", "-planner", "tabu", "-analyze", threeWay}, 0, "", "planner search", 2},
+		{"trace", []string{"-data", data, "-sample", "0", "-trace", traceFile, join}, 0, "", "Chrome trace written", 0},
+		{"clamped", []string{"-data", data, "-sample", "0", clamping}, 0, "", "WARNING:", 0},
+		{"strict", []string{"-data", data, "-sample", "0", "-strict", clamping}, 1, "StrictBounds", "", 0},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
@@ -70,6 +83,9 @@ func TestRunExitStatus(t *testing.T) {
 			}
 			if !strings.Contains(stdout.String(), tc.wantStdout) {
 				t.Errorf("stdout = %q, want it to contain %q", stdout.String(), tc.wantStdout)
+			}
+			if n := strings.Count(stdout.String(), "EXPLAIN ANALYZE"); n != tc.profiles {
+				t.Errorf("%d EXPLAIN ANALYZE blocks, want %d", n, tc.profiles)
 			}
 			if tc.want == 2 && stdout.Len() != 0 {
 				t.Errorf("usage error wrote to stdout: %q", stdout.String())

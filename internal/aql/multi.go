@@ -46,8 +46,10 @@ type MultiPlanStep struct {
 // The last step compiles like a two-way query (Compile), with the
 // query's SELECT list and INTO: each SELECT column is followed, like a
 // predicate term, to the operand that holds it, and each item keeps the
-// output name the query gives it. The last step's output, named
-// _join<k-1> unless INTO names it, is the query's.
+// output name the query gives it. SELECT * INTO selects INTO's
+// attribute names as FROM columns, so they are followed the same way.
+// The last step's output, named _join<k-1> unless INTO names it, is the
+// query's.
 func RunMulti(c *cluster.Cluster, q *Query, opt pipeline.Options) (*MultiResult, error) {
 	if len(q.From) < 3 {
 		return nil, fmt.Errorf("aql: a k-way join needs three or more arrays; Run and Explain take two-way joins")
@@ -63,10 +65,17 @@ func RunMulti(c *cluster.Cluster, q *Query, opt pipeline.Options) (*MultiResult,
 	}
 	// A copy of the SELECT list whose columns each name the operand
 	// holding them, resolved like predicate terms.
-	sel := slices.Clone(q.Select)
+	star, written := q.Star, q.Select
+	if star && q.Into != nil {
+		star, written = false, make([]SelectItem, len(q.Into.Attrs))
+		for i, a := range q.Into.Attrs {
+			written[i].Expr = pipeline.Expr{Op: pipeline.OpCol, Field: a.Name}
+		}
+	}
+	sel := slices.Clone(written)
 	var cols []*pipeline.Expr
 	for i := range sel {
-		sel[i].Alias = q.Select[i].Name(i)
+		sel[i].Alias = written[i].Name(i)
 		cols = copyColumns(&sel[i].Expr, cols)
 	}
 	for _, x := range cols {
@@ -144,9 +153,9 @@ func RunMulti(c *cluster.Cluster, q *Query, opt pipeline.Options) (*MultiResult,
 		last := len(live) == 2
 		comp := &Compiled{Pred: predsBetween(pending, best.Left, best.Right)} // natural schema
 		if last {
-			step := &Query{Star: q.Star, Select: sel, Into: q.Into, From: []string{best.Left, best.Right},
+			step := &Query{Star: star, Select: sel, Into: q.Into, From: []string{best.Left, best.Right},
 				Left: best.Left, Right: best.Right, Pred: comp.Pred}
-			if comp, err = compile(step, q.Select, live[ia].d.Array.Schema, live[ib].d.Array.Schema); err != nil {
+			if comp, err = compile(step, written, live[ia].d.Array.Schema, live[ib].d.Array.Schema); err != nil {
 				return nil, err
 			}
 		}

@@ -243,6 +243,45 @@ func TestRunMultiIntermediateStatistics(t *testing.T) {
 	}
 }
 
+// TestRunMultiStarIntoNamesFromColumns: SELECT * INTO names FROM
+// columns, whatever the greedy order calls them. The first step joins
+// Regions with Users, and its intermediate keeps Regions.rid for
+// Users.region; INTO's region still reads Users.region, cell for cell as
+// INTO's rid reads Regions.rid. A name no FROM array has fails as an
+// unknown column, naming no intermediate.
+func TestRunMultiStarIntoNamesFromColumns(t *testing.T) {
+	const from = ` FROM Clicks, Users, Regions WHERE Clicks.who = Users.uid AND Users.region = Regions.rid`
+	run := func(attrs string) (*MultiResult, error) {
+		return runMultiText(threeWayCluster(t), "SELECT * INTO T<"+attrs+">[t=1,400,100, r=1,5,5]"+from, pipeline.Options{})
+	}
+	byRegion, err := run("who:int, region:int, pop:int")
+	if err != nil {
+		t.Fatal(err)
+	}
+	byRid, err := run("who:int, rid:int, pop:int")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first := byRegion.Plan[0]; first.Left != "Regions" || first.Right != "Users" {
+		t.Fatalf("first step %s ⋈ %s, want Regions ⋈ Users", first.Left, first.Right)
+	}
+	got := byRegion.Output
+	if want := "T<who:int, region:int, pop:int>[t=1,400,100, r=1,5,5]"; got.Schema.String() != want {
+		t.Fatalf("output %s, want %s", got.Schema, want)
+	}
+	got.Schema.Attrs[1].Name = "rid"
+	if err := sameArray(got, byRid.Output); err != nil {
+		t.Error(err)
+	}
+	if n := got.CellCount(); n != 400 {
+		t.Errorf("%d output cells, want 400", n)
+	}
+	_, err = run("who:int, nosuch:int")
+	if err == nil || err.Error() != "aql: column nosuch not found in any FROM array" {
+		t.Errorf("unknown INTO name: err = %v", err)
+	}
+}
+
 func TestRunMultiErrors(t *testing.T) {
 	c := threeWayCluster(t)
 	cases := []string{

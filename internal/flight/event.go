@@ -21,13 +21,9 @@ const (
 	EvQueryError          // l:stage l:error
 	EvStageStart          // l:stage
 	EvStageFinish         // l:stage i:wall_ns f:sim_seconds
-	EvPlanCache           // l:outcome
 	EvBudgetCharge        // i:bytes i:used
 	EvBudgetCredit        // i:bytes i:used
 	EvBudgetOverflow      // i:used i:limit
-	EvAlignDone           // i:transfers f:makespan_seconds i:lock_waits f:lock_wait_seconds
-	EvHotReceiver         // i:node f:lock_wait_seconds i:recv_cells
-	EvCompareDone         // i:straggler_node f:skew f:compare_seconds
 	EvPostmortem          // l:reason
 	EvSchedQueue          // l:class i:depth i:mem_used
 	EvSchedAdmit          // l:class i:wait_ns i:inflight
@@ -74,13 +70,9 @@ var schemas = [numTypes]eventSchema{
 	EvQueryError:     {name: "query-error", args: args("stage", argLabel, "error", argLabel)},
 	EvStageStart:     {name: "stage-start", args: args("stage", argLabel)},
 	EvStageFinish:    {name: "stage-finish", args: args("stage", argLabel, "wall_ns", argInt, "sim_seconds", argFloat)},
-	EvPlanCache:      {name: "plan-cache", args: args("outcome", argLabel)},
 	EvBudgetCharge:   {name: "budget-charge", args: args("bytes", argInt, "used", argInt)},
 	EvBudgetCredit:   {name: "budget-credit", args: args("bytes", argInt, "used", argInt)},
 	EvBudgetOverflow: {name: "budget-overflow", args: args("used", argInt, "limit", argInt)},
-	EvAlignDone:      {name: "align-done", args: args("transfers", argInt, "makespan_seconds", argFloat, "lock_waits", argInt, "lock_wait_seconds", argFloat)},
-	EvHotReceiver:    {name: "hot-receiver", args: args("node", argInt, "lock_wait_seconds", argFloat, "recv_cells", argInt)},
-	EvCompareDone:    {name: "compare-done", args: args("straggler_node", argInt, "skew", argFloat, "compare_seconds", argFloat)},
 	EvPostmortem:     {name: "postmortem", args: args("reason", argLabel)},
 	EvSchedQueue:     {name: "sched-queue", args: args("class", argLabel, "depth", argInt, "mem_used", argInt)},
 	EvSchedAdmit:     {name: "sched-admit", args: args("class", argLabel, "wait_ns", argInt, "inflight", argInt)},

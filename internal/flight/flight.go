@@ -1,13 +1,14 @@
 // Package flight is the engine's always-on flight recorder: a
 // lock-free, fixed-capacity ring buffer of compact structured events
 // that every layer of the engine writes into as it works — query
-// lifecycle and stage transitions (internal/pipeline), plan-cache
-// verdicts, memory-budget charges and overflows (internal/batch), and
-// shuffle congestion/straggler signals (internal/simnet). When a query
-// stalls, blows its budget, or panics, the last few thousand events are
-// the black box: Snapshot them live over /debug/flight, or let a
-// Postmortem dump them into a diagnostic bundle alongside profiles and
-// pprof captures.
+// lifecycle and stage boundaries (internal/pipeline), memory-budget
+// charges, credits and overflows (internal/batch), scheduler admission
+// (internal/sched) and postmortem captures. What a query's Report holds
+// (plan-cache outcome, shuffle congestion, the straggler) is not copied
+// here: the query's profile renders it. When a query stalls, blows its
+// budget, or panics, the last few thousand events are the black box:
+// Snapshot them live over /debug/flight, or let a Postmortem dump them
+// into a diagnostic bundle alongside profiles and pprof captures.
 //
 // The recorder is designed to be left on in production:
 //

@@ -204,14 +204,14 @@ func TestDecodeAndWriteJSON(t *testing.T) {
 	r := New(32)
 	q := r.NextQID()
 	r.Record(EvQueryStart, q, r.Label("q1"), 0, 0, 0)
-	r.Record(EvAlignDone, q, 12, F(0.25), 3, F(0.01))
+	r.Record(EvStageFinish, q, r.Label("align"), 12, F(0.25), 0)
 	r.Record(EvSchedReject, 0, r.Label("scan"), 1500, r.Label("deadline"), 0)
 
 	d := r.Decode(r.Snapshot(0)[1])
-	if d.Type != "align-done" {
+	if d.Type != "stage-finish" {
 		t.Fatalf("type = %q", d.Type)
 	}
-	if d.Args["transfers"] != int64(12) || d.Args["makespan_seconds"] != 0.25 {
+	if d.Args["stage"] != "align" || d.Args["wall_ns"] != int64(12) || d.Args["sim_seconds"] != 0.25 {
 		t.Errorf("decoded args = %v", d.Args)
 	}
 

@@ -39,7 +39,6 @@ func TestRegistryConcurrentUse(t *testing.T) {
 				}
 				if j%100 == 0 {
 					var b strings.Builder
-					r.WriteTable(&b)
 					if err := r.WritePrometheus(&b); err != nil {
 						t.Errorf("WritePrometheus: %v", err)
 					}

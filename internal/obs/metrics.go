@@ -1,6 +1,6 @@
 // Package obs is the zero-dependency metrics layer of the shuffle join
 // engine: an ordered registry of counters, gauges and histograms, with
-// Prometheus text, JSON and table writers.
+// Prometheus text and JSON writers.
 //
 // # Determinism
 //
@@ -23,7 +23,6 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"math"
 	"sort"
@@ -318,35 +317,4 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(out)
-}
-
-// WriteTable renders the registry as an aligned human-readable table.
-func (r *Registry) WriteTable(w io.Writer) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	width := 0
-	for _, name := range r.order {
-		if len(name) > width {
-			width = len(name)
-		}
-	}
-	for _, name := range r.order {
-		m := r.m[name]
-		switch m.kind {
-		case kindCounter:
-			fmt.Fprintf(w, "%-*s %d\n", width, name, m.count)
-		case kindGauge:
-			fmt.Fprintf(w, "%-*s %.6g\n", width, name, m.gauge)
-		case kindHistogram:
-			fmt.Fprintf(w, "%-*s n=%d sum=%.6g", width, name, m.n, m.sum)
-			if m.n > 0 {
-				fmt.Fprintf(w, " min=%.6g max=%.6g p50=%.6g p95=%.6g p99=%.6g",
-					m.min, m.max, m.quantile(0.50), m.quantile(0.95), m.quantile(0.99))
-			}
-			fmt.Fprintln(w)
-		}
-	}
 }

@@ -53,15 +53,10 @@ func TestHistogramBucketing(t *testing.T) {
 	}
 }
 
-func TestWriteTableAndJSON(t *testing.T) {
+func TestWriteJSON(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("align.lock_waits").Add(7)
 	r.Gauge("compare.skew").Set(2.5)
-	var tbl bytes.Buffer
-	r.WriteTable(&tbl)
-	if !strings.Contains(tbl.String(), "align.lock_waits 7") {
-		t.Fatalf("table output:\n%s", tbl.String())
-	}
 	var js bytes.Buffer
 	if err := r.WriteJSON(&js); err != nil {
 		t.Fatalf("WriteJSON: %v", err)

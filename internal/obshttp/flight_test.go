@@ -92,7 +92,7 @@ func TestFlightEndpoint(t *testing.T) {
 			types[e.Type] = true
 		}
 	}
-	for _, want := range []string{"query-start", "stage-start", "align-done", "compare-done", "query-finish"} {
+	for _, want := range []string{"query-start", "stage-start", "stage-finish", "query-finish"} {
 		if !types[want] {
 			t.Errorf("no %s event in /debug/flight dump (have %v)", want, types)
 		}

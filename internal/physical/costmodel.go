@@ -227,14 +227,14 @@ func (pr *Problem) CellsMoved(a Assignment) int64 {
 // Workers setting (see the ilp package and TabuPlanner determinism notes).
 // Fields irrelevant to a planner stay zero.
 type SearchStats struct {
-	ILPNodes  int64   // branch-and-bound nodes explored
-	ILPPruned int64   // subtrees cut by the lower bound
-	ILPTasks  int     // size of the deterministic task decomposition
-	SeedCost  float64 // greedy seed objective the search started from
+	ILPNodes  int64   `json:"ilp_nodes"`  // branch-and-bound nodes explored
+	ILPPruned int64   `json:"ilp_pruned"` // subtrees cut by the lower bound
+	ILPTasks  int     `json:"ilp_tasks"`  // size of the deterministic task decomposition
+	SeedCost  float64 `json:"seed_cost"`  // greedy seed objective the search started from
 
-	TabuRounds  int   // outer rebalancing rounds
-	TabuMoves   int   // accepted unit moves
-	TabuWhatIfs int64 // candidate moves costed
+	TabuRounds  int   `json:"tabu_rounds"`  // outer rebalancing rounds
+	TabuMoves   int   `json:"tabu_moves"`   // accepted unit moves
+	TabuWhatIfs int64 `json:"tabu_whatifs"` // candidate moves costed
 }
 
 // Result is a planner's output: the assignment, its modeled cost, and

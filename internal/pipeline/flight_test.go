@@ -112,9 +112,6 @@ func TestFlightRecordingEquivalence(t *testing.T) {
 			if counts[flight.EvStageStart] != 6 || counts[flight.EvStageFinish] != 6 {
 				t.Errorf("stage events = %d/%d, want 6/6", counts[flight.EvStageStart], counts[flight.EvStageFinish])
 			}
-			if counts[flight.EvAlignDone] != 1 || counts[flight.EvCompareDone] != 1 {
-				t.Errorf("align/compare events = %v", counts)
-			}
 			if counts[flight.EvBudgetCharge] == 0 || counts[flight.EvBudgetCredit] == 0 {
 				t.Errorf("no budget events recorded: %v", counts)
 			}
@@ -122,86 +119,48 @@ func TestFlightRecordingEquivalence(t *testing.T) {
 	}
 }
 
-// alignEvents runs one recorded query and returns its Report and the
-// events the align stage left, from align-done up to and including the
-// stage's stage-finish.
-func alignEvents(t *testing.T, nodes int) (*pipeline.Report, []flight.Event) {
-	t.Helper()
+// TestStageFlightEvents: a query's trail in the ring is its lifecycle,
+// its stage boundaries and its budget traffic, all under its query id;
+// each stage-finish restates that stage's Report.Stages entry, and no
+// event copies the rest of the Report. On four nodes the fixture's
+// senders stall on receiver locks, which the Report records and the
+// ring does not.
+func TestStageFlightEvents(t *testing.T) {
 	a := buildArray("A<v:int>[i=1,300,30]", 21, 150, 25)
 	b := buildArray("B<w:int>[j=1,300,30]", 22, 140, 25)
 	pred := join.Predicate{{Left: join.Term{Name: "v"}, Right: join.Term{Name: "w"}}}
 	mark := flight.Default.Stats().Recorded
-	rep, err := pipeline.Run(newCluster(t, nodes, a, b), "A", "B", pred, nil, pipeline.Options{
+	rep, err := pipeline.Run(newCluster(t, 4, a, b), "A", "B", pred, nil, pipeline.Options{
 		Selectivity: 0.5,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if rep.Align.LockWaitTime <= 0 {
+		t.Fatalf("fixture produced no lock contention: %+v", rep.Align)
+	}
 	evs := eventsSince(mark)
-	for i, e := range evs {
-		if e.Type != flight.EvAlignDone {
-			continue
+	var finishes []flight.Event
+	for _, e := range evs {
+		if e.QID == 0 || e.QID != evs[0].QID {
+			t.Fatalf("event %s has query id %d, want the query's %d", e.Type, e.QID, evs[0].QID)
 		}
-		var out []flight.Event
-		for _, e := range evs[i:] {
-			out = append(out, e)
-			if e.Type == flight.EvStageFinish {
-				if stage := flight.Default.LabelName(e.Args[0]); stage != "align" {
-					t.Fatalf("align-done landed in stage %q", stage)
-				}
-				return rep, out
-			}
+		switch e.Type {
+		case flight.EvQueryStart, flight.EvQueryFinish, flight.EvStageStart, flight.EvBudgetCharge, flight.EvBudgetCredit:
+		case flight.EvStageFinish:
+			finishes = append(finishes, e)
+		default:
+			t.Errorf("unexpected %s event in the trail", e.Type)
 		}
 	}
-	t.Fatalf("no align-done event in %+v", evs)
-	return nil, nil
-}
-
-// TestAlignFlightEvents checks that the align stage leaves its telemetry
-// trail — an align-done event always, plus a hot-receiver event naming
-// the most lock-contended destination when senders stalled — restating
-// the Report's shuffle result, just before the stage's stage-finish.
-func TestAlignFlightEvents(t *testing.T) {
-	rep, evs := alignEvents(t, 4)
-	got := rep.Align
-	if got.LockWaitTime <= 0 {
-		t.Fatalf("fixture produced no lock contention: %+v", got)
+	if len(finishes) != len(rep.Stages) {
+		t.Fatalf("%d stage-finish events for %d stages", len(finishes), len(rep.Stages))
 	}
-	if len(evs) != 3 {
-		t.Fatalf("events = %+v, want align-done + hot-receiver + stage-finish", evs)
-	}
-	align, hot := evs[0], evs[1]
-	if align.QID == 0 || hot.QID != align.QID {
-		t.Fatalf("query ids: align-done %d, hot-receiver %d", align.QID, hot.QID)
-	}
-	if align.Args[0] != int64(len(got.Timeline)) || flight.Float(align.Args[1]) != got.Makespan ||
-		align.Args[2] != int64(got.LockWaits) || flight.Float(align.Args[3]) != got.LockWaitTime {
-		t.Errorf("align-done args = %v", align.Args)
-	}
-	want := 0
-	for j, w := range got.RecvLockWait {
-		if w > got.RecvLockWait[want] {
-			want = j
+	for i, e := range finishes {
+		st := rep.Stages[i]
+		if stage := flight.Default.LabelName(e.Args[0]); stage != st.Stage || flight.Float(e.Args[2]) != st.SimSeconds {
+			t.Errorf("stage-finish %d = %s sim %v, want %s sim %v", i, stage, flight.Float(e.Args[2]), st.Stage, st.SimSeconds)
 		}
-	}
-	if hot.Type != flight.EvHotReceiver || hot.Args[0] != int64(want) {
-		t.Fatalf("hot-receiver event = %+v, want node %d", hot, want)
-	}
-	if flight.Float(hot.Args[1]) != got.RecvLockWait[want] || hot.Args[2] != got.CellsRecv[want] {
-		t.Errorf("hot-receiver args = %v", hot.Args)
-	}
-}
-
-// TestAlignFlightNoContentionNoHotReceiver: on two nodes each receiver
-// has one sender, so no sender ever waits on a lock and only the
-// align-done event is recorded.
-func TestAlignFlightNoContentionNoHotReceiver(t *testing.T) {
-	rep, evs := alignEvents(t, 2)
-	if rep.Align.LockWaitTime != 0 {
-		t.Fatalf("fixture produced lock contention: %+v", rep.Align)
-	}
-	if len(evs) != 2 || evs[1].Type != flight.EvStageFinish {
-		t.Fatalf("events = %+v, want a single align-done", evs)
 	}
 }
 

@@ -114,7 +114,6 @@ type QueryContext struct {
 	prog                       Progress
 	stageStart                 time.Time
 	alignBefore, compareBefore float64
-	cacheBefore                string
 
 	// Plan-cache state (LogicalPlan stage, only when Opt.Cache is set).
 	sig    plancache.Signature // this query's cache signature
@@ -319,8 +318,6 @@ func RunDistributed(c *cluster.Cluster, dl, dr *cluster.Distributed, pred join.P
 // it: every valid logical plan with its modeled cost, cheapest first.
 type Explanation struct {
 	Selectivity float64
-	Units       string // join-unit description of the chosen plan
-	NumUnits    int
 	Plans       []logical.Plan
 }
 
@@ -333,10 +330,5 @@ func Explain(c *cluster.Cluster, dl, dr *cluster.Distributed, pred join.Predicat
 	if err := (LogicalPlan{}).Run(qc); err != nil {
 		return nil, err
 	}
-	return &Explanation{
-		Selectivity: qc.Report.Selectivity,
-		Units:       qc.Report.Candidates[0].Units.String(),
-		NumUnits:    qc.Report.Candidates[0].NumUnits,
-		Plans:       qc.Report.Candidates,
-	}, nil
+	return &Explanation{Selectivity: qc.Report.Selectivity, Plans: qc.Report.Candidates}, nil
 }

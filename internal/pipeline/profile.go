@@ -1,9 +1,11 @@
 // EXPLAIN ANALYZE: the per-query execution profile. A Profile is the
 // structured, serializable digest of one query's run — per-stage wall and
 // simulated timings, plan provenance (source, regret, cache outcome,
-// candidate costs), shuffle transfer totals, and per-node work/skew
-// diagnostics — a pure function of the Report (Report.Profile), like the
-// metrics fold and the Chrome trace (FoldMetrics, WriteChrome). Everything except wall-clock fields is
+// candidate costs, the physical planner's search counters), shuffle
+// transfer totals, and per-node work/skew diagnostics — a pure function
+// of the Report (Report.Profile), like the metrics fold and the Chrome
+// trace (FoldMetrics, WriteChrome). It is the one per-query digest: a
+// k-way query has one per step. Everything except wall-clock fields is
 // bit-for-bit identical at every Parallelism setting; Fingerprint masks
 // the wall-clock fields so tests can assert exactly that.
 
@@ -16,6 +18,8 @@ import (
 	"strings"
 
 	"shufflejoin/internal/flight"
+	"shufflejoin/internal/logical"
+	"shufflejoin/internal/physical"
 )
 
 // StageTiming is one pipeline stage's entry in the stage log:
@@ -33,18 +37,35 @@ type StageTiming struct {
 }
 
 // PlanCandidate is one logical plan the optimizer considered, with its
-// modeled cost breakdown (abstract per-cell units). Chosen marks the
-// plan that executed. A cached query carries its single replayed plan;
-// every other query lists every valid plan, cheapest first.
+// join units and modeled cost breakdown (abstract per-cell units): a
+// profile's candidate and an Explain row alike (Candidate). Chosen marks
+// the plan a profiled query executed. A cached query carries its single
+// replayed plan; every other query lists every valid plan, cheapest
+// first.
 type PlanCandidate struct {
-	Plan        string  `json:"plan"`
+	Plan        string  `json:"plan"` // AFL rendering, e.g. "mergeJoin(redim(A), redim(B))"
 	Algorithm   string  `json:"algorithm"`
+	Units       string  `json:"units"` // "chunks" or "hash buckets"
 	NumUnits    int     `json:"num_units"`
 	Cost        float64 `json:"cost"`
 	AlignCost   float64 `json:"align_cost"`
 	CompareCost float64 `json:"compare_cost"`
 	OutputCost  float64 `json:"output_cost"`
 	Chosen      bool    `json:"chosen"`
+}
+
+// Candidate is the row a logical plan renders as, unchosen.
+func Candidate(lp logical.Plan) PlanCandidate {
+	return PlanCandidate{
+		Plan:        lp.Describe(),
+		Algorithm:   lp.Algo.String(),
+		Units:       lp.Units.String(),
+		NumUnits:    lp.NumUnits,
+		Cost:        lp.Cost,
+		AlignCost:   lp.AlignCost,
+		CompareCost: lp.CompareCost,
+		OutputCost:  lp.OutCost,
+	}
 }
 
 // ShuffleProfile summarizes the data-alignment phase: transfer and
@@ -92,6 +113,10 @@ type Profile struct {
 	Selectivity  float64         `json:"selectivity"`
 	NumUnits     int             `json:"num_units"`
 	Candidates   []PlanCandidate `json:"candidates,omitempty"`
+	// Search is the physical planner's search effort: ILP nodes explored
+	// and pruned, tasks and seed cost; Tabu rounds, moves and what-ifs.
+	// Zero for a planner that does not search and for a cached plan.
+	Search physical.SearchStats `json:"search"`
 
 	// Per-stage timings, in execution order.
 	Stages []StageTiming `json:"stages"`
@@ -147,6 +172,7 @@ func buildProfile(rep *Report) *Profile {
 		CacheOutcome:        rep.CacheOutcome,
 		Selectivity:         rep.Selectivity,
 		NumUnits:            rep.Logical.NumUnits,
+		Search:              rep.Physical.Search,
 		Stages:              append([]StageTiming(nil), rep.Stages...),
 		PlanSeconds:         rep.PlanTime,
 		TotalSeconds:        rep.Total,
@@ -177,16 +203,9 @@ func buildProfile(rep *Report) *Profile {
 		p.MakespanSeconds += st.SimSeconds
 	}
 	for _, lp := range rep.Candidates {
-		p.Candidates = append(p.Candidates, PlanCandidate{
-			Plan:        lp.Describe(),
-			Algorithm:   lp.Algo.String(),
-			NumUnits:    lp.NumUnits,
-			Cost:        lp.Cost,
-			AlignCost:   lp.AlignCost,
-			CompareCost: lp.CompareCost,
-			OutputCost:  lp.OutCost,
-			Chosen:      lp.Describe() == p.Plan && lp.Algo == rep.Logical.Algo,
-		})
+		c := Candidate(lp)
+		c.Chosen = c.Plan == p.Plan && lp.Algo == rep.Logical.Algo
+		p.Candidates = append(p.Candidates, c)
 	}
 	for node, nl := range rep.Nodes {
 		np := NodeProfile{Node: node, Units: nl.Units, AssignedCells: nl.AssignedCells, OutputCells: nl.OutputCells}
@@ -237,6 +256,10 @@ func (p *Profile) String() string {
 		fmt.Fprintf(&b, " · %d clamped", p.ClampedCells)
 	}
 	b.WriteString("\n")
+	if s := p.Search; s != (physical.SearchStats{}) {
+		fmt.Fprintf(&b, "├─ planner search: ilp %d nodes explored · %d pruned · %d tasks · seed cost %.4g; tabu %d rounds · %d moves · %d what-ifs\n",
+			s.ILPNodes, s.ILPPruned, s.ILPTasks, s.SeedCost, s.TabuRounds, s.TabuMoves, s.TabuWhatIfs)
+	}
 	fmt.Fprintf(&b, "├─ stages %18s %14s\n", "wall", "simulated")
 	for _, st := range p.Stages {
 		sim := fmt.Sprintf("%.4fs", st.SimSeconds)
@@ -304,6 +327,9 @@ func (p *Profile) Fingerprint() string {
 		fmt.Fprintf(&b, "candidate plan=%q algo=%s units=%d cost=%.17g align=%.17g compare=%.17g out=%.17g chosen=%v\n",
 			c.Plan, c.Algorithm, c.NumUnits, c.Cost, c.AlignCost, c.CompareCost, c.OutputCost, c.Chosen)
 	}
+	s := &p.Search
+	fmt.Fprintf(&b, "search ilp_nodes=%d ilp_pruned=%d ilp_tasks=%d seed_cost=%.17g tabu_rounds=%d tabu_moves=%d tabu_whatifs=%d\n",
+		s.ILPNodes, s.ILPPruned, s.ILPTasks, s.SeedCost, s.TabuRounds, s.TabuMoves, s.TabuWhatIfs)
 	for _, st := range p.Stages {
 		fmt.Fprintf(&b, "stage %s wall=[masked] sim=%.17g\n", st.Stage, st.SimSeconds)
 	}

@@ -58,13 +58,14 @@ type ProgressSnapshot struct {
 // beginStage and endStage are the stage log: the one pair of calls
 // Execute makes around every stage. Between them they append the stage's
 // StageTiming to Report.Stages — under the Progress lock, for Snapshot's
-// sake — and record the stage's flight events: stage-start, the events
-// restating what the stage wrote into the Report, and stage-finish.
+// sake — and record the stage's boundaries in the flight ring:
+// stage-start, and stage-finish with the stage's wall and simulated
+// time. What the stage wrote into the Report stays there; the profile
+// renders it.
 func (qc *QueryContext) beginStage(name string) {
 	rep := qc.Report
 	qc.stageStart = time.Now()
 	qc.alignBefore, qc.compareBefore = rep.AlignTime, rep.CompareTime
-	qc.cacheBefore = rep.CacheOutcome
 	qc.prog.mu.Lock()
 	rep.Stages = append(rep.Stages, StageTiming{Stage: name})
 	qc.prog.mu.Unlock()
@@ -80,40 +81,7 @@ func (qc *QueryContext) endStage(err error) {
 	st.SimSeconds = (rep.AlignTime - qc.alignBefore) + (rep.CompareTime - qc.compareBefore)
 	st.Done = err == nil
 	qc.prog.mu.Unlock()
-	qc.recordReportEvents(st)
 	qc.fr.Record(flight.EvStageFinish, qc.qid, qc.fr.Label(st.Stage), int64(wall), flight.F(st.SimSeconds), 0)
-}
-
-// recordReportEvents records the flight events that restate the Report
-// section a stage just wrote: a plan-cache event whenever the stage set
-// CacheOutcome, and the align and compare results when their stage
-// succeeded. The hot-receiver event names the destination senders
-// stalled on longest, when any stalled at all.
-func (qc *QueryContext) recordReportEvents(st *StageTiming) {
-	rep, fr := qc.Report, qc.fr
-	if rep.CacheOutcome != qc.cacheBefore {
-		fr.Record(flight.EvPlanCache, qc.qid, fr.Label(rep.CacheOutcome), 0, 0, 0)
-	}
-	if !st.Done {
-		return
-	}
-	switch st.Stage {
-	case Align{}.Name():
-		align := &rep.Align
-		fr.Record(flight.EvAlignDone, qc.qid, int64(len(align.Timeline)), flight.F(align.Makespan),
-			int64(align.LockWaits), flight.F(align.LockWaitTime))
-		if align.LockWaitTime > 0 {
-			hot := 0
-			for j, w := range align.RecvLockWait {
-				if w > align.RecvLockWait[hot] {
-					hot = j
-				}
-			}
-			fr.Record(flight.EvHotReceiver, qc.qid, int64(hot), flight.F(align.RecvLockWait[hot]), align.CellsRecv[hot], 0)
-		}
-	case Compare{}.Name():
-		fr.Record(flight.EvCompareDone, qc.qid, int64(rep.StragglerNode), flight.F(rep.Skew), flight.F(rep.CompareTime), 0)
-	}
 }
 
 // finish marks the query complete.

@@ -86,22 +86,3 @@ func (db *DB) Postmortem(dir string) (string, error) {
 	pm := &flight.Postmortem{Dir: dir, Metrics: db.metrics.WritePrometheus}
 	return pm.Capture("on-demand")
 }
-
-// ExplainAnalyze executes the query and returns its EXPLAIN ANALYZE
-// profile (Result.Profile) — the executed counterpart of Explain: actual
-// per-stage timings, the plan that ran and every candidate it beat,
-// shuffle totals, and per-node skew.
-//
-//	p, _ := db.ExplainAnalyze("SELECT A.v, B.w FROM A, B WHERE A.i = B.i")
-//	fmt.Println(p)
-func (db *DB) ExplainAnalyze(q string, opts ...QueryOption) (*Profile, error) {
-	res, err := db.Query(q, opts...)
-	if err != nil {
-		return nil, err
-	}
-	p := res.Profile()
-	if p == nil {
-		return nil, fmt.Errorf("shufflejoin: no profile for %q (multi-way queries are not profiled per-plan; inspect Result fields instead)", q)
-	}
-	return p, nil
-}

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -64,10 +65,44 @@ func TestQueryRecordsIntoDefaultRing(t *testing.T) {
 		t.Fatal(err)
 	}
 	evs := flightTrail(t, buf.Bytes(), mark)
-	for _, typ := range []string{"query-start", "stage-start", "align-done", "query-finish"} {
+	for _, typ := range []string{"query-start", "stage-start", "stage-finish", "query-finish"} {
 		if !hasEvent(evs, typ, obsQ) {
 			t.Errorf("flight.Default holds no %s for the query", typ)
 		}
+	}
+}
+
+// TestQueryFlightTrailCount pins how much of the ring one query takes:
+// its lifecycle, six stage-start/stage-finish pairs and its budget
+// traffic, and no copy of what its Report holds. A plan-cached two-way
+// join over threeWayDB, whose senders stall on receiver locks, records
+// 18 events.
+func TestQueryFlightTrailCount(t *testing.T) {
+	const q = `SELECT Readings.value, Sensors.site FROM Readings, Sensors WHERE Readings.sensor = Sensors.sid`
+	db := threeWayDB(t)
+	mark := flight.Default.Stats().Recorded
+	res, err := db.Query(q, WithPlanCache(NewPlanCache()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.LockWaitSeconds <= 0 {
+		t.Fatalf("fixture produced no lock waits")
+	}
+	var buf bytes.Buffer
+	if err := flight.Default.WriteJSON(&buf, 0); err != nil {
+		t.Fatal(err)
+	}
+	counts := map[string]int{}
+	evs := flightTrail(t, buf.Bytes(), mark)
+	for _, e := range evs {
+		counts[e.Type]++
+	}
+	want := map[string]int{
+		"query-start": 1, "stage-start": 6, "stage-finish": 6, "query-finish": 1,
+		"budget-charge": 2, "budget-credit": 2,
+	}
+	if len(evs) != 18 || !reflect.DeepEqual(counts, want) {
+		t.Errorf("the query recorded %d events %v, want 18 %v", len(evs), counts, want)
 	}
 }
 
@@ -142,7 +177,7 @@ func TestObsHubFlightStatus(t *testing.T) {
 		t.Errorf("/debug/status payload = %+v", status)
 	}
 	fl := get("/debug/flight")
-	for _, want := range []string{`"query-start"`, `"query-finish"`, `"align-done"`} {
+	for _, want := range []string{`"query-start"`, `"query-finish"`, `"stage-finish"`} {
 		if !strings.Contains(fl, want) {
 			t.Errorf("/debug/flight missing %s", want)
 		}

@@ -37,12 +37,20 @@ func obsDB(t *testing.T) *DB {
 	return db
 }
 
-func TestExplainAnalyze(t *testing.T) {
+// TestResultProfiles: a two-way query's Result has one profile, whose
+// stages' simulated seconds sum to its makespan and whose rendering
+// holds every section.
+func TestResultProfiles(t *testing.T) {
 	db := obsDB(t)
-	p, err := db.ExplainAnalyze("SELECT A.v, B.w FROM A, B WHERE A.i = B.i")
+	res, err := db.Query("SELECT A.v, B.w FROM A, B WHERE A.i = B.i")
 	if err != nil {
 		t.Fatal(err)
 	}
+	profiles := res.Profiles()
+	if len(profiles) != 1 {
+		t.Fatalf("%d profiles for a two-way query, want 1", len(profiles))
+	}
+	p := profiles[0]
 	var sum float64
 	for _, st := range p.Stages {
 		sum += st.SimSeconds
@@ -134,7 +142,7 @@ func TestQueryLogEndpoints(t *testing.T) {
 	if logged.Matches != res.Matches {
 		t.Errorf("logged matches %d, result %d", logged.Matches, res.Matches)
 	}
-	if got, want := logged.Fingerprint(), res.Profile().Fingerprint(); got != want {
+	if got, want := logged.Fingerprint(), res.Profiles()[0].Fingerprint(); got != want {
 		t.Errorf("logged profile is not the result's:\n--- logged ---\n%s\n--- result ---\n%s", got, want)
 	}
 
@@ -150,18 +158,18 @@ func TestQueryLogEndpoints(t *testing.T) {
 }
 
 // TestProfileDeterministicViaFacade is the facade-level acceptance
-// check: ExplainAnalyze profiles fingerprint identically across
-// Parallelism 1, 4, and 0.
+// check: a query's profile fingerprints identically across Parallelism
+// 1, 4, and 0.
 func TestProfileDeterministicViaFacade(t *testing.T) {
 	var base string
 	for i, par := range []int{1, 4, 0} {
 		db := obsDB(t)
-		p, err := db.ExplainAnalyze("SELECT A.v, B.w FROM A, B WHERE A.i = B.i",
+		res, err := db.Query("SELECT A.v, B.w FROM A, B WHERE A.i = B.i",
 			WithParallelism(par))
 		if err != nil {
 			t.Fatal(err)
 		}
-		fp := p.Fingerprint()
+		fp := res.Profiles()[0].Fingerprint()
 		if i == 0 {
 			base = fp
 		} else if fp != base {
@@ -195,7 +203,7 @@ func hotUnitDB(t *testing.T) *DB {
 
 // TestProfileUnchangedByQueryLog: a hub logs a query's profile without
 // writing into it. After four queries through WithQueryLog, the last
-// one's Result.Profile() renders the same JSON and String() as the same
+// one's profile renders the same JSON and String() as the same
 // query run with no hub (wall-clock fields zeroed on both sides).
 func TestProfileUnchangedByQueryLog(t *testing.T) {
 	const q = "SELECT A.v, B.w FROM A, B WHERE A.i = B.i"
@@ -223,15 +231,15 @@ func TestProfileUnchangedByQueryLog(t *testing.T) {
 		}
 		logged = res
 	}
-	if len(logged.Profile().HotUnits) == 0 {
+	if len(logged.Profiles()[0].HotUnits) == 0 {
 		t.Fatal("workload has no hot unit")
 	}
 	plain, err := hotUnitDB(t).Query(q, WithParallelism(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotJSON, gotText := render(logged.Profile())
-	wantJSON, wantText := render(plain.Profile())
+	gotJSON, gotText := render(logged.Profiles()[0])
+	wantJSON, wantText := render(plain.Profiles()[0])
 	if gotJSON != wantJSON {
 		t.Errorf("profile JSON after the query log differs:\n--- logged ---\n%s\n--- no hub ---\n%s", gotJSON, wantJSON)
 	}

@@ -71,21 +71,27 @@ func maskChrome(t testing.TB, raw []byte) []byte {
 // render is one query's telemetry as the goldens hold it.
 type render struct {
 	chrome, metrics []byte // Chrome trace (masked) and metrics JSON
-	profile         string // Profile().Fingerprint(); empty for multi-way
+	profile         string // every step's profile Fingerprint, in step order
 }
 
+// renderResult renders a query's Chrome trace, the metrics its step
+// Reports fold into a fresh registry, and its profiles' fingerprints.
 func renderResult(t testing.TB, res *Result) render {
 	t.Helper()
 	var c, m bytes.Buffer
 	if err := res.ChromeTrace(&c); err != nil {
 		t.Fatal(err)
 	}
-	if err := res.MetricsJSON(&m); err != nil {
+	reg := obs.NewRegistry()
+	for _, rep := range res.reports {
+		pipeline.FoldMetrics(reg, rep, false)
+	}
+	if err := reg.WriteJSON(&m); err != nil {
 		t.Fatal(err)
 	}
 	r := render{chrome: maskChrome(t, c.Bytes()), metrics: m.Bytes()}
-	if p := res.Profile(); p != nil {
-		r.profile = p.Fingerprint()
+	for _, p := range res.Profiles() {
+		r.profile += p.Fingerprint()
 	}
 	return r
 }

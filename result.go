@@ -7,7 +7,6 @@ import (
 
 	"shufflejoin/internal/array"
 	"shufflejoin/internal/join"
-	"shufflejoin/internal/obs"
 	"shufflejoin/internal/pipeline"
 )
 
@@ -111,15 +110,17 @@ type Result struct {
 	reports []*pipeline.Report
 }
 
-// Profile returns the query's EXPLAIN ANALYZE digest: per-stage timings,
-// plan provenance and candidate costs, shuffle totals, and per-node skew
-// diagnostics, rendered from the query's Report on each call. It is nil
-// for multi-way queries, which are not profiled per plan.
-func (r *Result) Profile() *Profile {
-	if len(r.JoinOrder) > 0 {
-		return nil
+// Profiles returns the query's EXPLAIN ANALYZE digests, one per step in
+// execution order (a two-way query has one): per-stage timings, plan
+// provenance, candidate costs and planner search, shuffle totals, and
+// per-node skew diagnostics, rendered from the step's Report on each
+// call.
+func (r *Result) Profiles() []*Profile {
+	out := make([]*Profile, len(r.reports))
+	for i, rep := range r.reports {
+		out[i] = rep.Profile()
 	}
-	return r.reports[0].Profile()
+	return out
 }
 
 // newResult builds a query's Result from its step Reports, one for a
@@ -161,22 +162,17 @@ func newResult(steps []*pipeline.Report, order []JoinOrderStep) *Result {
 		step.Output = nil
 	}
 	r.TotalSeconds = r.PlanSeconds + r.AlignSeconds + r.CompareSeconds
-	r.Skew, r.StragglerNode = pipeline.SkewOf(r.perNode(func(s *pipeline.Report) []float64 { return s.NodeCompareTime }))
-	return r
-}
-
-// perNode sums one per-node series (node order) over the query's steps.
-func (r *Result) perNode(series func(*pipeline.Report) []float64) []float64 {
-	if len(r.reports) == 1 {
-		return series(r.reports[0])
-	}
-	sum := make([]float64, len(series(r.reports[0])))
-	for _, rep := range r.reports {
-		for n, v := range series(rep) {
-			sum[n] += v
+	nodeCompare := last.NodeCompareTime
+	if len(steps) > 1 { // per node, summed over the steps
+		nodeCompare = make([]float64, len(last.NodeCompareTime))
+		for _, step := range steps {
+			for n, v := range step.NodeCompareTime {
+				nodeCompare[n] += v
+			}
 		}
 	}
-	return sum
+	r.Skew, r.StragglerNode = pipeline.SkewOf(nodeCompare)
+	return r
 }
 
 // Cell is one output cell: coordinates and attribute values (int64,
@@ -235,45 +231,6 @@ func (r *Result) String() string {
 	return b.String()
 }
 
-// TraceSummary renders the query's phase breakdown and skew/congestion
-// diagnostics as a human-readable table: per-phase modeled times, the
-// comparison-skew straggler, and per-node link activity including receiver
-// lock-wait, followed by the query's metrics (MetricsJSON) as a table.
-func (r *Result) TraceSummary() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "query: %s [%s planner, %s join]\n", r.Plan, r.Planner, r.Algorithm)
-	fmt.Fprintf(&b, "matches=%d moved=%d clamped=%d\n\n", r.Matches, r.CellsMoved, r.ClampedCells)
-	fmt.Fprintf(&b, "%-14s %12s\n", "phase", "modeled_s")
-	fmt.Fprintf(&b, "%-14s %12.4f\n", "plan", r.PlanSeconds)
-	fmt.Fprintf(&b, "%-14s %12.4f\n", "align", r.AlignSeconds)
-	fmt.Fprintf(&b, "%-14s %12.4f\n", "compare", r.CompareSeconds)
-	fmt.Fprintf(&b, "%-14s %12.4f\n\n", "total", r.TotalSeconds)
-	if r.StragglerNode >= 0 {
-		fmt.Fprintf(&b, "compare skew %.3f (straggler: node %d)\n", r.Skew, r.StragglerNode)
-	} else {
-		fmt.Fprintf(&b, "compare skew n/a (no compare work)\n")
-	}
-	fmt.Fprintf(&b, "lock wait    %.4fs total across receiver links\n", r.LockWaitSeconds)
-	compare := r.perNode(func(s *pipeline.Report) []float64 { return s.NodeCompareTime })
-	send := r.perNode(func(s *pipeline.Report) []float64 { return s.Align.SendBusy })
-	recv := r.perNode(func(s *pipeline.Report) []float64 { return s.Align.RecvBusy })
-	lockWait := r.perNode(func(s *pipeline.Report) []float64 { return s.Align.RecvLockWait })
-	if len(compare) > 0 {
-		fmt.Fprintf(&b, "\n%-6s %12s %12s %12s %14s\n", "node", "compare_s", "send_s", "recv_s", "lock_wait_s")
-		for n := range compare {
-			marker := ""
-			if n == r.StragglerNode {
-				marker = "  <- straggler"
-			}
-			fmt.Fprintf(&b, "%-6d %12.4f %12.4f %12.4f %14.4f%s\n",
-				n, compare[n], send[n], recv[n], lockWait[n], marker)
-		}
-	}
-	fmt.Fprintf(&b, "\nmetrics\n")
-	r.metrics().WriteTable(&b)
-	return b.String()
-}
-
 // ChromeTrace writes the query's trace in Chrome trace-event JSON, loadable
 // in Perfetto (ui.perfetto.dev) or chrome://tracing: one process per
 // simulated node, transfers drawn as flow arrows between sender and
@@ -283,31 +240,9 @@ func (r *Result) ChromeTrace(w io.Writer) error {
 	return pipeline.WriteChrome(w, "query", r.reports...)
 }
 
-// MetricsJSON writes the query's metrics as a JSON array in registration
-// order: the per-query fold (pipeline.FoldMetrics) of its Report, or of
-// each multi-way step in turn, rendered on each call.
-func (r *Result) MetricsJSON(w io.Writer) error { return r.metrics().WriteJSON(w) }
-
-// metrics folds the query's Reports into a fresh registry.
-func (r *Result) metrics() *obs.Registry {
-	reg := obs.NewRegistry()
-	for _, rep := range r.reports {
-		pipeline.FoldMetrics(reg, rep, false)
-	}
-	return reg
-}
-
-// PlanInfo is one candidate logical plan in an Explain result.
-type PlanInfo struct {
-	Plan        string // AFL rendering, e.g. "mergeJoin(redim(A), redim(B))"
-	Algorithm   string
-	Units       string // "chunks" or "hash buckets"
-	NumUnits    int
-	Cost        float64 // total modeled cost (abstract per-cell units)
-	AlignCost   float64
-	CompareCost float64
-	OutputCost  float64
-}
+// PlanInfo is one candidate logical plan in an Explain result: the row a
+// Profile lists its candidates in, with Chosen unset.
+type PlanInfo = pipeline.PlanCandidate
 
 // Explanation is the optimizer's view of a query: the selectivity estimate
 // it used and every valid logical plan, cheapest first.

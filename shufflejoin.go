@@ -77,8 +77,8 @@ func Open(nodes int) (*DB, error) {
 // expvar-style flat map (counters and gauges by name; histograms as
 // name.count/.sum/.min/.max). Every query adds to query.count,
 // query.matches, query.cells_moved, and query.total_seconds, and folds
-// its per-query metrics (alignment, skew, and per-node diagnostics; see
-// Result.MetricsJSON) into the same registry: counters and
+// each of its steps' metrics (pipeline.FoldMetrics: planning, alignment,
+// skew, and per-node diagnostics) into the same registry: counters and
 // additive gauges accumulate, and set gauges such as compare.skew hold
 // the last query's value.
 func (db *DB) MetricsSnapshot() map[string]float64 { return db.metrics.Snapshot() }
@@ -577,16 +577,7 @@ func (db *DB) Explain(q string, opts ...QueryOption) (*Explanation, error) {
 	}
 	out := &Explanation{Selectivity: ex.Selectivity}
 	for _, p := range ex.Plans {
-		out.Plans = append(out.Plans, PlanInfo{
-			Plan:        p.Describe(),
-			Algorithm:   p.Algo.String(),
-			Units:       p.Units.String(),
-			NumUnits:    p.NumUnits,
-			Cost:        p.Cost,
-			AlignCost:   p.AlignCost,
-			CompareCost: p.CompareCost,
-			OutputCost:  p.OutCost,
-		})
+		out.Plans = append(out.Plans, pipeline.Candidate(p))
 	}
 	return out, nil
 }

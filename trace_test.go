@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"shufflejoin/internal/pipeline"
 )
 
 // traceDB builds a skewed two-array workload large enough that planning,
@@ -63,8 +65,8 @@ func TestTraceDeterminism(t *testing.T) {
 	}
 }
 
-// TestTraceDiagnostics: the headline skew/congestion fields and TraceSummary
-// must be populated and internally consistent.
+// TestTraceDiagnostics: the headline skew/congestion fields and the
+// query's profile must be populated and agree.
 func TestTraceDiagnostics(t *testing.T) {
 	db := traceDB(t)
 	res, err := db.Query(traceQuery, WithPlanner("tabu", time.Second))
@@ -80,21 +82,27 @@ func TestTraceDiagnostics(t *testing.T) {
 	if res.LockWaitSeconds < 0 {
 		t.Errorf("LockWaitSeconds = %v", res.LockWaitSeconds)
 	}
-	sum := res.TraceSummary()
+	p := res.Profiles()[0]
+	if p.Search.TabuRounds == 0 {
+		t.Errorf("tabu profile has no search counters: %+v", p.Search)
+	}
+	if p.Skew != res.Skew || p.StragglerNode != res.StragglerNode || p.Shuffle.LockWaitSeconds != res.LockWaitSeconds {
+		t.Errorf("profile skew %v, straggler %d, lock wait %v; result %v, %d, %v",
+			p.Skew, p.StragglerNode, p.Shuffle.LockWaitSeconds, res.Skew, res.StragglerNode, res.LockWaitSeconds)
+	}
+	sum := p.String()
 	for _, want := range []string{
-		"compare skew",
-		fmt.Sprintf("straggler: node %d", res.StragglerNode),
-		"lock wait",
-		"metrics",
-		"align.makespan_seconds",
+		fmt.Sprintf("compare skew %.3f · straggler node %d", res.Skew, res.StragglerNode),
+		"lock waits",
+		fmt.Sprintf("tabu %d rounds · %d moves", p.Search.TabuRounds, p.Search.TabuMoves),
 	} {
 		if !strings.Contains(sum, want) {
-			t.Errorf("TraceSummary missing %q:\n%s", want, sum)
+			t.Errorf("profile missing %q:\n%s", want, sum)
 		}
 	}
 	// The straggler marker points at the named node's row.
-	if !strings.Contains(sum, "<- straggler") {
-		t.Errorf("TraceSummary missing straggler marker:\n%s", sum)
+	if !strings.Contains(sum, fmt.Sprintf("│    %-5d", res.StragglerNode)) || !strings.Contains(sum, "<- straggler") {
+		t.Errorf("profile missing straggler row:\n%s", sum)
 	}
 }
 
@@ -192,8 +200,9 @@ func TestMetricsSnapshot(t *testing.T) {
 	}
 }
 
-// TestMultiWayTraceDiagnostics: multi-way queries aggregate per-node
-// diagnostics across steps (TestRenderDeterminism pins their render).
+// TestMultiWayTraceDiagnostics: a multi-way query has one profile per
+// step, and its Result sums their per-node compare times into one skew
+// and straggler (TestRenderDeterminism pins their render).
 func TestMultiWayTraceDiagnostics(t *testing.T) {
 	res, err := threeWayDB(t).Query(threeWayQuery)
 	if err != nil {
@@ -205,8 +214,21 @@ func TestMultiWayTraceDiagnostics(t *testing.T) {
 	if res.Skew < 1 {
 		t.Errorf("multi-way Skew = %v", res.Skew)
 	}
-	if !strings.Contains(res.TraceSummary(), "straggler") {
-		t.Error("multi-way TraceSummary missing straggler")
+	profiles := res.Profiles()
+	if len(profiles) != 2 {
+		t.Fatalf("%d profiles for a three-way query, want 2", len(profiles))
+	}
+	sum := make([]float64, len(profiles[0].Nodes))
+	for _, p := range profiles {
+		if p.StragglerNode < 0 || p.Skew < 1 || !strings.Contains(p.String(), "<- straggler") {
+			t.Errorf("step profile skew %v straggler %d:\n%s", p.Skew, p.StragglerNode, p)
+		}
+		for _, n := range p.Nodes {
+			sum[n.Node] += n.CompareSeconds
+		}
+	}
+	if skew, straggler := pipeline.SkewOf(sum); skew != res.Skew || straggler != res.StragglerNode {
+		t.Errorf("steps' summed skew %v straggler %d, result %v %d", skew, straggler, res.Skew, res.StragglerNode)
 	}
 }
 

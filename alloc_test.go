@@ -22,20 +22,28 @@ var allocShapes = []struct {
 	opts  []QueryOption
 	load  func(t *testing.T, db *DB)
 	// ceiling is the most allocations one query may make on average: the
-	// highest count of eight measurements (Go 1.24, 2 vCPU: 794, 307,
-	// 1,306, 822, 1,057 and 1,420) plus 2 %. Parsing a query a second time, 25
+	// highest count of 24 processes (Go 1.24, 2 vCPU: 396, 303, 1,291,
+	// 424, 618 and 1,415) plus 2 %. Parsing a query a second time, 25
 	// to 47 allocations, fails the gate. wide_plan's count takes one of
-	// 1,023, 1,040 and 1,057 per process (24 processes), though its
-	// output is no longer sorted, so the sort's scratch is not why.
+	// 584, 600, 601 and 618 per process, though its output is not
+	// sorted, so the sort's scratch is not why.
 	ceiling uint64
+	// bytes, when not 0, is the most bytes one query may allocate on
+	// average (runtime.MemStats.TotalAlloc), measured as ceiling is: 275,388
+	// for hash_hot, 279,716 for select_expr and 766,619 for wide_plan (one
+	// of ≈ 709.7 k, 738.2 k and 766.6 k per process), plus 2 %. A
+	// row-numbered output written twice, once into per-unit parts and
+	// again into the destination's chunks, allocates ≈ 493 k, 497 k and
+	// 929–986 k.
+	bytes uint64
 }{
-	{"hash_hot", 4, "SELECT A.i, B.i INTO T<ai:int, bi:int>[] FROM A JOIN B ON A.v = B.w", nil, loadHashHot, 809},
-	{"serve_mix", 4, "SELECT IA.v, IB.w FROM IA, IB WHERE IA.i = IB.i", nil, loadServePair, 313},
-	{"merge_skew", 4, "SELECT MA.v, MB.w FROM MA, MB WHERE MA.i = MB.i AND MA.j = MB.j", nil, loadMergeSkew, 1332},
-	{"select_expr", 4, "SELECT A.v * 2 + B.w, -A.i / B.i INTO T<x:int, y:float>[] FROM A JOIN B ON A.v = B.w", nil, loadHashHot, 838},
-	{"wide_plan", 32, "SELECT A.i, B.i INTO T<ai:int, bi:int>[] FROM A JOIN B ON A.v = B.w", []QueryOption{WithPlanner("tabu")}, loadHashHot, 1078},
+	{"hash_hot", 4, "SELECT A.i, B.i INTO T<ai:int, bi:int>[] FROM A JOIN B ON A.v = B.w", nil, loadHashHot, 403, 280895},
+	{"serve_mix", 4, "SELECT IA.v, IB.w FROM IA, IB WHERE IA.i = IB.i", nil, loadServePair, 309, 0},
+	{"merge_skew", 4, "SELECT MA.v, MB.w FROM MA, MB WHERE MA.i = MB.i AND MA.j = MB.j", nil, loadMergeSkew, 1316, 0},
+	{"select_expr", 4, "SELECT A.v * 2 + B.w, -A.i / B.i INTO T<x:int, y:float>[] FROM A JOIN B ON A.v = B.w", nil, loadHashHot, 432, 285310},
+	{"wide_plan", 32, "SELECT A.i, B.i INTO T<ai:int, bi:int>[] FROM A JOIN B ON A.v = B.w", []QueryOption{WithPlanner("tabu")}, loadHashHot, 630, 781951},
 	{"three_way", 4, `SELECT Readings.value, Sites.elevation FROM Readings, Sensors, Sites
-		WHERE Readings.sensor = Sensors.sid AND Sensors.site = Sites.code`, nil, loadThreeWay, 1448},
+		WHERE Readings.sensor = Sensors.sid AND Sensors.site = Sites.code`, nil, loadThreeWay, 1443, 0},
 }
 
 // loadThreeWay inserts a star of three arrays: 20,000 readings, each of
@@ -175,9 +183,13 @@ func TestQueryAllocCeilings(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		debug.SetGCPercent(gc)
 		allocs := (after.Mallocs - before.Mallocs) / runs
-		t.Logf("%s: %d matches, %d allocs/query, ceiling %d", sh.name, matches, allocs, sh.ceiling)
+		bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+		t.Logf("%s: %d matches, %d allocs/query, ceiling %d; %d bytes/query, ceiling %d", sh.name, matches, allocs, sh.ceiling, bytes, sh.bytes)
 		if allocs > sh.ceiling {
 			t.Errorf("%s: %d allocs/query, want at most %d", sh.name, allocs, sh.ceiling)
+		}
+		if sh.bytes != 0 && bytes > sh.bytes {
+			t.Errorf("%s: %d bytes/query, want at most %d", sh.name, bytes, sh.bytes)
 		}
 	}
 }

@@ -71,6 +71,7 @@ func TestRunExitStatus(t *testing.T) {
 		{"trace", []string{"-data", data, "-sample", "0", "-trace", traceFile, join}, 0, "", "Chrome trace written", 0},
 		{"clamped", []string{"-data", data, "-sample", "0", clamping}, 0, "", "WARNING:", 0},
 		{"strict", []string{"-data", data, "-sample", "0", "-strict", clamping}, 1, "StrictBounds", "", 0},
+		{"explain three-way", []string{"-data", data, "-explain", threeWay}, 1, "EXPLAIN previews two-array joins; this query joins 3 arrays", "", 0},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {

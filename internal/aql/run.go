@@ -173,6 +173,9 @@ func compare(v array.Value, op string, lit array.Value) (bool, error) {
 // Explain compiles a parsed two-way query, then returns the optimizer's
 // plan enumeration without executing.
 func Explain(c *cluster.Cluster, q *Query, opt pipeline.Options) (*pipeline.Explanation, error) {
+	if len(q.From) > 2 {
+		return nil, fmt.Errorf("aql: EXPLAIN previews two-array joins; this query joins %d arrays", len(q.From))
+	}
 	dl, dr, comp, err := twoWay(c, q)
 	if err != nil {
 		return nil, err

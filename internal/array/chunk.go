@@ -266,18 +266,8 @@ func gather[T any](dst, src []T, rows []int32) []T {
 }
 
 // ascendingFrom reports whether every row from `from` on extends the
-// C-order of the row before it. A 1-D chunk, such as a row-numbered join
-// output, is checked on its one column directly.
+// C-order of the row before it.
 func (ch *Chunk) ascendingFrom(from int) bool {
-	if ch.NDims == 1 {
-		c := ch.Coords[0]
-		for row := from; row < len(c); row++ {
-			if c[row-1] > c[row] {
-				return false
-			}
-		}
-		return true
-	}
 	for row, n := from, ch.Len(); row < n; row++ {
 		if ch.compareRows(row-1, row) > 0 {
 			return false

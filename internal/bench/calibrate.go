@@ -41,6 +41,7 @@ func Calibrate(cells int, seed int64) physical.CostParams {
 
 	var matches join.Matches
 	run := func(alg join.Algorithm, l, r batch.Run) (float64, join.Stats) {
+		matches.L, matches.R = matches.L[:0], matches.R[:0]
 		start := time.Now()
 		// RunColumns fails only on an unknown algorithm.
 		st, _ := join.RunColumns(alg, l, r, 1, nil, &matches)

@@ -130,6 +130,7 @@ func BenchmarkColumnarJoin(b *testing.B) {
 			var m Matches
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
+				m.L, m.R = m.L[:0], m.R[:0]
 				if _, err := RunColumns(bc.alg, bc.left, bc.right, bc.nkey, nil, &m); err != nil {
 					b.Fatal(err)
 				}
@@ -152,6 +153,7 @@ func TestColumnarMergeZeroAllocs(t *testing.T) {
 		}
 		var m Matches
 		merge := func() {
+			m.L, m.R = m.L[:0], m.R[:0]
 			if _, err := RunColumns(Merge, bc.left, bc.right, bc.nkey, nil, &m); err != nil {
 				t.Fatal(err)
 			}

@@ -39,14 +39,14 @@ func (m *Matches) add(l, r int32) {
 }
 
 // RunColumns executes the chosen algorithm over one join unit whose
-// sides are runs of a columnar store, replacing m's contents with the
-// unit's matches. The first nkey columns of each store are the side's
-// key columns, in predicate order; a string key column holds codes of
-// in, which both sides must share (in may be nil when no key column is
-// a string). Matches land in the order RunStream emits them over the
-// same cells, and the Stats are RunStream's.
+// sides are runs of a columnar store, appending the unit's matches to m,
+// so one list may hold several units' matches, each a range of it. The
+// first nkey columns of each store are the side's key columns, in
+// predicate order; a string key column holds codes of in, which both
+// sides must share (in may be nil when no key column is a string).
+// Matches land in the order RunStream emits them over the same cells,
+// and the Stats are RunStream's.
 func RunColumns(alg Algorithm, left, right batch.Run, nkey int, in *batch.Intern, m *Matches) (Stats, error) {
-	m.L, m.R = m.L[:0], m.R[:0]
 	s, ok := scratchPool.Get()
 	if !ok {
 		s = new(scratch)

@@ -40,27 +40,27 @@ func Do(workers int, fn func(w int)) {
 	wg.Wait()
 }
 
-// ForEach runs fn(i) for every i in [0, n), distributing indices over up to
-// `workers` goroutines via an atomic counter. Each index runs exactly once;
-// with workers <= 1 the loop runs inline in index order.
-func ForEach(n, workers int, fn func(i int)) {
+// ForEach runs fn(i, w) for every i in [0, n), distributing indices over
+// up to `workers` goroutines w via an atomic counter. Each index runs
+// exactly once; with workers <= 1 the loop runs inline in index order.
+func ForEach(n, workers int, fn func(i, w int)) {
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			fn(i)
+			fn(i, 0)
 		}
 		return
 	}
 	var next atomic.Int64
-	Do(workers, func(int) {
+	Do(workers, func(w int) {
 		for {
 			i := int(next.Add(1)) - 1
 			if i >= n {
 				return
 			}
-			fn(i)
+			fn(i, w)
 		}
 	})
 }

@@ -42,7 +42,7 @@ func TestForEachVisitsEachIndexOnce(t *testing.T) {
 		size := int(n % 100)
 		w := int(workers%8) + 1
 		visits := make([]atomic.Int64, size)
-		ForEach(size, w, func(i int) { visits[i].Add(1) })
+		ForEach(size, w, func(i, _ int) { visits[i].Add(1) })
 		for i := range visits {
 			if visits[i].Load() != 1 {
 				return false

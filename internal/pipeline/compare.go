@@ -2,21 +2,24 @@ package pipeline
 
 import (
 	"math"
+	"slices"
 
 	"shufflejoin/internal/array"
+	"shufflejoin/internal/batch"
 	"shufflejoin/internal/join"
 	"shufflejoin/internal/logical"
+	"shufflejoin/internal/par"
 )
 
-// unitOut is one join unit's slot, written only by the worker that runs
-// the unit: its output columns (nil when it matched nothing), join
-// statistics, and modeled compare seconds. Synthetic row coordinates in
-// it are unit-local (0, 1, 2, …) until fold renumbers them.
+// unitOut is one join unit's slot, written by the worker that runs the
+// unit and then by fold: its matches, range [lo, hi) of its worker's
+// arena, its first output row, and its join statistics.
 type unitOut struct {
-	cols  *array.Chunk
-	stats join.Stats
-	time  float64
-	err   error
+	arena  *join.Matches
+	lo, hi int
+	at     int
+	stats  join.Stats
+	err    error
 }
 
 // nodeOut is one node's merged comparison products: its output cell
@@ -43,11 +46,13 @@ func (qc *QueryContext) buildOutput() error {
 	return nil
 }
 
-// runUnit joins unit u on its destination node, writing into res, the
-// unit's own slot. The kernel reads both sides' runs in place and lists
-// the matches; the projector gathers them into the slot's output
-// columns, so the unit is released as soon as it returns.
-func (qc *QueryContext) runUnit(u int, res *unitOut) {
+// arenaPool keeps compare workers' match lists, MaxPooledRows in all.
+var arenaPool = par.NewSizedPool(64, batch.MaxPooledRows, func(m *join.Matches) int { return cap(m.L) })
+
+// joinUnit joins unit u on its destination node, appending its matches
+// to the worker's arena (from arenaPool at its first unit) and keeping
+// their range in res, the unit's own slot.
+func (qc *QueryContext) joinUnit(u int, res *unitOut, arena **join.Matches) {
 	// Per-unit cancellation point: a canceled query skips its remaining
 	// units (fold surfaces the context error from the first skipped
 	// slot) instead of comparing to completion.
@@ -55,66 +60,88 @@ func (qc *QueryContext) runUnit(u int, res *unitOut) {
 		res.err = err
 		return
 	}
-	nl, nr := qc.rsl.UnitTotal(u), qc.rsr.UnitTotal(u)
-	s := getUnitScratch()
-	s.runs[0], s.runs[1] = qc.rsl.Run(u), qc.rsr.Run(u)
+	if *arena == nil {
+		if *arena, _ = arenaPool.Get(); *arena == nil {
+			*arena = new(join.Matches)
+		}
+	}
+	res.arena, res.lo = *arena, len((*arena).L)
 	nkey := len(qc.plan.JS.Pred.Resolved.Left)
-	st, err := join.RunColumns(qc.plan.Algo, s.runs[0], s.runs[1], nkey, qc.intern, &s.m)
-	if err == nil && len(s.m.L) > 0 {
-		res.cols = qc.proj.project(qc.outArr.Schema, s, qc.intern.Strs())
-	}
-	s.release()
-	// The unit is fully consumed: return its bytes to the query budget.
-	qc.rsl.ReleaseUnit(u)
-	qc.rsr.ReleaseUnit(u)
-	if err != nil {
-		res.err = err
-		return
-	}
-	res.stats = st
-	res.time = params.Unit(qc.plan.Algo, nl, nr)
+	res.stats, res.err = join.RunColumns(qc.plan.Algo, qc.rsl.Run(u), qc.rsr.Run(u), nkey, qc.intern, res.arena)
+	res.hi = len(res.arena.L)
 }
 
 // fold merges per-unit slots into per-node outputs in deterministic
-// order — node ascending, units in assignment order — writing synthetic
-// row numbers node-major into the row column in that order (one running
-// counter: node n's rows start where node n−1's end, so a query's rows
-// are exactly 0…N−1 and every part is one ascending range) and
-// accumulating modeled seconds in that same order, so the merged nodeOut
-// values do not depend on which worker ran which unit when. It copies no
-// cells: it lists the units' output parts (cells in emit order within
-// each; none is empty) in that same order, which is the order Assemble
-// writes them in — as does the tests' reference executor, which is what
-// makes their outputs directly comparable.
-func (qc *QueryContext) fold(results []unitOut) ([]nodeOut, []*array.Chunk) {
+// order — node ascending, units in assignment order — accumulating
+// modeled seconds in that order, so the merged nodeOut values do not
+// depend on which worker ran which unit when. In that order it gives
+// each unit its output rows [at, at+n), so a row-numbered output's rows
+// are node-major, exactly 0…N−1; Assemble writes a dimensioned output's
+// parts in that order too, as does the tests' reference executor,
+// which makes their outputs directly comparable. It returns N.
+func (qc *QueryContext) fold(results []unitOut) int {
 	k := qc.Cluster.K
-	nodes, parts := make([]nodeOut, k), make([]*array.Chunk, 0, len(results))
-	var row int64
+	qc.nodes = make([]nodeOut, k)
+	rows := 0
 	for node := 0; node < k; node++ {
-		no := &nodes[node]
+		no := &qc.nodes[node]
 		for _, u := range qc.nodeUnits[node] {
 			res := &results[u]
 			if res.err != nil {
 				no.err = res.err
 				break
 			}
-			if c := res.cols; c != nil {
-				if qc.proj.rowDim {
-					rows := c.Coords[0]
-					for i := range rows {
-						rows[i] = row
-						row++
-					}
-				}
-				parts = append(parts, c)
-				no.cells += int64(c.Len())
-			}
+			res.at = rows
+			rows += res.hi - res.lo
+			no.cells += int64(res.hi - res.lo)
 			no.stats.Add(res.stats)
-			no.time += res.time
+			no.time += params.Unit(qc.plan.Algo, qc.rsl.UnitTotal(u), qc.rsr.UnitTotal(u))
 		}
 		addPostJoinTime(no, qc.plan)
 	}
-	return nodes, parts
+	return rows
+}
+
+// writeUnits projects every unit's matches into its output rows, on up
+// to Parallelism workers, and releases its sides: into the chunks of a
+// row-numbered destination, made here at their final size (a unit
+// crossing a chunk boundary is split), or into one part per unit.
+func (qc *QueryContext) writeUnits(results []unitOut, rows int) {
+	var parts []*array.Chunk
+	if qc.proj.rowDim {
+		for lo := 0; lo < rows; lo += rowChunk {
+			sized(qc.outArr.Chunk(array.ChunkKey(lo/rowChunk)), min(rowChunk, rows-lo))
+		}
+	} else {
+		parts = make([]*array.Chunk, len(qc.units))
+	}
+	par.ForEach(len(qc.units), qc.Opt.workers(), func(i, _ int) {
+		u := qc.units[i]
+		res := &results[u]
+		if m := (join.Matches{L: res.arena.L[res.lo:res.hi], R: res.arena.R[res.lo:res.hi]}); len(m.L) > 0 {
+			s := getUnitScratch()
+			s.runs[0], s.runs[1] = qc.rsl.Run(u), qc.rsr.Run(u)
+			s.load(qc.proj, qc.intern.Strs())
+			if parts != nil {
+				parts[i] = qc.proj.part(len(qc.outArr.Schema.Dims), len(m.L))
+				s.m = m
+				qc.proj.project(s, parts[i], 0)
+			} else {
+				for at := res.at; len(m.L) > 0; {
+					dst, off := qc.outArr.Chunks[array.ChunkKey(at/rowChunk)], at%rowChunk
+					n := min(len(m.L), rowChunk-off)
+					s.m = join.Matches{L: m.L[:n], R: m.R[:n]}
+					qc.proj.project(s, dst, off)
+					m, at = join.Matches{L: m.L[n:], R: m.R[n:]}, at+n
+				}
+			}
+			s.release()
+		}
+		// The unit is fully consumed: return its bytes to the query budget.
+		qc.rsl.ReleaseUnit(u)
+		qc.rsr.ReleaseUnit(u)
+	})
+	qc.parts = slices.DeleteFunc(parts, func(p *array.Chunk) bool { return p == nil })
 }
 
 // addPostJoinTime models the per-node post-join output handling: sorting

@@ -34,7 +34,7 @@ func FirstOutOfRange(c *cluster.Cluster, leftName, rightName string, pred join.P
 	if err != nil {
 		return "", err
 	}
-	for _, part := range qc.parts {
+	for _, part := range qc.written() {
 		for row := 0; row < part.Len(); row++ {
 			coords := part.CoordsAt(row, nil)
 			for d, dim := range qc.outArr.Schema.Dims {
@@ -47,19 +47,35 @@ func FirstOutOfRange(c *cluster.Cluster, leftName, rightName string, pred join.P
 	return "", nil
 }
 
-// AppendedOutput runs the query's stages up to Compare, then writes the
-// parts fold listed into the destination with Array.AppendParts as
-// Assemble does, and returns the report so far, the parts in the order
-// they were written, and the destination before Assemble's SortAll.
-func AppendedOutput(c *cluster.Cluster, leftName, rightName string, pred join.Predicate, out *array.Schema, opt Options) (*Report, []*array.Chunk, *array.Array, error) {
+// written returns the chunks Compare wrote the query's output cells
+// into, in node order, then unit assignment order, then emit order: a
+// row-numbered output's destination chunks in key order, or a
+// dimensioned output's parts.
+func (qc *QueryContext) written() []*array.Chunk {
+	if !qc.proj.rowDim {
+		return qc.parts
+	}
+	var chunks []*array.Chunk
+	for _, key := range qc.outArr.SortedKeys() {
+		chunks = append(chunks, qc.outArr.Chunks[key])
+	}
+	return chunks
+}
+
+// AppendedOutput runs the query's stages up to Compare, then writes a
+// dimensioned output's parts into the destination with
+// Array.AppendParts as Assemble does (Compare has written a row-numbered
+// output's chunks already), and returns the report so far and the
+// destination before Assemble's SortAll.
+func AppendedOutput(c *cluster.Cluster, leftName, rightName string, pred join.Predicate, out *array.Schema, opt Options) (*Report, *array.Array, error) {
 	qc, err := compared(c, leftName, rightName, pred, out, opt)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	if _, bad := qc.outArr.AppendParts(qc.parts, opt.Strict, nil); bad != nil {
-		return nil, nil, nil, bad.Err
+		return nil, nil, bad.Err
 	}
-	return qc.Report, qc.parts, qc.outArr, nil
+	return qc.Report, qc.outArr, nil
 }
 
 // compared runs the query's stages up to Compare.

@@ -28,8 +28,8 @@
 // modeled times match the tests' reference — because
 //
 //  1. each unit's results land in a pre-allocated per-unit slot, and
-//  2. all merging — cells, join stats, modeled seconds, synthetic row
-//     numbering — happens on the orchestration goroutine in a fixed
+//  2. all merging — cells, join stats, modeled seconds, each unit's
+//     output rows — happens on the orchestration goroutine in a fixed
 //     order: node ascending, unit assignment order, emit order. Row
 //     numbers follow that order from 0, so they are node-major and
 //     dense.
@@ -38,18 +38,18 @@
 //
 // A unit's two sides are one range of each side's store, read in place.
 // The join kernel (join.RunColumns) compares their typed key columns
-// and lists the matches as (left row, right row) pairs; no cell becomes
-// a tuple and no match calls back. The projector, compiled once per
-// query from the destination's field names or Options.Select, then
-// fills the unit's typed output columns, shaped like an array.Chunk and
-// sized for its matches, a column at a time: a source column by typed
-// gather, a SELECT expression evaluated over gathered columns. fold
-// writes node-major synthetic row numbers into them in place and keeps
-// each node's slots in assignment order, so each output chunk receives
-// one ascending run and needs no sort; Assemble writes them with
-// array.Array.AppendParts, which clamps them column by column, buckets
-// their rows by destination chunk, and appends each bucket with one
-// Chunk.AppendColumns. No match allocates on the way.
+// and appends the matches, (left row, right row) pairs, to its worker's
+// arena; no cell becomes a tuple and no match calls back. Once fold has
+// given every unit its output rows, the projector, compiled once per
+// query from the destination's field names or Options.Select, writes
+// them a column at a time: a source column by typed gather, a SELECT
+// expression evaluated over gathered columns. A row-numbered output is
+// written in place, into chunks made once at their size, each one
+// ascending run that needs no sort. A dimensioned output's units each
+// fill a part, which Assemble writes with array.Array.AppendParts: it
+// clamps them column by column, buckets their rows by destination chunk
+// and appends each bucket with one Chunk.AppendColumns. No match
+// allocates on the way.
 //
 // See DESIGN.md §7 for the full determinism argument.
 package pipeline
@@ -125,11 +125,12 @@ type QueryContext struct {
 	rsl, rsr  *shuffle.RunSet   // SliceMap: per-side slice maps
 	intern    *batch.Intern     // SliceMap makes, Align fills: both sides' string dictionary
 	budget    *batch.Budget     // SliceMap: per-query memory accountant
-	nodeUnits [][]int           // PhysicalPlan: units assigned to each node
+	units     []int             // PhysicalPlan: every unit, node ascending, in assignment order
+	nodeUnits [][]int           // PhysicalPlan: units assigned to each node, ranges of units
 	outArr    *array.Array      // Compare: destination array
 	proj      *projector        // Compare: output-cell projector
 	nodes     []nodeOut         // Compare: merged per-node compare products
-	parts     []*array.Chunk    // Compare: output parts, node ascending, units in assignment order
+	parts     []*array.Chunk    // Compare: a dimensioned output's parts, node ascending, units in assignment order
 }
 
 // NewQueryContext prepares a context for one join execution. opt is

@@ -17,15 +17,36 @@ import (
 // outside the dimension it is bound for. Match it with errors.Is.
 var ErrBounds = array.ErrBounds
 
+// rowChunk is the chunk interval of a synthetic row dimension.
+const rowChunk = 1 << 20
+
 // newOutputArray materializes the destination schema. A destination with
 // no dimensions (unordered output, e.g. INTO T<i:int,j:int>[]) gets a
 // synthetic row dimension.
 func newOutputArray(js *logical.JoinSchema) (*array.Array, error) {
 	out := js.Pred.Out.Clone()
 	if len(out.Dims) == 0 {
-		out.Dims = []array.Dimension{{Name: "row_", Start: 0, End: math.MaxInt64 / 2, ChunkInterval: 1 << 20}}
+		out.Dims = []array.Dimension{{Name: "row_", Start: 0, End: math.MaxInt64 / 2, ChunkInterval: rowChunk}}
 	}
 	return array.New(out)
+}
+
+// sized makes every column of ch n rows long, for project to fill.
+func sized(ch *array.Chunk, n int) *array.Chunk {
+	for d := range ch.Coords {
+		ch.Coords[d] = make([]int64, n)
+	}
+	for i := range ch.Cols {
+		switch c := &ch.Cols[i]; c.Type {
+		case array.TypeInt64:
+			c.Ints = make([]int64, n)
+		case array.TypeFloat64:
+			c.Fs = make([]float64, n)
+		case array.TypeString:
+			c.Strs = make([]string, n)
+		}
+	}
+	return ch
 }
 
 // projector turns a unit's match list into output columns. Each output
@@ -223,8 +244,8 @@ func (c *column) value(row int32) array.Value {
 }
 
 // unitScratch is one compare worker's reusable memory for a unit: the
-// two sides' runs, the match list, the source columns over each run,
-// and each expression node's result vectors.
+// two sides' runs, the matches to project, the source columns over each
+// run, and each expression node's result vectors.
 type unitScratch struct {
 	runs [2]batch.Run
 	m    join.Matches
@@ -246,7 +267,7 @@ func getUnitScratch() *unitScratch {
 }
 
 // release drops the scratch's references into the unit's stores and
-// returns it to the pool, unless the unit's matches grew it past
+// matches and returns it to the pool, unless the matches grew it past
 // batch.MaxPooledRows.
 func (s *unitScratch) release() {
 	for i := range s.runs {
@@ -255,6 +276,7 @@ func (s *unitScratch) release() {
 	clear(s.cols)
 	s.cols = s.cols[:0]
 	if len(s.m.L) <= batch.MaxPooledRows {
+		s.m = join.Matches{}
 		unitScratchPool.Put(s)
 	}
 }
@@ -289,94 +311,91 @@ func (s *unitScratch) rows(src source) []int32 {
 	return s.m.R
 }
 
-// project writes the scratch's matches into a new part for
-// Array.AppendParts: output columns shaped like the destination's chunks,
-// sized for exactly the unit's matches. Parts are not pooled: a unit's
-// part lives until Assemble, so a pool would hand the next query's units
-// capacities in whatever order its workers ask, and the bytes a query
-// allocates would vary from run to run. A synthetic row coordinate is the
-// unit-local row number (0, 1, 2, …); fold renumbers it node-major (one
-// counter over nodes ascending and each node's units in assignment
-// order) when it merges the units in deterministic order.
-func (p *projector) project(out *array.Schema, s *unitScratch, strs []string) *array.Chunk {
-	n := len(s.m.L)
-	s.load(p, strs)
-	c := &array.Chunk{NDims: len(out.Dims)}
-	c.Coords = make([][]int64, len(out.Dims))
-	if p.rowDim {
-		rows := make([]int64, n)
-		for i := range rows {
-			rows[i] = int64(i)
-		}
-		c.Coords[0] = rows
+// part returns a unit's part for Array.AppendParts, with room for n
+// rows. Parts are not pooled: they live until Assemble, so a pool would
+// hand the next query's units capacities in worker order, and a query's
+// allocated bytes would vary from run to run.
+func (p *projector) part(ndims, n int) *array.Chunk {
+	c := &array.Chunk{NDims: ndims, Coords: make([][]int64, ndims), Cols: make([]array.Column, len(p.types))}
+	for i, typ := range p.types {
+		c.Cols[i].Type = typ
 	}
-	for d, src := range p.dims {
-		dst := make([]int64, n)
-		rows, col := s.rows(src), &s.cols[src.slot]
-		if col.ints != nil {
-			gather(dst, col.ints, rows)
-		} else {
-			for i, row := range rows {
-				dst[i] = col.value(row).AsInt()
-			}
-		}
-		c.Coords[d] = dst
-	}
-	c.Cols = make([]array.Column, len(p.attrs))
-	for i, e := range p.attrs {
-		c.Cols[i] = p.attr(e, p.types[i], s, n)
-	}
-	return c
+	return sized(c, n)
 }
 
-// attr computes one output attribute column of n rows: a source column
-// of the attribute's own type by typed gather, anything else as
-// Column.Append converts the value the AQL evaluator yields.
-func (p *projector) attr(e *expr, typ array.ScalarType, s *unitScratch, n int) array.Column {
-	out := array.Column{Type: typ}
+// project writes the scratch's n matches, loaded (unitScratch.load),
+// into rows [at, at+n) of dst: a unit's part, or a chunk of a
+// row-numbered destination, whose row coordinate it writes too.
+func (p *projector) project(s *unitScratch, dst *array.Chunk, at int) {
+	n := len(s.m.L)
+	if p.rowDim {
+		rows, first := dst.Coords[0][at:at+n], int64(dst.Key)*rowChunk+int64(at)
+		for i := range rows {
+			rows[i] = first + int64(i)
+		}
+	}
+	for d, src := range p.dims {
+		out, rows, col := dst.Coords[d][at:at+n], s.rows(src), &s.cols[src.slot]
+		if col.ints != nil {
+			gather(out, col.ints, rows)
+		} else {
+			for i, row := range rows {
+				out[i] = col.value(row).AsInt()
+			}
+		}
+	}
+	for i, e := range p.attrs {
+		p.attr(e, &dst.Cols[i], s, at, n)
+	}
+}
+
+// attr computes one output attribute over the n matches into rows
+// [at, at+n) of out: a column or result of the attribute's own numeric
+// type by copy, anything else converted as Column.Append converts the
+// value the AQL evaluator yields.
+func (p *projector) attr(e *expr, out *array.Column, s *unitScratch, at, n int) {
 	if e.op == OpCol {
 		rows, col := s.rows(e.src), &s.cols[e.src.slot]
 		switch {
-		case typ == array.TypeInt64 && e.src.typ == typ:
-			out.Ints = make([]int64, n)
-			gather(out.Ints, col.ints, rows)
-		case typ == array.TypeFloat64 && e.src.typ == typ:
-			out.Fs = make([]float64, n)
-			gather(out.Fs, col.fs, rows)
-		case typ == array.TypeString && e.src.typ == typ:
-			out.Strs = make([]string, n)
-			for i, row := range rows {
-				out.Strs[i] = col.strs[col.codes[row]]
-			}
+		case out.Type == array.TypeInt64 && e.src.typ == out.Type:
+			gather(out.Ints[at:at+n], col.ints, rows)
+		case out.Type == array.TypeFloat64 && e.src.typ == out.Type:
+			gather(out.Fs[at:at+n], col.fs, rows)
 		default:
-			for _, row := range rows {
-				out.Append(col.value(row))
+			for i, row := range rows {
+				set(out, at+i, col.value(row))
 			}
 		}
-		return out
+		return
 	}
 	ints, fs := s.eval(e, n)
 	switch {
-	case typ == array.TypeInt64 && e.kind == array.TypeInt64:
-		out.Ints = slices.Clone(ints)
-	case typ == array.TypeInt64:
-		// A float into an int attribute truncates.
-		out.Ints = make([]int64, n)
-		for i, f := range fs {
-			out.Ints[i] = int64(f)
-		}
-	case typ == array.TypeFloat64 && e.kind == array.TypeFloat64:
-		out.Fs = slices.Clone(fs)
+	case out.Type == array.TypeInt64 && e.kind == out.Type:
+		copy(out.Ints[at:], ints)
+	case out.Type == array.TypeFloat64 && e.kind == out.Type:
+		copy(out.Fs[at:], fs)
 	case e.kind == array.TypeInt64:
-		for _, v := range ints {
-			out.Append(array.IntValue(v))
+		for i, v := range ints {
+			set(out, at+i, array.IntValue(v))
 		}
 	default:
-		for _, f := range fs {
-			out.Append(array.FloatValue(f))
+		// A float into an int attribute truncates.
+		for i, f := range fs {
+			set(out, at+i, array.FloatValue(f))
 		}
 	}
-	return out
+}
+
+// set writes v into row i of c, converted as Column.Append converts it.
+func set(c *array.Column, i int, v array.Value) {
+	switch c.Type {
+	case array.TypeInt64:
+		c.Ints[i] = v.AsInt()
+	case array.TypeFloat64:
+		c.Fs[i] = v.AsFloat()
+	case array.TypeString:
+		c.Strs[i] = v.String()
+	}
 }
 
 // gather copies src[rows[i]] into dst[i].

@@ -169,12 +169,20 @@ func (PhysicalPlan) Run(qc *QueryContext) error {
 	rep.CellsMoved = pr.CellsMoved(pres.Assignment)
 	rep.UnitCells = append([]int64(nil), pr.UnitTotal...)
 	rep.Nodes = make([]NodeLoad, c.K)
-	qc.nodeUnits = make([][]int, c.K)
 	for u := 0; u < qc.spec.NumUnits; u++ {
 		dest := pres.Assignment[u]
-		qc.nodeUnits[dest] = append(qc.nodeUnits[dest], u)
 		rep.Nodes[dest].Units++
 		rep.Nodes[dest].AssignedCells += pr.UnitTotal[u]
+	}
+	// Each node's units, in assignment order, are one range of qc.units.
+	qc.units, qc.nodeUnits = make([]int, qc.spec.NumUnits), make([][]int, c.K)
+	at := 0
+	for node := range qc.nodeUnits {
+		qc.nodeUnits[node] = qc.units[at : at : at+rep.Nodes[node].Units]
+		at += rep.Nodes[node].Units
+	}
+	for u, dest := range pres.Assignment[:qc.spec.NumUnits] {
+		qc.nodeUnits[dest] = append(qc.nodeUnits[dest], u)
 	}
 	return nil
 }
@@ -290,12 +298,12 @@ func (Align) Run(qc *QueryContext) error {
 }
 
 // Compare is the Section 3.4 cell comparison stage. It builds the
-// destination array and the output projector, runs every join unit on up
-// to Parallelism workers, each unit into its own pre-allocated slot, and
-// folds the slots into per-node outputs. The per-node merge — cells, join
-// stats, modeled seconds, skew — happens in ascending node order on the
-// orchestration goroutine, so the Report is identical at every
-// Parallelism setting.
+// destination array and the output projector, joins every unit on up to
+// Parallelism workers, each into its own pre-allocated slot, folds the
+// slots into per-node outputs, then writes every unit's output rows.
+// The per-node merge — cells, join stats, modeled seconds, skew, output
+// rows — happens in ascending node order on the orchestration
+// goroutine, so the Report is identical at every Parallelism setting.
 type Compare struct{}
 
 func (Compare) Name() string { return "compare" }
@@ -307,8 +315,9 @@ func (Compare) Run(qc *QueryContext) error {
 		return err
 	}
 	results := make([]unitOut, qc.spec.NumUnits)
-	par.ForEach(len(results), qc.Opt.workers(), func(u int) { qc.runUnit(u, &results[u]) })
-	qc.nodes, qc.parts = qc.fold(results)
+	arenas := make([]*join.Matches, qc.Opt.workers())
+	par.ForEach(len(results), len(arenas), func(u, w int) { qc.joinUnit(u, &results[u], &arenas[w]) })
+	rows := qc.fold(results)
 
 	rep.NodeCompareTime = make([]float64, k)
 	for node := 0; node < k; node++ {
@@ -325,15 +334,23 @@ func (Compare) Run(qc *QueryContext) error {
 	}
 	rep.Matches = rep.JoinStats.Matches
 	rep.Skew, rep.StragglerNode = SkewOf(rep.NodeCompareTime)
+	qc.writeUnits(results, rows)
+	for _, m := range arenas {
+		if m != nil {
+			m.L, m.R = m.L[:0], m.R[:0]
+			arenaPool.Put(m)
+		}
+	}
 	return nil
 }
 
-// Assemble is the final stage: it writes every node's output parts into
-// the destination array with Array.AppendParts, in deterministic order
-// (node ascending, units in assignment order, emit order), which clamps
-// or rejects out-of-range coordinates column by column, sizes every chunk
-// for the rows bound for it and appends each unit's rows to their chunks
-// one column at a time; then it sorts the destination and closes out the
+// Assemble is the final stage: it writes a dimensioned output's parts
+// (Compare wrote a row-numbered one in place) into the destination
+// array with Array.AppendParts, in deterministic order (node ascending,
+// units in assignment order, emit order), which clamps or rejects
+// out-of-range coordinates column by column, sizes every chunk for the
+// rows bound for it and appends each unit's rows to their chunks one
+// column at a time; then it sorts the destination and closes out the
 // report's totals.
 type Assemble struct{}
 
@@ -342,11 +359,13 @@ func (Assemble) Name() string { return "assemble" }
 func (Assemble) Run(qc *QueryContext) error {
 	rep, out, parts := qc.Report, qc.outArr, qc.parts
 	qc.parts = nil
-	clamped, bad := out.AppendParts(parts, qc.Opt.Strict, nil)
-	if bad != nil {
-		return fmt.Errorf("pipeline: output cell %v: %w", parts[bad.Part].CoordsAt(bad.Row, nil), bad.Err)
+	if len(parts) > 0 {
+		clamped, bad := out.AppendParts(parts, qc.Opt.Strict, nil)
+		if bad != nil {
+			return fmt.Errorf("pipeline: output cell %v: %w", parts[bad.Part].CoordsAt(bad.Row, nil), bad.Err)
+		}
+		rep.ClampedCells += clamped
 	}
-	rep.ClampedCells += clamped
 	out.SortAll()
 	rep.Output = out
 	rep.Total = rep.PlanTime + rep.AlignTime + rep.CompareTime

@@ -85,6 +85,7 @@ func steadyState(tb testing.TB) (runAll func(), cells int64) {
 	var matches join.Matches
 	runAll = func() {
 		for u := 0; u < spec.NumUnits; u++ {
+			matches.L, matches.R = matches.L[:0], matches.R[:0]
 			if _, err := join.RunColumns(join.Hash, rsl.Run(u), rsr.Run(u), 1, nil, &matches); err != nil {
 				panic(err)
 			}

@@ -381,7 +381,7 @@ func CountSlices(d *cluster.Distributed, k int, spec *UnitSpec, m *SideMapper, w
 	}
 	units = units[:rs.first[k]]
 	// Counters are node-major, so workers do not share them.
-	par.ForEach(k, workers, func(node int) {
+	par.ForEach(k, workers, func(node, _ int) {
 		i, cnt := rs.first[node], rs.cnt[node*nu:(node+1)*nu]
 		for _, key := range d.LocalChunks(node) {
 			ch := d.Array.Chunks[key]
@@ -443,7 +443,7 @@ func (rs *RunSet) Place(home []int, workers int) {
 		}
 	}
 	rs.store = batch.Get(rs.lay.ndims, rs.lay.types, copied)
-	par.ForEach(k, workers, func(node int) {
+	par.ForEach(k, workers, func(node, _ int) {
 		i, pos := rs.first[node], rs.end[node*nu:(node+1)*nu]
 		for _, key := range rs.d.LocalChunks(node) {
 			ch := rs.d.Array.Chunks[key]

@@ -322,16 +322,16 @@ func TestKnobCensus(t *testing.T) {
 	}
 }
 
-// TestCITestNamesExist: every Test… and Fuzz… name the CI workflow
-// mentions is a function declared in some _test.go file. A CI step that
-// selects tests by name runs nothing for a name that no longer exists,
-// and says nothing, so a rename must update the workflow too.
+// TestCITestNamesExist: every Test…, Fuzz… and Benchmark… name the CI
+// workflow mentions is a function declared in some _test.go file. A CI
+// step that selects tests by name runs nothing for a name that no longer
+// exists, and says nothing, so a rename must update the workflow too.
 func TestCITestNamesExist(t *testing.T) {
 	ci, err := os.ReadFile(".github/workflows/ci.yml")
 	if err != nil {
 		t.Fatal(err)
 	}
-	funcDecl := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz)\w*)\(`)
+	funcDecl := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)\w*)\(`)
 	declared := map[string]bool{}
 	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -358,7 +358,7 @@ func TestCITestNamesExist(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	names := regexp.MustCompile(`\b(?:Test|Fuzz)[A-Z]\w*`).FindAllString(string(ci), -1)
+	names := regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z]\w*`).FindAllString(string(ci), -1)
 	if len(names) == 0 {
 		t.Fatal("ci.yml names no tests")
 	}

@@ -198,11 +198,16 @@ func PredictedRegret(pr *Problem, total float64) float64 {
 // unit-to-node assignment (the tabu list holds assignments, not whole
 // plans, keeping the search polynomial and loop-free).
 //
-// Moves are selected best-improvement: every candidate (unit, node) move
-// off the overloaded node is costed with an O(1) what-if read from the
+// Moves are selected best-improvement, but not every candidate (unit,
+// node) move off the overloaded node is costed. Equation 8 is the largest
+// node alignment × t plus the largest comparison time, and a move changes
+// only its two nodes, so a candidate that can lower neither maximum
+// cannot beat the current plan and is skipped (rebalanceNode). Each
+// remaining candidate is costed with an O(1) what-if read from the
 // evaluator's top-3 caches, and the winner is chosen by the deterministic
-// (cost, unit, node) tie-break. The neighborhood evaluation is sharded
-// over Workers goroutines; the caches are only read during the scan, and
+// (cost, unit, node) tie-break. A skipped candidate could not have won, so
+// the trajectory is the full scan's. The evaluation is sharded over
+// Workers goroutines; the caches are only read during the scan, and
 // because the winning move depends only on the candidate costs — not on
 // evaluation order — the search trajectory, final assignment, and cost are
 // bit-for-bit identical at every Workers setting.
@@ -235,10 +240,8 @@ func (t TabuPlanner) Plan(pr *Problem) (Result, error) {
 	}
 
 	ev := newEvaluator(pr, a)
-	var (
-		stats SearchStats
-		buf   tabuBuffers
-	)
+	var stats SearchStats
+	buf := tabuBuffers{units: newUnitLists(a, pr.K)}
 	costs := make([]float64, pr.K)
 	for t.MaxRounds <= 0 || stats.TabuRounds < t.MaxRounds {
 		stats.TabuRounds++
@@ -289,31 +292,108 @@ func (m tabuMove) better(o tabuMove) bool {
 	return m.node < o.node
 }
 
-// tabuBuffers are the candidate and per-worker winner slices one Plan
-// reuses across every rebalanceNode call, so no move regrows them.
+// tabuBuffers are what one Plan reuses across every rebalanceNode call:
+// each node's units, and the candidate and per-worker winner slices, so
+// no move regrows them.
 type tabuBuffers struct {
+	units          unitLists
 	cands, winners []tabuMove
+}
+
+// unitLists threads each node's units into a doubly linked list, laid out
+// once per Plan in one allocation, so a scan visits the node's own units,
+// not all N, and a move relinks one unit in O(1). -1 ends a list.
+type unitLists struct {
+	head, next, prev []int32 // head[node]; next[unit], prev[unit]
+}
+
+func newUnitLists(a Assignment, k int) unitLists {
+	buf := make([]int32, k+2*len(a))
+	l := unitLists{head: buf[:k], next: buf[k : k+len(a)], prev: buf[k+len(a):]}
+	for j := range l.head {
+		l.head[j] = -1
+	}
+	for i := len(a) - 1; i >= 0; i-- {
+		l.push(i, a[i])
+	}
+	return l
+}
+
+// push puts unit i at the head of node's list.
+func (l *unitLists) push(i, node int) {
+	h := l.head[node]
+	l.next[i], l.prev[i] = h, -1
+	if h >= 0 {
+		l.prev[h] = int32(i)
+	}
+	l.head[node] = int32(i)
+}
+
+// remove unlinks unit i from node's list.
+func (l *unitLists) remove(i, node int) {
+	p, nx := l.prev[i], l.next[i]
+	if p >= 0 {
+		l.next[p] = nx
+	} else {
+		l.head[node] = nx
+	}
+	if nx >= 0 {
+		l.prev[nx] = p
+	}
 }
 
 // rebalanceNode repeatedly applies the best cost-improving move of a unit
 // off node n to any non-tabu node (the what-if analysis of Algorithm 2)
-// until none improves. Each what-if is an O(1) read of the evaluator's
-// top-3 caches, which nothing writes during the scan, so the candidate
-// neighborhood shards freely across workers; the applied move is the
-// deterministic minimum over all candidates.
+// until none improves. Before each scan it bounds the neighbourhood. Let M
+// be the largest max(send, recv) and C the largest comparison time. A
+// move to j can lower M only if every node at M is n or j and n's own
+// send and receive after the move are both below M; it can lower C only
+// if every node at C is n or j. A candidate that can lower neither costs
+// at least the current plan, since int→float, ×t (t ≥ 0) and + are
+// monotone, so bestMove would reject it: it is not costed. The top-3
+// caches name the nodes at each maximum, which leaves each unit all
+// targets (n alone holds a maximum), one (the other holder), or none.
+// A negative or NaN Transfer breaks the monotonicity, and then every
+// candidate is costed. Each what-if is an O(1) read of the caches, which
+// nothing writes during the scan, so the candidates shard freely across
+// workers; the applied move is the deterministic minimum over all of them.
 func (t TabuPlanner) rebalanceNode(pr *Problem, a Assignment, n int, tabu []bool, ev *evaluator, stats *SearchStats, buf *tabuBuffers) bool {
 	improved := false
+	prune := pr.Params.Transfer >= 0
+	units := &buf.units
 	for {
 		cands := buf.cands[:0]
-		for i := 0; i < pr.N; i++ {
-			if a[i] != n {
+		add := func(i, j int) {
+			if !t.DisableTabuList && tabu[i*pr.K+j] {
+				return
+			}
+			cands = append(cands, tabuMove{unit: i, node: j})
+		}
+		mAll, mTo := ev.topMove.lowerTargets(n)
+		cAll, cTo := ev.topComp.lowerTargets(n)
+		maxMove := ev.topMove[0].v
+		for u := units.head[n]; u >= 0; u = units.next[u] {
+			i := int(u)
+			all, to := !prune || cAll, -1
+			// The unit can lower M only if n's own loads fall below it.
+			if !all && (mAll || mTo >= 0) &&
+				ev.send[n]+pr.Sizes[i][n] < maxMove &&
+				ev.recv[n]-(pr.UnitTotal[i]-pr.Sizes[i][n]) < maxMove {
+				all, to = mAll, mTo
+			}
+			if all {
+				for j := 0; j < pr.K; j++ {
+					if j != n {
+						add(i, j)
+					}
+				}
 				continue
 			}
-			for j := 0; j < pr.K; j++ {
-				if j == n || (!t.DisableTabuList && tabu[i*pr.K+j]) {
-					continue
-				}
-				cands = append(cands, tabuMove{unit: i, node: j})
+			if cTo >= 0 {
+				add(i, cTo)
+			}
+			if to >= 0 && to != cTo {
+				add(i, to)
 			}
 		}
 		buf.cands = cands
@@ -355,6 +435,8 @@ func (t TabuPlanner) rebalanceNode(pr *Problem, a Assignment, n int, tabu []bool
 			return improved
 		}
 		ev.move(win.unit, n, win.node)
+		units.remove(win.unit, n)
+		units.push(win.unit, win.node)
 		a[win.unit] = win.node
 		tabu[win.unit*pr.K+win.node] = true
 		stats.TabuMoves++
@@ -364,7 +446,9 @@ func (t TabuPlanner) rebalanceNode(pr *Problem, a Assignment, n int, tabu []bool
 
 // bestMove costs each candidate move of a unit off node from and returns
 // the best by the (cost, unit, node) tie-break among those cheaper than
-// none, the current plan's cost; none itself when no candidate is.
+// none, the current plan's cost; none itself when no candidate is. The
+// candidates are those rebalanceNode's bound left, so every move that can
+// beat none is among them.
 func (ev *evaluator) bestMove(cands []tabuMove, from int, none tabuMove) tabuMove {
 	best := none
 	for _, cand := range cands {
@@ -412,6 +496,29 @@ func (t *top3[T]) without(a, b int) T {
 	return 0
 }
 
+// lowerTargets reports to which nodes a move off node n can lower the
+// largest value: a move changes only its two nodes, so every node holding
+// the largest must be n or the target. all: any target (n alone holds
+// it); otherwise only target to, or none (to = -1: three or more nodes
+// hold it, or two of which neither is n).
+func (t *top3[T]) lowerTargets(n int) (all bool, to int) {
+	h0, h1 := t[0].node, t[1].node
+	switch {
+	case h1 < 0 || t[1].v != t[0].v: // one holder
+		if h0 == n {
+			return true, -1
+		}
+		return false, h0
+	case t[2].node >= 0 && t[2].v == t[0].v: // three or more
+		return false, -1
+	case h0 == n:
+		return false, h1
+	case h1 == n:
+		return false, h0
+	}
+	return false, -1
+}
+
 // evaluator maintains per-node send/receive/comparison accumulators for a
 // live assignment, plus top-3 caches of each node's max(send, recv) and
 // comp, so a single-unit move's what-if costs O(1): the move changes only
@@ -428,10 +535,12 @@ type evaluator struct {
 }
 
 func newEvaluator(pr *Problem, a Assignment) *evaluator {
+	// send and recv share one allocation.
+	cells := make([]int64, 2*pr.K)
 	ev := &evaluator{
 		pr:   pr,
-		send: make([]int64, pr.K),
-		recv: make([]int64, pr.K),
+		send: cells[:pr.K:pr.K],
+		recv: cells[pr.K:],
 		comp: make([]float64, pr.K),
 	}
 	pr.accumulate(a, ev.send, ev.recv, ev.comp)

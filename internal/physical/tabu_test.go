@@ -43,11 +43,53 @@ func oracleWhatIf(ev *evaluator, i, from, to int) float64 {
 	return float64(move)*pr.Params.Transfer + maxComp
 }
 
-// oracleTabu is Algorithm 2 searched sequentially with oracleWhatIf: the
-// same rounds, candidates and (cost, unit, node) tie-break as
-// TabuPlanner, so any what-if that differs by one bit shows up as a
-// different trajectory.
-func oracleTabu(pr *Problem, maxRounds int) (Assignment, SearchStats) {
+// oracleMayLower is rebalanceNode's bound from first principles, over
+// every node rather than the top-3 caches: a move of unit i from n to j
+// may lower the plan's cost only if it may lower the largest
+// max(send, recv) (every node at it is n or j, and n's send and receive
+// after the move are both below it) or the largest comparison time (every
+// node at it is n or j). With a negative or NaN Transfer every move may.
+func oracleMayLower(ev *evaluator, i, n, j int) bool {
+	pr := ev.pr
+	if !(pr.Params.Transfer >= 0) {
+		return true
+	}
+	maxMove, maxComp := oracleMaxima(ev)
+	moveOK, compOK := true, true
+	for h := 0; h < pr.K; h++ {
+		if h == n || h == j {
+			continue
+		}
+		if max(ev.send[h], ev.recv[h]) == maxMove {
+			moveOK = false
+		}
+		if ev.comp[h] == maxComp {
+			compOK = false
+		}
+	}
+	moveOK = moveOK &&
+		ev.send[n]+pr.Sizes[i][n] < maxMove &&
+		ev.recv[n]-(pr.UnitTotal[i]-pr.Sizes[i][n]) < maxMove
+	return moveOK || compOK
+}
+
+// oracleMaxima returns the largest max(send, recv) and comparison time
+// over the nodes.
+func oracleMaxima(ev *evaluator) (maxMove int64, maxComp float64) {
+	maxMove, maxComp = max(ev.send[0], ev.recv[0]), ev.comp[0]
+	for h := 1; h < ev.pr.K; h++ {
+		maxMove, maxComp = max(maxMove, ev.send[h], ev.recv[h]), max(maxComp, ev.comp[h])
+	}
+	return maxMove, maxComp
+}
+
+// oracleTabu is Algorithm 2 searched sequentially with oracleWhatIf over
+// every candidate: the same rounds, candidates and (cost, unit, node)
+// tie-break as TabuPlanner, so any what-if that differs by one bit, or a
+// bound that skips a move that would have won, shows up as a different
+// trajectory. TabuWhatIfs counts the candidates oracleMayLower keeps;
+// skipped, when set, sees each one it does not, before the step's move.
+func oracleTabu(pr *Problem, maxRounds int, skipped func(ev *evaluator, i, n, j int)) (Assignment, SearchStats) {
 	a := CenterOfGravity(pr)
 	tabu := make([]bool, pr.N*pr.K)
 	for i, j := range a {
@@ -81,7 +123,11 @@ func oracleTabu(pr *Problem, maxRounds int) (Assignment, SearchStats) {
 						if j == n || tabu[i*pr.K+j] {
 							continue
 						}
-						stats.TabuWhatIfs++
+						if oracleMayLower(ev, i, n, j) {
+							stats.TabuWhatIfs++
+						} else if skipped != nil {
+							skipped(ev, i, n, j)
+						}
 						m := tabuMove{cost: oracleWhatIf(ev, i, n, j), unit: i, node: j}
 						if m.cost < none.cost && m.better(win) {
 							win = m
@@ -120,6 +166,24 @@ func tiedProblem(rng *rand.Rand, n, k int, algo join.Algorithm) *Problem {
 		for j := 0; j < k; j++ {
 			left[i][j] = 10 * rng.Int63n(3)
 			right[i][j] = 10 * rng.Int63n(3)
+		}
+	}
+	pr, _ := NewProblem(k, algo, left, right, DefaultParams())
+	return pr
+}
+
+// evenProblem gives every unit 20 cells a side, dealt in tens to random
+// nodes, so every unit has the same comparison cost and several nodes
+// often tie at the largest comparison time.
+func evenProblem(rng *rand.Rand, n, k int, algo join.Algorithm) *Problem {
+	left := make([][]int64, n)
+	right := make([][]int64, n)
+	for i := range left {
+		left[i] = make([]int64, k)
+		right[i] = make([]int64, k)
+		for c := 0; c < 2; c++ {
+			left[i][rng.Intn(k)] += 10
+			right[i][rng.Intn(k)] += 10
 		}
 	}
 	pr, _ := NewProblem(k, algo, left, right, DefaultParams())
@@ -170,8 +234,9 @@ func TestWhatIfMatchesMoveThenTotal(t *testing.T) {
 }
 
 // TestTabuMatchesOracleSearch: the planners built on the O(1) what-if
-// return the same assignment, model and search counters as the search run
-// with the O(k) oracle, sequentially and sharded. Every 40th problem is
+// and the bounded scan return the same assignment, model and search
+// counters as the full search run with the O(k) oracle, sequentially and
+// sharded; their what-ifs are the oracle's candidates under the bound. Every 40th problem is
 // large enough (400 units on 32 nodes) for Workers: 4 to shard the scan.
 func TestTabuMatchesOracleSearch(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
@@ -183,13 +248,16 @@ func TestTabuMatchesOracleSearch(t *testing.T) {
 			n = 400
 		}
 		var pr *Problem
-		if trial%3 == 0 {
+		switch trial % 3 {
+		case 0:
 			pr = tiedProblem(rng, n, k, algo)
-		} else {
+		case 1:
 			pr = randProblem(rng, n, k, algo)
+		default:
+			pr = evenProblem(rng, n, k, algo)
 		}
-		full, fullStats := oracleTabu(pr, 0)
-		sweep, sweepStats := oracleTabu(pr, 1)
+		full, fullStats := oracleTabu(pr, 0, nil)
+		sweep, sweepStats := oracleTabu(pr, 1, nil)
 		for _, c := range []struct {
 			planner Planner
 			a       Assignment
@@ -207,6 +275,56 @@ func TestTabuMatchesOracleSearch(t *testing.T) {
 				t.Fatalf("trial %d (n=%d k=%d %v) %s %+v: got %v %+v, oracle %v %+v",
 					trial, pr.N, k, algo, c.planner.Name(), c.planner, res.Assignment, res.Search, c.a, c.stats)
 			}
+		}
+	}
+}
+
+// TestTabuPruneIsExact: at every step of a search, every candidate the
+// bound skips costs, by the O(k) oracle, at least the current plan, so
+// bestMove would have rejected it. The float comparison is exact. The
+// search states must include 1, 2, 3 and 4 nodes tied at the largest
+// max(send, recv) and at the largest comparison time with a move skipped.
+func TestTabuPruneIsExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(56))
+	var tiedMove, tiedComp [5]int
+	skips := 0
+	for trial := 0; trial < 200; trial++ {
+		k := []int{2, 3, 4, 8, 32}[trial%5]
+		algo := []join.Algorithm{join.Hash, join.Merge}[trial/5%2]
+		n := 2 + rng.Intn(100)
+		var pr *Problem
+		switch trial % 3 {
+		case 0:
+			pr = tiedProblem(rng, n, k, algo)
+		case 1:
+			pr = randProblem(rng, n, k, algo)
+		default:
+			pr = evenProblem(rng, n, k, algo)
+		}
+		oracleTabu(pr, 0, func(ev *evaluator, i, from, to int) {
+			skips++
+			if got, cur := oracleWhatIf(ev, i, from, to), ev.total(); got < cur {
+				t.Fatalf("trial %d (n=%d k=%d %v): skipped moving unit %d from %d to %d, which costs %v < %v",
+					trial, pr.N, k, algo, i, from, to, got, cur)
+			}
+			maxMove, maxComp := oracleMaxima(ev)
+			var m, c int
+			for h := 0; h < pr.K; h++ {
+				if max(ev.send[h], ev.recv[h]) == maxMove {
+					m++
+				}
+				if ev.comp[h] == maxComp {
+					c++
+				}
+			}
+			tiedMove[min(m, 4)]++
+			tiedComp[min(c, 4)]++
+		})
+	}
+	t.Logf("%d skips; nodes tied at the largest alignment %v, comparison %v", skips, tiedMove[1:], tiedComp[1:])
+	for ties := 1; ties <= 4; ties++ {
+		if tiedMove[ties] == 0 || tiedComp[ties] == 0 {
+			t.Errorf("no skip with %d nodes tied (alignment %v, comparison %v)", ties, tiedMove[1:], tiedComp[1:])
 		}
 	}
 }

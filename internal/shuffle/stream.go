@@ -90,9 +90,10 @@ type RunSet struct {
 // views is Place's scratch for a side with borrowed units. heads[u] is
 // borrowed unit u's store: a header over the sealed chunk that holds
 // the unit's whole side, whose value columns are cols[u*nc:(u+1)*nc].
-// at[u] is a copied unit's first row in the RunSet's store, which holds
-// only the copied units (a side without views has unit u at lo[u]).
-// Views are pooled, so a warm query allocates none.
+// at[u] is unit u's first row in its Run's store: 0 for a borrowed unit,
+// and for a copied one its row in the RunSet's store, which holds only
+// the copied units (a side without views has unit u at lo[u]). Views are
+// pooled, so a warm query allocates none; borrowWhole writes every at[u].
 type views struct {
 	heads []batch.Batch
 	cols  []batch.Col
@@ -258,8 +259,10 @@ func unitOfRow(spec *UnitSpec, m *SideMapper, ch *array.Chunk, row int) int {
 		var v int64
 		if ref.IsDim {
 			v = ch.Coords[ref.Index][row]
+		} else if c := &ch.Cols[ref.Index]; c.Type == array.TypeInt64 {
+			v = c.Ints[row]
 		} else {
-			v = ch.Cols[ref.Index].Value(row).AsInt()
+			v = c.Value(row).AsInt()
 		}
 		if v < d.Start {
 			v = d.Start
@@ -503,10 +506,12 @@ func (rs *RunSet) borrowWhole() (at []int, copied int) {
 	}
 	at = rs.views.at
 	for u := 0; u < nu; u++ {
-		if !rs.borrowed(u) {
-			at[u] = copied
-			copied += int(rs.UnitTotal(u))
+		if rs.borrowed(u) {
+			at[u] = 0
+			continue
 		}
+		at[u] = copied
+		copied += int(rs.UnitTotal(u))
 	}
 	return at, copied
 }

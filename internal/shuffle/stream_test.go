@@ -350,6 +350,68 @@ func TestPlaceBorrowsWholeChunkUnits(t *testing.T) {
 	}
 }
 
+// TestBorrowedUnitsIgnorePooledOffsets: Place's views are pooled, and a
+// borrowed unit's rows start at 0 whatever offset an earlier side's
+// copied unit left in the pooled views. A mixed side (units 0 and 5
+// copied, 1–4 borrowed) is placed and released, then a side whose six
+// units are all borrowed is placed from the same pooled views: every
+// slice of every unit must fall inside the unit's own rows and decode to
+// Assemble's tuples.
+func TestBorrowedUnitsIgnorePooledOffsets(t *testing.T) {
+	const k = 2
+	dimRef := join.Ref{IsDim: true, Index: 0, Name: "i"}
+	place := func(d *cluster.Distributed, dims []array.Dimension) (*RunSet, *UnitSpec, *SideMapper) {
+		spec := &UnitSpec{Kind: ChunkUnits, JoinDims: dims}
+		if err := spec.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		m := &SideMapper{KeyRefs: []join.Ref{dimRef}, DimRefs: []join.Ref{dimRef}, Carry: allAttrs(d.Array.Schema)}
+		rs, err := CountSlices(d, k, spec, m, 1, StreamConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs.Place(nil, 1)
+		return rs, spec, m
+	}
+
+	// Cells 1–30 clamp into unit 0 and 71–100 into unit 5; 31–70 are one
+	// chunk per unit.
+	mixed, _, _ := place(numArray(t, "N", 100, 10, k), []array.Dimension{{Name: "i", Start: 21, End: 80, ChunkInterval: 10}})
+	if mixed.borrowed(5) || !mixed.borrowed(1) || mixed.views.at[5] == 0 {
+		t.Fatal("fixture: the mixed side lost its copied unit 5 at a non-zero offset")
+	}
+	pooled := mixed.views
+	mixed.Release()
+
+	d := numArray(t, "M", 60, 10, k)
+	rs, spec, m := place(d, d.Array.Schema.Dims)
+	defer rs.Release()
+	if rs.views != pooled {
+		t.Fatal("fixture: the all-borrowed side did not take the released views from the pool")
+	}
+	ref, err := MapSide(d, k, spec, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for u := 0; u < spec.NumUnits; u++ {
+		if !rs.borrowed(u) {
+			t.Fatalf("fixture: unit %d is not borrowed", u)
+		}
+		for dest := 0; dest < k; dest++ {
+			rd := rs.Reader(u, dest)
+			for i := 0; i < k; i++ {
+				if lo, hi := rd.sliceAt(i); lo < 0 || hi > int(rs.UnitTotal(u)) {
+					t.Fatalf("unit %d read at %d: slice %d is rows [%d, %d) of a %d-row view", u, dest, i, lo, hi, rs.UnitTotal(u))
+				}
+			}
+			if got, want := rd.Materialize(), ref.Assemble(u, dest); !reflect.DeepEqual(got, want) {
+				t.Fatalf("unit %d read at %d: decoded tuples differ from Assemble's", u, dest)
+			}
+			rd.Close()
+		}
+	}
+}
+
 // runTuples decodes a run's rows of the RunSet's store as Assemble's
 // tuples: the key columns, the coordinates, then the carried values.
 func runTuples(rs *RunSet, run batch.Run) []join.Tuple {

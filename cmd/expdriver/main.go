@@ -83,7 +83,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		seed        = fs.Int64("seed", 1, "deterministic seed")
 		budget      = fs.Duration("budget", 0, "ILP solver time budget (default 2s full, 200ms small)")
 		maxExplored = fs.Int64("maxexplored", 0, "deterministic ILP node budget: cap branch-and-bound at N explored nodes (forces sequential ILP search so truncated plans reproduce exactly; wall-clock budget stays as a safety cap)")
-		par         = fs.Int("par", 0, "planner parallelism: workers for Tabu neighborhood evaluation and the ILP search (<= 1 sequential; results identical either way)")
+		par         = fs.Int("par", 0, "planner parallelism: workers for the ILP search (<= 1 sequential; results identical either way)")
 		calibrate   = fs.Bool("calibrate", false, "measure the cost-model parameters m, b, p on this machine instead of using defaults")
 		traceFile   = fs.String("trace", "", "write the pipeline spans of every executed query as Chrome trace-event JSON to this file (load in Perfetto)")
 		metrics     = fs.Bool("metrics", false, "print the accumulated query metric registry as JSON")

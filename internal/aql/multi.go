@@ -3,6 +3,7 @@ package aql
 import (
 	"fmt"
 	"slices"
+	"strings"
 
 	"shufflejoin/internal/array"
 	"shufflejoin/internal/cluster"
@@ -50,6 +51,11 @@ type MultiPlanStep struct {
 // attribute names as FROM columns, so they are followed the same way.
 // The last step's output, named _join<k-1> unless INTO names it, is the
 // query's.
+//
+// Step i of n is labelled opt.QueryLabel followed by "[step i/n: L ⋈ R]".
+// A query that fails once its operands and predicates check out returns
+// the steps run so far with the error, a failing join's partial Report
+// last.
 func RunMulti(c *cluster.Cluster, q *Query, opt pipeline.Options) (*MultiResult, error) {
 	if len(q.From) < 3 {
 		return nil, fmt.Errorf("aql: a k-way join needs three or more arrays; Run and Explain take two-way joins")
@@ -135,7 +141,7 @@ func RunMulti(c *cluster.Cluster, q *Query, opt pipeline.Options) (*MultiResult,
 			a, b := e.l.Array, e.r.Array
 			cost, err := pairCost(c, live[indexOf(live, a)].d, live[indexOf(live, b)].d, predsBetween(pending, a, b))
 			if err != nil {
-				return nil, err
+				return res, err
 			}
 			if best.EstimatedCost < 0 || cost < best.EstimatedCost {
 				best = MultiPlanStep{Left: a, Right: b, EstimatedCost: cost}
@@ -146,7 +152,7 @@ func RunMulti(c *cluster.Cluster, q *Query, opt pipeline.Options) (*MultiResult,
 			for i, o := range live {
 				names[i] = o.name
 			}
-			return nil, fmt.Errorf("aql: remaining arrays %v are not connected by any predicate (cross products unsupported)", names)
+			return res, fmt.Errorf("aql: remaining arrays %v are not connected by any predicate (cross products unsupported)", names)
 		}
 
 		ia, ib := indexOf(live, best.Left), indexOf(live, best.Right)
@@ -156,15 +162,18 @@ func RunMulti(c *cluster.Cluster, q *Query, opt pipeline.Options) (*MultiResult,
 			step := &Query{Star: star, Select: sel, Into: q.Into, From: []string{best.Left, best.Right},
 				Left: best.Left, Right: best.Right, Pred: comp.Pred}
 			if comp, err = compile(step, written, live[ia].d.Array.Schema, live[ib].d.Array.Schema); err != nil {
-				return nil, err
+				return res, err
 			}
 		}
-		rep, err := pipeline.RunDistributed(c, live[ia].d, live[ib].d, comp.Pred, comp.Out, comp.ExecOptions(opt))
-		if err != nil {
-			return nil, fmt.Errorf("aql: joining %s with %s: %w", best.Left, best.Right, err)
-		}
+		eo := comp.ExecOptions(opt)
+		eo.QueryLabel = strings.TrimPrefix(fmt.Sprintf("%s [step %d/%d: %s ⋈ %s]",
+			opt.QueryLabel, len(res.Steps)+1, len(q.From)-1, best.Left, best.Right), " ")
+		rep, err := pipeline.RunDistributed(c, live[ia].d, live[ib].d, comp.Pred, comp.Out, eo)
 		res.Steps = append(res.Steps, rep)
 		res.Plan = append(res.Plan, best)
+		if err != nil {
+			return res, fmt.Errorf("aql: joining %s with %s: %w", best.Left, best.Right, err)
+		}
 		tmpName := fmt.Sprintf("_join%d", len(res.Steps))
 		if !last || q.Into == nil {
 			rep.Output.Schema.Name = tmpName
@@ -202,10 +211,10 @@ func RunMulti(c *cluster.Cluster, q *Query, opt pipeline.Options) (*MultiResult,
 				continue // consumed by this step
 			}
 			if err := move(&e.l); err != nil {
-				return nil, err
+				return res, err
 			}
 			if err := move(&e.r); err != nil {
-				return nil, err
+				return res, err
 			}
 			rest = append(rest, e)
 		}
@@ -213,7 +222,7 @@ func RunMulti(c *cluster.Cluster, q *Query, opt pipeline.Options) (*MultiResult,
 		for _, x := range cols {
 			t := join.Term{Array: x.Array, Name: x.Field}
 			if err := move(&t); err != nil {
-				return nil, err
+				return res, err
 			}
 			x.Array, x.Field = t.Array, t.Name
 		}

@@ -12,7 +12,9 @@ import (
 
 // Run compiles and executes a parsed two-way AQL join query against the
 // cluster's catalog. Literal WHERE conjuncts (column OP literal) push down
-// as selections on their source arrays before the join.
+// as selections on their source arrays before the join. A query that
+// fails in the pipeline returns its partial Report with the error
+// (pipeline.RunDistributed).
 func Run(c *cluster.Cluster, q *Query, opt pipeline.Options) (*pipeline.Report, error) {
 	dl, dr, comp, err := twoWay(c, q)
 	if err != nil {

@@ -38,9 +38,8 @@ type Config struct {
 	// ILPBudget remains a secondary safety cap. Zero leaves the planners
 	// on wall-clock only.
 	ILPMaxExplored int64
-	// Workers parallelizes planner internals (Tabu neighborhood evaluation
-	// and the ILP task queue). <= 1 keeps planning sequential; results are
-	// identical either way.
+	// Workers is the ILP planners' worker count (their task queue); <= 1
+	// keeps their search sequential. The other planners always are.
 	Workers int
 	Params  physical.CostParams
 }
@@ -78,7 +77,7 @@ func (c Config) Planners() map[string]physical.Planner {
 		"ILP":   physical.ILPPlanner{Budget: c.ILPBudget, MaxExplored: c.ILPMaxExplored, Workers: c.Workers},
 		"ILP-C": physical.CoarseILPPlanner{Budget: c.ILPBudget, Bins: coarseBins, MaxExplored: c.ILPMaxExplored, Workers: c.Workers},
 		"MBH":   physical.MinBandwidthPlanner{},
-		"Tabu":  physical.TabuPlanner{Workers: c.Workers},
+		"Tabu":  physical.TabuPlanner{},
 	}
 }
 

@@ -135,7 +135,7 @@ func PlanQuality(cfg Config, alphas []float64) ([]PlanQualityRow, error) {
 		alphas = []float64{0, 0.5, 1.0, 1.5, 2.0}
 	}
 	full := physical.ILPPlanner{Budget: cfg.ILPBudget, MaxExplored: cfg.ILPMaxExplored, Workers: cfg.Workers}
-	greedy := physical.GreedyPlanner{Workers: cfg.Workers}
+	greedy := physical.GreedyPlanner{}
 	var sim simnet.Sim
 	var out []PlanQualityRow
 	for _, alpha := range alphas {

@@ -21,7 +21,7 @@ type RealConfig struct {
 	Seed           int64
 	ILPBudget      time.Duration
 	ILPMaxExplored int64 // deterministic node budget (see Config)
-	Workers        int   // planner parallelism (see Config)
+	Workers        int   // ILP planner parallelism (see Config)
 	// Hooks, when set, observes every query the experiment executes:
 	// expdriver's collector, which folds the finished Reports into its
 	// metrics, keeps them for -trace and feeds the obshttp Hub.

@@ -1,8 +1,9 @@
 // Package par holds the small worker-pool primitives shared by the
-// parallel planning and execution paths. Every construct here is
-// deterministic in its *results*: parallelism only changes which goroutine
-// performs a piece of work, never what the piece of work computes, and
-// callers merge per-worker results with explicit deterministic tie-breaks.
+// parallel execution paths and the ILP planners' task queue. Every
+// construct here is deterministic in its *results*: parallelism only
+// changes which goroutine performs a piece of work, never what the piece
+// of work computes, and callers merge per-worker results with explicit
+// deterministic tie-breaks.
 package par
 
 import (
@@ -61,29 +62,6 @@ func ForEach(n, workers int, fn func(i, w int)) {
 				return
 			}
 			fn(i, w)
-		}
-	})
-}
-
-// ForChunks splits [0, n) into at most `workers` contiguous half-open
-// ranges and runs fn(lo, hi, w) for each — one range per worker, so
-// per-worker partial results can be merged deterministically by worker
-// index afterwards. With workers <= 1 it calls fn(0, n, 0) inline.
-func ForChunks(n, workers int, fn func(lo, hi, w int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		if n > 0 {
-			fn(0, n, 0)
-		}
-		return
-	}
-	Do(workers, func(w int) {
-		lo := n * w / workers
-		hi := n * (w + 1) / workers
-		if lo < hi {
-			fn(lo, hi, w)
 		}
 	})
 }

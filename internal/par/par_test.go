@@ -54,26 +54,3 @@ func TestForEachVisitsEachIndexOnce(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// Property: ForChunks covers [0, n) with disjoint contiguous ranges.
-func TestForChunksPartitionsRange(t *testing.T) {
-	f := func(n uint8, workers uint8) bool {
-		size := int(n % 200)
-		w := int(workers%8) + 1
-		visits := make([]atomic.Int64, size)
-		ForChunks(size, w, func(lo, hi, _ int) {
-			for i := lo; i < hi; i++ {
-				visits[i].Add(1)
-			}
-		})
-		for i := range visits {
-			if visits[i].Load() != 1 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}

@@ -6,7 +6,6 @@ import (
 
 	"shufflejoin/internal/ilp"
 	"shufflejoin/internal/join"
-	"shufflejoin/internal/par"
 )
 
 // BaselinePlanner is the skew-agnostic comparison point of Section 6.2. It
@@ -136,9 +135,6 @@ type GreedyPlanner struct {
 	// Fallback is the full planner run when the regret exceeds Epsilon.
 	// Nil never falls back.
 	Fallback Planner
-	// Workers shards the what-if evaluation as in TabuPlanner; the result
-	// is identical at every setting.
-	Workers int
 }
 
 // Name implements Planner.
@@ -146,7 +142,7 @@ func (GreedyPlanner) Name() string { return "Greedy" }
 
 // Plan implements Planner.
 func (g GreedyPlanner) Plan(pr *Problem) (Result, error) {
-	res, err := TabuPlanner{MaxRounds: 1, Workers: g.Workers}.Plan(pr)
+	res, err := TabuPlanner{MaxRounds: 1}.Plan(pr)
 	if err != nil {
 		return Result{}, err
 	}
@@ -206,11 +202,9 @@ func PredictedRegret(pr *Problem, total float64) float64 {
 // remaining candidate is costed with an O(1) what-if read from the
 // evaluator's top-3 caches, and the winner is chosen by the deterministic
 // (cost, unit, node) tie-break. A skipped candidate could not have won, so
-// the trajectory is the full scan's. The evaluation is sharded over
-// Workers goroutines; the caches are only read during the scan, and
-// because the winning move depends only on the candidate costs — not on
-// evaluation order — the search trajectory, final assignment, and cost are
-// bit-for-bit identical at every Workers setting.
+// the trajectory is the full scan's. The search runs on the calling
+// goroutine: a bounded scan is a few hundred what-ifs per move, less work
+// than handing it to other goroutines.
 type TabuPlanner struct {
 	// MaxRounds caps the outer rebalancing loop as a safety net; zero
 	// means no cap beyond the tabu list's natural exhaustion.
@@ -220,8 +214,9 @@ type TabuPlanner struct {
 	// every accepted move strictly reduces the plan cost). Exists for the
 	// tabu-granularity ablation benchmark.
 	DisableTabuList bool
-	// Workers shards the what-if evaluation of the move neighborhood;
-	// <= 1 evaluates sequentially. The result is identical either way.
+	// Workers has no effect: the search is sequential. It is kept only
+	// because the benchmark module still sets it, and goes with ROADMAP
+	// item 34(d).
 	Workers int
 }
 
@@ -241,7 +236,7 @@ func (t TabuPlanner) Plan(pr *Problem) (Result, error) {
 
 	ev := newEvaluator(pr, a)
 	var stats SearchStats
-	buf := tabuBuffers{units: newUnitLists(a, pr.K)}
+	units := newUnitLists(a, pr.K)
 	costs := make([]float64, pr.K)
 	for t.MaxRounds <= 0 || stats.TabuRounds < t.MaxRounds {
 		stats.TabuRounds++
@@ -256,7 +251,7 @@ func (t TabuPlanner) Plan(pr *Problem) (Result, error) {
 			if costs[n] <= mean {
 				continue
 			}
-			if t.rebalanceNode(pr, a, n, tabu, ev, &stats, &buf) {
+			if t.rebalanceNode(pr, a, n, tabu, ev, &stats, &units) {
 				changed = true
 				ev.nodeCosts(costs)
 			}
@@ -290,14 +285,6 @@ func (m tabuMove) better(o tabuMove) bool {
 		return m.unit < o.unit
 	}
 	return m.node < o.node
-}
-
-// tabuBuffers are what one Plan reuses across every rebalanceNode call:
-// each node's units, and the candidate and per-worker winner slices, so
-// no move regrows them.
-type tabuBuffers struct {
-	units          unitLists
-	cands, winners []tabuMove
 }
 
 // unitLists threads each node's units into a doubly linked list, laid out
@@ -350,24 +337,28 @@ func (l *unitLists) remove(i, node int) {
 // send and receive after the move are both below M; it can lower C only
 // if every node at C is n or j. A candidate that can lower neither costs
 // at least the current plan, since int→float, ×t (t ≥ 0) and + are
-// monotone, so bestMove would reject it: it is not costed. The top-3
-// caches name the nodes at each maximum, which leaves each unit all
-// targets (n alone holds a maximum), one (the other holder), or none.
-// A negative or NaN Transfer breaks the monotonicity, and then every
-// candidate is costed. Each what-if is an O(1) read of the caches, which
-// nothing writes during the scan, so the candidates shard freely across
-// workers; the applied move is the deterministic minimum over all of them.
-func (t TabuPlanner) rebalanceNode(pr *Problem, a Assignment, n int, tabu []bool, ev *evaluator, stats *SearchStats, buf *tabuBuffers) bool {
+// monotone, so it could not win: it is not costed. The top-3 caches name
+// the nodes at each maximum, which leaves each unit all targets (n alone
+// holds a maximum), one (the other holder), or none. A negative or NaN
+// Transfer breaks the monotonicity, and then every candidate is costed.
+// Each what-if is an O(1) read of the caches, and the applied move is the
+// minimum by the (cost, unit, node) tie-break among the candidates
+// cheaper than the current plan.
+func (t TabuPlanner) rebalanceNode(pr *Problem, a Assignment, n int, tabu []bool, ev *evaluator, stats *SearchStats, units *unitLists) bool {
 	improved := false
 	prune := pr.Params.Transfer >= 0
-	units := &buf.units
 	for {
-		cands := buf.cands[:0]
-		add := func(i, j int) {
+		none := tabuMove{cost: ev.total(), unit: -1}
+		win := none
+		try := func(i, j int) {
 			if !t.DisableTabuList && tabu[i*pr.K+j] {
 				return
 			}
-			cands = append(cands, tabuMove{unit: i, node: j})
+			stats.TabuWhatIfs++
+			m := tabuMove{cost: ev.whatIf(i, n, j), unit: i, node: j}
+			if m.cost < none.cost && m.better(win) {
+				win = m
+			}
 		}
 		mAll, mTo := ev.topMove.lowerTargets(n)
 		cAll, cTo := ev.topComp.lowerTargets(n)
@@ -384,51 +375,16 @@ func (t TabuPlanner) rebalanceNode(pr *Problem, a Assignment, n int, tabu []bool
 			if all {
 				for j := 0; j < pr.K; j++ {
 					if j != n {
-						add(i, j)
+						try(i, j)
 					}
 				}
 				continue
 			}
 			if cTo >= 0 {
-				add(i, cTo)
+				try(i, cTo)
 			}
 			if to >= 0 && to != cTo {
-				add(i, to)
-			}
-		}
-		buf.cands = cands
-		if len(cands) == 0 {
-			return improved
-		}
-		stats.TabuWhatIfs += int64(len(cands))
-		none := tabuMove{cost: ev.total(), unit: -1}
-		// Spawning goroutines only pays off on real neighborhoods.
-		w := t.Workers
-		if w < 1 || len(cands) < 256 {
-			w = 1
-		}
-		if cap(buf.winners) < w {
-			buf.winners = make([]tabuMove, w)
-		}
-		winners := buf.winners[:w]
-		for i := range winners {
-			winners[i] = none
-		}
-		if w == 1 {
-			// Inline, so the sequential scan allocates no closure.
-			winners[0] = ev.bestMove(cands, n, none)
-		} else {
-			// The closure captures copies it never reassigns, so the
-			// buffers themselves stay off the heap.
-			cs, ws := cands, winners
-			par.ForChunks(len(cs), w, func(lo, hi, wid int) {
-				ws[wid] = ev.bestMove(cs[lo:hi], n, none)
-			})
-		}
-		win := none
-		for _, m := range winners {
-			if m.unit >= 0 && m.better(win) {
-				win = m
+				try(i, to)
 			}
 		}
 		if win.unit < 0 {
@@ -442,22 +398,6 @@ func (t TabuPlanner) rebalanceNode(pr *Problem, a Assignment, n int, tabu []bool
 		stats.TabuMoves++
 		improved = true
 	}
-}
-
-// bestMove costs each candidate move of a unit off node from and returns
-// the best by the (cost, unit, node) tie-break among those cheaper than
-// none, the current plan's cost; none itself when no candidate is. The
-// candidates are those rebalanceNode's bound left, so every move that can
-// beat none is among them.
-func (ev *evaluator) bestMove(cands []tabuMove, from int, none tabuMove) tabuMove {
-	best := none
-	for _, cand := range cands {
-		cand.cost = ev.whatIf(cand.unit, from, cand.node)
-		if cand.cost < none.cost && cand.better(best) {
-			best = cand
-		}
-	}
-	return best
 }
 
 // top3 holds the three largest (value, node) pairs of a per-node
@@ -523,8 +463,7 @@ func (t *top3[T]) lowerTargets(n int) (all bool, to int) {
 // live assignment, plus top-3 caches of each node's max(send, recv) and
 // comp, so a single-unit move's what-if costs O(1): the move changes only
 // its two nodes, and the largest unchanged value is the first cached entry
-// on neither. Only move writes the caches (an O(k) rebuild), so concurrent
-// what-ifs read them freely.
+// on neither. Only move writes the caches (an O(k) rebuild).
 type evaluator struct {
 	pr      *Problem
 	send    []int64 // cells node j must transmit
@@ -559,9 +498,8 @@ func (ev *evaluator) rebuildTops() {
 }
 
 // whatIf returns the Equation-8 plan cost after hypothetically moving
-// unit i from node from to node to, without mutating the evaluator — the
-// read-only form of move+total that concurrent neighborhood evaluation
-// requires. The arithmetic mirrors move/total exactly: both maxima start
+// unit i from node from to node to, without mutating the evaluator. The
+// arithmetic mirrors move/total exactly: both maxima start
 // from 0, and a max of finite values is the same in any order, so a
 // what-if cost equals the total that applying the move would produce, bit
 // for bit.

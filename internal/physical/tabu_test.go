@@ -235,9 +235,9 @@ func TestWhatIfMatchesMoveThenTotal(t *testing.T) {
 
 // TestTabuMatchesOracleSearch: the planners built on the O(1) what-if
 // and the bounded scan return the same assignment, model and search
-// counters as the full search run with the O(k) oracle, sequentially and
-// sharded; their what-ifs are the oracle's candidates under the bound. Every 40th problem is
-// large enough (400 units on 32 nodes) for Workers: 4 to shard the scan.
+// counters as the full search run with the O(k) oracle; their what-ifs
+// are the oracle's candidates under the bound. Every 40th problem has
+// wide_plan's size, 400 units on 32 nodes.
 func TestTabuMatchesOracleSearch(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	for trial := 0; trial < 200; trial++ {
@@ -264,7 +264,6 @@ func TestTabuMatchesOracleSearch(t *testing.T) {
 			stats   SearchStats
 		}{
 			{TabuPlanner{}, full, fullStats},
-			{TabuPlanner{Workers: 4}, full, fullStats},
 			{GreedyPlanner{}, sweep, sweepStats},
 		} {
 			res, err := c.planner.Plan(pr)
@@ -281,7 +280,7 @@ func TestTabuMatchesOracleSearch(t *testing.T) {
 
 // TestTabuPruneIsExact: at every step of a search, every candidate the
 // bound skips costs, by the O(k) oracle, at least the current plan, so
-// bestMove would have rejected it. The float comparison is exact. The
+// rebalanceNode would have rejected it. The float comparison is exact. The
 // search states must include 1, 2, 3 and 4 nodes tied at the largest
 // max(send, recv) and at the largest comparison time with a move skipped.
 func TestTabuPruneIsExact(t *testing.T) {

@@ -293,7 +293,8 @@ func (qc *QueryContext) capturePostmortem(reason string, failure map[string]any)
 }
 
 // Run executes τ = left ⋈ right over the cluster through the full
-// pipeline.
+// pipeline. Once both arrays resolve, a failing query returns its partial
+// Report with the error, as RunDistributed does.
 func Run(c *cluster.Cluster, leftName, rightName string, pred join.Predicate, out *array.Schema, opt Options) (*Report, error) {
 	dl, err := c.Catalog.Lookup(leftName)
 	if err != nil {
@@ -306,13 +307,13 @@ func Run(c *cluster.Cluster, leftName, rightName string, pred join.Predicate, ou
 	return RunDistributed(c, dl, dr, pred, out, opt)
 }
 
-// RunDistributed is Run for already-resolved distributed arrays.
+// RunDistributed is Run for already-resolved distributed arrays. A query
+// that fails returns its Report with the error: the stages it completed,
+// which FoldMetrics can fold as a failed query.
 func RunDistributed(c *cluster.Cluster, dl, dr *cluster.Distributed, pred join.Predicate, out *array.Schema, opt Options) (*Report, error) {
 	qc := NewQueryContext(c, dl, dr, pred, out, opt)
-	if err := Execute(qc, DefaultStages()); err != nil {
-		return nil, err
-	}
-	return qc.Report, nil
+	err := Execute(qc, DefaultStages())
+	return qc.Report, err
 }
 
 // Explanation describes the optimizer's view of a query without running

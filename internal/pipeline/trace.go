@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+	"sync"
 	"time"
 
 	"shufflejoin/internal/obs"
@@ -71,13 +72,14 @@ func FoldMetrics(reg *obs.Registry, rep *Report, failed bool) {
 			reg.Gauge("compare.skew").Set(rep.Skew)
 			reg.Gauge("compare.straggler_node").Set(float64(rep.StragglerNode))
 			reg.Counter("compare.matches").Add(rep.Matches)
+			names := nodeMetricNames(len(rep.Nodes))
 			for node, nl := range rep.Nodes {
-				pfx := fmt.Sprintf("node%02d.", node)
-				reg.Counter(pfx + "assigned_cells").Add(nl.AssignedCells)
-				reg.Gauge(pfx + "send_seconds").Add(align.SendBusy[node])
-				reg.Gauge(pfx + "recv_seconds").Add(align.RecvBusy[node])
-				reg.Gauge(pfx + "lock_wait_seconds").Add(align.RecvLockWait[node])
-				reg.Gauge(pfx + "compare_seconds").Add(rep.NodeCompareTime[node])
+				nm := &names[node]
+				reg.Counter(nm.assigned).Add(nl.AssignedCells)
+				reg.Gauge(nm.send).Add(align.SendBusy[node])
+				reg.Gauge(nm.recv).Add(align.RecvBusy[node])
+				reg.Gauge(nm.lockWait).Add(align.RecvLockWait[node])
+				reg.Gauge(nm.compare).Add(rep.NodeCompareTime[node])
 			}
 			reg.Counter("exec.steps").Add(1)
 
@@ -101,6 +103,29 @@ var (
 	unitCellsBuckets      = obs.PowersOf2Buckets(2, 16)
 	modeledSecondsBuckets = obs.PowersOf2Buckets(1, 12)
 )
+
+// nodeNames are one node's metric names. nodeNameTable makes them once
+// per node, node-indexed, and only grows, so a slice of it stays valid
+// after the lock is released.
+type nodeNames struct{ assigned, send, recv, lockWait, compare string }
+
+var nodeNameTable struct {
+	sync.Mutex
+	names []nodeNames
+}
+
+// nodeMetricNames returns the metric names of nodes 0..k-1.
+func nodeMetricNames(k int) []nodeNames {
+	t := &nodeNameTable
+	t.Lock()
+	defer t.Unlock()
+	for node := len(t.names); node < k; node++ {
+		p := fmt.Sprintf("node%02d.", node)
+		t.names = append(t.names, nodeNames{p + "assigned_cells", p + "send_seconds",
+			p + "recv_seconds", p + "lock_wait_seconds", p + "compare_seconds"})
+	}
+	return t.names[:k]
+}
 
 // Chrome trace-event export (the "Trace Event Format" consumed by
 // Perfetto and chrome://tracing). The simulated cluster maps onto the

@@ -25,6 +25,7 @@
 package shufflejoin
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"os"
@@ -80,7 +81,9 @@ func Open(nodes int) (*DB, error) {
 // each of its steps' metrics (pipeline.FoldMetrics: planning, alignment,
 // skew, and per-node diagnostics) into the same registry: counters and
 // additive gauges accumulate, and set gauges such as compare.skew hold
-// the last query's value.
+// the last query's value. A query that fails in a join folds the steps
+// it ran, the last counted under pipeline.query_errors, and adds to no
+// query.* total.
 func (db *DB) MetricsSnapshot() map[string]float64 { return db.metrics.Snapshot() }
 
 // recordQuery folds one finished query into the DB's cumulative metrics.
@@ -284,36 +287,23 @@ func WithPlanner(name string, budget ...time.Duration) QueryOption {
 	}
 }
 
-// plannerWithWorkers propagates the query's parallelism knob into planners
-// that have a worker-pool knob of their own, unless the caller already set
-// one explicitly on the planner value. The planners treat Workers <= 1 as
-// sequential, so the facade's 0-means-auto convention is resolved to a
-// concrete worker count here.
+// plannerWithWorkers propagates the query's parallelism knob into the ILP
+// planners' worker pools, directly or as a greedy planner's fallback,
+// unless the caller set Workers on the planner value. They treat Workers
+// <= 1 as sequential, so the 0-means-auto convention is resolved here.
 func plannerWithWorkers(p physical.Planner, parallelism int) physical.Planner {
 	w := par.Workers(parallelism)
 	switch t := p.(type) {
 	case physical.GreedyPlanner:
-		if t.Workers == 0 {
-			t.Workers = w
-		}
 		if t.Fallback != nil {
 			t.Fallback = plannerWithWorkers(t.Fallback, parallelism)
 		}
 		return t
-	case physical.TabuPlanner:
-		if t.Workers == 0 {
-			t.Workers = w
-		}
-		return t
 	case physical.ILPPlanner:
-		if t.Workers == 0 {
-			t.Workers = w
-		}
+		t.Workers = cmp.Or(t.Workers, w)
 		return t
 	case physical.CoarseILPPlanner:
-		if t.Workers == 0 {
-			t.Workers = w
-		}
+		t.Workers = cmp.Or(t.Workers, w)
 		return t
 	}
 	return p
@@ -533,21 +523,26 @@ func (db *DB) Query(q string, opts ...QueryOption) (*Result, error) {
 		// Multi-way join: greedy join ordering (the paper's Section 8
 		// future work, implemented in internal/aql). Its intermediates
 		// are query-local, so it only reads the catalog.
-		mres, err := aql.RunMulti(c, parsed, eo)
-		if err != nil {
-			return nil, err
-		}
-		steps = mres.Steps
-		order = make([]JoinOrderStep, len(mres.Plan))
-		for i, s := range mres.Plan {
-			order[i] = JoinOrderStep{Left: s.Left, Right: s.Right, EstimatedCells: s.EstimatedCost}
+		var mres *aql.MultiResult
+		if mres, err = aql.RunMulti(c, parsed, eo); mres != nil {
+			steps = mres.Steps
+			order = make([]JoinOrderStep, len(mres.Plan))
+			for i, s := range mres.Plan {
+				order[i] = JoinOrderStep{Left: s.Left, Right: s.Right, EstimatedCells: s.EstimatedCost}
+			}
 		}
 	} else {
-		rep, err := aql.Run(c, parsed, eo)
-		if err != nil {
-			return nil, err
+		var rep *pipeline.Report
+		if rep, err = aql.Run(c, parsed, eo); rep != nil {
+			steps = []*pipeline.Report{rep}
 		}
-		steps = []*pipeline.Report{rep}
+	}
+	if err != nil {
+		// The steps a failed query ran are folded too, the last as failed.
+		for i, rep := range steps {
+			pipeline.FoldMetrics(db.metrics, rep, i == len(steps)-1)
+		}
+		return nil, err
 	}
 	res := newResult(steps, order)
 	db.recordQuery(res)

@@ -3,6 +3,7 @@ package shufflejoin
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"runtime"
 	"strings"
@@ -197,6 +198,36 @@ func TestMetricsSnapshot(t *testing.T) {
 	}
 	if snap["compare.skew"] != res2.Skew {
 		t.Errorf("compare.skew = %v, want the last query's %v", snap["compare.skew"], res2.Skew)
+	}
+}
+
+// TestFailedQueryMetrics: a query that fails in a join still folds the
+// steps it ran into the DB's metrics, the last counted under
+// pipeline.query_errors, and adds to no query.* total. A k-way query
+// that fails in its last step folds the first as a finished step.
+func TestFailedQueryMetrics(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		db    *DB
+		query string
+		steps float64
+	}{
+		{"two-way", traceDB(t), "SELECT i, j INTO T<i:int, j:int>[v=0,9,5] FROM A JOIN B ON A.v = B.w", 1},
+		{"three-way", threeWayDB(t), `SELECT * INTO T<value:float, elevation:int>[t=1,50,25] FROM Readings, Sensors, Sites
+			WHERE Readings.sensor = Sensors.sid AND Sensors.site = Sites.code`, 2},
+	} {
+		if _, err := tc.db.Query(tc.query, WithStrict()); !errors.Is(err, pipeline.ErrBounds) {
+			t.Fatalf("%s: err = %v, want a strict-bounds error", tc.name, err)
+		}
+		snap := tc.db.MetricsSnapshot()
+		if snap["pipeline.query_errors"] != 1 || snap["pipeline.query_count"] != tc.steps {
+			t.Errorf("%s: pipeline.query_errors = %v, pipeline.query_count = %v, want 1 and %v",
+				tc.name, snap["pipeline.query_errors"], snap["pipeline.query_count"], tc.steps)
+		}
+		if snap["query.count"] != 0 || snap["pipeline.modeled_seconds.count"] != tc.steps-1 {
+			t.Errorf("%s: query.count = %v, modeled_seconds.count = %v, want 0 and %v",
+				tc.name, snap["query.count"], snap["pipeline.modeled_seconds.count"], tc.steps-1)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package aql
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -454,6 +455,39 @@ func TestRunMultiSameNamedColumns(t *testing.T) {
 			if v, w := ch.Cols[0].Value(row), ch.Cols[1].Value(row); v.AsInt() != 100+w.AsInt() {
 				t.Errorf("row (v %v, w %v): v is not A's value for w's i", v, w)
 			}
+		}
+	}
+}
+
+// TestRunMultiFailedStep: a k-way query whose last join fails returns the
+// steps run so far with the error, the failing join's partial Report
+// last. Each step is labelled with the query's label and "[step i/n:
+// L ⋈ R]"; with no label, the step's tag alone.
+func TestRunMultiFailedStep(t *testing.T) {
+	const q = `SELECT * INTO T<who:int, region:int, pop:int>[t=1,50,25, r=1,5,5]
+		FROM Clicks, Users, Regions WHERE Clicks.who = Users.uid AND Users.region = Regions.rid`
+	for _, label := range []string{"q", ""} {
+		res, err := runMultiText(threeWayCluster(t), q, pipeline.Options{Strict: true, QueryLabel: label})
+		if !errors.Is(err, pipeline.ErrBounds) {
+			t.Fatalf("label %q: err = %v, want a strict-bounds error", label, err)
+		}
+		if res == nil || len(res.Steps) != 2 || len(res.Plan) != 2 {
+			t.Fatalf("label %q: result %+v, want both steps", label, res)
+		}
+		for i, want := range []string{"[step 1/2: Regions ⋈ Users]", "[step 2/2: Clicks ⋈ _join1]"} {
+			if label != "" {
+				want = label + " " + want
+			}
+			if got := res.Steps[i].Query; got != want {
+				t.Errorf("step %d labelled %q, want %q", i+1, got, want)
+			}
+		}
+		if first := res.Steps[0]; first.Output == nil || first.Stages[len(first.Stages)-1].Stage != "assemble" {
+			t.Errorf("label %q: first step did not finish: %+v", label, first.Stages)
+		}
+		last := res.Steps[1].Stages
+		if len(last) == 0 || last[len(last)-1].Done {
+			t.Errorf("label %q: last step's stages %+v, want the failing stage last, not done", label, last)
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"shufflejoin/internal/join"
+	"shufflejoin/internal/workload"
 )
 
 // mkProblem builds a problem from combined slice matrices, splitting cells
@@ -240,6 +241,40 @@ func TestTabuImprovesSkewedComparisonLoad(t *testing.T) {
 	if tabu.Model.CompareTime >= mbh.Model.CompareTime {
 		t.Errorf("tabu comparison time %v not below MBH's %v",
 			tabu.Model.CompareTime, mbh.Model.CompareTime)
+	}
+}
+
+// TestTabuParallelMatchesSequential: Workers has no effect on the search
+// (the scan runs on the calling goroutine), so on skewed Zipf workloads
+// every Workers setting produces the bit-for-bit identical assignment and
+// model cost.
+func TestTabuParallelMatchesSequential(t *testing.T) {
+	for _, alpha := range []float64{0.5, 1.0, 2.0} {
+		rng := rand.New(rand.NewSource(int64(alpha * 100)))
+		ls := workload.ZipfUnitSizes(1024, alpha, 1<<20, rng)
+		rs := workload.ZipfUnitSizes(1024, alpha, 1<<20, rng)
+		left, right := workload.HashSlices(ls, rs, 8, alpha, rng)
+		pr, err := NewProblem(8, join.Hash, left, right, DefaultParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		seq, err := TabuPlanner{Workers: 1}.Plan(pr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range []int{2, 4, 7} {
+			par, err := TabuPlanner{Workers: w}.Plan(pr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(par.Assignment, seq.Assignment) {
+				t.Errorf("alpha=%v workers=%d: assignment diverged from sequential", alpha, w)
+			}
+			if par.Model.Total != seq.Model.Total {
+				t.Errorf("alpha=%v workers=%d: cost %v != sequential %v",
+					alpha, w, par.Model.Total, seq.Model.Total)
+			}
+		}
 	}
 }
 

@@ -242,6 +242,37 @@ func TestStrictBoundsRejectsClamp(t *testing.T) {
 	}
 }
 
+// TestStrictBoundsReturnsPartialReport: a query that fails returns the
+// Report of what it ran with the error: the clamping run's plan, and its
+// stage log up to the failing stage, logged last and not done.
+func TestStrictBoundsReturnsPartialReport(t *testing.T) {
+	c, out, pred, _ := clampSetup(t)
+	want, err := pipeline.Run(c, "A", "B", pred, out, pipeline.Options{QueryLabel: "q"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := pipeline.Run(c, "A", "B", pred, out, pipeline.Options{Strict: true, QueryLabel: "q"})
+	if !errors.Is(err, pipeline.ErrBounds) {
+		t.Fatalf("err = %v, want pipeline.ErrBounds", err)
+	}
+	if rep == nil {
+		t.Fatal("no Report with the error")
+	}
+	if rep.Query != "q" || !reflect.DeepEqual(rep.Physical.Assignment, want.Physical.Assignment) {
+		t.Errorf("Report %q with assignment %v, want %q with %v",
+			rep.Query, rep.Physical.Assignment, "q", want.Physical.Assignment)
+	}
+	n := len(rep.Stages)
+	if n == 0 || n > len(want.Stages) || rep.Stages[n-1].Done {
+		t.Fatalf("stages %+v, want a prefix of %d ending in a failed stage", rep.Stages, len(want.Stages))
+	}
+	for i, st := range rep.Stages {
+		if st.Stage != want.Stages[i].Stage || st.Done != (i < n-1) {
+			t.Errorf("stage %d = %s (done %v), want %s (done %v)", i, st.Stage, st.Done, want.Stages[i].Stage, i < n-1)
+		}
+	}
+}
+
 // TestStrictBoundsNamesFirstCell: the strict-bounds error names the first
 // out-of-range output cell in node order, then unit assignment order,
 // then emit order — whichever of its coordinates is out of range — at
